@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck fmt-check bench bench-serving bench-kernels smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
+.PHONY: build test race vet staticcheck fmt-check bench bench-serving bench-kernels bench-module smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
 
 build:
 	$(GO) build ./...
@@ -38,6 +38,12 @@ bench-serving:
 # from this file.
 bench-kernels:
 	$(GO) run ./cmd/evkernels -iters 5 -out BENCH_kernels.json
+
+# benchmark/ is its own module (so tier-1 `go test ./...` never sees it) that
+# compiles against this module's internal packages: vet and test it with the
+# repo, or an internal rename breaks the load benchmark silently.
+bench-module:
+	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
 
 # One-iteration smoke of the kernel bench harness: validates the tool runs
 # and emits well-formed JSON without spending benchmarking time.
@@ -103,7 +109,7 @@ smoke-multimodel:
 	wait $$traffic; \
 	[ ! -e $$dir/errs ] || fail=4; \
 	curl -sf http://127.0.0.1:18099/v1/models/wet/stats | grep -q '"queries"' || fail=5; \
-	curl -sf http://127.0.0.1:18099/v1/stats | grep -q '"legacy_requests"' || fail=6; \
+	curl -sf http://127.0.0.1:18099/v1/stats | grep -q '"models"' || fail=6; \
 	curl -sf http://127.0.0.1:18099/v1/readyz >/dev/null || fail=7; \
 	kill $$pid; wait $$pid 2>/dev/null; \
 	if [ $$fail -ne 0 ]; then echo "smoke-multimodel: step $$fail failed"; exit 1; fi; \
@@ -190,6 +196,6 @@ smoke-trace:
 # The PR gate: formatting and static checks plus the full test suite under
 # the race detector (includes the concurrent-engine stress tests), the
 # evserve smoke tests (evtop dashboard + multi-model hot reload + durable
-# audit replay + traceparent propagation), and the kernel bench harness
-# smoke.
-check: fmt-check vet staticcheck race smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels
+# audit replay + traceparent propagation), the kernel bench harness smoke,
+# and the benchmark module's own vet + tests.
+check: fmt-check vet staticcheck race smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels bench-module

@@ -383,17 +383,16 @@ func (c *Client) DSep(ctx context.Context, model string, x, y, z []string) (bool
 // Stats is the slice of GET /v1/stats clients typically branch on; the
 // full body (window, cache, gauges) is available via Raw.
 type Stats struct {
-	Queries        int64              `json:"queries"`
-	Batches        int64              `json:"batches"`
-	MPEs           int64              `json:"mpes"`
-	Errors         int64              `json:"errors"`
-	LegacyRequests int64              `json:"legacy_requests"`
-	Propagations   int64              `json:"propagations"`
-	Workers        int                `json:"workers"`
-	Scheduler      string             `json:"scheduler"`
-	Models         []ModelStatsInline `json:"models"`
-	Cache          CacheCounters      `json:"cache"`
-	Audit          AuditStatus        `json:"audit"`
+	Queries      int64              `json:"queries"`
+	Batches      int64              `json:"batches"`
+	MPEs         int64              `json:"mpes"`
+	Errors       int64              `json:"errors"`
+	Propagations int64              `json:"propagations"`
+	Workers      int                `json:"workers"`
+	Scheduler    string             `json:"scheduler"`
+	Models       []ModelStatsInline `json:"models"`
+	Cache        CacheCounters      `json:"cache"`
+	Audit        AuditStatus        `json:"audit"`
 }
 
 // CacheCounters is the default model's result-cache block in Stats.

@@ -33,7 +33,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random network: generator seed")
 		evidence  = flag.String("evidence", "", "comma-separated Name=state observations")
 		query     = flag.String("query", "all", "comma-separated variables to query, or 'all'")
-		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, serial, levelsync, dataparallel, centralized")
+		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, stealing, serial")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		noReroot  = flag.Bool("no-reroot", false, "disable critical-path rerooting (Algorithm 1)")
 		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = auto, <0 = off)")

@@ -1,15 +1,12 @@
 package main
 
 import (
-	"context"
 	"maps"
 	"net/http"
 	"time"
 
-	"evprop"
 	"evprop/internal/audit"
 	"evprop/internal/obs"
-	"evprop/internal/registry"
 )
 
 // Durable query auditing: with -audit-dir set, every completed query and
@@ -18,63 +15,37 @@ import (
 // check the answer it got (P(e), posteriors, assignment). Records flow
 // through a wait-free ring into Merkle-chained batches on disk (see
 // internal/audit); the enqueue below is the only cost the serving hot
-// path pays, and under backpressure records are dropped and counted,
-// never blocked on.
+// path pays (in finish, server.go), and under backpressure records are
+// dropped and counted, never blocked on.
 //
 // evreplay reads the resulting segments: -mode verify checks the chain,
 // -mode load re-drives the recorded traffic, -mode diff re-executes every
 // query and compares answers bit for bit.
 
-// auditQuery enqueues one completed (or failed) query. resp may be nil
-// when qerr is set. cached marks queries served without their own
-// propagation (result-cache hit, singleflight or batch-window rider).
-func (s *server) auditQuery(ctx context.Context, v *registry.Version, req queryRequest, resp *queryResponse, cached bool, elapsed time.Duration, qerr error) {
-	if s.aud == nil {
-		return
-	}
-	rec := s.newAuditRecord(ctx, audit.KindQuery, v, req.Evidence, elapsed, cached)
-	rec.Query = append([]string(nil), req.Query...)
-	if qerr != nil {
-		rec.Error = qerr.Error()
-	} else {
-		rec.PEvidence = resp.PEvidence
-		rec.Posteriors = resp.Posteriors
-	}
-	s.aud.Enqueue(rec)
-}
-
-// auditMPE enqueues one completed (or failed) MPE request.
-func (s *server) auditMPE(ctx context.Context, v *registry.Version, ev evprop.Evidence, assignment map[string]int, p float64, elapsed time.Duration, qerr error) {
-	if s.aud == nil {
-		return
-	}
-	rec := s.newAuditRecord(ctx, audit.KindMPE, v, ev, elapsed, false)
-	if qerr != nil {
-		rec.Error = qerr.Error()
-	} else {
-		rec.Assignment = assignment
-		rec.Probability = p
-	}
-	s.aud.Enqueue(rec)
-}
-
-// newAuditRecord fills the fields every audit record shares. The evidence
-// map is cloned — the writer owns the record after Enqueue, and request
-// maps must not be shared with the asynchronous encoder. Posteriors and
-// assignments are already fresh per-request maps, so the specific record
-// builders attach them as is.
-func (s *server) newAuditRecord(ctx context.Context, kind uint8, v *registry.Version, ev evprop.Evidence, elapsed time.Duration, cached bool) *audit.Record {
-	ri := reqInfoFrom(ctx)
-	return &audit.Record{
+// auditRecord projects the outcome onto the audit codec's record. The
+// evidence map and the target list are cloned — the writer owns the record
+// after Enqueue, and request data must not be shared with the asynchronous
+// encoder. Posteriors and assignments are fresh per-answer maps that nobody
+// mutates, so they are attached as is.
+func (o *outcome) auditRecord(id, model string) *audit.Record {
+	rec := &audit.Record{
 		TimeUnixNano: time.Now().UnixNano(),
-		Kind:         kind,
-		ID:           evprop.QueryIDFrom(ctx),
-		Model:        ri.modelName(),
-		Version:      v.ID,
-		Cached:       cached,
-		ElapsedUsec:  float64(elapsed.Nanoseconds()) / 1e3,
-		Evidence:     maps.Clone(ev),
+		Kind:         o.kind,
+		ID:           id,
+		Model:        model,
+		Version:      o.v.ID,
+		Cached:       o.cached,
+		ElapsedUsec:  float64(o.elapsed.Nanoseconds()) / 1e3,
+		Evidence:     maps.Clone(o.evidence),
+		Query:        append([]string(nil), o.targets...),
 	}
+	if o.err != nil {
+		rec.Error = o.err.Error()
+		return rec
+	}
+	rec.PEvidence, rec.Posteriors = o.pe, o.posteriors
+	rec.Assignment, rec.Probability = o.assignment, o.probability
+	return rec
 }
 
 // auditStats is the audit section of /v1/stats and the GET /v1/audit body.

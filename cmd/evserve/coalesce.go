@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"evprop"
+	"evprop/internal/audit"
 	"evprop/internal/obs/trace"
 	"evprop/internal/registry"
 )
@@ -54,9 +55,9 @@ func newCoalescer(window time.Duration) *coalescer {
 	return &coalescer{window: window, groups: map[coalesceKey]*coalesceGroup{}}
 }
 
-// coalesceGroup is one open window's shared outcome. done is closed exactly
-// once, after which the result fields are immutable and safe to read from
-// any number of riders.
+// coalesceGroup is one open window's shared run. done is closed exactly
+// once, after which out is immutable and safe to read from any number of
+// members.
 type coalesceGroup struct {
 	done chan struct{}
 	// leader is the leader sub-query's span (nil when tracing is off):
@@ -64,36 +65,34 @@ type coalesceGroup struct {
 	// query its one propagation answered. Written before the group is
 	// published under co.mu, read by riders after that same lock.
 	leader *trace.Span
-	pe     float64
-	post   map[string][]float64
-	err    error
+	// out is the shared all-posteriors run's outcome; every member carves
+	// its own answer out of it.
+	out outcome
 }
 
-// coalescedQuery answers one batch sub-query through the coalescer. It
-// blocks for up to the batch window (plus the propagation) and returns the
-// sub-query's projected response. v is the version the enclosing batch
-// pinned; the batch holds its reference until every sub-query finishes, so
-// the shared run's engine outlives the window.
-func (s *server) coalescedQuery(ctx context.Context, model string, v *registry.Version, ms *modelStats, req queryRequest) (*queryResponse, error) {
-	start := time.Now()
-	ri := reqInfoFrom(ctx)
-	ri.noteQuery(len(req.Evidence))
+// coalesce answers one batch sub-query through the coalescer. It blocks for
+// up to the batch window (plus the propagation) and fills in the sub-query's
+// projected answer. o.v is the version the enclosing batch pinned; the batch
+// holds its reference until every sub-query finishes, so the shared run's
+// engine outlives the window.
+func (s *server) coalesce(ctx context.Context, co *coalescer, o *outcome) {
 	// The signature both validates the evidence and keys the group; queries
 	// the engine would cache together are exactly the ones that share it.
-	sig, err := v.Engine.EvidenceSignature(req.Evidence, nil)
+	sig, err := o.v.Engine.EvidenceSignature(o.evidence, nil)
 	if err != nil {
-		return nil, err
+		o.err = err
+		return
 	}
-	key := coalesceKey{v: v, sig: sig}
+	key := coalesceKey{v: o.v, sig: sig}
 	sp := trace.FromContext(ctx)
-	co := s.co
 	co.mu.Lock()
 	g, rider := co.groups[key]
 	if !rider {
-		g = &coalesceGroup{done: make(chan struct{}), leader: sp}
+		g = &coalesceGroup{done: make(chan struct{}), leader: sp,
+			out: outcome{kind: audit.KindQuery, v: o.v, evidence: o.evidence}}
 		co.groups[key] = g
 		co.mu.Unlock()
-		go s.runCoalesced(ctx, key, g, req.Evidence)
+		go s.runCoalesced(ctx, co, key, g)
 	} else {
 		co.mu.Unlock()
 		co.coalesced.Add(1)
@@ -111,44 +110,38 @@ func (s *server) coalescedQuery(ctx context.Context, model string, v *registry.V
 	case <-g.done:
 	case <-ctx.Done():
 		// This caller gives up; the shared run keeps going for the rest.
-		return nil, ctx.Err()
+		o.err = ctx.Err()
+		return
 	}
-	if g.err != nil {
-		s.auditQuery(ctx, v, req, nil, rider, time.Since(start), g.err)
-		return nil, g.err
-	}
-	resp, err := projectQuery(v.Net, g, req)
-	if err != nil {
-		s.auditQuery(ctx, v, req, nil, rider, time.Since(start), err)
-		return nil, err
-	}
-	resp.Model, resp.Version = model, v.ID
-	elapsed := time.Since(start)
-	tid := traceIDFrom(ctx)
-	s.stats.observe(elapsed, tid)
-	ms.latency.ObserveExemplar(elapsed, tid)
-	// Riders are audited Cached — they were answered by a window-mate's
+	// The leader's answer cost what the shared run cost — its engine
+	// records are the leader's. A rider was answered by a window-mate's
 	// propagation, exactly like a cache hit.
-	s.auditQuery(ctx, v, req, resp, rider, elapsed, nil)
-	return resp, nil
+	if rider {
+		o.cached = true
+	} else {
+		o.runs, o.cached = g.out.runs, g.out.cached
+	}
+	if o.err = g.out.err; o.err == nil {
+		o.err = projectQuery(o.v.Net, &g.out, o)
+	}
 }
 
 // runCoalesced is the group leader: it holds the window open, then runs the
-// one shared propagation and publishes the result. The run is detached from
+// one shared propagation and publishes its outcome. The run is detached from
 // the leader's cancellation (riders depend on it) but re-bounded by the
-// server's per-request timeout, and it keeps the leader's query ID so the
-// flight-recorder entry correlates with the access log.
-func (s *server) runCoalesced(leaderCtx context.Context, key coalesceKey, g *coalesceGroup, ev evprop.Evidence) {
+// server's per-request timeout, and it keeps the leader's query ID and span
+// so the flight-recorder entry and the trace correlate with the access log.
+func (s *server) runCoalesced(leaderCtx context.Context, co *coalescer, key coalesceKey, g *coalesceGroup) {
 	defer close(g.done)
-	timer := time.NewTimer(s.co.window)
+	timer := time.NewTimer(co.window)
 	defer timer.Stop()
 	<-timer.C
 	// Close enrollment before propagating: sub-queries arriving during the
 	// propagation open a fresh window (and will typically hit the engine's
 	// result cache).
-	s.co.mu.Lock()
-	delete(s.co.groups, key)
-	s.co.mu.Unlock()
+	co.mu.Lock()
+	delete(co.groups, key)
+	co.mu.Unlock()
 
 	runCtx := context.WithoutCancel(leaderCtx)
 	if s.timeout > 0 {
@@ -156,51 +149,32 @@ func (s *server) runCoalesced(leaderCtx context.Context, key coalesceKey, g *coa
 		runCtx, cancel = context.WithTimeout(runCtx, s.timeout)
 		defer cancel()
 	}
-	res, err := key.v.Engine.PropagateContext(runCtx, ev)
-	if err != nil {
-		g.err = err
-		return
-	}
-	defer res.Close()
-	ri := reqInfoFrom(leaderCtx)
-	ri.noteRun(res.Metrics())
-	if s.cacheOn {
-		ri.noteCache(res.Cached())
-	}
-	g.pe = res.ProbabilityOfEvidence()
-	g.post = map[string][]float64{}
-	if g.pe > 0 {
-		if g.post, err = res.Posteriors(); err != nil {
-			g.err = err
-		}
-	}
+	s.propagate(runCtx, &g.out)
 }
 
 // projectQuery carves one sub-query's answer out of the group's shared
-// all-posteriors result, mirroring runQuery's semantics: no requested
+// all-posteriors outcome, mirroring a direct query's semantics: no requested
 // variables means every non-evidence variable, and a requested variable that
 // is itself evidence gets its exact one-hot posterior.
-func projectQuery(net *evprop.Network, g *coalesceGroup, req queryRequest) (*queryResponse, error) {
-	resp := &queryResponse{PEvidence: g.pe, Posteriors: map[string][]float64{}}
-	if g.pe <= 0 {
-		return resp, nil
+func projectQuery(net *evprop.Network, shared, o *outcome) error {
+	o.pe = shared.pe
+	if o.pe <= 0 || len(o.targets) == 0 {
+		o.posteriors = shared.posteriors // empty when P(e) is zero
+		return nil
 	}
-	if len(req.Query) == 0 {
-		resp.Posteriors = g.post
-		return resp, nil
-	}
-	for _, name := range req.Query {
-		if p, ok := g.post[name]; ok {
-			resp.Posteriors[name] = p
+	o.posteriors = make(map[string][]float64, len(o.targets))
+	for _, name := range o.targets {
+		if p, ok := shared.posteriors[name]; ok {
+			o.posteriors[name] = p
 			continue
 		}
-		if state, ok := req.Evidence[name]; ok {
+		if state, ok := o.evidence[name]; ok {
 			oneHot := make([]float64, net.States(name))
 			oneHot[state] = 1
-			resp.Posteriors[name] = oneHot
+			o.posteriors[name] = oneHot
 			continue
 		}
-		return nil, fmt.Errorf("%w: %q", evprop.ErrUnknownVariable, name)
+		return fmt.Errorf("%w: %q", evprop.ErrUnknownVariable, name)
 	}
-	return resp, nil
+	return nil
 }

@@ -27,9 +27,7 @@
 //
 // The single-model routes /v1/model, /v1/query, /v1/batch, /v1/mpe and
 // /v1/dsep alias onto the model named "default" (what -network/-bif
-// boot). The pre-/v1 paths /model, /query, /mpe and /dsep remain too but
-// are deprecated: responses carry Deprecation and Sunset headers, and
-// /v1/stats counts their traffic as legacy_requests.
+// boot).
 //
 // Introspection:
 //

@@ -85,8 +85,8 @@ func TestErrorCountedOncePerRequest(t *testing.T) {
 	if got := errorsNow(); got != 2 {
 		t.Errorf("after wrong method: errors %d, want 2", got)
 	}
-	// Unknown variable → 400, one error (not two, despite the handler
-	// passing through both runQuery and httpError).
+	// Unknown variable → one error (not two, despite the failure passing
+	// through both the answer function and writeError).
 	post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
 	if got := errorsNow(); got != 3 {
 		t.Errorf("after unknown variable: errors %d, want 3", got)

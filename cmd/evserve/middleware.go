@@ -20,11 +20,10 @@ import (
 // scheduler, so the access-log line, the HTTP response header and the
 // flight-recorder entry all carry the same ID.
 
-// reqInfo is the annotation channel between the middleware and the handlers:
-// handlers note what they learned (evidence size, the propagation's Fig. 8
-// gauges) and the middleware folds it into the access log and the stats
-// window. Fields are atomics because /v1/batch runs its sub-queries on
-// concurrent goroutines.
+// reqInfo holds one request's totals: finish folds each of the request's
+// outcomes into it (see fold), and instrument reads it back into the access
+// log and the stats windows when the handler returns. Fields are atomics
+// because /v1/batch runs its sub-queries on concurrent goroutines.
 type reqInfo struct {
 	queryID string
 	// traceID is the request's 32-hex distributed-trace ID, "" when tracing
@@ -37,9 +36,9 @@ type reqInfo struct {
 	// gauges as float bits.
 	overheadFrac atomic.Uint64
 	loadBalance  atomic.Uint64
-	// cacheLookups counts the request's result-cache consultations and
-	// cacheHits the ones served without a propagation; both stay zero on
-	// engines compiled without a cache.
+	// cacheLookups counts the request's answers on cache-enabled engines and
+	// cacheHits the ones that cost no propagation of their own; both stay
+	// zero on engines compiled without a cache.
 	cacheHits    atomic.Int64
 	cacheLookups atomic.Int64
 	// model names the model the request resolved to and modelStats points
@@ -58,32 +57,24 @@ func reqInfoFrom(ctx context.Context) *reqInfo {
 	return ri
 }
 
-// noteQuery records one query's evidence size.
-func (ri *reqInfo) noteQuery(evidenceVars int) {
-	if ri == nil {
-		return
+// fold adds one finished outcome to the request's totals: its evidence
+// size, the Fig. 8 gauges of each scheduler run its engine records carry,
+// and — on engines with a cache — one cache consultation per answer, a hit
+// when the answer cost no propagation of its own.
+func (ri *reqInfo) fold(o *outcome, cacheOn bool) {
+	ri.evidenceVars.Add(int64(len(o.evidence)))
+	for i := range o.runs {
+		if run := &o.runs[i]; run.Workers > 0 {
+			ri.propagations.Add(1)
+			ri.overheadFrac.Store(math.Float64bits(run.SchedOverheadFrac))
+			ri.loadBalance.Store(math.Float64bits(run.LoadBalance))
+		}
 	}
-	ri.evidenceVars.Add(int64(evidenceVars))
-}
-
-// noteRun records one propagation's scheduler gauges.
-func (ri *reqInfo) noteRun(m *evprop.RunMetrics) {
-	if ri == nil || m == nil {
-		return
-	}
-	ri.propagations.Add(1)
-	ri.overheadFrac.Store(math.Float64bits(m.OverheadFraction))
-	ri.loadBalance.Store(math.Float64bits(m.LoadBalance))
-}
-
-// noteCache records one result-cache consultation and its outcome.
-func (ri *reqInfo) noteCache(hit bool) {
-	if ri == nil {
-		return
-	}
-	ri.cacheLookups.Add(1)
-	if hit {
-		ri.cacheHits.Add(1)
+	if cacheOn && o.err == nil {
+		ri.cacheLookups.Add(1)
+		if o.cached {
+			ri.cacheHits.Add(1)
+		}
 	}
 }
 
@@ -170,30 +161,6 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += n
 	return n, err
-}
-
-// legacySunset is when the unversioned aliases (/query, /model, /mpe,
-// /dsep) stop being served; announced on every legacy response via the
-// Sunset header (RFC 8594) so clients can migrate on their own schedule.
-const legacySunset = "Sat, 01 May 2027 00:00:00 GMT"
-
-// deprecated marks a legacy unversioned alias: responses carry
-// Deprecation (RFC 9745) and Sunset headers plus a Link to the successor
-// route, and the request counts into the legacy-traffic counter surfaced
-// by /v1/stats and /v1/metrics.
-func (s *server) deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.stats.legacy.Add(1)
-		successor := "/v1/models/default" + r.URL.Path
-		if r.URL.Path == "/model" {
-			successor = "/v1/models/default" // schema lives on the model resource
-		}
-		hdr := w.Header()
-		hdr.Set("Deprecation", "@1767225600") // 2026-01-01, when /v1 became canonical
-		hdr.Set("Sunset", legacySunset)
-		hdr.Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // instrument wraps a handler with the per-request observability layer.

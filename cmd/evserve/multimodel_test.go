@@ -336,44 +336,6 @@ func TestPerModelCacheIsolationHTTP(t *testing.T) {
 	}
 }
 
-// TestDeprecationHeaders: the unversioned aliases answer with Deprecation
-// and Sunset headers and count into legacy_requests; /v1 routes carry
-// neither.
-func TestDeprecationHeaders(t *testing.T) {
-	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
-	legacy := post(t, ts.URL+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	if legacy.StatusCode != http.StatusOK {
-		t.Fatalf("legacy query status %d", legacy.StatusCode)
-	}
-	if legacy.Header.Get("Deprecation") == "" || legacy.Header.Get("Sunset") == "" {
-		t.Errorf("legacy headers %+v", legacy.Header)
-	}
-	if link := legacy.Header.Get("Link"); !strings.Contains(link, "/v1/models/default/query") {
-		t.Errorf("Link %q", link)
-	}
-	v1 := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	if v1.Header.Get("Deprecation") != "" || v1.Header.Get("Sunset") != "" {
-		t.Error("versioned route carries deprecation headers")
-	}
-	scoped := post(t, ts.URL+"/v1/models/default/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	if scoped.StatusCode != http.StatusOK {
-		t.Fatalf("scoped query status %d", scoped.StatusCode)
-	}
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	decode(t, resp, &st)
-	if st.LegacyRequests != 1 {
-		t.Errorf("legacy_requests %d, want 1", st.LegacyRequests)
-	}
-	if st.Queries != 3 {
-		t.Errorf("queries %d, want 3", st.Queries)
-	}
-}
-
 // TestModelScopedStats: per-model counters accumulate under the model
 // that served the traffic, and /v1/models/{name}/stats reports them.
 func TestModelScopedStats(t *testing.T) {

@@ -4,16 +4,25 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
+	"maps"
+	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"evprop"
+	evclient "evprop/client"
+	"evprop/internal/audit"
+	"evprop/internal/obs/trace"
 )
 
 // syncBuffer is a locked bytes.Buffer for capturing slog output: the access
@@ -274,13 +283,261 @@ func TestStatsWindow(t *testing.T) {
 }
 
 // TestRequestTimeout sets a deadline so small the propagation cannot finish;
-// the engine must observe it and the server map it to 504.
+// the engine must observe it and the server map it to 504. The MPE's
+// max-product run is under the same deadline: with the sum-product result
+// already cached (a hit needs no run, so it still succeeds), an expired
+// request must answer 504 without starting the max-product propagation.
 func TestRequestTimeout(t *testing.T) {
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
+	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 16})
 	srv.timeout = time.Nanosecond
 	resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504", resp.StatusCode)
+	}
+
+	eng := srv.defaultEngine()
+	res, err := eng.Propagate(evprop.Evidence{"Dysp": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Close()
+	before := eng.Stats().Propagations
+	resp = post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"Dysp": 1}})
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Errorf("mpe status %d, want 504", resp.StatusCode)
+	}
+	if got := eng.Stats().Propagations; got != before {
+		t.Errorf("expired /v1/mpe ran %d propagation(s)", got-before)
+	}
+}
+
+// TestViewsAgree drives every kind of answer through one server with every
+// view switched on — access log, flight recorder, audit log, tracing, the
+// stats window — and checks that, per query ID, they tell the same story:
+// the same ID, model and version, the same evidence, the same cached flag
+// and error, and cache-hit counts that moved by exactly the number of
+// answers that cost no propagation of their own.
+func TestViewsAgree(t *testing.T) {
+	srv, err := newServer(evprop.Asia(), evprop.Options{Workers: 2, CacheSize: 16, RecordEvidence: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logBuf syncBuffer
+	srv.log = slog.New(slog.NewJSONHandler(&logBuf, nil))
+	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
+	srv.co = newCoalescer(20 * time.Millisecond)
+	store := audit.NewMemStore()
+	srv.aud, err = audit.NewWriter(store, audit.Config{BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.aud.Close()
+	})
+	eng := srv.defaultEngine()
+	version, err := srv.reg.Current(defaultModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	xray := evprop.Evidence{"XRay": 1}
+	dysp := evprop.Evidence{"Dysp": 1}
+	rows := []struct {
+		name, path string
+		body       any
+		evidence   []evprop.Evidence // one per answer
+		status     int
+		cached     bool     // every answer of the request
+		modes      []string // flight-recorder records, in order
+		engineHits int64    // engine result-cache hits
+	}{
+		{"query miss", "/query", queryRequest{Evidence: xray, Query: []string{"Lung"}},
+			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0},
+		{"query hit", "/query", queryRequest{Evidence: xray, Query: []string{"Lung"}},
+			[]evprop.Evidence{xray}, 200, true, []string{"sum-product"}, 1},
+		{"mpe miss", "/mpe", mpeRequest{Evidence: dysp},
+			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0},
+		{"mpe hit", "/mpe", mpeRequest{Evidence: dysp},
+			[]evprop.Evidence{dysp}, 200, true, []string{"sum-product", "max-product"}, 2},
+		// Two window-mates on evidence the engine already holds: the
+		// leader's one run is an engine cache hit, the rider rides it.
+		{"coalesced batch", "/batch", batchRequest{Queries: []queryRequest{{Evidence: xray}, {Evidence: xray}}},
+			[]evprop.Evidence{xray, xray}, 200, true, []string{"sum-product"}, 1},
+		{"failing query", "/query", queryRequest{Evidence: evprop.Evidence{"NoSuchVar": 1}},
+			[]evprop.Evidence{{"NoSuchVar": 1}}, 422, false, nil, 0},
+	}
+	ids := map[string]bool{}
+	var answers, cachedAnswers int
+	for i, row := range rows {
+		id := fmt.Sprintf("views-%d", i)
+		ids[id] = true
+		hitsBefore := eng.CacheStats().Hits
+
+		buf, err := json.Marshal(row.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/"+defaultModel+row.path, bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		traceparent, traceID := evclient.NewTraceparent(true) // flagged: tail sampling keeps it
+		req.Header.Set("traceparent", traceparent)
+		req.Header.Set("X-Query-ID", id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var envelope errorEnvelope
+		if resp.StatusCode != http.StatusOK {
+			decode(t, resp, &envelope)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != row.status || resp.Header.Get("X-Query-ID") != id {
+			t.Fatalf("%s: status %d id %q", row.name, resp.StatusCode, resp.Header.Get("X-Query-ID"))
+		}
+		wantCached := 0
+		if row.cached {
+			wantCached = len(row.evidence)
+		}
+		if row.status == http.StatusOK {
+			answers += len(row.evidence)
+			cachedAnswers += wantCached
+		}
+
+		// Access log.
+		var line struct {
+			ID, Model    string
+			TraceID      string `json:"trace_id"`
+			Status       int
+			EvidenceVars int `json:"evidence_vars"`
+			CacheHits    int `json:"cache_hits"`
+		}
+		if err := json.Unmarshal([]byte(waitForLogLine(t, &logBuf, `"id":"`+id+`"`)), &line); err != nil {
+			t.Fatal(err)
+		}
+		evidenceVars := 0
+		for _, ev := range row.evidence {
+			evidenceVars += len(ev)
+		}
+		if line.Model != defaultModel || line.TraceID != traceID || line.Status != row.status ||
+			line.EvidenceVars != evidenceVars || line.CacheHits != wantCached {
+			t.Errorf("%s: access log %+v, want model %s trace %s status %d evidence_vars %d cache_hits %d",
+				row.name, line, defaultModel, traceID, row.status, evidenceVars, wantCached)
+		}
+		if got := eng.CacheStats().Hits - hitsBefore; got != row.engineHits {
+			t.Errorf("%s: engine cache hits moved by %d, want %d", row.name, got, row.engineHits)
+		}
+
+		// Flight recorder: exactly the request's propagations, under its ID.
+		fresp, err := http.Get(ts.URL + "/v1/debug/flightrecorder?id=" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump flightRecorderResponse
+		decode(t, fresp, &dump)
+		fresp.Body.Close()
+		if len(dump.Records) != len(row.modes) {
+			t.Errorf("%s: %d flight records, want %d (%v)", row.name, len(dump.Records), len(row.modes), row.modes)
+			dump.Records = nil
+		}
+		sig, _ := eng.EvidenceSignature(row.evidence[0], nil) // fails only on the failing row, which has no records
+		for k, rec := range dump.Records {
+			// The signature's first byte is the semiring; the rest is the
+			// evidence, identical for the sum- and max-product records.
+			if rec.Mode != row.modes[k] || rec.Cached != row.cached || rec.Error != "" ||
+				!maps.Equal(rec.Evidence, map[string]int(row.evidence[0])) ||
+				rec.EvidenceSig[2:] != hex.EncodeToString([]byte(sig))[2:] {
+				t.Errorf("%s: flight record %d = %+v, want mode %s cached %v evidence %v",
+					row.name, k, rec, row.modes[k], row.cached, row.evidence[0])
+			}
+		}
+
+		// Audit log: one record per answer.
+		srv.aud.Flush()
+		var audited []*audit.Record
+		for _, b := range store.Batches() {
+			for _, raw := range b.Records {
+				rec, err := audit.DecodeRecord(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.ID == id {
+					audited = append(audited, rec)
+				}
+			}
+		}
+		if len(audited) != len(row.evidence) {
+			t.Errorf("%s: %d audit records, want %d", row.name, len(audited), len(row.evidence))
+			audited = nil
+		}
+		for k, rec := range audited {
+			if rec.Model != defaultModel || rec.Version != version.ID || rec.Cached != row.cached ||
+				rec.Error != envelope.Error.Message || !maps.Equal(rec.Evidence, map[string]int(row.evidence[k])) {
+				t.Errorf("%s: audit record %d = %+v, want model %s version %d cached %v error %q evidence %v",
+					row.name, k, rec, defaultModel, version.ID, row.cached, envelope.Error.Message, row.evidence[k])
+			}
+		}
+
+		// Trace: the root carries the query ID, every cache lookup the same
+		// verdict, and every engine span hangs below the request's root.
+		tr := fetchTrace(t, ts.URL, traceID)
+		byID := map[string]traceSpanJSON{}
+		for _, sp := range tr.Spans {
+			byID[sp.SpanID] = sp
+		}
+		lookups := 0
+		for _, sp := range tr.Spans {
+			top := sp
+			for byID[top.ParentSpanID].SpanID != "" {
+				top = byID[top.ParentSpanID]
+			}
+			if !strings.HasPrefix(top.Name, "/v1/models/") || top.Attrs["query.id"] != id {
+				t.Errorf("%s: span %s is rooted at %s %v", row.name, sp.Name, top.Name, top.Attrs)
+			}
+			if sp.Name == "cache.lookup" {
+				lookups++
+				if sp.Attrs["cache.hit"] != row.cached {
+					t.Errorf("%s: cache.lookup hit=%v, want %v", row.name, sp.Attrs["cache.hit"], row.cached)
+				}
+			}
+		}
+		if lookups != len(row.modes) {
+			t.Errorf("%s: %d cache.lookup spans, want %d (%v)", row.name, lookups, len(row.modes), spanNames(tr))
+		}
+		if row.status == http.StatusOK && !tr.has("collect") {
+			t.Errorf("%s: no collect span (%v)", row.name, spanNames(tr))
+		}
+	}
+
+	// Nothing was recorded under an ID no request carried.
+	for _, rec := range eng.RecentQueries() {
+		if !ids[rec.ID] {
+			t.Errorf("flight record under foreign ID %q: %+v", rec.ID, rec)
+		}
+	}
+	// Window and per-model stats: the hit rate is cached answers over
+	// answers, and the engine ran one propagation per uncached answer run.
+	var ms modelStatsResponse
+	mresp, err := http.Get(ts.URL + "/v1/models/" + defaultModel + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode(t, mresp, &ms)
+	mresp.Body.Close()
+	want := float64(cachedAnswers) / float64(answers)
+	for name, got := range map[string]float64{
+		"model window":  ms.Window.CacheHitRate,
+		"server window": srv.windowStats().CacheHitRate,
+	} {
+		if math.Abs(got-want) > 1e-9 {
+			t.Errorf("%s cache_hit_rate %v, want %d/%d", name, got, cachedAnswers, answers)
+		}
+	}
+	if ms.Observed != int64(answers) || ms.Propagations != 3 {
+		t.Errorf("model stats: observed %d propagations %d, want %d and 3", ms.Observed, ms.Propagations, answers)
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 	"evprop/internal/registry"
 )
 
-// defaultModel is the model the single-model routes (versioned and
-// legacy) alias onto; a server always tries to serve one.
+// defaultModel is the model the single-model routes alias onto; a server
+// always tries to serve one.
 const defaultModel = "default"
 
 // server routes HTTP requests onto a registry of compiled models. Handlers
@@ -89,10 +89,6 @@ type serverStats struct {
 	queries atomic.Int64
 	batches atomic.Int64
 	mpes    atomic.Int64
-	// legacy counts requests through the deprecated unversioned aliases
-	// (/query, /mpe, /dsep, /model), so operators can measure remaining
-	// pre-/v1 traffic before removal.
-	legacy atomic.Int64
 	// errors counts HTTP error responses, incremented exactly once per
 	// request inside writeErrorCode (the single choke point). Per-query
 	// failures inside a /v1/batch body are reported in place and are not
@@ -101,12 +97,8 @@ type serverStats struct {
 	latency obs.Histogram
 }
 
-func (st *serverStats) observe(d time.Duration, traceID string) {
-	st.latency.ObserveExemplar(d, traceID)
-}
-
 // traceIDFrom returns the hex trace ID of the request's active span, "" for
-// untraced requests. Latency observations pass it down so the histograms'
+// untraced requests. finish passes it to the latency histograms so their
 // OpenMetrics exemplars link slow buckets to their traces.
 func traceIDFrom(ctx context.Context) string {
 	if id := trace.FromContext(ctx).TraceID(); id.IsValid() {
@@ -178,11 +170,10 @@ func (s *server) defaultEngine() *evprop.Engine {
 }
 
 // mux routes the model-scoped /v1 API. Single-model routes (/v1/query,
-// /v1/model, …) alias onto the "default" model, and the original
-// unversioned paths remain too, marked with Deprecation/Sunset headers.
-// Every route goes through instrument, so each request carries a query ID
-// and emits one access-log record; only the pprof endpoints, the stream
-// and the health probes bypass it.
+// /v1/model, …) alias onto the "default" model. Every route goes through
+// instrument, so each request carries a query ID and emits one access-log
+// record; only the pprof endpoints, the stream and the health probes bypass
+// it.
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
 	route := func(pattern, endpoint string, h http.HandlerFunc) {
@@ -205,12 +196,6 @@ func (s *server) mux() *http.ServeMux {
 	route("/v1/batch", "/v1/batch", s.handleBatch)
 	route("/v1/mpe", "/v1/mpe", s.handleMPE)
 	route("/v1/dsep", "/v1/dsep", s.handleDSep)
-	// Unversioned legacy aliases: still served, but deprecated (headers +
-	// the legacy_requests counter announce the sunset).
-	route("/model", "/model", s.deprecated(s.handleModelSchema))
-	route("/query", "/query", s.deprecated(s.handleQuery))
-	route("/mpe", "/mpe", s.deprecated(s.handleMPE))
-	route("/dsep", "/dsep", s.deprecated(s.handleDSep))
 	// Introspection.
 	route("/v1/stats", "/v1/stats", s.handleStats)
 	route("/v1/metrics", "/v1/metrics", s.handleMetrics)
@@ -276,8 +261,8 @@ func modelSchema(info registry.Info, net *evprop.Network) modelResponse {
 	return resp
 }
 
-// handleModelSchema answers the single-model schema aliases (GET
-// /v1/model, GET /model) against the default model.
+// handleModelSchema answers the single-model schema alias (GET /v1/model)
+// against the default model.
 func (s *server) handleModelSchema(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
@@ -316,38 +301,103 @@ type queryResponse struct {
 	Version int64  `json:"version,omitempty"`
 }
 
-// runQuery answers one query on the pinned version with exactly one
-// evidence propagation: P(e) and the posteriors both derive from the same
-// QueryResult.
-func (s *server) runQuery(ctx context.Context, v *registry.Version, ms *modelStats, req queryRequest) (*queryResponse, error) {
+// outcome is one answered (or failed) query or MPE: what was asked, of which
+// model version, what came back, and the engine's records of the
+// propagations behind it. answer builds it; finish is the only place it is
+// written anywhere — latency histograms, the request totals that the access
+// log, the windows and the audit log read — so those views cannot disagree.
+type outcome struct {
+	kind     uint8 // audit.KindQuery or audit.KindMPE
+	v        *registry.Version
+	evidence evprop.Evidence
+	// targets are a query's requested posteriors (none: every non-evidence
+	// variable).
+	targets []string
+
+	// The answer, unset when err is: P(e) and posteriors for a query,
+	// assignment and its probability for an MPE.
+	pe          float64
+	posteriors  map[string][]float64
+	assignment  map[string]int
+	probability float64
+
+	// cached marks an answer that cost no propagation of its own: every
+	// engine run behind it was served from the result cache, or it rode a
+	// batch-window mate's run.
+	cached  bool
+	elapsed time.Duration
+	err     error
+	// runs are the engine's records of the propagations behind the answer,
+	// the same entries its flight recorder holds. A batch-window rider has
+	// none: its leader holds the shared run's.
+	runs []evprop.FlightRecord
+}
+
+// answer resolves one query or MPE on its pinned version — through the
+// batch window when co is set, directly otherwise — and folds the outcome
+// into every view. Each query costs exactly one sum-product propagation
+// (an MPE one max-product propagation more), cache permitting.
+func (s *server) answer(ctx context.Context, co *coalescer, o *outcome) {
 	start := time.Now()
-	ri := reqInfoFrom(ctx)
-	ri.noteQuery(len(req.Evidence))
-	res, err := v.Engine.PropagateContext(ctx, req.Evidence)
+	if co != nil {
+		s.coalesce(ctx, co, o)
+	} else {
+		s.propagate(ctx, o)
+	}
+	o.elapsed = time.Since(start)
+	s.finish(ctx, o)
+}
+
+// propagate is the one place the server calls an engine: it runs the
+// outcome's sum-product propagation under ctx — the request's deadline,
+// query ID and trace — and derives the answer from it inside a collect
+// span. An MPE's max-product companion run happens during that derivation,
+// under the same ctx, so it lands in the same trace (below collect), is
+// recorded under the same query ID and stops at the same deadline.
+func (s *server) propagate(ctx context.Context, o *outcome) {
+	res, err := o.v.Engine.PropagateContext(ctx, o.evidence)
 	if err != nil {
-		s.auditQuery(ctx, v, req, nil, false, time.Since(start), err)
-		return nil, err
+		o.err = err
+		return
 	}
 	defer res.Close()
-	ri.noteRun(res.Metrics())
-	if s.cacheOn {
-		ri.noteCache(res.Cached())
-	}
-	resp := &queryResponse{PEvidence: res.ProbabilityOfEvidence(), Posteriors: map[string][]float64{}}
-	if resp.PEvidence > 0 {
-		post, err := res.Posteriors(req.Query...)
-		if err != nil {
-			s.auditQuery(ctx, v, req, nil, res.Cached(), time.Since(start), err)
-			return nil, err
+	csp := trace.FromContext(ctx).StartChild("collect")
+	if o.kind == audit.KindMPE {
+		o.assignment, o.probability, o.err = res.MPEContext(trace.ContextWith(ctx, csp))
+	} else {
+		o.pe, o.posteriors = res.ProbabilityOfEvidence(), map[string][]float64{}
+		if o.pe > 0 {
+			o.posteriors, o.err = res.Posteriors(o.targets...)
 		}
-		resp.Posteriors = post
 	}
-	elapsed := time.Since(start)
-	tid := traceIDFrom(ctx)
-	s.stats.observe(elapsed, tid)
-	ms.latency.ObserveExemplar(elapsed, tid)
-	s.auditQuery(ctx, v, req, resp, res.Cached(), elapsed, nil)
-	return resp, nil
+	if o.err != nil {
+		csp.Fail(o.err.Error())
+	}
+	csp.End()
+	o.runs = res.Records()
+	o.cached = true
+	for i := range o.runs {
+		o.cached = o.cached && o.runs[i].Cached
+	}
+}
+
+// finish folds one outcome into the views: the request's totals (which
+// instrument turns into the access-log line and the window samples), the
+// two latency histograms with their trace exemplar, and the audit log.
+// Failed outcomes stay out of the histograms — they are counted as errors
+// by writeErrorCode, and a batch item's failure is reported in place.
+func (s *server) finish(ctx context.Context, o *outcome) {
+	ri := reqInfoFrom(ctx)
+	ri.fold(o, s.cacheOn)
+	if o.err == nil {
+		tid := traceIDFrom(ctx)
+		for _, h := range [...]*obs.Histogram{&s.stats.latency, &ri.stats().latency} {
+			h.ObserveExemplar(o.elapsed, tid)
+		}
+	}
+	if s.aud != nil {
+		s.aud.Enqueue(o.auditRecord(ri.queryID, ri.modelName()))
+	}
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -366,13 +416,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.stats.queries.Add(1)
 	ms.queries.Add(1)
-	resp, err := s.runQuery(r.Context(), v, ms, req)
-	if err != nil {
-		s.writeError(w, r, err)
+	o := &outcome{kind: audit.KindQuery, v: v, evidence: req.Evidence, targets: req.Query}
+	s.answer(r.Context(), nil, o)
+	if o.err != nil {
+		s.writeError(w, r, o.err)
 		return
 	}
-	resp.Model, resp.Version = modelFor(r), v.ID
-	s.writeJSON(w, resp)
+	s.writeJSON(w, queryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: modelFor(r), Version: v.ID})
 }
 
 // admit applies -max-inflight admission control to the propagating
@@ -429,13 +479,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.stats.batches.Add(1)
 	ms.batches.Add(1)
-	name := modelFor(r)
-	run := s.runQuery
-	if s.co != nil {
-		run = func(ctx context.Context, v *registry.Version, ms *modelStats, q queryRequest) (*queryResponse, error) {
-			return s.coalescedQuery(ctx, name, v, ms, q)
-		}
-	}
 	results := make([]batchResult, len(req.Queries))
 	var wg sync.WaitGroup
 	for i, q := range req.Queries {
@@ -447,20 +490,19 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// their leader's item; see coalesce.go).
 			isp := trace.FromContext(r.Context()).StartChild("batch.item",
 				trace.Int("batch.index", int64(i)))
-			ctx := trace.ContextWith(r.Context(), isp)
-			resp, err := run(ctx, v, ms, q)
-			if err != nil {
-				isp.Fail(err.Error())
-				isp.End()
-				results[i] = batchResult{Error: err.Error()}
-				return
+			o := &outcome{kind: audit.KindQuery, v: v, evidence: q.Evidence, targets: q.Query}
+			s.answer(trace.ContextWith(r.Context(), isp), s.co, o)
+			if o.err != nil {
+				isp.Fail(o.err.Error())
+				results[i] = batchResult{Error: o.err.Error()}
+			} else {
+				results[i] = batchResult{PEvidence: o.pe, Posteriors: o.posteriors}
 			}
 			isp.End()
-			results[i] = batchResult{PEvidence: resp.PEvidence, Posteriors: resp.Posteriors}
 		}(i, q)
 	}
 	wg.Wait()
-	s.writeJSON(w, batchResponse{Results: results, Model: name, Version: v.ID})
+	s.writeJSON(w, batchResponse{Results: results, Model: modelFor(r), Version: v.ID})
 }
 
 type mpeRequest struct {
@@ -490,29 +532,13 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	s.stats.mpes.Add(1)
 	ms.mpes.Add(1)
-	start := time.Now()
-	ri := reqInfoFrom(r.Context())
-	ri.noteQuery(len(req.Evidence))
-	res, err := v.Engine.PropagateContext(r.Context(), req.Evidence)
-	if err != nil {
-		s.auditMPE(r.Context(), v, req.Evidence, nil, 0, time.Since(start), err)
-		s.writeError(w, r, err)
+	o := &outcome{kind: audit.KindMPE, v: v, evidence: req.Evidence}
+	s.answer(r.Context(), nil, o)
+	if o.err != nil {
+		s.writeError(w, r, o.err)
 		return
 	}
-	defer res.Close()
-	ri.noteRun(res.Metrics())
-	assignment, p, err := res.MPE()
-	if err != nil {
-		s.auditMPE(r.Context(), v, req.Evidence, nil, 0, time.Since(start), err)
-		s.writeError(w, r, err)
-		return
-	}
-	elapsed := time.Since(start)
-	tid := traceIDFrom(r.Context())
-	s.stats.observe(elapsed, tid)
-	ms.latency.ObserveExemplar(elapsed, tid)
-	s.auditMPE(r.Context(), v, req.Evidence, assignment, p, elapsed, nil)
-	s.writeJSON(w, mpeResponse{Assignment: assignment, Probability: p, Model: modelFor(r), Version: v.ID})
+	s.writeJSON(w, mpeResponse{Assignment: o.assignment, Probability: o.probability, Model: modelFor(r), Version: v.ID})
 }
 
 type dsepRequest struct {
@@ -544,12 +570,10 @@ func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
 }
 
 type statsResponse struct {
-	Queries int64 `json:"queries"`
-	Batches int64 `json:"batches"`
-	MPEs    int64 `json:"mpes"`
-	Errors  int64 `json:"errors"`
-	// LegacyRequests counts traffic on the deprecated unversioned aliases.
-	LegacyRequests int64   `json:"legacy_requests"`
+	Queries        int64   `json:"queries"`
+	Batches        int64   `json:"batches"`
+	MPEs           int64   `json:"mpes"`
+	Errors         int64   `json:"errors"`
 	Propagations   int64   `json:"propagations"`
 	Workers        int     `json:"workers"`
 	Scheduler      string  `json:"scheduler"`
@@ -712,7 +736,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Batches:           s.stats.batches.Load(),
 		MPEs:              s.stats.mpes.Load(),
 		Errors:            s.stats.errors.Load(),
-		LegacyRequests:    s.stats.legacy.Load(),
 		Propagations:      s.propagationsTotal(),
 		Workers:           es.Workers,
 		Scheduler:         es.Scheduler,
@@ -804,8 +827,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, "evprop_http_requests_total", map[string]string{"kind": "mpe"}, float64(s.stats.mpes.Load()))
 	obs.WriteHeader(w, "evprop_http_errors_total", "HTTP error responses.", "counter")
 	obs.WriteSample(w, "evprop_http_errors_total", nil, float64(s.stats.errors.Load()))
-	obs.WriteHeader(w, "evprop_legacy_requests_total", "Requests through the deprecated unversioned aliases.", "counter")
-	obs.WriteSample(w, "evprop_legacy_requests_total", nil, float64(s.stats.legacy.Load()))
 	eng := s.defaultEngine()
 	es := eng.Stats()
 	obs.WriteHeader(w, "evprop_propagations_total", "Completed scheduler invocations across all models.", "counter")

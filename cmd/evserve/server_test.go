@@ -61,7 +61,7 @@ func decode(t *testing.T, resp *http.Response, dst any) {
 
 func TestModelEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/model")
+	resp, err := http.Get(ts.URL + "/v1/model")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestModelEndpoint(t *testing.T) {
 		}
 	}
 	// POST to /model is rejected.
-	r2 := post(t, ts.URL+"/model", map[string]any{})
+	r2 := post(t, ts.URL+"/v1/model", map[string]any{})
 	if r2.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /model status %d", r2.StatusCode)
 	}
@@ -88,7 +88,7 @@ func TestModelEndpoint(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/query", queryRequest{
+	resp := post(t, ts.URL+"/v1/query", queryRequest{
 		Evidence: evprop.Evidence{"XRay": 1},
 		Query:    []string{"Lung"},
 	})
@@ -111,7 +111,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryAllEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/query", queryRequest{Evidence: evprop.Evidence{"Dysp": 1}})
+	resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"Dysp": 1}})
 	var q queryResponse
 	decode(t, resp, &q)
 	if len(q.Posteriors) != 7 {
@@ -122,12 +122,12 @@ func TestQueryAllEndpoint(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	ts := testServer(t)
 	// Unknown variable: semantically invalid input → 422 per the error table.
-	resp := post(t, ts.URL+"/query", queryRequest{Query: []string{"nope"}})
+	resp := post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown variable status %d", resp.StatusCode)
 	}
 	// Malformed JSON.
-	r, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte("{oops")))
+	r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{oops")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestQueryErrors(t *testing.T) {
 		t.Errorf("bad JSON status %d", r.StatusCode)
 	}
 	// Wrong method.
-	g, err := http.Get(ts.URL + "/query")
+	g, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestQueryErrors(t *testing.T) {
 
 func TestMPEEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 1}})
+	resp := post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -185,7 +185,7 @@ func TestBootSource(t *testing.T) {
 
 func TestDSepEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}})
+	resp := post(t, ts.URL+"/v1/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -194,12 +194,12 @@ func TestDSepEndpoint(t *testing.T) {
 	if !d.Separated {
 		t.Error("Asia and Smoke should be marginally d-separated")
 	}
-	resp = post(t, ts.URL+"/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}, Z: []string{"Dysp"}})
+	resp = post(t, ts.URL+"/v1/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}, Z: []string{"Dysp"}})
 	decode(t, resp, &d)
 	if d.Separated {
 		t.Error("Asia and Smoke should be d-connected given Dysp")
 	}
-	resp = post(t, ts.URL+"/dsep", dsepRequest{X: []string{"missing"}, Y: []string{"Smoke"}})
+	resp = post(t, ts.URL+"/v1/dsep", dsepRequest{X: []string{"missing"}, Y: []string{"Smoke"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown variable status %d", resp.StatusCode)
 	}
@@ -207,15 +207,16 @@ func TestDSepEndpoint(t *testing.T) {
 
 func TestV1Aliases(t *testing.T) {
 	ts := testServer(t)
-	// The same query through the legacy and versioned paths must agree.
-	var legacy, v1 queryResponse
-	decode(t, post(t, ts.URL+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}), &legacy)
-	decode(t, post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}), &v1)
-	if legacy.PEvidence != v1.PEvidence {
-		t.Errorf("p_evidence: legacy %v vs v1 %v", legacy.PEvidence, v1.PEvidence)
+	// The same query through the single-model alias and the model-scoped
+	// route must agree.
+	var alias, scoped queryResponse
+	decode(t, post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}), &alias)
+	decode(t, post(t, ts.URL+"/v1/models/default/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}), &scoped)
+	if alias.PEvidence != scoped.PEvidence {
+		t.Errorf("p_evidence: alias %v vs scoped %v", alias.PEvidence, scoped.PEvidence)
 	}
-	if len(legacy.Posteriors["Lung"]) != len(v1.Posteriors["Lung"]) {
-		t.Error("posterior shape differs between legacy and v1 paths")
+	if len(alias.Posteriors["Lung"]) != len(scoped.Posteriors["Lung"]) {
+		t.Error("posterior shape differs between alias and scoped paths")
 	}
 	resp, err := http.Get(ts.URL + "/v1/model")
 	if err != nil {

@@ -20,9 +20,6 @@ import (
 var diffSchedulers = []string{
 	SchedulerCollaborative,
 	SchedulerSerial,
-	SchedulerLevelSync,
-	SchedulerDataParallel,
-	SchedulerCentralized,
 	SchedulerWorkStealing,
 }
 
@@ -58,7 +55,7 @@ func allPosteriors(t *testing.T, eng *Engine, ev Evidence, what string) (map[str
 func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 	const tol = 1e-9
 	cases := 0
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < 12; seed++ {
 		net := RandomNetwork(11, 2, 3, 1000+seed)
 		vars := net.Variables()
 		evs := diffEvidences(vars)
@@ -145,7 +142,7 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 func TestDifferentialLazySeventhColumn(t *testing.T) {
 	const tol = 1e-9
 	cases := 0
-	for seed := int64(0); seed < 6; seed++ {
+	for seed := int64(0); seed < 12; seed++ {
 		net := RandomNetwork(11, 2, 3, 1000+seed)
 		vars := net.Variables()
 		evs := diffEvidences(vars)

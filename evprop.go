@@ -152,9 +152,6 @@ func (n *Network) likelihood(soft SoftEvidence) (potential.Likelihood, error) {
 const (
 	SchedulerCollaborative = "collaborative"
 	SchedulerSerial        = "serial"
-	SchedulerLevelSync     = "levelsync"
-	SchedulerDataParallel  = "dataparallel"
-	SchedulerCentralized   = "centralized"
 	SchedulerWorkStealing  = "stealing"
 )
 
@@ -346,7 +343,7 @@ func (e *Engine) EvidenceSignature(ev Evidence, soft SoftEvidence) (string, erro
 // SchedulerReport aggregates the engine's scheduler observability across
 // all completed runs: lifetime busy/overhead totals, item counters, a
 // per-primitive-kind time breakdown, and the most recent run's Fig. 8
-// gauges. Engines running the serial or baseline schedulers report zeros.
+// gauges. Engines running the serial scheduler report zeros.
 type SchedulerReport struct {
 	// Runs counts scheduler runs that reported metrics.
 	Runs int64
@@ -443,7 +440,7 @@ type SchedulerGauges struct {
 	// ActiveRuns counts propagations currently in flight.
 	ActiveRuns int64 `json:"active_runs"`
 	// Workers has one entry per scheduler worker. Empty for engines on the
-	// serial or baseline schedulers, which expose no gauge surface.
+	// serial scheduler, which exposes no gauge surface.
 	Workers []WorkerGauges `json:"workers"`
 }
 

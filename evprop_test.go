@@ -63,8 +63,7 @@ func TestQueryMatchesBayesRule(t *testing.T) {
 
 func TestQueryAllSchedulers(t *testing.T) {
 	for _, s := range []string{
-		SchedulerCollaborative, SchedulerSerial, SchedulerLevelSync,
-		SchedulerDataParallel, SchedulerCentralized, SchedulerWorkStealing,
+		SchedulerCollaborative, SchedulerSerial, SchedulerWorkStealing,
 	} {
 		n := Asia()
 		eng, err := n.Compile(Options{Workers: 3, Scheduler: s})

@@ -1,10 +1,11 @@
 // Scheduler comparison: run the same inference workload under every
-// scheduler the library implements and report wall-clock times, plus the
+// scheduler the library offers and report wall-clock times, plus the
 // effect of Algorithm 1 rerooting on the junction tree's critical path —
 // the two knobs the paper contributes.
 //
 // On a single-core host the wall-clock numbers will not show parallel
-// speedup (use `evbench` for the simulated-multicore figures); the point of
+// speedup (use `evbench` for the simulated-multicore figures, which also
+// compare against the paper's Fig. 6/7 baseline schedulers); the point of
 // this example is exercising the public API's scheduler options on a
 // non-trivial workload.
 //
@@ -36,10 +37,8 @@ func main() {
 
 	schedulers := []string{
 		evprop.SchedulerSerial,
-		evprop.SchedulerLevelSync,
-		evprop.SchedulerDataParallel,
-		evprop.SchedulerCentralized,
 		evprop.SchedulerCollaborative,
+		evprop.SchedulerWorkStealing,
 	}
 	fmt.Println("scheduler      best-of-5 wall time    P(evidence)")
 	var reference float64

@@ -153,8 +153,8 @@ func (e *Engine) RecentQueries() []FlightRecord {
 	}
 	recs := fr.Snapshot()
 	out := make([]FlightRecord, len(recs))
-	for i := range recs {
-		out[i] = e.publicRecord(&recs[i])
+	for i, rec := range recs {
+		out[i] = e.publicRecord(rec)
 	}
 	return out
 }
@@ -171,12 +171,12 @@ func (e *Engine) SlowQueryCaptures() []SlowQueryCapture {
 	for i := range caps {
 		sc := &caps[i]
 		pc := SlowQueryCapture{
-			Record:        e.publicRecord(&sc.Record),
+			Record:        e.publicRecord(sc.Record),
 			ThresholdUsec: usec(sc.Threshold),
 		}
-		if sc.Report != nil {
-			pc.BusyPerWorkerUsec = usecSlice(sc.Report.Busy)
-			pc.OverheadPerWorkerUsec = usecSlice(sc.Report.Overhead)
+		if rep := sc.Record.Report; rep != nil {
+			pc.BusyPerWorkerUsec = usecSlice(rep.Busy)
+			pc.OverheadPerWorkerUsec = usecSlice(rep.Overhead)
 		}
 		if sc.Trace != nil {
 			pc.Trace = publicTrace(sc.Trace)
@@ -193,32 +193,34 @@ func (e *Engine) recorder() *obs.FlightRecorder {
 	return e.inner.Recorder()
 }
 
-// publicRecord converts a recorder entry to the public shape, translating
-// internal variable ids back to their names (the recorder below the
-// network layer knows only ids).
+// publicRecord projects an engine record onto the public shape,
+// translating internal variable ids back to their names (the engine below
+// the network layer knows only ids).
 func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
 	out := FlightRecord{
-		Seq:               r.Seq,
-		ID:                r.ID,
-		Time:              r.Time,
-		Mode:              r.Mode,
-		EvidenceVars:      r.EvidenceVars,
-		ElapsedUsec:       usec(r.Elapsed),
-		Workers:           r.Workers,
-		Tasks:             r.Tasks,
-		LoadBalance:       r.LoadBalance,
-		SchedOverheadFrac: r.OverheadFraction,
-		Error:             r.Err,
-		Slow:              r.Slow,
-		Cached:            r.Cached,
-		Lazy:              r.Lazy,
-		LazyMsgSent:       r.LazyMsgSent,
-		LazyMsgBlocked:    r.LazyMsgBlocked,
-		LazyMsgSkipped:    r.LazyMsgSkipped,
-		LazyFlops:         r.LazyFlops,
-		LazyFlopsFull:     r.LazyFlopsFull,
-		LazyMaterialized:  r.LazyMaterialized,
-		EvidenceSig:       hex.EncodeToString([]byte(r.EvidenceSig)),
+		Seq:              r.Seq,
+		ID:               r.ID,
+		Time:             r.Time,
+		Mode:             r.Mode,
+		EvidenceVars:     r.EvidenceVars,
+		ElapsedUsec:      usec(r.Elapsed),
+		Error:            r.Err,
+		Slow:             r.Slow,
+		Cached:           r.Cached,
+		Lazy:             r.Lazy,
+		LazyMsgSent:      r.LazyStats.MessagesSent,
+		LazyMsgBlocked:   r.LazyStats.MessagesBlocked,
+		LazyMsgSkipped:   r.LazyStats.MessagesSkipped,
+		LazyFlops:        r.LazyStats.Flops,
+		LazyFlopsFull:    r.LazyStats.FlopsFull,
+		LazyMaterialized: r.LazyStats.MaterializedEntries,
+		EvidenceSig:      hex.EncodeToString([]byte(r.EvidenceSig)),
+	}
+	if rep := r.Report; rep != nil {
+		out.Workers = rep.Workers
+		out.Tasks = rep.Tasks
+		out.LoadBalance = rep.LoadBalance
+		out.SchedOverheadFrac = rep.OverheadFraction
 	}
 	if len(r.Evidence) > 0 {
 		out.Evidence = make(map[string]int, len(r.Evidence))

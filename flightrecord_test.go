@@ -2,6 +2,7 @@ package evprop
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -24,9 +25,10 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := res.MPE(); err != nil {
+	if _, _, err := res.MPEContext(ctx); err != nil {
 		t.Fatal(err)
 	}
+	own := res.Records()
 	res.Close()
 	if _, err := eng.QueryOne(Evidence{"XRay": 1}, "Lung"); err != nil {
 		t.Fatal(err)
@@ -39,10 +41,14 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 	if recs[0].Mode != "sum-product" || recs[0].ID != "test-query-1" {
 		t.Errorf("record 0: %+v", recs[0])
 	}
-	// The MPE's lazy max-product run has no caller context; it gets an
-	// auto-assigned ID.
-	if recs[1].Mode != "max-product" || recs[1].ID == "" {
+	// The MPE's max-product run went out under the same context.
+	if recs[1].Mode != "max-product" || recs[1].ID != "test-query-1" {
 		t.Errorf("record 1: %+v", recs[1])
+	}
+	// The result's own records are the recorder's entries, not copies that
+	// could drift.
+	if len(own) != 2 || !reflect.DeepEqual(own[0], recs[0]) || !reflect.DeepEqual(own[1], recs[1]) {
+		t.Errorf("QueryResult.Records() = %+v, recorder holds %+v", own, recs[:2])
 	}
 	if recs[2].Mode != "collect" || !strings.HasPrefix(recs[2].ID, "q-") {
 		t.Errorf("record 2: %+v", recs[2])

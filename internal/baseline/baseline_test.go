@@ -5,6 +5,7 @@ import (
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
+	"evprop/internal/lazy"
 	"evprop/internal/potential"
 	"evprop/internal/taskgraph"
 )
@@ -157,36 +158,25 @@ func TestDistributedEmuMessagesGrowWithP(t *testing.T) {
 }
 
 func TestBaselinesOnBayesNet(t *testing.T) {
-	// All baselines must reproduce the brute-force oracle on Asia.
+	// All baselines must reproduce the brute-force oracle on Asia, driving
+	// the eager state and (for the Executor-generic ones) a lazy state's
+	// pruned graph.
 	net, ids := bayesnet.Asia()
 	tr, err := net.Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := taskgraph.Build(tr)
+	lp, err := lazy.New(tr, g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ev := potential.Evidence{ids["Dysp"]: 1}
-	type runner struct {
-		name string
-		run  func(*taskgraph.State) error
+	type marginaler interface {
+		Marginal(v int) (*potential.Potential, error)
 	}
-	runners := []runner{
-		{"serial", func(st *taskgraph.State) error { _, err := Serial(st); return err }},
-		{"levelsync", func(st *taskgraph.State) error { _, err := LevelSync(st, 4); return err }},
-		{"dataparallel", func(st *taskgraph.State) error { _, err := DataParallel(st, 4); return err }},
-		{"centralized", func(st *taskgraph.State) error { _, err := Centralized(st, 4); return err }},
-		{"distributed", func(st *taskgraph.State) error { _, err := DistributedEmu(st, 4); return err }},
-	}
-	for _, r := range runners {
-		st, err := g.NewState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AbsorbEvidence(ev); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.run(st); err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
+	check := func(label string, st marginaler) {
+		t.Helper()
 		for name, v := range ids {
 			if v == ids["Dysp"] {
 				continue
@@ -200,9 +190,44 @@ func TestBaselinesOnBayesNet(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !got.Equal(want, 1e-9) {
-				t.Errorf("%s: P(%s|e) = %v, oracle %v", r.name, name, got.Data, want.Data)
+				t.Errorf("%s: P(%s|e) = %v, oracle %v", label, name, got.Data, want.Data)
 			}
 		}
+	}
+	type runner struct {
+		name string
+		run  func(taskgraph.Executor) error
+	}
+	runners := []runner{
+		{"serial", func(st taskgraph.Executor) error { _, err := Serial(st); return err }},
+		{"levelsync", func(st taskgraph.Executor) error { _, err := LevelSync(st, 4); return err }},
+		{"dataparallel", func(st taskgraph.Executor) error { _, err := DataParallel(st, 4); return err }},
+		{"centralized", func(st taskgraph.Executor) error { _, err := Centralized(st, 4); return err }},
+		{"distributed", func(st taskgraph.Executor) error { _, err := DistributedEmu(st.(*taskgraph.State), 4); return err }},
+	}
+	for _, r := range runners {
+		st, err := g.NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AbsorbEvidence(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.run(st); err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		check(r.name, st)
+		if r.name == "distributed" {
+			continue // drives *taskgraph.State only
+		}
+		lst, err := lp.NewState(taskgraph.SumProduct, ev, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.run(lst); err != nil {
+			t.Fatalf("%s lazy: %v", r.name, err)
+		}
+		check(r.name+" lazy", lst)
 	}
 }
 

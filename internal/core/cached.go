@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"maps"
 	"time"
 
 	"evprop/internal/cache"
@@ -29,29 +28,37 @@ import (
 // PropagateCachedContext is PropagateSoftContext through the result cache:
 // a hit returns the shared pinned result of an earlier identical
 // propagation, a miss propagates once — collapsing concurrent identical
-// misses into that one run — and caches the result. cached reports whether
-// this call was served without starting its own propagation (a cache hit
-// or a collapsed singleflight waiter). like may be nil for hard-only
-// evidence. Engines compiled without a cache fall back to a plain
-// propagation with cached == false.
+// misses into that one run — and caches the result. The query's record is
+// returned beside the result, not on it: a pinned result is shared between
+// readers, each of which has its own record. rec.Cached reports whether this
+// call was served without starting its own propagation (a cache hit or a
+// collapsed singleflight waiter). like may be nil for hard-only evidence.
+// Engines compiled without a cache fall back to a plain propagation with
+// rec.Cached == false.
 //
 // A waiter's cancellation is its own: the shared propagation keeps running
 // for the other waiters and is cancelled only when none remain.
-func (e *Engine) PropagateCachedContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood) (res *Result, cached bool, err error) {
+func (e *Engine) PropagateCachedContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood) (*Result, *obs.QueryRecord, error) {
 	return e.propagateCached(ctx, ev, like, taskgraph.SumProduct)
 }
 
 // PropagateMaxCachedContext is PropagateMaxContext through the result
 // cache. Sum- and max-product results are keyed under distinct signatures,
 // so the two semirings never serve each other's tables.
-func (e *Engine) PropagateMaxCachedContext(ctx context.Context, ev potential.Evidence) (res *Result, cached bool, err error) {
+func (e *Engine) PropagateMaxCachedContext(ctx context.Context, ev potential.Evidence) (*Result, *obs.QueryRecord, error) {
 	return e.propagateCached(ctx, ev, nil, taskgraph.MaxProduct)
 }
 
-func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, bool, error) {
+// flown is what the singleflight leader's run hands back: the shared
+// result for everyone, the run's record for the leader alone.
+type flown struct {
+	res *Result
+	rec *obs.QueryRecord
+}
+
+func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, *obs.QueryRecord, error) {
 	if e.cache == nil {
-		res, err := e.propagateFull(ctx, ev, like, mode)
-		return res, false, err
+		return e.propagateFull(ctx, ev, like, mode, "")
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -63,24 +70,28 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	if v, ok := e.cache.Get(sig); ok {
 		lsp.SetAttr(otrace.Bool("cache.hit", true))
 		lsp.End()
-		e.recordCached(ctx, mode.String(), sig, ev, time.Since(start))
-		return v.(*Result), true, nil
+		return v.(*Result), e.recordCached(ctx, mode, sig, ev, start), nil
 	}
 	lsp.SetAttr(otrace.Bool("cache.hit", false))
 	lsp.End()
+	// A caller that has already given up must not start a shared run only
+	// to abandon it (propagateFull makes the same check for direct runs).
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
 	// The generation is read before the propagation starts: should an
 	// InvalidateCache land while the run is in flight, the Add below is
 	// dropped and the (potentially stale) result is never cached.
 	gen := e.cache.Generation()
 	fsp := sp.StartChild("singleflight")
 	v, err, shared := e.flight.Do(ctx, sig, func(runCtx context.Context) (any, error) {
-		res, err := e.propagateFull(runCtx, ev, like, mode)
+		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig)
 		if err != nil {
 			return nil, err
 		}
 		res.pinned = true
 		e.cache.Add(sig, res, gen)
-		return res, nil
+		return flown{res, rec}, nil
 	})
 	if shared {
 		fsp.SetAttr(otrace.String("role", "waiter"))
@@ -92,40 +103,27 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	}
 	fsp.End()
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
+	f := v.(flown)
 	if shared {
 		e.collapsed.Add(1)
-		e.recordCached(ctx, mode.String(), sig, ev, time.Since(start))
+		f.rec = e.recordCached(ctx, mode, sig, ev, start)
 	}
-	return v.(*Result), shared, nil
+	return f.res, f.rec, nil
 }
 
-// recordCached leaves a cache-served query's summary in the flight
-// recorder, marked Cached. No scheduler ran, so there are no metrics, the
-// latency (a lookup, or a singleflight wait) stays out of the adaptive
-// slow-threshold histogram, and the record can never be captured as slow.
-func (e *Engine) recordCached(ctx context.Context, mode, sig string, ev potential.Evidence, elapsed time.Duration) {
-	rec := e.opts.Recorder
-	if rec == nil {
-		return
+// recordCached builds and publishes a cache-served query's record. No
+// scheduler ran, so it carries no report and no trace.
+func (e *Engine) recordCached(ctx context.Context, mode taskgraph.Mode, sig string, ev potential.Evidence, start time.Time) *obs.QueryRecord {
+	rec := e.newRecord(ctx, mode.String(), mode, ev, nil, sig)
+	rec.Cached = true
+	rec.Time = time.Now()
+	rec.Elapsed = rec.Time.Sub(start)
+	if fr := e.opts.Recorder; fr != nil {
+		fr.Record(rec, nil)
 	}
-	id := obs.QueryIDFrom(ctx)
-	if id == "" {
-		id = obs.NewQueryID()
-	}
-	info := obs.RunInfo{
-		ID:           id,
-		Mode:         mode,
-		EvidenceVars: len(ev),
-		Elapsed:      elapsed,
-		Cached:       true,
-		EvidenceSig:  sig,
-	}
-	if e.opts.RecordEvidence {
-		info.Evidence = maps.Clone(ev)
-	}
-	rec.RecordRun(info, nil)
+	return rec
 }
 
 // EvidenceSignature returns the sum-product cache key of an evidence
@@ -135,9 +133,6 @@ func (e *Engine) recordCached(ctx context.Context, mode, sig string, ev potentia
 func (e *Engine) EvidenceSignature(ev potential.Evidence, like potential.Likelihood) string {
 	return cache.Signature(byte(taskgraph.SumProduct), ev, like)
 }
-
-// CacheEnabled reports whether the engine was built with a result cache.
-func (e *Engine) CacheEnabled() bool { return e.cache != nil }
 
 // CacheStats is a snapshot of the result cache's counters.
 type CacheStats struct {

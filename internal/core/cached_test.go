@@ -29,18 +29,18 @@ func cachedTestEngine(t *testing.T, cacheSize int) *Engine {
 func TestPropagateCachedHitSharesResult(t *testing.T) {
 	e := cachedTestEngine(t, 64)
 	ev := potential.Evidence{0: 1, 2: 0}
-	r1, cached, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	r1, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
+	if rec.Cached {
 		t.Fatal("first propagation reported cached")
 	}
-	r2, cached, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	r2, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached {
+	if !rec.Cached {
 		t.Fatal("second identical query missed the cache")
 	}
 	if r1 != r2 {
@@ -55,14 +55,14 @@ func TestPropagateCachedHitSharesResult(t *testing.T) {
 	}
 	// Different evidence (and the soft-evidence variant of the same hard
 	// evidence) must key different entries.
-	if _, cached, _ := e.PropagateCachedContext(context.Background(), potential.Evidence{0: 0}, nil); cached {
+	if _, rec, _ := e.PropagateCachedContext(context.Background(), potential.Evidence{0: 0}, nil); rec.Cached {
 		t.Fatal("different evidence hit the cache")
 	}
-	if _, cached, _ := e.PropagateCachedContext(context.Background(), ev, potential.Likelihood{1: {0.5, 1}}); cached {
+	if _, rec, _ := e.PropagateCachedContext(context.Background(), ev, potential.Likelihood{1: {0.5, 1}}); rec.Cached {
 		t.Fatal("soft-evidence query hit the hard-only entry")
 	}
 	// Max-product must not be served a sum-product table.
-	if _, cached, _ := e.PropagateMaxCachedContext(context.Background(), ev); cached {
+	if _, rec, _ := e.PropagateMaxCachedContext(context.Background(), ev); rec.Cached {
 		t.Fatal("max-product query hit the sum-product entry")
 	}
 }
@@ -102,11 +102,11 @@ func TestInvalidateCacheForcesRepropagation(t *testing.T) {
 	if st := e.CacheStats(); st.Entries != 0 {
 		t.Fatalf("entries after invalidate = %d", st.Entries)
 	}
-	_, cached, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	_, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
+	if rec.Cached {
 		t.Fatal("query after InvalidateCache was served from the cache")
 	}
 	if got := e.Propagations(); got != 2 {

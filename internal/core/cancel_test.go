@@ -79,13 +79,13 @@ func TestCancelledRunRecorderIntegrity(t *testing.T) {
 	for _, r := range rec.Snapshot() {
 		if r.Err != "" {
 			failed++
-			if r.Workers != 0 || r.Tasks != 0 || r.LoadBalance != 0 {
+			if r.Report != nil {
 				t.Errorf("failed run recorded non-scalar detail: %+v", r)
 			}
 			continue
 		}
 		ok++
-		if r.Workers != 4 {
+		if r.Report == nil || r.Report.Workers != 4 {
 			t.Errorf("successful run lost its worker gauges: %+v", r)
 		}
 	}

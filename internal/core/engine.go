@@ -41,12 +41,6 @@ const (
 	Collaborative Scheduler = iota
 	// Serial executes tasks on one goroutine in topological order.
 	Serial
-	// LevelSync is the task-level fork-join baseline.
-	LevelSync
-	// DataParallel parallelizes every primitive individually.
-	DataParallel
-	// Centralized uses a dedicated coordinator goroutine.
-	Centralized
 	// WorkStealing is the collaborative scheduler with tail-stealing from
 	// the heaviest ready list (an extension; see sched.RunStealing).
 	WorkStealing
@@ -55,9 +49,6 @@ const (
 var schedulerNames = map[Scheduler]string{
 	Collaborative: "collaborative",
 	Serial:        "serial",
-	LevelSync:     "levelsync",
-	DataParallel:  "dataparallel",
-	Centralized:   "centralized",
 	WorkStealing:  "stealing",
 }
 
@@ -98,13 +89,10 @@ type Options struct {
 	// collapses concurrent identical queries into one propagation. See
 	// PropagateCachedContext.
 	CacheSize int
-	// Trace records a per-worker execution timeline in Result.Sched.Trace
-	// (collaborative scheduler only).
-	Trace bool
-	// Recorder, when set, receives a summary of every propagation (the
+	// Recorder, when set, receives the record of every propagation (the
 	// flight recorder): runs are traced so slow ones retain their full
 	// execution timeline, and each run's query ID, latency and Fig. 8
-	// gauges land in the recorder's ring.
+	// report land in the recorder's ring.
 	Recorder *obs.FlightRecorder
 	// PprofLabels tags scheduler workers with pprof goroutine labels
 	// (query_id, task_kind) during each run. Off by default — the labels
@@ -123,7 +111,8 @@ type Options struct {
 	// collect graph restricted to the cliques its evidence disturbs, and
 	// the distribute pass is materialized on demand per posterior query.
 	// Results are identical up to floating-point tolerance; flop, task and
-	// message counters (Result.LazyStats) expose the pruning.
+	// message counters (Result.LazyStats, QueryRecord.LazyStats) expose the
+	// pruning.
 	Lazy bool
 }
 
@@ -164,8 +153,8 @@ type Engine struct {
 	// propagation.
 	propagations atomic.Int64
 
-	// obsAgg accumulates per-run observability reports (Fig. 8 metrics)
-	// for the schedulers that produce sched.Metrics.
+	// obsAgg accumulates the run reports (Fig. 8 metrics) of the schedulers
+	// that produce sched.Metrics; execute folds each record's report in.
 	obsAgg obs.Aggregate
 
 	collectMu     sync.Mutex
@@ -334,12 +323,6 @@ type Result struct {
 	eng   *Engine
 	state propState
 	pe    float64 // evidence mass, cached so it survives Release
-	// Elapsed is the wall-clock propagation time (excluding evidence
-	// absorption and state allocation).
-	Elapsed time.Duration
-	// Sched carries the collaborative scheduler's metrics when that
-	// scheduler ran, nil otherwise.
-	Sched *sched.Metrics
 
 	// pinned marks a result held by the engine's shared-evidence cache:
 	// Release is a no-op (the state must never recycle into the pool while
@@ -358,42 +341,52 @@ func (r *Result) Pinned() bool { return r.pinned }
 // two-pass evidence propagation with the configured scheduler. It is safe
 // to call from any number of goroutines concurrently.
 func (e *Engine) Propagate(ev potential.Evidence) (*Result, error) {
-	return e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct)
+	return e.propagate(context.Background(), ev, nil, taskgraph.SumProduct)
 }
 
 // PropagateContext is Propagate with cancellation: a cancelled context
 // stops the scheduler run at the next task boundary and returns ctx.Err().
 func (e *Engine) PropagateContext(ctx context.Context, ev potential.Evidence) (*Result, error) {
-	return e.propagateFull(ctx, ev, nil, taskgraph.SumProduct)
+	return e.propagate(ctx, ev, nil, taskgraph.SumProduct)
 }
 
 // PropagateSoft additionally absorbs soft (likelihood) evidence before
 // propagating: each weight vector scales the corresponding variable's
 // states instead of fixing one.
 func (e *Engine) PropagateSoft(ev potential.Evidence, like potential.Likelihood) (*Result, error) {
-	return e.propagateFull(context.Background(), ev, like, taskgraph.SumProduct)
+	return e.propagate(context.Background(), ev, like, taskgraph.SumProduct)
 }
 
 // PropagateSoftContext is PropagateSoft with cancellation.
 func (e *Engine) PropagateSoftContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood) (*Result, error) {
-	return e.propagateFull(ctx, ev, like, taskgraph.SumProduct)
+	return e.propagate(ctx, ev, like, taskgraph.SumProduct)
 }
 
 // PropagateMax runs max-product propagation: afterwards every clique holds
 // max-marginals and Result.MostProbableExplanation extracts the MPE.
 func (e *Engine) PropagateMax(ev potential.Evidence) (*Result, error) {
-	return e.propagateFull(context.Background(), ev, nil, taskgraph.MaxProduct)
+	return e.propagate(context.Background(), ev, nil, taskgraph.MaxProduct)
 }
 
 // PropagateMaxContext is PropagateMax with cancellation.
 func (e *Engine) PropagateMaxContext(ctx context.Context, ev potential.Evidence) (*Result, error) {
-	return e.propagateFull(ctx, ev, nil, taskgraph.MaxProduct)
+	return e.propagate(ctx, ev, nil, taskgraph.MaxProduct)
 }
 
-func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
+// propagate is propagateFull for callers that have no use for the record.
+func (e *Engine) propagate(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
+	res, _, err := e.propagateFull(ctx, ev, like, mode, "")
+	return res, err
+}
+
+// propagateFull absorbs the evidence, runs the two-pass propagation and
+// returns the result with the run's record beside it. sig is the evidence
+// signature when the caller (the cache path) already computed it, "" when
+// not.
+func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string) (*Result, *obs.QueryRecord, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	var sp *otrace.Span
@@ -408,7 +401,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		if err != nil {
 			asp.Fail(err.Error())
 			asp.End()
-			return nil, err
+			return nil, nil, err
 		}
 		if lst.PlanHit() {
 			asp.SetAttr(otrace.String("plan", "hit"))
@@ -421,151 +414,125 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		if err != nil {
 			asp.Fail(err.Error())
 			asp.End()
-			return nil, err
+			return nil, nil, err
 		}
 		if err := est.AbsorbEvidence(ev); err != nil {
 			e.putState(est) // never ran; Reset restores the partial reduction
 			asp.Fail(err.Error())
 			asp.End()
-			return nil, err
+			return nil, nil, err
 		}
 		if err := est.AbsorbLikelihood(like); err != nil {
 			e.putState(est)
 			asp.Fail(err.Error())
 			asp.End()
-			return nil, err
+			return nil, nil, err
 		}
 		st, exec = est, est
 	}
 	asp.End()
-	res := &Result{eng: e, state: st}
-	id := e.queryID(ctx)
+	rec := e.newRecord(ctx, mode.String(), mode, ev, like, sig)
 	psp := sp.StartChild("propagate",
 		otrace.String("scheduler", e.opts.Scheduler.String()),
 		otrace.Int("workers", int64(e.opts.Workers)))
-	start := time.Now()
-	m, err := e.runScheduler(ctx, id, exec)
-	elapsed := time.Since(start)
-	e.finishRunSpan(psp, start, m, st, err)
-	e.recordRun(id, mode.String(), byte(mode), ev, like, elapsed, m, st, err)
-	if err != nil {
+	if err := e.execute(ctx, psp, rec, exec); err != nil {
 		// The state may still be referenced by pool workers draining the
 		// failed run's queue — drop it to the GC instead of recycling.
-		return nil, err
+		return nil, nil, err
 	}
-	res.Sched = m
-	res.Elapsed = elapsed
-	res.pe = st.EvidenceMass()
-	return res, nil
+	return &Result{eng: e, state: st, pe: st.EvidenceMass()}, rec, nil
 }
 
-// finishRunSpan closes a propagation's run span: scheduler metrics become
-// attributes plus coarse per-task-kind child spans folded from the
-// already-collected sched.Metrics (no extra hot-path clocking — the
-// children are synthesized after the run from per-kind busy totals), and
-// lazy pruning counters land as attributes when the lazy engine ran.
-func (e *Engine) finishRunSpan(psp *otrace.Span, start time.Time, m *sched.Metrics, st propState, runErr error) {
-	if psp == nil {
-		return
-	}
-	if runErr != nil {
-		psp.Fail(runErr.Error())
-	}
-	if m != nil {
-		psp.SetAttr(otrace.Int("tasks", int64(m.Tasks)))
-		var kinds [taskgraph.NumKinds]time.Duration
-		for _, wm := range m.Workers {
-			for k, d := range wm.KindBusy {
-				kinds[k] += d
-			}
+// newRecord starts a propagation's record with what is known before the
+// run: the query ID (resolved here, so the same ID reaches the workers'
+// pprof labels and the flight recorder; a fresh one is minted only when a
+// recorder will log it), the run's name, and its evidence — as the
+// signature the cache path already computed (sig), or a fresh one when a
+// recorder will keep it.
+func (e *Engine) newRecord(ctx context.Context, name string, mode taskgraph.Mode, ev potential.Evidence, like potential.Likelihood, sig string) *obs.QueryRecord {
+	id := obs.QueryIDFrom(ctx)
+	if e.opts.Recorder != nil {
+		if id == "" {
+			id = obs.NewQueryID()
 		}
-		for k, d := range kinds {
+		if sig == "" {
+			sig = cache.Signature(byte(mode), ev, like)
+		}
+	}
+	rec := &obs.QueryRecord{ID: id, Mode: name, EvidenceVars: len(ev), EvidenceSig: sig}
+	if e.opts.RecordEvidence {
+		rec.Evidence = maps.Clone(ev)
+	}
+	return rec
+}
+
+// execute runs the graph under the configured scheduler and completes the
+// run's record — the one place a propagation's facts are written. The
+// scheduler metrics are folded into one obs.Report, which feeds the engine
+// aggregate here and, through the record, every later view. Then the record
+// is published to the flight recorder, which takes the run's trace with it.
+func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st taskgraph.Executor) error {
+	start := time.Now()
+	m, err := e.runScheduler(ctx, rec.ID, st)
+	rec.Time = time.Now()
+	rec.Elapsed = rec.Time.Sub(start)
+	var tr *sched.Trace
+	if err != nil {
+		// Pool workers may still be executing already-fetched items of a
+		// failed or cancelled run, mutating the per-worker metrics and trace
+		// buffers: record the scalars only and leave the rest to the GC.
+		rec.Err = err.Error()
+	} else {
+		if m != nil {
+			tr = m.Trace
+			rec.Report = obs.FromSched(m)
+			e.obsAgg.Observe(rec.Report)
+		}
+		if lst, ok := st.(*lazy.State); ok {
+			rec.Lazy, rec.LazyStats = true, lst.Stats()
+		}
+	}
+	if psp != nil {
+		endRunSpan(psp, start, rec)
+	}
+	if fr := e.opts.Recorder; fr != nil {
+		fr.Record(rec, tr)
+	}
+	return err
+}
+
+// endRunSpan closes a run's span with what its record says: the failure,
+// the task count plus coarse per-task-kind child spans synthesized from the
+// report's per-kind busy totals (no extra hot-path clocking), and the lazy
+// pruning counters.
+func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
+	if rec.Err != "" {
+		psp.Fail(rec.Err)
+	}
+	if rep := rec.Report; rep != nil {
+		psp.SetAttr(otrace.Int("tasks", int64(rep.Tasks)))
+		for k, d := range rep.KindBusy {
 			if d > 0 {
 				psp.ChildInterval("kind."+taskgraph.Kind(k).String(), start, d)
 			}
 		}
 	}
-	if lst, ok := st.(*lazy.State); ok && runErr == nil {
-		s := lst.Stats()
+	if rec.Lazy {
 		psp.SetAttr(
-			otrace.Int("lazy.msg_sent", s.MessagesSent),
-			otrace.Int("lazy.msg_blocked", s.MessagesBlocked),
-			otrace.Int("lazy.msg_skipped", s.MessagesSkipped),
-			otrace.Int("lazy.flops", s.Flops),
-			otrace.Int("lazy.flops_full", s.FlopsFull),
+			otrace.Int("lazy.msg_sent", rec.LazyStats.MessagesSent),
+			otrace.Int("lazy.msg_blocked", rec.LazyStats.MessagesBlocked),
+			otrace.Int("lazy.msg_skipped", rec.LazyStats.MessagesSkipped),
+			otrace.Int("lazy.flops", rec.LazyStats.Flops),
+			otrace.Int("lazy.flops_full", rec.LazyStats.FlopsFull),
 		)
 	}
 	psp.End()
 }
 
-// queryID resolves the run's query ID before the scheduler starts, so the
-// same ID reaches both the workers' pprof labels and the flight recorder. A
-// fresh ID is minted only when a recorder will log it; otherwise an absent
-// ID stays absent and label setup is skipped entirely.
-func (e *Engine) queryID(ctx context.Context) string {
-	id := obs.QueryIDFrom(ctx)
-	if id == "" && e.opts.Recorder != nil {
-		id = obs.NewQueryID()
-	}
-	return id
-}
-
-// recordRun folds one scheduler run into the flight recorder (when one is
-// attached) under the run's resolved query ID. Traces armed by the recorder
-// (rather than requested via Options.Trace) are stripped from the metrics
-// afterwards: slow runs' traces now belong to the recorder, fast runs'
-// traces are dead weight.
-func (e *Engine) recordRun(id, mode string, sigMode byte, ev potential.Evidence, like potential.Likelihood, elapsed time.Duration, m *sched.Metrics, st propState, runErr error) {
-	rec := e.opts.Recorder
-	if rec == nil {
-		return
-	}
-	if runErr != nil {
-		// Mirror the state-drop policy for failed and cancelled runs: pool
-		// workers may still be executing already-fetched items, mutating the
-		// per-worker metrics and trace buffers (sched detached the latter
-		// from the returned Trace). Record only the scalar fields and leave
-		// the rest to the GC with the run.
-		m = nil
-	}
-	info := obs.RunInfo{
-		ID:           id,
-		Mode:         mode,
-		EvidenceVars: len(ev),
-		Elapsed:      elapsed,
-		Err:          runErr,
-		EvidenceSig:  cache.Signature(sigMode, ev, like),
-	}
-	if e.opts.RecordEvidence {
-		info.Evidence = maps.Clone(ev)
-	}
-	// Lazy pruning counters make slow lazy queries explainable from the
-	// recorder alone: the record shows what the pruning did (or failed to
-	// prune) without needing a retained trace.
-	if lst, ok := st.(*lazy.State); ok && runErr == nil {
-		s := lst.Stats()
-		info.Lazy = true
-		info.LazyMsgSent = s.MessagesSent
-		info.LazyMsgBlocked = s.MessagesBlocked
-		info.LazyMsgSkipped = s.MessagesSkipped
-		info.LazyFlops = s.Flops
-		info.LazyFlopsFull = s.FlopsFull
-		info.LazyMaterialized = s.MaterializedEntries
-	}
-	rec.RecordRun(info, m)
-	if m != nil && !e.opts.Trace {
-		// The trace existed only for the recorder. If the run was slow the
-		// recorder finalized and kept it; otherwise Release recycles its
-		// buffers. Either way it leaves the caller-visible metrics.
-		m.Trace.Release()
-		m.Trace = nil
-	}
-}
-
 // runScheduler executes the state's graph with the configured strategy,
-// returning collaborative-scheduler metrics when applicable. queryID, when
+// returning the scheduler's metrics when it reports any. queryID, when
 // non-empty and Options.PprofLabels is on, tags the workers with pprof
-// labels for the duration of the run (the recorder uses the ID either way).
+// labels for the duration of the run.
 func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor) (*sched.Metrics, error) {
 	e.propagations.Add(1)
 	if !e.opts.PprofLabels {
@@ -573,68 +540,31 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 	}
 	// A flight recorder arms tracing on every run so a run that turns out
 	// slow still has its full timeline to retain — slowness is only known
-	// after the fact. Recorder-armed traces (not requested by the user)
-	// defer their merge: recordRun keeps them only for slow runs, so fast
-	// runs just recycle their event buffers.
-	trace := e.opts.Trace || e.opts.Recorder != nil
-	lazy := trace && !e.opts.Trace
+	// after the fact. The merge is deferred: the recorder keeps the trace
+	// only for slow runs, so fast runs just recycle their event buffers.
+	opts := sched.Options{
+		Workers:   e.opts.Workers,
+		Threshold: e.opts.PartitionThreshold,
+		Trace:     e.opts.Recorder != nil,
+		LazyTrace: true,
+		Ctx:       ctx,
+		QueryID:   queryID,
+	}
 	switch e.opts.Scheduler {
 	case Collaborative:
-		opts := sched.Options{
-			Workers:   e.opts.Workers,
-			Threshold: e.opts.PartitionThreshold,
-			Trace:     trace,
-			LazyTrace: lazy,
-			Ctx:       ctx,
-			QueryID:   queryID,
-		}
-		var m *sched.Metrics
-		var err error
 		if p := e.workerPool(); p != nil {
-			m, err = p.Run(st, opts)
-		} else {
-			m, err = sched.Run(st, opts)
+			return p.Run(st, opts)
 		}
-		return e.observeRun(m, err)
+		return sched.Run(st, opts)
 	case WorkStealing:
-		m, err := sched.RunStealing(st, sched.Options{
-			Workers:   e.opts.Workers,
-			Threshold: e.opts.PartitionThreshold,
-			Trace:     trace,
-			LazyTrace: lazy,
-			Ctx:       ctx,
-			QueryID:   queryID,
-			Gauges:    e.stealGauges,
-		})
-		return e.observeRun(m, err)
+		opts.Gauges = e.stealGauges
+		return sched.RunStealing(st, opts)
 	case Serial:
 		_, err := baseline.Serial(st)
-		return nil, err
-	case LevelSync:
-		_, err := baseline.LevelSync(st, e.opts.Workers)
-		return nil, err
-	case DataParallel:
-		_, err := baseline.DataParallel(st, e.opts.Workers)
-		return nil, err
-	case Centralized:
-		p := e.opts.Workers
-		if p < 2 {
-			p = 2
-		}
-		_, err := baseline.Centralized(st, p)
 		return nil, err
 	default:
 		return nil, fmt.Errorf("core: unknown scheduler %v", e.opts.Scheduler)
 	}
-}
-
-// observeRun folds a successful run's metrics into the engine's
-// observability aggregate before handing them to the caller.
-func (e *Engine) observeRun(m *sched.Metrics, err error) (*sched.Metrics, error) {
-	if err == nil && m != nil {
-		e.obsAgg.Observe(obs.FromSched(m))
-	}
-	return m, err
 }
 
 // CollectMarginal answers a single-variable query with a collection-only
@@ -671,18 +601,14 @@ func (e *Engine) CollectMarginalContext(ctx context.Context, ev potential.Eviden
 		entry.states.Put(st)
 		return nil, err
 	}
-	id := e.queryID(ctx)
 	var csp *otrace.Span
 	if ctx != nil {
 		csp = otrace.FromContext(ctx).StartChild("collect",
 			otrace.Int("target.var", int64(v)),
 			otrace.String("scheduler", e.opts.Scheduler.String()))
 	}
-	start := time.Now()
-	sm, err := e.runScheduler(ctx, id, st)
-	e.finishRunSpan(csp, start, sm, st, err)
-	e.recordRun(id, "collect", byte(taskgraph.SumProduct), ev, nil, time.Since(start), sm, st, err)
-	if err != nil {
+	rec := e.newRecord(ctx, "collect", taskgraph.SumProduct, ev, nil, "")
+	if err := e.execute(ctx, csp, rec, st); err != nil {
 		return nil, err // state possibly still referenced; drop it
 	}
 	m, err := st.Clique[entry.g.Tree.Root].Marginal([]int{v})

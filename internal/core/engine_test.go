@@ -17,7 +17,7 @@ func TestAllSchedulersMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := potential.Evidence{ids["XRay"]: 1}
-	for _, s := range []Scheduler{Collaborative, Serial, LevelSync, DataParallel, Centralized, WorkStealing} {
+	for _, s := range []Scheduler{Collaborative, Serial, WorkStealing} {
 		for _, reroot := range []bool{false, true} {
 			e, err := NewEngine(tr, Options{Workers: 4, Scheduler: s, Reroot: reroot, PartitionThreshold: 4})
 			if err != nil {
@@ -181,7 +181,7 @@ func TestEngineDefaultWorkers(t *testing.T) {
 }
 
 func TestSchedulerNames(t *testing.T) {
-	for _, s := range []Scheduler{Collaborative, Serial, LevelSync, DataParallel, Centralized, WorkStealing} {
+	for _, s := range []Scheduler{Collaborative, Serial, WorkStealing} {
 		name := s.String()
 		back, err := ParseScheduler(name)
 		if err != nil || back != s {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"evprop/internal/lazy"
 	"evprop/internal/sched"
 )
 
@@ -15,7 +16,7 @@ import (
 // propagation exceeding a latency threshold. It answers "why was *that*
 // query slow?" after the fact — no flag, no restart, no re-run.
 //
-// The hot path (RecordRun) is wait-free for the summary ring: one atomic
+// The hot path (Record) is wait-free for the summary ring: one atomic
 // cursor add and one atomic pointer store, so concurrent propagations never
 // serialize on the recorder. Only the rare slow-capture path takes a mutex.
 type FlightRecorder struct {
@@ -47,9 +48,19 @@ const (
 	slowFactor = 2
 )
 
-// QueryRecord is one propagation's summary in the recorder ring.
+// QueryRecord is the one record of one propagation. The engine builds it
+// once, when the run (or the cache lookup that replaced it) ends, and every
+// observability view — flight-recorder ring and slow captures, the engine's
+// run aggregate, the propagate span's attributes, QueryResult.Metrics, the
+// server's access log, windows and audit log — reads it; none of them keeps
+// a second copy of its facts.
+//
+// Ownership: the engine fills every field but Seq and Slow; Record stamps
+// those two before it publishes the pointer into the ring. After that the
+// record is immutable and shared between any number of readers.
 type QueryRecord struct {
-	// Seq is the record's position in the recorder's lifetime sequence.
+	// Seq is the record's position in the recorder's lifetime sequence
+	// (zero on engines without a recorder).
 	Seq uint64
 	// ID is the query ID threaded through the propagation's context.
 	ID string
@@ -62,33 +73,30 @@ type QueryRecord struct {
 	EvidenceVars int
 	// Elapsed is the propagation's wall-clock time.
 	Elapsed time.Duration
-	// Workers and Tasks describe the scheduler run (zero for schedulers
-	// that report no metrics).
-	Workers int
-	Tasks   int
-	// LoadBalance and OverheadFraction are the run's Fig. 8 gauges.
-	LoadBalance      float64
-	OverheadFraction float64
+	// Report is the scheduler run's Fig. 8 report, built once per run. It
+	// is nil when no scheduler reported metrics: cache-served queries, the
+	// serial scheduler, and failed or cancelled runs — pool workers may
+	// still be draining such a run's queue and mutating its per-worker
+	// metrics, so only the scalar fields are recorded.
+	Report *Report
 	// Err is the propagation failure, "" on success.
 	Err string
 	// Slow marks records that crossed the capture threshold.
 	Slow bool
 	// Cached marks queries served from the shared-evidence result cache
 	// (a hit, or a singleflight waiter collapsed onto another caller's
-	// propagation): no scheduler ran for them.
+	// propagation): no scheduler ran for them. Cached records land in the
+	// ring but stay out of the recorder's latency histogram —
+	// sub-microsecond lookups must not drag the adaptive slow threshold
+	// down to where every real propagation reads as slow — and are never
+	// captured as slow.
 	Cached bool
-	// Lazy marks runs executed by the zero-aware lazy engine; the pruning
-	// counters below then explain where the propagation's work went
-	// (lazy.Stats semantics: messages by fate, flops vs one eager
-	// two-pass), so a slow lazy query is explainable straight from the
-	// recorder without a trace.
-	Lazy             bool
-	LazyMsgSent      int64
-	LazyMsgBlocked   int64
-	LazyMsgSkipped   int64
-	LazyFlops        int64
-	LazyFlopsFull    int64
-	LazyMaterialized int64
+	// Lazy marks runs executed by the zero-aware lazy engine; LazyStats
+	// then holds its pruning counters as of the end of the scheduler run
+	// (messages by fate, flops vs one eager two-pass), so a slow lazy query
+	// is explainable straight from the recorder without a trace.
+	Lazy      bool
+	LazyStats lazy.Stats
 	// EvidenceSig is the canonical signature of the run's inputs (the
 	// result-cache key): the handle that correlates identical queries and
 	// lets audit replay match a record to its evidence configuration.
@@ -99,16 +107,13 @@ type QueryRecord struct {
 	Evidence map[int]int
 }
 
-// SlowCapture retains everything known about one slow propagation: the
-// summary, the Fig. 8 per-worker report, and the full scheduler trace when
-// the run was traced.
+// SlowCapture retains everything known about one slow propagation: its
+// record (with the Fig. 8 per-worker report, when the scheduler produced
+// one) and the full scheduler trace when the run was traced.
 type SlowCapture struct {
-	Record QueryRecord
+	Record *QueryRecord
 	// Threshold is the capture threshold in force when the run crossed it.
 	Threshold time.Duration
-	// Report is the per-worker run report (nil when the scheduler reported
-	// no metrics).
-	Report *Report
 	// Trace is the run's execution timeline (nil when untraced).
 	Trace *sched.Trace
 }
@@ -126,35 +131,6 @@ func NewFlightRecorder(size int, slowFloor time.Duration) *FlightRecorder {
 	}
 }
 
-// RunInfo is what the engine knows about a finished propagation beyond the
-// scheduler metrics.
-type RunInfo struct {
-	ID           string
-	Mode         string
-	EvidenceVars int
-	Elapsed      time.Duration
-	Err          error
-	// Cached marks a query served without a propagation (cache hit or
-	// collapsed singleflight waiter). Cached records land in the ring but
-	// stay out of the latency histogram — sub-microsecond lookups must not
-	// drag the adaptive slow threshold down to where every real
-	// propagation reads as slow — and are never captured as slow.
-	Cached bool
-	// EvidenceSig and Evidence land in the record verbatim; see
-	// QueryRecord. The recorder owns Evidence after RecordRun.
-	EvidenceSig string
-	Evidence    map[int]int
-	// Lazy pruning counters, copied into the record verbatim; Lazy false
-	// leaves them zero (eager run). See QueryRecord.
-	Lazy             bool
-	LazyMsgSent      int64
-	LazyMsgBlocked   int64
-	LazyMsgSkipped   int64
-	LazyFlops        int64
-	LazyFlopsFull    int64
-	LazyMaterialized int64
-}
-
 // SlowThreshold returns the capture threshold currently in force: the
 // flag-set floor when one was configured, otherwise slowFactor × the
 // observed p99 once slowMinSamples latencies have been recorded. 0 means no
@@ -169,78 +145,34 @@ func (fr *FlightRecorder) SlowThreshold() time.Duration {
 	return slowFactor * fr.hist.Quantile(0.99)
 }
 
-// RecordRun folds one finished propagation into the ring, capturing the run
-// report and trace when it crossed the slow threshold. It reports whether
-// the run was captured as slow — if not, the caller owns m.Trace and may
-// recycle it.
-func (fr *FlightRecorder) RecordRun(info RunInfo, m *sched.Metrics) (slow bool) {
-	rec := &QueryRecord{
-		ID:           info.ID,
-		Time:         time.Now(),
-		Mode:         info.Mode,
-		EvidenceVars: info.EvidenceVars,
-		Elapsed:      info.Elapsed,
-		Cached:       info.Cached,
-		EvidenceSig:  info.EvidenceSig,
-		Evidence:     info.Evidence,
-	}
-	if info.Lazy {
-		rec.Lazy = true
-		rec.LazyMsgSent = info.LazyMsgSent
-		rec.LazyMsgBlocked = info.LazyMsgBlocked
-		rec.LazyMsgSkipped = info.LazyMsgSkipped
-		rec.LazyFlops = info.LazyFlops
-		rec.LazyFlopsFull = info.LazyFlopsFull
-		rec.LazyMaterialized = info.LazyMaterialized
-	}
-	if info.Err != nil {
-		rec.Err = info.Err.Error()
-	}
-	if m != nil {
-		rec.Workers = len(m.Workers)
-		rec.Tasks = m.Tasks
-		var busy, overhead, max time.Duration
-		for _, wm := range m.Workers {
-			busy += wm.Busy
-			overhead += wm.Overhead
-			if wm.Busy > max {
-				max = wm.Busy
-			}
-		}
-		if busy > 0 && rec.Workers > 0 {
-			rec.LoadBalance = float64(max) * float64(rec.Workers) / float64(busy)
-		} else {
-			rec.LoadBalance = 1
-		}
-		if busy+overhead > 0 {
-			rec.OverheadFraction = float64(overhead) / float64(busy+overhead)
-		}
-	}
-	if !info.Cached {
+// Record publishes one finished propagation's record into the ring,
+// marking it Slow when the run crossed the slow threshold. It takes
+// ownership of the run's recorder-armed trace (nil when the run was
+// untraced): a slow run's trace is finalized into the capture, every other
+// trace goes back to the buffer pool.
+func (fr *FlightRecorder) Record(rec *QueryRecord, tr *sched.Trace) {
+	// Seq and Slow are stamped before either publication point (the slow
+	// ring's mutex, the summary ring's atomic store): readers only ever see
+	// the finished record.
+	rec.Seq = fr.cursor.Add(1) - 1
+	if !rec.Cached {
 		thr := fr.SlowThreshold()
-		fr.hist.Observe(info.Elapsed)
-		if thr > 0 && info.Elapsed > thr {
-			rec.Slow = true
-			fr.captureSlow(rec, thr, m)
+		fr.hist.Observe(rec.Elapsed)
+		rec.Slow = thr > 0 && rec.Elapsed > thr
+		if rec.Slow {
+			// Keeping a deferred-merge trace means paying for the merge now
+			// (rare by construction: slow runs are beyond the p99).
+			tr.Finalize()
+			fr.captureSlow(SlowCapture{Record: rec, Threshold: thr, Trace: tr})
 		}
 	}
-	seq := fr.cursor.Add(1) - 1
-	rec.Seq = seq
-	fr.slots[seq%uint64(len(fr.slots))].Store(rec)
-	return rec.Slow
+	tr.Release()
+	fr.slots[rec.Seq%uint64(len(fr.slots))].Store(rec)
 }
 
 // captureSlow retains the full run detail in the slow ring. Slow runs are
-// rare by construction (beyond the p99), so a mutex is fine here.
-func (fr *FlightRecorder) captureSlow(rec *QueryRecord, thr time.Duration, m *sched.Metrics) {
-	sc := SlowCapture{Record: *rec, Threshold: thr}
-	if m != nil {
-		sc.Report = FromSched(m)
-		sc.Trace = m.Trace
-		// A recorder-armed trace arrives with its merge deferred; keeping
-		// it means paying for the merge now (rare by construction).
-		sc.Trace.Finalize()
-	}
+// rare by construction, so a mutex is fine here.
+func (fr *FlightRecorder) captureSlow(sc SlowCapture) {
 	fr.slowTotal.Add(1)
 	fr.slowMu.Lock()
 	defer fr.slowMu.Unlock()
@@ -256,11 +188,11 @@ func (fr *FlightRecorder) captureSlow(rec *QueryRecord, thr time.Duration, m *sc
 // copy is taken slot by slot with atomic loads, so it is safe against
 // concurrent writers; records overwritten mid-snapshot appear with their new
 // content.
-func (fr *FlightRecorder) Snapshot() []QueryRecord {
-	out := make([]QueryRecord, 0, len(fr.slots))
+func (fr *FlightRecorder) Snapshot() []*QueryRecord {
+	out := make([]*QueryRecord, 0, len(fr.slots))
 	for i := range fr.slots {
 		if rec := fr.slots[i].Load(); rec != nil {
-			out = append(out, *rec)
+			out = append(out, rec)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -28,10 +28,22 @@ func metricsFor(busy time.Duration, traced bool) *sched.Metrics {
 	return m
 }
 
+// record builds the record the engine would for a run with these metrics,
+// hands it to the recorder and reports whether it was captured as slow.
+func record(fr *FlightRecorder, rec QueryRecord, m *sched.Metrics) bool {
+	var tr *sched.Trace
+	if m != nil {
+		rec.Report = FromSched(m)
+		tr = m.Trace
+	}
+	fr.Record(&rec, tr)
+	return rec.Slow
+}
+
 func TestFlightRecorderRingOrder(t *testing.T) {
 	fr := NewFlightRecorder(4, time.Hour)
 	for i := 0; i < 3; i++ {
-		fr.RecordRun(RunInfo{ID: fmt.Sprintf("q-%d", i), Mode: "sum-product", Elapsed: time.Millisecond}, nil)
+		record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Mode: "sum-product", Elapsed: time.Millisecond}, nil)
 	}
 	recs := fr.Snapshot()
 	if len(recs) != 3 {
@@ -47,7 +59,7 @@ func TestFlightRecorderRingOrder(t *testing.T) {
 	}
 	// Wraparound: 4 more records push out the oldest 3.
 	for i := 3; i < 7; i++ {
-		fr.RecordRun(RunInfo{ID: fmt.Sprintf("q-%d", i), Elapsed: time.Millisecond}, nil)
+		record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Elapsed: time.Millisecond}, nil)
 	}
 	recs = fr.Snapshot()
 	if len(recs) != 4 {
@@ -63,9 +75,9 @@ func TestFlightRecorderRingOrder(t *testing.T) {
 
 func TestFlightRecorderRecordFields(t *testing.T) {
 	fr := NewFlightRecorder(8, time.Hour)
-	fr.RecordRun(RunInfo{
+	record(fr, QueryRecord{
 		ID: "q-x", Mode: "max-product", EvidenceVars: 2,
-		Elapsed: 3 * time.Millisecond, Err: context.Canceled,
+		Elapsed: 3 * time.Millisecond, Err: context.Canceled.Error(),
 	}, metricsFor(10*time.Millisecond, false))
 	recs := fr.Snapshot()
 	if len(recs) != 1 {
@@ -75,15 +87,15 @@ func TestFlightRecorderRecordFields(t *testing.T) {
 	if r.Mode != "max-product" || r.EvidenceVars != 2 || r.Err != context.Canceled.Error() {
 		t.Errorf("record %+v", r)
 	}
-	if r.Workers != 2 || r.Tasks != 5 {
-		t.Errorf("workers %d tasks %d", r.Workers, r.Tasks)
+	if r.Report.Workers != 2 || r.Report.Tasks != 5 {
+		t.Errorf("workers %d tasks %d", r.Report.Workers, r.Report.Tasks)
 	}
 	// busy = 15ms, max = 10ms → LB = 10/(15/2) = 4/3.
-	if r.LoadBalance < 1.3 || r.LoadBalance > 1.4 {
-		t.Errorf("load balance %v", r.LoadBalance)
+	if r.Report.LoadBalance < 1.3 || r.Report.LoadBalance > 1.4 {
+		t.Errorf("load balance %v", r.Report.LoadBalance)
 	}
-	if r.OverheadFraction <= 0 || r.OverheadFraction >= 0.1 {
-		t.Errorf("overhead fraction %v", r.OverheadFraction)
+	if r.Report.OverheadFraction <= 0 || r.Report.OverheadFraction >= 0.1 {
+		t.Errorf("overhead fraction %v", r.Report.OverheadFraction)
 	}
 	if r.Slow {
 		t.Error("1ms-floor… run under an hour-long floor marked slow")
@@ -101,7 +113,7 @@ func TestSlowCaptureExactlyOverThreshold(t *testing.T) {
 	}
 	wantSlow := []bool{false, false, true, true, false, false, true}
 	for i, d := range elapsed {
-		got := fr.RecordRun(RunInfo{ID: fmt.Sprintf("q-%d", i), Elapsed: d}, metricsFor(d, true))
+		got := record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Elapsed: d}, metricsFor(d, true))
 		if got != wantSlow[i] {
 			t.Errorf("run %d (%v): slow=%v, want %v", i, d, got, wantSlow[i])
 		}
@@ -127,8 +139,11 @@ func TestSlowCaptureExactlyOverThreshold(t *testing.T) {
 		if c.Trace == nil || len(c.Trace.Events) == 0 {
 			t.Errorf("capture %d lost its trace", i)
 		}
-		if c.Report == nil {
+		if c.Record.Report == nil {
 			t.Errorf("capture %d lost its report", i)
+		}
+		if c.Record.Seq != map[string]uint64{"q-2": 2, "q-3": 3, "q-6": 6}[c.Record.ID] {
+			t.Errorf("capture %d has seq %d", i, c.Record.Seq)
 		}
 	}
 	// The ring records carry the Slow flag too.
@@ -146,7 +161,7 @@ func TestSlowCaptureExactlyOverThreshold(t *testing.T) {
 func TestSlowCaptureRingBounded(t *testing.T) {
 	fr := NewFlightRecorder(8, time.Microsecond)
 	for i := 0; i < 3*slowCaptureCap; i++ {
-		fr.RecordRun(RunInfo{ID: fmt.Sprintf("q-%d", i), Elapsed: time.Second}, nil)
+		record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Elapsed: time.Second}, nil)
 	}
 	caps := fr.SlowSnapshot()
 	if len(caps) != slowCaptureCap {
@@ -172,7 +187,7 @@ func TestAdaptiveThreshold(t *testing.T) {
 		t.Fatalf("cold threshold %v, want 0", thr)
 	}
 	for i := 0; i < slowMinSamples; i++ {
-		if slow := fr.RecordRun(RunInfo{Elapsed: time.Millisecond}, nil); slow {
+		if slow := record(fr, QueryRecord{Elapsed: time.Millisecond}, nil); slow {
 			t.Fatal("capture fired during warm-up")
 		}
 	}
@@ -184,7 +199,7 @@ func TestAdaptiveThreshold(t *testing.T) {
 	if thr > 2*2*time.Millisecond {
 		t.Errorf("threshold %v implausibly high", thr)
 	}
-	if slow := fr.RecordRun(RunInfo{ID: "slowpoke", Elapsed: 10 * thr}, nil); !slow {
+	if slow := record(fr, QueryRecord{ID: "slowpoke", Elapsed: 10 * thr}, nil); !slow {
 		t.Error("10× threshold run not captured")
 	}
 }
@@ -223,7 +238,7 @@ func TestFlightRecorderConcurrentWraparound(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				d := time.Duration(i%100) * time.Microsecond
-				fr.RecordRun(RunInfo{ID: fmt.Sprintf("w%d-%d", g, i), Elapsed: d},
+				record(fr, QueryRecord{ID: fmt.Sprintf("w%d-%d", g, i), Elapsed: d},
 					metricsFor(d, i%7 == 0))
 			}
 		}(g)

@@ -29,14 +29,17 @@ import (
 // that needs extra work is MPE, which lazily runs a single max-product
 // propagation on first call and caches it.
 type QueryResult struct {
-	eng    *Engine
-	ev     Evidence
-	iev    potential.Evidence
-	cached bool
+	eng *Engine
+	ev  Evidence
+	iev potential.Evidence
+	// rec is the engine's record of the sum-product propagation behind this
+	// result — immutable, and shared with the flight recorder's ring.
+	rec *obs.QueryRecord
 
 	mu     sync.Mutex
 	res    *core.Result
-	maxRes *core.Result // lazy max-product companion for MPE
+	maxRes *core.Result     // lazy max-product companion for MPE
+	maxRec *obs.QueryRecord // and its record
 	closed bool
 }
 
@@ -44,7 +47,7 @@ type QueryResult struct {
 // shared-evidence cache — a hit on an earlier identical propagation, or a
 // collapse onto another caller's concurrent one — rather than by running
 // its own propagation. Always false on engines compiled without CacheSize.
-func (r *QueryResult) Cached() bool { return r.cached }
+func (r *QueryResult) Cached() bool { return r.rec.Cached }
 
 // Propagate runs one evidence propagation and returns the session result.
 // Any number of goroutines may Propagate on the same engine concurrently;
@@ -85,16 +88,8 @@ func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvi
 			return nil, err
 		}
 	}
-	var res *core.Result
-	var cached bool
-	if e.inner.CacheEnabled() {
-		e.syncModelVersion()
-		res, cached, err = e.inner.PropagateCachedContext(ctx, iev, like)
-	} else if like == nil {
-		res, err = e.inner.PropagateContext(ctx, iev)
-	} else {
-		res, err = e.inner.PropagateSoftContext(ctx, iev, like)
-	}
+	e.syncModelVersion()
+	res, rec, err := e.inner.PropagateCachedContext(ctx, iev, like)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +97,7 @@ func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvi
 	for k, v := range ev {
 		evCopy[k] = v
 	}
-	return &QueryResult{eng: e, ev: evCopy, iev: iev, cached: cached, res: res}, nil
+	return &QueryResult{eng: e, ev: evCopy, iev: iev, rec: rec, res: res}, nil
 }
 
 // syncModelVersion purges the result cache when the source network has been
@@ -174,13 +169,29 @@ type RunMetrics struct {
 }
 
 // Metrics returns the run report of the propagation that produced this
-// result, or nil when the configured scheduler does not report metrics
-// (serial and the simulator baselines). It stays available after Close.
+// result, or nil when no scheduler reported one: the serial scheduler, and
+// results served from the cache (no scheduler ran for them). It stays
+// available after Close.
 func (r *QueryResult) Metrics() *RunMetrics {
-	if r.res == nil || r.res.Sched == nil {
+	if r.rec.Report == nil {
 		return nil
 	}
-	return runMetricsFromReport(obs.FromSched(r.res.Sched))
+	return runMetricsFromReport(r.rec.Report)
+}
+
+// Records returns the engine's record of every propagation behind this
+// result: the sum-product pass, then the max-product pass once MPE has run
+// one. They are the entries the flight recorder holds for this query
+// (RecentQueries), and exist whether or not a recorder is attached. It
+// stays available after Close.
+func (r *QueryResult) Records() []FlightRecord {
+	r.mu.Lock()
+	maxRec := r.maxRec
+	r.mu.Unlock()
+	if maxRec == nil {
+		return []FlightRecord{r.eng.publicRecord(r.rec)}
+	}
+	return []FlightRecord{r.eng.publicRecord(r.rec), r.eng.publicRecord(maxRec)}
 }
 
 // runMetricsFromReport converts an internal run report to the public type.
@@ -324,6 +335,13 @@ func (r *QueryResult) MutualInformation(x, y string) (float64, error) {
 // The first call runs one max-product propagation (the only derivation
 // that needs a different semiring) and caches it; repeated calls are free.
 func (r *QueryResult) MPE() (map[string]int, float64, error) {
+	return r.MPEContext(context.Background())
+}
+
+// MPEContext is MPE with the max-product propagation run under ctx: it
+// stops at the context's cancellation or deadline, is recorded under the
+// context's query ID, and opens its spans under the context's trace.
+func (r *QueryResult) MPEContext(ctx context.Context) (map[string]int, float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
@@ -334,17 +352,11 @@ func (r *QueryResult) MPE() (map[string]int, float64, error) {
 		return nil, 0, fmt.Errorf("%w: no explanation exists", ErrZeroProbabilityEvidence)
 	}
 	if r.maxRes == nil {
-		var mr *core.Result
-		var err error
-		if r.eng.inner.CacheEnabled() {
-			mr, _, err = r.eng.inner.PropagateMaxCachedContext(context.Background(), r.iev)
-		} else {
-			mr, err = r.eng.inner.PropagateMax(r.iev)
-		}
+		mr, rec, err := r.eng.inner.PropagateMaxCachedContext(ctx, r.iev)
 		if err != nil {
 			return nil, 0, err
 		}
-		r.maxRes = mr
+		r.maxRes, r.maxRec = mr, rec
 	}
 	assignment, joint, err := r.maxRes.MostProbableExplanation()
 	if err != nil {
