@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck fmt-check bench bench-serving bench-kernels bench-module smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
+.PHONY: build test race vet staticcheck fmt-check bench bench-serving bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
 
 build:
 	$(GO) build ./...
@@ -30,7 +30,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
 
 bench-serving:
-	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkMutexSerializedQuery|BenchmarkCachedQuery|BenchmarkSingleflightStorm' -benchtime 2s -cpu 4 .
+	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkMutexSerializedQuery|BenchmarkCachedQuery|BenchmarkSingleflightStorm|BenchmarkPropagateSmall' -benchtime 2s -cpu 4 .
 
 # Per-primitive kernel timings (blocked vs scalar, median-of-5 ns/entry at
 # small/medium/large cardinalities), recorded in BENCH_kernels.json. The
@@ -44,6 +44,22 @@ bench-kernels:
 # repo, or an internal rename breaks the load benchmark silently.
 bench-module:
 	$(GO) vet -C benchmark ./... && $(GO) test -C benchmark ./...
+
+# The end-to-end load benchmark (benchmark/README.md): all four workloads,
+# the end-to-end run and the traced per-layer run of each, written with
+# provenance to BENCH_e2e.json — generated, never edited (~5 min). -C makes
+# benchmark/ the working directory, hence the absolute output path.
+bench-e2e:
+	$(GO) run -C benchmark . --workload all --seed 1 --out $(CURDIR)/BENCH_e2e.json
+
+# The regression gate: a fresh run of the same compared, metric by metric
+# and workload by workload, with the committed BENCH_e2e.json under each
+# end-to-end metric's bound (exit 1 on a worse row, 2 on an invalid run).
+# Timings are relative to the benchmark's reference server, so the gate
+# holds across this host's speed swings, not across different hosts.
+bench-check:
+	$(GO) run -C benchmark . --workload all --seed 1 --out /tmp/evprop-bench-e2e.json
+	$(GO) run -C benchmark . --compare $(CURDIR)/BENCH_e2e.json /tmp/evprop-bench-e2e.json
 
 # One-iteration smoke of the kernel bench harness: validates the tool runs
 # and emits well-formed JSON without spending benchmarking time.

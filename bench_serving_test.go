@@ -56,6 +56,36 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 	benchConcurrentQuery(b, eng, ev)
 }
 
+// BenchmarkPropagateSmall is one propagation of the 40-node serving model at
+// the load benchmark's P=2, on the path the granularity rule picks for it
+// (inline) and, through the dispatch seam, on the pool it used to take. The
+// allocs/op column does not move with host load: it is the companion number
+// to the benchmark's small-miss throughput, and the inline row's is what a
+// propagation costs when nothing is scheduled.
+func BenchmarkPropagateSmall(b *testing.B) {
+	for executor, dispatch := range map[string]bool{"inline": false, "pool": true} {
+		b.Run(executor, func(b *testing.B) {
+			net := RandomNetwork(40, 2, 3, 7)
+			eng, err := net.compile(Options{Workers: 2}, dispatch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			vars := net.Variables()
+			ev := Evidence{vars[3]: 1, vars[17]: 0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := eng.Propagate(ev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Close()
+			}
+		})
+	}
+}
+
 // BenchmarkConcurrentQueryNoRecorder is the control for the always-on flight
 // recorder: same workload with the recorder disabled. The delta between this
 // and BenchmarkConcurrentQuery is the recorder's cost — the observability

@@ -413,6 +413,8 @@ type ModelStatsInline struct {
 	MPEs         int64 `json:"mpes"`
 	Errors       int64 `json:"errors"`
 	Propagations int64 `json:"propagations"`
+	InlineRuns   int64 `json:"inline_runs"`
+	PoolRuns     int64 `json:"pool_runs"`
 	CacheHits    int64 `json:"cache_hits"`
 }
 

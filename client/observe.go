@@ -22,6 +22,7 @@ type FlightRecord struct {
 	Mode              string         `json:"mode"`
 	EvidenceVars      int            `json:"evidence_vars"`
 	ElapsedUsec       float64        `json:"elapsed_usec"`
+	Executor          string         `json:"executor,omitempty"` // "inline" or "pool"; empty on cached and failed records
 	Workers           int            `json:"workers"`
 	Tasks             int            `json:"tasks"`
 	LoadBalance       float64        `json:"load_balance"`

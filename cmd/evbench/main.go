@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	evbench [-fig all|5|6|7|8|9|reroot]
+//	evbench [-fig all|5|6|7|8|9|reroot|granularity|…]
 //	evbench -trace out.json [-workers 4]
 //
 // -trace runs one real traced propagation and writes the schedule as a
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 7, 8, 9, reroot, ablations, manycore, roster, real, heuristics, evidence")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 7, 8, 9, reroot, ablations, manycore, roster, real, heuristics, evidence, granularity")
 	tracePath := flag.String("trace", "", "run one traced propagation and write a Chrome trace_event JSON file")
 	traceWorkers := flag.Int("workers", 4, "workers for the -trace and -lazy runs")
 	lazyCmp := flag.Bool("lazy", false, "measure lazy vs eager propagation (real wall clock) on the serving workload")
@@ -177,6 +177,14 @@ func main() {
 	})
 	run("real", func() error {
 		r, err := experiments.Real(experiments.DefaultRealConfig())
+		if err != nil {
+			return err
+		}
+		r.Write(os.Stdout)
+		return nil
+	})
+	run("granularity", func() error {
+		r, err := experiments.Granularity(cm)
 		if err != nil {
 			return err
 		}

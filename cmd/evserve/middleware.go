@@ -33,9 +33,10 @@ type reqInfo struct {
 	evidenceVars atomic.Int64
 	propagations atomic.Int64
 	// overheadFrac and loadBalance hold the most recent propagation's
-	// gauges as float bits.
+	// gauges as float bits, executor the path it took ("inline" or "pool").
 	overheadFrac atomic.Uint64
 	loadBalance  atomic.Uint64
+	executor     atomic.Pointer[string]
 	// cacheLookups counts the request's answers on cache-enabled engines and
 	// cacheHits the ones that cost no propagation of their own; both stay
 	// zero on engines compiled without a cache.
@@ -58,16 +59,17 @@ func reqInfoFrom(ctx context.Context) *reqInfo {
 }
 
 // fold adds one finished outcome to the request's totals: its evidence
-// size, the Fig. 8 gauges of each scheduler run its engine records carry,
+// size, the executor and Fig. 8 gauges of each run its engine records carry,
 // and — on engines with a cache — one cache consultation per answer, a hit
 // when the answer cost no propagation of its own.
 func (ri *reqInfo) fold(o *outcome, cacheOn bool) {
 	ri.evidenceVars.Add(int64(len(o.evidence)))
 	for i := range o.runs {
-		if run := &o.runs[i]; run.Workers > 0 {
+		if run := &o.runs[i]; run.Executor != "" {
 			ri.propagations.Add(1)
 			ri.overheadFrac.Store(math.Float64bits(run.SchedOverheadFrac))
 			ri.loadBalance.Store(math.Float64bits(run.LoadBalance))
+			ri.executor.Store(&run.Executor)
 		}
 	}
 	if cacheOn && o.err == nil {
@@ -102,6 +104,15 @@ func (ri *reqInfo) modelName() string {
 		return ""
 	}
 	if p := ri.model.Load(); p != nil {
+		return *p
+	}
+	return ""
+}
+
+// lastExecutor returns the path the request's most recent propagation
+// took, "" when none ran (cache hits, failures).
+func (ri *reqInfo) lastExecutor() string {
+	if p := ri.executor.Load(); p != nil {
 		return *p
 	}
 	return ""
@@ -231,6 +242,7 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			slog.Int64("evidence_vars", ri.evidenceVars.Load()),
 			slog.Int64("propagations", ri.propagations.Load()),
 			slog.Int64("cache_hits", ri.cacheHits.Load()),
+			slog.String("executor", ri.lastExecutor()),
 			slog.Float64("sched_overhead_fraction", ri.lastOverheadFrac()),
 			slog.Float64("load_balance", ri.lastLoadBalance()),
 			slog.Duration("latency", latency),

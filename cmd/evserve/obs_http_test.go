@@ -198,24 +198,37 @@ func TestValidQueryID(t *testing.T) {
 }
 
 // TestFlightRecorderEndpointSlowCapture pins the slow threshold so every
-// propagation is captured with its full scheduler trace, then reads the dump
-// over HTTP.
+// propagation is captured with its full trace, then reads the dump over
+// HTTP: an inline run on Asia with its one worker column, a pool run on a
+// model that crosses the granularity rule with two.
 func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
-	ts, _ := testServerFull(t, evprop.Options{Workers: 2, SlowQueryThreshold: time.Nanosecond})
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	fr, err := http.Get(ts.URL + "/v1/debug/flightrecorder")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fr.Body.Close()
-	var dump flightRecorderResponse
-	decode(t, fr, &dump)
-	if dump.Recorder.SlowCaptured == 0 || len(dump.Slow) == 0 {
-		t.Fatalf("no slow captures: %+v", dump.Recorder)
-	}
-	c := dump.Slow[0]
-	if !c.Record.Slow || len(c.Trace) == 0 || len(c.BusyPerWorkerUsec) != 2 {
-		t.Errorf("capture %+v", c)
+	opts := evprop.Options{Workers: 2, SlowQueryThreshold: time.Nanosecond}
+	ts, _ := testServerFull(t, opts)
+	pooled, _ := testServerNet(t, poolNetwork(), opts)
+	for _, tc := range []struct {
+		url      string
+		evidence evprop.Evidence
+		executor string
+		columns  int
+	}{
+		{ts.URL, evprop.Evidence{"XRay": 1}, "inline", 1},
+		{pooled.URL, evprop.Evidence{"A": 1}, "pool", 2},
+	} {
+		post(t, tc.url+"/v1/query", queryRequest{Evidence: tc.evidence})
+		fr, err := http.Get(tc.url + "/v1/debug/flightrecorder")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dump flightRecorderResponse
+		decode(t, fr, &dump)
+		fr.Body.Close()
+		if dump.Recorder.SlowCaptured == 0 || len(dump.Slow) == 0 {
+			t.Fatalf("%s: no slow captures: %+v", tc.executor, dump.Recorder)
+		}
+		c := dump.Slow[0]
+		if !c.Record.Slow || c.Record.Executor != tc.executor || len(c.Trace) == 0 || len(c.BusyPerWorkerUsec) != tc.columns {
+			t.Errorf("%s: capture %+v", tc.executor, c.Record)
+		}
 	}
 	// POST is rejected.
 	resp := post(t, ts.URL+"/v1/debug/flightrecorder", map[string]any{})
@@ -315,10 +328,21 @@ func TestRequestTimeout(t *testing.T) {
 // view switched on — access log, flight recorder, audit log, tracing, the
 // stats window — and checks that, per query ID, they tell the same story:
 // the same ID, model and version, the same evidence, the same cached flag
-// and error, and cache-hit counts that moved by exactly the number of
-// answers that cost no propagation of their own.
+// and error, the same executor behind every propagation that ran, and
+// cache-hit counts that moved by exactly the number of answers that cost no
+// propagation of their own. It does so once on a model whose graphs run
+// inline and once on one whose graphs go to the pool.
 func TestViewsAgree(t *testing.T) {
-	srv, err := newServer(evprop.Asia(), evprop.Options{Workers: 2, CacheSize: 16, RecordEvidence: true})
+	t.Run("inline", func(t *testing.T) {
+		viewsAgree(t, evprop.Asia(), "inline", evprop.Evidence{"XRay": 1}, evprop.Evidence{"Dysp": 1}, "Lung")
+	})
+	t.Run("pool", func(t *testing.T) {
+		viewsAgree(t, poolNetwork(), "pool", evprop.Evidence{"A": 1}, evprop.Evidence{"B": 1}, "C")
+	})
+}
+
+func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp evprop.Evidence, target string) {
+	srv, err := newServer(net, evprop.Options{Workers: 2, CacheSize: 16, RecordEvidence: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +366,6 @@ func TestViewsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	xray := evprop.Evidence{"XRay": 1}
-	dysp := evprop.Evidence{"Dysp": 1}
 	rows := []struct {
 		name, path string
 		body       any
@@ -353,9 +375,9 @@ func TestViewsAgree(t *testing.T) {
 		modes      []string // flight-recorder records, in order
 		engineHits int64    // engine result-cache hits
 	}{
-		{"query miss", "/query", queryRequest{Evidence: xray, Query: []string{"Lung"}},
+		{"query miss", "/query", queryRequest{Evidence: xray, Query: []string{target}},
 			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0},
-		{"query hit", "/query", queryRequest{Evidence: xray, Query: []string{"Lung"}},
+		{"query hit", "/query", queryRequest{Evidence: xray, Query: []string{target}},
 			[]evprop.Evidence{xray}, 200, true, []string{"sum-product"}, 1},
 		{"mpe miss", "/mpe", mpeRequest{Evidence: dysp},
 			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0},
@@ -406,6 +428,12 @@ func TestViewsAgree(t *testing.T) {
 			answers += len(row.evidence)
 			cachedAnswers += wantCached
 		}
+		// Only a propagation that ran has an executor: cached answers and
+		// failures leave the field empty in every view.
+		wantExecutor := ""
+		if row.status == http.StatusOK && !row.cached {
+			wantExecutor = executor
+		}
 
 		// Access log.
 		var line struct {
@@ -414,6 +442,7 @@ func TestViewsAgree(t *testing.T) {
 			Status       int
 			EvidenceVars int `json:"evidence_vars"`
 			CacheHits    int `json:"cache_hits"`
+			Executor     string
 		}
 		if err := json.Unmarshal([]byte(waitForLogLine(t, &logBuf, `"id":"`+id+`"`)), &line); err != nil {
 			t.Fatal(err)
@@ -423,9 +452,9 @@ func TestViewsAgree(t *testing.T) {
 			evidenceVars += len(ev)
 		}
 		if line.Model != defaultModel || line.TraceID != traceID || line.Status != row.status ||
-			line.EvidenceVars != evidenceVars || line.CacheHits != wantCached {
-			t.Errorf("%s: access log %+v, want model %s trace %s status %d evidence_vars %d cache_hits %d",
-				row.name, line, defaultModel, traceID, row.status, evidenceVars, wantCached)
+			line.EvidenceVars != evidenceVars || line.CacheHits != wantCached || line.Executor != wantExecutor {
+			t.Errorf("%s: access log %+v, want model %s trace %s status %d evidence_vars %d cache_hits %d executor %q",
+				row.name, line, defaultModel, traceID, row.status, evidenceVars, wantCached, wantExecutor)
 		}
 		if got := eng.CacheStats().Hits - hitsBefore; got != row.engineHits {
 			t.Errorf("%s: engine cache hits moved by %d, want %d", row.name, got, row.engineHits)
@@ -448,10 +477,11 @@ func TestViewsAgree(t *testing.T) {
 			// The signature's first byte is the semiring; the rest is the
 			// evidence, identical for the sum- and max-product records.
 			if rec.Mode != row.modes[k] || rec.Cached != row.cached || rec.Error != "" ||
+				rec.Executor != wantExecutor ||
 				!maps.Equal(rec.Evidence, map[string]int(row.evidence[0])) ||
 				rec.EvidenceSig[2:] != hex.EncodeToString([]byte(sig))[2:] {
-				t.Errorf("%s: flight record %d = %+v, want mode %s cached %v evidence %v",
-					row.name, k, rec, row.modes[k], row.cached, row.evidence[0])
+				t.Errorf("%s: flight record %d = %+v, want mode %s cached %v executor %q evidence %v",
+					row.name, k, rec, row.modes[k], row.cached, wantExecutor, row.evidence[0])
 			}
 		}
 
@@ -488,7 +518,7 @@ func TestViewsAgree(t *testing.T) {
 		for _, sp := range tr.Spans {
 			byID[sp.SpanID] = sp
 		}
-		lookups := 0
+		lookups, propagates := 0, 0
 		for _, sp := range tr.Spans {
 			top := sp
 			for byID[top.ParentSpanID].SpanID != "" {
@@ -503,6 +533,19 @@ func TestViewsAgree(t *testing.T) {
 					t.Errorf("%s: cache.lookup hit=%v, want %v", row.name, sp.Attrs["cache.hit"], row.cached)
 				}
 			}
+			if sp.Name == "propagate" {
+				propagates++
+				if sp.Attrs["executor"] != executor {
+					t.Errorf("%s: propagate span executor=%v, want %s", row.name, sp.Attrs["executor"], executor)
+				}
+			}
+		}
+		wantPropagates := 0
+		if wantExecutor != "" {
+			wantPropagates = len(row.modes)
+		}
+		if propagates != wantPropagates {
+			t.Errorf("%s: %d propagate spans, want %d (%v)", row.name, propagates, wantPropagates, spanNames(tr))
 		}
 		if lookups != len(row.modes) {
 			t.Errorf("%s: %d cache.lookup spans, want %d (%v)", row.name, lookups, len(row.modes), spanNames(tr))
@@ -538,6 +581,26 @@ func TestViewsAgree(t *testing.T) {
 	}
 	if ms.Observed != int64(answers) || ms.Propagations != 3 {
 		t.Errorf("model stats: observed %d propagations %d, want %d and 3", ms.Observed, ms.Propagations, answers)
+	}
+	// The three runs are counted once, under the executor every record named.
+	wantRuns := map[string]int64{"inline": 0, "pool": 0}
+	wantRuns[executor] = 3
+	if ms.InlineRuns != wantRuns["inline"] || ms.PoolRuns != wantRuns["pool"] {
+		t.Errorf("model stats: %d inline + %d pool runs, want %v", ms.InlineRuns, ms.PoolRuns, wantRuns)
+	}
+	metrics, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(metrics.Body)
+	metrics.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, n := range wantRuns {
+		if series := fmt.Sprintf("evprop_sched_%s_runs_total %d\n", path, n); !strings.Contains(string(body), series) {
+			t.Errorf("/v1/metrics lacks %q", series)
+		}
 	}
 }
 

@@ -618,7 +618,11 @@ type modelStatsSummary struct {
 	MPEs         int64 `json:"mpes"`
 	Errors       int64 `json:"errors"`
 	Propagations int64 `json:"propagations"`
-	CacheHits    int64 `json:"cache_hits"`
+	// InlineRuns and PoolRuns split the model's completed propagations by
+	// the executor that ran them: the caller's goroutine or the workers.
+	InlineRuns int64 `json:"inline_runs"`
+	PoolRuns   int64 `json:"pool_runs"`
+	CacheHits  int64 `json:"cache_hits"`
 }
 
 // cacheStats is the engine's cache snapshot plus the server-side coalescer
@@ -702,6 +706,8 @@ func (s *server) modelSummaries() []modelStatsSummary {
 		}
 		if v, ok := versions[info.Name]; ok {
 			row.Propagations = v.Engine.Stats().Propagations
+			sr := v.Engine.SchedulerReport()
+			row.InlineRuns, row.PoolRuns = sr.InlineRuns, sr.PoolRuns
 			row.CacheHits = v.Engine.CacheStats().Hits
 		}
 		out = append(out, row)
@@ -789,6 +795,8 @@ func (s *server) handleModelStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if v, err := s.reg.Current(name); err == nil {
 		resp.Propagations = v.Engine.Stats().Propagations
+		sr := v.Engine.SchedulerReport()
+		resp.InlineRuns, resp.PoolRuns = sr.InlineRuns, sr.PoolRuns
 		resp.Cache = v.Engine.CacheStats()
 		resp.Gauges = v.Engine.SchedulerGauges()
 	}
@@ -803,6 +811,8 @@ type modelStatsResponse struct {
 	MPEs           int64                  `json:"mpes"`
 	Errors         int64                  `json:"errors"`
 	Propagations   int64                  `json:"propagations"`
+	InlineRuns     int64                  `json:"inline_runs"`
+	PoolRuns       int64                  `json:"pool_runs"`
 	Observed       int64                  `json:"observed"`
 	AvgLatencyUsec float64                `json:"avg_latency_usec"`
 	P50LatencyUsec float64                `json:"p50_latency_usec"`

@@ -62,13 +62,14 @@ func nextEvent(t *testing.T, sc *bufio.Scanner) (streamSnapshot, bool) {
 // TestStreamDeliversSnapshots subscribes to /v1/stream on a fast sampler and
 // checks that consecutive events carry coherent, advancing snapshots.
 func TestStreamDeliversSnapshots(t *testing.T) {
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
+	ts, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
 	srv.sampler = obs.NewSampler(5*time.Millisecond, 60, srv.snapshotNow)
 	srv.startSampler()
 	t.Cleanup(srv.beginDrain)
 
-	// Traffic before subscribing so counters are non-trivial.
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	// Traffic before subscribing so counters are non-trivial, on a model
+	// whose runs go to the pool: the worker gauges exist once one has.
+	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
 
 	sc, _ := streamClient(t, ts.URL)
 	first, ok := nextEvent(t, sc)
@@ -78,11 +79,9 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 	if first.Scheduler == "" || first.Workers != 2 {
 		t.Errorf("initial snapshot scheduler %q workers %d", first.Scheduler, first.Workers)
 	}
-	if len(first.Gauges.Workers) != 2 {
-		t.Errorf("gauge surface has %d workers, want 2", len(first.Gauges.Workers))
-	}
 	// The initial event may predate the query by one sampling interval, so
-	// follow the stream until the propagation shows up.
+	// follow the stream until the propagation shows up — and with it the
+	// pool's workers, which exist from the first dispatched run on.
 	snap, prev := first, first
 	for i := 0; snap.Propagations < 1; i++ {
 		if i == 20 {
@@ -96,6 +95,9 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 			t.Errorf("snapshots went back in time: %v then %v", prev.Time, next.Time)
 		}
 		prev, snap = next, next
+	}
+	if len(snap.Gauges.Workers) != 2 {
+		t.Errorf("gauge surface has %d workers, want 2", len(snap.Gauges.Workers))
 	}
 }
 
@@ -217,8 +219,8 @@ func TestHealthzReadyz(t *testing.T) {
 // TestMetricsConformance lints the server's full Prometheus exposition —
 // including the new gauge families — against the format checker.
 func TestMetricsConformance(t *testing.T) {
-	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	ts, _ := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
+	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
 
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
@@ -235,6 +237,7 @@ func TestMetricsConformance(t *testing.T) {
 	}
 	for _, metric := range []string{
 		"evprop_sched_global_depth", "evprop_sched_active_runs",
+		"evprop_sched_inline_runs_total 0", "evprop_sched_pool_runs_total 1",
 		`evprop_worker_queue_depth{worker="0"}`,
 		`evprop_worker_completed_total{worker="1"}`,
 		`evprop_worker_state{`,

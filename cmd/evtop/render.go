@@ -192,7 +192,7 @@ func (m *model) frame() string {
 	b.WriteString(m.statsLine())
 	b.WriteString("\n")
 	if len(s.Gauges.Workers) == 0 {
-		b.WriteString("(no per-worker gauges)\n")
+		b.WriteString("(no per-worker gauges: no run has been dispatched to workers)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %11s  %6s\n",

@@ -140,7 +140,7 @@ func spanExtras(sp evclient.TraceSpan) string {
 	if v, ok := attrs["cache.hit"].(bool); ok {
 		parts = append(parts, fmt.Sprintf("cache.hit=%v", v))
 	}
-	for _, k := range []string{"role", "plan", "scheduler"} {
+	for _, k := range []string{"role", "plan", "scheduler", "executor"} {
 		if v, ok := attrs[k].(string); ok {
 			parts = append(parts, k+"="+v)
 		}

@@ -12,14 +12,23 @@ import (
 // TestConcurrentPropagate hammers one shared engine from many goroutines
 // with no external locking and checks every posterior bitwise-close against
 // a sequentially computed baseline. Run under -race this is the contract
-// test for the engine's concurrency guarantee.
+// test for the engine's concurrency guarantee — on the path this network
+// takes in production (inline: concurrent callers each run their own graph)
+// and, through the dispatch seam, on the shared worker pool, where the
+// callers' items interleave on the same ready lists.
 func TestConcurrentPropagate(t *testing.T) {
+	for executor, dispatch := range map[string]bool{"inline": false, "pool": true} {
+		t.Run(executor, func(t *testing.T) { concurrentPropagate(t, executor, dispatch) })
+	}
+}
+
+func concurrentPropagate(t *testing.T, executor string, dispatch bool) {
 	const (
 		goroutines = 8
 		rounds     = 50
 	)
 	net := RandomNetwork(40, 2, 3, 7)
-	eng, err := net.Compile(Options{Workers: 4})
+	eng, err := net.compile(Options{Workers: 4}, dispatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,6 +72,10 @@ func TestConcurrentPropagate(t *testing.T) {
 					errc <- fmt.Errorf("goroutine %d round %d: %v", g, round, err)
 					return
 				}
+				if ran := res.Records()[0].Executor; ran != executor {
+					errc <- fmt.Errorf("goroutine %d round %d ran on executor %q", g, round, ran)
+					return
+				}
 				for name, want := range baseline[ci] {
 					got := post[name]
 					for s := range want {
@@ -90,10 +103,16 @@ func TestConcurrentPropagate(t *testing.T) {
 
 // TestConcurrentMixedQueries exercises the convenience wrappers (which
 // recycle pooled state) concurrently with session results that stay open
-// across other goroutines' propagations.
+// across other goroutines' propagations, inline and on the pool.
 func TestConcurrentMixedQueries(t *testing.T) {
+	for executor, dispatch := range map[string]bool{"inline": false, "pool": true} {
+		t.Run(executor, func(t *testing.T) { concurrentMixedQueries(t, executor, dispatch) })
+	}
+}
+
+func concurrentMixedQueries(t *testing.T, executor string, dispatch bool) {
 	net := Asia()
-	eng, err := net.Compile(Options{Workers: 4})
+	eng, err := net.compile(Options{Workers: 4}, dispatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,6 +143,10 @@ func TestConcurrentMixedQueries(t *testing.T) {
 				res.Close()
 				if err != nil {
 					errc <- err
+					return
+				}
+				if ran := res.Records()[0].Executor; ran != executor {
+					errc <- fmt.Errorf("goroutine %d iter %d ran on executor %q", g, i, ran)
 					return
 				}
 				if math.Abs(lung[1]-wantLung[1]) > 1e-9 {

@@ -15,7 +15,8 @@ import (
 // engine and with the brute-force joint-enumeration oracle (to float
 // tolerance — parallel summation order legitimately varies), and a warm hit
 // must be *bit-identical* to the cold result it was cached from, because a
-// hit returns the very same pinned propagation.
+// hit returns the very same pinned propagation. Every propagation's record
+// must name the executor its column stands for (see compileColumn).
 
 var diffSchedulers = []string{
 	SchedulerCollaborative,
@@ -36,15 +37,38 @@ func diffEvidences(vars []string) []Evidence {
 	}
 }
 
+// compileColumn compiles the engine of one scheduler column of the oracle
+// and names the executor every propagation of that column must report. The
+// harness's networks are small enough to enumerate, so all their graphs fall
+// under the granularity rule and a plain Compile would turn the parallel
+// columns into copies of the serial one: they reach their schedulers through
+// the dispatch seam instead, which only tests can.
+func compileColumn(t *testing.T, net *Network, opts Options) (*Engine, string) {
+	t.Helper()
+	dispatch := opts.Scheduler != SchedulerSerial
+	eng, err := net.compile(opts, dispatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dispatch {
+		return eng, "pool"
+	}
+	return eng, "inline"
+}
+
 // allPosteriors propagates once and returns every non-evidence posterior
-// along with whether the query was served from the cache.
-func allPosteriors(t *testing.T, eng *Engine, ev Evidence, what string) (map[string][]float64, bool) {
+// along with whether the query was served from the cache. A propagation
+// that ran must have run on the named executor.
+func allPosteriors(t *testing.T, eng *Engine, executor string, ev Evidence, what string) (map[string][]float64, bool) {
 	t.Helper()
 	res, err := eng.Propagate(ev)
 	if err != nil {
 		t.Fatalf("%s: propagate: %v", what, err)
 	}
 	defer res.Close()
+	if rec := res.Records()[0]; !rec.Cached && rec.Executor != executor {
+		t.Fatalf("%s: ran on executor %q, the column is %q", what, rec.Executor, executor)
+	}
 	post, err := res.Posteriors()
 	if err != nil {
 		t.Fatalf("%s: posteriors: %v", what, err)
@@ -75,26 +99,20 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 			}
 		}
 		for _, schedName := range diffSchedulers {
-			plain, err := net.Compile(Options{Workers: 2, Scheduler: schedName})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cachedEng, err := net.Compile(Options{Workers: 2, Scheduler: schedName, CacheSize: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain, executor := compileColumn(t, net, Options{Workers: 2, Scheduler: schedName})
+			cachedEng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: schedName, CacheSize: 128})
 			for i, ev := range evs {
 				what := fmt.Sprintf("seed=%d sched=%s ev=%d", seed, schedName, i)
 				cases++
-				fresh, cached := allPosteriors(t, plain, ev, what+" fresh")
+				fresh, cached := allPosteriors(t, plain, executor, ev, what+" fresh")
 				if cached {
 					t.Fatalf("%s: uncached engine reported a cache hit", what)
 				}
-				cold, cached := allPosteriors(t, cachedEng, ev, what+" cold")
+				cold, cached := allPosteriors(t, cachedEng, executor, ev, what+" cold")
 				if cached {
 					t.Fatalf("%s: first cached-engine query reported a hit", what)
 				}
-				warm, cached := allPosteriors(t, cachedEng, ev, what+" warm")
+				warm, cached := allPosteriors(t, cachedEng, executor, ev, what+" warm")
 				if !cached {
 					t.Fatalf("%s: repeat query missed the cache", what)
 				}
@@ -161,26 +179,20 @@ func TestDifferentialLazySeventhColumn(t *testing.T) {
 			}
 		}
 		for _, schedName := range diffSchedulers {
-			plain, err := net.Compile(Options{Workers: 2, Scheduler: schedName, Lazy: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cachedEng, err := net.Compile(Options{Workers: 2, Scheduler: schedName, Lazy: true, CacheSize: 128})
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain, executor := compileColumn(t, net, Options{Workers: 2, Scheduler: schedName, Lazy: true})
+			cachedEng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: schedName, Lazy: true, CacheSize: 128})
 			for i, ev := range evs {
 				what := fmt.Sprintf("lazy seed=%d sched=%s ev=%d", seed, schedName, i)
 				cases++
-				fresh, cached := allPosteriors(t, plain, ev, what+" fresh")
+				fresh, cached := allPosteriors(t, plain, executor, ev, what+" fresh")
 				if cached {
 					t.Fatalf("%s: uncached engine reported a cache hit", what)
 				}
-				cold, cached := allPosteriors(t, cachedEng, ev, what+" cold")
+				cold, cached := allPosteriors(t, cachedEng, executor, ev, what+" cold")
 				if cached {
 					t.Fatalf("%s: first cached-engine query reported a hit", what)
 				}
-				warm, cached := allPosteriors(t, cachedEng, ev, what+" warm")
+				warm, cached := allPosteriors(t, cachedEng, executor, ev, what+" warm")
 				if !cached {
 					t.Fatalf("%s: repeat query missed the cache", what)
 				}
@@ -295,10 +307,10 @@ func TestCacheInsertionOrderInvariance(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("insertion order changed the evidence signature")
 	}
-	if _, cached := allPosteriors(t, eng, ev1, "first"); cached {
+	if _, cached := allPosteriors(t, eng, "inline", ev1, "first"); cached {
 		t.Fatal("first query hit an empty cache")
 	}
-	if _, cached := allPosteriors(t, eng, ev2, "reordered"); !cached {
+	if _, cached := allPosteriors(t, eng, "inline", ev2, "reordered"); !cached {
 		t.Fatal("reordered identical evidence missed the cache")
 	}
 	// Soft evidence canonicalizes the same way.
@@ -329,12 +341,12 @@ func TestCacheInvalidationRepropagatesAndMatchesOracle(t *testing.T) {
 	}
 	defer eng.Close()
 	ev := Evidence{vars[2]: 1}
-	allPosteriors(t, eng, ev, "warm-up")
+	allPosteriors(t, eng, "inline", ev, "warm-up")
 	eng.InvalidateCache()
 	if st := eng.CacheStats(); st.Entries != 0 {
 		t.Fatalf("entries after InvalidateCache = %d", st.Entries)
 	}
-	post, cached := allPosteriors(t, eng, ev, "post-invalidate")
+	post, cached := allPosteriors(t, eng, "inline", ev, "post-invalidate")
 	if cached {
 		t.Fatal("query after InvalidateCache served from cache")
 	}

@@ -36,6 +36,7 @@ import (
 	"evprop/internal/core"
 	"evprop/internal/obs"
 	"evprop/internal/potential"
+	"evprop/internal/sched"
 )
 
 // Evidence maps observed variable names to their observed state indices.
@@ -157,17 +158,22 @@ const (
 
 // Options configures compilation of a network into an inference engine.
 type Options struct {
-	// Workers is the number of propagation goroutines (0 = GOMAXPROCS).
+	// Workers is the number of propagation goroutines P (0 = GOMAXPROCS).
+	// A task graph whose mean task is cheaper than one scheduling operation
+	// at this P — small networks, heavily pruned lazy plans, and every graph
+	// when P is 1 — runs on the calling goroutine instead; FlightRecord's
+	// Executor field says which path a propagation took.
 	Workers int
 	// Scheduler is one of the Scheduler* constants (default
-	// "collaborative").
+	// "collaborative"). "serial" runs every graph on the calling goroutine.
 	Scheduler string
 	// Reroot applies the paper's Algorithm 1 to minimize the parallel
 	// critical path (default true; set DisableReroot to turn off).
 	DisableReroot bool
 	// PartitionThreshold is δ: potential-table operations over more
 	// entries than this are split across workers. 0 selects an automatic
-	// threshold; negative disables partitioning.
+	// threshold (twice the mean clique table, and at least the 400 entries
+	// one scheduling operation costs); negative disables partitioning.
 	PartitionThreshold int
 	// DisableFlightRecorder turns off the always-on flight recorder (see
 	// Engine.RecentQueries); useful only for micro-benchmarking its cost.
@@ -343,10 +349,11 @@ func (e *Engine) EvidenceSignature(ev Evidence, soft SoftEvidence) (string, erro
 // SchedulerReport aggregates the engine's scheduler observability across
 // all completed runs: lifetime busy/overhead totals, item counters, a
 // per-primitive-kind time breakdown, and the most recent run's Fig. 8
-// gauges. Engines running the serial scheduler report zeros.
+// gauges.
 type SchedulerReport struct {
-	// Runs counts scheduler runs that reported metrics.
-	Runs int64
+	// Runs counts completed runs; InlineRuns of them executed on the
+	// caller's goroutine (see Options.Workers) and PoolRuns on the workers.
+	Runs, InlineRuns, PoolRuns int64
 	// Busy and Overhead are lifetime totals across all runs and workers.
 	Busy, Overhead time.Duration
 	// OverheadFraction is the lifetime scheduling fraction of total worker
@@ -373,6 +380,8 @@ func (e *Engine) SchedulerReport() SchedulerReport {
 	s := e.inner.ObsSnapshot()
 	r := SchedulerReport{
 		Runs:                 s.Runs,
+		InlineRuns:           s.InlineRuns,
+		PoolRuns:             s.PoolRuns,
 		Busy:                 s.Busy,
 		Overhead:             s.Overhead,
 		OverheadFraction:     s.OverheadFraction(),
@@ -439,8 +448,8 @@ type SchedulerGauges struct {
 	GlobalDepth int64 `json:"global_depth"`
 	// ActiveRuns counts propagations currently in flight.
 	ActiveRuns int64 `json:"active_runs"`
-	// Workers has one entry per scheduler worker. Empty for engines on the
-	// serial scheduler, which exposes no gauge surface.
+	// Workers has one entry per scheduler worker. Empty until the engine
+	// first dispatches a run to its workers: reading gauges starts none.
 	Workers []WorkerGauges `json:"workers"`
 }
 
@@ -473,7 +482,12 @@ func (e *Engine) SchedulerGauges() SchedulerGauges {
 
 // Compile converts the network into a junction tree and prepares the
 // propagation engine.
-func (n *Network) Compile(opts Options) (*Engine, error) {
+func (n *Network) Compile(opts Options) (*Engine, error) { return n.compile(opts, false) }
+
+// compile is Compile plus the tests' seam: forceDispatch sends every run to
+// the configured scheduler's workers even when the granularity rule would run
+// it inline (core.Options.ForceDispatch).
+func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
 	if err := n.inner.Validate(); err != nil {
 		return nil, err
 	}
@@ -494,16 +508,7 @@ func (n *Network) Compile(opts Options) (*Engine, error) {
 	case threshold < 0:
 		threshold = 0 // disabled
 	case threshold == 0:
-		// Automatic δ: twice the mean clique table size, so only the
-		// heavyweight operations split — rounded up to a whole cache line
-		// of entries (64 bytes), matching the minimum piece granularity
-		// the schedulers snap to.
-		total := 0
-		for i := range tree.Cliques {
-			total += tree.Cliques[i].TableSize()
-		}
-		threshold = 2 * total / tree.N()
-		threshold = (threshold + 7) / 8 * 8
+		threshold = sched.AutoThreshold(tree)
 	}
 	var recorder *obs.FlightRecorder
 	if !opts.DisableFlightRecorder {
@@ -519,6 +524,7 @@ func (n *Network) Compile(opts Options) (*Engine, error) {
 		PprofLabels:        opts.PprofLabels,
 		RecordEvidence:     opts.RecordEvidence,
 		Lazy:               opts.Lazy,
+		ForceDispatch:      forceDispatch,
 	})
 	if err != nil {
 		return nil, err

@@ -66,13 +66,13 @@ func TestQueryAllSchedulers(t *testing.T) {
 		SchedulerCollaborative, SchedulerSerial, SchedulerWorkStealing,
 	} {
 		n := Asia()
-		eng, err := n.Compile(Options{Workers: 3, Scheduler: s})
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
+		eng, executor := compileColumn(t, n, Options{Workers: 3, Scheduler: s})
 		post, err := eng.Query(Evidence{"XRay": 1}, "Lung", "Tub")
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
+		}
+		if recs := eng.RecentQueries(); len(recs) != 1 || recs[0].Executor != executor {
+			t.Errorf("%s: records %+v, want one run on executor %q", s, recs, executor)
 		}
 		want, err := n.ExactMarginal("Lung", Evidence{"XRay": 1})
 		if err != nil {
@@ -182,15 +182,16 @@ func TestRandomNetworkPublic(t *testing.T) {
 	if err := n.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	eng, err := n.Compile(Options{Workers: 4, PartitionThreshold: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// δ only acts on dispatched runs, and a 12-variable network's run inline.
+	eng, _ := compileColumn(t, n, Options{Workers: 4, PartitionThreshold: 8})
 	vars := n.Variables()
 	ev := Evidence{vars[0]: 0}
 	post, err := eng.QueryAll(ev)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rep := eng.SchedulerReport(); rep.PoolRuns != 1 || rep.Partitioned == 0 {
+		t.Errorf("δ=8 on the pool: %d pool runs, %d tasks partitioned", rep.PoolRuns, rep.Partitioned)
 	}
 	for name, dist := range post {
 		sum := 0.0
@@ -216,13 +217,15 @@ func TestRandomNetworkPublic(t *testing.T) {
 func TestPartitionThresholdModes(t *testing.T) {
 	n := Asia()
 	for _, thr := range []int{-1, 0, 2, 1000} {
-		eng, err := n.Compile(Options{PartitionThreshold: thr, Workers: 2})
-		if err != nil {
-			t.Fatalf("threshold %d: %v", thr, err)
-		}
+		eng, _ := compileColumn(t, n, Options{PartitionThreshold: thr, Workers: 2})
 		post, err := eng.Query(Evidence{"Dysp": 1}, "Bronc")
 		if err != nil {
 			t.Fatalf("threshold %d: %v", thr, err)
+		}
+		// Of the four, only δ=2 is below Asia's 4- and 8-entry tables: off,
+		// the automatic δ (floored at one dispatch, 400) and 1000 split none.
+		if rep := eng.SchedulerReport(); rep.PoolRuns != 1 || (rep.Partitioned > 0) != (thr == 2) {
+			t.Errorf("threshold %d: %d pool runs, %d tasks partitioned", thr, rep.PoolRuns, rep.Partitioned)
 		}
 		want, err := n.ExactMarginal("Bronc", Evidence{"Dysp": 1})
 		if err != nil {
@@ -231,6 +234,28 @@ func TestPartitionThresholdModes(t *testing.T) {
 		if math.Abs(post["Bronc"][1]-want[1]) > 1e-9 {
 			t.Errorf("threshold %d: P = %v, oracle %v", thr, post["Bronc"], want)
 		}
+	}
+}
+
+// TestAutoThresholdFloor: the automatic δ is floored at the dispatch
+// equivalent, so the 40-node benchmark model — 2×mean table is 56 entries,
+// which used to split 60 of its 264 tasks into 153 pieces — is never
+// partitioned, even at a P high enough for the rule to dispatch it.
+func TestAutoThresholdFloor(t *testing.T) {
+	for _, s := range []string{SchedulerCollaborative, SchedulerWorkStealing} {
+		eng, err := RandomNetwork(40, 2, 3, 7).Compile(Options{Workers: 16, Scheduler: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Propagate(Evidence{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := res.Metrics(); m.Executor != "pool" || m.Workers != 16 || m.Partitioned != 0 || m.Pieces != 0 {
+			t.Errorf("%s: executor %q P=%d, %d tasks partitioned into %d pieces", s, m.Executor, m.Workers, m.Partitioned, m.Pieces)
+		}
+		res.Close()
+		eng.Close()
 	}
 }
 

@@ -43,8 +43,14 @@ type FlightRecord struct {
 	EvidenceVars int `json:"evidence_vars"`
 	// ElapsedUsec is the propagation's wall-clock time in microseconds.
 	ElapsedUsec float64 `json:"elapsed_usec"`
-	// Workers and Tasks describe the scheduler run (0 for schedulers that
-	// report no metrics).
+	// Executor is the path the run took: "inline" (the caller's goroutine —
+	// the serial scheduler, one worker, or a task graph whose mean task is
+	// cheaper than one dispatch) or "pool" (the scheduler's workers). Empty,
+	// like the run fields below, on cached and failed records: no run's
+	// report stands behind them.
+	Executor string `json:"executor,omitempty"`
+	// Workers and Tasks describe the run: the worker columns it reported
+	// (1 for an inline run) and the tasks it completed.
 	Workers int `json:"workers"`
 	Tasks   int `json:"tasks"`
 	// LoadBalance and SchedOverheadFrac are the run's Fig. 8 gauges.
@@ -103,8 +109,7 @@ type SlowQueryCapture struct {
 	// it.
 	ThresholdUsec float64 `json:"threshold_usec"`
 	// BusyPerWorkerUsec and OverheadPerWorkerUsec are the per-worker
-	// computation and scheduling times (empty when the scheduler reported
-	// no metrics).
+	// computation and scheduling times.
 	BusyPerWorkerUsec     []float64 `json:"busy_per_worker_usec,omitempty"`
 	OverheadPerWorkerUsec []float64 `json:"overhead_per_worker_usec,omitempty"`
 	// Trace is the run's execution timeline (empty when untraced).
@@ -217,6 +222,7 @@ func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
 		EvidenceSig:      hex.EncodeToString([]byte(r.EvidenceSig)),
 	}
 	if rep := r.Report; rep != nil {
+		out.Executor = rep.Executor
 		out.Workers = rep.Workers
 		out.Tasks = rep.Tasks
 		out.LoadBalance = rep.LoadBalance

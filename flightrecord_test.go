@@ -11,8 +11,9 @@ import (
 
 // TestFlightRecorderRecordsPropagations checks the engine-level integration:
 // every propagation (sum-product, the MPE's max-product companion, and
-// QueryOne's collect pass) lands in the recorder with its mode and the
-// context's query ID.
+// QueryOne's collect pass) lands in the recorder with its mode, the
+// context's query ID and the executor that ran it — Asia's eight-entry
+// tables are far below one dispatch, so all three graphs run inline.
 func TestFlightRecorderRecordsPropagations(t *testing.T) {
 	eng, err := Asia().Compile(Options{Workers: 2})
 	if err != nil {
@@ -54,7 +55,7 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 		t.Errorf("record 2: %+v", recs[2])
 	}
 	for i, r := range recs {
-		if r.ElapsedUsec <= 0 || r.Workers != 2 || r.Tasks == 0 {
+		if r.ElapsedUsec <= 0 || r.Executor != "inline" || r.Workers != 1 || r.Tasks == 0 {
 			t.Errorf("record %d missing run detail: %+v", i, r)
 		}
 		if r.EvidenceVars != 1 {
@@ -70,40 +71,49 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 
 // TestFlightRecorderSlowCaptureHasTrace pins the threshold to 1ns so every
 // propagation counts as slow, and verifies each capture retained the full
-// scheduler trace and per-worker report.
+// trace and per-worker report — on the inline path (one worker column) and,
+// through the tests' dispatch seam, on the pool.
 func TestFlightRecorderSlowCaptureHasTrace(t *testing.T) {
-	eng, err := Asia().Compile(Options{Workers: 2, SlowQueryThreshold: time.Nanosecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	res, err := eng.Propagate(Evidence{"Dysp": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
-	caps := eng.SlowQueryCaptures()
-	if len(caps) != 1 {
-		t.Fatalf("%d captures, want 1", len(caps))
-	}
-	c := caps[0]
-	if !c.Record.Slow || c.ThresholdUsec != 1e-3 {
-		t.Errorf("capture record %+v threshold %v", c.Record, c.ThresholdUsec)
-	}
-	if len(c.Trace) == 0 {
-		t.Fatal("capture has no trace events")
-	}
-	for _, ev := range c.Trace {
-		if ev.Kind == "" || ev.EndUsec < ev.StartUsec {
-			t.Errorf("bad trace event %+v", ev)
-		}
-	}
-	if len(c.BusyPerWorkerUsec) != 2 || len(c.OverheadPerWorkerUsec) != 2 {
-		t.Errorf("per-worker columns: busy %v overhead %v",
-			c.BusyPerWorkerUsec, c.OverheadPerWorkerUsec)
-	}
-	if eng.FlightRecorderStats().SlowCaptured != 1 {
-		t.Errorf("slow captured %d", eng.FlightRecorderStats().SlowCaptured)
+	for _, tc := range []struct {
+		executor string
+		dispatch bool
+		columns  int
+	}{{"inline", false, 1}, {"pool", true, 2}} {
+		t.Run(tc.executor, func(t *testing.T) {
+			eng, err := Asia().compile(Options{Workers: 2, SlowQueryThreshold: time.Nanosecond}, tc.dispatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			res, err := eng.Propagate(Evidence{"Dysp": 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Close()
+			caps := eng.SlowQueryCaptures()
+			if len(caps) != 1 {
+				t.Fatalf("%d captures, want 1", len(caps))
+			}
+			c := caps[0]
+			if !c.Record.Slow || c.ThresholdUsec != 1e-3 || c.Record.Executor != tc.executor {
+				t.Errorf("capture record %+v threshold %v", c.Record, c.ThresholdUsec)
+			}
+			if len(c.Trace) != c.Record.Tasks {
+				t.Fatalf("capture has %d trace events for %d tasks", len(c.Trace), c.Record.Tasks)
+			}
+			for _, ev := range c.Trace {
+				if ev.Kind == "" || ev.EndUsec < ev.StartUsec || ev.Worker >= tc.columns {
+					t.Errorf("bad trace event %+v", ev)
+				}
+			}
+			if len(c.BusyPerWorkerUsec) != tc.columns || len(c.OverheadPerWorkerUsec) != tc.columns {
+				t.Errorf("per-worker columns: busy %v overhead %v",
+					c.BusyPerWorkerUsec, c.OverheadPerWorkerUsec)
+			}
+			if eng.FlightRecorderStats().SlowCaptured != 1 {
+				t.Errorf("slow captured %d", eng.FlightRecorderStats().SlowCaptured)
+			}
+		})
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"evprop/internal/bayesnet"
 	"evprop/internal/obs"
 	"evprop/internal/potential"
+	"evprop/internal/sched"
+	"evprop/internal/taskgraph"
 )
 
 // countdownCtx fails its Err poll after a fixed number of calls, cancelling
@@ -32,7 +34,9 @@ func (c *countdownCtx) Err() error {
 // the scalar fields (no per-worker gauges, no trace) for it, and must never
 // recycle its trace buffers into the shared pool. Cancelled and successful
 // propagations interleave on one engine; -race flags the old behavior of
-// reading the still-mutating metrics and recycling the buffers.
+// reading the still-mutating metrics and recycling the buffers. The network
+// is far below the granularity rule, so the runs reach the pool through the
+// dispatch seam — the race only exists there.
 func TestCancelledRunRecorderIntegrity(t *testing.T) {
 	net := bayesnet.RandomNetwork(50, 2, 3, 7)
 	tr, err := net.Compile()
@@ -40,7 +44,7 @@ func TestCancelledRunRecorderIntegrity(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.NewFlightRecorder(256, 0)
-	e, err := NewEngine(tr, Options{Workers: 4, Reroot: true, PartitionThreshold: 8, Recorder: rec})
+	e, err := NewEngine(tr, Options{Workers: 4, Reroot: true, PartitionThreshold: 8, Recorder: rec, ForceDispatch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,11 +89,132 @@ func TestCancelledRunRecorderIntegrity(t *testing.T) {
 			continue
 		}
 		ok++
-		if r.Report == nil || r.Report.Workers != 4 {
+		if r.Report == nil || r.Report.Executor != sched.ExecPool || r.Report.Workers != 4 {
 			t.Errorf("successful run lost its worker gauges: %+v", r)
 		}
 	}
 	if want := goroutines * perG / 2; failed != want || ok != want {
 		t.Errorf("recorded %d failed + %d ok runs, want %d each", failed, ok, want)
+	}
+}
+
+// TestCancelledInlineRun cancels a run on the calling goroutine mid-graph —
+// under the serial scheduler, which used to run to completion whatever its
+// context said, and on the inline path the granularity rule picks. The run
+// must stop at a task boundary with the context's error, leave a scalar-only
+// record, keep its half-propagated state out of the pool, and leave the
+// engine answering the next query exactly as a fresh one does.
+func TestCancelledInlineRun(t *testing.T) {
+	net := bayesnet.RandomNetwork(50, 2, 3, 7)
+	tr, err := net.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := potential.Evidence{0: 0}
+	for _, s := range []Scheduler{Serial, Collaborative, WorkStealing} {
+		rec := obs.NewFlightRecorder(16, 0)
+		e, err := NewEngine(tr, Options{Workers: 4, Scheduler: s, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		polls := int64(e.Graph().N() / 2)
+		cc := &countdownCtx{Context: context.Background()}
+		cc.left.Store(polls + 1) // propagateFull polls once before the run
+		if _, err := e.PropagateContext(cc, ev); err != context.DeadlineExceeded {
+			t.Fatalf("%v: cancelled run returned %v", s, err)
+		}
+		// One poll per task boundary: the poll that failed is the last one.
+		if over := -cc.left.Load(); over != 1 {
+			t.Errorf("%v: context polled %d times past the cancellation", s, over-1)
+		}
+		failed := rec.Snapshot()[0]
+		if failed.Err == "" || failed.Report != nil {
+			t.Errorf("%v: cancelled run recorded %+v", s, failed)
+		}
+		if st := e.statePools[taskgraph.SumProduct].Get(); st != nil {
+			t.Errorf("%v: cancelled run recycled its half-run state", s)
+		}
+		res, err := e.Propagate(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := rec.Snapshot()[1]
+		if ok.Report == nil || ok.Report.Executor != sched.ExecInline || ok.Report.Tasks != e.Graph().N() {
+			t.Errorf("%v: run after the cancelled one recorded %+v", s, ok.Report)
+		}
+		fresh, err := e.Graph().NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.AbsorbEvidence(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.RunSerial(); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range fresh.Clique {
+			if got := res.State().Clique[i]; !got.Equal(want, 0) {
+				t.Fatalf("%v: clique %d differs from the serial reference", s, i)
+			}
+		}
+		e.Close()
+	}
+}
+
+// gaugeProbeCtx reads the engine's gauges at every task boundary of the run
+// it is passed to and keeps the largest ActiveRuns it saw.
+type gaugeProbeCtx struct {
+	context.Context
+	e      *Engine
+	active int64
+}
+
+func (c *gaugeProbeCtx) Err() error {
+	c.active = max(c.active, c.e.Gauges().ActiveRuns)
+	return nil
+}
+
+// TestSmallModelSpawnsNoWorkers: an engine whose graphs all fall under the
+// granularity rule never starts its pool — not for propagations of any kind,
+// and not for a gauge read, which used to create it. Its runs still show in
+// the ActiveRuns gauge while they are in flight.
+func TestSmallModelSpawnsNoWorkers(t *testing.T) {
+	tr, err := bayesnet.RandomNetwork(40, 2, 3, 7).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(tr, Options{Workers: 2, Reroot: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ev := potential.Evidence{3: 1}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Propagate(ev); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.PropagateMax(ev); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.CollectMarginal(ev, 7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := &gaugeProbeCtx{Context: context.Background(), e: e}
+	if _, err := e.PropagateContext(probe, ev); err != nil {
+		t.Fatal(err)
+	}
+	if probe.active != 1 {
+		t.Errorf("ActiveRuns read %d during an inline run, want 1", probe.active)
+	}
+	g := e.Gauges()
+	if len(g.Workers) != 0 || g.ActiveRuns != 0 {
+		t.Errorf("gauges of an engine that dispatched nothing: %+v", g)
+	}
+	if e.pool != nil {
+		t.Error("worker pool exists after inline runs and gauge reads")
+	}
+	if snap := e.ObsSnapshot(); snap.InlineRuns != 10 || snap.PoolRuns != 0 {
+		t.Errorf("%d inline and %d pool runs, want 10 and 0", snap.InlineRuns, snap.PoolRuns)
 	}
 }

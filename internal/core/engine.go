@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evprop/internal/baseline"
 	"evprop/internal/cache"
 	"evprop/internal/jtree"
 	"evprop/internal/lazy"
@@ -39,7 +38,8 @@ type Scheduler int
 const (
 	// Collaborative is the paper's contribution (Section 6).
 	Collaborative Scheduler = iota
-	// Serial executes tasks on one goroutine in topological order.
+	// Serial executes every graph on the calling goroutine in topological
+	// order (sched.RunInline), whatever its granularity.
 	Serial
 	// WorkStealing is the collaborative scheduler with tail-stealing from
 	// the heaviest ready list (an extension; see sched.RunStealing).
@@ -72,6 +72,9 @@ func ParseScheduler(name string) (Scheduler, error) {
 // Options configures an Engine.
 type Options struct {
 	// Workers is the number of worker goroutines P. 0 selects GOMAXPROCS.
+	// Graphs whose mean task is cheaper than one dispatch at this P run on
+	// the calling goroutine instead (sched.Inline); with one worker that is
+	// every graph.
 	Workers int
 	// Scheduler selects the execution strategy (default Collaborative).
 	Scheduler Scheduler
@@ -114,6 +117,13 @@ type Options struct {
 	// message counters (Result.LazyStats, QueryRecord.LazyStats) expose the
 	// pruning.
 	Lazy bool
+	// ForceDispatch sends every run of a collaborative or stealing engine
+	// to the workers, whatever sched.Inline says of its graph. It is a test
+	// seam: the differential oracle's networks are small enough to enumerate
+	// and so all fall under the rule, and this keeps the parallel schedulers
+	// covered on them. No public option, flag or environment variable
+	// reaches it.
+	ForceDispatch bool
 }
 
 // ErrReleased is returned by Result methods after Release recycled the
@@ -143,18 +153,23 @@ type Engine struct {
 	lazyProp *lazy.Prop
 
 	// pool holds the persistent collaborative-scheduler workers, created
-	// lazily on first use so serial engines never spawn goroutines.
+	// by the first run that is dispatched to them, so engines whose graphs
+	// all run inline never spawn goroutines.
 	poolMu     sync.Mutex
 	pool       *sched.Pool
 	poolClosed bool
+
+	// inlineActive counts inline runs in flight, the part of the ActiveRuns
+	// gauge no scheduler's gauge surface sees.
+	inlineActive atomic.Int64
 
 	// propagations counts scheduler invocations (full and collect-only),
 	// the observable that lets tests prove a query cost exactly one
 	// propagation.
 	propagations atomic.Int64
 
-	// obsAgg accumulates the run reports (Fig. 8 metrics) of the schedulers
-	// that produce sched.Metrics; execute folds each record's report in.
+	// obsAgg accumulates the run reports (Fig. 8 metrics); execute folds
+	// each record's report in.
 	obsAgg obs.Aggregate
 
 	collectMu     sync.Mutex
@@ -185,6 +200,9 @@ type collectEntry struct {
 func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
+	}
+	if _, ok := schedulerNames[opts.Scheduler]; !ok {
+		return nil, fmt.Errorf("core: unknown scheduler %v", opts.Scheduler)
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -277,9 +295,9 @@ func (e *Engine) Options() Options { return e.opts }
 func (e *Engine) Propagations() int64 { return e.propagations.Load() }
 
 // ObsSnapshot returns the engine's aggregated observability counters: the
-// lifetime busy/overhead/per-kind totals and the most recent run's Fig. 8
-// load-balance and overhead-fraction gauges. Only schedulers that report
-// sched.Metrics (collaborative, stealing) contribute.
+// lifetime busy/overhead/per-kind totals, how many runs took each executor,
+// and the most recent run's Fig. 8 load-balance and overhead-fraction
+// gauges.
 func (e *Engine) ObsSnapshot() obs.AggregateSnapshot { return e.obsAgg.Snapshot() }
 
 // Recorder returns the engine's flight recorder, nil when none is attached.
@@ -287,18 +305,24 @@ func (e *Engine) Recorder() *obs.FlightRecorder { return e.opts.Recorder }
 
 // Gauges snapshots the live scheduler gauge surface: per-worker states,
 // ready-list depths and weight counters, steal/partition counters and the
-// global task-list depth. The read is wait-free for the workers. Engines on
-// the serial or baseline schedulers report an empty snapshot.
+// global task-list depth. The read is wait-free for the workers and never
+// starts any: an engine that has dispatched nothing yet (serial, or every
+// graph so far ran inline) reports an empty worker set. Inline runs in
+// flight count into ActiveRuns.
 func (e *Engine) Gauges() sched.GaugesSnapshot {
-	switch e.opts.Scheduler {
-	case WorkStealing:
-		return e.stealGauges.Snapshot()
-	case Collaborative:
-		if p := e.workerPool(); p != nil {
-			return p.Gauges().Snapshot()
+	var s sched.GaugesSnapshot
+	if e.stealGauges != nil {
+		s = e.stealGauges.Snapshot()
+	} else {
+		e.poolMu.Lock()
+		p := e.pool
+		e.poolMu.Unlock()
+		if p != nil {
+			s = p.Gauges().Snapshot()
 		}
 	}
-	return sched.GaugesSnapshot{}
+	s.ActiveRuns += e.inlineActive.Load()
+	return s
 }
 
 // getState returns a recycled state for the mode, or allocates one.
@@ -480,14 +504,14 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 	if err != nil {
 		// Pool workers may still be executing already-fetched items of a
 		// failed or cancelled run, mutating the per-worker metrics and trace
-		// buffers: record the scalars only and leave the rest to the GC.
+		// buffers: record the scalars only and leave the rest to the GC. (An
+		// inline run has no stragglers, but a failed run reads the same in
+		// every view whichever path it took.)
 		rec.Err = err.Error()
 	} else {
-		if m != nil {
-			tr = m.Trace
-			rec.Report = obs.FromSched(m)
-			e.obsAgg.Observe(rec.Report)
-		}
+		tr = m.Trace
+		rec.Report = obs.FromSched(m)
+		e.obsAgg.Observe(rec.Report)
 		if lst, ok := st.(*lazy.State); ok {
 			rec.Lazy, rec.LazyStats = true, lst.Stats()
 		}
@@ -502,15 +526,15 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 }
 
 // endRunSpan closes a run's span with what its record says: the failure,
-// the task count plus coarse per-task-kind child spans synthesized from the
-// report's per-kind busy totals (no extra hot-path clocking), and the lazy
-// pruning counters.
+// the executor that ran it and the task count plus coarse per-task-kind
+// child spans synthesized from the report's per-kind busy totals (no extra
+// hot-path clocking), and the lazy pruning counters.
 func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 	if rec.Err != "" {
 		psp.Fail(rec.Err)
 	}
 	if rep := rec.Report; rep != nil {
-		psp.SetAttr(otrace.Int("tasks", int64(rep.Tasks)))
+		psp.SetAttr(otrace.String("executor", rep.Executor), otrace.Int("tasks", int64(rep.Tasks)))
 		for k, d := range rep.KindBusy {
 			if d > 0 {
 				psp.ChildInterval("kind."+taskgraph.Kind(k).String(), start, d)
@@ -529,10 +553,14 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 	psp.End()
 }
 
-// runScheduler executes the state's graph with the configured strategy,
-// returning the scheduler's metrics when it reports any. queryID, when
-// non-empty and Options.PprofLabels is on, tags the workers with pprof
-// labels for the duration of the run.
+// runScheduler executes the state's graph and returns the run's metrics.
+// This is the one place the execution path is chosen, so the full graph,
+// max-product, the per-target collect-only graphs and every pruned lazy plan
+// get the same rule: a graph whose mean task is cheaper than one dispatch at
+// this engine's P (sched.Inline), and every graph of a Serial engine, runs on
+// the calling goroutine; the rest go to the configured scheduler's workers.
+// queryID, when non-empty and Options.PprofLabels is on, tags the executing
+// goroutines with pprof labels for the duration of the run.
 func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor) (*sched.Metrics, error) {
 	e.propagations.Add(1)
 	if !e.opts.PprofLabels {
@@ -550,21 +578,19 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		Ctx:       ctx,
 		QueryID:   queryID,
 	}
-	switch e.opts.Scheduler {
-	case Collaborative:
-		if p := e.workerPool(); p != nil {
-			return p.Run(st, opts)
-		}
-		return sched.Run(st, opts)
-	case WorkStealing:
+	if e.opts.Scheduler == Serial || (!e.opts.ForceDispatch && sched.Inline(st.Graph(), e.opts.Workers)) {
+		e.inlineActive.Add(1)
+		defer e.inlineActive.Add(-1)
+		return sched.RunInline(st, opts)
+	}
+	if e.opts.Scheduler == WorkStealing {
 		opts.Gauges = e.stealGauges
 		return sched.RunStealing(st, opts)
-	case Serial:
-		_, err := baseline.Serial(st)
-		return nil, err
-	default:
-		return nil, fmt.Errorf("core: unknown scheduler %v", e.opts.Scheduler)
 	}
+	if p := e.workerPool(); p != nil {
+		return p.Run(st, opts)
+	}
+	return sched.Run(st, opts)
 }
 
 // CollectMarginal answers a single-variable query with a collection-only

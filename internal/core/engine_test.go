@@ -10,6 +10,30 @@ import (
 	"evprop/internal/taskgraph"
 )
 
+// schedulerOptions completes a scheduler-matrix test's options so that the
+// column it names is the path that runs: the networks these tests can check
+// against brute force all fall under the granularity rule, so the parallel
+// schedulers are reached through the dispatch seam.
+func schedulerOptions(s Scheduler, o Options) Options {
+	o.Scheduler = s
+	o.ForceDispatch = s != Serial
+	return o
+}
+
+// assertRanOn fails unless the engine ran at least one graph and ran every
+// one on the executor its scheduler column names.
+func assertRanOn(t *testing.T, e *Engine) {
+	t.Helper()
+	snap := e.ObsSnapshot()
+	inline, pool := snap.InlineRuns, snap.PoolRuns
+	if e.opts.Scheduler != Serial {
+		inline, pool = pool, inline
+	}
+	if inline == 0 || pool != 0 {
+		t.Errorf("%v engine: %d inline and %d pool runs", e.opts.Scheduler, snap.InlineRuns, snap.PoolRuns)
+	}
+}
+
 func TestAllSchedulersMatchOracle(t *testing.T) {
 	net, ids := bayesnet.Asia()
 	tr, err := net.Compile()
@@ -19,7 +43,7 @@ func TestAllSchedulersMatchOracle(t *testing.T) {
 	ev := potential.Evidence{ids["XRay"]: 1}
 	for _, s := range []Scheduler{Collaborative, Serial, WorkStealing} {
 		for _, reroot := range []bool{false, true} {
-			e, err := NewEngine(tr, Options{Workers: 4, Scheduler: s, Reroot: reroot, PartitionThreshold: 4})
+			e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 4, Reroot: reroot, PartitionThreshold: 4}))
 			if err != nil {
 				t.Fatalf("%v reroot=%v: %v", s, reroot, err)
 			}
@@ -27,6 +51,7 @@ func TestAllSchedulersMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v reroot=%v: %v", s, reroot, err)
 			}
+			assertRanOn(t, e)
 			for name, v := range ids {
 				if _, fixed := ev[v]; fixed {
 					continue
@@ -361,7 +386,7 @@ func TestCollectMarginalMatchesFullPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []Scheduler{Serial, Collaborative} {
-		e, err := NewEngine(tr, Options{Workers: 3, Scheduler: s, PartitionThreshold: 4})
+		e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 3, PartitionThreshold: 4}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,6 +399,7 @@ func TestCollectMarginalMatchesFullPropagation(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v %s: %v", s, name, err)
 			}
+			assertRanOn(t, e)
 			want, err := net.ExactMarginal(v, ev)
 			if err != nil {
 				t.Fatal(err)

@@ -31,12 +31,11 @@ func TestGrandIntegration(t *testing.T) {
 		for _, s := range schedulers {
 			for _, workers := range []int{1, 4} {
 				for _, thr := range []int{0, 4} {
-					e, err := NewEngine(tr, Options{
+					e, err := NewEngine(tr, schedulerOptions(s, Options{
 						Workers:            workers,
-						Scheduler:          s,
 						Reroot:             seed%2 == 0,
 						PartitionThreshold: thr,
-					})
+					}))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -77,6 +76,7 @@ func TestGrandIntegration(t *testing.T) {
 					if _, p, err := maxRes.MostProbableExplanation(); err != nil || p <= 0 {
 						t.Fatalf("seed %d %v: MPE failed: %v %v", seed, s, p, err)
 					}
+					assertRanOn(t, e)
 				}
 			}
 		}

@@ -35,7 +35,7 @@ func TestMPEMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range []Scheduler{Serial, Collaborative} {
-			e, err := NewEngine(tr, Options{Workers: 4, Scheduler: s, Reroot: true, PartitionThreshold: 4})
+			e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 4, Reroot: true, PartitionThreshold: 4}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,6 +44,7 @@ func TestMPEMatchesBruteForce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			assertRanOn(t, e)
 			got, gotP, err := res.MostProbableExplanation()
 			if err != nil {
 				t.Fatal(err)

@@ -73,11 +73,12 @@ type QueryRecord struct {
 	EvidenceVars int
 	// Elapsed is the propagation's wall-clock time.
 	Elapsed time.Duration
-	// Report is the scheduler run's Fig. 8 report, built once per run. It
-	// is nil when no scheduler reported metrics: cache-served queries, the
-	// serial scheduler, and failed or cancelled runs — pool workers may
-	// still be draining such a run's queue and mutating its per-worker
-	// metrics, so only the scalar fields are recorded.
+	// Report is the run's Fig. 8 report, built once per run; its Executor
+	// says whether the run took the caller's goroutine or the workers. It
+	// is nil when nothing ran to completion: cache-served queries, and
+	// failed or cancelled runs — pool workers may still be draining such a
+	// run's queue and mutating its per-worker metrics, so only the scalar
+	// fields are recorded.
 	Report *Report
 	// Err is the propagation failure, "" on success.
 	Err string

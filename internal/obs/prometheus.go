@@ -103,6 +103,10 @@ func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
 func (s AggregateSnapshot) WritePrometheus(w io.Writer, prefix string) {
 	WriteHeader(w, prefix+"_runs_total", "Completed scheduler runs.", "counter")
 	WriteSample(w, prefix+"_runs_total", nil, float64(s.Runs))
+	WriteHeader(w, prefix+"_inline_runs_total", "Runs executed on the caller's goroutine (mean task cheaper than one dispatch).", "counter")
+	WriteSample(w, prefix+"_inline_runs_total", nil, float64(s.InlineRuns))
+	WriteHeader(w, prefix+"_pool_runs_total", "Runs dispatched to the scheduler's workers.", "counter")
+	WriteSample(w, prefix+"_pool_runs_total", nil, float64(s.PoolRuns))
 	WriteHeader(w, prefix+"_busy_seconds_total", "Worker time inside node-level primitives.", "counter")
 	WriteSample(w, prefix+"_busy_seconds_total", nil, s.Busy.Seconds())
 	WriteHeader(w, prefix+"_overhead_seconds_total", "Worker time in the Allocate and Partition scheduler modules.", "counter")

@@ -23,6 +23,9 @@ var KindNames = [taskgraph.NumKinds]string{"marginalize", "divide", "extend", "m
 // Report is the structured result of one scheduler run — the Fig. 8
 // quantities promoted to a first-class value.
 type Report struct {
+	// Executor names the path that ran the graph: sched.ExecInline (the
+	// caller's goroutine, one worker column) or sched.ExecPool.
+	Executor string
 	// Workers is the number of worker threads P.
 	Workers int
 	// Elapsed is the run's wall-clock makespan.
@@ -50,6 +53,7 @@ type Report struct {
 // FromSched builds the run report from a real execution's metrics.
 func FromSched(m *sched.Metrics) *Report {
 	r := &Report{
+		Executor:    m.Executor,
 		Workers:     len(m.Workers),
 		Elapsed:     m.Elapsed,
 		Busy:        make([]time.Duration, len(m.Workers)),
@@ -151,6 +155,7 @@ func (r *Report) Write(w io.Writer) {
 type Aggregate struct {
 	mu                sync.Mutex
 	runs              int64
+	inlineRuns        int64
 	busy              time.Duration
 	overhead          time.Duration
 	kindBusy          [taskgraph.NumKinds]time.Duration
@@ -170,6 +175,9 @@ func (a *Aggregate) Observe(r *Report) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.runs++
+	if r.Executor == sched.ExecInline {
+		a.inlineRuns++
+	}
 	a.busy += r.TotalBusy()
 	a.overhead += r.TotalOverhead()
 	for k := 0; k < taskgraph.NumKinds; k++ {
@@ -188,8 +196,9 @@ func (a *Aggregate) Observe(r *Report) {
 
 // AggregateSnapshot is a consistent copy of an Aggregate's counters.
 type AggregateSnapshot struct {
-	// Runs counts scheduler runs folded in.
-	Runs int64
+	// Runs counts scheduler runs folded in; InlineRuns of them ran on the
+	// caller's goroutine and PoolRuns were dispatched to workers.
+	Runs, InlineRuns, PoolRuns int64
 	// Busy and Overhead are lifetime totals across all runs and workers.
 	Busy, Overhead time.Duration
 	// KindBusy is the lifetime per-primitive-kind computation time.
@@ -221,6 +230,8 @@ func (a *Aggregate) Snapshot() AggregateSnapshot {
 	defer a.mu.Unlock()
 	s := AggregateSnapshot{
 		Runs:                 a.runs,
+		InlineRuns:           a.inlineRuns,
+		PoolRuns:             a.runs - a.inlineRuns,
 		Busy:                 a.busy,
 		Overhead:             a.overhead,
 		KindBusy:             a.kindBusy,

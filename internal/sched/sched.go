@@ -88,8 +88,19 @@ type WorkerMetrics struct {
 	KindBusy [taskgraph.NumKinds]time.Duration
 }
 
+// The two values of Metrics.Executor.
+const (
+	// ExecInline: the graph ran on the calling goroutine (RunInline).
+	ExecInline = "inline"
+	// ExecPool: the graph's tasks were dispatched to worker goroutines
+	// (Pool.Run, Run, RunStealing).
+	ExecPool = "pool"
+)
+
 // Metrics aggregates a run.
 type Metrics struct {
+	// Executor names the path that ran the graph: ExecInline or ExecPool.
+	Executor  string
 	Workers   []WorkerMetrics
 	Elapsed   time.Duration
 	Tasks     int // original graph tasks completed
@@ -306,7 +317,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	start := time.Now()
 	r.start = start
 	if g.N() == 0 {
-		m := &Metrics{Workers: r.metrics, Elapsed: time.Since(start)}
+		m := &Metrics{Executor: ExecPool, Workers: r.metrics, Elapsed: time.Since(start)}
 		if opts.Trace {
 			m.Trace = &Trace{Workers: len(p.lists)}
 		}
@@ -333,6 +344,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		p.gauges.flushRun(r.metrics)
 	}
 	m := &Metrics{
+		Executor:  ExecPool,
 		Workers:   r.metrics,
 		Elapsed:   time.Since(start),
 		Tasks:     g.N() - int(atomic.LoadInt64(&r.remaining)),

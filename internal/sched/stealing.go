@@ -46,7 +46,7 @@ func RunStealing(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	start := time.Now()
 	r.start = start
 	if g.N() == 0 {
-		m := &Metrics{Workers: r.metrics, Elapsed: time.Since(start)}
+		m := &Metrics{Executor: ExecPool, Workers: r.metrics, Elapsed: time.Since(start)}
 		if opts.Trace {
 			m.Trace = &Trace{Workers: opts.Workers}
 		}
@@ -73,6 +73,7 @@ func RunStealing(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	// unlike Pool.Run, the flush here is unconditional.
 	gauges.flushRun(r.metrics)
 	m := &Metrics{
+		Executor:  ExecPool,
 		Workers:   r.metrics,
 		Elapsed:   time.Since(start),
 		Tasks:     g.N() - int(atomic.LoadInt64(&r.remaining)),

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 
 	"evprop/internal/jtree"
 	"evprop/internal/potential"
@@ -98,10 +99,17 @@ type Task struct {
 	NDeps int // number of predecessors
 }
 
-// Graph is the full task dependency graph for one junction tree.
+// Graph is the full task dependency graph for one junction tree. It is
+// immutable once built: the first TopoOrder or TotalWeight call caches what
+// it derives from Tasks, and every run of the graph reads that cache.
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
+
+	derive   sync.Once
+	order    []int   // topological order, nil when the graph has a cycle
+	orderErr error   // the cycle, if any
+	weight   float64 // sum of task weights
 }
 
 // taskIdx addresses the 4 collect + 4 distribute tasks of one edge.
@@ -250,11 +258,8 @@ func (g *Graph) DepCounts() []int32 {
 
 // TotalWeight returns the sum of all task weights (serial work).
 func (g *Graph) TotalWeight() float64 {
-	w := 0.0
-	for i := range g.Tasks {
-		w += g.Tasks[i].Weight
-	}
-	return w
+	g.derive.Do(g.deriveOnce)
+	return g.weight
 }
 
 // CriticalPathWeight returns the weight of the heaviest dependency chain,
@@ -281,8 +286,22 @@ func (g *Graph) CriticalPathWeight() float64 {
 }
 
 // TopoOrder returns a topological order of the tasks, or an error if the
-// graph has a cycle (which would indicate a construction bug).
+// graph has a cycle (which would indicate a construction bug). The order is
+// derived once per graph and shared by every caller, who must not modify it.
 func (g *Graph) TopoOrder() ([]int, error) {
+	g.derive.Do(g.deriveOnce)
+	return g.order, g.orderErr
+}
+
+// deriveOnce fills the graph's cached total weight and topological order.
+func (g *Graph) deriveOnce() {
+	for i := range g.Tasks {
+		g.weight += g.Tasks[i].Weight
+	}
+	g.order, g.orderErr = g.topoOrder()
+}
+
+func (g *Graph) topoOrder() ([]int, error) {
 	deps := g.DepCounts()
 	queue := make([]int, 0, len(g.Tasks))
 	for i, d := range deps {

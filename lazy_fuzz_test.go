@@ -48,10 +48,11 @@ func FuzzLazyVsEager(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer eager.Close()
-		lazyEng, err := net.Compile(Options{Workers: 2, Lazy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The eager engine takes the production path of a network this size
+		// (inline, the serial reference's arithmetic); the lazy one reaches
+		// the parallel scheduler through the dispatch seam, so its pruned
+		// graphs are fuzzed under concurrent execution and δ-partitioning.
+		lazyEng, lazyExecutor := compileColumn(t, net, Options{Workers: 2, Lazy: true})
 		defer lazyEng.Close()
 
 		propagate := func(e *Engine) *QueryResult {
@@ -71,6 +72,9 @@ func FuzzLazyVsEager(f *testing.F) {
 		defer er.Close()
 		lr := propagate(lazyEng)
 		defer lr.Close()
+		if e, l := er.Records()[0].Executor, lr.Records()[0].Executor; e != "inline" || l != lazyExecutor {
+			t.Fatalf("eager ran on %q, lazy on %q", e, l)
+		}
 
 		const tol = 1e-9
 		pe, pl := er.ProbabilityOfEvidence(), lr.ProbabilityOfEvidence()

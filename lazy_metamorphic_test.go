@@ -47,6 +47,11 @@ func peStats(t *testing.T, eng *Engine, ev Evidence) (float64, PropagationStats)
 	if !ok {
 		t.Fatal("engine is not lazy")
 	}
+	// The lazy engines of these tests come from compileColumn: their pruned
+	// graphs, a handful of tasks each, still go to the parallel scheduler.
+	if ran := res.Records()[0].Executor; ran != "pool" {
+		t.Fatalf("lazy run took executor %q, want pool", ran)
+	}
 	return res.ProbabilityOfEvidence(), stats
 }
 
@@ -59,10 +64,7 @@ func peStats(t *testing.T, eng *Engine, ev Evidence) (float64, PropagationStats)
 func TestLazyDSeparationStrictlyReducesWork(t *testing.T) {
 	const n = 10
 	net := chainNet(t, n, false)
-	eng, err := net.Compile(Options{Workers: 2, Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng, _ := compileColumn(t, net, Options{Workers: 2, Lazy: true})
 	defer eng.Close()
 	eager, err := net.Compile(Options{Workers: 2})
 	if err != nil {
@@ -141,15 +143,9 @@ func TestLazyBarrenBranchesCostNothing(t *testing.T) {
 	// collect workloads directly comparable.
 	ev := Evidence{"X0": 1, fmt.Sprintf("X%d", n-1): 0}
 
-	bareEng, err := bare.Compile(Options{Workers: 2, Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	bareEng, _ := compileColumn(t, bare, Options{Workers: 2, Lazy: true})
 	defer bareEng.Close()
-	leafyEng, err := leafy.Compile(Options{Workers: 2, Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	leafyEng, _ := compileColumn(t, leafy, Options{Workers: 2, Lazy: true})
 	defer leafyEng.Close()
 
 	peBare, sBare := peStats(t, bareEng, ev)
@@ -205,10 +201,7 @@ func TestLazySoftEvidenceMatchesEager(t *testing.T) {
 	soft := SoftEvidence{"X3": {0.9, 0.4}}
 	ev := Evidence{"X6": 1}
 
-	lazyEng, err := net.Compile(Options{Workers: 2, Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lazyEng, executor := compileColumn(t, net, Options{Workers: 2, Lazy: true})
 	defer lazyEng.Close()
 	eager, err := net.Compile(Options{Workers: 2})
 	if err != nil {
@@ -221,6 +214,9 @@ func TestLazySoftEvidenceMatchesEager(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lr.Close()
+	if ran := lr.Records()[0].Executor; ran != executor {
+		t.Fatalf("lazy run took executor %q, want %q", ran, executor)
+	}
 	er, err := eager.PropagateSoft(ev, soft)
 	if err != nil {
 		t.Fatal(err)

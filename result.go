@@ -148,7 +148,11 @@ func (r *QueryResult) ProbabilityOfEvidence() float64 {
 type RunMetrics struct {
 	// Elapsed is the propagation's wall-clock makespan.
 	Elapsed time.Duration
-	// Workers is the number of scheduler workers P.
+	// Executor is "inline" when the run executed on the caller's goroutine
+	// and "pool" when it was dispatched to the scheduler's workers.
+	Executor string
+	// Workers is the number of worker columns the run reported: P for a
+	// pool run, 1 for an inline one.
 	Workers int
 	// Tasks, Pieces, Partitioned and Steals count executed items, pieces
 	// of partitioned tasks, tasks split by the Partition module, and items
@@ -169,9 +173,8 @@ type RunMetrics struct {
 }
 
 // Metrics returns the run report of the propagation that produced this
-// result, or nil when no scheduler reported one: the serial scheduler, and
-// results served from the cache (no scheduler ran for them). It stays
-// available after Close.
+// result, or nil for results served from the cache (nothing ran for them).
+// It stays available after Close.
 func (r *QueryResult) Metrics() *RunMetrics {
 	if r.rec.Report == nil {
 		return nil
@@ -198,6 +201,7 @@ func (r *QueryResult) Records() []FlightRecord {
 func runMetricsFromReport(rep *obs.Report) *RunMetrics {
 	m := &RunMetrics{
 		Elapsed:           rep.Elapsed,
+		Executor:          rep.Executor,
 		Workers:           rep.Workers,
 		Tasks:             rep.Tasks,
 		Pieces:            rep.Pieces,
