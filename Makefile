@@ -74,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEvidenceSignature -fuzztime 10s ./internal/cache
 	$(GO) test -run xxx -fuzz FuzzKernelBlockedVsScalar -fuzztime 10s ./internal/potential
 	$(GO) test -run xxx -fuzz FuzzLazyVsEager -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/bif
 
 # Smoke-test the Chrome trace export: one traced propagation, written as
 # trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).

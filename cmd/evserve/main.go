@@ -192,11 +192,6 @@ func main() {
 		srv.tracer = &trace.Tracer{
 			SampleRate: *traceRate,
 			Store:      trace.NewStore(trace.DefaultStoreSize),
-			// Tail sampling's "slow" rule piggybacks the flight recorder's
-			// adaptive 2×p99 threshold (or the -slow-threshold floor).
-			Slow: func() time.Duration {
-				return time.Duration(srv.defaultEngine().FlightRecorderStats().SlowThresholdUsec * 1e3)
-			},
 		}
 		if *otlpEndp != "" {
 			srv.tracer.Exporter = trace.NewExporter(*otlpEndp, "evserve")

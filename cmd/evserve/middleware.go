@@ -126,6 +126,17 @@ func (ri *reqInfo) lastOverheadFrac() float64 {
 	return math.Float64frombits(ri.overheadFrac.Load())
 }
 
+// slowThreshold is tail sampling's "slow" rule for one request: the flight
+// recorder's adaptive 2×p99 threshold (or the -slow-threshold floor) of the
+// model the request resolved to, 0 — no slow rule — when it resolved to none.
+func (s *server) slowThreshold(ri *reqInfo) time.Duration {
+	v, err := s.reg.Current(ri.modelName())
+	if err != nil {
+		return 0
+	}
+	return time.Duration(v.Engine.FlightRecorderStats().SlowThresholdUsec * 1e3)
+}
+
 // queryIDMaxLen bounds client-supplied query IDs: anything longer is
 // replaced with a generated ID rather than retained in the access log and
 // the flight-recorder ring.
@@ -223,6 +234,7 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 				root.Fail(http.StatusText(status))
 			}
 			root.End()
+			arena.SetSlowThreshold(s.slowThreshold(ri))
 			s.tracer.Finish(arena, root)
 		}
 		s.window.Observe(latency, status >= 400, ri.lastLoadBalance())

@@ -23,6 +23,7 @@ import (
 	evclient "evprop/client"
 	"evprop/internal/audit"
 	"evprop/internal/obs/trace"
+	"evprop/internal/registry"
 )
 
 // syncBuffer is a locked bytes.Buffer for capturing slog output: the access
@@ -234,6 +235,31 @@ func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
 	resp := post(t, ts.URL+"/v1/debug/flightrecorder", map[string]any{})
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST status %d", resp.StatusCode)
+	}
+}
+
+// TestSlowTraceKeptWithoutDefaultModel: tail sampling judges a request
+// against the slow threshold of the model it resolved to. A server booted
+// the -models-dir way has no model named "default" — the model whose
+// threshold the rule used to read, finding none and never firing. With the
+// threshold pinned so every run is slow and head sampling off, a query of
+// the server's one model is kept, and kept as "slow".
+func TestSlowTraceKeptWithoutDefaultModel(t *testing.T) {
+	srv := newMultiServer(evprop.Options{Workers: 2, SlowQueryThreshold: time.Nanosecond})
+	t.Cleanup(srv.close)
+	if err := srv.reg.LoadSync("asia", registry.LiteralSource(evprop.Asia(), "boot")); err != nil {
+		t.Fatal(err)
+	}
+	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
+	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	resp := post(t, ts.URL+"/v1/models/asia/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	if tr := fetchTrace(t, ts.URL, resp.Header.Get("X-Trace-ID")); tr.Reason != "slow" {
+		t.Errorf("trace kept for reason %q, want slow", tr.Reason)
 	}
 }
 

@@ -14,21 +14,33 @@ import (
 // a sequentially computed baseline. Run under -race this is the contract
 // test for the engine's concurrency guarantee — on the path this network
 // takes in production (inline: concurrent callers each run their own graph)
-// and, through the dispatch seam, on the shared worker pool, where the
-// callers' items interleave on the same ready lists.
+// and, through the dispatch seam, on the shared worker pool under either
+// fetch policy, where the callers' items interleave on the same ready lists
+// (and, when stealing, a worker takes whichever run's item it finds).
 func TestConcurrentPropagate(t *testing.T) {
-	for executor, dispatch := range map[string]bool{"inline": false, "pool": true} {
-		t.Run(executor, func(t *testing.T) { concurrentPropagate(t, executor, dispatch) })
+	for name, leg := range map[string]struct {
+		scheduler string
+		dispatch  bool
+	}{
+		"inline":   {SchedulerCollaborative, false},
+		"pool":     {SchedulerCollaborative, true},
+		"stealing": {SchedulerWorkStealing, true},
+	} {
+		t.Run(name, func(t *testing.T) { concurrentPropagate(t, leg.scheduler, leg.dispatch) })
 	}
 }
 
-func concurrentPropagate(t *testing.T, executor string, dispatch bool) {
+func concurrentPropagate(t *testing.T, scheduler string, dispatch bool) {
 	const (
 		goroutines = 8
 		rounds     = 50
 	)
+	executor := "inline"
+	if dispatch {
+		executor = "pool"
+	}
 	net := RandomNetwork(40, 2, 3, 7)
-	eng, err := net.compile(Options{Workers: 4}, dispatch)
+	eng, err := net.compile(Options{Workers: 4, Scheduler: scheduler}, dispatch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +110,21 @@ func concurrentPropagate(t *testing.T, executor string, dispatch bool) {
 	// Each Propagate call costs exactly one scheduler invocation.
 	if delta := eng.Stats().Propagations - before; delta != goroutines*rounds {
 		t.Errorf("propagation counter advanced by %d, want %d", delta, goroutines*rounds)
+	}
+	// Dispatched runs all went to the engine's one set of workers, whose
+	// gauges account for every task of every run; inline runs started none.
+	wantWorkers, wantCompleted := 0, int64(0)
+	if dispatch {
+		wantWorkers, wantCompleted = 4, eng.Stats().Propagations*int64(eng.inner.Graph().N())
+	}
+	gauges := eng.SchedulerGauges()
+	var completed int64
+	for _, w := range gauges.Workers {
+		completed += w.Completed
+	}
+	if len(gauges.Workers) != wantWorkers || completed != wantCompleted || gauges.GlobalDepth != 0 {
+		t.Errorf("%d workers completed %d tasks with %d still queued, want %d workers and %d tasks",
+			len(gauges.Workers), completed, gauges.GlobalDepth, wantWorkers, wantCompleted)
 	}
 }
 

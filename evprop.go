@@ -241,7 +241,7 @@ type Engine struct {
 
 // Close releases the engine's persistent worker pool. It is optional —
 // engines are finalized on garbage collection — and idempotent; an engine
-// keeps answering queries after Close, falling back to transient workers.
+// keeps answering queries after Close, each on its caller's goroutine.
 func (e *Engine) Close() {
 	if e == nil || e.inner == nil {
 		return

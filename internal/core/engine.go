@@ -42,7 +42,7 @@ const (
 	// order (sched.RunInline), whatever its granularity.
 	Serial
 	// WorkStealing is the collaborative scheduler with tail-stealing from
-	// the heaviest ready list (an extension; see sched.RunStealing).
+	// the heaviest ready list (an extension; see sched.NewStealingPool).
 	WorkStealing
 )
 
@@ -152,9 +152,10 @@ type Engine struct {
 	// Options.Lazy is set, nil otherwise.
 	lazyProp *lazy.Prop
 
-	// pool holds the persistent collaborative-scheduler workers, created
-	// by the first run that is dispatched to them, so engines whose graphs
-	// all run inline never spawn goroutines.
+	// pool holds the persistent scheduler workers — a collaborative or a
+	// stealing sched.Pool, by Options.Scheduler — created by the first run
+	// that is dispatched to them, so engines whose graphs all run inline
+	// never spawn goroutines.
 	poolMu     sync.Mutex
 	pool       *sched.Pool
 	poolClosed bool
@@ -181,11 +182,6 @@ type Engine struct {
 	cache     *cache.LRU
 	flight    *cache.Group
 	collapsed atomic.Int64
-
-	// stealGauges is the live gauge surface shared by the work-stealing
-	// scheduler's transient per-run goroutines, so steal/completion counters
-	// accumulate across propagations the way the persistent pool's do.
-	stealGauges *sched.Gauges
 }
 
 // collectEntry caches the collect-only graph toward one target clique plus
@@ -238,9 +234,6 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 		e.cache = cache.NewLRU(opts.CacheSize)
 		e.flight = &cache.Group{}
 	}
-	if opts.Scheduler == WorkStealing {
-		e.stealGauges = sched.NewGauges(opts.Workers)
-	}
 	// Engines dropped without Close would otherwise leak their parked
 	// worker goroutines; the finalizer is the safety net for short-lived
 	// engines in tests and experiments.
@@ -251,7 +244,7 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 // Close releases the engine's persistent worker pool. It is idempotent and
 // optional — a finalizer closes abandoned engines — but long-running
 // programs that create many engines should Close them deterministically.
-// Propagations after Close fall back to transient per-call workers.
+// Propagations after Close run inline on the calling goroutine.
 func (e *Engine) Close() {
 	e.poolMu.Lock()
 	p := e.pool
@@ -272,7 +265,11 @@ func (e *Engine) workerPool() *sched.Pool {
 		return nil
 	}
 	if e.pool == nil {
-		p, err := sched.NewPool(e.opts.Workers)
+		newPool := sched.NewPool
+		if e.opts.Scheduler == WorkStealing {
+			newPool = sched.NewStealingPool
+		}
+		p, err := newPool(e.opts.Workers)
 		if err != nil {
 			return nil
 		}
@@ -311,15 +308,11 @@ func (e *Engine) Recorder() *obs.FlightRecorder { return e.opts.Recorder }
 // flight count into ActiveRuns.
 func (e *Engine) Gauges() sched.GaugesSnapshot {
 	var s sched.GaugesSnapshot
-	if e.stealGauges != nil {
-		s = e.stealGauges.Snapshot()
-	} else {
-		e.poolMu.Lock()
-		p := e.pool
-		e.poolMu.Unlock()
-		if p != nil {
-			s = p.Gauges().Snapshot()
-		}
+	e.poolMu.Lock()
+	p := e.pool
+	e.poolMu.Unlock()
+	if p != nil {
+		s = p.Gauges().Snapshot()
 	}
 	s.ActiveRuns += e.inlineActive.Load()
 	return s
@@ -557,8 +550,9 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 // This is the one place the execution path is chosen, so the full graph,
 // max-product, the per-target collect-only graphs and every pruned lazy plan
 // get the same rule: a graph whose mean task is cheaper than one dispatch at
-// this engine's P (sched.Inline), and every graph of a Serial engine, runs on
-// the calling goroutine; the rest go to the configured scheduler's workers.
+// this engine's P (sched.Inline), every graph of a Serial engine, and every
+// graph of a closed engine, runs on the calling goroutine; the rest go to
+// the engine's worker pool.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
 func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor) (*sched.Metrics, error) {
@@ -578,19 +572,14 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		Ctx:       ctx,
 		QueryID:   queryID,
 	}
-	if e.opts.Scheduler == Serial || (!e.opts.ForceDispatch && sched.Inline(st.Graph(), e.opts.Workers)) {
-		e.inlineActive.Add(1)
-		defer e.inlineActive.Add(-1)
-		return sched.RunInline(st, opts)
+	if e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.Inline(st.Graph(), e.opts.Workers)) {
+		if p := e.workerPool(); p != nil {
+			return p.Run(st, opts)
+		}
 	}
-	if e.opts.Scheduler == WorkStealing {
-		opts.Gauges = e.stealGauges
-		return sched.RunStealing(st, opts)
-	}
-	if p := e.workerPool(); p != nil {
-		return p.Run(st, opts)
-	}
-	return sched.Run(st, opts)
+	e.inlineActive.Add(1)
+	defer e.inlineActive.Add(-1)
+	return sched.RunInline(st, opts)
 }
 
 // CollectMarginal answers a single-variable query with a collection-only

@@ -7,6 +7,7 @@ import (
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
 	"evprop/internal/potential"
+	"evprop/internal/sched"
 	"evprop/internal/taskgraph"
 )
 
@@ -490,5 +491,58 @@ func TestCheckCalibration(t *testing.T) {
 	res.State().Clique[0].Data[0] *= 3
 	if err := res.CheckCalibration(1e-9); err == nil {
 		t.Error("corrupted state passed calibration check")
+	}
+}
+
+// TestOnePoolPerEngine: under either parallel scheduler the first dispatched
+// run builds the engine's worker pool, every later run goes to the same
+// workers — so Gauges reads one surface that accumulates — and a closed
+// engine runs on its caller's goroutine instead of starting new workers.
+func TestOnePoolPerEngine(t *testing.T) {
+	net, ids := bayesnet.Asia()
+	tr, err := net.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := potential.Evidence{ids["XRay"]: 1}
+	for _, s := range []Scheduler{Collaborative, WorkStealing} {
+		e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.pool != nil || len(e.Gauges().Workers) != 0 {
+			t.Errorf("%v: workers exist before any run was dispatched", s)
+		}
+		const runs = 3
+		var pool *sched.Pool
+		for i := 0; i < runs; i++ {
+			if _, err := e.Propagate(ev); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				pool = e.pool
+			}
+		}
+		if pool == nil || e.pool != pool {
+			t.Errorf("%v: the engine's pool changed between runs", s)
+		}
+		g := e.Gauges()
+		var completed int64
+		for _, w := range g.Workers {
+			completed += w.Completed
+		}
+		if want := int64(runs * e.Graph().N()); len(g.Workers) != 3 || completed != want {
+			t.Errorf("%v: %d workers completed %d tasks, want 3 and %d", s, len(g.Workers), completed, want)
+		}
+		e.Close()
+		if _, err := e.Propagate(ev); err != nil {
+			t.Fatalf("%v: propagation on a closed engine: %v", s, err)
+		}
+		if snap := e.ObsSnapshot(); snap.PoolRuns != runs || snap.InlineRuns != 1 {
+			t.Errorf("%v: %d pool and %d inline runs, want %d and 1", s, snap.PoolRuns, snap.InlineRuns, runs)
+		}
+		if len(e.Gauges().Workers) != 0 {
+			t.Errorf("%v: a closed engine still reports workers", s)
+		}
 	}
 }

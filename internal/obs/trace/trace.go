@@ -144,6 +144,8 @@ type Trace struct {
 	// rather than a caller's explicit choice (only affects the recorded
 	// keep reason).
 	head bool
+	// slow is the request's slow-trace threshold (see SetSlowThreshold).
+	slow time.Duration
 
 	n       atomic.Int32  // reserved slots
 	refs    atomic.Int32  // base + open spans + in-flight starts
@@ -167,6 +169,14 @@ func (t *Trace) Flags() byte { return t.flags }
 
 // Dropped returns the number of spans lost to arena overflow so far.
 func (t *Trace) Dropped() int64 { return t.dropped.Load() }
+
+// SetSlowThreshold gives tail sampling its "slow" rule for this request:
+// Finish keeps the trace when the root span lasted at least d. The threshold
+// belongs to the request, not the tracer, because it is the adaptive 2×p99
+// of whichever model the request resolved to; 0 (the default) means no slow
+// rule. Call it between StartRequest and Finish, from the goroutine that
+// calls Finish.
+func (t *Trace) SetSlowThreshold(d time.Duration) { t.slow = d }
 
 // release drops one reference; the last release of a sealed trace
 // recycles the arena. The CAS elects exactly one recycler even when a
@@ -198,6 +208,7 @@ func (t *Trace) recycle() {
 	t.flags = 0
 	t.state = ""
 	t.head = false
+	t.slow = 0
 	arenaPool.Put(t)
 }
 

@@ -169,8 +169,8 @@ func TestTailSamplingPolicy(t *testing.T) {
 	})
 	t.Run("slow_kept", func(t *testing.T) {
 		tr := testTracer()
-		tr.Slow = func() time.Duration { return time.Nanosecond }
 		arena, root := tr.StartRequest("request", SpanContext{})
+		arena.SetSlowThreshold(time.Nanosecond)
 		time.Sleep(time.Millisecond)
 		root.End()
 		id := arena.ID()

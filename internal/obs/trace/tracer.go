@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"sync/atomic"
-	"time"
 )
 
 // Tracer owns the serving side of tracing: it hands out pooled span
@@ -12,18 +11,16 @@ import (
 // optional OTLP exporter.
 //
 // Tail-sampling policy: a trace is always kept when its root span errored,
-// when the request was slow (at or beyond the adaptive threshold the
-// flight recorder maintains — 2× the observed p99), or when the caller
-// explicitly flagged it (traceparent sampled bit). Everything else is
+// when the request was slow (at or beyond the threshold the request was
+// given by Trace.SetSlowThreshold — the adaptive 2× observed p99 the flight
+// recorder of its model maintains), or when the caller explicitly flagged
+// it (traceparent sampled bit). Everything else is
 // head-sampled at SampleRate, decided deterministically from the trace ID
 // so all participants of one distributed trace agree.
 type Tracer struct {
 	// SampleRate is the probabilistic head-sampling rate in [0, 1] for
 	// traces not otherwise kept (default 0 = keep only slow/error/flagged).
 	SampleRate float64
-	// Slow returns the current slow-trace threshold (0 = not yet warmed
-	// up). Wired to the flight recorder's adaptive 2×p99 threshold.
-	Slow func() time.Duration
 	// Store receives kept traces; nil discards them.
 	Store *Store
 	// Exporter receives kept traces for OTLP push; nil disables export.
@@ -131,7 +128,7 @@ func (t *Tracer) Finish(tr *Trace, root *Span) {
 			if sl.status != "" {
 				reason = "error"
 			} else if reason == "" {
-				if slow := t.slowThreshold(); slow > 0 && sl.dur >= slow {
+				if tr.slow > 0 && sl.dur >= tr.slow {
 					reason = "slow"
 				}
 			}
@@ -162,11 +159,4 @@ func (t *Tracer) Finish(tr *Trace, root *Span) {
 	// Drop the base reference. If no span is still open this recycles the
 	// arena now; otherwise the last straggler's End recycles it later.
 	tr.release()
-}
-
-func (t *Tracer) slowThreshold() time.Duration {
-	if t.Slow == nil {
-		return 0
-	}
-	return t.Slow()
 }

@@ -35,6 +35,10 @@ func (c *countdownCtx) Err() error {
 // to give a straggler's append a victim to collide with; -race flags the old
 // behavior.
 func TestPoolRunCancelledTraceDetached(t *testing.T) {
+	eachPolicy(t, testPoolRunCancelledTraceDetached)
+}
+
+func testPoolRunCancelledTraceDetached(t *testing.T, pol policy) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 40, Width: 4, States: 2, Degree: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +47,7 @@ func TestPoolRunCancelledTraceDetached(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := taskgraph.Build(tr)
-	p, err := NewPool(4)
+	p, err := pol.newPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}

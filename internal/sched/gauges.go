@@ -26,8 +26,8 @@ import (
 type WorkerState int32
 
 const (
-	// WorkerParked: blocked on its empty local list (pool workers park
-	// between runs; stealing workers sleep when no victim has work).
+	// WorkerParked: blocked on its empty local list (workers park between
+	// runs; on a stealing pool, only once no other list has work either).
 	WorkerParked WorkerState = iota
 	// WorkerFetching: popping the head of its local ready list.
 	WorkerFetching
@@ -55,7 +55,8 @@ func (s WorkerState) String() string {
 }
 
 // workerGauges is one worker's slot. Every field is written either by the
-// owning worker or by a worker pushing onto this worker's local list; the
+// owning worker or by a worker pushing onto this worker's local list (on a
+// stealing pool also by one popping its tail or waking its owner); the
 // trailing pad keeps neighbouring workers' slots on different cache lines
 // so those writes never false-share (same idea as traceBuf).
 type workerGauges struct {
@@ -104,9 +105,8 @@ func (g *workerGauges) llWeight() int64 {
 	return g.llPacked.Load() & llWeightMask
 }
 
-// Gauges is the live introspection surface of one scheduler (a Pool, or an
-// engine's sequence of work-stealing runs). All methods are safe for
-// concurrent use; Snapshot never blocks a worker.
+// Gauges is the live introspection surface of one Pool. All methods are safe
+// for concurrent use; Snapshot never blocks a worker.
 type Gauges struct {
 	// submitted and aborted track the global task list: submitted counts
 	// tasks handed to runs, aborted the tasks of failed runs that will
@@ -183,8 +183,8 @@ type WorkerGaugeSnapshot struct {
 	// this worker retired through the Allocate module.
 	Items     int64 `json:"items"`
 	Completed int64 `json:"completed"`
-	// StealAttempts and Steals are the work-stealing scheduler's counters
-	// (zero under the collaborative pool).
+	// StealAttempts and Steals are the stealing fetch policy's counters
+	// (zero on a collaborative pool).
 	StealAttempts int64 `json:"steal_attempts"`
 	Steals        int64 `json:"steals"`
 	// Partitions counts tasks this worker split into δ-pieces.

@@ -26,8 +26,12 @@ func gaugeTestGraph(t *testing.T, n int, seed int64) *taskgraph.Graph {
 // run: GL depth and LL depths return to zero, completed tasks sum to the
 // graph size, and busy time moved.
 func TestPoolGaugesAccountRun(t *testing.T) {
+	eachPolicy(t, testPoolGaugesAccountRun)
+}
+
+func testPoolGaugesAccountRun(t *testing.T, pol policy) {
 	g := gaugeTestGraph(t, 24, 5)
-	p, err := NewPool(4)
+	p, err := pol.newPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +78,12 @@ func TestPoolGaugesAccountRun(t *testing.T) {
 // TestGaugesSnapshotDuringRuns races lock-free snapshots against concurrent
 // runs; under -race this pins the wait-free read contract of the surface.
 func TestGaugesSnapshotDuringRuns(t *testing.T) {
+	eachPolicy(t, testGaugesSnapshotDuringRuns)
+}
+
+func testGaugesSnapshotDuringRuns(t *testing.T, pol policy) {
 	g := gaugeTestGraph(t, 24, 7)
-	p, err := NewPool(4)
+	p, err := pol.newPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,21 +135,25 @@ func TestGaugesSnapshotDuringRuns(t *testing.T) {
 	snaps.Wait()
 }
 
-// TestStealingGaugesAccumulate checks a shared gauge surface accumulates
-// across an engine's successive stealing runs and moves the steal counters.
+// TestStealingGaugesAccumulate checks a stealing pool's gauge surface
+// accumulates across successive runs and moves the steal counters.
 func TestStealingGaugesAccumulate(t *testing.T) {
 	g := gaugeTestGraph(t, 40, 9)
-	gauges := NewGauges(4)
+	p, err := NewStealingPool(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	for i := 0; i < 2; i++ {
 		st, err := g.NewState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := RunStealing(st, Options{Workers: 4, Threshold: 8, Gauges: gauges, QueryID: "q-steal"})
+		m, err := p.Run(st, Options{Threshold: 8, QueryID: "q-steal"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := gauges.Snapshot()
+		s := p.Gauges().Snapshot()
 		var completed, attempts, steals int64
 		for _, w := range s.Workers {
 			completed += w.Completed
@@ -163,30 +175,14 @@ func TestStealingGaugesAccumulate(t *testing.T) {
 	}
 }
 
-// TestStealingGaugesSizeMismatch: a wrong-sized surface must not be indexed
-// out of range — RunStealing falls back to a private one.
-func TestStealingGaugesSizeMismatch(t *testing.T) {
-	g := gaugeTestGraph(t, 8, 11)
-	st, err := g.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := NewGauges(1)
-	if _, err := RunStealing(st, Options{Workers: 4, Gauges: small}); err != nil {
-		t.Fatal(err)
-	}
-	s := small.Snapshot()
-	for _, w := range s.Workers {
-		if w.Completed != 0 {
-			t.Error("mismatched surface was written to")
-		}
-	}
-}
-
 // TestGaugesFailedRunWritesOff: a cancelled run must not leak GL depth.
 func TestGaugesFailedRunWritesOff(t *testing.T) {
+	eachPolicy(t, testGaugesFailedRunWritesOff)
+}
+
+func testGaugesFailedRunWritesOff(t *testing.T, pol policy) {
 	g := gaugeTestGraph(t, 24, 13)
-	p, err := NewPool(2)
+	p, err := pol.newPool(2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -77,14 +77,12 @@ func TestGranularityRule(t *testing.T) {
 // small model is partitionable, under either parallel scheduler at P=16.
 func TestAutoThresholdNeverSplitsSmall40(t *testing.T) {
 	tr, g := benchModel(t, 40, 3)
-	for name, run := range map[string]func(taskgraph.Executor, Options) (*Metrics, error){
-		"collaborative": Run, "stealing": RunStealing,
-	} {
+	for name, pol := range policies {
 		st, err := g.NewState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := run(st, Options{Workers: 16, Threshold: AutoThreshold(tr)})
+		m, err := pol.run(st, Options{Workers: 16, Threshold: AutoThreshold(tr)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,7 @@ import (
 // Busy, KindBusy and Tasks (one clock read per boundary, so Busy is the whole
 // run and Overhead is zero), opts.Trace records the timeline into the same
 // recycled buffers, and opts.QueryID labels the calling goroutine for the
-// duration of the run. Threshold, Workers and Gauges are ignored: nothing is
+// duration of the run. Threshold and Workers are ignored: nothing is
 // partitioned and there are no workers to observe.
 //
 // A failed or cancelled run returns at the task where it stopped. Nothing

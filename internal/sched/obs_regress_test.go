@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,16 +46,16 @@ func TestPartitionRoundRobinWrapAround(t *testing.T) {
 	// combiner — exactly the slot-indexing path, with nothing concurrent.
 	gg := NewGauges(3)
 	r := &run{
-		st:        st,
-		g:         g,
-		opts:      Options{Threshold: δ},
-		deps:      g.DepCounts(),
-		lists:     []*localList{newLocalList(gg.worker(0)), newLocalList(gg.worker(1)), newLocalList(gg.worker(2))},
+		st:   st,
+		g:    g,
+		opts: Options{Threshold: δ},
+		deps: g.DepCounts(),
+		p: &Pool{gauges: gg, lists: []*localList{
+			newLocalList(gg.worker(0)), newLocalList(gg.worker(1)), newLocalList(gg.worker(2))}},
 		remaining: int64(g.N()),
 		metrics:   make([]WorkerMetrics, 3),
 		done:      make(chan struct{}),
 		start:     time.Now(),
-		gauges:    gg,
 	}
 	// Two increments below the wrap point: the pieces pushed here walk the
 	// cursor across ^uint64(0) → 0.
@@ -172,8 +173,15 @@ func TestKindBusySumsToBusy(t *testing.T) {
 
 // TestConcurrentTracedRuns drives several traced, partitioned propagations
 // through one pool at once; under -race this verifies the per-worker trace
-// buffers and metrics of interleaved runs never share state.
+// buffers and metrics of interleaved runs never share state. A thief takes
+// whatever run's item sits at a victim's tail, so on a stealing pool every
+// steal must land on exactly one run's Metrics: the runs' Steals sum to the
+// pool's gauge.
 func TestConcurrentTracedRuns(t *testing.T) {
+	eachPolicy(t, testConcurrentTracedRuns)
+}
+
+func testConcurrentTracedRuns(t *testing.T, pol policy) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 24, Width: 6, States: 2, Degree: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -182,12 +190,13 @@ func TestConcurrentTracedRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := taskgraph.Build(tr)
-	p, err := NewPool(4)
+	p, err := pol.newPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	var wg sync.WaitGroup
+	var steals atomic.Int64
 	errc := make(chan error, 6)
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -203,6 +212,7 @@ func TestConcurrentTracedRuns(t *testing.T) {
 				errc <- err
 				return
 			}
+			steals.Add(int64(m.Steals))
 			items := 0
 			for _, wm := range m.Workers {
 				items += wm.Tasks
@@ -216,6 +226,13 @@ func TestConcurrentTracedRuns(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	var gauge int64
+	for _, w := range p.Gauges().Snapshot().Workers {
+		gauge += w.Steals
+	}
+	if gauge != steals.Load() {
+		t.Errorf("the pool's workers stole %d items, the runs account for %d", gauge, steals.Load())
 	}
 }
 
@@ -235,7 +252,7 @@ func TestStealingTraceAndSteals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := RunStealing(st, Options{Workers: 4, Threshold: 8, Trace: true})
+	m, err := runStealing(st, Options{Workers: 4, Threshold: 8, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

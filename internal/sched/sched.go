@@ -25,6 +25,14 @@
 // busy under concurrent serving load (the throughput regime of Zheng &
 // Mengshoel's belief-update workloads). The one-shot Run helper preserves
 // the original spawn-per-call behavior for benchmarks that want it.
+//
+// The many-core direction of the paper's Section 8 differs from Algorithm 2
+// in the Fetch module alone, and that is all that differs here: a pool is
+// built with one of two fetch policies. A collaborative pool's worker parks
+// when its own list is empty; a stealing pool's worker (NewStealingPool)
+// first takes the tail of the heaviest other list. Allocate, Partition and
+// Execute, the metrics, the trace and the gauges are the same code under
+// both.
 package sched
 
 import (
@@ -66,11 +74,6 @@ type Options struct {
 	// profiles segment by query and by primitive. Empty disables labelling
 	// at zero hot-path cost.
 	QueryID string
-	// Gauges optionally accumulates live gauge updates for schedulers that
-	// do not own a persistent pool (RunStealing); pass the same surface on
-	// every run so counters accumulate across propagations. Pool.Run
-	// ignores it in favor of the pool's own gauge surface.
-	Gauges *Gauges
 }
 
 // WorkerMetrics records per-worker accounting for the paper's Fig. 8.
@@ -79,8 +82,9 @@ type WorkerMetrics struct {
 	// time" in the paper).
 	Busy time.Duration
 	// Overhead is the time spent in the Allocate and Partition modules
-	// (lock waits included). Fetch waits are not attributed: pooled
-	// workers park across unrelated runs while idle.
+	// (lock waits included), under either fetch policy. Fetch waits, steal
+	// scans included, are not attributed: pooled workers park across
+	// unrelated runs while idle.
 	Overhead time.Duration
 	// Tasks counts executed items (tasks, pieces and combiners).
 	Tasks int
@@ -93,7 +97,7 @@ const (
 	// ExecInline: the graph ran on the calling goroutine (RunInline).
 	ExecInline = "inline"
 	// ExecPool: the graph's tasks were dispatched to worker goroutines
-	// (Pool.Run, Run, RunStealing).
+	// (Pool.Run, Run).
 	ExecPool = "pool"
 )
 
@@ -106,7 +110,7 @@ type Metrics struct {
 	Tasks     int // original graph tasks completed
 	Pieces    int // partitioned pieces executed (0 when Threshold == 0)
 	Partition int // tasks that were partitioned
-	Steals    int // items taken from another worker's list (stealing only)
+	Steals    int // items of this run taken from another worker's list (stealing pools only)
 	// Trace is the execution timeline (nil unless Options.Trace).
 	Trace *Trace
 }
@@ -149,41 +153,6 @@ func newLocalList(g *workerGauges) *localList {
 	return l
 }
 
-func (l *localList) push(it item) {
-	l.mu.Lock()
-	l.items = append(l.items, it)
-	l.g.llAdd(1, it.weight)
-	l.mu.Unlock()
-	l.cond.Signal()
-}
-
-// fetch blocks until an item is available or the list is stopped. Queued
-// items are always drained before a stop takes effect. g is the calling
-// worker's gauge slot: fetch keeps the list's depth/weight gauges in step
-// and publishes the parked transition, but only on the slow path — the
-// returned waited flag tells the caller to republish its executing state.
-// A worker draining a hot list therefore performs no state stores at all.
-func (l *localList) fetch(g *workerGauges) (item, bool, bool) {
-	waited := false
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for {
-		if len(l.items) > 0 {
-			it := l.items[0]
-			l.items = l.items[1:]
-			l.g.llAdd(-1, -it.weight)
-			return it, true, waited
-		}
-		if l.stopped {
-			return item{}, false, waited
-		}
-		waited = true
-		g.state.Store(int32(WorkerParked))
-		clearLabels(g)
-		l.cond.Wait()
-	}
-}
-
 func (l *localList) stop() {
 	l.mu.Lock()
 	l.stopped = true
@@ -199,17 +168,30 @@ func (l *localList) stop() {
 type Pool struct {
 	lists  []*localList
 	gauges *Gauges
+	// steal is the pool's Fetch policy, fixed when the pool is built: a
+	// worker whose own list is empty takes from another list before it
+	// parks, and every push wakes one parked worker to come and do so.
+	steal  bool
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
 // NewPool starts workers parked goroutines and returns the pool. Close
 // releases them.
-func NewPool(workers int) (*Pool, error) {
+func NewPool(workers int) (*Pool, error) { return newPool(workers, false) }
+
+// NewStealingPool is NewPool with the work-stealing fetch policy, the
+// direction the paper's Section 8 sketches for the many-core era: Allocate
+// still places a ready task on the least-loaded list, but an idle worker
+// takes the tail of the most-loaded list instead of parking, which removes
+// the idle window between a bad placement and the next allocation.
+func NewStealingPool(workers int) (*Pool, error) { return newPool(workers, true) }
+
+func newPool(workers int, steal bool) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sched: need at least 1 worker, got %d", workers)
 	}
-	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers)}
+	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers), steal: steal}
 	for i := range p.lists {
 		p.lists[i] = newLocalList(p.gauges.worker(i))
 	}
@@ -217,11 +199,10 @@ func NewPool(workers int) (*Pool, error) {
 		p.wg.Add(1)
 		go func(w int) {
 			defer p.wg.Done()
-			l := p.lists[w]
 			wg := p.gauges.worker(w)
 			executing := false
 			for {
-				it, ok, waited := l.fetch(wg)
+				it, ok, waited := p.fetch(w)
 				if !ok {
 					wg.state.Store(int32(WorkerParked))
 					return
@@ -238,6 +219,131 @@ func NewPool(workers int) (*Pool, error) {
 		}(w)
 	}
 	return p, nil
+}
+
+// push appends an item to list slot and wakes the list's owner; on a
+// stealing pool it also wakes one parked worker, since the owner may be busy
+// inside a long primitive.
+func (p *Pool) push(slot int, it item) {
+	l := p.lists[slot]
+	l.mu.Lock()
+	l.items = append(l.items, it)
+	l.g.llAdd(1, it.weight)
+	l.mu.Unlock()
+	l.cond.Signal()
+	if p.steal {
+		p.wakeThief(slot)
+	}
+}
+
+// fetch is worker w's Fetch module: it blocks until an item is available or
+// the pool is stopped. Queued items are always drained before a stop takes
+// effect. fetch keeps the lists' depth/weight gauges in step and publishes
+// the stealing and parked transitions, but only on the slow path — the
+// returned waited flag tells the caller to republish its executing state. A
+// worker draining a hot list therefore performs no state stores at all.
+//
+// The fetch policy acts only where the worker is about to park. A stealing
+// worker parks by the handshake wakeThief relies on: it publishes the parked
+// state under its own list's lock, then looks at the other lists' gauge
+// words once more, then waits. A pusher publishes the item's gauge word
+// first and looks for parked workers second, so one of the two always sees
+// the other, and because the waker takes the parked worker's list lock its
+// signal cannot arrive before the wait began.
+func (p *Pool) fetch(w int) (item, bool, bool) {
+	l := p.lists[w]
+	g := l.g
+	waited := false
+	l.mu.Lock()
+	for {
+		if len(l.items) > 0 {
+			it := l.items[0]
+			l.items = l.items[1:]
+			g.llAdd(-1, -it.weight)
+			l.mu.Unlock()
+			return it, true, waited
+		}
+		if l.stopped {
+			l.mu.Unlock()
+			return item{}, false, waited
+		}
+		waited = true
+		if p.steal {
+			// No list lock is held while taking a victim's.
+			l.mu.Unlock()
+			if it, ok := p.stealFor(w); ok {
+				return it, true, true
+			}
+			l.mu.Lock()
+			if len(l.items) > 0 || l.stopped {
+				continue
+			}
+		}
+		g.state.Store(int32(WorkerParked))
+		if p.steal && p.victim(w) >= 0 {
+			continue
+		}
+		clearLabels(g)
+		l.cond.Wait()
+	}
+}
+
+// victim returns the heaviest non-empty list other than w's own, by the
+// lists' gauge words alone (no locks), or -1 when every other list is empty.
+func (p *Pool) victim(w int) int {
+	victim, best := -1, int64(-1)
+	for v, l := range p.lists {
+		if packed := l.g.llPacked.Load(); v != w && packed != 0 && packed&llWeightMask > best {
+			victim, best = v, packed&llWeightMask
+		}
+	}
+	return victim
+}
+
+// stealFor pops the tail of the heaviest other list for worker w, under that
+// list's own lock, and counts the steal on the run the item belongs to —
+// the victim's list interleaves every run in flight.
+func (p *Pool) stealFor(w int) (item, bool) {
+	g := p.gauges.worker(w)
+	g.state.Store(int32(WorkerStealing))
+	g.stealAttempts.Add(1)
+	v := p.victim(w)
+	if v < 0 {
+		return item{}, false
+	}
+	l := p.lists[v]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.items)
+	if n == 0 {
+		return item{}, false // its owner, or another thief, got there first
+	}
+	it := l.items[n-1]
+	l.items = l.items[:n-1]
+	l.g.llAdd(-1, -it.weight)
+	g.steals.Add(1)
+	atomic.AddInt64(&it.r.steals, 1)
+	return it, true
+}
+
+// wakeThief wakes one parked worker other than the owner of list pushed, so
+// the item just pushed there can be stolen. The compare-and-swap claims the
+// worker, so two pushes in a row wake two different thieves.
+func (p *Pool) wakeThief(pushed int) {
+	for u, l := range p.lists {
+		if u == pushed || WorkerState(l.g.state.Load()) != WorkerParked {
+			continue
+		}
+		l.mu.Lock()
+		woke := l.g.state.CompareAndSwap(int32(WorkerParked), int32(WorkerStealing))
+		if woke {
+			l.cond.Signal()
+		}
+		l.mu.Unlock()
+		if woke {
+			return
+		}
+	}
 }
 
 // Workers returns the pool size P.
@@ -265,7 +371,7 @@ type run struct {
 	opts      Options
 	ctx       context.Context
 	deps      []int32
-	lists     []*localList
+	p         *Pool // the lists the run's items queue on, and their gauges
 	remaining int64 // original tasks not yet complete
 	failed    int32
 	// rr is the round-robin cursor for spreading pieces. It is unsigned so
@@ -280,9 +386,9 @@ type run struct {
 	metrics  []WorkerMetrics
 	pieces   int64
 	parted   int64
+	steals   int64 // items of this run a worker took from another's list
 	start    time.Time
 	tbufs    *traceBufs // per-worker event buffers, merged lazily when tracing
-	gauges   *Gauges    // live gauge surface (never nil in pool runs)
 	labels   *labelSet  // pprof query/kind labels (nil when Options.QueryID == "")
 }
 
@@ -307,11 +413,10 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		opts:      opts,
 		ctx:       opts.Ctx,
 		deps:      g.DepCounts(),
-		lists:     p.lists,
+		p:         p,
 		remaining: int64(g.N()),
 		metrics:   make([]WorkerMetrics, len(p.lists)),
 		done:      make(chan struct{}),
-		gauges:    p.gauges,
 		labels:    newLabelSet(opts.Ctx, opts.QueryID),
 	}
 	start := time.Now()
@@ -329,7 +434,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	p.gauges.runStarted(g.N())
 	// Line 1 of Algorithm 2: distribute the initially ready tasks evenly.
 	for i, id := range g.Sources() {
-		r.lists[i%len(r.lists)].push(r.wholeItem(id))
+		p.push(i%len(p.lists), r.wholeItem(id))
 	}
 	<-r.done
 	// A successful run has remaining == 0; a failed one writes off its
@@ -350,6 +455,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		Tasks:     g.N() - int(atomic.LoadInt64(&r.remaining)),
 		Pieces:    int(atomic.LoadInt64(&r.pieces)),
 		Partition: int(atomic.LoadInt64(&r.parted)),
+		Steals:    int(atomic.LoadInt64(&r.steals)),
 	}
 	if opts.Trace {
 		tr := &Trace{Workers: len(p.lists), Total: m.Elapsed, bufs: r.tbufs}
@@ -410,33 +516,63 @@ func (r *run) process(w int, it item) {
 		}
 	}
 	switch {
-	case it.isComb:
-		r.runCombiner(w, it)
-	case it.comb != nil:
-		r.runPiece(w, it)
-	default:
+	case it.comb == nil:
 		// Lines 12–18: partition large tasks, execute small ones whole.
 		size := r.st.PartitionSize(it.task)
 		if r.opts.Threshold > 0 && size > r.opts.Threshold {
 			r.partition(w, it.task, size)
 			return
 		}
-		kind := r.g.Tasks[it.task].Kind
-		wg := r.gauges.worker(w)
-		r.labels.apply(kind, wg)
-		t0 := time.Now()
-		err := r.st.Execute(it.task)
-		d := time.Since(t0)
-		r.metrics[w].Busy += d
-		r.metrics[w].KindBusy[kind] += d
-		r.metrics[w].Tasks++
-		r.record(w, it.task, kind, 0, -1, false, t0.Sub(r.start), d)
-		if err != nil {
-			r.fail(fmt.Errorf("sched: task %s: %w", r.g.Tasks[it.task].String(), err))
-			return
-		}
+	case !it.isComb:
+		r.runPiece(w, it)
+		return
+	}
+	// A whole task, or the combining subtask T̂n of a partitioned one:
+	// executing it completes the task.
+	if r.execute(w, it) {
 		r.completeTask(w, it.task)
 	}
+}
+
+// execute is the Execute module: it runs the item's primitive — a whole
+// task, one piece, or the combining subtask — on worker w under the run's
+// pprof labels, and accounts the call once: busy time in total and by kind,
+// the item count, and the trace event. A failing primitive fails the run
+// with the item named in the error; execute reports whether it succeeded.
+func (r *run) execute(w int, it item) bool {
+	task := &r.g.Tasks[it.task]
+	r.labels.apply(task.Kind, r.p.gauges.worker(w))
+	t0 := time.Now()
+	var err error
+	switch {
+	case it.isComb:
+		err = r.st.Combine(it.task, it.comb.bufs)
+	case it.comb != nil:
+		err = r.st.ExecutePiece(it.task, it.lo, it.hi, it.buf)
+	default:
+		err = r.st.Execute(it.task)
+	}
+	d := time.Since(t0)
+	wm := &r.metrics[w]
+	wm.Busy += d
+	wm.KindBusy[task.Kind] += d
+	wm.Tasks++
+	if r.tbufs != nil {
+		r.tbufs.record(w, it.task, task.Kind, it.lo, it.hi, it.isComb, t0.Sub(r.start), d)
+	}
+	if err == nil {
+		return true
+	}
+	switch {
+	case it.isComb:
+		err = fmt.Errorf("sched: combine %s: %w", task.String(), err)
+	case it.comb != nil:
+		err = fmt.Errorf("sched: piece [%d,%d) of %s: %w", it.lo, it.hi, task.String(), err)
+	default:
+		err = fmt.Errorf("sched: task %s: %w", task.String(), err)
+	}
+	r.fail(err)
+	return false
 }
 
 // partition splits task id into pieces of a snapped step ≥ δ (line 13): the
@@ -448,7 +584,7 @@ func (r *run) partition(w int, id, size int) {
 	n := (size + step - 1) / step
 	comb := &combiner{task: id, pending: int32(n)}
 	atomic.AddInt64(&r.parted, 1)
-	r.gauges.worker(w).partitions.Add(1)
+	r.p.gauges.worker(w).partitions.Add(1)
 	var first item
 	for k := 0; k < n; k++ {
 		lo := k * step
@@ -463,8 +599,7 @@ func (r *run) partition(w int, id, size int) {
 			first = it
 			continue
 		}
-		slot := int(atomic.AddUint64(&r.rr, 1) % uint64(len(r.lists)))
-		r.lists[slot].push(it)
+		r.p.push(int(atomic.AddUint64(&r.rr, 1)%uint64(len(r.p.lists))), it)
 	}
 	r.metrics[w].Overhead += time.Since(tPart)
 	r.runPiece(w, first)
@@ -501,19 +636,8 @@ func pieceWeight(taskW float64, span, size int) int64 {
 }
 
 func (r *run) runPiece(w int, it item) {
-	kind := r.g.Tasks[it.task].Kind
-	wg := r.gauges.worker(w)
-	r.labels.apply(kind, wg)
-	t0 := time.Now()
-	err := r.st.ExecutePiece(it.task, it.lo, it.hi, it.buf)
-	d := time.Since(t0)
-	r.metrics[w].Busy += d
-	r.metrics[w].KindBusy[kind] += d
-	r.metrics[w].Tasks++
 	atomic.AddInt64(&r.pieces, 1)
-	r.record(w, it.task, kind, it.lo, it.hi, false, t0.Sub(r.start), d)
-	if err != nil {
-		r.fail(fmt.Errorf("sched: piece [%d,%d) of %s: %w", it.lo, it.hi, r.g.Tasks[it.task].String(), err))
+	if !r.execute(w, it) {
 		return
 	}
 	c := it.comb
@@ -524,27 +648,9 @@ func (r *run) runPiece(w int, it item) {
 	}
 	if atomic.AddInt32(&c.pending, -1) == 0 {
 		// This worker finished the last piece: it runs T̂n itself.
-		r.process(w, item{r: r, task: c.task, comb: c, isComb: true,
+		r.process(w, item{r: r, task: c.task, hi: -1, comb: c, isComb: true,
 			weight: int64(r.g.Tasks[c.task].Weight)})
 	}
-}
-
-func (r *run) runCombiner(w int, it item) {
-	kind := r.g.Tasks[it.task].Kind
-	wg := r.gauges.worker(w)
-	r.labels.apply(kind, wg)
-	t0 := time.Now()
-	err := r.st.Combine(it.task, it.comb.bufs)
-	d := time.Since(t0)
-	r.metrics[w].Busy += d
-	r.metrics[w].KindBusy[kind] += d
-	r.metrics[w].Tasks++
-	r.record(w, it.task, kind, 0, -1, true, t0.Sub(r.start), d)
-	if err != nil {
-		r.fail(fmt.Errorf("sched: combine %s: %w", r.g.Tasks[it.task].String(), err))
-		return
-	}
-	r.completeTask(w, it.task)
 }
 
 // completeTask is the Allocate module (lines 4–10): decrement successor
@@ -557,16 +663,9 @@ func (r *run) completeTask(w int, id int) {
 		}
 	}
 	r.metrics[w].Overhead += time.Since(tAlloc)
-	r.gauges.worker(w).completed.Add(1)
+	r.p.gauges.worker(w).completed.Add(1)
 	if atomic.AddInt64(&r.remaining, -1) == 0 {
 		r.finish()
-	}
-}
-
-// record appends a trace event to the worker's private buffer.
-func (r *run) record(w, task int, kind taskgraph.Kind, lo, hi int, comb bool, start, dur time.Duration) {
-	if r.tbufs != nil {
-		r.tbufs.record(w, task, kind, lo, hi, comb, start, dur)
 	}
 }
 
@@ -574,10 +673,10 @@ func (r *run) record(w, task int, kind taskgraph.Kind, lo, hi int, comb bool, st
 // counter (line 7: j = argmin W_t).
 func (r *run) allocate(it item) {
 	best, bestW := 0, int64(1)<<62
-	for i, l := range r.lists {
+	for i, l := range r.p.lists {
 		if w := l.g.llWeight(); w < bestW {
 			best, bestW = i, w
 		}
 	}
-	r.lists[best].push(it)
+	r.p.push(best, it)
 }

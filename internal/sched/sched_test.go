@@ -1,13 +1,47 @@
 package sched
 
 import (
+	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
 	"evprop/internal/potential"
 	"evprop/internal/taskgraph"
 )
+
+// policy is one of the pool's two fetch policies, named by its constructor.
+// Every scheduler test runs under both: Allocate, Partition and Execute are
+// one pipeline, so each assertion is a statement about either pool.
+type policy struct {
+	newPool func(workers int) (*Pool, error)
+}
+
+var policies = map[string]policy{
+	"collaborative": {NewPool},
+	"stealing":      {NewStealingPool},
+}
+
+func eachPolicy(t *testing.T, test func(*testing.T, policy)) {
+	for name, pol := range policies {
+		t.Run(name, func(t *testing.T) { test(t, pol) })
+	}
+}
+
+// run is the one-shot Run on a transient pool of this policy.
+func (pol policy) run(st taskgraph.Executor, opts Options) (*Metrics, error) {
+	p, err := pol.newPool(opts.Workers)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Close()
+	return p.Run(st, opts)
+}
+
+var runStealing = policies["stealing"].run
 
 // referenceState runs the graph serially and returns the final state.
 func referenceState(t *testing.T, g *taskgraph.Graph, ev potential.Evidence) *taskgraph.State {
@@ -48,6 +82,10 @@ func compareStates(t *testing.T, label string, ref, got *taskgraph.State, n int)
 }
 
 func TestRunMatchesSerialAcrossWorkers(t *testing.T) {
+	eachPolicy(t, testRunMatchesSerialAcrossWorkers)
+}
+
+func testRunMatchesSerialAcrossWorkers(t *testing.T, pol policy) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 30, Width: 4, States: 2, Degree: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +100,7 @@ func TestRunMatchesSerialAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Run(st, Options{Workers: p})
+		m, err := pol.run(st, Options{Workers: p})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -74,6 +112,10 @@ func TestRunMatchesSerialAcrossWorkers(t *testing.T) {
 }
 
 func TestRunMatchesSerialWithPartitioning(t *testing.T) {
+	eachPolicy(t, testRunMatchesSerialWithPartitioning)
+}
+
+func testRunMatchesSerialWithPartitioning(t *testing.T, pol policy) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 20, Width: 6, States: 2, Degree: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +130,7 @@ func TestRunMatchesSerialWithPartitioning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Run(st, Options{Workers: 4, Threshold: thr})
+		m, err := pol.run(st, Options{Workers: 4, Threshold: thr})
 		if err != nil {
 			t.Fatalf("δ=%d: %v", thr, err)
 		}
@@ -99,7 +141,9 @@ func TestRunMatchesSerialWithPartitioning(t *testing.T) {
 	}
 }
 
-func TestRunWithEvidenceMatchesOracle(t *testing.T) {
+func TestRunWithEvidenceMatchesOracle(t *testing.T) { eachPolicy(t, testRunWithEvidenceMatchesOracle) }
+
+func testRunWithEvidenceMatchesOracle(t *testing.T, pol policy) {
 	net, ids := bayesnet.Asia()
 	tr, err := net.Compile()
 	if err != nil {
@@ -115,7 +159,7 @@ func TestRunWithEvidenceMatchesOracle(t *testing.T) {
 		if err := st.AbsorbEvidence(ev); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(st, Options{Workers: p, Threshold: 2}); err != nil {
+		if _, err := pol.run(st, Options{Workers: p, Threshold: 2}); err != nil {
 			t.Fatal(err)
 		}
 		for name, v := range ids {
@@ -137,7 +181,9 @@ func TestRunWithEvidenceMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestRunRerootedMatchesOracle(t *testing.T) {
+func TestRunRerootedMatchesOracle(t *testing.T) { eachPolicy(t, testRunRerootedMatchesOracle) }
+
+func testRunRerootedMatchesOracle(t *testing.T, pol policy) {
 	// Rerooting must not change inference results.
 	net, ids := bayesnet.Student()
 	tr, err := net.Compile()
@@ -157,7 +203,7 @@ func TestRunRerootedMatchesOracle(t *testing.T) {
 	if err := st.AbsorbEvidence(ev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(st, Options{Workers: 4}); err != nil {
+	if _, err := pol.run(st, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for name, v := range ids {
@@ -178,7 +224,9 @@ func TestRunRerootedMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestRunEmptyGraph(t *testing.T) {
+func TestRunEmptyGraph(t *testing.T) { eachPolicy(t, testRunEmptyGraph) }
+
+func testRunEmptyGraph(t *testing.T, pol policy) {
 	tr, err := jtree.Chain(1, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +239,7 @@ func TestRunEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(st, Options{Workers: 4})
+	m, err := pol.run(st, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +248,9 @@ func TestRunEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestRunRejectsZeroWorkers(t *testing.T) {
+func TestRunRejectsZeroWorkers(t *testing.T) { eachPolicy(t, testRunRejectsZeroWorkers) }
+
+func testRunRejectsZeroWorkers(t *testing.T, pol policy) {
 	tr, err := jtree.Chain(2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -213,12 +263,14 @@ func TestRunRejectsZeroWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(st, Options{Workers: 0}); err == nil {
+	if _, err := pol.run(st, Options{Workers: 0}); err == nil {
 		t.Error("accepted 0 workers")
 	}
 }
 
-func TestMetricsAccounting(t *testing.T) {
+func TestMetricsAccounting(t *testing.T) { eachPolicy(t, testMetricsAccounting) }
+
+func testMetricsAccounting(t *testing.T, pol policy) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 25, Width: 5, States: 2, Degree: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +283,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(st, Options{Workers: 3, Threshold: 8})
+	m, err := pol.run(st, Options{Workers: 3, Threshold: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +308,9 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 }
 
-func TestPartitionThresholdOne(t *testing.T) {
+func TestPartitionThresholdOne(t *testing.T) { eachPolicy(t, testPartitionThresholdOne) }
+
+func testPartitionThresholdOne(t *testing.T, pol policy) {
 	// δ=1 forces maximal splitting; results must still be exact.
 	net, _ := bayesnet.Sprinkler()
 	tr, err := net.Compile()
@@ -269,13 +323,15 @@ func TestPartitionThresholdOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(st, Options{Workers: 2, Threshold: 1}); err != nil {
+	if _, err := pol.run(st, Options{Workers: 2, Threshold: 1}); err != nil {
 		t.Fatal(err)
 	}
 	compareStates(t, "δ=1", ref, st, tr.N())
 }
 
-func TestManyRunsStable(t *testing.T) {
+func TestManyRunsStable(t *testing.T) { eachPolicy(t, testManyRunsStable) }
+
+func testManyRunsStable(t *testing.T, pol policy) {
 	// Repeated runs across goroutine interleavings must all agree.
 	tr, err := jtree.Random(jtree.RandomConfig{N: 16, Width: 4, States: 2, Degree: 2, Seed: 8})
 	if err != nil {
@@ -291,10 +347,127 @@ func TestManyRunsStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Run(st, Options{Workers: 4, Threshold: 8}); err != nil {
+		if _, err := pol.run(st, Options{Workers: 4, Threshold: 8}); err != nil {
 			t.Fatal(err)
 		}
 		compareStates(t, "trial", ref, st, tr.N())
+	}
+}
+
+// TestTaskErrorNamesTheTask: a failing primitive fails the run with the task
+// named in front of the cause, whichever policy fetched it.
+func TestTaskErrorNamesTheTask(t *testing.T) {
+	eachPolicy(t, testTaskErrorNamesTheTask)
+}
+
+// failingExec fails one task of a real propagation state.
+type failingExec struct {
+	taskgraph.Executor
+	bad int
+	err error
+}
+
+func (f failingExec) Execute(id int) error {
+	if id == f.bad {
+		return f.err
+	}
+	return f.Executor.Execute(id)
+}
+
+func testTaskErrorNamesTheTask(t *testing.T, pol policy) {
+	net, _ := bayesnet.Asia()
+	tr, err := net.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := taskgraph.Build(tr)
+	st, err := g.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	bad := g.N() / 2
+	_, err = pol.run(failingExec{st, bad, boom}, Options{Workers: 4})
+	if !errors.Is(err, boom) {
+		t.Fatalf("run returned %v, want the task's error", err)
+	}
+	if want := "sched: task " + g.Tasks[bad].String() + ": "; !strings.HasPrefix(err.Error(), want) {
+		t.Errorf("error %q does not start with %q", err, want)
+	}
+}
+
+// scriptedExec is a hand-built graph whose primitives are the test's own
+// code. Its tasks are never partitioned, so only Execute is reached.
+type scriptedExec struct {
+	taskgraph.Executor
+	g    *taskgraph.Graph
+	exec func(id int) error
+}
+
+func (s scriptedExec) Graph() *taskgraph.Graph { return s.g }
+func (s scriptedExec) Execute(id int) error    { return s.exec(id) }
+func (s scriptedExec) PartitionSize(int) int   { return 0 }
+
+// TestForcedStealAccounting pins Fig. 8's one definition on the policy where
+// it used to differ. Task 0 holds one worker for a while and then readies
+// eight tasks at once; their zero weights leave every W_i at zero, so
+// Allocate's argmin puts all eight on list 0, and each blocks until a second
+// one is running — which only a steal can bring about. Overhead is Allocate
+// and Partition time, so the three workers that sat parked behind task 0
+// report none of that wait; every steal is counted once on the run and once
+// on the thief's gauge.
+func TestForcedStealAccounting(t *testing.T) {
+	const (
+		fan  = 8
+		hold = 100 * time.Millisecond
+	)
+	g := &taskgraph.Graph{Tasks: make([]taskgraph.Task, 1+fan)}
+	for id := 1; id <= fan; id++ {
+		g.Tasks[0].Succs = append(g.Tasks[0].Succs, id)
+		g.Tasks[id] = taskgraph.Task{ID: id, NDeps: 1}
+	}
+	var running atomic.Int32
+	second := make(chan struct{})
+	st := scriptedExec{g: g, exec: func(id int) error {
+		if id == 0 {
+			time.Sleep(hold)
+			return nil
+		}
+		if running.Add(1) == 2 {
+			close(second)
+		}
+		select {
+		case <-second:
+			return nil
+		case <-time.After(10 * time.Second):
+			return errors.New("no other worker took a task queued on list 0")
+		}
+	}}
+	p, err := NewStealingPool(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	m, err := p.Run(st, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Tasks != g.N() || m.Steals == 0 {
+		t.Errorf("completed %d of %d tasks with %d steals", m.Tasks, g.N(), m.Steals)
+	}
+	var overhead time.Duration
+	for _, wm := range m.Workers {
+		overhead += wm.Overhead
+	}
+	if overhead >= hold/2 {
+		t.Errorf("overhead %v counts time parked behind a %v task", overhead, hold)
+	}
+	var gauge int64
+	for _, w := range p.Gauges().Snapshot().Workers {
+		gauge += w.Steals
+	}
+	if gauge != int64(m.Steals) {
+		t.Errorf("gauges count %d steals, the run %d", gauge, m.Steals)
 	}
 }
 
@@ -314,7 +487,7 @@ func TestStealingMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := RunStealing(st, Options{Workers: p, Threshold: thr})
+			m, err := runStealing(st, Options{Workers: p, Threshold: thr})
 			if err != nil {
 				t.Fatalf("P=%d δ=%d: %v", p, thr, err)
 			}
@@ -341,7 +514,7 @@ func TestStealingOracle(t *testing.T) {
 	if err := st.AbsorbEvidence(ev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStealing(st, Options{Workers: 4, Threshold: 2}); err != nil {
+	if _, err := runStealing(st, Options{Workers: 4, Threshold: 2}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := st.Marginal(ids["Lung"])
@@ -370,10 +543,10 @@ func TestStealingEmptyAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m, err := RunStealing(st, Options{Workers: 3}); err != nil || m.Tasks != 0 {
+	if m, err := runStealing(st, Options{Workers: 3}); err != nil || m.Tasks != 0 {
 		t.Errorf("empty graph: %v, %v", m, err)
 	}
-	if _, err := RunStealing(st, Options{Workers: 0}); err == nil {
+	if _, err := runStealing(st, Options{Workers: 0}); err == nil {
 		t.Error("accepted 0 workers")
 	}
 }
