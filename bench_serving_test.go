@@ -189,6 +189,50 @@ func BenchmarkCachedQuery(b *testing.B) {
 	benchConcurrentQuery(b, eng, ev)
 }
 
+// BenchmarkCachedMiss is the cache's cost side: never-repeating evidence
+// through a 32-entry cache (the load benchmark's setting), so every query
+// propagates and its result is pinned, evicting an older one. B/op is what a
+// miss allocates, which is what an entry retains: the result tables,
+// reported beside it as table-B/op — the run scratch is recycled through the
+// task graph's pool and must not show. It does not move with host load, which
+// makes it the companion of the load benchmark's wide-miss peak RSS. The
+// models are that benchmark's mid60 and wide60.
+func BenchmarkCachedMiss(b *testing.B) {
+	for _, m := range []struct {
+		name    string
+		parents int
+	}{{"mid60", 4}, {"wide60", 5}} {
+		b.Run(m.name, func(b *testing.B) {
+			net := RandomNetwork(60, 2, m.parents, 7)
+			eng, err := net.Compile(Options{Workers: 2, CacheSize: 32})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			vars := net.Variables()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ev := Evidence{}
+				for bit := 0; bit < 20; bit++ {
+					ev[vars[3*bit]] = i >> bit & 1
+				}
+				res, err := eng.Propagate(ev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Cached() {
+					b.Fatal("never-repeating evidence hit the cache")
+				}
+				res.Close()
+			}
+			b.StopTimer()
+			cs := eng.CacheStats()
+			b.ReportMetric(float64(cs.Bytes)/float64(cs.Entries), "table-B/op")
+		})
+	}
+}
+
 // BenchmarkSingleflightStorm measures the collapse path: each iteration
 // empties the cache and slams 8 concurrent identical queries into the
 // engine, so one propagates and the rest ride the singleflight. Compare one

@@ -400,6 +400,7 @@ type CacheCounters struct {
 	Enabled   bool  `json:"enabled"`
 	Capacity  int   `json:"capacity"`
 	Entries   int   `json:"entries"`
+	Bytes     int64 `json:"bytes"`
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Collapsed int64 `json:"collapsed"`

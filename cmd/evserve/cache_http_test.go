@@ -42,6 +42,21 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	if !st.Cache.Enabled || st.Cache.Hits < 1 || st.Cache.Entries != 1 {
 		t.Errorf("stats cache block = %+v", st.Cache)
 	}
+	// -cache-size 64 is four entries in each of 16 shards; one entry pins one
+	// result's tables.
+	if st.Cache.Capacity != 64 || st.Cache.Bytes <= 0 || st.Cache.Bytes != cs.Bytes {
+		t.Errorf("stats cache capacity/bytes = %d/%d, engine says %d/%d", st.Cache.Capacity, st.Cache.Bytes, cs.Capacity, cs.Bytes)
+	}
+	var ms modelStatsResponse
+	mstats, err := http.Get(ts.URL + "/v1/models/default/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mstats.Body.Close()
+	decode(t, mstats, &ms)
+	if ms.Cache.Bytes != cs.Bytes {
+		t.Errorf("model stats cache.bytes = %d, want %d", ms.Cache.Bytes, cs.Bytes)
+	}
 	if st.Window.CacheHitRate <= 0 {
 		t.Errorf("window cache_hit_rate = %v, want > 0", st.Window.CacheHitRate)
 	}
@@ -57,6 +72,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 		"evprop_cache_misses_total",
 		"evprop_cache_collapsed_total",
 		"evprop_cache_entries",
+		"evprop_cache_bytes",
 		"evprop_batch_coalesced_total",
 		"evprop_window_cache_hit_rate",
 	} {

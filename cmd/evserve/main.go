@@ -112,7 +112,7 @@ func main() {
 		inflight  = flag.Int("max-inflight", 0, "reject propagating requests beyond this many in flight with 429 (0 = unlimited)")
 		slowThr   = flag.Duration("slow-threshold", 0, "flight-recorder slow-query capture floor (0 = adaptive, 2×p99)")
 		recorder  = flag.Int("recorder-size", 0, "flight-recorder ring capacity (0 = default)")
-		cacheSz   = flag.Int("cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching)")
+		cacheSz   = flag.Int("cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries pin)")
 		batchWin  = flag.Duration("batch-window", 0, "coalesce same-evidence /v1/batch sub-queries arriving within this window (0 = off)")
 		auditDir  = flag.String("audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
 		auditBat  = flag.Int("audit-batch", 0, "audit records per flushed batch (0 = default)")

@@ -866,8 +866,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, "evprop_cache_collapsed_total", nil, float64(cs.Collapsed))
 	obs.WriteHeader(w, "evprop_cache_entries", "Result-cache entries currently held (default model).", "gauge")
 	obs.WriteSample(w, "evprop_cache_entries", nil, float64(cs.Entries))
-	obs.WriteHeader(w, "evprop_cache_capacity", "Result-cache configured capacity (default model).", "gauge")
+	obs.WriteHeader(w, "evprop_cache_capacity", "Result-cache effective capacity in entries (default model).", "gauge")
 	obs.WriteSample(w, "evprop_cache_capacity", nil, float64(cs.Capacity))
+	obs.WriteHeader(w, "evprop_cache_bytes", "Table bytes pinned by the result-cache entries (default model).", "gauge")
+	obs.WriteSample(w, "evprop_cache_bytes", nil, float64(cs.Bytes))
 	obs.WriteHeader(w, "evprop_batch_coalesced_total", "Batch sub-queries coalesced into a window-mate's propagation.", "counter")
 	obs.WriteSample(w, "evprop_batch_coalesced_total", nil, float64(cs.BatchCoalesced))
 	obs.WriteHeader(w, "evprop_window_cache_hit_rate", "Result-cache hit fraction over the last 60 seconds.", "gauge")

@@ -187,10 +187,12 @@ type Options struct {
 	// p99 latency once enough propagations have been recorded.
 	SlowQueryThreshold time.Duration
 	// CacheSize enables the shared-evidence result cache: completed
-	// propagations are retained in a sharded LRU of this many entries,
-	// keyed by the canonical signature of (semiring, hard evidence, soft
-	// evidence), and concurrent queries with identical evidence collapse
-	// into a single propagation. 0 (the default) disables caching. The
+	// propagations are retained in a sharded LRU of about this many entries
+	// (CacheStats.Capacity is the exact bound), keyed by the canonical
+	// signature of (semiring, hard evidence, soft evidence), and concurrent
+	// queries with identical evidence collapse into a single propagation.
+	// An entry retains the result's clique and separator tables and nothing
+	// else (CacheStats.Bytes). 0 (the default) disables caching. The
 	// cache invalidates itself when the source network gains variables
 	// after compilation; see Engine.InvalidateCache for manual control.
 	CacheSize int
@@ -278,9 +280,15 @@ func (e *Engine) Stats() EngineStats {
 type CacheStats struct {
 	// Enabled is false when the engine was compiled with CacheSize 0.
 	Enabled bool `json:"enabled"`
-	// Capacity and Entries are the cache's configured size and current fill.
+	// Capacity is the most results the cache holds: Options.CacheSize
+	// rounded down to a multiple of its 16 shards, and at least 16 (4 holds
+	// 16, 40 holds 32). Entries is the current fill, never above Capacity.
 	Capacity int `json:"capacity"`
 	Entries  int `json:"entries"`
+	// Bytes is the table memory the entries pin: 8 bytes per clique and
+	// separator entry of the model, per cached result. Exact for the eager
+	// engine, an upper bound under Options.Lazy.
+	Bytes int64 `json:"bytes"`
 	// Hits and Misses count cache lookups over the engine's lifetime.
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
@@ -301,6 +309,7 @@ func (e *Engine) CacheStats() CacheStats {
 		Enabled:   s.Enabled,
 		Capacity:  s.Capacity,
 		Entries:   s.Entries,
+		Bytes:     s.Bytes,
 		Hits:      s.Hits,
 		Misses:    s.Misses,
 		Collapsed: s.Collapsed,

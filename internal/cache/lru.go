@@ -25,7 +25,8 @@ type LRU struct {
 	hits   atomic.Int64
 	misses atomic.Int64
 	shards [lruShards]lruShard
-	cap    int
+	// perShard is the eviction bound of one shard.
+	perShard int
 }
 
 type lruShard struct {
@@ -39,27 +40,17 @@ type lruEntry struct {
 	val any
 }
 
-// NewLRU returns a cache holding at most capacity entries (minimum 1 per
-// shard is enforced, so very small capacities round up to lruShards).
+// NewLRU returns a cache for about capacity entries. The bound is enforced
+// per shard, so the capacity that actually holds — the one Cap reports — is
+// the request rounded down to a multiple of lruShards, and never less than
+// one entry per shard: 4 becomes 16, 40 becomes 32.
 func NewLRU(capacity int) *LRU {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c := &LRU{cap: capacity}
+	c := &LRU{perShard: max(1, capacity/lruShards)}
 	for i := range c.shards {
 		c.shards[i].ll = list.New()
 		c.shards[i].items = make(map[string]*list.Element)
 	}
 	return c
-}
-
-// perShard is the eviction bound of one shard.
-func (c *LRU) perShard() int {
-	n := c.cap / lruShards
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // fnv32a hashes the key onto a shard.
@@ -119,7 +110,7 @@ func (c *LRU) Add(key string, val any, gen uint64) {
 		return
 	}
 	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val})
-	for s.ll.Len() > c.perShard() {
+	for s.ll.Len() > c.perShard {
 		oldest := s.ll.Back()
 		s.ll.Remove(oldest)
 		delete(s.items, oldest.Value.(*lruEntry).key)
@@ -153,8 +144,10 @@ func (c *LRU) Len() int {
 	return n
 }
 
-// Cap returns the configured capacity.
-func (c *LRU) Cap() int { return c.cap }
+// Cap returns the effective capacity: the most entries the cache can hold,
+// which is the per-shard bound times the shard count and may differ from the
+// number NewLRU was asked for. Len never exceeds it.
+func (c *LRU) Cap() int { return c.perShard * lruShards }
 
 // Hits and Misses return the lifetime lookup counters.
 func (c *LRU) Hits() int64   { return c.hits.Load() }

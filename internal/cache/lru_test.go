@@ -105,3 +105,25 @@ func TestLRUConcurrent(t *testing.T) {
 		t.Fatalf("Len %d exceeds capacity %d", c.Len(), c.Cap())
 	}
 }
+
+// TestLRUCapIsEffective pins Cap to what the shards actually hold: the
+// requested capacity rounded down to whole entries per shard, at least one
+// each — so a full cache never reports more entries than capacity.
+func TestLRUCapIsEffective(t *testing.T) {
+	for _, tc := range []struct{ asked, want int }{{1, 16}, {4, 16}, {32, 32}, {40, 32}} {
+		c := NewLRU(tc.asked)
+		if c.Cap() != tc.want {
+			t.Errorf("NewLRU(%d).Cap() = %d, want %d", tc.asked, c.Cap(), tc.want)
+		}
+		gen := c.Generation()
+		for i := 0; i < 50*lruShards; i++ {
+			c.Add(fmt.Sprintf("k%d", i), i, gen)
+			if c.Len() > c.Cap() {
+				t.Fatalf("NewLRU(%d): Len %d exceeds Cap %d after %d adds", tc.asked, c.Len(), c.Cap(), i+1)
+			}
+		}
+		if c.Len() != c.Cap() {
+			t.Errorf("NewLRU(%d): Len %d after overfilling, want Cap %d", tc.asked, c.Len(), c.Cap())
+		}
+	}
+}

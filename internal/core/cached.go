@@ -18,12 +18,16 @@ import (
 // with one signature collapse into a single propagation via a
 // context-aware singleflight group.
 //
-// Cached results are *pinned*: their propagation state never returns to
-// the engine's state pool, so any number of concurrent readers may derive
+// Cached results are *pinned*: their result tables never return to the
+// engine's state pool, so any number of concurrent readers may derive
 // posteriors from one shared result while later propagations recycle
-// other states freely. Eviction and invalidation simply drop the pinned
-// result — readers still holding it keep valid immutable data, and the
-// garbage collector reclaims it when the last reader lets go.
+// other states freely. What an entry retains is those tables and nothing
+// else — 8 × (clique + separator entries) bytes, Engine.ResultBytes; the run
+// scratch went back to the task graph's pool when the run succeeded, before
+// the result was pinned, and later misses run on it. Eviction and
+// invalidation simply drop the pinned result — readers still holding it keep
+// valid immutable data, and the garbage collector reclaims it when the last
+// reader lets go.
 
 // PropagateCachedContext is PropagateSoftContext through the result cache:
 // a hit returns the shared pinned result of an earlier identical
@@ -138,8 +142,14 @@ func (e *Engine) EvidenceSignature(ev potential.Evidence, like potential.Likelih
 type CacheStats struct {
 	// Enabled is false when the engine has no cache (CacheSize 0).
 	Enabled bool
-	// Capacity and Entries are the cache's configured size and current fill.
+	// Capacity is the most results the cache holds — Options.CacheSize
+	// rounded to whole entries per shard (cache.LRU.Cap), so it can differ
+	// from the configured number — and Entries its current fill.
 	Capacity, Entries int
+	// Bytes is what the entries pin: Entries × ResultBytes. Exact for eager
+	// results, an upper bound for lazy ones, whose overlays clone only the
+	// tables the evidence perturbs.
+	Bytes int64
 	// Hits and Misses count lookups; Collapsed counts queries served by
 	// another caller's in-flight propagation (singleflight waiters).
 	Hits, Misses, Collapsed int64
@@ -151,15 +161,22 @@ func (e *Engine) CacheStats() CacheStats {
 	if e.cache == nil {
 		return CacheStats{}
 	}
+	entries := e.cache.Len()
 	return CacheStats{
 		Enabled:   true,
 		Capacity:  e.cache.Cap(),
-		Entries:   e.cache.Len(),
+		Entries:   entries,
+		Bytes:     int64(entries) * e.ResultBytes(),
 		Hits:      e.cache.Hits(),
 		Misses:    e.cache.Misses(),
 		Collapsed: e.collapsed.Load(),
 	}
 }
+
+// ResultBytes is the size of one propagation result's tables: 8 bytes per
+// clique and separator entry of the engine's tree. It is what a held Result,
+// and so a cache entry, keeps alive.
+func (e *Engine) ResultBytes() int64 { return e.resultBytes }
 
 // InvalidateCache drops every cached result and fences in-flight inserts:
 // propagations started before the call can never re-populate the cache,

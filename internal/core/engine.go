@@ -9,8 +9,13 @@
 // locking. Everything structure-dependent — the junction tree, the task
 // graph, the collect-only graphs, the worker pool — is built once and read
 // concurrently; everything propagation-dependent lives in a per-run
-// taskgraph.State, which is recycled through a sync.Pool so steady-state
-// propagation does near-zero allocation.
+// taskgraph.State, whose two halves are recycled separately so steady-state
+// propagation does near-zero allocation: the result tables through the
+// engine's state pools when a Result is released, the run scratch (message
+// and extension buffers) through its task graph's pool the moment the run has
+// succeeded — and only then, since stragglers of a failed or cancelled pool
+// run may still write it. A Result, and so a cache entry, therefore holds
+// 8 × (clique + separator entries) bytes of tables and no scratch.
 package core
 
 import (
@@ -137,6 +142,9 @@ type Engine struct {
 	opts  Options
 	tree  *jtree.Tree
 	graph *taskgraph.Graph
+	// resultBytes is 8 × the tree's clique and separator entries: the tables
+	// of one Result (ResultBytes).
+	resultBytes int64
 	// RerootedFrom records the original root when Reroot moved it (-1
 	// otherwise).
 	RerootedFrom int
@@ -219,6 +227,13 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 		e.RerootTime = time.Since(start)
 	}
 	e.tree = work
+	for i := range work.Cliques {
+		c := &work.Cliques[i]
+		e.resultBytes += 8 * int64(c.TableSize())
+		if c.Parent >= 0 {
+			e.resultBytes += 8 * int64(c.SepSize())
+		}
+	}
 	e.graph = taskgraph.Build(work)
 	if err := e.graph.Validate(); err != nil {
 		return nil, err
@@ -410,8 +425,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 	if ctx != nil {
 		sp = otrace.FromContext(ctx)
 	}
-	var st propState
-	var exec taskgraph.Executor
+	var st runState
 	asp := sp.StartChild("absorb", otrace.Int("evidence.vars", int64(len(ev))))
 	if e.lazyProp != nil {
 		lst, err := e.lazyProp.NewState(mode, ev, like)
@@ -425,7 +439,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		} else {
 			asp.SetAttr(otrace.String("plan", "build"))
 		}
-		st, exec = lst, lst
+		st = lst
 	} else {
 		est, err := e.getState(mode)
 		if err != nil {
@@ -445,16 +459,17 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 			asp.End()
 			return nil, nil, err
 		}
-		st, exec = est, est
+		st = est
 	}
 	asp.End()
 	rec := e.newRecord(ctx, mode.String(), mode, ev, like, sig)
 	psp := sp.StartChild("propagate",
 		otrace.String("scheduler", e.opts.Scheduler.String()),
 		otrace.Int("workers", int64(e.opts.Workers)))
-	if err := e.execute(ctx, psp, rec, exec); err != nil {
-		// The state may still be referenced by pool workers draining the
-		// failed run's queue — drop it to the GC instead of recycling.
+	if err := e.execute(ctx, psp, rec, st); err != nil {
+		// The state, scratch included, may still be referenced by pool
+		// workers draining the failed run's queue — drop it to the GC instead
+		// of recycling any of it.
 		return nil, nil, err
 	}
 	return &Result{eng: e, state: st, pe: st.EvidenceMass()}, rec, nil
@@ -488,7 +503,11 @@ func (e *Engine) newRecord(ctx context.Context, name string, mode taskgraph.Mode
 // scheduler metrics are folded into one obs.Report, which feeds the engine
 // aggregate here and, through the record, every later view. Then the record
 // is published to the flight recorder, which takes the run's trace with it.
-func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st taskgraph.Executor) error {
+//
+// It is also the one place the scratch lifetime rule is applied: a run that
+// returned no error hands its scratch back (ReleaseScratch), a failed or
+// cancelled one keeps it, because its pool workers may still be writing it.
+func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st runState) error {
 	start := time.Now()
 	m, err := e.runScheduler(ctx, rec.ID, st)
 	rec.Time = time.Now()
@@ -502,6 +521,7 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 		// every view whichever path it took.)
 		rec.Err = err.Error()
 	} else {
+		st.ReleaseScratch()
 		tr = m.Trace
 		rec.Report = obs.FromSched(m)
 		e.obsAgg.Observe(rec.Report)
@@ -624,7 +644,7 @@ func (e *Engine) CollectMarginalContext(ctx context.Context, ev potential.Eviden
 	}
 	rec := e.newRecord(ctx, "collect", taskgraph.SumProduct, ev, nil, "")
 	if err := e.execute(ctx, csp, rec, st); err != nil {
-		return nil, err // state possibly still referenced; drop it
+		return nil, err // state and scratch possibly still referenced; drop both
 	}
 	m, err := st.Clique[entry.g.Tree.Root].Marginal([]int{v})
 	entry.states.Put(st)
@@ -695,7 +715,10 @@ func (r *Result) Marginal(v int) (*potential.Potential, error) {
 		return nil, err
 	}
 	if r.pinned {
-		r.marginals.Store(v, m)
+		// Concurrent first readers each computed a table; all of them return
+		// the one that was stored first.
+		won, _ := r.marginals.LoadOrStore(v, m)
+		m = won.(*potential.Potential)
 	}
 	return m, nil
 }

@@ -21,6 +21,11 @@ import (
 //   - The lazy state materializes the root→clique path on demand inside
 //     Marginal/CliquePot/SepPot, so single-variable queries never pay for
 //     the whole distribute pass.
+//   - ReleaseScratch gives up whatever only the scheduler run needed (the
+//     eager state's message and extension buffers go back to its graph's
+//     pool, the lazy state drops its collect extension tables). Engine.execute
+//     calls it once, after a run that returned no error, before the state is
+//     handed to readers; everything above keeps working afterwards.
 type propState interface {
 	Graph() *taskgraph.Graph
 	Mode() taskgraph.Mode
@@ -30,4 +35,12 @@ type propState interface {
 	EvidenceMass() float64
 	MassScale() float64
 	Calibrate() error
+	ReleaseScratch()
+}
+
+// runState is a propState the scheduler can drive: what Engine.execute runs
+// and, on success, strips of its scratch.
+type runState interface {
+	propState
+	taskgraph.Executor
 }

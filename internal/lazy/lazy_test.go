@@ -1,6 +1,7 @@
 package lazy
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -168,5 +169,93 @@ func TestMaxProductCalibratesOnDemand(t *testing.T) {
 	}
 	if max <= 0 {
 		t.Fatalf("max-marginal root is all zero")
+	}
+}
+
+// TestReleaseScratchChangesNoAnswer: two states of one query are run alike;
+// one gives up its collect-only buffers before being read, as the engine does
+// for every result. Their pruning counters agree before the reads, every
+// posterior, P(e), whole-tree calibration and MPE agrees to the bit, and the
+// counters — MaterializedEntries above all: the on-demand distribute pass
+// must not have to re-allocate what was released — agree after them. The
+// released state refuses to be executed again.
+func TestReleaseScratchChangesNoAnswer(t *testing.T) {
+	p, ids := asiaProp(t)
+	ev := potential.Evidence{ids["XRay"]: 1, ids["Smoke"]: 0}
+	for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
+		var kept, released *State
+		for _, st := range []**State{&kept, &released} {
+			s, err := p.NewState(mode, ev, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.RunSerial(); err != nil {
+				t.Fatal(err)
+			}
+			*st = s
+		}
+		ran := kept.Stats()
+		sending := 0
+		for _, b := range released.temp {
+			if b != nil {
+				sending++
+			}
+		}
+		if sending == 0 {
+			t.Fatalf("%v: the query sends no collect message, so there is nothing to release", mode)
+		}
+		released.ReleaseScratch()
+		if released.temp != nil || released.bufFree != nil {
+			t.Fatalf("%v: released state still holds its extension buffers", mode)
+		}
+		if got := released.Stats(); got != ran {
+			t.Fatalf("%v: stats after release %+v, want %+v", mode, got, ran)
+		}
+		if kept.EvidenceMass() != released.EvidenceMass() {
+			t.Fatalf("%v: P(e) %v vs %v", mode, kept.EvidenceMass(), released.EvidenceMass())
+		}
+		for _, v := range ids {
+			a, err := kept.Marginal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := released.Marginal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !a.Equal(b, 0) {
+				t.Fatalf("%v: variable %d: %v with its buffers, %v without", mode, v, a.Data, b.Data)
+			}
+		}
+		for _, st := range []*State{kept, released} {
+			if err := st.Calibrate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for c := range p.tree.Cliques {
+			a, _ := kept.CliquePot(c)
+			b, _ := released.CliquePot(c)
+			if !a.Equal(b, 0) {
+				t.Fatalf("%v: calibrated clique %d differs", mode, c)
+			}
+		}
+		if got, want := released.Stats(), kept.Stats(); got != want {
+			t.Fatalf("%v: stats after the reads %+v, want %+v", mode, got, want)
+		}
+		for id, task := range released.Graph().Tasks {
+			if err := released.Execute(id); !errors.Is(err, taskgraph.ErrScratchReleased) {
+				t.Fatalf("%v: Execute(%s) on a released state: %v", mode, &task, err)
+			}
+			buf := released.NewPartialBuffer(id)
+			if err := released.ExecutePiece(id, 0, released.PartitionSize(id), buf); !errors.Is(err, taskgraph.ErrScratchReleased) {
+				t.Fatalf("%v: ExecutePiece(%s) on a released state: %v", mode, &task, err)
+			}
+			if err := released.Combine(id, []*potential.Potential{buf}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+				t.Fatalf("%v: Combine(%s) on a released state: %v", mode, &task, err)
+			}
+		}
+		if released.bufFree != nil {
+			t.Fatalf("%v: a refused Combine rebuilt the free lists", mode)
+		}
 	}
 }

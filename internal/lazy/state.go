@@ -207,9 +207,7 @@ func (st *State) PartitionSize(id int) int {
 			return 1
 		}
 		return st.sepNew[t.Edge].Len()
-	case taskgraph.Extend:
-		return st.temp[t.Edge].Len()
-	case taskgraph.Multiply:
+	case taskgraph.Extend, taskgraph.Multiply:
 		return st.cl[t.Target].Len()
 	}
 	return 1
@@ -217,6 +215,9 @@ func (st *State) PartitionSize(id int) int {
 
 // Execute runs the whole task unpartitioned.
 func (st *State) Execute(id int) error {
+	if st.released() {
+		return taskgraph.ErrScratchReleased
+	}
 	t := &st.plan.g.Tasks[id]
 	var err error
 	if t.Kind == taskgraph.Marginalize {
@@ -240,6 +241,9 @@ func (st *State) Execute(id int) error {
 // are zero after reduction, so skipping them adds nothing to a sum and
 // never wins a max — bit-identical to the eager full-range kernel.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
+	if st.released() {
+		return taskgraph.ErrScratchReleased
+	}
 	t := &st.plan.g.Tasks[id]
 	switch t.Kind {
 	case taskgraph.Marginalize:
@@ -298,6 +302,9 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 // into the shared separator buffer; a no-op for other kinds, whose pieces
 // wrote disjoint ranges in place.
 func (st *State) Combine(id int, bufs []*potential.Potential) error {
+	if st.released() {
+		return taskgraph.ErrScratchReleased
+	}
 	t := &st.plan.g.Tasks[id]
 	if t.Kind == taskgraph.Marginalize {
 		dst := st.sepNew[t.Edge]
@@ -323,6 +330,22 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	st.tasksRun.Add(1)
 	return nil
 }
+
+// ReleaseScratch drops what only the collect run used: the parent-sized
+// extension buffers of the sending edges and the partial-buffer free lists.
+// The demand-driven distribute pass allocates its own extension table per
+// edge and reuses sepNew, which therefore stays. Call it once the scheduler
+// run has returned without error, and only then — workers of a failed pool
+// run may still be writing these buffers. Executing the state afterwards is
+// refused with taskgraph.ErrScratchReleased (a lazy state is built per query
+// and never reset).
+func (st *State) ReleaseScratch() {
+	st.temp, st.bufFree = nil, nil
+}
+
+// released reports whether ReleaseScratch ran: NewState always allocates
+// temp, so a nil temp is the mark.
+func (st *State) released() bool { return st.temp == nil }
 
 // RunSerial executes the pruned graph in topological order on the calling
 // goroutine.

@@ -9,6 +9,7 @@ import (
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
+	"evprop/internal/lazy"
 	"evprop/internal/potential"
 	"evprop/internal/taskgraph"
 )
@@ -393,6 +394,65 @@ func testTaskErrorNamesTheTask(t *testing.T, pol policy) {
 	}
 	if want := "sched: task " + g.Tasks[bad].String() + ": "; !strings.HasPrefix(err.Error(), want) {
 		t.Errorf("error %q does not start with %q", err, want)
+	}
+}
+
+// TestReleasedStateFailsTheRun: handing the schedulers a state whose run
+// scratch was released is a caller's bug that must surface as the run's
+// error — whole tasks, partitioned ones, pool and inline — never as a nil
+// dereference on a worker. Reset makes the same state runnable again.
+func TestReleasedStateFailsTheRun(t *testing.T) {
+	eachPolicy(t, testReleasedStateFailsTheRun)
+}
+
+func testReleasedStateFailsTheRun(t *testing.T, pol policy) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 20, Width: 5, States: 2, Degree: 3, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(2); err != nil {
+		t.Fatal(err)
+	}
+	g := taskgraph.Build(tr)
+	ref := referenceState(t, g, nil)
+	st := referenceState(t, g, nil)
+	st.ReleaseScratch()
+	for _, threshold := range []int{0, 4} {
+		if _, err := pol.run(st, Options{Workers: 3, Threshold: threshold}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+			t.Errorf("pool run (δ=%d) of a released state returned %v", threshold, err)
+		}
+	}
+	if _, err := RunInline(st, Options{Workers: 1}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+		t.Errorf("inline run of a released state returned %v", err)
+	}
+	st.Reset(taskgraph.SumProduct)
+	if _, err := pol.run(st, Options{Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	compareStates(t, "after Reset", ref, st, tr.N())
+
+	// The lazy engine's state refuses the same way (it is built per query and
+	// has no Reset).
+	lp, err := lazy.New(tr, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars, _ := tr.Variables()
+	lst, err := lp.NewState(taskgraph.SumProduct, potential.Evidence{vars[0]: 1, vars[len(vars)-1]: 0}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lst.Graph().Tasks) == 0 {
+		t.Fatal("the lazy plan has no task to refuse")
+	}
+	lst.ReleaseScratch()
+	for _, threshold := range []int{0, 4} {
+		if _, err := pol.run(lst, Options{Workers: 3, Threshold: threshold}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+			t.Errorf("pool run (δ=%d) of a released lazy state returned %v", threshold, err)
+		}
+	}
+	if _, err := RunInline(lst, Options{Workers: 1}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+		t.Errorf("inline run of a released lazy state returned %v", err)
 	}
 }
 

@@ -1,9 +1,11 @@
 package taskgraph
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
+	"evprop/internal/jtree"
 	"evprop/internal/potential"
 )
 
@@ -27,11 +29,30 @@ func (m Mode) String() string {
 	return "sum-product"
 }
 
-// State holds the working tables for one execution of a task graph: cloned
-// clique and separator potentials plus the per-edge message and extension
-// buffers. Two tasks may touch the same buffer only if the dependency graph
-// orders them, so a State may be driven by any number of worker goroutines
-// that respect the graph.
+// ErrScratchReleased is returned by the execution methods of a State whose
+// run scratch went back to its graph's pool (ReleaseScratch) and has not been
+// re-attached by Reset: such a state holds a finished propagation to read,
+// not one to run.
+var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the state before executing it")
+
+// State is one propagation over a task graph, in two parts with two
+// lifetimes.
+//
+// The result tables — Clique and Sep — are what a propagation computes: they
+// start as clones of the tree's potentials, absorb the evidence, are
+// calibrated by the run, and live for as long as anything reads the result.
+//
+// The run scratch — the per-edge message and extension buffers and the
+// partial-buffer free lists — is written and read only by the tasks of one
+// scheduler run; no accessor below ever looks at it. It comes from a pool on
+// the Graph (NewStateMode and Reset attach one) and goes back the moment a
+// run has succeeded (ReleaseScratch), so holding a result holds its tables
+// and nothing else, and concurrent propagations over one graph share as many
+// scratches as there are runs in flight, not as there are results alive.
+//
+// Two tasks may touch the same buffer only if the dependency graph orders
+// them, so a State may be driven by any number of worker goroutines that
+// respect the graph.
 type State struct {
 	g    *Graph
 	mode Mode
@@ -39,6 +60,17 @@ type State struct {
 	Clique []*potential.Potential
 	// Sep[c] is the stored separator potential ψS of the edge (c, parent).
 	Sep []*potential.Potential
+	// run is the attached run scratch, nil from ReleaseScratch to the next
+	// Reset.
+	run *scratch
+}
+
+// scratch is the run-lifetime half of a State. Nothing in it carries over
+// from one run to the next — Marginalize zeroes sepNew before accumulating,
+// Extend overwrites the temp buffers before Multiply reads them, partial
+// buffers are zeroed when handed out — so a scratch serves any state of its
+// graph, in either semiring, without being cleared.
+type scratch struct {
 	// sepNew[c] receives the freshly marginalized ψ*S, then holds the
 	// ratio ψ*S/ψS after the Divide step.
 	sepNew []*potential.Potential
@@ -49,10 +81,38 @@ type State struct {
 	// bufFree recycles the private accumulation buffers of partitioned
 	// Marginalize tasks, per edge (both passes over an edge share one
 	// separator domain). Buffers are handed out by NewPartialBuffer and
-	// returned by Combine, so a pooled State reaches steady-state
-	// propagation with no per-run buffer allocation.
+	// returned by Combine, so steady-state propagation allocates no buffer.
 	bufMu   sync.Mutex
 	bufFree [][]*potential.Potential
+}
+
+// newScratch allocates the buffers for one run over the materialized tree.
+func newScratch(t *jtree.Tree) *scratch {
+	sc := &scratch{
+		sepNew:   make([]*potential.Potential, t.N()),
+		tempUp:   make([]*potential.Potential, t.N()),
+		tempDown: make([]*potential.Potential, t.N()),
+		bufFree:  make([][]*potential.Potential, t.N()),
+	}
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		if c.Parent < 0 {
+			continue
+		}
+		sc.sepNew[i] = c.SepPot.CloneZero()
+		sc.tempUp[i] = t.Cliques[c.Parent].Pot.CloneZero()
+		sc.tempDown[i] = c.Pot.CloneZero()
+	}
+	return sc
+}
+
+// getScratch takes a run scratch from the graph's pool, allocating one when
+// the pool is empty. The tree must be materialized.
+func (g *Graph) getScratch() *scratch {
+	if v := g.scratchPool.Get(); v != nil {
+		return v.(*scratch)
+	}
+	return newScratch(g.Tree)
 }
 
 // NewState allocates working storage for one sum-product propagation over
@@ -60,17 +120,15 @@ type State struct {
 // potentials non-nil). The tree itself is left untouched.
 func (g *Graph) NewState() (*State, error) { return g.NewStateMode(SumProduct) }
 
-// NewStateMode is NewState with an explicit semiring.
+// NewStateMode is NewState with an explicit semiring. The result tables are
+// allocated; the run scratch comes from the graph's pool.
 func (g *Graph) NewStateMode(mode Mode) (*State, error) {
 	t := g.Tree
 	st := &State{
-		g:        g,
-		mode:     mode,
-		Clique:   make([]*potential.Potential, t.N()),
-		Sep:      make([]*potential.Potential, t.N()),
-		sepNew:   make([]*potential.Potential, t.N()),
-		tempUp:   make([]*potential.Potential, t.N()),
-		tempDown: make([]*potential.Potential, t.N()),
+		g:      g,
+		mode:   mode,
+		Clique: make([]*potential.Potential, t.N()),
+		Sep:    make([]*potential.Potential, t.N()),
 	}
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
@@ -85,29 +143,17 @@ func (g *Graph) NewStateMode(mode Mode) (*State, error) {
 			return nil, fmt.Errorf("taskgraph: clique %d separator not materialized", i)
 		}
 		st.Sep[i] = c.SepPot.Clone()
-		st.sepNew[i] = c.SepPot.CloneZero()
-		up, err := potential.New(t.Cliques[c.Parent].Vars, t.Cliques[c.Parent].Card)
-		if err != nil {
-			return nil, err
-		}
-		st.tempUp[i] = up
-		down, err := potential.New(c.Vars, c.Card)
-		if err != nil {
-			return nil, err
-		}
-		st.tempDown[i] = down
 	}
+	st.run = g.getScratch()
 	return st, nil
 }
 
 // Reset re-primes a previously executed state for a fresh propagation with
-// the given semiring, copying the tree's clique and separator potentials
-// back into the existing tables without allocating. The sepNew buffers need
-// no zeroing (Marginalize zeroes its destination before accumulating, both
-// whole and via Combine) and the temp extension buffers are fully
-// overwritten by Extend before Multiply reads them, so only the tables the
-// previous run calibrated are restored. Reset plus reuse is the pooling
-// layer that makes steady-state propagation near-allocation-free.
+// the given semiring: it copies the tree's clique and separator potentials
+// back into the existing tables without allocating, and attaches a run
+// scratch from the graph's pool when the last run's was released. Reset plus
+// reuse is the pooling layer that makes steady-state propagation
+// near-allocation-free.
 func (st *State) Reset(mode Mode) {
 	st.mode = mode
 	t := st.g.Tree
@@ -119,6 +165,52 @@ func (st *State) Reset(mode Mode) {
 		}
 		copy(st.Sep[i].Data, c.SepPot.Data)
 	}
+	if st.run == nil {
+		st.run = st.g.getScratch()
+	}
+}
+
+// ReleaseScratch hands the state's run scratch back to its graph's pool,
+// leaving the result tables for readers. Call it once the scheduler run over
+// this state has returned without error, and only then: workers of a failed
+// or cancelled pool run may still be writing the scratch, so such a state
+// keeps it and both go to the garbage collector together. Until the next
+// Reset the execution methods return ErrScratchReleased; every accessor
+// works as before. Releasing twice is a no-op.
+func (st *State) ReleaseScratch() {
+	if st.run == nil {
+		return
+	}
+	st.g.scratchPool.Put(st.run)
+	st.run = nil
+}
+
+// RetainedEntries counts the table entries reachable from the state: the
+// clique and separator tables, plus the run scratch (free lists included)
+// while one is attached. After ReleaseScratch it is the tree's clique plus
+// separator entries — what holding a result costs.
+func (st *State) RetainedEntries() int {
+	n := 0
+	count := func(ps []*potential.Potential) {
+		for _, p := range ps {
+			if p != nil {
+				n += p.Len()
+			}
+		}
+	}
+	count(st.Clique)
+	count(st.Sep)
+	if sc := st.run; sc != nil {
+		count(sc.sepNew)
+		count(sc.tempUp)
+		count(sc.tempDown)
+		sc.bufMu.Lock()
+		for _, free := range sc.bufFree {
+			count(free)
+		}
+		sc.bufMu.Unlock()
+	}
+	return n
 }
 
 // AbsorbEvidence reduces every working clique potential on the evidence.
@@ -156,9 +248,13 @@ func (st *State) Mode() Mode { return st.mode }
 
 // Execute runs the whole task (no partitioning).
 func (st *State) Execute(id int) error {
+	sc := st.run
+	if sc == nil {
+		return ErrScratchReleased
+	}
 	t := &st.g.Tasks[id]
 	if t.Kind == Marginalize {
-		dst := st.sepNew[t.Edge]
+		dst := sc.sepNew[t.Edge]
 		for i := range dst.Data {
 			dst.Data[i] = 0
 		}
@@ -168,20 +264,17 @@ func (st *State) Execute(id int) error {
 }
 
 // PartitionSize returns the length of the index range over which the task
-// may be split into independent pieces.
+// may be split into independent pieces. It is read off the result tables —
+// a message buffer has the domain of the separator, an extension buffer that
+// of the clique it is multiplied into — so it needs no scratch.
 func (st *State) PartitionSize(id int) int {
 	t := &st.g.Tasks[id]
 	switch t.Kind {
 	case Marginalize:
 		return st.Clique[t.Source].Len() // input-partitioned
 	case Divide:
-		return st.sepNew[t.Edge].Len()
-	case Extend:
-		if t.Dir == Collect {
-			return st.tempUp[t.Edge].Len()
-		}
-		return st.tempDown[t.Edge].Len()
-	case Multiply:
+		return st.Sep[t.Edge].Len()
+	case Extend, Multiply:
 		return st.Clique[t.Target].Len()
 	}
 	return 0
@@ -197,42 +290,31 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 	if t.Kind != Marginalize {
 		return nil
 	}
-	st.bufMu.Lock()
-	if st.bufFree != nil {
-		if free := st.bufFree[t.Edge]; len(free) > 0 {
+	if sc := st.run; sc != nil {
+		sc.bufMu.Lock()
+		if free := sc.bufFree[t.Edge]; len(free) > 0 {
 			b := free[len(free)-1]
 			free[len(free)-1] = nil
-			st.bufFree[t.Edge] = free[:len(free)-1]
-			st.bufMu.Unlock()
+			sc.bufFree[t.Edge] = free[:len(free)-1]
+			sc.bufMu.Unlock()
 			for i := range b.Data {
 				b.Data[i] = 0
 			}
 			return b
 		}
+		sc.bufMu.Unlock()
 	}
-	st.bufMu.Unlock()
-	return st.sepNew[t.Edge].CloneZero()
-}
-
-// recycleBuffers returns the piece buffers of a combined Marginalize task to
-// the per-edge free list for reuse by a later partitioning of either pass
-// over the same edge.
-func (st *State) recycleBuffers(edge int, bufs []*potential.Potential) {
-	if len(bufs) == 0 {
-		return
-	}
-	st.bufMu.Lock()
-	if st.bufFree == nil {
-		st.bufFree = make([][]*potential.Potential, st.g.Tree.N())
-	}
-	st.bufFree[edge] = append(st.bufFree[edge], bufs...)
-	st.bufMu.Unlock()
+	return st.Sep[t.Edge].CloneZero()
 }
 
 // ExecutePiece runs the [lo,hi) slice of the task. For Marginalize, buf is
 // the accumulation target (a private buffer from NewPartialBuffer, or the
 // shared sepNew buffer when running unpartitioned); other kinds ignore buf.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
+	sc := st.run
+	if sc == nil {
+		return ErrScratchReleased
+	}
 	t := &st.g.Tasks[id]
 	switch t.Kind {
 	case Marginalize:
@@ -244,31 +326,37 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 		}
 		return st.Clique[t.Source].MarginalInto(buf, lo, hi)
 	case Divide:
-		return st.divideRange(t.Edge, lo, hi)
+		return divideRange(sc.sepNew[t.Edge].Data, st.Sep[t.Edge].Data, lo, hi)
 	case Extend:
-		ratio := st.sepNew[t.Edge]
+		ratio := sc.sepNew[t.Edge]
 		if t.Dir == Collect {
-			return ratio.ExtendInto(st.tempUp[t.Edge], lo, hi)
+			return ratio.ExtendInto(sc.tempUp[t.Edge], lo, hi)
 		}
-		return ratio.ExtendInto(st.tempDown[t.Edge], lo, hi)
+		return ratio.ExtendInto(sc.tempDown[t.Edge], lo, hi)
 	case Multiply:
 		if t.Dir == Collect {
-			return st.Clique[t.Target].MulRange(st.tempUp[t.Edge], lo, hi)
+			return st.Clique[t.Target].MulRange(sc.tempUp[t.Edge], lo, hi)
 		}
-		return st.Clique[t.Target].MulRange(st.tempDown[t.Edge], lo, hi)
+		return st.Clique[t.Target].MulRange(sc.tempDown[t.Edge], lo, hi)
 	}
 	return fmt.Errorf("taskgraph: unknown kind %v", t.Kind)
 }
 
 // Combine finishes a partitioned Marginalize: it zeroes the shared sepNew
-// buffer and adds every private piece buffer into it. For other kinds it
-// is a no-op (their pieces already wrote the output).
+// buffer, adds every private piece buffer into it, and returns the piece
+// buffers to the edge's free list for a later partitioning of either pass
+// over the same edge. For other kinds it is a no-op (their pieces already
+// wrote the output).
 func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	t := &st.g.Tasks[id]
 	if t.Kind != Marginalize {
 		return nil
 	}
-	dst := st.sepNew[t.Edge]
+	sc := st.run
+	if sc == nil {
+		return ErrScratchReleased
+	}
+	dst := sc.sepNew[t.Edge]
 	for i := range dst.Data {
 		dst.Data[i] = 0
 	}
@@ -281,16 +369,17 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 			return err
 		}
 	}
-	st.recycleBuffers(t.Edge, bufs)
+	sc.bufMu.Lock()
+	sc.bufFree[t.Edge] = append(sc.bufFree[t.Edge], bufs...)
+	sc.bufMu.Unlock()
 	return nil
 }
 
 // divideRange performs the fused Divide step over separator entries
-// [lo,hi): ratio = ψ*S / ψS with 0/0 = 0, storing the ratio in sepNew and
-// the new ψ*S into the stored separator, as Eq. 1 of the paper requires.
-func (st *State) divideRange(edge, lo, hi int) error {
-	num := st.sepNew[edge].Data
-	den := st.Sep[edge].Data
+// [lo,hi): ratio = ψ*S / ψS with 0/0 = 0, storing the ratio in num (sepNew)
+// and the new ψ*S into den (the stored separator), as Eq. 1 of the paper
+// requires.
+func divideRange(num, den []float64, lo, hi int) error {
 	if lo < 0 || hi < lo || hi > len(num) {
 		return fmt.Errorf("taskgraph: divide range [%d,%d) invalid for %d entries", lo, hi, len(num))
 	}

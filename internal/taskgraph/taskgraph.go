@@ -19,6 +19,14 @@
 // tree (no potentials) and fed to the simulated-multicore machine, or
 // paired with a State (allocated working tables) and executed for real by
 // the schedulers in internal/sched and internal/baseline.
+//
+// A State is split by lifetime. Its result tables (clique and separator
+// potentials) are what the propagation computes and live as long as anyone
+// reads them; its run scratch (per-edge message and extension buffers) is
+// used only while the graph executes, so it is owned by the Graph, lent to
+// one run at a time from a pool, and handed back by State.ReleaseScratch when
+// the run has succeeded. Holding a finished State therefore holds its tables
+// only.
 package taskgraph
 
 import (
@@ -101,7 +109,10 @@ type Task struct {
 
 // Graph is the full task dependency graph for one junction tree. It is
 // immutable once built: the first TopoOrder or TotalWeight call caches what
-// it derives from Tasks, and every run of the graph reads that cache.
+// it derives from Tasks, and every run of the graph reads that cache. It also
+// owns the pool of run scratch its States draw from (see State): scratch is
+// shaped by the tree's edges alone, so one pool serves every state of the
+// graph, sum- or max-product, from any number of goroutines.
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
@@ -110,6 +121,8 @@ type Graph struct {
 	order    []int   // topological order, nil when the graph has a cycle
 	orderErr error   // the cycle, if any
 	weight   float64 // sum of task weights
+
+	scratchPool sync.Pool // of *scratch
 }
 
 // taskIdx addresses the 4 collect + 4 distribute tasks of one edge.

@@ -2,8 +2,10 @@ package taskgraph
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"evprop/internal/bayesnet"
@@ -570,4 +572,170 @@ func TestWriteDOT(t *testing.T) {
 			t.Errorf("missing %q in DOT output", want)
 		}
 	}
+}
+
+// TestReleasedStateRefusesToRun: a state whose run scratch went back to the
+// pool keeps answering reads, reports the tables alone as retained, refuses
+// every execution entry point with ErrScratchReleased instead of touching a
+// buffer some other run now owns — and runs again after Reset, on a pooled
+// scratch, to the very bits a fresh state computes. One scratch serves both
+// semirings.
+func TestReleasedStateRefusesToRun(t *testing.T) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 25, Width: 4, States: 2, Degree: 3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(7); err != nil {
+		t.Fatal(err)
+	}
+	g := Build(tr)
+	vars, _ := tr.Variables()
+	ev := potential.Evidence{vars[0]: 1, vars[5]: 0}
+	run := func(st *State) {
+		t.Helper()
+		if err := st.AbsorbEvidence(ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.RunSerial(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tables := 0
+	for i := range tr.Cliques {
+		tables += tr.Cliques[i].TableSize()
+		if tr.Cliques[i].Parent >= 0 {
+			tables += tr.Cliques[i].SepSize()
+		}
+	}
+
+	st, err := g.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.RetainedEntries(); got <= tables {
+		t.Fatalf("a runnable state retains %d entries, no more than its %d table entries", got, tables)
+	}
+	run(st)
+	before, err := st.Marginal(vars[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.ReleaseScratch()
+	st.ReleaseScratch() // idempotent
+	if got := st.RetainedEntries(); got != tables {
+		t.Errorf("released state retains %d entries, tables are %d", got, tables)
+	}
+	after, err := st.Marginal(vars[3])
+	if err != nil || !after.Equal(before, 0) {
+		t.Errorf("marginal read after release: %v, %v; before %v", after, err, before.Data)
+	}
+	if pe := st.EvidenceMass(); pe <= 0 {
+		t.Errorf("evidence mass after release: %v", pe)
+	}
+
+	for id := range g.Tasks {
+		if err := st.Execute(id); !errors.Is(err, ErrScratchReleased) {
+			t.Fatalf("Execute(%s) on a released state: %v", &g.Tasks[id], err)
+		}
+		size := st.PartitionSize(id)
+		buf := st.NewPartialBuffer(id)
+		if (buf != nil) != (g.Tasks[id].Kind == Marginalize) {
+			t.Fatalf("NewPartialBuffer(%s) on a released state: %v", &g.Tasks[id], buf)
+		}
+		if err := st.ExecutePiece(id, 0, size, buf); !errors.Is(err, ErrScratchReleased) {
+			t.Fatalf("ExecutePiece(%s) on a released state: %v", &g.Tasks[id], err)
+		}
+		if g.Tasks[id].Kind == Marginalize {
+			if err := st.Combine(id, []*potential.Potential{buf}); !errors.Is(err, ErrScratchReleased) {
+				t.Fatalf("Combine(%s) on a released state: %v", &g.Tasks[id], err)
+			}
+		}
+	}
+	if err := st.RunSerial(); !errors.Is(err, ErrScratchReleased) {
+		t.Fatalf("RunSerial on a released state: %v", err)
+	}
+
+	for _, mode := range []Mode{SumProduct, MaxProduct} {
+		fresh, err := g.NewStateMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(fresh)
+		st.Reset(mode)
+		run(st)
+		for i := range fresh.Clique {
+			if !st.Clique[i].Equal(fresh.Clique[i], 0) {
+				t.Fatalf("%v: clique %d of the reset state differs from a fresh state's", mode, i)
+			}
+		}
+		st.ReleaseScratch()
+		fresh.ReleaseScratch()
+	}
+}
+
+// TestScratchPoolSharedAcrossGoroutines: concurrent propagations over one
+// graph, each taking its scratch from the graph's pool and handing it back,
+// all compute the serial reference bit for bit — whichever run last used the
+// buffers, in whichever semiring. -race checks that a scratch has one owner
+// at a time.
+func TestScratchPoolSharedAcrossGoroutines(t *testing.T) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 25, Width: 4, States: 2, Degree: 3, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(9); err != nil {
+		t.Fatal(err)
+	}
+	g := Build(tr)
+	vars, _ := tr.Variables()
+	evs := []potential.Evidence{{vars[0]: 1}, {vars[2]: 0, vars[7]: 1}, {}}
+	var want [2][]*State // by mode, by evidence
+	for _, mode := range []Mode{SumProduct, MaxProduct} {
+		for _, ev := range evs {
+			ref, err := g.NewStateMode(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.AbsorbEvidence(ev); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.RunSerial(); err != nil {
+				t.Fatal(err)
+			}
+			want[mode] = append(want[mode], ref)
+		}
+	}
+	const goroutines, rounds = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			st, err := g.NewState()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for k := 0; k < rounds; k++ {
+				mode, e := Mode((w+k)%2), (w+k)%len(evs)
+				st.Reset(mode)
+				if err := st.AbsorbEvidence(evs[e]); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := st.RunSerial(); err != nil {
+					t.Error(err)
+					return
+				}
+				st.ReleaseScratch()
+				for i := range st.Clique {
+					if !st.Clique[i].Equal(want[mode][e].Clique[i], 0) {
+						t.Errorf("worker %d round %d: clique %d differs from the reference", w, k, i)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
