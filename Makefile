@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck fmt-check bench bench-serving bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
+.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,13 @@ fmt-check:
 
 race:
 	$(GO) test -race ./...
+
+# The two tests whose verdict once depended on how a run happened to be
+# scheduled — the Fig. 8 overhead share of a real pool run, and the bits a
+# partitioned sum leaves behind — forty times over, without the race detector
+# (whose slowdown hides both). A flake here is a bug, not noise.
+flake-guard:
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical' ./internal/obs ./internal/sched
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -211,8 +218,8 @@ smoke-trace:
 	echo "smoke-trace: ok"
 
 # The PR gate: formatting and static checks plus the full test suite under
-# the race detector (includes the concurrent-engine stress tests), the
-# evserve smoke tests (evtop dashboard + multi-model hot reload + durable
+# the race detector (includes the concurrent-engine stress tests), forty
+# repeats of the two schedule-sensitive tests, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
 # audit replay + traceparent propagation), the kernel bench harness smoke,
 # and the benchmark module's own vet + tests.
-check: fmt-check vet staticcheck race smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels bench-module
+check: fmt-check vet staticcheck race flake-guard smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels bench-module

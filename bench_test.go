@@ -327,6 +327,56 @@ func BenchmarkCollaborative(b *testing.B) {
 	}
 }
 
+// BenchmarkPropagateWide is one propagation of the load benchmark's two wide
+// models at one and at two workers, partitioned as Compile decides by itself
+// and at the fixed δ it used to derive (twice the mean clique table). pieces/op
+// and partitioned/op do not move with host load: they are the companion
+// numbers of the benchmark's wide-miss and mid-dense throughput. At two
+// workers both graphs occupy the pool whole (W/CP 2.49 and 2.58), so the
+// automatic rows report 0 pieces where the fixed δ cuts 49 and 52 tasks into
+// 237 and 315; one worker runs inline and cuts nothing either way.
+func BenchmarkPropagateWide(b *testing.B) {
+	for _, m := range []struct {
+		name    string
+		parents int
+		fixedδ  int
+	}{{"wide60", 5, 18896}, {"mid60", 4, 1000}} {
+		net := RandomNetwork(60, 2, m.parents, 7)
+		vars := net.Variables()
+		ev := Evidence{vars[3]: 1, vars[17]: 0, vars[41]: 1}
+		for _, workers := range []int{1, 2} {
+			for _, δ := range []int{0, m.fixedδ} {
+				name := fmt.Sprintf("%s/P=%d/auto", m.name, workers)
+				if δ > 0 {
+					name = fmt.Sprintf("%s/P=%d/δ=%d", m.name, workers, δ)
+				}
+				b.Run(name, func(b *testing.B) {
+					eng, err := net.Compile(Options{Workers: workers, PartitionThreshold: δ})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer eng.Close()
+					pieces, partitioned := 0, 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						res, err := eng.Propagate(ev)
+						if err != nil {
+							b.Fatal(err)
+						}
+						met := res.Metrics()
+						pieces += met.Pieces
+						partitioned += met.Partitioned
+						res.Close()
+					}
+					b.ReportMetric(float64(pieces)/float64(b.N), "pieces/op")
+					b.ReportMetric(float64(partitioned)/float64(b.N), "partitioned/op")
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkBaselineSchedulers measures the comparison executors end to end.
 func BenchmarkBaselineSchedulers(b *testing.B) {
 	tr := benchTree(b)

@@ -36,7 +36,7 @@ func main() {
 		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, stealing, serial")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		noReroot  = flag.Bool("no-reroot", false, "disable critical-path rerooting (Algorithm 1)")
-		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = auto, <0 = off)")
+		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = automatic: split a task graph only where its parallelism W/CP falls short of the workers; <0 = off)")
 		mpe       = flag.Bool("mpe", false, "also report the most probable explanation")
 		approx    = flag.String("approx", "", "use approximate inference: lw (likelihood weighting) or gibbs")
 		samples   = flag.Int("samples", 20000, "sample count for -approx")

@@ -24,6 +24,22 @@ var diffSchedulers = []string{
 	SchedulerWorkStealing,
 }
 
+// diffColumns are the eager harness's engine columns: each scheduler as
+// Compile configures it, and the collaborative pool once more under an
+// explicit δ of 2 entries. The automatic partition rule never cuts a network
+// small enough to enumerate (nor, at two workers, most large ones), so the
+// forced-split column is what keeps Partition, the piece buffers and the
+// combining subtask under the oracle.
+var diffColumns = []struct {
+	scheduler string
+	δ         int
+}{
+	{SchedulerCollaborative, 0},
+	{SchedulerSerial, 0},
+	{SchedulerWorkStealing, 0},
+	{SchedulerCollaborative, 2},
+}
+
 // diffEvidences builds six deterministic evidence configurations over an
 // 11-variable binary network, from empty up to three observed variables.
 func diffEvidences(vars []string) []Evidence {
@@ -98,9 +114,10 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 				oracles[i][v] = m
 			}
 		}
-		for _, schedName := range diffSchedulers {
-			plain, executor := compileColumn(t, net, Options{Workers: 2, Scheduler: schedName})
-			cachedEng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: schedName, CacheSize: 128})
+		for _, col := range diffColumns {
+			schedName := fmt.Sprintf("%s/δ=%d", col.scheduler, col.δ)
+			plain, executor := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ})
+			cachedEng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ, CacheSize: 128})
 			for i, ev := range evs {
 				what := fmt.Sprintf("seed=%d sched=%s ev=%d", seed, schedName, i)
 				cases++
@@ -138,6 +155,10 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 			if got := cachedEng.inner.Propagations(); got != int64(len(evs)) {
 				t.Errorf("seed=%d sched=%s: cached engine ran %d propagations, want %d",
 					seed, schedName, got, len(evs))
+			}
+			if rep := plain.SchedulerReport(); (rep.Partitioned > 0) != (col.δ > 0) {
+				t.Errorf("seed=%d sched=%s: %d tasks partitioned over %d pool runs",
+					seed, schedName, rep.Partitioned, rep.PoolRuns)
 			}
 			plain.Close()
 			cachedEng.Close()

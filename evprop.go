@@ -171,9 +171,13 @@ type Options struct {
 	// critical path (default true; set DisableReroot to turn off).
 	DisableReroot bool
 	// PartitionThreshold is δ: potential-table operations over more
-	// entries than this are split across workers. 0 selects an automatic
-	// threshold (twice the mean clique table, and at least the 400 entries
-	// one scheduling operation costs); negative disables partitioning.
+	// entries than this are split across workers, in pieces of δ entries
+	// (the paper's fixed rule). 0 is automatic: each task graph is split
+	// only where it has less parallelism than there are workers — total
+	// work over critical path below P — and then only the operations on
+	// its long dependency chains, into at most P pieces none smaller than
+	// the 400 entries one scheduling operation costs; a graph that already
+	// occupies the workers runs unsplit. Negative disables partitioning.
 	PartitionThreshold int
 	// DisableFlightRecorder turns off the always-on flight recorder (see
 	// Engine.RecentQueries); useful only for micro-benchmarking its cost.
@@ -517,7 +521,7 @@ func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
 	case threshold < 0:
 		threshold = 0 // disabled
 	case threshold == 0:
-		threshold = sched.AutoThreshold(tree)
+		threshold = sched.ThresholdAuto // decided per task graph by sched.Split
 	}
 	var recorder *obs.FlightRecorder
 	if !opts.DisableFlightRecorder {

@@ -223,7 +223,8 @@ func TestPartitionThresholdModes(t *testing.T) {
 			t.Fatalf("threshold %d: %v", thr, err)
 		}
 		// Of the four, only δ=2 is below Asia's 4- and 8-entry tables: off,
-		// the automatic δ (floored at one dispatch, 400) and 1000 split none.
+		// the automatic rule (no piece under one dispatch, 400 entries) and
+		// 1000 split none.
 		if rep := eng.SchedulerReport(); rep.PoolRuns != 1 || (rep.Partitioned > 0) != (thr == 2) {
 			t.Errorf("threshold %d: %d pool runs, %d tasks partitioned", thr, rep.PoolRuns, rep.Partitioned)
 		}
@@ -237,10 +238,11 @@ func TestPartitionThresholdModes(t *testing.T) {
 	}
 }
 
-// TestAutoThresholdFloor: the automatic δ is floored at the dispatch
-// equivalent, so the 40-node benchmark model — 2×mean table is 56 entries,
-// which used to split 60 of its 264 tasks into 153 pieces — is never
-// partitioned, even at a P high enough for the rule to dispatch it.
+// TestAutoThresholdFloor: automatic partitioning makes no piece lighter than
+// the dispatch that delivers it, so the 40-node benchmark model — whose
+// 2×mean-table δ of 56 entries once split 60 of its 264 tasks into 153 pieces
+// — is never partitioned, even at a P high enough for the granularity rule to
+// dispatch it and far above what its graph can occupy.
 func TestAutoThresholdFloor(t *testing.T) {
 	for _, s := range []string{SchedulerCollaborative, SchedulerWorkStealing} {
 		eng, err := RandomNetwork(40, 2, 3, 7).Compile(Options{Workers: 16, Scheduler: s})

@@ -126,22 +126,24 @@ func DataParallel(st taskgraph.Executor, p int) (*Result, error) {
 			}
 			continue
 		}
-		bufs := make([]*potential.Potential, chunks)
+		// Chunk 0 reduces straight into the task's destination; the others
+		// get a private buffer each (nil for in-place kinds), combined in
+		// chunk order.
+		bufs := make([]*potential.Potential, chunks-1)
 		if err := parallelChunks(chunks, chunks, func(k int) error {
-			lo := k * size / chunks
-			hi := (k + 1) * size / chunks
-			bufs[k] = st.NewPartialBuffer(id)
-			return st.ExecutePiece(id, lo, hi, bufs[k])
+			var buf *potential.Potential
+			if k > 0 {
+				buf = st.NewPartialBuffer(id)
+				bufs[k-1] = buf
+			}
+			return st.ExecutePiece(id, k*size/chunks, (k+1)*size/chunks, buf)
 		}); err != nil {
 			return nil, err
 		}
-		kept := bufs[:0]
-		for _, b := range bufs {
-			if b != nil {
-				kept = append(kept, b)
-			}
+		if bufs[0] == nil {
+			bufs = nil
 		}
-		if err := st.Combine(id, kept); err != nil {
+		if err := st.Combine(id, bufs); err != nil {
 			return nil, err
 		}
 	}

@@ -89,7 +89,8 @@ type Options struct {
 	Reroot bool
 	// PartitionThreshold is δ: tasks over tables larger than this many
 	// entries are split by the collaborative scheduler's Partition module.
-	// 0 disables partitioning.
+	// 0 disables partitioning; sched.ThresholdAuto leaves the decision to
+	// sched.Split, per task graph at this engine's P.
 	PartitionThreshold int
 	// CacheSize, when positive, enables the shared-evidence result cache:
 	// an LRU of this many completed propagation results keyed by the

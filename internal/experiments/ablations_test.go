@@ -283,26 +283,50 @@ func TestDecompositionExperiment(t *testing.T) {
 	}
 }
 
+// TestGranularityCrossover pins the statements EXPERIMENTS.md makes of the
+// whole granularity table: which rows dispatch and win, which rows the split
+// rule leaves whole, and that the rule is never the worst of the three
+// partitioning policies.
 func TestGranularityCrossover(t *testing.T) {
 	r, err := Granularity(machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 12 {
+	if len(r.Rows) != 24 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
 	// Rule against simulator at P ∈ {2, 8} is internal/machine's test; here,
-	// the statement EXPERIMENTS.md makes of the whole table: every dispatched
-	// row wins in simulation except small40 at P=16, where the rule's work
-	// bound passes a graph whose dependency chain still loses.
+	// of the inline rule: every dispatched row wins in simulation except
+	// small40 at P=16, where the rule's work bound passes a graph whose
+	// dependency chain still loses.
 	for _, row := range r.Rows {
 		if odd := row.Model == "small40" && row.Workers == 16; !row.Inline && (row.Speedup > 1) == odd {
 			t.Errorf("%s P=%d dispatched at simulated %.2f×", row.Model, row.Workers, row.Speedup)
 		}
 	}
+	// Of the split rule: two workers cut none of the six graphs, small40 is
+	// never cut, every other graph is cut from the P where its W/CP falls
+	// short of max(P, (P−1)²) — and wherever fixed-δ partitioning is priced
+	// with its real combine cost on the benchmark models, it loses to both.
+	for _, row := range r.Rows {
+		covered := row.Parallelism >= float64(max(row.Workers, (row.Workers-1)*(row.Workers-1)))
+		if cut := row.SplitTasks > 0; cut == (covered || row.Model == "small40") {
+			t.Errorf("%s P=%d (W/CP %.2f): %d tasks cut", row.Model, row.Workers, row.Parallelism, row.SplitTasks)
+		}
+		if row.Workers == 2 && row.SplitTasks != 0 {
+			t.Errorf("%s: %d tasks cut at two workers", row.Model, row.SplitTasks)
+		}
+		if row.SplitTasks == 0 && row.Speedup != row.SpeedupNone {
+			t.Errorf("%s P=%d: nothing cut, yet %.3f× against %.3f× unsplit", row.Model, row.Workers, row.Speedup, row.SpeedupNone)
+		}
+		if (row.Model == "mid60" || row.Model == "wide60") && row.SpeedupFixed >= row.SpeedupNone {
+			t.Errorf("%s P=%d: fixed δ=%d at %.2f× does not lose to no partitioning at %.2f×",
+				row.Model, row.Workers, row.Delta, row.SpeedupFixed, row.SpeedupNone)
+		}
+	}
 	var buf bytes.Buffer
 	r.Write(&buf)
-	if !strings.Contains(buf.String(), "d/(P−1)") {
+	if !strings.Contains(buf.String(), "d/(P−1)") || !strings.Contains(buf.String(), "W/CP") {
 		t.Error("Write malformed")
 	}
 }

@@ -215,21 +215,7 @@ func (st *State) PartitionSize(id int) int {
 
 // Execute runs the whole task unpartitioned.
 func (st *State) Execute(id int) error {
-	if st.released() {
-		return taskgraph.ErrScratchReleased
-	}
-	t := &st.plan.g.Tasks[id]
-	var err error
-	if t.Kind == taskgraph.Marginalize {
-		dst := st.sepNew[t.Edge]
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
-		err = st.ExecutePiece(id, 0, st.PartitionSize(id), dst)
-	} else {
-		err = st.ExecutePiece(id, 0, st.PartitionSize(id), nil)
-	}
-	if err != nil {
+	if err := st.ExecutePiece(id, 0, st.PartitionSize(id), nil); err != nil {
 		return err
 	}
 	st.tasksRun.Add(1)
@@ -239,7 +225,9 @@ func (st *State) Execute(id int) error {
 // ExecutePiece runs the [lo,hi) slice of a task. Marginalize ranges are
 // offsets into the source clique's evidence hull; the entries outside it
 // are zero after reduction, so skipping them adds nothing to a sum and
-// never wins a max — bit-identical to the eager full-range kernel.
+// never wins a max — bit-identical to the eager full-range kernel. As on the
+// eager state, a Marginalize piece clears buf before reducing into it, and a
+// nil buf stands for the edge's own sepNew.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	if st.released() {
 		return taskgraph.ErrScratchReleased
@@ -248,8 +236,9 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	switch t.Kind {
 	case taskgraph.Marginalize:
 		if buf == nil {
-			return fmt.Errorf("lazy: marginalize piece without buffer")
+			buf = st.sepNew[t.Edge]
 		}
+		clear(buf.Data)
 		h := st.plan.hulls[t.Source]
 		src := st.cliqueRO(t.Source)
 		st.flops.Add(int64(hi - lo))
@@ -273,8 +262,8 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 }
 
 // NewPartialBuffer returns a private accumulation buffer for one piece of
-// a partitioned Marginalize (recycled per edge, like the eager state), nil
-// for other kinds.
+// a partitioned Marginalize (recycled per edge and left for the piece to
+// clear, like the eager state), nil for other kinds.
 func (st *State) NewPartialBuffer(id int) *potential.Potential {
 	t := &st.plan.g.Tasks[id]
 	if t.Kind != taskgraph.Marginalize {
@@ -287,9 +276,6 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 			free[len(free)-1] = nil
 			st.bufFree[t.Edge] = free[:len(free)-1]
 			st.bufMu.Unlock()
-			for i := range b.Data {
-				b.Data[i] = 0
-			}
 			return b
 		}
 	}
@@ -298,9 +284,10 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 	return st.sepNew[t.Edge].CloneZero()
 }
 
-// Combine finishes a partitioned Marginalize by folding the piece buffers
-// into the shared separator buffer; a no-op for other kinds, whose pieces
-// wrote disjoint ranges in place.
+// Combine finishes a partitioned Marginalize by folding the buffers of the
+// pieces after the first, in the order given, into the shared separator
+// buffer the first piece wrote; a no-op for other kinds, whose pieces wrote
+// disjoint ranges in place.
 func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	if st.released() {
 		return taskgraph.ErrScratchReleased
@@ -308,9 +295,6 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	t := &st.plan.g.Tasks[id]
 	if t.Kind == taskgraph.Marginalize {
 		dst := st.sepNew[t.Edge]
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
 		for _, b := range bufs {
 			if st.mode == taskgraph.MaxProduct {
 				if err := dst.MaxWith(b); err != nil {

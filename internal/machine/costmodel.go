@@ -56,9 +56,6 @@ type CostModel struct {
 	// every process. This term is what makes Fig. 6 collapse beyond 4
 	// processors: it grows with (P−1) while per-process work shrinks.
 	BroadcastPerByte float64
-	// CombineFraction is the relative cost of the combining subtask T̂n of
-	// a partitioned task, as a fraction of the original task weight.
-	CombineFraction float64
 	// MemoryLoad inflates every primitive's service time by
 	// (1 + MemoryLoad·(P−1)): with more active cores the shared memory
 	// system is loaded even when they stream distinct tables. It is the
@@ -82,7 +79,6 @@ func Default() CostModel {
 		MessagePerByte:     2.5e-9, // ~400 MB/s effective point-to-point
 		SyncPerProcess:     6e-5,
 		BroadcastPerByte:   5e-11, // shared bus, all processes contend
-		CombineFraction:    0.01,
 		MemoryLoad:         0.008,
 	}
 }

@@ -68,6 +68,52 @@ func TestWorkConservation(t *testing.T) {
 	}
 }
 
+// TestPartitionedMarginalizeIsChargedItsCombine: cutting an in-place primitive
+// adds no work, only dispatches; cutting a Marginalize into n pieces adds the
+// clear of n−1 private separator-sized buffers and the combiner's two passes
+// over each — 3·(n−1)·|S| entries — whether the cut comes from a fixed δ or
+// from an explicit verdict.
+func TestPartitionedMarginalizeIsChargedItsCombine(t *testing.T) {
+	g := buildGraph(t, jtree.RandomConfig{N: 6, Width: 10, States: 2, Degree: 2, SepSize: 4, Seed: 4})
+	cm := Default()
+	serial := SerialTime(g, cm)
+	const n = 4
+	for _, kind := range []taskgraph.Kind{taskgraph.Marginalize, taskgraph.Multiply} {
+		pieces := make([]int32, g.N())
+		extra := 0.0
+		for id := range g.Tasks {
+			if g.Tasks[id].Kind != kind {
+				continue
+			}
+			pieces[id] = n
+			if kind == taskgraph.Marginalize {
+				extra += 3 * (n - 1) * float64(g.SepSize(id))
+			}
+		}
+		res, err := SimulateCollaborativeOpts(g, 1, cm, CollabOptions{Pieces: pieces})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := serial + cm.service(extra); math.Abs(res.TotalBusy()-want) > 1e-12 {
+			t.Errorf("%v cut %d ways: busy %.9f, want serial %.9f + %.0f entries", kind, n, res.TotalBusy(), serial, extra)
+		}
+		if res.Pieces != n*g.N()/4 {
+			t.Errorf("%v: %d pieces", kind, res.Pieces)
+		}
+	}
+	// δ below the 1024-entry cliques and above the 16-entry separators cuts
+	// the six clique-sized tasks of every edge, two of them Marginalizes.
+	const δ = 256
+	res, err := SimulateCollaborative(g, 1, δ, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := float64(g.N() / 8)
+	if want := serial + cm.service(2*edges*3*(1024/δ-1)*16); math.Abs(res.TotalBusy()-want) > 1e-12 {
+		t.Errorf("δ=%d: busy %.9f, want %.9f", δ, res.TotalBusy(), want)
+	}
+}
+
 func TestMakespanAtLeastCriticalPath(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 40, Width: 6, States: 2, Degree: 2, Seed: 4})
 	cm := Default()

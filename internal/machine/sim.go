@@ -63,6 +63,7 @@ type simItem struct {
 type simComb struct {
 	taskID  int
 	pending int
+	weight  float64 // entries the combining subtask touches
 }
 
 type simEvent struct {
@@ -97,6 +98,7 @@ type collabSim struct {
 	cm        CostModel
 	p         int
 	threshold float64 // δ in weight units; 0 disables partitioning
+	pieces    []int32 // per-task piece counts, used instead of δ when set
 	central   bool    // centralized variant: core 0 only dispatches
 
 	deps      []int32
@@ -115,6 +117,10 @@ type collabSim struct {
 type CollabOptions struct {
 	// Threshold is δ in table entries; 0 disables partitioning.
 	Threshold float64
+	// Pieces, when non-nil, replaces δ by an explicit verdict: task id is
+	// cut into Pieces[id] equal pieces (below 2: it runs whole). It is how
+	// the scheduler's own rule, sched.Split(g, p), is simulated.
+	Pieces []int32
 	// RoundRobinAlloc replaces the least-loaded allocation rule (line 7 of
 	// Algorithm 2) with blind round-robin — the ablation isolating how
 	// much the weight counters contribute.
@@ -136,7 +142,7 @@ func SimulateCollaborativeOpts(g *taskgraph.Graph, p int, cm CostModel, opts Col
 	if p < 1 {
 		return nil, fmt.Errorf("machine: need p >= 1, got %d", p)
 	}
-	s := &collabSim{g: g, cm: cm, p: p, threshold: opts.Threshold,
+	s := &collabSim{g: g, cm: cm, p: p, threshold: opts.Threshold, pieces: opts.Pieces,
 		rrAlloc: opts.RoundRobinAlloc, spans: opts.RecordSpans}
 	return s.run()
 }
@@ -183,7 +189,7 @@ func (s *collabSim) run() (*Result, error) {
 			if it.comb.pending == 0 {
 				// The combiner runs on the core that finished last.
 				comb := simItem{
-					service: s.cm.loadedService(s.g.Tasks[it.comb.taskID].Weight*s.cm.CombineFraction, s.p),
+					service: s.cm.loadedService(it.comb.weight, s.p),
 					taskID:  it.comb.taskID,
 					isComb:  true,
 				}
@@ -218,37 +224,66 @@ func (s *collabSim) completeTask(id int, now float64) {
 // distribution (line 1 of Algorithm 2), least-loaded otherwise (line 7).
 func (s *collabSim) allocate(id int, now float64, initial bool) {
 	w := s.g.Tasks[id].Weight
-	if s.threshold > 0 && w > s.threshold {
-		s.partition(id, now)
+	if n := s.pieceCount(id); n > 0 {
+		s.partition(id, n, now)
 		return
 	}
 	item := simItem{service: s.cm.loadedService(w, s.p), taskID: id}
 	s.pushTo(s.pickCore(now, initial), item, now)
 }
 
-// partition splits the task into ⌈w/δ⌉ pieces spread over the cores; the
-// combining subtask is scheduled when the last piece finishes.
-func (s *collabSim) partition(id int, now float64) {
+// pieceCount is the Partition module's test: the number of pieces task id is
+// cut into, 0 when it runs whole — ⌈w/δ⌉ for every task heavier than δ, or
+// what the explicit verdict says.
+func (s *collabSim) pieceCount(id int) int {
+	if s.pieces != nil {
+		if n := int(s.pieces[id]); n > 1 {
+			return n
+		}
+		return 0
+	}
 	w := s.g.Tasks[id].Weight
+	if s.threshold <= 0 || w <= s.threshold {
+		return 0
+	}
 	n := int(math.Ceil(w / s.threshold))
-	lo, hi := s.workers()
-	if n > 8*(hi-lo) {
+	if lo, hi := s.workers(); n > 8*(hi-lo) {
 		n = 8 * (hi - lo) // the real scheduler caps nothing, but the sim
 		// needs no finer granularity than the core count to model load
 	}
+	return n
+}
+
+// partition splits the task into n pieces spread over the cores; the
+// combining subtask is scheduled when the last piece finishes. Pieces of an
+// in-place primitive write disjoint ranges and their combiner only hands the
+// task's successors on. A Marginalize is input-partitioned: every piece after
+// the first reduces into a private separator-sized buffer that it clears
+// first (one pass over |S| entries), and the combiner reads each such buffer
+// and adds it into the shared one (two more) — 3·(n−1)·|S| entries the whole
+// task never touches, all of them charged here.
+func (s *collabSim) partition(id, n int, now float64) {
+	t := &s.g.Tasks[id]
 	comb := &simComb{taskID: id, pending: n}
+	sep := 0.0
+	if t.Kind == taskgraph.Marginalize {
+		sep = float64(s.g.SepSize(id))
+		comb.weight = 2 * float64(n-1) * sep
+	}
 	// Pieces carry no memory-contention inflation: unlike the lock-step
 	// data-parallel baselines, the collaborative scheduler interleaves
 	// pieces with unrelated tasks, so the cores rarely stream one table
 	// simultaneously — the locality advantage the paper credits for the
 	// method's near-linear scaling.
-	per := s.cm.loadedService(w, s.p) / float64(n)
-	_, _ = lo, hi
 	for k := 0; k < n; k++ {
+		w := t.Weight / float64(n)
+		if k > 0 {
+			w += sep
+		}
 		// Pieces go to the least-loaded cores, the same balancing rule the
 		// Allocate module applies to whole tasks; pushing updates the core
 		// clocks, so consecutive pieces spread across the machine.
-		s.pushTo(s.pickCore(now, false), simItem{service: per, taskID: id, comb: comb}, now)
+		s.pushTo(s.pickCore(now, false), simItem{service: s.cm.loadedService(w, s.p), taskID: id, comb: comb}, now)
 		s.res.Pieces++
 	}
 }

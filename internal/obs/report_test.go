@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -60,27 +62,37 @@ func realRun(t *testing.T, workers, threshold int) *sched.Metrics {
 }
 
 // TestFromSchedRealRun checks the Fig. 8 invariants on a real collaborative
-// run: a load-balance factor in [1, P], per-kind times that add up to total
-// busy time, and a scheduler-overhead fraction that stays a small minority
-// of worker time (the paper reports <0.9% on its testbeds; the bound here is
-// lenient because CI machines and -race instrumentation inflate the
-// scheduler's bookkeeping relative to the arithmetic).
+// run, oversubscribed on purpose (four workers whatever the host has, 1 µs
+// pieces): a load-balance factor in [1, P], per-kind times that add up to
+// total busy time, an overhead fraction in [0, 1) and a report that prints
+// both. These are structural — no schedule, preemption or race
+// instrumentation can break them. How small the fraction is is a wall-clock
+// magnitude and is asserted where one can hold, in
+// TestFromSchedRealRunOverheadFraction.
 func TestFromSchedRealRun(t *testing.T) {
 	const workers = 4
-	// δ picks piece sizes large enough that the blocked kernels' arithmetic
-	// still dominates the per-piece scheduling bookkeeping; the run-
-	// decomposed kernels do several entries per ns, so 256-entry pieces
-	// would be all overhead.
 	m := realRun(t, workers, 1024)
 	r := FromSched(m)
 	if r.Workers != workers {
 		t.Fatalf("workers %d", r.Workers)
 	}
-	if r.Tasks == 0 {
-		t.Fatal("no tasks recorded")
+	if r.Tasks == 0 || m.Partition == 0 {
+		t.Fatalf("%d tasks recorded, %d partitioned", r.Tasks, m.Partition)
 	}
-	if r.LoadBalance < 1 || r.LoadBalance > workers+0.001 {
-		t.Errorf("load balance %v outside [1, %d]", r.LoadBalance, workers)
+	checkFig8Invariants(t, r)
+	var buf strings.Builder
+	r.Write(&buf)
+	for _, want := range []string{"load balance", "overhead fraction"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("report output missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+func checkFig8Invariants(t *testing.T, r *Report) {
+	t.Helper()
+	if r.LoadBalance < 1 || r.LoadBalance > float64(r.Workers)+0.001 {
+		t.Errorf("load balance %v outside [1, %d]", r.LoadBalance, r.Workers)
 	}
 	var kinds time.Duration
 	for _, d := range r.KindBusy {
@@ -95,19 +107,63 @@ func TestFromSchedRealRun(t *testing.T) {
 	if r.OverheadFraction < 0 || r.OverheadFraction >= 1 {
 		t.Fatalf("overhead fraction %v outside [0, 1)", r.OverheadFraction)
 	}
-	bound := 0.25
-	if raceEnabled {
-		bound = 0.60
+}
+
+// TestFromSchedRealRunOverheadFraction is the magnitude half of Fig. 8: the
+// scheduler's share of worker time stays a small minority (the paper reports
+// <0.9 % on its testbeds, on tables this test cannot afford). It is stated
+// where a wall-clock share means something — no more workers than the host
+// runs at once, 65 536-entry cliques cut into 4 096-entry pieces so that
+// arithmetic dominates, a warmed pool and state — and of the typical run: the
+// median of sixteen, so that one run whose worker was descheduled inside an
+// Allocate window, holding a list lock the other then waits for, counts as one
+// run and not as ten milliseconds of scheduling.
+//
+// The tree has 4 096-entry separators, a sixteenth of a clique, which is where
+// the Partition window used to be expensive: it cleared every piece's private
+// buffer before queueing the piece — as many entries per cut Marginalize as
+// the task itself reduces — and this run then spent 0.16-0.22 of its worker
+// time in the scheduler. Pieces clear their own buffers now, the window is
+// queueing alone, and the run measures 0.06-0.10 here; the bound is 0.15
+// where the single oversubscribed run above used to be given 0.25 (0.60 under
+// the race detector, which only makes the arithmetic dearer).
+func TestFromSchedRealRunOverheadFraction(t *testing.T) {
+	workers := min(4, runtime.GOMAXPROCS(0))
+	tr, err := jtree.Random(jtree.RandomConfig{N: 12, Width: 16, States: 2, Degree: 3, SepSize: 12, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.OverheadFraction > bound {
-		t.Errorf("overhead fraction %v exceeds %v", r.OverheadFraction, bound)
+	if err := tr.MaterializeRandom(9); err != nil {
+		t.Fatal(err)
 	}
-	var buf strings.Builder
-	r.Write(&buf)
-	for _, want := range []string{"load balance", "overhead fraction"} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("report output missing %q:\n%s", want, buf.String())
+	st, err := taskgraph.Build(tr).NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := sched.NewPool(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	var fractions []float64
+	for run := 0; run <= 16; run++ {
+		st.Reset(taskgraph.SumProduct)
+		m, err := pool.Run(st, sched.Options{Threshold: 4096})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if m.Partition == 0 || m.Pieces < 8*m.Partition {
+			t.Fatalf("%d tasks cut into %d pieces", m.Partition, m.Pieces)
+		}
+		r := FromSched(m)
+		checkFig8Invariants(t, r)
+		if run > 0 { // run 0 allocates the piece buffers the later runs recycle
+			fractions = append(fractions, r.OverheadFraction)
+		}
+	}
+	sort.Float64s(fractions)
+	if median := (fractions[7] + fractions[8]) / 2; median > 0.15 {
+		t.Errorf("median scheduler overhead fraction %.3f of 16 runs at P=%d exceeds 0.15 (all: %.3f)", median, workers, fractions)
 	}
 }
 

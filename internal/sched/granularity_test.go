@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"math"
 	"runtime/pprof"
 	"testing"
 
@@ -30,11 +31,11 @@ func benchModel(t *testing.T, nodes, maxParents int) (*jtree.Tree, *taskgraph.Gr
 // benchmark models: small40's mean task of 32 entries does not pay for a
 // dispatch below 14 workers, mid60 (893) and wide60 (14 110) pay at two
 // already, and one worker or no tasks means inline whatever the
-// weights. The same constant floors the automatic δ.
+// weights.
 func TestGranularityRule(t *testing.T) {
-	smallTree, small := benchModel(t, 40, 3)
-	midTree, mid := benchModel(t, 60, 4)
-	wideTree, wide := benchModel(t, 60, 5)
+	_, small := benchModel(t, 40, 3)
+	_, mid := benchModel(t, 60, 4)
+	_, wide := benchModel(t, 60, 5)
 	for _, tc := range []struct {
 		name    string
 		g       *taskgraph.Graph
@@ -60,29 +61,93 @@ func TestGranularityRule(t *testing.T) {
 			t.Errorf("%s: Inline = %v, want %v (mean task %.0f entries)", tc.name, got, tc.inline, mean)
 		}
 	}
-	// δ: the floor lifts small40's 2×mean of 56; the two models whose pieces
-	// were already dearer than a dispatch keep the δ they had.
+}
+
+// TestSplitRule is the table of the partition verdict over the three
+// benchmark models and a chain-shaped tree of wide cliques, at P from 1 to
+// 16. One worker cuts nothing; neither does any P the graph's own parallelism
+// W/CP covers — max(P, (P−1)²), which is what leaves all three benchmark
+// models whole at P = 2 — while the chain, with no parallelism of its own, is
+// cut as soon as there are two workers. The verdict only grows with P, a piece
+// never weighs less than a dispatch, and a Marginalize is cut only where its
+// pieces dwarf the separator they each reduce into.
+func TestSplitRule(t *testing.T) {
+	chainTree, err := jtree.Random(jtree.RandomConfig{N: 24, Width: 14, States: 2, Degree: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, small := benchModel(t, 40, 3)
+	_, mid := benchModel(t, 60, 4)
+	_, wide := benchModel(t, 60, 5)
 	for _, tc := range []struct {
 		name string
-		tree *jtree.Tree
-		δ    int
-	}{{"small40", smallTree, 400}, {"mid60", midTree, 1000}, {"wide60", wideTree, 18896}} {
-		if got := AutoThreshold(tc.tree); got != tc.δ {
-			t.Errorf("%s: automatic δ = %d, want %d", tc.name, got, tc.δ)
+		g    *taskgraph.Graph
+		// tasks cut at P = 1, 2, 4, 8, 16
+		cut [5]int
+	}{
+		{"small40", small, [5]int{0, 0, 0, 0, 0}}, // no table reaches four dispatches
+		{"mid60", mid, [5]int{0, 0, 36, 36, 36}},
+		{"wide60", wide, [5]int{0, 0, 79, 79, 79}},
+		{"chain", taskgraph.Build(chainTree), [5]int{0, 138, 138, 138, 138}},
+	} {
+		g := tc.g
+		par := g.TotalWeight() / g.CriticalPathWeight()
+		if tc.name == "chain" && par > 1.01 {
+			t.Fatalf("chain: W/CP = %.2f, want a graph with no parallelism", par)
 		}
+		var prev []int32
+		for i, p := range []int{1, 2, 4, 8, 16} {
+			pieces := Split(g, p)
+			if again := Split(g, p); len(pieces) > 0 && &again[0] != &pieces[0] {
+				t.Errorf("%s P=%d: the verdict is not cached on the graph", tc.name, p)
+			}
+			cut := 0
+			for id, n := range pieces {
+				if n < 2 {
+					if n != 0 {
+						t.Errorf("%s P=%d: task %d has piece count %d", tc.name, p, id, n)
+					}
+					continue
+				}
+				cut++
+				task := &g.Tasks[id]
+				if int(n) > p || task.Weight/float64(n) < DispatchEntries {
+					t.Errorf("%s P=%d: %s cut into %d pieces", tc.name, p, task, n)
+				}
+				if task.Kind == taskgraph.Marginalize && task.Weight/float64(n) < 4*float64(g.SepSize(id)) {
+					t.Errorf("%s P=%d: %s cut into %d pieces over a %d-entry separator", tc.name, p, task, n, g.SepSize(id))
+				}
+				if prev != nil && n < prev[id] {
+					t.Errorf("%s P=%d: %s cut into %d pieces, %d with fewer workers", tc.name, p, task, n, prev[id])
+				}
+			}
+			if cut != tc.cut[i] {
+				t.Errorf("%s P=%d (W/CP %.2f): %d tasks cut, want %d", tc.name, p, par, cut, tc.cut[i])
+			}
+			if covered := par >= math.Max(float64(p), float64((p-1)*(p-1))); (p == 1 || covered) && pieces != nil {
+				t.Errorf("%s P=%d (W/CP %.2f): verdict %v, want nil", tc.name, p, par, pieces)
+			}
+			if pieces == nil && prev != nil {
+				t.Errorf("%s P=%d: nothing cut, but %v with fewer workers", tc.name, p, prev)
+			}
+			prev = pieces
+		}
+	}
+	if Split(&taskgraph.Graph{}, 8) != nil {
+		t.Error("an empty graph has a verdict")
 	}
 }
 
-// TestAutoThresholdNeverSplitsSmall40: at the floored δ no table of the
-// small model is partitionable, under either parallel scheduler at P=16.
+// TestAutoThresholdNeverSplitsSmall40: left to the rule, no table of the small
+// model is partitioned, under either parallel scheduler at P=16.
 func TestAutoThresholdNeverSplitsSmall40(t *testing.T) {
-	tr, g := benchModel(t, 40, 3)
+	_, g := benchModel(t, 40, 3)
 	for name, pol := range policies {
 		st, err := g.NewState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := pol.run(st, Options{Workers: 16, Threshold: AutoThreshold(tr)})
+		m, err := pol.run(st, Options{Workers: 16, Threshold: ThresholdAuto})
 		if err != nil {
 			t.Fatal(err)
 		}

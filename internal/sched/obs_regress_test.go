@@ -60,7 +60,7 @@ func TestPartitionRoundRobinWrapAround(t *testing.T) {
 	// Two increments below the wrap point: the pieces pushed here walk the
 	// cursor across ^uint64(0) → 0.
 	r.rr = ^uint64(0) - 2
-	r.partition(0, task, st.PartitionSize(task))
+	r.partition(0, task, st.PartitionSize(task), snapStep(δ, g.Tasks[task].Grain))
 	if r.rr < 3 {
 		// The cursor must actually have wrapped for this test to bite.
 		t.Logf("cursor wrapped to %d", r.rr)

@@ -8,10 +8,11 @@
 //     smallest weight counter (load balancing);
 //   - Fetch: the worker pops the head of its own local ready list;
 //   - Partition: a fetched task whose potential table exceeds the threshold
-//     δ is split into subtasks T̂1…T̂n over disjoint index ranges — T̂1 runs
-//     inline, T̂2…T̂n−1 are spread evenly across the local lists, and the
-//     combining subtask T̂n (which inherits T's successors) fires once all
-//     pieces complete;
+//     δ — or, with no δ configured, one that Split says the graph needs cut
+//     to occupy P workers — is split into subtasks T̂1…T̂n over disjoint
+//     index ranges: T̂1 runs inline, T̂2…T̂n−1 are spread evenly across the
+//     local lists, and the combining subtask T̂n (which inherits T's
+//     successors) fires once all pieces complete;
 //   - Execute: the node-level primitive (or piece of one) runs.
 //
 // There is no dedicated scheduler thread — scheduling work is performed
@@ -52,8 +53,9 @@ type Options struct {
 	// it in favor of the pool's own size.
 	Workers int
 	// Threshold is δ: a task whose partitionable table has more entries
-	// than this is split. 0 disables task partitioning (as in the paper's
-	// Fig. 5 experiments).
+	// than this is split into pieces of δ entries, the paper's fixed rule.
+	// 0 disables task partitioning (as in the paper's Fig. 5 experiments);
+	// ThresholdAuto splits what Split decides for this graph on this pool.
 	Threshold int
 	// Trace records a per-worker execution timeline in Metrics.Trace
 	// (small constant overhead per executed item).
@@ -108,7 +110,7 @@ type Metrics struct {
 	Workers   []WorkerMetrics
 	Elapsed   time.Duration
 	Tasks     int // original graph tasks completed
-	Pieces    int // partitioned pieces executed (0 when Threshold == 0)
+	Pieces    int // partitioned pieces executed (0 when nothing was split)
 	Partition int // tasks that were partitioned
 	Steals    int // items of this run taken from another worker's list (stealing pools only)
 	// Trace is the execution timeline (nil unless Options.Trace).
@@ -121,17 +123,18 @@ type item struct {
 	r      *run
 	task   int
 	lo, hi int
-	buf    *potential.Potential // private buffer for marginalize pieces
+	buf    *potential.Potential // private buffer of a marginalize piece after the first
 	comb   *combiner            // set on pieces of a partitioned task
 	isComb bool                 // set on the combining subtask T̂n
 	weight int64
 }
 
-// combiner tracks the outstanding pieces of one partitioned task.
+// combiner tracks the outstanding pieces of one partitioned task. bufs holds
+// the private buffers of pieces 2…n in piece order; partition fills it before
+// any piece is queued, and only the combining subtask reads it.
 type combiner struct {
 	task    int
 	pending int32
-	mu      sync.Mutex
 	bufs    []*potential.Potential
 }
 
@@ -370,6 +373,7 @@ type run struct {
 	g         *taskgraph.Graph
 	opts      Options
 	ctx       context.Context
+	split     []int32 // Split's piece counts under ThresholdAuto, nil: nothing is cut
 	deps      []int32
 	p         *Pool // the lists the run's items queue on, and their gauges
 	remaining int64 // original tasks not yet complete
@@ -418,6 +422,9 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		metrics:   make([]WorkerMetrics, len(p.lists)),
 		done:      make(chan struct{}),
 		labels:    newLabelSet(opts.Ctx, opts.QueryID),
+	}
+	if opts.Threshold < 0 {
+		r.split = Split(g, len(p.lists))
 	}
 	start := time.Now()
 	r.start = start
@@ -518,9 +525,8 @@ func (r *run) process(w int, it item) {
 	switch {
 	case it.comb == nil:
 		// Lines 12–18: partition large tasks, execute small ones whole.
-		size := r.st.PartitionSize(it.task)
-		if r.opts.Threshold > 0 && size > r.opts.Threshold {
-			r.partition(w, it.task, size)
+		if size, step := r.pieceStep(it.task); step > 0 {
+			r.partition(w, it.task, size, step)
 			return
 		}
 	case !it.isComb:
@@ -575,32 +581,55 @@ func (r *run) execute(w int, it item) bool {
 	return false
 }
 
-// partition splits task id into pieces of a snapped step ≥ δ (line 13): the
-// first piece runs inline, the rest are spread evenly over the local lists,
-// and a combiner item fires when the last piece finishes.
-func (r *run) partition(w int, id, size int) {
+// pieceStep is the Partition module's test (line 12): it returns the task's
+// partitionable size and the piece length it is to be cut into, 0 when it
+// runs whole. Under a fixed δ every task larger than δ is cut into pieces of
+// δ; under ThresholdAuto the tasks Split names are cut into that many equal
+// pieces. Either length is snapped to the task's kernel grain.
+func (r *run) pieceStep(id int) (size, step int) {
+	switch δ := r.opts.Threshold; {
+	case δ > 0:
+		if size = r.st.PartitionSize(id); size > δ {
+			step = snapStep(δ, r.g.Tasks[id].Grain)
+		}
+	case r.split != nil && r.split[id] > 1:
+		size = r.st.PartitionSize(id)
+		n := int(r.split[id])
+		if step = snapStep((size+n-1)/n, r.g.Tasks[id].Grain); step >= size {
+			step = 0 // snapping left one piece
+		}
+	}
+	return size, step
+}
+
+// partition splits task id into pieces of step entries (line 13): the first
+// piece runs inline and reduces straight into the task's destination, the
+// rest are spread evenly over the local lists with a private buffer each, and
+// a combiner item fires when the last piece finishes. The buffers come as
+// they are — each piece clears its own when it executes — so the Overhead
+// window here is queueing alone.
+func (r *run) partition(w int, id, size, step int) {
 	tPart := time.Now()
-	step := snapStep(r.opts.Threshold, r.g.Tasks[id].Grain)
 	n := (size + step - 1) / step
 	comb := &combiner{task: id, pending: int32(n)}
 	atomic.AddInt64(&r.parted, 1)
 	r.p.gauges.worker(w).partitions.Add(1)
-	var first item
-	for k := 0; k < n; k++ {
+	for k := 1; k < n; k++ {
 		lo := k * step
-		hi := lo + step
-		if hi > size {
-			hi = size
-		}
+		hi := min(lo+step, size)
 		it := item{r: r, task: id, lo: lo, hi: hi, comb: comb,
 			weight: pieceWeight(r.g.Tasks[id].Weight, hi-lo, size),
 			buf:    r.st.NewPartialBuffer(id)}
-		if k == 0 {
-			first = it
-			continue
+		if it.buf != nil {
+			// Only the combiner reads bufs, and it cannot fire before the
+			// first piece, run below, has finished.
+			comb.bufs = append(comb.bufs, it.buf)
 		}
 		r.p.push(int(atomic.AddUint64(&r.rr, 1)%uint64(len(r.p.lists))), it)
 	}
+	hi := min(step, size)
+	first := item{r: r, task: id, lo: 0, hi: hi, comb: comb,
+		weight: pieceWeight(r.g.Tasks[id].Weight, hi, size)}
 	r.metrics[w].Overhead += time.Since(tPart)
 	r.runPiece(w, first)
 }
@@ -641,11 +670,6 @@ func (r *run) runPiece(w int, it item) {
 		return
 	}
 	c := it.comb
-	if it.buf != nil {
-		c.mu.Lock()
-		c.bufs = append(c.bufs, it.buf)
-		c.mu.Unlock()
-	}
 	if atomic.AddInt32(&c.pending, -1) == 0 {
 		// This worker finished the last piece: it runs T̂n itself.
 		r.process(w, item{r: r, task: c.task, hi: -1, comb: c, isComb: true,

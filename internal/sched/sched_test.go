@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -352,6 +353,69 @@ func testManyRunsStable(t *testing.T, pol policy) {
 			t.Fatal(err)
 		}
 		compareStates(t, "trial", ref, st, tr.N())
+	}
+}
+
+// TestPartitionedRunsBitIdentical: a partitioned run leaves the same bits in
+// every clique and separator table each time it is repeated, whichever
+// workers ran its pieces and in whatever order they finished — under a fixed δ
+// and under the rule, at two and at four workers, on both pools, in both
+// semirings. The partial buffers of a cut Marginalize are combined in piece
+// order; when they were combined in completion order, about half of the
+// repeats of a sum-product run differed from the first in their last bits.
+func TestPartitionedRunsBitIdentical(t *testing.T) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 12, Width: 12, States: 2, Degree: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(6); err != nil {
+		t.Fatal(err)
+	}
+	g := taskgraph.Build(tr)
+	const runs = 40
+	for name, pol := range policies {
+		for _, workers := range []int{2, 4} {
+			pool, err := pol.newPool(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
+				for _, δ := range []int{512, ThresholdAuto} {
+					st, err := g.NewStateMode(mode)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var first [][]float64
+					for run := 0; run < runs; run++ {
+						st.Reset(mode)
+						m, err := pool.Run(st, Options{Threshold: δ})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if (δ > 0 || Split(g, workers) != nil) && (m.Partition == 0 || m.Pieces < 2*m.Partition) {
+							t.Fatalf("%s P=%d %v δ=%d: %d tasks cut into %d pieces", name, workers, mode, δ, m.Partition, m.Pieces)
+						}
+						tables := append(append([]*potential.Potential{}, st.Clique...), st.Sep...)
+						for i, p := range tables {
+							if p == nil {
+								p = &potential.Potential{} // the root has no separator
+							}
+							if run == 0 {
+								first = append(first, append([]float64(nil), p.Data...))
+								continue
+							}
+							for j, v := range p.Data {
+								if math.Float64bits(v) != math.Float64bits(first[i][j]) {
+									t.Fatalf("%s P=%d %v δ=%d: run %d table %d entry %d is %x, first run %x",
+										name, workers, mode, δ, run, i, j, math.Float64bits(v), math.Float64bits(first[i][j]))
+								}
+							}
+						}
+					}
+				}
+			}
+			pool.Close()
+		}
 	}
 }
 

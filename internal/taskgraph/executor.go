@@ -13,18 +13,21 @@ import "evprop/internal/potential"
 //   - Graph() is immutable for the lifetime of the run.
 //   - Execute(id) runs one task to completion.
 //   - PartitionSize(id) is the length of the index range ExecutePiece
-//     accepts for the task; a task is partitionable when it exceeds the
-//     scheduler's δ threshold. Implementations return 1 (or any value ≤ δ)
-//     for tasks that must never be split.
-//   - ExecutePiece(id, lo, hi, buf) runs the [lo,hi) slice of the task.
-//     buf is the piece's private partial-result buffer for reduction tasks
-//     (marginalize), nil for in-place tasks.
-//   - NewPartialBuffer(id) returns a zeroed reduction buffer for one piece
-//     of the task, or nil when the task reduces nothing and pieces may run
-//     in place.
-//   - Combine(id, bufs) folds the partial buffers of a partitioned task
-//     into its destination; it is called exactly once per partitioned task,
-//     after every piece completed, with the buffers in completion order.
+//     accepts for the task; the scheduler's Partition module splits that
+//     range. Implementations return 1 for tasks that must never be split.
+//   - ExecutePiece(id, lo, hi, buf) runs the [lo,hi) slice of the task. For a
+//     reduction task (marginalize) the piece's partial result replaces the
+//     contents of buf — the piece clears buf itself — and a nil buf stands
+//     for the task's own destination, which the first piece of a partitioned
+//     task writes directly. In-place tasks ignore buf.
+//   - NewPartialBuffer(id) returns a reduction buffer (contents undefined)
+//     for one piece of the task after the first, or nil when the task reduces
+//     nothing and pieces run in place.
+//   - Combine(id, bufs) folds the partial buffers of a partitioned task's
+//     second to last pieces, in piece order, into the destination its first
+//     piece wrote; it is called exactly once per partitioned task, after
+//     every piece completed. The fixed order is what makes a partitioned sum
+//     bit-identical from run to run.
 //   - RunSerial() executes the whole graph on the calling goroutine in
 //     topological order.
 //

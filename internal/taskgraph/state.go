@@ -66,10 +66,10 @@ type State struct {
 }
 
 // scratch is the run-lifetime half of a State. Nothing in it carries over
-// from one run to the next — Marginalize zeroes sepNew before accumulating,
-// Extend overwrites the temp buffers before Multiply reads them, partial
-// buffers are zeroed when handed out — so a scratch serves any state of its
-// graph, in either semiring, without being cleared.
+// from one run to the next — a Marginalize, whole or piece, clears the buffer
+// it reduces into before accumulating, Extend overwrites the temp buffers
+// before Multiply reads them — so a scratch serves any state of its graph, in
+// either semiring, without being cleared.
 type scratch struct {
 	// sepNew[c] receives the freshly marginalized ψ*S, then holds the
 	// ratio ψ*S/ψS after the Divide step.
@@ -248,18 +248,6 @@ func (st *State) Mode() Mode { return st.mode }
 
 // Execute runs the whole task (no partitioning).
 func (st *State) Execute(id int) error {
-	sc := st.run
-	if sc == nil {
-		return ErrScratchReleased
-	}
-	t := &st.g.Tasks[id]
-	if t.Kind == Marginalize {
-		dst := sc.sepNew[t.Edge]
-		for i := range dst.Data {
-			dst.Data[i] = 0
-		}
-		return st.ExecutePiece(id, 0, st.PartitionSize(id), dst)
-	}
 	return st.ExecutePiece(id, 0, st.PartitionSize(id), nil)
 }
 
@@ -280,11 +268,14 @@ func (st *State) PartitionSize(id int) int {
 	return 0
 }
 
-// NewPartialBuffer returns a zeroed private accumulation buffer for a piece
-// of a Marginalize task, and nil for every other kind (their pieces write
-// disjoint output ranges and need no buffer). Buffers recycled by an
-// earlier Combine on the same edge are reused before allocating; the method
-// is safe for concurrent use by workers partitioning different tasks.
+// NewPartialBuffer returns a private accumulation buffer for a piece of a
+// Marginalize task, and nil for every other kind (their pieces write disjoint
+// output ranges and need no buffer). Its contents are whatever the last run
+// left there: the piece that receives it clears it (ExecutePiece), so the
+// clearing is done by the worker that is about to write the buffer anyway and
+// not by the one that splits the task. Buffers recycled by an earlier Combine
+// on the same edge are reused before allocating; the method is safe for
+// concurrent use by workers partitioning different tasks.
 func (st *State) NewPartialBuffer(id int) *potential.Potential {
 	t := &st.g.Tasks[id]
 	if t.Kind != Marginalize {
@@ -297,9 +288,6 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 			free[len(free)-1] = nil
 			sc.bufFree[t.Edge] = free[:len(free)-1]
 			sc.bufMu.Unlock()
-			for i := range b.Data {
-				b.Data[i] = 0
-			}
 			return b
 		}
 		sc.bufMu.Unlock()
@@ -307,9 +295,12 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 	return st.Sep[t.Edge].CloneZero()
 }
 
-// ExecutePiece runs the [lo,hi) slice of the task. For Marginalize, buf is
-// the accumulation target (a private buffer from NewPartialBuffer, or the
-// shared sepNew buffer when running unpartitioned); other kinds ignore buf.
+// ExecutePiece runs the [lo,hi) slice of the task. A Marginalize piece
+// replaces the contents of buf with its partial result: it clears buf, then
+// reduces its slice of the source clique into it. A nil buf stands for the
+// task's own destination, the edge's sepNew buffer — which is how a whole
+// task, and the first piece of a partitioned one, write it directly. Other
+// kinds ignore buf.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	sc := st.run
 	if sc == nil {
@@ -319,8 +310,9 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	switch t.Kind {
 	case Marginalize:
 		if buf == nil {
-			return fmt.Errorf("taskgraph: marginalize piece without buffer")
+			buf = sc.sepNew[t.Edge]
 		}
+		clear(buf.Data)
 		if st.mode == MaxProduct {
 			return st.Clique[t.Source].MaxMarginalInto(buf, lo, hi)
 		}
@@ -342,11 +334,12 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	return fmt.Errorf("taskgraph: unknown kind %v", t.Kind)
 }
 
-// Combine finishes a partitioned Marginalize: it zeroes the shared sepNew
-// buffer, adds every private piece buffer into it, and returns the piece
-// buffers to the edge's free list for a later partitioning of either pass
-// over the same edge. For other kinds it is a no-op (their pieces already
-// wrote the output).
+// Combine finishes a partitioned Marginalize: the first piece reduced straight
+// into the shared sepNew buffer, and Combine adds the private buffers of the
+// remaining pieces to it in the order given — piece order, so the sum is
+// associated the same way on every run — then returns them to the edge's free
+// list for a later partitioning of either pass over the same edge. For other
+// kinds it is a no-op (their pieces already wrote the output).
 func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	t := &st.g.Tasks[id]
 	if t.Kind != Marginalize {
@@ -357,9 +350,6 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 		return ErrScratchReleased
 	}
 	dst := sc.sepNew[t.Edge]
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
 	for _, b := range bufs {
 		if st.mode == MaxProduct {
 			if err := dst.MaxWith(b); err != nil {

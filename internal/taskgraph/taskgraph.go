@@ -109,10 +109,11 @@ type Task struct {
 
 // Graph is the full task dependency graph for one junction tree. It is
 // immutable once built: the first TopoOrder or TotalWeight call caches what
-// it derives from Tasks, and every run of the graph reads that cache. It also
-// owns the pool of run scratch its States draw from (see State): scratch is
-// shaped by the tree's edges alone, so one pool serves every state of the
-// graph, sum- or max-product, from any number of goroutines.
+// it derives from Tasks, PieceCounts caches one partition verdict per worker
+// count, and every run of the graph reads those caches. It also owns the pool of run scratch its States draw
+// from (see State): scratch is shaped by the tree's edges alone, so one pool
+// serves every state of the graph, sum- or max-product, from any number of
+// goroutines.
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
@@ -121,6 +122,8 @@ type Graph struct {
 	order    []int   // topological order, nil when the graph has a cycle
 	orderErr error   // the cycle, if any
 	weight   float64 // sum of task weights
+
+	pieces sync.Map // worker count → []int32, see PieceCounts
 
 	scratchPool sync.Pool // of *scratch
 }
@@ -278,24 +281,64 @@ func (g *Graph) TotalWeight() float64 {
 // CriticalPathWeight returns the weight of the heaviest dependency chain,
 // the lower bound on any schedule's makespan in weight units.
 func (g *Graph) CriticalPathWeight() float64 {
-	order, _ := g.TopoOrder()
-	longest := make([]float64, len(g.Tasks))
+	_, down := g.ChainWeights()
 	best := 0.0
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		t := &g.Tasks[id]
-		m := 0.0
-		for _, s := range t.Succs {
-			if longest[s] > m {
-				m = longest[s]
-			}
-		}
-		longest[id] = t.Weight + m
-		if longest[id] > best {
-			best = longest[id]
-		}
+	for _, w := range down {
+		best = max(best, w)
 	}
 	return best
+}
+
+// ChainWeights returns, per task, the weight of the heaviest dependency chain
+// that ends with the task (up) and of the heaviest that starts with it (down),
+// the task's own weight included in both: up[id]+down[id]−Weight is the
+// longest path through the task, and the largest down is CriticalPathWeight.
+// Both are nil when the graph has a cycle.
+func (g *Graph) ChainWeights() (up, down []float64) {
+	order, err := g.TopoOrder()
+	if err != nil {
+		return nil, nil
+	}
+	up = make([]float64, len(g.Tasks))
+	down = make([]float64, len(g.Tasks))
+	for _, id := range order {
+		up[id] += g.Tasks[id].Weight
+		for _, s := range g.Tasks[id].Succs {
+			up[s] = max(up[s], up[id])
+		}
+	}
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
+		for _, s := range g.Tasks[id].Succs {
+			down[id] = max(down[id], down[s])
+		}
+		down[id] += g.Tasks[id].Weight
+	}
+	return up, down
+}
+
+// SepSize returns the number of entries of the separator on the task's tree
+// edge — the size of the buffer a Marginalize over that edge reduces into —
+// or 0 on a hand-built graph that has no tree.
+func (g *Graph) SepSize(id int) int {
+	if g.Tree == nil {
+		return 0
+	}
+	return g.Tree.Cliques[g.Tasks[id].Edge].SepSize()
+}
+
+// PieceCounts returns the graph's partition verdict for the given worker
+// count: per task, the number of pieces it is split into (below 2: it runs
+// whole), or nil when no task is split. The verdict is rule(g, workers),
+// evaluated once per worker count and kept with the graph, so rule must be a
+// pure function of the two; the scheduler's sched.Split is the one rule in
+// use, and the slice is shared by every run and must not be modified.
+func (g *Graph) PieceCounts(workers int, rule func(g *Graph, workers int) []int32) []int32 {
+	v, ok := g.pieces.Load(workers)
+	if !ok {
+		v, _ = g.pieces.LoadOrStore(workers, rule(g, workers))
+	}
+	return v.([]int32)
 }
 
 // TopoOrder returns a topological order of the tasks, or an error if the

@@ -215,6 +215,62 @@ func TestWeights(t *testing.T) {
 	}
 }
 
+// TestChainWeightsAndPieceCounts: a chain tree is one dependency chain, so the
+// heaviest chain through every task is the whole graph; a branching tree's
+// chains are bounded by the critical path and reach it somewhere. SepSize
+// reads the edge's separator off the tree, and PieceCounts evaluates its rule
+// once per worker count.
+func TestChainWeightsAndPieceCounts(t *testing.T) {
+	g := Build(chainTree(t, 4))
+	up, down := g.ChainWeights()
+	for id := range g.Tasks {
+		w := g.Tasks[id].Weight
+		if through := up[id] + down[id] - w; math.Abs(through-g.TotalWeight()) > 1e-9 {
+			t.Errorf("%s: chain through it weighs %v of %v", &g.Tasks[id], through, g.TotalWeight())
+		}
+		if got, want := g.SepSize(id), g.Tree.Cliques[g.Tasks[id].Edge].SepSize(); got != want {
+			t.Errorf("%s: separator %d, tree says %d", &g.Tasks[id], got, want)
+		}
+	}
+	tr, err := jtree.Random(jtree.RandomConfig{N: 30, Width: 5, States: 3, Degree: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = Build(tr)
+	up, down = g.ChainWeights()
+	longest := 0.0
+	for id := range g.Tasks {
+		through := up[id] + down[id] - g.Tasks[id].Weight
+		if through > g.CriticalPathWeight()+1e-9 {
+			t.Errorf("%s: chain %v exceeds the critical path %v", &g.Tasks[id], through, g.CriticalPathWeight())
+		}
+		longest = max(longest, through)
+	}
+	if math.Abs(longest-g.CriticalPathWeight()) > 1e-9 {
+		t.Errorf("heaviest chain %v, critical path %v", longest, g.CriticalPathWeight())
+	}
+	if (&Graph{Tasks: []Task{{Weight: 1}}}).SepSize(0) != 0 {
+		t.Error("a hand-built graph has a separator")
+	}
+
+	calls := 0
+	rule := func(g *Graph, workers int) []int32 {
+		calls++
+		if workers < 2 {
+			return nil
+		}
+		return make([]int32, g.N())
+	}
+	for i := 0; i < 3; i++ {
+		if g.PieceCounts(1, rule) != nil || len(g.PieceCounts(4, rule)) != g.N() {
+			t.Fatal("PieceCounts does not return its rule's verdict")
+		}
+	}
+	if calls != 2 {
+		t.Errorf("rule evaluated %d times for two worker counts", calls)
+	}
+}
+
 // TestGrains pins the split-alignment contract Build hands the scheduler:
 // Marginalize and Extend carry the constant-run length of their clique ⊇
 // separator alignment (recomputed here from the domains), while Divide and
@@ -474,7 +530,12 @@ func TestPartitionedExecutionMatchesSerial(t *testing.T) {
 			if hi > size {
 				hi = size
 			}
-			buf := parted.NewPartialBuffer(id)
+			// The first piece reduces straight into the task's destination,
+			// the others into a private buffer each, combined in piece order.
+			var buf *potential.Potential
+			if lo > 0 {
+				buf = parted.NewPartialBuffer(id)
+			}
 			if err := parted.ExecutePiece(id, lo, hi, buf); err != nil {
 				t.Fatalf("task %s piece [%d,%d): %v", &g.Tasks[id], lo, hi, err)
 			}
