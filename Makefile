@@ -29,9 +29,10 @@ race:
 # The two tests whose verdict once depended on how a run happened to be
 # scheduled — the Fig. 8 overhead share of a real pool run, and the bits a
 # partitioned sum leaves behind — forty times over, without the race detector
-# (whose slowdown hides both). A flake here is a bug, not noise.
+# (whose slowdown hides both), plus the deterministic reproducer of the span
+# arena's recycle window. A flake here is a bug, not noise.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical' ./internal/obs ./internal/sched
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestStaleHandleRefusedWhileRecycling' ./internal/obs ./internal/obs/trace ./internal/sched
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -39,10 +40,11 @@ bench:
 bench-serving:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkMutexSerializedQuery|BenchmarkCachedQuery|BenchmarkSingleflightStorm|BenchmarkPropagateSmall' -benchtime 2s -cpu 4 .
 
-# Per-primitive kernel timings (blocked vs scalar, median-of-5 ns/entry at
-# small/medium/large cardinalities), recorded in BENCH_kernels.json. The
-# README perf table and the ≥2× blocked-vs-scalar acceptance numbers come
-# from this file.
+# Per-primitive kernel timings (compiled plan vs run-only plan vs scalar,
+# median-of-5 ns/entry, on long-run shapes and on the drop-one-variable shapes
+# of the benchmark's junction trees), recorded with the host's provenance in
+# BENCH_kernels.json. The README perf table comes from this file; the tool
+# exits non-zero when a short-run shape costs more than twice a long-run one.
 bench-kernels:
 	$(GO) run ./cmd/evkernels -iters 5 -out BENCH_kernels.json
 
@@ -68,10 +70,11 @@ bench-check:
 	$(GO) run -C benchmark . --workload all --seed 1 --out /tmp/evprop-bench-e2e.json
 	$(GO) run -C benchmark . --compare $(CURDIR)/BENCH_e2e.json /tmp/evprop-bench-e2e.json
 
-# One-iteration smoke of the kernel bench harness: validates the tool runs
-# and emits well-formed JSON without spending benchmarking time.
+# Short run of the kernel bench harness: validates that the tool runs, emits
+# well-formed JSON and — its exit status — that no short-run shape costs more
+# than twice the long-run shape per entry, without spending benchmarking time.
 smoke-kernels:
-	@$(GO) run ./cmd/evkernels -iters 1 -min-entries 262144 -out /tmp/evkernels-smoke.json
+	@$(GO) run ./cmd/evkernels -iters 3 -min-entries 262144 -out /tmp/evkernels-smoke.json
 	@grep -q '"speedup"' /tmp/evkernels-smoke.json || { echo "smoke-kernels: no results"; exit 1; }
 	@echo "smoke-kernels: ok"
 

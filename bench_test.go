@@ -27,7 +27,7 @@ import (
 // BenchmarkFig5Rerooting regenerates Fig. 5 and reports the 8-core
 // rerooting speedup of the widest template (b=8).
 func BenchmarkFig5Rerooting(b *testing.B) {
-	cm := machine.Default()
+	cm := machine.Xeon()
 	var last float64
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig5(cm)
@@ -61,7 +61,7 @@ func BenchmarkRerootingAlgorithm1(b *testing.B) {
 // ratio t(16)/t(4) of Junction tree 1 (must exceed 1: the distributed
 // baseline slows down beyond 4 processors).
 func BenchmarkFig6PNLBaseline(b *testing.B) {
-	cm := machine.Default()
+	cm := machine.Xeon()
 	var ratio float64
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig6(cm)
@@ -77,7 +77,7 @@ func BenchmarkFig6PNLBaseline(b *testing.B) {
 // BenchmarkFig7Methods regenerates Fig. 7 and reports the three 8-core
 // speedups for Junction tree 1.
 func BenchmarkFig7Methods(b *testing.B) {
-	cm := machine.Default()
+	cm := machine.Xeon()
 	at8 := map[string]float64{}
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig7(cm)
@@ -98,7 +98,7 @@ func BenchmarkFig7Methods(b *testing.B) {
 // BenchmarkFig8LoadBalance regenerates Fig. 8 and reports the worst
 // per-thread scheduling-overhead percentage at 8 threads (paper: ≤ 0.9 %).
 func BenchmarkFig8LoadBalance(b *testing.B) {
-	cm := machine.Default()
+	cm := machine.Xeon()
 	var worst float64
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig8(cm)
@@ -120,7 +120,7 @@ func BenchmarkFig8LoadBalance(b *testing.B) {
 // 8-core speedup over all parameter settings except the small-table
 // (wC=10, r=2) case the paper also excludes.
 func BenchmarkFig9Parameters(b *testing.B) {
-	cm := machine.Default()
+	cm := machine.Xeon()
 	var minSp float64
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig9(cm)

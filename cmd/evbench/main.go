@@ -55,7 +55,9 @@ func main() {
 		return
 	}
 
-	cm := machine.Default()
+	// The paper's figures are regenerated under the model of the paper's
+	// platform; only the granularity table is about the host (machine.Default).
+	cm := machine.Xeon()
 	run := func(name string, f func() error) {
 		if *fig != "all" && *fig != name {
 			return
@@ -184,7 +186,7 @@ func main() {
 		return nil
 	})
 	run("granularity", func() error {
-		r, err := experiments.Granularity(cm)
+		r, err := experiments.Granularity(machine.Default())
 		if err != nil {
 			return err
 		}

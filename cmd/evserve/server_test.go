@@ -30,10 +30,11 @@ func testServerFull(t *testing.T, opts evprop.Options) (*httptest.Server, *serve
 	return testServerNet(t, evprop.Asia(), opts)
 }
 
-// poolNetwork is a model whose task graph's mean task (893 entries) is dearer
-// than one dispatch, so at two workers its propagations go to the pool; every
-// graph of Asia runs inline. Its variables are named A, B, C, ….
-func poolNetwork() *evprop.Network { return evprop.RandomNetwork(60, 2, 4, 7) }
+// poolNetwork is a model whose task graph's mean task (12 902 entries, the
+// load benchmark's wide60) is dearer than one dispatch, so at two workers its
+// propagations go to the pool; every graph of Asia runs inline. Its variables
+// are named A, B, C, ….
+func poolNetwork() *evprop.Network { return evprop.RandomNetwork(60, 2, 5, 7) }
 
 // testServerNet is testServerFull over an arbitrary default model.
 func testServerNet(t *testing.T, net *evprop.Network, opts evprop.Options) (*httptest.Server, *server) {

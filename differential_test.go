@@ -280,7 +280,7 @@ func TestLazyPruningActuallyFires(t *testing.T) {
 	if stats.Flops >= stats.FlopsFull {
 		t.Fatalf("lazy flops %d not below eager %d", stats.Flops, stats.FlopsFull)
 	}
-	if stats.TasksRun+stats.TasksSkipped != 8*int64(len(eng.inner.Tree().Cliques)-1) {
+	if stats.TasksRun+stats.TasksSkipped != 6*int64(len(eng.inner.Tree().Cliques)-1) {
 		t.Fatalf("task accounting inconsistent: %+v", stats)
 	}
 	// Replay determinism: a second cold propagation of the same evidence

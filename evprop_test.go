@@ -223,7 +223,7 @@ func TestPartitionThresholdModes(t *testing.T) {
 			t.Fatalf("threshold %d: %v", thr, err)
 		}
 		// Of the four, only δ=2 is below Asia's 4- and 8-entry tables: off,
-		// the automatic rule (no piece under one dispatch, 400 entries) and
+		// the automatic rule (no piece under one dispatch, 1000 entries) and
 		// 1000 split none.
 		if rep := eng.SchedulerReport(); rep.PoolRuns != 1 || (rep.Partitioned > 0) != (thr == 2) {
 			t.Errorf("threshold %d: %d pool runs, %d tasks partitioned", thr, rep.PoolRuns, rep.Partitioned)
@@ -240,12 +240,13 @@ func TestPartitionThresholdModes(t *testing.T) {
 
 // TestAutoThresholdFloor: automatic partitioning makes no piece lighter than
 // the dispatch that delivers it, so the 40-node benchmark model — whose
-// 2×mean-table δ of 56 entries once split 60 of its 264 tasks into 153 pieces
-// — is never partitioned, even at a P high enough for the granularity rule to
-// dispatch it and far above what its graph can occupy.
+// 2×mean-table δ of 56 entries once split 60 of its tasks into 153 pieces — is
+// never partitioned, even at a P high enough for the granularity rule to
+// dispatch it (a mean task of 30 entries pays from 35 workers) and far above
+// what its graph can occupy.
 func TestAutoThresholdFloor(t *testing.T) {
 	for _, s := range []string{SchedulerCollaborative, SchedulerWorkStealing} {
-		eng, err := RandomNetwork(40, 2, 3, 7).Compile(Options{Workers: 16, Scheduler: s})
+		eng, err := RandomNetwork(40, 2, 3, 7).Compile(Options{Workers: 40, Scheduler: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +254,7 @@ func TestAutoThresholdFloor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m := res.Metrics(); m.Executor != "pool" || m.Workers != 16 || m.Partitioned != 0 || m.Pieces != 0 {
+		if m := res.Metrics(); m.Executor != "pool" || m.Workers != 40 || m.Partitioned != 0 || m.Pieces != 0 {
 			t.Errorf("%s: executor %q P=%d, %d tasks partitioned into %d pieces", s, m.Executor, m.Workers, m.Partitioned, m.Pieces)
 		}
 		res.Close()
@@ -777,5 +778,41 @@ func TestLearnChowLiu(t *testing.T) {
 	}
 	if _, err := LearnChowLiu([]map[string]int{{"Root": 0}}, states, 1); err == nil {
 		t.Error("accepted incomplete sample")
+	}
+}
+
+// TestSteadyStateAllocs holds the warm inline path to a fixed allocation
+// budget: one propagation of the 40-node benchmark model at the benchmark's
+// P = 2, state and scratch pooled, allocates its record, its result and a
+// handful of per-query values — nothing per task and nothing per kernel call
+// (every walk is a plan compiled once on the task graph). It was 799 when each
+// kernel call built its own aligner.
+func TestSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states at random under the race detector")
+	}
+	net := RandomNetwork(40, 2, 3, 7)
+	eng, err := net.Compile(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	vars := net.Variables()
+	ev := Evidence{vars[3]: 1, vars[17]: 0}
+	propagate := func() {
+		res, err := eng.Propagate(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := res.Metrics(); m.Executor != "inline" {
+			t.Fatalf("executor %q, want the inline path", m.Executor)
+		}
+		res.Close()
+	}
+	for i := 0; i < 8; i++ {
+		propagate() // fill the state and scratch pools
+	}
+	if allocs := testing.AllocsPerRun(200, propagate); allocs > 40 {
+		t.Errorf("%.0f allocations per pooled inline propagation, want at most 40", allocs)
 	}
 }

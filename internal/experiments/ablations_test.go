@@ -9,7 +9,7 @@ import (
 )
 
 func TestAblationAllocation(t *testing.T) {
-	r, err := AblationAllocation(machine.Default())
+	r, err := AblationAllocation(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestAblationAllocation(t *testing.T) {
 }
 
 func TestAblationThreshold(t *testing.T) {
-	r, err := AblationThreshold(machine.Default())
+	r, err := AblationThreshold(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAblationRoot(t *testing.T) {
 }
 
 func TestManyCore(t *testing.T) {
-	r, err := ManyCore(machine.Default())
+	r, err := ManyCore(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestManyCore(t *testing.T) {
 }
 
 func TestSchedulerRoster(t *testing.T) {
-	r, err := SchedulerRoster(machine.Default())
+	r, err := SchedulerRoster(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestEvidenceCountIndependence(t *testing.T) {
 }
 
 func TestCollectOnly(t *testing.T) {
-	r, err := CollectOnly(machine.Default())
+	r, err := CollectOnly(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 func TestFig5ShapesMatchPaper(t *testing.T) {
-	r, err := Fig5(machine.Default())
+	r, err := Fig5(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFig5ShapesMatchPaper(t *testing.T) {
 }
 
 func TestRerootOverheadNegligible(t *testing.T) {
-	r, err := RerootOverhead(machine.Default())
+	r, err := RerootOverhead(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestRerootOverheadNegligible(t *testing.T) {
 }
 
 func TestFig6UShape(t *testing.T) {
-	r, err := Fig6(machine.Default())
+	r, err := Fig6(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestFig6UShape(t *testing.T) {
 }
 
 func TestFig7MatchesPaperNumbers(t *testing.T) {
-	r, err := Fig7(machine.Default())
+	r, err := Fig7(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFig7MatchesPaperNumbers(t *testing.T) {
 }
 
 func TestFig8LoadBalanceAndOverhead(t *testing.T) {
-	r, err := Fig8(machine.Default())
+	r, err := Fig8(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFig8LoadBalanceAndOverhead(t *testing.T) {
 }
 
 func TestFig9LinearSpeedupsExceptSmallTables(t *testing.T) {
-	r, err := Fig9(machine.Default())
+	r, err := Fig9(machine.Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}

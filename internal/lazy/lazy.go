@@ -15,8 +15,8 @@
 //     dirty clique: a message from an undisturbed subtree is the identity
 //     ratio ψ*S/ψS = 1 and is skipped outright;
 //   - *blocks* edges whose separator is fully observed: downstream of such
-//     a separator only a scalar survives, so the Extend and Multiply tasks
-//     are dropped and the Divide task records the scalar λ instead. The
+//     a separator only a scalar survives, so the Multiply task is dropped
+//     and the Divide task records the scalar λ instead. The
 //     root's mass is repaired as P(e) = Σψroot · Πλ; every stored table is
 //     then exact up to one positive per-table scalar, which posterior
 //     normalization, calibration checks, Steiner folds and max-product
@@ -67,6 +67,9 @@ type calibration struct {
 type Prop struct {
 	tree *jtree.Tree
 	full *taskgraph.Graph
+	// walks are the full graph's compiled kernel walks, per edge: pruned
+	// graphs run over the same tree, so every lazy state shares them.
+	walks []taskgraph.EdgePlans
 
 	// cal[mode] is built by a serial eager propagation: sum-product eagerly
 	// at New (it backs every posterior query), max-product on first use.
@@ -88,7 +91,11 @@ type Prop struct {
 // sum-product tables with one serial no-evidence propagation of the full
 // graph. The tree and graph are the engine's own (never mutated here).
 func New(tree *jtree.Tree, full *taskgraph.Graph) (*Prop, error) {
-	p := &Prop{tree: tree, full: full, plans: make(map[string]*plan)}
+	walks, err := full.Plans()
+	if err != nil {
+		return nil, err
+	}
+	p := &Prop{tree: tree, full: full, walks: walks, plans: make(map[string]*plan)}
 	for i := range tree.Cliques {
 		c := &tree.Cliques[i]
 		if c.Parent < 0 {
@@ -98,8 +105,8 @@ func New(tree *jtree.Tree, full *taskgraph.Graph) (*Prop, error) {
 		child := int64(c.TableSize())
 		parent := int64(tree.Cliques[c.Parent].TableSize())
 		sep := int64(c.SepSize())
-		p.fullFlops += child + sep + 2*parent // collect M, D, E+U
-		p.fullFlops += parent + sep + 2*child // distribute M, D, E+U
+		p.fullFlops += child + sep + parent // collect M, D, U
+		p.fullFlops += parent + sep + child // distribute M, D, U
 	}
 	if err := p.ensureCal(taskgraph.SumProduct); err != nil {
 		return nil, err

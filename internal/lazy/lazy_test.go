@@ -195,18 +195,12 @@ func TestReleaseScratchChangesNoAnswer(t *testing.T) {
 			*st = s
 		}
 		ran := kept.Stats()
-		sending := 0
-		for _, b := range released.temp {
-			if b != nil {
-				sending++
-			}
-		}
-		if sending == 0 {
-			t.Fatalf("%v: the query sends no collect message, so there is nothing to release", mode)
+		if ran.MessagesSent == 0 {
+			t.Fatalf("%v: the query sends no collect message, so the run used no buffers", mode)
 		}
 		released.ReleaseScratch()
-		if released.temp != nil || released.bufFree != nil {
-			t.Fatalf("%v: released state still holds its extension buffers", mode)
+		if !released.released || released.bufFree != nil {
+			t.Fatalf("%v: released state still holds its partial buffers", mode)
 		}
 		if got := released.Stats(); got != ran {
 			t.Fatalf("%v: stats after release %+v, want %+v", mode, got, ran)

@@ -14,7 +14,7 @@ const (
 	// every dirty clique lies inside the child's subtree, so after collect
 	// the parent's separator marginal already equals the stored ψ*S.
 	edgeSkip = iota
-	// edgeSend: a full 4-task message.
+	// edgeSend: a full 3-task message.
 	edgeSend
 	// edgeBlock: every separator variable is hard-observed, so at most one
 	// separator entry is non-zero and the message is a scalar. Collect runs
@@ -31,8 +31,8 @@ type edgePlan struct {
 	dist    int8
 	// obsIdx is the separator index selected by the evidence on a blocked
 	// edge — where the lone surviving ratio entry (λ) lives.
-	obsIdx         int
-	cm, cd, ce, cu int
+	obsIdx     int
+	cm, cd, cu int
 }
 
 // hull is the contiguous non-zero block [lo, lo+span) that hard evidence
@@ -63,7 +63,7 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 		hulls: make([]hull, n),
 	}
 	for i := range pl.edges {
-		pl.edges[i] = edgePlan{cm: -1, cd: -1, ce: -1, cu: -1}
+		pl.edges[i] = edgePlan{cm: -1, cd: -1, cu: -1}
 	}
 
 	// Dirty cliques: every clique containing a hard-observed variable (all
@@ -187,10 +187,8 @@ func (p *Prop) buildPlan(ev potential.Evidence, like potential.Likelihood) *plan
 		pl.sent++
 		parentSize := float64(t.Cliques[par].TableSize())
 		parentGrain := potential.PartitionGrain(t.Cliques[par].Vars, t.Cliques[par].Card, t.Cliques[c].SepVars)
-		ep.ce = add(taskgraph.Extend, c, c, par, parentSize, parentGrain)
-		ep.cu = add(taskgraph.Multiply, c, c, par, parentSize, 1)
-		dep(ep.cd, ep.ce)
-		dep(ep.ce, ep.cu)
+		ep.cu = add(taskgraph.Multiply, c, c, par, parentSize, parentGrain)
+		dep(ep.cd, ep.cu)
 	}
 
 	// Cross-edge ordering, exactly the eager builder's shape restricted to

@@ -11,9 +11,9 @@ import (
 
 // Stats is a snapshot of one lazy propagation's pruning counters. Message
 // counts cover both passes (2 × edges possible messages); task and flop
-// counts are measured against the eager engine's 8 tasks per edge.
+// counts are measured against the eager engine's 6 tasks per edge.
 type Stats struct {
-	// MessagesSent counts full 4-task messages: planned collect messages
+	// MessagesSent counts full 3-task messages: planned collect messages
 	// plus distribute messages materialized on demand so far.
 	MessagesSent int64
 	// MessagesBlocked counts messages collapsed to a scalar by a fully
@@ -24,7 +24,7 @@ type Stats struct {
 	// subtrees, distribute not (or not yet) demanded or provably vacuous.
 	MessagesSkipped int64
 	// TasksRun and TasksSkipped measure the pruned task graph against the
-	// eager engine's 8 tasks per edge.
+	// eager engine's 6 tasks per edge.
 	TasksRun, TasksSkipped int64
 	// Flops counts table entries processed by executed tasks; FlopsFull is
 	// what one eager two-pass propagation processes on this tree.
@@ -51,15 +51,14 @@ type State struct {
 	planHit bool
 
 	// cl/sep overlay the calibration tables: nil means "unchanged, read
-	// the shared precalibrated table". sepNew and temp are the per-edge
-	// message and extension buffers of surviving collect messages.
+	// the shared precalibrated table". sepNew holds the per-edge message
+	// buffers of surviving collect messages.
 	cl     []*potential.Potential
 	sep    []*potential.Potential
 	sepNew []*potential.Potential
-	temp   []*potential.Potential
 
 	// lambda[c] is the scalar recorded by a blocked edge's Divide — the
-	// factor the skipped Extend+Multiply would have applied to every
+	// factor the skipped Multiply would have applied to every
 	// surviving parent entry. 1.0 elsewhere. Folded into EvidenceMass and
 	// MassScale in fixed edge order, so the product is deterministic.
 	lambda []float64
@@ -74,6 +73,8 @@ type State struct {
 
 	bufMu   sync.Mutex
 	bufFree [][]*potential.Potential
+	// released marks a state whose collect run is over (ReleaseScratch).
+	released bool
 
 	tasksRun     atomic.Int64
 	flops        atomic.Int64
@@ -101,7 +102,6 @@ func (p *Prop) NewState(mode taskgraph.Mode, ev potential.Evidence, like potenti
 		cl:       make([]*potential.Potential, n),
 		sep:      make([]*potential.Potential, n),
 		sepNew:   make([]*potential.Potential, n),
-		temp:     make([]*potential.Potential, n),
 		lambda:   make([]float64, n),
 		distDone: make([]bool, n),
 	}
@@ -145,14 +145,7 @@ func (p *Prop) NewState(mode taskgraph.Mode, ev potential.Evidence, like potenti
 		if ep.collect != edgeSend {
 			continue
 		}
-		par := p.tree.Cliques[c].Parent
-		st.cliqueRW(par)
-		up, err := potential.New(p.tree.Cliques[par].Vars, p.tree.Cliques[par].Card)
-		if err != nil {
-			return nil, err
-		}
-		st.temp[c] = up
-		st.materialized.Add(int64(up.Len()))
+		st.cliqueRW(p.tree.Cliques[c].Parent)
 	}
 	return st, nil
 }
@@ -207,7 +200,7 @@ func (st *State) PartitionSize(id int) int {
 			return 1
 		}
 		return st.sepNew[t.Edge].Len()
-	case taskgraph.Extend, taskgraph.Multiply:
+	case taskgraph.Multiply:
 		return st.cl[t.Target].Len()
 	}
 	return 1
@@ -229,7 +222,7 @@ func (st *State) Execute(id int) error {
 // eager state, a Marginalize piece clears buf before reducing into it, and a
 // nil buf stands for the edge's own sepNew.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
-	if st.released() {
+	if st.released {
 		return taskgraph.ErrScratchReleased
 	}
 	t := &st.plan.g.Tasks[id]
@@ -239,26 +232,31 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 			buf = st.sepNew[t.Edge]
 		}
 		clear(buf.Data)
-		h := st.plan.hulls[t.Source]
-		src := st.cliqueRO(t.Source)
 		st.flops.Add(int64(hi - lo))
-		if st.mode == taskgraph.MaxProduct {
-			return src.MaxMarginalInto(buf, h.lo+lo, h.lo+hi)
-		}
-		return src.MarginalInto(buf, h.lo+lo, h.lo+hi)
+		return st.marginalize(t.Edge, t.Source, buf, lo, hi)
 	case taskgraph.Divide:
 		if st.plan.edges[t.Edge].collect == edgeBlock {
 			return st.divideBlocked(t.Edge)
 		}
 		return st.divideRange(t.Edge, lo, hi)
-	case taskgraph.Extend:
-		st.flops.Add(int64(hi - lo))
-		return st.sepNew[t.Edge].ExtendInto(st.temp[t.Edge], lo, hi)
 	case taskgraph.Multiply:
 		st.flops.Add(int64(hi - lo))
-		return st.cl[t.Target].MulRange(st.temp[t.Edge], lo, hi)
+		pl := st.prop.walks[t.Edge].Of(t.Target, t.Edge)
+		return pl.MulRange(st.cl[t.Target], st.sepNew[t.Edge], lo, hi)
 	}
 	return fmt.Errorf("lazy: unknown kind %v", t.Kind)
+}
+
+// marginalize reduces entries [lo, hi) of the source clique's evidence hull
+// into buf through the compiled walk of the (source ⊇ separator) pair of the
+// given edge.
+func (st *State) marginalize(edge, source int, buf *potential.Potential, lo, hi int) error {
+	h := st.plan.hulls[source]
+	pl := st.prop.walks[edge].Of(source, edge)
+	if st.mode == taskgraph.MaxProduct {
+		return pl.MaxMarginalInto(st.cliqueRO(source), buf, h.lo+lo, h.lo+hi)
+	}
+	return pl.MarginalInto(st.cliqueRO(source), buf, h.lo+lo, h.lo+hi)
 }
 
 // NewPartialBuffer returns a private accumulation buffer for one piece of
@@ -289,7 +287,7 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 // buffer the first piece wrote; a no-op for other kinds, whose pieces wrote
 // disjoint ranges in place.
 func (st *State) Combine(id int, bufs []*potential.Potential) error {
-	if st.released() {
+	if st.released {
 		return taskgraph.ErrScratchReleased
 	}
 	t := &st.plan.g.Tasks[id]
@@ -315,21 +313,15 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	return nil
 }
 
-// ReleaseScratch drops what only the collect run used: the parent-sized
-// extension buffers of the sending edges and the partial-buffer free lists.
-// The demand-driven distribute pass allocates its own extension table per
-// edge and reuses sepNew, which therefore stays. Call it once the scheduler
-// run has returned without error, and only then — workers of a failed pool
-// run may still be writing these buffers. Executing the state afterwards is
-// refused with taskgraph.ErrScratchReleased (a lazy state is built per query
-// and never reset).
+// ReleaseScratch drops what only the collect run used, the partial-buffer free
+// lists. The demand-driven distribute pass reuses sepNew, which therefore
+// stays. Call it once the scheduler run has returned without error, and only
+// then — workers of a failed pool run may still be writing these buffers.
+// Executing the state afterwards is refused with taskgraph.ErrScratchReleased
+// (a lazy state is built per query and never reset).
 func (st *State) ReleaseScratch() {
-	st.temp, st.bufFree = nil, nil
+	st.bufFree, st.released = nil, true
 }
-
-// released reports whether ReleaseScratch ran: NewState always allocates
-// temp, so a nil temp is the mark.
-func (st *State) released() bool { return st.temp == nil }
 
 // RunSerial executes the pruned graph in topological order on the calling
 // goroutine.
@@ -369,7 +361,7 @@ func (st *State) divideRange(edge, lo, hi int) error {
 
 // divideBlocked runs a blocked edge's Divide over the whole separator and
 // records λ — the single ratio entry the evidence leaves alive — instead
-// of extending it into the parent. The skipped Extend+Multiply would have
+// of multiplying it into the parent. The skipped Multiply would have
 // multiplied every surviving parent entry by exactly λ (the parent is
 // reduced on the same evidence, so entries inconsistent with the separator
 // observation are already zero).
@@ -506,7 +498,7 @@ func (st *State) ensurePathLocked(ci int) error {
 // (c, parent). Vacuous messages — all evidence inside subtree(c), so the
 // parent's separator marginal already equals the stored ψ*S — and blocked
 // messages — scalar-only — are skipped; everything else runs the full
-// M→D→E→U chain serially over the overlay tables.
+// M→D→U chain serially over the overlay tables.
 func (st *State) distributeLocked(c int) error {
 	if st.distDone[c] {
 		return nil
@@ -520,51 +512,32 @@ func (st *State) distributeLocked(c int) error {
 		st.distBlocked.Add(1)
 		return nil
 	}
-	t := st.prop.tree
-	par := t.Cliques[c].Parent
-	src := st.cliqueRO(par)
+	par := st.prop.tree.Cliques[c].Parent
 	if st.sepNew[c] == nil {
 		st.sepNew[c] = st.cal.sep[c].CloneZero()
 		st.materialized.Add(int64(st.sepNew[c].Len()))
 	} else {
-		for i := range st.sepNew[c].Data {
-			st.sepNew[c].Data[i] = 0
-		}
+		clear(st.sepNew[c].Data)
 	}
 	if st.sep[c] == nil {
 		st.sep[c] = st.cal.sep[c].Clone()
 		st.materialized.Add(int64(st.sep[c].Len()))
 	}
-	h := st.plan.hulls[par]
-	var err error
-	if st.mode == taskgraph.MaxProduct {
-		err = src.MaxMarginalInto(st.sepNew[c], h.lo, h.lo+h.span)
-	} else {
-		err = src.MarginalInto(st.sepNew[c], h.lo, h.lo+h.span)
-	}
-	if err != nil {
+	span := st.plan.hulls[par].span
+	if err := st.marginalize(c, par, st.sepNew[c], 0, span); err != nil {
 		return err
 	}
-	st.flops.Add(int64(h.span))
+	st.flops.Add(int64(span))
 	if err := st.divideRange(c, 0, len(st.sepNew[c].Data)); err != nil {
 		return err
 	}
-	down, err := potential.New(t.Cliques[c].Vars, t.Cliques[c].Card)
-	if err != nil {
-		return err
-	}
-	st.materialized.Add(int64(down.Len()))
-	if err := st.sepNew[c].ExtendInto(down, 0, down.Len()); err != nil {
-		return err
-	}
-	st.flops.Add(int64(down.Len()))
 	dst := st.cliqueRW(c)
-	if err := dst.MulRange(down, 0, dst.Len()); err != nil {
+	if err := st.prop.walks[c].Child.MulRange(dst, st.sepNew[c], 0, dst.Len()); err != nil {
 		return err
 	}
 	st.flops.Add(int64(dst.Len()))
 	st.distSent.Add(1)
-	st.tasksRun.Add(4)
+	st.tasksRun.Add(3)
 	return nil
 }
 
@@ -583,7 +556,7 @@ func (st *State) Stats() Stats {
 		MessagesBlocked:     blocked,
 		MessagesSkipped:     2*int64(st.prop.edges) - sent - blocked,
 		TasksRun:            run,
-		TasksSkipped:        8*int64(st.prop.edges) - run,
+		TasksSkipped:        6*int64(st.prop.edges) - run,
 		Flops:               st.flops.Load(),
 		FlopsFull:           st.prop.fullFlops,
 		MaterializedEntries: st.materialized.Load(),

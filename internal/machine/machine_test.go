@@ -47,7 +47,7 @@ func allSims() map[string]simFn {
 
 func TestWorkConservation(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 60, Width: 8, States: 2, Degree: 3, Seed: 2})
-	cm := Default()
+	cm := Xeon()
 	serial := SerialTime(g, cm)
 	for name, sim := range allSims() {
 		for _, p := range []int{1, 2, 4, 8} {
@@ -75,7 +75,7 @@ func TestWorkConservation(t *testing.T) {
 // from an explicit verdict.
 func TestPartitionedMarginalizeIsChargedItsCombine(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 6, Width: 10, States: 2, Degree: 2, SepSize: 4, Seed: 4})
-	cm := Default()
+	cm := Xeon()
 	serial := SerialTime(g, cm)
 	const n = 4
 	for _, kind := range []taskgraph.Kind{taskgraph.Marginalize, taskgraph.Multiply} {
@@ -97,18 +97,18 @@ func TestPartitionedMarginalizeIsChargedItsCombine(t *testing.T) {
 		if want := serial + cm.service(extra); math.Abs(res.TotalBusy()-want) > 1e-12 {
 			t.Errorf("%v cut %d ways: busy %.9f, want serial %.9f + %.0f entries", kind, n, res.TotalBusy(), serial, extra)
 		}
-		if res.Pieces != n*g.N()/4 {
+		if res.Pieces != n*g.N()/3 {
 			t.Errorf("%v: %d pieces", kind, res.Pieces)
 		}
 	}
 	// δ below the 1024-entry cliques and above the 16-entry separators cuts
-	// the six clique-sized tasks of every edge, two of them Marginalizes.
+	// the four clique-sized tasks of every edge, two of them Marginalizes.
 	const δ = 256
 	res, err := SimulateCollaborative(g, 1, δ, cm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := float64(g.N() / 8)
+	edges := float64(g.N() / 6)
 	if want := serial + cm.service(2*edges*3*(1024/δ-1)*16); math.Abs(res.TotalBusy()-want) > 1e-12 {
 		t.Errorf("δ=%d: busy %.9f, want %.9f", δ, res.TotalBusy(), want)
 	}
@@ -116,7 +116,7 @@ func TestPartitionedMarginalizeIsChargedItsCombine(t *testing.T) {
 
 func TestMakespanAtLeastCriticalPath(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 40, Width: 6, States: 2, Degree: 2, Seed: 4})
-	cm := Default()
+	cm := Xeon()
 	cp := CriticalPathTime(g, cm)
 	for name, sim := range map[string]simFn{
 		"collaborative": collab(0),
@@ -138,7 +138,7 @@ func TestSingleCoreMatchesSerial(t *testing.T) {
 	// Paper-scale table sizes (skeleton only) so that scheduling overhead
 	// is small relative to primitive work, as on the real platforms.
 	g := buildGraph(t, jtree.RandomConfig{N: 30, Width: 16, States: 2, Degree: 3, Seed: 6})
-	cm := Default()
+	cm := Xeon()
 	serial := SerialTime(g, cm)
 	res, err := SimulateCollaborative(g, 1, 0, cm)
 	if err != nil {
@@ -155,7 +155,7 @@ func TestSingleCoreMatchesSerial(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	g := paperJT1Graph(t)
-	cm := Default()
+	cm := Xeon()
 	a, err := SimulateCollaborative(g, 8, 1<<18, cm)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestDeterminism(t *testing.T) {
 func TestCollaborativeNearLinearSpeedupOnPaperTree(t *testing.T) {
 	// The headline result: ≈7.4× speedup on 8 cores for JT1.
 	g := paperJT1Graph(t)
-	cm := Default()
+	cm := Xeon()
 	serial := SerialTime(g, cm)
 	res, err := SimulateCollaborative(g, 8, serialWeightThreshold(g), cm)
 	if err != nil {
@@ -193,7 +193,7 @@ func serialWeightThreshold(g *taskgraph.Graph) float64 {
 func TestBaselineOrderingAtEightCores(t *testing.T) {
 	// Fig. 7's qualitative ordering: collaborative > dataparallel > openmp.
 	g := paperJT1Graph(t)
-	cm := Default()
+	cm := Xeon()
 	serial := SerialTime(g, cm)
 	speedup := func(sim simFn) float64 {
 		res, err := sim(g, 8, cm)
@@ -221,7 +221,7 @@ func TestDistributedUShape(t *testing.T) {
 	// *increase* beyond 4 processors.
 	for _, cfg := range []jtree.RandomConfig{jtree.JT1(), jtree.JT2(), jtree.JT3()} {
 		g := buildGraph(t, cfg)
-		cm := Default()
+		cm := Xeon()
 		times := map[int]float64{}
 		for _, p := range []int{1, 2, 4, 8, 12, 16} {
 			res, err := SimulateDistributed(g, p, cm)
@@ -241,7 +241,7 @@ func TestDistributedUShape(t *testing.T) {
 
 func TestCentralizedWorseThanCollaborative(t *testing.T) {
 	g := paperJT1Graph(t)
-	cm := Default()
+	cm := Xeon()
 	co, err := SimulateCollaborative(g, 8, 0, cm)
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestCentralizedWorseThanCollaborative(t *testing.T) {
 func TestLoadBalanceOnPaperTree(t *testing.T) {
 	// Fig. 8(a): per-core busy times nearly equal; (b): overhead below 1%.
 	g := paperJT1Graph(t)
-	cm := Default()
+	cm := Xeon()
 	res, err := SimulateCollaborative(g, 8, serialWeightThreshold(g), cm)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +288,7 @@ func TestRerootingSpeedupTemplate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm := Default()
+		cm := Xeon()
 		orig := taskgraph.Build(tr)
 		rt, err := tr.Reroot(tr.SelectRoot())
 		if err != nil {
@@ -313,7 +313,7 @@ func TestRerootingSpeedupTemplate(t *testing.T) {
 
 func TestInvalidArguments(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 5, Width: 3, States: 2, Degree: 2, Seed: 1})
-	cm := Default()
+	cm := Xeon()
 	if _, err := SimulateCollaborative(g, 0, 0, cm); err == nil {
 		t.Error("accepted p=0")
 	}
@@ -337,7 +337,7 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := taskgraph.Build(tr)
-	res, err := SimulateCollaborative(g, 4, 0, Default())
+	res, err := SimulateCollaborative(g, 4, 0, Xeon())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestSplitFactor(t *testing.T) {
 
 func TestMoreCoresNeverMuchWorse(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 100, Width: 8, States: 2, Degree: 4, Seed: 9})
-	cm := Default()
+	cm := Xeon()
 	prev := math.Inf(1)
 	for _, p := range []int{1, 2, 4, 8} {
 		res, err := SimulateCollaborative(g, p, 0, cm)
@@ -376,7 +376,7 @@ func TestMoreCoresNeverMuchWorse(t *testing.T) {
 
 func TestSimulatedSpansAndGantt(t *testing.T) {
 	g := buildGraph(t, jtree.RandomConfig{N: 20, Width: 6, States: 2, Degree: 3, Seed: 3})
-	cm := Default()
+	cm := Xeon()
 	res, err := SimulateCollaborativeOpts(g, 3, cm, CollabOptions{RecordSpans: true})
 	if err != nil {
 		t.Fatal(err)
@@ -422,7 +422,7 @@ func TestSimulatedSpansAndGantt(t *testing.T) {
 func TestQuickMakespanBounds(t *testing.T) {
 	// For random trees and core counts, the collaborative makespan lies in
 	// [max(criticalPath, work/P), work + totalOverhead].
-	cm := Default()
+	cm := Xeon()
 	for seed := int64(0); seed < 15; seed++ {
 		g := buildGraph(t, jtree.RandomConfig{
 			N: 10 + int(seed*7)%60, Width: 4 + int(seed)%6, States: 2,

@@ -131,9 +131,14 @@ type spanSlot struct {
 // Lifecycle invariants (the recycling discipline):
 //   - refs counts the base reference (StartRequest → Finish) plus one per
 //     open span, plus transient guards taken by in-flight StartChild.
-//   - sealed flips once, in Finish, before the base reference drops.
+//   - phase goes open → sealed once, in Finish, before the base reference
+//     drops.
 //   - the release that takes refs to 0 while sealed recycles the arena,
-//     winning an exclusive CAS on sealed so exactly one goroutine resets.
+//     winning the exclusive CAS sealed → recycling so exactly one goroutine
+//     resets. The arena stays closed to StartChild for the whole reset: it
+//     reopens (recycling → open) only after the generation bump has turned
+//     every handle of the finished request stale, so there is no instant at
+//     which such a handle passes both the phase and the generation check.
 //   - non-atomic fields (id, flags, state, slots) are only touched while
 //     holding a reference, so the reset never races a late writer.
 type Trace struct {
@@ -149,7 +154,7 @@ type Trace struct {
 
 	n       atomic.Int32  // reserved slots
 	refs    atomic.Int32  // base + open spans + in-flight starts
-	sealed  atomic.Bool   // set by Finish; cleared by the recycler's CAS
+	phase   atomic.Uint32 // arenaOpen → arenaSealed (Finish) → arenaRecycling → arenaOpen
 	gen     atomic.Uint32 // bumped on recycle; stale handles become inert
 	dropped atomic.Int64  // spans lost to arena overflow
 
@@ -178,21 +183,34 @@ func (t *Trace) Dropped() int64 { return t.dropped.Load() }
 // calls Finish.
 func (t *Trace) SetSlowThreshold(d time.Duration) { t.slow = d }
 
+// The phases of an arena's life. Only an open arena admits new spans.
+const (
+	arenaOpen uint32 = iota
+	arenaSealed
+	arenaRecycling
+)
+
 // release drops one reference; the last release of a sealed trace
-// recycles the arena. The CAS elects exactly one recycler even when a
-// stale handle's transient guard and the real last release race.
+// recycles the arena.
 func (t *Trace) release() {
-	if t.refs.Add(-1) == 0 && t.sealed.Load() {
-		if t.sealed.CompareAndSwap(true, false) {
-			t.recycle()
-		}
+	if t.lastOut() {
+		t.recycle()
 	}
 }
 
+// lastOut drops one reference and reports whether the caller took the last
+// one out of a sealed trace and must recycle it. The CAS elects exactly one
+// recycler even when a stale handle's transient guard and the real last
+// release race, and leaves the arena in a phase that admits nothing.
+func (t *Trace) lastOut() bool {
+	return t.refs.Add(-1) == 0 && t.phase.CompareAndSwap(arenaSealed, arenaRecycling)
+}
+
 // recycle resets the arena for reuse and returns it to the pool. Runs
-// with refs == 0: nobody holds a live reference, so the plain-field
-// writes cannot race. The generation bump comes first, turning any stale
-// span handle inert before its slot is cleared.
+// with refs == 0 in the recycling phase: nobody holds a live reference and
+// StartChild admits nobody, so the plain-field writes cannot race. The
+// generation bump comes first, turning every span handle of the finished
+// request inert before its slot is cleared; the arena reopens last.
 func (t *Trace) recycle() {
 	t.gen.Add(1)
 	n := int(t.n.Load())
@@ -209,6 +227,7 @@ func (t *Trace) recycle() {
 	t.state = ""
 	t.head = false
 	t.slow = 0
+	t.phase.Store(arenaOpen)
 	arenaPool.Put(t)
 }
 
@@ -253,14 +272,15 @@ func spanID(tid TraceID, slot int32) SpanID {
 
 // startChild reserves a slot and opens a span under parent. Returns nil
 // when the arena is sealed (the request already finished — the detached
-// case), recycled under the caller (stale generation), or full.
+// case), being recycled or recycled under the caller (stale generation), or
+// full.
 func (parent *Span) startChild(name string, attrs []Attr) *Span {
 	t := parent.tr
-	// Take a reference before the sealed/generation checks: a reference
+	// Take a reference before the phase/generation checks: a reference
 	// held by anyone forbids recycling, so passing the checks guarantees
 	// the slot write below targets this request's arena.
 	t.refs.Add(1)
-	if t.sealed.Load() || parent.gen != t.gen.Load() {
+	if t.phase.Load() != arenaOpen || parent.gen != t.gen.Load() {
 		t.release()
 		return nil
 	}

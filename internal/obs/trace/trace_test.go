@@ -243,6 +243,52 @@ func TestDetachedSpanAbandonsArena(t *testing.T) {
 	}
 }
 
+// TestStaleHandleRefusedWhileRecycling stops the last release between its two
+// steps — elected recycler, generation not yet bumped — which is where a
+// handle of the finished request used to pass both of StartChild's checks
+// (the election itself had cleared "sealed", the generation was still its
+// own) and write a slot the recycler was about to zero, in an arena about to
+// be handed to another request. No -race luck needed: the window is held open
+// by calling the two halves of release by hand.
+func TestStaleHandleRefusedWhileRecycling(t *testing.T) {
+	tr := testTracer()
+	arena, root := tr.StartRequest("request", SpanContext{})
+	worker := root.StartChild("worker")
+	worker.End()
+	root.End()
+	// Finish, taken apart: seal, then drop the base reference.
+	arena.phase.Store(arenaSealed)
+	if !arena.lastOut() {
+		t.Fatal("the base reference was not the last one out of the sealed arena")
+	}
+	gen, reserved := arena.gen.Load(), arena.n.Load()
+	for _, stale := range []*Span{root, worker} {
+		if sp := stale.StartChild("late"); sp != nil {
+			t.Fatal("a handle of the finished request opened a span in the arena being recycled")
+		}
+		stale.ChildInterval("late", time.Now(), time.Millisecond)
+	}
+	if arena.n.Load() != reserved {
+		t.Errorf("%d slots reserved during the recycle window, want %d", arena.n.Load(), reserved)
+	}
+	if arena.refs.Load() != 0 || arena.phase.Load() != arenaRecycling || arena.gen.Load() != gen {
+		t.Errorf("refused starts left refs %d phase %d gen %d, want 0, recycling, %d",
+			arena.refs.Load(), arena.phase.Load(), arena.gen.Load(), gen)
+	}
+	arena.recycle()
+	if arena.gen.Load() != gen+1 || arena.phase.Load() != arenaOpen || arena.n.Load() != 0 {
+		t.Fatalf("after recycle: gen %d phase %d slots %d", arena.gen.Load(), arena.phase.Load(), arena.n.Load())
+	}
+	// Reopened for the next request — and still closed to the last one's
+	// handles, by generation now.
+	if sp := worker.StartChild("later"); sp != nil || arena.n.Load() != 0 {
+		t.Error("a stale handle opened a span in the recycled arena")
+	}
+	if arena.refs.Load() != 0 {
+		t.Errorf("recycled arena holds %d references", arena.refs.Load())
+	}
+}
+
 // TestConcurrentSpansUnderRace hammers one arena from many goroutines
 // while the request finishes concurrently — the recycling race the sealed
 // flag + refs count must win. Run with -race.

@@ -136,7 +136,7 @@ func (t *Tracer) Finish(tr *Trace, root *Span) {
 	}
 
 	// Seal first: from here on StartChild returns the inert span.
-	tr.sealed.Store(true)
+	tr.phase.Store(arenaSealed)
 
 	if reason != "" {
 		t.kept.Add(1)

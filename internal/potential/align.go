@@ -1,101 +1,25 @@
 package potential
 
-import "fmt"
-
-// aligner walks the linear indices of a superset potential while tracking
-// the corresponding linear index in a subset potential. It is the shared
-// inner machinery of multiplication, division, extension and
-// marginalization, all of which pair each entry of the larger table with one
-// entry of the smaller.
-//
-// Besides the per-entry odometer (seek/next, the scalar reference path), an
-// aligner carries a *run plan* computed once at construction: because tables
-// are row-major with the last variable fastest, the superset index space
-// factors into maximal runs of runLen consecutive entries over which the
-// subset index is either constant (contig == false: the trailing superset
-// variables are absent from the subset) or advances by exactly one per entry
-// (contig == true: the trailing superset variables are shared with the
-// subset and dense there). The blocked kernels in ops.go and maxops.go walk
-// runs — one O(w) seek per range plus one O(1)-amortized advanceRun per run
-// — and run flat slice loops inside each run.
+// aligner is the per-entry reference walk of a (superset ⊇ subset) domain
+// pair: an odometer over every superset dimension that tracks the aligned
+// linear index in the subset. The *Scalar primitives use it one entry at a
+// time; the plan kernels (plan.go, kernels.go) must reproduce what it
+// visits, bit for bit.
 type aligner struct {
 	card      []int // cardinalities of the superset domain
 	subStride []int // stride of each superset variable in the subset (0 if absent)
 	digits    []int // current per-variable state in the superset
 	subIdx    int   // linear index in the subset for the current position
-
-	// Run plan (fixed per domain pair, computed by newAligner).
-	runLen  int  // entries per maximal run (≥ 1; divides the table size)
-	contig  bool // subset index advances +1 per entry within a run (else constant)
-	nPrefix int  // leading superset dims that change only across run boundaries
 }
 
 // newAligner builds an aligner from the superset domain (supVars, supCard)
-// to the subset domain subVars. Every subset variable must appear in the
-// superset with the same implied position; callers guarantee subVars ⊆
-// supVars (checked here for safety).
+// to the subset domain subVars, under the same domain rules as NewPlan.
 func newAligner(supVars, supCard, subVars, subCard []int) (*aligner, error) {
-	subStrideByPos := make([]int, len(subVars))
-	acc := 1
-	for i := len(subVars) - 1; i >= 0; i-- {
-		subStrideByPos[i] = acc
-		acc *= subCard[i]
+	stride := make([]int, len(supVars))
+	if err := subStrides(stride, supVars, supCard, subVars, subCard); err != nil {
+		return nil, err
 	}
-	a := &aligner{
-		card:      supCard,
-		subStride: make([]int, len(supVars)),
-		digits:    make([]int, len(supVars)),
-	}
-	j := 0
-	for i, v := range supVars {
-		for j < len(subVars) && subVars[j] < v {
-			return nil, fmt.Errorf("potential: variable %d of subset not present in superset %v", subVars[j], supVars)
-		}
-		if j < len(subVars) && subVars[j] == v {
-			if subCard[j] != supCard[i] {
-				return nil, fmt.Errorf("potential: variable %d has cardinality %d and %d", v, supCard[i], subCard[j])
-			}
-			a.subStride[i] = subStrideByPos[j]
-			j++
-		}
-	}
-	if j != len(subVars) {
-		return nil, fmt.Errorf("potential: variable %d of subset not present in superset %v", subVars[j], supVars)
-	}
-	a.planRuns()
-	return a, nil
-}
-
-// planRuns classifies the maximal trailing dimension block of the superset.
-// A trailing absent variable (subStride 0) can only be followed by further
-// absent variables in the suffix scan, and a trailing shared variable is
-// necessarily the subset's own last variable (stride 1), so the two suffix
-// shapes are mutually exclusive: either the suffix is absent → constant
-// runs, or it is shared-and-dense → contiguous runs. Dimensions interior to
-// the prefix are handled by the run odometer regardless of shape.
-func (a *aligner) planRuns() {
-	n := len(a.card)
-	a.runLen = 1
-	i := n - 1
-	if n > 0 && a.subStride[n-1] != 0 {
-		// Trailing variables shared with the subset: extend the suffix while
-		// the subset stride matches the dense row-major pattern.
-		a.contig = true
-		acc := 1
-		for i >= 0 && a.subStride[i] == acc {
-			a.runLen *= a.card[i]
-			acc *= a.card[i]
-			i--
-		}
-	} else {
-		// Trailing variables absent from the subset: the subset index is
-		// constant over the run.
-		for i >= 0 && a.subStride[i] == 0 {
-			a.runLen *= a.card[i]
-			i--
-		}
-	}
-	a.nPrefix = i + 1
+	return &aligner{card: supCard, subStride: stride, digits: make([]int, len(supVars))}, nil
 }
 
 // seek positions the aligner at superset linear index idx.
@@ -114,21 +38,6 @@ func (a *aligner) seek(idx int) {
 // the tracked subset index in O(1) amortized time.
 func (a *aligner) next() {
 	for i := len(a.card) - 1; i >= 0; i-- {
-		a.digits[i]++
-		a.subIdx += a.subStride[i]
-		if a.digits[i] < a.card[i] {
-			return
-		}
-		a.digits[i] = 0
-		a.subIdx -= a.card[i] * a.subStride[i]
-	}
-}
-
-// advanceRun moves the aligner from the start of one run to the start of the
-// next, stepping only the prefix dims (the suffix digits are zero at every
-// run boundary). Like next it is O(1) amortized.
-func (a *aligner) advanceRun() {
-	for i := a.nPrefix - 1; i >= 0; i-- {
 		a.digits[i]++
 		a.subIdx += a.subStride[i]
 		if a.digits[i] < a.card[i] {

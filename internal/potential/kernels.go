@@ -1,77 +1,86 @@
 package potential
 
-// Blocked (run-decomposed) kernel bodies for the four node-level primitives
-// plus max-marginalization. Each walks the aligner's run plan over [lo, hi):
-// one O(w) seek to the run boundary at or below lo, then per run either a
-// "slice ⊗ scalar" loop (constant runs — the trailing superset variables are
-// absent from the subset, so one subset entry serves the whole run) or a
-// flat elementwise slice-slice loop (contiguous runs — the subset index
-// advances in lockstep). The per-entry arithmetic order is exactly that of
-// the scalar reference path (ops.go / maxops.go), so blocked and scalar
-// results are bit-identical, including the accumulation order of
-// marginalization — the differential harness and the kernel fuzzer rely on
-// this.
+// The plan kernels: one body per primitive, each a single pass over the
+// plan's blocks in [lo, hi) — one O(groups) seek, then per block a flat loop
+// in the block's shape ("slice ⊗ scalar" for a constant run, slice ⊗ slice
+// for a contiguous run, a gather through the offset tile for short runs) and
+// one O(1)-amortized odometer step. The per-entry arithmetic, and the order
+// in which a marginalization adds or maximizes into a destination cell, are
+// exactly those of the scalar reference path (ops.go / maxops.go), so plan
+// and scalar results are bit-identical — the differential harness and the
+// kernel fuzzer rely on this.
 //
-// Range endpoints need not be run-aligned: a mid-run lo or hi yields partial
-// head/tail segments with the same inner-loop shapes. Aligned split points
-// are still preferable — the scheduler snaps δ-partition boundaries to the
-// task's grain (see PartitionGrain) so constant-run reductions stay private
-// to one piece — but correctness never depends on it.
+// Range endpoints need not be block-aligned: a mid-block lo or hi yields a
+// partial head or tail segment with the same inner-loop shapes. Aligned split
+// points are still preferable — the scheduler snaps δ-partition boundaries to
+// the task's grain (see PartitionGrain) so constant-run reductions stay
+// private to one piece — but correctness never depends on it.
 
-// mulBlocked multiplies p entries [lo, hi) in place by the aligned entries
-// of q. a must be the (p ⊇ q) aligner and the range already validated.
-func (p *Potential) mulBlocked(q *Potential, a *aligner, lo, hi int) {
-	if lo >= hi {
-		return
+// MulRange multiplies entries [lo, hi) of p in place by the aligned entries
+// of q; p and q must have the sizes the plan was compiled for.
+func (pl *Plan) MulRange(p, q *Potential, lo, hi int) error {
+	if err := pl.check("multiply", len(p.Data), len(q.Data), lo, hi); err != nil {
+		return err
 	}
 	pd, qd := p.Data, q.Data
-	L := a.runLen
-	base := lo - lo%L
-	a.seek(base)
+	var c cursor
+	base := pl.seek(&c, lo)
 	for s := lo; s < hi; {
-		e := base + L
-		if e > hi {
-			e = hi
-		}
+		e := min(base+pl.block, hi)
 		seg := pd[s:e]
-		if a.contig {
-			qs := qd[a.subIdx+(s-base):]
+		switch pl.shape {
+		case tiled:
+			offs, qs := pl.tile[s-base:e-base], qd[c.sub:]
+			seg = seg[:len(offs)]
+			for k, o := range offs {
+				seg[k] *= qs[o]
+			}
+		case contigRun:
+			qs := qd[c.sub+(s-base):]
 			qs = qs[:len(seg)]
 			for k := range seg {
 				seg[k] *= qs[k]
 			}
-		} else {
-			f := qd[a.subIdx]
+		default:
+			f := qd[c.sub]
 			for k := range seg {
 				seg[k] *= f
 			}
 		}
 		s, base = e, e
 		if s < hi {
-			a.advanceRun()
+			pl.next(&c)
 		}
 	}
+	return nil
 }
 
-// divBlocked divides p entries [lo, hi) in place by the aligned entries of
+// DivRange divides entries [lo, hi) of p in place by the aligned entries of
 // q, with the junction-tree convention 0/0 = 0 (any x/0 is defined as 0, as
 // in the scalar path).
-func (p *Potential) divBlocked(q *Potential, a *aligner, lo, hi int) {
-	if lo >= hi {
-		return
+func (pl *Plan) DivRange(p, q *Potential, lo, hi int) error {
+	if err := pl.check("divide", len(p.Data), len(q.Data), lo, hi); err != nil {
+		return err
 	}
 	pd, qd := p.Data, q.Data
-	L := a.runLen
-	base := lo - lo%L
-	a.seek(base)
+	var c cursor
+	base := pl.seek(&c, lo)
 	for s := lo; s < hi; {
-		e := base + L
-		if e > hi {
-			e = hi
-		}
+		e := min(base+pl.block, hi)
 		seg := pd[s:e]
-		if a.contig {
-			qs := qd[a.subIdx+(s-base):]
+		switch pl.shape {
+		case tiled:
+			offs, qs := pl.tile[s-base:e-base], qd[c.sub:]
+			seg = seg[:len(offs)]
+			for k, o := range offs {
+				if d := qs[o]; d == 0 {
+					seg[k] = 0
+				} else {
+					seg[k] /= d
+				}
+			}
+		case contigRun:
+			qs := qd[c.sub+(s-base):]
 			qs = qs[:len(seg)]
 			for k := range seg {
 				if d := qs[k]; d == 0 {
@@ -80,129 +89,145 @@ func (p *Potential) divBlocked(q *Potential, a *aligner, lo, hi int) {
 					seg[k] /= d
 				}
 			}
-		} else if f := qd[a.subIdx]; f == 0 {
-			for k := range seg {
-				seg[k] = 0
-			}
-		} else {
-			for k := range seg {
-				seg[k] /= f
+		default:
+			if f := qd[c.sub]; f == 0 {
+				clear(seg)
+			} else {
+				for k := range seg {
+					seg[k] /= f
+				}
 			}
 		}
 		s, base = e, e
 		if s < hi {
-			a.advanceRun()
+			pl.next(&c)
 		}
 	}
+	return nil
 }
 
-// marginalBlocked accumulates p entries [lo, hi) into dst. Constant runs
-// reduce into a register seeded from the destination cell, preserving the
-// scalar path's left-to-right addition order bit for bit.
-func (p *Potential) marginalBlocked(dst *Potential, a *aligner, lo, hi int) {
-	if lo >= hi {
-		return
+// MarginalInto accumulates entries [lo, hi) of p into dst, which is not
+// cleared first. A constant run reduces into a register seeded from the
+// destination cell, preserving the scalar path's left-to-right addition order
+// bit for bit; so does the tile, which adds entry by entry.
+func (pl *Plan) MarginalInto(p, dst *Potential, lo, hi int) error {
+	if err := pl.check("marginal", len(p.Data), len(dst.Data), lo, hi); err != nil {
+		return err
 	}
 	pd, dd := p.Data, dst.Data
-	L := a.runLen
-	base := lo - lo%L
-	a.seek(base)
+	var c cursor
+	base := pl.seek(&c, lo)
 	for s := lo; s < hi; {
-		e := base + L
-		if e > hi {
-			e = hi
-		}
+		e := min(base+pl.block, hi)
 		seg := pd[s:e]
-		if a.contig {
-			ds := dd[a.subIdx+(s-base):]
+		switch pl.shape {
+		case tiled:
+			offs, ds := pl.tile[s-base:e-base], dd[c.sub:]
+			seg = seg[:len(offs)]
+			for k, o := range offs {
+				ds[o] += seg[k]
+			}
+		case contigRun:
+			ds := dd[c.sub+(s-base):]
 			ds = ds[:len(seg)]
 			for k := range seg {
 				ds[k] += seg[k]
 			}
-		} else {
-			acc := dd[a.subIdx]
+		default:
+			acc := dd[c.sub]
 			for k := range seg {
 				acc += seg[k]
 			}
-			dd[a.subIdx] = acc
+			dd[c.sub] = acc
 		}
 		s, base = e, e
 		if s < hi {
-			a.advanceRun()
+			pl.next(&c)
 		}
 	}
+	return nil
 }
 
-// maxMarginalBlocked maximizes p entries [lo, hi) into dst, the (max, ×)
-// counterpart of marginalBlocked.
-func (p *Potential) maxMarginalBlocked(dst *Potential, a *aligner, lo, hi int) {
-	if lo >= hi {
-		return
+// MaxMarginalInto maximizes entries [lo, hi) of p into dst, the (max, ×)
+// counterpart of MarginalInto.
+func (pl *Plan) MaxMarginalInto(p, dst *Potential, lo, hi int) error {
+	if err := pl.check("max-marginal", len(p.Data), len(dst.Data), lo, hi); err != nil {
+		return err
 	}
 	pd, dd := p.Data, dst.Data
-	L := a.runLen
-	base := lo - lo%L
-	a.seek(base)
+	var c cursor
+	base := pl.seek(&c, lo)
 	for s := lo; s < hi; {
-		e := base + L
-		if e > hi {
-			e = hi
-		}
+		e := min(base+pl.block, hi)
 		seg := pd[s:e]
-		if a.contig {
-			ds := dd[a.subIdx+(s-base):]
+		switch pl.shape {
+		case tiled:
+			offs, ds := pl.tile[s-base:e-base], dd[c.sub:]
+			seg = seg[:len(offs)]
+			for k, o := range offs {
+				if v := seg[k]; v > ds[o] {
+					ds[o] = v
+				}
+			}
+		case contigRun:
+			ds := dd[c.sub+(s-base):]
 			ds = ds[:len(seg)]
 			for k := range seg {
 				if v := seg[k]; v > ds[k] {
 					ds[k] = v
 				}
 			}
-		} else {
-			m := dd[a.subIdx]
+		default:
+			m := dd[c.sub]
 			for k := range seg {
 				if v := seg[k]; v > m {
 					m = v
 				}
 			}
-			dd[a.subIdx] = m
+			dd[c.sub] = m
 		}
 		s, base = e, e
 		if s < hi {
-			a.advanceRun()
+			pl.next(&c)
 		}
 	}
+	return nil
 }
 
-// extendBlocked fills dst entries [lo, hi) with the aligned entries of p.
-// Here the aligner runs over dst (the superset): constant runs become a
-// scalar fill, contiguous runs a straight copy.
-func (p *Potential) extendBlocked(dst *Potential, a *aligner, lo, hi int) {
-	if lo >= hi {
-		return
+// ExtendInto fills entries [lo, hi) of dst, the superset table, with the
+// aligned entries of q: a constant run becomes a scalar fill, a contiguous
+// run a straight copy.
+func (pl *Plan) ExtendInto(q, dst *Potential, lo, hi int) error {
+	if err := pl.check("extend", len(dst.Data), len(q.Data), lo, hi); err != nil {
+		return err
 	}
-	pd, dd := p.Data, dst.Data
-	L := a.runLen
-	base := lo - lo%L
-	a.seek(base)
+	qd, dd := q.Data, dst.Data
+	var c cursor
+	base := pl.seek(&c, lo)
 	for s := lo; s < hi; {
-		e := base + L
-		if e > hi {
-			e = hi
-		}
+		e := min(base+pl.block, hi)
 		seg := dd[s:e]
-		if a.contig {
-			copy(seg, pd[a.subIdx+(s-base):])
-		} else {
-			f := pd[a.subIdx]
+		switch pl.shape {
+		case tiled:
+			offs, qs := pl.tile[s-base:e-base], qd[c.sub:]
+			seg = seg[:len(offs)]
+			for k, o := range offs {
+				seg[k] = qs[o]
+			}
+		case contigRun:
+			copy(seg, qd[c.sub+(s-base):])
+		default:
+			f := qd[c.sub]
 			for k := range seg {
 				seg[k] = f
 			}
 		}
 		s, base = e, e
 		if s < hi {
-			a.advanceRun()
+			pl.next(&c)
 		}
 	}
+	return nil
 }
 
 // PartitionGrain returns the preferred split alignment, in entries, for

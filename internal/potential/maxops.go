@@ -32,15 +32,11 @@ func (p *Potential) MaxMarginal(onto []int) (*Potential, error) {
 // combiner folds together with MaxWith. Entries are assumed non-negative
 // (potentials), so a zero initial buffer is an identity.
 func (p *Potential) MaxMarginalInto(dst *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, dst.Vars, dst.Card)
+	pl, err := NewRunPlan(p.Vars, p.Card, dst.Vars, dst.Card)
 	if err != nil {
 		return fmt.Errorf("max-marginal: %w", err)
 	}
-	if err := checkRange(lo, hi, len(p.Data)); err != nil {
-		return fmt.Errorf("max-marginal: %w", err)
-	}
-	p.maxMarginalBlocked(dst, a, lo, hi)
-	return nil
+	return pl.MaxMarginalInto(p, dst, lo, hi)
 }
 
 // MaxMarginalIntoScalar is the per-entry reference implementation of

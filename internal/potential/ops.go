@@ -15,11 +15,15 @@ import (
 //   - Marginalize range subtasks read disjoint slices of the *input* and
 //     accumulate into private zero buffers that the combiner subtask Adds.
 //
-// The public range forms execute the run-decomposed blocked kernels of
-// kernels.go. Each also has a *Scalar variant — the original per-entry
-// odometer walk — retained as the reference implementation: the blocked
-// kernels must match it bit for bit (kernels_fuzz_test.go, runsplit_test.go)
-// and beat it on ns/entry (bench_kernels_test.go, cmd/evkernels).
+// The public range forms compile a run-only Plan for the two domains and run
+// its kernel (plan.go, kernels.go) — the convenience form for one-off calls,
+// which would pay for a tile's table walk without a second call to amortize
+// it; the propagation engines hold the tiled plan of every (clique,
+// separator) pair and call its kernels directly. Each also has a *Scalar
+// variant — the original per-entry odometer walk — retained as the reference
+// implementation: the plan kernels must match it bit for bit
+// (kernels_fuzz_test.go, runsplit_test.go) and beat it on ns/entry
+// (bench_kernels_test.go, cmd/evkernels).
 
 // MulBy multiplies p in place by q, whose domain must be a subset of p's.
 func (p *Potential) MulBy(q *Potential) error { return p.MulRange(q, 0, len(p.Data)) }
@@ -27,15 +31,11 @@ func (p *Potential) MulBy(q *Potential) error { return p.MulRange(q, 0, len(p.Da
 // MulRange multiplies entries lo..hi-1 of p in place by the aligned entries
 // of q, whose domain must be a subset of p's.
 func (p *Potential) MulRange(q *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, q.Vars, q.Card)
+	pl, err := NewRunPlan(p.Vars, p.Card, q.Vars, q.Card)
 	if err != nil {
 		return fmt.Errorf("multiply: %w", err)
 	}
-	if err := checkRange(lo, hi, len(p.Data)); err != nil {
-		return fmt.Errorf("multiply: %w", err)
-	}
-	p.mulBlocked(q, a, lo, hi)
-	return nil
+	return pl.MulRange(p, q, lo, hi)
 }
 
 // MulRangeScalar is the per-entry reference implementation of MulRange.
@@ -62,15 +62,11 @@ func (p *Potential) DivBy(q *Potential) error { return p.DivRange(q, 0, len(p.Da
 // DivRange divides entries lo..hi-1 of p in place by the aligned entries of
 // q (0/0 = 0), whose domain must be a subset of p's.
 func (p *Potential) DivRange(q *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, q.Vars, q.Card)
+	pl, err := NewRunPlan(p.Vars, p.Card, q.Vars, q.Card)
 	if err != nil {
 		return fmt.Errorf("divide: %w", err)
 	}
-	if err := checkRange(lo, hi, len(p.Data)); err != nil {
-		return fmt.Errorf("divide: %w", err)
-	}
-	p.divBlocked(q, a, lo, hi)
-	return nil
+	return pl.DivRange(p, q, lo, hi)
 }
 
 // DivRangeScalar is the per-entry reference implementation of DivRange.
@@ -116,15 +112,11 @@ func (p *Potential) Marginal(onto []int) (*Potential, error) {
 // be a subset of p's. dst is not cleared: partitioned subtasks accumulate
 // into private zero buffers which a combiner later Adds together.
 func (p *Potential) MarginalInto(dst *Potential, lo, hi int) error {
-	a, err := newAligner(p.Vars, p.Card, dst.Vars, dst.Card)
+	pl, err := NewRunPlan(p.Vars, p.Card, dst.Vars, dst.Card)
 	if err != nil {
 		return fmt.Errorf("marginal: %w", err)
 	}
-	if err := checkRange(lo, hi, len(p.Data)); err != nil {
-		return fmt.Errorf("marginal: %w", err)
-	}
-	p.marginalBlocked(dst, a, lo, hi)
-	return nil
+	return pl.MarginalInto(p, dst, lo, hi)
 }
 
 // MarginalIntoScalar is the per-entry reference implementation of
@@ -189,15 +181,11 @@ func (p *Potential) Extend(vars, card []int) (*Potential, error) {
 // ExtendInto fills entries lo..hi-1 of dst with the aligned entries of p,
 // whose domain must be a subset of dst's.
 func (p *Potential) ExtendInto(dst *Potential, lo, hi int) error {
-	a, err := newAligner(dst.Vars, dst.Card, p.Vars, p.Card)
+	pl, err := NewRunPlan(dst.Vars, dst.Card, p.Vars, p.Card)
 	if err != nil {
 		return fmt.Errorf("extend: %w", err)
 	}
-	if err := checkRange(lo, hi, len(dst.Data)); err != nil {
-		return fmt.Errorf("extend: %w", err)
-	}
-	p.extendBlocked(dst, a, lo, hi)
-	return nil
+	return pl.ExtendInto(p, dst, lo, hi)
 }
 
 // ExtendIntoScalar is the per-entry reference implementation of ExtendInto.

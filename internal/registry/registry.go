@@ -339,11 +339,16 @@ func (r *Registry) Reload(name string) (<-chan error, error) {
 func (r *Registry) compileAsync(m *Model, src Source) <-chan error {
 	m.compiling.Add(1)
 	done := make(chan error, 1)
-	go func() {
-		done <- r.compile(m, src)
-		m.compiling.Add(-1)
-	}()
+	go func() { done <- r.compileCounted(m, src) }()
 	return done
+}
+
+// compileCounted is one compile that compileAsync has counted in. It drops
+// the count before it returns, hence before its outcome can be sent: whoever
+// receives the outcome must not still find the model "compiling".
+func (r *Registry) compileCounted(m *Model, src Source) error {
+	defer m.compiling.Add(-1)
+	return r.compile(m, src)
 }
 
 // compile is the background build: load the source, compile the engine,

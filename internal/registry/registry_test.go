@@ -345,3 +345,53 @@ func TestDeleteRacesCompile(t *testing.T) {
 		}
 	}
 }
+
+// TestOutcomeNotVisibleWhileCompiling: whoever receives a compile's outcome
+// must find the model settled — ready or failed, never still "compiling" or
+// "reloading". The outcome is sent once compileCounted has returned, so the
+// property is that a counted compile leaves nothing counted, which needs no
+// scheduling luck to check; the loop through the public API rides along.
+func TestOutcomeNotVisibleWhileCompiling(t *testing.T) {
+	r := New(evprop.Options{Workers: 1})
+	defer r.Close()
+	if err := r.LoadSync("m", BuiltinSource("sprinkler")); err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.model("m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.compiling.Add(1)
+	if err := r.compileCounted(m, BuiltinSource("sprinkler")); err != nil {
+		t.Fatal(err)
+	}
+	if info := m.Info(); info.State != StateReady || info.Reloading || info.Version != 2 {
+		t.Errorf("recompiled: %+v, want version 2 ready and not reloading", info)
+	}
+	m.compiling.Add(1)
+	if err := r.compileCounted(m, InlineSource([]byte("not a bif"), false)); err == nil {
+		t.Fatal("parse failure did not surface")
+	}
+	if info := m.Info(); info.State != StateReady || info.Reloading || info.Error == "" {
+		t.Errorf("failed reload: %+v, want the old version ready, not reloading, with the error", info)
+	}
+
+	for i := 0; i < 50; i++ {
+		done, err := r.Reload("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if info := m.Info(); info.State != StateReady || info.Reloading {
+			t.Fatalf("reload %d: outcome received, model still %+v", i, info)
+		}
+		if err := r.LoadSync("broken", InlineSource([]byte("not a bif"), false)); err == nil {
+			t.Fatal("parse failure did not surface")
+		}
+		if b, err := r.model("broken"); err != nil || b.Info().State != StateFailed {
+			t.Fatalf("failed load %d: state %q (%v), want failed", i, b.Info().State, err)
+		}
+	}
+}

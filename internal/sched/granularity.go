@@ -8,11 +8,11 @@ import (
 
 // DispatchEntries is d, the cost of one scheduling operation (Allocate or
 // Fetch: lock, list update, wake-up) expressed in potential-table entries:
-// internal/machine's calibrated Dispatch / SecondsPerEntry (0.8 µs / 2 ns),
+// internal/machine's calibrated Dispatch / SecondsPerEntry (0.8 µs / 0.8 ns),
 // pinned to those constants by a test there. It is the one granularity
 // constant of the execution layer: Inline compares a graph's mean task
 // against it, and Split keeps every piece above it.
-const DispatchEntries = 400
+const DispatchEntries = 1000
 
 // ThresholdAuto is the Options.Threshold value that hands the Partition
 // module's decision to Split: which tasks are cut, and into how many pieces,

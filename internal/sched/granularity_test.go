@@ -28,10 +28,10 @@ func benchModel(t *testing.T, nodes, maxParents int) (*jtree.Tree, *taskgraph.Gr
 }
 
 // TestGranularityRule is the table of the one weight rule over the three
-// benchmark models: small40's mean task of 32 entries does not pay for a
-// dispatch below 14 workers, mid60 (893) and wide60 (14 110) pay at two
-// already, and one worker or no tasks means inline whatever the
-// weights.
+// benchmark models: small40's mean task of 30 entries does not pay for a
+// dispatch below 35 workers, mid60 (811) pays from three — at two it is just
+// under the bound of 1 000 and runs inline — wide60 (12 902) at two already,
+// and one worker or no tasks means inline whatever the weights.
 func TestGranularityRule(t *testing.T) {
 	_, small := benchModel(t, 40, 3)
 	_, mid := benchModel(t, 60, 4)
@@ -44,8 +44,10 @@ func TestGranularityRule(t *testing.T) {
 	}{
 		{"small40 P=2", small, 2, true},
 		{"small40 P=8", small, 8, true},
-		{"small40 P=64", small, 64, false}, // 32 entries > 400/63: enough workers amortize anything
-		{"mid60 P=2", mid, 2, false},
+		{"small40 P=16", small, 16, true},
+		{"small40 P=64", small, 64, false}, // 30 entries > 1000/63: enough workers amortize anything
+		{"mid60 P=2", mid, 2, true},
+		{"mid60 P=3", mid, 3, false},
 		{"wide60 P=2", wide, 2, false},
 		{"small40 P=1", small, 1, true},
 		{"mid60 P=1", mid, 1, true},
@@ -86,9 +88,9 @@ func TestSplitRule(t *testing.T) {
 		cut [5]int
 	}{
 		{"small40", small, [5]int{0, 0, 0, 0, 0}}, // no table reaches four dispatches
-		{"mid60", mid, [5]int{0, 0, 36, 36, 36}},
-		{"wide60", wide, [5]int{0, 0, 79, 79, 79}},
-		{"chain", taskgraph.Build(chainTree), [5]int{0, 138, 138, 138, 138}},
+		{"mid60", mid, [5]int{0, 0, 19, 19, 19}},
+		{"wide60", wide, [5]int{0, 0, 48, 48, 48}},
+		{"chain", taskgraph.Build(chainTree), [5]int{0, 92, 92, 92, 92}},
 	} {
 		g := tc.g
 		par := g.TotalWeight() / g.CriticalPathWeight()

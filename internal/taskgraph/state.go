@@ -42,8 +42,8 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 // start as clones of the tree's potentials, absorb the evidence, are
 // calibrated by the run, and live for as long as anything reads the result.
 //
-// The run scratch — the per-edge message and extension buffers and the
-// partial-buffer free lists — is written and read only by the tasks of one
+// The run scratch — the per-edge message buffers and the partial-buffer free
+// lists — is written and read only by the tasks of one
 // scheduler run; no accessor below ever looks at it. It comes from a pool on
 // the Graph (NewStateMode and Reset attach one) and goes back the moment a
 // run has succeeded (ReleaseScratch), so holding a result holds its tables
@@ -67,17 +67,12 @@ type State struct {
 
 // scratch is the run-lifetime half of a State. Nothing in it carries over
 // from one run to the next — a Marginalize, whole or piece, clears the buffer
-// it reduces into before accumulating, Extend overwrites the temp buffers
-// before Multiply reads them — so a scratch serves any state of its graph, in
-// either semiring, without being cleared.
+// it reduces into before accumulating — so a scratch serves any state of its
+// graph, in either semiring, without being cleared.
 type scratch struct {
 	// sepNew[c] receives the freshly marginalized ψ*S, then holds the
-	// ratio ψ*S/ψS after the Divide step.
+	// ratio ψ*S/ψS after the Divide step, which Multiply reads.
 	sepNew []*potential.Potential
-	// tempUp[c] / tempDown[c] receive the extension of the ratio onto the
-	// parent's / child's domain.
-	tempUp   []*potential.Potential
-	tempDown []*potential.Potential
 	// bufFree recycles the private accumulation buffers of partitioned
 	// Marginalize tasks, per edge (both passes over an edge share one
 	// separator domain). Buffers are handed out by NewPartialBuffer and
@@ -89,10 +84,8 @@ type scratch struct {
 // newScratch allocates the buffers for one run over the materialized tree.
 func newScratch(t *jtree.Tree) *scratch {
 	sc := &scratch{
-		sepNew:   make([]*potential.Potential, t.N()),
-		tempUp:   make([]*potential.Potential, t.N()),
-		tempDown: make([]*potential.Potential, t.N()),
-		bufFree:  make([][]*potential.Potential, t.N()),
+		sepNew:  make([]*potential.Potential, t.N()),
+		bufFree: make([][]*potential.Potential, t.N()),
 	}
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
@@ -100,8 +93,6 @@ func newScratch(t *jtree.Tree) *scratch {
 			continue
 		}
 		sc.sepNew[i] = c.SepPot.CloneZero()
-		sc.tempUp[i] = t.Cliques[c.Parent].Pot.CloneZero()
-		sc.tempDown[i] = c.Pot.CloneZero()
 	}
 	return sc
 }
@@ -124,6 +115,10 @@ func (g *Graph) NewState() (*State, error) { return g.NewStateMode(SumProduct) }
 // allocated; the run scratch comes from the graph's pool.
 func (g *Graph) NewStateMode(mode Mode) (*State, error) {
 	t := g.Tree
+	// Compiled here so that the kernels can read g.plans without a check.
+	if _, err := g.Plans(); err != nil {
+		return nil, err
+	}
 	st := &State{
 		g:      g,
 		mode:   mode,
@@ -202,8 +197,6 @@ func (st *State) RetainedEntries() int {
 	count(st.Sep)
 	if sc := st.run; sc != nil {
 		count(sc.sepNew)
-		count(sc.tempUp)
-		count(sc.tempDown)
 		sc.bufMu.Lock()
 		for _, free := range sc.bufFree {
 			count(free)
@@ -252,9 +245,8 @@ func (st *State) Execute(id int) error {
 }
 
 // PartitionSize returns the length of the index range over which the task
-// may be split into independent pieces. It is read off the result tables —
-// a message buffer has the domain of the separator, an extension buffer that
-// of the clique it is multiplied into — so it needs no scratch.
+// may be split into independent pieces. It is read off the result tables — a
+// message buffer has the domain of the separator — so it needs no scratch.
 func (st *State) PartitionSize(id int) int {
 	t := &st.g.Tasks[id]
 	switch t.Kind {
@@ -262,7 +254,7 @@ func (st *State) PartitionSize(id int) int {
 		return st.Clique[t.Source].Len() // input-partitioned
 	case Divide:
 		return st.Sep[t.Edge].Len()
-	case Extend, Multiply:
+	case Multiply:
 		return st.Clique[t.Target].Len()
 	}
 	return 0
@@ -300,7 +292,8 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 // reduces its slice of the source clique into it. A nil buf stands for the
 // task's own destination, the edge's sepNew buffer — which is how a whole
 // task, and the first piece of a partitioned one, write it directly. Other
-// kinds ignore buf.
+// kinds ignore buf. An Extend task (none is built, see the package comment) is
+// refused.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	sc := st.run
 	if sc == nil {
@@ -313,23 +306,18 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 			buf = sc.sepNew[t.Edge]
 		}
 		clear(buf.Data)
+		pl := st.g.plans[t.Edge].Of(t.Source, t.Edge)
 		if st.mode == MaxProduct {
-			return st.Clique[t.Source].MaxMarginalInto(buf, lo, hi)
+			return pl.MaxMarginalInto(st.Clique[t.Source], buf, lo, hi)
 		}
-		return st.Clique[t.Source].MarginalInto(buf, lo, hi)
+		return pl.MarginalInto(st.Clique[t.Source], buf, lo, hi)
 	case Divide:
 		return divideRange(sc.sepNew[t.Edge].Data, st.Sep[t.Edge].Data, lo, hi)
-	case Extend:
-		ratio := sc.sepNew[t.Edge]
-		if t.Dir == Collect {
-			return ratio.ExtendInto(sc.tempUp[t.Edge], lo, hi)
-		}
-		return ratio.ExtendInto(sc.tempDown[t.Edge], lo, hi)
 	case Multiply:
-		if t.Dir == Collect {
-			return st.Clique[t.Target].MulRange(sc.tempUp[t.Edge], lo, hi)
-		}
-		return st.Clique[t.Target].MulRange(sc.tempDown[t.Edge], lo, hi)
+		pl := st.g.plans[t.Edge].Of(t.Target, t.Edge)
+		return pl.MulRange(st.Clique[t.Target], sc.sepNew[t.Edge], lo, hi)
+	case Extend:
+		return fmt.Errorf("taskgraph: task %d: extension is part of Multiply and has no task of its own", id)
 	}
 	return fmt.Errorf("taskgraph: unknown kind %v", t.Kind)
 }

@@ -12,8 +12,15 @@
 //
 //	ψ*S  = marginalize(ψsource onto S)   (Marginalize)
 //	ρ    = ψ*S / ψS ;  ψS ← ψ*S          (Divide)
-//	τ    = extend(ρ onto vars(target))    (Extend)
-//	ψtgt ← ψtgt · τ                       (Multiply)
+//	ψtgt ← ψtgt · extend(ρ)              (Multiply)
+//
+// The paper lists extension as a fourth task that writes ρ broadcast onto the
+// target's domain for Multiply to read back. Here the broadcast is folded into
+// Multiply, which reads ρ through the compiled walk of the (target ⊇ S) pair
+// (potential.Plan) — the scattering pass of Zheng & Mengshoel — so a message
+// is three tasks and no clique-sized temporary exists. The per-entry product
+// is the same two floats either way. Kind Extend remains for per-kind arrays
+// and hand-built graphs; Build emits none.
 //
 // A Graph is pure structure plus weights: it can be built from a skeleton
 // tree (no potentials) and fed to the simulated-multicore machine, or
@@ -22,7 +29,7 @@
 //
 // A State is split by lifetime. Its result tables (clique and separator
 // potentials) are what the propagation computes and live as long as anyone
-// reads them; its run scratch (per-edge message and extension buffers) is
+// reads them; its run scratch (per-edge message buffers) is
 // used only while the graph executes, so it is owned by the Graph, lent to
 // one run at a time from a pool, and handed back by State.ReleaseScratch when
 // the run has succeeded. Holding a finished State therefore holds its tables
@@ -98,9 +105,9 @@ type Task struct {
 	// scheduler's δ-partitioning: the constant-run length of the task's
 	// kernel (potential.PartitionGrain), so split points land on run
 	// boundaries and no two pieces reduce into the same destination cell.
-	// 1 for purely contiguous kernels (Divide, Multiply, and Extend/
-	// Marginalize whose trailing variables are shared), where any split
-	// point costs the same. 0 on hand-built graphs means "unknown" and is
+	// 1 for purely contiguous kernels (Divide, and a Marginalize or Multiply
+	// whose trailing variables are shared), where any split point costs the
+	// same. 0 on hand-built graphs means "unknown" and is
 	// treated as 1.
 	Grain int
 	Succs []int
@@ -110,10 +117,11 @@ type Task struct {
 // Graph is the full task dependency graph for one junction tree. It is
 // immutable once built: the first TopoOrder or TotalWeight call caches what
 // it derives from Tasks, PieceCounts caches one partition verdict per worker
-// count, and every run of the graph reads those caches. It also owns the pool of run scratch its States draw
-// from (see State): scratch is shaped by the tree's edges alone, so one pool
-// serves every state of the graph, sum- or max-product, from any number of
-// goroutines.
+// count, Plans compiles the kernel walks of every tree edge once, and every
+// run of the graph reads those caches. It also owns the pool of run scratch
+// its States draw from (see State): scratch is shaped by the tree's edges
+// alone, so one pool serves every state of the graph, sum- or max-product,
+// from any number of goroutines.
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
@@ -125,11 +133,30 @@ type Graph struct {
 
 	pieces sync.Map // worker count → []int32, see PieceCounts
 
+	planOnce sync.Once
+	plans    []EdgePlans // per child clique, see Plans
+	planErr  error
+
 	scratchPool sync.Pool // of *scratch
 }
 
-// taskIdx addresses the 4 collect + 4 distribute tasks of one edge.
-type taskIdx struct{ cm, cd, ce, cu, dm, dd, de, du int }
+// EdgePlans holds the two compiled kernel walks of one tree edge: the child
+// clique against the edge's separator and the parent clique against it. The
+// collect message marginalizes through Child and multiplies through Parent,
+// the distribute message the other way round.
+type EdgePlans struct{ Child, Parent *potential.Plan }
+
+// Of returns the plan pairing the given clique — the edge's child or its
+// parent — with the separator.
+func (e EdgePlans) Of(clique, child int) *potential.Plan {
+	if clique == child {
+		return e.Child
+	}
+	return e.Parent
+}
+
+// taskIdx addresses the 3 collect + 3 distribute tasks of one edge.
+type taskIdx struct{ cm, cd, cu, dm, dd, du int }
 
 // Build constructs the full two-pass dependency graph for the given
 // (possibly skeleton) junction tree. A tree with a single clique yields an
@@ -160,7 +187,7 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 		g.Tasks[to].NDeps++
 	}
 
-	// Create the eight tasks of every edge. Edges are identified by the
+	// Create the six tasks of every edge. Edges are identified by the
 	// child clique id in the *current* rooting.
 	for c := range t.Cliques {
 		p := t.Cliques[c].Parent
@@ -170,34 +197,29 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 		childSize := float64(t.Cliques[c].TableSize())
 		parentSize := float64(t.Cliques[p].TableSize())
 		sepSize := float64(t.Cliques[c].SepSize())
-		// Kernel grains: Marginalize and Extend range over a clique table
+		// Kernel grains: Marginalize and Multiply range over a clique table
 		// aligned against the edge's separator, so their grain is the
 		// constant-run length of that (clique ⊇ separator) pair. Divide runs
-		// elementwise over the separator and Multiply multiplies a clique by
-		// a same-domain extension buffer — both purely contiguous, grain 1.
+		// elementwise over the separator: grain 1.
 		childGrain := potential.PartitionGrain(t.Cliques[c].Vars, t.Cliques[c].Card, t.Cliques[c].SepVars)
 		parentGrain := potential.PartitionGrain(t.Cliques[p].Vars, t.Cliques[p].Card, t.Cliques[c].SepVars)
 		ti := taskIdx{
 			cm: add(Marginalize, Collect, c, c, p, childSize, childGrain),
 			cd: add(Divide, Collect, c, c, p, sepSize, 1),
-			ce: add(Extend, Collect, c, c, p, parentSize, parentGrain),
-			cu: add(Multiply, Collect, c, c, p, parentSize, 1),
-			dm: -1, dd: -1, de: -1, du: -1,
+			cu: add(Multiply, Collect, c, c, p, parentSize, parentGrain),
+			dm: -1, dd: -1, du: -1,
 		}
 		if withDistribute {
 			ti.dm = add(Marginalize, Distribute, c, p, c, parentSize, parentGrain)
 			ti.dd = add(Divide, Distribute, c, p, c, sepSize, 1)
-			ti.de = add(Extend, Distribute, c, p, c, childSize, childGrain)
-			ti.du = add(Multiply, Distribute, c, p, c, childSize, 1)
+			ti.du = add(Multiply, Distribute, c, p, c, childSize, childGrain)
 		}
-		// Local chains: M -> D -> E -> U in both directions.
+		// Local chains: M -> D -> U in both directions.
 		dep(ti.cm, ti.cd)
-		dep(ti.cd, ti.ce)
-		dep(ti.ce, ti.cu)
+		dep(ti.cd, ti.cu)
 		if withDistribute {
 			dep(ti.dm, ti.dd)
-			dep(ti.dd, ti.de)
-			dep(ti.de, ti.du)
+			dep(ti.dd, ti.du)
 		}
 		idx[c] = ti
 	}
@@ -341,6 +363,36 @@ func (g *Graph) PieceCounts(workers int, rule func(g *Graph, workers int) []int3
 	return v.([]int32)
 }
 
+// Plans returns the compiled kernel walks of every tree edge, indexed by child
+// clique id (the root's entry is empty). They are built on first use from the
+// cliques' and separators' domains alone — a skeleton tree has plans — and
+// shared, read-only, by every state and run of the graph, and by
+// internal/lazy, whose pruned graphs run over the same tree. The error is a
+// tree whose separator is not a sub-domain of both its cliques.
+func (g *Graph) Plans() ([]EdgePlans, error) {
+	g.planOnce.Do(func() {
+		t := g.Tree
+		plans := make([]EdgePlans, t.N())
+		for c := range t.Cliques {
+			ch := &t.Cliques[c]
+			if ch.Parent < 0 {
+				continue
+			}
+			pa := &t.Cliques[ch.Parent]
+			var err error
+			if plans[c].Child, err = potential.NewPlan(ch.Vars, ch.Card, ch.SepVars, ch.SepCard); err == nil {
+				plans[c].Parent, err = potential.NewPlan(pa.Vars, pa.Card, ch.SepVars, ch.SepCard)
+			}
+			if err != nil {
+				g.planErr = fmt.Errorf("taskgraph: edge (%d, %d): %w", c, ch.Parent, err)
+				return
+			}
+		}
+		g.plans = plans
+	})
+	return g.plans, g.planErr
+}
+
 // TopoOrder returns a topological order of the tasks, or an error if the
 // graph has a cycle (which would indicate a construction bug). The order is
 // derived once per graph and shared by every caller, who must not modify it.
@@ -454,8 +506,6 @@ func (g *Graph) WriteDOT(w io.Writer) error {
 			shape = "invtrapezium"
 		case Divide:
 			shape = "diamond"
-		case Extend:
-			shape = "trapezium"
 		}
 		color := "lightblue"
 		if t.Dir == Distribute {

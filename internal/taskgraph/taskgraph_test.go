@@ -26,7 +26,7 @@ func TestBuildTaskCount(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 17} {
 		tr := chainTree(t, n)
 		g := Build(tr)
-		if got, want := g.N(), 8*(n-1); got != want {
+		if got, want := g.N(), 6*(n-1); got != want {
 			t.Errorf("n=%d: %d tasks, want %d", n, got, want)
 		}
 		if err := g.Validate(); err != nil {
@@ -272,10 +272,10 @@ func TestChainWeightsAndPieceCounts(t *testing.T) {
 }
 
 // TestGrains pins the split-alignment contract Build hands the scheduler:
-// Marginalize and Extend carry the constant-run length of their clique ⊇
-// separator alignment (recomputed here from the domains), while Divide and
-// Multiply are purely contiguous and carry grain 1. Built from skeleton
-// trees only — grains must not require materialized potentials.
+// Marginalize and Multiply carry the constant-run length of their clique ⊇
+// separator alignment (recomputed here from the domains), while Divide is
+// purely contiguous and carries grain 1. Built from skeleton trees only —
+// grains must not require materialized potentials.
 func TestGrains(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		tr, err := jtree.Random(jtree.RandomConfig{N: 30, Width: 5, States: 3, Degree: 3, Seed: seed})
@@ -289,13 +289,13 @@ func TestGrains(t *testing.T) {
 			p := tr.Cliques[c].Parent
 			var want int
 			switch {
-			case task.Kind == Divide || task.Kind == Multiply:
+			case task.Kind == Divide:
 				want = 1
 			case (task.Kind == Marginalize) == (task.Dir == Collect):
-				// cm and de range over the child clique's table.
+				// cm and du range over the child clique's table.
 				want = potential.PartitionGrain(tr.Cliques[c].Vars, tr.Cliques[c].Card, tr.Cliques[c].SepVars)
 			default:
-				// ce and dm range over the parent clique's table.
+				// cu and dm range over the parent clique's table.
 				want = potential.PartitionGrain(tr.Cliques[p].Vars, tr.Cliques[p].Card, tr.Cliques[c].SepVars)
 			}
 			if task.Grain != want {
@@ -307,14 +307,14 @@ func TestGrains(t *testing.T) {
 		}
 	}
 	// Directed shape: in a chain tree the separator {i, i+1} is a *prefix*
-	// of the child clique {i, i+1, i+2}, so child-aligned tasks (cm, de)
+	// of the child clique {i, i+1, i+2}, so child-aligned tasks (cm, du)
 	// have one trailing variable absent — grain = its state count, 2 — while
 	// the separator is a *suffix* of the parent clique {i-1, i, i+1}, so
-	// parent-aligned tasks (ce, dm) are contiguous with grain 1.
+	// parent-aligned tasks (cu, dm) are contiguous with grain 1.
 	g := Build(chainTree(t, 3))
 	for i := range g.Tasks {
 		task := &g.Tasks[i]
-		if task.Kind != Marginalize && task.Kind != Extend {
+		if task.Kind == Divide {
 			continue
 		}
 		childAligned := (task.Kind == Marginalize) == (task.Dir == Collect)
@@ -628,10 +628,16 @@ func TestWriteDOT(t *testing.T) {
 	if strings.Count(out, "->") == 0 {
 		t.Error("no edges rendered")
 	}
-	for _, want := range []string{"marginalize", "divide", "extend", "multiply", "lightsalmon"} {
+	for _, want := range []string{"marginalize", "divide", "multiply", "lightsalmon"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in DOT output", want)
 		}
+	}
+	if strings.Contains(out, "extend") {
+		t.Error("DOT output has an extend node: extension is part of multiply")
+	}
+	if got, want := strings.Count(out, "label="), g.N(); got != want {
+		t.Errorf("%d nodes rendered, want %d", got, want)
 	}
 }
 
@@ -799,4 +805,75 @@ func TestScratchPoolSharedAcrossGoroutines(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestConcurrentPiecesShareOnePlan: the two halves of every Marginalize and
+// every Multiply run on two goroutines at once, both walking the edge's one
+// compiled plan (its cursor is on each kernel call's own stack), in both
+// semirings, on cliques wide enough for tiled and run-shaped plans alike. The
+// result is the very bits the same pieces leave when run one after the other;
+// -race checks that the pieces share nothing they write.
+func TestConcurrentPiecesShareOnePlan(t *testing.T) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 12, Width: 10, States: 2, Degree: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(13); err != nil {
+		t.Fatal(err)
+	}
+	g := Build(tr)
+	order, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mode Mode, concurrent bool) *State {
+		st, err := g.NewStateMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range order {
+			if k := g.Tasks[id].Kind; k == Divide {
+				if err := st.Execute(id); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			// Deliberately unaligned: the cut falls inside a run or a tile.
+			size := st.PartitionSize(id)
+			mid := size/2 + 1
+			buf := st.NewPartialBuffer(id) // nil for Multiply
+			var wg sync.WaitGroup
+			piece := func(lo, hi int, b *potential.Potential) {
+				defer wg.Done()
+				if err := st.ExecutePiece(id, lo, hi, b); err != nil {
+					t.Errorf("task %s piece [%d,%d): %v", &g.Tasks[id], lo, hi, err)
+				}
+			}
+			wg.Add(2)
+			if concurrent {
+				go piece(0, mid, nil)
+				go piece(mid, size, buf)
+			} else {
+				piece(0, mid, nil)
+				piece(mid, size, buf)
+			}
+			wg.Wait()
+			var bufs []*potential.Potential
+			if buf != nil {
+				bufs = append(bufs, buf)
+			}
+			if err := st.Combine(id, bufs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return st
+	}
+	for _, mode := range []Mode{SumProduct, MaxProduct} {
+		want, got := run(mode, false), run(mode, true)
+		for i := range want.Clique {
+			if !want.Clique[i].Equal(got.Clique[i], 0) {
+				t.Errorf("%v: clique %d differs between concurrent and sequential pieces", mode, i)
+			}
+		}
+	}
 }
