@@ -26,13 +26,15 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
-# The two tests whose verdict once depended on how a run happened to be
-# scheduled — the Fig. 8 overhead share of a real pool run, and the bits a
-# partitioned sum leaves behind — forty times over, without the race detector
-# (whose slowdown hides both), plus the deterministic reproducer of the span
-# arena's recycle window. A flake here is a bug, not noise.
+# The tests whose verdict once depended, or could depend, on how a run happens
+# to be scheduled — the Fig. 8 overhead share of a real pool run, the bits a
+# partitioned sum leaves behind, and the bits partitioned runs leave when the
+# pooled message and partial buffers serve tables sliced on one evidence after
+# another — forty times over, without the race detector (whose slowdown hides
+# them), plus the deterministic reproducer of the span arena's recycle window.
+# A flake here is a bug, not noise.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestStaleHandleRefusedWhileRecycling' ./internal/obs ./internal/obs/trace ./internal/sched
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -83,6 +85,7 @@ smoke-kernels:
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEvidenceSignature -fuzztime 10s ./internal/cache
 	$(GO) test -run xxx -fuzz FuzzKernelBlockedVsScalar -fuzztime 10s ./internal/potential
+	$(GO) test -run xxx -fuzz FuzzSlice -fuzztime 10s ./internal/potential
 	$(GO) test -run xxx -fuzz FuzzLazyVsEager -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/bif
 

@@ -377,6 +377,84 @@ func BenchmarkPropagateWide(b *testing.B) {
 	}
 }
 
+// evidenceModels are the load benchmark's three models with the evidence width
+// of the workload that drives each (small-miss, mid-dense, wide-miss): what the
+// engine's tables are sliced on.
+type evidenceModel struct {
+	name                     string
+	nodes, parents, observed int
+}
+
+var evidenceModels = []evidenceModel{{"Small", 40, 3, 4}, {"Mid", 60, 4, 30}, {"Wide", 60, 5, 4}}
+
+// benchmarkPropagateEvidence is one propagation per op at the load benchmark's
+// P = 2 over never-repeating evidence of the workload's width, states recycled
+// (no cache). ns/op follows the evidence — the tables are sliced on it — and
+// allocs/op does not move with host load.
+func benchmarkPropagateEvidence(b *testing.B, m evidenceModel) {
+	net := RandomNetwork(m.nodes, 2, m.parents, 7)
+	eng, err := net.Compile(Options{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer eng.Close()
+	evs := benchmarkEvidence(net, 1, m.observed, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := eng.Propagate(evs[i%len(evs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Close()
+	}
+}
+
+func BenchmarkPropagateSmallEvidence(b *testing.B) { benchmarkPropagateEvidence(b, evidenceModels[0]) }
+func BenchmarkPropagateMidEvidence(b *testing.B)   { benchmarkPropagateEvidence(b, evidenceModels[1]) }
+func BenchmarkPropagateWideEvidence(b *testing.B)  { benchmarkPropagateEvidence(b, evidenceModels[2]) }
+
+// BenchmarkAbsorb is what priming a recycled state for a query costs on the
+// same three models and widths: every table gathered from the tree at the
+// observed states, and a kernel plan compiled for each (clique ⊇ separator)
+// pair that holds an observed variable. entries/op is the run that follows,
+// in table entries, against the graph's full weight.
+func BenchmarkAbsorb(b *testing.B) {
+	for _, m := range evidenceModels {
+		b.Run(m.name, func(b *testing.B) {
+			net := RandomNetwork(m.nodes, 2, m.parents, 7)
+			tree, err := net.inner.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := taskgraph.Build(tree)
+			st, err := g.NewState()
+			if err != nil {
+				b.Fatal(err)
+			}
+			var evs []potential.Evidence
+			for _, ev := range benchmarkEvidence(net, 1, m.observed, 64) {
+				iev, err := net.evidence(ev)
+				if err != nil {
+					b.Fatal(err)
+				}
+				evs = append(evs, iev)
+			}
+			entries := 0.0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := st.AbsorbEvidence(evs[i%len(evs)]); err != nil {
+					b.Fatal(err)
+				}
+				entries += st.Weight()
+			}
+			b.ReportMetric(entries/float64(b.N), "entries/op")
+			b.ReportMetric(g.TotalWeight(), "graph-entries")
+		})
+	}
+}
+
 // BenchmarkBaselineSchedulers measures the comparison executors end to end.
 func BenchmarkBaselineSchedulers(b *testing.B) {
 	tr := benchTree(b)

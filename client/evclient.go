@@ -416,7 +416,11 @@ type ModelStatsInline struct {
 	Propagations int64 `json:"propagations"`
 	InlineRuns   int64 `json:"inline_runs"`
 	PoolRuns     int64 `json:"pool_runs"`
-	CacheHits    int64 `json:"cache_hits"`
+	// SlicedShare is the share of the model's task-graph table entries its
+	// runs had to range over once the tables were sliced on each query's hard
+	// evidence; 1 before anything has run.
+	SlicedShare float64 `json:"sliced_share"`
+	CacheHits   int64   `json:"cache_hits"`
 }
 
 // Stats fetches the server-wide counters and per-model rows.

@@ -37,6 +37,11 @@ type reqInfo struct {
 	overheadFrac atomic.Uint64
 	loadBalance  atomic.Uint64
 	executor     atomic.Pointer[string]
+	// entries sums what the request's propagations ranged over, in table
+	// entries sliced on their evidence, graphEntries what the same task graphs
+	// cost with nothing observed.
+	entries      atomic.Int64
+	graphEntries atomic.Int64
 	// cacheLookups counts the request's answers on cache-enabled engines and
 	// cacheHits the ones that cost no propagation of their own; both stay
 	// zero on engines compiled without a cache.
@@ -70,6 +75,8 @@ func (ri *reqInfo) fold(o *outcome, cacheOn bool) {
 			ri.overheadFrac.Store(math.Float64bits(run.SchedOverheadFrac))
 			ri.loadBalance.Store(math.Float64bits(run.LoadBalance))
 			ri.executor.Store(&run.Executor)
+			ri.entries.Add(run.Entries)
+			ri.graphEntries.Add(run.GraphEntries)
 		}
 	}
 	if cacheOn && o.err == nil {
@@ -255,6 +262,8 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			slog.Int64("propagations", ri.propagations.Load()),
 			slog.Int64("cache_hits", ri.cacheHits.Load()),
 			slog.String("executor", ri.lastExecutor()),
+			slog.Int64("entries", ri.entries.Load()),
+			slog.Int64("graph_entries", ri.graphEntries.Load()),
 			slog.Float64("sched_overhead_fraction", ri.lastOverheadFrac()),
 			slog.Float64("load_balance", ri.lastLoadBalance()),
 			slog.Duration("latency", latency),

@@ -418,6 +418,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	}
 	ids := map[string]bool{}
 	var answers, cachedAnswers int
+	var ranEntries, ranGraphEntries int64 // over every run of every row
 	for i, row := range rows {
 		id := fmt.Sprintf("views-%d", i)
 		ids[id] = true
@@ -469,6 +470,8 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			EvidenceVars int `json:"evidence_vars"`
 			CacheHits    int `json:"cache_hits"`
 			Executor     string
+			Entries      int64
+			GraphEntries int64 `json:"graph_entries"`
 		}
 		if err := json.Unmarshal([]byte(waitForLogLine(t, &logBuf, `"id":"`+id+`"`)), &line); err != nil {
 			t.Fatal(err)
@@ -499,7 +502,16 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			dump.Records = nil
 		}
 		sig, _ := eng.EvidenceSignature(row.evidence[0], nil) // fails only on the failing row, which has no records
+		// Only a propagation that ran ranged over tables: fewer entries than
+		// its task graph has, since one observed variable slices every table
+		// that mentions it. The access log sums the request's runs.
+		var entries, graphEntries int64
 		for k, rec := range dump.Records {
+			entries += rec.Entries
+			graphEntries += rec.GraphEntries
+			if ran := wantExecutor != ""; ran != (rec.Entries > 0 && rec.Entries < rec.GraphEntries) || ran != (rec.GraphEntries > 0) {
+				t.Errorf("%s: flight record %d ranged over %d of %d entries, ran=%v", row.name, k, rec.Entries, rec.GraphEntries, ran)
+			}
 			// The signature's first byte is the semiring; the rest is the
 			// evidence, identical for the sum- and max-product records.
 			if rec.Mode != row.modes[k] || rec.Cached != row.cached || rec.Error != "" ||
@@ -510,6 +522,12 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 					row.name, k, rec, row.modes[k], row.cached, wantExecutor, row.evidence[0])
 			}
 		}
+		if line.Entries != entries || line.GraphEntries != graphEntries {
+			t.Errorf("%s: access log says %d of %d entries, the flight records %d of %d",
+				row.name, line.Entries, line.GraphEntries, entries, graphEntries)
+		}
+		ranEntries += entries
+		ranGraphEntries += graphEntries
 
 		// Audit log: one record per answer.
 		srv.aud.Flush()
@@ -545,6 +563,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			byID[sp.SpanID] = sp
 		}
 		lookups, propagates := 0, 0
+		var spanEntries, spanGraphEntries, absorbEntries float64
 		for _, sp := range tr.Spans {
 			top := sp
 			for byID[top.ParentSpanID].SpanID != "" {
@@ -564,7 +583,18 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 				if sp.Attrs["executor"] != executor {
 					t.Errorf("%s: propagate span executor=%v, want %s", row.name, sp.Attrs["executor"], executor)
 				}
+				e, _ := sp.Attrs["entries"].(float64)
+				g, _ := sp.Attrs["entries.graph"].(float64)
+				spanEntries, spanGraphEntries = spanEntries+e, spanGraphEntries+g
 			}
+			if sp.Name == "absorb" {
+				e, _ := sp.Attrs["entries"].(float64)
+				absorbEntries += e
+			}
+		}
+		if int64(spanEntries) != entries || int64(spanGraphEntries) != graphEntries || int64(absorbEntries) != entries {
+			t.Errorf("%s: propagate spans say %v of %v entries, absorb spans %v, the flight records %d of %d",
+				row.name, spanEntries, spanGraphEntries, absorbEntries, entries, graphEntries)
 		}
 		wantPropagates := 0
 		if wantExecutor != "" {
@@ -613,6 +643,10 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	wantRuns[executor] = 3
 	if ms.InlineRuns != wantRuns["inline"] || ms.PoolRuns != wantRuns["pool"] {
 		t.Errorf("model stats: %d inline + %d pool runs, want %v", ms.InlineRuns, ms.PoolRuns, wantRuns)
+	}
+	// And their entries, as the share of the task graph the records add up to.
+	if want := float64(ranEntries) / float64(ranGraphEntries); ms.SlicedShare != want || want >= 1 {
+		t.Errorf("model stats: sliced_share %v, the flight records say %d/%d", ms.SlicedShare, ranEntries, ranGraphEntries)
 	}
 	metrics, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {

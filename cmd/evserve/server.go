@@ -622,7 +622,11 @@ type modelStatsSummary struct {
 	// the executor that ran them: the caller's goroutine or the workers.
 	InlineRuns int64 `json:"inline_runs"`
 	PoolRuns   int64 `json:"pool_runs"`
-	CacheHits  int64 `json:"cache_hits"`
+	// SlicedShare is the share of the model's task-graph entries those runs
+	// ranged over after slicing their tables on each query's hard evidence
+	// (1 before anything has run).
+	SlicedShare float64 `json:"sliced_share"`
+	CacheHits   int64   `json:"cache_hits"`
 }
 
 // cacheStats is the engine's cache snapshot plus the server-side coalescer
@@ -707,7 +711,7 @@ func (s *server) modelSummaries() []modelStatsSummary {
 		if v, ok := versions[info.Name]; ok {
 			row.Propagations = v.Engine.Stats().Propagations
 			sr := v.Engine.SchedulerReport()
-			row.InlineRuns, row.PoolRuns = sr.InlineRuns, sr.PoolRuns
+			row.InlineRuns, row.PoolRuns, row.SlicedShare = sr.InlineRuns, sr.PoolRuns, sr.SlicedShare
 			row.CacheHits = v.Engine.CacheStats().Hits
 		}
 		out = append(out, row)
@@ -796,7 +800,7 @@ func (s *server) handleModelStats(w http.ResponseWriter, r *http.Request) {
 	if v, err := s.reg.Current(name); err == nil {
 		resp.Propagations = v.Engine.Stats().Propagations
 		sr := v.Engine.SchedulerReport()
-		resp.InlineRuns, resp.PoolRuns = sr.InlineRuns, sr.PoolRuns
+		resp.InlineRuns, resp.PoolRuns, resp.SlicedShare = sr.InlineRuns, sr.PoolRuns, sr.SlicedShare
 		resp.Cache = v.Engine.CacheStats()
 		resp.Gauges = v.Engine.SchedulerGauges()
 	}
@@ -813,6 +817,7 @@ type modelStatsResponse struct {
 	Propagations   int64                  `json:"propagations"`
 	InlineRuns     int64                  `json:"inline_runs"`
 	PoolRuns       int64                  `json:"pool_runs"`
+	SlicedShare    float64                `json:"sliced_share"`
 	Observed       int64                  `json:"observed"`
 	AvgLatencyUsec float64                `json:"avg_latency_usec"`
 	P50LatencyUsec float64                `json:"p50_latency_usec"`

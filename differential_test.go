@@ -17,6 +17,12 @@ import (
 // must be *bit-identical* to the cold result it was cached from, because a
 // hit returns the very same pinned propagation. Every propagation's record
 // must name the executor its column stands for (see compileColumn).
+//
+// The slicing column of this oracle — the same 12 networks × 3 schedulers × 6
+// evidence configurations, every posterior, P(e) and the MPE of the engine's
+// evidence-sliced run Float64bits-equal to a full-domain run with the
+// contradicting entries zeroed — is internal/core's TestSlicedOracleColumn: its
+// reference is built from the engine's unexported result type.
 
 var diffSchedulers = []string{
 	SchedulerCollaborative,

@@ -289,9 +289,12 @@ type CacheStats struct {
 	// 16, 40 holds 32). Entries is the current fill, never above Capacity.
 	Capacity int `json:"capacity"`
 	Entries  int `json:"entries"`
-	// Bytes is the table memory the entries pin: 8 bytes per clique and
-	// separator entry of the model, per cached result. Exact for the eager
-	// engine, an upper bound under Options.Lazy.
+	// Bytes is the table memory the entries pin, summed over the live
+	// entries: 8 bytes per clique and separator entry of each cached result.
+	// A result's tables are sliced on its hard evidence — an observed variable
+	// has one state in them — so results of one model differ in size and none
+	// exceeds the model's full tables. Exact for the eager engine, an upper
+	// bound (full tables per entry) under Options.Lazy.
 	Bytes int64 `json:"bytes"`
 	// Hits and Misses count cache lookups over the engine's lifetime.
 	Hits   int64 `json:"hits"`
@@ -380,6 +383,11 @@ type SchedulerReport struct {
 	LastWorkers int
 	// Tasks, Pieces, Partitioned and Steals are lifetime item counters.
 	Tasks, Pieces, Partitioned, Steals int64
+	// SlicedShare is the lifetime share of the task graphs' table entries the
+	// runs ranged over once their tables were sliced on each query's hard
+	// evidence (FlightRecord.Entries over GraphEntries, summed): 1 when
+	// nothing was observed, or nothing has run.
+	SlicedShare float64
 	// BusyByKind splits lifetime computation time across the four
 	// node-level primitives.
 	BusyByKind map[string]time.Duration
@@ -388,7 +396,7 @@ type SchedulerReport struct {
 // SchedulerReport returns the engine's aggregated observability report.
 func (e *Engine) SchedulerReport() SchedulerReport {
 	if e == nil || e.inner == nil {
-		return SchedulerReport{LastLoadBalance: 1}
+		return SchedulerReport{LastLoadBalance: 1, SlicedShare: 1}
 	}
 	s := e.inner.ObsSnapshot()
 	r := SchedulerReport{
@@ -406,6 +414,7 @@ func (e *Engine) SchedulerReport() SchedulerReport {
 		Pieces:               s.Pieces,
 		Partitioned:          s.Partitioned,
 		Steals:               s.Steals,
+		SlicedShare:          s.SlicedShare(),
 		BusyByKind:           make(map[string]time.Duration, len(obs.KindNames)),
 	}
 	for k, name := range obs.KindNames {

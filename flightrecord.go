@@ -53,6 +53,12 @@ type FlightRecord struct {
 	// (1 for an inline run) and the tasks it completed.
 	Workers int `json:"workers"`
 	Tasks   int `json:"tasks"`
+	// Entries is the work the run was handed, in table entries: its tasks'
+	// tables as sliced on the hard evidence. GraphEntries is what the same
+	// task graph costs with nothing observed, so their ratio is the share of
+	// the model this query had to touch. Omitted (0) on cached records.
+	Entries      int64 `json:"entries,omitempty"`
+	GraphEntries int64 `json:"graph_entries,omitempty"`
 	// LoadBalance and SchedOverheadFrac are the run's Fig. 8 gauges.
 	LoadBalance       float64 `json:"load_balance"`
 	SchedOverheadFrac float64 `json:"sched_overhead_fraction"`
@@ -209,6 +215,8 @@ func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
 		Mode:             r.Mode,
 		EvidenceVars:     r.EvidenceVars,
 		ElapsedUsec:      usec(r.Elapsed),
+		Entries:          r.Entries,
+		GraphEntries:     r.GraphEntries,
 		Error:            r.Err,
 		Slow:             r.Slow,
 		Cached:           r.Cached,

@@ -33,11 +33,13 @@ type lruShard struct {
 	mu    sync.Mutex
 	ll    *list.List
 	items map[string]*list.Element
+	size  int64 // sum of the entries' sizes
 }
 
 type lruEntry struct {
-	key string
-	val any
+	key  string
+	val  any
+	size int64
 }
 
 // NewLRU returns a cache for about capacity entries. The bound is enforced
@@ -96,24 +98,29 @@ func (c *LRU) Generation() uint64 { return c.gen.Load() }
 
 // Add inserts (or refreshes) key with the value computed under generation
 // gen, evicting the shard's least-recently-used entry when full. Values
-// computed before the latest Purge (gen mismatch) are silently dropped.
-func (c *LRU) Add(key string, val any, gen uint64) {
+// computed before the latest Purge (gen mismatch) are silently dropped. size
+// is what the value costs to keep, in the caller's unit; the cache only adds
+// the sizes of its live entries up (Fill).
+func (c *LRU) Add(key string, val any, size int64, gen uint64) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c.gen.Load() != gen {
 		return
 	}
+	s.size += size
 	if el, ok := s.items[key]; ok {
-		el.Value.(*lruEntry).val = val
+		e := el.Value.(*lruEntry)
+		s.size -= e.size
+		e.val, e.size = val, size
 		s.ll.MoveToFront(el)
 		return
 	}
-	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val})
+	s.items[key] = s.ll.PushFront(&lruEntry{key: key, val: val, size: size})
 	for s.ll.Len() > c.perShard {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.items, oldest.Value.(*lruEntry).key)
+		oldest := s.ll.Remove(s.ll.Back()).(*lruEntry)
+		delete(s.items, oldest.key)
+		s.size -= oldest.size
 	}
 }
 
@@ -128,20 +135,28 @@ func (c *LRU) Purge() {
 		s.mu.Lock()
 		s.ll.Init()
 		clear(s.items)
+		s.size = 0
 		s.mu.Unlock()
 	}
 }
 
 // Len returns the number of cached entries.
 func (c *LRU) Len() int {
-	n := 0
+	n, _ := c.Fill()
+	return n
+}
+
+// Fill returns the number of cached entries and the sum of the sizes they
+// were added with.
+func (c *LRU) Fill() (entries int, size int64) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.ll.Len()
+		entries += s.ll.Len()
+		size += s.size
 		s.mu.Unlock()
 	}
-	return n
+	return entries, size
 }
 
 // Cap returns the effective capacity: the most entries the cache can hold,

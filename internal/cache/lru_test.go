@@ -9,7 +9,7 @@ import (
 func TestLRUGetAddEvict(t *testing.T) {
 	c := NewLRU(lruShards) // one entry per shard
 	gen := c.Generation()
-	c.Add("a", 1, gen)
+	c.Add("a", 1, 1, gen)
 	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
@@ -22,13 +22,13 @@ func TestLRUGetAddEvict(t *testing.T) {
 	if c.Misses() != 1 {
 		t.Fatalf("misses = %d, want 1", c.Misses())
 	}
-	// Refresh keeps a single entry.
-	c.Add("a", 2, gen)
+	// Refresh keeps a single entry, at its new size.
+	c.Add("a", 2, 40, gen)
 	if v, _ := c.Get("a"); v.(int) != 2 {
 		t.Fatal("Add did not refresh the value")
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", c.Len())
+	if n, size := c.Fill(); n != 1 || size != 40 || c.Len() != 1 {
+		t.Fatalf("Fill = %d entries of size %d, want 1 of 40", n, size)
 	}
 }
 
@@ -44,17 +44,20 @@ func TestLRUEvictsOldestPerShard(t *testing.T) {
 		}
 	}
 	gen := c.Generation()
-	c.Add(keys[0], 0, gen)
-	c.Add(keys[1], 1, gen)
+	c.Add(keys[0], 0, 100, gen)
+	c.Add(keys[1], 1, 7, gen)
 	if _, ok := c.Get(keys[0]); ok {
 		t.Fatal("oldest entry not evicted")
+	}
+	if _, size := c.Fill(); size != 7 {
+		t.Fatalf("size %d after evicting the entry of size 100, want 7", size)
 	}
 	if v, ok := c.Get(keys[1]); !ok || v.(int) != 1 {
 		t.Fatal("newest entry evicted")
 	}
 	// Recency matters: touch keys[1], add keys[2]; keys[1] survives only if
 	// capacity allows one — here per-shard cap is 1 so keys[2] wins.
-	c.Add(keys[2], 2, gen)
+	c.Add(keys[2], 2, 1, gen)
 	if _, ok := c.Get(keys[1]); ok {
 		t.Fatal("LRU kept more than its per-shard capacity")
 	}
@@ -63,18 +66,21 @@ func TestLRUEvictsOldestPerShard(t *testing.T) {
 func TestLRUPurgeDropsStaleInFlightAdd(t *testing.T) {
 	c := NewLRU(64)
 	gen := c.Generation()
-	c.Add("live", 1, gen)
+	c.Add("live", 1, 1, gen)
 	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("Len after purge = %d", c.Len())
+	if n, size := c.Fill(); n != 0 || size != 0 {
+		t.Fatalf("Fill after purge = %d entries of size %d", n, size)
 	}
 	// An Add computed before the purge must be dropped…
-	c.Add("stale", 2, gen)
+	c.Add("stale", 2, 1, gen)
 	if _, ok := c.Get("stale"); ok {
 		t.Fatal("pre-purge Add resurrected a stale entry")
 	}
+	if _, size := c.Fill(); size != 0 {
+		t.Fatalf("a dropped Add left size %d", size)
+	}
 	// …while a fresh-generation Add lands.
-	c.Add("fresh", 3, c.Generation())
+	c.Add("fresh", 3, 1, c.Generation())
 	if _, ok := c.Get("fresh"); !ok {
 		t.Fatal("post-purge Add did not land")
 	}
@@ -92,7 +98,7 @@ func TestLRUConcurrent(t *testing.T) {
 				if v, ok := c.Get(k); ok {
 					_ = v.(int)
 				} else {
-					c.Add(k, i, c.Generation())
+					c.Add(k, i, 1, c.Generation())
 				}
 				if i%97 == 0 {
 					c.Purge()
@@ -117,7 +123,7 @@ func TestLRUCapIsEffective(t *testing.T) {
 		}
 		gen := c.Generation()
 		for i := 0; i < 50*lruShards; i++ {
-			c.Add(fmt.Sprintf("k%d", i), i, gen)
+			c.Add(fmt.Sprintf("k%d", i), i, 1, gen)
 			if c.Len() > c.Cap() {
 				t.Fatalf("NewLRU(%d): Len %d exceeds Cap %d after %d adds", tc.asked, c.Len(), c.Cap(), i+1)
 			}

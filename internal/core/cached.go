@@ -22,9 +22,10 @@ import (
 // engine's state pool, so any number of concurrent readers may derive
 // posteriors from one shared result while later propagations recycle
 // other states freely. What an entry retains is those tables and nothing
-// else — 8 × (clique + separator entries) bytes, Engine.ResultBytes; the run
-// scratch went back to the task graph's pool when the run succeeded, before
-// the result was pinned, and later misses run on it. Eviction and
+// else — 8 bytes per entry of the clique and separator tables as sliced on the
+// result's evidence, at most Engine.ResultBytes; the run scratch went back to
+// the task graph's pool when the run succeeded, before the result was pinned,
+// and later misses run on it. Eviction and
 // invalidation simply drop the pinned result — readers still holding it keep
 // valid immutable data, and the garbage collector reclaims it when the last
 // reader lets go.
@@ -94,7 +95,7 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 			return nil, err
 		}
 		res.pinned = true
-		e.cache.Add(sig, res, gen)
+		e.cache.Add(sig, res, res.retainedBytes(), gen)
 		return flown{res, rec}, nil
 	})
 	if shared {
@@ -146,9 +147,11 @@ type CacheStats struct {
 	// rounded to whole entries per shard (cache.LRU.Cap), so it can differ
 	// from the configured number — and Entries its current fill.
 	Capacity, Entries int
-	// Bytes is what the entries pin: Entries × ResultBytes. Exact for eager
-	// results, an upper bound for lazy ones, whose overlays clone only the
-	// tables the evidence perturbs.
+	// Bytes is what the entries pin: the sum, over the live entries, of 8
+	// bytes per table entry each result retains. An eager result's tables are
+	// sliced on its evidence, so entries differ in size and none exceeds
+	// ResultBytes; a lazy result is charged ResultBytes, an upper bound — its
+	// overlays clone only the tables the evidence perturbs.
 	Bytes int64
 	// Hits and Misses count lookups; Collapsed counts queries served by
 	// another caller's in-flight propagation (singleflight waiters).
@@ -161,22 +164,34 @@ func (e *Engine) CacheStats() CacheStats {
 	if e.cache == nil {
 		return CacheStats{}
 	}
-	entries := e.cache.Len()
+	entries, bytes := e.cache.Fill()
 	return CacheStats{
 		Enabled:   true,
 		Capacity:  e.cache.Cap(),
 		Entries:   entries,
-		Bytes:     int64(entries) * e.ResultBytes(),
+		Bytes:     bytes,
 		Hits:      e.cache.Hits(),
 		Misses:    e.cache.Misses(),
 		Collapsed: e.collapsed.Load(),
 	}
 }
 
-// ResultBytes is the size of one propagation result's tables: 8 bytes per
-// clique and separator entry of the engine's tree. It is what a held Result,
-// and so a cache entry, keeps alive.
+// ResultBytes is the size of one propagation result's tables at the full
+// domain: 8 bytes per clique and separator entry of the engine's tree. It is
+// the ceiling of what a held Result, and so a cache entry, keeps alive — what
+// a result without evidence costs; hard evidence slices the tables, and a
+// result then retains Π(unobserved cardinalities) entries per table.
 func (e *Engine) ResultBytes() int64 { return e.resultBytes }
+
+// retainedBytes is what holding the result costs once its run scratch is
+// released: its state's tables for an eager result, the full-domain ceiling for
+// a lazy one.
+func (r *Result) retainedBytes() int64 {
+	if st, ok := r.state.(*taskgraph.State); ok {
+		return 8 * int64(st.RetainedEntries())
+	}
+	return r.eng.resultBytes
+}
 
 // InvalidateCache drops every cached result and fences in-flight inserts:
 // propagations started before the call can never re-populate the cache,

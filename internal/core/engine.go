@@ -12,10 +12,15 @@
 // taskgraph.State, whose two halves are recycled separately so steady-state
 // propagation does near-zero allocation: the result tables through the
 // engine's state pools when a Result is released, the run scratch (message
-// and extension buffers) through its task graph's pool the moment the run has
-// succeeded — and only then, since stragglers of a failed or cancelled pool
-// run may still write it. A Result, and so a cache entry, therefore holds
-// 8 × (clique + separator entries) bytes of tables and no scratch.
+// buffers and the run's kernel plans) through its task graph's pool the
+// moment the run has succeeded — and only then, since stragglers of a failed
+// or cancelled pool run may still write it.
+//
+// Hard evidence slices the state (taskgraph.State): an observed variable is a
+// dimension with one state, so a query's tables, its arithmetic and what its
+// Result keeps alive all follow its evidence — Π(unobserved cardinalities)
+// entries per table, 8 bytes each, and no scratch — and the Result's accessors
+// hand the full domain back.
 package core
 
 import (
@@ -144,7 +149,7 @@ type Engine struct {
 	tree  *jtree.Tree
 	graph *taskgraph.Graph
 	// resultBytes is 8 × the tree's clique and separator entries: the tables
-	// of one Result (ResultBytes).
+	// of one Result without evidence (ResultBytes).
 	resultBytes int64
 	// RerootedFrom records the original root when Reroot moved it (-1
 	// otherwise).
@@ -154,7 +159,7 @@ type Engine struct {
 	RerootTime time.Duration
 
 	// statePools recycles propagation states per semiring. States carry no
-	// evidence residue: Reset re-copies the tree potentials on reuse.
+	// evidence residue: AbsorbEvidence rebuilds the tables from the tree.
 	statePools [2]sync.Pool
 
 	// lazyProp owns the precalibrated tables and pruned-plan cache when
@@ -334,14 +339,21 @@ func (e *Engine) Gauges() sched.GaugesSnapshot {
 	return s
 }
 
-// getState returns a recycled state for the mode, or allocates one.
-func (e *Engine) getState(mode taskgraph.Mode) (*taskgraph.State, error) {
-	if v := e.statePools[mode].Get(); v != nil {
-		st := v.(*taskgraph.State)
-		st.Reset(mode)
-		return st, nil
+// absorbInto returns a state of g restricted to the evidence: one recycled from
+// pool — which must hold states of g in this semiring — re-primed in place, or
+// a new one allocated at its sliced size. A recycled state carries no residue:
+// AbsorbEvidence rebuilds every table from the tree.
+func absorbInto(pool *sync.Pool, g *taskgraph.Graph, mode taskgraph.Mode, ev potential.Evidence) (*taskgraph.State, error) {
+	v := pool.Get()
+	if v == nil {
+		return g.NewStateEvidence(mode, ev)
 	}
-	return e.graph.NewStateMode(mode)
+	st := v.(*taskgraph.State)
+	if err := st.AbsorbEvidence(ev); err != nil {
+		pool.Put(st) // never ran; the next AbsorbEvidence re-primes it
+		return nil, err
+	}
+	return st, nil
 }
 
 // putState recycles a state whose run completed (or never started). States
@@ -442,26 +454,22 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		}
 		st = lst
 	} else {
-		est, err := e.getState(mode)
+		est, err := absorbInto(&e.statePools[mode], e.graph, mode, ev)
 		if err != nil {
 			asp.Fail(err.Error())
 			asp.End()
 			return nil, nil, err
 		}
-		if err := est.AbsorbEvidence(ev); err != nil {
-			e.putState(est) // never ran; Reset restores the partial reduction
-			asp.Fail(err.Error())
-			asp.End()
-			return nil, nil, err
-		}
 		if err := est.AbsorbLikelihood(like); err != nil {
-			e.putState(est)
+			e.putState(est) // never ran; the next AbsorbEvidence re-primes it
 			asp.Fail(err.Error())
 			asp.End()
 			return nil, nil, err
 		}
 		st = est
 	}
+	entries, graphEntries := runEntries(st)
+	asp.SetAttr(otrace.Int("entries", entries), otrace.Int("entries.graph", graphEntries))
 	asp.End()
 	rec := e.newRecord(ctx, mode.String(), mode, ev, like, sig)
 	psp := sp.StartChild("propagate",
@@ -509,8 +517,9 @@ func (e *Engine) newRecord(ctx context.Context, name string, mode taskgraph.Mode
 // returned no error hands its scratch back (ReleaseScratch), a failed or
 // cancelled one keeps it, because its pool workers may still be writing it.
 func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st runState) error {
+	rec.Entries, rec.GraphEntries = runEntries(st)
 	start := time.Now()
-	m, err := e.runScheduler(ctx, rec.ID, st)
+	m, err := e.runScheduler(ctx, rec.ID, st, float64(rec.Entries))
 	rec.Time = time.Now()
 	rec.Elapsed = rec.Time.Sub(start)
 	var tr *sched.Trace
@@ -525,7 +534,7 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 		st.ReleaseScratch()
 		tr = m.Trace
 		rec.Report = obs.FromSched(m)
-		e.obsAgg.Observe(rec.Report)
+		e.obsAgg.Observe(rec)
 		if lst, ok := st.(*lazy.State); ok {
 			rec.Lazy, rec.LazyStats = true, lst.Stats()
 		}
@@ -539,14 +548,27 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 	return err
 }
 
-// endRunSpan closes a run's span with what its record says: the failure,
-// the executor that ran it and the task count plus coarse per-task-kind
-// child spans synthesized from the report's per-kind busy totals (no extra
-// hot-path clocking), and the lazy pruning counters.
+// runEntries returns the work of a run over st in table entries — the sum over
+// its graph's tasks of the table each ranges over, as sliced on the evidence —
+// and what the same graph costs at the full domain. Only the eager state
+// slices; a lazy plan's tables are its graph's.
+func runEntries(st runState) (entries, graph int64) {
+	graph = int64(st.Graph().TotalWeight())
+	if est, ok := st.(*taskgraph.State); ok {
+		return int64(est.Weight()), graph
+	}
+	return graph, graph
+}
+
+// endRunSpan closes a run's span with what its record says: the failure, the
+// table entries it ranged over, the executor that ran it and the task count
+// plus coarse per-task-kind child spans synthesized from the report's per-kind
+// busy totals (no extra hot-path clocking), and the lazy pruning counters.
 func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 	if rec.Err != "" {
 		psp.Fail(rec.Err)
 	}
+	psp.SetAttr(otrace.Int("entries", rec.Entries), otrace.Int("entries.graph", rec.GraphEntries))
 	if rep := rec.Report; rep != nil {
 		psp.SetAttr(otrace.String("executor", rep.Executor), otrace.Int("tasks", int64(rep.Tasks)))
 		for k, d := range rep.KindBusy {
@@ -570,13 +592,15 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 // runScheduler executes the state's graph and returns the run's metrics.
 // This is the one place the execution path is chosen, so the full graph,
 // max-product, the per-target collect-only graphs and every pruned lazy plan
-// get the same rule: a graph whose mean task is cheaper than one dispatch at
-// this engine's P (sched.Inline), every graph of a Serial engine, and every
-// graph of a closed engine, runs on the calling goroutine; the rest go to
-// the engine's worker pool.
+// get the same rule: a run whose mean task is cheaper than one dispatch at
+// this engine's P (sched.InlineWeight, over weight — the run's table entries
+// as sliced on its evidence, so a heavily observed query of a graph that
+// dispatches at the full domain stays on its goroutine), every graph of a
+// Serial engine, and every graph of a closed engine, runs on the calling
+// goroutine; the rest go to the engine's worker pool.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
-func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor) (*sched.Metrics, error) {
+func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, weight float64) (*sched.Metrics, error) {
 	e.propagations.Add(1)
 	if !e.opts.PprofLabels {
 		queryID = "" // sched uses the ID only for labels; drop it at zero cost
@@ -593,7 +617,7 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		Ctx:       ctx,
 		QueryID:   queryID,
 	}
-	if e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.Inline(st.Graph(), e.opts.Workers)) {
+	if e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(weight, st.Graph().N(), e.opts.Workers)) {
 		if p := e.workerPool(); p != nil {
 			return p.Run(st, opts)
 		}
@@ -623,18 +647,8 @@ func (e *Engine) CollectMarginalContext(ctx context.Context, ev potential.Eviden
 	if err != nil {
 		return nil, err
 	}
-	var st *taskgraph.State
-	if v := entry.states.Get(); v != nil {
-		st = v.(*taskgraph.State)
-		st.Reset(taskgraph.SumProduct)
-	} else {
-		st, err = entry.g.NewState()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := st.AbsorbEvidence(ev); err != nil {
-		entry.states.Put(st)
+	st, err := absorbInto(&entry.states, entry.g, taskgraph.SumProduct, ev)
+	if err != nil {
 		return nil, err
 	}
 	var csp *otrace.Span
@@ -647,13 +661,12 @@ func (e *Engine) CollectMarginalContext(ctx context.Context, ev potential.Eviden
 	if err := e.execute(ctx, csp, rec, st); err != nil {
 		return nil, err // state and scratch possibly still referenced; drop both
 	}
-	m, err := st.Clique[entry.g.Tree.Root].Marginal([]int{v})
+	// Rerooting keeps clique ids, so the collect-only tree's root is still the
+	// first clique that contains v: the one State.Marginal reads.
+	m, err := st.Marginal(v)
 	entry.states.Put(st)
 	if err != nil {
-		return nil, err
-	}
-	if err := m.Normalize(); err != nil {
-		return nil, fmt.Errorf("core: variable %d has zero posterior mass (impossible evidence?): %w", v, err)
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	return m, nil
 }
@@ -753,9 +766,20 @@ func (r *Result) JointMarginal(vars []int) (*potential.Potential, error) {
 		if err := m.Normalize(); err != nil {
 			return nil, fmt.Errorf("core: zero posterior mass: %w", err)
 		}
-		return m, nil
+		return r.lift(m), nil
 	}
 	return nil, fmt.Errorf("core: no clique contains all of %v", vars)
+}
+
+// lift maps a table computed from the result's tables back to the full domain.
+// An eager state is sliced on its hard evidence — an observed variable has one
+// state there — and Lift puts the mass at the observed states of a table with
+// every state; a lazy state's tables are full-domain already.
+func (r *Result) lift(p *potential.Potential) *potential.Potential {
+	if st, ok := r.state.(*taskgraph.State); ok {
+		return st.Lift(p)
+	}
+	return p
 }
 
 // ProbabilityOfEvidence returns P(e): after absorption and propagation the
@@ -882,6 +906,15 @@ func (r *Result) MostProbableExplanation() (map[int]int, float64, error) {
 		states := pot.AssignmentOf(idx)
 		for pos, variable := range pot.Vars {
 			assignment[variable] = states[pos]
+		}
+	}
+	// In a sliced state the one state left of an observed variable is the
+	// observed one, whatever its index in the table.
+	if st, ok := r.state.(*taskgraph.State); ok {
+		for v, s := range st.Observed() {
+			if s != potential.Free {
+				assignment[v] = int(s)
+			}
 		}
 	}
 	return assignment, prob, nil

@@ -159,7 +159,7 @@ func (r *Result) JointMarginalAny(vars []int) (*potential.Potential, error) {
 	if err := out.Normalize(); err != nil {
 		return nil, fmt.Errorf("core: zero posterior mass: %w", err)
 	}
-	return out, nil
+	return r.lift(out), nil
 }
 
 func containsSorted(s []int, v int) bool {

@@ -44,10 +44,37 @@ func evidenceNo(vars []int, i int) potential.Evidence {
 	return ev
 }
 
+// slicedEntries is what a result over the tree should retain under the
+// evidence: per clique and separator table, the product of the cardinalities
+// of its unobserved variables.
+func slicedEntries(tr *jtree.Tree, ev potential.Evidence) int {
+	size := func(vars, card []int) int {
+		n := 1
+		for i, v := range vars {
+			if _, observed := ev[v]; !observed {
+				n *= card[i]
+			}
+		}
+		return n
+	}
+	total := 0
+	for i := range tr.Cliques {
+		c := &tr.Cliques[i]
+		total += size(c.Vars, c.Card)
+		if c.Parent >= 0 {
+			total += size(c.SepVars, c.SepCard)
+		}
+	}
+	return total
+}
+
 // TestCachedResultRetainsTablesOnly: after a cached miss the pinned state has
-// no scratch attached, and a full 16-entry cache costs what its tables cost.
-// At the parent commit each entry also kept one sepNew, tempUp and tempDown
-// buffer per edge — several times the tables on a wide tree.
+// no scratch attached and retains exactly its tables, sliced on its evidence —
+// Π(unobserved cardinalities) entries each, under ResultBytes — and
+// CacheStats.Bytes is the sum over the live entries, whose evidence widths
+// differ, not entries × a constant. At the parent commit every entry cost the
+// full-domain tables; two PRs before that, also one sepNew, tempUp and
+// tempDown buffer per edge — several times the tables on a wide tree.
 func TestCachedResultRetainsTablesOnly(t *testing.T) {
 	tr := wideTree(t)
 	vars, _ := tr.Variables()
@@ -61,20 +88,25 @@ func TestCachedResultRetainsTablesOnly(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
+	retained := map[string]int64{} // by signature, of every miss
 	for i := 0; e.CacheStats().Entries < 16; i++ {
 		if i == 400 {
 			t.Fatalf("cache holds %d entries after %d distinct queries", e.CacheStats().Entries, i)
 		}
-		res, rec, err := e.PropagateCachedContext(context.Background(), evidenceNo(vars, i), nil)
+		ev := evidenceNo(vars, i)
+		res, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rec.Cached || !res.Pinned() {
 			t.Fatalf("query %d: cached=%v pinned=%v, want a pinned miss", i, rec.Cached, res.Pinned())
 		}
-		if got := int64(res.State().RetainedEntries()) * 8; got != tableBytes {
-			t.Fatalf("query %d: pinned state retains %d bytes, tables are %d", i, got, tableBytes)
+		got := int64(res.State().RetainedEntries()) * 8
+		if want := int64(slicedEntries(e.Tree(), ev)) * 8; got != want || got >= tableBytes {
+			t.Fatalf("query %d (%d observed): pinned state retains %d bytes, sliced tables are %d, full ones %d",
+				i, len(ev), got, want, tableBytes)
 		}
+		retained[e.EvidenceSignature(ev, nil)] = got
 	}
 	// Two collections empty the graph's scratch pool (sync.Pool keeps a
 	// victim generation), leaving the cache's 16 entries.
@@ -82,8 +114,20 @@ func TestCachedResultRetainsTablesOnly(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	cs := e.CacheStats()
-	if cs.Bytes != 16*tableBytes {
-		t.Errorf("CacheStats.Bytes = %d, want 16 × %d", cs.Bytes, tableBytes)
+	var live int64
+	sizes := map[int64]bool{}
+	for sig, b := range retained {
+		if _, ok := e.cache.Get(sig); ok {
+			live += b
+			sizes[b] = true
+		}
+	}
+	if cs.Bytes != live || len(sizes) < 2 {
+		t.Errorf("CacheStats.Bytes = %d, the %d live entries (%d distinct sizes) retain %d", cs.Bytes, cs.Entries, len(sizes), live)
+	}
+	e.InvalidateCache()
+	if b := e.CacheStats().Bytes; b != 0 {
+		t.Errorf("CacheStats.Bytes = %d after InvalidateCache", b)
 	}
 	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	if limit := 16 * tableBytes * 3 / 2; grown > limit {
@@ -272,11 +316,8 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 	// not.
 	tables := int(e.ResultBytes() / 8)
 	for _, fail := range []bool{true, false, true} {
-		st, err := e.getState(taskgraph.SumProduct)
+		st, err := absorbInto(&e.statePools[taskgraph.SumProduct], e.graph, taskgraph.SumProduct, ev)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.AbsorbEvidence(ev); err != nil {
 			t.Fatal(err)
 		}
 		var ctx context.Context = context.Background()

@@ -122,13 +122,13 @@ func TestHistogramExemplarConformance(t *testing.T) {
 // TestAggregateSnapshotConformance lints the scheduler metric family block.
 func TestAggregateSnapshotConformance(t *testing.T) {
 	var agg Aggregate
-	agg.Observe(&Report{
+	agg.Observe(&QueryRecord{Report: &Report{
 		Workers:  2,
 		Elapsed:  time.Millisecond,
 		Busy:     []time.Duration{2 * time.Millisecond, time.Millisecond},
 		Overhead: []time.Duration{10 * time.Microsecond, 5 * time.Microsecond},
 		Tasks:    7,
-	})
+	}})
 	var b strings.Builder
 	agg.Snapshot().WritePrometheus(&b, "evprop_sched")
 	if problems := LintExposition(strings.NewReader(b.String())); len(problems) != 0 {

@@ -73,6 +73,13 @@ type QueryRecord struct {
 	EvidenceVars int
 	// Elapsed is the propagation's wall-clock time.
 	Elapsed time.Duration
+	// Entries is the work the run was handed, in table entries: the sum over
+	// its graph's tasks of the table each ranges over, as sliced on the hard
+	// evidence. GraphEntries is the same sum at the full domain — what the
+	// graph costs with nothing observed — so Entries/GraphEntries is the share
+	// of the model this query had to touch. Both are 0 when no run was started
+	// (cache-served queries).
+	Entries, GraphEntries int64
 	// Report is the run's Fig. 8 report, built once per run; its Executor
 	// says whether the run took the caller's goroutine or the workers. It
 	// is nil when nothing ran to completion: cache-served queries, and

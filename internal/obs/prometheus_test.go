@@ -43,7 +43,7 @@ func TestAggregatePrometheusGolden(t *testing.T) {
 	r.Tasks, r.Pieces, r.Partitioned, r.Steals = 10, 4, 2, 1
 	// FromSim has no counters; re-derive after setting them is not needed —
 	// the aggregate copies them verbatim.
-	a.Observe(r)
+	a.Observe(&QueryRecord{Report: r})
 	var buf strings.Builder
 	a.Snapshot().WritePrometheus(&buf, "sched")
 	got := buf.String()

@@ -163,6 +163,8 @@ type Aggregate struct {
 	pieces            int64
 	partitioned       int64
 	steals            int64
+	entries           int64
+	graphEntries      int64
 	lastLoadBalance   float64
 	lastOverheadFrac  float64
 	lastWorkers       int
@@ -170,11 +172,15 @@ type Aggregate struct {
 	totalElapsedOfAll time.Duration
 }
 
-// Observe folds one run's report into the aggregate.
-func (a *Aggregate) Observe(r *Report) {
+// Observe folds one completed run — its record's report and entry counts —
+// into the aggregate.
+func (a *Aggregate) Observe(rec *QueryRecord) {
+	r := rec.Report
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.runs++
+	a.entries += rec.Entries
+	a.graphEntries += rec.GraphEntries
 	if r.Executor == sched.ExecInline {
 		a.inlineRuns++
 	}
@@ -205,6 +211,10 @@ type AggregateSnapshot struct {
 	KindBusy [taskgraph.NumKinds]time.Duration
 	// Tasks, Pieces, Partitioned, Steals are lifetime item counters.
 	Tasks, Pieces, Partitioned, Steals int64
+	// Entries sums the table entries the runs ranged over, sliced on each
+	// query's evidence; GraphEntries what the same runs cost at the full domain
+	// (QueryRecord.Entries, GraphEntries).
+	Entries, GraphEntries int64
 	// LastLoadBalance and LastOverheadFraction are the most recent run's
 	// Fig. 8 factors (gauges).
 	LastLoadBalance      float64
@@ -224,6 +234,16 @@ func (s AggregateSnapshot) OverheadFraction() float64 {
 	return float64(s.Overhead) / float64(s.Busy+s.Overhead)
 }
 
+// SlicedShare is the lifetime share of the models' table entries the runs had
+// to range over after slicing on their evidence: 1 with no evidence (and with
+// no runs), 0.03 when 30 of 60 variables are observed.
+func (s AggregateSnapshot) SlicedShare() float64 {
+	if s.GraphEntries <= 0 {
+		return 1
+	}
+	return float64(s.Entries) / float64(s.GraphEntries)
+}
+
 // Snapshot returns a consistent copy of the aggregate.
 func (a *Aggregate) Snapshot() AggregateSnapshot {
 	a.mu.Lock()
@@ -239,6 +259,8 @@ func (a *Aggregate) Snapshot() AggregateSnapshot {
 		Pieces:               a.pieces,
 		Partitioned:          a.partitioned,
 		Steals:               a.steals,
+		Entries:              a.entries,
+		GraphEntries:         a.graphEntries,
 		LastLoadBalance:      a.lastLoadBalance,
 		LastOverheadFraction: a.lastOverheadFrac,
 		LastWorkers:          a.lastWorkers,

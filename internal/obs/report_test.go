@@ -170,14 +170,17 @@ func TestFromSchedRealRunOverheadFraction(t *testing.T) {
 func TestAggregate(t *testing.T) {
 	var a Aggregate
 	s := a.Snapshot()
-	if s.Runs != 0 || s.LastLoadBalance != 1 || s.OverheadFraction() != 0 {
+	if s.Runs != 0 || s.LastLoadBalance != 1 || s.OverheadFraction() != 0 || s.SlicedShare() != 1 {
 		t.Errorf("fresh aggregate: %+v", s)
 	}
-	a.Observe(FromSim([]float64{2, 2}, []float64{0.5, 0.5}, 2.5))
-	a.Observe(FromSim([]float64{3, 1}, []float64{0, 0}, 3))
+	a.Observe(&QueryRecord{Report: FromSim([]float64{2, 2}, []float64{0.5, 0.5}, 2.5), Entries: 10, GraphEntries: 100})
+	a.Observe(&QueryRecord{Report: FromSim([]float64{3, 1}, []float64{0, 0}, 3), Entries: 100, GraphEntries: 100})
 	s = a.Snapshot()
 	if s.Runs != 2 {
 		t.Fatalf("runs %d", s.Runs)
+	}
+	if s.Entries != 110 || s.GraphEntries != 200 || s.SlicedShare() != 0.55 {
+		t.Errorf("entries %d of %d, sliced share %v", s.Entries, s.GraphEntries, s.SlicedShare())
 	}
 	if s.Busy != 8*time.Second || s.Overhead != time.Second {
 		t.Errorf("busy %v overhead %v", s.Busy, s.Overhead)
@@ -205,7 +208,7 @@ func TestAggregateConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				a.Observe(rep)
+				a.Observe(&QueryRecord{Report: rep})
 				if i%50 == 0 {
 					a.Snapshot()
 				}

@@ -6,6 +6,33 @@ import "fmt"
 // the set E = {A_e1 = a_e1, ...} of the paper's Section 2.
 type Evidence map[int]int
 
+// Dense validates the evidence against the per-variable cardinalities card
+// (indexed by variable id; 0 for an id no table mentions) and returns it as an
+// Observed vector over the ids [0, len(card)), built in buf when that is large
+// enough. Observations of variables no table mentions are dropped, the way
+// Reduce ignores variables outside a table's domain; an observed state outside
+// its variable's cardinality is an error, reported before buf is written.
+func (ev Evidence) Dense(card []int, buf Observed) (Observed, error) {
+	if cap(buf) < len(card) {
+		buf = make(Observed, len(card))
+	}
+	for v, s := range ev {
+		if v >= 0 && v < len(card) && card[v] != 0 && (s < 0 || s >= card[v]) {
+			return nil, fmt.Errorf("evidence: variable %d observed in state %d but has %d states", v, s, card[v])
+		}
+	}
+	o := buf[:len(card)]
+	for i := range o {
+		o[i] = Free
+	}
+	for v, s := range ev {
+		if v >= 0 && v < len(card) && card[v] != 0 {
+			o[v] = int32(s)
+		}
+	}
+	return o, nil
+}
+
 // Reduce absorbs evidence into p: every entry inconsistent with an observed
 // state of a variable in p's domain is zeroed. Variables not in p's domain
 // are ignored, so the same Evidence can be applied to every clique. It
@@ -82,8 +109,7 @@ type Likelihood map[int][]float64
 // applied exactly once overall, which the engine guarantees by applying it
 // only in the first clique containing the variable.
 func (p *Potential) ApplyLikelihood(like Likelihood, only int) error {
-	w, ok := like[only]
-	if !ok {
+	if _, ok := like[only]; !ok {
 		return nil
 	}
 	pos := -1
@@ -96,14 +122,37 @@ func (p *Potential) ApplyLikelihood(like Likelihood, only int) error {
 	if pos < 0 {
 		return fmt.Errorf("likelihood: variable %d not in domain %v", only, p.Vars)
 	}
-	if len(w) != p.Card[pos] {
-		return fmt.Errorf("likelihood: variable %d has %d states but %d weights", only, p.Card[pos], len(w))
-	}
-	for _, x := range w {
-		if x < 0 {
-			return fmt.Errorf("likelihood: variable %d has negative weight %v", only, x)
-		}
+	w, err := like.weights(only, p.Card[pos])
+	if err != nil {
+		return err
 	}
 	vec := &Potential{Vars: []int{only}, Card: []int{p.Card[pos]}, Data: w}
 	return p.MulBy(vec)
+}
+
+// ObservedWeight returns the weight the likelihood gives state s of variable
+// v, which has card states: all that is left of v's weight vector in a table
+// sliced on v = s, which it scales as a whole. The vector is validated as
+// ApplyLikelihood validates it.
+func (like Likelihood) ObservedWeight(v, card, s int) (float64, error) {
+	w, err := like.weights(v, card)
+	if err != nil {
+		return 0, err
+	}
+	return w[s], nil
+}
+
+// weights returns the weight vector of variable v, checked against v's
+// cardinality.
+func (like Likelihood) weights(v, card int) ([]float64, error) {
+	w := like[v]
+	if len(w) != card {
+		return nil, fmt.Errorf("likelihood: variable %d has %d states but %d weights", v, card, len(w))
+	}
+	for _, x := range w {
+		if x < 0 {
+			return nil, fmt.Errorf("likelihood: variable %d has negative weight %v", v, x)
+		}
+	}
+	return w, nil
 }

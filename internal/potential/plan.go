@@ -29,10 +29,11 @@ import "fmt"
 // dimensions, merged into groups: adjacent dimensions that are all absent
 // from the subset, or all shared with it, count as one digit.
 //
-// A Plan is immutable after NewPlan and holds no walk position — the cursor
-// lives on the stack of the kernel call — so any number of goroutines (the
-// pieces of one partitioned task, concurrent propagations over one graph)
-// share it without allocation or synchronization.
+// A Plan is immutable once compiled (Recompile, between runs, is its owner's
+// affair) and holds no walk position — the cursor lives on the stack of the
+// kernel call — so any number of goroutines (the pieces of one partitioned
+// task, concurrent propagations over one graph) share it without allocation or
+// synchronization.
 type Plan struct {
 	// The table sizes, in entries, the plan was compiled for; the kernels
 	// refuse tables of any other size.
@@ -45,6 +46,8 @@ type Plan struct {
 	block int        // entries per block; divides supSize
 	shape blockShape // what the subset index does inside a block
 	tile  []int32    // shape == tiled: subset offset of each entry of a block
+
+	buf []int // backs card and stride; kept so that Recompile can reuse it
 }
 
 type blockShape uint8
@@ -95,14 +98,36 @@ func NewRunPlan(supVars, supCard, subVars, subCard []int) (*Plan, error) {
 }
 
 func newPlan(supVars, supCard, subVars, subCard []int, tiles bool) (*Plan, error) {
+	pl := &Plan{}
+	if err := pl.compile(supVars, supCard, subVars, subCard, tiles); err != nil {
+		return nil, err
+	}
+	return pl, nil
+}
+
+// Recompile makes pl the plan NewPlan would return for another domain pair,
+// reusing its storage: a plan that is recompiled between runs — the pair of a
+// clique and a separator sliced on this query's evidence — costs no allocation
+// once it has seen its largest shape. It is the one exception to a plan's
+// immutability, so the caller must own pl outright: no kernel call on it may
+// be in flight or start before Recompile returns. A plan that failed to
+// recompile refuses every table.
+func (pl *Plan) Recompile(supVars, supCard, subVars, subCard []int) error {
+	return pl.compile(supVars, supCard, subVars, subCard, true)
+}
+
+func (pl *Plan) compile(supVars, supCard, subVars, subCard []int, tiles bool) error {
 	// One backing array for the subset stride and the cardinality of every
 	// superset dimension; both are compacted in place, first to the dimensions
 	// that move, then to the groups of the block odometer.
 	n := len(supVars)
-	buf := make([]int, 2*n)
-	stride, card := buf[:n:n], buf[n:]
+	if cap(pl.buf) < 2*n {
+		pl.buf = make([]int, 2*n)
+	}
+	stride, card := pl.buf[:n:n], pl.buf[n:2*n]
+	pl.supSize, pl.subSize = -1, -1
 	if err := subStrides(stride, supVars, supCard, subVars, subCard); err != nil {
-		return nil, err
+		return err
 	}
 	// Single-state dimensions never move the subset index: drop them, so the
 	// rest alternate cleanly between absent and shared.
@@ -114,7 +139,7 @@ func newPlan(supVars, supCard, subVars, subCard []int, tiles bool) (*Plan, error
 		}
 	}
 	card, stride = card[:m], stride[:m]
-	pl := &Plan{supSize: Size(supCard), subSize: Size(subCard), block: 1}
+	pl.block, pl.shape = 1, constRun
 
 	// The natural run: the maximal trailing dimensions that are all absent
 	// (constant subset index) or all shared (adjacent shared dimensions are
@@ -133,7 +158,7 @@ func newPlan(supVars, supCard, subVars, subCard []int, tiles bool) (*Plan, error
 		}
 		if size <= tileMax {
 			pl.shape, pl.block = tiled, size
-			pl.tile = buildTile(card[j+1:], stride[j+1:], size)
+			pl.buildTile(card[j+1:], stride[j+1:], size)
 			i = j
 		}
 	}
@@ -151,22 +176,35 @@ func newPlan(supVars, supCard, subVars, subCard []int, tiles bool) (*Plan, error
 		g++
 	}
 	if g > maxGroups {
-		return nil, fmt.Errorf("potential: domain of %d variables is too large to plan", len(supVars))
+		return fmt.Errorf("potential: domain of %d variables is too large to plan", len(supVars))
 	}
 	pl.card, pl.stride = card[:g:g], stride[:g:g]
-	return pl, nil
+	pl.supSize, pl.subSize = Size(supCard), Size(subCard)
+	return nil
 }
 
-// buildTile walks the size entries spanned by the given dimensions once with
-// the per-entry odometer and records each entry's subset offset.
-func buildTile(card, stride []int, size int) []int32 {
-	tile := make([]int32, size)
-	a := aligner{card: card, subStride: stride, digits: make([]int, len(card))}
-	for k := range tile {
-		tile[k] = int32(a.subIdx)
-		a.next()
+// buildTile records the subset offset of each of the size entries spanned by
+// the given dimensions, one dimension at a time from the fastest: the offsets
+// of a dimension's first state are those of everything below it, and each
+// further state repeats them one stride on. A plan that is recompiled per run
+// pays this once per run, so it is a flat add per entry, not an odometer step.
+func (pl *Plan) buildTile(card, stride []int, size int) {
+	if cap(pl.tile) < size {
+		pl.tile = make([]int32, size)
 	}
-	return tile
+	pl.tile = pl.tile[:size]
+	pl.tile[0] = 0
+	n := 1
+	for d := len(card) - 1; d >= 0; d-- {
+		below := pl.tile[:n]
+		for s := 1; s < card[d]; s++ {
+			off := int32(s * stride[d])
+			for k, o := range below {
+				pl.tile[s*n+k] = o + off
+			}
+		}
+		n *= card[d]
+	}
 }
 
 // subStrides validates subVars ⊆ supVars (both ascending, cardinalities

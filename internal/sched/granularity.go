@@ -20,17 +20,24 @@ const DispatchEntries = 1000
 const ThresholdAuto = -1
 
 // Inline reports whether the graph should run on the calling goroutine
-// (RunInline) instead of being dispatched to workers. With P workers a
-// scheduled run costs about (W + N·d)/P against W serial — W the graph's
-// total weight, N its task count — so dispatching pays only when the mean
-// task W/N exceeds d/(P−1). One worker, and an empty graph, always run
-// inline.
+// (RunInline) instead of being dispatched to workers: InlineWeight at the
+// graph's full weight, which is what a run without evidence costs.
 func Inline(g *taskgraph.Graph, workers int) bool {
-	n := g.N()
-	if n == 0 || workers <= 1 {
+	return InlineWeight(g.TotalWeight(), g.N(), workers)
+}
+
+// InlineWeight is the granularity rule for one run: weight table entries in
+// all, over tasks tasks. With P workers a scheduled run costs about
+// (W + N·d)/P against W serial, so dispatching pays only when the mean task
+// W/N exceeds d/(P−1). One worker, and an empty graph, always run inline. The
+// weight is the run's own (taskgraph.State.Weight): evidence slices the
+// tables, and the same graph that is worth dispatching at the full domain may
+// be a few entries per task under dense evidence.
+func InlineWeight(weight float64, tasks, workers int) bool {
+	if tasks == 0 || workers <= 1 {
 		return true
 	}
-	return g.TotalWeight()*float64(workers-1) <= DispatchEntries*float64(n)
+	return weight*float64(workers-1) <= DispatchEntries*float64(tasks)
 }
 
 // Split is the Partition module's decision for a graph run by P workers: per

@@ -3,11 +3,13 @@ package sched
 import (
 	"context"
 	"math"
+	"math/rand"
 	"runtime/pprof"
 	"testing"
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
+	"evprop/internal/potential"
 	"evprop/internal/taskgraph"
 )
 
@@ -61,6 +63,58 @@ func TestGranularityRule(t *testing.T) {
 				mean = tc.g.TotalWeight() / float64(tc.g.N())
 			}
 			t.Errorf("%s: Inline = %v, want %v (mean task %.0f entries)", tc.name, got, tc.inline, mean)
+		}
+	}
+}
+
+// TestGranularityRuleSliced is the same rule asked about a run instead of a
+// graph: evidence slices the tables, and the verdict is taken on what is left
+// (taskgraph.State.Weight). At the load benchmark's evidence widths, over 50
+// random queries each: small40 with 4 observed stays inline as before; wide60
+// with 4 observed keeps about 0.55 of its entries, a mean task of ≈ 7 000, and
+// still goes to two workers; mid60 with 30 of 60 observed is left ≈ 25 entries
+// per task (136 at most in these queries) and runs inline at three and four
+// workers, where the full graph dispatches — 252 near-empty tasks are not
+// worth one wake-up.
+func TestGranularityRuleSliced(t *testing.T) {
+	for _, tc := range []struct {
+		name                     string
+		nodes, parents, observed int
+		// the full graph's verdict and the sliced runs', at P = 2, 3, 4
+		full, sliced [3]bool
+	}{
+		{"small40", 40, 3, 4, [3]bool{true, true, true}, [3]bool{true, true, true}},
+		{"mid60", 60, 4, 30, [3]bool{true, false, false}, [3]bool{true, true, true}},
+		{"wide60", 60, 5, 4, [3]bool{false, false, false}, [3]bool{false, false, false}},
+	} {
+		tr, g := benchModel(t, tc.nodes, tc.parents)
+		vars, _ := tr.Variables()
+		st, err := g.NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(18))
+		for q := 0; q < 50; q++ {
+			ev := potential.Evidence{}
+			for _, i := range rng.Perm(len(vars))[:tc.observed] {
+				ev[vars[i]] = rng.Intn(2)
+			}
+			if err := st.AbsorbEvidence(ev); err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range []int{2, 3, 4} {
+				if got := Inline(g, p); got != tc.full[i] {
+					t.Fatalf("%s P=%d: full graph Inline = %v, want %v", tc.name, p, got, tc.full[i])
+				}
+				if got := InlineWeight(st.Weight(), g.N(), p); got != tc.sliced[i] {
+					t.Errorf("%s P=%d query %d: sliced run of %.0f entries over %d tasks: InlineWeight = %v, want %v",
+						tc.name, p, q, st.Weight(), g.N(), got, tc.sliced[i])
+				}
+			}
+		}
+		st.Reset(taskgraph.SumProduct)
+		if st.Weight() != g.TotalWeight() {
+			t.Errorf("%s: a reset state weighs %v, its graph %v", tc.name, st.Weight(), g.TotalWeight())
 		}
 	}
 }

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -417,6 +418,82 @@ func TestPartitionedRunsBitIdentical(t *testing.T) {
 			pool.Close()
 		}
 	}
+}
+
+// TestPartitionedRunsAcrossSlicings: one state, its run scratch attached
+// throughout, is re-primed on evidence of different widths between partitioned
+// pool runs — what the load benchmark's traced scheduler layer does — so the
+// message buffers and the partial buffers on the edges' free lists serve
+// tables of one size after another. Every run must leave the bits that the
+// same run leaves on a state of its own, fresh scratch and all: a buffer
+// handed out at the wrong length would be refused by the plan kernels, one
+// carrying a stale cardinality by Combine.
+func TestPartitionedRunsAcrossSlicings(t *testing.T) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 12, Width: 12, States: 2, Degree: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(6); err != nil {
+		t.Fatal(err)
+	}
+	vars, _ := tr.Variables()
+	widths := []int{0, 1, 6, 2, len(vars) / 2, 0, 3, len(vars)}
+	g := taskgraph.Build(tr)
+	eachPolicy(t, func(t *testing.T, pol policy) {
+		pool, err := pol.newPool(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pool.Close()
+		for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
+			shared, err := g.NewStateMode(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(18))
+			pieces := 0
+			for run, width := range widths {
+				ev := potential.Evidence{}
+				for _, i := range rng.Perm(len(vars))[:width] {
+					ev[vars[i]] = rng.Intn(2)
+				}
+				if err := shared.AbsorbEvidence(ev); err != nil {
+					t.Fatal(err)
+				}
+				m, err := pool.Run(shared, Options{Threshold: 64})
+				if err != nil {
+					t.Fatalf("%v run %d, %d observed, on reused scratch: %v", mode, run, width, err)
+				}
+				pieces += m.Pieces
+				fresh, err := taskgraph.Build(tr).NewStateEvidence(mode, ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := pool.Run(fresh, Options{Threshold: 64}); err != nil {
+					t.Fatal(err)
+				}
+				want := append(append([]*potential.Potential{}, fresh.Clique...), fresh.Sep...)
+				for i, p := range append(append([]*potential.Potential{}, shared.Clique...), shared.Sep...) {
+					if p == nil {
+						continue // the root has no separator
+					}
+					q := want[i]
+					if len(p.Data) != len(q.Data) {
+						t.Fatalf("%v run %d: table %d has %d entries on reused scratch, %d on fresh", mode, run, i, len(p.Data), len(q.Data))
+					}
+					for j, v := range p.Data {
+						if math.Float64bits(v) != math.Float64bits(q.Data[j]) {
+							t.Fatalf("%v run %d, %d observed: table %d entry %d is %x on reused scratch, %x on fresh",
+								mode, run, width, i, j, math.Float64bits(v), math.Float64bits(q.Data[j]))
+						}
+					}
+				}
+			}
+			if pieces == 0 {
+				t.Fatalf("%v: δ = 64 cut nothing", mode)
+			}
+		}
+	})
 }
 
 // TestTaskErrorNamesTheTask: a failing primitive fails the run with the task

@@ -1,0 +1,293 @@
+package taskgraph
+
+import (
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"evprop/internal/jtree"
+	"evprop/internal/potential"
+)
+
+// sliceTree is a generated tree of three-state variables — an observed state
+// can be the first, a middle or the last one — materialized at random.
+func sliceTree(t testing.TB, seed int64) *jtree.Tree {
+	t.Helper()
+	tr, err := jtree.Random(jtree.RandomConfig{N: 14, Width: 6, States: 3, Degree: 3, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(seed + 1); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// reduced is the full-domain absorb slicing replaced, kept as the reference: a
+// state at the full domain with every entry that contradicts the evidence
+// zeroed in every clique.
+func reduced(t testing.TB, g *Graph, mode Mode, ev potential.Evidence) *State {
+	t.Helper()
+	st, err := g.NewStateMode(mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range st.Clique {
+		if err := p.Reduce(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return st
+}
+
+func randomEvidence(rng *rand.Rand, tr *jtree.Tree, width int) potential.Evidence {
+	vars, cardOf := tr.Variables()
+	ev := potential.Evidence{}
+	for _, i := range rng.Perm(len(vars))[:width] {
+		ev[vars[i]] = rng.Intn(cardOf[vars[i]])
+	}
+	return ev
+}
+
+// sameTables fails unless every table of the sliced state holds, bit for bit,
+// the entries of the full-domain state's table at the observed states — and
+// the full-domain table is zero everywhere else.
+func sameTables(t *testing.T, what string, sliced, full *State) {
+	t.Helper()
+	obs := sliced.Observed()
+	check := func(name string, i int, s, f *potential.Potential) {
+		want := make([]float64, obs.SliceCard(make([]int, len(f.Vars)), f.Vars, f.Card))
+		obs.Gather(want, f.Data, f.Vars, f.Card)
+		if len(s.Data) != len(want) {
+			t.Fatalf("%s: %s %d has %d entries, want %d", what, name, i, len(s.Data), len(want))
+		}
+		for k := range want {
+			if math.Float64bits(s.Data[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("%s: %s %d entry %d is %v, the full-domain run has %v", what, name, i, k, s.Data[k], want[k])
+			}
+		}
+		back := make([]float64, len(f.Data))
+		obs.Scatter(back, want, f.Vars, f.Card)
+		if !reflect.DeepEqual(back, f.Data) {
+			t.Fatalf("%s: full-domain %s %d is not zero off the observed states", what, name, i)
+		}
+	}
+	for i := range sliced.Clique {
+		check("clique", i, sliced.Clique[i], full.Clique[i])
+		if sliced.Sep[i] != nil {
+			check("separator", i, sliced.Sep[i], full.Sep[i])
+		}
+	}
+}
+
+// TestSlicedRunIsTheReducedRun: after RunSerial every clique and separator
+// table of a sliced state equals the full-domain run's at the observed states,
+// under Float64bits, in both semirings and for evidence of every width from
+// nothing to everything — whether the state was born sliced, sliced in place,
+// or sliced again after a run under other evidence.
+func TestSlicedRunIsTheReducedRun(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		tr := sliceTree(t, seed)
+		g := Build(tr)
+		vars, _ := tr.Variables()
+		rng := rand.New(rand.NewSource(seed))
+		for _, mode := range []Mode{SumProduct, MaxProduct} {
+			recycled, err := g.NewStateMode(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{0, 1, 3, len(vars) / 2, len(vars), 2} {
+				ev := randomEvidence(rng, tr, width)
+				full := reduced(t, g, mode, ev)
+				if err := full.RunSerial(); err != nil {
+					t.Fatal(err)
+				}
+				born, err := g.NewStateEvidence(mode, ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := recycled.AbsorbEvidence(ev); err != nil {
+					t.Fatal(err)
+				}
+				for name, st := range map[string]*State{"born sliced": born, "recycled": recycled} {
+					if err := st.RunSerial(); err != nil {
+						t.Fatalf("seed %d %v width %d, %s: %v", seed, mode, width, name, err)
+					}
+					sameTables(t, name, st, full)
+					if math.Float64bits(st.EvidenceMass()) != math.Float64bits(full.EvidenceMass()) {
+						t.Errorf("seed %d %v width %d, %s: P(e) %v, full-domain %v", seed, mode, width, name, st.EvidenceMass(), full.EvidenceMass())
+					}
+					for _, v := range vars {
+						got, gerr := st.Marginal(v)
+						want, werr := full.Marginal(v)
+						if (gerr == nil) != (werr == nil) {
+							t.Fatalf("seed %d width %d, %s: posterior of %d: %v, full-domain: %v", seed, width, name, v, gerr, werr)
+						}
+						if gerr == nil && (!reflect.DeepEqual(got.Card, want.Card) || !reflect.DeepEqual(got.Data, want.Data)) {
+							t.Errorf("seed %d %v width %d, %s: posterior of %d is %v, full-domain %v", seed, mode, width, name, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestResetRestoresFullDomain: a state that was sliced — born sliced, even,
+// with tables too small for the full domain — is at the full domain again
+// after Reset: every table has the tree's shape, the run uses the graph's own
+// plans, weighs what the graph weighs and computes what a new state computes.
+func TestResetRestoresFullDomain(t *testing.T) {
+	tr := sliceTree(t, 3)
+	g := Build(tr)
+	rng := rand.New(rand.NewSource(3))
+	fresh, err := g.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.RunSerial(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := g.NewStateEvidence(SumProduct, randomEvidence(rng, tr, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Weight() >= g.TotalWeight() || len(st.Observed()) == 0 {
+		t.Fatalf("evidence on 5 variables left weight %v of %v", st.Weight(), g.TotalWeight())
+	}
+	born := st.RetainedEntries()
+	if err := st.RunSerial(); err != nil {
+		t.Fatal(err)
+	}
+	st.ReleaseScratch()
+	if got := st.RetainedEntries(); got >= fresh.RetainedEntries() || got >= born {
+		t.Errorf("a released sliced state retains %d entries, with scratch %d, a full one %d", got, born, fresh.RetainedEntries())
+	}
+
+	st.Reset(SumProduct)
+	if st.Weight() != g.TotalWeight() || len(st.Observed()) != 0 {
+		t.Errorf("after Reset the state weighs %v of %v, observed %v", st.Weight(), g.TotalWeight(), st.Observed())
+	}
+	for id := range g.Tasks {
+		if got, want := st.PartitionSize(id), int(g.Tasks[id].Weight); got != want {
+			t.Fatalf("after Reset task %s ranges over %d entries, want %d", &g.Tasks[id], got, want)
+		}
+	}
+	if err := st.RunSerial(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range st.Clique {
+		c := &tr.Cliques[i]
+		if !reflect.DeepEqual(p.Card, c.Card) || !reflect.DeepEqual(p.Data, fresh.Clique[i].Data) {
+			t.Fatalf("after Reset clique %d is %v, a new state computes %v", i, p, fresh.Clique[i])
+		}
+		if c.Parent >= 0 && (!reflect.DeepEqual(st.Sep[i].Card, c.SepCard) || !reflect.DeepEqual(st.Sep[i].Data, fresh.Sep[i].Data)) {
+			t.Fatalf("after Reset separator %d is %v, a new state computes %v", i, st.Sep[i], fresh.Sep[i])
+		}
+	}
+}
+
+// TestAbsorbEvidenceReplaces: AbsorbEvidence restricts the tree's potentials,
+// not the state's current tables — a second call replaces the first's
+// evidence, a likelihood absorbed before it is gone — and evidence it refuses
+// leaves the state exactly as it was.
+func TestAbsorbEvidenceReplaces(t *testing.T) {
+	tr := sliceTree(t, 4)
+	g := Build(tr)
+	vars, cardOf := tr.Variables()
+	a := potential.Evidence{vars[0]: 1, vars[5]: 0}
+	b := potential.Evidence{vars[5]: 1, vars[9]: 0}
+	st, err := g.NewStateEvidence(SumProduct, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AbsorbLikelihood(potential.Likelihood{vars[2]: make([]float64, cardOf[vars[2]])}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AbsorbEvidence(b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := g.NewStateEvidence(SumProduct, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(what string) {
+		t.Helper()
+		for i := range st.Clique {
+			if !reflect.DeepEqual(st.Clique[i], want.Clique[i]) || !reflect.DeepEqual(st.Sep[i], want.Sep[i]) {
+				t.Fatalf("%s: clique %d is %v over separator %v, want %v over %v", what, i, st.Clique[i], st.Sep[i], want.Clique[i], want.Sep[i])
+			}
+		}
+		if !reflect.DeepEqual(st.Observed(), want.Observed()) || st.Weight() != want.Weight() {
+			t.Fatalf("%s: observed %v weight %v, want %v and %v", what, st.Observed(), st.Weight(), want.Observed(), want.Weight())
+		}
+	}
+	same("second AbsorbEvidence")
+	for _, bad := range []potential.Evidence{
+		{vars[1]: cardOf[vars[1]]},
+		{vars[9]: 0, vars[3]: -1},
+	} {
+		if err := st.AbsorbEvidence(bad); err == nil {
+			t.Fatalf("evidence %v accepted", bad)
+		}
+		same("refused evidence")
+	}
+	if err := st.AbsorbEvidence(potential.Evidence{vars[5]: 1, vars[9]: 0, 1 << 20: 3, -4: 0}); err != nil {
+		t.Fatalf("evidence on variables the tree lacks: %v", err)
+	}
+	same("evidence on unknown variables")
+	if err := st.RunSerial(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLift: a table derived from sliced tables goes back to the full domain
+// with its entries at the observed states and zeros elsewhere; one that
+// mentions no observed variable is returned as it is.
+func TestLift(t *testing.T) {
+	tr := sliceTree(t, 5)
+	g := Build(tr)
+	root := &tr.Cliques[tr.Root]
+	a, b, c := root.Vars[0], root.Vars[1], root.Vars[2]
+	ca, cb, cc := root.Card[0], root.Card[1], root.Card[2]
+	st, err := g.NewStateEvidence(SumProduct, potential.Evidence{b: cb - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.Clique[tr.Root].Marginal([]int{a, b, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.Card, []int{ca, 1, cc}) {
+		t.Fatalf("marginal of a sliced clique has cardinalities %v", m.Card)
+	}
+	full := st.Lift(m)
+	if !reflect.DeepEqual(full.Card, []int{ca, cb, cc}) || full.Len() != ca*cb*cc {
+		t.Fatalf("lifted table has cardinalities %v, %d entries", full.Card, full.Len())
+	}
+	for i := 0; i < ca; i++ {
+		for j := 0; j < cb; j++ {
+			for k := 0; k < cc; k++ {
+				want := 0.0
+				if j == cb-1 {
+					want = m.At(i, 0, k)
+				}
+				if got := full.At(i, j, k); got != want {
+					t.Errorf("lifted entry (%d,%d,%d) is %v, want %v", i, j, k, got, want)
+				}
+			}
+		}
+	}
+	free, err := st.Clique[tr.Root].Marginal([]int{a, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Lift(free) != free {
+		t.Error("a table over unobserved variables was copied")
+	}
+	st.Reset(SumProduct)
+	if st.Lift(m) != m {
+		t.Error("a state at the full domain lifted a table")
+	}
+}

@@ -39,16 +39,29 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 // lifetimes.
 //
 // The result tables — Clique and Sep — are what a propagation computes: they
-// start as clones of the tree's potentials, absorb the evidence, are
-// calibrated by the run, and live for as long as anything reads the result.
+// start as the tree's potentials restricted to the evidence, are calibrated by
+// the run, and live for as long as anything reads the result.
 //
-// The run scratch — the per-edge message buffers and the partial-buffer free
-// lists — is written and read only by the tasks of one
-// scheduler run; no accessor below ever looks at it. It comes from a pool on
-// the Graph (NewStateMode and Reset attach one) and goes back the moment a
-// run has succeeded (ReleaseScratch), so holding a result holds its tables
-// and nothing else, and concurrent propagations over one graph share as many
-// scratches as there are runs in flight, not as there are results alive.
+// The run scratch — the per-edge message buffers, the partial-buffer free
+// lists and the kernel plans of this run's table shapes — is written and read
+// only by the tasks of one scheduler run; no accessor below ever looks at it.
+// It comes from a pool on the Graph (the constructors, Reset and
+// AbsorbEvidence attach one) and goes back the moment a run has succeeded
+// (ReleaseScratch), so holding a result holds its tables and nothing else, and
+// concurrent propagations over one graph share as many scratches as there are
+// runs in flight, not as there are results alive.
+//
+// Hard evidence slices the state. A variable observed in one state is a
+// dimension with one state: it keeps its place in every table's Vars, its
+// Card becomes 1, and the table holds only the entries of the observed state,
+// in their original order (potential.Observed.Gather) — r^(w−k) entries for a
+// clique of w variables, k of them observed, where zeroing the others in place
+// would leave r^w for every task to stream over. The kernels never see the
+// difference (potential.NewPlan drops single-state dimensions), and because a
+// sliced table lists the entries a zeroed one would have left standing, in the
+// same order, every sum and maximum meets the same terms in the same order
+// minus additions of +0.0: posteriors, P(e) and the MPE are the same bits.
+// Readers get the full domain back through Marginal and Lift.
 //
 // Two tasks may touch the same buffer only if the dependency graph orders
 // them, so a State may be driven by any number of worker goroutines that
@@ -56,23 +69,39 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 type State struct {
 	g    *Graph
 	mode Mode
-	// Clique[i] is the working potential of clique i.
+	// Clique[i] is the working potential of clique i, over the sliced domain.
 	Clique []*potential.Potential
 	// Sep[c] is the stored separator potential ψS of the edge (c, parent).
 	Sep []*potential.Potential
 	// run is the attached run scratch, nil from ReleaseScratch to the next
-	// Reset.
+	// Reset or AbsorbEvidence.
 	run *scratch
+
+	// obs is the hard evidence the tables are sliced on, empty at the full
+	// domain; sliced says that some table shrank under it.
+	obs    potential.Observed
+	sliced bool
+	// weight is the sum over the graph's tasks of the table each ranges over,
+	// at this slicing: Graph.TotalWeight at the full domain.
+	weight float64
 }
 
 // scratch is the run-lifetime half of a State. Nothing in it carries over
 // from one run to the next — a Marginalize, whole or piece, clears the buffer
-// it reduces into before accumulating — so a scratch serves any state of its
-// graph, in either semiring, without being cleared.
+// it reduces into before accumulating, and priming a state re-derives the
+// views below — so a scratch serves any state of its graph, in either
+// semiring and under any evidence, without being cleared. Every buffer is
+// allocated at its separator's full size and resliced to the run's.
 type scratch struct {
 	// sepNew[c] receives the freshly marginalized ψ*S, then holds the
 	// ratio ψ*S/ψS after the Divide step, which Multiply reads.
 	sepNew []*potential.Potential
+	// plans[c] are the kernel walks of edge c for this run's table shapes: the
+	// graph's own where the clique holds no observed variable, otherwise
+	// compiled into own — two per edge, child side then parent side, whose
+	// storage is reused from run to run.
+	plans []EdgePlans
+	own   []potential.Plan
 	// bufFree recycles the private accumulation buffers of partitioned
 	// Marginalize tasks, per edge (both passes over an edge share one
 	// separator domain). Buffers are handed out by NewPartialBuffer and
@@ -85,6 +114,8 @@ type scratch struct {
 func newScratch(t *jtree.Tree) *scratch {
 	sc := &scratch{
 		sepNew:  make([]*potential.Potential, t.N()),
+		plans:   make([]EdgePlans, t.N()),
+		own:     make([]potential.Plan, 2*t.N()),
 		bufFree: make([][]*potential.Potential, t.N()),
 	}
 	for i := range t.Cliques {
@@ -92,7 +123,7 @@ func newScratch(t *jtree.Tree) *scratch {
 		if c.Parent < 0 {
 			continue
 		}
-		sc.sepNew[i] = c.SepPot.CloneZero()
+		sc.sepNew[i] = &potential.Potential{Vars: c.SepVars, Data: make([]float64, c.SepPot.Len())}
 	}
 	return sc
 }
@@ -112,12 +143,48 @@ func (g *Graph) getScratch() *scratch {
 func (g *Graph) NewState() (*State, error) { return g.NewStateMode(SumProduct) }
 
 // NewStateMode is NewState with an explicit semiring. The result tables are
-// allocated; the run scratch comes from the graph's pool.
+// allocated, at the full domain; the run scratch comes from the graph's pool.
 func (g *Graph) NewStateMode(mode Mode) (*State, error) {
+	st, err := g.newState(mode)
+	if err != nil {
+		return nil, err
+	}
+	st.prime()
+	return st, nil
+}
+
+// NewStateEvidence is NewStateMode followed by AbsorbEvidence, with the
+// tables allocated at their sliced size: what a state that will be kept as a
+// result — and so never recycled — should cost.
+func (g *Graph) NewStateEvidence(mode Mode, ev potential.Evidence) (*State, error) {
+	st, err := g.newState(mode)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.AbsorbEvidence(ev); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// newState builds a state whose tables have their domains and no entries
+// yet; prime allocates and fills them.
+func (g *Graph) newState(mode Mode) (*State, error) {
 	t := g.Tree
-	// Compiled here so that the kernels can read g.plans without a check.
+	// Compiled here so that priming can read g.plans and g.varCard unchecked.
 	if _, err := g.Plans(); err != nil {
 		return nil, err
+	}
+	width := 0
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		if c.Pot == nil {
+			return nil, fmt.Errorf("taskgraph: clique %d not materialized", i)
+		}
+		if c.Parent >= 0 && c.SepPot == nil {
+			return nil, fmt.Errorf("taskgraph: clique %d separator not materialized", i)
+		}
+		width += len(c.Vars) + len(c.SepVars)
 	}
 	st := &State{
 		g:      g,
@@ -125,44 +192,79 @@ func (g *Graph) NewStateMode(mode Mode) (*State, error) {
 		Clique: make([]*potential.Potential, t.N()),
 		Sep:    make([]*potential.Potential, t.N()),
 	}
+	// One array of tables and one of cardinalities for the whole state. Vars
+	// are the tree's own slices: no table of a state ever changes its
+	// variables, only — under evidence — their cardinalities.
+	tabs := make([]potential.Potential, 2*t.N())
+	cards := make([]int, width)
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
-		if c.Pot == nil {
-			return nil, fmt.Errorf("taskgraph: clique %d not materialized", i)
-		}
-		st.Clique[i] = c.Pot.Clone()
+		st.Clique[i] = &tabs[2*i]
+		*st.Clique[i] = potential.Potential{Vars: c.Vars, Card: cards[:len(c.Vars):len(c.Vars)]}
+		cards = cards[len(c.Vars):]
 		if c.Parent < 0 {
 			continue
 		}
-		if c.SepPot == nil {
-			return nil, fmt.Errorf("taskgraph: clique %d separator not materialized", i)
-		}
-		st.Sep[i] = c.SepPot.Clone()
+		st.Sep[i] = &tabs[2*i+1]
+		*st.Sep[i] = potential.Potential{Vars: c.SepVars, Card: cards[:len(c.SepVars):len(c.SepVars)]}
+		cards = cards[len(c.SepVars):]
 	}
-	st.run = g.getScratch()
 	return st, nil
 }
 
 // Reset re-primes a previously executed state for a fresh propagation with
-// the given semiring: it copies the tree's clique and separator potentials
-// back into the existing tables without allocating, and attaches a run
-// scratch from the graph's pool when the last run's was released. Reset plus
-// reuse is the pooling layer that makes steady-state propagation
-// near-allocation-free.
+// the given semiring, at the full domain: it copies the tree's clique and
+// separator potentials back into the existing tables — without allocating,
+// unless the state was born sliced (NewStateEvidence) and a table has to grow
+// — and attaches a run scratch from the graph's pool when the last run's was
+// released. Reset plus reuse is the pooling layer that makes steady-state
+// propagation near-allocation-free.
 func (st *State) Reset(mode Mode) {
 	st.mode = mode
-	t := st.g.Tree
+	st.obs = st.obs[:0]
+	st.prime()
+}
+
+// prime makes the tables the tree's potentials restricted to st.obs, and the
+// scratch views — message buffers, plans — the shapes those tables have. The
+// plans are the graph's; AbsorbEvidence replaces the ones slicing invalidates.
+func (st *State) prime() {
+	g, t := st.g, st.g.Tree
+	if st.run == nil {
+		st.run = g.getScratch()
+	}
+	sc := st.run
+	st.sliced = false
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
-		copy(st.Clique[i].Data, c.Pot.Data)
+		st.sliced = st.slice(st.Clique[i], c.Pot) || st.sliced
 		if c.Parent < 0 {
 			continue
 		}
-		copy(st.Sep[i].Data, c.SepPot.Data)
+		st.slice(st.Sep[i], c.SepPot)
+		// A message has its separator's domain; the cardinalities are shared,
+		// which keeps Combine's domain check meaningful.
+		b := sc.sepNew[i]
+		b.Card, b.Data = st.Sep[i].Card, b.Data[:st.Sep[i].Len()]
 	}
-	if st.run == nil {
-		st.run = st.g.getScratch()
+	copy(sc.plans, g.plans)
+	st.weight = g.TotalWeight()
+}
+
+// slice makes dst the table src restricted to st.obs, growing dst when it has
+// never held that many entries, and reports whether that is a proper slice.
+func (st *State) slice(dst, src *potential.Potential) bool {
+	n := st.obs.SliceCard(dst.Card, src.Vars, src.Card)
+	if cap(dst.Data) < n {
+		dst.Data = make([]float64, n)
 	}
+	dst.Data = dst.Data[:n]
+	if n == len(src.Data) {
+		copy(dst.Data, src.Data)
+		return false
+	}
+	st.obs.Gather(dst.Data, src.Data, src.Vars, src.Card)
+	return true
 }
 
 // ReleaseScratch hands the state's run scratch back to its graph's pool,
@@ -170,8 +272,8 @@ func (st *State) Reset(mode Mode) {
 // this state has returned without error, and only then: workers of a failed
 // or cancelled pool run may still be writing the scratch, so such a state
 // keeps it and both go to the garbage collector together. Until the next
-// Reset the execution methods return ErrScratchReleased; every accessor
-// works as before. Releasing twice is a no-op.
+// Reset or AbsorbEvidence the execution methods return ErrScratchReleased;
+// every accessor works as before. Releasing twice is a no-op.
 func (st *State) ReleaseScratch() {
 	if st.run == nil {
 		return
@@ -180,16 +282,17 @@ func (st *State) ReleaseScratch() {
 	st.run = nil
 }
 
-// RetainedEntries counts the table entries reachable from the state: the
-// clique and separator tables, plus the run scratch (free lists included)
-// while one is attached. After ReleaseScratch it is the tree's clique plus
-// separator entries — what holding a result costs.
+// RetainedEntries counts the table entries reachable from the state, at their
+// allocated capacity: the clique and separator tables, plus the run scratch
+// (free lists included) while one is attached. After ReleaseScratch it is what
+// holding the result costs — the sliced clique plus separator entries for a
+// state born sliced, the tree's for one that has ever been at the full domain.
 func (st *State) RetainedEntries() int {
 	n := 0
 	count := func(ps []*potential.Potential) {
 		for _, p := range ps {
 			if p != nil {
-				n += p.Len()
+				n += cap(p.Data)
 			}
 		}
 	}
@@ -206,25 +309,102 @@ func (st *State) RetainedEntries() int {
 	return n
 }
 
-// AbsorbEvidence reduces every working clique potential on the evidence.
-// Call once before executing the graph.
+// AbsorbEvidence restricts the state to the hard evidence: every table becomes
+// the tree's potential sliced on the observed states (see State), whatever it
+// held before, and the run gets kernel plans for the shapes that changed —
+// plans depend on which variables are observed, never on their states. It
+// therefore comes first, before AbsorbLikelihood, and needs no Reset before it
+// on a state whose semiring stays the same; like Reset it attaches a run
+// scratch when the last one was released. Variables the tree does not mention
+// are ignored; an observed state outside its variable's cardinality is an
+// error and leaves the state as it was.
 func (st *State) AbsorbEvidence(ev potential.Evidence) error {
-	for i, p := range st.Clique {
-		if err := p.Reduce(ev); err != nil {
-			return fmt.Errorf("taskgraph: clique %d: %w", i, err)
+	obs, err := ev.Dense(st.g.varCard, st.obs)
+	if err != nil {
+		return fmt.Errorf("taskgraph: %w", err)
+	}
+	st.obs = obs
+	st.prime()
+	if !st.sliced {
+		return nil
+	}
+	t, sc := st.g.Tree, st.run
+	entries := 0
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		if c.Parent < 0 {
+			continue
+		}
+		ch, pa, sep := st.Clique[i], st.Clique[c.Parent], st.Sep[i]
+		entries += ch.Len() + pa.Len() + sep.Len()
+		var err error
+		if ch.Len() != c.Pot.Len() {
+			sc.plans[i].Child = &sc.own[2*i]
+			err = sc.plans[i].Child.Recompile(ch.Vars, ch.Card, sep.Vars, sep.Card)
+		}
+		if pa.Len() != t.Cliques[c.Parent].Pot.Len() && err == nil {
+			sc.plans[i].Parent = &sc.own[2*i+1]
+			err = sc.plans[i].Parent.Recompile(pa.Vars, pa.Card, sep.Vars, sep.Card)
+		}
+		if err != nil {
+			return fmt.Errorf("taskgraph: edge (%d, %d): %w", i, c.Parent, err)
 		}
 	}
+	st.weight = float64(st.g.passes * entries)
 	return nil
+}
+
+// Observed returns the hard evidence the state is sliced on, in dense form;
+// it is empty at the full domain. The vector belongs to the state and is
+// valid until the next Reset or AbsorbEvidence.
+func (st *State) Observed() potential.Observed { return st.obs }
+
+// Weight returns the run's total work in table entries: the sum over the
+// graph's tasks of the table each ranges over at this slicing. At the full
+// domain it is Graph.TotalWeight.
+func (st *State) Weight() float64 { return st.weight }
+
+// Lift returns p — a table derived from the state's, so with cardinality 1
+// for every observed variable — over the full domain: the entries of p at the
+// observed states, zero elsewhere. It returns p itself when none of its
+// variables is observed.
+func (st *State) Lift(p *potential.Potential) *potential.Potential {
+	lifted := false
+	for _, v := range p.Vars {
+		lifted = lifted || (st.obs.State(v) != potential.Free && st.g.varCard[v] != 1)
+	}
+	if !lifted {
+		return p
+	}
+	card := append([]int(nil), p.Card...)
+	for i, v := range p.Vars {
+		if st.obs.State(v) != potential.Free {
+			card[i] = st.g.varCard[v]
+		}
+	}
+	full := &potential.Potential{Vars: p.Vars, Card: card, Data: make([]float64, potential.Size(card))}
+	st.obs.Scatter(full.Data, p.Data, full.Vars, full.Card)
+	return full
 }
 
 // AbsorbLikelihood multiplies soft (virtual) evidence into the state: each
 // variable's weight vector is applied to exactly one clique containing it
-// (applying it more than once would square the weights).
+// (applying it more than once would square the weights). Of the weights of a
+// variable that is also observed, the observed state's is the one that counts.
 func (st *State) AbsorbLikelihood(like potential.Likelihood) error {
 	for v := range like {
 		ci := st.g.Tree.CliqueOf(v)
 		if ci < 0 {
 			return fmt.Errorf("taskgraph: likelihood on unknown variable %d", v)
+		}
+		if s := st.obs.State(v); s != potential.Free {
+			// The clique has one state of v left: the vector is one factor.
+			w, err := like.ObservedWeight(v, st.g.varCard[v], s)
+			if err != nil {
+				return fmt.Errorf("taskgraph: clique %d: %w", ci, err)
+			}
+			st.Clique[ci].Scale(w)
+			continue
 		}
 		if err := st.Clique[ci].ApplyLikelihood(like, v); err != nil {
 			return fmt.Errorf("taskgraph: clique %d: %w", ci, err)
@@ -266,25 +446,31 @@ func (st *State) PartitionSize(id int) int {
 // left there: the piece that receives it clears it (ExecutePiece), so the
 // clearing is done by the worker that is about to write the buffer anyway and
 // not by the one that splits the task. Buffers recycled by an earlier Combine
-// on the same edge are reused before allocating; the method is safe for
-// concurrent use by workers partitioning different tasks.
+// on the same edge are reused before allocating — they outlive the run with
+// the scratch, so each is allocated at the separator's full size and handed
+// out resliced to this run's; the method is safe for concurrent use by workers
+// partitioning different tasks.
 func (st *State) NewPartialBuffer(id int) *potential.Potential {
 	t := &st.g.Tasks[id]
 	if t.Kind != Marginalize {
 		return nil
 	}
+	sep := st.Sep[t.Edge]
+	var b *potential.Potential
 	if sc := st.run; sc != nil {
 		sc.bufMu.Lock()
 		if free := sc.bufFree[t.Edge]; len(free) > 0 {
-			b := free[len(free)-1]
+			b = free[len(free)-1]
 			free[len(free)-1] = nil
 			sc.bufFree[t.Edge] = free[:len(free)-1]
-			sc.bufMu.Unlock()
-			return b
 		}
 		sc.bufMu.Unlock()
 	}
-	return st.Sep[t.Edge].CloneZero()
+	if b == nil {
+		b = &potential.Potential{Vars: sep.Vars, Data: make([]float64, st.g.Tree.Cliques[t.Edge].SepPot.Len())}
+	}
+	b.Card, b.Data = sep.Card, b.Data[:sep.Len()]
+	return b
 }
 
 // ExecutePiece runs the [lo,hi) slice of the task. A Marginalize piece
@@ -306,7 +492,7 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 			buf = sc.sepNew[t.Edge]
 		}
 		clear(buf.Data)
-		pl := st.g.plans[t.Edge].Of(t.Source, t.Edge)
+		pl := sc.plans[t.Edge].Of(t.Source, t.Edge)
 		if st.mode == MaxProduct {
 			return pl.MaxMarginalInto(st.Clique[t.Source], buf, lo, hi)
 		}
@@ -314,7 +500,7 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	case Divide:
 		return divideRange(sc.sepNew[t.Edge].Data, st.Sep[t.Edge].Data, lo, hi)
 	case Multiply:
-		pl := st.g.plans[t.Edge].Of(t.Target, t.Edge)
+		pl := sc.plans[t.Edge].Of(t.Target, t.Edge)
 		return pl.MulRange(st.Clique[t.Target], sc.sepNew[t.Edge], lo, hi)
 	case Extend:
 		return fmt.Errorf("taskgraph: task %d: extension is part of Multiply and has no task of its own", id)
@@ -431,7 +617,8 @@ func (st *State) MassScale() float64 { return 1 }
 func (st *State) Calibrate() error { return nil }
 
 // Marginal extracts the normalized posterior of variable v from the state
-// after propagation, by marginalizing a clique that contains v.
+// after propagation, by marginalizing a clique that contains v. The posterior
+// of an observed variable is the indicator of its observed state.
 func (st *State) Marginal(v int) (*potential.Potential, error) {
 	ci := st.g.Tree.CliqueOf(v)
 	if ci < 0 {
@@ -444,5 +631,5 @@ func (st *State) Marginal(v int) (*potential.Potential, error) {
 	if err := m.Normalize(); err != nil {
 		return nil, fmt.Errorf("taskgraph: variable %d has zero posterior mass (impossible evidence?): %w", v, err)
 	}
-	return m, nil
+	return st.Lift(m), nil
 }

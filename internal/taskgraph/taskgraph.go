@@ -117,14 +117,19 @@ type Task struct {
 // Graph is the full task dependency graph for one junction tree. It is
 // immutable once built: the first TopoOrder or TotalWeight call caches what
 // it derives from Tasks, PieceCounts caches one partition verdict per worker
-// count, Plans compiles the kernel walks of every tree edge once, and every
-// run of the graph reads those caches. It also owns the pool of run scratch
+// count, Plans compiles the full-domain kernel walks of every tree edge once,
+// and every run of the graph reads those caches. It also owns the pool of run scratch
 // its States draw from (see State): scratch is shaped by the tree's edges
 // alone, so one pool serves every state of the graph, sum- or max-product,
 // from any number of goroutines.
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
+	// passes is how many messages Build put on every tree edge: 1 for a
+	// collect-only graph, 2 with the distribute pass. Each is a Marginalize
+	// over one clique of the edge, a Divide over its separator and a Multiply
+	// over the other clique, which is how a State prices a sliced run.
+	passes int
 
 	derive   sync.Once
 	order    []int   // topological order, nil when the graph has a cycle
@@ -135,6 +140,7 @@ type Graph struct {
 
 	planOnce sync.Once
 	plans    []EdgePlans // per child clique, see Plans
+	varCard  []int       // per variable id its cardinality, 0 for ids the tree lacks
 	planErr  error
 
 	scratchPool sync.Pool // of *scratch
@@ -171,7 +177,10 @@ func Build(t *jtree.Tree) *Graph { return build(t, true) }
 func BuildCollectOnly(t *jtree.Tree) *Graph { return build(t, false) }
 
 func build(t *jtree.Tree, withDistribute bool) *Graph {
-	g := &Graph{Tree: t}
+	g := &Graph{Tree: t, passes: 1}
+	if withDistribute {
+		g.passes = 2
+	}
 	idx := make(map[int]taskIdx) // child clique id -> its edge's tasks
 
 	add := func(k Kind, d Direction, edge, source, target int, w float64, grain int) int {
@@ -389,6 +398,14 @@ func (g *Graph) Plans() ([]EdgePlans, error) {
 			}
 		}
 		g.plans = plans
+		// What evidence is checked against and lifted back to (State).
+		vars, cardOf := t.Variables()
+		if len(vars) > 0 {
+			g.varCard = make([]int, vars[len(vars)-1]+1)
+		}
+		for v, c := range cardOf {
+			g.varCard[v] = c
+		}
 	})
 	return g.plans, g.planErr
 }
