@@ -31,10 +31,12 @@ race:
 # partitioned sum leaves behind, and the bits partitioned runs leave when the
 # pooled message and partial buffers serve tables sliced on one evidence after
 # another — forty times over, without the race detector (whose slowdown hides
-# them), plus the deterministic reproducer of the span arena's recycle window.
-# A flake here is a bug, not noise.
+# them), plus the two deterministic reproducers of the span arena's recycle
+# window and the batch of identical sub-queries that must cost exactly one
+# propagation however its goroutines interleave. A flake here is a bug, not
+# noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -203,17 +205,16 @@ smoke-replay:
 	if [ $$fail -ne 0 ]; then echo "smoke-replay: step $$fail failed"; exit 1; fi; \
 	echo "smoke-replay: ok"
 
-# Smoke-test distributed tracing end to end: boot evserve with the batch
-# coalescer on, let evtrace mint a sampled W3C traceparent and drive three
-# identical queries through /v1/batch (identical evidence -> singleflight
-# riders), fetch the kept trace back over /v1/debug/trace, and assert the
-# span tree: the caller's trace ID and parent span survived, absorb ran
-# before propagate, every sub-query has its batch.item span, and at least
-# one coalesced rider linked into the leader's tree.
+# Smoke-test distributed tracing end to end: boot evserve, let evtrace mint a
+# sampled W3C traceparent and drive three identical queries through /v1/batch,
+# fetch the kept trace back over /v1/debug/trace, and assert the span tree:
+# the caller's trace ID and parent span survived, absorb ran before
+# propagate, every sub-query has its batch.item span, and the three cost one
+# propagate span — the other two are singleflight waiters or cache hits.
 smoke-trace:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evtrace-smoke ./cmd/evtrace
-	@/tmp/evserve-smoke -addr 127.0.0.1:18095 -batch-window 20ms >/dev/null 2>&1 & \
+	@/tmp/evserve-smoke -addr 127.0.0.1:18095 >/dev/null 2>&1 & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do \
 		if curl -sf http://127.0.0.1:18095/v1/readyz >/dev/null 2>&1; then break; fi; \
@@ -225,7 +226,7 @@ smoke-trace:
 
 # The PR gate: formatting and static checks plus the full test suite under
 # the race detector (includes the concurrent-engine stress tests), forty
-# repeats of the two schedule-sensitive tests, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
+# repeats of the schedule-sensitive tests, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
 # audit replay + traceparent propagation), the kernel bench harness smoke,
 # and the benchmark module's own vet + tests.
 check: fmt-check vet staticcheck race flake-guard smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels bench-module

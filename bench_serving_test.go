@@ -283,7 +283,12 @@ func BenchmarkMutexSerializedQuery(b *testing.B) {
 		if err := st.AbsorbEvidence(iev); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sched.Run(st, sched.Options{Workers: 4, Threshold: threshold}); err != nil {
+		pool, err := sched.NewPool(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer pool.Close()
+		if _, err := pool.Run(st, sched.Options{Threshold: threshold}); err != nil {
 			b.Fatal(err)
 		}
 		return st

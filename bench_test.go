@@ -300,7 +300,7 @@ func BenchmarkSerialPropagation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := baseline.Serial(st); err != nil {
+		if err := st.RunSerial(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -314,12 +314,18 @@ func BenchmarkCollaborative(b *testing.B) {
 	g := taskgraph.Build(tr)
 	for _, p := range []int{1, 2, 4, 8} {
 		b.Run(benchName("P", p), func(b *testing.B) {
+			pool, err := sched.NewPool(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pool.Close()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st, err := g.NewState()
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sched.Run(st, sched.Options{Workers: p, Threshold: 256}); err != nil {
+				if _, err := pool.Run(st, sched.Options{Threshold: 256}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -535,8 +541,9 @@ func BenchmarkMPE(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryOne measures the collection-only fast path against the
-// full two-pass query (see BenchmarkEndToEndQuery).
+// BenchmarkQueryOne measures a one-target query, which runs the full two
+// passes: the number a target-directed distribute (ROADMAP item 6) has to
+// beat (EXPERIMENTS.md, "Deviations & notes").
 func BenchmarkQueryOne(b *testing.B) {
 	eng, err := Asia().Compile(Options{Workers: 2})
 	if err != nil {

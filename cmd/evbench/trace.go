@@ -29,7 +29,12 @@ func traceWorkload(workers int) (*sched.Metrics, error) {
 	}
 	// A small δ forces the Partition module to split the wide potential
 	// operations, so the exported trace shows pieces and combiners too.
-	return sched.Run(st, sched.Options{Workers: workers, Threshold: 32, Trace: true})
+	pool, err := sched.NewPool(workers)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Close()
+	return pool.Run(st, sched.Options{Threshold: 32, Trace: true})
 }
 
 // writeTrace runs the trace workload and exports its schedule as a Chrome

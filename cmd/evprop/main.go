@@ -33,13 +33,11 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random network: generator seed")
 		evidence  = flag.String("evidence", "", "comma-separated Name=state observations")
 		query     = flag.String("query", "all", "comma-separated variables to query, or 'all'")
-		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, stealing, serial")
+		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, serial")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		noReroot  = flag.Bool("no-reroot", false, "disable critical-path rerooting (Algorithm 1)")
 		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = automatic: split a task graph only where its parallelism W/CP falls short of the workers; <0 = off)")
 		mpe       = flag.Bool("mpe", false, "also report the most probable explanation")
-		approx    = flag.String("approx", "", "use approximate inference: lw (likelihood weighting) or gibbs")
-		samples   = flag.Int("samples", 20000, "sample count for -approx")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -108,12 +106,7 @@ func main() {
 	} else {
 		queryVars = strings.Split(*query, ",")
 	}
-	var post map[string][]float64
-	if *approx != "" {
-		post, err = net.QueryApprox(*approx, ev, *samples, *seed, queryVars...)
-	} else {
-		post, err = eng.Query(ev, queryVars...)
-	}
+	post, err := eng.Query(ev, queryVars...)
 	if err != nil {
 		fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"evprop"
 	"evprop/internal/audit"
@@ -23,6 +22,16 @@ func auditTestServer(t *testing.T) (*httptest.Server, *server, string) {
 		t.Fatal(err)
 	}
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	dir := attachAudit(t, srv)
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	return ts, srv, dir
+}
+
+// attachAudit gives srv a file-backed audit writer over a per-test temp
+// directory, closed when the test ends. Call it before the first request.
+func attachAudit(t *testing.T, srv *server) string {
+	t.Helper()
 	dir := t.TempDir()
 	store, err := audit.OpenFileStore(dir, audit.FileStoreOptions{})
 	if err != nil {
@@ -33,12 +42,8 @@ func auditTestServer(t *testing.T) (*httptest.Server, *server, string) {
 		t.Fatal(err)
 	}
 	srv.aud, srv.audStore, srv.auditDir = w, store, dir
-	ts := httptest.NewServer(srv.mux())
-	t.Cleanup(func() {
-		ts.Close()
-		w.Close()
-	})
-	return ts, srv, dir
+	t.Cleanup(func() { w.Close() })
+	return dir
 }
 
 // auditedRecords flushes the writer and reads everything spilled so far,
@@ -213,37 +218,6 @@ func TestAuditMetricsSeries(t *testing.T) {
 	}
 	if !strings.Contains(text, "evprop_audit_spilled_total 1") {
 		t.Error("spilled counter not reflected in metrics")
-	}
-}
-
-func TestAuditCoalescedBatch(t *testing.T) {
-	ts, srv, dir := auditTestServer(t)
-	srv.co = newCoalescer(20 * time.Millisecond)
-
-	queries := make([]map[string]any, 4)
-	for i := range queries {
-		queries[i] = map[string]any{"evidence": map[string]int{"XRay": 1}, "query": []string{"Lung"}}
-	}
-	resp := post(t, ts.URL+"/v1/batch", map[string]any{"queries": queries})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-
-	recs := auditedRecords(t, srv, dir)
-	if len(recs) != 4 {
-		t.Fatalf("got %d audit records, want 4", len(recs))
-	}
-	riders := 0
-	for _, r := range recs {
-		if r.Error != "" {
-			t.Errorf("coalesced record errored: %s", r.Error)
-		}
-		if r.Cached {
-			riders++
-		}
-	}
-	if riders != 3 {
-		t.Errorf("got %d rider (Cached) records, want 3", riders)
 	}
 }
 

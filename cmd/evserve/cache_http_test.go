@@ -6,14 +6,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"evprop"
 )
 
 // Server-level tests of the caching layer: repeated-evidence queries hit the
 // engine's result cache, the counters surface in /v1/stats and /v1/metrics,
-// and -batch-window coalesces same-evidence batch sub-queries.
+// and identical /v1/batch sub-queries collapse into one propagation.
 
 func TestQueryCacheHitCounters(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
@@ -73,7 +72,6 @@ func TestQueryCacheHitCounters(t *testing.T) {
 		"evprop_cache_collapsed_total",
 		"evprop_cache_entries",
 		"evprop_cache_bytes",
-		"evprop_batch_coalesced_total",
 		"evprop_window_cache_hit_rate",
 	} {
 		if !strings.Contains(string(body), metric) {
@@ -99,97 +97,75 @@ func TestCachedFlightRecord(t *testing.T) {
 	}
 }
 
-func TestBatchWindowCoalesces(t *testing.T) {
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
-	srv.co = newCoalescer(20 * time.Millisecond)
-	// Eight sub-queries, two distinct evidence signatures. The batch fans
-	// the sub-queries out concurrently, so each signature's group forms
-	// within the window and propagates once.
+// TestBatchIdenticalSubQueriesCollapse: the engine's singleflight and result
+// cache are the one mechanism that collapses a batch. Eight identical
+// sub-queries cost one propagation, and every view says so: the counters, the
+// answers, the audit log and the batch's span tree.
+func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
+	const n = 8
+	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64, RecordEvidence: true})
+	dir := attachAudit(t, srv)
+
 	req := batchRequest{}
-	for i := 0; i < 8; i++ {
-		ev := evprop.Evidence{"XRay": 1}
-		if i%2 == 1 {
-			ev = evprop.Evidence{"Dysp": 1}
-		}
-		req.Queries = append(req.Queries, queryRequest{Evidence: ev, Query: []string{"Lung"}})
+	for i := 0; i < n; i++ {
+		req.Queries = append(req.Queries, queryRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 0}})
 	}
+	before := statsSnapshot(t, ts)
+	resp := post(t, ts.URL+"/v1/batch", req)
 	var br batchResponse
-	decode(t, post(t, ts.URL+"/v1/batch", req), &br)
-	if len(br.Results) != 8 {
-		t.Fatalf("%d results", len(br.Results))
-	}
-	oracleX, _ := evprop.Asia().ExactMarginal("Lung", evprop.Evidence{"XRay": 1})
-	oracleD, _ := evprop.Asia().ExactMarginal("Lung", evprop.Evidence{"Dysp": 1})
-	for i, r := range br.Results {
-		if r.Error != "" {
-			t.Fatalf("sub-query %d: %s", i, r.Error)
-		}
-		oracle := oracleX
-		if i%2 == 1 {
-			oracle = oracleD
-		}
-		if math.Abs(r.Posteriors["Lung"][1]-oracle[1]) > 1e-9 {
-			t.Errorf("sub-query %d posterior %v, oracle %v", i, r.Posteriors["Lung"], oracle)
-		}
-	}
-	if got := srv.defaultEngine().Stats().Propagations; got != 2 {
-		t.Errorf("Propagations = %d, want 2 (one per distinct evidence)", got)
-	}
-	if got := srv.co.coalesced.Load(); got != 6 {
-		t.Errorf("coalesced = %d, want 6", got)
-	}
-}
+	decode(t, resp, &br)
+	after := statsSnapshot(t, ts)
 
-func TestBatchWindowProjection(t *testing.T) {
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
-	srv.co = newCoalescer(5 * time.Millisecond)
-	req := batchRequest{Queries: []queryRequest{
-		// Evidence variable requested → exact one-hot.
-		{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"XRay", "Lung"}},
-		// Empty query → every non-evidence posterior.
-		{Evidence: evprop.Evidence{"XRay": 1}},
-		// Unknown variable → in-place error, siblings unaffected.
-		{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Nope"}},
-	}}
-	var br batchResponse
-	decode(t, post(t, ts.URL+"/v1/batch", req), &br)
-	if got := br.Results[0].Posteriors["XRay"]; len(got) != 2 || got[1] != 1 || got[0] != 0 {
-		t.Errorf("evidence one-hot = %v", got)
+	if got := after.Propagations - before.Propagations; got != 1 {
+		t.Errorf("propagations moved by %d, want 1", got)
 	}
-	if _, ok := br.Results[0].Posteriors["Lung"]; !ok {
-		t.Errorf("requested posterior missing: %v", br.Results[0].Posteriors)
+	served := (after.Cache.Hits + after.Cache.Collapsed) - (before.Cache.Hits + before.Cache.Collapsed)
+	if served != n-1 {
+		t.Errorf("cache.hits + cache.collapsed moved by %d, want %d", served, n-1)
 	}
-	if n := len(br.Results[1].Posteriors); n != 7 {
-		t.Errorf("empty query returned %d posteriors, want 7", n)
-	}
-	if !strings.Contains(br.Results[2].Error, "Nope") {
-		t.Errorf("unknown-variable error = %q", br.Results[2].Error)
-	}
-}
 
-// TestBatchWindowLeaderCancelServesRiders is the server-side analogue of the
-// engine's singleflight guarantee: a leader whose client vanishes must not
-// void the riders that joined its window.
-func TestBatchWindowRunDetachedFromLeader(t *testing.T) {
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
-	srv.co = newCoalescer(10 * time.Millisecond)
-	// A plain batch of identical sub-queries: the leader's own request
-	// context is the batch request's context, shared by all riders, so this
-	// exercises the detach only lightly — the deterministic cancellation
-	// test lives at the engine layer (TestSingleflightStormOneWaiterCancels).
-	req := batchRequest{Queries: []queryRequest{
-		{Evidence: evprop.Evidence{"Smoke": 1}, Query: []string{"Lung"}},
-		{Evidence: evprop.Evidence{"Smoke": 1}, Query: []string{"Bronc"}},
-		{Evidence: evprop.Evidence{"Smoke": 1}},
-	}}
-	var br batchResponse
-	decode(t, post(t, ts.URL+"/v1/batch", req), &br)
-	for i, r := range br.Results {
-		if r.Error != "" {
-			t.Fatalf("sub-query %d: %s", i, r.Error)
+	if len(br.Results) != n {
+		t.Fatalf("%d results, want %d", len(br.Results), n)
+	}
+	first := br.Results[0]
+	if first.Error != "" || len(first.Posteriors) != 6 {
+		t.Fatalf("sub-query 0: error %q, %d posteriors", first.Error, len(first.Posteriors))
+	}
+	for i, r := range br.Results[1:] {
+		if r.Error != "" || math.Float64bits(r.PEvidence) != math.Float64bits(first.PEvidence) ||
+			len(r.Posteriors) != len(first.Posteriors) {
+			t.Fatalf("sub-query %d: error %q P(e) %v, %d posteriors; sub-query 0 has %v, %d",
+				i+1, r.Error, r.PEvidence, len(r.Posteriors), first.PEvidence, len(first.Posteriors))
+		}
+		for name, p := range first.Posteriors {
+			for k := range p {
+				if math.Float64bits(r.Posteriors[name][k]) != math.Float64bits(p[k]) {
+					t.Errorf("sub-query %d: %s[%d] = %v, sub-query 0 has %v", i+1, name, k, r.Posteriors[name][k], p[k])
+				}
+			}
 		}
 	}
-	if got := srv.defaultEngine().Stats().Propagations; got != 1 {
-		t.Errorf("Propagations = %d, want 1", got)
+
+	cached := 0
+	recs := auditedRecords(t, srv, dir)
+	for _, r := range recs {
+		if r.Error != "" {
+			t.Errorf("audit record errored: %s", r.Error)
+		}
+		if r.Cached {
+			cached++
+		}
+	}
+	if len(recs) != n || cached != n-1 {
+		t.Errorf("%d audit records, %d cached; want %d and %d", len(recs), cached, n, n-1)
+	}
+
+	tr := fetchTrace(t, ts.URL, resp.Header.Get("X-Trace-ID"))
+	spans := map[string]int{}
+	for _, sp := range tr.Spans {
+		spans[sp.Name]++
+	}
+	if spans["propagate"] != 1 || spans["batch.item"] != n {
+		t.Errorf("%d propagate and %d batch.item spans, want 1 and %d (%v)", spans["propagate"], spans["batch.item"], n, spanNames(tr))
 	}
 }

@@ -57,10 +57,8 @@
 //
 // Repeated-evidence traffic is served from a per-model result cache
 // (-cache-size, on by default) with singleflight collapsing of concurrent
-// identical queries, and -batch-window additionally coalesces same-evidence
-// /v1/batch sub-queries arriving within the window into one propagation.
-// -max-inflight bounds concurrently admitted propagating requests (429
-// beyond it).
+// identical queries, /v1/batch sub-queries included. -max-inflight bounds
+// concurrently admitted propagating requests (429 beyond it).
 //
 // -audit-dir enables the durable query audit: every completed query and MPE
 // request is spilled asynchronously into Merkle-chained, tamper-evident
@@ -113,7 +111,6 @@ func main() {
 		slowThr   = flag.Duration("slow-threshold", 0, "flight-recorder slow-query capture floor (0 = adaptive, 2×p99)")
 		recorder  = flag.Int("recorder-size", 0, "flight-recorder ring capacity (0 = default)")
 		cacheSz   = flag.Int("cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries pin)")
-		batchWin  = flag.Duration("batch-window", 0, "coalesce same-evidence /v1/batch sub-queries arriving within this window (0 = off)")
 		auditDir  = flag.String("audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
 		auditBat  = flag.Int("audit-batch", 0, "audit records per flushed batch (0 = default)")
 		auditRot  = flag.Int64("audit-rotate", 0, "rotate audit segments beyond this many bytes (0 = default)")
@@ -185,9 +182,6 @@ func main() {
 	srv.log = logger
 	srv.timeout = *timeout
 	srv.maxInflight = int64(*inflight)
-	if *batchWin > 0 {
-		srv.co = newCoalescer(*batchWin)
-	}
 	if *traceOn {
 		srv.tracer = &trace.Tracer{
 			SampleRate: *traceRate,

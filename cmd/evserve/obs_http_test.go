@@ -375,7 +375,6 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	var logBuf syncBuffer
 	srv.log = slog.New(slog.NewJSONHandler(&logBuf, nil))
 	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
-	srv.co = newCoalescer(20 * time.Millisecond)
 	store := audit.NewMemStore()
 	srv.aud, err = audit.NewWriter(store, audit.Config{BatchSize: 4})
 	if err != nil {
@@ -409,10 +408,10 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0},
 		{"mpe hit", "/mpe", mpeRequest{Evidence: dysp},
 			[]evprop.Evidence{dysp}, 200, true, []string{"sum-product", "max-product"}, 2},
-		// Two window-mates on evidence the engine already holds: the
-		// leader's one run is an engine cache hit, the rider rides it.
-		{"coalesced batch", "/batch", batchRequest{Queries: []queryRequest{{Evidence: xray}, {Evidence: xray}}},
-			[]evprop.Evidence{xray, xray}, 200, true, []string{"sum-product"}, 1},
+		// Two sub-queries on evidence the engine already holds: each is an
+		// engine cache hit with its own record.
+		{"batch", "/batch", batchRequest{Queries: []queryRequest{{Evidence: xray}, {Evidence: xray}}},
+			[]evprop.Evidence{xray, xray}, 200, true, []string{"sum-product", "sum-product"}, 2},
 		{"failing query", "/query", queryRequest{Evidence: evprop.Evidence{"NoSuchVar": 1}},
 			[]evprop.Evidence{{"NoSuchVar": 1}}, 422, false, nil, 0},
 	}

@@ -54,10 +54,6 @@ type server struct {
 	// the -pprof flag: profiling endpoints expose internals and should not
 	// be on by default).
 	pprofEnabled bool
-	// co coalesces same-model same-evidence /v1/batch sub-queries inside a
-	// micro-batch window (the -batch-window flag); nil when the window is
-	// off.
-	co *coalescer
 	// cacheOn mirrors the engines' cache configuration so the hot path can
 	// skip cache accounting without asking an engine each time.
 	cacheOn bool
@@ -322,28 +318,21 @@ type outcome struct {
 	probability float64
 
 	// cached marks an answer that cost no propagation of its own: every
-	// engine run behind it was served from the result cache, or it rode a
-	// batch-window mate's run.
+	// engine run behind it was served from the result cache.
 	cached  bool
 	elapsed time.Duration
 	err     error
 	// runs are the engine's records of the propagations behind the answer,
-	// the same entries its flight recorder holds. A batch-window rider has
-	// none: its leader holds the shared run's.
+	// the same entries its flight recorder holds.
 	runs []evprop.FlightRecord
 }
 
-// answer resolves one query or MPE on its pinned version — through the
-// batch window when co is set, directly otherwise — and folds the outcome
-// into every view. Each query costs exactly one sum-product propagation
-// (an MPE one max-product propagation more), cache permitting.
-func (s *server) answer(ctx context.Context, co *coalescer, o *outcome) {
+// answer resolves one query or MPE on its pinned version and folds the
+// outcome into every view. Each query costs exactly one sum-product
+// propagation (an MPE one max-product propagation more), cache permitting.
+func (s *server) answer(ctx context.Context, o *outcome) {
 	start := time.Now()
-	if co != nil {
-		s.coalesce(ctx, co, o)
-	} else {
-		s.propagate(ctx, o)
-	}
+	s.propagate(ctx, o)
 	o.elapsed = time.Since(start)
 	s.finish(ctx, o)
 }
@@ -417,7 +406,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.stats.queries.Add(1)
 	ms.queries.Add(1)
 	o := &outcome{kind: audit.KindQuery, v: v, evidence: req.Evidence, targets: req.Query}
-	s.answer(r.Context(), nil, o)
+	s.answer(r.Context(), o)
 	if o.err != nil {
 		s.writeError(w, r, o.err)
 		return
@@ -459,10 +448,9 @@ type batchResult struct {
 }
 
 // handleBatch answers many queries in one round trip, propagating them
-// concurrently on the batch's pinned version. With -batch-window set,
-// sub-queries sharing an evidence signature are coalesced into one
-// propagation (see coalesce.go); otherwise each sub-query propagates
-// independently.
+// concurrently on the batch's pinned version. Sub-queries sharing an
+// evidence signature collapse into one propagation in the engine's
+// singleflight and result cache; nothing here groups them.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.readJSON(w, r, &req) {
@@ -486,12 +474,11 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func(i int, q queryRequest) {
 			defer wg.Done()
 			// Each sub-query runs under its own child span, so the trace
-			// shows the batch fanning out (and coalesced riders link to
-			// their leader's item; see coalesce.go).
+			// shows the batch fanning out.
 			isp := trace.FromContext(r.Context()).StartChild("batch.item",
 				trace.Int("batch.index", int64(i)))
 			o := &outcome{kind: audit.KindQuery, v: v, evidence: q.Evidence, targets: q.Query}
-			s.answer(trace.ContextWith(r.Context(), isp), s.co, o)
+			s.answer(trace.ContextWith(r.Context(), isp), o)
 			if o.err != nil {
 				isp.Fail(o.err.Error())
 				results[i] = batchResult{Error: o.err.Error()}
@@ -533,7 +520,7 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 	s.stats.mpes.Add(1)
 	ms.mpes.Add(1)
 	o := &outcome{kind: audit.KindMPE, v: v, evidence: req.Evidence}
-	s.answer(r.Context(), nil, o)
+	s.answer(r.Context(), o)
 	if o.err != nil {
 		s.writeError(w, r, o.err)
 		return
@@ -591,12 +578,11 @@ type statsResponse struct {
 	// Window covers only the last 60 seconds of traffic, where the fields
 	// above aggregate over the whole process lifetime.
 	Window windowStats `json:"window"`
-	// Cache reports the default model's shared-evidence result cache plus
-	// the server-side batch coalescer; per-model caches are in Models and
-	// /v1/models/{name}/stats.
-	Cache cacheStats `json:"cache"`
+	// Cache reports the default model's shared-evidence result cache;
+	// per-model caches are in Models and /v1/models/{name}/stats.
+	Cache evprop.CacheStats `json:"cache"`
 	// Gauges is the default model's live scheduler surface (GL depth,
-	// active runs, per-worker state/queue/steal gauges) — the same data
+	// active runs, per-worker state/queue gauges) — the same data
 	// /v1/stream pushes.
 	Gauges evprop.SchedulerGauges `json:"scheduler_gauges"`
 	// Models summarizes every registered model: lifecycle state, version,
@@ -627,23 +613,6 @@ type modelStatsSummary struct {
 	// (1 before anything has run).
 	SlicedShare float64 `json:"sliced_share"`
 	CacheHits   int64   `json:"cache_hits"`
-}
-
-// cacheStats is the engine's cache snapshot plus the server-side coalescer
-// counter (sub-queries answered by another sub-query's window-mate run).
-type cacheStats struct {
-	evprop.CacheStats
-	BatchWindowUsec float64 `json:"batch_window_usec"`
-	BatchCoalesced  int64   `json:"batch_coalesced"`
-}
-
-func (s *server) cacheStats() cacheStats {
-	cs := cacheStats{CacheStats: s.defaultEngine().CacheStats()}
-	if s.co != nil {
-		cs.BatchWindowUsec = float64(s.co.window.Nanoseconds()) / 1e3
-		cs.BatchCoalesced = s.co.coalesced.Load()
-	}
-	return cs
 }
 
 // windowStats is the JSON shape of the 60-second sliding window.
@@ -753,7 +722,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LoadBalance:       sr.LastLoadBalance,
 		SchedOverheadFrac: sr.LastOverheadFraction,
 		Window:            s.windowStats(),
-		Cache:             s.cacheStats(),
+		Cache:             s.defaultEngine().CacheStats(),
 		Gauges:            eng.SchedulerGauges(),
 		Models:            s.modelSummaries(),
 		Audit:             s.auditStats(),
@@ -862,7 +831,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, "evprop_window_latency_seconds", map[string]string{"quantile": "0.99"}, ws.P99.Seconds())
 	obs.WriteHeader(w, "evprop_window_load_balance", "Mean load-balance factor over the last 60 seconds.", "gauge")
 	obs.WriteSample(w, "evprop_window_load_balance", nil, ws.LoadBalance)
-	cs := s.cacheStats()
+	cs := eng.CacheStats()
 	obs.WriteHeader(w, "evprop_cache_hits_total", "Result-cache hits (default model).", "counter")
 	obs.WriteSample(w, "evprop_cache_hits_total", nil, float64(cs.Hits))
 	obs.WriteHeader(w, "evprop_cache_misses_total", "Result-cache misses (default model).", "counter")
@@ -875,8 +844,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, "evprop_cache_capacity", nil, float64(cs.Capacity))
 	obs.WriteHeader(w, "evprop_cache_bytes", "Table bytes pinned by the result-cache entries (default model).", "gauge")
 	obs.WriteSample(w, "evprop_cache_bytes", nil, float64(cs.Bytes))
-	obs.WriteHeader(w, "evprop_batch_coalesced_total", "Batch sub-queries coalesced into a window-mate's propagation.", "counter")
-	obs.WriteSample(w, "evprop_batch_coalesced_total", nil, float64(cs.BatchCoalesced))
 	obs.WriteHeader(w, "evprop_window_cache_hit_rate", "Result-cache hit fraction over the last 60 seconds.", "gauge")
 	obs.WriteSample(w, "evprop_window_cache_hit_rate", nil, ws.CacheHitRate)
 	fs := eng.FlightRecorderStats()

@@ -49,7 +49,7 @@ type streamSnapshot struct {
 	// Models is how many models the registry currently serves.
 	Models int `json:"models"`
 	// Gauges is the default model's live scheduler surface: GL depth,
-	// active runs, and per-worker state/queue/steal/partition gauges.
+	// active runs, and per-worker state/queue/partition gauges.
 	Gauges evprop.SchedulerGauges `json:"gauges"`
 }
 
@@ -239,14 +239,6 @@ func (s *server) writeGaugeMetrics(w http.ResponseWriter) {
 	obs.WriteHeader(w, "evprop_worker_completed_total", "Original graph tasks retired by the worker.", "counter")
 	for i, wg := range gg.Workers {
 		obs.WriteSample(w, "evprop_worker_completed_total", workerLabel(i), float64(wg.Completed))
-	}
-	obs.WriteHeader(w, "evprop_worker_steal_attempts_total", "Steal scans by the worker (stealing scheduler).", "counter")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_steal_attempts_total", workerLabel(i), float64(wg.StealAttempts))
-	}
-	obs.WriteHeader(w, "evprop_worker_steals_total", "Items the worker stole from another list.", "counter")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_steals_total", workerLabel(i), float64(wg.Steals))
 	}
 	obs.WriteHeader(w, "evprop_worker_partitions_total", "Tasks the worker split into δ-pieces.", "counter")
 	for i, wg := range gg.Workers {

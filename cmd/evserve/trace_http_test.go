@@ -15,8 +15,8 @@ import (
 // HTTP-level tracing conformance: a caller-supplied W3C traceparent must
 // survive evserve end to end (same trace ID in the X-Trace-ID header, the
 // error envelope, and the kept trace, with the remote span as the root's
-// parent), batch sub-queries must appear as child spans, and coalesced
-// riders must link into their leader's span tree.
+// parent), and batch sub-queries must appear as child spans (the batch's span
+// tree is checked in TestBatchIdenticalSubQueriesCollapse).
 
 // postTraced posts body with a traceparent header and returns the response.
 func postTraced(t *testing.T, url, traceparent string, body any) *http.Response {
@@ -168,57 +168,6 @@ func TestTraceErrorEnvelopeAndKeep(t *testing.T) {
 			t.Fatal("422 trace kept at sample rate 0; only 5xx should trip the error rule")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestTraceBatchAndCoalescedRider: every batch sub-query gets a batch.item
-// child span, and with the coalescer on, riders surface as coalesced.rider
-// children in the leader's trace.
-func TestTraceBatchAndCoalescedRider(t *testing.T) {
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 16})
-	srv.co = newCoalescer(20 * time.Millisecond)
-	ev := evprop.Evidence{"XRay": 1, "Dysp": 0}
-	resp := post(t, ts.URL+"/v1/batch", batchRequest{Queries: []queryRequest{
-		{Evidence: ev, Query: []string{"Lung"}},
-		{Evidence: ev, Query: []string{"Bronc"}},
-		{Evidence: ev, Query: []string{"Smoke"}},
-	}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var br batchResponse
-	decode(t, resp, &br)
-	for i, r := range br.Results {
-		if r.Error != "" {
-			t.Fatalf("result %d: %s", i, r.Error)
-		}
-	}
-	id := resp.Header.Get("X-Trace-ID")
-	tr := fetchTrace(t, ts.URL, id)
-	items := 0
-	for _, sp := range tr.Spans {
-		if sp.Name == "batch.item" {
-			items++
-		}
-	}
-	if items != 3 {
-		t.Errorf("%d batch.item spans, want 3 (names %v)", items, spanNames(tr))
-	}
-	// Three identical sub-queries in one window: one leader, two riders.
-	riders := 0
-	for _, sp := range tr.Spans {
-		if sp.Name == "coalesced.rider" {
-			riders++
-			if sp.Attrs["rider.trace_id"] != tr.TraceID {
-				t.Errorf("rider.trace_id %v, want %s", sp.Attrs["rider.trace_id"], tr.TraceID)
-			}
-		}
-	}
-	if riders != 2 {
-		t.Errorf("%d coalesced.rider spans, want 2 (names %v)", riders, spanNames(tr))
-	}
-	if got := srv.co.coalesced.Load(); got != 2 {
-		t.Errorf("coalesced counter %d, want 2", got)
 	}
 }
 

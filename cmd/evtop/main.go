@@ -1,6 +1,6 @@
 // Command evtop is a terminal dashboard for a running evserve: it consumes
 // the GET /v1/stream Server-Sent-Events feed and redraws per-worker
-// utilization and queue-depth bars, steal and split counters, QPS and p99
+// utilization and queue-depth bars, split counters, QPS and p99
 // sparklines, and the cache hit rate once a second, in place.
 //
 //	evtop -url http://localhost:8080

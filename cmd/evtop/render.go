@@ -195,16 +195,16 @@ func (m *model) frame() string {
 		b.WriteString("(no per-worker gauges: no run has been dispatched to workers)\n")
 		return b.String()
 	}
-	fmt.Fprintf(&b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %11s  %6s\n",
-		"W", "STATE", "UTIL", "QUEUE", "WT", "ITEMS", "STEALS", "SPLITS")
+	fmt.Fprintf(&b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %6s\n",
+		"W", "STATE", "UTIL", "QUEUE", "WT", "ITEMS", "SPLITS")
 	for i, w := range s.Gauges.Workers {
 		u := 0.0
 		if i < len(m.util) {
 			u = m.util[i]
 		}
-		fmt.Fprintf(&b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %5d/%-5d  %6d\n",
+		fmt.Fprintf(&b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %6d\n",
 			i, w.State, bar(u, 10), u*100,
-			w.QueueDepth, w.QueueWeight, w.Items, w.Steals, w.StealAttempts, w.Partitions)
+			w.QueueDepth, w.QueueWeight, w.Items, w.Partitions)
 	}
 	return b.String()
 }

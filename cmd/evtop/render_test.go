@@ -26,7 +26,7 @@ func testSnap(at time.Time, busy0, busy1 int64) snapshot {
 			GlobalDepth: 3,
 			ActiveRuns:  1,
 			Workers: []evprop.WorkerGauges{
-				{State: "executing", QueueDepth: 2, QueueWeight: 40, BusyNs: busy0, Items: 100, Steals: 1, StealAttempts: 4, Partitions: 7},
+				{State: "executing", QueueDepth: 2, QueueWeight: 40, BusyNs: busy0, Items: 100, Partitions: 7},
 				{State: "parked", BusyNs: busy1, Items: 90},
 			},
 		},

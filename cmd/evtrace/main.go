@@ -10,12 +10,14 @@
 //	evtrace -url http://localhost:8080 -drive 3 -assert
 //
 // -drive mints a sampled W3C traceparent, sends one /v1/batch of n
-// identical queries under it (identical so the server's coalescer turns
-// the extras into riders), then fetches the trace back by the minted ID.
-// -assert additionally verifies the span tree — caller's parent preserved
-// on the root, pipeline stages present and ordered, rider children linked
+// identical queries under it (identical so the engine's singleflight and
+// result cache collapse them into one propagation), then fetches the trace
+// back by the minted ID. -assert additionally verifies the span tree —
+// caller's parent preserved on the root, pipeline stages present and
+// ordered, one propagate span with the other n−1 sub-queries served by it
 // — and exits non-zero on any violation, which is what `make smoke-trace`
-// runs. Like the rest of the tooling it is standard-library only.
+// runs against a freshly booted server. Like the rest of the tooling it is
+// standard-library only.
 package main
 
 import (
@@ -108,7 +110,7 @@ func driveAndRender(ctx context.Context, c *evclient.Client, model string, n int
 		if problems := assertTrace(tr, traceID, parentSpan, n); len(problems) > 0 {
 			return fmt.Errorf("span-tree assertions failed:\n  %s", strings.Join(problems, "\n  "))
 		}
-		fmt.Printf("asserts ok: root parent preserved, stages ordered, %d rider(s) linked\n", countSpans(tr, "coalesced.rider"))
+		fmt.Printf("asserts ok: root parent preserved, stages ordered, %d sub-queries served by one propagation\n", n)
 	}
 	return nil
 }

@@ -162,9 +162,6 @@ func spanExtras(sp evclient.TraceSpan) string {
 			parts = append(parts, fmt.Sprintf("pruned=%.0f%%", (1-flops/full)*100))
 		}
 	}
-	if v, ok := attrs["rider.trace_id"].(string); ok {
-		parts = append(parts, "rider="+v[:8]+"…")
-	}
 	return strings.Join(parts, " ")
 }
 
@@ -202,9 +199,10 @@ func findSpan(tr *evclient.TraceResponse, name string) (evclient.TraceSpan, bool
 // assertTrace verifies the span-tree properties `make smoke-trace` relies
 // on for a -drive n batch: the caller's trace identity survived, the
 // caller's span parents the root, the pipeline stages are present in
-// order, every sub-query has its span, and (n>1) at least one coalesced
-// rider links into the leader's tree. Returns the violations, empty when
-// the tree checks out.
+// order, every sub-query has its span, and the n identical sub-queries cost
+// one propagation: exactly one propagate span, the other n−1 each a
+// singleflight waiter or a cache hit. Returns the violations, empty when the
+// tree checks out.
 func assertTrace(tr *evclient.TraceResponse, traceID, parentSpan string, n int) []string {
 	var problems []string
 	if tr.TraceID != traceID {
@@ -237,8 +235,18 @@ func assertTrace(tr *evclient.TraceResponse, traceID, parentSpan string, n int) 
 	if items := countSpans(tr, "batch.item"); items != n {
 		problems = append(problems, fmt.Sprintf("%d batch.item spans, want %d", items, n))
 	}
-	if n > 1 && countSpans(tr, "coalesced.rider") == 0 {
-		problems = append(problems, "no coalesced.rider span — riders did not link into the leader's tree (is -batch-window set?)")
+	if props := countSpans(tr, "propagate"); haveProp && props != 1 {
+		problems = append(problems, fmt.Sprintf("%d propagate spans, want 1 — identical sub-queries did not collapse", props))
+	}
+	served := 0
+	for _, sp := range tr.Spans {
+		if sp.Name == "singleflight" && sp.Attrs["role"] == "waiter" ||
+			sp.Name == "cache.lookup" && sp.Attrs["cache.hit"] == true {
+			served++
+		}
+	}
+	if served != n-1 {
+		problems = append(problems, fmt.Sprintf("%d sub-queries were singleflight waiters or cache hits, want %d", served, n-1))
 	}
 	return problems
 }

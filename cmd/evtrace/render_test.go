@@ -9,7 +9,8 @@ import (
 )
 
 // fixture builds the span tree a -drive 2 batch produces: remote-parented
-// root, two batch.item children, the leader's pipeline stages, one rider.
+// root, two batch.item children, the singleflight leader's pipeline stages,
+// and the other item waiting on them.
 func fixture() *evclient.TraceResponse {
 	t0 := time.Unix(1000, 0)
 	at := func(off, dur time.Duration, name, spanID, parent string, attrs map[string]any) evclient.TraceSpan {
@@ -43,14 +44,14 @@ func fixture() *evclient.TraceResponse {
 			at(4*time.Millisecond, time.Millisecond, "kind.SumProduct", "ffffffffffffffff", "eeeeeeeeeeeeeeee", nil),
 			at(5*time.Millisecond, 4*time.Millisecond, "batch.item", "1111111111111111", "aaaaaaaaaaaaaaaa",
 				map[string]any{"batch.index": float64(1)}),
-			at(6*time.Millisecond, 10*time.Microsecond, "coalesced.rider", "2222222222222222", "bbbbbbbbbbbbbbbb",
-				map[string]any{"rider.trace_id": "4bf92f3577b34da6a3ce929d0e0e4736"}),
+			at(6*time.Millisecond, 3*time.Millisecond, "singleflight", "2222222222222222", "1111111111111111",
+				map[string]any{"role": "waiter"}),
 		},
 	}
 }
 
 // TestWaterfall: tree shape, indentation, shares, and the inline extras
-// (cache verdict, lazy pruning fraction, rider link).
+// (cache verdict, lazy pruning fraction, singleflight role).
 func TestWaterfall(t *testing.T) {
 	out := waterfall(fixture(), 20)
 	for _, want := range []string{
@@ -61,7 +62,7 @@ func TestWaterfall(t *testing.T) {
 		"10.00ms", "100.0%",
 		"cache.hit=false",
 		"lazy sent/blocked/skipped=10/5/3", "pruned=75%",
-		"rider=4bf92f35…",
+		"role=waiter",
 		"http.status=200",
 	} {
 		if !strings.Contains(out, want) {
@@ -105,16 +106,18 @@ func TestAssertTrace(t *testing.T) {
 	if p := assertTrace(tr, tr.TraceID, "00f067aa0ba902b7", 3); len(p) == 0 {
 		t.Error("missing batch.item not flagged")
 	}
-	// Strip the rider: n>1 must then fail.
-	norider := *tr
-	norider.Spans = nil
+	// The second item ran its own propagation instead of waiting: n>1 must
+	// then fail, on the waiter count and on the propagate count.
+	twice := *tr
+	twice.Spans = nil
 	for _, sp := range tr.Spans {
-		if sp.Name != "coalesced.rider" {
-			norider.Spans = append(norider.Spans, sp)
+		if sp.Name == "singleflight" {
+			sp.Name, sp.Attrs = "propagate", nil
 		}
+		twice.Spans = append(twice.Spans, sp)
 	}
-	if p := assertTrace(&norider, tr.TraceID, "00f067aa0ba902b7", 2); len(p) == 0 {
-		t.Error("missing rider not flagged")
+	if p := assertTrace(&twice, tr.TraceID, "00f067aa0ba902b7", 2); len(p) != 2 {
+		t.Errorf("two propagations for two identical sub-queries flagged as %v", p)
 	}
 	// Swap stage order: propagate before absorb must fail.
 	swapped := *tr

@@ -14,23 +14,15 @@ import (
 // a sequentially computed baseline. Run under -race this is the contract
 // test for the engine's concurrency guarantee — on the path this network
 // takes in production (inline: concurrent callers each run their own graph)
-// and, through the dispatch seam, on the shared worker pool under either
-// fetch policy, where the callers' items interleave on the same ready lists
-// (and, when stealing, a worker takes whichever run's item it finds).
+// and, through the dispatch seam, on the shared worker pool, where the
+// callers' items interleave on the same ready lists.
 func TestConcurrentPropagate(t *testing.T) {
-	for name, leg := range map[string]struct {
-		scheduler string
-		dispatch  bool
-	}{
-		"inline":   {SchedulerCollaborative, false},
-		"pool":     {SchedulerCollaborative, true},
-		"stealing": {SchedulerWorkStealing, true},
-	} {
-		t.Run(name, func(t *testing.T) { concurrentPropagate(t, leg.scheduler, leg.dispatch) })
+	for name, dispatch := range map[string]bool{"inline": false, "pool": true} {
+		t.Run(name, func(t *testing.T) { concurrentPropagate(t, dispatch) })
 	}
 }
 
-func concurrentPropagate(t *testing.T, scheduler string, dispatch bool) {
+func concurrentPropagate(t *testing.T, dispatch bool) {
 	const (
 		goroutines = 8
 		rounds     = 50
@@ -40,7 +32,7 @@ func concurrentPropagate(t *testing.T, scheduler string, dispatch bool) {
 		executor = "pool"
 	}
 	net := RandomNetwork(40, 2, 3, 7)
-	eng, err := net.compile(Options{Workers: 4, Scheduler: scheduler}, dispatch)
+	eng, err := net.compile(Options{Workers: 4}, dispatch)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"evprop/internal/approx"
 	"evprop/internal/bayesnet"
 	"evprop/internal/bif"
 	"evprop/internal/core"
@@ -153,7 +152,6 @@ func (n *Network) likelihood(soft SoftEvidence) (potential.Likelihood, error) {
 const (
 	SchedulerCollaborative = "collaborative"
 	SchedulerSerial        = "serial"
-	SchedulerWorkStealing  = "stealing"
 )
 
 // Options configures compilation of a network into an inference engine.
@@ -259,7 +257,7 @@ func (e *Engine) Close() {
 // configuration.
 type EngineStats struct {
 	// Propagations counts completed scheduler invocations: full two-pass
-	// propagations (sum- and max-product) and collect-only runs.
+	// propagations, sum- and max-product.
 	Propagations int64
 	// Workers is the configured number of propagation goroutines.
 	Workers int
@@ -342,8 +340,7 @@ func (e *Engine) InvalidateCache() {
 // is identical for semantically equal evidence regardless of map iteration
 // or insertion order, and distinct for any differing configuration. Two
 // sum-product queries share a cache entry (and collapse into one
-// propagation) exactly when their signatures are equal. Servers use it to
-// coalesce same-evidence requests before they reach the engine.
+// propagation) exactly when their signatures are equal.
 func (e *Engine) EvidenceSignature(ev Evidence, soft SoftEvidence) (string, error) {
 	if e == nil || e.inner == nil || e.net == nil {
 		return "", ErrUncompiled
@@ -381,8 +378,8 @@ type SchedulerReport struct {
 	// LastElapsed and LastWorkers describe the most recent run.
 	LastElapsed time.Duration
 	LastWorkers int
-	// Tasks, Pieces, Partitioned and Steals are lifetime item counters.
-	Tasks, Pieces, Partitioned, Steals int64
+	// Tasks, Pieces and Partitioned are lifetime item counters.
+	Tasks, Pieces, Partitioned int64
 	// SlicedShare is the lifetime share of the task graphs' table entries the
 	// runs ranged over once their tables were sliced on each query's hard
 	// evidence (FlightRecord.Entries over GraphEntries, summed): 1 when
@@ -413,7 +410,6 @@ func (e *Engine) SchedulerReport() SchedulerReport {
 		Tasks:                s.Tasks,
 		Pieces:               s.Pieces,
 		Partitioned:          s.Partitioned,
-		Steals:               s.Steals,
 		SlicedShare:          s.SlicedShare(),
 		BusyByKind:           make(map[string]time.Duration, len(obs.KindNames)),
 	}
@@ -436,9 +432,9 @@ func (e *Engine) WriteSchedulerMetrics(w io.Writer, prefix string) {
 
 // WorkerGauges is one scheduler worker's live gauges at a sampling instant:
 // its current state, the depth and weight counter of its local ready list,
-// and its lifetime execution/steal/partition counters.
+// and its lifetime execution and partition counters.
 type WorkerGauges struct {
-	// State is "executing", "fetching", "stealing", "parked" or "idle".
+	// State is "executing", "fetching", "parked" or "idle".
 	State string `json:"state"`
 	// QueueDepth and QueueWeight describe the worker's local ready list:
 	// queued item count and the paper's W_i weight counter.
@@ -452,10 +448,6 @@ type WorkerGauges struct {
 	// counts original graph tasks this worker retired.
 	Items     int64 `json:"items"`
 	Completed int64 `json:"completed"`
-	// StealAttempts and Steals are the work-stealing scheduler's counters
-	// (zero under the collaborative pool).
-	StealAttempts int64 `json:"steal_attempts"`
-	Steals        int64 `json:"steals"`
 	// Partitions counts tasks this worker split into δ-pieces.
 	Partitions int64 `json:"partitions"`
 }
@@ -488,15 +480,13 @@ func (e *Engine) SchedulerGauges() SchedulerGauges {
 	}
 	for i, w := range s.Workers {
 		g.Workers[i] = WorkerGauges{
-			State:         w.StateName,
-			QueueDepth:    w.QueueDepth,
-			QueueWeight:   w.QueueWeight,
-			BusyNs:        w.BusyNs,
-			Items:         w.Items,
-			Completed:     w.Completed,
-			StealAttempts: w.StealAttempts,
-			Steals:        w.Steals,
-			Partitions:    w.Partitions,
+			State:       w.StateName,
+			QueueDepth:  w.QueueDepth,
+			QueueWeight: w.QueueWeight,
+			BusyNs:      w.BusyNs,
+			Items:       w.Items,
+			Completed:   w.Completed,
+			Partitions:  w.Partitions,
 		}
 	}
 	return g
@@ -604,26 +594,15 @@ func (e *Engine) QueryAll(ev Evidence) (map[string][]float64, error) {
 	return res.Posteriors()
 }
 
-// QueryOne answers a single-variable query using a collection-only
-// propagation toward the clique containing the variable — roughly half the
-// work of a full Query, useful when only one posterior is needed.
+// QueryOne returns the posterior of one variable. It is a convenience
+// wrapper over Propagate + Posterior.
 func (e *Engine) QueryOne(ev Evidence, name string) ([]float64, error) {
-	if e == nil || e.inner == nil || e.net == nil {
-		return nil, ErrUncompiled
-	}
-	id := e.net.inner.ID(name)
-	if id < 0 {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownVariable, name)
-	}
-	iev, err := e.net.evidence(ev)
+	res, err := e.Propagate(ev)
 	if err != nil {
 		return nil, err
 	}
-	m, err := e.inner.CollectMarginal(iev, id)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), m.Data...), nil
+	defer res.Close()
+	return res.Posterior(name)
 }
 
 // Joint is a posterior distribution over several variables. Vars lists the
@@ -787,48 +766,6 @@ func (n *Network) names(vars []string) ([]int, error) {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownVariable, name)
 		}
 		out[i] = id
-	}
-	return out, nil
-}
-
-// Approximate-inference method names for QueryApprox.
-const (
-	// MethodLikelihoodWeighting clamps evidence while forward-sampling and
-	// weights each draw by the evidence likelihood.
-	MethodLikelihoodWeighting = "lw"
-	// MethodGibbs runs single-site Gibbs sampling over the non-evidence
-	// variables (with a burn-in of one tenth of the samples).
-	MethodGibbs = "gibbs"
-)
-
-// QueryApprox estimates posteriors by sampling instead of exact
-// propagation — useful for sanity checks and for networks whose junction
-// trees are intractably wide. Estimates converge to the exact posteriors
-// as samples grows.
-func (n *Network) QueryApprox(method string, ev Evidence, samples int, seed int64, vars ...string) (map[string][]float64, error) {
-	iev, err := n.evidence(ev)
-	if err != nil {
-		return nil, err
-	}
-	ids, err := n.names(vars)
-	if err != nil {
-		return nil, err
-	}
-	var est map[int][]float64
-	switch method {
-	case MethodLikelihoodWeighting:
-		est, err = approx.LikelihoodWeighting(n.inner, iev, ids, approx.Options{Samples: samples, Seed: seed})
-	case MethodGibbs:
-		est, err = approx.Gibbs(n.inner, iev, ids, approx.Options{Samples: samples, BurnIn: samples / 10, Seed: seed})
-	default:
-		return nil, fmt.Errorf("evprop: unknown approximation method %q", method)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]float64, len(vars))
-	for i, name := range vars {
-		out[name] = est[ids[i]]
 	}
 	return out, nil
 }

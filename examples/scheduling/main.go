@@ -1,5 +1,5 @@
-// Scheduler comparison: run the same inference workload under every
-// scheduler the library offers and report wall-clock times, plus the
+// Scheduler comparison: run the same inference workload under both
+// schedulers the library offers and report wall-clock times, plus the
 // effect of Algorithm 1 rerooting on the junction tree's critical path —
 // the two knobs the paper contributes.
 //
@@ -38,7 +38,6 @@ func main() {
 	schedulers := []string{
 		evprop.SchedulerSerial,
 		evprop.SchedulerCollaborative,
-		evprop.SchedulerWorkStealing,
 	}
 	fmt.Println("scheduler      best-of-5 wall time    P(evidence)")
 	var reference float64
@@ -83,7 +82,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics, err := sched.Run(st, sched.Options{Workers: 4, Threshold: 512, Trace: true})
+	pool, err := sched.NewPool(4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer pool.Close()
+	metrics, err := pool.Run(st, sched.Options{Threshold: 512, Trace: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ type FlightRecord struct {
 	ID string `json:"id"`
 	// Time is when the propagation completed.
 	Time time.Time `json:"time"`
-	// Mode is "sum-product", "max-product" or "collect".
+	// Mode is "sum-product" or "max-product".
 	Mode string `json:"mode"`
 	// EvidenceVars is the number of observed variables.
 	EvidenceVars int `json:"evidence_vars"`

@@ -11,9 +11,10 @@ import (
 
 // TestFlightRecorderRecordsPropagations checks the engine-level integration:
 // every propagation (sum-product, the MPE's max-product companion, and
-// QueryOne's collect pass) lands in the recorder with its mode, the
-// context's query ID and the executor that ran it — Asia's eight-entry
-// tables are far below one dispatch, so all three graphs run inline.
+// QueryOne's own run) lands in the recorder with its mode, the context's
+// query ID — a minted one where the caller gave none — and the executor
+// that ran it: Asia's eight-entry tables are far below one dispatch, so all
+// three runs are inline.
 func TestFlightRecorderRecordsPropagations(t *testing.T) {
 	eng, err := Asia().Compile(Options{Workers: 2})
 	if err != nil {
@@ -37,7 +38,7 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 
 	recs := eng.RecentQueries()
 	if len(recs) != 3 {
-		t.Fatalf("%d records, want 3 (sum, max, collect)", len(recs))
+		t.Fatalf("%d records, want 3 (sum, max, sum)", len(recs))
 	}
 	if recs[0].Mode != "sum-product" || recs[0].ID != "test-query-1" {
 		t.Errorf("record 0: %+v", recs[0])
@@ -51,7 +52,7 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 	if len(own) != 2 || !reflect.DeepEqual(own[0], recs[0]) || !reflect.DeepEqual(own[1], recs[1]) {
 		t.Errorf("QueryResult.Records() = %+v, recorder holds %+v", own, recs[:2])
 	}
-	if recs[2].Mode != "collect" || !strings.HasPrefix(recs[2].ID, "q-") {
+	if recs[2].Mode != "sum-product" || !strings.HasPrefix(recs[2].ID, "q-") {
 		t.Errorf("record 2: %+v", recs[2])
 	}
 	for i, r := range recs {
@@ -192,26 +193,24 @@ func TestQueryIDRoundTrip(t *testing.T) {
 // scheduler) and still produce correct posteriors; the calling goroutine's
 // own labels are untouched (workers, not callers, are tagged).
 func TestPprofLabelsOption(t *testing.T) {
-	for _, scheduler := range []string{SchedulerCollaborative, SchedulerWorkStealing} {
-		eng, err := Asia().Compile(Options{Workers: 2, Scheduler: scheduler, PprofLabels: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := WithQueryID(context.Background(), "q-labelled-1")
-		res, err := eng.PropagateContext(ctx, Evidence{"XRay": 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		post, err := res.Posteriors("Lung")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(post["Lung"]) != 2 {
-			t.Errorf("scheduler %s: posterior %v", scheduler, post)
-		}
-		res.Close()
-		eng.Close()
+	eng, err := Asia().Compile(Options{Workers: 2, PprofLabels: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ctx := WithQueryID(context.Background(), "q-labelled-1")
+	res, err := eng.PropagateContext(ctx, Evidence{"XRay": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post, err := res.Posteriors("Lung")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(post["Lung"]) != 2 {
+		t.Errorf("posterior %v", post)
+	}
+	res.Close()
+	eng.Close()
 }
 
 // TestFlightRecorderEvidenceCapture: every record carries the canonical

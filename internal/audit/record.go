@@ -52,7 +52,7 @@ type Record struct {
 	Model   string `json:"model"`
 	Version int64  `json:"version"`
 	// Cached marks answers served without their own propagation (result
-	// cache, singleflight, or a coalesced batch rider).
+	// cache or singleflight).
 	Cached bool `json:"cached"`
 	// ElapsedUsec is the recorded serving latency.
 	ElapsedUsec float64 `json:"elapsed_usec"`

@@ -2,7 +2,6 @@
 // of the paper's Section 7, all driving the same task graph and state as
 // the collaborative scheduler so results are directly comparable:
 //
-//   - Serial: reference single-thread topological execution;
 //   - LevelSync: the "OpenMP based" baseline — a fork-join parallel-for
 //     over each dependency level with a barrier between levels;
 //   - DataParallel: the paper's second baseline — tasks run in serial
@@ -35,15 +34,6 @@ type Result struct {
 	Messages int
 	// BytesMoved counts emulated serialized bytes (DistributedEmu only).
 	BytesMoved int
-}
-
-// Serial executes the graph in topological order on the calling goroutine.
-func Serial(st taskgraph.Executor) (*Result, error) {
-	start := time.Now()
-	if err := st.RunSerial(); err != nil {
-		return nil, err
-	}
-	return &Result{Elapsed: time.Since(start)}, nil
 }
 
 // LevelSync executes the graph level by level: the tasks of each level are

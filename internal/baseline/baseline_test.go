@@ -47,22 +47,6 @@ func assertSame(t *testing.T, label string, ref, got *taskgraph.State) {
 	}
 }
 
-func TestSerial(t *testing.T) {
-	g, ref := fixture(t)
-	st, err := g.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Serial(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Elapsed <= 0 {
-		t.Error("elapsed not positive")
-	}
-	assertSame(t, "serial", ref, st)
-}
-
 func TestLevelSyncMatchesSerial(t *testing.T) {
 	g, ref := fixture(t)
 	for _, p := range []int{1, 2, 4, 8} {
@@ -199,7 +183,6 @@ func TestBaselinesOnBayesNet(t *testing.T) {
 		run  func(taskgraph.Executor) error
 	}
 	runners := []runner{
-		{"serial", func(st taskgraph.Executor) error { _, err := Serial(st); return err }},
 		{"levelsync", func(st taskgraph.Executor) error { _, err := LevelSync(st, 4); return err }},
 		{"dataparallel", func(st taskgraph.Executor) error { _, err := DataParallel(st, 4); return err }},
 		{"centralized", func(st taskgraph.Executor) error { _, err := Centralized(st, 4); return err }},
@@ -243,9 +226,6 @@ func TestEmptyGraphBaselines(t *testing.T) {
 	st, err := g.NewState()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := Serial(st); err != nil {
-		t.Errorf("serial: %v", err)
 	}
 	if _, err := LevelSync(st, 2); err != nil {
 		t.Errorf("levelsync: %v", err)

@@ -91,6 +91,19 @@ func (c *LRU) Get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
+// Peek returns the cached value for key without counting the lookup or
+// touching its recency: the second look of a caller whose Get already counted
+// a miss.
+func (c *LRU) Peek(key string) (any, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if el, ok := s.items[key]; ok {
+		return el.Value.(*lruEntry).val, true
+	}
+	return nil, false
+}
+
 // Generation returns the current purge generation; pass it to Add so an
 // insert computed before a Purge is dropped instead of resurrecting stale
 // state.

@@ -22,6 +22,13 @@ func TestLRUGetAddEvict(t *testing.T) {
 	if c.Misses() != 1 {
 		t.Fatalf("misses = %d, want 1", c.Misses())
 	}
+	// Peek answers like Get and counts nothing.
+	if v, ok := c.Peek("a"); !ok || v.(int) != 1 {
+		t.Fatalf("Peek(a) = %v, %v", v, ok)
+	}
+	if _, ok := c.Peek("nope"); ok || c.Hits() != 1 || c.Misses() != 1 {
+		t.Fatalf("Peek(nope) = %v, hits/misses = %d/%d, want miss and 1/1", ok, c.Hits(), c.Misses())
+	}
 	// Refresh keeps a single entry, at its new size.
 	c.Add("a", 2, 40, gen)
 	if v, _ := c.Get("a"); v.(int) != 2 {

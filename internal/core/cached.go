@@ -90,6 +90,11 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	gen := e.cache.Generation()
 	fsp := sp.StartChild("singleflight")
 	v, err, shared := e.flight.Do(ctx, sig, func(runCtx context.Context) (any, error) {
+		// The lookup above and joining the flight are two steps: the previous
+		// leader for sig may have published its result and left in between.
+		if v, ok := e.cache.Peek(sig); ok {
+			return flown{res: v.(*Result)}, nil
+		}
 		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig)
 		if err != nil {
 			return nil, err
@@ -98,6 +103,10 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 		e.cache.Add(sig, res, res.retainedBytes(), gen)
 		return flown{res, rec}, nil
 	})
+	// A leader whose second look found the result rode another caller's run
+	// as much as a waiter did.
+	f, _ := v.(flown)
+	shared = shared || (err == nil && f.rec == nil)
 	if shared {
 		fsp.SetAttr(otrace.String("role", "waiter"))
 	} else {
@@ -110,7 +119,6 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	if err != nil {
 		return nil, nil, err
 	}
-	f := v.(flown)
 	if shared {
 		e.collapsed.Add(1)
 		f.rec = e.recordCached(ctx, mode, sig, ev, start)
@@ -133,8 +141,7 @@ func (e *Engine) recordCached(ctx context.Context, mode taskgraph.Mode, sig stri
 
 // EvidenceSignature returns the sum-product cache key of an evidence
 // configuration — the signature under which PropagateCachedContext would
-// look it up. Callers above the engine (server-side request coalescing) use
-// it to group identical queries without propagating.
+// look it up.
 func (e *Engine) EvidenceSignature(ev potential.Evidence, like potential.Likelihood) string {
 	return cache.Signature(byte(taskgraph.SumProduct), ev, like)
 }

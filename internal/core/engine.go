@@ -7,7 +7,7 @@
 // An Engine is safe for fully concurrent use: any number of goroutines may
 // call Propagate (and friends) on one compiled engine with no external
 // locking. Everything structure-dependent — the junction tree, the task
-// graph, the collect-only graphs, the worker pool — is built once and read
+// graph, the worker pool — is built once and read
 // concurrently; everything propagation-dependent lives in a per-run
 // taskgraph.State, whose two halves are recycled separately so steady-state
 // propagation does near-zero allocation: the result tables through the
@@ -51,15 +51,11 @@ const (
 	// Serial executes every graph on the calling goroutine in topological
 	// order (sched.RunInline), whatever its granularity.
 	Serial
-	// WorkStealing is the collaborative scheduler with tail-stealing from
-	// the heaviest ready list (an extension; see sched.NewStealingPool).
-	WorkStealing
 )
 
 var schedulerNames = map[Scheduler]string{
 	Collaborative: "collaborative",
 	Serial:        "serial",
-	WorkStealing:  "stealing",
 }
 
 func (s Scheduler) String() string {
@@ -128,12 +124,11 @@ type Options struct {
 	// message counters (Result.LazyStats, QueryRecord.LazyStats) expose the
 	// pruning.
 	Lazy bool
-	// ForceDispatch sends every run of a collaborative or stealing engine
-	// to the workers, whatever sched.Inline says of its graph. It is a test
-	// seam: the differential oracle's networks are small enough to enumerate
-	// and so all fall under the rule, and this keeps the parallel schedulers
-	// covered on them. No public option, flag or environment variable
-	// reaches it.
+	// ForceDispatch sends every run of a collaborative engine to the
+	// workers, whatever sched.Inline says of its graph. It is a test seam:
+	// the differential oracle's networks are small enough to enumerate and
+	// so all fall under the rule, and this keeps the worker pool covered on
+	// them. No public option, flag or environment variable reaches it.
 	ForceDispatch bool
 }
 
@@ -166,8 +161,7 @@ type Engine struct {
 	// Options.Lazy is set, nil otherwise.
 	lazyProp *lazy.Prop
 
-	// pool holds the persistent scheduler workers — a collaborative or a
-	// stealing sched.Pool, by Options.Scheduler — created by the first run
+	// pool holds the persistent scheduler workers, created by the first run
 	// that is dispatched to them, so engines whose graphs all run inline
 	// never spawn goroutines.
 	poolMu     sync.Mutex
@@ -178,17 +172,13 @@ type Engine struct {
 	// gauge no scheduler's gauge surface sees.
 	inlineActive atomic.Int64
 
-	// propagations counts scheduler invocations (full and collect-only),
-	// the observable that lets tests prove a query cost exactly one
-	// propagation.
+	// propagations counts scheduler invocations, the observable that lets
+	// tests prove a query cost exactly one propagation.
 	propagations atomic.Int64
 
 	// obsAgg accumulates the run reports (Fig. 8 metrics); execute folds
 	// each record's report in.
 	obsAgg obs.Aggregate
-
-	collectMu     sync.Mutex
-	collectGraphs map[int]*collectEntry // per-target collect-only graphs
 
 	// cache and flight are the shared-evidence result cache and its
 	// request-collapsing singleflight group (nil when CacheSize is 0).
@@ -196,13 +186,6 @@ type Engine struct {
 	cache     *cache.LRU
 	flight    *cache.Group
 	collapsed atomic.Int64
-}
-
-// collectEntry caches the collect-only graph toward one target clique plus
-// a pool of reusable states for it.
-type collectEntry struct {
-	g      *taskgraph.Graph
-	states sync.Pool
 }
 
 // NewEngine validates and prepares the junction tree. The tree is cloned;
@@ -286,11 +269,7 @@ func (e *Engine) workerPool() *sched.Pool {
 		return nil
 	}
 	if e.pool == nil {
-		newPool := sched.NewPool
-		if e.opts.Scheduler == WorkStealing {
-			newPool = sched.NewStealingPool
-		}
-		p, err := newPool(e.opts.Workers)
+		p, err := sched.NewPool(e.opts.Workers)
 		if err != nil {
 			return nil
 		}
@@ -308,8 +287,7 @@ func (e *Engine) Graph() *taskgraph.Graph { return e.graph }
 // Options returns the engine's configuration.
 func (e *Engine) Options() Options { return e.opts }
 
-// Propagations returns how many scheduler runs (full propagations and
-// collect-only passes) the engine has executed.
+// Propagations returns how many scheduler runs the engine has executed.
 func (e *Engine) Propagations() int64 { return e.propagations.Load() }
 
 // ObsSnapshot returns the engine's aggregated observability counters: the
@@ -322,7 +300,7 @@ func (e *Engine) ObsSnapshot() obs.AggregateSnapshot { return e.obsAgg.Snapshot(
 func (e *Engine) Recorder() *obs.FlightRecorder { return e.opts.Recorder }
 
 // Gauges snapshots the live scheduler gauge surface: per-worker states,
-// ready-list depths and weight counters, steal/partition counters and the
+// ready-list depths and weight counters, partition counters and the
 // global task-list depth. The read is wait-free for the workers and never
 // starts any: an engine that has dispatched nothing yet (serial, or every
 // graph so far ran inline) reports an empty worker set. Inline runs in
@@ -339,18 +317,18 @@ func (e *Engine) Gauges() sched.GaugesSnapshot {
 	return s
 }
 
-// absorbInto returns a state of g restricted to the evidence: one recycled from
-// pool — which must hold states of g in this semiring — re-primed in place, or
-// a new one allocated at its sliced size. A recycled state carries no residue:
+// absorb returns a state of the engine's graph restricted to the evidence: one
+// recycled from the semiring's pool and re-primed in place, or a new one
+// allocated at its sliced size. A recycled state carries no residue:
 // AbsorbEvidence rebuilds every table from the tree.
-func absorbInto(pool *sync.Pool, g *taskgraph.Graph, mode taskgraph.Mode, ev potential.Evidence) (*taskgraph.State, error) {
-	v := pool.Get()
+func (e *Engine) absorb(mode taskgraph.Mode, ev potential.Evidence) (*taskgraph.State, error) {
+	v := e.statePools[mode].Get()
 	if v == nil {
-		return g.NewStateEvidence(mode, ev)
+		return e.graph.NewStateEvidence(mode, ev)
 	}
 	st := v.(*taskgraph.State)
 	if err := st.AbsorbEvidence(ev); err != nil {
-		pool.Put(st) // never ran; the next AbsorbEvidence re-primes it
+		e.putState(st) // never ran; the next AbsorbEvidence re-primes it
 		return nil, err
 	}
 	return st, nil
@@ -454,7 +432,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		}
 		st = lst
 	} else {
-		est, err := absorbInto(&e.statePools[mode], e.graph, mode, ev)
+		est, err := e.absorb(mode, ev)
 		if err != nil {
 			asp.Fail(err.Error())
 			asp.End()
@@ -590,14 +568,14 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 }
 
 // runScheduler executes the state's graph and returns the run's metrics.
-// This is the one place the execution path is chosen, so the full graph,
-// max-product, the per-target collect-only graphs and every pruned lazy plan
-// get the same rule: a run whose mean task is cheaper than one dispatch at
-// this engine's P (sched.InlineWeight, over weight — the run's table entries
-// as sliced on its evidence, so a heavily observed query of a graph that
-// dispatches at the full domain stays on its goroutine), every graph of a
-// Serial engine, and every graph of a closed engine, runs on the calling
-// goroutine; the rest go to the engine's worker pool.
+// This is the one place the execution path is chosen, so sum-product,
+// max-product and every pruned lazy plan get the same rule: a run whose mean
+// task is cheaper than one dispatch at this engine's P (sched.InlineWeight,
+// over weight — the run's table entries as sliced on its evidence, so a
+// heavily observed query of a graph that dispatches at the full domain stays
+// on its goroutine), every graph of a Serial engine, and every graph of a
+// closed engine, runs on the calling goroutine; the rest go to the engine's
+// worker pool.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
 func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, weight float64) (*sched.Metrics, error) {
@@ -625,70 +603,6 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 	e.inlineActive.Add(1)
 	defer e.inlineActive.Add(-1)
 	return sched.RunInline(st, opts)
-}
-
-// CollectMarginal answers a single-variable query with a collection-only
-// propagation: the tree is rerooted at a clique containing v, the
-// leaves-to-root half of the task graph runs, and the posterior is read
-// from the root — roughly half the work of Propagate. The collect-only
-// graph is built per target clique and cached; its states are pooled like
-// the full-propagation states.
-func (e *Engine) CollectMarginal(ev potential.Evidence, v int) (*potential.Potential, error) {
-	return e.CollectMarginalContext(context.Background(), ev, v)
-}
-
-// CollectMarginalContext is CollectMarginal with cancellation.
-func (e *Engine) CollectMarginalContext(ctx context.Context, ev potential.Evidence, v int) (*potential.Potential, error) {
-	ci := e.tree.CliqueOf(v)
-	if ci < 0 {
-		return nil, fmt.Errorf("core: no clique contains variable %d", v)
-	}
-	entry, err := e.collectEntryFor(ci)
-	if err != nil {
-		return nil, err
-	}
-	st, err := absorbInto(&entry.states, entry.g, taskgraph.SumProduct, ev)
-	if err != nil {
-		return nil, err
-	}
-	var csp *otrace.Span
-	if ctx != nil {
-		csp = otrace.FromContext(ctx).StartChild("collect",
-			otrace.Int("target.var", int64(v)),
-			otrace.String("scheduler", e.opts.Scheduler.String()))
-	}
-	rec := e.newRecord(ctx, "collect", taskgraph.SumProduct, ev, nil, "")
-	if err := e.execute(ctx, csp, rec, st); err != nil {
-		return nil, err // state and scratch possibly still referenced; drop both
-	}
-	// Rerooting keeps clique ids, so the collect-only tree's root is still the
-	// first clique that contains v: the one State.Marginal reads.
-	m, err := st.Marginal(v)
-	entry.states.Put(st)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return m, nil
-}
-
-// collectEntryFor builds (once) and returns the collect-only cache entry
-// for the target clique.
-func (e *Engine) collectEntryFor(ci int) (*collectEntry, error) {
-	e.collectMu.Lock()
-	defer e.collectMu.Unlock()
-	if entry, ok := e.collectGraphs[ci]; ok {
-		return entry, nil
-	}
-	rt, err := e.tree.Reroot(ci)
-	if err != nil {
-		return nil, err
-	}
-	entry := &collectEntry{g: taskgraph.BuildCollectOnly(rt)}
-	if e.collectGraphs == nil {
-		e.collectGraphs = map[int]*collectEntry{}
-	}
-	e.collectGraphs[ci] = entry
-	return entry, nil
 }
 
 // Release recycles the result's propagation state into the engine's pool.

@@ -42,7 +42,7 @@ func TestAllSchedulersMatchOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := potential.Evidence{ids["XRay"]: 1}
-	for _, s := range []Scheduler{Collaborative, Serial, WorkStealing} {
+	for _, s := range []Scheduler{Collaborative, Serial} {
 		for _, reroot := range []bool{false, true} {
 			e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 4, Reroot: reroot, PartitionThreshold: 4}))
 			if err != nil {
@@ -207,7 +207,7 @@ func TestEngineDefaultWorkers(t *testing.T) {
 }
 
 func TestSchedulerNames(t *testing.T) {
-	for _, s := range []Scheduler{Collaborative, Serial, WorkStealing} {
+	for _, s := range []Scheduler{Collaborative, Serial} {
 		name := s.String()
 		back, err := ParseScheduler(name)
 		if err != nil || back != s {
@@ -380,38 +380,6 @@ func TestPropagateSoftErrors(t *testing.T) {
 	}
 }
 
-func TestCollectMarginalMatchesFullPropagation(t *testing.T) {
-	net, ids := bayesnet.Asia()
-	tr, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []Scheduler{Serial, Collaborative} {
-		e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 3, PartitionThreshold: 4}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev := potential.Evidence{ids["Dysp"]: 1}
-		for name, v := range ids {
-			if name == "Dysp" {
-				continue
-			}
-			got, err := e.CollectMarginal(ev, v)
-			if err != nil {
-				t.Fatalf("%v %s: %v", s, name, err)
-			}
-			assertRanOn(t, e)
-			want, err := net.ExactMarginal(v, ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(want, 1e-9) {
-				t.Errorf("%v: collect-only P(%s|e) = %v, oracle %v", s, name, got.Data, want.Data)
-			}
-		}
-	}
-}
-
 func TestCollectOnlyGraphIsHalf(t *testing.T) {
 	net, _ := bayesnet.Asia()
 	tr, err := net.Compile()
@@ -425,48 +393,6 @@ func TestCollectOnlyGraphIsHalf(t *testing.T) {
 	}
 	if err := half.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCollectMarginalUnknownVariable(t *testing.T) {
-	net, _ := bayesnet.Sprinkler()
-	tr, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(tr, Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CollectMarginal(nil, 999); err == nil {
-		t.Error("accepted unknown variable")
-	}
-}
-
-func TestCollectMarginalCacheReuse(t *testing.T) {
-	// Repeated queries for variables in the same clique must reuse the
-	// cached graph and stay correct.
-	net, ids := bayesnet.Sprinkler()
-	tr, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(tr, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		m, err := e.CollectMarginal(potential.Evidence{ids["WetGrass"]: 1}, ids["Rain"])
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := net.ExactMarginal(ids["Rain"], potential.Evidence{ids["WetGrass"]: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Equal(want, 1e-9) {
-			t.Fatalf("iteration %d: %v vs %v", i, m.Data, want.Data)
-		}
 	}
 }
 
@@ -494,7 +420,7 @@ func TestCheckCalibration(t *testing.T) {
 	}
 }
 
-// TestOnePoolPerEngine: under either parallel scheduler the first dispatched
+// TestOnePoolPerEngine: the first dispatched
 // run builds the engine's worker pool, every later run goes to the same
 // workers — so Gauges reads one surface that accumulates — and a closed
 // engine runs on its caller's goroutine instead of starting new workers.
@@ -505,44 +431,42 @@ func TestOnePoolPerEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := potential.Evidence{ids["XRay"]: 1}
-	for _, s := range []Scheduler{Collaborative, WorkStealing} {
-		e, err := NewEngine(tr, schedulerOptions(s, Options{Workers: 3}))
-		if err != nil {
+	e, err := NewEngine(tr, schedulerOptions(Collaborative, Options{Workers: 3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.pool != nil || len(e.Gauges().Workers) != 0 {
+		t.Error("workers exist before any run was dispatched")
+	}
+	const runs = 3
+	var pool *sched.Pool
+	for i := 0; i < runs; i++ {
+		if _, err := e.Propagate(ev); err != nil {
 			t.Fatal(err)
 		}
-		if e.pool != nil || len(e.Gauges().Workers) != 0 {
-			t.Errorf("%v: workers exist before any run was dispatched", s)
+		if i == 0 {
+			pool = e.pool
 		}
-		const runs = 3
-		var pool *sched.Pool
-		for i := 0; i < runs; i++ {
-			if _, err := e.Propagate(ev); err != nil {
-				t.Fatal(err)
-			}
-			if i == 0 {
-				pool = e.pool
-			}
-		}
-		if pool == nil || e.pool != pool {
-			t.Errorf("%v: the engine's pool changed between runs", s)
-		}
-		g := e.Gauges()
-		var completed int64
-		for _, w := range g.Workers {
-			completed += w.Completed
-		}
-		if want := int64(runs * e.Graph().N()); len(g.Workers) != 3 || completed != want {
-			t.Errorf("%v: %d workers completed %d tasks, want 3 and %d", s, len(g.Workers), completed, want)
-		}
-		e.Close()
-		if _, err := e.Propagate(ev); err != nil {
-			t.Fatalf("%v: propagation on a closed engine: %v", s, err)
-		}
-		if snap := e.ObsSnapshot(); snap.PoolRuns != runs || snap.InlineRuns != 1 {
-			t.Errorf("%v: %d pool and %d inline runs, want %d and 1", s, snap.PoolRuns, snap.InlineRuns, runs)
-		}
-		if len(e.Gauges().Workers) != 0 {
-			t.Errorf("%v: a closed engine still reports workers", s)
-		}
+	}
+	if pool == nil || e.pool != pool {
+		t.Error("the engine's pool changed between runs")
+	}
+	g := e.Gauges()
+	var completed int64
+	for _, w := range g.Workers {
+		completed += w.Completed
+	}
+	if want := int64(runs * e.Graph().N()); len(g.Workers) != 3 || completed != want {
+		t.Errorf("%d workers completed %d tasks, want 3 and %d", len(g.Workers), completed, want)
+	}
+	e.Close()
+	if _, err := e.Propagate(ev); err != nil {
+		t.Fatalf("propagation on a closed engine: %v", err)
+	}
+	if snap := e.ObsSnapshot(); snap.PoolRuns != runs || snap.InlineRuns != 1 {
+		t.Errorf("%d pool and %d inline runs, want %d and 1", snap.PoolRuns, snap.InlineRuns, runs)
+	}
+	if len(e.Gauges().Workers) != 0 {
+		t.Error("a closed engine still reports workers")
 	}
 }

@@ -16,7 +16,7 @@ func TestGrandIntegration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test")
 	}
-	schedulers := []Scheduler{Collaborative, Serial, WorkStealing}
+	schedulers := []Scheduler{Collaborative, Serial}
 	for seed := int64(1); seed <= 3; seed++ {
 		net := bayesnet.RandomNetwork(10, 2, 3, seed)
 		tr, err := net.Compile()

@@ -316,7 +316,7 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 	// not.
 	tables := int(e.ResultBytes() / 8)
 	for _, fail := range []bool{true, false, true} {
-		st, err := absorbInto(&e.statePools[taskgraph.SumProduct], e.graph, taskgraph.SumProduct, ev)
+		st, err := e.absorb(taskgraph.SumProduct, ev)
 		if err != nil {
 			t.Fatal(err)
 		}

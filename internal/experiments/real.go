@@ -101,10 +101,15 @@ func Real(cfg RealConfig) (*RealResult, error) {
 
 	delta := int(autoThreshold(g))
 	for _, p := range cfg.Workers {
+		pool, err := sched.NewPool(p)
+		if err != nil {
+			return nil, err
+		}
 		d, err := measure(func(st *taskgraph.State) error {
-			_, err := sched.Run(st, sched.Options{Workers: p, Threshold: delta})
+			_, err := pool.Run(st, sched.Options{Threshold: delta})
 			return err
 		})
+		pool.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -164,6 +169,11 @@ func EvidenceCount(cfg RealConfig) (*EvidenceCountResult, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
+	pool, err := sched.NewPool(4)
+	if err != nil {
+		return nil, err
+	}
+	defer pool.Close()
 	out := &EvidenceCountResult{}
 	for _, count := range []int{0, 1, 4, 16, 64} {
 		if count > len(vars) {
@@ -184,7 +194,7 @@ func EvidenceCount(cfg RealConfig) (*EvidenceCountResult, error) {
 				return nil, err
 			}
 			start := time.Now()
-			if _, err := sched.Run(st, sched.Options{Workers: 4, Threshold: int(autoThreshold(g))}); err != nil {
+			if _, err := pool.Run(st, sched.Options{Threshold: int(autoThreshold(g))}); err != nil {
 				return nil, err
 			}
 			if d := time.Since(start); d < best {

@@ -66,8 +66,8 @@ type QueryRecord struct {
 	ID string
 	// Time is when the propagation completed.
 	Time time.Time
-	// Mode names the run: "sum-product", "max-product" or "collect" (the
-	// taskgraph.Mode string for full propagations).
+	// Mode names the run's semiring: "sum-product" or "max-product" (the
+	// taskgraph.Mode string).
 	Mode string
 	// EvidenceVars is the number of observed variables.
 	EvidenceVars int

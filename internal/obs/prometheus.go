@@ -121,8 +121,6 @@ func (s AggregateSnapshot) WritePrometheus(w io.Writer, prefix string) {
 	WriteSample(w, prefix+"_pieces_total", nil, float64(s.Pieces))
 	WriteHeader(w, prefix+"_partitions_total", "Tasks split by the Partition module.", "counter")
 	WriteSample(w, prefix+"_partitions_total", nil, float64(s.Partitioned))
-	WriteHeader(w, prefix+"_steals_total", "Items stolen from another worker's ready list.", "counter")
-	WriteSample(w, prefix+"_steals_total", nil, float64(s.Steals))
 	WriteHeader(w, prefix+"_load_balance", "Last run's max/mean per-worker busy time (1.0 = perfectly balanced).", "gauge")
 	WriteSample(w, prefix+"_load_balance", nil, s.LastLoadBalance)
 	WriteHeader(w, prefix+"_overhead_fraction", "Last run's scheduler-overhead fraction of total worker time.", "gauge")

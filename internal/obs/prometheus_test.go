@@ -40,7 +40,7 @@ test_seconds_bucket{le="4e-06"} 2
 func TestAggregatePrometheusGolden(t *testing.T) {
 	var a Aggregate
 	r := FromSim([]float64{3, 1}, []float64{0.1, 0.1}, 3.5)
-	r.Tasks, r.Pieces, r.Partitioned, r.Steals = 10, 4, 2, 1
+	r.Tasks, r.Pieces, r.Partitioned = 10, 4, 2
 	// FromSim has no counters; re-derive after setting them is not needed —
 	// the aggregate copies them verbatim.
 	a.Observe(&QueryRecord{Report: r})
@@ -56,7 +56,6 @@ func TestAggregatePrometheusGolden(t *testing.T) {
 		"sched_tasks_total 10\n",
 		"sched_pieces_total 4\n",
 		"sched_partitions_total 2\n",
-		"sched_steals_total 1\n",
 		"sched_load_balance 1.5\n",
 	} {
 		if !strings.Contains(got, want) {

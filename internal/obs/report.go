@@ -37,8 +37,8 @@ type Report struct {
 	// KindBusy splits total computation time by primitive kind, indexed by
 	// taskgraph.Kind (see KindNames).
 	KindBusy [taskgraph.NumKinds]time.Duration
-	// Tasks, Pieces, Partitioned and Steals are the run's item counters.
-	Tasks, Pieces, Partitioned, Steals int
+	// Tasks, Pieces and Partitioned are the run's item counters.
+	Tasks, Pieces, Partitioned int
 
 	// LoadBalance is max(busy) / mean(busy) across workers: 1.0 is a
 	// perfectly balanced run, P is the degenerate single-worker-did-it-all
@@ -61,7 +61,6 @@ func FromSched(m *sched.Metrics) *Report {
 		Tasks:       m.Tasks,
 		Pieces:      m.Pieces,
 		Partitioned: m.Partition,
-		Steals:      m.Steals,
 	}
 	for w, wm := range m.Workers {
 		r.Busy[w] = wm.Busy
@@ -137,8 +136,8 @@ func (r *Report) TotalOverhead() time.Duration {
 
 // Write prints the report in the row shape of the paper's Fig. 8.
 func (r *Report) Write(w io.Writer) {
-	fmt.Fprintf(w, "run: P=%d elapsed=%v tasks=%d pieces=%d partitioned=%d steals=%d\n",
-		r.Workers, r.Elapsed, r.Tasks, r.Pieces, r.Partitioned, r.Steals)
+	fmt.Fprintf(w, "run: P=%d elapsed=%v tasks=%d pieces=%d partitioned=%d\n",
+		r.Workers, r.Elapsed, r.Tasks, r.Pieces, r.Partitioned)
 	fmt.Fprintf(w, "  load balance (max/mean busy): %.3f\n", r.LoadBalance)
 	fmt.Fprintf(w, "  scheduler overhead fraction:  %.4f%%\n", 100*r.OverheadFraction)
 	for k, name := range KindNames {
@@ -162,7 +161,6 @@ type Aggregate struct {
 	tasks             int64
 	pieces            int64
 	partitioned       int64
-	steals            int64
 	entries           int64
 	graphEntries      int64
 	lastLoadBalance   float64
@@ -192,7 +190,6 @@ func (a *Aggregate) Observe(rec *QueryRecord) {
 	a.tasks += int64(r.Tasks)
 	a.pieces += int64(r.Pieces)
 	a.partitioned += int64(r.Partitioned)
-	a.steals += int64(r.Steals)
 	a.lastLoadBalance = r.LoadBalance
 	a.lastOverheadFrac = r.OverheadFraction
 	a.lastWorkers = r.Workers
@@ -209,8 +206,8 @@ type AggregateSnapshot struct {
 	Busy, Overhead time.Duration
 	// KindBusy is the lifetime per-primitive-kind computation time.
 	KindBusy [taskgraph.NumKinds]time.Duration
-	// Tasks, Pieces, Partitioned, Steals are lifetime item counters.
-	Tasks, Pieces, Partitioned, Steals int64
+	// Tasks, Pieces, Partitioned are lifetime item counters.
+	Tasks, Pieces, Partitioned int64
 	// Entries sums the table entries the runs ranged over, sliced on each
 	// query's evidence; GraphEntries what the same runs cost at the full domain
 	// (QueryRecord.Entries, GraphEntries).
@@ -258,7 +255,6 @@ func (a *Aggregate) Snapshot() AggregateSnapshot {
 		Tasks:                a.tasks,
 		Pieces:               a.pieces,
 		Partitioned:          a.partitioned,
-		Steals:               a.steals,
 		Entries:              a.entries,
 		GraphEntries:         a.graphEntries,
 		LastLoadBalance:      a.lastLoadBalance,

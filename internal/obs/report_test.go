@@ -54,7 +54,12 @@ func realRun(t *testing.T, workers, threshold int) *sched.Metrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := sched.Run(st, sched.Options{Workers: workers, Threshold: threshold})
+	pool, err := sched.NewPool(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	m, err := pool.Run(st, sched.Options{Threshold: threshold})
 	if err != nil {
 		t.Fatal(err)
 	}

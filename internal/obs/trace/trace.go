@@ -12,7 +12,7 @@
 // last-one-out: the request holds a base reference from StartRequest to
 // Finish, every open span holds one, and the arena returns to the pool
 // only when the count hits zero after the trace is sealed. A detached
-// run's straggler span (a coalesced leader outliving its caller, a
+// run's straggler span (a singleflight leader outliving its caller, a
 // cancelled propagation) therefore keeps the arena alive until its own
 // End — a late write can never land in a buffer that has been handed to
 // another request, the corruption class PR 3 fixed for scheduler traces.
@@ -237,6 +237,13 @@ func (t *Trace) recycle() {
 // The handle carries its own copy of the trace identity, so propagation
 // (Context, TraceID) never reads arena fields a recycler could be
 // resetting.
+//
+// A handle holds one reference on its arena from the start of its span to
+// End, and writes its slot only in between: ended, set by End, makes the
+// handle inert by itself. Asking the arena instead (is the generation still
+// mine, is the slot committed) reads without a reference, and the arena may
+// be recycled and handed to another request between the answer and the write.
+// ended belongs to the goroutine that owns the span, like the slot.
 type Span struct {
 	tr    *Trace
 	slot  int32
@@ -245,6 +252,7 @@ type Span struct {
 	tid   TraceID
 	flags byte
 	state string
+	ended bool
 }
 
 // mixSpanID derives a deterministic span ID from a 64-bit seed and the
@@ -353,13 +361,10 @@ func (s *Span) ChildInterval(name string, start time.Time, d time.Duration, attr
 // SetAttr adds attributes to an open span. Must be called by the span's
 // owner before End.
 func (s *Span) SetAttr(attrs ...Attr) {
-	if s == nil || s.tr == nil || s.gen != s.tr.gen.Load() {
+	if s == nil || s.tr == nil || s.ended {
 		return
 	}
 	sl := &s.tr.spans[s.slot]
-	if sl.committed.Load() {
-		return
-	}
 	n := copy(sl.attrs[sl.nattrs:], attrs)
 	sl.nattrs += n
 	if n < len(attrs) {
@@ -369,26 +374,21 @@ func (s *Span) SetAttr(attrs ...Attr) {
 
 // Fail marks the span as errored with the given message.
 func (s *Span) Fail(msg string) {
-	if s == nil || s.tr == nil || s.gen != s.tr.gen.Load() {
+	if s == nil || s.tr == nil || s.ended {
 		return
 	}
-	sl := &s.tr.spans[s.slot]
-	if !sl.committed.Load() {
-		sl.status = msg
-	}
+	s.tr.spans[s.slot].status = msg
 }
 
 // End closes the span, fixing its duration, and drops its reference —
 // possibly recycling the arena when it is the last one out of a sealed
-// trace. Idempotent; inert on handles of an already-recycled arena.
+// trace. Idempotent.
 func (s *Span) End() {
-	if s == nil || s.tr == nil || s.gen != s.tr.gen.Load() {
+	if s == nil || s.tr == nil || s.ended {
 		return
 	}
+	s.ended = true
 	sl := &s.tr.spans[s.slot]
-	if sl.committed.Load() {
-		return
-	}
 	if sl.dur == 0 && !sl.start.IsZero() {
 		sl.dur = time.Since(sl.start)
 	}

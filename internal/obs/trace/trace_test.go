@@ -214,12 +214,12 @@ func TestArenaRecycledWhenQuiescent(t *testing.T) {
 
 // TestDetachedSpanAbandonsArena is the PR 3 corruption class applied to
 // spans: a span still open when the request finishes (a detached
-// coalesced leader, a cancelled run's straggler) must keep the arena out
+// singleflight leader, a cancelled run's straggler) must keep the arena out
 // of the pool, and its late End must not corrupt anything.
 func TestDetachedSpanAbandonsArena(t *testing.T) {
 	tr := keepAll()
 	arena, root := tr.StartRequest("request", SpanContext{})
-	detached := root.StartChild("coalesced.leader")
+	detached := root.StartChild("singleflight.leader")
 	root.End()
 	gen := arena.gen.Load()
 	tr.Finish(arena, root)
@@ -232,7 +232,7 @@ func TestDetachedSpanAbandonsArena(t *testing.T) {
 		t.Fatal("trace not kept")
 	}
 	for _, s := range td.Spans {
-		if s.Name == "coalesced.leader" {
+		if s.Name == "singleflight.leader" {
 			t.Error("unended span leaked into the snapshot")
 		}
 	}
@@ -286,6 +286,40 @@ func TestStaleHandleRefusedWhileRecycling(t *testing.T) {
 	}
 	if arena.refs.Load() != 0 {
 		t.Errorf("recycled arena holds %d references", arena.refs.Load())
+	}
+}
+
+// TestEndedHandleInertWhileRecycling is the same window seen from SetAttr and
+// Fail, which take no reference. A handle whose End had run used to ask the
+// arena whether it was stale: it read the generation (still its own), the
+// arena was recycled — generation bumped, slots zeroed, so "committed" read
+// false again — and the write that followed landed in a slot of an arena on
+// its way to another request. The window is held open by winding the
+// generation back to what such a reader loaded before the bump.
+func TestEndedHandleInertWhileRecycling(t *testing.T) {
+	tr := testTracer()
+	arena, root := tr.StartRequest("request", SpanContext{})
+	worker := root.StartChild("worker")
+	worker.End()
+	root.End()
+	gen := arena.gen.Load()
+	tr.Finish(arena, root)
+	if arena.gen.Load() != gen+1 || arena.n.Load() != 0 {
+		t.Fatal("the finished request's arena was not recycled")
+	}
+	arena.gen.Store(gen)
+	defer arena.gen.Store(gen + 1)
+	for _, stale := range []*Span{root, worker} {
+		stale.SetAttr(String("late", "write"))
+		stale.Fail("late")
+		stale.End()
+		if sl := &arena.spans[stale.slot]; sl.nattrs != 0 || sl.status != "" || sl.committed.Load() {
+			t.Errorf("an ended handle wrote slot %d of the recycled arena: %d attrs, status %q, committed %v",
+				stale.slot, sl.nattrs, sl.status, sl.committed.Load())
+		}
+	}
+	if arena.refs.Load() != 0 {
+		t.Errorf("ended handles left the recycled arena with %d references", arena.refs.Load())
 	}
 }
 

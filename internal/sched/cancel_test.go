@@ -35,10 +35,10 @@ func (c *countdownCtx) Err() error {
 // to give a straggler's append a victim to collide with; -race flags the old
 // behavior.
 func TestPoolRunCancelledTraceDetached(t *testing.T) {
-	eachPolicy(t, testPoolRunCancelledTraceDetached)
+	collaborative(t, testPoolRunCancelledTraceDetached)
 }
 
-func testPoolRunCancelledTraceDetached(t *testing.T, pol policy) {
+func testPoolRunCancelledTraceDetached(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 40, Width: 4, States: 2, Degree: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +47,7 @@ func testPoolRunCancelledTraceDetached(t *testing.T, pol policy) {
 		t.Fatal(err)
 	}
 	g := taskgraph.Build(tr)
-	p, err := pol.newPool(4)
+	p, err := NewPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}

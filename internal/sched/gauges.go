@@ -8,7 +8,7 @@ import (
 
 // Live scheduler introspection: a wait-free gauge surface over the
 // collaborative scheduler's internal quantities — per-worker local-list (LL)
-// depth and weight counter, worker state, steal and δ-partition counters,
+// depth and weight counter, worker state, δ-partition counters,
 // and a global task-list (GL) depth — readable at any instant while
 // propagations run. Writers are the workers themselves: every counter a
 // worker updates lives on its own cache-line-padded slot, so the hot path
@@ -27,12 +27,10 @@ type WorkerState int32
 
 const (
 	// WorkerParked: blocked on its empty local list (workers park between
-	// runs; on a stealing pool, only once no other list has work either).
+	// runs).
 	WorkerParked WorkerState = iota
 	// WorkerFetching: popping the head of its local ready list.
 	WorkerFetching
-	// WorkerStealing: scanning other workers' lists for work to take.
-	WorkerStealing
 	// WorkerExecuting: inside a node-level primitive (or a piece of one).
 	WorkerExecuting
 	// WorkerIdle: started but not yet fetched anything.
@@ -42,7 +40,6 @@ const (
 var workerStateNames = [...]string{
 	WorkerParked:    "parked",
 	WorkerFetching:  "fetching",
-	WorkerStealing:  "stealing",
 	WorkerExecuting: "executing",
 	WorkerIdle:      "idle",
 }
@@ -55,8 +52,7 @@ func (s WorkerState) String() string {
 }
 
 // workerGauges is one worker's slot. Every field is written either by the
-// owning worker or by a worker pushing onto this worker's local list (on a
-// stealing pool also by one popping its tail or waking its owner); the
+// owning worker or by a worker pushing onto this worker's local list; the
 // trailing pad keeps neighbouring workers' slots on different cache lines
 // so those writes never false-share (same idea as traceBuf).
 type workerGauges struct {
@@ -71,17 +67,15 @@ type workerGauges struct {
 	// when a run completes, not per executed item (see Pool.Run), keeping
 	// the Execute hot path free of their atomics. Mid-run they lag by the
 	// run in flight; queue depth and state stay instantaneous.
-	busyNs        atomic.Int64 // cumulative time inside primitives
-	items         atomic.Int64 // executed items (tasks, pieces, combiners)
-	completed     atomic.Int64 // original graph tasks completed (Allocate)
-	stealAttempts atomic.Int64
-	steals        atomic.Int64
-	partitions    atomic.Int64 // tasks this worker split (δ-partition)
+	busyNs     atomic.Int64 // cumulative time inside primitives
+	items      atomic.Int64 // executed items (tasks, pieces, combiners)
+	completed  atomic.Int64 // original graph tasks completed (Allocate)
+	partitions atomic.Int64 // tasks this worker split (δ-partition)
 	// lastLabel caches the pprof label context most recently applied on the
 	// goroutine driving this slot, so consecutive items of the same kind in
 	// the same run skip the SetGoroutineLabels call (see labelSet.apply).
 	lastLabel atomic.Pointer[context.Context]
-	_         [56]byte // pad the 72-byte body to two cache lines
+	_         [72]byte // pad the 56-byte body to two cache lines
 }
 
 // The packed LL gauge: depth in the top 16 bits, weight in the low 48.
@@ -183,10 +177,6 @@ type WorkerGaugeSnapshot struct {
 	// this worker retired through the Allocate module.
 	Items     int64 `json:"items"`
 	Completed int64 `json:"completed"`
-	// StealAttempts and Steals are the stealing fetch policy's counters
-	// (zero on a collaborative pool).
-	StealAttempts int64 `json:"steal_attempts"`
-	Steals        int64 `json:"steals"`
 	// Partitions counts tasks this worker split into δ-pieces.
 	Partitions int64 `json:"partitions"`
 }
@@ -227,8 +217,6 @@ func (g *Gauges) Snapshot() GaugesSnapshot {
 		ws.BusyNs = wg.busyNs.Load()
 		ws.Items = wg.items.Load()
 		ws.Completed = wg.completed.Load()
-		ws.StealAttempts = wg.stealAttempts.Load()
-		ws.Steals = wg.steals.Load()
 		ws.Partitions = wg.partitions.Load()
 		completed += ws.Completed
 	}

@@ -26,12 +26,12 @@ func gaugeTestGraph(t *testing.T, n int, seed int64) *taskgraph.Graph {
 // run: GL depth and LL depths return to zero, completed tasks sum to the
 // graph size, and busy time moved.
 func TestPoolGaugesAccountRun(t *testing.T) {
-	eachPolicy(t, testPoolGaugesAccountRun)
+	collaborative(t, testPoolGaugesAccountRun)
 }
 
-func testPoolGaugesAccountRun(t *testing.T, pol policy) {
+func testPoolGaugesAccountRun(t *testing.T) {
 	g := gaugeTestGraph(t, 24, 5)
-	p, err := pol.newPool(4)
+	p, err := NewPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func testPoolGaugesAccountRun(t *testing.T, pol policy) {
 // TestGaugesSnapshotDuringRuns races lock-free snapshots against concurrent
 // runs; under -race this pins the wait-free read contract of the surface.
 func TestGaugesSnapshotDuringRuns(t *testing.T) {
-	eachPolicy(t, testGaugesSnapshotDuringRuns)
+	collaborative(t, testGaugesSnapshotDuringRuns)
 }
 
-func testGaugesSnapshotDuringRuns(t *testing.T, pol policy) {
+func testGaugesSnapshotDuringRuns(t *testing.T) {
 	g := gaugeTestGraph(t, 24, 7)
-	p, err := pol.newPool(4)
+	p, err := NewPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,54 +135,14 @@ func testGaugesSnapshotDuringRuns(t *testing.T, pol policy) {
 	snaps.Wait()
 }
 
-// TestStealingGaugesAccumulate checks a stealing pool's gauge surface
-// accumulates across successive runs and moves the steal counters.
-func TestStealingGaugesAccumulate(t *testing.T) {
-	g := gaugeTestGraph(t, 40, 9)
-	p, err := NewStealingPool(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 2; i++ {
-		st, err := g.NewState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := p.Run(st, Options{Threshold: 8, QueryID: "q-steal"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := p.Gauges().Snapshot()
-		var completed, attempts, steals int64
-		for _, w := range s.Workers {
-			completed += w.Completed
-			attempts += w.StealAttempts
-			steals += w.Steals
-		}
-		if want := int64((i + 1) * g.N()); completed != want {
-			t.Errorf("run %d: completed %d, want %d (accumulating)", i, completed, want)
-		}
-		if steals != 0 && attempts < steals {
-			t.Errorf("run %d: %d steals but only %d attempts", i, steals, attempts)
-		}
-		if int64(m.Steals) > steals {
-			t.Errorf("run %d: metrics report %d steals, gauges only %d total", i, m.Steals, steals)
-		}
-		if s.GlobalDepth != 0 {
-			t.Errorf("run %d: global depth %d, want 0", i, s.GlobalDepth)
-		}
-	}
-}
-
 // TestGaugesFailedRunWritesOff: a cancelled run must not leak GL depth.
 func TestGaugesFailedRunWritesOff(t *testing.T) {
-	eachPolicy(t, testGaugesFailedRunWritesOff)
+	collaborative(t, testGaugesFailedRunWritesOff)
 }
 
-func testGaugesFailedRunWritesOff(t *testing.T, pol policy) {
+func testGaugesFailedRunWritesOff(t *testing.T) {
 	g := gaugeTestGraph(t, 24, 13)
-	p, err := pol.newPool(2)
+	p, err := NewPool(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +176,6 @@ func TestWorkerStateStrings(t *testing.T) {
 	cases := map[WorkerState]string{
 		WorkerParked:    "parked",
 		WorkerFetching:  "fetching",
-		WorkerStealing:  "stealing",
 		WorkerExecuting: "executing",
 		WorkerIdle:      "idle",
 		WorkerState(99): "unknown",

@@ -44,8 +44,7 @@ func InlineWeight(weight float64, tasks, workers int) bool {
 // task, the number of pieces it is cut into, or nil when the graph is run
 // whole. It is a pure function of the two, evaluated once and kept on the
 // graph (taskgraph.Graph.PieceCounts), so the full graph, the max-product
-// run, every collect-only graph and every pruned lazy plan each get their own
-// verdict.
+// run and every pruned lazy plan each get their own verdict.
 //
 // Partitioning exists to create parallelism the graph lacks (the paper's §6).
 // P workers cannot finish before max(W/P, CP) — W the total weight, CP the

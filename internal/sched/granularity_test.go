@@ -195,21 +195,19 @@ func TestSplitRule(t *testing.T) {
 }
 
 // TestAutoThresholdNeverSplitsSmall40: left to the rule, no table of the small
-// model is partitioned, under either parallel scheduler at P=16.
+// model is partitioned at P=16.
 func TestAutoThresholdNeverSplitsSmall40(t *testing.T) {
 	_, g := benchModel(t, 40, 3)
-	for name, pol := range policies {
-		st, err := g.NewState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := pol.run(st, Options{Workers: 16, Threshold: ThresholdAuto})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Partition != 0 || m.Pieces != 0 || m.Executor != ExecPool {
-			t.Errorf("%s: %d tasks split into %d pieces on executor %q", name, m.Partition, m.Pieces, m.Executor)
-		}
+	st, err := g.NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := runOnce(st, Options{Workers: 16, Threshold: ThresholdAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Partition != 0 || m.Pieces != 0 || m.Executor != ExecPool {
+		t.Errorf("%d tasks split into %d pieces on executor %q", m.Partition, m.Pieces, m.Executor)
 	}
 }
 

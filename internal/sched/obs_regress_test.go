@@ -3,7 +3,6 @@ package sched
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,15 +172,12 @@ func TestKindBusySumsToBusy(t *testing.T) {
 
 // TestConcurrentTracedRuns drives several traced, partitioned propagations
 // through one pool at once; under -race this verifies the per-worker trace
-// buffers and metrics of interleaved runs never share state. A thief takes
-// whatever run's item sits at a victim's tail, so on a stealing pool every
-// steal must land on exactly one run's Metrics: the runs' Steals sum to the
-// pool's gauge.
+// buffers and metrics of interleaved runs never share state.
 func TestConcurrentTracedRuns(t *testing.T) {
-	eachPolicy(t, testConcurrentTracedRuns)
+	collaborative(t, testConcurrentTracedRuns)
 }
 
-func testConcurrentTracedRuns(t *testing.T, pol policy) {
+func testConcurrentTracedRuns(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 24, Width: 6, States: 2, Degree: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -190,13 +186,12 @@ func testConcurrentTracedRuns(t *testing.T, pol policy) {
 		t.Fatal(err)
 	}
 	g := taskgraph.Build(tr)
-	p, err := pol.newPool(4)
+	p, err := NewPool(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	var wg sync.WaitGroup
-	var steals atomic.Int64
 	errc := make(chan error, 6)
 	for i := 0; i < 6; i++ {
 		wg.Add(1)
@@ -212,7 +207,6 @@ func testConcurrentTracedRuns(t *testing.T, pol policy) {
 				errc <- err
 				return
 			}
-			steals.Add(int64(m.Steals))
 			items := 0
 			for _, wm := range m.Workers {
 				items += wm.Tasks
@@ -226,59 +220,5 @@ func testConcurrentTracedRuns(t *testing.T, pol policy) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
-	}
-	var gauge int64
-	for _, w := range p.Gauges().Snapshot().Workers {
-		gauge += w.Steals
-	}
-	if gauge != steals.Load() {
-		t.Errorf("the pool's workers stole %d items, the runs account for %d", gauge, steals.Load())
-	}
-}
-
-// TestStealingTraceAndSteals checks the work-stealing scheduler's new
-// accounting: traces record every executed item and the steal counter moves
-// when a worker drains another's list.
-func TestStealingTraceAndSteals(t *testing.T) {
-	tr, err := jtree.Random(jtree.RandomConfig{N: 40, Width: 6, States: 2, Degree: 3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.MaterializeRandom(8); err != nil {
-		t.Fatal(err)
-	}
-	g := taskgraph.Build(tr)
-	st, err := g.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := runStealing(st, Options{Workers: 4, Threshold: 8, Trace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Trace == nil {
-		t.Fatal("no trace recorded")
-	}
-	items := 0
-	for w, wm := range m.Workers {
-		items += wm.Tasks
-		var kinds time.Duration
-		for _, d := range wm.KindBusy {
-			kinds += d
-		}
-		if kinds != wm.Busy {
-			t.Errorf("worker %d: kind times %v != busy %v", w, kinds, wm.Busy)
-		}
-	}
-	if len(m.Trace.Events) != items {
-		t.Errorf("%d events, %d executed items", len(m.Trace.Events), items)
-	}
-	for _, e := range m.Trace.Events {
-		if e.Start < 0 || e.End < e.Start {
-			t.Errorf("event %+v has a degenerate span", e)
-		}
-	}
-	if m.Steals < 0 {
-		t.Errorf("steals %d", m.Steals)
 	}
 }

@@ -24,16 +24,7 @@
 // the same P workers: every queued item carries a pointer to its run, so
 // independent propagations interleave on the ready lists and keep all cores
 // busy under concurrent serving load (the throughput regime of Zheng &
-// Mengshoel's belief-update workloads). The one-shot Run helper preserves
-// the original spawn-per-call behavior for benchmarks that want it.
-//
-// The many-core direction of the paper's Section 8 differs from Algorithm 2
-// in the Fetch module alone, and that is all that differs here: a pool is
-// built with one of two fetch policies. A collaborative pool's worker parks
-// when its own list is empty; a stealing pool's worker (NewStealingPool)
-// first takes the tail of the heaviest other list. Allocate, Partition and
-// Execute, the metrics, the trace and the gauges are the same code under
-// both.
+// Mengshoel's belief-update workloads).
 package sched
 
 import (
@@ -84,9 +75,8 @@ type WorkerMetrics struct {
 	// time" in the paper).
 	Busy time.Duration
 	// Overhead is the time spent in the Allocate and Partition modules
-	// (lock waits included), under either fetch policy. Fetch waits, steal
-	// scans included, are not attributed: pooled workers park across
-	// unrelated runs while idle.
+	// (lock waits included). Fetch waits are not attributed: pooled workers
+	// park across unrelated runs while idle.
 	Overhead time.Duration
 	// Tasks counts executed items (tasks, pieces and combiners).
 	Tasks int
@@ -99,7 +89,7 @@ const (
 	// ExecInline: the graph ran on the calling goroutine (RunInline).
 	ExecInline = "inline"
 	// ExecPool: the graph's tasks were dispatched to worker goroutines
-	// (Pool.Run, Run).
+	// (Pool.Run).
 	ExecPool = "pool"
 )
 
@@ -112,7 +102,6 @@ type Metrics struct {
 	Tasks     int // original graph tasks completed
 	Pieces    int // partitioned pieces executed (0 when nothing was split)
 	Partition int // tasks that were partitioned
-	Steals    int // items of this run taken from another worker's list (stealing pools only)
 	// Trace is the execution timeline (nil unless Options.Trace).
 	Trace *Trace
 }
@@ -156,6 +145,41 @@ func newLocalList(g *workerGauges) *localList {
 	return l
 }
 
+func (l *localList) push(it item) {
+	l.mu.Lock()
+	l.items = append(l.items, it)
+	l.g.llAdd(1, it.weight)
+	l.mu.Unlock()
+	l.cond.Signal()
+}
+
+// fetch is the owning worker's Fetch module: it blocks until an item is
+// available or the list is stopped. Queued items are always drained before a
+// stop takes effect. fetch keeps the list's depth/weight gauges in step and
+// publishes the parked transition, but only on the slow path — the returned
+// waited flag tells the caller to republish its executing state. A worker
+// draining a hot list therefore performs no state stores at all.
+func (l *localList) fetch() (item, bool, bool) {
+	waited := false
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		if len(l.items) > 0 {
+			it := l.items[0]
+			l.items = l.items[1:]
+			l.g.llAdd(-1, -it.weight)
+			return it, true, waited
+		}
+		if l.stopped {
+			return item{}, false, waited
+		}
+		waited = true
+		l.g.state.Store(int32(WorkerParked))
+		clearLabels(l.g)
+		l.cond.Wait()
+	}
+}
+
 func (l *localList) stop() {
 	l.mu.Lock()
 	l.stopped = true
@@ -171,30 +195,17 @@ func (l *localList) stop() {
 type Pool struct {
 	lists  []*localList
 	gauges *Gauges
-	// steal is the pool's Fetch policy, fixed when the pool is built: a
-	// worker whose own list is empty takes from another list before it
-	// parks, and every push wakes one parked worker to come and do so.
-	steal  bool
 	wg     sync.WaitGroup
 	closed atomic.Bool
 }
 
 // NewPool starts workers parked goroutines and returns the pool. Close
 // releases them.
-func NewPool(workers int) (*Pool, error) { return newPool(workers, false) }
-
-// NewStealingPool is NewPool with the work-stealing fetch policy, the
-// direction the paper's Section 8 sketches for the many-core era: Allocate
-// still places a ready task on the least-loaded list, but an idle worker
-// takes the tail of the most-loaded list instead of parking, which removes
-// the idle window between a bad placement and the next allocation.
-func NewStealingPool(workers int) (*Pool, error) { return newPool(workers, true) }
-
-func newPool(workers int, steal bool) (*Pool, error) {
+func NewPool(workers int) (*Pool, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("sched: need at least 1 worker, got %d", workers)
 	}
-	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers), steal: steal}
+	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers)}
 	for i := range p.lists {
 		p.lists[i] = newLocalList(p.gauges.worker(i))
 	}
@@ -202,10 +213,11 @@ func newPool(workers int, steal bool) (*Pool, error) {
 		p.wg.Add(1)
 		go func(w int) {
 			defer p.wg.Done()
+			l := p.lists[w]
 			wg := p.gauges.worker(w)
 			executing := false
 			for {
-				it, ok, waited := p.fetch(w)
+				it, ok, waited := l.fetch()
 				if !ok {
 					wg.state.Store(int32(WorkerParked))
 					return
@@ -222,131 +234,6 @@ func newPool(workers int, steal bool) (*Pool, error) {
 		}(w)
 	}
 	return p, nil
-}
-
-// push appends an item to list slot and wakes the list's owner; on a
-// stealing pool it also wakes one parked worker, since the owner may be busy
-// inside a long primitive.
-func (p *Pool) push(slot int, it item) {
-	l := p.lists[slot]
-	l.mu.Lock()
-	l.items = append(l.items, it)
-	l.g.llAdd(1, it.weight)
-	l.mu.Unlock()
-	l.cond.Signal()
-	if p.steal {
-		p.wakeThief(slot)
-	}
-}
-
-// fetch is worker w's Fetch module: it blocks until an item is available or
-// the pool is stopped. Queued items are always drained before a stop takes
-// effect. fetch keeps the lists' depth/weight gauges in step and publishes
-// the stealing and parked transitions, but only on the slow path — the
-// returned waited flag tells the caller to republish its executing state. A
-// worker draining a hot list therefore performs no state stores at all.
-//
-// The fetch policy acts only where the worker is about to park. A stealing
-// worker parks by the handshake wakeThief relies on: it publishes the parked
-// state under its own list's lock, then looks at the other lists' gauge
-// words once more, then waits. A pusher publishes the item's gauge word
-// first and looks for parked workers second, so one of the two always sees
-// the other, and because the waker takes the parked worker's list lock its
-// signal cannot arrive before the wait began.
-func (p *Pool) fetch(w int) (item, bool, bool) {
-	l := p.lists[w]
-	g := l.g
-	waited := false
-	l.mu.Lock()
-	for {
-		if len(l.items) > 0 {
-			it := l.items[0]
-			l.items = l.items[1:]
-			g.llAdd(-1, -it.weight)
-			l.mu.Unlock()
-			return it, true, waited
-		}
-		if l.stopped {
-			l.mu.Unlock()
-			return item{}, false, waited
-		}
-		waited = true
-		if p.steal {
-			// No list lock is held while taking a victim's.
-			l.mu.Unlock()
-			if it, ok := p.stealFor(w); ok {
-				return it, true, true
-			}
-			l.mu.Lock()
-			if len(l.items) > 0 || l.stopped {
-				continue
-			}
-		}
-		g.state.Store(int32(WorkerParked))
-		if p.steal && p.victim(w) >= 0 {
-			continue
-		}
-		clearLabels(g)
-		l.cond.Wait()
-	}
-}
-
-// victim returns the heaviest non-empty list other than w's own, by the
-// lists' gauge words alone (no locks), or -1 when every other list is empty.
-func (p *Pool) victim(w int) int {
-	victim, best := -1, int64(-1)
-	for v, l := range p.lists {
-		if packed := l.g.llPacked.Load(); v != w && packed != 0 && packed&llWeightMask > best {
-			victim, best = v, packed&llWeightMask
-		}
-	}
-	return victim
-}
-
-// stealFor pops the tail of the heaviest other list for worker w, under that
-// list's own lock, and counts the steal on the run the item belongs to —
-// the victim's list interleaves every run in flight.
-func (p *Pool) stealFor(w int) (item, bool) {
-	g := p.gauges.worker(w)
-	g.state.Store(int32(WorkerStealing))
-	g.stealAttempts.Add(1)
-	v := p.victim(w)
-	if v < 0 {
-		return item{}, false
-	}
-	l := p.lists[v]
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := len(l.items)
-	if n == 0 {
-		return item{}, false // its owner, or another thief, got there first
-	}
-	it := l.items[n-1]
-	l.items = l.items[:n-1]
-	l.g.llAdd(-1, -it.weight)
-	g.steals.Add(1)
-	atomic.AddInt64(&it.r.steals, 1)
-	return it, true
-}
-
-// wakeThief wakes one parked worker other than the owner of list pushed, so
-// the item just pushed there can be stolen. The compare-and-swap claims the
-// worker, so two pushes in a row wake two different thieves.
-func (p *Pool) wakeThief(pushed int) {
-	for u, l := range p.lists {
-		if u == pushed || WorkerState(l.g.state.Load()) != WorkerParked {
-			continue
-		}
-		l.mu.Lock()
-		woke := l.g.state.CompareAndSwap(int32(WorkerParked), int32(WorkerStealing))
-		if woke {
-			l.cond.Signal()
-		}
-		l.mu.Unlock()
-		if woke {
-			return
-		}
-	}
 }
 
 // Workers returns the pool size P.
@@ -390,7 +277,6 @@ type run struct {
 	metrics  []WorkerMetrics
 	pieces   int64
 	parted   int64
-	steals   int64 // items of this run a worker took from another's list
 	start    time.Time
 	tbufs    *traceBufs // per-worker event buffers, merged lazily when tracing
 	labels   *labelSet  // pprof query/kind labels (nil when Options.QueryID == "")
@@ -441,7 +327,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	p.gauges.runStarted(g.N())
 	// Line 1 of Algorithm 2: distribute the initially ready tasks evenly.
 	for i, id := range g.Sources() {
-		p.push(i%len(p.lists), r.wholeItem(id))
+		p.lists[i%len(p.lists)].push(r.wholeItem(id))
 	}
 	<-r.done
 	// A successful run has remaining == 0; a failed one writes off its
@@ -462,7 +348,6 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		Tasks:     g.N() - int(atomic.LoadInt64(&r.remaining)),
 		Pieces:    int(atomic.LoadInt64(&r.pieces)),
 		Partition: int(atomic.LoadInt64(&r.parted)),
-		Steals:    int(atomic.LoadInt64(&r.steals)),
 	}
 	if opts.Trace {
 		tr := &Trace{Workers: len(p.lists), Total: m.Elapsed, bufs: r.tbufs}
@@ -480,18 +365,6 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		m.Trace = tr
 	}
 	return m, r.err
-}
-
-// Run executes the state's task graph with the collaborative scheduler on a
-// transient pool of opts.Workers goroutines, preserving the original
-// spawn-per-call behavior. Long-lived engines should hold a Pool instead.
-func Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
-	p, err := NewPool(opts.Workers)
-	if err != nil {
-		return nil, err
-	}
-	defer p.Close()
-	return p.Run(st, opts)
 }
 
 func (r *run) wholeItem(id int) item {
@@ -625,7 +498,7 @@ func (r *run) partition(w int, id, size, step int) {
 			// first piece, run below, has finished.
 			comb.bufs = append(comb.bufs, it.buf)
 		}
-		r.p.push(int(atomic.AddUint64(&r.rr, 1)%uint64(len(r.p.lists))), it)
+		r.p.lists[atomic.AddUint64(&r.rr, 1)%uint64(len(r.p.lists))].push(it)
 	}
 	hi := min(step, size)
 	first := item{r: r, task: id, lo: 0, hi: hi, comb: comb,
@@ -702,5 +575,5 @@ func (r *run) allocate(it item) {
 			best, bestW = i, w
 		}
 	}
-	r.p.push(best, it)
+	r.p.lists[best].push(it)
 }

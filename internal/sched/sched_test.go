@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
@@ -16,35 +14,18 @@ import (
 	"evprop/internal/taskgraph"
 )
 
-// policy is one of the pool's two fetch policies, named by its constructor.
-// Every scheduler test runs under both: Allocate, Partition and Execute are
-// one pipeline, so each assertion is a statement about either pool.
-type policy struct {
-	newPool func(workers int) (*Pool, error)
-}
+// collaborative runs a scheduler test as the subtest it reports under.
+func collaborative(t *testing.T, test func(*testing.T)) { t.Run("collaborative", test) }
 
-var policies = map[string]policy{
-	"collaborative": {NewPool},
-	"stealing":      {NewStealingPool},
-}
-
-func eachPolicy(t *testing.T, test func(*testing.T, policy)) {
-	for name, pol := range policies {
-		t.Run(name, func(t *testing.T) { test(t, pol) })
-	}
-}
-
-// run is the one-shot Run on a transient pool of this policy.
-func (pol policy) run(st taskgraph.Executor, opts Options) (*Metrics, error) {
-	p, err := pol.newPool(opts.Workers)
+// runOnce is one propagation on a transient pool of opts.Workers workers.
+func runOnce(st taskgraph.Executor, opts Options) (*Metrics, error) {
+	p, err := NewPool(opts.Workers)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close()
 	return p.Run(st, opts)
 }
-
-var runStealing = policies["stealing"].run
 
 // referenceState runs the graph serially and returns the final state.
 func referenceState(t *testing.T, g *taskgraph.Graph, ev potential.Evidence) *taskgraph.State {
@@ -85,10 +66,10 @@ func compareStates(t *testing.T, label string, ref, got *taskgraph.State, n int)
 }
 
 func TestRunMatchesSerialAcrossWorkers(t *testing.T) {
-	eachPolicy(t, testRunMatchesSerialAcrossWorkers)
+	collaborative(t, testRunMatchesSerialAcrossWorkers)
 }
 
-func testRunMatchesSerialAcrossWorkers(t *testing.T, pol policy) {
+func testRunMatchesSerialAcrossWorkers(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 30, Width: 4, States: 2, Degree: 3, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +84,7 @@ func testRunMatchesSerialAcrossWorkers(t *testing.T, pol policy) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := pol.run(st, Options{Workers: p})
+		m, err := runOnce(st, Options{Workers: p})
 		if err != nil {
 			t.Fatalf("P=%d: %v", p, err)
 		}
@@ -115,10 +96,10 @@ func testRunMatchesSerialAcrossWorkers(t *testing.T, pol policy) {
 }
 
 func TestRunMatchesSerialWithPartitioning(t *testing.T) {
-	eachPolicy(t, testRunMatchesSerialWithPartitioning)
+	collaborative(t, testRunMatchesSerialWithPartitioning)
 }
 
-func testRunMatchesSerialWithPartitioning(t *testing.T, pol policy) {
+func testRunMatchesSerialWithPartitioning(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 20, Width: 6, States: 2, Degree: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +114,7 @@ func testRunMatchesSerialWithPartitioning(t *testing.T, pol policy) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := pol.run(st, Options{Workers: 4, Threshold: thr})
+		m, err := runOnce(st, Options{Workers: 4, Threshold: thr})
 		if err != nil {
 			t.Fatalf("δ=%d: %v", thr, err)
 		}
@@ -144,9 +125,11 @@ func testRunMatchesSerialWithPartitioning(t *testing.T, pol policy) {
 	}
 }
 
-func TestRunWithEvidenceMatchesOracle(t *testing.T) { eachPolicy(t, testRunWithEvidenceMatchesOracle) }
+func TestRunWithEvidenceMatchesOracle(t *testing.T) {
+	collaborative(t, testRunWithEvidenceMatchesOracle)
+}
 
-func testRunWithEvidenceMatchesOracle(t *testing.T, pol policy) {
+func testRunWithEvidenceMatchesOracle(t *testing.T) {
 	net, ids := bayesnet.Asia()
 	tr, err := net.Compile()
 	if err != nil {
@@ -162,7 +145,7 @@ func testRunWithEvidenceMatchesOracle(t *testing.T, pol policy) {
 		if err := st.AbsorbEvidence(ev); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pol.run(st, Options{Workers: p, Threshold: 2}); err != nil {
+		if _, err := runOnce(st, Options{Workers: p, Threshold: 2}); err != nil {
 			t.Fatal(err)
 		}
 		for name, v := range ids {
@@ -184,9 +167,9 @@ func testRunWithEvidenceMatchesOracle(t *testing.T, pol policy) {
 	}
 }
 
-func TestRunRerootedMatchesOracle(t *testing.T) { eachPolicy(t, testRunRerootedMatchesOracle) }
+func TestRunRerootedMatchesOracle(t *testing.T) { collaborative(t, testRunRerootedMatchesOracle) }
 
-func testRunRerootedMatchesOracle(t *testing.T, pol policy) {
+func testRunRerootedMatchesOracle(t *testing.T) {
 	// Rerooting must not change inference results.
 	net, ids := bayesnet.Student()
 	tr, err := net.Compile()
@@ -206,7 +189,7 @@ func testRunRerootedMatchesOracle(t *testing.T, pol policy) {
 	if err := st.AbsorbEvidence(ev); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pol.run(st, Options{Workers: 4}); err != nil {
+	if _, err := runOnce(st, Options{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for name, v := range ids {
@@ -227,9 +210,9 @@ func testRunRerootedMatchesOracle(t *testing.T, pol policy) {
 	}
 }
 
-func TestRunEmptyGraph(t *testing.T) { eachPolicy(t, testRunEmptyGraph) }
+func TestRunEmptyGraph(t *testing.T) { collaborative(t, testRunEmptyGraph) }
 
-func testRunEmptyGraph(t *testing.T, pol policy) {
+func testRunEmptyGraph(t *testing.T) {
 	tr, err := jtree.Chain(1, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +225,7 @@ func testRunEmptyGraph(t *testing.T, pol policy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := pol.run(st, Options{Workers: 4})
+	m, err := runOnce(st, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +234,9 @@ func testRunEmptyGraph(t *testing.T, pol policy) {
 	}
 }
 
-func TestRunRejectsZeroWorkers(t *testing.T) { eachPolicy(t, testRunRejectsZeroWorkers) }
+func TestRunRejectsZeroWorkers(t *testing.T) { collaborative(t, testRunRejectsZeroWorkers) }
 
-func testRunRejectsZeroWorkers(t *testing.T, pol policy) {
+func testRunRejectsZeroWorkers(t *testing.T) {
 	tr, err := jtree.Chain(2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -266,14 +249,14 @@ func testRunRejectsZeroWorkers(t *testing.T, pol policy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pol.run(st, Options{Workers: 0}); err == nil {
+	if _, err := runOnce(st, Options{Workers: 0}); err == nil {
 		t.Error("accepted 0 workers")
 	}
 }
 
-func TestMetricsAccounting(t *testing.T) { eachPolicy(t, testMetricsAccounting) }
+func TestMetricsAccounting(t *testing.T) { collaborative(t, testMetricsAccounting) }
 
-func testMetricsAccounting(t *testing.T, pol policy) {
+func testMetricsAccounting(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 25, Width: 5, States: 2, Degree: 3, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +269,7 @@ func testMetricsAccounting(t *testing.T, pol policy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := pol.run(st, Options{Workers: 3, Threshold: 8})
+	m, err := runOnce(st, Options{Workers: 3, Threshold: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +294,9 @@ func testMetricsAccounting(t *testing.T, pol policy) {
 	}
 }
 
-func TestPartitionThresholdOne(t *testing.T) { eachPolicy(t, testPartitionThresholdOne) }
+func TestPartitionThresholdOne(t *testing.T) { collaborative(t, testPartitionThresholdOne) }
 
-func testPartitionThresholdOne(t *testing.T, pol policy) {
+func testPartitionThresholdOne(t *testing.T) {
 	// δ=1 forces maximal splitting; results must still be exact.
 	net, _ := bayesnet.Sprinkler()
 	tr, err := net.Compile()
@@ -326,15 +309,15 @@ func testPartitionThresholdOne(t *testing.T, pol policy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pol.run(st, Options{Workers: 2, Threshold: 1}); err != nil {
+	if _, err := runOnce(st, Options{Workers: 2, Threshold: 1}); err != nil {
 		t.Fatal(err)
 	}
 	compareStates(t, "δ=1", ref, st, tr.N())
 }
 
-func TestManyRunsStable(t *testing.T) { eachPolicy(t, testManyRunsStable) }
+func TestManyRunsStable(t *testing.T) { collaborative(t, testManyRunsStable) }
 
-func testManyRunsStable(t *testing.T, pol policy) {
+func testManyRunsStable(t *testing.T) {
 	// Repeated runs across goroutine interleavings must all agree.
 	tr, err := jtree.Random(jtree.RandomConfig{N: 16, Width: 4, States: 2, Degree: 2, Seed: 8})
 	if err != nil {
@@ -350,7 +333,7 @@ func testManyRunsStable(t *testing.T, pol policy) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pol.run(st, Options{Workers: 4, Threshold: 8}); err != nil {
+		if _, err := runOnce(st, Options{Workers: 4, Threshold: 8}); err != nil {
 			t.Fatal(err)
 		}
 		compareStates(t, "trial", ref, st, tr.N())
@@ -360,10 +343,10 @@ func testManyRunsStable(t *testing.T, pol policy) {
 // TestPartitionedRunsBitIdentical: a partitioned run leaves the same bits in
 // every clique and separator table each time it is repeated, whichever
 // workers ran its pieces and in whatever order they finished — under a fixed δ
-// and under the rule, at two and at four workers, on both pools, in both
-// semirings. The partial buffers of a cut Marginalize are combined in piece
-// order; when they were combined in completion order, about half of the
-// repeats of a sum-product run differed from the first in their last bits.
+// and under the rule, at two and at four workers, in both semirings. The
+// partial buffers of a cut Marginalize are combined in piece order; when they
+// were combined in completion order, about half of the repeats of a
+// sum-product run differed from the first in their last bits.
 func TestPartitionedRunsBitIdentical(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 12, Width: 12, States: 2, Degree: 2, Seed: 11})
 	if err != nil {
@@ -374,49 +357,47 @@ func TestPartitionedRunsBitIdentical(t *testing.T) {
 	}
 	g := taskgraph.Build(tr)
 	const runs = 40
-	for name, pol := range policies {
-		for _, workers := range []int{2, 4} {
-			pool, err := pol.newPool(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
-				for _, δ := range []int{512, ThresholdAuto} {
-					st, err := g.NewStateMode(mode)
+	for _, workers := range []int{2, 4} {
+		pool, err := NewPool(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
+			for _, δ := range []int{512, ThresholdAuto} {
+				st, err := g.NewStateMode(mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first [][]float64
+				for run := 0; run < runs; run++ {
+					st.Reset(mode)
+					m, err := pool.Run(st, Options{Threshold: δ})
 					if err != nil {
 						t.Fatal(err)
 					}
-					var first [][]float64
-					for run := 0; run < runs; run++ {
-						st.Reset(mode)
-						m, err := pool.Run(st, Options{Threshold: δ})
-						if err != nil {
-							t.Fatal(err)
+					if (δ > 0 || Split(g, workers) != nil) && (m.Partition == 0 || m.Pieces < 2*m.Partition) {
+						t.Fatalf("P=%d %v δ=%d: %d tasks cut into %d pieces", workers, mode, δ, m.Partition, m.Pieces)
+					}
+					tables := append(append([]*potential.Potential{}, st.Clique...), st.Sep...)
+					for i, p := range tables {
+						if p == nil {
+							p = &potential.Potential{} // the root has no separator
 						}
-						if (δ > 0 || Split(g, workers) != nil) && (m.Partition == 0 || m.Pieces < 2*m.Partition) {
-							t.Fatalf("%s P=%d %v δ=%d: %d tasks cut into %d pieces", name, workers, mode, δ, m.Partition, m.Pieces)
+						if run == 0 {
+							first = append(first, append([]float64(nil), p.Data...))
+							continue
 						}
-						tables := append(append([]*potential.Potential{}, st.Clique...), st.Sep...)
-						for i, p := range tables {
-							if p == nil {
-								p = &potential.Potential{} // the root has no separator
-							}
-							if run == 0 {
-								first = append(first, append([]float64(nil), p.Data...))
-								continue
-							}
-							for j, v := range p.Data {
-								if math.Float64bits(v) != math.Float64bits(first[i][j]) {
-									t.Fatalf("%s P=%d %v δ=%d: run %d table %d entry %d is %x, first run %x",
-										name, workers, mode, δ, run, i, j, math.Float64bits(v), math.Float64bits(first[i][j]))
-								}
+						for j, v := range p.Data {
+							if math.Float64bits(v) != math.Float64bits(first[i][j]) {
+								t.Fatalf("P=%d %v δ=%d: run %d table %d entry %d is %x, first run %x",
+									workers, mode, δ, run, i, j, math.Float64bits(v), math.Float64bits(first[i][j]))
 							}
 						}
 					}
 				}
 			}
-			pool.Close()
 		}
+		pool.Close()
 	}
 }
 
@@ -439,8 +420,8 @@ func TestPartitionedRunsAcrossSlicings(t *testing.T) {
 	vars, _ := tr.Variables()
 	widths := []int{0, 1, 6, 2, len(vars) / 2, 0, 3, len(vars)}
 	g := taskgraph.Build(tr)
-	eachPolicy(t, func(t *testing.T, pol policy) {
-		pool, err := pol.newPool(3)
+	collaborative(t, func(t *testing.T) {
+		pool, err := NewPool(3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,9 +478,9 @@ func TestPartitionedRunsAcrossSlicings(t *testing.T) {
 }
 
 // TestTaskErrorNamesTheTask: a failing primitive fails the run with the task
-// named in front of the cause, whichever policy fetched it.
+// named in front of the cause.
 func TestTaskErrorNamesTheTask(t *testing.T) {
-	eachPolicy(t, testTaskErrorNamesTheTask)
+	collaborative(t, testTaskErrorNamesTheTask)
 }
 
 // failingExec fails one task of a real propagation state.
@@ -516,7 +497,7 @@ func (f failingExec) Execute(id int) error {
 	return f.Executor.Execute(id)
 }
 
-func testTaskErrorNamesTheTask(t *testing.T, pol policy) {
+func testTaskErrorNamesTheTask(t *testing.T) {
 	net, _ := bayesnet.Asia()
 	tr, err := net.Compile()
 	if err != nil {
@@ -529,7 +510,7 @@ func testTaskErrorNamesTheTask(t *testing.T, pol policy) {
 	}
 	boom := errors.New("boom")
 	bad := g.N() / 2
-	_, err = pol.run(failingExec{st, bad, boom}, Options{Workers: 4})
+	_, err = runOnce(failingExec{st, bad, boom}, Options{Workers: 4})
 	if !errors.Is(err, boom) {
 		t.Fatalf("run returned %v, want the task's error", err)
 	}
@@ -543,10 +524,10 @@ func testTaskErrorNamesTheTask(t *testing.T, pol policy) {
 // error — whole tasks, partitioned ones, pool and inline — never as a nil
 // dereference on a worker. Reset makes the same state runnable again.
 func TestReleasedStateFailsTheRun(t *testing.T) {
-	eachPolicy(t, testReleasedStateFailsTheRun)
+	collaborative(t, testReleasedStateFailsTheRun)
 }
 
-func testReleasedStateFailsTheRun(t *testing.T, pol policy) {
+func testReleasedStateFailsTheRun(t *testing.T) {
 	tr, err := jtree.Random(jtree.RandomConfig{N: 20, Width: 5, States: 2, Degree: 3, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +540,7 @@ func testReleasedStateFailsTheRun(t *testing.T, pol policy) {
 	st := referenceState(t, g, nil)
 	st.ReleaseScratch()
 	for _, threshold := range []int{0, 4} {
-		if _, err := pol.run(st, Options{Workers: 3, Threshold: threshold}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+		if _, err := runOnce(st, Options{Workers: 3, Threshold: threshold}); !errors.Is(err, taskgraph.ErrScratchReleased) {
 			t.Errorf("pool run (δ=%d) of a released state returned %v", threshold, err)
 		}
 	}
@@ -567,7 +548,7 @@ func testReleasedStateFailsTheRun(t *testing.T, pol policy) {
 		t.Errorf("inline run of a released state returned %v", err)
 	}
 	st.Reset(taskgraph.SumProduct)
-	if _, err := pol.run(st, Options{Workers: 3}); err != nil {
+	if _, err := runOnce(st, Options{Workers: 3}); err != nil {
 		t.Fatal(err)
 	}
 	compareStates(t, "after Reset", ref, st, tr.N())
@@ -588,167 +569,12 @@ func testReleasedStateFailsTheRun(t *testing.T, pol policy) {
 	}
 	lst.ReleaseScratch()
 	for _, threshold := range []int{0, 4} {
-		if _, err := pol.run(lst, Options{Workers: 3, Threshold: threshold}); !errors.Is(err, taskgraph.ErrScratchReleased) {
+		if _, err := runOnce(lst, Options{Workers: 3, Threshold: threshold}); !errors.Is(err, taskgraph.ErrScratchReleased) {
 			t.Errorf("pool run (δ=%d) of a released lazy state returned %v", threshold, err)
 		}
 	}
 	if _, err := RunInline(lst, Options{Workers: 1}); !errors.Is(err, taskgraph.ErrScratchReleased) {
 		t.Errorf("inline run of a released lazy state returned %v", err)
-	}
-}
-
-// scriptedExec is a hand-built graph whose primitives are the test's own
-// code. Its tasks are never partitioned, so only Execute is reached.
-type scriptedExec struct {
-	taskgraph.Executor
-	g    *taskgraph.Graph
-	exec func(id int) error
-}
-
-func (s scriptedExec) Graph() *taskgraph.Graph { return s.g }
-func (s scriptedExec) Execute(id int) error    { return s.exec(id) }
-func (s scriptedExec) PartitionSize(int) int   { return 0 }
-
-// TestForcedStealAccounting pins Fig. 8's one definition on the policy where
-// it used to differ. Task 0 holds one worker for a while and then readies
-// eight tasks at once; their zero weights leave every W_i at zero, so
-// Allocate's argmin puts all eight on list 0, and each blocks until a second
-// one is running — which only a steal can bring about. Overhead is Allocate
-// and Partition time, so the three workers that sat parked behind task 0
-// report none of that wait; every steal is counted once on the run and once
-// on the thief's gauge.
-func TestForcedStealAccounting(t *testing.T) {
-	const (
-		fan  = 8
-		hold = 100 * time.Millisecond
-	)
-	g := &taskgraph.Graph{Tasks: make([]taskgraph.Task, 1+fan)}
-	for id := 1; id <= fan; id++ {
-		g.Tasks[0].Succs = append(g.Tasks[0].Succs, id)
-		g.Tasks[id] = taskgraph.Task{ID: id, NDeps: 1}
-	}
-	var running atomic.Int32
-	second := make(chan struct{})
-	st := scriptedExec{g: g, exec: func(id int) error {
-		if id == 0 {
-			time.Sleep(hold)
-			return nil
-		}
-		if running.Add(1) == 2 {
-			close(second)
-		}
-		select {
-		case <-second:
-			return nil
-		case <-time.After(10 * time.Second):
-			return errors.New("no other worker took a task queued on list 0")
-		}
-	}}
-	p, err := NewStealingPool(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	m, err := p.Run(st, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Tasks != g.N() || m.Steals == 0 {
-		t.Errorf("completed %d of %d tasks with %d steals", m.Tasks, g.N(), m.Steals)
-	}
-	var overhead time.Duration
-	for _, wm := range m.Workers {
-		overhead += wm.Overhead
-	}
-	if overhead >= hold/2 {
-		t.Errorf("overhead %v counts time parked behind a %v task", overhead, hold)
-	}
-	var gauge int64
-	for _, w := range p.Gauges().Snapshot().Workers {
-		gauge += w.Steals
-	}
-	if gauge != int64(m.Steals) {
-		t.Errorf("gauges count %d steals, the run %d", gauge, m.Steals)
-	}
-}
-
-func TestStealingMatchesSerial(t *testing.T) {
-	tr, err := jtree.Random(jtree.RandomConfig{N: 28, Width: 5, States: 2, Degree: 3, Seed: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.MaterializeRandom(12); err != nil {
-		t.Fatal(err)
-	}
-	g := taskgraph.Build(tr)
-	ref := referenceState(t, g, nil)
-	for _, p := range []int{1, 2, 4, 8} {
-		for _, thr := range []int{0, 16} {
-			st, err := g.NewState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := runStealing(st, Options{Workers: p, Threshold: thr})
-			if err != nil {
-				t.Fatalf("P=%d δ=%d: %v", p, thr, err)
-			}
-			if m.Tasks != g.N() {
-				t.Errorf("P=%d δ=%d: completed %d of %d", p, thr, m.Tasks, g.N())
-			}
-			compareStates(t, "stealing", ref, st, tr.N())
-		}
-	}
-}
-
-func TestStealingOracle(t *testing.T) {
-	net, ids := bayesnet.Asia()
-	tr, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := taskgraph.Build(tr)
-	ev := potential.Evidence{ids["Dysp"]: 1}
-	st, err := g.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AbsorbEvidence(ev); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runStealing(st, Options{Workers: 4, Threshold: 2}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := st.Marginal(ids["Lung"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := net.ExactMarginal(ids["Lung"], ev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want, 1e-9) {
-		t.Errorf("stealing P(Lung|e) = %v, oracle %v", got.Data, want.Data)
-	}
-}
-
-func TestStealingEmptyAndErrors(t *testing.T) {
-	tr, err := jtree.Chain(1, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.MaterializeUniform(); err != nil {
-		t.Fatal(err)
-	}
-	g := taskgraph.Build(tr)
-	st, err := g.NewState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, err := runStealing(st, Options{Workers: 3}); err != nil || m.Tasks != 0 {
-		t.Errorf("empty graph: %v, %v", m, err)
-	}
-	if _, err := runStealing(st, Options{Workers: 0}); err == nil {
-		t.Error("accepted 0 workers")
 	}
 }
 

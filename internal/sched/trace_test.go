@@ -23,7 +23,7 @@ func tracedRun(t *testing.T, workers, threshold int) *Metrics {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(st, Options{Workers: workers, Threshold: threshold, Trace: true})
+	m, err := runOnce(st, Options{Workers: workers, Threshold: threshold, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestTraceDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Run(st, Options{Workers: 2})
+	m, err := runOnce(st, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

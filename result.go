@@ -154,10 +154,9 @@ type RunMetrics struct {
 	// Workers is the number of worker columns the run reported: P for a
 	// pool run, 1 for an inline one.
 	Workers int
-	// Tasks, Pieces, Partitioned and Steals count executed items, pieces
-	// of partitioned tasks, tasks split by the Partition module, and items
-	// taken from another worker's ready list (work-stealing only).
-	Tasks, Pieces, Partitioned, Steals int
+	// Tasks, Pieces and Partitioned count executed items, pieces of
+	// partitioned tasks, and tasks split by the Partition module.
+	Tasks, Pieces, Partitioned int
 	// LoadBalance is max/mean per-worker busy time: 1.0 is perfect balance.
 	LoadBalance float64
 	// OverheadFraction is scheduling time / total worker time — the
@@ -206,7 +205,6 @@ func runMetricsFromReport(rep *obs.Report) *RunMetrics {
 		Tasks:             rep.Tasks,
 		Pieces:            rep.Pieces,
 		Partitioned:       rep.Partitioned,
-		Steals:            rep.Steals,
 		LoadBalance:       rep.LoadBalance,
 		OverheadFraction:  rep.OverheadFraction,
 		BusyPerWorker:     append([]time.Duration(nil), rep.Busy...),
