@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
+.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
 
 build:
 	$(GO) build ./...
@@ -32,17 +32,26 @@ race:
 # pooled message and partial buffers serve tables sliced on one evidence after
 # another — forty times over, without the race detector (whose slowdown hides
 # them), plus the two deterministic reproducers of the span arena's recycle
-# window and the batch of identical sub-queries that must cost exactly one
-# propagation however its goroutines interleave. A flake here is a bug, not
-# noise. CI's flake-guard job runs this target.
+# window, the batch of identical sub-queries that must cost exactly one
+# propagation however its goroutines interleave, and the executor and the bits
+# of a run that has company — held open on a channel, never timed. A flake here
+# is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestLoadAwareExecutor|TestLoadedInlineBitIdentical' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
 
 bench-serving:
 	$(GO) test -run xxx -bench 'BenchmarkConcurrentQuery|BenchmarkMutexSerializedQuery|BenchmarkCachedQuery|BenchmarkSingleflightStorm|BenchmarkPropagateSmall' -benchtime 2s -cpu 4 .
+
+# The run under load without HTTP (EXPERIMENTS.md, "The run under load"):
+# wide60 with 4 observed over never-repeating evidence, Workers {1, 2} ×
+# callers {1, 2} × cache {0, 32}; ns/op, B/op and pool_runs/op, which says
+# where the granularity rule sent the runs. 3000 operations per row, because
+# the heap behind 32 pinned results needs a few hundred misses to settle.
+bench-load:
+	$(GO) test -run xxx -bench BenchmarkPropagateWideLoad -benchtime 3000x -cpu 2 .
 
 # Per-primitive kernel timings (compiled plan vs run-only plan vs scalar,
 # median-of-5 ns/entry, on long-run shapes and on the drop-one-variable shapes

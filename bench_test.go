@@ -9,6 +9,8 @@ package evprop
 import (
 	"bytes"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"evprop/internal/baseline"
@@ -419,6 +421,56 @@ func benchmarkPropagateEvidence(b *testing.B, m evidenceModel) {
 func BenchmarkPropagateSmallEvidence(b *testing.B) { benchmarkPropagateEvidence(b, evidenceModels[0]) }
 func BenchmarkPropagateMidEvidence(b *testing.B)   { benchmarkPropagateEvidence(b, evidenceModels[1]) }
 func BenchmarkPropagateWideEvidence(b *testing.B)  { benchmarkPropagateEvidence(b, evidenceModels[2]) }
+
+// BenchmarkPropagateWideLoad is the wide-miss workload without HTTP: wide60
+// with 4 variables observed over 4 096 never-repeating evidences, from one
+// caller and from two at once, at one and at two workers, without a result
+// cache and with the benchmark's 32 pinned results. ns/op is wall time over
+// all callers' operations, so two callers that each get a core halve it.
+// pool_runs/op says which executor the granularity rule chose: at two workers
+// a lone caller's every run is the pool's (1), and with a second caller in
+// flight a run is priced at one worker and stays on its goroutine (≈ 0 — the
+// few that find the other caller between two operations still dispatch).
+// `make bench-load` runs it at -benchtime 3000x: the heap of the cached rows
+// needs a few hundred misses to reach its steady state.
+func BenchmarkPropagateWideLoad(b *testing.B) {
+	net := RandomNetwork(60, 2, 5, 7)
+	evs := benchmarkEvidence(net, 1, 4, 4096)
+	for _, workers := range []int{1, 2} {
+		for _, callers := range []int{1, 2} {
+			for _, cacheSize := range []int{0, 32} {
+				b.Run(fmt.Sprintf("P=%d/k=%d/cache=%d", workers, callers, cacheSize), func(b *testing.B) {
+					eng, err := net.Compile(Options{Workers: workers, CacheSize: cacheSize})
+					if err != nil {
+						b.Fatal(err)
+					}
+					defer eng.Close()
+					var next atomic.Int64
+					var wg sync.WaitGroup
+					b.ReportAllocs()
+					b.ResetTimer()
+					for c := 0; c < callers; c++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+								res, err := eng.Propagate(evs[i%int64(len(evs))])
+								if err != nil {
+									b.Error(err)
+									return
+								}
+								res.Close()
+							}
+						}()
+					}
+					wg.Wait()
+					b.StopTimer()
+					b.ReportMetric(float64(eng.SchedulerReport().PoolRuns)/float64(b.N), "pool_runs/op")
+				})
+			}
+		}
+	}
+}
 
 // BenchmarkAbsorb is what priming a recycled state for a query costs on the
 // same three models and widths: every table gathered from the tree at the

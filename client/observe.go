@@ -25,8 +25,9 @@ type FlightRecord struct {
 	Executor          string         `json:"executor,omitempty"` // "inline" or "pool"; empty on cached and failed records
 	Workers           int            `json:"workers"`
 	Tasks             int            `json:"tasks"`
-	Entries           int64          `json:"entries,omitempty"`       // table entries the run ranged over, sliced on its evidence
-	GraphEntries      int64          `json:"graph_entries,omitempty"` // the same task graph with nothing observed
+	Entries           int64          `json:"entries,omitempty"`           // table entries the run ranged over, sliced on its evidence
+	GraphEntries      int64          `json:"graph_entries,omitempty"`     // the same task graph with nothing observed
+	EffectiveWorkers  int            `json:"effective_workers,omitempty"` // workers ÷ runs in flight when the run started: the P the inline-or-pool rule priced it at
 	LoadBalance       float64        `json:"load_balance"`
 	SchedOverheadFrac float64        `json:"sched_overhead_fraction"`
 	Error             string         `json:"error,omitempty"`

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	evbench [-fig all|5|6|7|8|9|reroot|granularity|…]
+//	evbench [-fig all|5|6|7|8|9|reroot|granularity|load|…]
 //	evbench -trace out.json [-workers 4]
 //
 // -trace runs one real traced propagation and writes the schedule as a
@@ -27,7 +27,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 7, 8, 9, reroot, ablations, manycore, roster, real, heuristics, evidence, granularity")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 7, 8, 9, reroot, ablations, manycore, roster, real, heuristics, evidence, granularity, load")
 	tracePath := flag.String("trace", "", "run one traced propagation and write a Chrome trace_event JSON file")
 	traceWorkers := flag.Int("workers", 4, "workers for the -trace and -lazy runs")
 	lazyCmp := flag.Bool("lazy", false, "measure lazy vs eager propagation (real wall clock) on the serving workload")
@@ -56,7 +56,8 @@ func main() {
 	}
 
 	// The paper's figures are regenerated under the model of the paper's
-	// platform; only the granularity table is about the host (machine.Default).
+	// platform; the granularity table is about the host (machine.Default), the
+	// load figure about both.
 	cm := machine.Xeon()
 	run := func(name string, f func() error) {
 		if *fig != "all" && *fig != name {
@@ -191,6 +192,22 @@ func main() {
 			return err
 		}
 		r.Write(os.Stdout)
+		return nil
+	})
+	run("load", func() error {
+		for i, pl := range []struct {
+			name string
+			cm   machine.CostModel
+		}{{"Xeon", machine.Xeon()}, {"this host", machine.Default()}} {
+			r, err := experiments.Load(pl.name, pl.cm)
+			if err != nil {
+				return err
+			}
+			if i > 0 {
+				fmt.Println()
+			}
+			r.Write(os.Stdout)
+		}
 		return nil
 	})
 	run("evidence", func() error {

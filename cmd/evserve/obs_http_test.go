@@ -504,10 +504,20 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		// Only a propagation that ran ranged over tables: fewer entries than
 		// its task graph has, since one observed variable slices every table
 		// that mentions it. The access log sums the request's runs.
+		// It was priced at both of the server's workers, being the only run in
+		// flight: the requests of this test come one at a time.
 		var entries, graphEntries int64
+		effectiveWorkers, wantWorkers := 0, 0
+		if wantExecutor != "" {
+			wantWorkers = 2
+		}
 		for k, rec := range dump.Records {
 			entries += rec.Entries
 			graphEntries += rec.GraphEntries
+			effectiveWorkers += rec.EffectiveWorkers
+			if rec.EffectiveWorkers != wantWorkers {
+				t.Errorf("%s: flight record %d priced at %d workers, want %d", row.name, k, rec.EffectiveWorkers, wantWorkers)
+			}
 			if ran := wantExecutor != ""; ran != (rec.Entries > 0 && rec.Entries < rec.GraphEntries) || ran != (rec.GraphEntries > 0) {
 				t.Errorf("%s: flight record %d ranged over %d of %d entries, ran=%v", row.name, k, rec.Entries, rec.GraphEntries, ran)
 			}
@@ -562,7 +572,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			byID[sp.SpanID] = sp
 		}
 		lookups, propagates := 0, 0
-		var spanEntries, spanGraphEntries, absorbEntries float64
+		var spanEntries, spanGraphEntries, absorbEntries, spanEffective float64
 		for _, sp := range tr.Spans {
 			top := sp
 			for byID[top.ParentSpanID].SpanID != "" {
@@ -585,6 +595,11 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 				e, _ := sp.Attrs["entries"].(float64)
 				g, _ := sp.Attrs["entries.graph"].(float64)
 				spanEntries, spanGraphEntries = spanEntries+e, spanGraphEntries+g
+				w, _ := sp.Attrs["workers.effective"].(float64)
+				spanEffective += w
+				if sp.Attrs["workers"] != float64(2) {
+					t.Errorf("%s: propagate span workers=%v, want 2", row.name, sp.Attrs["workers"])
+				}
 			}
 			if sp.Name == "absorb" {
 				e, _ := sp.Attrs["entries"].(float64)
@@ -594,6 +609,9 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		if int64(spanEntries) != entries || int64(spanGraphEntries) != graphEntries || int64(absorbEntries) != entries {
 			t.Errorf("%s: propagate spans say %v of %v entries, absorb spans %v, the flight records %d of %d",
 				row.name, spanEntries, spanGraphEntries, absorbEntries, entries, graphEntries)
+		}
+		if int(spanEffective) != effectiveWorkers {
+			t.Errorf("%s: propagate spans were priced at %v workers in all, the flight records at %d", row.name, spanEffective, effectiveWorkers)
 		}
 		wantPropagates := 0
 		if wantExecutor != "" {

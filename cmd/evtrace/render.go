@@ -145,7 +145,7 @@ func spanExtras(sp evclient.TraceSpan) string {
 			parts = append(parts, k+"="+v)
 		}
 	}
-	for _, k := range []string{"tasks", "workers", "evidence.vars", "batch.index", "http.status"} {
+	for _, k := range []string{"tasks", "workers", "workers.effective", "evidence.vars", "batch.index", "http.status"} {
 		if v, ok := attrs[k].(float64); ok {
 			parts = append(parts, fmt.Sprintf("%s=%d", k, int64(v)))
 		}

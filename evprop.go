@@ -434,7 +434,7 @@ func (e *Engine) WriteSchedulerMetrics(w io.Writer, prefix string) {
 // its current state, the depth and weight counter of its local ready list,
 // and its lifetime execution and partition counters.
 type WorkerGauges struct {
-	// State is "executing", "fetching", "parked" or "idle".
+	// State is "executing" or "parked".
 	State string `json:"state"`
 	// QueueDepth and QueueWeight describe the worker's local ready list:
 	// queued item count and the paper's W_i weight counter.

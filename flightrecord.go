@@ -59,6 +59,13 @@ type FlightRecord struct {
 	// the model this query had to touch. Omitted (0) on cached records.
 	Entries      int64 `json:"entries,omitempty"`
 	GraphEntries int64 `json:"graph_entries,omitempty"`
+	// EffectiveWorkers is the worker count the granularity rule priced the run
+	// at: the engine's workers divided by the scheduler runs in flight in the
+	// process when it started, itself included, at least 1. Equal to the
+	// engine's workers when the run was alone; 1 means every core had a query
+	// of its own, and the run stayed on its caller's goroutine. Omitted (0) on
+	// cached records.
+	EffectiveWorkers int `json:"effective_workers,omitempty"`
 	// LoadBalance and SchedOverheadFrac are the run's Fig. 8 gauges.
 	LoadBalance       float64 `json:"load_balance"`
 	SchedOverheadFrac float64 `json:"sched_overhead_fraction"`
@@ -217,6 +224,7 @@ func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
 		ElapsedUsec:      usec(r.Elapsed),
 		Entries:          r.Entries,
 		GraphEntries:     r.GraphEntries,
+		EffectiveWorkers: r.EffectiveWorkers,
 		Error:            r.Err,
 		Slow:             r.Slow,
 		Cached:           r.Cached,

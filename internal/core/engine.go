@@ -78,9 +78,11 @@ func ParseScheduler(name string) (Scheduler, error) {
 // Options configures an Engine.
 type Options struct {
 	// Workers is the number of worker goroutines P. 0 selects GOMAXPROCS.
-	// Graphs whose mean task is cheaper than one dispatch at this P run on
-	// the calling goroutine instead (sched.Inline); with one worker that is
-	// every graph.
+	// A run whose mean task is cheaper than one dispatch at its share of them
+	// — P divided by the scheduler runs in flight in the process, itself
+	// included (sched.EnterRun) — runs on the calling goroutine instead
+	// (sched.InlineWeight); with one worker that is every run, and under
+	// enough load too.
 	Workers int
 	// Scheduler selects the execution strategy (default Collaborative).
 	Scheduler Scheduler
@@ -497,7 +499,8 @@ func (e *Engine) newRecord(ctx context.Context, name string, mode taskgraph.Mode
 func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st runState) error {
 	rec.Entries, rec.GraphEntries = runEntries(st)
 	start := time.Now()
-	m, err := e.runScheduler(ctx, rec.ID, st, float64(rec.Entries))
+	m, peff, err := e.runScheduler(ctx, rec.ID, st, float64(rec.Entries))
+	rec.EffectiveWorkers = peff
 	rec.Time = time.Now()
 	rec.Elapsed = rec.Time.Sub(start)
 	var tr *sched.Trace
@@ -539,14 +542,16 @@ func runEntries(st runState) (entries, graph int64) {
 }
 
 // endRunSpan closes a run's span with what its record says: the failure, the
-// table entries it ranged over, the executor that ran it and the task count
-// plus coarse per-task-kind child spans synthesized from the report's per-kind
-// busy totals (no extra hot-path clocking), and the lazy pruning counters.
+// table entries it ranged over, the workers it was priced at, the executor that
+// ran it and the task count plus coarse per-task-kind child spans synthesized
+// from the report's per-kind busy totals (no extra hot-path clocking), and the
+// lazy pruning counters.
 func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 	if rec.Err != "" {
 		psp.Fail(rec.Err)
 	}
-	psp.SetAttr(otrace.Int("entries", rec.Entries), otrace.Int("entries.graph", rec.GraphEntries))
+	psp.SetAttr(otrace.Int("entries", rec.Entries), otrace.Int("entries.graph", rec.GraphEntries),
+		otrace.Int("workers.effective", int64(rec.EffectiveWorkers)))
 	if rep := rec.Report; rep != nil {
 		psp.SetAttr(otrace.String("executor", rep.Executor), otrace.Int("tasks", int64(rep.Tasks)))
 		for k, d := range rep.KindBusy {
@@ -567,19 +572,28 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 	psp.End()
 }
 
-// runScheduler executes the state's graph and returns the run's metrics.
-// This is the one place the execution path is chosen, so sum-product,
-// max-product and every pruned lazy plan get the same rule: a run whose mean
-// task is cheaper than one dispatch at this engine's P (sched.InlineWeight,
-// over weight — the run's table entries as sliced on its evidence, so a
-// heavily observed query of a graph that dispatches at the full domain stays
-// on its goroutine), every graph of a Serial engine, and every graph of a
-// closed engine, runs on the calling goroutine; the rest go to the engine's
-// worker pool.
+// runScheduler executes the state's graph and returns the run's metrics and
+// the workers it was priced at. This is the one place the execution path is
+// chosen, so sum-product, max-product and every pruned lazy plan get the same
+// rule, asked twice of weight — the run's table entries as sliced on its
+// evidence, so a heavily observed query of a graph that dispatches at the full
+// domain stays on its goroutine.
+//
+// Asked at the engine's P, sched.InlineWeight says what the run computes: a
+// run worth dispatching alone is partitioned as the pool partitions it,
+// wherever it executes; one that is not, and every run of a Serial engine,
+// runs whole. Asked at peff — P over the runs in flight in the process, this
+// one included (sched.EnterRun) — it says where: such a run goes to the
+// engine's worker pool while its share of the workers still pays for the
+// dispatch, and otherwise (or once the engine is closed) stays on the calling
+// goroutine, which replays the pool's partition one piece after another. Load
+// therefore moves a run between executors and never moves a bit of its answer.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
-func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, weight float64) (*sched.Metrics, error) {
+func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, weight float64) (*sched.Metrics, int, error) {
 	e.propagations.Add(1)
+	peff := sched.EnterRun(e.opts.Workers)
+	defer sched.LeaveRun()
 	if !e.opts.PprofLabels {
 		queryID = "" // sched uses the ID only for labels; drop it at zero cost
 	}
@@ -595,14 +609,22 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		Ctx:       ctx,
 		QueryID:   queryID,
 	}
-	if e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(weight, st.Graph().N(), e.opts.Workers)) {
+	n := st.Graph().N()
+	// worth: the pool would take this run if it were alone.
+	worth := e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(weight, n, e.opts.Workers))
+	if worth && (e.opts.ForceDispatch || !sched.InlineWeight(weight, n, peff)) {
 		if p := e.workerPool(); p != nil {
-			return p.Run(st, opts)
+			m, err := p.Run(st, opts)
+			return m, peff, err
 		}
+	}
+	if !worth {
+		opts.Threshold = 0 // never the pool's: no partition to replay
 	}
 	e.inlineActive.Add(1)
 	defer e.inlineActive.Add(-1)
-	return sched.RunInline(st, opts)
+	m, err := sched.RunInline(st, opts)
+	return m, peff, err
 }
 
 // Release recycles the result's propagation state into the engine's pool.

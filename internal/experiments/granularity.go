@@ -56,22 +56,20 @@ func fixedDelta(t *jtree.Tree) int {
 	return (max(2*total/t.N(), sched.DispatchEntries) + 7) / 8 * 8
 }
 
-// Granularity evaluates sched.Inline and sched.Split on the load benchmark's
-// three generated models and on the paper's three junction trees (Fig. 7)
-// across core counts, and simulates the collaborative scheduler on the same
-// graphs under the three partitioning policies, so both rules can be read
-// against the machine model their constants are taken from. The fixed δ is
-// fixedDelta for the benchmark models and the harness's autoThreshold for the
-// paper's trees.
-func Granularity(cm machine.CostModel) (*GranularityResult, error) {
-	type model struct {
-		name string
-		g    *taskgraph.Graph
-		δ    int
-	}
-	var models []model
-	// The benchmark's models (benchmark/spec.go), compiled the way the engine
-	// does: junction tree, then rerooted at the clique Algorithm 1 selects.
+// granularityModel is one task graph of the granularity and load tables with
+// the fixed δ it is compared at.
+type granularityModel struct {
+	name string
+	g    *taskgraph.Graph
+	δ    int
+}
+
+// granularityModels builds the six graphs both tables range over: the load
+// benchmark's three generated models (benchmark/spec.go), compiled the way the
+// engine does — junction tree, then rerooted at the clique Algorithm 1 selects
+// — and the paper's three junction trees.
+func granularityModels() ([]granularityModel, error) {
+	var models []granularityModel
 	for _, m := range []struct {
 		name              string
 		nodes, maxParents int
@@ -85,7 +83,7 @@ func Granularity(cm machine.CostModel) (*GranularityResult, error) {
 				return nil, err
 			}
 		}
-		models = append(models, model{m.name, taskgraph.Build(tr), fixedDelta(tr)})
+		models = append(models, granularityModel{m.name, taskgraph.Build(tr), fixedDelta(tr)})
 	}
 	for _, m := range []struct {
 		name string
@@ -95,7 +93,22 @@ func Granularity(cm machine.CostModel) (*GranularityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		models = append(models, model{m.name, g, int(autoThreshold(g))})
+		models = append(models, granularityModel{m.name, g, int(autoThreshold(g))})
+	}
+	return models, nil
+}
+
+// Granularity evaluates sched.Inline and sched.Split on the load benchmark's
+// three generated models and on the paper's three junction trees (Fig. 7)
+// across core counts, and simulates the collaborative scheduler on the same
+// graphs under the three partitioning policies, so both rules can be read
+// against the machine model their constants are taken from. The fixed δ is
+// fixedDelta for the benchmark models and the harness's autoThreshold for the
+// paper's trees.
+func Granularity(cm machine.CostModel) (*GranularityResult, error) {
+	models, err := granularityModels()
+	if err != nil {
+		return nil, err
 	}
 	out := &GranularityResult{}
 	for _, m := range models {

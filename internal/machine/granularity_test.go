@@ -75,3 +75,40 @@ func TestPartitionRuleMatchesSimulator(t *testing.T) {
 		t.Fatalf("%d rows left whole, %d cut: the table no longer exercises both verdicts", whole, cut)
 	}
 }
+
+// TestLoadRuleMatchesSimulator: on every row of the load figure — k runs in
+// flight on P cores, under the paper's platform and under this host's model —
+// pricing each run at ⌊P/k⌋ workers is within 5 % of the better of dispatching
+// every run and dispatching none, and the figure exercises both verdicts on
+// both sides of k = P. (The rows come from the experiment `evbench -fig load`
+// prints, so the figure and this test cannot drift apart.)
+func TestLoadRuleMatchesSimulator(t *testing.T) {
+	for _, pl := range []struct {
+		name string
+		cm   machine.CostModel
+	}{{"Xeon", machine.Xeon()}, {"this host", machine.Default()}} {
+		r, err := experiments.Load(pl.name, pl.cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != 5*3*5 {
+			t.Fatalf("%s: %d rows, want 5 models × 3 core counts × 5 loads", pl.name, len(r.Rows))
+		}
+		moved := 0 // rows where load changed the verdict the run would get alone
+		for _, row := range r.Rows {
+			if best := max(row.Pool, row.AllInline); row.Rule < 0.95*best {
+				t.Errorf("%s %s P=%d k=%d: priced at %d workers the rule says inline=%v for %.1f/s; always pool %.1f/s, always inline %.1f/s",
+					pl.name, row.Model, row.Workers, row.Runs, row.EffectiveWorkers, row.Inline, row.Rule, row.Pool, row.AllInline)
+			}
+			if row.Runs >= row.Workers && !row.Inline {
+				t.Errorf("%s %s P=%d k=%d: a run with no worker to spare is dispatched", pl.name, row.Model, row.Workers, row.Runs)
+			}
+			if row.Inline && row.AllInline > 1.05*row.Pool {
+				moved++
+			}
+		}
+		if moved < 10 {
+			t.Errorf("%s: load-aware beats always-pool by 5 %% on %d rows only: the figure no longer shows what the rule is for", pl.name, moved)
+		}
+	}
+}

@@ -147,6 +147,46 @@ func SimulateCollaborativeOpts(g *taskgraph.Graph, p int, cm CostModel, opts Col
 	return s.run()
 }
 
+// SimulateConcurrent runs k propagations of g at once on one collaborative pool
+// of P cores — what a server does with k queries in flight when every one of
+// them is dispatched. The k runs are the disjoint union of k copies of the
+// graph: every copy's sources are handed out at time zero and its tasks
+// interleave with the other copies' on the cores' queues, as the items of
+// concurrent runs do on a sched.Pool's ready lists. Makespan is when the last
+// copy finishes, so k/Makespan is the throughput of k callers in a closed loop.
+// opts.Pieces, when set, is the verdict for one copy and applies to each.
+func SimulateConcurrent(g *taskgraph.Graph, k, p int, cm CostModel, opts CollabOptions) (*Result, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("machine: need k >= 1 runs, got %d", k)
+	}
+	n := g.N()
+	union := &taskgraph.Graph{Tree: g.Tree, Tasks: make([]taskgraph.Task, 0, k*n)}
+	var pieces []int32
+	for c := 0; c < k; c++ {
+		for _, t := range g.Tasks {
+			t.ID += c * n
+			succs := make([]int, len(t.Succs))
+			for i, s := range t.Succs {
+				succs[i] = s + c*n
+			}
+			t.Succs = succs
+			union.Tasks = append(union.Tasks, t)
+		}
+		pieces = append(pieces, opts.Pieces...)
+	}
+	opts.Pieces = pieces
+	return SimulateCollaborativeOpts(union, p, cm, opts)
+}
+
+// ConcurrentInlineTime is the makespan of the same k propagations with no
+// scheduler at all: each runs start to finish on a core of its own, min(k, P)
+// of them at a time, so ⌈k/P⌉ rounds of SerialTime — inflated, as every
+// simulated primitive is, by the memory load of the cores streaming beside it.
+func ConcurrentInlineTime(g *taskgraph.Graph, k, p int, cm CostModel) float64 {
+	rounds := (k + p - 1) / p
+	return float64(rounds) * cm.loadedService(g.TotalWeight(), min(k, p))
+}
+
 // SimulateCentralized runs the Cell-BE-style centralized scheduler: core 0
 // is a dedicated dispatcher through which every allocation serializes, and
 // only cores 1..P-1 execute primitives.

@@ -29,19 +29,13 @@ const (
 	// WorkerParked: blocked on its empty local list (workers park between
 	// runs).
 	WorkerParked WorkerState = iota
-	// WorkerFetching: popping the head of its local ready list.
-	WorkerFetching
 	// WorkerExecuting: inside a node-level primitive (or a piece of one).
 	WorkerExecuting
-	// WorkerIdle: started but not yet fetched anything.
-	WorkerIdle
 )
 
 var workerStateNames = [...]string{
 	WorkerParked:    "parked",
-	WorkerFetching:  "fetching",
 	WorkerExecuting: "executing",
-	WorkerIdle:      "idle",
 }
 
 func (s WorkerState) String() string {

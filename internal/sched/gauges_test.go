@@ -175,9 +175,7 @@ func testGaugesFailedRunWritesOff(t *testing.T) {
 func TestWorkerStateStrings(t *testing.T) {
 	cases := map[WorkerState]string{
 		WorkerParked:    "parked",
-		WorkerFetching:  "fetching",
 		WorkerExecuting: "executing",
-		WorkerIdle:      "idle",
 		WorkerState(99): "unknown",
 	}
 	for st, want := range cases {

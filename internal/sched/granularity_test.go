@@ -220,8 +220,8 @@ func TestRunInlineIsRunSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Workers and Threshold are a pool's business: inline ignores both.
-	m, err := RunInline(st, Options{Workers: 8, Threshold: 8, Trace: true})
+	// Threshold 0: every task whole, whatever pool the caller has in mind.
+	m, err := RunInline(st, Options{Workers: 8, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,24 +6,37 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"evprop/internal/potential"
 	"evprop/internal/taskgraph"
 )
 
 // RunInline executes the state's task graph on the calling goroutine, in the
-// graph's cached topological order — task for task the arithmetic of
-// Executor.RunSerial, so the potentials afterwards are bit-identical to the
-// serial reference. It is what a run costs when nothing is scheduled: no
-// per-run bookkeeping beyond the metrics, no dependency counters, no ready
-// lists, no hand-off to another goroutine. Engines take this path when
-// Inline says the graph's tasks are cheaper than their dispatch.
+// graph's cached topological order. It is what a run costs when nothing is
+// scheduled: no per-run bookkeeping beyond the metrics, no dependency counters,
+// no ready lists, no hand-off to another goroutine. Engines take this path when
+// InlineWeight says the run's tasks are cheaper than their dispatch at the
+// workers it can count on — all of them when it is alone, its share of them
+// under load (EnterRun).
+//
+// With opts.Threshold zero every task runs whole — task for task the
+// arithmetic of Executor.RunSerial, so the potentials afterwards are
+// bit-identical to the serial reference. With any other Threshold the run
+// replays the partition verdict a pool of opts.Workers would apply to the same
+// state (cut: Split under ThresholdAuto, the snapped δ under a fixed one): a
+// cut task is executed as the pool executes it, piece by piece — for a
+// Marginalize the first into the task's destination, the rest into partial
+// buffers that Combine folds in piece order — only one piece after another.
+// A partitioned sum is associated differently from a whole one, so this is
+// what makes the potentials bit-identical to the pool's instead: a run that
+// load moved off the workers computes what it would have computed on them.
 //
 // The observable surface matches a one-worker scheduled run: opts.Ctx is
 // polled at every task boundary, the returned Metrics hold one worker's
 // Busy, KindBusy and Tasks (one clock read per boundary, so Busy is the whole
-// run and Overhead is zero), opts.Trace records the timeline into the same
-// recycled buffers, and opts.QueryID labels the calling goroutine for the
-// duration of the run. Threshold and Workers are ignored: nothing is
-// partitioned and there are no workers to observe.
+// run and Overhead is zero) with Pieces and Partition counted as the pool
+// counts them, opts.Trace records the timeline — one event per task, cut or
+// not — into the same recycled buffers, and opts.QueryID labels the calling
+// goroutine for the duration of the run.
 //
 // A failed or cancelled run returns at the task where it stopped. Nothing
 // else touches the state, the metrics or the trace afterwards, but the
@@ -40,6 +53,9 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	if opts.Trace {
 		tbufs = getTraceBufs(1)
 	}
+	// A zero Threshold cuts nothing and costs the loop one test per task.
+	c := newCut(g, opts.Threshold, opts.Workers)
+	var bufs []*potential.Potential // partial buffers of the task being cut
 	labels := newLabelSet(opts.Ctx, opts.QueryID)
 	labelled := taskgraph.Kind(-1) // kind whose labels the goroutine carries
 	if labels != nil {
@@ -62,7 +78,16 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 			pprof.SetGoroutineLabels(labels.kindCtx[kind])
 			labelled = kind
 		}
-		err = st.Execute(id)
+		size, step := 0, 0
+		if !c.none() {
+			size, step = c.step(st, id)
+		}
+		if step == 0 {
+			err = st.Execute(id)
+		} else {
+			m.Partition++
+			bufs, err = executeCut(st, id, size, step, bufs[:0], &m.Pieces)
+		}
 		now := time.Now()
 		d := now.Sub(prev)
 		wm.Busy += d
@@ -88,4 +113,26 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		}
 	}
 	return m, err
+}
+
+// executeCut runs task id as Pool.partition lays it out — pieces of step
+// entries over [0, size), the first writing the task's destination, each later
+// one a partial buffer of its own, then the combining subtask over the buffers
+// in piece order — on the calling goroutine, one piece after another. bufs is
+// the caller's scratch slice for the buffers, returned for reuse; pieces counts
+// the pieces executed.
+func executeCut(st taskgraph.Executor, id, size, step int, bufs []*potential.Potential, pieces *int) ([]*potential.Potential, error) {
+	for lo := 0; lo < size; lo += step {
+		var buf *potential.Potential
+		if lo > 0 {
+			if buf = st.NewPartialBuffer(id); buf != nil {
+				bufs = append(bufs, buf)
+			}
+		}
+		*pieces++
+		if err := st.ExecutePiece(id, lo, min(lo+step, size), buf); err != nil {
+			return bufs, err
+		}
+	}
+	return bufs, st.Combine(id, bufs)
 }

@@ -41,12 +41,13 @@ import (
 // Options configures a collaborative-scheduler run.
 type Options struct {
 	// Workers is the number of worker goroutines P (≥1). Pool.Run ignores
-	// it in favor of the pool's own size.
+	// it in favor of the pool's own size; RunInline has no workers and reads
+	// it as the P whose ThresholdAuto verdict it replays.
 	Workers int
 	// Threshold is δ: a task whose partitionable table has more entries
 	// than this is split into pieces of δ entries, the paper's fixed rule.
 	// 0 disables task partitioning (as in the paper's Fig. 5 experiments);
-	// ThresholdAuto splits what Split decides for this graph on this pool.
+	// ThresholdAuto splits what Split decides for this graph at P workers.
 	Threshold int
 	// Trace records a per-worker execution timeline in Metrics.Trace
 	// (small constant overhead per executed item).
@@ -260,7 +261,7 @@ type run struct {
 	g         *taskgraph.Graph
 	opts      Options
 	ctx       context.Context
-	split     []int32 // Split's piece counts under ThresholdAuto, nil: nothing is cut
+	cut       cut // which tasks are partitioned, and how finely
 	deps      []int32
 	p         *Pool // the lists the run's items queue on, and their gauges
 	remaining int64 // original tasks not yet complete
@@ -308,9 +309,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		metrics:   make([]WorkerMetrics, len(p.lists)),
 		done:      make(chan struct{}),
 		labels:    newLabelSet(opts.Ctx, opts.QueryID),
-	}
-	if opts.Threshold < 0 {
-		r.split = Split(g, len(p.lists))
+		cut:       newCut(g, opts.Threshold, len(p.lists)),
 	}
 	start := time.Now()
 	r.start = start
@@ -398,7 +397,7 @@ func (r *run) process(w int, it item) {
 	switch {
 	case it.comb == nil:
 		// Lines 12–18: partition large tasks, execute small ones whole.
-		if size, step := r.pieceStep(it.task); step > 0 {
+		if size, step := r.cut.step(r.st, it.task); step > 0 {
 			r.partition(w, it.task, size, step)
 			return
 		}
@@ -454,21 +453,41 @@ func (r *run) execute(w int, it item) bool {
 	return false
 }
 
-// pieceStep is the Partition module's test (line 12): it returns the task's
+// cut is a run's partition verdict: a fixed δ, or Split's piece counts for the
+// graph at P workers under ThresholdAuto. It is a function of (graph,
+// threshold, P) alone, so the pool that applies it and an inline run that
+// replays it (RunInline) cut the same tasks at the same entries.
+type cut struct {
+	g     *taskgraph.Graph
+	δ     int     // > 0: every task larger than δ goes into pieces of δ
+	split []int32 // per-task piece counts, nil: Split cuts nothing
+}
+
+func newCut(g *taskgraph.Graph, threshold, workers int) cut {
+	if threshold < 0 {
+		return cut{g: g, split: Split(g, workers)}
+	}
+	return cut{g: g, δ: threshold}
+}
+
+// none reports a verdict that leaves every task whole.
+func (c cut) none() bool { return c.δ == 0 && c.split == nil }
+
+// step is the Partition module's test (line 12): it returns the task's
 // partitionable size and the piece length it is to be cut into, 0 when it
 // runs whole. Under a fixed δ every task larger than δ is cut into pieces of
 // δ; under ThresholdAuto the tasks Split names are cut into that many equal
 // pieces. Either length is snapped to the task's kernel grain.
-func (r *run) pieceStep(id int) (size, step int) {
-	switch δ := r.opts.Threshold; {
-	case δ > 0:
-		if size = r.st.PartitionSize(id); size > δ {
-			step = snapStep(δ, r.g.Tasks[id].Grain)
+func (c cut) step(st taskgraph.Executor, id int) (size, step int) {
+	switch {
+	case c.δ > 0:
+		if size = st.PartitionSize(id); size > c.δ {
+			step = snapStep(c.δ, c.g.Tasks[id].Grain)
 		}
-	case r.split != nil && r.split[id] > 1:
-		size = r.st.PartitionSize(id)
-		n := int(r.split[id])
-		if step = snapStep((size+n-1)/n, r.g.Tasks[id].Grain); step >= size {
+	case c.split != nil && c.split[id] > 1:
+		size = st.PartitionSize(id)
+		n := int(c.split[id])
+		if step = snapStep((size+n-1)/n, c.g.Tasks[id].Grain); step >= size {
 			step = 0 // snapping left one piece
 		}
 	}
