@@ -32,12 +32,13 @@ race:
 # pooled message and partial buffers serve tables sliced on one evidence after
 # another — forty times over, without the race detector (whose slowdown hides
 # them), plus the two deterministic reproducers of the span arena's recycle
-# window, the batch of identical sub-queries that must cost exactly one
-# propagation however its goroutines interleave, and the executor and the bits
-# of a run that has company — held open on a channel, never timed. A flake here
-# is a bug, not noise. CI's flake-guard job runs this target.
+# window, the admission contract — a batch or a herd of identical queries on a
+# never-seen signature costs exactly two propagations however its goroutines
+# interleave, one on a seen signature, none on a cached one — and the executor
+# and the bits of a run that has company — held open on a channel, never timed.
+# A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestLoadAwareExecutor|TestLoadedInlineBitIdentical' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -48,8 +49,9 @@ bench-serving:
 # The run under load without HTTP (EXPERIMENTS.md, "The run under load"):
 # wide60 with 4 observed over never-repeating evidence, Workers {1, 2} ×
 # callers {1, 2} × cache {0, 32}; ns/op, B/op and pool_runs/op, which says
-# where the granularity rule sent the runs. 3000 operations per row, because
-# the heap behind 32 pinned results needs a few hundred misses to settle.
+# where the granularity rule sent the runs. Every query is the first sight of
+# its evidence, so the cache=32 rows pin nothing and must read as the cache=0
+# rows do. 3000 operations per row, the count EXPERIMENTS.md's tables used.
 bench-load:
 	$(GO) test -run xxx -bench BenchmarkPropagateWideLoad -benchtime 3000x -cpu 2 .
 
@@ -218,8 +220,9 @@ smoke-replay:
 # sampled W3C traceparent and drive three identical queries through /v1/batch,
 # fetch the kept trace back over /v1/debug/trace, and assert the span tree:
 # the caller's trace ID and parent span survived, absorb ran before
-# propagate, every sub-query has its batch.item span, and the three cost one
-# propagate span — the other two are singleflight waiters or cache hits.
+# propagate, every sub-query has its batch.item span, and the three cost two
+# propagate spans — the signature's first sight, outside the singleflight, and
+# the one that is cached; the third is a singleflight waiter or a cache hit.
 smoke-trace:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evtrace-smoke ./cmd/evtrace

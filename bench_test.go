@@ -425,14 +425,15 @@ func BenchmarkPropagateWideEvidence(b *testing.B)  { benchmarkPropagateEvidence(
 // BenchmarkPropagateWideLoad is the wide-miss workload without HTTP: wide60
 // with 4 variables observed over 4 096 never-repeating evidences, from one
 // caller and from two at once, at one and at two workers, without a result
-// cache and with the benchmark's 32 pinned results. ns/op is wall time over
+// cache and with the benchmark's 32-entry one — which pins nothing here, every
+// query being the first sight of its evidence, so the cache=32 rows must read
+// as the cache=0 rows do. ns/op is wall time over
 // all callers' operations, so two callers that each get a core halve it.
 // pool_runs/op says which executor the granularity rule chose: at two workers
 // a lone caller's every run is the pool's (1), and with a second caller in
 // flight a run is priced at one worker and stays on its goroutine (≈ 0 — the
 // few that find the other caller between two operations still dispatch).
-// `make bench-load` runs it at -benchtime 3000x: the heap of the cached rows
-// needs a few hundred misses to reach its steady state.
+// `make bench-load` runs it at -benchtime 3000x.
 func BenchmarkPropagateWideLoad(b *testing.B) {
 	net := RandomNetwork(60, 2, 5, 7)
 	evs := benchmarkEvidence(net, 1, 4, 4096)

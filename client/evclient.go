@@ -397,13 +397,14 @@ type Stats struct {
 
 // CacheCounters is the default model's result-cache block in Stats.
 type CacheCounters struct {
-	Enabled   bool  `json:"enabled"`
-	Capacity  int   `json:"capacity"`
-	Entries   int   `json:"entries"`
-	Bytes     int64 `json:"bytes"`
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Collapsed int64 `json:"collapsed"`
+	Enabled    bool  `json:"enabled"`
+	Capacity   int   `json:"capacity"`
+	Entries    int   `json:"entries"`
+	Bytes      int64 `json:"bytes"`
+	Hits       int64 `json:"hits"`
+	Misses     int64 `json:"misses"`
+	Collapsed  int64 `json:"collapsed"`
+	FirstSight int64 `json:"first_sight"`
 }
 
 // ModelStatsInline is one model's row inside Stats.Models.

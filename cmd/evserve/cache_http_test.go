@@ -11,24 +11,28 @@ import (
 )
 
 // Server-level tests of the caching layer: repeated-evidence queries hit the
-// engine's result cache, the counters surface in /v1/stats and /v1/metrics,
-// and identical /v1/batch sub-queries collapse into one propagation.
+// engine's result cache from the third on (a result is admitted on the second
+// sight of its evidence), the counters surface in /v1/stats and /v1/metrics,
+// and identical /v1/batch sub-queries collapse into two propagations.
 
 func TestQueryCacheHitCounters(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
 	req := queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}
-	var first, second queryResponse
+	var first, second, third queryResponse
 	decode(t, post(t, ts.URL+"/v1/query", req), &first)
 	decode(t, post(t, ts.URL+"/v1/query", req), &second)
-	if first.Posteriors["Lung"][1] != second.Posteriors["Lung"][1] {
-		t.Errorf("cached posterior %v differs from fresh %v", second.Posteriors, first.Posteriors)
+	decode(t, post(t, ts.URL+"/v1/query", req), &third)
+	for _, later := range []queryResponse{second, third} {
+		if math.Float64bits(first.Posteriors["Lung"][1]) != math.Float64bits(later.Posteriors["Lung"][1]) {
+			t.Errorf("posterior %v differs from the first sight's %v", later.Posteriors, first.Posteriors)
+		}
 	}
 	cs := srv.defaultEngine().CacheStats()
-	if !cs.Enabled || cs.Hits < 1 {
-		t.Fatalf("CacheStats = %+v, want enabled with ≥1 hit", cs)
+	if !cs.Enabled || cs.Hits != 1 || cs.Misses != 2 || cs.FirstSight != 1 {
+		t.Fatalf("CacheStats = %+v, want enabled with 1 hit, 2 misses, 1 first sight", cs)
 	}
-	if got := srv.defaultEngine().Stats().Propagations; got != 1 {
-		t.Errorf("Propagations = %d, want 1 (second query must be a cache hit)", got)
+	if got := srv.defaultEngine().Stats().Propagations; got != 2 {
+		t.Errorf("Propagations = %d, want 2 (third query must be a cache hit)", got)
 	}
 
 	var st statsResponse
@@ -38,7 +42,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	decode(t, resp, &st)
-	if !st.Cache.Enabled || st.Cache.Hits < 1 || st.Cache.Entries != 1 {
+	if !st.Cache.Enabled || st.Cache.Hits != 1 || st.Cache.FirstSight != 1 || st.Cache.Entries != 1 {
 		t.Errorf("stats cache block = %+v", st.Cache)
 	}
 	// -cache-size 64 is four entries in each of 16 shards; one entry pins one
@@ -70,6 +74,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 		"evprop_cache_hits_total",
 		"evprop_cache_misses_total",
 		"evprop_cache_collapsed_total",
+		"evprop_cache_first_sight_total 1\n",
 		"evprop_cache_entries",
 		"evprop_cache_bytes",
 		"evprop_window_cache_hit_rate",
@@ -83,24 +88,27 @@ func TestQueryCacheHitCounters(t *testing.T) {
 func TestCachedFlightRecord(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
 	req := queryRequest{Evidence: evprop.Evidence{"Smoke": 1}, Query: []string{"Lung"}}
-	post(t, ts.URL+"/v1/query", req)
-	post(t, ts.URL+"/v1/query", req)
+	for i := 0; i < 3; i++ {
+		post(t, ts.URL+"/v1/query", req)
+	}
 	recs := srv.defaultEngine().RecentQueries()
-	if len(recs) != 2 {
-		t.Fatalf("%d flight records, want 2", len(recs))
+	if len(recs) != 3 {
+		t.Fatalf("%d flight records, want 3", len(recs))
 	}
-	if recs[0].Cached {
-		t.Errorf("first (miss) record marked cached")
+	if recs[0].Cached || recs[1].Cached {
+		t.Errorf("first-sight and second-sight (miss) records marked cached: %v %v", recs[0].Cached, recs[1].Cached)
 	}
-	if !recs[1].Cached {
-		t.Errorf("second (hit) record not marked cached")
+	if !recs[2].Cached {
+		t.Errorf("third (hit) record not marked cached")
 	}
 }
 
 // TestBatchIdenticalSubQueriesCollapse: the engine's singleflight and result
 // cache are the one mechanism that collapses a batch. Eight identical
-// sub-queries cost one propagation, and every view says so: the counters, the
-// answers, the audit log and the batch's span tree.
+// sub-queries of a cold signature cost two propagations — the first sight's
+// private run and the one that is pinned — and every view says so: the
+// counters, the answers (one set of bits however each was served), the audit
+// log and the batch's span tree.
 func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	const n = 8
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64, RecordEvidence: true})
@@ -116,12 +124,15 @@ func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	decode(t, resp, &br)
 	after := statsSnapshot(t, ts)
 
-	if got := after.Propagations - before.Propagations; got != 1 {
-		t.Errorf("propagations moved by %d, want 1", got)
+	if got := after.Propagations - before.Propagations; got != 2 {
+		t.Errorf("propagations moved by %d, want 2", got)
+	}
+	if got := after.Cache.FirstSight - before.Cache.FirstSight; got != 1 {
+		t.Errorf("cache.first_sight moved by %d, want 1", got)
 	}
 	served := (after.Cache.Hits + after.Cache.Collapsed) - (before.Cache.Hits + before.Cache.Collapsed)
-	if served != n-1 {
-		t.Errorf("cache.hits + cache.collapsed moved by %d, want %d", served, n-1)
+	if served != n-2 {
+		t.Errorf("cache.hits + cache.collapsed moved by %d, want %d", served, n-2)
 	}
 
 	if len(br.Results) != n {
@@ -156,8 +167,8 @@ func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 			cached++
 		}
 	}
-	if len(recs) != n || cached != n-1 {
-		t.Errorf("%d audit records, %d cached; want %d and %d", len(recs), cached, n, n-1)
+	if len(recs) != n || cached != n-2 {
+		t.Errorf("%d audit records, %d cached; want %d and %d", len(recs), cached, n, n-2)
 	}
 
 	tr := fetchTrace(t, ts.URL, resp.Header.Get("X-Trace-ID"))
@@ -165,7 +176,7 @@ func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	for _, sp := range tr.Spans {
 		spans[sp.Name]++
 	}
-	if spans["propagate"] != 1 || spans["batch.item"] != n {
-		t.Errorf("%d propagate and %d batch.item spans, want 1 and %d (%v)", spans["propagate"], spans["batch.item"], n, spanNames(tr))
+	if spans["propagate"] != 2 || spans["batch.item"] != n {
+		t.Errorf("%d propagate and %d batch.item spans, want 2 and %d (%v)", spans["propagate"], spans["batch.item"], n, spanNames(tr))
 	}
 }

@@ -335,11 +335,16 @@ func TestRequestTimeout(t *testing.T) {
 	}
 
 	eng := srv.defaultEngine()
-	res, err := eng.Propagate(evprop.Evidence{"Dysp": 1})
-	if err != nil {
-		t.Fatal(err)
+	for sight := 0; sight < 2; sight++ { // the second one is cached
+		res, err := eng.Propagate(evprop.Evidence{"Dysp": 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
 	}
-	res.Close()
+	if eng.CacheStats().Entries != 1 {
+		t.Fatalf("sum-product result not cached: %+v", eng.CacheStats())
+	}
 	before := eng.Stats().Propagations
 	resp = post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"Dysp": 1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -356,7 +361,8 @@ func TestRequestTimeout(t *testing.T) {
 // the same ID, model and version, the same evidence, the same cached flag
 // and error, the same executor behind every propagation that ran, and
 // cache-hit counts that moved by exactly the number of answers that cost no
-// propagation of their own. It does so once on a model whose graphs run
+// propagation of their own, and first-sight counts by the misses that pinned
+// nothing. It does so once on a model whose graphs run
 // inline and once on one whose graphs go to the pool.
 func TestViewsAgree(t *testing.T) {
 	t.Run("inline", func(t *testing.T) {
@@ -399,21 +405,28 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		cached     bool     // every answer of the request
 		modes      []string // flight-recorder records, in order
 		engineHits int64    // engine result-cache hits
+		firstSight int64    // engine first sights: private runs, nothing pinned
 	}{
+		// A result is admitted on the second sight of its evidence: the hit
+		// legs warm with two queries, and the first of them says so.
+		{"query first sight", "/query", queryRequest{Evidence: xray, Query: []string{target}},
+			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0, 1},
 		{"query miss", "/query", queryRequest{Evidence: xray, Query: []string{target}},
-			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0},
+			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0, 0},
 		{"query hit", "/query", queryRequest{Evidence: xray, Query: []string{target}},
-			[]evprop.Evidence{xray}, 200, true, []string{"sum-product"}, 1},
+			[]evprop.Evidence{xray}, 200, true, []string{"sum-product"}, 1, 0},
+		{"mpe first sight", "/mpe", mpeRequest{Evidence: dysp},
+			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0, 2},
 		{"mpe miss", "/mpe", mpeRequest{Evidence: dysp},
-			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0},
+			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0, 0},
 		{"mpe hit", "/mpe", mpeRequest{Evidence: dysp},
-			[]evprop.Evidence{dysp}, 200, true, []string{"sum-product", "max-product"}, 2},
+			[]evprop.Evidence{dysp}, 200, true, []string{"sum-product", "max-product"}, 2, 0},
 		// Two sub-queries on evidence the engine already holds: each is an
 		// engine cache hit with its own record.
 		{"batch", "/batch", batchRequest{Queries: []queryRequest{{Evidence: xray}, {Evidence: xray}}},
-			[]evprop.Evidence{xray, xray}, 200, true, []string{"sum-product", "sum-product"}, 2},
+			[]evprop.Evidence{xray, xray}, 200, true, []string{"sum-product", "sum-product"}, 2, 0},
 		{"failing query", "/query", queryRequest{Evidence: evprop.Evidence{"NoSuchVar": 1}},
-			[]evprop.Evidence{{"NoSuchVar": 1}}, 422, false, nil, 0},
+			[]evprop.Evidence{{"NoSuchVar": 1}}, 422, false, nil, 0, 0},
 	}
 	ids := map[string]bool{}
 	var answers, cachedAnswers int
@@ -421,7 +434,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	for i, row := range rows {
 		id := fmt.Sprintf("views-%d", i)
 		ids[id] = true
-		hitsBefore := eng.CacheStats().Hits
+		statsBefore := eng.CacheStats()
 
 		buf, err := json.Marshal(row.body)
 		if err != nil {
@@ -484,8 +497,12 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			t.Errorf("%s: access log %+v, want model %s trace %s status %d evidence_vars %d cache_hits %d executor %q",
 				row.name, line, defaultModel, traceID, row.status, evidenceVars, wantCached, wantExecutor)
 		}
-		if got := eng.CacheStats().Hits - hitsBefore; got != row.engineHits {
+		statsAfter := eng.CacheStats()
+		if got := statsAfter.Hits - statsBefore.Hits; got != row.engineHits {
 			t.Errorf("%s: engine cache hits moved by %d, want %d", row.name, got, row.engineHits)
+		}
+		if got := statsAfter.FirstSight - statsBefore.FirstSight; got != row.firstSight {
+			t.Errorf("%s: engine first sights moved by %d, want %d", row.name, got, row.firstSight)
 		}
 
 		// Flight recorder: exactly the request's propagations, under its ID.
@@ -586,6 +603,9 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 				if sp.Attrs["cache.hit"] != row.cached {
 					t.Errorf("%s: cache.lookup hit=%v, want %v", row.name, sp.Attrs["cache.hit"], row.cached)
 				}
+				if first, miss := sp.Attrs["cache.first_sight"].(bool); miss == row.cached || first != (row.firstSight > 0) {
+					t.Errorf("%s: cache.lookup first_sight=%v, want %v on a miss and nothing on a hit", row.name, sp.Attrs["cache.first_sight"], row.firstSight > 0)
+				}
 			}
 			if sp.Name == "propagate" {
 				propagates++
@@ -652,12 +672,12 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			t.Errorf("%s cache_hit_rate %v, want %d/%d", name, got, cachedAnswers, answers)
 		}
 	}
-	if ms.Observed != int64(answers) || ms.Propagations != 3 {
-		t.Errorf("model stats: observed %d propagations %d, want %d and 3", ms.Observed, ms.Propagations, answers)
+	if ms.Observed != int64(answers) || ms.Propagations != 6 || ms.Cache.FirstSight != 3 {
+		t.Errorf("model stats: observed %d propagations %d first sights %d, want %d, 6 and 3", ms.Observed, ms.Propagations, ms.Cache.FirstSight, answers)
 	}
-	// The three runs are counted once, under the executor every record named.
+	// The six runs are counted once, under the executor every record named.
 	wantRuns := map[string]int64{"inline": 0, "pool": 0}
-	wantRuns[executor] = 3
+	wantRuns[executor] = 6
 	if ms.InlineRuns != wantRuns["inline"] || ms.PoolRuns != wantRuns["pool"] {
 		t.Errorf("model stats: %d inline + %d pool runs, want %v", ms.InlineRuns, ms.PoolRuns, wantRuns)
 	}

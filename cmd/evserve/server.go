@@ -449,8 +449,9 @@ type batchResult struct {
 
 // handleBatch answers many queries in one round trip, propagating them
 // concurrently on the batch's pinned version. Sub-queries sharing an
-// evidence signature collapse into one propagation in the engine's
-// singleflight and result cache; nothing here groups them.
+// evidence signature collapse in the engine's singleflight and result cache
+// (two propagations on a signature never seen before, none on a cached one);
+// nothing here groups them.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req batchRequest
 	if !s.readJSON(w, r, &req) {
@@ -838,6 +839,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.WriteSample(w, "evprop_cache_misses_total", nil, float64(cs.Misses))
 	obs.WriteHeader(w, "evprop_cache_collapsed_total", "Queries collapsed onto another caller's in-flight propagation (default model).", "counter")
 	obs.WriteSample(w, "evprop_cache_collapsed_total", nil, float64(cs.Collapsed))
+	obs.WriteHeader(w, "evprop_cache_first_sight_total", "Result-cache misses on the first sight of their signature: run privately, nothing retained (default model).", "counter")
+	obs.WriteSample(w, "evprop_cache_first_sight_total", nil, float64(cs.FirstSight))
 	obs.WriteHeader(w, "evprop_cache_entries", "Result-cache entries currently held (default model).", "gauge")
 	obs.WriteSample(w, "evprop_cache_entries", nil, float64(cs.Entries))
 	obs.WriteHeader(w, "evprop_cache_capacity", "Result-cache effective capacity in entries (default model).", "gauge")

@@ -146,8 +146,8 @@ func (m *model) statsLine() string {
 		if n := cs.Hits + cs.Misses; n > 0 {
 			rate = float64(cs.Hits) / float64(n)
 		}
-		fmt.Fprintf(&b, "cache %d/%d entries   life hit %5.1f%%   collapsed %d",
-			cs.Entries, cs.Capacity, rate*100, cs.Collapsed)
+		fmt.Fprintf(&b, "cache %d/%d entries   life hit %5.1f%%   collapsed %d   first-sight %d",
+			cs.Entries, cs.Capacity, rate*100, cs.Collapsed, cs.FirstSight)
 	} else {
 		b.WriteString("cache off")
 	}

@@ -88,13 +88,14 @@ func TestFrameStatsLine(t *testing.T) {
 	st.Cache.Entries = 12
 	st.Cache.Hits = 90
 	st.Cache.Misses = 10
+	st.Cache.FirstSight = 7
 	st.Audit.Enabled = true
 	st.Audit.Enqueued = 1000
 	st.Audit.Dropped = 3
 	m.observeStats(st)
 	f := m.frame()
 	for _, want := range []string{
-		"cache 12/64 entries", "life hit  90.0%", "audit enq 1000 drop 3 (0.30%) !",
+		"cache 12/64 entries", "life hit  90.0%", "first-sight 7", "audit enq 1000 drop 3 (0.30%) !",
 	} {
 		if !strings.Contains(f, want) {
 			t.Errorf("stats row missing %q:\n%s", want, f)

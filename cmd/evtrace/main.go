@@ -11,13 +11,14 @@
 //
 // -drive mints a sampled W3C traceparent, sends one /v1/batch of n
 // identical queries under it (identical so the engine's singleflight and
-// result cache collapse them into one propagation), then fetches the trace
-// back by the minted ID. -assert additionally verifies the span tree —
-// caller's parent preserved on the root, pipeline stages present and
-// ordered, one propagate span with the other n−1 sub-queries served by it
-// — and exits non-zero on any violation, which is what `make smoke-trace`
-// runs against a freshly booted server. Like the rest of the tooling it is
-// standard-library only.
+// result cache collapse them: on a signature the server has not seen, the
+// first sight's private propagation plus one shared, cached one), then fetches
+// the trace back by the minted ID. -assert additionally verifies the span tree
+// — caller's parent preserved on the root, pipeline stages present and
+// ordered, min(n, 2) propagate spans with the other n−2 sub-queries served by
+// the second — and exits non-zero on any violation, which is what
+// `make smoke-trace` runs against a freshly booted server. Like the rest of
+// the tooling it is standard-library only.
 package main
 
 import (
@@ -110,7 +111,7 @@ func driveAndRender(ctx context.Context, c *evclient.Client, model string, n int
 		if problems := assertTrace(tr, traceID, parentSpan, n); len(problems) > 0 {
 			return fmt.Errorf("span-tree assertions failed:\n  %s", strings.Join(problems, "\n  "))
 		}
-		fmt.Printf("asserts ok: root parent preserved, stages ordered, %d sub-queries served by one propagation\n", n)
+		fmt.Printf("asserts ok: root parent preserved, stages ordered, %d sub-queries cost %d propagations\n", n, min(n, 2))
 	}
 	return nil
 }

@@ -137,8 +137,10 @@ func spanExtras(sp evclient.TraceSpan) string {
 		parts = append(parts, "FAIL("+sp.Status+")")
 	}
 	attrs := sp.Attrs
-	if v, ok := attrs["cache.hit"].(bool); ok {
-		parts = append(parts, fmt.Sprintf("cache.hit=%v", v))
+	for _, k := range []string{"cache.hit", "cache.first_sight"} {
+		if v, ok := attrs[k].(bool); ok {
+			parts = append(parts, fmt.Sprintf("%s=%v", k, v))
+		}
 	}
 	for _, k := range []string{"role", "plan", "scheduler", "executor"} {
 		if v, ok := attrs[k].(string); ok {
@@ -197,12 +199,15 @@ func findSpan(tr *evclient.TraceResponse, name string) (evclient.TraceSpan, bool
 }
 
 // assertTrace verifies the span-tree properties `make smoke-trace` relies
-// on for a -drive n batch: the caller's trace identity survived, the
-// caller's span parents the root, the pipeline stages are present in
-// order, every sub-query has its span, and the n identical sub-queries cost
-// one propagation: exactly one propagate span, the other n−1 each a
-// singleflight waiter or a cache hit. Returns the violations, empty when the
-// tree checks out.
+// on for a -drive n batch against a freshly booted server: the caller's trace
+// identity survived, the caller's span parents the root, every sub-query has
+// its span, and the n identical sub-queries of a signature the server has never
+// seen cost min(n, 2) propagations — one sub-query is the signature's first
+// sight and runs privately, with no singleflight span beside its propagate
+// span; a second leads the one shared run, which is cached; the other n−2 are
+// each a singleflight waiter or a cache hit. Every propagate span follows its
+// own sub-query's absorb span. Returns the violations, empty when the tree
+// checks out.
 func assertTrace(tr *evclient.TraceResponse, traceID, parentSpan string, n int) []string {
 	var problems []string
 	if tr.TraceID != traceID {
@@ -222,31 +227,65 @@ func assertTrace(tr *evclient.TraceResponse, traceID, parentSpan string, n int) 
 	} else if root.ParentSpanID != parentSpan {
 		problems = append(problems, fmt.Sprintf("root parent %q, want the caller's span %q", root.ParentSpanID, parentSpan))
 	}
-	absorb, haveAbsorb := findSpan(tr, "absorb")
-	prop, haveProp := findSpan(tr, "propagate")
-	switch {
-	case !haveAbsorb:
-		problems = append(problems, "no absorb stage span")
-	case !haveProp:
-		problems = append(problems, "no propagate stage span")
-	case prop.Start.Before(absorb.Start):
-		problems = append(problems, "propagate started before absorb — stages out of order")
-	}
 	if items := countSpans(tr, "batch.item"); items != n {
 		problems = append(problems, fmt.Sprintf("%d batch.item spans, want %d", items, n))
 	}
-	if props := countSpans(tr, "propagate"); haveProp && props != 1 {
-		problems = append(problems, fmt.Sprintf("%d propagate spans, want 1 — identical sub-queries did not collapse", props))
+	// The engine's spans of one sub-query are siblings under its batch.item.
+	type item struct {
+		absorb, propagate     *evclient.TraceSpan
+		firstSight, flight    bool
+		servedByAnotherCaller bool
 	}
-	served := 0
-	for _, sp := range tr.Spans {
-		if sp.Name == "singleflight" && sp.Attrs["role"] == "waiter" ||
-			sp.Name == "cache.lookup" && sp.Attrs["cache.hit"] == true {
+	items := map[string]*item{}
+	for i := range tr.Spans {
+		sp := &tr.Spans[i]
+		it := items[sp.ParentSpanID]
+		if it == nil {
+			it = &item{}
+			items[sp.ParentSpanID] = it
+		}
+		switch sp.Name {
+		case "absorb":
+			it.absorb = sp
+		case "propagate":
+			it.propagate = sp
+		case "cache.lookup":
+			it.firstSight = sp.Attrs["cache.first_sight"] == true
+			it.servedByAnotherCaller = it.servedByAnotherCaller || sp.Attrs["cache.hit"] == true
+		case "singleflight":
+			it.flight = true
+			it.servedByAnotherCaller = it.servedByAnotherCaller || sp.Attrs["role"] == "waiter"
+		}
+	}
+	props, firstSights, served := 0, 0, 0
+	for _, it := range items {
+		if it.propagate != nil {
+			props++
+			switch {
+			case it.absorb == nil:
+				problems = append(problems, "a propagate span without its absorb stage span")
+			case it.propagate.Start.Before(it.absorb.Start):
+				problems = append(problems, "propagate started before absorb — stages out of order")
+			}
+			if it.firstSight == it.flight {
+				problems = append(problems, "a propagation that is neither a first sight outside the singleflight nor a later sight inside it")
+			}
+		}
+		if it.firstSight {
+			firstSights++
+		}
+		if it.servedByAnotherCaller {
 			served++
 		}
 	}
-	if served != n-1 {
-		problems = append(problems, fmt.Sprintf("%d sub-queries were singleflight waiters or cache hits, want %d", served, n-1))
+	if want := min(n, 2); props != want {
+		problems = append(problems, fmt.Sprintf("%d propagate spans, want %d — identical sub-queries of a cold signature cost min(n, 2) propagations", props, want))
+	}
+	if firstSights != 1 {
+		problems = append(problems, fmt.Sprintf("%d cache lookups were a first sight, want 1", firstSights))
+	}
+	if want := max(0, n-2); served != want {
+		problems = append(problems, fmt.Sprintf("%d sub-queries were singleflight waiters or cache hits, want %d", served, want))
 	}
 	return problems
 }

@@ -8,9 +8,10 @@ import (
 	evclient "evprop/client"
 )
 
-// fixture builds the span tree a -drive 2 batch produces: remote-parented
-// root, two batch.item children, the singleflight leader's pipeline stages,
-// and the other item waiting on them.
+// fixture builds the span tree a -drive 3 batch produces on a fresh server:
+// remote-parented root, three batch.item children — the signature's first
+// sight with its private pipeline stages, the singleflight leader with the
+// shared ones, and the third item waiting on the leader.
 func fixture() *evclient.TraceResponse {
 	t0 := time.Unix(1000, 0)
 	at := func(off, dur time.Duration, name, spanID, parent string, attrs map[string]any) evclient.TraceSpan {
@@ -30,7 +31,7 @@ func fixture() *evclient.TraceResponse {
 			at(time.Millisecond, 8*time.Millisecond, "batch.item", "bbbbbbbbbbbbbbbb", "aaaaaaaaaaaaaaaa",
 				map[string]any{"batch.index": float64(0)}),
 			at(time.Millisecond, 100*time.Microsecond, "cache.lookup", "cccccccccccccccc", "bbbbbbbbbbbbbbbb",
-				map[string]any{"cache.hit": false}),
+				map[string]any{"cache.hit": false, "cache.first_sight": true}),
 			at(2*time.Millisecond, time.Millisecond, "absorb", "dddddddddddddddd", "bbbbbbbbbbbbbbbb", nil),
 			at(3*time.Millisecond, 6*time.Millisecond, "propagate", "eeeeeeeeeeeeeeee", "bbbbbbbbbbbbbbbb",
 				map[string]any{
@@ -42,8 +43,19 @@ func fixture() *evclient.TraceResponse {
 					"lazy.flops_full":  float64(1000),
 				}),
 			at(4*time.Millisecond, time.Millisecond, "kind.SumProduct", "ffffffffffffffff", "eeeeeeeeeeeeeeee", nil),
-			at(5*time.Millisecond, 4*time.Millisecond, "batch.item", "1111111111111111", "aaaaaaaaaaaaaaaa",
+			at(time.Millisecond, 8*time.Millisecond, "batch.item", "3333333333333333", "aaaaaaaaaaaaaaaa",
 				map[string]any{"batch.index": float64(1)}),
+			at(time.Millisecond, 100*time.Microsecond, "cache.lookup", "4444444444444444", "3333333333333333",
+				map[string]any{"cache.hit": false, "cache.first_sight": false}),
+			at(2*time.Millisecond, 6*time.Millisecond, "singleflight", "5555555555555555", "3333333333333333",
+				map[string]any{"role": "leader"}),
+			at(2*time.Millisecond, time.Millisecond, "absorb", "6666666666666666", "3333333333333333", nil),
+			at(3*time.Millisecond, 5*time.Millisecond, "propagate", "7777777777777777", "3333333333333333",
+				map[string]any{"tasks": float64(42)}),
+			at(5*time.Millisecond, 4*time.Millisecond, "batch.item", "1111111111111111", "aaaaaaaaaaaaaaaa",
+				map[string]any{"batch.index": float64(2)}),
+			at(5*time.Millisecond, 100*time.Microsecond, "cache.lookup", "8888888888888888", "1111111111111111",
+				map[string]any{"cache.hit": false, "cache.first_sight": false}),
 			at(6*time.Millisecond, 3*time.Millisecond, "singleflight", "2222222222222222", "1111111111111111",
 				map[string]any{"role": "waiter"}),
 		},
@@ -56,11 +68,11 @@ func TestWaterfall(t *testing.T) {
 	out := waterfall(fixture(), 20)
 	for _, want := range []string{
 		"trace 4bf92f3577b34da6a3ce929d0e0e4736",
-		"8 spans, kept: flagged, sampled",
+		"14 spans, kept: flagged, sampled",
 		"/v1/batch", "  batch.item", "    cache.lookup", "    propagate",
 		"      kind.SumProduct",
 		"10.00ms", "100.0%",
-		"cache.hit=false",
+		"cache.hit=false", "cache.first_sight=true",
 		"lazy sent/blocked/skipped=10/5/3", "pruned=75%",
 		"role=waiter",
 		"http.status=200",
@@ -93,41 +105,68 @@ func TestWaterfallEmpty(t *testing.T) {
 // TestAssertTrace: the smoke-mode checks pass on the fixture and flag each
 // violation class.
 func TestAssertTrace(t *testing.T) {
+	const caller = "00f067aa0ba902b7"
 	tr := fixture()
-	if problems := assertTrace(tr, tr.TraceID, "00f067aa0ba902b7", 2); len(problems) != 0 {
+	if problems := assertTrace(tr, tr.TraceID, caller, 3); len(problems) != 0 {
 		t.Fatalf("fixture should pass: %v", problems)
 	}
-	if p := assertTrace(tr, "deadbeef", "00f067aa0ba902b7", 2); len(p) == 0 {
+	if p := assertTrace(tr, "deadbeef", caller, 3); len(p) == 0 {
 		t.Error("wrong trace ID not flagged")
 	}
-	if p := assertTrace(tr, tr.TraceID, "ffffffffffffffff", 2); len(p) == 0 {
+	if p := assertTrace(tr, tr.TraceID, "ffffffffffffffff", 3); len(p) == 0 {
 		t.Error("wrong root parent not flagged")
 	}
-	if p := assertTrace(tr, tr.TraceID, "00f067aa0ba902b7", 3); len(p) == 0 {
+	if p := assertTrace(tr, tr.TraceID, caller, 4); len(p) == 0 {
 		t.Error("missing batch.item not flagged")
 	}
-	// The second item ran its own propagation instead of waiting: n>1 must
-	// then fail, on the waiter count and on the propagate count.
-	twice := *tr
-	twice.Spans = nil
-	for _, sp := range tr.Spans {
-		if sp.Name == "singleflight" {
+	// edit returns the fixture with one function applied to every span.
+	edit := func(f func(*evclient.TraceSpan)) *evclient.TraceResponse {
+		out := *tr
+		out.Spans = append([]evclient.TraceSpan(nil), tr.Spans...)
+		for i := range out.Spans {
+			f(&out.Spans[i])
+		}
+		return &out
+	}
+	// The third item ran its own propagation instead of waiting: flagged on the
+	// propagate count, on the waiter count and as a run outside both paths.
+	thrice := edit(func(sp *evclient.TraceSpan) {
+		if sp.Name == "singleflight" && sp.Attrs["role"] == "waiter" {
 			sp.Name, sp.Attrs = "propagate", nil
 		}
-		twice.Spans = append(twice.Spans, sp)
+	})
+	if p := assertTrace(thrice, tr.TraceID, caller, 3); len(p) != 4 {
+		t.Errorf("three propagations for three identical sub-queries flagged as %v", p)
 	}
-	if p := assertTrace(&twice, tr.TraceID, "00f067aa0ba902b7", 2); len(p) != 2 {
-		t.Errorf("two propagations for two identical sub-queries flagged as %v", p)
+	// The old contract — the first sub-query is the leader and is cached, the
+	// rest ride it: one propagation, no first sight.
+	pinnedAtOnce := edit(func(sp *evclient.TraceSpan) {
+		if sp.ParentSpanID == "bbbbbbbbbbbbbbbb" && sp.Name != "cache.lookup" {
+			sp.Name = "collect"
+		}
+		if sp.Name == "cache.lookup" {
+			sp.Attrs = map[string]any{"cache.hit": false}
+		}
+	})
+	if p := assertTrace(pinnedAtOnce, tr.TraceID, caller, 3); len(p) != 2 {
+		t.Errorf("one propagation for three sub-queries of a cold signature flagged as %v", p)
+	}
+	// The first sight went through the singleflight.
+	herded := edit(func(sp *evclient.TraceSpan) {
+		if sp.Name == "cache.lookup" {
+			sp.Attrs = map[string]any{"cache.hit": false, "cache.first_sight": sp.SpanID == "4444444444444444"}
+		}
+	})
+	if p := assertTrace(herded, tr.TraceID, caller, 3); len(p) != 2 {
+		t.Errorf("a first sight inside the singleflight flagged as %v", p)
 	}
 	// Swap stage order: propagate before absorb must fail.
-	swapped := *tr
-	swapped.Spans = append([]evclient.TraceSpan(nil), tr.Spans...)
-	for i := range swapped.Spans {
-		if swapped.Spans[i].Name == "propagate" {
-			swapped.Spans[i].Start = time.Unix(999, 0)
+	swapped := edit(func(sp *evclient.TraceSpan) {
+		if sp.SpanID == "7777777777777777" {
+			sp.Start = time.Unix(999, 0)
 		}
-	}
-	if p := assertTrace(&swapped, tr.TraceID, "00f067aa0ba902b7", 2); len(p) == 0 {
-		t.Error("stage disorder not flagged")
+	})
+	if p := assertTrace(swapped, tr.TraceID, caller, 3); len(p) != 1 {
+		t.Errorf("stage disorder flagged as %v", p)
 	}
 }

@@ -13,9 +13,11 @@ import (
 // random networks, every scheduler, and a battery of evidence configurations,
 // the cached engine's cold-path posteriors must agree with an uncached
 // engine and with the brute-force joint-enumeration oracle (to float
-// tolerance — parallel summation order legitimately varies), and a warm hit
-// must be *bit-identical* to the cold result it was cached from, because a
-// hit returns the very same pinned propagation. Every propagation's record
+// tolerance — parallel summation order legitimately varies), and the three
+// ways the cached engine serves one question — the first sight's private run
+// on a recycled state, the second sight's pinned miss, the hit on it — must be
+// *bit-identical*: a hit returns the very same pinned propagation, and a
+// recycled state carries no residue into the same arithmetic. Every propagation's record
 // must name the executor its column stands for (see compileColumn).
 //
 // The slicing column of this oracle — the same 12 networks × 2 schedulers × 6
@@ -96,6 +98,27 @@ func allPosteriors(t *testing.T, eng *Engine, executor string, ev Evidence, what
 	return post, res.Cached()
 }
 
+// threeSights asks a cached engine the same question three times and returns
+// the posteriors of each way it can be served: the first sight's private run,
+// the second sight's pinned miss, and the hit on it.
+func threeSights(t *testing.T, eng *Engine, executor string, ev Evidence, what string) (first, cold, warm map[string][]float64) {
+	t.Helper()
+	before := eng.CacheStats()
+	first, cached := allPosteriors(t, eng, executor, ev, what+" first sight")
+	if cs := eng.CacheStats(); cached || cs.Entries != before.Entries || cs.FirstSight != before.FirstSight+1 {
+		t.Fatalf("%s: first sight cached=%v, cache %+v (was %+v)", what, cached, cs, before)
+	}
+	cold, cached = allPosteriors(t, eng, executor, ev, what+" cold")
+	if cs := eng.CacheStats(); cached || cs.Entries != before.Entries+1 {
+		t.Fatalf("%s: second sight cached=%v, cache %+v (was %+v)", what, cached, cs, before)
+	}
+	warm, cached = allPosteriors(t, eng, executor, ev, what+" warm")
+	if !cached {
+		t.Fatalf("%s: third query missed the cache", what)
+	}
+	return first, cold, warm
+}
+
 func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 	const tol = 1e-9
 	cases := 0
@@ -129,14 +152,7 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 				if cached {
 					t.Fatalf("%s: uncached engine reported a cache hit", what)
 				}
-				cold, cached := allPosteriors(t, cachedEng, executor, ev, what+" cold")
-				if cached {
-					t.Fatalf("%s: first cached-engine query reported a hit", what)
-				}
-				warm, cached := allPosteriors(t, cachedEng, executor, ev, what+" warm")
-				if !cached {
-					t.Fatalf("%s: repeat query missed the cache", what)
-				}
+				first, cold, warm := threeSights(t, cachedEng, executor, ev, what)
 				for v, oracle := range oracles[i] {
 					for s := range oracle {
 						if d := math.Abs(fresh[v][s] - oracle[s]); d > tol {
@@ -145,18 +161,25 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 						if d := math.Abs(cold[v][s] - oracle[s]); d > tol {
 							t.Errorf("%s: cold %q[%d] off oracle by %g", what, v, s, d)
 						}
-						// The warm hit shares the cold run's pinned state:
-						// identical bits, not merely identical to tolerance.
+						// The warm hit shares the cold run's pinned state, and the
+						// first sight's private run on a recycled state is the same
+						// arithmetic: identical bits, not merely identical to
+						// tolerance.
 						if math.Float64bits(warm[v][s]) != math.Float64bits(cold[v][s]) {
 							t.Errorf("%s: warm %q[%d] = %v not bit-identical to cold %v",
 								what, v, s, warm[v][s], cold[v][s])
 						}
+						if math.Float64bits(first[v][s]) != math.Float64bits(cold[v][s]) {
+							t.Errorf("%s: first sight %q[%d] = %v not bit-identical to the pinned %v",
+								what, v, s, first[v][s], cold[v][s])
+						}
 					}
 				}
 			}
-			// Every configuration propagated exactly once on the cached
-			// engine: all warm queries were hits.
-			if got := cachedEng.inner.Propagations(); got != int64(len(evs)) {
+			// Every configuration propagated exactly twice on the cached
+			// engine — its first sight and the pinned run: all warm queries
+			// were hits.
+			if got := cachedEng.inner.Propagations(); got != 2*int64(len(evs)) {
 				t.Errorf("seed=%d sched=%s: cached engine ran %d propagations, want %d",
 					seed, schedName, got, len(evs))
 			}
@@ -213,14 +236,7 @@ func TestDifferentialLazySeventhColumn(t *testing.T) {
 				if cached {
 					t.Fatalf("%s: uncached engine reported a cache hit", what)
 				}
-				cold, cached := allPosteriors(t, cachedEng, executor, ev, what+" cold")
-				if cached {
-					t.Fatalf("%s: first cached-engine query reported a hit", what)
-				}
-				warm, cached := allPosteriors(t, cachedEng, executor, ev, what+" warm")
-				if !cached {
-					t.Fatalf("%s: repeat query missed the cache", what)
-				}
+				first, cold, warm := threeSights(t, cachedEng, executor, ev, what)
 				for v, oracle := range oracles[i] {
 					for s := range oracle {
 						if d := math.Abs(fresh[v][s] - oracle[s]); d > tol {
@@ -233,12 +249,16 @@ func TestDifferentialLazySeventhColumn(t *testing.T) {
 							t.Errorf("%s: warm %q[%d] = %v not bit-identical to cold %v",
 								what, v, s, warm[v][s], cold[v][s])
 						}
+						if math.Float64bits(first[v][s]) != math.Float64bits(cold[v][s]) {
+							t.Errorf("%s: first sight %q[%d] = %v not bit-identical to the pinned %v",
+								what, v, s, first[v][s], cold[v][s])
+						}
 					}
 				}
 			}
-			// Every configuration cost the cached engine exactly one
-			// propagation, same contract as the eager column.
-			if got := cachedEng.inner.Propagations(); got != int64(len(evs)) {
+			// Every configuration cost the cached engine exactly two
+			// propagations, same contract as the eager column.
+			if got := cachedEng.inner.Propagations(); got != 2*int64(len(evs)) {
 				t.Errorf("lazy seed=%d sched=%s: cached engine ran %d propagations, want %d",
 					seed, schedName, got, len(evs))
 			}
@@ -332,10 +352,15 @@ func TestCacheInsertionOrderInvariance(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("insertion order changed the evidence signature")
 	}
+	// The doorkeeper and the LRU both key on the signature: the reordered query
+	// is the second sight of the first one's, and the first again hits it.
 	if _, cached := allPosteriors(t, eng, "inline", ev1, "first"); cached {
 		t.Fatal("first query hit an empty cache")
 	}
-	if _, cached := allPosteriors(t, eng, "inline", ev2, "reordered"); !cached {
+	if _, cached := allPosteriors(t, eng, "inline", ev2, "reordered"); cached || eng.CacheStats().Entries != 1 {
+		t.Fatalf("reordered identical evidence was not the second sight: cache %+v", eng.CacheStats())
+	}
+	if _, cached := allPosteriors(t, eng, "inline", ev1, "again"); !cached {
 		t.Fatal("reordered identical evidence missed the cache")
 	}
 	// Soft evidence canonicalizes the same way.
@@ -366,7 +391,11 @@ func TestCacheInvalidationRepropagatesAndMatchesOracle(t *testing.T) {
 	}
 	defer eng.Close()
 	ev := Evidence{vars[2]: 1}
+	allPosteriors(t, eng, "inline", ev, "first sight")
 	allPosteriors(t, eng, "inline", ev, "warm-up")
+	if st := eng.CacheStats(); st.Entries != 1 {
+		t.Fatalf("entries before InvalidateCache = %d", st.Entries)
+	}
 	eng.InvalidateCache()
 	if st := eng.CacheStats(); st.Entries != 0 {
 		t.Fatalf("entries after InvalidateCache = %d", st.Entries)
@@ -375,8 +404,8 @@ func TestCacheInvalidationRepropagatesAndMatchesOracle(t *testing.T) {
 	if cached {
 		t.Fatal("query after InvalidateCache served from cache")
 	}
-	if got := eng.inner.Propagations(); got != 2 {
-		t.Fatalf("Propagations = %d, want 2", got)
+	if got := eng.inner.Propagations(); got != 3 {
+		t.Fatalf("Propagations = %d, want 3", got)
 	}
 	oracle, err := net.ExactMarginal(vars[0], ev)
 	if err != nil {
@@ -413,9 +442,10 @@ func TestModelMutationInvalidatesCache(t *testing.T) {
 		}
 		return res.Cached()
 	}
+	oneQuery("first sight")
 	oneQuery("miss")
 	if !oneQuery("hit") {
-		t.Fatal("repeat query missed the cache")
+		t.Fatal("third query missed the cache")
 	}
 	// Growing the source network bumps its version; the engine must notice
 	// on the next query and drop results keyed to the old structure.
@@ -425,8 +455,10 @@ func TestModelMutationInvalidatesCache(t *testing.T) {
 	if oneQuery("post-mutation") {
 		t.Fatal("query after model mutation served a pre-mutation result")
 	}
-	if got := eng.inner.Propagations(); got != 2 {
-		t.Fatalf("Propagations = %d, want 2 (mutation must force one re-propagation)", got)
+	// The purge drops results, not the doorkeeper's memory: the signature has
+	// been seen, so the one re-propagation is pinned at once.
+	if got := eng.inner.Propagations(); got != 3 {
+		t.Fatalf("Propagations = %d, want 3 (mutation must force one re-propagation)", got)
 	}
 	// And the cache works again after the purge.
 	if !oneQuery("re-warmed") {
@@ -500,8 +532,9 @@ func TestSingleflightStormOneWaiterCancels(t *testing.T) {
 	if errs[0] != nil && !errors.Is(errs[0], context.Canceled) {
 		t.Fatalf("cancelled caller returned %v, want context.Canceled or success", errs[0])
 	}
-	// The storm must have collapsed: far fewer propagations than callers.
-	if got := eng.inner.Propagations(); got >= callers {
+	// The storm must have collapsed: the first sight's private run and one
+	// shared one.
+	if got := eng.inner.Propagations(); got > 2 {
 		t.Fatalf("Propagations = %d for %d identical queries — singleflight did not collapse", got, callers)
 	}
 	if st := eng.CacheStats(); st.Hits+st.Collapsed == 0 {

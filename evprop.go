@@ -193,6 +193,10 @@ type Options struct {
 	// (CacheStats.Capacity is the exact bound), keyed by the canonical
 	// signature of (semiring, hard evidence, soft evidence), and concurrent
 	// queries with identical evidence collapse into a single propagation.
+	// A result is admitted the second time its signature is seen: the first
+	// sight runs as without a cache and retains nothing, so N identical
+	// queries of a new signature cost min(N, 2) propagations and the third
+	// is the first hit (CacheStats.FirstSight counts the private runs).
 	// An entry retains the result's clique and separator tables and nothing
 	// else (CacheStats.Bytes). 0 (the default) disables caching. The
 	// cache invalidates itself when the source network gains variables
@@ -301,6 +305,10 @@ type CacheStats struct {
 	// propagation: concurrent identical queries trigger one propagation,
 	// and the other callers land here.
 	Collapsed int64 `json:"collapsed"`
+	// FirstSight counts the misses that were the first sight of their
+	// signature: they ran privately, on a recycled state, and left nothing
+	// in the cache. Misses − FirstSight − Collapsed is what was pinned.
+	FirstSight int64 `json:"first_sight"`
 }
 
 // CacheStats returns the result cache's counters (the zero value when the
@@ -311,13 +319,14 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 	s := e.inner.CacheStats()
 	return CacheStats{
-		Enabled:   s.Enabled,
-		Capacity:  s.Capacity,
-		Entries:   s.Entries,
-		Bytes:     s.Bytes,
-		Hits:      s.Hits,
-		Misses:    s.Misses,
-		Collapsed: s.Collapsed,
+		Enabled:    s.Enabled,
+		Capacity:   s.Capacity,
+		Entries:    s.Entries,
+		Bytes:      s.Bytes,
+		Hits:       s.Hits,
+		Misses:     s.Misses,
+		Collapsed:  s.Collapsed,
+		FirstSight: s.FirstSight,
 	}
 }
 

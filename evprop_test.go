@@ -443,11 +443,18 @@ func TestQueryOne(t *testing.T) {
 			t.Errorf("QueryOne[%d] = %v, Query %v", s, got[s], want[s])
 		}
 	}
-	if _, err := eng.QueryOne(ev, "Lung"); err != nil {
+	// The first sight, the pinned second and the hit on it are one answer.
+	third, err := eng.QueryOne(ev, "Lung")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st, runs := eng.CacheStats(), eng.Stats().Propagations; st.Hits != 2 || st.Misses != 1 || runs != 1 {
-		t.Errorf("%d hits, %d misses, %d propagations after three identical queries, want 2, 1 and 1", st.Hits, st.Misses, runs)
+	for s := range want {
+		if math.Float64bits(third[s]) != math.Float64bits(want[s]) {
+			t.Errorf("QueryOne[%d] = %v from the cache, Query %v", s, third[s], want[s])
+		}
+	}
+	if st, runs := eng.CacheStats(), eng.Stats().Propagations; st.Hits != 1 || st.Misses != 2 || st.FirstSight != 1 || runs != 2 {
+		t.Errorf("%d hits, %d misses (%d first sights), %d propagations after three identical queries, want 1, 2 (1) and 2", st.Hits, st.Misses, st.FirstSight, runs)
 	}
 	if _, err := eng.QueryOne(nil, "missing"); !errors.Is(err, ErrUnknownVariable) {
 		t.Errorf("unknown variable returned %v", err)

@@ -224,7 +224,7 @@ func TestFlightRecorderEvidenceCapture(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	for i := 0; i < 2; i++ { // second run is a cache hit
+	for i := 0; i < 3; i++ { // first sight, pinned miss, cache hit
 		res, err := eng.Propagate(Evidence{"XRay": 1, "Asia": 0})
 		if err != nil {
 			t.Fatal(err)
@@ -238,11 +238,11 @@ func TestFlightRecorderEvidenceCapture(t *testing.T) {
 	res.Close()
 
 	recs := eng.RecentQueries()
-	if len(recs) != 3 {
-		t.Fatalf("%d records, want 3", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("%d records, want 4", len(recs))
 	}
-	if !recs[1].Cached || recs[2].Cached {
-		t.Fatalf("cached flags: %v %v", recs[1].Cached, recs[2].Cached)
+	if recs[0].Cached || recs[1].Cached || !recs[2].Cached || recs[3].Cached {
+		t.Fatalf("cached flags: %v %v %v %v", recs[0].Cached, recs[1].Cached, recs[2].Cached, recs[3].Cached)
 	}
 	for i, r := range recs {
 		if r.EvidenceSig == "" {
@@ -252,10 +252,10 @@ func TestFlightRecorderEvidenceCapture(t *testing.T) {
 			t.Errorf("record %d has no evidence map", i)
 		}
 	}
-	if recs[0].EvidenceSig != recs[1].EvidenceSig {
+	if recs[0].EvidenceSig != recs[1].EvidenceSig || recs[0].EvidenceSig != recs[2].EvidenceSig {
 		t.Error("identical queries got different signatures")
 	}
-	if recs[2].EvidenceSig == recs[0].EvidenceSig {
+	if recs[3].EvidenceSig == recs[0].EvidenceSig {
 		t.Error("different queries share a signature")
 	}
 	want := map[string]int{"XRay": 1, "Asia": 0}

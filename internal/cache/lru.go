@@ -79,8 +79,10 @@ func (c *LRU) Get(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	el, ok := s.items[key]
+	var val any
 	if ok {
 		s.ll.MoveToFront(el)
+		val = el.Value.(*lruEntry).val // Add's refresh writes it under the lock
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -88,7 +90,7 @@ func (c *LRU) Get(key string) (any, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*lruEntry).val, true
+	return val, true
 }
 
 // Peek returns the cached value for key without counting the lookup or

@@ -140,3 +140,25 @@ func TestLRUCapIsEffective(t *testing.T) {
 		}
 	}
 }
+
+// TestLRUGetDuringRefresh: Add on a live key rewrites the entry's value under
+// the shard lock, so Get must read it there too — -race flags a Get that reads
+// the interface after unlocking.
+func TestLRUGetDuringRefresh(t *testing.T) {
+	c := NewLRU(lruShards)
+	gen := c.Generation()
+	c.Add("k", 0, 1, gen)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; i <= 2000; i++ {
+			c.Add("k", i, 1, gen)
+		}
+	}()
+	for i := 0; i < 2000; i++ {
+		if v, ok := c.Get("k"); !ok || v.(int) < 0 {
+			t.Fatalf("Get(k) = %v, %v", v, ok)
+		}
+	}
+	<-done
+}

@@ -18,12 +18,21 @@ import (
 // with one signature collapse into a single propagation via a
 // context-aware singleflight group.
 //
+// Admission is on second sight: the first lookup of a signature (as far as the
+// cache's Doorkeeper remembers) runs as on an engine without a cache — its own
+// propagation, on a recycled state, nothing retained — and only from the second
+// on is a miss collapsed, pinned and added. A signature nobody repeats therefore
+// costs the cache nothing, and N identical queries of a cold one cost min(N, 2)
+// propagations however they interleave: the first sight skips the singleflight
+// so that the count is exact, not "one, or two when the herd straddles it".
+//
 // Cached results are *pinned*: their result tables never return to the
 // engine's state pool, so any number of concurrent readers may derive
 // posteriors from one shared result while later propagations recycle
 // other states freely. What an entry retains is those tables and nothing
 // else — 8 bytes per entry of the clique and separator tables as sliced on the
-// result's evidence, at most Engine.ResultBytes; the run scratch went back to
+// result's evidence, at most Engine.ResultBytes (the run that will be pinned
+// never takes a recycled state, see absorb); the run scratch went back to
 // the task graph's pool when the run succeeded, before the result was pinned,
 // and later misses run on it. Eviction and
 // invalidation simply drop the pinned result — readers still holding it keep
@@ -32,8 +41,10 @@ import (
 
 // PropagateCachedContext is PropagateSoftContext through the result cache:
 // a hit returns the shared pinned result of an earlier identical
-// propagation, a miss propagates once — collapsing concurrent identical
-// misses into that one run — and caches the result. The query's record is
+// propagation; a miss on a signature's first sight propagates privately and
+// retains nothing (the caller's Release recycles the state), any later miss
+// propagates once — collapsing concurrent identical misses into that one run —
+// and caches the result. The query's record is
 // returned beside the result, not on it: a pinned result is shared between
 // readers, each of which has its own record. rec.Cached reports whether this
 // call was served without starting its own propagation (a cache hit or a
@@ -63,7 +74,7 @@ type flown struct {
 
 func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, *obs.QueryRecord, error) {
 	if e.cache == nil {
-		return e.propagateFull(ctx, ev, like, mode, "")
+		return e.propagateFull(ctx, ev, like, mode, "", false)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -77,8 +88,13 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 		lsp.End()
 		return v.(*Result), e.recordCached(ctx, mode, sig, ev, start), nil
 	}
-	lsp.SetAttr(otrace.Bool("cache.hit", false))
+	first := !e.door.Seen(sig)
+	lsp.SetAttr(otrace.Bool("cache.hit", false), otrace.Bool("cache.first_sight", first))
 	lsp.End()
+	if first {
+		e.firstSight.Add(1)
+		return e.propagateFull(ctx, ev, like, mode, sig, false)
+	}
 	// A caller that has already given up must not start a shared run only
 	// to abandon it (propagateFull makes the same check for direct runs).
 	if err := ctx.Err(); err != nil {
@@ -95,11 +111,10 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 		if v, ok := e.cache.Peek(sig); ok {
 			return flown{res: v.(*Result)}, nil
 		}
-		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig)
+		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig, true)
 		if err != nil {
 			return nil, err
 		}
-		res.pinned = true
 		e.cache.Add(sig, res, res.retainedBytes(), gen)
 		return flown{res, rec}, nil
 	})
@@ -161,8 +176,10 @@ type CacheStats struct {
 	// overlays clone only the tables the evidence perturbs.
 	Bytes int64
 	// Hits and Misses count lookups; Collapsed counts queries served by
-	// another caller's in-flight propagation (singleflight waiters).
-	Hits, Misses, Collapsed int64
+	// another caller's in-flight propagation (singleflight waiters);
+	// FirstSight counts the misses that were the first sight of their
+	// signature and so ran privately, retaining nothing.
+	Hits, Misses, Collapsed, FirstSight int64
 }
 
 // CacheStats returns the result cache's counters (zero value when the
@@ -173,13 +190,14 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 	entries, bytes := e.cache.Fill()
 	return CacheStats{
-		Enabled:   true,
-		Capacity:  e.cache.Cap(),
-		Entries:   entries,
-		Bytes:     bytes,
-		Hits:      e.cache.Hits(),
-		Misses:    e.cache.Misses(),
-		Collapsed: e.collapsed.Load(),
+		Enabled:    true,
+		Capacity:   e.cache.Cap(),
+		Entries:    entries,
+		Bytes:      bytes,
+		Hits:       e.cache.Hits(),
+		Misses:     e.cache.Misses(),
+		Collapsed:  e.collapsed.Load(),
+		FirstSight: e.firstSight.Load(),
 	}
 }
 

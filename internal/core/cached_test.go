@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"evprop/internal/jtree"
 	"evprop/internal/potential"
+	"evprop/internal/taskgraph"
 )
 
 func cachedTestEngine(t *testing.T, cacheSize int) *Engine {
@@ -26,31 +29,112 @@ func cachedTestEngine(t *testing.T, cacheSize int) *Engine {
 	return e
 }
 
-func TestPropagateCachedHitSharesResult(t *testing.T) {
-	e := cachedTestEngine(t, 64)
-	ev := potential.Evidence{0: 1, 2: 0}
-	r1, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+// secondSight spends the first sight of ev's signature (a private run, released)
+// and returns the result of the second: the pinned miss the cache now holds.
+func secondSight(t testing.TB, e *Engine, mode taskgraph.Mode, ev potential.Evidence) *Result {
+	t.Helper()
+	first, rec, err := e.propagateCached(context.Background(), ev, nil, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Cached {
-		t.Fatal("first propagation reported cached")
+	if rec.Cached || first.Pinned() {
+		t.Fatalf("first sight: cached %v, pinned %v, want a private run", rec.Cached, first.Pinned())
 	}
+	first.Release()
+	r, rec, err := e.propagateCached(context.Background(), ev, nil, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Cached || !r.Pinned() {
+		t.Fatalf("second sight: cached %v, pinned %v, want a pinned miss", rec.Cached, r.Pinned())
+	}
+	return r
+}
+
+// TestPinOnSecondSight states the admission rule one query at a time: the first
+// sight of a signature runs privately and leaves the cache as it was, the second
+// is a miss whose result is pinned at exactly its sliced size — although
+// full-domain states are waiting in the engine's pool, and the first sight ran
+// on one — and the third is that same result. All three are the same bits.
+func TestPinOnSecondSight(t *testing.T) {
+	tr := wideTree(t)
+	vars, _ := tr.Variables()
+	e, err := NewEngine(tr, Options{Workers: 2, CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	ctx := context.Background()
+	for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
+		// Several, because under -race sync.Pool drops a Put in four.
+		var full []*Result
+		for i := 0; i < 4; i++ {
+			r, err := e.propagate(ctx, nil, nil, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full = append(full, r)
+		}
+		for _, r := range full {
+			r.Release()
+		}
+		ev := evidenceNo(vars, 20+int(mode))
+		base := e.CacheStats()
+
+		first, rec, err := e.propagateCached(ctx, ev, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cs := e.CacheStats(); rec.Cached || first.Pinned() || cs.Entries != base.Entries || cs.Bytes != base.Bytes || cs.FirstSight != base.FirstSight+1 {
+			t.Fatalf("%v first sight: cached %v, pinned %v, cache %+v (was %+v)", mode, rec.Cached, first.Pinned(), cs, base)
+		}
+		firstBits, firstPE := tableBits(t, first), first.ProbabilityOfEvidence()
+		first.Release()
+
+		second, rec, err := e.propagateCached(ctx, ev, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := e.CacheStats()
+		if rec.Cached || !second.Pinned() || cs.Entries != base.Entries+1 || cs.FirstSight != base.FirstSight+1 {
+			t.Fatalf("%v second sight: cached %v, pinned %v, cache %+v (was %+v)", mode, rec.Cached, second.Pinned(), cs, base)
+		}
+		if got, want := cs.Bytes-base.Bytes, 8*int64(slicedEntries(e.Tree(), ev)); got != want || want >= e.ResultBytes() {
+			t.Errorf("%v second sight pinned %d bytes, its sliced tables are %d (full domain %d)", mode, got, want, e.ResultBytes())
+		}
+
+		third, rec, err := e.propagateCached(ctx, ev, nil, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rec.Cached || third != second {
+			t.Fatalf("%v third sight: cached %v, same result %v", mode, rec.Cached, third == second)
+		}
+		if !reflect.DeepEqual(firstBits, tableBits(t, second)) || math.Float64bits(firstPE) != math.Float64bits(second.ProbabilityOfEvidence()) {
+			t.Errorf("%v: the first sight's tables (on a recycled state) and the pinned ones differ", mode)
+		}
+	}
+}
+
+func TestPropagateCachedHitSharesResult(t *testing.T) {
+	e := cachedTestEngine(t, 64)
+	ev := potential.Evidence{0: 1, 2: 0}
+	r1 := secondSight(t, e, taskgraph.SumProduct, ev)
 	r2, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rec.Cached {
-		t.Fatal("second identical query missed the cache")
+		t.Fatal("third identical query missed the cache")
 	}
 	if r1 != r2 {
 		t.Fatal("cache hit returned a different result object")
 	}
-	if got := e.Propagations(); got != 1 {
-		t.Fatalf("Propagations = %d, want 1 (hit must not re-propagate)", got)
+	if got := e.Propagations(); got != 2 {
+		t.Fatalf("Propagations = %d, want 2 (hit must not re-propagate)", got)
 	}
 	st := e.CacheStats()
-	if !st.Enabled || st.Hits != 1 || st.Misses != 1 || st.Entries != 1 {
+	if !st.Enabled || st.Hits != 1 || st.Misses != 2 || st.FirstSight != 1 || st.Entries != 1 {
 		t.Fatalf("CacheStats = %+v", st)
 	}
 	// Different evidence (and the soft-evidence variant of the same hard
@@ -69,13 +153,7 @@ func TestPropagateCachedHitSharesResult(t *testing.T) {
 
 func TestPinnedResultReleaseIsNoOp(t *testing.T) {
 	e := cachedTestEngine(t, 8)
-	r, _, err := e.PropagateCachedContext(context.Background(), potential.Evidence{0: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Pinned() {
-		t.Fatal("cached result is not pinned")
-	}
+	r := secondSight(t, e, taskgraph.SumProduct, potential.Evidence{0: 1})
 	m1, err := r.Marginal(3)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +173,9 @@ func TestPinnedResultReleaseIsNoOp(t *testing.T) {
 func TestInvalidateCacheForcesRepropagation(t *testing.T) {
 	e := cachedTestEngine(t, 64)
 	ev := potential.Evidence{1: 0}
-	if _, _, err := e.PropagateCachedContext(context.Background(), ev, nil); err != nil {
-		t.Fatal(err)
+	secondSight(t, e, taskgraph.SumProduct, ev)
+	if st := e.CacheStats(); st.Entries != 1 {
+		t.Fatalf("entries before invalidate = %d", st.Entries)
 	}
 	e.InvalidateCache()
 	if st := e.CacheStats(); st.Entries != 0 {
@@ -109,39 +188,95 @@ func TestInvalidateCacheForcesRepropagation(t *testing.T) {
 	if rec.Cached {
 		t.Fatal("query after InvalidateCache was served from the cache")
 	}
-	if got := e.Propagations(); got != 2 {
-		t.Fatalf("Propagations = %d, want 2", got)
+	if got := e.Propagations(); got != 3 {
+		t.Fatalf("Propagations = %d, want 3", got)
 	}
 }
 
-func TestPropagateCachedConcurrentIdentical(t *testing.T) {
-	e := cachedTestEngine(t, 64)
-	ev := potential.Evidence{0: 1, 4: 0}
-	const callers = 16
+// herd releases n goroutines together on one evidence configuration and returns
+// what each was handed.
+func herd(t *testing.T, e *Engine, ev potential.Evidence, n int) []*Result {
+	t.Helper()
 	var wg sync.WaitGroup
-	var barrier sync.WaitGroup
-	barrier.Add(1)
-	results := make([]*Result, callers)
-	errs := make([]error, callers)
-	for i := 0; i < callers; i++ {
+	start := make(chan struct{})
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			barrier.Wait()
+			<-start
 			results[i], _, errs[i] = e.PropagateCachedContext(context.Background(), ev, nil)
 		}(i)
 	}
-	barrier.Done()
+	close(start)
 	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if results[i] != results[0] {
-			t.Fatalf("caller %d got a different result object", i)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
-	if got := e.Propagations(); got >= callers {
-		t.Fatalf("Propagations = %d for %d identical concurrent queries — no collapsing happened", got, callers)
+	return results
+}
+
+// Concurrent identical queries of a cold signature: one caller is its first
+// sight and gets a private result, every other one shares the single pinned
+// result of the second propagation.
+func TestPropagateCachedConcurrentIdentical(t *testing.T) {
+	e := cachedTestEngine(t, 64)
+	const callers = 16
+	results := herd(t, e, potential.Evidence{0: 1, 4: 0}, callers)
+	var private, shared *Result
+	for i, r := range results {
+		switch {
+		case !r.Pinned() && private == nil:
+			private = r
+		case !r.Pinned():
+			t.Fatalf("caller %d: a second private result", i)
+		case shared == nil:
+			shared = r
+		case r != shared:
+			t.Fatalf("caller %d got a different pinned result object", i)
+		}
+	}
+	if private == nil || shared == nil {
+		t.Fatalf("private %v, shared %v: want one first sight and one pinned result", private != nil, shared != nil)
+	}
+	if got := e.Propagations(); got != 2 {
+		t.Fatalf("Propagations = %d for %d identical concurrent queries, want 2", got, callers)
+	}
+	st := e.CacheStats()
+	if st.FirstSight != 1 || st.Hits+st.Collapsed != callers-2 || st.Entries != 1 {
+		t.Fatalf("CacheStats = %+v, want 1 first sight, %d hits + collapsed, 1 entry", st, callers-2)
+	}
+}
+
+// The contract in counts: a herd on a never-seen signature costs exactly two
+// propagations, on a seen but uncached one exactly one, on a cached one none.
+func TestColdHerdCostsTwo(t *testing.T) {
+	e := cachedTestEngine(t, 64)
+	const callers = 16
+	cold := potential.Evidence{0: 1, 4: 0}
+	before := e.Propagations()
+	herd(t, e, cold, callers)
+	if got := e.Propagations() - before; got != 2 {
+		t.Errorf("never-seen signature: %d propagations for %d callers, want 2", got, callers)
+	}
+	before = e.Propagations()
+	herd(t, e, cold, callers)
+	if got := e.Propagations() - before; got != 0 {
+		t.Errorf("cached signature: %d propagations for %d callers, want 0", got, callers)
+	}
+	// Seen, not cached: one query spends the first sight, nothing is retained.
+	seen := potential.Evidence{1: 0, 5: 1}
+	first, _, err := e.PropagateCachedContext(context.Background(), seen, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Release()
+	before = e.Propagations()
+	herd(t, e, seen, callers)
+	if got := e.Propagations() - before; got != 1 {
+		t.Errorf("seen signature: %d propagations for %d callers, want 1", got, callers)
 	}
 }

@@ -98,8 +98,9 @@ type Options struct {
 	// CacheSize, when positive, enables the shared-evidence result cache:
 	// an LRU of this many completed propagation results keyed by the
 	// canonical evidence signature, fronted by a singleflight group that
-	// collapses concurrent identical queries into one propagation. See
-	// PropagateCachedContext.
+	// collapses concurrent identical queries into one propagation. A result
+	// is admitted the second time its signature is seen; the first sight
+	// runs as it would without a cache. See PropagateCachedContext.
 	CacheSize int
 	// Recorder, when set, receives the record of every propagation (the
 	// flight recorder): runs are traced so slow ones retain their full
@@ -182,12 +183,16 @@ type Engine struct {
 	// each record's report in.
 	obsAgg obs.Aggregate
 
-	// cache and flight are the shared-evidence result cache and its
+	// cache, door and flight are the shared-evidence result cache, the
+	// doorkeeper that admits a signature to it on its second sight and the
 	// request-collapsing singleflight group (nil when CacheSize is 0).
-	// collapsed counts queries served by another caller's propagation.
-	cache     *cache.LRU
-	flight    *cache.Group
-	collapsed atomic.Int64
+	// collapsed counts queries served by another caller's propagation,
+	// firstSight those that ran privately because their signature was new.
+	cache      *cache.LRU
+	door       *cache.Doorkeeper
+	flight     *cache.Group
+	collapsed  atomic.Int64
+	firstSight atomic.Int64
 }
 
 // NewEngine validates and prepares the junction tree. The tree is cloned;
@@ -238,6 +243,7 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 	}
 	if opts.CacheSize > 0 {
 		e.cache = cache.NewLRU(opts.CacheSize)
+		e.door = cache.NewDoorkeeper(e.cache.Cap())
 		e.flight = &cache.Group{}
 	}
 	// Engines dropped without Close would otherwise leak their parked
@@ -322,9 +328,14 @@ func (e *Engine) Gauges() sched.GaugesSnapshot {
 // absorb returns a state of the engine's graph restricted to the evidence: one
 // recycled from the semiring's pool and re-primed in place, or a new one
 // allocated at its sliced size. A recycled state carries no residue:
-// AbsorbEvidence rebuilds every table from the tree.
-func (e *Engine) absorb(mode taskgraph.Mode, ev potential.Evidence) (*taskgraph.State, error) {
-	v := e.statePools[mode].Get()
+// AbsorbEvidence rebuilds every table from the tree. It does keep the largest
+// capacity it ever had, so a result that will be pinned always takes a new one:
+// what the cache retains is then exactly what the evidence leaves.
+func (e *Engine) absorb(mode taskgraph.Mode, ev potential.Evidence, pin bool) (*taskgraph.State, error) {
+	var v any
+	if !pin {
+		v = e.statePools[mode].Get()
+	}
 	if v == nil {
 		return e.graph.NewStateEvidence(mode, ev)
 	}
@@ -400,15 +411,15 @@ func (e *Engine) PropagateMaxContext(ctx context.Context, ev potential.Evidence)
 
 // propagate is propagateFull for callers that have no use for the record.
 func (e *Engine) propagate(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
-	res, _, err := e.propagateFull(ctx, ev, like, mode, "")
+	res, _, err := e.propagateFull(ctx, ev, like, mode, "", false)
 	return res, err
 }
 
 // propagateFull absorbs the evidence, runs the two-pass propagation and
 // returns the result with the run's record beside it. sig is the evidence
 // signature when the caller (the cache path) already computed it, "" when
-// not.
-func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string) (*Result, *obs.QueryRecord, error) {
+// not; pin says the result is for the cache and comes back pinned.
+func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string, pin bool) (*Result, *obs.QueryRecord, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -434,7 +445,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		}
 		st = lst
 	} else {
-		est, err := e.absorb(mode, ev)
+		est, err := e.absorb(mode, ev, pin)
 		if err != nil {
 			asp.Fail(err.Error())
 			asp.End()
@@ -461,7 +472,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		// of recycling any of it.
 		return nil, nil, err
 	}
-	return &Result{eng: e, state: st, pe: st.EvidenceMass()}, rec, nil
+	return &Result{eng: e, state: st, pe: st.EvidenceMass(), pinned: pin}, rec, nil
 }
 
 // newRecord starts a propagation's record with what is known before the

@@ -122,7 +122,7 @@ func TestLoadAwareExecutor(t *testing.T) {
 		if k := sched.RunsInFlight(); k != int64(tc.company) {
 			t.Errorf("%s: %d runs in flight, want %d", tc.name, k, tc.company)
 		}
-		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "")
+		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false)
 		release()
 		if err != nil {
 			t.Fatal(err)
@@ -214,12 +214,12 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
-			alone, arec, err := e.propagateFull(context.Background(), ev, nil, mode, "")
+			alone, arec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			release := holdRuns(t, tc.company)
-			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "")
+			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false)
 			release()
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +237,7 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 				t.Errorf("%s %v: P(e) differs", tc.name, mode)
 			}
 			if mode == taskgraph.SumProduct {
-				whole, err := e.absorb(mode, ev)
+				whole, err := e.absorb(mode, ev, false)
 				if err != nil {
 					t.Fatal(err)
 				}

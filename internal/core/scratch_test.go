@@ -68,7 +68,7 @@ func slicedEntries(tr *jtree.Tree, ev potential.Evidence) int {
 	return total
 }
 
-// TestCachedResultRetainsTablesOnly: after a cached miss the pinned state has
+// TestCachedResultRetainsTablesOnly: after a second-sight miss the pinned state has
 // no scratch attached and retains exactly its tables, sliced on its evidence —
 // Π(unobserved cardinalities) entries each, under ResultBytes — and
 // CacheStats.Bytes is the sum over the live entries, whose evidence widths
@@ -94,13 +94,7 @@ func TestCachedResultRetainsTablesOnly(t *testing.T) {
 			t.Fatalf("cache holds %d entries after %d distinct queries", e.CacheStats().Entries, i)
 		}
 		ev := evidenceNo(vars, i)
-		res, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Cached || !res.Pinned() {
-			t.Fatalf("query %d: cached=%v pinned=%v, want a pinned miss", i, rec.Cached, res.Pinned())
-		}
+		res := secondSight(t, e, taskgraph.SumProduct, ev)
 		got := int64(res.State().RetainedEntries()) * 8
 		if want := int64(slicedEntries(e.Tree(), ev)) * 8; got != want || got >= tableBytes {
 			t.Fatalf("query %d (%d observed): pinned state retains %d bytes, sliced tables are %d, full ones %d",
@@ -179,8 +173,9 @@ func readAnswers(res *Result, vars, joint []int) (answers, error) {
 
 // TestPinnedReadsSurviveScratchRecycling: readers derive every kind of answer
 // from pinned results while other goroutines propagate never-repeating
-// evidence on the same engine, so the scratch the pinned results were computed
-// with is handed from run to run underneath them. Every answer must equal,
+// evidence on the same engine and release what they get, so the scratch the
+// pinned results were computed with, and the result tables of every first
+// sight, are handed from run to run underneath them. Every answer must equal,
 // bit for bit, what a serial engine of its own computes for that evidence.
 // Under -race this is also the proof that no run writes anything a reader
 // reads. Unpartitioned, so the pool's arithmetic order is the serial one.
@@ -228,14 +223,11 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 			defer e.Close()
 			pinned := make([]*Result, pinnedN)
 			for i := range pinned {
+				mode := taskgraph.SumProduct
 				if i%3 == 2 {
-					pinned[i], _, err = e.PropagateMaxCachedContext(context.Background(), evidenceNo(vars, i))
-				} else {
-					pinned[i], _, err = e.PropagateCachedContext(context.Background(), evidenceNo(vars, i), nil)
+					mode = taskgraph.MaxProduct
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
+				pinned[i] = secondSight(t, e, mode, evidenceNo(vars, i))
 			}
 			if snap := e.ObsSnapshot(); tc.force != (snap.PoolRuns > 0) || tc.force == (snap.InlineRuns > 0) {
 				t.Fatalf("%d inline and %d pool runs", snap.InlineRuns, snap.PoolRuns)
@@ -246,20 +238,23 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 			var wg sync.WaitGroup
 			for g := 0; g < 3; g++ {
 				wg.Add(2)
-				go func() { // propagates: takes scratch from the pool, gives it back
+				go func() { // first sights: scratch and result tables both go round
 					defer wg.Done()
 					for k := 0; k < 40; k++ {
 						i := int(next.Add(1))
-						var err error
+						mode := taskgraph.SumProduct
 						if k%4 == 3 {
-							_, _, err = e.PropagateMaxCachedContext(context.Background(), evidenceNo(vars, i))
-						} else {
-							_, _, err = e.PropagateCachedContext(context.Background(), evidenceNo(vars, i), nil)
+							mode = taskgraph.MaxProduct
 						}
+						res, _, err := e.propagateCached(context.Background(), evidenceNo(vars, i), nil, mode)
 						if err != nil {
 							t.Error(err)
 							return
 						}
+						if res.Pinned() {
+							t.Errorf("churn query %d came back pinned", i)
+						}
+						res.Release()
 					}
 				}()
 				go func(g int) { // reads pinned results the whole time
@@ -316,7 +311,7 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 	// not.
 	tables := int(e.ResultBytes() / 8)
 	for _, fail := range []bool{true, false, true} {
-		st, err := e.absorb(taskgraph.SumProduct, ev)
+		st, err := e.absorb(taskgraph.SumProduct, ev, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,10 +371,7 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 func TestPinnedMarginalMemoizedOnce(t *testing.T) {
 	e := cachedTestEngine(t, 16)
 	for round := 0; round < 20; round++ {
-		res, _, err := e.PropagateCachedContext(context.Background(), potential.Evidence{0: round & 1, 2: round >> 1 & 1, 5: round >> 2 & 1, 7: round >> 3 & 1, 9: round >> 4}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := secondSight(t, e, taskgraph.SumProduct, potential.Evidence{0: round & 1, 2: round >> 1 & 1, 5: round >> 2 & 1, 7: round >> 3 & 1, 9: round >> 4})
 		const readers = 8
 		got := make([]*potential.Potential, readers)
 		var start, done sync.WaitGroup

@@ -257,8 +257,13 @@ func TestSlicedAccessors(t *testing.T) {
 		}
 	}
 	ref := fullDomainResult(t, e, taskgraph.SumProduct, ev, nil)
+	first, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	if err != nil || rec.Cached || first.Pinned() {
+		t.Fatalf("first sight: cached=%v err=%v", rec != nil && rec.Cached, err)
+	}
+	first.Release()
 	miss, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
-	if err != nil || rec.Cached {
+	if err != nil || rec.Cached || !miss.Pinned() {
 		t.Fatalf("miss: cached=%v err=%v", rec != nil && rec.Cached, err)
 	}
 	if rec.Entries >= rec.GraphEntries || rec.Entries <= 0 {
@@ -467,7 +472,7 @@ func TestGranularityFollowsEvidence(t *testing.T) {
 		observed int
 		executor string
 	}{{0, "pool"}, {30, "inline"}, {0, "pool"}, {30, "inline"}} {
-		_, rec, err := e.propagateFull(context.Background(), randomEvidence(rng, vars, cardOf, tc.observed), nil, taskgraph.SumProduct, "")
+		_, rec, err := e.propagateFull(context.Background(), randomEvidence(rng, vars, cardOf, tc.observed), nil, taskgraph.SumProduct, "", false)
 		if err != nil {
 			t.Fatal(err)
 		}

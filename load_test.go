@@ -1,6 +1,9 @@
 package evprop
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestInlinePathAllocsPinned pins the allocations of the two inline paths the
 // load benchmark's mid-dense and small-* workloads take — at Workers 2 the
@@ -58,5 +61,64 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 			t.Errorf("%s: %.0f allocations per op, %.0f at the parent commit", tc.name, allocs, tc.parent)
 		}
 		eng.Close()
+	}
+}
+
+// TestFirstSightAllocatesLikeNoCache is the wide-miss workload's claim without
+// a clock: over never-repeating evidence on wide60 with 4 variables observed,
+// an engine with the benchmark's 32-entry cache allocates per Propagate + Close
+// what an engine without a cache does — every query is the first sight of its
+// signature, runs on a recycled state and pins nothing — and a small fraction
+// of the 2.4 MB of tables a miss allocated when every miss was pinned.
+func TestFirstSightAllocatesLikeNoCache(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states at random under the race detector")
+	}
+	net := RandomNetwork(60, 2, 5, 7)
+	const warm, runs = 8, 100
+	evs := benchmarkEvidence(net, 1, 4, warm+2*(runs+1))
+	measure := func(cacheSize int) (allocs, bytes float64) {
+		eng, err := net.Compile(Options{Workers: 2, CacheSize: cacheSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		next := 0
+		query := func() {
+			res, err := eng.Propagate(evs[next])
+			next++
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cached() || res.res.Pinned() {
+				t.Fatalf("cache=%d: query %d came back cached or pinned", cacheSize, next-1)
+			}
+			res.Close()
+		}
+		for next < warm {
+			query() // fill the state and scratch pools
+		}
+		allocs = testing.AllocsPerRun(runs, query)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			query()
+		}
+		runtime.ReadMemStats(&after)
+		if cs := eng.CacheStats(); cs.Entries != 0 || cs.Bytes != 0 || (cs.Enabled && cs.FirstSight != int64(next)) {
+			t.Errorf("cache=%d: %+v after %d never-repeating queries", cacheSize, cs, next)
+		}
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	plainAllocs, plainBytes := measure(0)
+	cachedAllocs, cachedBytes := measure(32)
+	t.Logf("cache=0: %.0f allocs, %.0f B per op; cache=32: %.0f allocs, %.0f B per op", plainAllocs, plainBytes, cachedAllocs, cachedBytes)
+	// Both engines compute the signature (the flight recorder keeps it); a
+	// pool run's own count moves by one or two with how its workers interleave.
+	if cachedAllocs > plainAllocs+3 {
+		t.Errorf("%.0f allocations per first sight at CacheSize 32, %.0f without a cache", cachedAllocs, plainAllocs)
+	}
+	if cachedBytes > 64<<10 {
+		t.Errorf("%.0f bytes allocated per first sight at CacheSize 32, want under 64 kB (a pinned miss: 2.4 MB)", cachedBytes)
 	}
 }
