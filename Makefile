@@ -107,21 +107,27 @@ fuzz-smoke:
 trace:
 	$(GO) run ./cmd/evbench -trace /tmp/evprop-trace.json
 
-# Smoke-test the live dashboard end to end: start evserve on an ephemeral
-# port, render one evtop frame against its /v1/stream, then shut down.
+# Smoke-test the live dashboard end to end, on a server with no model named
+# "default": boot evserve with -models-dir on the two testdata models, query
+# each three times (a first sight, the pinned run, a hit), render one evtop
+# frame against its /v1/stream, then shut down. The frame must name both
+# models, and neither may read "cache off" — every block is its own model's.
 smoke-evtop:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evtop-smoke ./cmd/evtop
-	@/tmp/evserve-smoke -addr 127.0.0.1:18098 >/dev/null 2>&1 & \
+	@/tmp/evserve-smoke -models-dir cmd/evserve/testdata/models -workers 2 -cache-size 32 -addr 127.0.0.1:18098 >/dev/null 2>&1 & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do \
 		if curl -sf http://127.0.0.1:18098/v1/readyz >/dev/null 2>&1; then break; fi; \
 		sleep 0.1; done; \
-	curl -sf -o /dev/null -X POST http://127.0.0.1:18098/v1/query \
-		-d '{"evidence":{"XRay":1}}'; \
-	/tmp/evtop-smoke -url http://127.0.0.1:18098 -once | grep -q "evtop —"; rc=$$?; \
+	for m in rainA rainB rainA rainB rainA rainB; do \
+		curl -sf -o /dev/null -X POST http://127.0.0.1:18098/v1/models/$$m/query \
+			-d '{"evidence":{"Wet":1}}'; done; \
+	/tmp/evtop-smoke -url http://127.0.0.1:18098 -once > /tmp/evtop-smoke.frame; \
 	kill $$pid; wait $$pid 2>/dev/null; \
-	if [ $$rc -ne 0 ]; then echo "smoke-evtop: frame did not render"; exit 1; fi; \
+	for want in "evtop —" "2 models" "queries 6" "rainA" "rainB" "window reqs 3" "cache 1/32 entries"; do \
+		grep -q "$$want" /tmp/evtop-smoke.frame || { echo "smoke-evtop: frame lacks '$$want'"; cat /tmp/evtop-smoke.frame; exit 1; }; done; \
+	if grep -q "cache off" /tmp/evtop-smoke.frame; then echo "smoke-evtop: frame says cache off"; cat /tmp/evtop-smoke.frame; exit 1; fi; \
 	echo "smoke-evtop: ok"
 
 # Smoke-test multi-model serving end to end: boot evserve with two models

@@ -23,6 +23,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"evprop"
 )
 
 // DefaultModel is the model name single-model evserve boots register.
@@ -380,51 +382,75 @@ func (c *Client) DSep(ctx context.Context, model string, x, y, z []string) (bool
 	return out.Separated, nil
 }
 
-// Stats is the slice of GET /v1/stats clients typically branch on; the
-// full body (window, cache, gauges) is available via Raw.
+// Stats is GET /v1/stats, and one /v1/stream event (see Snapshot): the
+// server-wide totals, one row per model, the catch-all row, the audit
+// pipeline. Everything is counted on a model; Totals is the sum over Models
+// and Unresolved at the instant the rows were read.
 type Stats struct {
-	Queries      int64              `json:"queries"`
-	Batches      int64              `json:"batches"`
-	MPEs         int64              `json:"mpes"`
-	Errors       int64              `json:"errors"`
-	Propagations int64              `json:"propagations"`
-	Workers      int                `json:"workers"`
-	Scheduler    string             `json:"scheduler"`
-	Models       []ModelStatsInline `json:"models"`
-	Cache        CacheCounters      `json:"cache"`
-	Audit        AuditStatus        `json:"audit"`
+	Time      time.Time `json:"time"`
+	UptimeSec float64   `json:"uptime_sec"`
+	Totals    Counters  `json:"totals"`
+	// Models has one row per registered model, sorted by name.
+	Models []ModelStats `json:"models"`
+	// Unresolved counts what was asked of no model — an unknown name, a wrong
+	// method on a route that names none; only its Errors move.
+	Unresolved ModelStats  `json:"unresolved"`
+	Audit      AuditStatus `json:"audit"`
 }
 
-// CacheCounters is the default model's result-cache block in Stats.
-type CacheCounters struct {
-	Enabled    bool  `json:"enabled"`
-	Capacity   int   `json:"capacity"`
-	Entries    int   `json:"entries"`
-	Bytes      int64 `json:"bytes"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Collapsed  int64 `json:"collapsed"`
-	FirstSight int64 `json:"first_sight"`
-}
-
-// ModelStatsInline is one model's row inside Stats.Models.
-type ModelStatsInline struct {
-	ModelInfo
+// Counters are what a stats row counts — requests by kind, HTTP error
+// responses, the current engine's propagations — and, summed over the rows,
+// the server-wide totals.
+type Counters struct {
 	Queries      int64 `json:"queries"`
 	Batches      int64 `json:"batches"`
 	MPEs         int64 `json:"mpes"`
 	Errors       int64 `json:"errors"`
 	Propagations int64 `json:"propagations"`
-	InlineRuns   int64 `json:"inline_runs"`
-	PoolRuns     int64 `json:"pool_runs"`
+}
+
+// ModelStats is one model's stats row: a row of Stats.Models and the body of
+// GET /v1/models/{name}/stats. Counters and latencies cover the process
+// lifetime, Window the last 60 seconds; Cache, Gauges and the run counters are
+// the model's current engine's.
+type ModelStats struct {
+	ModelInfo
+	Counters
+	Workers    int    `json:"workers"`
+	Scheduler  string `json:"scheduler"`
+	InlineRuns int64  `json:"inline_runs"`
+	PoolRuns   int64  `json:"pool_runs"`
 	// SlicedShare is the share of the model's task-graph table entries its
 	// runs had to range over once the tables were sliced on each query's hard
 	// evidence; 1 before anything has run.
 	SlicedShare float64 `json:"sliced_share"`
-	CacheHits   int64   `json:"cache_hits"`
+	// LoadBalance and SchedOverheadFrac are the most recent run's Fig. 8
+	// gauges.
+	LoadBalance       float64                `json:"load_balance"`
+	SchedOverheadFrac float64                `json:"sched_overhead_fraction"`
+	Observed          int64                  `json:"observed"`
+	AvgLatencyUsec    float64                `json:"avg_latency_usec"`
+	P50LatencyUsec    float64                `json:"p50_latency_usec"`
+	P99LatencyUsec    float64                `json:"p99_latency_usec"`
+	Window            WindowStats            `json:"window"`
+	Cache             CacheCounters          `json:"cache"`
+	Gauges            evprop.SchedulerGauges `json:"scheduler_gauges"`
 }
 
-// Stats fetches the server-wide counters and per-model rows.
+// WindowStats summarizes the last 60 seconds of one model's traffic.
+type WindowStats struct {
+	Requests     int64   `json:"requests"`
+	QPS          float64 `json:"qps"`
+	ErrorRate    float64 `json:"error_rate"`
+	P50Usec      float64 `json:"p50_latency_usec"`
+	P99Usec      float64 `json:"p99_latency_usec"`
+	LoadBalance  float64 `json:"load_balance"`
+	CacheHitRate float64 `json:"cache_hit_rate"`
+	// QPSSeries is per-second request counts, oldest first.
+	QPSSeries []int64 `json:"qps_series"`
+}
+
+// Stats fetches the server-wide totals and per-model rows.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	var out Stats
 	if err := c.get(ctx, "/v1/stats", &out); err != nil {

@@ -4,75 +4,30 @@ import (
 	"context"
 	"fmt"
 	"net/url"
-	"time"
+
+	"evprop"
 )
 
 // Typed access to evserve's observability surface: the per-model flight
 // recorder (GET /v1/debug/flightrecorder) and the durable audit pipeline's
-// status (GET /v1/audit). The structs mirror the server's JSON shapes
-// field-for-field, so the client stays stdlib-only without importing the
-// engine.
+// status (GET /v1/audit). What the server encodes straight from the engine's
+// own types is aliased to them, so a record field is declared once.
 
 // FlightRecord is one propagation's summary from the server's flight
 // recorder.
-type FlightRecord struct {
-	Seq               uint64         `json:"seq"`
-	ID                string         `json:"id"`
-	Time              time.Time      `json:"time"`
-	Mode              string         `json:"mode"`
-	EvidenceVars      int            `json:"evidence_vars"`
-	ElapsedUsec       float64        `json:"elapsed_usec"`
-	Executor          string         `json:"executor,omitempty"` // "inline" or "pool"; empty on cached and failed records
-	Workers           int            `json:"workers"`
-	Tasks             int            `json:"tasks"`
-	Entries           int64          `json:"entries,omitempty"`           // table entries the run ranged over, sliced on its evidence
-	GraphEntries      int64          `json:"graph_entries,omitempty"`     // the same task graph with nothing observed
-	EffectiveWorkers  int            `json:"effective_workers,omitempty"` // workers ÷ runs in flight when the run started: the P the inline-or-pool rule priced it at
-	LoadBalance       float64        `json:"load_balance"`
-	SchedOverheadFrac float64        `json:"sched_overhead_fraction"`
-	Error             string         `json:"error,omitempty"`
-	Slow              bool           `json:"slow"`
-	Cached            bool           `json:"cached"`
-	Lazy              bool           `json:"lazy,omitempty"`
-	LazyMsgSent       int64          `json:"lazy_msg_sent,omitempty"`
-	LazyMsgBlocked    int64          `json:"lazy_msg_blocked,omitempty"`
-	LazyMsgSkipped    int64          `json:"lazy_msg_skipped,omitempty"`
-	LazyFlops         int64          `json:"lazy_flops,omitempty"`
-	LazyFlopsFull     int64          `json:"lazy_flops_full,omitempty"`
-	LazyMaterialized  int64          `json:"lazy_materialized,omitempty"`
-	EvidenceSig       string         `json:"evidence_sig,omitempty"`
-	Evidence          map[string]int `json:"evidence,omitempty"`
-}
+type FlightRecord = evprop.FlightRecord
 
 // TraceEvent is one executed scheduler item in a slow-query capture.
-type TraceEvent struct {
-	Worker    int     `json:"worker"`
-	Task      int     `json:"task"`
-	Kind      string  `json:"kind"`
-	Lo        int     `json:"lo"`
-	Hi        int     `json:"hi"`
-	Combine   bool    `json:"combine,omitempty"`
-	StartUsec float64 `json:"start_usec"`
-	EndUsec   float64 `json:"end_usec"`
-}
+type TraceEvent = evprop.TraceEvent
 
 // SlowQueryCapture is the full detail retained for one slow propagation.
-type SlowQueryCapture struct {
-	Record                FlightRecord `json:"record"`
-	ThresholdUsec         float64      `json:"threshold_usec"`
-	BusyPerWorkerUsec     []float64    `json:"busy_per_worker_usec,omitempty"`
-	OverheadPerWorkerUsec []float64    `json:"overhead_per_worker_usec,omitempty"`
-	Trace                 []TraceEvent `json:"trace,omitempty"`
-}
+type SlowQueryCapture = evprop.SlowQueryCapture
 
 // FlightRecorderStats summarizes the recorder itself.
-type FlightRecorderStats struct {
-	Enabled           bool    `json:"enabled"`
-	Size              int     `json:"size"`
-	Recorded          int64   `json:"recorded"`
-	SlowCaptured      int64   `json:"slow_captured"`
-	SlowThresholdUsec float64 `json:"slow_threshold_usec"`
-}
+type FlightRecorderStats = evprop.FlightRecorderStats
+
+// CacheCounters is one model's result-cache block in its stats row.
+type CacheCounters = evprop.CacheStats
 
 // FlightRecorderQuery selects and pages one model's flight recorder.
 type FlightRecorderQuery struct {

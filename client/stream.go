@@ -7,31 +7,11 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"time"
-
-	"evprop"
 )
 
-// Snapshot is one /v1/stream event: the last-minute traffic summary plus
-// the default model's live scheduler gauge surface. Field meanings match
-// GET /v1/stats.
-type Snapshot struct {
-	Time         time.Time              `json:"time"`
-	UptimeSec    float64                `json:"uptime_sec"`
-	Requests     int64                  `json:"window_requests"`
-	QPS          float64                `json:"qps"`
-	ErrorRate    float64                `json:"error_rate"`
-	P50Usec      float64                `json:"p50_usec"`
-	P99Usec      float64                `json:"p99_usec"`
-	LoadBalance  float64                `json:"load_balance"`
-	CacheHitRate float64                `json:"cache_hit_rate"`
-	Propagations int64                  `json:"propagations"`
-	Errors       int64                  `json:"errors"`
-	Scheduler    string                 `json:"scheduler"`
-	Workers      int                    `json:"workers"`
-	Models       int                    `json:"models"`
-	Gauges       evprop.SchedulerGauges `json:"gauges"`
-}
+// Snapshot is one /v1/stream event: what GET /v1/stats answered at that
+// instant.
+type Snapshot = Stats
 
 // Stream subscribes to GET /v1/stream and feeds each decoded snapshot to
 // fn until the stream ends, fn returns false (clean stop, nil error), or

@@ -87,8 +87,7 @@ func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // writeAuditMetrics renders the audit pipeline's Prometheus series. The
 // series exist (at zero) even with auditing off, so dashboards and alerts
 // can be authored before the flag is ever set.
-func (s *server) writeAuditMetrics(w http.ResponseWriter) {
-	st := s.auditStats()
+func writeAuditMetrics(w http.ResponseWriter, st auditStats) {
 	obs.WriteHeader(w, "evprop_audit_enqueued_total", "Audit records enqueued for spilling.", "counter")
 	obs.WriteSample(w, "evprop_audit_enqueued_total", nil, float64(st.Enqueued))
 	obs.WriteHeader(w, "evprop_audit_dropped_total", "Audit records dropped under backpressure or failed appends.", "counter")

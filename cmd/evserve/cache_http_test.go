@@ -27,21 +27,15 @@ func TestQueryCacheHitCounters(t *testing.T) {
 			t.Errorf("posterior %v differs from the first sight's %v", later.Posteriors, first.Posteriors)
 		}
 	}
-	cs := srv.defaultEngine().CacheStats()
+	cs := engineOf(t, srv, defaultModel).CacheStats()
 	if !cs.Enabled || cs.Hits != 1 || cs.Misses != 2 || cs.FirstSight != 1 {
 		t.Fatalf("CacheStats = %+v, want enabled with 1 hit, 2 misses, 1 first sight", cs)
 	}
-	if got := srv.defaultEngine().Stats().Propagations; got != 2 {
+	if got := engineOf(t, srv, defaultModel).Stats().Propagations; got != 2 {
 		t.Errorf("Propagations = %d, want 2 (third query must be a cache hit)", got)
 	}
 
-	var st statsResponse
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	decode(t, resp, &st)
+	st := statsSnapshot(t, ts).row(t, defaultModel)
 	if !st.Cache.Enabled || st.Cache.Hits != 1 || st.Cache.FirstSight != 1 || st.Cache.Entries != 1 {
 		t.Errorf("stats cache block = %+v", st.Cache)
 	}
@@ -50,7 +44,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	if st.Cache.Capacity != 64 || st.Cache.Bytes <= 0 || st.Cache.Bytes != cs.Bytes {
 		t.Errorf("stats cache capacity/bytes = %d/%d, engine says %d/%d", st.Cache.Capacity, st.Cache.Bytes, cs.Capacity, cs.Bytes)
 	}
-	var ms modelStatsResponse
+	var ms modelRow
 	mstats, err := http.Get(ts.URL + "/v1/models/default/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +65,13 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	defer mresp.Body.Close()
 	body, _ := io.ReadAll(mresp.Body)
 	for _, metric := range []string{
-		"evprop_cache_hits_total",
-		"evprop_cache_misses_total",
-		"evprop_cache_collapsed_total",
-		"evprop_cache_first_sight_total 1\n",
-		"evprop_cache_entries",
-		"evprop_cache_bytes",
-		"evprop_window_cache_hit_rate",
+		`evprop_cache_hits_total{model="default"} 1` + "\n",
+		`evprop_cache_misses_total{model="default"} 2` + "\n",
+		`evprop_cache_collapsed_total{model="default"}`,
+		`evprop_cache_first_sight_total{model="default"} 1` + "\n",
+		`evprop_cache_entries{model="default"} 1` + "\n",
+		`evprop_cache_bytes{model="default"}`,
+		`evprop_window_cache_hit_rate{model="default"}`,
 	} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("/v1/metrics missing %s", metric)
@@ -91,7 +85,7 @@ func TestCachedFlightRecord(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		post(t, ts.URL+"/v1/query", req)
 	}
-	recs := srv.defaultEngine().RecentQueries()
+	recs := engineOf(t, srv, defaultModel).RecentQueries()
 	if len(recs) != 3 {
 		t.Fatalf("%d flight records, want 3", len(recs))
 	}
@@ -118,11 +112,11 @@ func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	for i := 0; i < n; i++ {
 		req.Queries = append(req.Queries, queryRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 0}})
 	}
-	before := statsSnapshot(t, ts)
+	before := statsSnapshot(t, ts).row(t, defaultModel)
 	resp := post(t, ts.URL+"/v1/batch", req)
 	var br batchResponse
 	decode(t, resp, &br)
-	after := statsSnapshot(t, ts)
+	after := statsSnapshot(t, ts).row(t, defaultModel)
 
 	if got := after.Propagations - before.Propagations; got != 2 {
 		t.Errorf("propagations moved by %d, want 2", got)

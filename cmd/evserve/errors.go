@@ -83,8 +83,8 @@ type errorBody struct {
 
 // writeError answers a failed request from the typed error via the
 // mapping table. It is the single choke point that counts HTTP errors, so
-// each failed request counts exactly once globally and once against its
-// model (when one was resolved).
+// each failed request counts exactly once: against its model, or against
+// noModel when it resolved none.
 func (s *server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 	status, code := classify(err)
 	s.writeErrorCode(w, r, status, code, err.Error())
@@ -93,16 +93,14 @@ func (s *server) writeError(w http.ResponseWriter, r *http.Request, err error) {
 // writeErrorCode is writeError for protocol-level rejections that carry
 // no typed error (wrong method, missing route).
 func (s *server) writeErrorCode(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
-	s.stats.errors.Add(1)
-	ri := reqInfoFrom(r.Context())
+	// The stream and the health probes bypass instrument and carry no
+	// reqInfo; they name no model either.
+	ms := s.noModel
 	var id, traceID string
-	if ri != nil {
-		id = ri.queryID
-		traceID = ri.traceID
-		if ms := ri.stats(); ms != nil {
-			ms.errors.Add(1)
-		}
+	if ri := reqInfoFrom(r.Context()); ri != nil {
+		id, traceID, ms = ri.queryID, ri.traceID, ri.ms
 	}
+	ms.errors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{Code: code, Message: msg, QueryID: id, TraceID: traceID}})

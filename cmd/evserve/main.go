@@ -15,7 +15,7 @@
 //	PUT    /v1/models/{name}          ← a BIF or XMLBIF document (sniffed); ?wait=1 blocks for the compile
 //	DELETE /v1/models/{name}          → drains in-flight queries, then releases the engine
 //	POST   /v1/models/{name}/reload   → recompile from the retained source (re-reads file sources); ?wait=1 blocks
-//	GET    /v1/models/{name}/stats    → that model's counters, latency, window, cache, gauges
+//	GET    /v1/models/{name}/stats    → that model's stats row: counters, latency, window, cache, gauges
 //
 // Model-scoped queries:
 //
@@ -31,9 +31,10 @@
 //
 // Introspection:
 //
-//	GET /v1/stats  → request counters (global + per model), latency percentiles, 60 s window
-//	GET /v1/metrics → Prometheus text exposition, incl. per-model labeled series
-//	GET /v1/stream → Server-Sent Events, one stats+gauges snapshot/second (the feed evtop renders)
+//	GET /v1/stats  → {totals, models: [one stats row per model], unresolved, audit, trace};
+//	                every request is counted once, on its model, and the totals are sums over the rows
+//	GET /v1/metrics → Prometheus text exposition, one series per model (model="…")
+//	GET /v1/stream → Server-Sent Events, one /v1/stats body per second (the feed evtop renders)
 //	GET /v1/healthz → liveness: build info, go version, uptime
 //	GET /v1/readyz  → readiness: 200 while serving, 503 once drain begins
 //	GET /v1/audit  → audit pipeline status: counters, chain head, segment totals
@@ -203,7 +204,7 @@ func main() {
 	logger.Info("evserve: listening",
 		slog.Int("models", len(srv.reg.Names())),
 		slog.String("addr", ln.Addr().String()))
-	srv.startSampler()
+	srv.sampler.Start()
 	srv.ready.Store(true)
 	err = serve(ctx, ln, srv, logger)
 	srv.beginDrain() // listener-failure path: Shutdown never ran

@@ -16,7 +16,7 @@ import (
 // average was 0/0 = NaN, which json.Marshal cannot encode at all.
 func TestStatsFreshServer(t *testing.T) {
 	ts := testServer(t)
-	s := statsSnapshot(t, ts) // decode fails outright on a NaN body
+	s := statsSnapshot(t, ts).row(t, defaultModel) // decode fails outright on a NaN body
 	if s.Observed != 0 {
 		t.Fatalf("fresh server observed %d", s.Observed)
 	}
@@ -34,7 +34,7 @@ func TestStatsPercentiles(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
 	}
-	s := statsSnapshot(t, ts)
+	s := statsSnapshot(t, ts).row(t, defaultModel)
 	if s.Observed != 5 {
 		t.Fatalf("observed %d, want 5", s.Observed)
 	}
@@ -58,39 +58,55 @@ func TestStatsPercentiles(t *testing.T) {
 }
 
 // TestErrorCountedOncePerRequest pins the audited error semantics: every
-// rejected request increments the counter exactly once, whichever path
-// rejected it. Pre-fix, malformed JSON and wrong-method rejections were not
-// counted at all.
+// rejected request increments one counter exactly once, whichever path
+// rejected it — its model's when its route names one, the catch-all's when it
+// resolved none — so the rows always add up to the totals. Pre-fix, malformed
+// JSON and wrong-method rejections were not counted at all.
 func TestErrorCountedOncePerRequest(t *testing.T) {
 	ts := testServer(t)
-	errorsNow := func() int64 { return statsSnapshot(t, ts).Errors }
-	if errorsNow() != 0 {
-		t.Fatal("fresh server has errors")
+	// check reads /v1/stats and returns the default model's, the catch-all's
+	// and the total error counts.
+	check := func(after string, onModel, onNone int64) {
+		t.Helper()
+		st := statsSnapshot(t, ts)
+		checkRowsAddUp(t, st)
+		if m, n := st.row(t, defaultModel).Errors, st.Unresolved.Errors; m != onModel || n != onNone || st.Totals.Errors != onModel+onNone {
+			t.Errorf("after %s: %d errors on the model, %d on no model, %d in all; want %d, %d and their sum",
+				after, m, n, st.Totals.Errors, onModel, onNone)
+		}
 	}
+	check("nothing", 0, 0)
 	// Malformed JSON → 400, one error.
 	r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{oops")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
-	if got := errorsNow(); got != 1 {
-		t.Errorf("after malformed JSON: errors %d, want 1", got)
-	}
+	check("malformed JSON", 1, 0)
 	// Wrong method → 405, one error.
 	g, err := http.Get(ts.URL + "/v1/query")
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.Body.Close()
-	if got := errorsNow(); got != 2 {
-		t.Errorf("after wrong method: errors %d, want 2", got)
-	}
+	check("wrong method", 2, 0)
 	// Unknown variable → one error (not two, despite the failure passing
 	// through both the answer function and writeError).
 	post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
-	if got := errorsNow(); got != 3 {
-		t.Errorf("after unknown variable: errors %d, want 3", got)
+	check("unknown variable", 3, 0)
+	// Unknown model → 404 model_not_found: no model to count it on.
+	if resp := post(t, ts.URL+"/v1/models/ghost/query", queryRequest{}); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unknown model: status %d, want 404", resp.StatusCode)
 	}
+	check("unknown model", 3, 1)
+	// Wrong method on a route that names no model → 405 on the catch-all; so
+	// is one on a route outside instrument.
+	for _, path := range []string{"/v1/stats", "/v1/healthz"} {
+		if resp := post(t, ts.URL+path, struct{}{}); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)
+		}
+	}
+	check("wrong methods on no model", 3, 3)
 }
 
 // TestBatchSubQueryFailuresNotHTTPErrors pins the other half of the audit: a
@@ -111,7 +127,7 @@ func TestBatchSubQueryFailuresNotHTTPErrors(t *testing.T) {
 	if b.Results[1].Error == "" || b.Results[2].Error == "" {
 		t.Fatal("sub-query failures not reported in place")
 	}
-	if got := statsSnapshot(t, ts).Errors; got != 0 {
+	if got := statsSnapshot(t, ts).Totals.Errors; got != 0 {
 		t.Errorf("in-place batch failures counted as HTTP errors: %d", got)
 	}
 }
@@ -136,16 +152,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		`evprop_http_requests_total{kind="query"} 1`,
-		"evprop_http_errors_total 0",
-		"evprop_propagations_total 1",
-		"evprop_workers 2",
-		"evprop_request_duration_seconds_count 1",
-		`evprop_request_duration_seconds_bucket{le="+Inf"} 1`,
-		"evprop_sched_runs_total 1",
-		"evprop_sched_load_balance",
-		"evprop_sched_overhead_fraction",
-		`evprop_sched_kind_busy_seconds_total{kind="multiply"}`,
+		`evprop_http_requests_total{kind="query",model="default"} 1`,
+		`evprop_http_errors_total{model="default"} 0`,
+		`evprop_http_errors_total{model="(none)"} 0`,
+		`evprop_propagations_total{model="default"} 1`,
+		`evprop_workers{model="default"} 2`,
+		`evprop_request_duration_seconds_count{model="default"} 1`,
+		`evprop_request_duration_seconds_bucket{le="+Inf",model="default"} 1`,
+		`evprop_sched_runs_total{model="default"} 1`,
+		`evprop_sched_load_balance{model="default"}`,
+		`evprop_sched_overhead_fraction{model="default"}`,
+		`evprop_sched_kind_busy_seconds_total{kind="multiply",model="default"}`,
 		"# TYPE evprop_request_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {

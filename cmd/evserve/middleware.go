@@ -10,6 +10,7 @@ import (
 
 	"evprop"
 	"evprop/internal/obs/trace"
+	"evprop/internal/registry"
 )
 
 // Per-request observability: instrument wraps every handler so each request
@@ -22,7 +23,7 @@ import (
 
 // reqInfo holds one request's totals: finish folds each of the request's
 // outcomes into it (see fold), and instrument reads it back into the access
-// log and the stats windows when the handler returns. Fields are atomics
+// log and the model's window when the handler returns. The totals are atomics
 // because /v1/batch runs its sub-queries on concurrent goroutines.
 type reqInfo struct {
 	queryID string
@@ -47,11 +48,13 @@ type reqInfo struct {
 	// zero on engines compiled without a cache.
 	cacheHits    atomic.Int64
 	cacheLookups atomic.Int64
-	// model names the model the request resolved to and modelStats points
-	// at its counters; set by server.acquire once routing picked a model,
-	// so errors and window traffic attribute to the right tenant.
-	model      atomic.Pointer[string]
-	modelStats atomic.Pointer[modelStats]
+	// ms is where the request is counted — its errors, its window sample: the
+	// server's noModel until routing resolves a model, that model's counters
+	// from then on.
+	// version is the model version acquire pinned, nil when none was. Both are
+	// written on the request's own goroutine before any sub-query starts.
+	ms      *modelStats
+	version *registry.Version
 }
 
 type reqInfoKey struct{}
@@ -87,35 +90,6 @@ func (ri *reqInfo) fold(o *outcome, cacheOn bool) {
 	}
 }
 
-// noteModel records which model the request resolved to.
-func (ri *reqInfo) noteModel(name string, ms *modelStats) {
-	if ri == nil {
-		return
-	}
-	ri.model.Store(&name)
-	ri.modelStats.Store(ms)
-}
-
-// stats returns the resolved model's counters, nil before routing resolved
-// a model (bad name, unknown model).
-func (ri *reqInfo) stats() *modelStats {
-	if ri == nil {
-		return nil
-	}
-	return ri.modelStats.Load()
-}
-
-// modelName returns the resolved model's name, "" when none resolved.
-func (ri *reqInfo) modelName() string {
-	if ri == nil {
-		return ""
-	}
-	if p := ri.model.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // lastExecutor returns the path the request's most recent propagation
 // took, "" when none ran (cache hits, failures).
 func (ri *reqInfo) lastExecutor() string {
@@ -135,13 +109,12 @@ func (ri *reqInfo) lastOverheadFrac() float64 {
 
 // slowThreshold is tail sampling's "slow" rule for one request: the flight
 // recorder's adaptive 2×p99 threshold (or the -slow-threshold floor) of the
-// model the request resolved to, 0 — no slow rule — when it resolved to none.
-func (s *server) slowThreshold(ri *reqInfo) time.Duration {
-	v, err := s.reg.Current(ri.modelName())
-	if err != nil {
+// model version the request pinned, 0 — no slow rule — when it pinned none.
+func (ri *reqInfo) slowThreshold() time.Duration {
+	if ri.version == nil {
 		return 0
 	}
-	return time.Duration(v.Engine.FlightRecorderStats().SlowThresholdUsec * 1e3)
+	return time.Duration(ri.version.Engine.FlightRecorderStats().SlowThresholdUsec * 1e3)
 }
 
 // queryIDMaxLen bounds client-supplied query IDs: anything longer is
@@ -200,7 +173,7 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		if !validQueryID(id) {
 			id = evprop.NewQueryID()
 		}
-		ri := &reqInfo{queryID: id}
+		ri := &reqInfo{queryID: id, ms: s.noModel}
 		ctx := evprop.WithQueryID(r.Context(), id)
 		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
 		// Open the request's trace: honor a caller-supplied W3C traceparent
@@ -241,21 +214,22 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 				root.Fail(http.StatusText(status))
 			}
 			root.End()
-			arena.SetSlowThreshold(s.slowThreshold(ri))
+			arena.SetSlowThreshold(ri.slowThreshold())
 			s.tracer.Finish(arena, root)
 		}
-		s.window.Observe(latency, status >= 400, ri.lastLoadBalance())
-		s.window.ObserveCache(ri.cacheHits.Load(), ri.cacheLookups.Load())
-		if ms := ri.stats(); ms != nil {
-			ms.window.Observe(latency, status >= 400, ri.lastLoadBalance())
-			ms.window.ObserveCache(ri.cacheHits.Load(), ri.cacheLookups.Load())
+		// A request that resolved no model — a scrape, a dashboard's poll, an
+		// unknown name — is in the access log and noModel's error count, and in
+		// no window: observers must not read as traffic.
+		if ri.ms != s.noModel {
+			ri.ms.window.Observe(latency, status >= 400, ri.lastLoadBalance())
+			ri.ms.window.ObserveCache(ri.cacheHits.Load(), ri.cacheLookups.Load())
 		}
 		s.log.LogAttrs(r.Context(), slog.LevelInfo, "request",
 			slog.String("id", id),
 			slog.String("trace_id", ri.traceID),
 			slog.String("method", r.Method),
 			slog.String("endpoint", endpoint),
-			slog.String("model", ri.modelName()),
+			slog.String("model", ri.ms.name),
 			slog.Int("status", status),
 			slog.Int("bytes", sw.bytes),
 			slog.Int64("evidence_vars", ri.evidenceVars.Load()),

@@ -89,20 +89,7 @@ func (s *server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	reqInfoFrom(r.Context()).noteModel(name, s.modelStatsFor(name))
-	if r.URL.Query().Get("wait") != "" {
-		if err := <-done; err != nil {
-			s.writeError(w, r, err)
-			return
-		}
-		info, _ := s.modelInfo(name)
-		s.writeJSON(w, info)
-		return
-	}
-	info, _ := s.modelInfo(name)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(info)
+	s.answerCompile(w, r, name, done)
 }
 
 // handleModelDelete removes a model. In-flight queries drain on the
@@ -131,7 +118,15 @@ func (s *server) handleModelReload(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	reqInfoFrom(r.Context()).noteModel(name, s.modelStatsFor(name))
+	s.answerCompile(w, r, name, done)
+}
+
+// answerCompile answers an accepted upload or reload, which from here on is
+// the model's own request: 202 with the model's info while the compile runs in
+// the background, or — with ?wait=1 — 200 once it has published, the compile
+// error if it failed.
+func (s *server) answerCompile(w http.ResponseWriter, r *http.Request, name string, done <-chan error) {
+	reqInfoFrom(r.Context()).ms = s.modelStatsFor(name)
 	if r.URL.Query().Get("wait") != "" {
 		if err := <-done; err != nil {
 			s.writeError(w, r, err)

@@ -3,7 +3,10 @@ package main
 import (
 	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +14,7 @@ import (
 
 	"evprop"
 	evclient "evprop/client"
+	"evprop/internal/registry"
 )
 
 // mmRainNet builds a two-variable network whose posterior P(Rain | Wet=1)
@@ -327,7 +331,7 @@ func TestPerModelCacheIsolationHTTP(t *testing.T) {
 	}
 	hits := map[string]int64{}
 	for _, row := range stats.Models {
-		hits[row.Name] = row.CacheHits
+		hits[row.Name] = row.Cache.Hits
 	}
 	for _, name := range []string{"a", "b"} {
 		if hits[name] == 0 {
@@ -353,7 +357,7 @@ func TestModelScopedStats(t *testing.T) {
 	if _, err := c.Query(ctx, evclient.DefaultModel, evclient.Evidence{"XRay": 1}, "Lung"); err != nil {
 		t.Fatal(err)
 	}
-	var ms modelStatsResponse
+	var ms modelRow
 	resp, err := http.Get(ts.URL + "/v1/models/m/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -380,11 +384,130 @@ func TestModelScopedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]evclient.ModelStatsInline{}
+	byName := map[string]evclient.ModelStats{}
 	for _, row := range stats.Models {
 		byName[row.Name] = row
 	}
 	if byName["m"].Queries != 3 || byName["default"].Queries != 1 {
 		t.Errorf("per-model rows %+v", stats.Models)
+	}
+
+	// A mixed run with failures: whatever is counted is counted on one row,
+	// so the rows — the catch-all included — add up to the totals. The ghost
+	// 404 above and a 405 on a route that names no model resolved none; a
+	// failing query and a wrong method on /v1/models/m/… are m's own.
+	if _, err := c.MPE(ctx, "m", evclient.Evidence{"Wet": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Batch(ctx, "m", []evclient.BatchQuery{{}, {Query: []string{"nope"}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(ctx, "m", nil, "nope"); !errors.Is(err, evclient.ErrUnknownVariable) {
+		t.Errorf("unknown variable: %v", err)
+	}
+	if _, err := c.Query(ctx, "ghost", nil); !errors.Is(err, evclient.ErrModelNotFound) {
+		t.Errorf("unknown model: %v", err)
+	}
+	for path, want := range map[string]int{"/v1/models/m/query": http.StatusMethodNotAllowed, "/v1/metrics?x=1": http.StatusOK} {
+		r, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, r.StatusCode, want)
+		}
+	}
+	if r := post(t, ts.URL+"/v1/metrics", struct{}{}); r.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/metrics: status %d, want 405", r.StatusCode)
+	}
+	st := statsSnapshot(t, ts)
+	checkRowsAddUp(t, st)
+	m := st.row(t, "m")
+	if m.Queries != 4 || m.MPEs != 1 || m.Batches != 1 || m.Errors != 2 {
+		t.Errorf("model m: %d queries, %d mpes, %d batches, %d errors; want 4, 1, 1 and 2", m.Queries, m.MPEs, m.Batches, m.Errors)
+	}
+	if st.Unresolved.Errors != 3 || st.Totals.Errors != 5 || st.Totals.Queries != 5 {
+		t.Errorf("%d errors on no model, %d errors and %d queries in all; want 3, 5 and 5",
+			st.Unresolved.Errors, st.Totals.Errors, st.Totals.Queries)
+	}
+}
+
+// TestNoDefaultModel: nothing on the introspection surface is read through a
+// model named "default". A server booted the -models-dir way — two named
+// models, cache on — reports each model's cache, workers and gauges in its
+// own row of /v1/stats, in the first /v1/stream event and under its own label
+// in /v1/metrics, where it used to say "cache off, 0 workers" for the model
+// it did not have.
+func TestNoDefaultModel(t *testing.T) {
+	srv := newMultiServer(evprop.Options{Workers: 2, CacheSize: 32})
+	t.Cleanup(srv.close)
+	for name, net := range map[string]*evprop.Network{"wide": poolNetwork(), "rain": mmRainNet(0.3)} {
+		if err := srv.reg.LoadSync(name, registry.LiteralSource(net, "boot")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	ts := httptest.NewServer(srv.mux())
+	t.Cleanup(ts.Close)
+	// Three sights of one evidence per model: a private run, the pinned run,
+	// a hit. wide's runs are dear enough to go to its two workers.
+	for i := 0; i < 3; i++ {
+		for path, ev := range map[string]evprop.Evidence{"wide": {"A": 1}, "rain": {"Wet": 1}} {
+			if resp := post(t, ts.URL+"/v1/models/"+path+"/query", queryRequest{Evidence: ev}); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d", path, resp.StatusCode)
+			}
+		}
+	}
+
+	sc, _ := streamClient(t, ts.URL)
+	event, ok := nextEvent(t, sc)
+	if !ok {
+		t.Fatal("no initial event")
+	}
+	for view, st := range map[string]statsResponse{"/v1/stats": statsSnapshot(t, ts), "/v1/stream": event} {
+		checkRowsAddUp(t, st)
+		if len(st.Models) != 2 || st.Totals.Queries != 6 {
+			t.Fatalf("%s: %d rows, %d queries; want 2 and 6", view, len(st.Models), st.Totals.Queries)
+		}
+		for _, row := range st.Models {
+			if !row.Cache.Enabled || row.Cache.Hits != 1 || row.Cache.Capacity != 32 {
+				t.Errorf("%s: model %s cache block %+v, want enabled with 1 hit", view, row.Name, row.Cache)
+			}
+			if row.Workers != 2 || row.Scheduler == "" || row.Propagations != 2 || row.Queries != 3 {
+				t.Errorf("%s: model %s: %s/%d workers, %d propagations, %d queries", view, row.Name, row.Scheduler, row.Workers, row.Propagations, row.Queries)
+			}
+			if row.Window.Requests != 3 || row.Window.CacheHitRate <= 0 {
+				t.Errorf("%s: model %s window %+v", view, row.Name, row.Window)
+			}
+		}
+		if wide := st.row(t, "wide"); len(wide.Gauges.Workers) != 2 || wide.PoolRuns == 0 {
+			t.Errorf("%s: wide has %d worker gauges after %d pool runs", view, len(wide.Gauges.Workers), wide.PoolRuns)
+		}
+		if rain := st.row(t, "rain"); len(rain.Gauges.Workers) != 0 || rain.InlineRuns != 2 {
+			t.Errorf("%s: rain has %d worker gauges, %d inline runs", view, len(rain.Gauges.Workers), rain.InlineRuns)
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{
+		`evprop_cache_hits_total{model="wide"} 1` + "\n", `evprop_cache_hits_total{model="rain"} 1` + "\n",
+		`evprop_cache_capacity{model="wide"} 32` + "\n", `evprop_cache_entries{model="rain"} 1` + "\n",
+		`evprop_workers{model="wide"} 2` + "\n", `evprop_workers{model="rain"} 2` + "\n",
+		`evprop_sched_runs_total{model="rain"} 2` + "\n", `evprop_sched_pool_runs_total{model="wide"}`,
+		`evprop_worker_queue_depth{model="wide",worker="1"}`,
+		`evprop_flightrecorder_recorded_total{model="wide"} 3` + "\n",
+	} {
+		if !strings.Contains(string(body), series) {
+			t.Errorf("/v1/metrics lacks %q", series)
+		}
 	}
 }

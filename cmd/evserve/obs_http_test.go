@@ -134,7 +134,7 @@ func TestClientSuppliedQueryID(t *testing.T) {
 		t.Errorf("echoed ID %q", got)
 	}
 	var found bool
-	for _, rec := range srv.defaultEngine().RecentQueries() {
+	for _, rec := range engineOf(t, srv, defaultModel).RecentQueries() {
 		if rec.ID == "trace-me-42" {
 			found = true
 		}
@@ -172,7 +172,7 @@ func TestQueryIDValidation(t *testing.T) {
 		if got == bad || !strings.HasPrefix(got, "q-") {
 			t.Errorf("ID %q was not replaced (response carries %q)", bad, got)
 		}
-		for _, rec := range srv.defaultEngine().RecentQueries() {
+		for _, rec := range engineOf(t, srv, defaultModel).RecentQueries() {
 			if rec.ID == bad {
 				t.Errorf("invalid ID %q reached the flight recorder", bad)
 			}
@@ -272,14 +272,7 @@ func TestStatsWindow(t *testing.T) {
 	}
 	post(t, ts.URL+"/v1/query", "not an object") // one 400 for the error rate
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	decode(t, resp, &st)
-	w := st.Window
+	w := statsSnapshot(t, ts).row(t, defaultModel).Window
 	if w.Seconds != 60 || len(w.QPSSeries) != 60 {
 		t.Fatalf("window shape %+v", w)
 	}
@@ -311,13 +304,54 @@ func TestStatsWindow(t *testing.T) {
 	}
 	body := sb.String()
 	for _, metric := range []string{
-		"evprop_window_qps", "evprop_window_error_rate",
-		"evprop_window_latency_seconds{quantile=\"0.99\"}",
-		"evprop_flightrecorder_recorded_total",
+		`evprop_window_qps{model="default"}`, `evprop_window_error_rate{model="default"} 0.25`,
+		`evprop_window_latency_seconds{model="default",quantile="0.99"}`,
+		`evprop_flightrecorder_recorded_total{model="default"} 3`,
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("metrics missing %s", metric)
 		}
+	}
+}
+
+// TestObserversLeaveWindowsAlone: a request that resolves no model lands in
+// no model's window. Scrapes, dashboard polls and misses are in the access
+// log and — when they fail — in the catch-all's error count, but they are not
+// traffic: an idle server watched by Prometheus and evtop used to read qps 1.0
+// with the stats handler's latency as its p99.
+func TestObserversLeaveWindowsAlone(t *testing.T) {
+	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
+	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	requests := func(st statsResponse) map[string]int64 {
+		out := map[string]int64{}
+		st.eachRow(func(r *modelRow) { out[r.Name] = r.Window.Requests })
+		return out
+	}
+	before := statsSnapshot(t, ts)
+	if got := requests(before); got[defaultModel] != 1 || got[noModelName] != 0 {
+		t.Fatalf("window requests before any scrape: %v", got)
+	}
+	for i := 0; i < 5; i++ {
+		for _, path := range []string{
+			"/v1/stats", "/v1/metrics", "/v1/audit", "/v1/models", "/v1/models/default/stats",
+			"/v1/debug/flightrecorder", "/v1/debug/trace", "/v1/models/ghost", "/v1/healthz",
+		} {
+			resp, err := http.Get(ts.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+		}
+	}
+	after := statsSnapshot(t, ts)
+	for name, n := range requests(after) {
+		if n != requests(before)[name] {
+			t.Errorf("row %s: window.requests %d → %d across the scrapes", name, requests(before)[name], n)
+		}
+	}
+	// The five 404s were counted, once each, on no model.
+	if got := after.Unresolved.Errors - before.Unresolved.Errors; got != 5 || after.Totals.Errors != 5 {
+		t.Errorf("errors on no model moved by %d, totals say %d; want 5 and 5", got, after.Totals.Errors)
 	}
 }
 
@@ -334,7 +368,7 @@ func TestRequestTimeout(t *testing.T) {
 		t.Errorf("status %d, want 504", resp.StatusCode)
 	}
 
-	eng := srv.defaultEngine()
+	eng := engineOf(t, srv, defaultModel)
 	for sight := 0; sight < 2; sight++ { // the second one is cached
 		res, err := eng.Propagate(evprop.Evidence{"Dysp": 1})
 		if err != nil {
@@ -391,7 +425,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		ts.Close()
 		srv.aud.Close()
 	})
-	eng := srv.defaultEngine()
+	eng := engineOf(t, srv, defaultModel)
 	version, err := srv.reg.Current(defaultModel)
 	if err != nil {
 		t.Fatal(err)
@@ -656,7 +690,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	}
 	// Window and per-model stats: the hit rate is cached answers over
 	// answers, and the engine ran one propagation per uncached answer run.
-	var ms modelStatsResponse
+	var ms modelRow
 	mresp, err := http.Get(ts.URL + "/v1/models/" + defaultModel + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -664,13 +698,8 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	decode(t, mresp, &ms)
 	mresp.Body.Close()
 	want := float64(cachedAnswers) / float64(answers)
-	for name, got := range map[string]float64{
-		"model window":  ms.Window.CacheHitRate,
-		"server window": srv.windowStats().CacheHitRate,
-	} {
-		if math.Abs(got-want) > 1e-9 {
-			t.Errorf("%s cache_hit_rate %v, want %d/%d", name, got, cachedAnswers, answers)
-		}
+	if got := ms.Window.CacheHitRate; math.Abs(got-want) > 1e-9 {
+		t.Errorf("window cache_hit_rate %v, want %d/%d", got, cachedAnswers, answers)
 	}
 	if ms.Observed != int64(answers) || ms.Propagations != 6 || ms.Cache.FirstSight != 3 {
 		t.Errorf("model stats: observed %d propagations %d first sights %d, want %d, 6 and 3", ms.Observed, ms.Propagations, ms.Cache.FirstSight, answers)
@@ -695,7 +724,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		t.Fatal(err)
 	}
 	for path, n := range wantRuns {
-		if series := fmt.Sprintf("evprop_sched_%s_runs_total %d\n", path, n); !strings.Contains(string(body), series) {
+		if series := fmt.Sprintf("evprop_sched_%s_runs_total{model=%q} %d\n", path, defaultModel, n); !strings.Contains(string(body), series) {
 			t.Errorf("/v1/metrics lacks %q", series)
 		}
 	}

@@ -270,6 +270,45 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
+// engineOf returns the named model's live engine.
+func engineOf(t *testing.T, srv *server, name string) *evprop.Engine {
+	t.Helper()
+	v, err := srv.reg.Current(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Engine
+}
+
+// row returns the named model's row of a stats body.
+func (st statsResponse) row(t *testing.T, name string) modelRow {
+	t.Helper()
+	for _, r := range st.Models {
+		if r.Name == name {
+			return r
+		}
+	}
+	t.Fatalf("/v1/stats has no row for model %q", name)
+	return modelRow{}
+}
+
+// checkRowsAddUp asserts the accounting invariant: the totals are the sums
+// over every row, the catch-all included.
+func checkRowsAddUp(t *testing.T, st statsResponse) {
+	t.Helper()
+	var sum counters
+	st.eachRow(func(r *modelRow) {
+		sum.Queries += r.Queries
+		sum.Batches += r.Batches
+		sum.MPEs += r.MPEs
+		sum.Errors += r.Errors
+		sum.Propagations += r.Propagations
+	})
+	if sum != st.Totals {
+		t.Errorf("rows add up to %+v, totals say %+v", sum, st.Totals)
+	}
+}
+
 func statsSnapshot(t *testing.T, ts *httptest.Server) statsResponse {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/stats")
@@ -301,11 +340,11 @@ func TestQuerySinglePropagation(t *testing.T) {
 		t.Fatalf("p_evidence %v, %d posteriors", q.PEvidence, len(q.Posteriors))
 	}
 	after := statsSnapshot(t, ts)
-	if delta := after.Propagations - before.Propagations; delta != 1 {
+	if delta := after.Totals.Propagations - before.Totals.Propagations; delta != 1 {
 		t.Errorf("one query cost %d propagations, want 1", delta)
 	}
-	if after.Queries != before.Queries+1 {
-		t.Errorf("query counter %d → %d", before.Queries, after.Queries)
+	if after.Totals.Queries != before.Totals.Queries+1 {
+		t.Errorf("query counter %d → %d", before.Totals.Queries, after.Totals.Queries)
 	}
 }
 
@@ -314,7 +353,12 @@ func TestStatsEndpoint(t *testing.T) {
 	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	post(t, ts.URL+"/v1/batch", batchRequest{Queries: []queryRequest{{}, {}}})
-	s := statsSnapshot(t, ts)
+	st := statsSnapshot(t, ts)
+	checkRowsAddUp(t, st)
+	if tot := st.Totals; tot.Queries != 1 || tot.MPEs != 1 || tot.Batches != 1 {
+		t.Errorf("totals: queries %d mpes %d batches %d", tot.Queries, tot.MPEs, tot.Batches)
+	}
+	s := st.row(t, defaultModel)
 	if s.Queries != 1 || s.MPEs != 1 || s.Batches != 1 {
 		t.Errorf("counters: queries %d mpes %d batches %d", s.Queries, s.MPEs, s.Batches)
 	}
@@ -328,8 +372,8 @@ func TestStatsEndpoint(t *testing.T) {
 	if s.AvgLatencyUsec <= 0 || s.MaxLatencyUsec < s.AvgLatencyUsec {
 		t.Errorf("latency avg %v max %v", s.AvgLatencyUsec, s.MaxLatencyUsec)
 	}
-	if s.Errors != 0 {
-		t.Errorf("errors %d", s.Errors)
+	if s.Errors != 0 || st.Totals.Errors != 0 {
+		t.Errorf("errors %d, in all %d", s.Errors, st.Totals.Errors)
 	}
 }
 

@@ -7,15 +7,13 @@ import (
 	"runtime"
 	"time"
 
-	"evprop"
 	"evprop/internal/buildinfo"
-	"evprop/internal/obs"
 )
 
 // Live introspection: /v1/stream pushes one JSON snapshot per second over
-// Server-Sent Events — the transport evtop consumes. Snapshots are taken by
-// an obs.Sampler off the same wait-free surfaces the pull endpoints read
-// (the 60 s window, the scheduler gauge surface, the cache counters), so a
+// Server-Sent Events — the transport evtop consumes. A snapshot is what GET
+// /v1/stats answers at that instant (statsNow: every model's row, the totals,
+// the audit block), taken by an obs.Sampler off the wait-free surfaces, so a
 // streaming dashboard costs the serving path nothing beyond one snapshot
 // per second. /v1/healthz and /v1/readyz are the liveness/readiness pair:
 // healthz always answers (with build info and uptime), readyz flips false
@@ -23,66 +21,6 @@ import (
 
 // streamInterval is the snapshot cadence of /v1/stream.
 const streamInterval = time.Second
-
-// streamSnapshot is one /v1/stream event: the last-minute traffic summary
-// plus the scheduler's live gauge surface.
-type streamSnapshot struct {
-	// Time is when the snapshot was taken; UptimeSec is process uptime.
-	Time      time.Time `json:"time"`
-	UptimeSec float64   `json:"uptime_sec"`
-	// QPS, ErrorRate, latency quantiles and CacheHitRate summarize the
-	// sliding 60 s window (same definitions as /v1/stats).
-	Requests     int64   `json:"window_requests"`
-	QPS          float64 `json:"qps"`
-	ErrorRate    float64 `json:"error_rate"`
-	P50Usec      float64 `json:"p50_usec"`
-	P99Usec      float64 `json:"p99_usec"`
-	LoadBalance  float64 `json:"load_balance"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// Propagations and Errors are lifetime totals (monotone counters, so
-	// consumers can take rates between events).
-	Propagations int64 `json:"propagations"`
-	Errors       int64 `json:"errors"`
-	// Scheduler names the engine's execution strategy; Workers its size.
-	Scheduler string `json:"scheduler"`
-	Workers   int    `json:"workers"`
-	// Models is how many models the registry currently serves.
-	Models int `json:"models"`
-	// Gauges is the default model's live scheduler surface: GL depth,
-	// active runs, and per-worker state/queue/partition gauges.
-	Gauges evprop.SchedulerGauges `json:"gauges"`
-}
-
-// snapshotNow assembles one stream snapshot from the wait-free surfaces.
-// Traffic numbers aggregate over every model; the scheduler gauge surface
-// is the default model's (the one evtop renders).
-func (s *server) snapshotNow() streamSnapshot {
-	ws := s.window.Snapshot()
-	eng := s.defaultEngine()
-	es := eng.Stats()
-	return streamSnapshot{
-		Time:         time.Now(),
-		UptimeSec:    time.Since(s.started).Seconds(),
-		Requests:     ws.Requests,
-		QPS:          ws.QPS,
-		ErrorRate:    ws.ErrorRate,
-		P50Usec:      float64(ws.P50.Nanoseconds()) / 1e3,
-		P99Usec:      float64(ws.P99.Nanoseconds()) / 1e3,
-		LoadBalance:  ws.LoadBalance,
-		CacheHitRate: ws.CacheHitRate,
-		Propagations: s.propagationsTotal(),
-		Errors:       s.stats.errors.Load(),
-		Scheduler:    es.Scheduler,
-		Workers:      es.Workers,
-		Models:       len(s.reg.Names()),
-		Gauges:       eng.SchedulerGauges(),
-	}
-}
-
-// startSampler begins the 1 s snapshot cadence feeding /v1/stream.
-func (s *server) startSampler() {
-	s.sampler.Start()
-}
 
 // beginDrain flips the server into shutdown mode: readyz goes false and the
 // sampler stops, which closes every /v1/stream subscription so the SSE
@@ -97,14 +35,14 @@ func (s *server) beginDrain() {
 }
 
 // handleStream serves GET /v1/stream: text/event-stream, one `data:` event
-// per second carrying a streamSnapshot, the sample sequence number as the
-// SSE event id. The first event is written immediately (a dashboard should
-// not stare at a blank screen for a second), then the handler follows its
-// sampler subscription until the client goes away or the server drains.
+// per second carrying a statsResponse, the sample sequence number as the
+// SSE event id. The first event is written immediately, then the handler
+// follows its sampler subscription until the client goes away or the server
+// drains.
 //
 // The route deliberately bypasses instrument: a long-lived stream is not a
-// request — logging it on connect and counting minutes-long "latency" into
-// the QPS window would pollute both.
+// request, and it names no model — there is nothing to log on connect and no
+// window for its minutes-long "latency".
 func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
@@ -124,13 +62,14 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	w.WriteHeader(http.StatusOK)
-	seq := int64(-1)
+	// The first event is read now, not taken from the sampler: a dashboard
+	// should not stare at a blank screen, nor evtop -once print a second-old
+	// one. Every sample taken so far is older than it, so the loop skips them.
+	first, seq := s.statsNow(), int64(-1)
 	if latest, ok := s.sampler.Latest(); ok {
 		seq = latest.Seq
-		if writeSSE(w, latest.Seq, latest.Data) != nil {
-			return
-		}
-	} else if writeSSE(w, 0, s.snapshotNow()) != nil {
+	}
+	if writeSSE(w, max(seq, 0), first) != nil {
 		return
 	}
 	fl.Flush()
@@ -157,7 +96,7 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSSE emits one Server-Sent-Events frame.
-func writeSSE(w http.ResponseWriter, id int64, snap streamSnapshot) error {
+func writeSSE(w http.ResponseWriter, id int64, snap statsResponse) error {
 	payload, err := json.Marshal(snap)
 	if err != nil {
 		return err
@@ -207,51 +146,4 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, map[string]bool{"ready": true})
-}
-
-// writeGaugeMetrics renders the live gauge surface as Prometheus series —
-// the /v1/metrics half of the introspection layer.
-func (s *server) writeGaugeMetrics(w http.ResponseWriter) {
-	gg := s.defaultEngine().SchedulerGauges()
-	obs.WriteHeader(w, "evprop_sched_global_depth", "Tasks submitted to the scheduler but not yet completed.", "gauge")
-	obs.WriteSample(w, "evprop_sched_global_depth", nil, float64(gg.GlobalDepth))
-	obs.WriteHeader(w, "evprop_sched_active_runs", "Propagations currently in flight.", "gauge")
-	obs.WriteSample(w, "evprop_sched_active_runs", nil, float64(gg.ActiveRuns))
-	if len(gg.Workers) == 0 {
-		return
-	}
-	obs.WriteHeader(w, "evprop_worker_queue_depth", "Items queued on the worker's local ready list.", "gauge")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_queue_depth", workerLabel(i), float64(wg.QueueDepth))
-	}
-	obs.WriteHeader(w, "evprop_worker_queue_weight", "Weight counter of the worker's local ready list.", "gauge")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_queue_weight", workerLabel(i), float64(wg.QueueWeight))
-	}
-	obs.WriteHeader(w, "evprop_worker_busy_seconds_total", "Worker time inside node-level primitives.", "counter")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_busy_seconds_total", workerLabel(i), float64(wg.BusyNs)/1e9)
-	}
-	obs.WriteHeader(w, "evprop_worker_items_total", "Items executed by the worker (tasks, pieces, combiners).", "counter")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_items_total", workerLabel(i), float64(wg.Items))
-	}
-	obs.WriteHeader(w, "evprop_worker_completed_total", "Original graph tasks retired by the worker.", "counter")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_completed_total", workerLabel(i), float64(wg.Completed))
-	}
-	obs.WriteHeader(w, "evprop_worker_partitions_total", "Tasks the worker split into δ-pieces.", "counter")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_partitions_total", workerLabel(i), float64(wg.Partitions))
-	}
-	obs.WriteHeader(w, "evprop_worker_state", "Worker state (one series per worker, state as label, value 1).", "gauge")
-	for i, wg := range gg.Workers {
-		obs.WriteSample(w, "evprop_worker_state", map[string]string{
-			"worker": fmt.Sprintf("%d", i), "state": wg.State,
-		}, 1)
-	}
-}
-
-func workerLabel(i int) map[string]string {
-	return map[string]string{"worker": fmt.Sprintf("%d", i)}
 }

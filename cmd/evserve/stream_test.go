@@ -14,6 +14,7 @@ import (
 
 	"evprop"
 	"evprop/internal/obs"
+	"evprop/internal/registry"
 )
 
 // streamClient opens GET /v1/stream and hands back a scanner positioned on
@@ -40,9 +41,9 @@ func streamClient(t *testing.T, url string) (*bufio.Scanner, *http.Response) {
 
 // nextEvent reads SSE lines until one complete event (id + data + blank) has
 // been consumed, returning the decoded data payload.
-func nextEvent(t *testing.T, sc *bufio.Scanner) (streamSnapshot, bool) {
+func nextEvent(t *testing.T, sc *bufio.Scanner) (statsResponse, bool) {
 	t.Helper()
-	var snap streamSnapshot
+	var snap statsResponse
 	sawData := false
 	for sc.Scan() {
 		line := sc.Text()
@@ -63,8 +64,8 @@ func nextEvent(t *testing.T, sc *bufio.Scanner) (streamSnapshot, bool) {
 // checks that consecutive events carry coherent, advancing snapshots.
 func TestStreamDeliversSnapshots(t *testing.T) {
 	ts, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
-	srv.sampler = obs.NewSampler(5*time.Millisecond, 60, srv.snapshotNow)
-	srv.startSampler()
+	srv.sampler = obs.NewSampler(5*time.Millisecond, 1, srv.statsNow)
+	srv.sampler.Start()
 	t.Cleanup(srv.beginDrain)
 
 	// Traffic before subscribing so counters are non-trivial, on a model
@@ -76,16 +77,16 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 	if !ok {
 		t.Fatal("no initial event")
 	}
-	if first.Scheduler == "" || first.Workers != 2 {
-		t.Errorf("initial snapshot scheduler %q workers %d", first.Scheduler, first.Workers)
+	if row := first.row(t, defaultModel); row.Scheduler == "" || row.Workers != 2 {
+		t.Errorf("initial snapshot scheduler %q workers %d", row.Scheduler, row.Workers)
 	}
 	// The initial event may predate the query by one sampling interval, so
 	// follow the stream until the propagation shows up — and with it the
 	// pool's workers, which exist from the first dispatched run on.
 	snap, prev := first, first
-	for i := 0; snap.Propagations < 1; i++ {
+	for i := 0; snap.Totals.Propagations < 1; i++ {
 		if i == 20 {
-			t.Fatalf("propagations still %d after %d events", snap.Propagations, i)
+			t.Fatalf("propagations still %d after %d events", snap.Totals.Propagations, i)
 		}
 		next, ok := nextEvent(t, sc)
 		if !ok {
@@ -96,8 +97,9 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 		}
 		prev, snap = next, next
 	}
-	if len(snap.Gauges.Workers) != 2 {
-		t.Errorf("gauge surface has %d workers, want 2", len(snap.Gauges.Workers))
+	checkRowsAddUp(t, snap)
+	if row := snap.row(t, defaultModel); len(row.Gauges.Workers) != 2 || row.Queries != 1 {
+		t.Errorf("row has %d workers and %d queries, want 2 and 1", len(row.Gauges.Workers), row.Queries)
 	}
 }
 
@@ -105,7 +107,7 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 // subscription must end cleanly (EOF, not a hang) as soon as drain begins.
 func TestStreamClosesOnDrain(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
-	srv.startSampler()
+	srv.sampler.Start()
 
 	sc, resp := streamClient(t, ts.URL)
 	if _, ok := nextEvent(t, sc); !ok {
@@ -139,7 +141,7 @@ func TestServeShutdownClosesStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	srv.startSampler()
+	srv.sampler.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,10 +219,17 @@ func TestHealthzReadyz(t *testing.T) {
 }
 
 // TestMetricsConformance lints the server's full Prometheus exposition —
-// including the new gauge families — against the format checker.
+// two models, one that dispatches to its workers and one that runs inline,
+// every per-model family labelled model= — against the format checker, and
+// checks what the checker does not: one # HELP and one # TYPE per family, and
+// no series written twice.
 func TestMetricsConformance(t *testing.T) {
-	ts, _ := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
+	ts, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
+	if err := srv.reg.LoadSync("rain", registry.InlineSource(mmRainBIF(t, 0.3), false)); err != nil {
+		t.Fatal(err)
+	}
 	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
+	post(t, ts.URL+"/v1/models/rain/query", queryRequest{Evidence: evprop.Evidence{"Wet": 1}})
 
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
@@ -235,15 +244,50 @@ func TestMetricsConformance(t *testing.T) {
 	if problems := obs.LintExposition(strings.NewReader(body)); len(problems) != 0 {
 		t.Fatalf("exposition problems:\n%s", strings.Join(problems, "\n"))
 	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		key := line
+		switch {
+		case line == "":
+			continue
+		case strings.HasPrefix(line, "# "):
+			key = strings.Join(strings.Fields(line)[:3], " ") // "# HELP family"
+		default:
+			key, _, _ = strings.Cut(line, " # ") // drop an exemplar
+			key = key[:strings.LastIndex(key, " ")]
+		}
+		if seen[key] {
+			t.Errorf("exposition repeats %q", key)
+		}
+		seen[key] = true
+	}
 	for _, metric := range []string{
-		"evprop_sched_global_depth", "evprop_sched_active_runs",
-		"evprop_sched_inline_runs_total 0", "evprop_sched_pool_runs_total 1",
-		`evprop_worker_queue_depth{worker="0"}`,
-		`evprop_worker_completed_total{worker="1"}`,
-		`evprop_worker_state{`,
+		`evprop_sched_global_depth{model="default"}`, `evprop_sched_active_runs{model="rain"}`,
+		`evprop_sched_inline_runs_total{model="default"} 0`, `evprop_sched_pool_runs_total{model="default"} 1`,
+		`evprop_sched_inline_runs_total{model="rain"} 1`, `evprop_sched_pool_runs_total{model="rain"} 0`,
+		`evprop_request_duration_seconds_count{model="rain"} 1`,
+		`evprop_worker_queue_depth{model="default",worker="0"}`,
+		`evprop_worker_completed_total{model="default",worker="1"}`,
+		`evprop_worker_state{model="default",state=`,
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("metrics missing %s", metric)
+		}
+	}
+	// Nothing is read through a default model any more: no per-model quantity
+	// is exposed without its label, and the parallel evprop_model_* families
+	// are gone. The inline model has no workers, hence no worker series.
+	for _, line := range strings.Split(body, "\n") {
+		for _, prefix := range []string{"evprop_cache_", "evprop_worker_", "evprop_sched_", "evprop_window_", "evprop_http_", "evprop_flightrecorder_"} {
+			if strings.HasPrefix(line, prefix) && !strings.Contains(line, `model="`) {
+				t.Errorf("unlabelled series %q", line)
+			}
+		}
+		if strings.HasPrefix(line, "evprop_model_") && !strings.HasPrefix(line, "evprop_model_info{") {
+			t.Errorf("evprop_model_* series %q", line)
+		}
+		if strings.HasPrefix(line, "evprop_worker_") && strings.Contains(line, `model="rain"`) {
+			t.Errorf("worker series for a model that never dispatched: %q", line)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Command evtop is a terminal dashboard for a running evserve: it consumes
-// the GET /v1/stream Server-Sent-Events feed and redraws per-worker
-// utilization and queue-depth bars, split counters, QPS and p99
-// sparklines, and the cache hit rate once a second, in place.
+// the GET /v1/stream Server-Sent-Events feed and redraws, once a second and
+// in place, the server-wide totals and one block per model: QPS sparkline,
+// latency quantiles, cache fill and hit rate, per-worker utilization and
+// queue-depth bars, split counters.
 //
 //	evtop -url http://localhost:8080
 //	evtop -url http://localhost:8080 -once   # one frame, no ANSI, then exit
@@ -54,14 +55,8 @@ func run(ctx context.Context, url string, once bool) error {
 	c := evclient.New(url)
 	drew := false
 	for {
-		err := c.Stream(ctx, func(s snapshot) bool {
+		err := c.Stream(ctx, func(s evclient.Snapshot) bool {
 			m.observe(s)
-			// One stats poll per stream event (~1 Hz): the cache and audit
-			// counters the SSE snapshot does not carry. Failures keep the
-			// previous poll — the row goes stale, not blank.
-			if st, serr := c.Stats(ctx); serr == nil {
-				m.observeStats(st)
-			}
 			if once {
 				fmt.Print(m.frame())
 				return false

@@ -8,52 +8,28 @@ import (
 	evclient "evprop/client"
 )
 
-// snapshot is one /v1/stream event, decoded by the evclient package (the
-// wire format is the contract, not the type).
-type snapshot = evclient.Snapshot
+// sparkWidth is how many of the window's 60 per-second counts the QPS
+// sparkline draws.
+const sparkWidth = 30
 
-// histLen bounds the sparkline history (one entry per stream event).
-const histLen = 60
-
-// model is the dashboard state: the two latest snapshots (utilization is a
-// rate, so it needs a delta) plus bounded history for the sparklines.
+// model is the dashboard state: the two latest snapshots — utilization is a
+// rate, so it needs a delta. Everything drawn comes from the stream; the
+// server's rows carry the cache and audit counters and the 60 s QPS series, so
+// there is nothing to poll and no history to keep.
 type model struct {
 	url       string
-	cur, prev snapshot
+	cur, prev evclient.Snapshot
 	count     int // snapshots seen since (re)connect
-	qpsHist   []float64
-	p99Hist   []float64
 	connected bool
 	lastErr   string
-	// util is per-worker busy-time fraction over the last inter-snapshot
-	// interval, computed in observe.
-	util []float64
-	// stats is the latest /v1/stats poll (nil until the first succeeds): the
-	// lifetime cache counters and the audit pipeline's drop counters, which
-	// the SSE stream does not carry.
-	stats *evclient.Stats
 }
 
-// observeStats folds one /v1/stats poll into the model.
-func (m *model) observeStats(st *evclient.Stats) { m.stats = st }
-
 // observe folds one stream event into the model.
-func (m *model) observe(s snapshot) {
+func (m *model) observe(s evclient.Snapshot) {
 	m.prev, m.cur = m.cur, s
 	m.count++
 	m.connected = true
 	m.lastErr = ""
-	m.qpsHist = pushHist(m.qpsHist, s.QPS)
-	m.p99Hist = pushHist(m.p99Hist, s.P99Usec)
-	m.util = m.util[:0]
-	wall := s.Time.Sub(m.prev.Time)
-	for i, w := range s.Gauges.Workers {
-		u := 0.0
-		if m.count > 1 && wall > 0 && i < len(m.prev.Gauges.Workers) {
-			u = float64(w.BusyNs-m.prev.Gauges.Workers[i].BusyNs) / float64(wall.Nanoseconds())
-		}
-		m.util = append(m.util, clamp01(u))
-	}
 }
 
 // disconnected records a dropped stream so the frame can say so.
@@ -65,12 +41,21 @@ func (m *model) disconnected(err error) {
 	}
 }
 
-func pushHist(h []float64, v float64) []float64 {
-	h = append(h, v)
-	if len(h) > histLen {
-		h = h[len(h)-histLen:]
+// utilization is one worker's busy-time fraction over the last
+// inter-snapshot interval: 0 until two snapshots since (re)connect both carry
+// the model and the worker.
+func (m *model) utilization(row *evclient.ModelStats, worker int) float64 {
+	wall := m.cur.Time.Sub(m.prev.Time)
+	if m.count < 2 || wall <= 0 {
+		return 0
 	}
-	return h
+	for i := range m.prev.Models {
+		if p := &m.prev.Models[i]; p.Name == row.Name && worker < len(p.Gauges.Workers) {
+			busy := row.Gauges.Workers[worker].BusyNs - p.Gauges.Workers[worker].BusyNs
+			return clamp01(float64(busy) / float64(wall.Nanoseconds()))
+		}
+	}
+	return 0
 }
 
 func clamp01(v float64) float64 {
@@ -132,48 +117,43 @@ func fmtUptime(sec float64) string {
 	return fmt.Sprintf("%02d:%02d:%02d", h, int(d.Minutes())%60, int(d.Seconds())%60)
 }
 
-// statsLine renders the /v1/stats-sourced row: lifetime cache hit rate and
-// the audit pipeline's drop counters, so audit backpressure (records lost
-// to a slow disk) is visible live, not just in Prometheus.
-func (m *model) statsLine() string {
-	if m.stats == nil {
-		return ""
+// auditLine shows the audit pipeline's drop counters, so audit backpressure
+// (records lost to a slow disk) is visible live, not just in Prometheus.
+func auditLine(au evclient.AuditStatus) string {
+	if !au.Enabled {
+		return "audit off\n"
 	}
-	var b strings.Builder
-	cs := m.stats.Cache
-	if cs.Enabled {
-		rate := 0.0
-		if n := cs.Hits + cs.Misses; n > 0 {
-			rate = float64(cs.Hits) / float64(n)
-		}
-		fmt.Fprintf(&b, "cache %d/%d entries   life hit %5.1f%%   collapsed %d   first-sight %d",
-			cs.Entries, cs.Capacity, rate*100, cs.Collapsed, cs.FirstSight)
-	} else {
-		b.WriteString("cache off")
+	dropRate := 0.0
+	if au.Enqueued > 0 {
+		dropRate = float64(au.Dropped) / float64(au.Enqueued)
 	}
-	au := m.stats.Audit
-	if au.Enabled {
-		dropRate := 0.0
-		if au.Enqueued > 0 {
-			dropRate = float64(au.Dropped) / float64(au.Enqueued)
-		}
-		fmt.Fprintf(&b, "   audit enq %d drop %d (%.2f%%)", au.Enqueued, au.Dropped, dropRate*100)
-		if au.Dropped > 0 {
-			b.WriteString(" !")
-		}
-	} else {
-		b.WriteString("   audit off")
+	line := fmt.Sprintf("audit enq %d drop %d (%.2f%%)", au.Enqueued, au.Dropped, dropRate*100)
+	if au.Dropped > 0 {
+		line += " !"
 	}
-	b.WriteString("\n")
-	return b.String()
+	return line + "\n"
+}
+
+// cacheLine shows one model's result cache: fill and lifetime hit rate.
+func cacheLine(cs evclient.CacheCounters) string {
+	if !cs.Enabled {
+		return "cache off\n"
+	}
+	rate := 0.0
+	if n := cs.Hits + cs.Misses; n > 0 {
+		rate = float64(cs.Hits) / float64(n)
+	}
+	return fmt.Sprintf("cache %d/%d entries   life hit %5.1f%%   collapsed %d   first-sight %d\n",
+		cs.Entries, cs.Capacity, rate*100, cs.Collapsed, cs.FirstSight)
 }
 
 // frame renders the whole dashboard as one string of \n-joined lines, no
 // ANSI control — positioning is the caller's concern, which keeps this pure
-// and directly testable.
+// and directly testable. A header with the server-wide totals, then one block
+// per model.
 func (m *model) frame() string {
 	var b strings.Builder
-	s := m.cur
+	s := &m.cur
 	status := "live"
 	if !m.connected {
 		status = "RECONNECTING"
@@ -181,30 +161,44 @@ func (m *model) frame() string {
 			status += " (" + m.lastErr + ")"
 		}
 	}
-	fmt.Fprintf(&b, "evtop — %s   %s/%d workers   up %s   [%s]\n",
-		m.url, s.Scheduler, s.Workers, fmtUptime(s.UptimeSec), status)
-	fmt.Fprintf(&b, "qps %7.1f %s\n", s.QPS, sparkline(m.qpsHist, 30))
-	fmt.Fprintf(&b, "p99 %7s %s   p50 %s\n", fmtDur(s.P99Usec), sparkline(m.p99Hist, 30), fmtDur(s.P50Usec))
-	fmt.Fprintf(&b, "err %6.2f%%   cache hit %5.1f%%   balance %.2f   window reqs %d\n",
-		s.ErrorRate*100, s.CacheHitRate*100, s.LoadBalance, s.Requests)
-	fmt.Fprintf(&b, "GL depth %d   active runs %d   propagations %d   errors %d\n",
-		s.Gauges.GlobalDepth, s.Gauges.ActiveRuns, s.Propagations, s.Errors)
-	b.WriteString(m.statsLine())
-	b.WriteString("\n")
-	if len(s.Gauges.Workers) == 0 {
-		b.WriteString("(no per-worker gauges: no run has been dispatched to workers)\n")
-		return b.String()
+	fmt.Fprintf(&b, "evtop — %s   %d models   up %s   [%s]\n", m.url, len(s.Models), fmtUptime(s.UptimeSec), status)
+	fmt.Fprintf(&b, "queries %d   batches %d   mpes %d   propagations %d   errors %d (%d on no model)\n",
+		s.Totals.Queries, s.Totals.Batches, s.Totals.MPEs, s.Totals.Propagations, s.Totals.Errors, s.Unresolved.Errors)
+	if m.count > 0 {
+		b.WriteString(auditLine(s.Audit))
 	}
-	fmt.Fprintf(&b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %6s\n",
-		"W", "STATE", "UTIL", "QUEUE", "WT", "ITEMS", "SPLITS")
-	for i, w := range s.Gauges.Workers {
-		u := 0.0
-		if i < len(m.util) {
-			u = m.util[i]
-		}
-		fmt.Fprintf(&b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %6d\n",
-			i, w.State, bar(u, 10), u*100,
-			w.QueueDepth, w.QueueWeight, w.Items, w.Partitions)
+	for i := range s.Models {
+		b.WriteString("\n")
+		m.modelBlock(&b, &s.Models[i])
 	}
 	return b.String()
+}
+
+// modelBlock renders one model: its window, its engine's counters and cache,
+// and one row per scheduler worker.
+func (m *model) modelBlock(b *strings.Builder, row *evclient.ModelStats) {
+	w := &row.Window
+	qps := make([]float64, len(w.QPSSeries))
+	for i, n := range w.QPSSeries {
+		qps[i] = float64(n)
+	}
+	fmt.Fprintf(b, "%s   v%d %s   %s/%d workers\n", row.Name, row.Version, row.State, row.Scheduler, row.Workers)
+	fmt.Fprintf(b, "qps %7.1f %s   p50 %s   p99 %s\n", w.QPS, sparkline(qps, sparkWidth), fmtDur(w.P50Usec), fmtDur(w.P99Usec))
+	fmt.Fprintf(b, "err %6.2f%%   cache hit %5.1f%%   balance %.2f   window reqs %d\n",
+		w.ErrorRate*100, w.CacheHitRate*100, w.LoadBalance, w.Requests)
+	fmt.Fprintf(b, "GL depth %d   active runs %d   propagations %d (%d inline, %d pool)   errors %d\n",
+		row.Gauges.GlobalDepth, row.Gauges.ActiveRuns, row.Propagations, row.InlineRuns, row.PoolRuns, row.Errors)
+	b.WriteString(cacheLine(row.Cache))
+	if len(row.Gauges.Workers) == 0 {
+		b.WriteString("(no per-worker gauges: no run has been dispatched to workers)\n")
+		return
+	}
+	fmt.Fprintf(b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %6s\n",
+		"W", "STATE", "UTIL", "QUEUE", "WT", "ITEMS", "SPLITS")
+	for i, wg := range row.Gauges.Workers {
+		u := m.utilization(row, i)
+		fmt.Fprintf(b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %6d\n",
+			i, wg.State, bar(u, 10), u*100,
+			wg.QueueDepth, wg.QueueWeight, wg.Items, wg.Partitions)
+	}
 }

@@ -10,18 +10,18 @@ import (
 	evclient "evprop/client"
 )
 
-func testSnap(at time.Time, busy0, busy1 int64) snapshot {
-	return snapshot{
-		Time:         at,
-		UptimeSec:    125,
-		QPS:          42.5,
-		ErrorRate:    0.01,
-		P50Usec:      300,
-		P99Usec:      1800,
-		CacheHitRate: 0.87,
-		Propagations: 1234,
-		Scheduler:    "collaborative",
-		Workers:      2,
+// testRow is one model's stats row with two pool workers.
+func testRow(name string, busy0, busy1 int64) evclient.ModelStats {
+	row := evclient.ModelStats{
+		Counters:   evclient.Counters{Queries: 1000, Propagations: 1234},
+		Workers:    2,
+		Scheduler:  "collaborative",
+		InlineRuns: 34,
+		PoolRuns:   1200,
+		Window: evclient.WindowStats{
+			Requests: 2550, QPS: 42.5, ErrorRate: 0.01, P50Usec: 300, P99Usec: 1800,
+			LoadBalance: 1.1, CacheHitRate: 0.87, QPSSeries: []int64{0, 10, 40, 42},
+		},
 		Gauges: evprop.SchedulerGauges{
 			GlobalDepth: 3,
 			ActiveRuns:  1,
@@ -31,22 +31,34 @@ func testSnap(at time.Time, busy0, busy1 int64) snapshot {
 			},
 		},
 	}
+	row.Name, row.State, row.Version = name, "ready", 3
+	return row
+}
+
+func testSnap(at time.Time, rows ...evclient.ModelStats) evclient.Snapshot {
+	s := evclient.Snapshot{Time: at, UptimeSec: 125, Models: rows}
+	for _, r := range rows {
+		s.Totals.Queries += r.Queries
+		s.Totals.Propagations += r.Propagations
+	}
+	return s
 }
 
 // TestFrameRendersWorkers: two snapshots one second apart must yield a frame
-// with a header, sparklines, and one row per worker whose utilization comes
-// from the busy-time delta.
+// with a header, the model's window line, and one row per worker whose
+// utilization comes from the busy-time delta.
 func TestFrameRendersWorkers(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	m := &model{url: "http://x:8080"}
-	m.observe(testSnap(t0, 0, 0))
+	m.observe(testSnap(t0, testRow("wide", 0, 0)))
 	// Worker 0 burns 500ms of the 1s interval, worker 1 nothing.
-	m.observe(testSnap(t0.Add(time.Second), 500_000_000, 0))
+	m.observe(testSnap(t0.Add(time.Second), testRow("wide", 500_000_000, 0)))
 	f := m.frame()
 	for _, want := range []string{
-		"evtop — http://x:8080", "collaborative/2 workers", "up 00:02:05",
-		"qps    42.5", "p99   1.8ms", "cache hit  87.0%",
-		"GL depth 3", "active runs 1",
+		"evtop — http://x:8080", "1 models", "up 00:02:05", "propagations 1234",
+		"wide   v3 ready   collaborative/2 workers",
+		"qps    42.5", "p99 1.8ms", "cache hit  87.0%",
+		"GL depth 3", "active runs 1", "(34 inline, 1200 pool)",
 		"executing", "parked", " 50%", "  0%",
 	} {
 		if !strings.Contains(f, want) {
@@ -58,14 +70,54 @@ func TestFrameRendersWorkers(t *testing.T) {
 	}
 }
 
+// TestFrameTwoModels: every model of the snapshot gets its own block, read
+// from its own row — the one with a cache says so, the one without says
+// "cache off", and a worker's utilization is measured against the same
+// model's previous row, not the row at the same index.
+func TestFrameTwoModels(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	m := &model{url: "http://x:8080"}
+	m.observe(testSnap(t0, testRow("wet", 0, 0)))
+	dry := testRow("dry", 0, 250_000_000)
+	dry.Window.QPS = 7
+	dry.Cache = evclient.CacheCounters{Enabled: true, Capacity: 32, Entries: 5, Hits: 3, Misses: 1}
+	// "dry" appears (sorted first) in the second snapshot only: its busy time
+	// has no earlier reading, so it reads 0%, while wet's second worker burned
+	// a quarter of the interval.
+	m.observe(testSnap(t0.Add(time.Second), dry, testRow("wet", 0, 250_000_000)))
+	f := m.frame()
+	wet, dryAt := strings.Index(f, "wet   v3 ready"), strings.Index(f, "dry   v3 ready")
+	if wet < 0 || dryAt < 0 || dryAt > wet {
+		t.Fatalf("want a block per model, dry before wet:\n%s", f)
+	}
+	for block, wants := range map[string][]string{
+		f[dryAt:wet]: {"qps     7.0", "cache 5/32 entries", "life hit  75.0%", "parked     ░░░░░░░░░░   0%"},
+		f[wet:]:      {"qps    42.5", "cache off", "parked     ███░░░░░░░  25%"},
+	} {
+		for _, want := range wants {
+			if !strings.Contains(block, want) {
+				t.Errorf("block missing %q:\n%s", want, block)
+			}
+		}
+	}
+	if !strings.Contains(f, "2 models") || !strings.Contains(f, "queries 2000") {
+		t.Errorf("header lacks the totals over both models:\n%s", f)
+	}
+}
+
 // TestFrameEmptyAndDisconnected: the zero model and a dropped connection
 // must both render without panicking.
 func TestFrameEmptyAndDisconnected(t *testing.T) {
 	m := &model{url: "http://x:8080"}
-	if f := m.frame(); !strings.Contains(f, "no per-worker gauges") {
+	if f := m.frame(); !strings.Contains(f, "0 models") {
 		t.Errorf("empty frame:\n%s", f)
 	}
-	m.observe(testSnap(time.Unix(1000, 0), 0, 0))
+	inline := testRow("asia", 0, 0)
+	inline.Gauges.Workers = nil
+	m.observe(testSnap(time.Unix(1000, 0), inline))
+	if f := m.frame(); !strings.Contains(f, "no per-worker gauges") {
+		t.Errorf("frame of a model that never dispatched:\n%s", f)
+	}
 	m.disconnected(errors.New("connection refused"))
 	f := m.frame()
 	if !strings.Contains(f, "RECONNECTING") || !strings.Contains(f, "connection refused") {
@@ -73,37 +125,35 @@ func TestFrameEmptyAndDisconnected(t *testing.T) {
 	}
 }
 
-// TestFrameStatsLine: the /v1/stats row shows the lifetime cache hit rate
-// and flags audit drops; without a poll the row is absent; with auditing
-// off it says so.
+// TestFrameStatsLine: the stream's own rows carry what used to need a
+// /v1/stats poll — a model's lifetime cache hit rate and the audit pipeline's
+// drops, flagged; before the first event neither is drawn; with auditing or a
+// cache off the frame says so.
 func TestFrameStatsLine(t *testing.T) {
 	m := &model{url: "http://x:8080"}
-	m.observe(testSnap(time.Unix(1000, 0), 0, 0))
 	if f := m.frame(); strings.Contains(f, "cache off") || strings.Contains(f, "audit") {
-		t.Errorf("stats row rendered before any poll:\n%s", f)
+		t.Errorf("cache or audit drawn before any event:\n%s", f)
 	}
-	st := &evclient.Stats{}
-	st.Cache.Enabled = true
-	st.Cache.Capacity = 64
-	st.Cache.Entries = 12
-	st.Cache.Hits = 90
-	st.Cache.Misses = 10
-	st.Cache.FirstSight = 7
-	st.Audit.Enabled = true
-	st.Audit.Enqueued = 1000
-	st.Audit.Dropped = 3
-	m.observeStats(st)
+	row := testRow("asia", 0, 0)
+	row.Cache = evclient.CacheCounters{Enabled: true, Capacity: 64, Entries: 12, Hits: 90, Misses: 10, FirstSight: 7}
+	s := testSnap(time.Unix(1000, 0), row)
+	s.Audit.Enabled = true
+	s.Audit.Enqueued = 1000
+	s.Audit.Dropped = 3
+	s.Totals.Errors, s.Unresolved.Errors = 5, 2
+	m.observe(s)
 	f := m.frame()
 	for _, want := range []string{
 		"cache 12/64 entries", "life hit  90.0%", "first-sight 7", "audit enq 1000 drop 3 (0.30%) !",
+		"errors 5 (2 on no model)",
 	} {
 		if !strings.Contains(f, want) {
-			t.Errorf("stats row missing %q:\n%s", want, f)
+			t.Errorf("frame missing %q:\n%s", want, f)
 		}
 	}
-	m.observeStats(&evclient.Stats{})
+	m.observe(testSnap(time.Unix(1001, 0), testRow("asia", 0, 0)))
 	if f := m.frame(); !strings.Contains(f, "cache off") || !strings.Contains(f, "audit off") {
-		t.Errorf("disabled stats row:\n%s", f)
+		t.Errorf("disabled cache and audit:\n%s", f)
 	}
 }
 
