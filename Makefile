@@ -34,11 +34,13 @@ race:
 # them), plus the two deterministic reproducers of the span arena's recycle
 # window, the admission contract — a batch or a herd of identical queries on a
 # never-seen signature costs exactly two propagations however its goroutines
-# interleave, one on a seen signature, none on a cached one — and the executor
-# and the bits of a run that has company — held open on a channel, never timed.
+# interleave, one on a seen signature, none on a cached one — the executor
+# and the bits of a run that has company — held open on a channel, never timed
+# — and the process's one worker pool: how many goroutines three engines start,
+# and the bits of sixteen runs of two engines interleaved on its lists.
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -52,8 +54,11 @@ bench-serving:
 # where the granularity rule sent the runs. Every query is the first sight of
 # its evidence, so the cache=32 rows pin nothing and must read as the cache=0
 # rows do. 3000 operations per row, the count EXPERIMENTS.md's tables used.
+# Then the same with two models over one set of workers: a wide60 and a mid60
+# engine queried together, one or two callers each, Workers {2, 4}; pool_runs/op
+# again, and the goroutines the process holds.
 bench-load:
-	$(GO) test -run xxx -bench BenchmarkPropagateWideLoad -benchtime 3000x -cpu 2 .
+	$(GO) test -run xxx -bench 'BenchmarkPropagateWideLoad|BenchmarkPropagateTwoModels' -benchtime 3000x -cpu 2 .
 
 # Per-primitive kernel timings (compiled plan vs run-only plan vs scalar,
 # median-of-5 ns/entry, on long-run shapes and on the drop-one-variable shapes
@@ -111,7 +116,8 @@ trace:
 # "default": boot evserve with -models-dir on the two testdata models, query
 # each three times (a first sight, the pinned run, a hit), render one evtop
 # frame against its /v1/stream, then shut down. The frame must name both
-# models, and neither may read "cache off" — every block is its own model's.
+# models, and neither may read "cache off" — every block is its own model's —
+# under the one line for the process's two workers.
 smoke-evtop:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evtop-smoke ./cmd/evtop
@@ -125,7 +131,7 @@ smoke-evtop:
 			-d '{"evidence":{"Wet":1}}'; done; \
 	/tmp/evtop-smoke -url http://127.0.0.1:18098 -once > /tmp/evtop-smoke.frame; \
 	kill $$pid; wait $$pid 2>/dev/null; \
-	for want in "evtop —" "2 models" "queries 6" "rainA" "rainB" "window reqs 3" "cache 1/32 entries"; do \
+	for want in "evtop —" "2 models" "queries 6" "workers 2   active runs 0" "rainA" "rainB" "window reqs 3" "cache 1/32 entries"; do \
 		grep -q "$$want" /tmp/evtop-smoke.frame || { echo "smoke-evtop: frame lacks '$$want'"; cat /tmp/evtop-smoke.frame; exit 1; }; done; \
 	if grep -q "cache off" /tmp/evtop-smoke.frame; then echo "smoke-evtop: frame says cache off"; cat /tmp/evtop-smoke.frame; exit 1; fi; \
 	echo "smoke-evtop: ok"

@@ -9,6 +9,7 @@ package evprop
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -469,6 +470,60 @@ func BenchmarkPropagateWideLoad(b *testing.B) {
 					b.ReportMetric(float64(eng.SchedulerReport().PoolRuns)/float64(b.N), "pool_runs/op")
 				})
 			}
+		}
+	}
+}
+
+// BenchmarkPropagateTwoModels is BenchmarkPropagateWideLoad for a server with
+// two models: a wide60 and a mid60 engine compiled at the same Workers and
+// queried together, each by its own one or two callers, 4 variables observed,
+// never-repeating evidence, no cache. The callers draw operations from one
+// counter, as closed-loop clients of one server would: ns/op is wall time over
+// both models' operations and wide/op the share of them that were wide60's.
+// pool_runs/op is the share the granularity rule sent to the workers — the two
+// engines' workers being the same P goroutines, and their runs priced by one
+// count — and goroutines is what the process holds once both have run.
+// `make bench-load` runs it at -benchtime 3000x.
+func BenchmarkPropagateTwoModels(b *testing.B) {
+	models := []*Network{RandomNetwork(60, 2, 5, 7), RandomNetwork(60, 2, 4, 7)}
+	evs := [][]Evidence{benchmarkEvidence(models[0], 1, 4, 4096), benchmarkEvidence(models[1], 1, 4, 4096)}
+	for _, workers := range []int{2, 4} {
+		for _, callers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("P=%d/k=%dx2", workers, callers), func(b *testing.B) {
+				var engines []*Engine
+				for _, net := range models {
+					eng, err := net.Compile(Options{Workers: workers})
+					if err != nil {
+						b.Fatal(err)
+					}
+					engines = append(engines, eng)
+				}
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ReportAllocs()
+				b.ResetTimer()
+				for c := 0; c < 2*callers; c++ {
+					eng, evs := engines[c%2], evs[c%2]
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+							res, err := eng.Propagate(evs[i%int64(len(evs))])
+							if err != nil {
+								b.Error(err)
+								return
+							}
+							res.Close()
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				poolRuns := engines[0].SchedulerReport().PoolRuns + engines[1].SchedulerReport().PoolRuns
+				b.ReportMetric(float64(poolRuns)/float64(b.N), "pool_runs/op")
+				b.ReportMetric(float64(engines[0].Stats().Propagations)/float64(b.N), "wide/op")
+				b.ReportMetric(float64(runtime.NumGoroutine()), "goroutines")
+			})
 		}
 	}
 }

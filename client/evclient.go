@@ -383,13 +383,17 @@ func (c *Client) DSep(ctx context.Context, model string, x, y, z []string) (bool
 }
 
 // Stats is GET /v1/stats, and one /v1/stream event (see Snapshot): the
-// server-wide totals, one row per model, the catch-all row, the audit
-// pipeline. Everything is counted on a model; Totals is the sum over Models
-// and Unresolved at the instant the rows were read.
+// server-wide totals, the process's scheduler, one row per model, the
+// catch-all row, the audit pipeline. Everything is counted on a model; Totals
+// is the sum over Models and Unresolved at the instant the rows were read.
 type Stats struct {
 	Time      time.Time `json:"time"`
 	UptimeSec float64   `json:"uptime_sec"`
 	Totals    Counters  `json:"totals"`
+	// Scheduler is the server process's worker pool, shared by every model:
+	// its size, the runs in flight over all models, the GL depth and one
+	// entry per worker (none until a run has been dispatched).
+	Scheduler evprop.SchedulerGauges `json:"scheduler"`
 	// Models has one row per registered model, sorted by name.
 	Models []ModelStats `json:"models"`
 	// Unresolved counts what was asked of no model — an unknown name, a wrong
@@ -411,8 +415,8 @@ type Counters struct {
 
 // ModelStats is one model's stats row: a row of Stats.Models and the body of
 // GET /v1/models/{name}/stats. Counters and latencies cover the process
-// lifetime, Window the last 60 seconds; Cache, Gauges and the run counters are
-// the model's current engine's.
+// lifetime, Window the last 60 seconds; Cache and the run counters are the
+// model's current engine's.
 type ModelStats struct {
 	ModelInfo
 	Counters
@@ -426,15 +430,14 @@ type ModelStats struct {
 	SlicedShare float64 `json:"sliced_share"`
 	// LoadBalance and SchedOverheadFrac are the most recent run's Fig. 8
 	// gauges.
-	LoadBalance       float64                `json:"load_balance"`
-	SchedOverheadFrac float64                `json:"sched_overhead_fraction"`
-	Observed          int64                  `json:"observed"`
-	AvgLatencyUsec    float64                `json:"avg_latency_usec"`
-	P50LatencyUsec    float64                `json:"p50_latency_usec"`
-	P99LatencyUsec    float64                `json:"p99_latency_usec"`
-	Window            WindowStats            `json:"window"`
-	Cache             CacheCounters          `json:"cache"`
-	Gauges            evprop.SchedulerGauges `json:"scheduler_gauges"`
+	LoadBalance       float64       `json:"load_balance"`
+	SchedOverheadFrac float64       `json:"sched_overhead_fraction"`
+	Observed          int64         `json:"observed"`
+	AvgLatencyUsec    float64       `json:"avg_latency_usec"`
+	P50LatencyUsec    float64       `json:"p50_latency_usec"`
+	P99LatencyUsec    float64       `json:"p99_latency_usec"`
+	Window            WindowStats   `json:"window"`
+	Cache             CacheCounters `json:"cache"`
 }
 
 // WindowStats summarizes the last 60 seconds of one model's traffic.

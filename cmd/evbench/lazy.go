@@ -51,11 +51,9 @@ func runLazy(w io.Writer, workers, iters int) error {
 				start := time.Now()
 				res, err := eng.Propagate(wl.ev)
 				if err != nil {
-					eng.Close()
 					return err
 				}
 				if _, err := res.Posteriors(query...); err != nil {
-					eng.Close()
 					return err
 				}
 				lat = append(lat, time.Since(start))
@@ -66,7 +64,6 @@ func runLazy(w io.Writer, workers, iters int) error {
 			}
 			sort.Slice(lat, func(a, b int) bool { return lat[a] < lat[b] })
 			med[mode] = lat[len(lat)/2]
-			eng.Close()
 		}
 		fmt.Fprintf(w, "%-22s eager %9v   lazy %9v   speedup %.2fx\n",
 			wl.name, med[0], med[1], float64(med[0])/float64(med[1]))

@@ -96,12 +96,11 @@ func run(argv []string) int {
 		return 2
 	}
 
-	tgt, closeTgt, err := buildTarget(*url, *network, *bifFile, *workers, *lazyOpt, *mode == "diff")
+	tgt, err := buildTarget(*url, *network, *bifFile, *workers, *lazyOpt, *mode == "diff")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evreplay:", err)
 		return 2
 	}
-	defer closeTgt()
 	ctx := context.Background()
 
 	if *mode == "load" {
@@ -132,22 +131,22 @@ func run(argv []string) int {
 // buildTarget constructs the replay target: a live server when -url is
 // set, otherwise an in-process engine from -network/-bif. sampled marks
 // replayed traces always-keep (diff mode: mismatches deserve a waterfall).
-func buildTarget(url, network, bifFile string, workers int, lazy, sampled bool) (target, func(), error) {
+func buildTarget(url, network, bifFile string, workers int, lazy, sampled bool) (target, error) {
 	if url != "" {
 		if network != "" || bifFile != "" {
-			return nil, nil, fmt.Errorf("-url and -network/-bif are mutually exclusive")
+			return nil, fmt.Errorf("-url and -network/-bif are mutually exclusive")
 		}
-		return &httpTarget{c: evclient.New(url), sampled: sampled}, func() {}, nil
+		return &httpTarget{c: evclient.New(url), sampled: sampled}, nil
 	}
 	net, err := replayNetwork(network, bifFile)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	eng, err := net.Compile(evprop.Options{Workers: workers, Lazy: lazy})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &engineTarget{eng: eng}, eng.Close, nil
+	return &engineTarget{eng: eng}, nil
 }
 
 func replayNetwork(network, bifFile string) (*evprop.Network, error) {

@@ -103,7 +103,7 @@ func main() {
 		modelsDir = flag.String("models-dir", "", "serve every *.bif/*.xml/*.xmlbif in this directory, named by file basename")
 		nodes     = flag.Int("nodes", 30, "random network: node count")
 		seed      = flag.Int64("seed", 1, "random network: seed")
-		workers   = flag.Int("workers", 0, "worker goroutines per model (0 = GOMAXPROCS)")
+		workers   = flag.Int("workers", 0, "worker goroutines of the process, shared by every model (0 = GOMAXPROCS)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		logFmt    = flag.String("log", "text", "access-log format: text or json")

@@ -433,12 +433,33 @@ func TestModelScopedStats(t *testing.T) {
 	}
 }
 
+// holdCtx holds the run it is given mid-graph: the scheduler polls its context
+// at every task boundary, the engine twice before the run starts, so the third
+// poll is inside the run — counted in — and waits there until released.
+type holdCtx struct {
+	context.Context
+	polls            atomic.Int64
+	entered, release chan struct{}
+}
+
+func (c *holdCtx) Err() error {
+	if n := c.polls.Add(1); n >= 3 {
+		if n == 3 {
+			c.entered <- struct{}{}
+		}
+		<-c.release
+	}
+	return nil
+}
+
 // TestNoDefaultModel: nothing on the introspection surface is read through a
 // model named "default". A server booted the -models-dir way — two named
-// models, cache on — reports each model's cache, workers and gauges in its
-// own row of /v1/stats, in the first /v1/stream event and under its own label
-// in /v1/metrics, where it used to say "cache off, 0 workers" for the model
-// it did not have.
+// models, cache on — reports each model's cache, workers and run counters in
+// its own row of /v1/stats, in the first /v1/stream event and under its own
+// label in /v1/metrics, where it used to say "cache off, 0 workers" for the
+// model it did not have. What no model owns is said once: one scheduler block
+// for the process's two workers, whose active_runs counts the runs in flight
+// over both models, inline and dispatched.
 func TestNoDefaultModel(t *testing.T) {
 	srv := newMultiServer(evprop.Options{Workers: 2, CacheSize: 32})
 	t.Cleanup(srv.close)
@@ -481,33 +502,59 @@ func TestNoDefaultModel(t *testing.T) {
 				t.Errorf("%s: model %s window %+v", view, row.Name, row.Window)
 			}
 		}
-		if wide := st.row(t, "wide"); len(wide.Gauges.Workers) != 2 || wide.PoolRuns == 0 {
-			t.Errorf("%s: wide has %d worker gauges after %d pool runs", view, len(wide.Gauges.Workers), wide.PoolRuns)
+		if wide, rain := st.row(t, "wide"), st.row(t, "rain"); wide.PoolRuns == 0 || rain.InlineRuns != 2 {
+			t.Errorf("%s: %d pool runs of wide, %d inline runs of rain", view, wide.PoolRuns, rain.InlineRuns)
 		}
-		if rain := st.row(t, "rain"); len(rain.Gauges.Workers) != 0 || rain.InlineRuns != 2 {
-			t.Errorf("%s: rain has %d worker gauges, %d inline runs", view, len(rain.Gauges.Workers), rain.InlineRuns)
+		if sc := st.Scheduler; sc.PoolSize != 2 || len(sc.Workers) != 2 || sc.ActiveRuns != 0 {
+			t.Errorf("%s: scheduler block %+v, want two workers and nothing in flight", view, sc)
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/v1/metrics")
-	if err != nil {
+	// One run held mid-graph on each of two models, whichever executor each
+	// took, is two in the one count. (rain is one clique: no graph to be in the
+	// middle of.)
+	if err := srv.reg.LoadSync("asia", registry.LiteralSource(evprop.Asia(), "boot")); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	hold := &holdCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
+	held := make(chan error)
+	for name, ev := range map[string]evprop.Evidence{"wide": {"B": 1}, "asia": {"XRay": 1}} {
+		ctx := &holdCtx{Context: hold.Context, entered: hold.entered, release: hold.release}
+		eng := engineOf(t, srv, name)
+		go func() {
+			_, err := eng.PropagateContext(ctx, ev)
+			held <- err
+		}()
+		<-hold.entered
 	}
+	if sc := statsSnapshot(t, ts).Scheduler; sc.ActiveRuns != 2 {
+		t.Errorf("/v1/stats: %d active runs with one held on each model, want 2", sc.ActiveRuns)
+	}
+	loaded := metricsBody(t, ts)
+	close(hold.release)
+	for i := 0; i < 2; i++ {
+		if err := <-held; err != nil {
+			t.Errorf("held run: %v", err)
+		}
+	}
+	if !strings.Contains(loaded, "\nevprop_sched_active_runs 2\n") {
+		t.Errorf("/v1/metrics lacks evprop_sched_active_runs 2 with one run held on each model")
+	}
+
+	body := metricsBody(t, ts)
 	for _, series := range []string{
 		`evprop_cache_hits_total{model="wide"} 1` + "\n", `evprop_cache_hits_total{model="rain"} 1` + "\n",
 		`evprop_cache_capacity{model="wide"} 32` + "\n", `evprop_cache_entries{model="rain"} 1` + "\n",
 		`evprop_workers{model="wide"} 2` + "\n", `evprop_workers{model="rain"} 2` + "\n",
 		`evprop_sched_runs_total{model="rain"} 2` + "\n", `evprop_sched_pool_runs_total{model="wide"}`,
-		`evprop_worker_queue_depth{model="wide",worker="1"}`,
-		`evprop_flightrecorder_recorded_total{model="wide"} 3` + "\n",
+		`evprop_worker_queue_depth{worker="1"}`, "\nevprop_sched_active_runs 0\n",
+		`evprop_flightrecorder_recorded_total{model="wide"} 4` + "\n",
 	} {
-		if !strings.Contains(string(body), series) {
+		if !strings.Contains(body, series) {
 			t.Errorf("/v1/metrics lacks %q", series)
 		}
+	}
+	if n := strings.Count(body, "\nevprop_worker_items_total{"); n != 2 || strings.Contains(body, "evprop_worker_items_total{model=") {
+		t.Errorf("/v1/metrics has %d evprop_worker_items_total series, want one per worker of the process and no model label", n)
 	}
 }

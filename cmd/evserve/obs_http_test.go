@@ -728,6 +728,24 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			t.Errorf("/v1/metrics lacks %q", series)
 		}
 	}
+	// The workers every record was priced at are the process's: one scheduler
+	// block beside the rows, none on them, every run counted out again — the
+	// k of the block, of /v1/metrics and of each record's effective_workers is
+	// the one count.
+	sc := statsSnapshot(t, ts).Scheduler
+	if sc.PoolSize != 2 || sc.ActiveRuns != 0 || (executor == "pool" && len(sc.Workers) != 2) {
+		t.Errorf("/v1/stats scheduler block %+v, want the two workers the records were priced at and nothing in flight", sc)
+	}
+	row, err := http.Get(ts.URL + "/v1/models/" + defaultModel + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	decode(t, row, &fields)
+	row.Body.Close()
+	if _, perModel := fields["scheduler_gauges"]; perModel || !strings.Contains(string(body), "\nevprop_sched_active_runs 0\n") {
+		t.Errorf("a model's row still copies the scheduler gauges (%v), or /v1/metrics lacks the one active-runs series", perModel)
+	}
 }
 
 // TestServeGracefulShutdown drives the real serve loop: cancel the context

@@ -53,6 +53,10 @@ type server struct {
 	// cacheOn mirrors the engines' cache configuration so the hot path can
 	// skip cache accounting without asking an engine each time.
 	cacheOn bool
+	// workers is -workers, the P every model compiles at and so the size of
+	// the process's worker pool that the scheduler block of every stats view
+	// reads.
+	workers int
 	// aud, when non-nil, receives one durable audit record per completed
 	// query/MPE (the -audit-dir pipeline; see audit.go). audStore is its
 	// file-segment backend and auditDir the configured directory.
@@ -83,6 +87,7 @@ func newMultiServer(opts evprop.Options) *server {
 		noModel: &modelStats{name: noModelName, window: obs.NewWindow()},
 		log:     slog.Default(),
 		cacheOn: opts.CacheSize > 0,
+		workers: opts.Workers,
 		started: time.Now(),
 		drain:   make(chan struct{}),
 	}
@@ -101,7 +106,7 @@ func newServer(net *evprop.Network, opts evprop.Options) (*server, error) {
 	return s, nil
 }
 
-// close releases every model's engine; for shutdown and failed boots.
+// close drains and drops every model; for shutdown and failed boots.
 func (s *server) close() { s.reg.Close() }
 
 // mux routes the model-scoped /v1 API. Single-model routes (/v1/query,

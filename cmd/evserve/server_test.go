@@ -309,6 +309,21 @@ func checkRowsAddUp(t *testing.T, st statsResponse) {
 	}
 }
 
+// metricsBody fetches /v1/metrics.
+func metricsBody(t *testing.T, ts *httptest.Server) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
+}
+
 func statsSnapshot(t *testing.T, ts *httptest.Server) statsResponse {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/stats")

@@ -14,12 +14,14 @@ import (
 )
 
 // One set of books. A request is counted once, on the model it resolved to
-// (modelStats), and everything engine-side — cache, scheduler report, worker
-// gauges, flight recorder — is read from that model's engine. One row type
-// (modelRow) carries both halves, and /v1/stats, /v1/models/{name}/stats,
-// /v1/stream and /v1/metrics are all renderings of the same rows, so no two
-// of them can disagree and none depends on a model being called "default".
-// Server-wide totals are sums over the rows, taken when they are read.
+// (modelStats), and everything engine-side — cache, scheduler report, flight
+// recorder — is read from that model's engine. One row type (modelRow) carries
+// both halves, and /v1/stats, /v1/models/{name}/stats, /v1/stream and
+// /v1/metrics are all renderings of the same rows, so no two of them can
+// disagree and none depends on a model being called "default". Server-wide
+// totals are sums over the rows, taken when they are read. What no model owns
+// is beside the rows: the workers and the count of runs in flight are the
+// process's (evprop.ProcessScheduler), one scheduler block per view.
 
 // noModelName names the catch-all row: requests that resolved no model — an
 // unknown or unready model, a wrong method on a route that names none, an
@@ -89,9 +91,6 @@ type modelRow struct {
 	Window   windowStats                `json:"window"`
 	Cache    evprop.CacheStats          `json:"cache"`
 	Recorder evprop.FlightRecorderStats `json:"recorder"`
-	// Gauges is the model's live scheduler surface: GL depth, active runs,
-	// per-worker state/queue gauges.
-	Gauges evprop.SchedulerGauges `json:"scheduler_gauges"`
 
 	// What /v1/metrics renders beyond the JSON fields: the histogram's buckets
 	// and the scheduler report's lifetime totals.
@@ -165,7 +164,6 @@ func newRow(ms *modelStats, info registry.Info, v *registry.Version) modelRow {
 		Window:            toWindowStats(ms.window.Snapshot()),
 		Cache:             eng.CacheStats(),
 		Recorder:          eng.FlightRecorderStats(),
-		Gauges:            eng.SchedulerGauges(),
 		ms:                ms,
 		sched:             sr,
 	}
@@ -205,6 +203,10 @@ type statsResponse struct {
 	Time      time.Time `json:"time"`
 	UptimeSec float64   `json:"uptime_sec"`
 	Totals    counters  `json:"totals"`
+	// Scheduler is the process's worker pool, which every model's dispatched
+	// runs share: its size P, the runs in flight k over all models (inline
+	// ones too), the GL depth and one entry per worker.
+	Scheduler evprop.SchedulerGauges `json:"scheduler"`
 	// Models has one row per registered model, sorted by name.
 	Models []modelRow `json:"models"`
 	// Unresolved is the catch-all row: what was asked of no model. Only its
@@ -225,6 +227,7 @@ func (s *server) statsNow() statsResponse {
 	resp := statsResponse{
 		Time:       time.Now(),
 		UptimeSec:  time.Since(s.started).Seconds(),
+		Scheduler:  evprop.ProcessScheduler(s.workers),
 		Models:     make([]modelRow, 0, len(infos)),
 		Unresolved: newRow(s.noModel, registry.Info{Name: noModelName}, nil),
 		Audit:      s.auditStats(),
@@ -299,24 +302,13 @@ func (e exposition) familyBy(name, help, typ, label string, series func(*modelRo
 	}
 }
 
-// worker is familyBy over the row's scheduler workers.
-func (e exposition) worker(name, help, typ string, value func(*evprop.WorkerGauges) float64) {
-	e.familyBy(name, help, typ, "worker", func(r *modelRow) []sample {
-		out := make([]sample, len(r.Gauges.Workers))
-		for i := range out {
-			out[i] = sample{strconv.Itoa(i), value(&r.Gauges.Workers[i])}
-		}
-		return out
-	})
-}
-
 // handleMetrics serves the Prometheus text exposition. Everything a model
 // owns — request counters, latency histogram, window, cache, scheduler report,
-// worker gauges, flight recorder — is one family per quantity with one series
-// per model; a server-wide figure is a sum over the label. The request and
-// error counters carry the catch-all row too; the engine-side families only
-// the models that have a published version. The audit and trace pipelines are
-// the server's own and stay unlabelled.
+// flight recorder — is one family per quantity with one series per model; a
+// server-wide figure is a sum over the label. The request and error counters
+// carry the catch-all row too; the engine-side families only the models that
+// have a published version. The worker pool, the audit and the trace pipelines
+// are the process's own and stay unlabelled.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
@@ -396,10 +388,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(r *modelRow) float64 { return r.SchedOverheadFrac })
 	ready.family("evprop_sched_overhead_fraction_lifetime", "Lifetime scheduler-overhead fraction across all runs.", "gauge",
 		func(r *modelRow) float64 { return r.sched.OverheadFraction })
-	ready.family("evprop_sched_global_depth", "Tasks submitted to the scheduler but not yet completed.", "gauge",
-		func(r *modelRow) float64 { return float64(r.Gauges.GlobalDepth) })
-	ready.family("evprop_sched_active_runs", "Propagations currently in flight.", "gauge",
-		func(r *modelRow) float64 { return float64(r.Gauges.ActiveRuns) })
+	obs.WriteHeader(w, "evprop_sched_global_depth", "Tasks submitted to the process's workers but not yet completed.", "gauge")
+	obs.WriteSample(w, "evprop_sched_global_depth", nil, float64(st.Scheduler.GlobalDepth))
+	obs.WriteHeader(w, "evprop_sched_active_runs", "Propagations in flight in the process, on the workers or inline.", "gauge")
+	obs.WriteSample(w, "evprop_sched_active_runs", nil, float64(st.Scheduler.ActiveRuns))
 
 	ready.family("evprop_window_requests", "Requests in the last 60 seconds.", "gauge",
 		func(r *modelRow) float64 { return float64(r.Window.Requests) })
@@ -438,27 +430,29 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ready.family("evprop_flightrecorder_slow_threshold_seconds", "Current slow-query capture threshold (0 while calibrating).", "gauge",
 		func(r *modelRow) float64 { return r.Recorder.SlowThresholdUsec / 1e6 })
 
-	// Per-worker gauges: no series for a model until one of its runs has been
-	// dispatched to the workers.
-	ready.worker("evprop_worker_queue_depth", "Items queued on the worker's local ready list.", "gauge",
+	// Per-worker gauges of the process's pool: no series until a run has been
+	// dispatched to the workers, which is when they start.
+	worker := func(name, help, typ string, value func(*evprop.WorkerGauges) float64) {
+		obs.WriteHeader(w, name, help, typ)
+		for i := range st.Scheduler.Workers {
+			obs.WriteSample(w, name, map[string]string{"worker": strconv.Itoa(i)}, value(&st.Scheduler.Workers[i]))
+		}
+	}
+	worker("evprop_worker_queue_depth", "Items queued on the worker's local ready list.", "gauge",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.QueueDepth) })
-	ready.worker("evprop_worker_queue_weight", "Weight counter of the worker's local ready list.", "gauge",
+	worker("evprop_worker_queue_weight", "Weight counter of the worker's local ready list.", "gauge",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.QueueWeight) })
-	ready.worker("evprop_worker_busy_seconds_total", "Worker time inside node-level primitives.", "counter",
+	worker("evprop_worker_busy_seconds_total", "Worker time inside node-level primitives.", "counter",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.BusyNs) / 1e9 })
-	ready.worker("evprop_worker_items_total", "Items executed by the worker (tasks, pieces, combiners).", "counter",
+	worker("evprop_worker_items_total", "Items executed by the worker (tasks, pieces, combiners).", "counter",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.Items) })
-	ready.worker("evprop_worker_completed_total", "Original graph tasks retired by the worker.", "counter",
+	worker("evprop_worker_completed_total", "Original graph tasks retired by the worker.", "counter",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.Completed) })
-	ready.worker("evprop_worker_partitions_total", "Tasks the worker split into δ-pieces.", "counter",
+	worker("evprop_worker_partitions_total", "Tasks the worker split into δ-pieces.", "counter",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.Partitions) })
 	obs.WriteHeader(w, "evprop_worker_state", "Worker state (one series per worker, state as label, value 1).", "gauge")
-	for _, r := range ready.rows {
-		for i, g := range r.Gauges.Workers {
-			obs.WriteSample(w, "evprop_worker_state", map[string]string{
-				"model": r.Name, "worker": strconv.Itoa(i), "state": g.State,
-			}, 1)
-		}
+	for i, g := range st.Scheduler.Workers {
+		obs.WriteSample(w, "evprop_worker_state", map[string]string{"worker": strconv.Itoa(i), "state": g.State}, 1)
 	}
 
 	writeAuditMetrics(w, st.Audit)

@@ -98,8 +98,8 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 		prev, snap = next, next
 	}
 	checkRowsAddUp(t, snap)
-	if row := snap.row(t, defaultModel); len(row.Gauges.Workers) != 2 || row.Queries != 1 {
-		t.Errorf("row has %d workers and %d queries, want 2 and 1", len(row.Gauges.Workers), row.Queries)
+	if row := snap.row(t, defaultModel); len(snap.Scheduler.Workers) != 2 || row.Queries != 1 {
+		t.Errorf("event has %d workers and %d queries, want 2 and 1", len(snap.Scheduler.Workers), row.Queries)
 	}
 }
 
@@ -219,10 +219,10 @@ func TestHealthzReadyz(t *testing.T) {
 }
 
 // TestMetricsConformance lints the server's full Prometheus exposition —
-// two models, one that dispatches to its workers and one that runs inline,
-// every per-model family labelled model= — against the format checker, and
-// checks what the checker does not: one # HELP and one # TYPE per family, and
-// no series written twice.
+// two models, one that dispatches to the workers and one that runs inline,
+// every per-model family labelled model=, the process's workers and run count
+// without one — against the format checker, and checks what the checker does
+// not: one # HELP and one # TYPE per family, and no series written twice.
 func TestMetricsConformance(t *testing.T) {
 	ts, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
 	if err := srv.reg.LoadSync("rain", registry.InlineSource(mmRainBIF(t, 0.3), false)); err != nil {
@@ -262,32 +262,46 @@ func TestMetricsConformance(t *testing.T) {
 		seen[key] = true
 	}
 	for _, metric := range []string{
-		`evprop_sched_global_depth{model="default"}`, `evprop_sched_active_runs{model="rain"}`,
+		"\nevprop_sched_global_depth 0\n", "\nevprop_sched_active_runs 0\n",
 		`evprop_sched_inline_runs_total{model="default"} 0`, `evprop_sched_pool_runs_total{model="default"} 1`,
 		`evprop_sched_inline_runs_total{model="rain"} 1`, `evprop_sched_pool_runs_total{model="rain"} 0`,
 		`evprop_request_duration_seconds_count{model="rain"} 1`,
-		`evprop_worker_queue_depth{model="default",worker="0"}`,
-		`evprop_worker_completed_total{model="default",worker="1"}`,
-		`evprop_worker_state{model="default",state=`,
+		`evprop_worker_queue_depth{worker="0"}`,
+		`evprop_worker_completed_total{worker="1"}`,
+		`evprop_worker_state{state=`,
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("metrics missing %s", metric)
 		}
 	}
-	// Nothing is read through a default model any more: no per-model quantity
-	// is exposed without its label, and the parallel evprop_model_* families
-	// are gone. The inline model has no workers, hence no worker series.
+	// Nothing is read through a default model: no per-model quantity is exposed
+	// without its label, and the parallel evprop_model_* families are gone.
+	// What is the process's — its workers, the tasks queued on them, the runs in
+	// flight — is exposed once, with no model to name: two models, two workers,
+	// two series per worker family.
+	perProcess := func(line string) bool {
+		return strings.HasPrefix(line, "evprop_worker_") ||
+			strings.HasPrefix(line, "evprop_sched_global_depth") || strings.HasPrefix(line, "evprop_sched_active_runs")
+	}
+	workerSeries := 0
 	for _, line := range strings.Split(body, "\n") {
-		for _, prefix := range []string{"evprop_cache_", "evprop_worker_", "evprop_sched_", "evprop_window_", "evprop_http_", "evprop_flightrecorder_"} {
-			if strings.HasPrefix(line, prefix) && !strings.Contains(line, `model="`) {
+		labelled := strings.Contains(line, `model="`)
+		for _, prefix := range []string{"evprop_cache_", "evprop_sched_", "evprop_window_", "evprop_http_", "evprop_flightrecorder_"} {
+			if strings.HasPrefix(line, prefix) && !labelled && !perProcess(line) {
 				t.Errorf("unlabelled series %q", line)
 			}
+		}
+		if perProcess(line) && labelled {
+			t.Errorf("a model label on the process's series %q", line)
 		}
 		if strings.HasPrefix(line, "evprop_model_") && !strings.HasPrefix(line, "evprop_model_info{") {
 			t.Errorf("evprop_model_* series %q", line)
 		}
-		if strings.HasPrefix(line, "evprop_worker_") && strings.Contains(line, `model="rain"`) {
-			t.Errorf("worker series for a model that never dispatched: %q", line)
+		if strings.HasPrefix(line, "evprop_worker_") {
+			workerSeries++
 		}
+	}
+	if workerSeries != 2*7 {
+		t.Errorf("%d evprop_worker_* series, want 7 families × the process's 2 workers", workerSeries)
 	}
 }

@@ -43,19 +43,15 @@ func (m *model) disconnected(err error) {
 
 // utilization is one worker's busy-time fraction over the last
 // inter-snapshot interval: 0 until two snapshots since (re)connect both carry
-// the model and the worker.
-func (m *model) utilization(row *evclient.ModelStats, worker int) float64 {
+// the worker.
+func (m *model) utilization(worker int) float64 {
 	wall := m.cur.Time.Sub(m.prev.Time)
-	if m.count < 2 || wall <= 0 {
+	prev := m.prev.Scheduler.Workers
+	if m.count < 2 || wall <= 0 || worker >= len(prev) {
 		return 0
 	}
-	for i := range m.prev.Models {
-		if p := &m.prev.Models[i]; p.Name == row.Name && worker < len(p.Gauges.Workers) {
-			busy := row.Gauges.Workers[worker].BusyNs - p.Gauges.Workers[worker].BusyNs
-			return clamp01(float64(busy) / float64(wall.Nanoseconds()))
-		}
-	}
-	return 0
+	busy := m.cur.Scheduler.Workers[worker].BusyNs - prev[worker].BusyNs
+	return clamp01(float64(busy) / float64(wall.Nanoseconds()))
 }
 
 func clamp01(v float64) float64 {
@@ -149,8 +145,8 @@ func cacheLine(cs evclient.CacheCounters) string {
 
 // frame renders the whole dashboard as one string of \n-joined lines, no
 // ANSI control — positioning is the caller's concern, which keeps this pure
-// and directly testable. A header with the server-wide totals, then one block
-// per model.
+// and directly testable. A header with the server-wide totals, the process's
+// workers, then one block per model.
 func (m *model) frame() string {
 	var b strings.Builder
 	s := &m.cur
@@ -167,16 +163,35 @@ func (m *model) frame() string {
 	if m.count > 0 {
 		b.WriteString(auditLine(s.Audit))
 	}
+	m.workersBlock(&b)
 	for i := range s.Models {
 		b.WriteString("\n")
-		m.modelBlock(&b, &s.Models[i])
+		modelBlock(&b, &s.Models[i])
 	}
 	return b.String()
 }
 
-// modelBlock renders one model: its window, its engine's counters and cache,
-// and one row per scheduler worker.
-func (m *model) modelBlock(b *strings.Builder, row *evclient.ModelStats) {
+// workersBlock renders the process's scheduler: the pool every model's
+// dispatched runs share, one row per worker.
+func (m *model) workersBlock(b *strings.Builder) {
+	sc := &m.cur.Scheduler
+	fmt.Fprintf(b, "workers %d   active runs %d   GL depth %d\n", sc.PoolSize, sc.ActiveRuns, sc.GlobalDepth)
+	if len(sc.Workers) == 0 {
+		b.WriteString("(no per-worker gauges: no run has been dispatched to workers)\n")
+		return
+	}
+	fmt.Fprintf(b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %6s\n",
+		"W", "STATE", "UTIL", "QUEUE", "WT", "ITEMS", "SPLITS")
+	for i, wg := range sc.Workers {
+		u := m.utilization(i)
+		fmt.Fprintf(b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %6d\n",
+			i, wg.State, bar(u, 10), u*100,
+			wg.QueueDepth, wg.QueueWeight, wg.Items, wg.Partitions)
+	}
+}
+
+// modelBlock renders one model: its window, its engine's counters and cache.
+func modelBlock(b *strings.Builder, row *evclient.ModelStats) {
 	w := &row.Window
 	qps := make([]float64, len(w.QPSSeries))
 	for i, n := range w.QPSSeries {
@@ -186,19 +201,7 @@ func (m *model) modelBlock(b *strings.Builder, row *evclient.ModelStats) {
 	fmt.Fprintf(b, "qps %7.1f %s   p50 %s   p99 %s\n", w.QPS, sparkline(qps, sparkWidth), fmtDur(w.P50Usec), fmtDur(w.P99Usec))
 	fmt.Fprintf(b, "err %6.2f%%   cache hit %5.1f%%   balance %.2f   window reqs %d\n",
 		w.ErrorRate*100, w.CacheHitRate*100, w.LoadBalance, w.Requests)
-	fmt.Fprintf(b, "GL depth %d   active runs %d   propagations %d (%d inline, %d pool)   errors %d\n",
-		row.Gauges.GlobalDepth, row.Gauges.ActiveRuns, row.Propagations, row.InlineRuns, row.PoolRuns, row.Errors)
+	fmt.Fprintf(b, "propagations %d (%d inline, %d pool)   errors %d\n",
+		row.Propagations, row.InlineRuns, row.PoolRuns, row.Errors)
 	b.WriteString(cacheLine(row.Cache))
-	if len(row.Gauges.Workers) == 0 {
-		b.WriteString("(no per-worker gauges: no run has been dispatched to workers)\n")
-		return
-	}
-	fmt.Fprintf(b, "%3s  %-9s  %-16s  %5s  %6s  %9s  %6s\n",
-		"W", "STATE", "UTIL", "QUEUE", "WT", "ITEMS", "SPLITS")
-	for i, wg := range row.Gauges.Workers {
-		u := m.utilization(row, i)
-		fmt.Fprintf(b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %6d\n",
-			i, wg.State, bar(u, 10), u*100,
-			wg.QueueDepth, wg.QueueWeight, wg.Items, wg.Partitions)
-	}
 }

@@ -57,6 +57,13 @@ func concurrentPropagate(t *testing.T, dispatch bool) {
 	}
 
 	before := eng.Stats().Propagations
+	completed := func() (n int64) {
+		for _, w := range ProcessScheduler(4).Workers {
+			n += w.Completed
+		}
+		return n
+	}
+	completedBefore := completed()
 	var wg sync.WaitGroup
 	errc := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -103,20 +110,20 @@ func concurrentPropagate(t *testing.T, dispatch bool) {
 	if delta := eng.Stats().Propagations - before; delta != goroutines*rounds {
 		t.Errorf("propagation counter advanced by %d, want %d", delta, goroutines*rounds)
 	}
-	// Dispatched runs all went to the engine's one set of workers, whose
-	// gauges account for every task of every run; inline runs started none.
-	wantWorkers, wantCompleted := 0, int64(0)
+	// Dispatched runs all went to the process's one set of four workers, whose
+	// gauges account for every task of every run; inline runs gave them none.
+	// Either way every run has been counted out again.
+	var wantCompleted int64
 	if dispatch {
-		wantWorkers, wantCompleted = 4, eng.Stats().Propagations*int64(eng.inner.Graph().N())
+		wantCompleted = goroutines * rounds * int64(eng.inner.Graph().N())
 	}
-	gauges := eng.SchedulerGauges()
-	var completed int64
-	for _, w := range gauges.Workers {
-		completed += w.Completed
+	gauges := ProcessScheduler(4)
+	if dispatch && len(gauges.Workers) != 4 {
+		t.Errorf("%d workers after dispatched runs, want 4", len(gauges.Workers))
 	}
-	if len(gauges.Workers) != wantWorkers || completed != wantCompleted || gauges.GlobalDepth != 0 {
-		t.Errorf("%d workers completed %d tasks with %d still queued, want %d workers and %d tasks",
-			len(gauges.Workers), completed, gauges.GlobalDepth, wantWorkers, wantCompleted)
+	if got := completed() - completedBefore; got != wantCompleted || gauges.GlobalDepth != 0 || gauges.ActiveRuns != 0 {
+		t.Errorf("workers completed %d tasks with %d still queued and %d runs in flight, want %d, 0 and 0",
+			got, gauges.GlobalDepth, gauges.ActiveRuns, wantCompleted)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -156,11 +157,16 @@ const (
 
 // Options configures compilation of a network into an inference engine.
 type Options struct {
-	// Workers is the number of propagation goroutines P (0 = GOMAXPROCS).
-	// A task graph whose mean task is cheaper than one scheduling operation
-	// at this P — small networks, heavily pruned lazy plans, and every graph
-	// when P is 1 — runs on the calling goroutine instead; FlightRecord's
-	// Executor field says which path a propagation took.
+	// Workers is P, the number of propagation goroutines (0 = GOMAXPROCS).
+	// They are the process's, not the engine's: every engine compiled at one
+	// P shares the same P workers, started by the first query dispatched to
+	// them and kept for the life of the process, and shares the count of
+	// queries in flight that each is priced by (ProcessScheduler). A task
+	// graph whose mean task is cheaper than one scheduling operation at its
+	// share of them — small networks, heavily pruned lazy plans, every graph
+	// when P is 1, and any graph under enough concurrent load — runs on the
+	// calling goroutine instead; FlightRecord's Executor field says which
+	// path a propagation took.
 	Workers int
 	// Scheduler is one of the Scheduler* constants (default
 	// "collaborative"). "serial" runs every graph on the calling goroutine.
@@ -234,8 +240,8 @@ type Options struct {
 // safe for fully concurrent use: any number of goroutines may call
 // Propagate (and every Query* convenience wrapper) simultaneously with no
 // external locking. Propagation state is pooled and recycled across calls,
-// and a persistent worker pool executes the task graphs, so steady-state
-// queries allocate little and spawn no goroutines.
+// and the process's persistent workers execute the task graphs, so
+// steady-state queries allocate little and spawn no goroutines.
 type Engine struct {
 	net   *Network
 	inner *core.Engine
@@ -247,15 +253,11 @@ type Engine struct {
 	modelVersion atomic.Int64
 }
 
-// Close releases the engine's persistent worker pool. It is optional —
-// engines are finalized on garbage collection — and idempotent; an engine
-// keeps answering queries after Close, each on its caller's goroutine.
-func (e *Engine) Close() {
-	if e == nil || e.inner == nil {
-		return
-	}
-	e.inner.Close()
-}
+// Close does nothing: an engine owns no goroutines — the workers are the
+// process's (Options.Workers) — and what it does own is garbage once it is
+// unreachable. It remains for callers written when engines had workers to
+// release; an engine answers queries after Close exactly as before.
+func (e *Engine) Close() {}
 
 // EngineStats is a snapshot of an engine's lifetime counters and
 // configuration.
@@ -428,17 +430,6 @@ func (e *Engine) SchedulerReport() SchedulerReport {
 	return r
 }
 
-// WriteSchedulerMetrics writes the engine's aggregated scheduler
-// observability in Prometheus text exposition format under the given
-// metric prefix (e.g. "evprop_sched") — the engine half of an HTTP
-// /metrics endpoint.
-func (e *Engine) WriteSchedulerMetrics(w io.Writer, prefix string) {
-	if e == nil || e.inner == nil {
-		return
-	}
-	e.inner.ObsSnapshot().WritePrometheus(w, prefix)
-}
-
 // WorkerGauges is one scheduler worker's live gauges at a sampling instant:
 // its current state, the depth and weight counter of its local ready list,
 // and its lifetime execution and partition counters.
@@ -461,30 +452,38 @@ type WorkerGauges struct {
 	Partitions int64 `json:"partitions"`
 }
 
-// SchedulerGauges is a live snapshot of the scheduler: the global task-list
-// depth, in-flight propagation count, and per-worker gauges. Reading it is
-// wait-free for the workers, so it is safe to sample at high frequency
-// while queries run.
+// SchedulerGauges is a live snapshot of the process's scheduler: the pool
+// of P workers that every engine compiled at Options.Workers = P borrows.
+// Reading it is wait-free for the workers, so it is safe to sample at high
+// frequency while queries run.
 type SchedulerGauges struct {
-	// GlobalDepth counts tasks submitted to the scheduler but not yet
-	// completed, across all in-flight propagations.
-	GlobalDepth int64 `json:"global_depth"`
-	// ActiveRuns counts propagations currently in flight.
+	// PoolSize is P.
+	PoolSize int `json:"pool_size"`
+	// ActiveRuns is k, the propagations in flight on those P cores, on the
+	// workers and on their callers' goroutines alike, over every engine that
+	// shares the pool. A propagation is priced at P ÷ k workers
+	// (FlightRecord.EffectiveWorkers).
 	ActiveRuns int64 `json:"active_runs"`
-	// Workers has one entry per scheduler worker. Empty until the engine
-	// first dispatches a run to its workers: reading gauges starts none.
+	// GlobalDepth counts tasks submitted to the workers but not yet
+	// completed, across all dispatched propagations in flight.
+	GlobalDepth int64 `json:"global_depth"`
+	// Workers has one entry per worker. Empty until a propagation is first
+	// dispatched to them: the goroutines start then, and reading gauges
+	// starts none.
 	Workers []WorkerGauges `json:"workers"`
 }
 
-// SchedulerGauges snapshots the engine's live scheduler gauge surface.
-func (e *Engine) SchedulerGauges() SchedulerGauges {
-	if e == nil || e.inner == nil {
-		return SchedulerGauges{}
+// ProcessScheduler snapshots the live gauges of the process's pool of the
+// given size, workers as in Options.Workers (0 = GOMAXPROCS).
+func ProcessScheduler(workers int) SchedulerGauges {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	s := e.inner.Gauges()
+	s := sched.ProcessPool(workers).Snapshot()
 	g := SchedulerGauges{
-		GlobalDepth: s.GlobalDepth,
+		PoolSize:    workers,
 		ActiveRuns:  s.ActiveRuns,
+		GlobalDepth: s.GlobalDepth,
 		Workers:     make([]WorkerGauges, len(s.Workers)),
 	}
 	for i, w := range s.Workers {

@@ -60,11 +60,11 @@ type FlightRecord struct {
 	Entries      int64 `json:"entries,omitempty"`
 	GraphEntries int64 `json:"graph_entries,omitempty"`
 	// EffectiveWorkers is the worker count the granularity rule priced the run
-	// at: the engine's workers divided by the scheduler runs in flight in the
-	// process when it started, itself included, at least 1. Equal to the
-	// engine's workers when the run was alone; 1 means every core had a query
-	// of its own, and the run stayed on its caller's goroutine. Omitted (0) on
-	// cached records.
+	// at: the process's workers (Options.Workers) divided by the runs in flight
+	// on them when it started — any engine's, itself included — at least 1
+	// (SchedulerGauges.ActiveRuns is that count). Equal to Options.Workers when
+	// the run was alone; 1 means every core had a query of its own, and the run
+	// stayed on its caller's goroutine. Omitted (0) on cached records.
 	EffectiveWorkers int `json:"effective_workers,omitempty"`
 	// LoadBalance and SchedOverheadFrac are the run's Fig. 8 gauges.
 	LoadBalance       float64 `json:"load_balance"`

@@ -1,5 +1,5 @@
-// Package buildinfo carries the version identity shared by the four
-// binaries (evserve, evprop, evbench, evgen): their -version flags and
+// Package buildinfo carries the version identity shared by the binaries
+// (evserve, evprop, evbench, evtop, evtrace): their -version flags and
 // evserve's /v1/healthz body all report the same values.
 package buildinfo
 

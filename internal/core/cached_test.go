@@ -25,7 +25,6 @@ func cachedTestEngine(t *testing.T, cacheSize int) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(e.Close)
 	return e
 }
 
@@ -63,7 +62,6 @@ func TestPinOnSecondSight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	ctx := context.Background()
 	for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
 		// Several, because under -race sync.Pool drops a Put in four.

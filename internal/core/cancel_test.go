@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,6 @@ func TestCancelledRunRecorderIntegrity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	ev := potential.Evidence{0: 0}
 
 	const perG, goroutines = 30, 4
@@ -157,12 +157,11 @@ func TestCancelledInlineRun(t *testing.T) {
 				t.Fatalf("%v: clique %d differs from the serial reference", s, i)
 			}
 		}
-		e.Close()
 	}
 }
 
-// gaugeProbeCtx reads the engine's gauges at every task boundary of the run
-// it is passed to and keeps the largest ActiveRuns it saw.
+// gaugeProbeCtx reads the pool's count of runs in flight at every task boundary
+// of the run it is passed to and keeps the largest it saw.
 type gaugeProbeCtx struct {
 	context.Context
 	e      *Engine
@@ -170,24 +169,25 @@ type gaugeProbeCtx struct {
 }
 
 func (c *gaugeProbeCtx) Err() error {
-	c.active = max(c.active, c.e.Gauges().ActiveRuns)
+	c.active = max(c.active, c.e.pool.Snapshot().ActiveRuns)
 	return nil
 }
 
 // TestSmallModelSpawnsNoWorkers: an engine whose graphs all fall under the
-// granularity rule never starts its pool — not for propagations of any kind,
-// and not for a gauge read, which used to create it. Its runs still show in
-// the ActiveRuns gauge while they are in flight.
+// granularity rule never starts the process's pool — not for propagations of
+// any kind, and not for a gauge read. Its runs still show in the pool's
+// ActiveRuns while they are in flight: the count is of runs, not of dispatches.
+// (Workers 5 is no other test's, so the pool is this test's to find unstarted.)
 func TestSmallModelSpawnsNoWorkers(t *testing.T) {
 	tr, err := bayesnet.RandomNetwork(40, 2, 3, 7).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(tr, Options{Workers: 2, Reroot: true})
+	e, err := NewEngine(tr, Options{Workers: 5, Reroot: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	before := runtime.NumGoroutine()
 	ev := potential.Evidence{3: 1}
 	for i := 0; i < 3; i++ {
 		if _, err := e.Propagate(ev); err != nil {
@@ -204,12 +204,12 @@ func TestSmallModelSpawnsNoWorkers(t *testing.T) {
 	if probe.active != 1 {
 		t.Errorf("ActiveRuns read %d during an inline run, want 1", probe.active)
 	}
-	g := e.Gauges()
+	g := e.pool.Snapshot()
 	if len(g.Workers) != 0 || g.ActiveRuns != 0 {
-		t.Errorf("gauges of an engine that dispatched nothing: %+v", g)
+		t.Errorf("gauges of a pool nothing was dispatched to: %+v", g)
 	}
-	if e.pool != nil {
-		t.Error("worker pool exists after inline runs and gauge reads")
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after inline runs and gauge reads, %d before", n, before)
 	}
 	if snap := e.ObsSnapshot(); snap.InlineRuns != 7 || snap.PoolRuns != 0 {
 		t.Errorf("%d inline and %d pool runs, want 7 and 0", snap.InlineRuns, snap.PoolRuns)

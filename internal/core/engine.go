@@ -7,10 +7,10 @@
 // An Engine is safe for fully concurrent use: any number of goroutines may
 // call Propagate (and friends) on one compiled engine with no external
 // locking. Everything structure-dependent — the junction tree, the task
-// graph, the worker pool — is built once and read
-// concurrently; everything propagation-dependent lives in a per-run
-// taskgraph.State, whose two halves are recycled separately so steady-state
-// propagation does near-zero allocation: the result tables through the
+// graph — is built once and read concurrently; the workers are the process's
+// (sched.ProcessPool), borrowed; everything propagation-dependent lives in a
+// per-run taskgraph.State, whose two halves are recycled separately so
+// steady-state propagation does near-zero allocation: the result tables through the
 // engine's state pools when a Result is released, the run scratch (message
 // buffers and the run's kernel plans) through its task graph's pool the
 // moment the run has succeeded — and only then, since stragglers of a failed
@@ -77,12 +77,13 @@ func ParseScheduler(name string) (Scheduler, error) {
 
 // Options configures an Engine.
 type Options struct {
-	// Workers is the number of worker goroutines P. 0 selects GOMAXPROCS.
-	// A run whose mean task is cheaper than one dispatch at its share of them
-	// — P divided by the scheduler runs in flight in the process, itself
-	// included (sched.EnterRun) — runs on the calling goroutine instead
-	// (sched.InlineWeight); with one worker that is every run, and under
-	// enough load too.
+	// Workers is P, the size of the process's worker pool the engine borrows
+	// (sched.ProcessPool): every engine compiled at one P shares the same P
+	// goroutines. 0 selects GOMAXPROCS. A run whose mean task is cheaper than
+	// one dispatch at its share of them — P divided by the runs in flight on
+	// that pool, itself included (sched.Pool.EnterRun) — runs on the calling
+	// goroutine instead (sched.InlineWeight); with one worker that is every
+	// run, and under enough load too.
 	Workers int
 	// Scheduler selects the execution strategy (default Collaborative).
 	Scheduler Scheduler
@@ -164,16 +165,10 @@ type Engine struct {
 	// Options.Lazy is set, nil otherwise.
 	lazyProp *lazy.Prop
 
-	// pool holds the persistent scheduler workers, created by the first run
-	// that is dispatched to them, so engines whose graphs all run inline
-	// never spawn goroutines.
-	poolMu     sync.Mutex
-	pool       *sched.Pool
-	poolClosed bool
-
-	// inlineActive counts inline runs in flight, the part of the ActiveRuns
-	// gauge no scheduler's gauge surface sees.
-	inlineActive atomic.Int64
+	// pool is the process's pool of Options.Workers workers: the goroutines
+	// dispatched runs go to and the count of runs in flight every run is
+	// priced by. The engine borrows it and never closes it.
+	pool *sched.Pool
 
 	// propagations counts scheduler invocations, the observable that lets
 	// tests prove a query cost exactly one propagation.
@@ -207,7 +202,7 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{opts: opts, RerootedFrom: -1}
+	e := &Engine{opts: opts, RerootedFrom: -1, pool: sched.ProcessPool(opts.Workers)}
 	work := t.Clone()
 	if opts.Reroot {
 		start := time.Now()
@@ -246,44 +241,7 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 		e.door = cache.NewDoorkeeper(e.cache.Cap())
 		e.flight = &cache.Group{}
 	}
-	// Engines dropped without Close would otherwise leak their parked
-	// worker goroutines; the finalizer is the safety net for short-lived
-	// engines in tests and experiments.
-	runtime.SetFinalizer(e, (*Engine).Close)
 	return e, nil
-}
-
-// Close releases the engine's persistent worker pool. It is idempotent and
-// optional — a finalizer closes abandoned engines — but long-running
-// programs that create many engines should Close them deterministically.
-// Propagations after Close run inline on the calling goroutine.
-func (e *Engine) Close() {
-	e.poolMu.Lock()
-	p := e.pool
-	e.pool = nil
-	e.poolClosed = true
-	e.poolMu.Unlock()
-	if p != nil {
-		p.Close()
-	}
-}
-
-// workerPool returns the persistent pool, creating it on first use, or nil
-// after Close.
-func (e *Engine) workerPool() *sched.Pool {
-	e.poolMu.Lock()
-	defer e.poolMu.Unlock()
-	if e.poolClosed {
-		return nil
-	}
-	if e.pool == nil {
-		p, err := sched.NewPool(e.opts.Workers)
-		if err != nil {
-			return nil
-		}
-		e.pool = p
-	}
-	return e.pool
 }
 
 // Tree returns the engine's (possibly rerooted) junction tree.
@@ -306,24 +264,6 @@ func (e *Engine) ObsSnapshot() obs.AggregateSnapshot { return e.obsAgg.Snapshot(
 
 // Recorder returns the engine's flight recorder, nil when none is attached.
 func (e *Engine) Recorder() *obs.FlightRecorder { return e.opts.Recorder }
-
-// Gauges snapshots the live scheduler gauge surface: per-worker states,
-// ready-list depths and weight counters, partition counters and the
-// global task-list depth. The read is wait-free for the workers and never
-// starts any: an engine that has dispatched nothing yet (serial, or every
-// graph so far ran inline) reports an empty worker set. Inline runs in
-// flight count into ActiveRuns.
-func (e *Engine) Gauges() sched.GaugesSnapshot {
-	var s sched.GaugesSnapshot
-	e.poolMu.Lock()
-	p := e.pool
-	e.poolMu.Unlock()
-	if p != nil {
-		s = p.Gauges().Snapshot()
-	}
-	s.ActiveRuns += e.inlineActive.Load()
-	return s
-}
 
 // absorb returns a state of the engine's graph restricted to the evidence: one
 // recycled from the semiring's pool and re-primed in place, or a new one
@@ -593,18 +533,18 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 // Asked at the engine's P, sched.InlineWeight says what the run computes: a
 // run worth dispatching alone is partitioned as the pool partitions it,
 // wherever it executes; one that is not, and every run of a Serial engine,
-// runs whole. Asked at peff — P over the runs in flight in the process, this
-// one included (sched.EnterRun) — it says where: such a run goes to the
-// engine's worker pool while its share of the workers still pays for the
-// dispatch, and otherwise (or once the engine is closed) stays on the calling
-// goroutine, which replays the pool's partition one piece after another. Load
-// therefore moves a run between executors and never moves a bit of its answer.
+// runs whole. Asked at peff — P over the runs in flight on the process's pool,
+// this one and every other engine's included (sched.Pool.EnterRun) — it says
+// where: such a run goes to the workers while its share of them still pays for
+// the dispatch, and otherwise stays on the calling goroutine, which replays the
+// pool's partition one piece after another. Load therefore moves a run between
+// executors and never moves a bit of its answer.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
 func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, weight float64) (*sched.Metrics, int, error) {
 	e.propagations.Add(1)
-	peff := sched.EnterRun(e.opts.Workers)
-	defer sched.LeaveRun()
+	peff := e.pool.EnterRun()
+	defer e.pool.LeaveRun()
 	if !e.opts.PprofLabels {
 		queryID = "" // sched uses the ID only for labels; drop it at zero cost
 	}
@@ -624,16 +564,12 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 	// worth: the pool would take this run if it were alone.
 	worth := e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(weight, n, e.opts.Workers))
 	if worth && (e.opts.ForceDispatch || !sched.InlineWeight(weight, n, peff)) {
-		if p := e.workerPool(); p != nil {
-			m, err := p.Run(st, opts)
-			return m, peff, err
-		}
+		m, err := e.pool.Run(st, opts)
+		return m, peff, err
 	}
 	if !worth {
 		opts.Threshold = 0 // never the pool's: no partition to replay
 	}
-	e.inlineActive.Add(1)
-	defer e.inlineActive.Add(-1)
 	m, err := sched.RunInline(st, opts)
 	return m, peff, err
 }

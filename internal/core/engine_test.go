@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"evprop/internal/bayesnet"
@@ -420,53 +423,49 @@ func TestCheckCalibration(t *testing.T) {
 	}
 }
 
-// TestOnePoolPerEngine: the first dispatched
-// run builds the engine's worker pool, every later run goes to the same
-// workers — so Gauges reads one surface that accumulates — and a closed
-// engine runs on its caller's goroutine instead of starting new workers.
-func TestOnePoolPerEngine(t *testing.T) {
-	net, ids := bayesnet.Asia()
-	tr, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := potential.Evidence{ids["XRay"]: 1}
-	e, err := NewEngine(tr, schedulerOptions(Collaborative, Options{Workers: 3}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.pool != nil || len(e.Gauges().Workers) != 0 {
-		t.Error("workers exist before any run was dispatched")
-	}
-	const runs = 3
-	var pool *sched.Pool
-	for i := 0; i < runs; i++ {
-		if _, err := e.Propagate(ev); err != nil {
-			t.Fatal(err)
+// TestOnePoolPerProcess: three engines at Workers 2 that each dispatch a run
+// start two worker goroutines between them, not six — every engine compiled at
+// one P borrows the same pool — and three more compiled after those are
+// dropped, the shape of a hot swap, start none. The pool's gauges are one
+// surface that accumulates over all of them.
+func TestOnePoolPerProcess(t *testing.T) {
+	tr := benchmarkModel(t, 60, 5)
+	vars, cardOf := tr.Variables()
+	ev := randomEvidence(rand.New(rand.NewSource(23)), vars, cardOf, 4)
+	pool := sched.ProcessPool(2)
+	completed := func() (n int64) {
+		for _, w := range pool.Snapshot().Workers {
+			n += w.Completed
 		}
-		if i == 0 {
-			pool = e.pool
+		return n
+	}
+	// The pool is the process's: an earlier test may have started it.
+	spawned := 2 - len(pool.Snapshot().Workers)
+	goroutines, tasks := runtime.NumGoroutine(), completed()
+	for generation := 1; generation <= 2; generation++ {
+		for i := 0; i < 3; i++ {
+			e, err := NewEngine(tr, Options{Workers: 2, Reroot: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.pool != pool {
+				t.Fatal("an engine at Workers 2 has a pool of its own")
+			}
+			_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Report.Executor != sched.ExecPool {
+				t.Fatalf("a lone run of the wide model ran %s", rec.Report.Executor)
+			}
+			tasks += int64(e.Graph().N())
+		}
+		if grew := runtime.NumGoroutine() - goroutines; grew != spawned {
+			t.Errorf("generation %d: %d goroutines started, want %d", generation, grew, spawned)
 		}
 	}
-	if pool == nil || e.pool != pool {
-		t.Error("the engine's pool changed between runs")
-	}
-	g := e.Gauges()
-	var completed int64
-	for _, w := range g.Workers {
-		completed += w.Completed
-	}
-	if want := int64(runs * e.Graph().N()); len(g.Workers) != 3 || completed != want {
-		t.Errorf("%d workers completed %d tasks, want 3 and %d", len(g.Workers), completed, want)
-	}
-	e.Close()
-	if _, err := e.Propagate(ev); err != nil {
-		t.Fatalf("propagation on a closed engine: %v", err)
-	}
-	if snap := e.ObsSnapshot(); snap.PoolRuns != runs || snap.InlineRuns != 1 {
-		t.Errorf("%d pool and %d inline runs, want %d and 1", snap.PoolRuns, snap.InlineRuns, runs)
-	}
-	if len(e.Gauges().Workers) != 0 {
-		t.Error("a closed engine still reports workers")
+	if g := pool.Snapshot(); len(g.Workers) != 2 || completed() != tasks || g.ActiveRuns != 0 {
+		t.Errorf("%d workers completed %d tasks with %d runs in flight, want 2, %d and 0",
+			len(g.Workers), completed(), g.ActiveRuns, tasks)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"evprop/internal/jtree"
@@ -15,9 +16,9 @@ import (
 )
 
 // The tests of the run under load: the granularity rule prices a run at the
-// engine's workers over the scheduler runs in flight in the process, and a run
-// that load keeps off the workers computes what it would have computed on them.
-// Neither reads a clock: company is a run held open on a channel.
+// engine's workers over the runs in flight on the process's pool of that size,
+// and a run that load keeps off the workers computes what it would have computed
+// on them. None reads a clock: company is a run held open on a channel.
 
 // holdExecutor is a one-task run that stays in flight for as long as the test
 // wants: Execute says it has started, then blocks until released, and returns
@@ -52,24 +53,15 @@ func newHold(announce int, fail error) *holdExecutor {
 	}
 }
 
-// holdRuns puts n runs in flight on an engine of their own — the count is the
-// process's, not the engine's — and returns once each is inside its task.
-// The returned function lets them finish and waits until they have.
-func holdRuns(t *testing.T, n int) (release func()) {
+// holdRuns puts n runs in flight on the engine and returns once each is inside
+// its task. The returned function lets them finish and waits until they have.
+func holdRuns(t *testing.T, on *Engine, n int) (release func()) {
 	t.Helper()
-	tr, err := jtree.Random(jtree.RandomConfig{N: 2, Width: 2, States: 2, Degree: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := NewEngine(tr, Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := newHold(0, nil)
 	done := make(chan error)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, _, err := other.runScheduler(context.Background(), "", h, 1)
+			_, _, err := on.runScheduler(context.Background(), "", h, 1)
 			done <- err
 		}()
 	}
@@ -83,17 +75,32 @@ func holdRuns(t *testing.T, n int) (release func()) {
 				t.Errorf("held run: %v", err)
 			}
 		}
-		other.Close()
 	}
+}
+
+// neighbour is an engine over another graph — two cliques — that borrows the
+// same pool as every engine compiled at workers: the company a run keeps on a
+// server with more than one model.
+func neighbour(t *testing.T, workers int) *Engine {
+	t.Helper()
+	tr, err := jtree.Random(jtree.RandomConfig{N: 2, Width: 2, States: 2, Degree: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(tr, Options{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // TestLoadAwareExecutor: a run of the wide benchmark model, worth dispatching to
 // two workers when it is alone, stays on its goroutine behind one other run at
 // Workers 2; at Workers 4 one other run leaves it two workers' worth, still
 // the pool's, and three leave it one. The dispatch seam and the serial
-// scheduler do not ask. The count is the process's — the company runs on
-// another engine — and a failed and a cancelled run leave it where they found
-// it.
+// scheduler do not ask. The count is the pool's, so company prices a run
+// whichever engine of the same P keeps it — another model's as much as its own
+// — and a failed and a cancelled run leave the count where they found it.
 func TestLoadAwareExecutor(t *testing.T) {
 	tr := benchmarkModel(t, 60, 5)
 	vars, cardOf := tr.Variables()
@@ -102,24 +109,31 @@ func TestLoadAwareExecutor(t *testing.T) {
 		name     string
 		opts     Options
 		company  int
+		own      bool // the company is the engine's own, not a neighbour's
 		executor string
 		peff     int
 	}{
-		{"P=2 alone", Options{Workers: 2}, 0, sched.ExecPool, 2},
-		{"P=2 behind one", Options{Workers: 2}, 1, sched.ExecInline, 1},
-		{"P=4 behind one", Options{Workers: 4}, 1, sched.ExecPool, 2},
-		{"P=4 behind three", Options{Workers: 4}, 3, sched.ExecInline, 1},
-		{"P=4 behind seven", Options{Workers: 4}, 7, sched.ExecInline, 1},
-		{"forced behind three", Options{Workers: 2, ForceDispatch: true}, 3, sched.ExecPool, 1},
-		{"serial alone", Options{Workers: 2, Scheduler: Serial}, 0, sched.ExecInline, 2},
+		{"P=2 alone", Options{Workers: 2}, 0, false, sched.ExecPool, 2},
+		{"P=2 behind one", Options{Workers: 2}, 1, false, sched.ExecInline, 1},
+		{"P=2 behind one of its own", Options{Workers: 2}, 1, true, sched.ExecInline, 1},
+		{"P=4 behind one", Options{Workers: 4}, 1, false, sched.ExecPool, 2},
+		{"P=4 behind three", Options{Workers: 4}, 3, false, sched.ExecInline, 1},
+		{"P=4 behind three of its own", Options{Workers: 4}, 3, true, sched.ExecInline, 1},
+		{"P=4 behind seven", Options{Workers: 4}, 7, false, sched.ExecInline, 1},
+		{"forced behind three", Options{Workers: 2, ForceDispatch: true}, 3, false, sched.ExecPool, 1},
+		{"serial alone", Options{Workers: 2, Scheduler: Serial}, 0, false, sched.ExecInline, 2},
 	} {
 		tc.opts.Reroot = true
 		e, err := NewEngine(tr, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		release := holdRuns(t, tc.company)
-		if k := sched.RunsInFlight(); k != int64(tc.company) {
+		host := e
+		if !tc.own {
+			host = neighbour(t, tc.opts.Workers)
+		}
+		release := holdRuns(t, host, tc.company)
+		if k := e.pool.RunsInFlight(); k != int64(tc.company) {
 			t.Errorf("%s: %d runs in flight, want %d", tc.name, k, tc.company)
 		}
 		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false)
@@ -131,10 +145,9 @@ func TestLoadAwareExecutor(t *testing.T) {
 			t.Errorf("%s: ran on %q priced at %d workers, want %q at %d",
 				tc.name, rec.Report.Executor, rec.EffectiveWorkers, tc.executor, tc.peff)
 		}
-		if k := sched.RunsInFlight(); k != 0 {
+		if k := e.pool.RunsInFlight(); k != 0 {
 			t.Fatalf("%s: %d runs in flight afterwards", tc.name, k)
 		}
-		e.Close()
 	}
 
 	// Runs that end badly count out too: a task that fails, and a context that
@@ -143,18 +156,17 @@ func TestLoadAwareExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	boom := errors.New("boom")
 	h := newHold(1, boom)
 	close(h.release)
 	if _, _, err := e.runScheduler(context.Background(), "", h, 1); !errors.Is(err, boom) {
 		t.Fatalf("failing run returned %v", err)
 	}
-	if k := sched.RunsInFlight(); k != 0 {
+	if k := e.pool.RunsInFlight(); k != 0 {
 		t.Errorf("%d runs in flight after a failed run", k)
 	}
 	for _, company := range []int{0, 1} {
-		release := holdRuns(t, company)
+		release := holdRuns(t, neighbour(t, 2), company)
 		cc := &countdownCtx{Context: context.Background()}
 		cc.left.Store(20)
 		_, err := e.PropagateContext(cc, ev)
@@ -162,7 +174,7 @@ func TestLoadAwareExecutor(t *testing.T) {
 		if err != context.DeadlineExceeded {
 			t.Fatalf("cancelled run behind %d returned %v", company, err)
 		}
-		if k := sched.RunsInFlight(); k != 0 {
+		if k := e.pool.RunsInFlight(); k != 0 {
 			t.Errorf("%d runs in flight after a cancelled run behind %d", k, company)
 		}
 	}
@@ -218,7 +230,7 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			release := holdRuns(t, tc.company)
+			release := holdRuns(t, neighbour(t, tc.workers), tc.company)
 			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false)
 			release()
 			if err != nil {
@@ -249,6 +261,83 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		e.Close()
+	}
+}
+
+// TestTwoEnginesShareThePool: two engines over different graphs, both at
+// Workers 3 and both forced to dispatch, put eight concurrent runs each on the
+// same three ready lists — items of sixteen runs over two task graphs
+// interleaved — while a seventeenth is cancelled mid-graph and leaves its
+// stragglers there. Every run's tables are Float64bits-equal to the same
+// evidence run alone, and the pool's count is back at zero.
+func TestTwoEnginesShareThePool(t *testing.T) {
+	chain, err := jtree.Random(jtree.RandomConfig{N: 24, Width: 12, States: 2, Degree: 1, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := chain.MaterializeRandom(3); err != nil {
+		t.Fatal(err)
+	}
+	const perEngine = 8
+	type query struct {
+		e    *Engine
+		ev   potential.Evidence
+		want [][]uint64
+	}
+	var queries []query
+	for i, tr := range []*jtree.Tree{chain, benchmarkModel(t, 60, 4)} {
+		e, err := NewEngine(tr, Options{Workers: 3, Reroot: true, ForceDispatch: true, PartitionThreshold: sched.ThresholdAuto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vars, cardOf := tr.Variables()
+		rng := rand.New(rand.NewSource(int64(31 + i)))
+		for q := 0; q < perEngine; q++ {
+			ev := randomEvidence(rng, vars, cardOf, 3)
+			alone, err := e.Propagate(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries = append(queries, query{e, ev, tableBits(t, alone)})
+		}
+	}
+	if a, b := queries[0].e, queries[perEngine].e; a.pool != b.pool || a.graph == b.graph {
+		t.Fatal("the two engines do not share one pool over two graphs")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cc := &countdownCtx{Context: context.Background()}
+		cc.left.Store(20)
+		if _, err := queries[0].e.PropagateContext(cc, queries[0].ev); err != context.DeadlineExceeded {
+			t.Errorf("cancelled run returned %v", err)
+		}
+	}()
+	got := make([][][]uint64, len(queries))
+	for i, q := range queries {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, rec, err := q.e.propagateFull(context.Background(), q.ev, nil, taskgraph.SumProduct, "", false)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if rec.Report.Executor != sched.ExecPool {
+				t.Errorf("run %d ran %s", i, rec.Report.Executor)
+			}
+			got[i] = tableBits(t, res)
+		}()
+	}
+	wg.Wait()
+	for i, q := range queries {
+		if !reflect.DeepEqual(got[i], q.want) {
+			t.Errorf("run %d: tables differ from the same run made alone", i)
+		}
+	}
+	if k := queries[0].e.pool.RunsInFlight(); k != 0 {
+		t.Errorf("%d runs in flight afterwards", k)
 	}
 }

@@ -82,7 +82,6 @@ func TestCachedResultRetainsTablesOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	tableBytes := e.ResultBytes()
 
 	var before, after runtime.MemStats
@@ -191,7 +190,6 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer serial.Close()
 	const pinnedN = 6
 	want := make([]answers, pinnedN)
 	for i := range want {
@@ -220,7 +218,6 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer e.Close()
 			pinned := make([]*Result, pinnedN)
 			for i := range pinned {
 				mode := taskgraph.SumProduct
@@ -293,7 +290,6 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	ev := potential.Evidence{0: 0}
 	ref, err := e.Graph().NewState()
 	if err != nil {

@@ -146,7 +146,6 @@ func TestSlicedOracleColumn(t *testing.T) {
 			if rep := e.ObsSnapshot(); (rep.Partitioned > 0) != (col.δ > 0) {
 				t.Errorf("seed=%d sched=%v δ=%d: %d tasks partitioned", seed, col.s, col.δ, rep.Partitioned)
 			}
-			e.Close()
 		}
 	}
 	if exact != 144 {
@@ -196,12 +195,10 @@ func TestSlicedBenchmarkModelsBitExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer inline.Close()
 			pool, err := NewEngine(tr, Options{Workers: 2, Reroot: true, ForceDispatch: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer pool.Close()
 			queries := m.queries
 			if testing.Short() {
 				queries = 3
@@ -243,7 +240,6 @@ func TestSlicedAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	root := e.tree.Cliques[e.tree.Root].Vars
 	if len(root) < 3 {
 		t.Fatalf("root clique %v too narrow for the joint queries", root)
@@ -362,7 +358,6 @@ func TestSlicedLikelihoodOnObservedVariable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	v, w := vars[4], vars[11]
 	ev := potential.Evidence{v: 2, vars[7]: 0}
 	like := potential.Likelihood{v: {0.5, 0.25, 0.125}, w: {1, 0.5, 0.25}}
@@ -410,7 +405,6 @@ func TestSlicedBadEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	good, err := e.Propagate(potential.Evidence{2: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +460,6 @@ func TestGranularityFollowsEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
 	rng := rand.New(rand.NewSource(18))
 	for i, tc := range []struct {
 		observed int
@@ -520,14 +513,12 @@ func TestScratchReuseAcrossSlicings(t *testing.T) {
 		if fresh.ObsSnapshot().Partitioned == 0 {
 			t.Fatalf("query %d: δ = %d cut nothing", i, opts.PartitionThreshold)
 		}
-		fresh.Close()
 	}
 
 	shared, err := NewEngine(tr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer shared.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
 		wg.Add(1)

@@ -12,7 +12,7 @@ import (
 // callers in a closed loop on P cores, in propagations per second, when every
 // run is dispatched to the one pool, when every run stays on its caller's
 // goroutine, and under the engine's rule, which prices each run at P ÷ k
-// workers (sched.EnterRun) and asks sched.InlineWeight.
+// workers (sched.Pool.EnterRun) and asks sched.InlineWeight.
 type LoadRow struct {
 	Model   string
 	Workers int // P

@@ -1,7 +1,6 @@
 package jtree
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -179,65 +178,6 @@ func TestChainStarBalanced(t *testing.T) {
 	}
 	if _, err := Balanced(1, 0, 3, 2); err == nil {
 		t.Error("accepted fanout 0")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	tr, err := Random(RandomConfig{N: 12, Width: 4, States: 2, Degree: 3, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.MaterializeRandom(3); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatalf("ReadJSON: %v", err)
-	}
-	if back.N() != tr.N() || back.Root != tr.Root {
-		t.Fatal("round trip changed shape")
-	}
-	for i := range tr.Cliques {
-		if tr.Cliques[i].Parent != back.Cliques[i].Parent {
-			t.Fatalf("clique %d parent changed", i)
-		}
-		if !tr.Cliques[i].Pot.Equal(back.Cliques[i].Pot, 0) {
-			t.Fatalf("clique %d potential changed", i)
-		}
-	}
-}
-
-func TestJSONSkeletonRoundTrip(t *testing.T) {
-	tr, err := Chain(5, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Cliques[0].Pot != nil {
-		t.Error("skeleton round trip materialized a potential")
-	}
-}
-
-func TestJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(bytes.NewBufferString("{ not json")); err == nil {
-		t.Error("accepted invalid JSON")
-	}
-	if _, err := ReadJSON(bytes.NewBufferString(`{"root":0,"cliques":[{"vars":[0],"card":[2],"parent":5}]}`)); err == nil {
-		t.Error("accepted out-of-range parent")
-	}
-	if _, err := ReadJSON(bytes.NewBufferString(`{"root":0,"cliques":[{"vars":[0],"card":[2],"parent":-1,"pot":[1,2,3]}]}`)); err == nil {
-		t.Error("accepted wrong-size potential")
 	}
 }
 

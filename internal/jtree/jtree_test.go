@@ -1,9 +1,7 @@
 package jtree
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -307,32 +305,5 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.CriticalRatio <= 1 {
 		t.Errorf("critical ratio = %v", s.CriticalRatio)
-	}
-}
-
-func TestStatsWriteAndRender(t *testing.T) {
-	tr, err := Balanced(2, 2, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	tr.ComputeStats().Write(&buf)
-	if !strings.Contains(buf.String(), "critical path") {
-		t.Error("stats output malformed")
-	}
-	buf.Reset()
-	tr.Render(&buf, 0)
-	lines := strings.Count(buf.String(), "\n")
-	if lines != tr.N() {
-		t.Errorf("render has %d lines, want %d", lines, tr.N())
-	}
-	if !strings.Contains(buf.String(), "└─") {
-		t.Error("render missing tree connectors")
-	}
-	// Truncation.
-	buf.Reset()
-	tr.Render(&buf, 3)
-	if !strings.Contains(buf.String(), "more cliques") {
-		t.Error("truncated render missing ellipsis")
 	}
 }

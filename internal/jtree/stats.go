@@ -1,11 +1,5 @@
 package jtree
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
-
 // Stats summarizes a junction tree's structure — the quantities the
 // paper's Section 7 reports for its workloads (N, w_C, r, k) plus the
 // critical-path diagnostics of Section 4.
@@ -79,59 +73,4 @@ func (t *Tree) ComputeStats() Stats {
 		s.CriticalRatio = s.TotalWeight / s.CriticalWeight
 	}
 	return s
-}
-
-// Write prints the statistics.
-func (s Stats) Write(w io.Writer) {
-	fmt.Fprintf(w, "cliques:        %d (leaves %d, depth %d)\n", s.Cliques, s.Leaves, s.Depth)
-	fmt.Fprintf(w, "variables:      %d\n", s.Variables)
-	fmt.Fprintf(w, "width:          min %d / mean %.1f / max %d\n", s.MinWidth, s.MeanWidth, s.MaxWidth)
-	fmt.Fprintf(w, "tables:         max %d entries, total %d entries, max separator %d\n",
-		s.MaxTableSize, s.TotalEntries, s.MaxSepSize)
-	fmt.Fprintf(w, "children:       mean %.2f / max %d\n", s.MeanChildren, s.MaxChildren)
-	fmt.Fprintf(w, "weight:         total %.0f, critical path %.0f (speedup bound %.1f)\n",
-		s.TotalWeight, s.CriticalWeight, s.CriticalRatio)
-}
-
-// Render draws the tree as indented ASCII, one clique per line with its
-// variables. maxLines truncates large trees (0 = no limit).
-func (t *Tree) Render(w io.Writer, maxLines int) {
-	lines := 0
-	var walk func(i int, prefix string, last bool)
-	walk = func(i int, prefix string, last bool) {
-		if maxLines > 0 && lines >= maxLines {
-			return
-		}
-		connector := "├─"
-		childPrefix := prefix + "│ "
-		if last {
-			connector = "└─"
-			childPrefix = prefix + "  "
-		}
-		if i == t.Root {
-			connector = ""
-			childPrefix = ""
-		}
-		fmt.Fprintf(w, "%s%sC%d%s\n", prefix, connector, i, varList(t.Cliques[i].Vars))
-		lines++
-		children := t.Cliques[i].Children
-		for k, ch := range children {
-			walk(ch, childPrefix, k == len(children)-1)
-		}
-	}
-	walk(t.Root, "", true)
-	if maxLines > 0 && lines >= maxLines {
-		fmt.Fprintf(w, "… (%d more cliques)\n", t.N()-lines)
-	}
-}
-
-func varList(vars []int) string {
-	if len(vars) > 8 {
-		return fmt.Sprintf("{%d vars}", len(vars))
-	}
-	parts := make([]string, len(vars))
-	for i, v := range vars {
-		parts[i] = fmt.Sprint(v)
-	}
-	return "{" + strings.Join(parts, ",") + "}"
 }

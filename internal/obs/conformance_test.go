@@ -119,23 +119,6 @@ func TestHistogramExemplarConformance(t *testing.T) {
 	}
 }
 
-// TestAggregateSnapshotConformance lints the scheduler metric family block.
-func TestAggregateSnapshotConformance(t *testing.T) {
-	var agg Aggregate
-	agg.Observe(&QueryRecord{Report: &Report{
-		Workers:  2,
-		Elapsed:  time.Millisecond,
-		Busy:     []time.Duration{2 * time.Millisecond, time.Millisecond},
-		Overhead: []time.Duration{10 * time.Microsecond, 5 * time.Microsecond},
-		Tasks:    7,
-	}})
-	var b strings.Builder
-	agg.Snapshot().WritePrometheus(&b, "evprop_sched")
-	if problems := LintExposition(strings.NewReader(b.String())); len(problems) != 0 {
-		t.Fatalf("conformance problems:\n%s\nin:\n%s", strings.Join(problems, "\n"), b.String())
-	}
-}
-
 // TestLintExpositionCatches: the linter must actually flag the defect
 // classes it exists for (a linter that passes everything proves nothing).
 func TestLintExpositionCatches(t *testing.T) {

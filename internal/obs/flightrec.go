@@ -81,10 +81,9 @@ type QueryRecord struct {
 	// (cache-served queries).
 	Entries, GraphEntries int64
 	// EffectiveWorkers is the P the granularity rule priced the run at: the
-	// engine's workers divided by the scheduler runs in flight in the process
-	// when it started, itself included, at least 1 (sched.EnterRun). Below
-	// the engine's worker count it says the run had company, and it is how
-	// that process-wide count is seen. 0 when no run was started.
+	// process's workers divided by the runs in flight on them when it
+	// started, itself included, at least 1 (sched.Pool.EnterRun). Below the
+	// worker count it says the run had company. 0 when no run was started.
 	EffectiveWorkers int
 	// Report is the run's Fig. 8 report, built once per run; its Executor
 	// says whether the run took the caller's goroutine or the workers. It

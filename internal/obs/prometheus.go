@@ -97,34 +97,3 @@ func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
 	WriteSample(w, name+"_sum", nil, h.Sum().Seconds())
 	WriteSample(w, name+"_count", nil, float64(h.Count()))
 }
-
-// WritePrometheus emits the aggregate's counters and last-run gauges under
-// the given metric prefix — the scheduler half of /v1/metrics.
-func (s AggregateSnapshot) WritePrometheus(w io.Writer, prefix string) {
-	WriteHeader(w, prefix+"_runs_total", "Completed scheduler runs.", "counter")
-	WriteSample(w, prefix+"_runs_total", nil, float64(s.Runs))
-	WriteHeader(w, prefix+"_inline_runs_total", "Runs executed on the caller's goroutine (mean task cheaper than one dispatch).", "counter")
-	WriteSample(w, prefix+"_inline_runs_total", nil, float64(s.InlineRuns))
-	WriteHeader(w, prefix+"_pool_runs_total", "Runs dispatched to the scheduler's workers.", "counter")
-	WriteSample(w, prefix+"_pool_runs_total", nil, float64(s.PoolRuns))
-	WriteHeader(w, prefix+"_busy_seconds_total", "Worker time inside node-level primitives.", "counter")
-	WriteSample(w, prefix+"_busy_seconds_total", nil, s.Busy.Seconds())
-	WriteHeader(w, prefix+"_overhead_seconds_total", "Worker time in the Allocate and Partition scheduler modules.", "counter")
-	WriteSample(w, prefix+"_overhead_seconds_total", nil, s.Overhead.Seconds())
-	WriteHeader(w, prefix+"_kind_busy_seconds_total", "Computation time by primitive kind.", "counter")
-	for k, name := range KindNames {
-		WriteSample(w, prefix+"_kind_busy_seconds_total", map[string]string{"kind": name}, s.KindBusy[k].Seconds())
-	}
-	WriteHeader(w, prefix+"_tasks_total", "Executed items (tasks, pieces, combiners).", "counter")
-	WriteSample(w, prefix+"_tasks_total", nil, float64(s.Tasks))
-	WriteHeader(w, prefix+"_pieces_total", "Partitioned pieces executed.", "counter")
-	WriteSample(w, prefix+"_pieces_total", nil, float64(s.Pieces))
-	WriteHeader(w, prefix+"_partitions_total", "Tasks split by the Partition module.", "counter")
-	WriteSample(w, prefix+"_partitions_total", nil, float64(s.Partitioned))
-	WriteHeader(w, prefix+"_load_balance", "Last run's max/mean per-worker busy time (1.0 = perfectly balanced).", "gauge")
-	WriteSample(w, prefix+"_load_balance", nil, s.LastLoadBalance)
-	WriteHeader(w, prefix+"_overhead_fraction", "Last run's scheduler-overhead fraction of total worker time.", "gauge")
-	WriteSample(w, prefix+"_overhead_fraction", nil, s.LastOverheadFraction)
-	WriteHeader(w, prefix+"_overhead_fraction_lifetime", "Lifetime scheduler-overhead fraction across all runs.", "gauge")
-	WriteSample(w, prefix+"_overhead_fraction_lifetime", nil, s.OverheadFraction())
-}

@@ -69,8 +69,8 @@ type Version struct {
 
 	// refs counts the publisher (1) plus every in-flight acquire. When it
 	// reaches zero — the version was swapped out and the last query
-	// drained — the engine's cache is invalidated and its pooled state
-	// released, exactly once.
+	// drained — the engine's cache is invalidated, exactly once. Nothing
+	// else is torn down: the workers are the process's, not the engine's.
 	refs    atomic.Int64
 	retired sync.Once
 }
@@ -78,10 +78,7 @@ type Version struct {
 // release drops one reference; the zero crossing retires the version.
 func (v *Version) release() {
 	if v.refs.Add(-1) == 0 {
-		v.retired.Do(func() {
-			v.Engine.InvalidateCache()
-			v.Engine.Close()
-		})
+		v.retired.Do(v.Engine.InvalidateCache)
 	}
 }
 

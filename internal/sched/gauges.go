@@ -99,11 +99,10 @@ type Gauges struct {
 	// submitted and aborted track the global task list: submitted counts
 	// tasks handed to runs, aborted the tasks of failed runs that will
 	// never complete. They are touched once per run, not per task.
-	submitted  atomic.Int64
-	aborted    atomic.Int64
-	activeRuns atomic.Int64
-	_          [104]byte // keep the run-level counters off the worker slots
-	w          []workerGauges
+	submitted atomic.Int64
+	aborted   atomic.Int64
+	_         [112]byte // keep the run-level counters off the worker slots
+	w         []workerGauges
 }
 
 // NewGauges returns a gauge surface for the given worker count.
@@ -122,7 +121,6 @@ func (g *Gauges) worker(w int) *workerGauges { return &g.w[w] }
 // runStarted accounts a run's tasks into the GL depth.
 func (g *Gauges) runStarted(tasks int) {
 	g.submitted.Add(int64(tasks))
-	g.activeRuns.Add(1)
 }
 
 // runFinished retires a run; leftover counts the tasks a failed run will
@@ -131,7 +129,6 @@ func (g *Gauges) runFinished(leftover int64) {
 	if leftover > 0 {
 		g.aborted.Add(leftover)
 	}
-	g.activeRuns.Add(-1)
 }
 
 // flushRun folds a completed run's per-worker busy/item totals into the
@@ -182,7 +179,9 @@ type GaugesSnapshot struct {
 	// under-count after a failed run (stragglers of the dead run still
 	// retire tasks that were already written off), so it is clamped at 0.
 	GlobalDepth int64 `json:"global_depth"`
-	// ActiveRuns is the number of propagations currently in flight.
+	// ActiveRuns is k, the runs in flight over the pool's cores, inline and
+	// dispatched alike. It is the pool's count, not a gauge: Pool.Snapshot
+	// fills it, Gauges.Snapshot leaves it zero.
 	ActiveRuns int64 `json:"active_runs"`
 	// Workers holds one entry per worker slot.
 	Workers []WorkerGaugeSnapshot `json:"workers"`
@@ -194,10 +193,7 @@ func (g *Gauges) Snapshot() GaugesSnapshot {
 	if g == nil {
 		return GaugesSnapshot{}
 	}
-	s := GaugesSnapshot{
-		ActiveRuns: g.activeRuns.Load(),
-		Workers:    make([]WorkerGaugeSnapshot, len(g.w)),
-	}
+	s := GaugesSnapshot{Workers: make([]WorkerGaugeSnapshot, len(g.w))}
 	var completed int64
 	for i := range g.w {
 		wg := &g.w[i]

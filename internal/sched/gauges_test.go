@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func testPoolGaugesAccountRun(t *testing.T) {
 	if _, err := p.Run(st, Options{Threshold: 8, QueryID: "q-test-1"}); err != nil {
 		t.Fatal(err)
 	}
-	s := p.Gauges().Snapshot()
+	s := p.Snapshot()
 	if s.GlobalDepth != 0 {
 		t.Errorf("global depth %d after a completed run, want 0", s.GlobalDepth)
 	}
@@ -99,7 +100,7 @@ func testGaugesSnapshotDuringRuns(t *testing.T) {
 				return
 			default:
 			}
-			s := p.Gauges().Snapshot()
+			s := p.Snapshot()
 			if s.GlobalDepth < 0 {
 				t.Error("negative global depth")
 				return
@@ -161,7 +162,7 @@ func testGaugesFailedRunWritesOff(t *testing.T) {
 	// leftovers drain, settles at 0.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		s := p.Gauges().Snapshot()
+		s := p.Snapshot()
 		if s.GlobalDepth == 0 && s.ActiveRuns == 0 {
 			break
 		}
@@ -208,5 +209,40 @@ func TestNilGaugesSnapshot(t *testing.T) {
 	s := g.Snapshot()
 	if s.GlobalDepth != 0 || len(s.Workers) != 0 {
 		t.Errorf("nil snapshot %+v", s)
+	}
+}
+
+// TestProcessPool: every caller asking for P workers gets the same pool; the
+// pool it hands out has no goroutines and reports no workers until a run is
+// dispatched to it, however many runs it has counted in and priced by then;
+// and the price is P ÷ k, never below one.
+func TestProcessPool(t *testing.T) {
+	if p := ProcessPool(4); ProcessPool(4) != p || ProcessPool(3) == p || ProcessPool(0) != ProcessPool(1) {
+		t.Fatal("ProcessPool is not one pool per worker count")
+	}
+	p := newPool(4) // as ProcessPool makes them, and this test's alone
+	defer p.Close()
+	before := runtime.NumGoroutine()
+	for k, want := range []int{4, 2, 1, 1, 1} {
+		if got := p.EnterRun(); got != want {
+			t.Errorf("run %d of %d priced at %d workers, want %d", k+1, k+1, got, want)
+		}
+	}
+	if s := p.Snapshot(); s.ActiveRuns != 5 || len(s.Workers) != 0 || runtime.NumGoroutine() != before {
+		t.Errorf("before any dispatch: %d runs in flight, %d workers, %d goroutines started",
+			s.ActiveRuns, len(s.Workers), runtime.NumGoroutine()-before)
+	}
+	for p.RunsInFlight() > 0 {
+		p.LeaveRun()
+	}
+	st, err := gaugeTestGraph(t, 8, 3).NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(st, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Snapshot(); len(s.Workers) != 4 || runtime.NumGoroutine() != before+4 {
+		t.Errorf("after a dispatch: %d workers, %d goroutines started", len(s.Workers), runtime.NumGoroutine()-before)
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sync/atomic"
 
 	"evprop/internal/taskgraph"
 )
@@ -40,30 +39,6 @@ func InlineWeight(weight float64, tasks, workers int) bool {
 	}
 	return weight*float64(workers-1) <= DispatchEntries*float64(tasks)
 }
-
-// inFlight is k, the scheduler runs in flight in this process, inline and pool
-// alike. It is one count for the process and not one per Pool or engine because
-// what it divides is the machine: every engine — every version of every model a
-// registry serves — owns a pool of its own, all of them over the same cores.
-var inFlight atomic.Int64
-
-// EnterRun counts one more run in flight and returns the workers the
-// granularity rule is to price it at: workers ÷ k, k including the run itself,
-// and never below one. A server's first source of parallelism is its requests —
-// with k runs active each has about P/k cores to itself, and from k ≥ P on
-// InlineWeight sends every one of them to its caller's goroutine: no dispatch,
-// no cache lines shared between workers, one core per query. The caller pairs
-// it with exactly one LeaveRun, when the run has returned.
-func EnterRun(workers int) int {
-	k := inFlight.Add(1)
-	return max(1, int(int64(workers)/k))
-}
-
-// LeaveRun counts out a run EnterRun counted in.
-func LeaveRun() { inFlight.Add(-1) }
-
-// RunsInFlight reads k.
-func RunsInFlight() int64 { return inFlight.Load() }
 
 // Split is the Partition module's decision for a graph run by P workers: per
 // task, the number of pieces it is cut into, or nil when the graph is run

@@ -16,7 +16,7 @@ import (
 // no ready lists, no hand-off to another goroutine. Engines take this path when
 // InlineWeight says the run's tasks are cheaper than their dispatch at the
 // workers it can count on — all of them when it is alone, its share of them
-// under load (EnterRun).
+// under load (Pool.EnterRun).
 //
 // With opts.Threshold zero every task runs whole — task for task the
 // arithmetic of Executor.RunSerial, so the potentials afterwards are

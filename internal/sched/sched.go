@@ -22,9 +22,13 @@
 // Workers live in a Pool and park between propagations rather than being
 // respawned per run. A Pool multiplexes any number of concurrent runs over
 // the same P workers: every queued item carries a pointer to its run, so
-// independent propagations interleave on the ready lists and keep all cores
-// busy under concurrent serving load (the throughput regime of Zheng &
-// Mengshoel's belief-update workloads).
+// independent propagations — of one task graph or of several — interleave on
+// the ready lists and keep all cores busy under concurrent serving load (the
+// throughput regime of Zheng & Mengshoel's belief-update workloads).
+//
+// The cores are the process's, so the pool is too: ProcessPool hands every
+// engine compiled at P workers the same P goroutines, one thread per core as
+// in the paper. NewPool builds a private pool for what measures one.
 package sched
 
 import (
@@ -196,45 +200,98 @@ func (l *localList) stop() {
 type Pool struct {
 	lists  []*localList
 	gauges *Gauges
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	// started says the worker goroutines exist (start): from NewPool on for a
+	// private pool, from the first Run for the process's, so a process whose
+	// every run stays inline never has any.
+	started atomic.Bool
+	wg      sync.WaitGroup
+	closed  atomic.Bool
+	// inFlight is k, the scheduler runs in flight over this pool's cores,
+	// inline and dispatched alike (EnterRun). Every run writes it twice, so it
+	// has a cache line to itself, off the one the workers read lists from.
+	_        [64]byte
+	inFlight atomic.Int64
+	_        [56]byte
 }
 
-// NewPool starts workers parked goroutines and returns the pool. Close
-// releases them.
-func NewPool(workers int) (*Pool, error) {
-	if workers < 1 {
-		return nil, fmt.Errorf("sched: need at least 1 worker, got %d", workers)
-	}
+func newPool(workers int) *Pool {
 	p := &Pool{lists: make([]*localList, workers), gauges: NewGauges(workers)}
 	for i := range p.lists {
 		p.lists[i] = newLocalList(p.gauges.worker(i))
 	}
-	for w := 0; w < workers; w++ {
-		p.wg.Add(1)
-		go func(w int) {
-			defer p.wg.Done()
-			l := p.lists[w]
-			wg := p.gauges.worker(w)
-			executing := false
-			for {
-				it, ok, waited := l.fetch()
-				if !ok {
-					wg.state.Store(int32(WorkerParked))
-					return
-				}
-				// Publish the executing state only when it could have
-				// changed (first item, or after a park) — the fast path
-				// stays free of state stores.
-				if !executing || waited {
-					wg.state.Store(int32(WorkerExecuting))
-					executing = true
-				}
-				it.r.process(w, it)
-			}
-		}(w)
+	return p
+}
+
+// NewPool starts workers parked goroutines and returns a pool of its own
+// for them — what a benchmark or an experiment measures. Close releases
+// them. Engines do not call it: they borrow ProcessPool's.
+func NewPool(workers int) (*Pool, error) {
+	if workers < 1 {
+		return nil, fmt.Errorf("sched: need at least 1 worker, got %d", workers)
 	}
+	p := newPool(workers)
+	p.start()
 	return p, nil
+}
+
+// process is the process's pools, one per worker count P an engine was ever
+// compiled at (a server compiles every model at one, and so has one).
+var process = struct {
+	mu    sync.Mutex
+	pools map[int]*Pool
+}{pools: map[int]*Pool{}}
+
+// ProcessPool returns the pool of workers goroutines (at least one) that
+// every caller asking for that many shares, for the life of the process: it
+// is never closed. Its goroutines start at the first Run dispatched to it,
+// not here.
+func ProcessPool(workers int) *Pool {
+	workers = max(workers, 1)
+	process.mu.Lock()
+	defer process.mu.Unlock()
+	p := process.pools[workers]
+	if p == nil {
+		p = newPool(workers)
+		process.pools[workers] = p
+	}
+	return p
+}
+
+// start spawns the worker goroutines, the first time it is called. A caller
+// that loses the race may queue items before the winner's goroutines exist;
+// they fetch them when they do.
+func (p *Pool) start() {
+	if !p.started.CompareAndSwap(false, true) {
+		return
+	}
+	for w := range p.lists {
+		p.wg.Add(1)
+		go p.work(w)
+	}
+}
+
+// work is worker w's loop: Fetch, then process the item, until the pool
+// closes.
+func (p *Pool) work(w int) {
+	defer p.wg.Done()
+	l := p.lists[w]
+	wg := p.gauges.worker(w)
+	executing := false
+	for {
+		it, ok, waited := l.fetch()
+		if !ok {
+			wg.state.Store(int32(WorkerParked))
+			return
+		}
+		// Publish the executing state only when it could have changed
+		// (first item, or after a park) — the fast path stays free of
+		// state stores.
+		if !executing || waited {
+			wg.state.Store(int32(WorkerExecuting))
+			executing = true
+		}
+		it.r.process(w, it)
+	}
 }
 
 // Workers returns the pool size P.
@@ -242,6 +299,37 @@ func (p *Pool) Workers() int { return len(p.lists) }
 
 // Gauges exposes the pool's live gauge surface for samplers.
 func (p *Pool) Gauges() *Gauges { return p.gauges }
+
+// EnterRun counts one more run in flight over the pool's cores and returns
+// the workers the granularity rule is to price it at: P ÷ k, k including the
+// run itself, and never below one. A server's first source of parallelism is
+// its requests — with k runs active each has about P/k cores to itself, and
+// from k ≥ P on InlineWeight sends every one of them to its caller's
+// goroutine: no dispatch, no cache lines shared between workers, one core per
+// query. Every engine that shares the workers shares the count, whichever
+// executor its run then takes. The caller pairs it with exactly one LeaveRun,
+// when the run has returned.
+func (p *Pool) EnterRun() int {
+	k := p.inFlight.Add(1)
+	return max(1, int(int64(len(p.lists))/k))
+}
+
+// LeaveRun counts out a run EnterRun counted in.
+func (p *Pool) LeaveRun() { p.inFlight.Add(-1) }
+
+// RunsInFlight reads k.
+func (p *Pool) RunsInFlight() int64 { return p.inFlight.Load() }
+
+// Snapshot is the pool's live surface: the gauges' sweep with ActiveRuns read
+// from k, and no worker entries while no worker goroutine exists.
+func (p *Pool) Snapshot() GaugesSnapshot {
+	var s GaugesSnapshot
+	if p.started.Load() {
+		s = p.gauges.Snapshot()
+	}
+	s.ActiveRuns = p.inFlight.Load()
+	return s
+}
 
 // Close stops the workers after the queued items drain and waits for them
 // to exit. Close is idempotent; Run after Close returns an error.
@@ -323,6 +411,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	if opts.Trace {
 		r.tbufs = getTraceBufs(len(p.lists))
 	}
+	p.start()
 	p.gauges.runStarted(g.N())
 	// Line 1 of Algorithm 2: distribute the initially ready tasks evenly.
 	for i, id := range g.Sources() {
