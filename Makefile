@@ -105,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzKernelBlockedVsScalar -fuzztime 10s ./internal/potential
 	$(GO) test -run xxx -fuzz FuzzSlice -fuzztime 10s ./internal/potential
 	$(GO) test -run xxx -fuzz FuzzLazyVsEager -fuzztime 10s .
+	$(GO) test -run xxx -fuzz FuzzTargetedVsFull -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/bif
 
 # Smoke-test the Chrome trace export: one traced propagation, written as
@@ -177,25 +178,35 @@ smoke-multimodel:
 # and a one-byte corruption must be detected. The second leg repeats the
 # record→diff cycle with -lazy on both sides: lazy propagation is
 # deterministic for a given evidence set, so lazy-recorded answers replay
-# Float64bits-exact on a lazy engine.
+# Float64bits-exact on a lazy engine. The third records the same traffic with
+# the server of the commit this change sits on — REPLAY_BASE, HEAD~1 unless
+# set (HEAD for an uncommitted tree), built from `git archive` in the temp
+# dir — and replays it on this build: an answer's bits belong to its evidence,
+# not to the build, so zero mismatches, MPE included. It is skipped with a
+# notice where that commit is not to be had (a shallow clone).
 smoke-replay:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evreplay-smoke ./cmd/evreplay
 	@dir=$$(mktemp -d); trap 'rm -rf '"$$dir" EXIT; \
+	boot() { \
+		for i in $$(seq 1 50); do \
+			if curl -sf http://127.0.0.1:$$1/v1/readyz >/dev/null 2>&1; then break; fi; \
+			sleep 0.1; done; }; \
+	drive() { rc=0; \
+		for i in $$(seq 1 10); do \
+			curl -sf -X POST http://127.0.0.1:$$1/v1/query \
+				-d '{"evidence":{"XRay":1},"query":["Lung"]}' >/dev/null || rc=1; \
+			curl -sf -X POST http://127.0.0.1:$$1/v1/query \
+				-d "{\"evidence\":{\"Smoke\":$$((i % 2))}}" >/dev/null || rc=1; \
+		done; \
+		curl -sf -X POST http://127.0.0.1:$$1/v1/mpe \
+			-d '{"evidence":{"XRay":1}}' >/dev/null || rc=2; \
+		return $$rc; }; \
 	/tmp/evserve-smoke -addr 127.0.0.1:18097 -audit-dir $$dir/audit -audit-batch 8 >/dev/null 2>&1 & \
 	pid=$$!; \
-	for i in $$(seq 1 50); do \
-		if curl -sf http://127.0.0.1:18097/v1/readyz >/dev/null 2>&1; then break; fi; \
-		sleep 0.1; done; \
+	boot 18097; \
 	fail=0; \
-	for i in $$(seq 1 10); do \
-		curl -sf -X POST http://127.0.0.1:18097/v1/query \
-			-d '{"evidence":{"XRay":1},"query":["Lung"]}' >/dev/null || fail=1; \
-		curl -sf -X POST http://127.0.0.1:18097/v1/query \
-			-d "{\"evidence\":{\"Smoke\":$$((i % 2))}}" >/dev/null || fail=1; \
-	done; \
-	curl -sf -X POST http://127.0.0.1:18097/v1/mpe \
-		-d '{"evidence":{"XRay":1}}' >/dev/null || fail=2; \
+	drive 18097 || fail=$$?; \
 	curl -sf -X POST http://127.0.0.1:18097/v1/query \
 		-d '{"evidence":{"NoSuchVar":1}}' >/dev/null; \
 	curl -sf http://127.0.0.1:18097/v1/audit | grep -q '"enabled":true' || fail=3; \
@@ -204,20 +215,24 @@ smoke-replay:
 	/tmp/evreplay-smoke -dir $$dir/audit -mode diff -network asia >/dev/null || fail=5; \
 	/tmp/evserve-smoke -lazy -addr 127.0.0.1:18096 -audit-dir $$dir/lazy -audit-batch 8 >/dev/null 2>&1 & \
 	lpid=$$!; \
-	for i in $$(seq 1 50); do \
-		if curl -sf http://127.0.0.1:18096/v1/readyz >/dev/null 2>&1; then break; fi; \
-		sleep 0.1; done; \
-	for i in $$(seq 1 10); do \
-		curl -sf -X POST http://127.0.0.1:18096/v1/query \
-			-d '{"evidence":{"XRay":1},"query":["Lung"]}' >/dev/null || fail=7; \
-		curl -sf -X POST http://127.0.0.1:18096/v1/query \
-			-d "{\"evidence\":{\"Smoke\":$$((i % 2))}}" >/dev/null || fail=7; \
-	done; \
-	curl -sf -X POST http://127.0.0.1:18096/v1/mpe \
-		-d '{"evidence":{"XRay":1}}' >/dev/null || fail=7; \
+	boot 18096; \
+	drive 18096 || fail=7; \
 	kill $$lpid; wait $$lpid 2>/dev/null; \
 	/tmp/evreplay-smoke -dir $$dir/lazy -mode verify >/dev/null || fail=8; \
 	/tmp/evreplay-smoke -dir $$dir/lazy -mode diff -network asia -lazy >/dev/null || fail=9; \
+	base=$${REPLAY_BASE:-HEAD~1}; \
+	if git rev-parse -q --verify "$$base^{commit}" >/dev/null 2>&1; then \
+		mkdir $$dir/base; git archive $$base | tar -x -C $$dir/base; \
+		$(GO) build -C $$dir/base -o $$dir/evserve-base ./cmd/evserve || fail=10; \
+		$$dir/evserve-base -addr 127.0.0.1:18094 -audit-dir $$dir/base-audit -audit-batch 8 >/dev/null 2>&1 & \
+		bpid=$$!; \
+		boot 18094; \
+		drive 18094 || fail=10; \
+		kill $$bpid; wait $$bpid 2>/dev/null; \
+		/tmp/evreplay-smoke -dir $$dir/base-audit -mode diff -network asia >/dev/null || fail=11; \
+	else \
+		echo "smoke-replay: no commit $$base to record with; cross-build leg skipped"; \
+	fi; \
 	seg=$$(ls $$dir/audit/*.seg | head -1); \
 	size=$$(wc -c < $$seg); \
 	off=$$((size / 2)); \

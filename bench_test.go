@@ -424,54 +424,68 @@ func BenchmarkPropagateMidEvidence(b *testing.B)   { benchmarkPropagateEvidence(
 func BenchmarkPropagateWideEvidence(b *testing.B)  { benchmarkPropagateEvidence(b, evidenceModels[2]) }
 
 // BenchmarkPropagateWideLoad is the wide-miss workload without HTTP: wide60
-// with 4 variables observed over 4 096 never-repeating evidences, from one
-// caller and from two at once, at one and at two workers, without a result
-// cache and with the benchmark's 32-entry one — which pins nothing here, every
-// query being the first sight of its evidence, so the cache=32 rows must read
-// as the cache=0 rows do. ns/op is wall time over
+// with 4 variables observed and 3 declared as targets, as the query handler
+// declares them, over 4 096 never-repeating requests, from one caller and from
+// two at once, at one and at two workers, without a result cache and with the
+// benchmark's 32-entry one — which pins nothing here, every query being the
+// first sight of its evidence, so the cache=32 rows must read as the cache=0
+// rows do. The last row declares nothing and so runs both passes whole: what
+// the rows above it skip. ns/op is wall time over
 // all callers' operations, so two callers that each get a core halve it.
 // pool_runs/op says which executor the granularity rule chose: at two workers
 // a lone caller's every run is the pool's (1), and with a second caller in
 // flight a run is priced at one worker and stays on its goroutine (≈ 0 — the
 // few that find the other caller between two operations still dispatch).
+// skipped/op is the share of the graph's tasks the targets masked.
 // `make bench-load` runs it at -benchtime 3000x.
 func BenchmarkPropagateWideLoad(b *testing.B) {
 	net := RandomNetwork(60, 2, 5, 7)
-	evs := benchmarkEvidence(net, 1, 4, 4096)
+	evs, asked := benchmarkQueries(net, 1, 4, 3, 4096)
+	row := func(workers, callers, cacheSize int, targeted bool) func(*testing.B) {
+		return func(b *testing.B) {
+			eng, err := net.Compile(Options{Workers: workers, CacheSize: cacheSize})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer eng.Close()
+			var next, skipped atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
+						q := i % int64(len(evs))
+						var targets []string
+						if targeted {
+							targets = asked[q]
+						}
+						res, err := eng.Propagate(evs[q], targets...)
+						if err != nil {
+							b.Error(err)
+							return
+						}
+						skipped.Add(int64(res.rec.TasksSkipped))
+						res.Close()
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(eng.SchedulerReport().PoolRuns)/float64(b.N), "pool_runs/op")
+			b.ReportMetric(float64(skipped.Load())/float64(b.N)/float64(eng.inner.Graph().N()), "skipped/op")
+		}
+	}
 	for _, workers := range []int{1, 2} {
 		for _, callers := range []int{1, 2} {
 			for _, cacheSize := range []int{0, 32} {
-				b.Run(fmt.Sprintf("P=%d/k=%d/cache=%d", workers, callers, cacheSize), func(b *testing.B) {
-					eng, err := net.Compile(Options{Workers: workers, CacheSize: cacheSize})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer eng.Close()
-					var next atomic.Int64
-					var wg sync.WaitGroup
-					b.ReportAllocs()
-					b.ResetTimer()
-					for c := 0; c < callers; c++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for i := next.Add(1) - 1; i < int64(b.N); i = next.Add(1) - 1 {
-								res, err := eng.Propagate(evs[i%int64(len(evs))])
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								res.Close()
-							}
-						}()
-					}
-					wg.Wait()
-					b.StopTimer()
-					b.ReportMetric(float64(eng.SchedulerReport().PoolRuns)/float64(b.N), "pool_runs/op")
-				})
+				b.Run(fmt.Sprintf("P=%d/k=%d/cache=%d", workers, callers, cacheSize), row(workers, callers, cacheSize, true))
 			}
 		}
 	}
+	b.Run("P=2/k=2/cache=0/untargeted", row(2, 2, 0, false))
 }
 
 // BenchmarkPropagateTwoModels is BenchmarkPropagateWideLoad for a server with
@@ -649,9 +663,9 @@ func BenchmarkMPE(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryOne measures a one-target query, which runs the full two
-// passes: the number a target-directed distribute (ROADMAP item 6) has to
-// beat (EXPERIMENTS.md, "Deviations & notes").
+// BenchmarkQueryOne measures a one-target query: the collect pass and the
+// distribute messages on the one path from the root to the target's clique
+// (EXPERIMENTS.md, "Distribute only toward what was asked").
 func BenchmarkQueryOne(b *testing.B) {
 	eng, err := Asia().Compile(Options{Workers: 2})
 	if err != nil {

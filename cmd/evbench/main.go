@@ -123,12 +123,6 @@ func main() {
 		return nil
 	})
 	run("ablations", func() error {
-		co, err := experiments.CollectOnly(cm)
-		if err != nil {
-			return err
-		}
-		co.Write(os.Stdout)
-		fmt.Println()
 		a, err := experiments.AblationAllocation(cm)
 		if err != nil {
 			return err

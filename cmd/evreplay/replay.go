@@ -145,14 +145,15 @@ func (t *httpTarget) mpe(ctx context.Context, rec *audit.Record) (*answer, error
 }
 
 // engineTarget replays on an in-process engine, mirroring the server's
-// query semantics exactly: P(e) and posteriors from one propagation,
-// posteriors only when P(e) > 0, projected onto the recorded query list.
+// query semantics exactly: P(e) and posteriors from one propagation that
+// declares the recorded query list as its targets, posteriors only when
+// P(e) > 0, projected onto that list.
 type engineTarget struct {
 	eng *evprop.Engine
 }
 
 func (t *engineTarget) query(ctx context.Context, rec *audit.Record) (*answer, error) {
-	res, err := t.eng.PropagateContext(ctx, evprop.Evidence(rec.Evidence))
+	res, err := t.eng.PropagateContext(ctx, evprop.Evidence(rec.Evidence), rec.Query...)
 	if err != nil {
 		return nil, err
 	}

@@ -558,6 +558,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		// It was priced at both of the server's workers, being the only run in
 		// flight: the requests of this test come one at a time.
 		var entries, graphEntries int64
+		skipped := 0
 		effectiveWorkers, wantWorkers := 0, 0
 		if wantExecutor != "" {
 			wantWorkers = 2
@@ -565,6 +566,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		for k, rec := range dump.Records {
 			entries += rec.Entries
 			graphEntries += rec.GraphEntries
+			skipped += rec.TasksSkipped
 			effectiveWorkers += rec.EffectiveWorkers
 			if rec.EffectiveWorkers != wantWorkers {
 				t.Errorf("%s: flight record %d priced at %d workers, want %d", row.name, k, rec.EffectiveWorkers, wantWorkers)
@@ -588,6 +590,12 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		}
 		ranEntries += entries
 		ranGraphEntries += graphEntries
+		// Targets shape a private run and nothing else: only the first sight of
+		// the query that names one skips distribute messages. Its pinned
+		// repeat, the MPEs and the batch's untargeted sub-queries run full.
+		if targeted := row.name == "query first sight"; targeted != (skipped > 0) {
+			t.Errorf("%s: the flight records skipped %d tasks", row.name, skipped)
+		}
 
 		// Audit log: one record per answer.
 		srv.aud.Flush()
@@ -623,7 +631,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			byID[sp.SpanID] = sp
 		}
 		lookups, propagates := 0, 0
-		var spanEntries, spanGraphEntries, absorbEntries, spanEffective float64
+		var spanEntries, spanGraphEntries, absorbEntries, spanEffective, spanSkipped float64
 		for _, sp := range tr.Spans {
 			top := sp
 			for byID[top.ParentSpanID].SpanID != "" {
@@ -651,6 +659,8 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 				spanEntries, spanGraphEntries = spanEntries+e, spanGraphEntries+g
 				w, _ := sp.Attrs["workers.effective"].(float64)
 				spanEffective += w
+				k, _ := sp.Attrs["tasks.skipped"].(float64)
+				spanSkipped += k
 				if sp.Attrs["workers"] != float64(2) {
 					t.Errorf("%s: propagate span workers=%v, want 2", row.name, sp.Attrs["workers"])
 				}
@@ -663,6 +673,9 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		if int64(spanEntries) != entries || int64(spanGraphEntries) != graphEntries || int64(absorbEntries) != entries {
 			t.Errorf("%s: propagate spans say %v of %v entries, absorb spans %v, the flight records %d of %d",
 				row.name, spanEntries, spanGraphEntries, absorbEntries, entries, graphEntries)
+		}
+		if int(spanSkipped) != skipped {
+			t.Errorf("%s: propagate spans say %v tasks skipped, the flight records %d", row.name, spanSkipped, skipped)
 		}
 		if int(spanEffective) != effectiveWorkers {
 			t.Errorf("%s: propagate spans were priced at %v workers in all, the flight records at %d", row.name, spanEffective, effectiveWorkers)

@@ -281,12 +281,13 @@ func (s *server) answer(ctx context.Context, o *outcome) {
 
 // propagate is the one place the server calls an engine: it runs the
 // outcome's sum-product propagation under ctx — the request's deadline,
-// query ID and trace — and derives the answer from it inside a collect
-// span. An MPE's max-product companion run happens during that derivation,
+// query ID and trace — declaring the query's targets, which are all it will
+// read (an MPE and a query that lists none declare nothing and run full), and
+// derives the answer from it inside a collect span. An MPE's max-product companion run happens during that derivation,
 // under the same ctx, so it lands in the same trace (below collect), is
 // recorded under the same query ID and stops at the same deadline.
 func (s *server) propagate(ctx context.Context, o *outcome) {
-	res, err := o.v.Engine.PropagateContext(ctx, o.evidence)
+	res, err := o.v.Engine.PropagateContext(ctx, o.evidence, o.targets...)
 	if err != nil {
 		o.err = err
 		return

@@ -129,7 +129,8 @@ func bar(sp evclient.TraceSpan, t0 time.Time, total time.Duration, width int) st
 }
 
 // spanExtras picks the attributes worth a waterfall cell: failure status,
-// cache verdicts, singleflight role, plan reuse, and the lazy engine's
+// cache verdicts, singleflight role, plan reuse, what a run ranged over and
+// what its targets let it skip, and the lazy engine's
 // pruning counters (with the pruned-work fraction computed inline).
 func spanExtras(sp evclient.TraceSpan) string {
 	var parts []string
@@ -147,7 +148,7 @@ func spanExtras(sp evclient.TraceSpan) string {
 			parts = append(parts, k+"="+v)
 		}
 	}
-	for _, k := range []string{"tasks", "workers", "workers.effective", "evidence.vars", "batch.index", "http.status"} {
+	for _, k := range []string{"tasks", "tasks.skipped", "entries", "workers", "workers.effective", "evidence.vars", "batch.index", "http.status"} {
 		if v, ok := attrs[k].(float64); ok {
 			parts = append(parts, fmt.Sprintf("%s=%d", k, int64(v)))
 		}

@@ -23,6 +23,7 @@
 package evprop
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -559,7 +560,7 @@ func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
 // convenience wrapper over Propagate; hold the *QueryResult instead when
 // several quantities are needed from the same evidence.
 func (e *Engine) Query(ev Evidence, vars ...string) (map[string][]float64, error) {
-	res, err := e.Propagate(ev)
+	res, err := e.Propagate(ev, vars...)
 	if err != nil {
 		return nil, err
 	}
@@ -580,7 +581,7 @@ type SoftEvidence map[string][]float64
 // returns posteriors for the requested variables. It is a convenience
 // wrapper over PropagateSoft.
 func (e *Engine) QuerySoft(ev Evidence, soft SoftEvidence, vars ...string) (map[string][]float64, error) {
-	res, err := e.PropagateSoft(ev, soft)
+	res, err := e.PropagateSoft(ev, soft, vars...)
 	if err != nil {
 		return nil, err
 	}
@@ -605,7 +606,7 @@ func (e *Engine) QueryAll(ev Evidence) (map[string][]float64, error) {
 // QueryOne returns the posterior of one variable. It is a convenience
 // wrapper over Propagate + Posterior.
 func (e *Engine) QueryOne(ev Evidence, name string) ([]float64, error) {
-	res, err := e.Propagate(ev)
+	res, err := e.Propagate(ev, name)
 	if err != nil {
 		return nil, err
 	}
@@ -655,7 +656,7 @@ func (e *Engine) QueryJoint(ev Evidence, vars ...string) (*Joint, error) {
 // already known. It is the value-of-information measure behind
 // BestObservation.
 func (e *Engine) MutualInformation(ev Evidence, x, y string) (float64, error) {
-	res, err := e.Propagate(ev)
+	res, err := e.Propagate(ev, x, y)
 	if err != nil {
 		return 0, err
 	}
@@ -699,10 +700,10 @@ func (e *Engine) BestObservation(ev Evidence, target string, candidates ...strin
 	return names, mis, nil
 }
 
-// ProbabilityOfEvidence returns P(e), the likelihood of the observation.
-// It is a convenience wrapper over Propagate.
+// ProbabilityOfEvidence returns P(e), the likelihood of the observation. It
+// declares that no posterior will be read: a private run only collects.
 func (e *Engine) ProbabilityOfEvidence(ev Evidence) (float64, error) {
-	res, err := e.Propagate(ev)
+	res, err := e.propagateSession(context.Background(), ev, nil, []string{})
 	if err != nil {
 		return 0, err
 	}
@@ -713,7 +714,7 @@ func (e *Engine) ProbabilityOfEvidence(ev Evidence) (float64, error) {
 // MostProbableState returns the argmax state and its posterior probability
 // for the named variable given the evidence.
 func (e *Engine) MostProbableState(ev Evidence, name string) (int, float64, error) {
-	res, err := e.Propagate(ev)
+	res, err := e.Propagate(ev, name)
 	if err != nil {
 		return 0, 0, err
 	}

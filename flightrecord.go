@@ -53,12 +53,16 @@ type FlightRecord struct {
 	// (1 for an inline run) and the tasks it completed.
 	Workers int `json:"workers"`
 	Tasks   int `json:"tasks"`
-	// Entries is the work the run was handed, in table entries: its tasks'
-	// tables as sliced on the hard evidence. GraphEntries is what the same
-	// task graph costs with nothing observed, so their ratio is the share of
-	// the model this query had to touch. Omitted (0) on cached records.
+	// Entries is the work the run was handed, in table entries: the tables of
+	// the tasks it ran, as sliced on the hard evidence. GraphEntries is what
+	// the whole task graph costs with nothing observed, so their ratio is the
+	// share of the model this query had to touch. Omitted (0) on cached records.
 	Entries      int64 `json:"entries,omitempty"`
 	GraphEntries int64 `json:"graph_entries,omitempty"`
+	// TasksSkipped counts the graph's tasks the run left out (Tasks: the ones
+	// it ran): messages toward cliques outside a private run's declared targets
+	// (Engine.Propagate), or, on the run completing it, all the first run did.
+	TasksSkipped int `json:"tasks_skipped,omitempty"`
 	// EffectiveWorkers is the worker count the granularity rule priced the run
 	// at: the process's workers (Options.Workers) divided by the runs in flight
 	// on them when it started — any engine's, itself included — at least 1
@@ -224,6 +228,7 @@ func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
 		ElapsedUsec:      usec(r.Elapsed),
 		Entries:          r.Entries,
 		GraphEntries:     r.GraphEntries,
+		TasksSkipped:     r.TasksSkipped,
 		EffectiveWorkers: r.EffectiveWorkers,
 		Error:            r.Err,
 		Slow:             r.Slow,

@@ -54,15 +54,17 @@ import (
 //
 // A waiter's cancellation is its own: the shared propagation keeps running
 // for the other waiters and is cancelled only when none remain.
-func (e *Engine) PropagateCachedContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood) (*Result, *obs.QueryRecord, error) {
-	return e.propagateCached(ctx, ev, like, taskgraph.SumProduct)
+// targets (none: every variable; empty, non-nil: P(e) alone) shape a private
+// run only, never what a read returns (propagateFull).
+func (e *Engine) PropagateCachedContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood, targets ...int) (*Result, *obs.QueryRecord, error) {
+	return e.propagateCached(ctx, ev, like, taskgraph.SumProduct, targets)
 }
 
 // PropagateMaxCachedContext is PropagateMaxContext through the result
 // cache. Sum- and max-product results are keyed under distinct signatures,
 // so the two semirings never serve each other's tables.
 func (e *Engine) PropagateMaxCachedContext(ctx context.Context, ev potential.Evidence) (*Result, *obs.QueryRecord, error) {
-	return e.propagateCached(ctx, ev, nil, taskgraph.MaxProduct)
+	return e.propagateCached(ctx, ev, nil, taskgraph.MaxProduct, nil)
 }
 
 // flown is what the singleflight leader's run hands back: the shared
@@ -72,9 +74,9 @@ type flown struct {
 	rec *obs.QueryRecord
 }
 
-func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, *obs.QueryRecord, error) {
+func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, targets []int) (*Result, *obs.QueryRecord, error) {
 	if e.cache == nil {
-		return e.propagateFull(ctx, ev, like, mode, "", false)
+		return e.propagateFull(ctx, ev, like, mode, "", false, targets)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -93,7 +95,7 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	lsp.End()
 	if first {
 		e.firstSight.Add(1)
-		return e.propagateFull(ctx, ev, like, mode, sig, false)
+		return e.propagateFull(ctx, ev, like, mode, sig, false, targets)
 	}
 	// A caller that has already given up must not start a shared run only
 	// to abandon it (propagateFull makes the same check for direct runs).
@@ -111,7 +113,7 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 		if v, ok := e.cache.Peek(sig); ok {
 			return flown{res: v.(*Result)}, nil
 		}
-		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig, true)
+		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig, true, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -32,7 +32,7 @@ func cachedTestEngine(t *testing.T, cacheSize int) *Engine {
 // and returns the result of the second: the pinned miss the cache now holds.
 func secondSight(t testing.TB, e *Engine, mode taskgraph.Mode, ev potential.Evidence) *Result {
 	t.Helper()
-	first, rec, err := e.propagateCached(context.Background(), ev, nil, mode)
+	first, rec, err := e.propagateCached(context.Background(), ev, nil, mode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func secondSight(t testing.TB, e *Engine, mode taskgraph.Mode, ev potential.Evid
 		t.Fatalf("first sight: cached %v, pinned %v, want a private run", rec.Cached, first.Pinned())
 	}
 	first.Release()
-	r, rec, err := e.propagateCached(context.Background(), ev, nil, mode)
+	r, rec, err := e.propagateCached(context.Background(), ev, nil, mode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestPinOnSecondSight(t *testing.T) {
 		ev := evidenceNo(vars, 20+int(mode))
 		base := e.CacheStats()
 
-		first, rec, err := e.propagateCached(ctx, ev, nil, mode)
+		first, rec, err := e.propagateCached(ctx, ev, nil, mode, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestPinOnSecondSight(t *testing.T) {
 		firstBits, firstPE := tableBits(t, first), first.ProbabilityOfEvidence()
 		first.Release()
 
-		second, rec, err := e.propagateCached(ctx, ev, nil, mode)
+		second, rec, err := e.propagateCached(ctx, ev, nil, mode, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestPinOnSecondSight(t *testing.T) {
 			t.Errorf("%v second sight pinned %d bytes, its sliced tables are %d (full domain %d)", mode, got, want, e.ResultBytes())
 		}
 
-		third, rec, err := e.propagateCached(ctx, ev, nil, mode)
+		third, rec, err := e.propagateCached(ctx, ev, nil, mode, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,6 +111,132 @@ func TestPinOnSecondSight(t *testing.T) {
 		if !reflect.DeepEqual(firstBits, tableBits(t, second)) || math.Float64bits(firstPE) != math.Float64bits(second.ProbabilityOfEvidence()) {
 			t.Errorf("%v: the first sight's tables (on a recycled state) and the pinned ones differ", mode)
 		}
+	}
+}
+
+// TestTargetsShapeOnlyPrivateRuns is TestPinOnSecondSight with targets
+// declared: the first sight of a signature asking for {a, b} skips the
+// distribute messages toward everything else and pins nothing; the second
+// sight declares the same and is pinned fully calibrated all the same, because
+// the third — a hit — asks for c, a variable off a's and b's paths, and gets
+// it from the pinned tables without a propagation. Then the recycling rule: a
+// state that ran targeted carries no mask into the untargeted run after it.
+func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
+	tr := wideTree(t)
+	vars, _ := tr.Variables()
+	e, err := NewEngine(tr, Options{Workers: 2, CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ev := evidenceNo(vars, 40)
+	// a and b are read from one leaf of the engine's tree; c from a clique off
+	// the leaf's path to the root.
+	rooted := e.Tree()
+	onPath := map[int]bool{}
+	var a, b, c int
+	for i := rooted.N() - 1; len(onPath) == 0; i-- {
+		if len(rooted.Cliques[i].Children) == 0 {
+			a, b = rooted.Cliques[i].Vars[0], rooted.Cliques[i].Vars[1]
+			for _, v := range []int{a, b} {
+				for k := rooted.CliqueOf(v); k >= 0; k = rooted.Cliques[k].Parent {
+					onPath[k] = true
+				}
+			}
+		}
+	}
+	c = -1
+	for _, v := range vars {
+		if _, observed := ev[v]; !observed && !onPath[rooted.CliqueOf(v)] {
+			c = v
+		}
+	}
+	if c < 0 {
+		t.Fatal("every variable is read from a clique on the targets' paths")
+	}
+	bits := func(r *Result, v int) []uint64 {
+		t.Helper()
+		m, err := r.Marginal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bitsOf(m)
+	}
+	base := e.CacheStats()
+
+	first, rec, err := e.PropagateCachedContext(ctx, ev, nil, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := e.CacheStats(); rec.TasksSkipped == 0 || rec.Report.Tasks+rec.TasksSkipped != e.Graph().N() ||
+		first.Pinned() || cs.Entries != base.Entries || cs.FirstSight != base.FirstSight+1 {
+		t.Fatalf("first sight: ran %d and skipped %d of %d tasks, pinned %v, cache %+v (was %+v)",
+			rec.Report.Tasks, rec.TasksSkipped, e.Graph().N(), first.Pinned(), cs, base)
+	}
+	firstA, firstB := bits(first, a), bits(first, b)
+	if first.Completion() != nil || e.Propagations() != 1 {
+		t.Fatalf("reading the declared targets cost a second run (%d propagations)", e.Propagations())
+	}
+	first.Release()
+
+	second, rec, err := e.PropagateCachedContext(ctx, ev, nil, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs := e.CacheStats(); rec.TasksSkipped != 0 || rec.Report.Tasks != e.Graph().N() || !second.Pinned() || cs.Entries != base.Entries+1 {
+		t.Fatalf("second sight: skipped %d tasks, pinned %v, cache %+v (was %+v)", rec.TasksSkipped, second.Pinned(), cs, base)
+	}
+
+	third, rec, err := e.PropagateCachedContext(ctx, ev, nil, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Cached || third != second {
+		t.Fatalf("third sight: cached %v, same result %v", rec.Cached, third == second)
+	}
+	bits(third, c)
+	if err := third.CheckCalibration(1e-9); err != nil {
+		t.Errorf("the pinned result is not fully calibrated: %v", err)
+	}
+	if third.Completion() != nil || e.Propagations() != 2 {
+		t.Errorf("a hit asking for an undeclared variable propagated: %d propagations, want 2", e.Propagations())
+	}
+	if !reflect.DeepEqual(firstA, bits(second, a)) || !reflect.DeepEqual(firstB, bits(second, b)) {
+		t.Error("the targeted first sight's posteriors and the pinned full run's differ")
+	}
+
+	// Under -race sync.Pool drops a Put in four, so look for the recycled state
+	// a few times.
+	ev2 := evidenceNo(vars, 41)
+	want, _, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", true, nil) // never pooled
+	if err != nil {
+		t.Fatal(err)
+	}
+	recycled := 0
+	for i := 0; i < 16; i++ {
+		targeted, rec, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", false, []int{a})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.TasksSkipped == 0 {
+			t.Fatal("the targeted run skipped nothing")
+		}
+		st := targeted.state
+		targeted.Release()
+		full, rec, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", false, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.state == st {
+			recycled++
+			if rec.TasksSkipped != 0 || rec.Report.Tasks != e.Graph().N() || full.targeted != nil || !reflect.DeepEqual(tableBits(t, full), tableBits(t, want)) {
+				t.Fatalf("the untargeted run on a state that ran targeted skipped %d tasks, or left other tables", rec.TasksSkipped)
+			}
+		}
+		full.Release()
+	}
+	if recycled == 0 {
+		t.Error("no untargeted run ever got the targeted run's state back")
 	}
 }
 

@@ -306,6 +306,10 @@ type Result struct {
 	// so repeated cache hits pay for each posterior once.
 	pinned    bool
 	marginals sync.Map // variable id -> *potential.Potential (pinned only)
+
+	// targeted is the record of a run that skipped tasks, until complete runs
+	// the rest and records it in completion. Private results only: no locking.
+	targeted, completion *obs.QueryRecord
 }
 
 // Pinned reports whether the result is owned by the engine's result cache
@@ -351,7 +355,7 @@ func (e *Engine) PropagateMaxContext(ctx context.Context, ev potential.Evidence)
 
 // propagate is propagateFull for callers that have no use for the record.
 func (e *Engine) propagate(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
-	res, _, err := e.propagateFull(ctx, ev, like, mode, "", false)
+	res, _, err := e.propagateFull(ctx, ev, like, mode, "", false, nil)
 	return res, err
 }
 
@@ -359,7 +363,11 @@ func (e *Engine) propagate(ctx context.Context, ev potential.Evidence, like pote
 // returns the result with the run's record beside it. sig is the evidence
 // signature when the caller (the cache path) already computed it, "" when
 // not; pin says the result is for the cache and comes back pinned.
-func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string, pin bool) (*Result, *obs.QueryRecord, error) {
+//
+// targets are the variables the caller will read, nil for all and empty for
+// none: a private run distributes only toward their cliques (State.Target); a
+// pinned one is shared with hits that may ask anything and ignores them.
+func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string, pin bool, targets []int) (*Result, *obs.QueryRecord, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -397,23 +405,70 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 			asp.End()
 			return nil, nil, err
 		}
+		if !pin {
+			est.Target(targets)
+		}
 		st = est
 	}
-	entries, graphEntries := runEntries(st)
+	entries, graphEntries, _ := runEntries(st)
 	asp.SetAttr(otrace.Int("entries", entries), otrace.Int("entries.graph", graphEntries))
 	asp.End()
 	rec := e.newRecord(ctx, mode.String(), mode, ev, like, sig)
 	psp := sp.StartChild("propagate",
 		otrace.String("scheduler", e.opts.Scheduler.String()),
 		otrace.Int("workers", int64(e.opts.Workers)))
-	if err := e.execute(ctx, psp, rec, st); err != nil {
+	if err := e.execute(ctx, psp, rec, st, false); err != nil {
 		// The state, scratch included, may still be referenced by pool
 		// workers draining the failed run's queue — drop it to the GC instead
 		// of recycling any of it.
 		return nil, nil, err
 	}
-	return &Result{eng: e, state: st, pe: st.EvidenceMass(), pinned: pin}, rec, nil
+	res := &Result{eng: e, state: st, pe: st.EvidenceMass(), pinned: pin}
+	if rec.TasksSkipped > 0 {
+		res.targeted = rec
+	}
+	return res, rec, nil
 }
+
+// complete leaves every clique calibrated. A lazy state materializes its
+// deferred messages; a targeted one runs what its propagation skipped, once,
+// on the calling goroutine (State.Resume) with the pool's cuts replayed, to
+// the full run's bits — a propagation like an MPE's companion run, recorded
+// under the first run's ID and evidence. A failed one costs the result its state.
+func (r *Result) complete() error {
+	if r.targeted == nil {
+		return r.state.Calibrate()
+	}
+	est, first := r.state.(*taskgraph.State), r.targeted
+	r.targeted = nil
+	r.completion = &obs.QueryRecord{ID: first.ID, Mode: first.Mode, EvidenceVars: first.EvidenceVars,
+		EvidenceSig: first.EvidenceSig, Evidence: first.Evidence}
+	err := est.Resume()
+	if err == nil {
+		err = r.eng.execute(context.Background(), nil, r.completion, est, true)
+	}
+	if err != nil {
+		r.state = nil
+		return err
+	}
+	est.Target(nil)
+	return nil
+}
+
+// reach makes sure the given cliques hold their calibrated potentials,
+// completing a targeted result that skipped any of them.
+func (r *Result) reach(cliques ...int) error {
+	for _, ci := range cliques {
+		// Only an eager state is ever targeted.
+		if r.targeted != nil && ci >= 0 && !r.state.(*taskgraph.State).Reached(ci) {
+			return r.complete()
+		}
+	}
+	return nil
+}
+
+// Completion returns the record of the run complete made, nil if none.
+func (r *Result) Completion() *obs.QueryRecord { return r.completion }
 
 // newRecord starts a propagation's record with what is known before the
 // run: the query ID (resolved here, so the same ID reaches the workers'
@@ -447,10 +502,11 @@ func (e *Engine) newRecord(ctx context.Context, name string, mode taskgraph.Mode
 // It is also the one place the scratch lifetime rule is applied: a run that
 // returned no error hands its scratch back (ReleaseScratch), a failed or
 // cancelled one keeps it, because its pool workers may still be writing it.
-func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st runState) error {
-	rec.Entries, rec.GraphEntries = runEntries(st)
+// remainder marks a resumed targeted state, which only runs inline (State.Resume).
+func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRecord, st runState, remainder bool) error {
+	rec.Entries, rec.GraphEntries, rec.TasksSkipped = runEntries(st)
 	start := time.Now()
-	m, peff, err := e.runScheduler(ctx, rec.ID, st, float64(rec.Entries))
+	m, peff, err := e.runScheduler(ctx, rec.ID, st, remainder)
 	rec.EffectiveWorkers = peff
 	rec.Time = time.Now()
 	rec.Elapsed = rec.Time.Sub(start)
@@ -481,19 +537,21 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 }
 
 // runEntries returns the work of a run over st in table entries — the sum over
-// its graph's tasks of the table each ranges over, as sliced on the evidence —
-// and what the same graph costs at the full domain. Only the eager state
-// slices; a lazy plan's tables are its graph's.
-func runEntries(st runState) (entries, graph int64) {
+// the tasks it runs of the table each ranges over, as sliced on the evidence —
+// what the whole graph costs at the full domain, and how many of the graph's
+// tasks the run leaves out. Only the eager state slices or masks; a lazy
+// plan's tables and tasks are its graph's.
+func runEntries(st runState) (entries, graph int64, skipped int) {
 	graph = int64(st.Graph().TotalWeight())
 	if est, ok := st.(*taskgraph.State); ok {
-		return int64(est.Weight()), graph
+		return int64(est.Weight()), graph, est.Skipped()
 	}
-	return graph, graph
+	return graph, graph, 0
 }
 
 // endRunSpan closes a run's span with what its record says: the failure, the
-// table entries it ranged over, the workers it was priced at, the executor that
+// table entries it ranged over, the tasks a mask kept out of it (if any: a lazy
+// run fills a span's ten attributes), the workers it was priced at, the executor that
 // ran it and the task count plus coarse per-task-kind child spans synthesized
 // from the report's per-kind busy totals (no extra hot-path clocking), and the
 // lazy pruning counters.
@@ -503,6 +561,9 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 	}
 	psp.SetAttr(otrace.Int("entries", rec.Entries), otrace.Int("entries.graph", rec.GraphEntries),
 		otrace.Int("workers.effective", int64(rec.EffectiveWorkers)))
+	if rec.TasksSkipped > 0 {
+		psp.SetAttr(otrace.Int("tasks.skipped", int64(rec.TasksSkipped)))
+	}
 	if rep := rec.Report; rep != nil {
 		psp.SetAttr(otrace.String("executor", rep.Executor), otrace.Int("tasks", int64(rep.Tasks)))
 		for k, d := range rep.KindBusy {
@@ -526,22 +587,24 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 // runScheduler executes the state's graph and returns the run's metrics and
 // the workers it was priced at. This is the one place the execution path is
 // chosen, so sum-product, max-product and every pruned lazy plan get the same
-// rule, asked twice of weight — the run's table entries as sliced on its
-// evidence, so a heavily observed query of a graph that dispatches at the full
-// domain stays on its goroutine.
+// rule, asked twice, of table entries as sliced on the run's evidence — so a
+// heavily observed query of a graph that dispatches at the full domain stays
+// on its goroutine.
 //
-// Asked at the engine's P, sched.InlineWeight says what the run computes: a
-// run worth dispatching alone is partitioned as the pool partitions it,
-// wherever it executes; one that is not, and every run of a Serial engine,
-// runs whole. Asked at peff — P over the runs in flight on the process's pool,
-// this one and every other engine's included (sched.Pool.EnterRun) — it says
-// where: such a run goes to the workers while its share of them still pays for
-// the dispatch, and otherwise stays on the calling goroutine, which replays the
-// pool's partition one piece after another. Load therefore moves a run between
-// executors and never moves a bit of its answer.
+// Asked at the engine's P about the whole graph, sched.InlineWeight says what
+// the run computes: a run worth dispatching alone is partitioned as the pool
+// partitions it, wherever it executes and whatever its mask leaves out (a
+// targeted run, its remainder and the full run cut the same tasks); one that
+// is not, and every run of a Serial engine, runs whole. Asked at peff — P over
+// the runs in flight on the process's pool, this one and every other engine's
+// included (sched.Pool.EnterRun) — about the live tasks, it says where: such a
+// run goes to the workers while its share of them still pays for the dispatch,
+// and otherwise — like every remainder — stays on the calling goroutine, which
+// replays the pool's partition one piece after another. Load and targets move
+// a run between executors and never move a bit of its answer.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
-func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, weight float64) (*sched.Metrics, int, error) {
+func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, remainder bool) (*sched.Metrics, int, error) {
 	e.propagations.Add(1)
 	peff := e.pool.EnterRun()
 	defer e.pool.LeaveRun()
@@ -560,10 +623,16 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		Ctx:       ctx,
 		QueryID:   queryID,
 	}
-	n := st.Graph().N()
-	// worth: the pool would take this run if it were alone.
-	worth := e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(weight, n, e.opts.Workers))
-	if worth && (e.opts.ForceDispatch || !sched.InlineWeight(weight, n, peff)) {
+	g := st.Graph()
+	n, whole := g.N(), g.TotalWeight()
+	live, weight := n, whole
+	if est, ok := st.(*taskgraph.State); ok {
+		opts.Live = est.Live()
+		live, weight, whole = n-est.Skipped(), est.Weight(), est.GraphWeight()
+	}
+	// worth: the pool would take the evidence's full run if it were alone.
+	worth := e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(whole, n, e.opts.Workers))
+	if worth && !remainder && (e.opts.ForceDispatch || !sched.InlineWeight(weight, live, peff)) {
 		m, err := e.pool.Run(st, opts)
 		return m, peff, err
 	}
@@ -607,6 +676,11 @@ func (r *Result) Marginal(v int) (*potential.Potential, error) {
 			return m.(*potential.Potential), nil
 		}
 	}
+	if r.targeted != nil { // CliqueOf scans the tree: not on an untargeted read
+		if err := r.reach(r.state.Graph().Tree.CliqueOf(v)); err != nil {
+			return nil, err
+		}
+	}
 	m, err := r.state.Marginal(v)
 	if err != nil {
 		return nil, err
@@ -637,6 +711,9 @@ func (r *Result) JointMarginal(vars []int) (*potential.Potential, error) {
 		}
 		if !all {
 			continue
+		}
+		if err := r.reach(i); err != nil {
+			return nil, err
 		}
 		cp, err := r.state.CliquePot(i)
 		if err != nil {
@@ -672,10 +749,14 @@ func (r *Result) lift(p *potential.Potential) *potential.Potential {
 func (r *Result) ProbabilityOfEvidence() float64 { return r.pe }
 
 // State exposes the underlying eager propagation state for
-// instrumentation. It is nil after Release and nil for lazy results, whose
-// pruning counters are exposed through LazyStats instead.
+// instrumentation, every table calibrated (a targeted result completes
+// first). It is nil after Release and nil for lazy results, whose pruning
+// counters are exposed through LazyStats instead.
 func (r *Result) State() *taskgraph.State {
 	st, _ := r.state.(*taskgraph.State)
+	if st == nil || r.complete() != nil {
+		return nil
+	}
 	return st
 }
 
@@ -700,10 +781,10 @@ func (r *Result) CheckCalibration(tol float64) error {
 	if r.state == nil {
 		return ErrReleased
 	}
-	// Lazy results defer distribute work; a whole-tree check needs all of
-	// it materialized. Normalization below cancels the per-table scalars
-	// of any blocked (elided) messages.
-	if err := r.state.Calibrate(); err != nil {
+	// Lazy and targeted results defer distribute work; a whole-tree check
+	// needs all of it done. Normalization below cancels the per-table scalars
+	// of any blocked (elided) lazy messages.
+	if err := r.complete(); err != nil {
 		return err
 	}
 	tree := r.state.Graph().Tree
@@ -761,7 +842,7 @@ func (r *Result) MostProbableExplanation() (map[int]int, float64, error) {
 	// distribute messages first. Argmax extraction is invariant to the
 	// positive per-table scalars of elided blocked messages; the absolute
 	// probability is repaired by MassScale (1 for eager states).
-	if err := r.state.Calibrate(); err != nil {
+	if err := r.complete(); err != nil {
 		return nil, 0, err
 	}
 	tree := r.state.Graph().Tree

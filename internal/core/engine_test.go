@@ -383,22 +383,6 @@ func TestPropagateSoftErrors(t *testing.T) {
 	}
 }
 
-func TestCollectOnlyGraphIsHalf(t *testing.T) {
-	net, _ := bayesnet.Asia()
-	tr, err := net.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := taskgraph.Build(tr)
-	half := taskgraph.BuildCollectOnly(tr)
-	if half.N()*2 != full.N() {
-		t.Errorf("collect-only has %d tasks, full has %d", half.N(), full.N())
-	}
-	if err := half.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCheckCalibration(t *testing.T) {
 	net, ids := bayesnet.Asia()
 	tr, err := net.Compile()
@@ -451,7 +435,7 @@ func TestOnePoolPerProcess(t *testing.T) {
 			if e.pool != pool {
 				t.Fatal("an engine at Workers 2 has a pool of its own")
 			}
-			_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false)
+			_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

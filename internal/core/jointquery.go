@@ -88,6 +88,10 @@ func (r *Result) JointMarginalAny(vars []int) (*potential.Potential, error) {
 		nodes = append(nodes, i)
 	}
 	sort.Slice(nodes, func(a, b int) bool { return tree.Depth(nodes[a]) > tree.Depth(nodes[b]) })
+	// Declared targets' root paths cover the subtree; anything else completes first.
+	if err := r.reach(nodes...); err != nil {
+		return nil, err
+	}
 
 	acc := map[int]*potential.Potential{}
 	get := func(ci int) (*potential.Potential, error) {

@@ -61,7 +61,7 @@ func holdRuns(t *testing.T, on *Engine, n int) (release func()) {
 	done := make(chan error)
 	for i := 0; i < n; i++ {
 		go func() {
-			_, _, err := on.runScheduler(context.Background(), "", h, 1)
+			_, _, err := on.runScheduler(context.Background(), "", h, false)
 			done <- err
 		}()
 	}
@@ -136,7 +136,7 @@ func TestLoadAwareExecutor(t *testing.T) {
 		if k := e.pool.RunsInFlight(); k != int64(tc.company) {
 			t.Errorf("%s: %d runs in flight, want %d", tc.name, k, tc.company)
 		}
-		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false)
+		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false, nil)
 		release()
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestLoadAwareExecutor(t *testing.T) {
 	boom := errors.New("boom")
 	h := newHold(1, boom)
 	close(h.release)
-	if _, _, err := e.runScheduler(context.Background(), "", h, 1); !errors.Is(err, boom) {
+	if _, _, err := e.runScheduler(context.Background(), "", h, false); !errors.Is(err, boom) {
 		t.Fatalf("failing run returned %v", err)
 	}
 	if k := e.pool.RunsInFlight(); k != 0 {
@@ -226,12 +226,12 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
-			alone, arec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false)
+			alone, arec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			release := holdRuns(t, neighbour(t, tc.workers), tc.company)
-			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false)
+			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false, nil)
 			release()
 			if err != nil {
 				t.Fatal(err)
@@ -320,7 +320,7 @@ func TestTwoEnginesShareThePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, rec, err := q.e.propagateFull(context.Background(), q.ev, nil, taskgraph.SumProduct, "", false)
+			res, rec, err := q.e.propagateFull(context.Background(), q.ev, nil, taskgraph.SumProduct, "", false, nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -243,7 +243,7 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 						if k%4 == 3 {
 							mode = taskgraph.MaxProduct
 						}
-						res, _, err := e.propagateCached(context.Background(), evidenceNo(vars, i), nil, mode)
+						res, _, err := e.propagateCached(context.Background(), evidenceNo(vars, i), nil, mode, nil)
 						if err != nil {
 							t.Error(err)
 							return
@@ -317,7 +317,7 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 			cc.left.Store(5)
 			ctx = cc
 		}
-		err = e.execute(ctx, nil, e.newRecord(ctx, "sum-product", taskgraph.SumProduct, ev, nil, ""), st)
+		err = e.execute(ctx, nil, e.newRecord(ctx, "sum-product", taskgraph.SumProduct, ev, nil, ""), st, false)
 		if fail != (err != nil) {
 			t.Fatalf("run with fail=%v returned %v", fail, err)
 		}

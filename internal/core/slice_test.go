@@ -465,7 +465,7 @@ func TestGranularityFollowsEvidence(t *testing.T) {
 		observed int
 		executor string
 	}{{0, "pool"}, {30, "inline"}, {0, "pool"}, {30, "inline"}} {
-		_, rec, err := e.propagateFull(context.Background(), randomEvidence(rng, vars, cardOf, tc.observed), nil, taskgraph.SumProduct, "", false)
+		_, rec, err := e.propagateFull(context.Background(), randomEvidence(rng, vars, cardOf, tc.observed), nil, taskgraph.SumProduct, "", false, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

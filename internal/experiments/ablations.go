@@ -6,7 +6,6 @@ import (
 
 	"evprop/internal/jtree"
 	"evprop/internal/machine"
-	"evprop/internal/taskgraph"
 )
 
 // This file contains experiments beyond the paper's figures: ablations of
@@ -285,53 +284,6 @@ func (r *SchedulerRosterResult) Write(w io.Writer) {
 	fmt.Fprintln(w, "Scheduler roster (JT1, 8 cores)")
 	for i, n := range r.Names {
 		fmt.Fprintf(w, "  %-14s %5.2f×\n", n, r.Speedup8[i])
-	}
-}
-
-// CollectOnlyResult compares full two-pass propagation against the
-// collection-only half used by targeted single-marginal queries.
-type CollectOnlyResult struct {
-	Cores       []int
-	FullSeconds []float64
-	CollectSecs []float64
-	TaskRatio   float64 // collect-only tasks / full tasks (0.5 by construction)
-}
-
-// CollectOnly measures, on the simulated machine, how much of a full
-// propagation a collection-only pass costs across core counts (JT1).
-func CollectOnly(cm machine.CostModel) (*CollectOnlyResult, error) {
-	tr, err := jtree.Random(jtree.JT1())
-	if err != nil {
-		return nil, err
-	}
-	full := taskgraph.Build(tr)
-	half := taskgraph.BuildCollectOnly(tr)
-	out := &CollectOnlyResult{
-		Cores:     Cores,
-		TaskRatio: float64(half.N()) / float64(full.N()),
-	}
-	for _, p := range Cores {
-		f, err := machine.SimulateCollaborative(full, p, autoThreshold(full), cm)
-		if err != nil {
-			return nil, err
-		}
-		c, err := machine.SimulateCollaborative(half, p, autoThreshold(half), cm)
-		if err != nil {
-			return nil, err
-		}
-		out.FullSeconds = append(out.FullSeconds, f.Makespan)
-		out.CollectSecs = append(out.CollectSecs, c.Makespan)
-	}
-	return out, nil
-}
-
-// Write prints the collect-only comparison.
-func (r *CollectOnlyResult) Write(w io.Writer) {
-	fmt.Fprintf(w, "Collection-only vs full propagation (JT1; task ratio %.2f)\n", r.TaskRatio)
-	fmt.Fprintln(w, "P    full(s)   collect(s)   fraction")
-	for i, p := range r.Cores {
-		fmt.Fprintf(w, "%-4d %8.4f   %8.4f   %8.2f\n",
-			p, r.FullSeconds[i], r.CollectSecs[i], r.CollectSecs[i]/r.FullSeconds[i])
 	}
 }
 

@@ -238,27 +238,6 @@ func TestEvidenceCountIndependence(t *testing.T) {
 	}
 }
 
-func TestCollectOnly(t *testing.T) {
-	r, err := CollectOnly(machine.Xeon())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TaskRatio != 0.5 {
-		t.Errorf("task ratio = %v, want 0.5", r.TaskRatio)
-	}
-	for i := range r.Cores {
-		frac := r.CollectSecs[i] / r.FullSeconds[i]
-		if frac < 0.35 || frac > 0.75 {
-			t.Errorf("P=%d: collect-only fraction %.2f outside [0.35, 0.75]", r.Cores[i], frac)
-		}
-	}
-	var buf bytes.Buffer
-	r.Write(&buf)
-	if !strings.Contains(buf.String(), "task ratio") {
-		t.Error("Write malformed")
-	}
-}
-
 func TestDecompositionExperiment(t *testing.T) {
 	r, err := Decomposition()
 	if err != nil {

@@ -74,12 +74,15 @@ type QueryRecord struct {
 	// Elapsed is the propagation's wall-clock time.
 	Elapsed time.Duration
 	// Entries is the work the run was handed, in table entries: the sum over
-	// its graph's tasks of the table each ranges over, as sliced on the hard
-	// evidence. GraphEntries is the same sum at the full domain — what the
-	// graph costs with nothing observed — so Entries/GraphEntries is the share
-	// of the model this query had to touch. Both are 0 when no run was started
-	// (cache-served queries).
+	// the tasks it ran of the table each ranges over, as sliced on the hard
+	// evidence. GraphEntries is the sum over every task of the graph at the
+	// full domain — what the graph costs with nothing observed and nothing
+	// skipped — so Entries/GraphEntries is the share of the model this query
+	// had to touch. Both are 0 when no run was started (cache-served queries).
 	Entries, GraphEntries int64
+	// TasksSkipped counts the graph's tasks the run left out: distribute messages
+	// off a private run's targets, or, completing it, all that the first run did.
+	TasksSkipped int
 	// EffectiveWorkers is the P the granularity rule priced the run at: the
 	// process's workers divided by the runs in flight on them when it
 	// started, itself included, at least 1 (sched.Pool.EnterRun). Below the

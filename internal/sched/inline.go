@@ -38,6 +38,9 @@ import (
 // not — into the same recycled buffers, and opts.QueryID labels the calling
 // goroutine for the duration of the run.
 //
+// A task opts.Live masks is stepped over — not polled, timed or counted —
+// whatever its predecessors did: also how a resumed state's remainder runs.
+//
 // A failed or cancelled run returns at the task where it stopped. Nothing
 // else touches the state, the metrics or the trace afterwards, but the
 // state is half-propagated and must not be reused without a Reset.
@@ -68,6 +71,9 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	start := time.Now()
 	prev := start
 	for _, id := range order {
+		if opts.Live != nil && !opts.Live[id] {
+			continue
+		}
 		if opts.Ctx != nil {
 			if err = opts.Ctx.Err(); err != nil {
 				break

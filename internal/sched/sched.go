@@ -53,6 +53,9 @@ type Options struct {
 	// 0 disables task partitioning (as in the paper's Fig. 5 experiments);
 	// ThresholdAuto splits what Split decides for this graph at P workers.
 	Threshold int
+	// Live, when non-nil, has one entry per task and only the true ones run.
+	// Pool.Run needs the masked set closed under successors (State.Target).
+	Live []bool
 	// Trace records a per-worker execution timeline in Metrics.Trace
 	// (small constant overhead per executed item).
 	Trace bool
@@ -386,6 +389,12 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		return nil, fmt.Errorf("sched: pool is closed")
 	}
 	g := st.Graph()
+	n := g.N() // live tasks
+	for _, live := range opts.Live {
+		if !live {
+			n--
+		}
+	}
 	r := &run{
 		st:        st,
 		g:         g,
@@ -393,7 +402,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		ctx:       opts.Ctx,
 		deps:      g.DepCounts(),
 		p:         p,
-		remaining: int64(g.N()),
+		remaining: int64(n),
 		metrics:   make([]WorkerMetrics, len(p.lists)),
 		done:      make(chan struct{}),
 		labels:    newLabelSet(opts.Ctx, opts.QueryID),
@@ -401,7 +410,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	}
 	start := time.Now()
 	r.start = start
-	if g.N() == 0 {
+	if n == 0 {
 		m := &Metrics{Executor: ExecPool, Workers: r.metrics, Elapsed: time.Since(start)}
 		if opts.Trace {
 			m.Trace = &Trace{Workers: len(p.lists)}
@@ -412,10 +421,12 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		r.tbufs = getTraceBufs(len(p.lists))
 	}
 	p.start()
-	p.gauges.runStarted(g.N())
+	p.gauges.runStarted(n)
 	// Line 1 of Algorithm 2: distribute the initially ready tasks evenly.
 	for i, id := range g.Sources() {
-		p.lists[i%len(p.lists)].push(r.wholeItem(id))
+		if r.live(id) {
+			p.lists[i%len(p.lists)].push(r.wholeItem(id))
+		}
 	}
 	<-r.done
 	// A successful run has remaining == 0; a failed one writes off its
@@ -433,7 +444,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		Executor:  ExecPool,
 		Workers:   r.metrics,
 		Elapsed:   time.Since(start),
-		Tasks:     g.N() - int(atomic.LoadInt64(&r.remaining)),
+		Tasks:     n - int(atomic.LoadInt64(&r.remaining)),
 		Pieces:    int(atomic.LoadInt64(&r.pieces)),
 		Partition: int(atomic.LoadInt64(&r.parted)),
 	}
@@ -454,6 +465,10 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	}
 	return m, r.err
 }
+
+// live reports whether the run's mask (Options.Live) leaves the task standing:
+// a masked task is never queued, and Allocate does not release it.
+func (r *run) live(id int) bool { return r.opts.Live == nil || r.opts.Live[id] }
 
 func (r *run) wholeItem(id int) item {
 	return item{r: r, task: id, lo: 0, hi: -1, weight: int64(r.g.Tasks[id].Weight)}
@@ -663,7 +678,7 @@ func (r *run) runPiece(w int, it item) {
 func (r *run) completeTask(w int, id int) {
 	tAlloc := time.Now()
 	for _, s := range r.g.Tasks[id].Succs {
-		if atomic.AddInt32(&r.deps[s], -1) == 0 {
+		if r.live(s) && atomic.AddInt32(&r.deps[s], -1) == 0 {
 			r.allocate(r.wholeItem(s))
 		}
 	}

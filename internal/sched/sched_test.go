@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -629,5 +630,76 @@ func TestPieceWeight(t *testing.T) {
 	}
 	if w := pieceWeight(3, 1, 1000); w < 1 {
 		t.Errorf("piece weight %d below 1", w)
+	}
+}
+
+// TestMaskedRun: with Options.Live set the pool and the inline executor run
+// the live tasks and no others — a masked task is never queued, never counted
+// and never waited for — under a fixed δ that cuts most of them, and leave the
+// same bits as each other on every table; the inline run of the complement
+// then completes the state to the bits of an unmasked run.
+func TestMaskedRun(t *testing.T) {
+	tr, err := jtree.Random(jtree.RandomConfig{N: 20, Width: 6, States: 2, Degree: 3, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(23); err != nil {
+		t.Fatal(err)
+	}
+	g := taskgraph.Build(tr)
+	vars, _ := tr.Variables()
+	targets := []int{vars[1], vars[len(vars)-2]}
+	opts := Options{Workers: 3, Threshold: 16}
+	states := make([]*taskgraph.State, 3) // unmasked on the pool, masked on the pool, masked inline
+	for i := range states {
+		if states[i], err = g.NewState(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := runOnce(states[0], opts); err != nil {
+		t.Fatal(err)
+	}
+	sameBits := func(what string, a, b *taskgraph.State) {
+		t.Helper()
+		for i := range a.Clique {
+			if !reflect.DeepEqual(a.Clique[i].Data, b.Clique[i].Data) || (a.Sep[i] != nil && !reflect.DeepEqual(a.Sep[i].Data, b.Sep[i].Data)) {
+				t.Fatalf("%s: table %d differs", what, i)
+			}
+		}
+	}
+	for i, run := range []func(taskgraph.Executor, Options) (*Metrics, error){runOnce, RunInline} {
+		st := states[i+1]
+		st.Target(targets)
+		o := opts
+		o.Live = st.Live()
+		m, err := run(st, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Skipped() == 0 || m.Tasks != g.N()-st.Skipped() || m.Partition == 0 {
+			t.Fatalf("%s: ran %d tasks (%d cut) with %d of %d masked", m.Executor, m.Tasks, m.Partition, st.Skipped(), g.N())
+		}
+		for _, v := range targets {
+			if ci := tr.CliqueOf(v); !reflect.DeepEqual(st.Clique[ci].Data, states[0].Clique[ci].Data) {
+				t.Fatalf("%s: clique %d of target %d is not the unmasked run's", m.Executor, ci, v)
+			}
+		}
+	}
+	sameBits("masked pool against masked inline", states[1], states[2])
+	for _, st := range states[1:] {
+		st.ReleaseScratch()
+		if err := st.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		o := opts
+		o.Live = st.Live()
+		m, err := RunInline(st, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tasks != g.N()-st.Skipped() {
+			t.Fatalf("remainder ran %d tasks, %d were left", m.Tasks, g.N()-st.Skipped())
+		}
+		sameBits("completed against unmasked", st, states[0])
 	}
 }

@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -289,5 +290,94 @@ func TestLift(t *testing.T) {
 	st.Reset(SumProduct)
 	if st.Lift(m) != m {
 		t.Error("a state at the full domain lifted a table")
+	}
+}
+
+// TestTargetMask: a state told what will be read masks exactly the distribute
+// messages toward the cliques nothing is read from — a set closed under
+// successors, priced entry for entry — runs the rest to the full run's bits on
+// every clique it reaches, and, resumed, runs what it left to the full run's
+// bits everywhere. The next absorb lifts the mask without being asked.
+func TestTargetMask(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		tr := sliceTree(t, seed)
+		g := Build(tr)
+		rng := rand.New(rand.NewSource(seed))
+		vars, _ := tr.Variables()
+		for _, width := range []int{0, 2, 5} {
+			ev := randomEvidence(rng, tr, width)
+			full, err := g.NewStateEvidence(SumProduct, ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := full.RunSerial(); err != nil {
+				t.Fatal(err)
+			}
+			for _, targets := range [][]int{{}, {vars[rng.Intn(len(vars))]}, {vars[0], vars[len(vars)/2], vars[len(vars)-1]}, vars} {
+				what := fmt.Sprintf("seed %d, %d observed, targets %v", seed, width, targets)
+				st, err := g.NewStateEvidence(SumProduct, ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Target(targets)
+				live, weight, skipped := st.Live(), 0.0, 0
+				for id := range g.Tasks {
+					if live != nil && !live[id] {
+						skipped++
+						for _, s := range g.Tasks[id].Succs {
+							if live[s] {
+								t.Fatalf("%s: masked task %d has live successor %d", what, id, s)
+							}
+						}
+						continue
+					}
+					weight += float64(st.PartitionSize(id))
+				}
+				if st.Skipped() != skipped || st.Weight() != weight || st.GraphWeight() != full.Weight() {
+					t.Fatalf("%s: skipped %d (counted %d), weight %v (counted %v), graph weight %v (full run's %v)",
+						what, st.Skipped(), skipped, st.Weight(), weight, st.GraphWeight(), full.Weight())
+				}
+				if len(targets) == len(vars) && live != nil {
+					t.Fatalf("%s: every variable is a target, yet %d tasks are masked", what, skipped)
+				}
+				if err := st.RunSerial(); err != nil {
+					t.Fatal(err)
+				}
+				st.ReleaseScratch()
+				if got, want := st.EvidenceMass(), full.EvidenceMass(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: P(e) %v, the full run has %v", what, got, want)
+				}
+				for _, v := range targets {
+					ci := tr.CliqueOf(v)
+					if !st.Reached(ci) || !reflect.DeepEqual(st.Clique[ci].Data, full.Clique[ci].Data) {
+						t.Fatalf("%s: clique %d of target %d: reached %v, or not the full run's table", what, ci, v, st.Reached(ci))
+					}
+				}
+				if err := st.Resume(); err != nil {
+					t.Fatal(err)
+				}
+				if live != nil { // an unmasked state has nothing to resume
+					if st.Skipped() != g.N()-skipped {
+						t.Fatalf("%s: the remainder skips %d tasks, the first run ran %d", what, st.Skipped(), g.N()-skipped)
+					}
+					if err := st.RunSerial(); err != nil {
+						t.Fatal(err)
+					}
+					st.Target(nil)
+				}
+				for i := range full.Clique {
+					if !reflect.DeepEqual(st.Clique[i].Data, full.Clique[i].Data) || (full.Sep[i] != nil && !reflect.DeepEqual(st.Sep[i].Data, full.Sep[i].Data)) {
+						t.Fatalf("%s: table %d of the completed state is not the full run's", what, i)
+					}
+				}
+				st.Target(targets)
+				if err := st.AbsorbEvidence(ev); err != nil {
+					t.Fatal(err)
+				}
+				if st.Live() != nil || st.Skipped() != 0 || st.Weight() != full.Weight() {
+					t.Fatalf("%s: the mask survived AbsorbEvidence", what)
+				}
+			}
+		}
 	}
 }

@@ -82,8 +82,14 @@ type State struct {
 	obs    potential.Observed
 	sliced bool
 	// weight is the sum over the graph's tasks of the table each ranges over,
-	// at this slicing: Graph.TotalWeight at the full domain.
-	weight float64
+	// at this slicing (Graph.TotalWeight at the full domain), liveWeight over the live ones.
+	weight, liveWeight float64
+
+	// live is the run's task mask (Target): nil when every task runs, else
+	// mask, one entry per task, skipped of them false; reach then says per
+	// clique whether a distribute message arrives. Recycled with the state.
+	live, mask, reach []bool
+	skipped           int
 }
 
 // scratch is the run-lifetime half of a State. Nothing in it carries over
@@ -149,8 +155,7 @@ func (g *Graph) NewStateMode(mode Mode) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.prime()
-	return st, nil
+	return st, st.prime()
 }
 
 // NewStateEvidence is NewStateMode followed by AbsorbEvidence, with the
@@ -222,33 +227,65 @@ func (g *Graph) newState(mode Mode) (*State, error) {
 func (st *State) Reset(mode Mode) {
 	st.mode = mode
 	st.obs = st.obs[:0]
-	st.prime()
+	_ = st.prime() // nothing is sliced, so no plan is compiled and nothing can fail
 }
 
-// prime makes the tables the tree's potentials restricted to st.obs, and the
-// scratch views — message buffers, plans — the shapes those tables have. The
-// plans are the graph's; AbsorbEvidence replaces the ones slicing invalidates.
-func (st *State) prime() {
+// prime makes the tables the tree's potentials restricted to st.obs, drops the
+// last run's mask and attaches a scratch for the shapes those tables have.
+func (st *State) prime() error {
+	t := st.g.Tree
+	st.sliced = false
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		st.sliced = st.slice(st.Clique[i], c.Pot) || st.sliced
+		if c.Parent >= 0 {
+			st.slice(st.Sep[i], c.SepPot)
+		}
+	}
+	err := st.attach()
+	st.Target(nil)
+	return err
+}
+
+// attach gives the state a run scratch (its own still, or one from the graph's
+// pool) for the shapes its tables have now — message buffers resliced, plans
+// recompiled where evidence sliced a clique: they depend on which variables are
+// observed, never on their states — and prices the whole graph at those shapes.
+func (st *State) attach() error {
 	g, t := st.g, st.g.Tree
 	if st.run == nil {
 		st.run = g.getScratch()
 	}
 	sc := st.run
-	st.sliced = false
+	copy(sc.plans, g.plans)
+	entries := 0
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
-		st.sliced = st.slice(st.Clique[i], c.Pot) || st.sliced
 		if c.Parent < 0 {
 			continue
 		}
-		st.slice(st.Sep[i], c.SepPot)
+		ch, pa, sep := st.Clique[i], st.Clique[c.Parent], st.Sep[i]
+		entries += ch.Len() + pa.Len() + sep.Len()
 		// A message has its separator's domain; the cardinalities are shared,
 		// which keeps Combine's domain check meaningful.
 		b := sc.sepNew[i]
-		b.Card, b.Data = st.Sep[i].Card, b.Data[:st.Sep[i].Len()]
+		b.Card, b.Data = sep.Card, b.Data[:sep.Len()]
+		var err error
+		if ch.Len() != c.Pot.Len() {
+			sc.plans[i].Child = &sc.own[2*i]
+			err = sc.plans[i].Child.Recompile(ch.Vars, ch.Card, sep.Vars, sep.Card)
+		}
+		if pa.Len() != t.Cliques[c.Parent].Pot.Len() && err == nil {
+			sc.plans[i].Parent = &sc.own[2*i+1]
+			err = sc.plans[i].Parent.Recompile(pa.Vars, pa.Card, sep.Vars, sep.Card)
+		}
+		if err != nil {
+			return fmt.Errorf("taskgraph: edge (%d, %d): %w", i, c.Parent, err)
+		}
 	}
-	copy(sc.plans, g.plans)
-	st.weight = g.TotalWeight()
+	// Both passes range over the same three tables of every edge.
+	st.weight = float64(2 * entries)
+	return nil
 }
 
 // slice makes dst the table src restricted to st.obs, growing dst when it has
@@ -324,34 +361,7 @@ func (st *State) AbsorbEvidence(ev potential.Evidence) error {
 		return fmt.Errorf("taskgraph: %w", err)
 	}
 	st.obs = obs
-	st.prime()
-	if !st.sliced {
-		return nil
-	}
-	t, sc := st.g.Tree, st.run
-	entries := 0
-	for i := range t.Cliques {
-		c := &t.Cliques[i]
-		if c.Parent < 0 {
-			continue
-		}
-		ch, pa, sep := st.Clique[i], st.Clique[c.Parent], st.Sep[i]
-		entries += ch.Len() + pa.Len() + sep.Len()
-		var err error
-		if ch.Len() != c.Pot.Len() {
-			sc.plans[i].Child = &sc.own[2*i]
-			err = sc.plans[i].Child.Recompile(ch.Vars, ch.Card, sep.Vars, sep.Card)
-		}
-		if pa.Len() != t.Cliques[c.Parent].Pot.Len() && err == nil {
-			sc.plans[i].Parent = &sc.own[2*i+1]
-			err = sc.plans[i].Parent.Recompile(pa.Vars, pa.Card, sep.Vars, sep.Card)
-		}
-		if err != nil {
-			return fmt.Errorf("taskgraph: edge (%d, %d): %w", i, c.Parent, err)
-		}
-	}
-	st.weight = float64(st.g.passes * entries)
-	return nil
+	return st.prime()
 }
 
 // Observed returns the hard evidence the state is sliced on, in dense form;
@@ -360,9 +370,80 @@ func (st *State) AbsorbEvidence(ev potential.Evidence) error {
 func (st *State) Observed() potential.Observed { return st.obs }
 
 // Weight returns the run's total work in table entries: the sum over the
-// graph's tasks of the table each ranges over at this slicing. At the full
-// domain it is Graph.TotalWeight.
-func (st *State) Weight() float64 { return st.weight }
+// tasks the mask leaves standing of the table each ranges over at this
+// slicing. With no mask at the full domain it is Graph.TotalWeight.
+func (st *State) Weight() float64 { return st.liveWeight }
+
+// GraphWeight is Weight with the mask lifted, a function of the evidence
+// alone: what the partition verdict is asked about, so that a targeted run
+// cuts the tasks the full run of the same evidence cuts.
+func (st *State) GraphWeight() float64 { return st.weight }
+
+// Target masks the next run down to what reading the given variables needs:
+// the collect pass and the distribute messages on the paths from the root to
+// the clique each is read from (jtree.Tree.CliqueOf). What follows a skipped
+// message is skipped with it, so no live task waits on a masked one, and
+// distributing to a sibling never writes the parent, so every clique reached
+// and the root's mass after collect hold the full run's bits. nil lifts the
+// mask, as the next Reset or AbsorbEvidence does; an empty list leaves the
+// collect pass alone; ids the tree lacks are ignored.
+func (st *State) Target(vars []int) {
+	st.live, st.skipped, st.liveWeight = nil, 0, st.weight
+	if vars == nil {
+		return
+	}
+	t, tasks := st.g.Tree, st.g.Tasks
+	if st.mask == nil {
+		st.mask, st.reach = make([]bool, len(tasks)), make([]bool, t.N())
+	}
+	clear(st.reach)
+	for _, v := range vars {
+		for c := t.CliqueOf(v); c >= 0 && !st.reach[c]; c = t.Cliques[c].Parent {
+			st.reach[c] = true
+		}
+	}
+	for id := range tasks {
+		tk := &tasks[id]
+		st.mask[id] = tk.Dir == Collect || st.reach[tk.Edge]
+		if !st.mask[id] {
+			st.skipped++
+			st.liveWeight -= float64(st.PartitionSize(id))
+		}
+	}
+	if st.skipped > 0 {
+		st.live = st.mask
+	}
+}
+
+// Live returns the run's task mask for the scheduler (sched.Options.Live).
+func (st *State) Live() []bool { return st.live }
+
+// Skipped returns how many of the graph's tasks the mask leaves out.
+func (st *State) Skipped() int { return st.skipped }
+
+// Reached reports whether clique ci holds its calibrated potential after the
+// run: always unmasked, else the root and the cliques on the targets' paths.
+func (st *State) Reached(ci int) bool {
+	return st.live == nil || ci == st.g.Tree.Root || st.reach[ci]
+}
+
+// Resume turns a state whose targeted run has succeeded into the run of what
+// it skipped: the mask becomes its complement and a scratch is attached for
+// the tables as they stand, nothing re-sliced. The remainder's predecessors
+// ran already — a pool's dependency counters would wait for them — so one
+// goroutine executes it (RunSerial, sched.RunInline); Target(nil) then lifts
+// the mask over a fully calibrated state. A state without a mask is left alone.
+func (st *State) Resume() error {
+	if st.live == nil {
+		return nil
+	}
+	for id := range st.live {
+		st.live[id] = !st.live[id]
+	}
+	st.skipped = len(st.live) - st.skipped
+	st.liveWeight = st.weight - st.liveWeight
+	return st.attach()
+}
 
 // Lift returns p — a table derived from the state's, so with cardinality 1
 // for every observed variable — over the full domain: the entries of p at the
@@ -559,7 +640,7 @@ func divideRange(num, den []float64, lo, hi int) error {
 	return nil
 }
 
-// RunSerial executes every task in topological order on this state. It is
+// RunSerial executes every live task in topological order on this state. It is
 // the reference executor; all parallel schedulers must produce bitwise the
 // same clique potentials (up to floating-point associativity in partitioned
 // marginalizations).
@@ -569,6 +650,9 @@ func (st *State) RunSerial() error {
 		return err
 	}
 	for _, id := range order {
+		if st.live != nil && !st.live[id] {
+			continue
+		}
 		if err := st.Execute(id); err != nil {
 			return fmt.Errorf("taskgraph: task %s: %w", st.g.Tasks[id].String(), err)
 		}
@@ -613,7 +697,7 @@ func (st *State) EvidenceMass() float64 {
 func (st *State) MassScale() float64 { return 1 }
 
 // Calibrate is a no-op on the eager state: a full two-pass propagation
-// leaves every clique and separator calibrated already.
+// leaves every clique and separator calibrated already (Resume for a masked one).
 func (st *State) Calibrate() error { return nil }
 
 // Marginal extracts the normalized posterior of variable v from the state

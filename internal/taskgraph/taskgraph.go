@@ -125,11 +125,6 @@ type Task struct {
 type Graph struct {
 	Tree  *jtree.Tree
 	Tasks []Task
-	// passes is how many messages Build put on every tree edge: 1 for a
-	// collect-only graph, 2 with the distribute pass. Each is a Marginalize
-	// over one clique of the edge, a Divide over its separator and a Multiply
-	// over the other clique, which is how a State prices a sliced run.
-	passes int
 
 	derive   sync.Once
 	order    []int   // topological order, nil when the graph has a cycle
@@ -165,22 +160,12 @@ func (e EdgePlans) Of(clique, child int) *potential.Plan {
 type taskIdx struct{ cm, cd, cu, dm, dd, du int }
 
 // Build constructs the full two-pass dependency graph for the given
-// (possibly skeleton) junction tree. A tree with a single clique yields an
-// empty graph.
-func Build(t *jtree.Tree) *Graph { return build(t, true) }
-
-// BuildCollectOnly constructs only the collection pass (leaves to root).
-// After executing it, the root clique — and only the root clique — holds
-// the evidence-calibrated potential, which suffices to answer queries about
-// the root clique's variables with roughly half the work of a full
-// propagation.
-func BuildCollectOnly(t *jtree.Tree) *Graph { return build(t, false) }
-
-func build(t *jtree.Tree, withDistribute bool) *Graph {
-	g := &Graph{Tree: t, passes: 1}
-	if withDistribute {
-		g.passes = 2
-	}
+// (possibly skeleton) junction tree: two messages on every tree edge, each a
+// Marginalize over one clique of the edge, a Divide over its separator and a
+// Multiply over the other clique. A tree with a single clique yields an empty
+// graph. A run that needs less than both passes masks tasks (State.Target).
+func Build(t *jtree.Tree) *Graph {
+	g := &Graph{Tree: t}
 	idx := make(map[int]taskIdx) // child clique id -> its edge's tasks
 
 	add := func(k Kind, d Direction, edge, source, target int, w float64, grain int) int {
@@ -216,20 +201,15 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 			cm: add(Marginalize, Collect, c, c, p, childSize, childGrain),
 			cd: add(Divide, Collect, c, c, p, sepSize, 1),
 			cu: add(Multiply, Collect, c, c, p, parentSize, parentGrain),
-			dm: -1, dd: -1, du: -1,
-		}
-		if withDistribute {
-			ti.dm = add(Marginalize, Distribute, c, p, c, parentSize, parentGrain)
-			ti.dd = add(Divide, Distribute, c, p, c, sepSize, 1)
-			ti.du = add(Multiply, Distribute, c, p, c, childSize, childGrain)
+			dm: add(Marginalize, Distribute, c, p, c, parentSize, parentGrain),
+			dd: add(Divide, Distribute, c, p, c, sepSize, 1),
+			du: add(Multiply, Distribute, c, p, c, childSize, childGrain),
 		}
 		// Local chains: M -> D -> U in both directions.
 		dep(ti.cm, ti.cd)
 		dep(ti.cd, ti.cu)
-		if withDistribute {
-			dep(ti.dm, ti.dd)
-			dep(ti.dd, ti.du)
-		}
+		dep(ti.dm, ti.dd)
+		dep(ti.dd, ti.du)
 		idx[c] = ti
 	}
 
@@ -253,9 +233,6 @@ func build(t *jtree.Tree, withDistribute bool) *Graph {
 			// into c (transitively via the last element of the chain).
 			if lastCU >= 0 {
 				dep(lastCU, ti.cm)
-			}
-			if !withDistribute {
-				continue
 			}
 			// The downward marginalization toward c reads ψp, which must
 			// be fully updated first.

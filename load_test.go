@@ -22,10 +22,14 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 		name                     string
 		nodes, parents, observed int
 		mpe                      bool
+		targets                  int     // variables declared to Propagate
 		parent                   float64 // allocations per op at the parent commit
 	}{
-		{"small40 Propagate+Close", 40, 3, 4, false, 18},
-		{"mid60 Propagate+MPE+Close", 60, 4, 30, true, 246},
+		{"small40 Propagate+Close", 40, 3, 4, false, 0, 18},
+		{"mid60 Propagate+MPE+Close", 60, 4, 30, true, 0, 246},
+		// What declaring targets may add: the slice of their ids. The mask is
+		// the recycled state's.
+		{"small40 Propagate(3 targets)+Close", 40, 3, 4, false, 3, 18 + 1},
 	} {
 		net := RandomNetwork(tc.nodes, 2, tc.parents, 7)
 		eng, err := net.Compile(Options{Workers: 2})
@@ -33,9 +37,15 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		ev := benchmarkEvidence(net, 1, tc.observed, 1)[0]
+		var targets []string
+		for _, v := range net.Variables() {
+			if _, observed := ev[v]; !observed && len(targets) < tc.targets {
+				targets = append(targets, v)
+			}
+		}
 		check := true // name the executor while warming up, not while counting
 		query := func() {
-			res, err := eng.Propagate(ev)
+			res, err := eng.Propagate(ev, targets...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,8 +56,8 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 			}
 			if check {
 				for _, rec := range res.Records() {
-					if rec.Executor != "inline" {
-						t.Fatalf("%s: executor %q, want the inline path", tc.name, rec.Executor)
+					if rec.Executor != "inline" || (rec.TasksSkipped > 0) != (tc.targets > 0) {
+						t.Fatalf("%s: executor %q, want the inline path; %d tasks skipped", tc.name, rec.Executor, rec.TasksSkipped)
 					}
 				}
 			}

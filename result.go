@@ -52,28 +52,41 @@ func (r *QueryResult) Cached() bool { return r.rec.Cached }
 // Propagate runs one evidence propagation and returns the session result.
 // Any number of goroutines may Propagate on the same engine concurrently;
 // no external locking is needed.
-func (e *Engine) Propagate(ev Evidence) (*QueryResult, error) {
-	return e.PropagateContext(context.Background(), ev)
+//
+// targets optionally name the variables the caller is going to read; none
+// named means every variable. A propagation nobody else will read — any on an
+// engine without a cache, the first sight of its evidence on one with — then
+// sends root-to-leaf messages only toward those variables' cliques
+// (FlightRecord.TasksSkipped). Targets never change a bit of what a read
+// returns and never forbid one: a result asked for anything else first finishes
+// the propagation, once, as a second recorded run. Unknown: ErrUnknownVariable.
+func (e *Engine) Propagate(ev Evidence, targets ...string) (*QueryResult, error) {
+	return e.PropagateContext(context.Background(), ev, targets...)
 }
 
 // PropagateContext is Propagate with cancellation: a cancelled context
 // stops the scheduler run at the next task boundary and returns ctx.Err().
-func (e *Engine) PropagateContext(ctx context.Context, ev Evidence) (*QueryResult, error) {
-	return e.propagateSession(ctx, ev, nil)
+func (e *Engine) PropagateContext(ctx context.Context, ev Evidence, targets ...string) (*QueryResult, error) {
+	return e.PropagateSoftContext(ctx, ev, nil, targets...)
 }
 
 // PropagateSoft runs one propagation with both hard and soft (likelihood)
-// evidence and returns the session result.
-func (e *Engine) PropagateSoft(ev Evidence, soft SoftEvidence) (*QueryResult, error) {
-	return e.propagateSession(context.Background(), ev, soft)
+// evidence and returns the session result; targets as in Propagate.
+func (e *Engine) PropagateSoft(ev Evidence, soft SoftEvidence, targets ...string) (*QueryResult, error) {
+	return e.PropagateSoftContext(context.Background(), ev, soft, targets...)
 }
 
 // PropagateSoftContext is PropagateSoft with cancellation.
-func (e *Engine) PropagateSoftContext(ctx context.Context, ev Evidence, soft SoftEvidence) (*QueryResult, error) {
-	return e.propagateSession(ctx, ev, soft)
+func (e *Engine) PropagateSoftContext(ctx context.Context, ev Evidence, soft SoftEvidence, targets ...string) (*QueryResult, error) {
+	if len(targets) == 0 {
+		targets = nil // none named: every variable
+	}
+	return e.propagateSession(ctx, ev, soft, targets)
 }
 
-func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvidence) (*QueryResult, error) {
+// propagateSession is the one session constructor: nil targets declare
+// nothing, empty non-nil ones that no variable will be read (P(e) alone).
+func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvidence, targets []string) (*QueryResult, error) {
 	if e == nil || e.inner == nil || e.net == nil {
 		return nil, ErrUncompiled
 	}
@@ -88,8 +101,14 @@ func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvi
 			return nil, err
 		}
 	}
+	var ids []int
+	if targets != nil {
+		if ids, err = e.net.names(targets); err != nil {
+			return nil, err
+		}
+	}
 	e.syncModelVersion()
-	res, rec, err := e.inner.PropagateCachedContext(ctx, iev, like)
+	res, rec, err := e.inner.PropagateCachedContext(ctx, iev, like, ids...)
 	if err != nil {
 		return nil, err
 	}
@@ -182,18 +201,22 @@ func (r *QueryResult) Metrics() *RunMetrics {
 }
 
 // Records returns the engine's record of every propagation behind this
-// result: the sum-product pass, then the max-product pass once MPE has run
-// one. They are the entries the flight recorder holds for this query
+// result: the sum-product pass, the run that completed it if a read went
+// beyond the declared targets (Propagate), then the max-product pass once MPE
+// has run one. They are the entries the flight recorder holds for this query
 // (RecentQueries), and exist whether or not a recorder is attached. It
 // stays available after Close.
 func (r *QueryResult) Records() []FlightRecord {
 	r.mu.Lock()
-	maxRec := r.maxRec
+	recs := [...]*obs.QueryRecord{r.rec, r.res.Completion(), r.maxRec}
 	r.mu.Unlock()
-	if maxRec == nil {
-		return []FlightRecord{r.eng.publicRecord(r.rec)}
+	var out []FlightRecord // one record, one allocation: evserve asks per request
+	for _, rec := range recs {
+		if rec != nil {
+			out = append(out, r.eng.publicRecord(rec))
+		}
 	}
-	return []FlightRecord{r.eng.publicRecord(r.rec), r.eng.publicRecord(maxRec)}
+	return out
 }
 
 // runMetricsFromReport converts an internal run report to the public type.

@@ -29,16 +29,27 @@ func servedModel(t testing.TB, nodes, parents int) *Network {
 // request stream for a traffic seed (benchmark/spec.go: lane 0 of newStream):
 // width distinct variables off a permutation, each in a random state.
 func benchmarkEvidence(net *Network, seed int64, width, n int) []Evidence {
+	evs, _ := benchmarkQueries(net, seed, width, 0, n)
+	return evs
+}
+
+// benchmarkQueries is benchmarkEvidence with the stream's query lists beside
+// it: the next targets variables off each request's permutation.
+func benchmarkQueries(net *Network, seed int64, width, targets, n int) ([]Evidence, [][]string) {
 	rng := rand.New(rand.NewSource(seed*1_000_003 + 1))
 	vars := net.Variables()
-	out := make([]Evidence, n)
-	for q := range out {
-		out[q] = Evidence{}
-		for _, i := range rng.Perm(len(vars))[:width] {
-			out[q][vars[i]] = rng.Intn(net.States(vars[i]))
+	evs, asked := make([]Evidence, n), make([][]string, n)
+	for q := range evs {
+		evs[q] = Evidence{}
+		perm := rng.Perm(len(vars))
+		for _, i := range perm[:width] {
+			evs[q][vars[i]] = rng.Intn(net.States(vars[i]))
+		}
+		for _, i := range perm[width : width+targets] {
+			asked[q] = append(asked[q], vars[i])
 		}
 	}
-	return out
+	return evs, asked
 }
 
 // TestWorkFollowsEvidence asserts, without a clock, that a query costs what
