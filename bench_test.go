@@ -543,10 +543,11 @@ func BenchmarkPropagateTwoModels(b *testing.B) {
 }
 
 // BenchmarkAbsorb is what priming a recycled state for a query costs on the
-// same three models and widths: every table gathered from the tree at the
-// observed states, and a kernel plan compiled for each (clique ⊇ separator)
-// pair that holds an observed variable. entries/op is the run that follows,
-// in table entries, against the graph's full weight.
+// same three models and widths: the tables the evidence slices gathered from
+// the tree at the observed states, every other table only sized, and a kernel
+// plan compiled for each (clique ⊇ separator) pair that holds an observed
+// variable. entries/op is the run that follows, in table entries, against the
+// graph's full weight; written/op the entries absorb wrote (absorbWrites).
 func BenchmarkAbsorb(b *testing.B) {
 	for _, m := range evidenceModels {
 		b.Run(m.name, func(b *testing.B) {
@@ -561,14 +562,17 @@ func BenchmarkAbsorb(b *testing.B) {
 				b.Fatal(err)
 			}
 			var evs []potential.Evidence
+			var writes []int // per evidence, the entries its absorb writes
 			for _, ev := range benchmarkEvidence(net, 1, m.observed, 64) {
 				iev, err := net.evidence(ev)
 				if err != nil {
 					b.Fatal(err)
 				}
 				evs = append(evs, iev)
+				c, s, _ := absorbWrites(b, st, iev)
+				writes = append(writes, c+s)
 			}
-			entries := 0.0
+			entries, written := 0.0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -576,8 +580,10 @@ func BenchmarkAbsorb(b *testing.B) {
 					b.Fatal(err)
 				}
 				entries += st.Weight()
+				written += writes[i%len(evs)]
 			}
 			b.ReportMetric(entries/float64(b.N), "entries/op")
+			b.ReportMetric(float64(written)/float64(b.N), "written/op")
 			b.ReportMetric(g.TotalWeight(), "graph-entries")
 		})
 	}

@@ -342,8 +342,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(r *modelRow) float64 { return float64(r.Propagations) })
 	ready.family("evprop_workers", "Configured propagation workers.", "gauge",
 		func(r *modelRow) float64 { return float64(r.Workers) })
-	// The histogram is obs.Histogram.WritePrometheus with a model label on
-	// every series; buckets with a traced observation carry its exemplar.
+	// One histogram per model — cumulative le buckets, _sum and _count, a model
+	// label on every series; buckets with a traced observation carry its
+	// exemplar.
 	const duration = "evprop_request_duration_seconds"
 	obs.WriteHeader(w, duration, "End-to-end propagation latency of successful requests.", "histogram")
 	for _, r := range ready.rows {

@@ -22,18 +22,20 @@ import (
 
 // fullDomainResult is the absorb the engine had before it sliced, kept as the
 // reference: the tree's tables at the full domain, every entry that
-// contradicts the evidence zeroed (Reduce on every clique), propagated in
-// topological order on one goroutine.
+// contradicts the evidence zeroed (Reduce on every clique of a copy of the
+// engine's tree — a state's tables hold their values only once the run has
+// written them), propagated in topological order on one goroutine.
 func fullDomainResult(t testing.TB, e *Engine, mode taskgraph.Mode, ev potential.Evidence, like potential.Likelihood) *Result {
 	t.Helper()
-	st, err := e.graph.NewStateMode(mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range st.Clique {
-		if err := p.Reduce(ev); err != nil {
+	tr := e.tree.Clone()
+	for i := range tr.Cliques {
+		if err := tr.Cliques[i].Pot.Reduce(ev); err != nil {
 			t.Fatal(err)
 		}
+	}
+	st, err := taskgraph.Build(tr).NewStateMode(mode)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := st.AbsorbLikelihood(like); err != nil {
 		t.Fatal(err)

@@ -20,8 +20,9 @@ import (
 
 // Clique is one vertex of a junction tree. Vars is sorted ascending and
 // Card is parallel to it. Parent is -1 for the root. SepVars/SepCard
-// describe the separator with the parent (empty for the root). Pot and
-// SepPot are nil in skeleton trees.
+// describe the separator with the parent (empty for the root). Pot is nil in
+// skeleton trees. A separator has no table here: every propagation starts it
+// at one, so a state sizes its own from SepCard.
 type Clique struct {
 	Vars     []int
 	Card     []int
@@ -30,7 +31,6 @@ type Clique struct {
 	SepVars  []int
 	SepCard  []int
 	Pot      *potential.Potential
-	SepPot   *potential.Potential
 }
 
 // Width returns the number of variables in the clique.
@@ -174,11 +174,6 @@ func (t *Tree) Validate() error {
 		if c.Pot != nil {
 			if !equalInts(c.Pot.Vars, c.Vars) || !equalInts(c.Pot.Card, c.Card) {
 				return fmt.Errorf("jtree: clique %d potential domain mismatch", i)
-			}
-		}
-		if c.SepPot != nil {
-			if !equalInts(c.SepPot.Vars, c.SepVars) || !equalInts(c.SepPot.Card, c.SepCard) {
-				return fmt.Errorf("jtree: clique %d separator potential domain mismatch", i)
 			}
 		}
 	}
@@ -395,17 +390,14 @@ func (t *Tree) Clone() *Tree {
 		if c.Pot != nil {
 			n.Pot = c.Pot.Clone()
 		}
-		if c.SepPot != nil {
-			n.SepPot = c.SepPot.Clone()
-		}
 		out.Cliques[i] = n
 	}
 	return out
 }
 
 // MaterializeUniform allocates potentials for a skeleton tree: clique
-// potentials constant 1 and separator potentials constant 1. The resulting
-// distribution is uniform; it is mostly useful in tests.
+// potentials constant 1. The resulting distribution is uniform; it is mostly
+// useful in tests.
 func (t *Tree) MaterializeUniform() error {
 	return t.materialize(func(*Clique, []float64) {
 		// leave the constant-1 fill in place
@@ -413,8 +405,8 @@ func (t *Tree) MaterializeUniform() error {
 }
 
 // MaterializeRandom allocates potentials with positive pseudo-random clique
-// entries (seeded, reproducible) and all-ones separators. This mirrors the
-// randomized junction trees of the paper's Section 7.
+// entries (seeded, reproducible). This mirrors the randomized junction trees
+// of the paper's Section 7.
 func (t *Tree) MaterializeRandom(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	return t.materialize(func(_ *Clique, data []float64) {
@@ -433,15 +425,6 @@ func (t *Tree) materialize(fill func(*Clique, []float64)) error {
 		}
 		fill(c, pot.Data)
 		c.Pot = pot
-		if c.Parent >= 0 {
-			sep, err := potential.NewConstant(c.SepVars, c.SepCard, 1)
-			if err != nil {
-				return fmt.Errorf("jtree: clique %d separator: %w", i, err)
-			}
-			c.SepPot = sep
-		} else {
-			c.SepPot = nil
-		}
 	}
 	return nil
 }

@@ -204,13 +204,9 @@ func TestMaterialize(t *testing.T) {
 		t.Fatalf("Validate after materialize: %v", err)
 	}
 	for i := range tr.Cliques {
-		c := &tr.Cliques[i]
-		if c.Pot == nil || (c.Parent >= 0 && c.SepPot == nil) {
+		if c := &tr.Cliques[i]; c.Pot == nil || c.Pot.Len() != c.TableSize() {
 			t.Fatalf("clique %d not materialized", i)
 		}
-	}
-	if tr.Cliques[tr.Root].SepPot != nil {
-		t.Error("root has a separator potential")
 	}
 }
 

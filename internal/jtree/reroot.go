@@ -34,25 +34,7 @@ func (t *Tree) Reroot(newRoot int) (*Tree, error) {
 	out.Cliques[newRoot].Parent = -1
 	out.Root = newRoot
 	out.RecomputeSeparators()
-	// Separator potentials follow edges; after reversal the separator
-	// potential of an edge must live on the downstream (child) clique.
-	out.realignSepPots(t, path)
 	return out, nil
-}
-
-// realignSepPots moves separator potentials to the new child side of every
-// reversed edge. Only edges on the reroot path flip direction.
-func (out *Tree) realignSepPots(old *Tree, path []int) {
-	for k := 0; k+1 < len(path); k++ {
-		child, parent := path[k], path[k+1]
-		// In the old tree the edge's separator potential lived on `child`
-		// (it was the downstream side); now `parent` is downstream.
-		out.Cliques[parent].SepPot = old.Cliques[child].SepPot
-		if out.Cliques[parent].SepPot != nil {
-			out.Cliques[parent].SepPot = out.Cliques[parent].SepPot.Clone()
-		}
-	}
-	out.Cliques[out.Root].SepPot = nil
 }
 
 func removeInt(s []int, v int) []int {

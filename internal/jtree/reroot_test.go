@@ -91,21 +91,17 @@ func TestRerootPreservesPotentials(t *testing.T) {
 			t.Errorf("clique %d potential changed by reroot", i)
 		}
 	}
-	// Every non-root clique must carry a separator potential over the
-	// correct domain.
+	// Every non-root clique must carry the separator domain of its edge.
 	for i := range rt.Cliques {
 		c := &rt.Cliques[i]
 		if c.Parent < 0 {
-			if c.SepPot != nil {
-				t.Error("new root kept a separator potential")
+			if len(c.SepVars) != 0 {
+				t.Error("new root kept a separator")
 			}
 			continue
 		}
-		if c.SepPot == nil {
-			t.Fatalf("clique %d lost its separator potential", i)
-		}
-		if len(c.SepPot.Vars) != len(c.SepVars) {
-			t.Errorf("clique %d separator domain mismatch", i)
+		if len(c.SepVars) == 0 || len(c.SepVars) != len(c.SepCard) {
+			t.Errorf("clique %d separator domain %v/%v", i, c.SepVars, c.SepCard)
 		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 )
 
 // This file implements just enough of the Prometheus text exposition format
-// (version 0.0.4) for /v1/metrics: HELP/TYPE headers, counters and gauges
-// with optional labels, and histograms with cumulative le buckets. Writing
-// the format by hand keeps the container dependency-free; any Prometheus
-// scraper parses it.
+// (version 0.0.4) for /v1/metrics: HELP/TYPE headers, and sample lines with
+// optional labels and an optional exemplar — from which cmd/evserve renders
+// its counters, gauges and histograms (cumulative le buckets). Writing the
+// format by hand keeps the container dependency-free; any Prometheus scraper
+// parses it.
 
 // WriteHeader emits the # HELP and # TYPE lines for a metric.
 func WriteHeader(w io.Writer, name, help, typ string) {
@@ -82,18 +83,4 @@ func seriesRef(name string, labels map[string]string) string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// WritePrometheus emits the histogram as a Prometheus histogram metric:
-// cumulative le buckets in seconds, plus _sum and _count. Buckets with a
-// traced observation carry its exemplar, so a dashboard's slow-bucket
-// click-through lands on the matching trace.
-func (h *Histogram) WritePrometheus(w io.Writer, name, help string) {
-	WriteHeader(w, name, help, "histogram")
-	bounds, cumulative := h.Buckets()
-	for i, b := range bounds {
-		WriteSampleExemplar(w, name+"_bucket", map[string]string{"le": formatValue(b)}, float64(cumulative[i]), h.BucketExemplar(i))
-	}
-	WriteSample(w, name+"_sum", nil, h.Sum().Seconds())
-	WriteSample(w, name+"_count", nil, float64(h.Count()))
 }

@@ -16,35 +16,49 @@ package potential
 // the task's grain (see PartitionGrain) so constant-run reductions stay
 // private to one piece — but correctness never depends on it.
 
+import "fmt"
+
 // MulRange multiplies entries [lo, hi) of p in place by the aligned entries
 // of q; p and q must have the sizes the plan was compiled for.
 func (pl *Plan) MulRange(p, q *Potential, lo, hi int) error {
-	if err := pl.check("multiply", len(p.Data), len(q.Data), lo, hi); err != nil {
+	return pl.MulRangeFrom(p, p, q, lo, hi)
+}
+
+// MulRangeFrom writes entries [lo, hi) of dst as those of src times the
+// aligned entries of q: the same product per entry as copying src into dst and
+// multiplying in place, in one pass. src is only read, so the pieces of a
+// partitioned task may share it; dst and src must have the same size.
+func (pl *Plan) MulRangeFrom(dst, src, q *Potential, lo, hi int) error {
+	if err := pl.check("multiply", len(dst.Data), len(q.Data), lo, hi); err != nil {
 		return err
 	}
-	pd, qd := p.Data, q.Data
+	if len(src.Data) != len(dst.Data) {
+		return fmt.Errorf("multiply: source of %d entries for a table of %d", len(src.Data), len(dst.Data))
+	}
+	dd, sd, qd := dst.Data, src.Data, q.Data
 	var c cursor
 	base := pl.seek(&c, lo)
 	for s := lo; s < hi; {
 		e := min(base+pl.block, hi)
-		seg := pd[s:e]
+		seg, in := dd[s:e], sd[s:e]
 		switch pl.shape {
 		case tiled:
 			offs, qs := pl.tile[s-base:e-base], qd[c.sub:]
-			seg = seg[:len(offs)]
+			seg, in = seg[:len(offs)], in[:len(offs)]
 			for k, o := range offs {
-				seg[k] *= qs[o]
+				seg[k] = in[k] * qs[o]
 			}
 		case contigRun:
 			qs := qd[c.sub+(s-base):]
-			qs = qs[:len(seg)]
+			qs, in = qs[:len(seg)], in[:len(seg)]
 			for k := range seg {
-				seg[k] *= qs[k]
+				seg[k] = in[k] * qs[k]
 			}
 		default:
 			f := qd[c.sub]
+			in = in[:len(seg)]
 			for k := range seg {
-				seg[k] *= f
+				seg[k] = in[k] * f
 			}
 		}
 		s, base = e, e

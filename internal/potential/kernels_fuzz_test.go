@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzKernelBlockedVsScalar drives the five plan kernels against their
-// per-entry scalar reference implementations with fuzzer-chosen domains,
+// per-entry scalar reference implementations (and MulRangeFrom against copy +
+// MulRange) with fuzzer-chosen domains,
 // subset masks, range endpoints and table contents (including zeros, for the
 // 0/0 = 0 division convention), requiring bit-identical results — the same
 // differential style as internal/cache's FuzzEvidenceSignature. One plan is
@@ -88,6 +89,27 @@ func FuzzKernelBlockedVsScalar(f *testing.F) {
 			t.Fatal(err)
 		}
 		bits(w1.Data, w2.Data, "multiply")
+
+		// The first writer's form: out of the prior into a table holding
+		// anything, entries outside [lo, hi) left alone — the bits of copying the
+		// prior in and multiplying in place.
+		from := p.CloneZero()
+		for i := range from.Data {
+			from.Data[i] = math.NaN()
+		}
+		if err := pl.MulRangeFrom(from, p, q, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		w1 = p.Clone()
+		if err := pl.MulRange(w1, q, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		for i := range w1.Data {
+			if i < lo || i >= hi {
+				w1.Data[i] = math.NaN()
+			}
+		}
+		bits(from.Data, w1.Data, "multiply-from")
 
 		w1, w2 = p.Clone(), p.Clone()
 		if err := pl.DivRange(w1, q, lo, hi); err != nil {

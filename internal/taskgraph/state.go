@@ -42,6 +42,17 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 // start as the tree's potentials restricted to the evidence, are calibrated by
 // the run, and live for as long as anything reads the result.
 //
+// Absorbing evidence writes only what the evidence changes. A clique it
+// slices is gathered into the state's table (below); one it leaves whole is
+// only sized, and its first writer — the head of its collect-Multiply chain,
+// or a leaf's distribute Multiply — reads the tree's table and writes the
+// state's (potential.Plan.MulRangeFrom: the bits of copying and multiplying in
+// place), as a leaf's collect Marginalize reads the tree's. So a clique's table
+// holds its value once its first writer has run; a leaf a mask skips is written
+// by Resume. A separator is only sized: every one starts at one, the collect
+// Marginalize reduces into it and its Divide has nothing to compute. No task
+// writes a tree table.
+//
 // The run scratch — the per-edge message buffers, the partial-buffer free
 // lists and the kernel plans of this run's table shapes — is written and read
 // only by the tasks of one scheduler run; no accessor below ever looks at it.
@@ -69,10 +80,15 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 type State struct {
 	g    *Graph
 	mode Mode
-	// Clique[i] is the working potential of clique i, over the sliced domain.
+	// Clique[i] is the working potential of clique i, over the sliced domain,
+	// once its first writer has run.
 	Clique []*potential.Potential
-	// Sep[c] is the stored separator potential ψS of the edge (c, parent).
+	// Sep[c] is the stored separator potential ψS of the edge (c, parent),
+	// once the collect message over the edge has been marginalized.
 	Sep []*potential.Potential
+	// unwritten[i] says that absorb left Clique[i] unwritten for its first
+	// writer to fill from the tree's table.
+	unwritten []bool
 	// run is the attached run scratch, nil from ReleaseScratch to the next
 	// Reset or AbsorbEvidence.
 	run *scratch
@@ -99,8 +115,8 @@ type State struct {
 // semiring and under any evidence, without being cleared. Every buffer is
 // allocated at its separator's full size and resliced to the run's.
 type scratch struct {
-	// sepNew[c] receives the freshly marginalized ψ*S, then holds the
-	// ratio ψ*S/ψS after the Divide step, which Multiply reads.
+	// sepNew[c] receives the distribute message's freshly marginalized ψ*S,
+	// then holds the ratio ψ*S/ψS after the Divide step, which Multiply reads.
 	sepNew []*potential.Potential
 	// plans[c] are the kernel walks of edge c for this run's table shapes: the
 	// graph's own where the clique holds no observed variable, otherwise
@@ -129,7 +145,7 @@ func newScratch(t *jtree.Tree) *scratch {
 		if c.Parent < 0 {
 			continue
 		}
-		sc.sepNew[i] = &potential.Potential{Vars: c.SepVars, Data: make([]float64, c.SepPot.Len())}
+		sc.sepNew[i] = &potential.Potential{Vars: c.SepVars, Data: make([]float64, c.SepSize())}
 	}
 	return sc
 }
@@ -144,8 +160,8 @@ func (g *Graph) getScratch() *scratch {
 }
 
 // NewState allocates working storage for one sum-product propagation over
-// the graph's tree, which must be materialized (clique and separator
-// potentials non-nil). The tree itself is left untouched.
+// the graph's tree, which must be materialized (clique potentials non-nil).
+// The tree itself is left untouched.
 func (g *Graph) NewState() (*State, error) { return g.NewStateMode(SumProduct) }
 
 // NewStateMode is NewState with an explicit semiring. The result tables are
@@ -160,7 +176,8 @@ func (g *Graph) NewStateMode(mode Mode) (*State, error) {
 
 // NewStateEvidence is NewStateMode followed by AbsorbEvidence, with the
 // tables allocated at their sliced size: what a state that will be kept as a
-// result — and so never recycled — should cost.
+// result — and so never recycled — should cost. As after AbsorbEvidence, a
+// clique's table holds its value once its first writer has run (see State).
 func (g *Graph) NewStateEvidence(mode Mode, ev potential.Evidence) (*State, error) {
 	st, err := g.newState(mode)
 	if err != nil {
@@ -186,16 +203,14 @@ func (g *Graph) newState(mode Mode) (*State, error) {
 		if c.Pot == nil {
 			return nil, fmt.Errorf("taskgraph: clique %d not materialized", i)
 		}
-		if c.Parent >= 0 && c.SepPot == nil {
-			return nil, fmt.Errorf("taskgraph: clique %d separator not materialized", i)
-		}
 		width += len(c.Vars) + len(c.SepVars)
 	}
 	st := &State{
-		g:      g,
-		mode:   mode,
-		Clique: make([]*potential.Potential, t.N()),
-		Sep:    make([]*potential.Potential, t.N()),
+		g:         g,
+		mode:      mode,
+		Clique:    make([]*potential.Potential, t.N()),
+		Sep:       make([]*potential.Potential, t.N()),
+		unwritten: make([]bool, t.N()),
 	}
 	// One array of tables and one of cardinalities for the whole state. Vars
 	// are the tree's own slices: no table of a state ever changes its
@@ -218,10 +233,11 @@ func (g *Graph) newState(mode Mode) (*State, error) {
 }
 
 // Reset re-primes a previously executed state for a fresh propagation with
-// the given semiring, at the full domain: it copies the tree's clique and
-// separator potentials back into the existing tables — without allocating,
-// unless the state was born sliced (NewStateEvidence) and a table has to grow
-// — and attaches a run scratch from the graph's pool when the last run's was
+// the given semiring, at the full domain: it sizes the existing tables at the
+// tree's — without allocating, unless the state was born sliced
+// (NewStateEvidence) and a table has to grow — writing none of them (a
+// clique's table holds its value once its first writer has run, see State),
+// and attaches a run scratch from the graph's pool when the last run's was
 // released. Reset plus reuse is the pooling layer that makes steady-state
 // propagation near-allocation-free.
 func (st *State) Reset(mode Mode) {
@@ -230,16 +246,27 @@ func (st *State) Reset(mode Mode) {
 	_ = st.prime() // nothing is sliced, so no plan is compiled and nothing can fail
 }
 
-// prime makes the tables the tree's potentials restricted to st.obs, drops the
-// last run's mask and attaches a scratch for the shapes those tables have.
+// prime makes the tables the tree's potentials restricted to st.obs — a
+// clique the evidence slices gathered, one it leaves whole left for its first
+// writer, a separator sized — drops the last run's mask and attaches a scratch
+// for the shapes those tables have.
 func (st *State) prime() error {
 	t := st.g.Tree
 	st.sliced = false
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
-		st.sliced = st.slice(st.Clique[i], c.Pot) || st.sliced
+		p := st.Clique[i]
+		whole := st.size(p, c.Vars, c.Card) == c.Pot.Len()
+		st.unwritten[i] = whole && len(st.g.prior) > 0 // a lone clique has no task to write it
+		switch {
+		case !whole:
+			st.obs.Gather(p.Data, c.Pot.Data, c.Vars, c.Card)
+			st.sliced = true
+		case !st.unwritten[i]:
+			copy(p.Data, c.Pot.Data)
+		}
 		if c.Parent >= 0 {
-			st.slice(st.Sep[i], c.SepPot)
+			st.size(st.Sep[i], c.SepVars, c.SepCard)
 		}
 	}
 	err := st.attach()
@@ -288,20 +315,45 @@ func (st *State) attach() error {
 	return nil
 }
 
-// slice makes dst the table src restricted to st.obs, growing dst when it has
-// never held that many entries, and reports whether that is a proper slice.
-func (st *State) slice(dst, src *potential.Potential) bool {
-	n := st.obs.SliceCard(dst.Card, src.Vars, src.Card)
+// size gives dst the shape of the domain (vars, card) restricted to st.obs,
+// growing it when it has never held that many entries, and returns its length.
+func (st *State) size(dst *potential.Potential, vars, card []int) int {
+	n := st.obs.SliceCard(dst.Card, vars, card)
 	if cap(dst.Data) < n {
 		dst.Data = make([]float64, n)
 	}
 	dst.Data = dst.Data[:n]
-	if n == len(src.Data) {
-		copy(dst.Data, src.Data)
-		return false
+	return n
+}
+
+// table returns the table task id reads of clique ci: the tree's when absorb
+// left the state's unwritten and id is one of the tasks Graph.prior marks,
+// else the state's.
+func (st *State) table(id, ci int) *potential.Potential {
+	if st.unwritten[ci] && st.g.prior[id] {
+		return st.g.Tree.Cliques[ci].Pot
 	}
-	st.obs.Gather(dst.Data, src.Data, src.Vars, src.Card)
-	return true
+	return st.Clique[ci]
+}
+
+// own makes clique ci's table hold its prior before something other than a
+// task writes it, copying the tree's into it if absorb left it unwritten.
+func (st *State) own(ci int) *potential.Potential {
+	if st.unwritten[ci] {
+		copy(st.Clique[ci].Data, st.g.Tree.Cliques[ci].Pot.Data)
+		st.unwritten[ci] = false
+	}
+	return st.Clique[ci]
+}
+
+// message returns the table a task's message lands in: a collect message in
+// the edge's separator — ψS is one, so the message is its own ratio — and a
+// distribute message in the scratch, for its Divide to read against ψS.
+func (st *State) message(t *Task) *potential.Potential {
+	if t.Dir == Collect {
+		return st.Sep[t.Edge]
+	}
+	return st.run.sepNew[t.Edge]
 }
 
 // ReleaseScratch hands the state's run scratch back to its graph's pool,
@@ -470,8 +522,9 @@ func (st *State) Lift(p *potential.Potential) *potential.Potential {
 
 // AbsorbLikelihood multiplies soft (virtual) evidence into the state: each
 // variable's weight vector is applied to exactly one clique containing it
-// (applying it more than once would square the weights). Of the weights of a
-// variable that is also observed, the observed state's is the one that counts.
+// (applying it more than once would square the weights), whose prior is copied
+// in first if absorb left it unwritten. Of the weights of a variable that is
+// also observed, the observed state's is the one that counts.
 func (st *State) AbsorbLikelihood(like potential.Likelihood) error {
 	for v := range like {
 		ci := st.g.Tree.CliqueOf(v)
@@ -484,10 +537,10 @@ func (st *State) AbsorbLikelihood(like potential.Likelihood) error {
 			if err != nil {
 				return fmt.Errorf("taskgraph: clique %d: %w", ci, err)
 			}
-			st.Clique[ci].Scale(w)
+			st.own(ci).Scale(w)
 			continue
 		}
-		if err := st.Clique[ci].ApplyLikelihood(like, v); err != nil {
+		if err := st.own(ci).ApplyLikelihood(like, v); err != nil {
 			return fmt.Errorf("taskgraph: clique %d: %w", ci, err)
 		}
 	}
@@ -548,7 +601,7 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 		sc.bufMu.Unlock()
 	}
 	if b == nil {
-		b = &potential.Potential{Vars: sep.Vars, Data: make([]float64, st.g.Tree.Cliques[t.Edge].SepPot.Len())}
+		b = &potential.Potential{Vars: sep.Vars, Data: make([]float64, st.g.Tree.Cliques[t.Edge].SepSize())}
 	}
 	b.Card, b.Data = sep.Card, b.Data[:sep.Len()]
 	return b
@@ -557,10 +610,11 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 // ExecutePiece runs the [lo,hi) slice of the task. A Marginalize piece
 // replaces the contents of buf with its partial result: it clears buf, then
 // reduces its slice of the source clique into it. A nil buf stands for the
-// task's own destination, the edge's sepNew buffer — which is how a whole
-// task, and the first piece of a partitioned one, write it directly. Other
-// kinds ignore buf. An Extend task (none is built, see the package comment) is
-// refused.
+// task's own destination — the edge's separator for a collect message, its
+// sepNew buffer for a distribute one — which is how a whole task, and the
+// first piece of a partitioned one, write it directly. Other kinds ignore buf;
+// a collect Divide computes nothing (see the package comment). An Extend task
+// (none is built) is refused.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	sc := st.run
 	if sc == nil {
@@ -570,19 +624,22 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	switch t.Kind {
 	case Marginalize:
 		if buf == nil {
-			buf = sc.sepNew[t.Edge]
+			buf = st.message(t)
 		}
 		clear(buf.Data)
-		pl := sc.plans[t.Edge].Of(t.Source, t.Edge)
+		pl, src := sc.plans[t.Edge].Of(t.Source, t.Edge), st.table(id, t.Source)
 		if st.mode == MaxProduct {
-			return pl.MaxMarginalInto(st.Clique[t.Source], buf, lo, hi)
+			return pl.MaxMarginalInto(src, buf, lo, hi)
 		}
-		return pl.MarginalInto(st.Clique[t.Source], buf, lo, hi)
+		return pl.MarginalInto(src, buf, lo, hi)
 	case Divide:
+		if t.Dir == Collect {
+			return nil
+		}
 		return divideRange(sc.sepNew[t.Edge].Data, st.Sep[t.Edge].Data, lo, hi)
 	case Multiply:
 		pl := sc.plans[t.Edge].Of(t.Target, t.Edge)
-		return pl.MulRange(st.Clique[t.Target], sc.sepNew[t.Edge], lo, hi)
+		return pl.MulRangeFrom(st.Clique[t.Target], st.table(id, t.Target), st.message(t), lo, hi)
 	case Extend:
 		return fmt.Errorf("taskgraph: task %d: extension is part of Multiply and has no task of its own", id)
 	}
@@ -590,7 +647,7 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 }
 
 // Combine finishes a partitioned Marginalize: the first piece reduced straight
-// into the shared sepNew buffer, and Combine adds the private buffers of the
+// into the task's destination, and Combine adds the private buffers of the
 // remaining pieces to it in the order given — piece order, so the sum is
 // associated the same way on every run — then returns them to the edge's free
 // list for a later partitioning of either pass over the same edge. For other
@@ -604,7 +661,7 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	if sc == nil {
 		return ErrScratchReleased
 	}
-	dst := sc.sepNew[t.Edge]
+	dst := st.message(t)
 	for _, b := range bufs {
 		if st.mode == MaxProduct {
 			if err := dst.MaxWith(b); err != nil {

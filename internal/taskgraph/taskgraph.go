@@ -22,6 +22,12 @@
 // is the same two floats either way. Kind Extend remains for per-kind arrays
 // and hand-built graphs; Build emits none.
 //
+// Every separator starts at one, so the collect message's Divide is the
+// identity: its Marginalize reduces straight into ψS, which its Multiply reads.
+// The collect Divide task stays in the graph — the paper's structure, the
+// simulator's and the partitioner's weights are unchanged — with nothing to
+// compute.
+//
 // A Graph is pure structure plus weights: it can be built from a skeleton
 // tree (no potentials) and fed to the simulated-multicore machine, or
 // paired with a State (allocated working tables) and executed for real by
@@ -132,6 +138,11 @@ type Graph struct {
 	weight   float64 // sum of task weights
 
 	pieces sync.Map // worker count → []int32, see PieceCounts
+
+	// prior marks the tasks that read a clique's table from the tree while a
+	// state's copy is unwritten: each clique's first writer and a leaf's
+	// collect Marginalize (State). Empty on a graph with no tasks.
+	prior []bool
 
 	planOnce sync.Once
 	plans    []EdgePlans // per child clique, see Plans
@@ -251,6 +262,18 @@ func Build(t *jtree.Tree) *Graph {
 			// (dm waits for the parent's update, which waits for cm), and
 			// the only other writers of ψc — c's children's collection
 			// multiplies — already precede cm.
+		}
+	}
+
+	// A clique's first writer is the head of its collect-Multiply chain, or a
+	// leaf's distribute Multiply, before which only the leaf's collect
+	// Marginalize reads it.
+	g.prior = make([]bool, len(g.Tasks))
+	for c := range t.Cliques {
+		if ch := t.Cliques[c].Children; len(ch) > 0 {
+			g.prior[idx[ch[0]].cu] = true
+		} else if ti, ok := idx[c]; ok {
+			g.prior[ti.cm], g.prior[ti.du] = true, true
 		}
 	}
 	return g
