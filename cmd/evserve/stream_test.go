@@ -222,7 +222,8 @@ func TestHealthzReadyz(t *testing.T) {
 // two models, one that dispatches to the workers and one that runs inline,
 // every per-model family labelled model=, the process's workers and run count
 // without one — against the format checker, and checks what the checker does
-// not: one # HELP and one # TYPE per family, and no series written twice.
+// not: one # HELP and one # TYPE per family, no series written twice, and a
+// traced request's exemplar on its latency bucket.
 func TestMetricsConformance(t *testing.T) {
 	ts, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
 	if err := srv.reg.LoadSync("rain", registry.InlineSource(mmRainBIF(t, 0.3), false)); err != nil {
@@ -283,9 +284,12 @@ func TestMetricsConformance(t *testing.T) {
 		return strings.HasPrefix(line, "evprop_worker_") ||
 			strings.HasPrefix(line, "evprop_sched_global_depth") || strings.HasPrefix(line, "evprop_sched_active_runs")
 	}
-	workerSeries := 0
+	workerSeries, exemplars := 0, 0
 	for _, line := range strings.Split(body, "\n") {
 		labelled := strings.Contains(line, `model="`)
+		if strings.HasPrefix(line, "evprop_request_duration_seconds_bucket{") && strings.Contains(line, `model="rain"} 1 # {trace_id="`) {
+			exemplars++
+		}
 		for _, prefix := range []string{"evprop_cache_", "evprop_sched_", "evprop_window_", "evprop_http_", "evprop_flightrecorder_"} {
 			if strings.HasPrefix(line, prefix) && !labelled && !perProcess(line) {
 				t.Errorf("unlabelled series %q", line)
@@ -303,5 +307,10 @@ func TestMetricsConformance(t *testing.T) {
 	}
 	if workerSeries != 2*7 {
 		t.Errorf("%d evprop_worker_* series, want 7 families × the process's 2 workers", workerSeries)
+	}
+	// rain's one traced request is its latency histogram's one exemplar, on
+	// the bucket that first counts it.
+	if exemplars != 1 {
+		t.Errorf("rain's latency buckets carry %d exemplars, want 1", exemplars)
 	}
 }
