@@ -1,5 +1,9 @@
 GO ?= go
 
+# The Asia network as BIF (pinned to evprop.Asia() by cmd/evserve's
+# TestAsiaFixture): the model the smoke targets serve and replay against.
+ASIA_DIR = cmd/evserve/testdata/asia
+
 .PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
 
 build:
@@ -172,18 +176,16 @@ smoke-multimodel:
 	echo "smoke-multimodel: ok"
 
 # Smoke-test the durable audit pipeline end to end: boot evserve with
-# -audit-dir, drive queries and an MPE, shut down cleanly, then replay the
-# recorded segments with evreplay — the chain must verify, a differential
-# replay against the same build must reproduce every answer bit for bit,
-# and a one-byte corruption must be detected. The second leg repeats the
-# record→diff cycle with -lazy on both sides: lazy propagation is
-# deterministic for a given evidence set, so lazy-recorded answers replay
-# Float64bits-exact on a lazy engine. The third records the same traffic with
-# the server of the commit this change sits on — REPLAY_BASE, HEAD~1 unless
-# set (HEAD for an uncommitted tree), built from `git archive` in the temp
-# dir — and replays it on this build: an answer's bits belong to its evidence,
-# not to the build, so zero mismatches, MPE included. It is skipped with a
-# notice where that commit is not to be had (a shallow clone).
+# -audit-dir on the Asia fixture, drive queries and an MPE at
+# /v1/models/asia/…, shut down cleanly, then replay the recorded segments with
+# evreplay — the chain must verify, a differential replay on an engine
+# compiled from the same fixture must reproduce every answer bit for bit, and
+# a one-byte corruption must be detected. The second leg records the same
+# traffic with the server of the commit this change sits on — REPLAY_BASE,
+# HEAD~1 unless set (HEAD for an uncommitted tree), built from `git archive`
+# in the temp dir — and replays it on this build: an answer's bits belong to
+# its evidence, not to the build, so zero mismatches, MPE included. It is
+# skipped with a notice where that commit is not to be had (a shallow clone).
 smoke-replay:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evreplay-smoke ./cmd/evreplay
@@ -192,44 +194,37 @@ smoke-replay:
 		for i in $$(seq 1 50); do \
 			if curl -sf http://127.0.0.1:$$1/v1/readyz >/dev/null 2>&1; then break; fi; \
 			sleep 0.1; done; }; \
-	drive() { rc=0; \
+	drive() { rc=0; m=http://127.0.0.1:$$1/v1/models/asia; \
 		for i in $$(seq 1 10); do \
-			curl -sf -X POST http://127.0.0.1:$$1/v1/query \
+			curl -sf -X POST $$m/query \
 				-d '{"evidence":{"XRay":1},"query":["Lung"]}' >/dev/null || rc=1; \
-			curl -sf -X POST http://127.0.0.1:$$1/v1/query \
+			curl -sf -X POST $$m/query \
 				-d "{\"evidence\":{\"Smoke\":$$((i % 2))}}" >/dev/null || rc=1; \
 		done; \
-		curl -sf -X POST http://127.0.0.1:$$1/v1/mpe \
+		curl -sf -X POST $$m/mpe \
 			-d '{"evidence":{"XRay":1}}' >/dev/null || rc=2; \
 		return $$rc; }; \
-	/tmp/evserve-smoke -addr 127.0.0.1:18097 -audit-dir $$dir/audit -audit-batch 8 >/dev/null 2>&1 & \
+	/tmp/evserve-smoke -models-dir $(ASIA_DIR) -addr 127.0.0.1:18097 -audit-dir $$dir/audit -audit-batch 8 >/dev/null 2>&1 & \
 	pid=$$!; \
 	boot 18097; \
 	fail=0; \
 	drive 18097 || fail=$$?; \
-	curl -sf -X POST http://127.0.0.1:18097/v1/query \
+	curl -sf -X POST http://127.0.0.1:18097/v1/models/asia/query \
 		-d '{"evidence":{"NoSuchVar":1}}' >/dev/null; \
 	curl -sf http://127.0.0.1:18097/v1/audit | grep -q '"enabled":true' || fail=3; \
 	kill $$pid; wait $$pid 2>/dev/null; \
 	/tmp/evreplay-smoke -dir $$dir/audit -mode verify >/dev/null || fail=4; \
-	/tmp/evreplay-smoke -dir $$dir/audit -mode diff -network asia >/dev/null || fail=5; \
-	/tmp/evserve-smoke -lazy -addr 127.0.0.1:18096 -audit-dir $$dir/lazy -audit-batch 8 >/dev/null 2>&1 & \
-	lpid=$$!; \
-	boot 18096; \
-	drive 18096 || fail=7; \
-	kill $$lpid; wait $$lpid 2>/dev/null; \
-	/tmp/evreplay-smoke -dir $$dir/lazy -mode verify >/dev/null || fail=8; \
-	/tmp/evreplay-smoke -dir $$dir/lazy -mode diff -network asia -lazy >/dev/null || fail=9; \
+	/tmp/evreplay-smoke -dir $$dir/audit -mode diff -bif $(ASIA_DIR)/asia.bif >/dev/null || fail=5; \
 	base=$${REPLAY_BASE:-HEAD~1}; \
 	if git rev-parse -q --verify "$$base^{commit}" >/dev/null 2>&1; then \
 		mkdir $$dir/base; git archive $$base | tar -x -C $$dir/base; \
 		$(GO) build -C $$dir/base -o $$dir/evserve-base ./cmd/evserve || fail=10; \
-		$$dir/evserve-base -addr 127.0.0.1:18094 -audit-dir $$dir/base-audit -audit-batch 8 >/dev/null 2>&1 & \
+		$$dir/evserve-base -models-dir $(ASIA_DIR) -addr 127.0.0.1:18094 -audit-dir $$dir/base-audit -audit-batch 8 >/dev/null 2>&1 & \
 		bpid=$$!; \
 		boot 18094; \
 		drive 18094 || fail=10; \
 		kill $$bpid; wait $$bpid 2>/dev/null; \
-		/tmp/evreplay-smoke -dir $$dir/base-audit -mode diff -network asia >/dev/null || fail=11; \
+		/tmp/evreplay-smoke -dir $$dir/base-audit -mode diff -bif $(ASIA_DIR)/asia.bif >/dev/null || fail=11; \
 	else \
 		echo "smoke-replay: no commit $$base to record with; cross-build leg skipped"; \
 	fi; \
@@ -243,22 +238,22 @@ smoke-replay:
 	if [ $$fail -ne 0 ]; then echo "smoke-replay: step $$fail failed"; exit 1; fi; \
 	echo "smoke-replay: ok"
 
-# Smoke-test distributed tracing end to end: boot evserve, let evtrace mint a
-# sampled W3C traceparent and drive three identical queries through /v1/batch,
-# fetch the kept trace back over /v1/debug/trace, and assert the span tree:
-# the caller's trace ID and parent span survived, absorb ran before
-# propagate, every sub-query has its batch.item span, and the three cost two
+# Smoke-test distributed tracing end to end: boot evserve on the Asia fixture,
+# let evtrace mint a sampled W3C traceparent and drive three identical queries
+# through /v1/models/asia/batch, fetch the kept trace back over
+# /v1/debug/trace, and assert the span tree: the caller's trace ID and parent
+# span survived, absorb ran before propagate, every sub-query has its batch.item span, and the three cost two
 # propagate spans — the signature's first sight, outside the singleflight, and
 # the one that is cached; the third is a singleflight waiter or a cache hit.
 smoke-trace:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evtrace-smoke ./cmd/evtrace
-	@/tmp/evserve-smoke -addr 127.0.0.1:18095 >/dev/null 2>&1 & \
+	@/tmp/evserve-smoke -models-dir $(ASIA_DIR) -addr 127.0.0.1:18095 >/dev/null 2>&1 & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do \
 		if curl -sf http://127.0.0.1:18095/v1/readyz >/dev/null 2>&1; then break; fi; \
 		sleep 0.1; done; \
-	/tmp/evtrace-smoke -url http://127.0.0.1:18095 -drive 3 -assert; rc=$$?; \
+	/tmp/evtrace-smoke -url http://127.0.0.1:18095 -model asia -drive 3 -assert; rc=$$?; \
 	kill $$pid; wait $$pid 2>/dev/null; \
 	if [ $$rc -ne 0 ]; then echo "smoke-trace: span-tree asserts failed"; exit 1; fi; \
 	echo "smoke-trace: ok"

@@ -108,7 +108,7 @@ func BenchmarkConcurrentQueryTraced(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		ctx := context.Background()
 		for pb.Next() {
-			arena, root := tracer.StartRequest("/v1/query", trace.SpanContext{})
+			arena, root := tracer.StartRequest("/v1/models/{name}/query", trace.SpanContext{})
 			res, err := eng.PropagateContext(trace.ContextWith(ctx, root), ev)
 			if err != nil {
 				b.Fatal(err)
@@ -169,7 +169,7 @@ func BenchmarkConcurrentQueryAudited(b *testing.B) {
 			res.Close()
 			w.Enqueue(&audit.Record{
 				Kind:       audit.KindQuery,
-				Model:      "default",
+				Model:      "small40",
 				Version:    1,
 				Evidence:   maps.Clone(ev),
 				PEvidence:  pe,

@@ -1,7 +1,7 @@
 // Package evclient is the Go client for evserve's model-scoped /v1 API.
 //
-// A Client wraps one evserve base URL. Query routes take the model name
-// explicitly; DefaultModel addresses the model single-model boots serve.
+// A Client wraps one evserve base URL. Every model-scoped call takes the
+// model's name: the server answers only /v1/models/{name}/….
 //
 //	c := evclient.New("http://localhost:8080")
 //	resp, err := c.Query(ctx, "alarm", evclient.Evidence{"Burglary": 1}, "Alarm")
@@ -26,9 +26,6 @@ import (
 
 	"evprop"
 )
-
-// DefaultModel is the model name single-model evserve boots register.
-const DefaultModel = "default"
 
 // Client talks to one evserve instance. The zero value is not usable; use
 // New. Clients are safe for concurrent use.

@@ -31,7 +31,7 @@ type CacheCounters = evprop.CacheStats
 
 // FlightRecorderQuery selects and pages one model's flight recorder.
 type FlightRecorderQuery struct {
-	// Model selects the recorder ("" = the default model).
+	// Model selects the recorder; evserve refuses a query without one.
 	Model string
 	// ID filters records and slow captures to one query ID.
 	ID string

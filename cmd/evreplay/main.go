@@ -6,7 +6,7 @@
 //	evreplay -dir ./audit -mode verify
 //	evreplay -dir ./audit -mode dump
 //	evreplay -dir ./audit -mode load -url http://localhost:8080 -speed 2
-//	evreplay -dir ./audit -mode diff -network asia
+//	evreplay -dir ./audit -mode diff -bif asia.bif
 //
 // Modes:
 //
@@ -21,9 +21,9 @@
 //	        again; exits non-zero on any divergence
 //
 // The replay target is either a live evserve (-url, routed per record to
-// the model that answered it) or an in-process engine compiled from
-// -network/-bif — the latter is how a recorded log is checked against a
-// new build without serving it.
+// the model that answered it) or an in-process engine compiled from -bif —
+// the latter is how a recorded log is checked against a new build without
+// serving it.
 //
 // Against a live server, every replayed request carries a W3C traceparent
 // derived deterministically from the record's query ID (SHA-256), so
@@ -43,6 +43,7 @@ import (
 	"evprop"
 	"evprop/client"
 	"evprop/internal/audit"
+	"evprop/internal/registry"
 )
 
 func main() { os.Exit(run(os.Args[1:])) }
@@ -53,13 +54,11 @@ func run(argv []string) int {
 		dir     = fs.String("dir", "", "audit segment directory (required)")
 		mode    = fs.String("mode", "verify", "verify, dump, load or diff")
 		url     = fs.String("url", "", "replay against a live evserve at this base URL")
-		network = fs.String("network", "", "replay on an in-process engine: asia, sprinkler, student")
-		bifFile = fs.String("bif", "", "replay on an in-process engine compiled from this BIF file")
+		bifFile = fs.String("bif", "", "replay on an in-process engine compiled from this BIF file (.xml/.xmlbif: XMLBIF)")
 		workers = fs.Int("workers", 0, "in-process engine worker goroutines (0 = GOMAXPROCS)")
 		speed   = fs.Float64("speed", 0, "load pacing: 0 = flat out, 1 = recorded, N = N× faster")
 		conc    = fs.Int("concurrency", 8, "concurrent in-flight replays")
 		limit   = fs.Int("limit", 0, "replay at most this many records (0 = all)")
-		lazyOpt = fs.Bool("lazy", false, "in-process engine: zero-aware lazy propagation (match a server recorded with evserve -lazy)")
 	)
 	fs.Parse(argv) //nolint:errcheck // ExitOnError
 	if *dir == "" {
@@ -96,7 +95,7 @@ func run(argv []string) int {
 		return 2
 	}
 
-	tgt, err := buildTarget(*url, *network, *bifFile, *workers, *lazyOpt, *mode == "diff")
+	tgt, err := buildTarget(*url, *bifFile, *workers, *mode == "diff")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evreplay:", err)
 		return 2
@@ -129,48 +128,26 @@ func run(argv []string) int {
 }
 
 // buildTarget constructs the replay target: a live server when -url is
-// set, otherwise an in-process engine from -network/-bif. sampled marks
+// set, otherwise an in-process engine compiled from -bif. sampled marks
 // replayed traces always-keep (diff mode: mismatches deserve a waterfall).
-func buildTarget(url, network, bifFile string, workers int, lazy, sampled bool) (target, error) {
-	if url != "" {
-		if network != "" || bifFile != "" {
-			return nil, fmt.Errorf("-url and -network/-bif are mutually exclusive")
-		}
+func buildTarget(url, bifFile string, workers int, sampled bool) (target, error) {
+	switch {
+	case url != "" && bifFile != "":
+		return nil, fmt.Errorf("-url and -bif are mutually exclusive")
+	case url != "":
 		return &httpTarget{c: evclient.New(url), sampled: sampled}, nil
+	case bifFile == "":
+		return nil, fmt.Errorf("replay needs a target: -url or -bif")
 	}
-	net, err := replayNetwork(network, bifFile)
+	net, err := registry.FileSource(bifFile).Instantiate()
 	if err != nil {
 		return nil, err
 	}
-	eng, err := net.Compile(evprop.Options{Workers: workers, Lazy: lazy})
+	eng, err := net.Compile(evprop.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
 	return &engineTarget{eng: eng}, nil
-}
-
-func replayNetwork(network, bifFile string) (*evprop.Network, error) {
-	if bifFile != "" {
-		f, err := os.Open(bifFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		net, _, err := evprop.ParseBIF(f)
-		return net, err
-	}
-	switch network {
-	case "asia":
-		return evprop.Asia(), nil
-	case "sprinkler":
-		return evprop.Sprinkler(), nil
-	case "student":
-		return evprop.Student(), nil
-	case "":
-		return nil, fmt.Errorf("replay needs a target: -url, -network or -bif")
-	default:
-		return nil, fmt.Errorf("unknown -network %q (want asia, sprinkler or student)", network)
-	}
 }
 
 func kindName(k uint8) string {

@@ -89,13 +89,6 @@ type httpTarget struct {
 	sampled bool
 }
 
-func (t *httpTarget) model(rec *audit.Record) string {
-	if rec.Model == "" {
-		return evclient.DefaultModel
-	}
-	return rec.Model
-}
-
 // recTraceparent derives the deterministic W3C traceparent for one record:
 // the trace ID is the first 16 bytes of SHA-256 over the recorded query
 // ID, the parent span ID the next 8. Replaying the same log twice emits
@@ -129,7 +122,7 @@ func (t *httpTarget) trace(ctx context.Context, rec *audit.Record) context.Conte
 }
 
 func (t *httpTarget) query(ctx context.Context, rec *audit.Record) (*answer, error) {
-	resp, err := t.c.Query(t.trace(ctx, rec), t.model(rec), evclient.Evidence(rec.Evidence), rec.Query...)
+	resp, err := t.c.Query(t.trace(ctx, rec), rec.Model, evclient.Evidence(rec.Evidence), rec.Query...)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +130,7 @@ func (t *httpTarget) query(ctx context.Context, rec *audit.Record) (*answer, err
 }
 
 func (t *httpTarget) mpe(ctx context.Context, rec *audit.Record) (*answer, error) {
-	resp, err := t.c.MPE(t.trace(ctx, rec), t.model(rec), evclient.Evidence(rec.Evidence))
+	resp, err := t.c.MPE(t.trace(ctx, rec), rec.Model, evclient.Evidence(rec.Evidence))
 	if err != nil {
 		return nil, err
 	}

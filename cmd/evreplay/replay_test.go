@@ -14,6 +14,10 @@ import (
 	"evprop/internal/obs/trace"
 )
 
+// asiaBIF is evserve's Asia fixture, which evserve's tests pin to
+// evprop.Asia() bit for bit.
+const asiaBIF = "../evserve/testdata/asia/asia.bif"
+
 func asiaEngine(t *testing.T) *evprop.Engine {
 	t.Helper()
 	eng, err := evprop.Asia().Compile(evprop.Options{Workers: 2})
@@ -31,7 +35,7 @@ func recordQuery(t *testing.T, eng *evprop.Engine, ev map[string]int, query []st
 	rec := &audit.Record{
 		Kind:         audit.KindQuery,
 		TimeUnixNano: time.Now().UnixNano(),
-		Model:        "default",
+		Model:        "asia",
 		Version:      1,
 		Evidence:     ev,
 		Query:        query,
@@ -57,7 +61,7 @@ func recordMPE(t *testing.T, eng *evprop.Engine, ev map[string]int) *audit.Recor
 	rec := &audit.Record{
 		Kind:         audit.KindMPE,
 		TimeUnixNano: time.Now().UnixNano(),
-		Model:        "default",
+		Model:        "asia",
 		Version:      1,
 		Evidence:     ev,
 	}
@@ -168,10 +172,10 @@ func TestRunVerifyDumpAndDiff(t *testing.T) {
 	if code := run([]string{"-dir", dir, "-mode", "dump"}); code != 0 {
 		t.Fatalf("dump exit %d", code)
 	}
-	if code := run([]string{"-dir", dir, "-mode", "diff", "-network", "asia"}); code != 0 {
+	if code := run([]string{"-dir", dir, "-mode", "diff", "-bif", asiaBIF}); code != 0 {
 		t.Fatalf("diff exit %d, want 0", code)
 	}
-	if code := run([]string{"-dir", dir, "-mode", "diff", "-network", "asia", "-limit", "2"}); code != 0 {
+	if code := run([]string{"-dir", dir, "-mode", "diff", "-bif", asiaBIF, "-limit", "2"}); code != 0 {
 		t.Fatalf("limited diff exit %d", code)
 	}
 }
@@ -185,7 +189,7 @@ func TestRunDiffCatchesTamperedAnswer(t *testing.T) {
 	// must not.
 	recs[0].PEvidence = math.Nextafter(recs[0].PEvidence, 1)
 	writeSegments(t, dir, recs)
-	if code := run([]string{"-dir", dir, "-mode", "diff", "-network", "asia"}); code != 1 {
+	if code := run([]string{"-dir", dir, "-mode", "diff", "-bif", asiaBIF}); code != 1 {
 		t.Fatalf("diff exit %d, want 1", code)
 	}
 }

@@ -17,10 +17,7 @@ import (
 // spilling into a per-test temp directory, mirroring the -audit-dir boot.
 func auditTestServer(t *testing.T) (*httptest.Server, *server, string) {
 	t.Helper()
-	srv, err := newServer(evprop.Asia(), evprop.Options{Workers: 2, RecordEvidence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2, RecordEvidence: true})
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	dir := attachAudit(t, srv)
 	ts := httptest.NewServer(srv.mux())
@@ -75,7 +72,7 @@ func TestAuditSpillsQueries(t *testing.T) {
 	ts, srv, dir := auditTestServer(t)
 
 	// One successful query, one MPE, one failing query.
-	r1 := post(t, ts.URL+"/v1/query", map[string]any{
+	r1 := post(t, ts.URL+modelPath+"/query", map[string]any{
 		"evidence": map[string]int{"XRay": 1},
 		"query":    []string{"Lung"},
 	})
@@ -84,13 +81,13 @@ func TestAuditSpillsQueries(t *testing.T) {
 	}
 	var qr queryResponse
 	decode(t, r1, &qr)
-	r2 := post(t, ts.URL+"/v1/mpe", map[string]any{
+	r2 := post(t, ts.URL+modelPath+"/mpe", map[string]any{
 		"evidence": map[string]int{"XRay": 1},
 	})
 	if r2.StatusCode != http.StatusOK {
 		t.Fatalf("mpe status %d", r2.StatusCode)
 	}
-	r3 := post(t, ts.URL+"/v1/query", map[string]any{
+	r3 := post(t, ts.URL+modelPath+"/query", map[string]any{
 		"evidence": map[string]int{"NoSuchVar": 1},
 	})
 	if r3.StatusCode != http.StatusUnprocessableEntity {
@@ -105,7 +102,7 @@ func TestAuditSpillsQueries(t *testing.T) {
 	if q.Kind != audit.KindQuery || q.Error != "" {
 		t.Fatalf("first record: kind %d error %q", q.Kind, q.Error)
 	}
-	if q.Model != defaultModel || q.Version == 0 {
+	if q.Model != testModel || q.Version == 0 {
 		t.Errorf("query record model %q version %d", q.Model, q.Version)
 	}
 	if q.Evidence["XRay"] != 1 || len(q.Query) != 1 || q.Query[0] != "Lung" {
@@ -133,7 +130,7 @@ func TestAuditSpillsQueries(t *testing.T) {
 
 func TestAuditStatusEndpointAndStats(t *testing.T) {
 	ts, srv, dir := auditTestServer(t)
-	post(t, ts.URL+"/v1/query", map[string]any{"evidence": map[string]int{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/query", map[string]any{"evidence": map[string]int{"XRay": 1}})
 	srv.aud.Flush()
 
 	resp, err := http.Get(ts.URL + "/v1/audit")
@@ -188,7 +185,7 @@ func TestAuditDisabledStatus(t *testing.T) {
 
 func TestAuditMetricsSeries(t *testing.T) {
 	ts, srv, _ := auditTestServer(t)
-	post(t, ts.URL+"/v1/query", map[string]any{"evidence": map[string]int{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/query", map[string]any{"evidence": map[string]int{"XRay": 1}})
 	srv.aud.Flush()
 
 	resp, err := http.Get(ts.URL + "/v1/metrics")
@@ -224,12 +221,12 @@ func TestAuditMetricsSeries(t *testing.T) {
 func TestFlightRecorderPagination(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 0})
 	for i := 0; i < 5; i++ {
-		post(t, ts.URL+"/v1/query", map[string]any{"evidence": map[string]int{"XRay": i % 2}})
+		post(t, ts.URL+modelPath+"/query", map[string]any{"evidence": map[string]int{"XRay": i % 2}})
 	}
 
 	page := func(query string) flightRecorderResponse {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/debug/flightrecorder" + query)
+		resp, err := http.Get(ts.URL + recorderPath + query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,9 +258,9 @@ func TestFlightRecorderPagination(t *testing.T) {
 	cursor, pages := uint64(0), 0
 	first := true
 	for {
-		q := fmt.Sprintf("?limit=2&since=%d", cursor)
+		q := fmt.Sprintf("&limit=2&since=%d", cursor)
 		if first {
-			q, first = "?limit=2", false
+			q, first = "&limit=2", false
 		}
 		fr := page(q)
 		if len(fr.Records) == 0 {
@@ -295,8 +292,8 @@ func TestFlightRecorderPagination(t *testing.T) {
 	}
 
 	// Malformed cursors are 400s.
-	for _, q := range []string{"?since=abc", "?since=-1", "?limit=x", "?limit=-2"} {
-		resp, err := http.Get(ts.URL + "/v1/debug/flightrecorder" + q)
+	for _, q := range []string{"&since=abc", "&since=-1", "&limit=x", "&limit=-2"} {
+		resp, err := http.Get(ts.URL + recorderPath + q)
 		if err != nil {
 			t.Fatal(err)
 		}

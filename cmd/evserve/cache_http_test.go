@@ -19,23 +19,23 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
 	req := queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}
 	var first, second, third queryResponse
-	decode(t, post(t, ts.URL+"/v1/query", req), &first)
-	decode(t, post(t, ts.URL+"/v1/query", req), &second)
-	decode(t, post(t, ts.URL+"/v1/query", req), &third)
+	decode(t, post(t, ts.URL+modelPath+"/query", req), &first)
+	decode(t, post(t, ts.URL+modelPath+"/query", req), &second)
+	decode(t, post(t, ts.URL+modelPath+"/query", req), &third)
 	for _, later := range []queryResponse{second, third} {
 		if math.Float64bits(first.Posteriors["Lung"][1]) != math.Float64bits(later.Posteriors["Lung"][1]) {
 			t.Errorf("posterior %v differs from the first sight's %v", later.Posteriors, first.Posteriors)
 		}
 	}
-	cs := engineOf(t, srv, defaultModel).CacheStats()
+	cs := engineOf(t, srv, testModel).CacheStats()
 	if !cs.Enabled || cs.Hits != 1 || cs.Misses != 2 || cs.FirstSight != 1 {
 		t.Fatalf("CacheStats = %+v, want enabled with 1 hit, 2 misses, 1 first sight", cs)
 	}
-	if got := engineOf(t, srv, defaultModel).Stats().Propagations; got != 2 {
+	if got := engineOf(t, srv, testModel).Stats().Propagations; got != 2 {
 		t.Errorf("Propagations = %d, want 2 (third query must be a cache hit)", got)
 	}
 
-	st := statsSnapshot(t, ts).row(t, defaultModel)
+	st := statsSnapshot(t, ts).row(t, testModel)
 	if !st.Cache.Enabled || st.Cache.Hits != 1 || st.Cache.FirstSight != 1 || st.Cache.Entries != 1 {
 		t.Errorf("stats cache block = %+v", st.Cache)
 	}
@@ -45,7 +45,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 		t.Errorf("stats cache capacity/bytes = %d/%d, engine says %d/%d", st.Cache.Capacity, st.Cache.Bytes, cs.Capacity, cs.Bytes)
 	}
 	var ms modelRow
-	mstats, err := http.Get(ts.URL + "/v1/models/default/stats")
+	mstats, err := http.Get(ts.URL + modelPath + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,13 +65,13 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	defer mresp.Body.Close()
 	body, _ := io.ReadAll(mresp.Body)
 	for _, metric := range []string{
-		`evprop_cache_hits_total{model="default"} 1` + "\n",
-		`evprop_cache_misses_total{model="default"} 2` + "\n",
-		`evprop_cache_collapsed_total{model="default"}`,
-		`evprop_cache_first_sight_total{model="default"} 1` + "\n",
-		`evprop_cache_entries{model="default"} 1` + "\n",
-		`evprop_cache_bytes{model="default"}`,
-		`evprop_window_cache_hit_rate{model="default"}`,
+		`evprop_cache_hits_total{model="test"} 1` + "\n",
+		`evprop_cache_misses_total{model="test"} 2` + "\n",
+		`evprop_cache_collapsed_total{model="test"}`,
+		`evprop_cache_first_sight_total{model="test"} 1` + "\n",
+		`evprop_cache_entries{model="test"} 1` + "\n",
+		`evprop_cache_bytes{model="test"}`,
+		`evprop_window_cache_hit_rate{model="test"}`,
 	} {
 		if !strings.Contains(string(body), metric) {
 			t.Errorf("/v1/metrics missing %s", metric)
@@ -83,9 +83,9 @@ func TestCachedFlightRecord(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
 	req := queryRequest{Evidence: evprop.Evidence{"Smoke": 1}, Query: []string{"Lung"}}
 	for i := 0; i < 3; i++ {
-		post(t, ts.URL+"/v1/query", req)
+		post(t, ts.URL+modelPath+"/query", req)
 	}
-	recs := engineOf(t, srv, defaultModel).RecentQueries()
+	recs := engineOf(t, srv, testModel).RecentQueries()
 	if len(recs) != 3 {
 		t.Fatalf("%d flight records, want 3", len(recs))
 	}
@@ -112,11 +112,11 @@ func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	for i := 0; i < n; i++ {
 		req.Queries = append(req.Queries, queryRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 0}})
 	}
-	before := statsSnapshot(t, ts).row(t, defaultModel)
-	resp := post(t, ts.URL+"/v1/batch", req)
+	before := statsSnapshot(t, ts).row(t, testModel)
+	resp := post(t, ts.URL+modelPath+"/batch", req)
 	var br batchResponse
 	decode(t, resp, &br)
-	after := statsSnapshot(t, ts).row(t, defaultModel)
+	after := statsSnapshot(t, ts).row(t, testModel)
 
 	if got := after.Propagations - before.Propagations; got != 2 {
 		t.Errorf("propagations moved by %d, want 2", got)

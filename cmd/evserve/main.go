@@ -5,7 +5,11 @@
 // while in-flight queries drain against the old one. Handlers take no
 // lock and each query costs exactly one evidence propagation.
 //
-//	evserve -network asia -addr :8080
+// -models-dir boots one model per *.bif/*.xml/*.xmlbif file, named by its
+// basename; without it the registry starts empty and models arrive by
+// PUT /v1/models/{name}. Every model-scoped operation is addressed by name.
+//
+//	evserve -models-dir ./models -addr :8080
 //	evserve -models-dir ./models -log json -request-timeout 5s
 //
 // Model management (JSON):
@@ -25,10 +29,6 @@
 //	POST /v1/models/{name}/mpe    ← {"evidence": {"XRay": 1}}
 //	POST /v1/models/{name}/dsep   ← {"x": ["Asia"], "y": ["Smoke"], "z": []}
 //
-// The single-model routes /v1/model, /v1/query, /v1/batch, /v1/mpe and
-// /v1/dsep alias onto the model named "default" (what -network/-bif
-// boot).
-//
 // Introspection:
 //
 //	GET /v1/stats  → {totals, models: [one stats row per model], unresolved, audit, trace};
@@ -38,8 +38,8 @@
 //	GET /v1/healthz → liveness: build info, go version, uptime
 //	GET /v1/readyz  → readiness: 200 while serving, 503 once drain begins
 //	GET /v1/audit  → audit pipeline status: counters, chain head, segment totals
-//	GET /v1/debug/flightrecorder → recent query ring + slow-query captures;
-//	                ?model= selects a model, ?id=q-… filters to one query ID,
+//	GET /v1/debug/flightrecorder?model=<name> → that model's recent query ring and
+//	                slow-query captures; ?id=q-… filters to one query ID,
 //	                ?since=<seq>&limit=N pages oldest-first (next_since cursor)
 //	GET /v1/debug/trace → recently kept trace IDs; ?id=<32-hex> returns one
 //	                kept trace's span tree (see cmd/evtrace for a waterfall)
@@ -54,7 +54,8 @@
 // Errors are uniform: every failure answers
 // {"error": {"code": …, "message": …, "query_id": …}} with the status
 // from one typed-error mapping table (unknown variable/impossible
-// evidence → 422, unknown model → 404, overload → 429, timeout → 504).
+// evidence → 422, unknown model → 404, overload → 429, timeout → 504);
+// a path that matches no route is 404 not_found.
 //
 // Repeated-evidence traffic is served from a per-model result cache
 // (-cache-size, on by default) with singleflight collapsing of concurrent
@@ -90,7 +91,6 @@ import (
 	"evprop/internal/audit"
 	"evprop/internal/buildinfo"
 	"evprop/internal/obs/trace"
-	"evprop/internal/registry"
 )
 
 // shutdownGrace bounds how long a drain may take once a signal arrives.
@@ -98,11 +98,7 @@ const shutdownGrace = 10 * time.Second
 
 func main() {
 	var (
-		network   = flag.String("network", "asia", "default model: asia, sprinkler, student, random")
-		bifFile   = flag.String("bif", "", "load the default model from a BIF file")
-		modelsDir = flag.String("models-dir", "", "serve every *.bif/*.xml/*.xmlbif in this directory, named by file basename")
-		nodes     = flag.Int("nodes", 30, "random network: node count")
-		seed      = flag.Int64("seed", 1, "random network: seed")
+		modelsDir = flag.String("models-dir", "", "serve every *.bif/*.xml/*.xmlbif in this directory, named by file basename (empty = start with no models; PUT /v1/models/{name} adds them)")
 		workers   = flag.Int("workers", 0, "worker goroutines of the process, shared by every model (0 = GOMAXPROCS)")
 		addr      = flag.String("addr", ":8080", "listen address")
 		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -115,7 +111,6 @@ func main() {
 		auditDir  = flag.String("audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
 		auditBat  = flag.Int("audit-batch", 0, "audit records per flushed batch (0 = default)")
 		auditRot  = flag.Int64("audit-rotate", 0, "rotate audit segments beyond this many bytes (0 = default)")
-		lazyProp  = flag.Bool("lazy", false, "zero-aware lazy propagation: precalibrate each model once, then propagate only through the part of the tree each query's evidence disturbs")
 		traceOn   = flag.Bool("trace", true, "distributed tracing: per-request span trees with W3C traceparent propagation, tail-sampled into GET /v1/debug/trace")
 		traceRate = flag.Float64("trace-sample", 0.01, "head-sampling rate for traces not kept by tail rules (slow/error/caller-flagged are always kept)")
 		otlpEndp  = flag.String("otlp-endpoint", "", "push kept traces as OTLP/JSON to this collector URL (e.g. http://collector:4318/v1/traces; empty = no export)")
@@ -146,7 +141,6 @@ func main() {
 		// the same queries are being persisted anyway, and replay tooling
 		// cross-references the two by evidence signature.
 		RecordEvidence: *auditDir != "",
-		Lazy:           *lazyProp,
 	}
 	srv := newMultiServer(opts)
 	if *auditDir != "" {
@@ -166,18 +160,12 @@ func main() {
 		srv.auditDir = *auditDir
 	}
 	if *modelsDir != "" {
-		// Directory boot: one model per file, all compiled concurrently.
-		err = srv.reg.LoadDir(*modelsDir)
-	} else {
-		// Single-model boot: the model is named "default" and its source is
-		// retained, so POST /v1/models/default/reload works for file- and
-		// generator-backed defaults too.
-		err = srv.reg.LoadSync(defaultModel, bootSource(*network, *bifFile, *nodes, *seed))
-	}
-	if err != nil {
-		srv.close()
-		fmt.Fprintln(os.Stderr, "evserve:", err)
-		os.Exit(1)
+		// One model per file, all compiled concurrently.
+		if err := srv.reg.LoadDir(*modelsDir); err != nil {
+			srv.close()
+			fmt.Fprintln(os.Stderr, "evserve:", err)
+			os.Exit(1)
+		}
 	}
 	srv.pprofEnabled = *pprofOn
 	srv.log = logger
@@ -270,16 +258,4 @@ func serve(ctx context.Context, ln net.Listener, srv *server, logger *slog.Logge
 		return err
 	}
 	return nil
-}
-
-// bootSource maps the single-model boot flags onto a registry Source, so
-// the default model's retained source supports /reload.
-func bootSource(kind, bifFile string, nodes int, seed int64) registry.Source {
-	if bifFile != "" {
-		return registry.FileSource(bifFile)
-	}
-	if kind == "random" {
-		return registry.RandomSource(nodes, seed)
-	}
-	return registry.BuiltinSource(kind)
 }

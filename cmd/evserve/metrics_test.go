@@ -16,7 +16,7 @@ import (
 // average was 0/0 = NaN, which json.Marshal cannot encode at all.
 func TestStatsFreshServer(t *testing.T) {
 	ts := testServer(t)
-	s := statsSnapshot(t, ts).row(t, defaultModel) // decode fails outright on a NaN body
+	s := statsSnapshot(t, ts).row(t, testModel) // decode fails outright on a NaN body
 	if s.Observed != 0 {
 		t.Fatalf("fresh server observed %d", s.Observed)
 	}
@@ -32,9 +32,9 @@ func TestStatsFreshServer(t *testing.T) {
 func TestStatsPercentiles(t *testing.T) {
 	ts := testServer(t)
 	for i := 0; i < 5; i++ {
-		post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
+		post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
 	}
-	s := statsSnapshot(t, ts).row(t, defaultModel)
+	s := statsSnapshot(t, ts).row(t, testModel)
 	if s.Observed != 5 {
 		t.Fatalf("observed %d, want 5", s.Observed)
 	}
@@ -64,27 +64,27 @@ func TestStatsPercentiles(t *testing.T) {
 // JSON and wrong-method rejections were not counted at all.
 func TestErrorCountedOncePerRequest(t *testing.T) {
 	ts := testServer(t)
-	// check reads /v1/stats and returns the default model's, the catch-all's
+	// check reads /v1/stats and returns the model's, the catch-all's
 	// and the total error counts.
 	check := func(after string, onModel, onNone int64) {
 		t.Helper()
 		st := statsSnapshot(t, ts)
 		checkRowsAddUp(t, st)
-		if m, n := st.row(t, defaultModel).Errors, st.Unresolved.Errors; m != onModel || n != onNone || st.Totals.Errors != onModel+onNone {
+		if m, n := st.row(t, testModel).Errors, st.Unresolved.Errors; m != onModel || n != onNone || st.Totals.Errors != onModel+onNone {
 			t.Errorf("after %s: %d errors on the model, %d on no model, %d in all; want %d, %d and their sum",
 				after, m, n, st.Totals.Errors, onModel, onNone)
 		}
 	}
 	check("nothing", 0, 0)
 	// Malformed JSON → 400, one error.
-	r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{oops")))
+	r, err := http.Post(ts.URL+modelPath+"/query", "application/json", bytes.NewReader([]byte("{oops")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r.Body.Close()
 	check("malformed JSON", 1, 0)
 	// Wrong method → 405, one error.
-	g, err := http.Get(ts.URL + "/v1/query")
+	g, err := http.Get(ts.URL + modelPath + "/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestErrorCountedOncePerRequest(t *testing.T) {
 	check("wrong method", 2, 0)
 	// Unknown variable → one error (not two, despite the failure passing
 	// through both the answer function and writeError).
-	post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
+	post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
 	check("unknown variable", 3, 0)
 	// Unknown model → 404 model_not_found: no model to count it on.
 	if resp := post(t, ts.URL+"/v1/models/ghost/query", queryRequest{}); resp.StatusCode != http.StatusNotFound {
@@ -114,7 +114,7 @@ func TestErrorCountedOncePerRequest(t *testing.T) {
 // sub-queries that fail in place. Pre-fix each failing sub-query counted.
 func TestBatchSubQueryFailuresNotHTTPErrors(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/v1/batch", batchRequest{Queries: []queryRequest{
+	resp := post(t, ts.URL+modelPath+"/batch", batchRequest{Queries: []queryRequest{
 		{Evidence: evprop.Evidence{"XRay": 1}},
 		{Query: []string{"nope"}}, // fails in place
 		{Query: []string{"also-nope"}},
@@ -134,7 +134,7 @@ func TestBatchSubQueryFailuresNotHTTPErrors(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -152,17 +152,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		`evprop_http_requests_total{kind="query",model="default"} 1`,
-		`evprop_http_errors_total{model="default"} 0`,
+		`evprop_http_requests_total{kind="query",model="test"} 1`,
+		`evprop_http_errors_total{model="test"} 0`,
 		`evprop_http_errors_total{model="(none)"} 0`,
-		`evprop_propagations_total{model="default"} 1`,
-		`evprop_workers{model="default"} 2`,
-		`evprop_request_duration_seconds_count{model="default"} 1`,
-		`evprop_request_duration_seconds_bucket{le="+Inf",model="default"} 1`,
-		`evprop_sched_runs_total{model="default"} 1`,
-		`evprop_sched_load_balance{model="default"}`,
-		`evprop_sched_overhead_fraction{model="default"}`,
-		`evprop_sched_kind_busy_seconds_total{kind="multiply",model="default"}`,
+		`evprop_propagations_total{model="test"} 1`,
+		`evprop_workers{model="test"} 2`,
+		`evprop_request_duration_seconds_count{model="test"} 1`,
+		`evprop_request_duration_seconds_bucket{le="+Inf",model="test"} 1`,
+		`evprop_sched_runs_total{model="test"} 1`,
+		`evprop_sched_load_balance{model="test"}`,
+		`evprop_sched_overhead_fraction{model="test"}`,
+		`evprop_sched_kind_busy_seconds_total{kind="multiply",model="test"}`,
 		"# TYPE evprop_request_duration_seconds histogram",
 	} {
 		if !strings.Contains(out, want) {
@@ -174,10 +174,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestPprofGating checks the profiling endpoints are absent by default and
 // present when opted in.
 func TestPprofGating(t *testing.T) {
-	srv, err := newServer(evprop.Asia(), evprop.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
 	off := httptest.NewServer(srv.mux())
 	t.Cleanup(off.Close)
 	resp, err := http.Get(off.URL + "/debug/pprof/")
@@ -189,10 +186,7 @@ func TestPprofGating(t *testing.T) {
 		t.Errorf("pprof reachable without -pprof: status %d", resp.StatusCode)
 	}
 
-	srv2, err := newServer(evprop.Asia(), evprop.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv2 := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
 	srv2.pprofEnabled = true
 	on := httptest.NewServer(srv2.mux())
 	t.Cleanup(on.Close)

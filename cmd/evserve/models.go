@@ -62,7 +62,7 @@ func (s *server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	info, _ := s.modelInfo(modelFor(r))
+	info, _ := s.modelInfo(r.PathValue("name"))
 	s.writeJSON(w, modelSchema(info, v.Net))
 }
 
@@ -71,7 +71,7 @@ func (s *server) handleModelGet(w http.ResponseWriter, r *http.Request) {
 // in the background; `?wait=1` blocks until it publishes (or fails), which
 // is what the smoke test and synchronous clients use.
 func (s *server) handleModelPut(w http.ResponseWriter, r *http.Request) {
-	name := modelFor(r)
+	name := r.PathValue("name")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxUploadBytes))
 	if err != nil {
 		s.writeErrorCode(w, r, http.StatusRequestEntityTooLarge, "too_large",
@@ -95,7 +95,7 @@ func (s *server) handleModelPut(w http.ResponseWriter, r *http.Request) {
 // handleModelDelete removes a model. In-flight queries drain on the
 // version they pinned; the engine is released after the last one.
 func (s *server) handleModelDelete(w http.ResponseWriter, r *http.Request) {
-	name := modelFor(r)
+	name := r.PathValue("name")
 	if err := s.reg.Delete(name); err != nil {
 		s.writeError(w, r, err)
 		return
@@ -112,7 +112,7 @@ func (s *server) handleModelReload(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
 		return
 	}
-	name := modelFor(r)
+	name := r.PathValue("name")
 	done, err := s.reg.Reload(name)
 	if err != nil {
 		s.writeError(w, r, err)

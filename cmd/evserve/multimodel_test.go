@@ -14,7 +14,6 @@ import (
 
 	"evprop"
 	evclient "evprop/client"
-	"evprop/internal/registry"
 )
 
 // mmRainNet builds a two-variable network whose posterior P(Rain | Wet=1)
@@ -50,8 +49,8 @@ func mmOracle(t *testing.T, pRain float64) float64 {
 }
 
 // TestMultiModelLifecycle drives the full model lifecycle through the Go
-// client: upload → query → replace → reload → delete, plus the default
-// model staying untouched throughout.
+// client: upload → query → replace → reload → delete, plus the boot model
+// staying untouched throughout.
 func TestMultiModelLifecycle(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
 	c := evclient.New(ts.URL)
@@ -61,7 +60,7 @@ func TestMultiModelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(models) != 1 || models[0].Name != "default" || models[0].State != "ready" {
+	if len(models) != 1 || models[0].Name != testModel || models[0].State != "ready" {
 		t.Fatalf("initial models %+v", models)
 	}
 
@@ -120,9 +119,9 @@ func TestMultiModelLifecycle(t *testing.T) {
 	if _, err := c.Query(ctx, "rain", evclient.Evidence{"Wet": 1}); !errors.Is(err, evclient.ErrModelNotFound) {
 		t.Errorf("post-delete error = %v, want ErrModelNotFound", err)
 	}
-	// The default model never noticed any of this.
-	if _, err := c.Query(ctx, evclient.DefaultModel, evclient.Evidence{"XRay": 1}, "Lung"); err != nil {
-		t.Errorf("default model: %v", err)
+	// The boot model never noticed any of this.
+	if _, err := c.Query(ctx, testModel, evclient.Evidence{"XRay": 1}, "Lung"); err != nil {
+		t.Errorf("boot model: %v", err)
 	}
 }
 
@@ -161,7 +160,7 @@ func TestErrorEnvelope(t *testing.T) {
 		check(t, resp, http.StatusNotFound, "model_not_found", true)
 	})
 	t.Run("unknown_variable", func(t *testing.T) {
-		resp := post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
+		resp := post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
 		check(t, resp, http.StatusUnprocessableEntity, "unknown_variable", true)
 	})
 	t.Run("zero_probability_evidence", func(t *testing.T) {
@@ -193,7 +192,7 @@ func TestErrorEnvelope(t *testing.T) {
 		check(t, resp, http.StatusUnprocessableEntity, "bad_model_name", true)
 	})
 	t.Run("bad_request", func(t *testing.T) {
-		resp, err := http.Post(ts.URL+"/v1/query", "application/json", strings.NewReader("{oops"))
+		resp, err := http.Post(ts.URL+modelPath+"/query", "application/json", strings.NewReader("{oops"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,12 +202,12 @@ func TestErrorEnvelope(t *testing.T) {
 		srv.maxInflight = 1
 		srv.inflight.Add(1) // simulate one admitted request holding the slot
 		defer func() { srv.maxInflight = 0; srv.inflight.Add(-1) }()
-		resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+		resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 		check(t, resp, http.StatusTooManyRequests, "overloaded", true)
 	})
 	t.Run("client_decodes_envelope", func(t *testing.T) {
 		c := evclient.New(ts.URL)
-		_, err := c.Query(context.Background(), "default", nil, "nope")
+		_, err := c.Query(context.Background(), testModel, nil, "nope")
 		if !errors.Is(err, evclient.ErrUnknownVariable) {
 			t.Fatalf("client error = %v, want ErrUnknownVariable", err)
 		}
@@ -354,7 +353,7 @@ func TestModelScopedStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Query(ctx, evclient.DefaultModel, evclient.Evidence{"XRay": 1}, "Lung"); err != nil {
+	if _, err := c.Query(ctx, testModel, evclient.Evidence{"XRay": 1}, "Lung"); err != nil {
 		t.Fatal(err)
 	}
 	var ms modelRow
@@ -388,7 +387,7 @@ func TestModelScopedStats(t *testing.T) {
 	for _, row := range stats.Models {
 		byName[row.Name] = row
 	}
-	if byName["m"].Queries != 3 || byName["default"].Queries != 1 {
+	if byName["m"].Queries != 3 || byName[testModel].Queries != 1 {
 		t.Errorf("per-model rows %+v", stats.Models)
 	}
 
@@ -453,20 +452,17 @@ func (c *holdCtx) Err() error {
 }
 
 // TestNoDefaultModel: nothing on the introspection surface is read through a
-// model named "default". A server booted the -models-dir way — two named
-// models, cache on — reports each model's cache, workers and run counters in
-// its own row of /v1/stats, in the first /v1/stream event and under its own
-// label in /v1/metrics, where it used to say "cache off, 0 workers" for the
-// model it did not have. What no model owns is said once: one scheduler block
+// model the server is assumed to have. A server booted the -models-dir way —
+// two named models, cache on — reports each model's cache, workers and run
+// counters in its own row of /v1/stats, in the first /v1/stream event and
+// under its own label in /v1/metrics. What no model owns is said once: one scheduler block
 // for the process's two workers, whose active_runs counts the runs in flight
 // over both models, inline and dispatched.
 func TestNoDefaultModel(t *testing.T) {
 	srv := newMultiServer(evprop.Options{Workers: 2, CacheSize: 32})
 	t.Cleanup(srv.close)
 	for name, net := range map[string]*evprop.Network{"wide": poolNetwork(), "rain": mmRainNet(0.3)} {
-		if err := srv.reg.LoadSync(name, registry.LiteralSource(net, "boot")); err != nil {
-			t.Fatal(err)
-		}
+		loadModel(t, srv, name, net)
 	}
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	ts := httptest.NewServer(srv.mux())
@@ -513,9 +509,7 @@ func TestNoDefaultModel(t *testing.T) {
 	// One run held mid-graph on each of two models, whichever executor each
 	// took, is two in the one count. (rain is one clique: no graph to be in the
 	// middle of.)
-	if err := srv.reg.LoadSync("asia", registry.LiteralSource(evprop.Asia(), "boot")); err != nil {
-		t.Fatal(err)
-	}
+	loadModel(t, srv, "asia", evprop.Asia())
 	hold := &holdCtx{Context: context.Background(), entered: make(chan struct{}), release: make(chan struct{})}
 	held := make(chan error)
 	for name, ev := range map[string]evprop.Evidence{"wide": {"B": 1}, "asia": {"XRay": 1}} {

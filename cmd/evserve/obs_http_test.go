@@ -23,7 +23,6 @@ import (
 	evclient "evprop/client"
 	"evprop/internal/audit"
 	"evprop/internal/obs/trace"
-	"evprop/internal/registry"
 )
 
 // syncBuffer is a locked bytes.Buffer for capturing slog output: the access
@@ -76,7 +75,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 	var buf syncBuffer
 	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
 
-	resp := post(t, ts.URL+"/v1/query", queryRequest{
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{
 		Evidence: evprop.Evidence{"XRay": 1},
 		Query:    []string{"Lung"},
 	})
@@ -89,7 +88,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 	}
 
 	// The same ID indexes the flight recorder…
-	fr, err := http.Get(ts.URL + "/v1/debug/flightrecorder?id=" + id)
+	fr, err := http.Get(ts.URL + recorderPath + "&id=" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +107,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 	}
 
 	// …and the access log.
-	line := waitForLogLine(t, &buf, "id="+id, "endpoint=/v1/query")
+	line := waitForLogLine(t, &buf, "id="+id, "endpoint=/v1/models/{name}/query")
 	for _, field := range []string{"status=200", "evidence_vars=1", "latency=", "sched_overhead_fraction="} {
 		if !strings.Contains(line, field) {
 			t.Errorf("access log line missing %q: %s", field, line)
@@ -120,7 +119,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 func TestClientSuppliedQueryID(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
 	body := bytes.NewReader([]byte(`{"evidence":{"XRay":1},"query":["Lung"]}`))
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", body)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+modelPath+"/query", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +133,7 @@ func TestClientSuppliedQueryID(t *testing.T) {
 		t.Errorf("echoed ID %q", got)
 	}
 	var found bool
-	for _, rec := range engineOf(t, srv, defaultModel).RecentQueries() {
+	for _, rec := range engineOf(t, srv, testModel).RecentQueries() {
 		if rec.ID == "trace-me-42" {
 			found = true
 		}
@@ -158,7 +157,7 @@ func TestQueryIDValidation(t *testing.T) {
 		"непечатный",
 	} {
 		body := bytes.NewReader([]byte(`{"evidence":{"XRay":1},"query":["Lung"]}`))
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/query", body)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+modelPath+"/query", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +171,7 @@ func TestQueryIDValidation(t *testing.T) {
 		if got == bad || !strings.HasPrefix(got, "q-") {
 			t.Errorf("ID %q was not replaced (response carries %q)", bad, got)
 		}
-		for _, rec := range engineOf(t, srv, defaultModel).RecentQueries() {
+		for _, rec := range engineOf(t, srv, testModel).RecentQueries() {
 			if rec.ID == bad {
 				t.Errorf("invalid ID %q reached the flight recorder", bad)
 			}
@@ -215,8 +214,8 @@ func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
 		{ts.URL, evprop.Evidence{"XRay": 1}, "inline", 1},
 		{pooled.URL, evprop.Evidence{"A": 1}, "pool", 2},
 	} {
-		post(t, tc.url+"/v1/query", queryRequest{Evidence: tc.evidence})
-		fr, err := http.Get(tc.url + "/v1/debug/flightrecorder")
+		post(t, tc.url+modelPath+"/query", queryRequest{Evidence: tc.evidence})
+		fr, err := http.Get(tc.url + recorderPath)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,17 +238,13 @@ func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
 }
 
 // TestSlowTraceKeptWithoutDefaultModel: tail sampling judges a request
-// against the slow threshold of the model it resolved to. A server booted
-// the -models-dir way has no model named "default" — the model whose
-// threshold the rule used to read, finding none and never firing. With the
-// threshold pinned so every run is slow and head sampling off, a query of
-// the server's one model is kept, and kept as "slow".
+// against the slow threshold of the model it resolved to, whatever that model
+// is called. With the threshold pinned so every run is slow and head sampling
+// off, a query of the server's one model is kept, and kept as "slow".
 func TestSlowTraceKeptWithoutDefaultModel(t *testing.T) {
 	srv := newMultiServer(evprop.Options{Workers: 2, SlowQueryThreshold: time.Nanosecond})
 	t.Cleanup(srv.close)
-	if err := srv.reg.LoadSync("asia", registry.LiteralSource(evprop.Asia(), "boot")); err != nil {
-		t.Fatal(err)
-	}
+	loadModel(t, srv, "asia", evprop.Asia())
 	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	ts := httptest.NewServer(srv.mux())
@@ -268,11 +263,11 @@ func TestSlowTraceKeptWithoutDefaultModel(t *testing.T) {
 func TestStatsWindow(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
 	for i := 0; i < 3; i++ {
-		post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+		post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	}
-	post(t, ts.URL+"/v1/query", "not an object") // one 400 for the error rate
+	post(t, ts.URL+modelPath+"/query", "not an object") // one 400 for the error rate
 
-	w := statsSnapshot(t, ts).row(t, defaultModel).Window
+	w := statsSnapshot(t, ts).row(t, testModel).Window
 	if w.Seconds != 60 || len(w.QPSSeries) != 60 {
 		t.Fatalf("window shape %+v", w)
 	}
@@ -304,9 +299,9 @@ func TestStatsWindow(t *testing.T) {
 	}
 	body := sb.String()
 	for _, metric := range []string{
-		`evprop_window_qps{model="default"}`, `evprop_window_error_rate{model="default"} 0.25`,
-		`evprop_window_latency_seconds{model="default",quantile="0.99"}`,
-		`evprop_flightrecorder_recorded_total{model="default"} 3`,
+		`evprop_window_qps{model="test"}`, `evprop_window_error_rate{model="test"} 0.25`,
+		`evprop_window_latency_seconds{model="test",quantile="0.99"}`,
+		`evprop_flightrecorder_recorded_total{model="test"} 3`,
 	} {
 		if !strings.Contains(body, metric) {
 			t.Errorf("metrics missing %s", metric)
@@ -321,20 +316,20 @@ func TestStatsWindow(t *testing.T) {
 // with the stats handler's latency as its p99.
 func TestObserversLeaveWindowsAlone(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	requests := func(st statsResponse) map[string]int64 {
 		out := map[string]int64{}
 		st.eachRow(func(r *modelRow) { out[r.Name] = r.Window.Requests })
 		return out
 	}
 	before := statsSnapshot(t, ts)
-	if got := requests(before); got[defaultModel] != 1 || got[noModelName] != 0 {
+	if got := requests(before); got[testModel] != 1 || got[noModelName] != 0 {
 		t.Fatalf("window requests before any scrape: %v", got)
 	}
 	for i := 0; i < 5; i++ {
 		for _, path := range []string{
-			"/v1/stats", "/v1/metrics", "/v1/audit", "/v1/models", "/v1/models/default/stats",
-			"/v1/debug/flightrecorder", "/v1/debug/trace", "/v1/models/ghost", "/v1/healthz",
+			"/v1/stats", "/v1/metrics", "/v1/audit", "/v1/models", modelPath + "/stats",
+			recorderPath, "/v1/debug/trace", "/v1/models/ghost", "/v1/healthz",
 		} {
 			resp, err := http.Get(ts.URL + path)
 			if err != nil {
@@ -363,12 +358,12 @@ func TestObserversLeaveWindowsAlone(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 16})
 	srv.timeout = time.Nanosecond
-	resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504", resp.StatusCode)
 	}
 
-	eng := engineOf(t, srv, defaultModel)
+	eng := engineOf(t, srv, testModel)
 	for sight := 0; sight < 2; sight++ { // the second one is cached
 		res, err := eng.Propagate(evprop.Evidence{"Dysp": 1})
 		if err != nil {
@@ -380,7 +375,7 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatalf("sum-product result not cached: %+v", eng.CacheStats())
 	}
 	before := eng.Stats().Propagations
-	resp = post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"Dysp": 1}})
+	resp = post(t, ts.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"Dysp": 1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("mpe status %d, want 504", resp.StatusCode)
 	}
@@ -408,14 +403,12 @@ func TestViewsAgree(t *testing.T) {
 }
 
 func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp evprop.Evidence, target string) {
-	srv, err := newServer(net, evprop.Options{Workers: 2, CacheSize: 16, RecordEvidence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, net, evprop.Options{Workers: 2, CacheSize: 16, RecordEvidence: true})
 	var logBuf syncBuffer
 	srv.log = slog.New(slog.NewJSONHandler(&logBuf, nil))
 	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
 	store := audit.NewMemStore()
+	var err error
 	srv.aud, err = audit.NewWriter(store, audit.Config{BatchSize: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -425,8 +418,8 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		ts.Close()
 		srv.aud.Close()
 	})
-	eng := engineOf(t, srv, defaultModel)
-	version, err := srv.reg.Current(defaultModel)
+	eng := engineOf(t, srv, testModel)
+	version, err := srv.reg.Current(testModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +467,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/models/"+defaultModel+row.path, bytes.NewReader(buf))
+		req, err := http.NewRequest(http.MethodPost, ts.URL+modelPath+row.path, bytes.NewReader(buf))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,10 +519,10 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		for _, ev := range row.evidence {
 			evidenceVars += len(ev)
 		}
-		if line.Model != defaultModel || line.TraceID != traceID || line.Status != row.status ||
+		if line.Model != testModel || line.TraceID != traceID || line.Status != row.status ||
 			line.EvidenceVars != evidenceVars || line.CacheHits != wantCached || line.Executor != wantExecutor {
 			t.Errorf("%s: access log %+v, want model %s trace %s status %d evidence_vars %d cache_hits %d executor %q",
-				row.name, line, defaultModel, traceID, row.status, evidenceVars, wantCached, wantExecutor)
+				row.name, line, testModel, traceID, row.status, evidenceVars, wantCached, wantExecutor)
 		}
 		statsAfter := eng.CacheStats()
 		if got := statsAfter.Hits - statsBefore.Hits; got != row.engineHits {
@@ -540,7 +533,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		}
 
 		// Flight recorder: exactly the request's propagations, under its ID.
-		fresp, err := http.Get(ts.URL + "/v1/debug/flightrecorder?id=" + id)
+		fresp, err := http.Get(ts.URL + recorderPath + "&id=" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -616,10 +609,10 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			audited = nil
 		}
 		for k, rec := range audited {
-			if rec.Model != defaultModel || rec.Version != version.ID || rec.Cached != row.cached ||
+			if rec.Model != testModel || rec.Version != version.ID || rec.Cached != row.cached ||
 				rec.Error != envelope.Error.Message || !maps.Equal(rec.Evidence, map[string]int(row.evidence[k])) {
 				t.Errorf("%s: audit record %d = %+v, want model %s version %d cached %v error %q evidence %v",
-					row.name, k, rec, defaultModel, version.ID, row.cached, envelope.Error.Message, row.evidence[k])
+					row.name, k, rec, testModel, version.ID, row.cached, envelope.Error.Message, row.evidence[k])
 			}
 		}
 
@@ -704,7 +697,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	// Window and per-model stats: the hit rate is cached answers over
 	// answers, and the engine ran one propagation per uncached answer run.
 	var ms modelRow
-	mresp, err := http.Get(ts.URL + "/v1/models/" + defaultModel + "/stats")
+	mresp, err := http.Get(ts.URL + modelPath + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -737,7 +730,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		t.Fatal(err)
 	}
 	for path, n := range wantRuns {
-		if series := fmt.Sprintf("evprop_sched_%s_runs_total{model=%q} %d\n", path, defaultModel, n); !strings.Contains(string(body), series) {
+		if series := fmt.Sprintf("evprop_sched_%s_runs_total{model=%q} %d\n", path, testModel, n); !strings.Contains(string(body), series) {
 			t.Errorf("/v1/metrics lacks %q", series)
 		}
 	}
@@ -749,7 +742,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	if sc.PoolSize != 2 || sc.ActiveRuns != 0 || (executor == "pool" && len(sc.Workers) != 2) {
 		t.Errorf("/v1/stats scheduler block %+v, want the two workers the records were priced at and nothing in flight", sc)
 	}
-	row, err := http.Get(ts.URL + "/v1/models/" + defaultModel + "/stats")
+	row, err := http.Get(ts.URL + modelPath + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -765,10 +758,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 // (as SIGINT would) and expect a clean, prompt return after in-flight
 // requests drain.
 func TestServeGracefulShutdown(t *testing.T) {
-	srv, err := newServer(evprop.Asia(), evprop.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -779,7 +769,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { done <- serve(ctx, ln, srv, srv.log) }()
 
 	url := "http://" + ln.Addr().String()
-	resp := post(t, url+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, url+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}

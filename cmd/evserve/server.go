@@ -18,10 +18,6 @@ import (
 	"evprop/internal/registry"
 )
 
-// defaultModel is the model the single-model routes alias onto; a server
-// always tries to serve one.
-const defaultModel = "default"
-
 // server routes HTTP requests onto a registry of compiled models. Handlers
 // run lock-free: every request pins its model's current version with one
 // atomic acquire, propagates on that engine, and releases it — a version
@@ -79,8 +75,8 @@ type server struct {
 	drainOnce sync.Once
 }
 
-// newMultiServer builds a server over an empty registry; models are added
-// with addModel / the registry's LoadDir.
+// newMultiServer builds a server over an empty registry; models arrive by
+// the registry's LoadDir (-models-dir) or PUT /v1/models/{name}.
 func newMultiServer(opts evprop.Options) *server {
 	s := &server{
 		reg:     registry.New(opts),
@@ -95,25 +91,14 @@ func newMultiServer(opts evprop.Options) *server {
 	return s
 }
 
-// newServer builds a server whose "default" model is the given network —
-// the single-model boot path and the test constructor.
-func newServer(net *evprop.Network, opts evprop.Options) (*server, error) {
-	s := newMultiServer(opts)
-	if err := s.reg.LoadSync(defaultModel, registry.LiteralSource(net, "boot")); err != nil {
-		s.close()
-		return nil, err
-	}
-	return s, nil
-}
-
 // close drains and drops every model; for shutdown and failed boots.
 func (s *server) close() { s.reg.Close() }
 
-// mux routes the model-scoped /v1 API. Single-model routes (/v1/query,
-// /v1/model, …) alias onto the "default" model. Every route goes through
-// instrument, so each request carries a query ID and emits one access-log
-// record; only the pprof endpoints, the stream and the health probes bypass
-// it.
+// mux routes the /v1 API: every model-scoped operation lives under
+// /v1/models/{name}/…. Every route goes through instrument, so each request
+// carries a query ID and emits one access-log record; only the pprof
+// endpoints, the stream and the health probes bypass it. A path that matches
+// no route is 404 not_found in the error envelope.
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
 	route := func(pattern, endpoint string, h http.HandlerFunc) {
@@ -129,13 +114,6 @@ func (s *server) mux() *http.ServeMux {
 	route("/v1/models/{name}/batch", "/v1/models/{name}/batch", s.handleBatch)
 	route("/v1/models/{name}/mpe", "/v1/models/{name}/mpe", s.handleMPE)
 	route("/v1/models/{name}/dsep", "/v1/models/{name}/dsep", s.handleDSep)
-	// Single-model aliases onto "default" — the pre-registry /v1 API,
-	// fully supported.
-	route("/v1/model", "/v1/model", s.handleModelSchema)
-	route("/v1/query", "/v1/query", s.handleQuery)
-	route("/v1/batch", "/v1/batch", s.handleBatch)
-	route("/v1/mpe", "/v1/mpe", s.handleMPE)
-	route("/v1/dsep", "/v1/dsep", s.handleDSep)
 	// Introspection.
 	route("/v1/stats", "/v1/stats", s.handleStats)
 	route("/v1/metrics", "/v1/metrics", s.handleMetrics)
@@ -148,6 +126,10 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("/v1/stream", s.handleStream)
 	m.HandleFunc("/v1/healthz", s.handleHealthz)
 	m.HandleFunc("/v1/readyz", s.handleReadyz)
+	// Everything else.
+	route("/", "/", func(w http.ResponseWriter, r *http.Request) {
+		s.writeErrorCode(w, r, http.StatusNotFound, "not_found", "no route for "+r.URL.Path)
+	})
 	if s.pprofEnabled {
 		m.HandleFunc("/debug/pprof/", pprof.Index)
 		m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -158,22 +140,13 @@ func (s *server) mux() *http.ServeMux {
 	return m
 }
 
-// modelFor names the request's model: the {name} path segment on scoped
-// routes, the default model on alias routes.
-func modelFor(r *http.Request) string {
-	if name := r.PathValue("name"); name != "" {
-		return name
-	}
-	return defaultModel
-}
-
 // acquire pins the request's model version and points the request at the
 // model's counters; the model-scoped handlers call it before anything else
 // can fail, so a request is counted — answered, malformed or refused — on the
 // model its route names. On failure it has already answered the request,
 // counted against noModel.
 func (s *server) acquire(w http.ResponseWriter, r *http.Request) (*registry.Version, func(), *modelStats, bool) {
-	name := modelFor(r)
+	name := r.PathValue("name")
 	v, release, err := s.reg.Acquire(name)
 	if err != nil {
 		s.writeError(w, r, err)
@@ -190,7 +163,7 @@ type modelVariable struct {
 	States int    `json:"states"`
 }
 
-// modelResponse is the GET /v1/models/{name} (and /v1/model alias) body:
+// modelResponse is the GET /v1/models/{name} body:
 // the registry's lifecycle info plus the variable schema.
 type modelResponse struct {
 	registry.Info
@@ -203,16 +176,6 @@ func modelSchema(info registry.Info, net *evprop.Network) modelResponse {
 		resp.Variables = append(resp.Variables, modelVariable{Name: name, States: net.States(name)})
 	}
 	return resp
-}
-
-// handleModelSchema answers the single-model schema alias (GET /v1/model)
-// against the default model.
-func (s *server) handleModelSchema(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
-		return
-	}
-	s.handleModelGet(w, r)
 }
 
 // modelInfo finds one model's registry Info.
@@ -351,7 +314,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, o.err)
 		return
 	}
-	s.writeJSON(w, queryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: modelFor(r), Version: v.ID})
+	s.writeJSON(w, queryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: r.PathValue("name"), Version: v.ID})
 }
 
 // admit applies -max-inflight admission control to the propagating
@@ -429,7 +392,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i, q)
 	}
 	wg.Wait()
-	s.writeJSON(w, batchResponse{Results: results, Model: modelFor(r), Version: v.ID})
+	s.writeJSON(w, batchResponse{Results: results, Model: r.PathValue("name"), Version: v.ID})
 }
 
 type mpeRequest struct {
@@ -464,7 +427,7 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, o.err)
 		return
 	}
-	s.writeJSON(w, mpeResponse{Assignment: o.assignment, Probability: o.probability, Model: modelFor(r), Version: v.ID})
+	s.writeJSON(w, mpeResponse{Assignment: o.assignment, Probability: o.probability, Model: r.PathValue("name"), Version: v.ID})
 }
 
 type dsepRequest struct {
@@ -510,7 +473,7 @@ type flightRecorderResponse struct {
 }
 
 // handleFlightRecorder dumps a model's flight recorder (the recorder is
-// scoped per model version — `?model=` selects one, default "default").
+// scoped per model version — the required `?model=` selects one).
 // `?id=q-…` filters both the ring and the slow captures to one query ID —
 // the lookup used to correlate an X-Query-ID response header or
 // access-log line with its scheduler run. `?since=<seq>` returns only
@@ -546,7 +509,8 @@ func (s *server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	}
 	name := q.Get("model")
 	if name == "" {
-		name = defaultModel
+		s.writeErrorCode(w, r, http.StatusBadRequest, "bad_request", "model is required")
+		return
 	}
 	v, err := s.reg.Current(name)
 	if err != nil {

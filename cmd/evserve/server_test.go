@@ -14,6 +14,7 @@ import (
 
 	"evprop"
 	"evprop/internal/obs/trace"
+	"evprop/internal/registry"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -36,13 +37,37 @@ func testServerFull(t *testing.T, opts evprop.Options) (*httptest.Server, *serve
 // are named A, B, C, ….
 func poolNetwork() *evprop.Network { return evprop.RandomNetwork(60, 2, 5, 7) }
 
-// testServerNet is testServerFull over an arbitrary default model.
-func testServerNet(t *testing.T, net *evprop.Network, opts evprop.Options) (*httptest.Server, *server) {
+// testModel names the one model a test server boots with, and modelPath is
+// the root of its routes.
+const (
+	testModel = "test"
+	modelPath = "/v1/models/" + testModel
+	// recorderPath is testModel's flight recorder; append &-parameters.
+	recorderPath = "/v1/debug/flightrecorder?model=" + testModel
+)
+
+// newTestServer builds a server serving net as testModel, closed when the
+// test ends.
+func newTestServer(t *testing.T, net *evprop.Network, opts evprop.Options) *server {
 	t.Helper()
-	srv, err := newServer(net, opts)
-	if err != nil {
+	srv := newMultiServer(opts)
+	t.Cleanup(srv.close)
+	loadModel(t, srv, testModel, net)
+	return srv
+}
+
+// loadModel compiles net into srv's registry under name and waits for it.
+func loadModel(t *testing.T, srv *server, name string, net *evprop.Network) {
+	t.Helper()
+	if err := srv.reg.LoadSync(name, registry.LiteralSource(net, name)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// testServerNet is testServerFull over an arbitrary model.
+func testServerNet(t *testing.T, net *evprop.Network, opts evprop.Options) (*httptest.Server, *server) {
+	t.Helper()
+	srv := newTestServer(t, net, opts)
 	srv.tracer = &trace.Tracer{SampleRate: 1, Store: trace.NewStore(64)}
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	ts := httptest.NewServer(srv.mux())
@@ -73,7 +98,7 @@ func decode(t *testing.T, resp *http.Response, dst any) {
 
 func TestModelEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/model")
+	resp, err := http.Get(ts.URL + modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,16 +116,16 @@ func TestModelEndpoint(t *testing.T) {
 			t.Errorf("variable %s has %d states", v.Name, v.States)
 		}
 	}
-	// POST to /model is rejected.
-	r2 := post(t, ts.URL+"/v1/model", map[string]any{})
+	// POST to a model is rejected.
+	r2 := post(t, ts.URL+modelPath, map[string]any{})
 	if r2.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /model status %d", r2.StatusCode)
+		t.Errorf("POST %s status %d", modelPath, r2.StatusCode)
 	}
 }
 
 func TestQueryEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/v1/query", queryRequest{
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{
 		Evidence: evprop.Evidence{"XRay": 1},
 		Query:    []string{"Lung"},
 	})
@@ -123,7 +148,7 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryAllEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"Dysp": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"Dysp": 1}})
 	var q queryResponse
 	decode(t, resp, &q)
 	if len(q.Posteriors) != 7 {
@@ -131,15 +156,51 @@ func TestQueryAllEndpoint(t *testing.T) {
 	}
 }
 
+// TestUnroutedEnvelope: a path no route matches — a pre-registry /v1/query,
+// anything else — and a flight-recorder read that names no model answer the
+// uniform envelope with a query ID, counted once each on no model.
+func TestUnroutedEnvelope(t *testing.T) {
+	ts := testServer(t)
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		code         string
+	}{
+		{http.MethodPost, "/v1/query", http.StatusNotFound, "not_found"},
+		{http.MethodGet, "/nope", http.StatusNotFound, "not_found"},
+		{http.MethodGet, "/v1/debug/flightrecorder", http.StatusBadRequest, "bad_request"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, bytes.NewReader([]byte(`{}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env errorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != tc.status || env.Error.Code != tc.code ||
+			env.Error.QueryID == "" || resp.Header.Get("X-Query-ID") != env.Error.QueryID {
+			t.Errorf("%s %s: status %d, envelope %+v (%v), X-Query-ID %q; want %d %s",
+				tc.method, tc.path, resp.StatusCode, env.Error, err, resp.Header.Get("X-Query-ID"), tc.status, tc.code)
+		}
+	}
+	if st := statsSnapshot(t, ts); st.Unresolved.Errors != 3 || st.Totals.Errors != 3 {
+		t.Errorf("%d errors on no model, %d in all; want 3 and 3", st.Unresolved.Errors, st.Totals.Errors)
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	ts := testServer(t)
 	// Unknown variable: semantically invalid input → 422 per the error table.
-	resp := post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown variable status %d", resp.StatusCode)
 	}
 	// Malformed JSON.
-	r, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte("{oops")))
+	r, err := http.Post(ts.URL+modelPath+"/query", "application/json", bytes.NewReader([]byte("{oops")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +209,7 @@ func TestQueryErrors(t *testing.T) {
 		t.Errorf("bad JSON status %d", r.StatusCode)
 	}
 	// Wrong method.
-	g, err := http.Get(ts.URL + "/v1/query")
+	g, err := http.Get(ts.URL + modelPath + "/query")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +221,7 @@ func TestQueryErrors(t *testing.T) {
 
 func TestMPEEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 1}})
+	resp := post(t, ts.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -177,27 +238,9 @@ func TestMPEEndpoint(t *testing.T) {
 	}
 }
 
-func TestBootSource(t *testing.T) {
-	for _, kind := range []string{"asia", "sprinkler", "student", "random"} {
-		n, err := bootSource(kind, "", 10, 1).Instantiate()
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		if err := n.Validate(); err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-	}
-	if _, err := bootSource("bogus", "", 0, 0).Instantiate(); err == nil {
-		t.Error("accepted bogus kind")
-	}
-	if _, err := bootSource("", "/does/not/exist.bif", 0, 0).Instantiate(); err == nil {
-		t.Error("accepted missing BIF file")
-	}
-}
-
 func TestDSepEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+"/v1/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}})
+	resp := post(t, ts.URL+modelPath+"/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -206,37 +249,14 @@ func TestDSepEndpoint(t *testing.T) {
 	if !d.Separated {
 		t.Error("Asia and Smoke should be marginally d-separated")
 	}
-	resp = post(t, ts.URL+"/v1/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}, Z: []string{"Dysp"}})
+	resp = post(t, ts.URL+modelPath+"/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}, Z: []string{"Dysp"}})
 	decode(t, resp, &d)
 	if d.Separated {
 		t.Error("Asia and Smoke should be d-connected given Dysp")
 	}
-	resp = post(t, ts.URL+"/v1/dsep", dsepRequest{X: []string{"missing"}, Y: []string{"Smoke"}})
+	resp = post(t, ts.URL+modelPath+"/dsep", dsepRequest{X: []string{"missing"}, Y: []string{"Smoke"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown variable status %d", resp.StatusCode)
-	}
-}
-
-func TestV1Aliases(t *testing.T) {
-	ts := testServer(t)
-	// The same query through the single-model alias and the model-scoped
-	// route must agree.
-	var alias, scoped queryResponse
-	decode(t, post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}), &alias)
-	decode(t, post(t, ts.URL+"/v1/models/default/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}), &scoped)
-	if alias.PEvidence != scoped.PEvidence {
-		t.Errorf("p_evidence: alias %v vs scoped %v", alias.PEvidence, scoped.PEvidence)
-	}
-	if len(alias.Posteriors["Lung"]) != len(scoped.Posteriors["Lung"]) {
-		t.Error("posterior shape differs between alias and scoped paths")
-	}
-	resp, err := http.Get(ts.URL + "/v1/model")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("GET /v1/model status %d", resp.StatusCode)
 	}
 }
 
@@ -247,7 +267,7 @@ func TestBatchEndpoint(t *testing.T) {
 		{Evidence: evprop.Evidence{"Dysp": 1}},
 		{Query: []string{"nope"}}, // fails in place
 	}}
-	resp := post(t, ts.URL+"/v1/batch", req)
+	resp := post(t, ts.URL+modelPath+"/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -345,7 +365,7 @@ func statsSnapshot(t *testing.T, ts *httptest.Server) statsResponse {
 func TestQuerySinglePropagation(t *testing.T) {
 	ts := testServer(t)
 	before := statsSnapshot(t, ts)
-	resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -365,15 +385,15 @@ func TestQuerySinglePropagation(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	post(t, ts.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	post(t, ts.URL+"/v1/batch", batchRequest{Queries: []queryRequest{{}, {}}})
+	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/batch", batchRequest{Queries: []queryRequest{{}, {}}})
 	st := statsSnapshot(t, ts)
 	checkRowsAddUp(t, st)
 	if tot := st.Totals; tot.Queries != 1 || tot.MPEs != 1 || tot.Batches != 1 {
 		t.Errorf("totals: queries %d mpes %d batches %d", tot.Queries, tot.MPEs, tot.Batches)
 	}
-	s := st.row(t, defaultModel)
+	s := st.row(t, testModel)
 	if s.Queries != 1 || s.MPEs != 1 || s.Batches != 1 {
 		t.Errorf("counters: queries %d mpes %d batches %d", s.Queries, s.MPEs, s.Batches)
 	}
@@ -404,7 +424,7 @@ func TestConcurrentHTTPQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				buf, _ := json.Marshal(queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
-				resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
+				resp, err := http.Post(ts.URL+modelPath+"/query", "application/json", bytes.NewReader(buf))
 				if err != nil {
 					errc <- err
 					return
@@ -437,18 +457,15 @@ func TestZeroProbabilityEvidenceStatus(t *testing.T) {
 	net := evprop.NewNetwork()
 	net.MustAddVariable("Cause", 2, nil, []float64{1, 0})
 	net.MustAddVariable("Effect", 2, []string{"Cause"}, []float64{1, 0, 0, 1})
-	srv, err := newServer(net, evprop.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, net, evprop.Options{Workers: 2})
 	ts2 := httptest.NewServer(srv.mux())
 	t.Cleanup(ts2.Close)
-	resp := post(t, ts2.URL+"/v1/mpe", mpeRequest{Evidence: evprop.Evidence{"Effect": 1}})
+	resp := post(t, ts2.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"Effect": 1}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("impossible-evidence MPE status %d, want 422", resp.StatusCode)
 	}
 	// A zero-probability plain query still succeeds with empty posteriors.
-	q := post(t, ts2.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"Effect": 1}})
+	q := post(t, ts2.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"Effect": 1}})
 	if q.StatusCode != http.StatusOK {
 		t.Errorf("impossible-evidence query status %d", q.StatusCode)
 	}
@@ -458,7 +475,7 @@ func TestZeroProbabilityEvidenceStatus(t *testing.T) {
 		t.Errorf("p_evidence %v, %d posteriors", qr.PEvidence, len(qr.Posteriors))
 	}
 	// Bad state index maps to 400 via ErrBadState.
-	r := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 5}})
+	r := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 5}})
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad state status %d", r.StatusCode)
 	}

@@ -18,14 +18,14 @@ import (
 // recorder — is read from that model's engine. One row type (modelRow) carries
 // both halves, and /v1/stats, /v1/models/{name}/stats, /v1/stream and
 // /v1/metrics are all renderings of the same rows, so no two of them can
-// disagree and none depends on a model being called "default". Server-wide
-// totals are sums over the rows, taken when they are read. What no model owns
-// is beside the rows: the workers and the count of runs in flight are the
-// process's (evprop.ProcessScheduler), one scheduler block per view.
+// disagree. Server-wide totals are sums over the rows, taken when they are
+// read. What no model owns is beside the rows: the workers and the count of
+// runs in flight are the process's (evprop.ProcessScheduler), one scheduler
+// block per view.
 
 // noModelName names the catch-all row: requests that resolved no model — an
-// unknown or unready model, a wrong method on a route that names none, an
-// observer's scrape. Its parentheses keep it outside the registry's model-name
+// unknown or unready model, a wrong method on a route that names none, a path
+// that matches no route, an observer's scrape. Its parentheses keep it outside the registry's model-name
 // alphabet, so no upload can collide with it.
 const noModelName = "(none)"
 
@@ -262,7 +262,7 @@ func (s *server) handleModelStats(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	name := modelFor(r)
+	name := r.PathValue("name")
 	info, ok := s.modelInfo(name)
 	if !ok {
 		s.writeError(w, r, fmt.Errorf("%w: %q", registry.ErrNotFound, name))

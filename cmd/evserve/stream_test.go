@@ -70,14 +70,14 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 
 	// Traffic before subscribing so counters are non-trivial, on a model
 	// whose runs go to the pool: the worker gauges exist once one has.
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
+	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
 
 	sc, _ := streamClient(t, ts.URL)
 	first, ok := nextEvent(t, sc)
 	if !ok {
 		t.Fatal("no initial event")
 	}
-	if row := first.row(t, defaultModel); row.Scheduler == "" || row.Workers != 2 {
+	if row := first.row(t, testModel); row.Scheduler == "" || row.Workers != 2 {
 		t.Errorf("initial snapshot scheduler %q workers %d", row.Scheduler, row.Workers)
 	}
 	// The initial event may predate the query by one sampling interval, so
@@ -98,7 +98,7 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 		prev, snap = next, next
 	}
 	checkRowsAddUp(t, snap)
-	if row := snap.row(t, defaultModel); len(snap.Scheduler.Workers) != 2 || row.Queries != 1 {
+	if row := snap.row(t, testModel); len(snap.Scheduler.Workers) != 2 || row.Queries != 1 {
 		t.Errorf("event has %d workers and %d queries, want 2 and 1", len(snap.Scheduler.Workers), row.Queries)
 	}
 }
@@ -136,10 +136,7 @@ func TestStreamClosesOnDrain(t *testing.T) {
 // Shutdown (as SIGINT triggers it) must run beginDrain via the registered
 // hook, unblock the live stream handler, and let serve return promptly.
 func TestServeShutdownClosesStream(t *testing.T) {
-	srv, err := newServer(evprop.Asia(), evprop.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv.sampler.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -229,7 +226,7 @@ func TestMetricsConformance(t *testing.T) {
 	if err := srv.reg.LoadSync("rain", registry.InlineSource(mmRainBIF(t, 0.3), false)); err != nil {
 		t.Fatal(err)
 	}
-	post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
+	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
 	post(t, ts.URL+"/v1/models/rain/query", queryRequest{Evidence: evprop.Evidence{"Wet": 1}})
 
 	resp, err := http.Get(ts.URL + "/v1/metrics")
@@ -264,7 +261,7 @@ func TestMetricsConformance(t *testing.T) {
 	}
 	for _, metric := range []string{
 		"\nevprop_sched_global_depth 0\n", "\nevprop_sched_active_runs 0\n",
-		`evprop_sched_inline_runs_total{model="default"} 0`, `evprop_sched_pool_runs_total{model="default"} 1`,
+		`evprop_sched_inline_runs_total{model="test"} 0`, `evprop_sched_pool_runs_total{model="test"} 1`,
 		`evprop_sched_inline_runs_total{model="rain"} 1`, `evprop_sched_pool_runs_total{model="rain"} 0`,
 		`evprop_request_duration_seconds_count{model="rain"} 1`,
 		`evprop_worker_queue_depth{worker="0"}`,
@@ -275,7 +272,7 @@ func TestMetricsConformance(t *testing.T) {
 			t.Errorf("metrics missing %s", metric)
 		}
 	}
-	// Nothing is read through a default model: no per-model quantity is exposed
+	// Nothing is read through a model by default: no per-model quantity is exposed
 	// without its label, and the parallel evprop_model_* families are gone.
 	// What is the process's — its workers, the tasks queued on them, the runs in
 	// flight — is exposed once, with no model to name: two models, two workers,

@@ -103,7 +103,7 @@ func TestTraceparentSurvivesEndToEnd(t *testing.T) {
 		callerSpan  = "00f067aa0ba902b7"
 	)
 	parent := "00-" + callerTrace + "-" + callerSpan + "-01"
-	resp := postTraced(t, ts.URL+"/v1/query", parent,
+	resp := postTraced(t, ts.URL+modelPath+"/query", parent,
 		queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -122,7 +122,7 @@ func TestTraceparentSurvivesEndToEnd(t *testing.T) {
 	if tr.Reason != "flagged" {
 		t.Errorf("keep reason %q, want flagged", tr.Reason)
 	}
-	root := tr.span(t, "/v1/query")
+	root := tr.span(t, "/v1/models/{name}/query")
 	if root.ParentSpanID != callerSpan {
 		t.Errorf("root parent %q, want the caller's span %q", root.ParentSpanID, callerSpan)
 	}
@@ -144,7 +144,7 @@ func TestTraceparentSurvivesEndToEnd(t *testing.T) {
 func TestTraceErrorEnvelopeAndKeep(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
 	srv.tracer.SampleRate = 0 // tail rules only
-	resp := post(t, ts.URL+"/v1/query", queryRequest{Query: []string{"nope"}})
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -174,7 +174,7 @@ func TestTraceErrorEnvelopeAndKeep(t *testing.T) {
 // TestTraceDebugEndpoint: the list form, the 404 and the 400.
 func TestTraceDebugEndpoint(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
-	resp := post(t, ts.URL+"/v1/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}

@@ -4,13 +4,13 @@
 // and the interesting attributes (cache hit, singleflight role, lazy
 // pruning counters) inline.
 //
-//	evtrace -url http://localhost:8080                # list recently kept traces
-//	evtrace -url http://localhost:8080 -id <32 hex>   # waterfall one trace
-//	evtrace -url http://localhost:8080 -drive 3       # send a traced 3-query batch, render its trace
-//	evtrace -url http://localhost:8080 -drive 3 -assert
+//	evtrace -url http://localhost:8080                          # list recently kept traces
+//	evtrace -url http://localhost:8080 -id <32 hex>             # waterfall one trace
+//	evtrace -url http://localhost:8080 -model asia -drive 3     # send a traced 3-query batch, render its trace
+//	evtrace -url http://localhost:8080 -model asia -drive 3 -assert
 //
-// -drive mints a sampled W3C traceparent, sends one /v1/batch of n
-// identical queries under it (identical so the engine's singleflight and
+// -drive mints a sampled W3C traceparent, sends one batch of n identical
+// queries to -model under it (identical so the engine's singleflight and
 // result cache collapse them: on a signature the server has not seen, the
 // first sight's private propagation plus one shared, cached one), then fetches
 // the trace back by the minted ID. -assert additionally verifies the span tree
@@ -37,7 +37,7 @@ func main() {
 	var (
 		url     = flag.String("url", "http://localhost:8080", "evserve base URL")
 		id      = flag.String("id", "", "trace ID to fetch (32 hex chars); empty lists recent traces")
-		model   = flag.String("model", evclient.DefaultModel, "model to drive queries at")
+		model   = flag.String("model", "", "model to drive queries at (required with -drive)")
 		drive   = flag.Int("drive", 0, "send one traced batch of this many identical queries, then render its trace")
 		assert  = flag.Bool("assert", false, "with -drive: verify the span tree and exit non-zero on violations")
 		timeout = flag.Duration("timeout", 5*time.Second, "overall deadline")
@@ -47,6 +47,10 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.String("evtrace"))
 		return
+	}
+	if *drive > 0 && *model == "" {
+		fmt.Fprintln(os.Stderr, "evtrace: -drive needs -model")
+		os.Exit(2)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

@@ -217,12 +217,8 @@ func assertTrace(tr *evclient.TraceResponse, traceID, parentSpan string, n int) 
 	if !tr.Sampled {
 		problems = append(problems, "caller's sampled flag was dropped")
 	}
-	// The batch root is route-named: /v1/batch on the default alias,
-	// /v1/models/{name}/batch on the model-scoped route evclient uses.
-	root, ok := findSpan(tr, "/v1/batch")
-	if !ok {
-		root, ok = findSpan(tr, "/v1/models/{name}/batch")
-	}
+	// The batch root is named by its route.
+	root, ok := findSpan(tr, "/v1/models/{name}/batch")
 	if !ok {
 		problems = append(problems, "no batch root span")
 	} else if root.ParentSpanID != parentSpan {

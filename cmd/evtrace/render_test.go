@@ -26,7 +26,7 @@ func fixture() *evclient.TraceResponse {
 		Sampled: true,
 		Reason:  "flagged",
 		Spans: []evclient.TraceSpan{
-			at(0, 10*time.Millisecond, "/v1/batch", "aaaaaaaaaaaaaaaa", "00f067aa0ba902b7",
+			at(0, 10*time.Millisecond, "/v1/models/{name}/batch", "aaaaaaaaaaaaaaaa", "00f067aa0ba902b7",
 				map[string]any{"http.status": float64(200)}),
 			at(time.Millisecond, 8*time.Millisecond, "batch.item", "bbbbbbbbbbbbbbbb", "aaaaaaaaaaaaaaaa",
 				map[string]any{"batch.index": float64(0)}),
@@ -69,7 +69,7 @@ func TestWaterfall(t *testing.T) {
 	for _, want := range []string{
 		"trace 4bf92f3577b34da6a3ce929d0e0e4736",
 		"14 spans, kept: flagged, sampled",
-		"/v1/batch", "  batch.item", "    cache.lookup", "    propagate",
+		"/v1/models/{name}/batch", "  batch.item", "    cache.lookup", "    propagate",
 		"      kind.SumProduct",
 		"10.00ms", "100.0%",
 		"cache.hit=false", "cache.first_sight=true",
@@ -85,7 +85,7 @@ func TestWaterfall(t *testing.T) {
 	lines := strings.Split(out, "\n")
 	var rootLine string
 	for _, l := range lines {
-		if strings.HasPrefix(l, "/v1/batch") {
+		if strings.HasPrefix(l, "/v1/models/{name}/batch") {
 			rootLine = l
 		}
 	}

@@ -232,8 +232,8 @@ rpc_seconds_sum 0.5
 rpc_seconds_count 3
 # HELP reqs_total Requests.
 # TYPE reqs_total counter
-reqs_total{code="200",path="/v1/query"} 10
-reqs_total{code="500",path="/v1/que\"ry\n"} 0
+reqs_total{code="200",path="/v1/models/{name}/query"} 10
+reqs_total{code="500",path="/v1/models/{name}/que\"ry\n"} 0
 `
 	if problems := LintExposition(strings.NewReader(payload)); len(problems) != 0 {
 		t.Errorf("unexpected problems: %v", problems)

@@ -45,10 +45,10 @@ func (w *bifBuffer) Write(p []byte) (int, error) {
 func TestLoadAcquireRelease(t *testing.T) {
 	r := New(evprop.Options{Workers: 2})
 	defer r.Close()
-	if err := r.LoadSync("default", BuiltinSource("asia")); err != nil {
+	if err := r.LoadSync("asia", LiteralSource(evprop.Asia(), "asia")); err != nil {
 		t.Fatal(err)
 	}
-	v, release, err := r.Acquire("default")
+	v, release, err := r.Acquire("asia")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestLoadAcquireRelease(t *testing.T) {
 func TestBadNameAndFailedCompile(t *testing.T) {
 	r := New(evprop.Options{Workers: 1})
 	defer r.Close()
-	if _, err := r.Load("no/slash", BuiltinSource("asia")); !errors.Is(err, ErrBadName) {
+	if _, err := r.Load("no/slash", LiteralSource(evprop.Asia(), "asia")); !errors.Is(err, ErrBadName) {
 		t.Errorf("bad name error = %v", err)
 	}
 	if err := r.LoadSync("broken", InlineSource([]byte("not a bif"), false)); err == nil {
@@ -89,7 +89,7 @@ func TestBadNameAndFailedCompile(t *testing.T) {
 		t.Errorf("state %q, want failed", got)
 	}
 	// A later good load heals the model.
-	if err := r.LoadSync("broken", BuiltinSource("sprinkler")); err != nil {
+	if err := r.LoadSync("broken", LiteralSource(evprop.Sprinkler(), "sprinkler")); err != nil {
 		t.Fatal(err)
 	}
 	if _, release, err := r.Acquire("broken"); err != nil {
@@ -305,7 +305,7 @@ func TestPerModelCacheIsolation(t *testing.T) {
 func TestDeleteDrains(t *testing.T) {
 	r := New(evprop.Options{Workers: 1})
 	defer r.Close()
-	if err := r.LoadSync("m", BuiltinSource("sprinkler")); err != nil {
+	if err := r.LoadSync("m", LiteralSource(evprop.Sprinkler(), "sprinkler")); err != nil {
 		t.Fatal(err)
 	}
 	v, release, err := r.Acquire("m")
@@ -334,7 +334,7 @@ func TestDeleteRacesCompile(t *testing.T) {
 	r := New(evprop.Options{Workers: 1})
 	defer r.Close()
 	for i := 0; i < 10; i++ {
-		done, err := r.Load("m", BuiltinSource("asia"))
+		done, err := r.Load("m", LiteralSource(evprop.Asia(), "asia"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestDeleteRacesCompile(t *testing.T) {
 func TestOutcomeNotVisibleWhileCompiling(t *testing.T) {
 	r := New(evprop.Options{Workers: 1})
 	defer r.Close()
-	if err := r.LoadSync("m", BuiltinSource("sprinkler")); err != nil {
+	if err := r.LoadSync("m", LiteralSource(evprop.Sprinkler(), "sprinkler")); err != nil {
 		t.Fatal(err)
 	}
 	m, err := r.model("m")
@@ -365,7 +365,7 @@ func TestOutcomeNotVisibleWhileCompiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.compiling.Add(1)
-	if err := r.compileCounted(m, BuiltinSource("sprinkler")); err != nil {
+	if err := r.compileCounted(m, LiteralSource(evprop.Sprinkler(), "sprinkler")); err != nil {
 		t.Fatal(err)
 	}
 	if info := m.Info(); info.State != StateReady || info.Reloading || info.Version != 2 {

@@ -16,18 +16,15 @@ import (
 // the file on every compile (that is what makes POST /reload pick up an
 // edited BIF); inline sources re-parse the retained upload bytes.
 type Source struct {
-	// Kind is one of "builtin", "random", "bif", "xmlbif", "inline-bif",
-	// "inline-xmlbif", "literal".
+	// Kind is one of "bif", "xmlbif", "inline-bif", "inline-xmlbif",
+	// "literal".
 	Kind string
-	// Name selects the builtin ("asia", "sprinkler", "student").
+	// Name describes a literal source in listings.
 	Name string
 	// Path locates a file source.
 	Path string
 	// Data holds an uploaded document for inline sources.
 	Data []byte
-	// Nodes and Seed parameterize the random generator.
-	Nodes int
-	Seed  int64
 	// net backs a literal source (an already-built in-memory network).
 	net *evprop.Network
 }
@@ -37,14 +34,6 @@ type Source struct {
 // mutated by serving, so versions may share one).
 func LiteralSource(net *evprop.Network, desc string) Source {
 	return Source{Kind: "literal", Name: desc, net: net}
-}
-
-// BuiltinSource names one of the compiled-in example networks.
-func BuiltinSource(name string) Source { return Source{Kind: "builtin", Name: name} }
-
-// RandomSource parameterizes the synthetic layered-network generator.
-func RandomSource(nodes int, seed int64) Source {
-	return Source{Kind: "random", Nodes: nodes, Seed: seed}
 }
 
 // FileSource loads a BIF or XMLBIF file, picking the parser from the
@@ -77,10 +66,6 @@ func isXMLPath(path string) bool {
 // String renders the source for listings ("bif:models/alarm.bif").
 func (s Source) String() string {
 	switch s.Kind {
-	case "builtin":
-		return "builtin:" + s.Name
-	case "random":
-		return fmt.Sprintf("random:nodes=%d,seed=%d", s.Nodes, s.Seed)
 	case "bif", "xmlbif":
 		return s.Kind + ":" + s.Path
 	case "inline-bif", "inline-xmlbif":
@@ -95,18 +80,6 @@ func (s Source) String() string {
 // new instance: versions must never share mutable network state.
 func (s Source) Instantiate() (*evprop.Network, error) {
 	switch s.Kind {
-	case "builtin":
-		switch s.Name {
-		case "asia":
-			return evprop.Asia(), nil
-		case "sprinkler":
-			return evprop.Sprinkler(), nil
-		case "student":
-			return evprop.Student(), nil
-		}
-		return nil, fmt.Errorf("registry: unknown builtin network %q", s.Name)
-	case "random":
-		return evprop.RandomNetwork(s.Nodes, 2, 3, s.Seed), nil
 	case "bif", "xmlbif":
 		f, err := os.Open(s.Path)
 		if err != nil {

@@ -36,10 +36,9 @@ func writeModelFile(t *testing.T, dir, name string, net *evprop.Network, xml boo
 
 func TestSourceInstantiate(t *testing.T) {
 	for _, src := range []Source{
-		BuiltinSource("asia"),
-		BuiltinSource("sprinkler"),
-		BuiltinSource("student"),
-		RandomSource(12, 7),
+		LiteralSource(evprop.Asia(), "asia"),
+		netSource(t, evprop.Sprinkler()),
+		FileSource(writeModelFile(t, t.TempDir(), "student", evprop.Student(), true)),
 	} {
 		n, err := src.Instantiate()
 		if err != nil {
@@ -49,8 +48,8 @@ func TestSourceInstantiate(t *testing.T) {
 			t.Fatalf("%s: %v", src, err)
 		}
 	}
-	if _, err := BuiltinSource("bogus").Instantiate(); err == nil {
-		t.Error("unknown builtin accepted")
+	if _, err := (Source{Kind: "literal"}).Instantiate(); err == nil {
+		t.Error("literal source without a network accepted")
 	}
 	if _, err := (Source{Kind: "bogus"}).Instantiate(); err == nil {
 		t.Error("unknown kind accepted")
