@@ -133,14 +133,13 @@ func BenchmarkConcurrentQueryPprofLabels(b *testing.B) {
 }
 
 // BenchmarkConcurrentQueryAudited is BenchmarkConcurrentQuery with the full
-// durable-audit pipeline attached, as under evserve -audit-dir: the engine
-// records evidence maps, and every query additionally builds an audit
-// record (cloned evidence + the response's posteriors) and enqueues it on
-// the wait-free ring, with the drainer spilling Merkle-chained batches to
-// disk in the background. The delta against BenchmarkConcurrentQuery is the
+// durable-audit pipeline attached, as under evserve -audit-dir: every query
+// additionally builds an audit record (cloned evidence + the response's
+// posteriors) and enqueues it on the wait-free ring, with the drainer
+// spilling Merkle-chained batches to disk in the background. The delta against BenchmarkConcurrentQuery is the
 // audit pipeline's hot-path cost — budgeted at 1%.
 func BenchmarkConcurrentQueryAudited(b *testing.B) {
-	eng, ev := servingEngineOpts(b, Options{Workers: 4, RecordEvidence: true})
+	eng, ev := servingEngine(b)
 	store, err := audit.OpenFileStore(b.TempDir(), audit.FileStoreOptions{})
 	if err != nil {
 		b.Fatal(err)

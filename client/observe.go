@@ -17,12 +17,6 @@ import (
 // recorder.
 type FlightRecord = evprop.FlightRecord
 
-// TraceEvent is one executed scheduler item in a slow-query capture.
-type TraceEvent = evprop.TraceEvent
-
-// SlowQueryCapture is the full detail retained for one slow propagation.
-type SlowQueryCapture = evprop.SlowQueryCapture
-
 // FlightRecorderStats summarizes the recorder itself.
 type FlightRecorderStats = evprop.FlightRecorderStats
 
@@ -33,7 +27,7 @@ type CacheCounters = evprop.CacheStats
 type FlightRecorderQuery struct {
 	// Model selects the recorder; evserve refuses a query without one.
 	Model string
-	// ID filters records and slow captures to one query ID.
+	// ID filters records to one query ID.
 	ID string
 	// Since, when non-nil, returns only records with Seq strictly greater
 	// — pass the previous page's NextSince to tail the ring. nil returns
@@ -44,12 +38,11 @@ type FlightRecorderQuery struct {
 }
 
 // FlightRecorderPage is one page of the recorder: records oldest to
-// newest, the retained slow captures, and the cursor for the next page.
+// newest and the cursor for the next page.
 type FlightRecorderPage struct {
 	Model     string              `json:"model"`
 	Recorder  FlightRecorderStats `json:"recorder"`
 	Records   []FlightRecord      `json:"records"`
-	Slow      []SlowQueryCapture  `json:"slow"`
 	NextSince uint64              `json:"next_since"`
 }
 

@@ -17,7 +17,7 @@ import (
 // spilling into a per-test temp directory, mirroring the -audit-dir boot.
 func auditTestServer(t *testing.T) (*httptest.Server, *server, string) {
 	t.Helper()
-	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2, RecordEvidence: true})
+	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	dir := attachAudit(t, srv)
 	ts := httptest.NewServer(srv.mux())
@@ -286,7 +286,7 @@ func TestFlightRecorderPagination(t *testing.T) {
 		}
 	}
 
-	// Evidence capture: engines without RecordEvidence still carry the sig.
+	// Every record carries its evidence signature.
 	if full.Records[0].EvidenceSig == "" {
 		t.Error("flight record missing evidence signature")
 	}

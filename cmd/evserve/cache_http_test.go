@@ -105,7 +105,7 @@ func TestCachedFlightRecord(t *testing.T) {
 // log and the batch's span tree.
 func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	const n = 8
-	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64, RecordEvidence: true})
+	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
 	dir := attachAudit(t, srv)
 
 	req := batchRequest{}

@@ -38,8 +38,8 @@
 //	GET /v1/healthz → liveness: build info, go version, uptime
 //	GET /v1/readyz  → readiness: 200 while serving, 503 once drain begins
 //	GET /v1/audit  → audit pipeline status: counters, chain head, segment totals
-//	GET /v1/debug/flightrecorder?model=<name> → that model's recent query ring and
-//	                slow-query captures; ?id=q-… filters to one query ID,
+//	GET /v1/debug/flightrecorder?model=<name> → that model's recent query ring,
+//	                slow runs marked; ?id=q-… filters to one query ID,
 //	                ?since=<seq>&limit=N pages oldest-first (next_since cursor)
 //	GET /v1/debug/trace → recently kept trace IDs; ?id=<32-hex> returns one
 //	                kept trace's span tree (see cmd/evtrace for a waterfall)
@@ -105,8 +105,7 @@ func main() {
 		logFmt    = flag.String("log", "text", "access-log format: text or json")
 		timeout   = flag.Duration("request-timeout", 0, "per-request deadline (0 = none)")
 		inflight  = flag.Int("max-inflight", 0, "reject propagating requests beyond this many in flight with 429 (0 = unlimited)")
-		slowThr   = flag.Duration("slow-threshold", 0, "flight-recorder slow-query capture floor (0 = adaptive, 2×p99)")
-		recorder  = flag.Int("recorder-size", 0, "flight-recorder ring capacity (0 = default)")
+		slowThr   = flag.Duration("slow-threshold", 0, "slow-query floor: a slower run is marked slow in the flight recorder and its trace is kept (0 = adaptive, 2×p99)")
 		cacheSz   = flag.Int("cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries pin)")
 		auditDir  = flag.String("audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
 		auditBat  = flag.Int("audit-batch", 0, "audit records per flushed batch (0 = default)")
@@ -132,15 +131,10 @@ func main() {
 	opts := evprop.Options{
 		Workers:            *workers,
 		SlowQueryThreshold: *slowThr,
-		FlightRecorderSize: *recorder,
 		CacheSize:          *cacheSz,
 		// Worker pprof labels are readable only through /debug/pprof/, so
 		// they ride the same flag and cost nothing when it is off.
 		PprofLabels: *pprofOn,
-		// Auditing implies full evidence capture in the flight recorder:
-		// the same queries are being persisted anyway, and replay tooling
-		// cross-references the two by evidence signature.
-		RecordEvidence: *auditDir != "",
 	}
 	srv := newMultiServer(opts)
 	if *auditDir != "" {

@@ -48,6 +48,10 @@ type reqInfo struct {
 	// zero on engines compiled without a cache.
 	cacheHits    atomic.Int64
 	cacheLookups atomic.Int64
+	// answered is the latency in ns of the request's last successful answer,
+	// 0 when none succeeded: the exemplar instrument gives the model's latency
+	// histogram once tail sampling kept the request's trace.
+	answered atomic.Int64
 	// ms is where the request is counted — its errors, its window sample: the
 	// server's noModel until routing resolves a model, that model's counters
 	// from then on.
@@ -215,7 +219,9 @@ func (s *server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			}
 			root.End()
 			arena.SetSlowThreshold(ri.slowThreshold())
-			s.tracer.Finish(arena, root)
+			if d := ri.answered.Load(); s.tracer.Finish(arena, root) && d > 0 {
+				ri.ms.latency.SetExemplar(time.Duration(d), ri.traceID)
+			}
 		}
 		// A request that resolved no model — a scrape, a dashboard's poll, an
 		// unknown name — is in the access log and noModel's error count, and in

@@ -198,36 +198,61 @@ func TestValidQueryID(t *testing.T) {
 }
 
 // TestFlightRecorderEndpointSlowCapture pins the slow threshold so every
-// propagation is captured with its full trace, then reads the dump over
-// HTTP: an inline run on Asia with its one worker column, a pool run on a
-// model that crosses the granularity rule with two.
+// propagation is slow, then answers "why was that query slow?" the two ways
+// there are: its ring record, looked up by X-Query-ID, is marked slow and
+// describes the run, and its trace, kept by tail sampling as "slow", has a
+// propagate span naming the executor and the tasks — an inline run on Asia,
+// a pool run on a model that crosses the granularity rule. Neither is stored
+// twice: the dump has no slow array.
 func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
 	opts := evprop.Options{Workers: 2, SlowQueryThreshold: time.Nanosecond}
-	ts, _ := testServerFull(t, opts)
-	pooled, _ := testServerNet(t, poolNetwork(), opts)
+	ts, srv := testServerFull(t, opts)
+	pooled, psrv := testServerNet(t, poolNetwork(), opts)
 	for _, tc := range []struct {
 		url      string
+		srv      *server
 		evidence evprop.Evidence
 		executor string
-		columns  int
+		workers  int
 	}{
-		{ts.URL, evprop.Evidence{"XRay": 1}, "inline", 1},
-		{pooled.URL, evprop.Evidence{"A": 1}, "pool", 2},
+		{ts.URL, srv, evprop.Evidence{"XRay": 1}, "inline", 1},
+		{pooled.URL, psrv, evprop.Evidence{"A": 1}, "pool", 2},
 	} {
-		post(t, tc.url+modelPath+"/query", queryRequest{Evidence: tc.evidence})
-		fr, err := http.Get(tc.url + recorderPath)
+		tc.srv.tracer.SampleRate = 0 // kept by the slow rule alone
+		resp := post(t, tc.url+modelPath+"/query", queryRequest{Evidence: tc.evidence})
+		fr, err := http.Get(tc.url + recorderPath + "&id=" + resp.Header.Get("X-Query-ID"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(fr.Body)
+		fr.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		var dump flightRecorderResponse
-		decode(t, fr, &dump)
-		fr.Body.Close()
-		if dump.Recorder.SlowCaptured == 0 || len(dump.Slow) == 0 {
-			t.Fatalf("%s: no slow captures: %+v", tc.executor, dump.Recorder)
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(body, &dump); err != nil {
+			t.Fatal(err)
 		}
-		c := dump.Slow[0]
-		if !c.Record.Slow || c.Record.Executor != tc.executor || len(c.Trace) == 0 || len(c.BusyPerWorkerUsec) != tc.columns {
-			t.Errorf("%s: capture %+v", tc.executor, c.Record)
+		if err := json.Unmarshal(body, &fields); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := fields["slow"]; ok || dump.Recorder.SlowCaptured != 1 || len(dump.Records) != 1 {
+			t.Fatalf("%s: dump %s", tc.executor, body)
+		}
+		rec := dump.Records[0]
+		if !rec.Slow || rec.Executor != tc.executor || rec.Workers != tc.workers || rec.Tasks == 0 ||
+			rec.Entries == 0 || rec.EffectiveWorkers != 2 || rec.LoadBalance < 1 {
+			t.Errorf("%s: record %+v", tc.executor, rec)
+		}
+		tr := fetchTrace(t, tc.url, resp.Header.Get("X-Trace-ID"))
+		if tr.Reason != "slow" {
+			t.Errorf("%s: trace kept for reason %q, want slow", tc.executor, tr.Reason)
+		}
+		sp := tr.span(t, "propagate")
+		if sp.Attrs["executor"] != tc.executor || sp.Attrs["tasks"] != float64(rec.Tasks) ||
+			sp.Attrs["workers.effective"] != float64(2) {
+			t.Errorf("%s: propagate span %v, want executor %s and the record's %d tasks", tc.executor, sp.Attrs, tc.executor, rec.Tasks)
 		}
 	}
 	// POST is rejected.
@@ -387,7 +412,8 @@ func TestRequestTimeout(t *testing.T) {
 // TestViewsAgree drives every kind of answer through one server with every
 // view switched on — access log, flight recorder, audit log, tracing, the
 // stats window — and checks that, per query ID, they tell the same story:
-// the same ID, model and version, the same evidence, the same cached flag
+// the same ID, model and version, the same evidence — the audit record's
+// map, signed as the flight records' evidence_sig — the same cached flag
 // and error, the same executor behind every propagation that ran, and
 // cache-hit counts that moved by exactly the number of answers that cost no
 // propagation of their own, and first-sight counts by the misses that pinned
@@ -403,7 +429,7 @@ func TestViewsAgree(t *testing.T) {
 }
 
 func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp evprop.Evidence, target string) {
-	srv := newTestServer(t, net, evprop.Options{Workers: 2, CacheSize: 16, RecordEvidence: true})
+	srv := newTestServer(t, net, evprop.Options{Workers: 2, CacheSize: 16})
 	var logBuf syncBuffer
 	srv.log = slog.New(slog.NewJSONHandler(&logBuf, nil))
 	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
@@ -544,7 +570,6 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			t.Errorf("%s: %d flight records, want %d (%v)", row.name, len(dump.Records), len(row.modes), row.modes)
 			dump.Records = nil
 		}
-		sig, _ := eng.EvidenceSignature(row.evidence[0], nil) // fails only on the failing row, which has no records
 		// Only a propagation that ran ranged over tables: fewer entries than
 		// its task graph has, since one observed variable slices every table
 		// that mentions it. The access log sums the request's runs.
@@ -567,14 +592,10 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 			if ran := wantExecutor != ""; ran != (rec.Entries > 0 && rec.Entries < rec.GraphEntries) || ran != (rec.GraphEntries > 0) {
 				t.Errorf("%s: flight record %d ranged over %d of %d entries, ran=%v", row.name, k, rec.Entries, rec.GraphEntries, ran)
 			}
-			// The signature's first byte is the semiring; the rest is the
-			// evidence, identical for the sum- and max-product records.
 			if rec.Mode != row.modes[k] || rec.Cached != row.cached || rec.Error != "" ||
-				rec.Executor != wantExecutor ||
-				!maps.Equal(rec.Evidence, map[string]int(row.evidence[0])) ||
-				rec.EvidenceSig[2:] != hex.EncodeToString([]byte(sig))[2:] {
-				t.Errorf("%s: flight record %d = %+v, want mode %s cached %v executor %q evidence %v",
-					row.name, k, rec, row.modes[k], row.cached, wantExecutor, row.evidence[0])
+				rec.Executor != wantExecutor {
+				t.Errorf("%s: flight record %d = %+v, want mode %s cached %v executor %q",
+					row.name, k, rec, row.modes[k], row.cached, wantExecutor)
 			}
 		}
 		if line.Entries != entries || line.GraphEntries != graphEntries {
@@ -613,6 +634,17 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 				rec.Error != envelope.Error.Message || !maps.Equal(rec.Evidence, map[string]int(row.evidence[k])) {
 				t.Errorf("%s: audit record %d = %+v, want model %s version %d cached %v error %q evidence %v",
 					row.name, k, rec, testModel, version.ID, row.cached, envelope.Error.Message, row.evidence[k])
+			}
+			// The flight records keep the evidence as its signature: the
+			// audit record's map must sign to it. The signature's first byte
+			// is the semiring; the rest is the evidence, identical for the
+			// sum- and max-product records.
+			sig, _ := eng.EvidenceSignature(evprop.Evidence(rec.Evidence), nil) // fails only on the failing row, which has no records
+			for j, fr := range dump.Records {
+				if fr.EvidenceSig[2:] != hex.EncodeToString([]byte(sig))[2:] {
+					t.Errorf("%s: flight record %d signs %s, audit record %d's evidence %v signs %x",
+						row.name, j, fr.EvidenceSig, k, rec.Evidence, sig)
+				}
 			}
 		}
 

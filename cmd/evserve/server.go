@@ -277,16 +277,17 @@ func (s *server) propagate(ctx context.Context, o *outcome) {
 }
 
 // finish folds one outcome into the views: the request's totals (which
-// instrument turns into the access-log line and the window sample), its
-// model's latency histogram — with the request's trace ID as the exemplar, so
-// slow buckets link to their traces — and the audit log.
+// instrument turns into the access-log line, the window sample and, once
+// tail sampling kept the request's trace, the latency exemplar), its model's
+// latency histogram and the audit log.
 // Failed outcomes stay out of the histogram — they are counted as errors
 // by writeErrorCode, and a batch item's failure is reported in place.
 func (s *server) finish(ctx context.Context, o *outcome) {
 	ri := reqInfoFrom(ctx)
 	ri.fold(o, s.cacheOn)
 	if o.err == nil {
-		ri.ms.latency.ObserveExemplar(o.elapsed, ri.traceID)
+		ri.ms.latency.Observe(o.elapsed)
+		ri.answered.Store(int64(o.elapsed))
 	}
 	if s.aud != nil {
 		s.aud.Enqueue(o.auditRecord(ri.queryID, ri.ms.name))
@@ -459,13 +460,11 @@ func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
 }
 
 // flightRecorderResponse is the /v1/debug/flightrecorder payload: one
-// model's recorder counters, its ring of recent queries, and its retained
-// slow-query captures (full scheduler traces).
+// model's recorder counters and its ring of recent queries.
 type flightRecorderResponse struct {
 	Model    string                     `json:"model"`
 	Recorder evprop.FlightRecorderStats `json:"recorder"`
 	Records  []evprop.FlightRecord      `json:"records"`
-	Slow     []evprop.SlowQueryCapture  `json:"slow"`
 	// NextSince is the pagination cursor: pass it back as ?since= to
 	// receive only records newer than this page. It repeats the request's
 	// since value when no records matched.
@@ -474,14 +473,12 @@ type flightRecorderResponse struct {
 
 // handleFlightRecorder dumps a model's flight recorder (the recorder is
 // scoped per model version — the required `?model=` selects one).
-// `?id=q-…` filters both the ring and the slow captures to one query ID —
-// the lookup used to correlate an X-Query-ID response header or
-// access-log line with its scheduler run. `?since=<seq>` returns only
-// records with a strictly greater sequence number and `&limit=N` caps the
-// page (oldest first); together with the response's next_since cursor a
-// poller tails the ring without re-reading records it has already seen.
-// Slow captures are not paginated — the slow ring is small and keyed by
-// its own capture order.
+// `?id=q-…` filters the ring to one query ID — the lookup used to
+// correlate an X-Query-ID response header or access-log line with its
+// scheduler run. `?since=<seq>` returns only records with a strictly
+// greater sequence number and `&limit=N` caps the page (oldest first);
+// together with the response's next_since cursor a poller tails the ring
+// without re-reading records it has already seen.
 func (s *server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
@@ -521,7 +518,6 @@ func (s *server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 		Model:     name,
 		Recorder:  v.Engine.FlightRecorderStats(),
 		Records:   v.Engine.RecentQueries(),
-		Slow:      v.Engine.SlowQueryCaptures(),
 		NextSince: since,
 	}
 	if id := q.Get("id"); id != "" {
@@ -531,13 +527,7 @@ func (s *server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 				recs = append(recs, rec)
 			}
 		}
-		var slow []evprop.SlowQueryCapture
-		for _, c := range resp.Slow {
-			if c.Record.ID == id {
-				slow = append(slow, c)
-			}
-		}
-		resp.Records, resp.Slow = recs, slow
+		resp.Records = recs
 	}
 	if haveSince {
 		// Records arrive sorted by Seq; keep the strictly-newer suffix.

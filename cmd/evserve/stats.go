@@ -343,8 +343,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ready.family("evprop_workers", "Configured propagation workers.", "gauge",
 		func(r *modelRow) float64 { return float64(r.Workers) })
 	// One histogram per model — cumulative le buckets, _sum and _count, a model
-	// label on every series; buckets with a traced observation carry its
-	// exemplar.
+	// label on every series; buckets with an observation whose trace was kept
+	// carry its exemplar.
 	const duration = "evprop_request_duration_seconds"
 	obs.WriteHeader(w, duration, "End-to-end propagation latency of successful requests.", "histogram")
 	for _, r := range ready.rows {
@@ -426,9 +426,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	ready.family("evprop_flightrecorder_recorded_total", "Propagations seen by the flight recorder.", "counter",
 		func(r *modelRow) float64 { return float64(r.Recorder.Recorded) })
-	ready.family("evprop_flightrecorder_slow_total", "Slow-query captures taken by the flight recorder.", "counter",
+	ready.family("evprop_flightrecorder_slow_total", "Propagations the flight recorder marked slow.", "counter",
 		func(r *modelRow) float64 { return float64(r.Recorder.SlowCaptured) })
-	ready.family("evprop_flightrecorder_slow_threshold_seconds", "Current slow-query capture threshold (0 while calibrating).", "gauge",
+	ready.family("evprop_flightrecorder_slow_threshold_seconds", "Current slow-query threshold (0 while calibrating).", "gauge",
 		func(r *modelRow) float64 { return r.Recorder.SlowThresholdUsec / 1e6 })
 
 	// Per-worker gauges of the process's pool: no series until a run has been

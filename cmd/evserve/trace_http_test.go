@@ -1,14 +1,17 @@
 package main
 
 import (
-	"net/http"
-	"time"
-
 	"bytes"
 	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http"
+	"regexp"
 	"testing"
+	"time"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/obs/trace"
 )
 
@@ -217,4 +220,66 @@ func TestTraceDebugEndpoint(t *testing.T) {
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id status %d, want 400", r.StatusCode)
 	}
+}
+
+// TestExemplarsNameKeptTraces: a latency bucket's exemplar names a trace
+// that GET /v1/debug/trace returns. At sample rate 0 a fast, successful,
+// unflagged request's trace is dropped, and its latency is counted with no
+// exemplar; a flagged request's trace is kept, and its latency's exemplar
+// resolves.
+func TestExemplarsNameKeptTraces(t *testing.T) {
+	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
+	srv.tracer.SampleRate = 0
+	var logBuf syncBuffer
+	srv.log = slog.New(slog.NewTextHandler(&logBuf, nil))
+	exemplar := regexp.MustCompile(`evprop_request_duration_seconds_bucket\{[^}]*model="test"\} \d+ # \{trace_id="([0-9a-f]{32})"\}`)
+	// query posts one query and returns its trace ID once the access-log line
+	// is written: instrument has then finished with the request.
+	query := func(traceparent string) string {
+		resp := postTraced(t, ts.URL+modelPath+"/query", traceparent, queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		waitForLogLine(t, &logBuf, "id="+resp.Header.Get("X-Query-ID"))
+		return resp.Header.Get("X-Trace-ID")
+	}
+	exemplars := func() []string {
+		resp, err := http.Get(ts.URL + "/v1/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, m := range exemplar.FindAllStringSubmatch(string(body), -1) {
+			ids = append(ids, m[1])
+		}
+		return ids
+	}
+
+	dropped := query("")
+	resp, err := http.Get(ts.URL + "/v1/debug/trace?id=" + dropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("dropped trace answers %d, want 404", resp.StatusCode)
+	}
+	if ids := exemplars(); len(ids) != 0 {
+		t.Errorf("a dropped trace left exemplars %v (dropped: %s)", ids, dropped)
+	}
+
+	traceparent, flagged := evclient.NewTraceparent(true)
+	if got := query(traceparent); got != flagged {
+		t.Fatalf("X-Trace-ID %s, want the caller's %s", got, flagged)
+	}
+	ids := exemplars()
+	if len(ids) != 1 || ids[0] != flagged {
+		t.Fatalf("exemplars %v, want the flagged trace %s alone", ids, flagged)
+	}
+	fetchTrace(t, ts.URL, ids[0])
 }

@@ -187,13 +187,11 @@ type Options struct {
 	// DisableFlightRecorder turns off the always-on flight recorder (see
 	// Engine.RecentQueries); useful only for micro-benchmarking its cost.
 	DisableFlightRecorder bool
-	// FlightRecorderSize is the recorder's summary-ring capacity (0 selects
-	// the default, 256).
-	FlightRecorderSize int
-	// SlowQueryThreshold pins the flight recorder's slow-query capture
-	// threshold: any propagation slower than this retains its full
-	// scheduler trace. 0 selects the adaptive threshold, 2× the observed
-	// p99 latency once enough propagations have been recorded.
+	// SlowQueryThreshold pins the flight recorder's slow threshold: any
+	// propagation slower than this is marked Slow in its FlightRecord (and
+	// evserve's tail sampling keeps its trace). 0 selects the adaptive
+	// threshold, 2× the observed p99 latency once enough propagations have
+	// been recorded.
 	SlowQueryThreshold time.Duration
 	// CacheSize enables the shared-evidence result cache: completed
 	// propagations are retained in a sharded LRU of about this many entries
@@ -217,13 +215,6 @@ type Options struct {
 	// endpoints, so enable this alongside them (evserve does when run with
 	// -pprof).
 	PprofLabels bool
-	// RecordEvidence retains each query's full evidence map in its flight
-	// record — in addition to the canonical evidence signature, which is
-	// always recorded — so recorded queries can be re-executed verbatim
-	// (durable audit replay; evserve enables this when run with
-	// -audit-dir). Off by default: the evidence map is the one
-	// flight-record field whose size the client controls.
-	RecordEvidence bool
 	// Lazy switches the engine to zero-aware lazy propagation: the
 	// junction tree is calibrated once at compile time, each query then
 	// propagates only through the part of the tree its evidence actually
@@ -533,7 +524,7 @@ func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
 	}
 	var recorder *obs.FlightRecorder
 	if !opts.DisableFlightRecorder {
-		recorder = obs.NewFlightRecorder(opts.FlightRecorderSize, opts.SlowQueryThreshold)
+		recorder = obs.NewFlightRecorder(0, opts.SlowQueryThreshold)
 	}
 	eng, err := core.NewEngine(tree, core.Options{
 		Workers:            opts.Workers,
@@ -543,7 +534,6 @@ func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
 		Recorder:           recorder,
 		CacheSize:          opts.CacheSize,
 		PprofLabels:        opts.PprofLabels,
-		RecordEvidence:     opts.RecordEvidence,
 		Lazy:               opts.Lazy,
 		ForceDispatch:      forceDispatch,
 	})

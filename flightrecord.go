@@ -6,15 +6,13 @@ import (
 	"time"
 
 	"evprop/internal/obs"
-	"evprop/internal/sched"
 )
 
 // Per-request observability: every propagation carries a query ID (threaded
 // through the context) and leaves a summary in the engine's always-on flight
-// recorder — a fixed-size lock-free ring of recent queries plus an automatic
-// slow-query capture that retains the full scheduler trace of any
-// propagation beyond the slow threshold. This is the layer that answers
-// "why was *that* query slow?" in production, after the fact.
+// recorder — a fixed-size lock-free ring of recent queries, each marked Slow
+// when it crossed the slow threshold. Looked up by query ID, the record says
+// how the run went: executor, workers, tasks, entries and the Fig. 8 gauges.
 
 // WithQueryID returns a context carrying a query ID. Propagations run under
 // this context are recorded under the ID, so an HTTP server that stamps each
@@ -75,7 +73,7 @@ type FlightRecord struct {
 	SchedOverheadFrac float64 `json:"sched_overhead_fraction"`
 	// Error is the propagation failure, omitted on success.
 	Error string `json:"error,omitempty"`
-	// Slow marks records that crossed the slow-capture threshold.
+	// Slow marks records that crossed the slow threshold.
 	Slow bool `json:"slow"`
 	// Cached marks queries served from the shared-evidence result cache
 	// (no scheduler ran for them).
@@ -92,45 +90,10 @@ type FlightRecord struct {
 	LazyFlopsFull    int64 `json:"lazy_flops_full,omitempty"`
 	LazyMaterialized int64 `json:"lazy_materialized,omitempty"`
 	// EvidenceSig is the canonical evidence signature (hex) of the query's
-	// inputs — the result-cache key, and the handle audit replay uses to
-	// correlate identical queries.
+	// inputs — the result-cache key, and the handle that correlates
+	// identical queries. The evidence itself is in evserve's audit log,
+	// under the same query ID.
 	EvidenceSig string `json:"evidence_sig,omitempty"`
-	// Evidence is the query's full observed-variable map, present only on
-	// engines compiled with Options.RecordEvidence.
-	Evidence map[string]int `json:"evidence,omitempty"`
-}
-
-// TraceEvent is one executed scheduler item in a slow-query capture's
-// timeline.
-type TraceEvent struct {
-	Worker int    `json:"worker"`
-	Task   int    `json:"task"`
-	Kind   string `json:"kind"`
-	// Lo and Hi give a partitioned piece's index range; Hi is -1 for whole
-	// tasks.
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Combine marks the combining subtask of a partitioned task.
-	Combine bool `json:"combine,omitempty"`
-	// StartUsec and EndUsec are offsets from the run's start.
-	StartUsec float64 `json:"start_usec"`
-	EndUsec   float64 `json:"end_usec"`
-}
-
-// SlowQueryCapture is the full detail the flight recorder retained for one
-// slow propagation: the summary, the per-worker Fig. 8 columns, and the
-// complete scheduler trace.
-type SlowQueryCapture struct {
-	Record FlightRecord `json:"record"`
-	// ThresholdUsec is the capture threshold in force when the run crossed
-	// it.
-	ThresholdUsec float64 `json:"threshold_usec"`
-	// BusyPerWorkerUsec and OverheadPerWorkerUsec are the per-worker
-	// computation and scheduling times.
-	BusyPerWorkerUsec     []float64 `json:"busy_per_worker_usec,omitempty"`
-	OverheadPerWorkerUsec []float64 `json:"overhead_per_worker_usec,omitempty"`
-	// Trace is the run's execution timeline (empty when untraced).
-	Trace []TraceEvent `json:"trace,omitempty"`
 }
 
 // FlightRecorderStats summarizes the recorder itself.
@@ -138,14 +101,14 @@ type FlightRecorderStats struct {
 	// Enabled is false when the engine was compiled with
 	// DisableFlightRecorder.
 	Enabled bool `json:"enabled"`
-	// Size is the summary-ring capacity.
+	// Size is the ring capacity.
 	Size int `json:"size"`
 	// Recorded counts propagations recorded over the engine's lifetime.
 	Recorded int64 `json:"recorded"`
-	// SlowCaptured counts propagations that crossed the slow threshold.
+	// SlowCaptured counts the records marked Slow.
 	SlowCaptured int64 `json:"slow_captured"`
-	// SlowThresholdUsec is the capture threshold currently in force, 0
-	// while the adaptive threshold is still warming up.
+	// SlowThresholdUsec is the slow threshold currently in force, 0 while
+	// the adaptive threshold is still warming up.
 	SlowThresholdUsec float64 `json:"slow_threshold_usec"`
 }
 
@@ -176,34 +139,7 @@ func (e *Engine) RecentQueries() []FlightRecord {
 	recs := fr.Snapshot()
 	out := make([]FlightRecord, len(recs))
 	for i, rec := range recs {
-		out[i] = e.publicRecord(rec)
-	}
-	return out
-}
-
-// SlowQueryCaptures returns the retained slow-query captures, oldest to
-// newest, each with its full scheduler trace.
-func (e *Engine) SlowQueryCaptures() []SlowQueryCapture {
-	fr := e.recorder()
-	if fr == nil {
-		return nil
-	}
-	caps := fr.SlowSnapshot()
-	out := make([]SlowQueryCapture, len(caps))
-	for i := range caps {
-		sc := &caps[i]
-		pc := SlowQueryCapture{
-			Record:        e.publicRecord(sc.Record),
-			ThresholdUsec: usec(sc.Threshold),
-		}
-		if rep := sc.Record.Report; rep != nil {
-			pc.BusyPerWorkerUsec = usecSlice(rep.Busy)
-			pc.OverheadPerWorkerUsec = usecSlice(rep.Overhead)
-		}
-		if sc.Trace != nil {
-			pc.Trace = publicTrace(sc.Trace)
-		}
-		out[i] = pc
+		out[i] = publicRecord(rec)
 	}
 	return out
 }
@@ -215,10 +151,8 @@ func (e *Engine) recorder() *obs.FlightRecorder {
 	return e.inner.Recorder()
 }
 
-// publicRecord projects an engine record onto the public shape,
-// translating internal variable ids back to their names (the engine below
-// the network layer knows only ids).
-func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
+// publicRecord projects an engine record onto the public shape.
+func publicRecord(r *obs.QueryRecord) FlightRecord {
 	out := FlightRecord{
 		Seq:              r.Seq,
 		ID:               r.ID,
@@ -249,38 +183,7 @@ func (e *Engine) publicRecord(r *obs.QueryRecord) FlightRecord {
 		out.LoadBalance = rep.LoadBalance
 		out.SchedOverheadFrac = rep.OverheadFraction
 	}
-	if len(r.Evidence) > 0 {
-		out.Evidence = make(map[string]int, len(r.Evidence))
-		for id, state := range r.Evidence {
-			out.Evidence[e.net.inner.Name(id)] = state
-		}
-	}
-	return out
-}
-
-func publicTrace(tr *sched.Trace) []TraceEvent {
-	out := make([]TraceEvent, len(tr.Events))
-	for i, ev := range tr.Events {
-		out[i] = TraceEvent{
-			Worker:    ev.Worker,
-			Task:      ev.Task,
-			Kind:      obs.KindNames[ev.Kind],
-			Lo:        ev.Lo,
-			Hi:        ev.Hi,
-			Combine:   ev.Comb,
-			StartUsec: usec(ev.Start),
-			EndUsec:   usec(ev.End),
-		}
-	}
 	return out
 }
 
 func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-func usecSlice(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = usec(d)
-	}
-	return out
-}

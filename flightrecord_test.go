@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"evprop/internal/obs/trace"
 )
 
 // TestFlightRecorderRecordsPropagations checks the engine-level integration:
@@ -71,9 +73,11 @@ func TestFlightRecorderRecordsPropagations(t *testing.T) {
 }
 
 // TestFlightRecorderSlowCaptureHasTrace pins the threshold to 1ns so every
-// propagation counts as slow, and verifies each capture retained the full
-// trace and per-worker report — on the inline path (one worker column) and,
-// through the tests' dispatch seam, on the pool.
+// propagation is slow, and checks where a slow query's detail lives: its
+// record is marked slow with the run's executor, worker columns and tasks,
+// and the trace it ran under is kept by tail sampling as "slow", its
+// propagate span naming the same executor and tasks — on the inline path
+// and, through the tests' dispatch seam, on the pool.
 func TestFlightRecorderSlowCaptureHasTrace(t *testing.T) {
 	for _, tc := range []struct {
 		executor string
@@ -86,33 +90,45 @@ func TestFlightRecorderSlowCaptureHasTrace(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer eng.Close()
-			res, err := eng.Propagate(Evidence{"Dysp": 1})
+			tracer := &trace.Tracer{Store: trace.NewStore(8)}
+			arena, root := tracer.StartRequest("query", trace.SpanContext{})
+			id := root.TraceID()
+			res, err := eng.PropagateContext(trace.ContextWith(context.Background(), root), Evidence{"Dysp": 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res.Close()
-			caps := eng.SlowQueryCaptures()
-			if len(caps) != 1 {
-				t.Fatalf("%d captures, want 1", len(caps))
+			root.End()
+			arena.SetSlowThreshold(time.Duration(eng.FlightRecorderStats().SlowThresholdUsec * 1e3))
+			if !tracer.Finish(arena, root) {
+				t.Fatal("a slow query's trace was dropped")
 			}
-			c := caps[0]
-			if !c.Record.Slow || c.ThresholdUsec != 1e-3 || c.Record.Executor != tc.executor {
-				t.Errorf("capture record %+v threshold %v", c.Record, c.ThresholdUsec)
+
+			recs := eng.RecentQueries()
+			if len(recs) != 1 {
+				t.Fatalf("%d records, want 1", len(recs))
 			}
-			if len(c.Trace) != c.Record.Tasks {
-				t.Fatalf("capture has %d trace events for %d tasks", len(c.Trace), c.Record.Tasks)
+			rec := recs[0]
+			if !rec.Slow || rec.Executor != tc.executor || rec.Workers != tc.columns || rec.Tasks == 0 {
+				t.Errorf("record %+v", rec)
 			}
-			for _, ev := range c.Trace {
-				if ev.Kind == "" || ev.EndUsec < ev.StartUsec || ev.Worker >= tc.columns {
-					t.Errorf("bad trace event %+v", ev)
+			if n := eng.FlightRecorderStats().SlowCaptured; n != 1 {
+				t.Errorf("slow captured %d", n)
+			}
+			td := tracer.Store.Get(id)
+			if td == nil || td.Reason != "slow" {
+				t.Fatalf("kept trace %+v, want reason slow", td)
+			}
+			attrs := map[string]trace.Attr{}
+			for _, sp := range td.Spans {
+				if sp.Name == "propagate" {
+					for _, a := range sp.Attrs {
+						attrs[a.Key] = a
+					}
 				}
 			}
-			if len(c.BusyPerWorkerUsec) != tc.columns || len(c.OverheadPerWorkerUsec) != tc.columns {
-				t.Errorf("per-worker columns: busy %v overhead %v",
-					c.BusyPerWorkerUsec, c.OverheadPerWorkerUsec)
-			}
-			if eng.FlightRecorderStats().SlowCaptured != 1 {
-				t.Errorf("slow captured %d", eng.FlightRecorderStats().SlowCaptured)
+			if attrs["executor"].Str != tc.executor || attrs["tasks"].Int != int64(rec.Tasks) {
+				t.Errorf("propagate span %v, want executor %s and %d tasks", attrs, tc.executor, rec.Tasks)
 			}
 		})
 	}
@@ -139,10 +155,11 @@ func TestFlightRecorderDisabled(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderConcurrentPropagation drives concurrent queries while
-// reading the recorder — the -race check for the full engine-to-ring path.
+// TestFlightRecorderConcurrentPropagation drives concurrent queries through
+// more than one wraparound of the ring while reading the recorder — the
+// -race check for the full engine-to-ring path.
 func TestFlightRecorderConcurrentPropagation(t *testing.T) {
-	eng, err := Asia().Compile(Options{Workers: 2, FlightRecorderSize: 8})
+	eng, err := Asia().Compile(Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +169,7 @@ func TestFlightRecorderConcurrentPropagation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 25; i++ {
+			for i := 0; i < 80; i++ {
 				res, err := eng.Propagate(Evidence{"XRay": 1})
 				if err != nil {
 					t.Error(err)
@@ -160,16 +177,16 @@ func TestFlightRecorderConcurrentPropagation(t *testing.T) {
 				}
 				res.Close()
 				eng.RecentQueries()
-				eng.SlowQueryCaptures()
 			}
 		}()
 	}
 	wg.Wait()
-	if st := eng.FlightRecorderStats(); st.Recorded != 100 {
-		t.Errorf("recorded %d, want 100", st.Recorded)
+	st := eng.FlightRecorderStats()
+	if st.Recorded != 320 || st.Size >= 320 {
+		t.Errorf("recorded %d into a ring of %d, want 320 into fewer", st.Recorded, st.Size)
 	}
-	if got := len(eng.RecentQueries()); got != 8 {
-		t.Errorf("ring holds %d, want 8", got)
+	if got := len(eng.RecentQueries()); got != st.Size {
+		t.Errorf("ring holds %d, want %d", got, st.Size)
 	}
 }
 
@@ -213,13 +230,12 @@ func TestPprofLabelsOption(t *testing.T) {
 	eng.Close()
 }
 
-// TestFlightRecorderEvidenceCapture: every record carries the canonical
-// evidence signature; the full evidence map (translated back to variable
-// names) appears only on engines compiled with RecordEvidence — including
-// on cache-served records, which replay needs just as much as propagated
-// ones.
+// TestFlightRecorderEvidenceCapture: every record, cache-served ones
+// included, carries the canonical evidence signature — the same for identical
+// queries, different for different ones. The evidence itself is not kept: it
+// is the audit log's.
 func TestFlightRecorderEvidenceCapture(t *testing.T) {
-	eng, err := Asia().Compile(Options{Workers: 2, RecordEvidence: true, CacheSize: 8})
+	eng, err := Asia().Compile(Options{Workers: 2, CacheSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,43 +264,11 @@ func TestFlightRecorderEvidenceCapture(t *testing.T) {
 		if r.EvidenceSig == "" {
 			t.Errorf("record %d has no evidence signature", i)
 		}
-		if len(r.Evidence) == 0 {
-			t.Errorf("record %d has no evidence map", i)
-		}
 	}
 	if recs[0].EvidenceSig != recs[1].EvidenceSig || recs[0].EvidenceSig != recs[2].EvidenceSig {
 		t.Error("identical queries got different signatures")
 	}
 	if recs[3].EvidenceSig == recs[0].EvidenceSig {
 		t.Error("different queries share a signature")
-	}
-	want := map[string]int{"XRay": 1, "Asia": 0}
-	for k, v := range want {
-		if recs[0].Evidence[k] != v {
-			t.Errorf("evidence[%s] = %d, want %d", k, recs[0].Evidence[k], v)
-		}
-	}
-	if len(recs[0].Evidence) != len(want) {
-		t.Errorf("evidence %v, want %v", recs[0].Evidence, want)
-	}
-
-	// Without RecordEvidence the signature is still there but the map is
-	// not.
-	lean, err := Asia().Compile(Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lean.Close()
-	res, err = lean.Propagate(Evidence{"XRay": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Close()
-	lr := lean.RecentQueries()
-	if len(lr) != 1 || lr[0].EvidenceSig == "" {
-		t.Fatalf("lean records: %+v", lr)
-	}
-	if lr[0].Evidence != nil {
-		t.Errorf("lean engine recorded evidence: %v", lr[0].Evidence)
 	}
 }

@@ -144,14 +144,14 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 }
 
 // recordCached builds and publishes a cache-served query's record. No
-// scheduler ran, so it carries no report and no trace.
+// scheduler ran, so it carries no report.
 func (e *Engine) recordCached(ctx context.Context, mode taskgraph.Mode, sig string, ev potential.Evidence, start time.Time) *obs.QueryRecord {
 	rec := e.newRecord(ctx, mode.String(), mode, ev, nil, sig)
 	rec.Cached = true
 	rec.Time = time.Now()
 	rec.Elapsed = rec.Time.Sub(start)
 	if fr := e.opts.Recorder; fr != nil {
-		fr.Record(rec, nil)
+		fr.Record(rec)
 	}
 	return rec
 }

@@ -32,10 +32,9 @@ func (c *countdownCtx) Err() error {
 // TestCancelledRunRecorderIntegrity is the engine-level regression test for
 // the failed-run flight-recorder race: a cancelled run returns while pool
 // workers may still be executing its items, so the recorder must keep only
-// the scalar fields (no per-worker gauges, no trace) for it, and must never
-// recycle its trace buffers into the shared pool. Cancelled and successful
-// propagations interleave on one engine; -race flags the old behavior of
-// reading the still-mutating metrics and recycling the buffers. The network
+// the scalar fields (no per-worker gauges) for it. Cancelled and successful
+// propagations interleave on one engine; -race flags reading the
+// still-mutating metrics. The network
 // is far below the granularity rule, so the runs reach the pool through the
 // dispatch seam — the race only exists there.
 func TestCancelledRunRecorderIntegrity(t *testing.T) {

@@ -26,7 +26,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,9 +103,8 @@ type Options struct {
 	// runs as it would without a cache. See PropagateCachedContext.
 	CacheSize int
 	// Recorder, when set, receives the record of every propagation (the
-	// flight recorder): runs are traced so slow ones retain their full
-	// execution timeline, and each run's query ID, latency and Fig. 8
-	// report land in the recorder's ring.
+	// flight recorder): each run's query ID, latency and Fig. 8 report land
+	// in the recorder's ring.
 	Recorder *obs.FlightRecorder
 	// PprofLabels tags scheduler workers with pprof goroutine labels
 	// (query_id, task_kind) during each run. Off by default — the labels
@@ -114,12 +112,6 @@ type Options struct {
 	// per item costs a few percent of propagation throughput, so callers
 	// enable this only when those endpoints are exposed.
 	PprofLabels bool
-	// RecordEvidence retains each run's full evidence map in its flight
-	// record, in addition to the always-present canonical signature, so
-	// recorded queries are re-executable (audit replay). Off by default:
-	// the evidence map is the one flight-record field whose size the
-	// client controls.
-	RecordEvidence bool
 	// Lazy switches the engine to zero-aware lazy propagation (package
 	// lazy): the tree is precalibrated once, each query runs a pruned
 	// collect graph restricted to the cliques its evidence disturbs, and
@@ -442,7 +434,7 @@ func (r *Result) complete() error {
 	est, first := r.state.(*taskgraph.State), r.targeted
 	r.targeted = nil
 	r.completion = &obs.QueryRecord{ID: first.ID, Mode: first.Mode, EvidenceVars: first.EvidenceVars,
-		EvidenceSig: first.EvidenceSig, Evidence: first.Evidence}
+		EvidenceSig: first.EvidenceSig}
 	err := est.Resume()
 	if err == nil {
 		err = r.eng.execute(context.Background(), nil, r.completion, est, true)
@@ -486,18 +478,14 @@ func (e *Engine) newRecord(ctx context.Context, name string, mode taskgraph.Mode
 			sig = cache.Signature(byte(mode), ev, like)
 		}
 	}
-	rec := &obs.QueryRecord{ID: id, Mode: name, EvidenceVars: len(ev), EvidenceSig: sig}
-	if e.opts.RecordEvidence {
-		rec.Evidence = maps.Clone(ev)
-	}
-	return rec
+	return &obs.QueryRecord{ID: id, Mode: name, EvidenceVars: len(ev), EvidenceSig: sig}
 }
 
 // execute runs the graph under the configured scheduler and completes the
 // run's record — the one place a propagation's facts are written. The
 // scheduler metrics are folded into one obs.Report, which feeds the engine
 // aggregate here and, through the record, every later view. Then the record
-// is published to the flight recorder, which takes the run's trace with it.
+// is published to the flight recorder.
 //
 // It is also the one place the scratch lifetime rule is applied: a run that
 // returned no error hands its scratch back (ReleaseScratch), a failed or
@@ -510,17 +498,15 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 	rec.EffectiveWorkers = peff
 	rec.Time = time.Now()
 	rec.Elapsed = rec.Time.Sub(start)
-	var tr *sched.Trace
 	if err != nil {
 		// Pool workers may still be executing already-fetched items of a
-		// failed or cancelled run, mutating the per-worker metrics and trace
-		// buffers: record the scalars only and leave the rest to the GC. (An
-		// inline run has no stragglers, but a failed run reads the same in
-		// every view whichever path it took.)
+		// failed or cancelled run, mutating the per-worker metrics: record
+		// the scalars only and leave the rest to the GC. (An inline run has
+		// no stragglers, but a failed run reads the same in every view
+		// whichever path it took.)
 		rec.Err = err.Error()
 	} else {
 		st.ReleaseScratch()
-		tr = m.Trace
 		rec.Report = obs.FromSched(m)
 		e.obsAgg.Observe(rec)
 		if lst, ok := st.(*lazy.State); ok {
@@ -531,7 +517,7 @@ func (e *Engine) execute(ctx context.Context, psp *otrace.Span, rec *obs.QueryRe
 		endRunSpan(psp, start, rec)
 	}
 	if fr := e.opts.Recorder; fr != nil {
-		fr.Record(rec, tr)
+		fr.Record(rec)
 	}
 	return err
 }
@@ -611,15 +597,9 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 	if !e.opts.PprofLabels {
 		queryID = "" // sched uses the ID only for labels; drop it at zero cost
 	}
-	// A flight recorder arms tracing on every run so a run that turns out
-	// slow still has its full timeline to retain — slowness is only known
-	// after the fact. The merge is deferred: the recorder keeps the trace
-	// only for slow runs, so fast runs just recycle their event buffers.
 	opts := sched.Options{
 		Workers:   e.opts.Workers,
 		Threshold: e.opts.PartitionThreshold,
-		Trace:     e.opts.Recorder != nil,
-		LazyTrace: true,
 		Ctx:       ctx,
 		QueryID:   queryID,
 	}

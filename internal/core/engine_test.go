@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"evprop/internal/bayesnet"
@@ -411,7 +412,10 @@ func TestCheckCalibration(t *testing.T) {
 // start two worker goroutines between them, not six — every engine compiled at
 // one P borrows the same pool — and three more compiled after those are
 // dropped, the shape of a hot swap, start none. The pool's gauges are one
-// surface that accumulates over all of them.
+// surface that accumulates over all of them. Worker goroutines are counted by
+// their stacks: the process's pools never exit, so that count moves only when
+// a pool starts, while runtime.NumGoroutine can also fall as a goroutine an
+// earlier test started finishes exiting — it may only not grow by more.
 func TestOnePoolPerProcess(t *testing.T) {
 	tr := benchmarkModel(t, 60, 5)
 	vars, cardOf := tr.Variables()
@@ -425,7 +429,7 @@ func TestOnePoolPerProcess(t *testing.T) {
 	}
 	// The pool is the process's: an earlier test may have started it.
 	spawned := 2 - len(pool.Snapshot().Workers)
-	goroutines, tasks := runtime.NumGoroutine(), completed()
+	goroutines, workers, tasks := runtime.NumGoroutine(), workerGoroutines(), completed()
 	for generation := 1; generation <= 2; generation++ {
 		for i := 0; i < 3; i++ {
 			e, err := NewEngine(tr, Options{Workers: 2, Reroot: true})
@@ -444,12 +448,23 @@ func TestOnePoolPerProcess(t *testing.T) {
 			}
 			tasks += int64(e.Graph().N())
 		}
-		if grew := runtime.NumGoroutine() - goroutines; grew != spawned {
-			t.Errorf("generation %d: %d goroutines started, want %d", generation, grew, spawned)
+		if grew, started := runtime.NumGoroutine()-goroutines, workerGoroutines()-workers; started != spawned || grew > spawned {
+			t.Errorf("generation %d: %d worker goroutines started and %d in all, want %d", generation, started, grew, spawned)
 		}
 	}
 	if g := pool.Snapshot(); len(g.Workers) != 2 || completed() != tasks || g.ActiveRuns != 0 {
 		t.Errorf("%d workers completed %d tasks with %d runs in flight, want 2, %d and 0",
 			len(g.Workers), completed(), g.ActiveRuns, tasks)
+	}
+}
+
+// workerGoroutines counts the goroutines running a pool's worker loop.
+func workerGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "sched.(*Pool).work(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }

@@ -88,8 +88,8 @@ func TestEmptyHistogramConformance(t *testing.T) {
 
 // TestHistogramExemplarConformance: an exemplar surfaces as an OpenMetrics
 // trailer on its bucket line and the family still lints clean (the linter
-// validates the trailer grammar too); a histogram keeps one only for a traced
-// observation, in that observation's bucket.
+// validates the trailer grammar too); a histogram keeps one only where one
+// was set, in the set observation's bucket.
 func TestHistogramExemplarConformance(t *testing.T) {
 	var b strings.Builder
 	writeFamily(&b, "ex_seconds", [3]float64{1, 2, 3}, 0.021,
@@ -106,9 +106,9 @@ func TestHistogramExemplarConformance(t *testing.T) {
 	}
 
 	h := &Histogram{}
-	h.Observe(10 * time.Microsecond)                                        // untraced: no exemplar
-	h.ObserveExemplar(time.Millisecond, "4bf92f3577b34da6a3ce929d0e0e4736") // traced
-	h.ObserveExemplar(20*time.Millisecond, "")                              // empty ID: plain observe
+	h.Observe(10 * time.Microsecond) // its trace dropped: no exemplar
+	h.Observe(time.Millisecond)
+	h.SetExemplar(time.Millisecond, "4bf92f3577b34da6a3ce929d0e0e4736") // its trace kept
 	traced := histBucketOf(int64(time.Millisecond))
 	for i := 0; i <= histBuckets; i++ {
 		if ex := h.BucketExemplar(i); (ex != nil) != (i == traced) {

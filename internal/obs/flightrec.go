@@ -2,23 +2,21 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"evprop/internal/lazy"
-	"evprop/internal/sched"
 )
 
 // FlightRecorder is the always-on black box of the serving stack: a
-// fixed-size lock-free ring of recent query summaries plus an automatic
-// slow-query capture that retains the full scheduler trace of any
-// propagation exceeding a latency threshold. It answers "why was *that*
-// query slow?" after the fact — no flag, no restart, no re-run.
+// fixed-size lock-free ring of recent query records, each marked Slow when
+// its run crossed the slow threshold. A slow query's timeline is not kept
+// here: the request's trace, which tail sampling keeps by the same
+// threshold (SlowThreshold), holds its spans.
 //
-// The hot path (Record) is wait-free for the summary ring: one atomic
-// cursor add and one atomic pointer store, so concurrent propagations never
-// serialize on the recorder. Only the rare slow-capture path takes a mutex.
+// Record takes no lock: one atomic cursor add, one histogram observation
+// and one atomic pointer store, so concurrent propagations never serialize
+// on the recorder.
 type FlightRecorder struct {
 	slots  []atomic.Pointer[QueryRecord]
 	cursor atomic.Uint64 // next sequence number
@@ -29,20 +27,15 @@ type FlightRecorder struct {
 	// floorNs is the flag-set slow threshold in ns. >0 pins the threshold;
 	// 0 selects the adaptive rule (slowFactor × p99 once enough samples).
 	floorNs int64
-
-	slowMu    sync.Mutex
-	slow      []SlowCapture // ring of the most recent slow captures
-	slowNext  int
+	// slowTotal counts the records marked Slow.
 	slowTotal atomic.Int64
 }
 
 const (
-	// defaultRecorderSize is the summary-ring capacity when unset.
+	// defaultRecorderSize is the ring capacity when unset.
 	defaultRecorderSize = 256
-	// slowCaptureCap bounds retained slow captures (each may hold a trace).
-	slowCaptureCap = 16
 	// slowMinSamples gates the adaptive threshold: below this count p99 is
-	// noise and nothing is captured.
+	// noise and nothing is marked slow.
 	slowMinSamples = 64
 	// slowFactor scales p99 into the adaptive threshold.
 	slowFactor = 2
@@ -50,8 +43,8 @@ const (
 
 // QueryRecord is the one record of one propagation. The engine builds it
 // once, when the run (or the cache lookup that replaced it) ends, and every
-// observability view — flight-recorder ring and slow captures, the engine's
-// run aggregate, the propagate span's attributes, QueryResult.Metrics, the
+// observability view — the flight-recorder ring, the engine's run
+// aggregate, the propagate span's attributes, QueryResult.Metrics, the
 // server's access log, windows and audit log — reads it; none of them keeps
 // a second copy of its facts.
 //
@@ -97,7 +90,7 @@ type QueryRecord struct {
 	Report *Report
 	// Err is the propagation failure, "" on success.
 	Err string
-	// Slow marks records that crossed the capture threshold.
+	// Slow marks records that crossed the slow threshold.
 	Slow bool
 	// Cached marks queries served from the shared-evidence result cache
 	// (a hit, or a singleflight waiter collapsed onto another caller's
@@ -105,7 +98,7 @@ type QueryRecord struct {
 	// ring but stay out of the recorder's latency histogram —
 	// sub-microsecond lookups must not drag the adaptive slow threshold
 	// down to where every real propagation reads as slow — and are never
-	// captured as slow.
+	// marked slow.
 	Cached bool
 	// Lazy marks runs executed by the zero-aware lazy engine; LazyStats
 	// then holds its pruning counters as of the end of the scheduler run
@@ -114,27 +107,12 @@ type QueryRecord struct {
 	Lazy      bool
 	LazyStats lazy.Stats
 	// EvidenceSig is the canonical signature of the run's inputs (the
-	// result-cache key): the handle that correlates identical queries and
-	// lets audit replay match a record to its evidence configuration.
+	// result-cache key): the handle that correlates identical queries. The
+	// evidence itself is the audit log's, under the same query ID.
 	EvidenceSig string
-	// Evidence is the full observed-variable map (internal ids), retained
-	// only when the engine records evidence (audit mode) — it is the one
-	// field whose size the client controls.
-	Evidence map[int]int
 }
 
-// SlowCapture retains everything known about one slow propagation: its
-// record (with the Fig. 8 per-worker report, when the scheduler produced
-// one) and the full scheduler trace when the run was traced.
-type SlowCapture struct {
-	Record *QueryRecord
-	// Threshold is the capture threshold in force when the run crossed it.
-	Threshold time.Duration
-	// Trace is the run's execution timeline (nil when untraced).
-	Trace *sched.Trace
-}
-
-// NewFlightRecorder returns a recorder with the given summary-ring capacity
+// NewFlightRecorder returns a recorder with the given ring capacity
 // (0 or negative selects the default) and slow threshold floor (0 selects
 // the adaptive p99-relative threshold).
 func NewFlightRecorder(size int, slowFloor time.Duration) *FlightRecorder {
@@ -147,10 +125,10 @@ func NewFlightRecorder(size int, slowFloor time.Duration) *FlightRecorder {
 	}
 }
 
-// SlowThreshold returns the capture threshold currently in force: the
+// SlowThreshold returns the slow threshold currently in force: the
 // flag-set floor when one was configured, otherwise slowFactor × the
-// observed p99 once slowMinSamples latencies have been recorded. 0 means no
-// capture yet (adaptive threshold still warming up).
+// observed p99 once slowMinSamples latencies have been recorded. 0 means
+// nothing is slow yet (adaptive threshold still warming up).
 func (fr *FlightRecorder) SlowThreshold() time.Duration {
 	if fr.floorNs > 0 {
 		return time.Duration(fr.floorNs)
@@ -162,42 +140,19 @@ func (fr *FlightRecorder) SlowThreshold() time.Duration {
 }
 
 // Record publishes one finished propagation's record into the ring,
-// marking it Slow when the run crossed the slow threshold. It takes
-// ownership of the run's recorder-armed trace (nil when the run was
-// untraced): a slow run's trace is finalized into the capture, every other
-// trace goes back to the buffer pool.
-func (fr *FlightRecorder) Record(rec *QueryRecord, tr *sched.Trace) {
-	// Seq and Slow are stamped before either publication point (the slow
-	// ring's mutex, the summary ring's atomic store): readers only ever see
-	// the finished record.
+// marking it Slow when the run crossed the slow threshold.
+func (fr *FlightRecorder) Record(rec *QueryRecord) {
+	// Seq and Slow are stamped before the atomic store publishes the
+	// record: readers only ever see the finished record.
 	rec.Seq = fr.cursor.Add(1) - 1
 	if !rec.Cached {
 		thr := fr.SlowThreshold()
 		fr.hist.Observe(rec.Elapsed)
-		rec.Slow = thr > 0 && rec.Elapsed > thr
-		if rec.Slow {
-			// Keeping a deferred-merge trace means paying for the merge now
-			// (rare by construction: slow runs are beyond the p99).
-			tr.Finalize()
-			fr.captureSlow(SlowCapture{Record: rec, Threshold: thr, Trace: tr})
+		if rec.Slow = thr > 0 && rec.Elapsed > thr; rec.Slow {
+			fr.slowTotal.Add(1)
 		}
 	}
-	tr.Release()
 	fr.slots[rec.Seq%uint64(len(fr.slots))].Store(rec)
-}
-
-// captureSlow retains the full run detail in the slow ring. Slow runs are
-// rare by construction, so a mutex is fine here.
-func (fr *FlightRecorder) captureSlow(sc SlowCapture) {
-	fr.slowTotal.Add(1)
-	fr.slowMu.Lock()
-	defer fr.slowMu.Unlock()
-	if len(fr.slow) < slowCaptureCap {
-		fr.slow = append(fr.slow, sc)
-		return
-	}
-	fr.slow[fr.slowNext] = sc
-	fr.slowNext = (fr.slowNext + 1) % slowCaptureCap
 }
 
 // Snapshot returns the ring's current records ordered oldest to newest. The
@@ -215,23 +170,13 @@ func (fr *FlightRecorder) Snapshot() []*QueryRecord {
 	return out
 }
 
-// SlowSnapshot returns the retained slow captures ordered oldest to newest.
-func (fr *FlightRecorder) SlowSnapshot() []SlowCapture {
-	fr.slowMu.Lock()
-	defer fr.slowMu.Unlock()
-	out := make([]SlowCapture, 0, len(fr.slow))
-	out = append(out, fr.slow[fr.slowNext:]...)
-	out = append(out, fr.slow[:fr.slowNext]...)
-	return out
-}
-
 // Total returns how many runs have been recorded over the recorder's
 // lifetime (≥ the ring size once it wrapped).
 func (fr *FlightRecorder) Total() int64 { return int64(fr.cursor.Load()) }
 
-// SlowTotal returns how many runs crossed the slow threshold (≥ the
-// retained captures once the slow ring wrapped).
+// SlowTotal returns how many records were marked Slow over the recorder's
+// lifetime.
 func (fr *FlightRecorder) SlowTotal() int64 { return fr.slowTotal.Load() }
 
-// Size returns the summary-ring capacity.
+// Size returns the ring capacity.
 func (fr *FlightRecorder) Size() int { return len(fr.slots) }

@@ -10,8 +10,8 @@ import (
 	"evprop/internal/sched"
 )
 
-func metricsFor(busy time.Duration, traced bool) *sched.Metrics {
-	m := &sched.Metrics{
+func metricsFor(busy time.Duration) *sched.Metrics {
+	return &sched.Metrics{
 		Workers: []sched.WorkerMetrics{
 			{Busy: busy, Overhead: busy / 100, Tasks: 3},
 			{Busy: busy / 2, Overhead: busy / 200, Tasks: 2},
@@ -19,24 +19,15 @@ func metricsFor(busy time.Duration, traced bool) *sched.Metrics {
 		Elapsed: busy,
 		Tasks:   5,
 	}
-	if traced {
-		m.Trace = &sched.Trace{Workers: 2, Total: busy, Events: []sched.Event{
-			{Worker: 0, Task: 0, Hi: -1, Start: 0, End: busy / 2},
-			{Worker: 1, Task: 1, Hi: -1, Start: busy / 2, End: busy},
-		}}
-	}
-	return m
 }
 
 // record builds the record the engine would for a run with these metrics,
-// hands it to the recorder and reports whether it was captured as slow.
+// hands it to the recorder and reports whether it was marked slow.
 func record(fr *FlightRecorder, rec QueryRecord, m *sched.Metrics) bool {
-	var tr *sched.Trace
 	if m != nil {
 		rec.Report = FromSched(m)
-		tr = m.Trace
 	}
-	fr.Record(&rec, tr)
+	fr.Record(&rec)
 	return rec.Slow
 }
 
@@ -78,7 +69,7 @@ func TestFlightRecorderRecordFields(t *testing.T) {
 	record(fr, QueryRecord{
 		ID: "q-x", Mode: "max-product", EvidenceVars: 2,
 		Elapsed: 3 * time.Millisecond, Err: context.Canceled.Error(),
-	}, metricsFor(10*time.Millisecond, false))
+	}, metricsFor(10*time.Millisecond))
 	recs := fr.Snapshot()
 	if len(recs) != 1 {
 		t.Fatalf("%d records", len(recs))
@@ -102,9 +93,9 @@ func TestFlightRecorderRecordFields(t *testing.T) {
 	}
 }
 
-// TestSlowCaptureExactlyOverThreshold is the regression test for the capture
-// rule: with a pinned threshold, exactly the runs strictly over it are
-// captured, and each capture retains the run's full trace.
+// TestSlowCaptureExactlyOverThreshold is the regression test for the slow
+// rule: with a pinned threshold, exactly the runs strictly over it are marked
+// slow, in the ring, with their reports, and counted.
 func TestSlowCaptureExactlyOverThreshold(t *testing.T) {
 	const thr = time.Millisecond
 	fr := NewFlightRecorder(64, thr)
@@ -113,7 +104,7 @@ func TestSlowCaptureExactlyOverThreshold(t *testing.T) {
 	}
 	wantSlow := []bool{false, false, true, true, false, false, true}
 	for i, d := range elapsed {
-		got := record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Elapsed: d}, metricsFor(d, true))
+		got := record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Elapsed: d}, metricsFor(d))
 		if got != wantSlow[i] {
 			t.Errorf("run %d (%v): slow=%v, want %v", i, d, got, wantSlow[i])
 		}
@@ -121,66 +112,41 @@ func TestSlowCaptureExactlyOverThreshold(t *testing.T) {
 	if fr.SlowTotal() != 3 {
 		t.Errorf("slow total %d, want 3", fr.SlowTotal())
 	}
-	caps := fr.SlowSnapshot()
-	if len(caps) != 3 {
-		t.Fatalf("%d captures, want 3", len(caps))
+	recs := fr.Snapshot()
+	if len(recs) != len(elapsed) {
+		t.Fatalf("%d records, want %d", len(recs), len(elapsed))
 	}
-	wantIDs := []string{"q-2", "q-3", "q-6"}
-	for i, c := range caps {
-		if c.Record.ID != wantIDs[i] {
-			t.Errorf("capture %d is %q, want %q", i, c.Record.ID, wantIDs[i])
+	for i, r := range recs {
+		if r.Slow != wantSlow[i] || r.Seq != uint64(i) || r.Report == nil {
+			t.Errorf("record %d: seq %d slow %v report %v, want slow %v", i, r.Seq, r.Slow, r.Report, wantSlow[i])
 		}
-		if !c.Record.Slow {
-			t.Errorf("capture %d not marked slow", i)
-		}
-		if c.Threshold != thr {
-			t.Errorf("capture %d threshold %v", i, c.Threshold)
-		}
-		if c.Trace == nil || len(c.Trace.Events) == 0 {
-			t.Errorf("capture %d lost its trace", i)
-		}
-		if c.Record.Report == nil {
-			t.Errorf("capture %d lost its report", i)
-		}
-		if c.Record.Seq != map[string]uint64{"q-2": 2, "q-3": 3, "q-6": 6}[c.Record.ID] {
-			t.Errorf("capture %d has seq %d", i, c.Record.Seq)
-		}
-	}
-	// The ring records carry the Slow flag too.
-	var slowInRing int
-	for _, r := range fr.Snapshot() {
-		if r.Slow {
-			slowInRing++
-		}
-	}
-	if slowInRing != 3 {
-		t.Errorf("%d ring records marked slow, want 3", slowInRing)
 	}
 }
 
+// TestSlowCaptureRingBounded: slow records live in the one ring and nowhere
+// else, so they are bounded by its size, while SlowTotal counts every one.
 func TestSlowCaptureRingBounded(t *testing.T) {
-	fr := NewFlightRecorder(8, time.Microsecond)
-	for i := 0; i < 3*slowCaptureCap; i++ {
+	const size = 8
+	fr := NewFlightRecorder(size, time.Microsecond)
+	for i := 0; i < 3*size; i++ {
 		record(fr, QueryRecord{ID: fmt.Sprintf("q-%d", i), Elapsed: time.Second}, nil)
 	}
-	caps := fr.SlowSnapshot()
-	if len(caps) != slowCaptureCap {
-		t.Fatalf("%d captures retained, want %d", len(caps), slowCaptureCap)
+	recs := fr.Snapshot()
+	if len(recs) != size {
+		t.Fatalf("%d records retained, want %d", len(recs), size)
 	}
-	// Oldest-to-newest: the last slowCaptureCap runs.
-	if caps[0].Record.ID != fmt.Sprintf("q-%d", 2*slowCaptureCap) {
-		t.Errorf("oldest capture %q", caps[0].Record.ID)
+	for i, r := range recs {
+		if want := fmt.Sprintf("q-%d", 2*size+i); r.ID != want || !r.Slow {
+			t.Errorf("record %d is %q slow=%v, want %q slow", i, r.ID, r.Slow, want)
+		}
 	}
-	if caps[len(caps)-1].Record.ID != fmt.Sprintf("q-%d", 3*slowCaptureCap-1) {
-		t.Errorf("newest capture %q", caps[len(caps)-1].Record.ID)
-	}
-	if fr.SlowTotal() != int64(3*slowCaptureCap) {
-		t.Errorf("slow total %d", fr.SlowTotal())
+	if fr.SlowTotal() != 3*size {
+		t.Errorf("slow total %d, want %d", fr.SlowTotal(), 3*size)
 	}
 }
 
-// TestAdaptiveThreshold exercises the p99-relative rule: no captures while
-// warming up, then a threshold of slowFactor × p99.
+// TestAdaptiveThreshold exercises the p99-relative rule: nothing is slow
+// while warming up, then a threshold of slowFactor × p99.
 func TestAdaptiveThreshold(t *testing.T) {
 	fr := NewFlightRecorder(256, 0)
 	if thr := fr.SlowThreshold(); thr != 0 {
@@ -188,7 +154,7 @@ func TestAdaptiveThreshold(t *testing.T) {
 	}
 	for i := 0; i < slowMinSamples; i++ {
 		if slow := record(fr, QueryRecord{Elapsed: time.Millisecond}, nil); slow {
-			t.Fatal("capture fired during warm-up")
+			t.Fatal("marked slow during warm-up")
 		}
 	}
 	thr := fr.SlowThreshold()
@@ -200,7 +166,7 @@ func TestAdaptiveThreshold(t *testing.T) {
 		t.Errorf("threshold %v implausibly high", thr)
 	}
 	if slow := record(fr, QueryRecord{ID: "slowpoke", Elapsed: 10 * thr}, nil); !slow {
-		t.Error("10× threshold run not captured")
+		t.Error("10× threshold run not marked slow")
 	}
 }
 
@@ -228,7 +194,6 @@ func TestFlightRecorderConcurrentWraparound(t *testing.T) {
 					return
 				}
 			}
-			fr.SlowSnapshot()
 			fr.SlowThreshold()
 		}
 	}()
@@ -238,8 +203,7 @@ func TestFlightRecorderConcurrentWraparound(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				d := time.Duration(i%100) * time.Microsecond
-				record(fr, QueryRecord{ID: fmt.Sprintf("w%d-%d", g, i), Elapsed: d},
-					metricsFor(d, i%7 == 0))
+				record(fr, QueryRecord{ID: fmt.Sprintf("w%d-%d", g, i), Elapsed: d}, metricsFor(d))
 			}
 		}(g)
 	}

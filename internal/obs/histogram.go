@@ -26,9 +26,9 @@ type Histogram struct {
 	counts [histBuckets + 1]atomic.Int64
 	sum    atomic.Int64 // ns
 	max    atomic.Int64 // ns
-	// exemplars holds each bucket's most recent traced observation
+	// exemplars holds each bucket's most recent kept-trace observation
 	// (OpenMetrics exemplar semantics): last write wins, so a scrape links
-	// every populated latency bucket to a representative trace.
+	// a populated latency bucket to a representative trace.
 	exemplars [histBuckets + 1]atomic.Pointer[Exemplar]
 }
 
@@ -79,18 +79,11 @@ func (h *Histogram) Observe(d time.Duration) {
 	}
 }
 
-// ObserveExemplar records one latency and, when traceID is non-empty,
-// retains it as the bucket's exemplar. The traced-request path uses this;
-// untraced requests fall back to Observe and never disturb exemplars.
-func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
-	h.Observe(d)
-	if traceID == "" {
-		return
-	}
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
+// SetExemplar makes one observed latency the exemplar of the bucket it
+// was counted in, naming the trace that produced it. Callers set one only
+// for a trace they know is kept, so every exemplar a scrape shows resolves.
+func (h *Histogram) SetExemplar(d time.Duration, traceID string) {
+	ns := max(d.Nanoseconds(), 0)
 	h.exemplars[histBucketOf(ns)].Store(&Exemplar{
 		TraceID: traceID,
 		Value:   float64(ns) / 1e9,
@@ -98,8 +91,8 @@ func (h *Histogram) ObserveExemplar(d time.Duration, traceID string) {
 	})
 }
 
-// BucketExemplar returns bucket i's exemplar, nil when that bucket has
-// seen no traced observation.
+// BucketExemplar returns bucket i's exemplar, nil when none was set in
+// that bucket.
 func (h *Histogram) BucketExemplar(i int) *Exemplar {
 	if i < 0 || i > histBuckets {
 		return nil

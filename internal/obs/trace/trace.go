@@ -4,18 +4,16 @@
 // interop, tail-based sampling into a bounded in-memory store, and
 // OTLP/JSON-over-HTTP export.
 //
-// Span storage follows the flight recorder's trace-buffer recycling
-// discipline (internal/sched/trace.go): every request records its spans
-// into a pooled, cache-line-padded fixed-capacity arena with no
-// allocation after warm-up, and the keep/drop decision is deferred to the
-// end of the request (tail sampling). Recycling is reference-counted,
-// last-one-out: the request holds a base reference from StartRequest to
-// Finish, every open span holds one, and the arena returns to the pool
-// only when the count hits zero after the trace is sealed. A detached
-// run's straggler span (a singleflight leader outliving its caller, a
-// cancelled propagation) therefore keeps the arena alive until its own
-// End — a late write can never land in a buffer that has been handed to
-// another request, the corruption class PR 3 fixed for scheduler traces.
+// Every request records its spans into a pooled, cache-line-padded
+// fixed-capacity arena with no allocation after warm-up, and the keep/drop
+// decision is deferred to the end of the request (tail sampling). Recycling
+// is reference-counted, last-one-out: the request holds a base reference
+// from StartRequest to Finish, every open span holds one, and the arena
+// returns to the pool only when the count hits zero after the trace is
+// sealed. A detached run's straggler span (a singleflight leader outliving
+// its caller, a cancelled propagation) therefore keeps the arena alive
+// until its own End — a late write can never land in a buffer that has been
+// handed to another request.
 package trace
 
 import (

@@ -100,13 +100,14 @@ func (t *Tracer) StartRequest(name string, parent SpanContext) (*Trace, *Span) {
 }
 
 // Finish seals the trace, applies tail sampling and either retains it
-// (store + export) or forgets it, then drops the request's base reference.
-// The arena returns to the pool only once every outstanding span has also
-// ended (last reference out recycles), so stragglers of a detached run
-// cannot corrupt a reused buffer. The root span must already be Ended.
-func (t *Tracer) Finish(tr *Trace, root *Span) {
+// (store + export) or forgets it, then drops the request's base reference,
+// and reports whether it kept the trace. The arena returns to the pool only
+// once every outstanding span has also ended (last reference out recycles),
+// so stragglers of a detached run cannot corrupt a reused buffer. The root
+// span must already be Ended.
+func (t *Tracer) Finish(tr *Trace, root *Span) bool {
 	if t == nil || tr == nil {
-		return
+		return false
 	}
 	t.spans.Add(tr.dropped.Load())
 
@@ -159,4 +160,5 @@ func (t *Tracer) Finish(tr *Trace, root *Span) {
 	// Drop the base reference. If no span is still open this recycles the
 	// arena now; otherwise the last straggler's End recycles it later.
 	tr.release()
+	return reason != ""
 }

@@ -267,11 +267,11 @@ func TestRunInlineCancelAndLabels(t *testing.T) {
 	}
 	cc := &countdownCtx{Context: context.Background()}
 	cc.left.Store(10)
-	m, err := RunInline(st, Options{Ctx: cc, Trace: true, LazyTrace: true})
+	m, err := RunInline(st, Options{Ctx: cc, Trace: true})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("cancelled run returned %v", err)
 	}
-	if m.Tasks != 10 || m.Workers[0].Tasks != 10 || len(m.Trace.Events) != 0 || m.Trace.bufs != nil {
+	if m.Tasks != 10 || m.Workers[0].Tasks != 10 || len(m.Trace.Events) != 0 {
 		t.Errorf("cancelled after 10 polls: %d tasks, trace %+v", m.Tasks, m.Trace)
 	}
 

@@ -35,8 +35,8 @@ import (
 // Busy, KindBusy and Tasks (one clock read per boundary, so Busy is the whole
 // run and Overhead is zero) with Pieces and Partition counted as the pool
 // counts them, opts.Trace records the timeline — one event per task, cut or
-// not — into the same recycled buffers, and opts.QueryID labels the calling
-// goroutine for the duration of the run.
+// not — and opts.QueryID labels the calling goroutine for the duration of the
+// run.
 //
 // A task opts.Live masks is stepped over — not polled, timed or counted —
 // whatever its predecessors did: also how a resumed state's remainder runs.
@@ -52,10 +52,7 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	}
 	m := &Metrics{Workers: make([]WorkerMetrics, 1), Executor: ExecInline}
 	wm := &m.Workers[0]
-	var tbufs *traceBufs
-	if opts.Trace {
-		tbufs = getTraceBufs(1)
-	}
+	var events []Event
 	// A zero Threshold cuts nothing and costs the loop one test per task.
 	c := newCut(g, opts.Threshold, opts.Workers)
 	var bufs []*potential.Potential // partial buffers of the task being cut
@@ -99,8 +96,8 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		wm.Busy += d
 		wm.KindBusy[kind] += d
 		wm.Tasks++
-		if tbufs != nil {
-			tbufs.record(0, id, kind, 0, -1, false, prev.Sub(start), d)
+		if opts.Trace {
+			events = append(events, Event{Task: id, Kind: kind, Hi: -1, Start: prev.Sub(start), End: now.Sub(start)})
 		}
 		prev = now
 		if err != nil {
@@ -111,12 +108,10 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	}
 	m.Elapsed = prev.Sub(start)
 	if opts.Trace {
-		m.Trace = &Trace{Workers: 1, Total: m.Elapsed, bufs: tbufs}
 		if err != nil {
-			m.Trace.Release() // as Pool.Run: a failed run's trace carries no events
-		} else if !opts.LazyTrace {
-			m.Trace.Finalize()
+			events = nil // as Pool.Run: a failed run's trace carries no events
 		}
+		m.Trace = &Trace{Workers: 1, Events: events, Total: m.Elapsed}
 	}
 	return m, err
 }

@@ -57,15 +57,8 @@ type Options struct {
 	// Pool.Run needs the masked set closed under successors (State.Target).
 	Live []bool
 	// Trace records a per-worker execution timeline in Metrics.Trace
-	// (small constant overhead per executed item).
+	// (one appended Event per executed item).
 	Trace bool
-	// LazyTrace defers the trace's merge and sort: Metrics.Trace comes
-	// back holding raw per-worker buffers, and the caller must call
-	// exactly one of Trace.Finalize (keep it) or Trace.Release (drop it).
-	// Set by callers that usually discard the trace — the flight
-	// recorder's always-armed tracing keeps only slow runs, so the merge
-	// cost is paid only when a capture actually happens.
-	LazyTrace bool
 	// Ctx optionally cancels the run: it is polled between items, so a
 	// cancelled run stops at the next task boundary instead of running to
 	// completion. nil means never cancelled.
@@ -370,8 +363,10 @@ type run struct {
 	pieces   int64
 	parted   int64
 	start    time.Time
-	tbufs    *traceBufs // per-worker event buffers, merged lazily when tracing
-	labels   *labelSet  // pprof query/kind labels (nil when Options.QueryID == "")
+	// events holds each worker's trace events, nil when not tracing: worker w
+	// appends only to events[w], and Run merges them once the run is done.
+	events [][]Event
+	labels *labelSet // pprof query/kind labels (nil when Options.QueryID == "")
 }
 
 // Run executes the state's task graph on the pool's workers and returns
@@ -383,7 +378,7 @@ type run struct {
 // mid-item: such stragglers keep mutating the run's State, Workers metrics
 // and trace until they hit the failed-run check, so on error the caller
 // must not read Metrics.Workers, and the returned Trace carries no events
-// (its buffers are abandoned to the GC rather than recycled).
+// (the run's event slices are left to the stragglers and then the GC).
 func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	if p.closed.Load() {
 		return nil, fmt.Errorf("sched: pool is closed")
@@ -418,7 +413,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		return m, nil
 	}
 	if opts.Trace {
-		r.tbufs = getTraceBufs(len(p.lists))
+		r.events = make([][]Event, len(p.lists))
 	}
 	p.start()
 	p.gauges.runStarted(n)
@@ -449,19 +444,15 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		Partition: int(atomic.LoadInt64(&r.parted)),
 	}
 	if opts.Trace {
-		tr := &Trace{Workers: len(p.lists), Total: m.Elapsed, bufs: r.tbufs}
-		if r.err != nil {
-			// A failed or cancelled run returns while workers may still be
-			// executing already-fetched items of it, appending to the trace
-			// buffers (and mutating Workers — see the Run doc). Detach the
-			// buffers so Finalize and Release become no-ops: they must go to
-			// the GC with the run, not back into the pool where a straggler's
-			// append would corrupt the next run's trace.
-			tr.bufs = nil
-		} else if !opts.LazyTrace {
-			tr.Finalize()
+		m.Trace = &Trace{Workers: len(p.lists), Total: m.Elapsed}
+		// A failed or cancelled run returns while workers may still be
+		// executing already-fetched items of it, appending to its event slices
+		// (and mutating Workers — see the Run doc): they are not read. A
+		// worker's slice is in Start order, so concatenating them in worker
+		// order is the trace's (Worker, Start) order.
+		for w := 0; r.err == nil && w < len(r.events); w++ {
+			m.Trace.Events = append(m.Trace.Events, r.events[w]...)
 		}
-		m.Trace = tr
 	}
 	return m, r.err
 }
@@ -539,8 +530,10 @@ func (r *run) execute(w int, it item) bool {
 	wm.Busy += d
 	wm.KindBusy[task.Kind] += d
 	wm.Tasks++
-	if r.tbufs != nil {
-		r.tbufs.record(w, it.task, task.Kind, it.lo, it.hi, it.isComb, t0.Sub(r.start), d)
+	if r.events != nil {
+		start := t0.Sub(r.start)
+		r.events[w] = append(r.events[w], Event{Worker: w, Task: it.task, Kind: task.Kind,
+			Lo: it.lo, Hi: it.hi, Comb: it.isComb, Start: start, End: start + d})
 	}
 	if err == nil {
 		return true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"evprop/internal/taskgraph"
@@ -28,133 +27,14 @@ type Trace struct {
 	Workers int
 	Events  []Event // ordered by (Worker, Start)
 	Total   time.Duration
-	// bufs holds the raw per-worker buffers of a deferred-merge trace
-	// (Options.LazyTrace); nil once Finalize or Release ran, and for
-	// eagerly merged traces.
-	bufs *traceBufs
-}
-
-// rawEvent is the compact in-flight form of an Event: 32 bytes against
-// Event's 64, halving the store traffic on the trace hot path. The worker is
-// implied by which buffer holds the event; kind and the combiner flag share
-// a word. Finalize expands raw events into public Events.
-type rawEvent struct {
-	start, dur int64 // nanoseconds relative to the run start
-	task       int32
-	lo, hi     int32
-	kindComb   uint32 // Kind | combinerBit
-}
-
-const combinerBit = 1 << 16
-
-// traceBufs is a recyclable set of per-worker event buffers. Each buffer is
-// padded onto its own cache lines: the slice headers are hot (every executed
-// item appends through them from a different worker), and packing them would
-// false-share. Recycling keeps the grown capacities, so a warmed-up engine
-// records full traces without allocating — the property the always-on flight
-// recorder's <2% overhead budget rests on.
-type traceBufs struct {
-	w []traceBuf
-}
-
-type traceBuf struct {
-	evs []rawEvent
-	_   [104]byte // pad the 24-byte slice header to two cache lines
-}
-
-// record appends one compact event to worker w's buffer.
-func (tb *traceBufs) record(w int, task int, kind taskgraph.Kind, lo, hi int, comb bool, start, dur time.Duration) {
-	kc := uint32(kind)
-	if comb {
-		kc |= combinerBit
-	}
-	b := &tb.w[w]
-	b.evs = append(b.evs, rawEvent{
-		start: int64(start), dur: int64(dur),
-		task: int32(task), lo: int32(lo), hi: int32(hi), kindComb: kc,
-	})
-}
-
-var traceBufPool sync.Pool
-
-func getTraceBufs(workers int) *traceBufs {
-	if tb, ok := traceBufPool.Get().(*traceBufs); ok {
-		if len(tb.w) >= workers {
-			return tb
-		}
-	}
-	return &traceBufs{w: make([]traceBuf, workers)}
-}
-
-func putTraceBufs(tb *traceBufs) {
-	for i := range tb.w {
-		tb.w[i].evs = tb.w[i].evs[:0]
-	}
-	traceBufPool.Put(tb)
-}
-
-// Finalize merges a deferred trace's per-worker buffers into Events,
-// normalizes their order, and recycles the buffers. It is a no-op on a
-// finalized or eagerly merged trace. A lazy trace's owner must call exactly
-// one of Finalize (to keep the events) or Release (to drop them) before
-// handing the trace to readers, and must not call either concurrently.
-func (tr *Trace) Finalize() {
-	if tr == nil || tr.bufs == nil {
-		return
-	}
-	n := 0
-	for i := range tr.bufs.w {
-		n += len(tr.bufs.w[i].evs)
-	}
-	tr.Events = make([]Event, 0, n)
-	for w := range tr.bufs.w {
-		for _, re := range tr.bufs.w[w].evs {
-			tr.Events = append(tr.Events, Event{
-				Worker: w,
-				Task:   int(re.task),
-				Kind:   taskgraph.Kind(re.kindComb &^ combinerBit),
-				Lo:     int(re.lo),
-				Hi:     int(re.hi),
-				Comb:   re.kindComb&combinerBit != 0,
-				Start:  time.Duration(re.start),
-				End:    time.Duration(re.start + re.dur),
-			})
-		}
-	}
-	tb := tr.bufs
-	tr.bufs = nil
-	putTraceBufs(tb)
-	tr.sortEvents()
-}
-
-// Release recycles a deferred trace's buffers without merging them — the
-// fast path for traces nobody kept. No-op on nil, finalized or eager traces.
-func (tr *Trace) Release() {
-	if tr == nil || tr.bufs == nil {
-		return
-	}
-	tb := tr.bufs
-	tr.bufs = nil
-	putTraceBufs(tb)
-}
-
-// sortEvents normalizes the event order after the per-worker buffers merge.
-func (tr *Trace) sortEvents() {
-	sort.Slice(tr.Events, func(i, j int) bool {
-		a, b := tr.Events[i], tr.Events[j]
-		if a.Worker != b.Worker {
-			return a.Worker < b.Worker
-		}
-		return a.Start < b.Start
-	})
 }
 
 // BusySpans returns, for one worker, the merged [start,end) spans during
 // which it executed primitives. The merge requires the worker's events in
-// Start order; traces produced by a run are normalized by sortEvents, but
-// hand-built or concatenated traces may not be, so the worker's events are
-// sorted defensively here — an unsorted input would otherwise silently
-// swallow earlier events into later spans.
+// Start order; traces produced by a run are in that order, but hand-built
+// or concatenated traces may not be, so the worker's events are sorted
+// defensively here — an unsorted input would otherwise silently swallow
+// earlier events into later spans.
 func (tr *Trace) BusySpans(worker int) [][2]time.Duration {
 	var evs []Event
 	for _, e := range tr.Events {

@@ -213,7 +213,7 @@ func (r *QueryResult) Records() []FlightRecord {
 	var out []FlightRecord // one record, one allocation: evserve asks per request
 	for _, rec := range recs {
 		if rec != nil {
-			out = append(out, r.eng.publicRecord(rec))
+			out = append(out, publicRecord(rec))
 		}
 	}
 	return out
