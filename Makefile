@@ -108,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEvidenceSignature -fuzztime 10s ./internal/cache
 	$(GO) test -run xxx -fuzz FuzzKernelBlockedVsScalar -fuzztime 10s ./internal/potential
 	$(GO) test -run xxx -fuzz FuzzSlice -fuzztime 10s ./internal/potential
+	$(GO) test -run xxx -fuzz FuzzPosteriorVsMarginal -fuzztime 10s ./internal/taskgraph
 	$(GO) test -run xxx -fuzz FuzzLazyVsEager -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzTargetedVsFull -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/bif

@@ -305,7 +305,7 @@ func BenchmarkMutexSerializedQuery(b *testing.B) {
 				if _, fixed := iev[v]; fixed {
 					continue
 				}
-				if _, err := st.Marginal(v); err != nil {
+				if _, err := st.Marginal(v, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -432,22 +432,20 @@ func TestModelScopedStats(t *testing.T) {
 	}
 }
 
-// holdCtx holds the run it is given mid-graph: the scheduler polls its context
-// at every task boundary, the engine twice before the run starts, so the third
-// poll is inside the run — counted in — and waits there until released.
+// holdCtx holds the run it is given mid-graph: the scheduler polls its
+// context's Done at every task boundary, so the first poll is inside the run —
+// counted in — and it and every later one wait there until released.
 type holdCtx struct {
 	context.Context
 	polls            atomic.Int64
 	entered, release chan struct{}
 }
 
-func (c *holdCtx) Err() error {
-	if n := c.polls.Add(1); n >= 3 {
-		if n == 3 {
-			c.entered <- struct{}{}
-		}
-		<-c.release
+func (c *holdCtx) Done() <-chan struct{} {
+	if c.polls.Add(1) == 1 {
+		c.entered <- struct{}{}
 	}
+	<-c.release
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -289,7 +290,7 @@ func TestPinnedResultReleaseIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Marginal after Release on pinned result: %v", err)
 	}
-	if m1 != m2 {
+	if memo, ok := r.marginals.Load(3); !ok || !slices.Equal(m2, memo.([]float64)) || !slices.Equal(m1, m2) {
 		t.Fatal("pinned marginal not memoized")
 	}
 }

@@ -14,16 +14,31 @@ import (
 	"evprop/internal/taskgraph"
 )
 
-// countdownCtx fails its Err poll after a fixed number of calls, cancelling
-// a propagation deterministically mid-run (the scheduler polls once per
-// item) rather than depending on wall-clock deadlines.
+// countdownCtx expires at its Done poll after a fixed number of them,
+// cancelling a propagation deterministically mid-run (the scheduler polls Done
+// once per item) rather than depending on wall-clock deadlines. Err reports
+// the expiry without counting, as the engine's check before a run reads it.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
 }
 
-func (c *countdownCtx) Err() error {
+// expired is the closed channel an expired countdownCtx's Done returns.
+var expired = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *countdownCtx) Done() <-chan struct{} {
 	if c.left.Add(-1) < 0 {
+		return expired
+	}
+	return nil
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Load() < 0 {
 		return context.DeadlineExceeded
 	}
 	return nil
@@ -118,7 +133,7 @@ func TestCancelledInlineRun(t *testing.T) {
 		}
 		polls := int64(e.Graph().N() / 2)
 		cc := &countdownCtx{Context: context.Background()}
-		cc.left.Store(polls + 1) // propagateFull polls once before the run
+		cc.left.Store(polls)
 		if _, err := e.PropagateContext(cc, ev); err != context.DeadlineExceeded {
 			t.Fatalf("%v: cancelled run returned %v", s, err)
 		}
@@ -160,14 +175,15 @@ func TestCancelledInlineRun(t *testing.T) {
 }
 
 // gaugeProbeCtx reads the pool's count of runs in flight at every task boundary
-// of the run it is passed to and keeps the largest it saw.
+// of the run it is passed to (the scheduler's Done poll) and keeps the largest
+// it saw.
 type gaugeProbeCtx struct {
 	context.Context
 	e      *Engine
 	active int64
 }
 
-func (c *gaugeProbeCtx) Err() error {
+func (c *gaugeProbeCtx) Done() <-chan struct{} {
 	c.active = max(c.active, c.e.pool.Snapshot().ActiveRuns)
 	return nil
 }

@@ -27,6 +27,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,7 +298,7 @@ type Result struct {
 	// other readers share it) and single-variable marginals are memoized,
 	// so repeated cache hits pay for each posterior once.
 	pinned    bool
-	marginals sync.Map // variable id -> *potential.Potential (pinned only)
+	marginals sync.Map // variable id -> []float64 posterior (pinned only)
 
 	// targeted is the record of a run that skipped tasks, until complete runs
 	// the rest and records it in completion. Private results only: no locking.
@@ -645,33 +646,28 @@ func (r *Result) Release() {
 }
 
 // Marginal returns the normalized posterior P(v | evidence) from the
-// propagation result. On pinned (cache-shared) results the potential is
-// memoized and shared between callers, so it must not be mutated.
-func (r *Result) Marginal(v int) (*potential.Potential, error) {
+// propagation result, over v's states, in a slice the caller owns. A pinned
+// (cache-shared) result computes each posterior once and returns copies of it.
+func (r *Result) Marginal(v int) ([]float64, error) {
 	if r.state == nil {
 		return nil, ErrReleased
 	}
 	if r.pinned {
 		if m, ok := r.marginals.Load(v); ok {
-			return m.(*potential.Potential), nil
+			return slices.Clone(m.([]float64)), nil
 		}
 	}
-	if r.targeted != nil { // CliqueOf scans the tree: not on an untargeted read
-		if err := r.reach(r.state.Graph().Tree.CliqueOf(v)); err != nil {
-			return nil, err
-		}
-	}
-	m, err := r.state.Marginal(v)
-	if err != nil {
+	if err := r.reach(r.state.Graph().Tree.CliqueOf(v)); err != nil {
 		return nil, err
 	}
-	if r.pinned {
-		// Concurrent first readers each computed a table; all of them return
-		// the one that was stored first.
-		won, _ := r.marginals.LoadOrStore(v, m)
-		m = won.(*potential.Potential)
+	m, err := r.state.Marginal(v, nil)
+	if err != nil || !r.pinned {
+		return m, err
 	}
-	return m, nil
+	// Concurrent first readers each computed one; all of them copy the one
+	// that was stored first.
+	won, _ := r.marginals.LoadOrStore(v, m)
+	return slices.Clone(won.([]float64)), nil
 }
 
 // JointMarginal returns the normalized posterior over a set of variables,

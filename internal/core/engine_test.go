@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,6 +24,12 @@ func schedulerOptions(s Scheduler, o Options) Options {
 	o.Scheduler = s
 	o.ForceDispatch = s != Serial
 	return o
+}
+
+// posteriorIs reports whether a posterior read off a result is the oracle's
+// table over its one variable, within 1e-9.
+func posteriorIs(got []float64, want *potential.Potential) bool {
+	return len(got) == len(want.Data) && want.Equal(&potential.Potential{Vars: want.Vars, Card: want.Card, Data: got}, 1e-9)
 }
 
 // assertRanOn fails unless the engine ran at least one graph and ran every
@@ -69,8 +76,8 @@ func TestAllSchedulersMatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.Equal(want, 1e-9) {
-					t.Errorf("%v reroot=%v: P(%s|e) = %v, oracle %v", s, reroot, name, got.Data, want.Data)
+				if !posteriorIs(got, want) {
+					t.Errorf("%v reroot=%v: P(%s|e) = %v, oracle %v", s, reroot, name, got, want.Data)
 				}
 			}
 		}
@@ -276,8 +283,8 @@ func TestPropagateIsRepeatable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want, 1e-9) {
-			t.Errorf("run %d: P(Lung|e) = %v, oracle %v", i, got.Data, want.Data)
+		if !posteriorIs(got, want) {
+			t.Errorf("run %d: P(Lung|e) = %v, oracle %v", i, got, want.Data)
 		}
 	}
 }
@@ -324,8 +331,8 @@ func TestPropagateSoftMatchesOracle(t *testing.T) {
 		if err := want.Normalize(); err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want, 1e-9) {
-			t.Errorf("P(%s | soft) = %v, oracle %v", name, got.Data, want.Data)
+		if !posteriorIs(got, want) {
+			t.Errorf("P(%s | soft) = %v, oracle %v", name, got, want.Data)
 		}
 	}
 }
@@ -357,8 +364,8 @@ func TestPropagateSoftOneHotEqualsHard(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !a.Equal(b, 1e-9) {
-			t.Errorf("one-hot soft evidence differs from hard: %v vs %v", a.Data, b.Data)
+		if !slices.EqualFunc(a, b, func(x, y float64) bool { return math.Abs(x-y) <= 1e-9 }) {
+			t.Errorf("one-hot soft evidence differs from hard: %v vs %v", a, b)
 		}
 	}
 }

@@ -62,9 +62,9 @@ func TestGrandIntegration(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if !got.Equal(want, 1e-9) {
+							if !posteriorIs(got, want) {
 								t.Fatalf("seed %d %v P=%d δ=%d case %d: P(%d|e) = %v, oracle %v",
-									seed, s, workers, thr, ci, v, got.Data, want.Data)
+									seed, s, workers, thr, ci, v, got, want.Data)
 							}
 						}
 					}

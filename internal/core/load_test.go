@@ -186,9 +186,9 @@ func tableBits(t *testing.T, res *Result) [][]uint64 {
 	st := res.State()
 	var out [][]uint64
 	for i := range st.Clique {
-		out = append(out, bitsOf(st.Clique[i]))
+		out = append(out, bitsOf(st.Clique[i].Data))
 		if st.Sep[i] != nil {
-			out = append(out, bitsOf(st.Sep[i]))
+			out = append(out, bitsOf(st.Sep[i].Data))
 		}
 	}
 	return out

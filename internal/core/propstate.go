@@ -29,7 +29,7 @@ import (
 type propState interface {
 	Graph() *taskgraph.Graph
 	Mode() taskgraph.Mode
-	Marginal(v int) (*potential.Potential, error)
+	Marginal(v int, dst []float64) ([]float64, error)
 	CliquePot(ci int) (*potential.Potential, error)
 	SepPot(ci int) (*potential.Potential, error)
 	EvidenceMass() float64

@@ -136,9 +136,9 @@ type answers struct {
 	mpeProb   uint64
 }
 
-func bitsOf(p *potential.Potential) []uint64 {
-	out := make([]uint64, len(p.Data))
-	for i, x := range p.Data {
+func bitsOf(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
 		out[i] = math.Float64bits(x)
 	}
 	return out
@@ -159,7 +159,7 @@ func readAnswers(res *Result, vars, joint []int) (answers, error) {
 	if err != nil {
 		return a, err
 	}
-	a.joint = bitsOf(j)
+	a.joint = bitsOf(j.Data)
 	if res.state.Mode() == taskgraph.SumProduct {
 		// The Hugin invariant is about sums; max-calibrated tables show
 		// their consistency through the MPE walk instead.
@@ -362,14 +362,15 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 }
 
 // TestPinnedMarginalMemoizedOnce: concurrent first reads of one variable from
-// one pinned result all get the same table. With Load … Store each racing
-// reader kept the table it had computed itself.
+// one pinned result each get a slice of their own, copied from the one
+// posterior the result memoized: a reader that writes into its slice changes
+// neither the memo nor what any other reader holds.
 func TestPinnedMarginalMemoizedOnce(t *testing.T) {
 	e := cachedTestEngine(t, 16)
 	for round := 0; round < 20; round++ {
 		res := secondSight(t, e, taskgraph.SumProduct, potential.Evidence{0: round & 1, 2: round >> 1 & 1, 5: round >> 2 & 1, 7: round >> 3 & 1, 9: round >> 4})
 		const readers = 8
-		got := make([]*potential.Potential, readers)
+		got := make([][]float64, readers)
 		var start, done sync.WaitGroup
 		start.Add(1)
 		for i := range got {
@@ -386,10 +387,19 @@ func TestPinnedMarginalMemoizedOnce(t *testing.T) {
 		}
 		start.Done()
 		done.Wait()
+		memo, ok := res.marginals.Load(3)
+		if !ok {
+			t.Fatalf("round %d: nothing memoized", round)
+		}
+		want := bitsOf(memo.([]float64))
 		for i, m := range got {
-			if m != got[0] {
-				t.Fatalf("round %d: reader %d got its own table for one pinned marginal", round, i)
+			if !reflect.DeepEqual(bitsOf(m), want) {
+				t.Fatalf("round %d: reader %d read %v, the memo holds %v", round, i, m, memo)
 			}
+			m[0] = -1
+		}
+		if again, _ := res.Marginal(3); !reflect.DeepEqual(bitsOf(again), want) {
+			t.Fatalf("round %d: a reader's write reached the memo: %v", round, again)
 		}
 	}
 }

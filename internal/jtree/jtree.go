@@ -57,6 +57,10 @@ func (c *Clique) Degree() int {
 type Tree struct {
 	Cliques []Clique
 	Root    int
+	// cliqueOf[v] is the lowest-indexed clique holding variable v, -1 for none:
+	// built once from the cliques' Vars (which no method changes) by the
+	// constructors, and read by CliqueOf.
+	cliqueOf []int
 }
 
 // N returns the number of cliques.
@@ -79,6 +83,7 @@ func NewFromAdjacency(vars [][]int, card [][]int, adj [][]int, root int) (*Tree,
 		t.Cliques[i].Card = append([]int(nil), card[i]...)
 		t.Cliques[i].Parent = -1
 	}
+	t.indexVariables()
 	// BFS orientation from the root.
 	visited := make([]bool, n)
 	queue := []int{root}
@@ -376,7 +381,7 @@ func (t *Tree) TotalWeight() float64 {
 
 // Clone returns a deep copy of the tree (including potentials, if any).
 func (t *Tree) Clone() *Tree {
-	out := &Tree{Cliques: make([]Clique, t.N()), Root: t.Root}
+	out := &Tree{Cliques: make([]Clique, t.N()), Root: t.Root, cliqueOf: t.cliqueOf}
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
 		n := Clique{
@@ -449,17 +454,31 @@ func (t *Tree) Variables() ([]int, map[int]int) {
 
 // CliqueOf returns the lowest-indexed clique containing variable v, or -1.
 func (t *Tree) CliqueOf(v int) int {
-	for i := range t.Cliques {
-		if containsInt(t.Cliques[i].Vars, v) {
-			return i
-		}
+	if v < 0 || v >= len(t.cliqueOf) {
+		return -1
 	}
-	return -1
+	return t.cliqueOf[v]
 }
 
-func containsInt(sorted []int, v int) bool {
-	i := sort.SearchInts(sorted, v)
-	return i < len(sorted) && sorted[i] == v
+// indexVariables builds the index CliqueOf reads from the cliques' Vars.
+func (t *Tree) indexVariables() {
+	n := 0
+	for i := range t.Cliques {
+		for _, v := range t.Cliques[i].Vars {
+			n = max(n, v+1)
+		}
+	}
+	t.cliqueOf = make([]int, n)
+	for v := range t.cliqueOf {
+		t.cliqueOf[v] = -1
+	}
+	for i := len(t.Cliques) - 1; i >= 0; i-- {
+		for _, v := range t.Cliques[i].Vars {
+			if v >= 0 { // Validate's business, not a panic here
+				t.cliqueOf[v] = i
+			}
+		}
+	}
 }
 
 func equalInts(a, b []int) bool {

@@ -403,8 +403,8 @@ func (st *State) MassScale() float64 {
 }
 
 // Marginal materializes the distribute path root→clique(v) on demand and
-// returns the normalized posterior of v.
-func (st *State) Marginal(v int) (*potential.Potential, error) {
+// writes the normalized posterior of v into dst (taskgraph.State.Marginal).
+func (st *State) Marginal(v int, dst []float64) ([]float64, error) {
 	ci := st.prop.tree.CliqueOf(v)
 	if ci < 0 {
 		return nil, fmt.Errorf("lazy: no clique contains variable %d", v)
@@ -421,7 +421,7 @@ func (st *State) Marginal(v int) (*potential.Potential, error) {
 	if err := m.Normalize(); err != nil {
 		return nil, fmt.Errorf("lazy: variable %d has zero posterior mass (impossible evidence?): %w", v, err)
 	}
-	return m, nil
+	return append(dst[:0], m.Data...), nil
 }
 
 // CliquePot materializes the distribute path to clique ci and returns its

@@ -10,17 +10,31 @@ import (
 	"evprop/internal/taskgraph"
 )
 
-// countdownCtx fails its Err poll after a fixed number of calls — a
+// countdownCtx expires at its Done poll after a fixed number of them — a
 // deterministic stand-in for a deadline expiring mid-propagation: the run
 // fails at a task boundary while other workers may still hold fetched items
-// of it.
+// of it. Err reports the expiry without counting.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
 }
 
-func (c *countdownCtx) Err() error {
+// expired is the closed channel an expired countdownCtx's Done returns.
+var expired = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *countdownCtx) Done() <-chan struct{} {
 	if c.left.Add(-1) < 0 {
+		return expired
+	}
+	return nil
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Load() < 0 {
 		return context.DeadlineExceeded
 	}
 	return nil

@@ -254,6 +254,26 @@ func TestRunInlineIsRunSerial(t *testing.T) {
 			t.Fatalf("event %d starts at %v, previous ended %v", i, ev.Start, m.Trace.Events[i-1].End)
 		}
 	}
+	// Untraced, the clock is read only where the kind changes: the same
+	// telescoped sum, and time for every kind the graph has.
+	st.Reset(taskgraph.SumProduct)
+	if m, err = RunInline(st, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	var tasks [taskgraph.NumKinds]int
+	for _, task := range g.Tasks {
+		tasks[task.Kind]++
+	}
+	w, kinds = m.Workers[0], 0
+	for k, d := range w.KindBusy {
+		kinds += int64(d)
+		if (tasks[k] > 0) != (d > 0) {
+			t.Errorf("kind %v: %d tasks, %v busy", taskgraph.Kind(k), tasks[k], d)
+		}
+	}
+	if w.Tasks != g.N() || w.Busy != m.Elapsed || kinds != int64(w.Busy) || m.Trace != nil {
+		t.Errorf("untraced worker column %+v over %v", w, m.Elapsed)
+	}
 }
 
 // TestRunInlineCancelAndLabels: a context that expires mid-graph stops the

@@ -32,11 +32,13 @@ import (
 //
 // The observable surface matches a one-worker scheduled run: opts.Ctx is
 // polled at every task boundary, the returned Metrics hold one worker's
-// Busy, KindBusy and Tasks (one clock read per boundary, so Busy is the whole
-// run and Overhead is zero) with Pieces and Partition counted as the pool
+// Busy, KindBusy and Tasks with Pieces and Partition counted as the pool
 // counts them, opts.Trace records the timeline — one event per task, cut or
 // not — and opts.QueryID labels the calling goroutine for the duration of the
-// run.
+// run. The clock is read where the primitive kind changes (at every task under
+// opts.Trace): the run is timed as a chain of segments, each a run of tasks of
+// one kind, whose time goes to Busy and to that kind — so the kinds sum to
+// Busy, Busy is Elapsed and Overhead is zero.
 //
 // A task opts.Live masks is stepped over — not polled, timed or counted —
 // whatever its predecessors did: also how a resumed state's remainder runs.
@@ -57,7 +59,6 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	c := newCut(g, opts.Threshold, opts.Workers)
 	var bufs []*potential.Potential // partial buffers of the task being cut
 	labels := newLabelSet(opts.Ctx, opts.QueryID)
-	labelled := taskgraph.Kind(-1) // kind whose labels the goroutine carries
 	if labels != nil {
 		restore := opts.Ctx
 		if restore == nil {
@@ -65,22 +66,37 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		}
 		defer pprof.SetGoroutineLabels(restore)
 	}
+	// The open segment: when it started, its kind (-1 before the first task)
+	// and its last task. lap closes it at now.
 	start := time.Now()
-	prev := start
+	mark, open, last := start, taskgraph.Kind(-1), -1
+	lap := func(now time.Time) {
+		d := now.Sub(mark)
+		wm.Busy += d
+		wm.KindBusy[open] += d
+		if opts.Trace {
+			events = append(events, Event{Task: last, Kind: open, Hi: -1, Start: mark.Sub(start), End: now.Sub(start)})
+		}
+		mark = now
+	}
 	for _, id := range order {
 		if opts.Live != nil && !opts.Live[id] {
 			continue
 		}
-		if opts.Ctx != nil {
-			if err = opts.Ctx.Err(); err != nil {
-				break
-			}
+		if err = cancelled(opts.Ctx); err != nil {
+			break
 		}
 		kind := g.Tasks[id].Kind
-		if labels != nil && kind != labelled {
-			pprof.SetGoroutineLabels(labels.kindCtx[kind])
-			labelled = kind
+		if kind != open || opts.Trace {
+			if open >= 0 {
+				lap(time.Now())
+			}
+			if labels != nil && kind != open {
+				pprof.SetGoroutineLabels(labels.kindCtx[kind])
+			}
+			open = kind
 		}
+		last = id
 		size, step := 0, 0
 		if !c.none() {
 			size, step = c.step(st, id)
@@ -91,22 +107,17 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 			m.Partition++
 			bufs, err = executeCut(st, id, size, step, bufs[:0], &m.Pieces)
 		}
-		now := time.Now()
-		d := now.Sub(prev)
-		wm.Busy += d
-		wm.KindBusy[kind] += d
 		wm.Tasks++
-		if opts.Trace {
-			events = append(events, Event{Task: id, Kind: kind, Hi: -1, Start: prev.Sub(start), End: now.Sub(start)})
-		}
-		prev = now
 		if err != nil {
 			err = fmt.Errorf("sched: task %s: %w", g.Tasks[id].String(), err)
 			break
 		}
 		m.Tasks++
 	}
-	m.Elapsed = prev.Sub(start)
+	if open >= 0 {
+		lap(time.Now())
+	}
+	m.Elapsed = mark.Sub(start)
 	if opts.Trace {
 		if err != nil {
 			events = nil // as Pool.Run: a failed run's trace carries no events

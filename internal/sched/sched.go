@@ -70,6 +70,22 @@ type Options struct {
 	QueryID string
 }
 
+// cancelled is the poll at a task boundary: a receive from ctx.Done that does
+// not block, and ctx.Err only once that channel is closed — what the poll
+// costs a cancelCtx is an atomic load, not its mutex. A nil ctx is never
+// cancelled.
+func cancelled(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
+}
+
 // WorkerMetrics records per-worker accounting for the paper's Fig. 8.
 type WorkerMetrics struct {
 	// Busy is the time spent inside node-level primitives ("computation
@@ -344,7 +360,6 @@ type run struct {
 	st        taskgraph.Executor
 	g         *taskgraph.Graph
 	opts      Options
-	ctx       context.Context
 	cut       cut // which tasks are partitioned, and how finely
 	deps      []int32
 	p         *Pool // the lists the run's items queue on, and their gauges
@@ -394,7 +409,6 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		st:        st,
 		g:         g,
 		opts:      opts,
-		ctx:       opts.Ctx,
 		deps:      g.DepCounts(),
 		p:         p,
 		remaining: int64(n),
@@ -483,11 +497,9 @@ func (r *run) process(w int, it item) {
 	if atomic.LoadInt32(&r.failed) == 1 {
 		return
 	}
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			r.fail(err)
-			return
-		}
+	if err := cancelled(r.opts.Ctx); err != nil {
+		r.fail(err)
+		return
 	}
 	switch {
 	case it.comb == nil:

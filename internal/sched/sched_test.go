@@ -28,6 +28,12 @@ func runOnce(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	return p.Run(st, opts)
 }
 
+// posteriorIs reports whether a posterior read off a state is the oracle's
+// table over its one variable, within 1e-9.
+func posteriorIs(got []float64, want *potential.Potential) bool {
+	return len(got) == len(want.Data) && want.Equal(&potential.Potential{Vars: want.Vars, Card: want.Card, Data: got}, 1e-9)
+}
+
 // referenceState runs the graph serially and returns the final state.
 func referenceState(t *testing.T, g *taskgraph.Graph, ev potential.Evidence) *taskgraph.State {
 	t.Helper()
@@ -153,7 +159,7 @@ func testRunWithEvidenceMatchesOracle(t *testing.T) {
 			if _, fixed := ev[v]; fixed {
 				continue
 			}
-			got, err := st.Marginal(v)
+			got, err := st.Marginal(v, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,8 +167,8 @@ func testRunWithEvidenceMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !got.Equal(want, 1e-9) {
-				t.Errorf("P=%d: P(%s|e) = %v, oracle %v", p, name, got.Data, want.Data)
+			if !posteriorIs(got, want) {
+				t.Errorf("P=%d: P(%s|e) = %v, oracle %v", p, name, got, want.Data)
 			}
 		}
 	}
@@ -197,7 +203,7 @@ func testRunRerootedMatchesOracle(t *testing.T) {
 		if _, fixed := ev[v]; fixed {
 			continue
 		}
-		got, err := st.Marginal(v)
+		got, err := st.Marginal(v, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,8 +211,8 @@ func testRunRerootedMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Equal(want, 1e-9) {
-			t.Errorf("P(%s|e) = %v, oracle %v", name, got.Data, want.Data)
+		if !posteriorIs(got, want) {
+			t.Errorf("P(%s|e) = %v, oracle %v", name, got, want.Data)
 		}
 	}
 }

@@ -123,12 +123,12 @@ func TestSlicedRunIsTheReducedRun(t *testing.T) {
 						t.Errorf("seed %d %v width %d, %s: P(e) %v, full-domain %v", seed, mode, width, name, st.EvidenceMass(), full.EvidenceMass())
 					}
 					for _, v := range vars {
-						got, gerr := st.Marginal(v)
-						want, werr := full.Marginal(v)
+						got, gerr := st.Marginal(v, nil)
+						want, werr := full.Marginal(v, nil)
 						if (gerr == nil) != (werr == nil) {
 							t.Fatalf("seed %d width %d, %s: posterior of %d: %v, full-domain: %v", seed, width, name, v, gerr, werr)
 						}
-						if gerr == nil && (!reflect.DeepEqual(got.Card, want.Card) || !reflect.DeepEqual(got.Data, want.Data)) {
+						if gerr == nil && !reflect.DeepEqual(got, want) {
 							t.Errorf("seed %d %v width %d, %s: posterior of %d is %v, full-domain %v", seed, mode, width, name, v, got, want)
 						}
 					}

@@ -757,20 +757,47 @@ func (st *State) MassScale() float64 { return 1 }
 // leaves every clique and separator calibrated already (Resume for a masked one).
 func (st *State) Calibrate() error { return nil }
 
-// Marginal extracts the normalized posterior of variable v from the state
-// after propagation, by marginalizing a clique that contains v. The posterior
-// of an observed variable is the indicator of its observed state.
-func (st *State) Marginal(v int) (*potential.Potential, error) {
+// Marginal writes the normalized posterior of variable v after propagation
+// into dst — resliced to v's cardinality, reallocated only when it is too short
+// — and returns it. It is one pass over the table of the clique CliqueOf names,
+// in index order: each state's cell adds its entries left to right, as
+// Potential.Marginal does, and is normalized by Potential.Normalize, so the
+// bits are those of Marginal([]int{v}) + Normalize + Lift. The posterior of an
+// observed variable is the indicator of its observed state.
+func (st *State) Marginal(v int, dst []float64) ([]float64, error) {
 	ci := st.g.Tree.CliqueOf(v)
 	if ci < 0 {
 		return nil, fmt.Errorf("taskgraph: no clique contains variable %d", v)
 	}
-	m, err := st.Clique[ci].Marginal([]int{v})
-	if err != nil {
-		return nil, err
+	p := st.Clique[ci]
+	k := 0
+	for p.Vars[k] != v {
+		k++
 	}
-	if err := m.Normalize(); err != nil {
+	card, stride := p.Card[k], potential.Size(p.Card[k+1:])
+	if n := st.g.varCard[v]; cap(dst) < n {
+		dst = make([]float64, n)
+	} else {
+		dst = dst[:n]
+		clear(dst)
+	}
+	// An observed variable has one state left in the table: its cell is the
+	// observed state's.
+	out := dst[:card]
+	if s := st.obs.State(v); s != potential.Free {
+		out = dst[s : s+1]
+	}
+	for base := 0; base < len(p.Data); base += card * stride {
+		for j := range out {
+			acc := out[j]
+			for _, x := range p.Data[base+j*stride : base+(j+1)*stride] {
+				acc += x
+			}
+			out[j] = acc
+		}
+	}
+	if err := (&potential.Potential{Data: out}).Normalize(); err != nil {
 		return nil, fmt.Errorf("taskgraph: variable %d has zero posterior mass (impossible evidence?): %w", v, err)
 	}
-	return st.Lift(m), nil
+	return dst, nil
 }

@@ -6,7 +6,8 @@ import (
 )
 
 // TestInlinePathAllocsPinned pins the allocations of the two inline paths the
-// load benchmark's mid-dense and small-* workloads take — at Workers 2 the
+// load benchmark's mid-dense and small-* workloads take, and of reading their
+// posteriors — at Workers 2 the
 // granularity rule keeps every run of them on its goroutine whatever else is in
 // flight — to the counts of untraced runs: no engine run records scheduler
 // events, so one that allocated a per-run trace again would read one more per
@@ -23,15 +24,20 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		name                     string
 		nodes, parents, observed int
-		mpe                      bool
+		mpe, posteriors          bool
 		targets                  int     // variables declared to Propagate
 		pinned                   float64 // allocations per op
 	}{
-		{"small40 Propagate+Close", 40, 3, 4, false, 0, 17},
-		{"mid60 Propagate+MPE+Close", 60, 4, 30, true, 0, 244},
+		{"small40 Propagate+Close", 40, 3, 4, false, false, 0, 17},
+		{"mid60 Propagate+MPE+Close", 60, 4, 30, true, false, 0, 244},
 		// What declaring targets may add: the slice of their ids. The mask is
 		// the recycled state's.
-		{"small40 Propagate(3 targets)+Close", 40, 3, 4, false, 3, 17 + 1},
+		{"small40 Propagate(3 targets)+Close", 40, 3, 4, false, false, 3, 17 + 1},
+		// The posterior path: one slice per posterior, which the caller keeps,
+		// plus the map and the names around them. mid60 observes half its
+		// variables and reads the other 30; 25 allocations are the propagation's.
+		{"mid60 Propagate+Posteriors()+Close", 60, 4, 30, false, true, 0, 61},
+		{"small40 Propagate(3 targets)+Posteriors(targets)+Close", 40, 3, 4, false, true, 3, 17 + 1 + 5},
 	} {
 		net := RandomNetwork(tc.nodes, 2, tc.parents, 7)
 		eng, err := net.Compile(Options{Workers: 2})
@@ -53,6 +59,11 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 			}
 			if tc.mpe {
 				if _, _, err := res.MPE(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.posteriors {
+				if _, err := res.Posteriors(targets...); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -271,7 +271,7 @@ func (r *QueryResult) posteriorLocked(name string) ([]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("evprop: %q: %w", name, err)
 	}
-	return append([]float64(nil), m.Data...), nil
+	return m, nil
 }
 
 // Posteriors returns the posterior of each named variable; with no names it
@@ -280,7 +280,9 @@ func (r *QueryResult) Posteriors(names ...string) (map[string][]float64, error) 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(names) == 0 {
-		for _, name := range r.eng.net.Variables() {
+		all := r.eng.net.Variables()
+		names = all[:0]
+		for _, name := range all {
 			if _, fixed := r.ev[name]; !fixed {
 				names = append(names, name)
 			}
