@@ -112,6 +112,8 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzLazyVsEager -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzTargetedVsFull -fuzztime 10s .
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/bif
+	$(GO) test -run xxx -fuzz FuzzQueryBody -fuzztime 10s ./cmd/evserve
+	$(GO) test -run xxx -fuzz FuzzQueryResponse -fuzztime 10s ./cmd/evserve
 
 # Smoke-test the Chrome trace export: one traced propagation, written as
 # trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).

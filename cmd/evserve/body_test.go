@@ -1,0 +1,338 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"evprop"
+)
+
+// FuzzQueryBody holds readJSON to encoding/json: a body the one-pass parser
+// accepts decodes to what json.Decoder makes of it, and readJSON accepts a
+// body — with the decoder's value — exactly when the decoder does, answering
+// the decoder's error otherwise.
+func FuzzQueryBody(f *testing.F) {
+	for _, body := range []string{
+		`{"evidence":{"XRay":1},"query":["Lung"]}`,
+		"{\"evidence\":{\"A\":0,\"B\":1}}\n",
+		" { \"evidence\" : { } ,\t\"query\" : [ ] }\r\n",
+		`{"query":["Lung","Tub"],"evidence":{"XRay":-0,"Smoke":123456789012345678}}`,
+		`{"queries":[{"evidence":{"XRay":1}},{"evidence":{},"query":["Lung","Tub"]}]}`,
+		`{"queries":[]}`,
+		`{}`,
+		`{"evidence":{"XRay":1.0}}`,
+		`{"evidence":{"XRay":1e0}}`,
+		`{"evidence":{"XRay":01}}`,
+		`{"evidence":{"XRay":1234567890123456789012}}`,
+		`{"evidence":{"X\u0052ay":1}}`,
+		`{"evidence":{"Xé":1}}`,
+		`{"Evidence":{"XRay":1}}`,
+		`{"evidence":null,"query":null}`,
+		`{"evidence":{"A":1,"A":0}}`,
+		`{"evidence":{"A":1},"evidence":{"B":1}}`,
+		`{"evidence":{"A":1},"other":2}`,
+		`{"evidence":{"A":1}} {"evidence":{}}`,
+		`{"evidence":{"A":1}`,
+		``,
+		`[]`,
+	} {
+		f.Add([]byte(body))
+	}
+	srv := newMultiServer(evprop.Options{})
+	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	kinds := []func() any{
+		func() any { return new(queryRequest) },
+		func() any { return new(mpeRequest) },
+		func() any { return new(batchRequest) },
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, fresh := range kinds {
+			want := fresh()
+			wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(want)
+			if got := fresh(); (&scratch{b: body}).parse(got) {
+				if wantErr != nil {
+					t.Fatalf("%T: parsed %q, which encoding/json refuses: %v", got, body, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%T: %q parses to %+v, encoding/json decodes %+v", got, body, got, want)
+				}
+			}
+			got := fresh()
+			rec := httptest.NewRecorder()
+			ok := srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), got)
+			if ok != (wantErr == nil) {
+				t.Fatalf("%T: readJSON says %v on %q, encoding/json %v", got, ok, body, wantErr)
+			}
+			if ok && !reflect.DeepEqual(got, want) {
+				t.Fatalf("%T: readJSON read %q as %+v, encoding/json %+v", got, body, got, want)
+			}
+			if !ok {
+				var env errorEnvelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
+					env.Error.Code != "bad_request" || env.Error.Message != "invalid JSON: "+wantErr.Error() {
+					t.Fatalf("%T: %q answered %d %s, want 400 for %v", got, body, rec.Code, rec.Body.Bytes(), wantErr)
+				}
+			}
+		}
+	})
+}
+
+// FuzzQueryResponse holds the answer appender to json.Encoder.Encode, byte for
+// byte, over fuzzer-chosen names — non-ASCII, invalid UTF-8, <>&, U+2028,
+// control characters — and float64 bit patterns, and makes it refuse what the
+// encoder refuses: NaN and the infinities.
+func FuzzQueryResponse(f *testing.F) {
+	bits := math.Float64bits
+	for _, seed := range []struct {
+		a, b  string
+		x, y  uint64
+		state int
+		model string
+		ver   int64
+	}{
+		{"Lung", "Tub", bits(0.4887114), bits(0.11029004), 1, "asia", 3},
+		{"<b>&amp;", "line\u2028para\u2029", bits(1e-6), bits(math.Nextafter(1e-6, 0)), -2, "m\x00", 0},
+		{"\xff\xfe", "\t\n\r\b\f\x01\x1f\x7f", bits(1e21), bits(math.Nextafter(1e21, 0)), 0, "\"quoted\\\"", -1},
+		{"é", "日本", 1, bits(math.SmallestNonzeroFloat64 * 3), 7, "ü", 1 << 40},
+		{"", "neg", bits(-0.0), bits(-1e-7), 1, "", 0},
+		{"nan", "inf", bits(math.NaN()), bits(math.Inf(-1)), 0, "m", 1},
+		{"max", "big", bits(math.MaxFloat64), bits(123456789e20), 0, "m", 1},
+	} {
+		f.Add(seed.a, seed.b, seed.x, seed.y, seed.state, seed.model, seed.ver)
+	}
+	f.Fuzz(func(t *testing.T, a, b string, x, y uint64, state int, model string, version int64) {
+		p, q := math.Float64frombits(x), math.Float64frombits(y)
+		post := map[string][]float64{a: {p, q}, b: {q}}
+		answers := []any{
+			queryResponse{PEvidence: p, Posteriors: post, Model: model, Version: version},
+			queryResponse{PEvidence: q, Posteriors: map[string][]float64{a: nil, b: {}}},
+			queryResponse{},
+			mpeResponse{Assignment: map[string]int{a: state, b: -state}, Probability: q, Model: model, Version: version},
+			mpeResponse{},
+		}
+		for _, v := range answers {
+			var want bytes.Buffer
+			wantErr := json.NewEncoder(&want).Encode(v)
+			sc := &scratch{}
+			if ok := sc.appendAnswer(v); ok != (wantErr == nil) {
+				t.Fatalf("%T: appended %v, encoding/json: %v", v, ok, wantErr)
+			} else if ok && !bytes.Equal(sc.b, want.Bytes()) {
+				t.Fatalf("%#v:\nappended %q\nencoder  %q", v, sc.b, want.Bytes())
+			}
+		}
+	})
+}
+
+// TestAppendedFieldsPinned: the appender writes the members it knows of, so a
+// field added to an answer it writes must fail here, not vanish from the wire.
+func TestAppendedFieldsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		tags []string // what appendAnswer writes, in order
+	}{
+		{queryResponse{}, []string{"p_evidence", "posteriors", "model,omitempty", "version,omitempty"}},
+		{mpeResponse{}, []string{"assignment", "probability", "model,omitempty", "version,omitempty"}},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		var tags []string
+		for i := range typ.NumField() {
+			tags = append(tags, typ.Field(i).Tag.Get("json"))
+		}
+		if !slices.Equal(tags, tc.tags) {
+			t.Errorf("%s has json tags %q, appendAnswer writes %q", typ, tags, tc.tags)
+		}
+	}
+}
+
+// endless is a body that never ends: after its head, the byte fill forever.
+type endless struct {
+	head []byte
+	fill byte
+	read int
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := copy(p, e.head)
+	e.head = e.head[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = e.fill
+	}
+	e.read += len(p)
+	return len(p), nil
+}
+
+// TestReadJSONLargeBody: readJSON buffers at most maxPooledBody bytes and
+// streams the rest of a longer body through json.Decoder, so garbage is
+// refused after what the decoder reads, and a long body that is well formed
+// decodes as encoding/json decodes it.
+func TestReadJSONLargeBody(t *testing.T) {
+	srv := newMultiServer(evprop.Options{})
+	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+
+	garbage := &endless{head: []byte(`{"evidence":`), fill: '!'}
+	rec := httptest.NewRecorder()
+	if srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", garbage), new(queryRequest)) || rec.Code != http.StatusBadRequest {
+		t.Fatalf("endless garbage answered %d %s", rec.Code, rec.Body.Bytes())
+	}
+	if garbage.read > 2*maxPooledBody {
+		t.Errorf("read %d bytes of garbage before refusing it, want ≤ %d", garbage.read, 2*maxPooledBody)
+	}
+
+	long := []byte(`{"evidence":{"XRay":1},"query":[`)
+	for len(long) <= 2*maxPooledBody {
+		long = append(long, `"Lung",`...)
+	}
+	long = append(long, `"Tub"]}`...)
+	var want, got queryRequest
+	if err := json.Unmarshal(long, &want); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	if !srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(long)), &got) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("a %d-byte query answered %d %s", len(long), rec.Code, rec.Body.Bytes())
+	}
+}
+
+// TestQueryPathAllocs pins the allocations of the HTTP query path, without a
+// clock and without a listener: everything a request costs between the
+// server's mux and its answer, less what building the request and its
+// recorder costs. The small40 row is the small-hit workload's request, a
+// cached answer with three posteriors; the mid60 row is mid-dense's, 30 of 60
+// variables observed, every other posterior returned, over never-repeating
+// evidence — a first sight, so a private run. Each body decoded is the one
+// the load generator sends, and each answer is byte for byte json.Encoder's.
+// TestInlinePathAllocsPinned in the root package pins the engine's share. A
+// count moves by one with when the pools were last emptied: each is pinned at
+// its higher reading (through encoding/json both ways the two read 66 and 219).
+func TestQueryPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
+	}
+	for _, tc := range []struct {
+		name                      string
+		nodes, parents            int
+		observed, targets, bodies int
+		pinned                    float64
+	}{
+		{"small40 hit", 40, 3, 4, 3, 1, 45},
+		{"mid60 30 observed", 60, 4, 30, 0, 256, 114},
+	} {
+		net := evprop.RandomNetwork(tc.nodes, 2, tc.parents, 7)
+		srv := newTestServer(t, net, evprop.Options{Workers: 2, CacheSize: 32})
+		srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		h := srv.mux()
+		rng := rand.New(rand.NewSource(1))
+		vars := net.Variables()
+		bodies := make([][]byte, tc.bodies)
+		for i := range bodies {
+			perm := rng.Perm(len(vars))
+			var req struct { // as the load generator's client writes it
+				Evidence evprop.Evidence `json:"evidence"`
+				Query    []string        `json:"query,omitempty"`
+			}
+			req.Evidence = evprop.Evidence{}
+			for _, v := range perm[:tc.observed] {
+				req.Evidence[vars[v]] = rng.Intn(2)
+			}
+			for _, v := range perm[tc.observed : tc.observed+tc.targets] {
+				req.Query = append(req.Query, vars[v])
+			}
+			var err error
+			if bodies[i], err = json.Marshal(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next := 0
+		serve := func(h http.Handler) func() {
+			return func() {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/query", bytes.NewReader(bodies[next%len(bodies)])))
+				next++
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.Bytes())
+				}
+			}
+		}
+		// Warm the pools and, for the hit, admit the evidence.
+		for i := 0; i < 8; i++ {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/query", bytes.NewReader(bodies[i%len(bodies)])))
+			var answer queryResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.Bytes())
+			}
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(answer); err != nil || !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+				t.Fatalf("%s: answered %q, json.Encoder writes %q", tc.name, rec.Body.Bytes(), want.Bytes())
+			}
+		}
+		harness := testing.AllocsPerRun(200, serve(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {})))
+		allocs := testing.AllocsPerRun(200, serve(h)) - harness
+		t.Logf("%s: %.1f allocations per request beyond the harness's %.1f", tc.name, allocs, harness)
+		if allocs > tc.pinned {
+			t.Errorf("%s: %.1f allocations per request, pinned at %.0f", tc.name, allocs, tc.pinned)
+		}
+	}
+}
+
+// TestBatchFanOutBounded: a batch's items run on at most -workers goroutines,
+// however many it has — admission counts a batch as one request — and the
+// answers come back in item order.
+func TestBatchFanOutBounded(t *testing.T) {
+	const workers, items = 2, 3000
+	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: workers})
+	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	eng := engineOf(t, srv, testModel)
+	vars := evprop.Asia().Variables()
+	req := batchRequest{Queries: make([]queryRequest, items)}
+	for i := range req.Queries {
+		ev := evprop.Evidence{}
+		for k, v := range vars[:4] {
+			ev[v] = (i >> k) & 1
+		}
+		req.Queries[i] = queryRequest{Evidence: ev, Query: vars[4+i%4 : 5+i%4]}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.mux()
+	baseline := runtime.NumGoroutine()
+	var done atomic.Bool
+	rec := httptest.NewRecorder()
+	go func() {
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/batch", bytes.NewReader(body)))
+		done.Store(true)
+	}()
+	peak := 0
+	for !done.Load() {
+		peak = max(peak, runtime.NumGoroutine()-baseline)
+		runtime.Gosched()
+	}
+	// The handler's own goroutine, and the batch's.
+	if peak > 1+workers {
+		t.Errorf("%d goroutines beyond the test's during a %d-item batch at %d workers", peak, items, workers)
+	}
+	var resp batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != items {
+		t.Fatalf("status %d, %d results: %v", rec.Code, len(resp.Results), err)
+	}
+	for i, q := range req.Queries {
+		pe, err := eng.ProbabilityOfEvidence(q.Evidence)
+		if got := resp.Results[i]; err != nil || got.Error != "" || math.Float64bits(got.PEvidence) != math.Float64bits(pe) ||
+			len(got.Posteriors) != 1 || got.Posteriors[q.Query[0]] == nil {
+			t.Fatalf("item %d answered %+v, want P(e) %v (%v) and the posterior of %s", i, got, pe, err, q.Query[0])
+		}
+	}
+}

@@ -141,25 +141,3 @@ func (s *server) answerCompile(w http.ResponseWriter, r *http.Request, name stri
 	w.WriteHeader(http.StatusAccepted)
 	_ = json.NewEncoder(w).Encode(info)
 }
-
-// readJSON decodes a POST body into dst; on failure it has already
-// answered the request (405 on wrong method, 400 envelope on bad JSON).
-func (s *server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return false
-	}
-	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
-		s.writeErrorCode(w, r, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-		return false
-	}
-	return true
-}
-
-// writeJSON answers 200 with a JSON body.
-func (s *server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.log.Error("encode response", "err", err)
-	}
-}

@@ -1,5 +1,5 @@
 //go:build !race
 
-package experiments
+package main
 
 const raceEnabled = false

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -49,9 +50,9 @@ type server struct {
 	// cacheOn mirrors the engines' cache configuration so the hot path can
 	// skip cache accounting without asking an engine each time.
 	cacheOn bool
-	// workers is -workers, the P every model compiles at and so the size of
-	// the process's worker pool that the scheduler block of every stats view
-	// reads.
+	// workers is -workers (0: GOMAXPROCS), the P every model compiles at and
+	// so the size of the process's worker pool that the scheduler block of
+	// every stats view reads, and the most items of one batch in flight.
 	workers int
 	// aud, when non-nil, receives one durable audit record per completed
 	// query/MPE (the -audit-dir pipeline; see audit.go). audStore is its
@@ -86,6 +87,9 @@ func newMultiServer(opts evprop.Options) *server {
 		workers: opts.Workers,
 		started: time.Now(),
 		drain:   make(chan struct{}),
+	}
+	if s.workers <= 0 {
+		s.workers = runtime.GOMAXPROCS(0)
 	}
 	s.sampler = obs.NewSampler(streamInterval, 1, s.statsNow)
 	return s
@@ -244,13 +248,20 @@ func (s *server) answer(ctx context.Context, o *outcome) {
 
 // propagate is the one place the server calls an engine: it runs the
 // outcome's sum-product propagation under ctx — the request's deadline,
-// query ID and trace — declaring the query's targets, which are all it will
-// read (an MPE and a query that lists none declare nothing and run full), and
-// derives the answer from it inside a collect span. An MPE's max-product companion run happens during that derivation,
-// under the same ctx, so it lands in the same trace (below collect), is
-// recorded under the same query ID and stops at the same deadline.
+// query ID and trace — declaring what it will read: a query its targets (none
+// listed: every posterior), an MPE no posterior at all, so that run only
+// collects — and derives the answer from it inside a collect span. An MPE's
+// max-product companion run happens during that derivation, under the same
+// ctx, so it lands in the same trace (below collect), is recorded under the
+// same query ID and stops at the same deadline.
 func (s *server) propagate(ctx context.Context, o *outcome) {
-	res, err := o.v.Engine.PropagateContext(ctx, o.evidence, o.targets...)
+	var res *evprop.QueryResult
+	var err error
+	if o.kind == audit.KindMPE {
+		res, err = o.v.Engine.CollectContext(ctx, o.evidence)
+	} else {
+		res, err = o.v.Engine.PropagateContext(ctx, o.evidence, o.targets...)
+	}
 	if err != nil {
 		o.err = err
 		return
@@ -351,8 +362,9 @@ type batchResult struct {
 	Error      string               `json:"error,omitempty"`
 }
 
-// handleBatch answers many queries in one round trip, propagating them
-// concurrently on the batch's pinned version. Sub-queries sharing an
+// handleBatch answers many queries in one round trip on the batch's pinned
+// version, at most -workers of them at a time: admission counts a batch as one
+// request, so its items must not hold a state each. Sub-queries sharing an
 // evidence signature collapse in the engine's singleflight and result cache
 // (two propagations on a signature never seen before, none on a cached one);
 // nothing here groups them.
@@ -372,25 +384,33 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.inflight.Add(-1)
 	ms.batches.Add(1)
 	results := make([]batchResult, len(req.Queries))
+	var next atomic.Int64 // the next item to answer
 	var wg sync.WaitGroup
-	for i, q := range req.Queries {
+	for range min(s.workers, len(req.Queries)) {
 		wg.Add(1)
-		go func(i int, q queryRequest) {
+		go func() {
 			defer wg.Done()
-			// Each sub-query runs under its own child span, so the trace
-			// shows the batch fanning out.
-			isp := trace.FromContext(r.Context()).StartChild("batch.item",
-				trace.Int("batch.index", int64(i)))
-			o := &outcome{kind: audit.KindQuery, v: v, evidence: q.Evidence, targets: q.Query}
-			s.answer(trace.ContextWith(r.Context(), isp), o)
-			if o.err != nil {
-				isp.Fail(o.err.Error())
-				results[i] = batchResult{Error: o.err.Error()}
-			} else {
-				results[i] = batchResult{PEvidence: o.pe, Posteriors: o.posteriors}
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(req.Queries) {
+					return
+				}
+				// Each sub-query runs under its own child span, so the trace
+				// shows the batch fanning out.
+				isp := trace.FromContext(r.Context()).StartChild("batch.item",
+					trace.Int("batch.index", int64(i)))
+				q := req.Queries[i]
+				o := &outcome{kind: audit.KindQuery, v: v, evidence: q.Evidence, targets: q.Query}
+				s.answer(trace.ContextWith(r.Context(), isp), o)
+				if o.err != nil {
+					isp.Fail(o.err.Error())
+					results[i] = batchResult{Error: o.err.Error()}
+				} else {
+					results[i] = batchResult{PEvidence: o.pe, Posteriors: o.posteriors}
+				}
+				isp.End()
 			}
-			isp.End()
-		}(i, q)
+		}()
 	}
 	wg.Wait()
 	s.writeJSON(w, batchResponse{Results: results, Model: r.PathValue("name"), Version: v.ID})

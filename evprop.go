@@ -691,14 +691,24 @@ func (e *Engine) BestObservation(ev Evidence, target string, candidates ...strin
 }
 
 // ProbabilityOfEvidence returns P(e), the likelihood of the observation. It
-// declares that no posterior will be read: a private run only collects.
+// reads no posterior, so its propagation only collects (CollectContext).
 func (e *Engine) ProbabilityOfEvidence(ev Evidence) (float64, error) {
-	res, err := e.propagateSession(context.Background(), ev, nil, []string{})
+	res, err := e.CollectContext(context.Background(), ev)
 	if err != nil {
 		return 0, err
 	}
 	res.Close()
 	return res.ProbabilityOfEvidence(), nil
+}
+
+// CollectContext is PropagateContext for a caller that will read no posterior,
+// only P(e) or the MPE: a private run — any on an engine without a cache, the
+// first sight of its evidence on one with — sends no root-to-leaf message.
+// P(e) is the root's mass after collect, so it has the full run's bits, and so
+// has the MPE, whose max-product run is its own. A posterior read finishes the
+// propagation first, as for any undeclared target.
+func (e *Engine) CollectContext(ctx context.Context, ev Evidence) (*QueryResult, error) {
+	return e.propagateSession(ctx, ev, nil, []string{})
 }
 
 // MostProbableState returns the argmax state and its posterior probability
@@ -727,9 +737,9 @@ func (e *Engine) MostProbableState(ev Evidence, name string) (int, float64, erro
 // max-product evidence propagation over the same task graph and scheduler.
 // It returns the assignment by variable name and its conditional
 // probability P(assignment | evidence). It is a convenience wrapper over
-// Propagate + MPE.
+// CollectContext + MPE: the sum-product run behind it only supplies P(e).
 func (e *Engine) MostProbableExplanation(ev Evidence) (map[string]int, float64, error) {
-	res, err := e.Propagate(ev)
+	res, err := e.CollectContext(context.Background(), ev)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -47,17 +47,13 @@ func TestRerootOverheadNegligible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Paper: 24 µs vs ~1e5 µs (< 0.1%). Our Algorithm 1 runs in a few
-	// hundred µs (Go, deep-copy reroot); require clear negligibility with
-	// margin for wall-clock noise. The race detector slows the measured
-	// reroot several-fold while the simulated denominator stays fixed, so
-	// the bound is relaxed under -race.
-	bound := 2.0
-	if raceEnabled {
-		bound = 10.0
-	}
-	if r.FractionPercent > bound {
-		t.Errorf("rerooting overhead %.3f%% of propagation, want ≪ %.0f%%", r.FractionPercent, bound)
+	// Paper: 24 µs vs ~1e5 µs (< 0.1 %). The bound is on the steps the
+	// algorithm counts as it runs: a wall clock over a simulated makespan
+	// moves with the host's speed (and several-fold under -race), so it is
+	// reported, not bounded.
+	if r.WorkPercent <= 0 || r.WorkPercent > 0.1 {
+		t.Errorf("rerooting takes %.0f steps against a propagation's %.0f entries (%.4f%%), want ≤ 0.1%%",
+			r.RerootWork, r.PropagationWork, r.WorkPercent)
 	}
 	var buf bytes.Buffer
 	r.Write(&buf)

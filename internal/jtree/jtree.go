@@ -112,14 +112,19 @@ func NewFromAdjacency(vars [][]int, card [][]int, adj [][]int, root int) (*Tree,
 
 // RecomputeSeparators refreshes SepVars/SepCard of every non-root clique
 // from the intersection with its parent.
-func (t *Tree) RecomputeSeparators() {
+func (t *Tree) RecomputeSeparators() { t.recomputeSeparators(nil) }
+
+// recomputeSeparators adds the steps it takes to steps (see RerootSteps).
+func (t *Tree) recomputeSeparators(steps *int64) {
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
+		count(steps, 1)
 		if c.Parent < 0 {
 			c.SepVars, c.SepCard = nil, nil
 			continue
 		}
 		p := &t.Cliques[c.Parent]
+		count(steps, len(c.Vars)+len(p.Vars)) // the merge of the two domains
 		c.SepVars, c.SepCard = potential.IntersectDomain(c.Vars, c.Card, p.Vars)
 	}
 }
@@ -380,10 +385,14 @@ func (t *Tree) TotalWeight() float64 {
 }
 
 // Clone returns a deep copy of the tree (including potentials, if any).
-func (t *Tree) Clone() *Tree {
+func (t *Tree) Clone() *Tree { return t.clone(nil) }
+
+// clone adds the steps it takes to steps (see RerootSteps).
+func (t *Tree) clone(steps *int64) *Tree {
 	out := &Tree{Cliques: make([]Clique, t.N()), Root: t.Root, cliqueOf: t.cliqueOf}
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
+		count(steps, 1+len(c.Vars)+len(c.Card)+len(c.Children)+len(c.SepVars)+len(c.SepCard))
 		n := Clique{
 			Vars:     append([]int(nil), c.Vars...),
 			Card:     append([]int(nil), c.Card...),
@@ -393,6 +402,7 @@ func (t *Tree) Clone() *Tree {
 			SepCard:  append([]int(nil), c.SepCard...),
 		}
 		if c.Pot != nil {
+			count(steps, c.Pot.Len())
 			n.Pot = c.Pot.Clone()
 		}
 		out.Cliques[i] = n

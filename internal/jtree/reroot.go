@@ -11,33 +11,57 @@ import (
 // the new preorder walk, exactly as in Section 4 of the paper. Separator
 // variable sets are edge properties and therefore identical before and
 // after; they are recomputed for consistency.
-func (t *Tree) Reroot(newRoot int) (*Tree, error) {
+func (t *Tree) Reroot(newRoot int) (*Tree, error) { return t.reroot(newRoot, nil) }
+
+// RerootSteps runs root selection and the reroot to the clique it selects, as
+// SelectRoot and Reroot do, and returns the elementary steps the two took: one
+// per clique visited, per domain slot or child link read or copied, and per
+// table entry cloned, each counted where the code takes it. It is Algorithm
+// 1's cost as a count, which the host's speed cannot move.
+func (t *Tree) RerootSteps() (int64, error) {
+	var steps int64
+	root, _ := t.selectRoot(balanceAbsDiff, &steps)
+	_, err := t.reroot(root, &steps)
+	return steps, err
+}
+
+// count adds k steps to *steps when steps is non-nil.
+func count(steps *int64, k int) {
+	if steps != nil {
+		*steps += int64(k)
+	}
+}
+
+func (t *Tree) reroot(newRoot int, steps *int64) (*Tree, error) {
 	if newRoot < 0 || newRoot >= t.N() {
 		return nil, fmt.Errorf("jtree: reroot target %d out of range", newRoot)
 	}
-	out := t.Clone()
+	out := t.clone(steps)
 	if newRoot == t.Root {
 		return out, nil
 	}
 	// Reverse parent links along the path from newRoot to the old root.
 	path := []int{}
 	for i := newRoot; i >= 0; i = t.Cliques[i].Parent {
+		count(steps, 1)
 		path = append(path, i)
 	}
 	for k := 0; k+1 < len(path); k++ {
+		count(steps, 1)
 		child, parent := path[k], path[k+1]
 		// Edge (parent -> child) becomes (child -> parent).
 		out.Cliques[parent].Parent = child
-		out.Cliques[parent].Children = removeInt(out.Cliques[parent].Children, child)
+		out.Cliques[parent].Children = removeInt(out.Cliques[parent].Children, child, steps)
 		out.Cliques[child].Children = append(out.Cliques[child].Children, parent)
 	}
 	out.Cliques[newRoot].Parent = -1
 	out.Root = newRoot
-	out.RecomputeSeparators()
+	out.recomputeSeparators(steps)
 	return out, nil
 }
 
-func removeInt(s []int, v int) []int {
+func removeInt(s []int, v int, steps *int64) []int {
+	count(steps, len(s)) // the scan and the shift
 	for i, x := range s {
 		if x == v {
 			return append(s[:i], s[i+1:]...)
@@ -57,7 +81,7 @@ type rootSelection struct {
 // path and returns the clique on it that best balances the two sides, which
 // minimizes the critical path of the rerooted tree. Runtime O(w·N).
 func (t *Tree) SelectRoot() int {
-	root, _ := t.selectRoot(balanceAbsDiff)
+	root, _ := t.selectRoot(balanceAbsDiff, nil)
 	return root
 }
 
@@ -67,7 +91,7 @@ func (t *Tree) SelectRoot() int {
 // min–max optimum when clique weights are very uneven; this variant is the
 // ablation discussed in DESIGN.md.
 func (t *Tree) SelectRootExact() int {
-	root, _ := t.selectRoot(balanceMinMax)
+	root, _ := t.selectRoot(balanceMinMax, nil)
 	return root
 }
 
@@ -78,10 +102,15 @@ const (
 	balanceMinMax                     // exact objective
 )
 
-func (t *Tree) selectRoot(rule balanceRule) (root int, path []int) {
+// selectRoot adds the steps it takes to steps (see RerootSteps).
+func (t *Tree) selectRoot(rule balanceRule, steps *int64) (root int, path []int) {
 	n := t.N()
 	if n == 1 {
 		return t.Root, []int{t.Root}
+	}
+	weight := func(i int) float64 {
+		count(steps, 1+len(t.Cliques[i].Card))
+		return t.CliqueWeight(i)
 	}
 	sel := rootSelection{
 		v: make([]float64, n),
@@ -89,13 +118,14 @@ func (t *Tree) selectRoot(rule balanceRule) (root int, path []int) {
 		q: make([]int, n),
 	}
 	for i := 0; i < n; i++ {
-		sel.v[i] = t.CliqueWeight(i) // line 1 of Algorithm 1
+		sel.v[i] = weight(i) // line 1 of Algorithm 1
 		sel.p[i], sel.q[i] = -1, -1
 	}
 	// Lines 2–6: bottom-up pass computing, for each clique, the best and
 	// second-best child subtree path weights.
 	for _, i := range t.PostOrder() {
 		c := &t.Cliques[i]
+		count(steps, 2+len(c.Children)) // the order's visit, this one and the children
 		best, second := -1.0, -1.0
 		for _, ch := range c.Children {
 			if sel.p[i] < 0 || sel.v[ch] > best {
@@ -112,6 +142,7 @@ func (t *Tree) selectRoot(rule balanceRule) (root int, path []int) {
 	// Line 7: the clique where the heaviest leaf-to-leaf path turns.
 	m, bestTotal := t.Root, -1.0
 	for i := 0; i < n; i++ {
+		count(steps, 1)
 		total := sel.v[i]
 		if sel.q[i] >= 0 {
 			total += sel.v[sel.q[i]]
@@ -123,6 +154,7 @@ func (t *Tree) selectRoot(rule balanceRule) (root int, path []int) {
 	// Lines 8–15: reconstruct the path leaf_x … m … leaf_y.
 	var left []int
 	for i := m; i >= 0; i = sel.p[i] {
+		count(steps, 2) // the walk and the reversal
 		left = append(left, i)
 	}
 	// left = [m, …, leaf_x]; reverse so the path reads leaf_x … m.
@@ -131,21 +163,22 @@ func (t *Tree) selectRoot(rule balanceRule) (root int, path []int) {
 	}
 	path = left
 	for i := sel.q[m]; i >= 0; i = sel.p[i] {
+		count(steps, 1)
 		path = append(path, i)
 	}
 	// Line 17: pick the balancing clique on the path.
 	prefix := make([]float64, len(path))
 	acc := 0.0
 	for k, i := range path {
-		acc += t.CliqueWeight(i)
+		acc += weight(i)
 		prefix[k] = acc
 	}
 	total := prefix[len(prefix)-1]
 	bestScore := math.Inf(1)
 	root = path[0]
 	for k, i := range path {
-		lx := prefix[k]                                   // L(Cx, Ci), endpoints included
-		ly := total - prefix[k] + t.CliqueWeight(path[k]) // L(Ci, Cy)
+		lx := prefix[k]                           // L(Cx, Ci), endpoints included
+		ly := total - prefix[k] + weight(path[k]) // L(Ci, Cy)
 		var score float64
 		switch rule {
 		case balanceAbsDiff:
@@ -163,7 +196,7 @@ func (t *Tree) selectRoot(rule balanceRule) (root int, path []int) {
 // HeaviestLeafPath returns the heaviest leaf-to-leaf path found by the
 // bottom-up pass of Algorithm 1 (exported for tests and tooling).
 func (t *Tree) HeaviestLeafPath() []int {
-	_, path := t.selectRoot(balanceAbsDiff)
+	_, path := t.selectRoot(balanceAbsDiff, nil)
 	return path
 }
 

@@ -74,6 +74,40 @@ func TestRerootOutOfRange(t *testing.T) {
 	}
 }
 
+// TestRerootStepsLinear: Algorithm 1 is O(w·N) on a skeleton — four times the
+// cliques, about four times the steps — and a reroot that copies tables pays
+// a step per entry.
+func TestRerootStepsLinear(t *testing.T) {
+	steps := func(n int, materialize bool) (int64, int) {
+		tr, err := Random(RandomConfig{N: n, Width: 8, States: 2, Degree: 4, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if materialize {
+			if err := tr.MaterializeUniform(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := tr.RerootSteps()
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := 0
+		for i := range tr.Cliques {
+			entries += tr.Cliques[i].TableSize()
+		}
+		return s, entries
+	}
+	small, _ := steps(128, false)
+	large, entries := steps(512, false)
+	if ratio := float64(large) / float64(small); ratio < 3 || ratio > 5 {
+		t.Errorf("%d steps on 128 cliques, %d on 512: ratio %.2f, want ≈ 4", small, large, ratio)
+	}
+	if withTables, _ := steps(512, true); withTables != large+int64(entries) {
+		t.Errorf("%d steps with tables, %d without and %d entries", withTables, large, entries)
+	}
+}
+
 func TestRerootPreservesPotentials(t *testing.T) {
 	tr := tinyTree(t)
 	if err := tr.MaterializeRandom(5); err != nil {

@@ -1,7 +1,9 @@
 package evprop
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -134,6 +136,49 @@ func TestDifferentialTargetedVsFull(t *testing.T) {
 						fmt.Sprintf("%s targets=%v", what, targets))
 				}
 				full.Close()
+			}
+			eng.Close()
+		}
+	}
+	if cases < 216 || skipped == 0 {
+		t.Fatalf("harness covered %d cases and skipped %d tasks in all", cases, skipped)
+	}
+}
+
+// TestCollectOnlyMPEVsFull is the MPE's column of the same harness: an MPE
+// whose sum-product run declares no posterior (CollectContext, what
+// MostProbableExplanation and evserve's /mpe do) sends no distribute message,
+// and its assignment and probability are the full run's MPE's, to the bit.
+func TestCollectOnlyMPEVsFull(t *testing.T) {
+	cases, skipped := 0, 0
+	for seed := int64(0); seed < 12; seed++ {
+		net := RandomNetwork(11, 2, 3, 1000+seed)
+		for _, col := range diffColumns {
+			eng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ})
+			for i, ev := range diffEvidences(net.Variables()) {
+				cases++
+				what := fmt.Sprintf("seed=%d sched=%s/δ=%d ev=%d", seed, col.scheduler, col.δ, i)
+				mpe := func(res *QueryResult, err error) (map[string]int, float64, FlightRecord) {
+					t.Helper()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					defer res.Close()
+					assignment, p, err := res.MPE()
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					return assignment, p, res.Records()[0]
+				}
+				want, wantP, fullRec := mpe(eng.Propagate(ev))
+				got, gotP, rec := mpe(eng.CollectContext(context.Background(), ev))
+				if !maps.Equal(got, want) || math.Float64bits(gotP) != math.Float64bits(wantP) {
+					t.Fatalf("%s: collect-only MPE %v p=%v, full run's %v p=%v", what, got, gotP, want, wantP)
+				}
+				if rec.TasksSkipped == 0 || fullRec.TasksSkipped != 0 || rec.Tasks+rec.TasksSkipped != fullRec.Tasks {
+					t.Fatalf("%s: collect-only run ran %d and skipped %d tasks, the full run %d", what, rec.Tasks, rec.TasksSkipped, fullRec.Tasks)
+				}
+				skipped += rec.TasksSkipped
 			}
 			eng.Close()
 		}
