@@ -6,6 +6,9 @@
 //	c := evclient.New("http://localhost:8080")
 //	resp, err := c.Query(ctx, "alarm", evclient.Evidence{"Burglary": 1}, "Alarm")
 //
+// Every request and response body is a type of this package (wire.go), and
+// evserve answers with the same types, so each body is declared once.
+//
 // Failures decode the server's uniform error envelope into *APIError, and
 // the exported sentinel values match by envelope code, so callers branch
 // with errors.Is rather than string or status comparisons:
@@ -23,8 +26,6 @@ import (
 	"net/url"
 	"strings"
 	"time"
-
-	"evprop"
 )
 
 // Client talks to one evserve instance. The zero value is not usable; use
@@ -53,27 +54,25 @@ func New(baseURL string, opts ...Option) *Client {
 	return c
 }
 
-// Evidence maps variable names to observed state indices.
-type Evidence map[string]int
-
-// APIError is a decoded error envelope plus its HTTP status. Match on the
-// stable Code via the sentinel values and errors.Is; Message and QueryID
-// are diagnostics.
+// APIError is a decoded error envelope plus its HTTP status; less the status,
+// it is the envelope's body on the wire (ErrorEnvelope). Match on the stable
+// Code via the sentinel values and errors.Is; Message and QueryID are
+// diagnostics.
 type APIError struct {
 	// Status is the HTTP status code of the response.
-	Status int
+	Status int `json:"-"`
 	// Code is the stable machine-readable identifier from the server's
 	// error table ("model_not_found", "unknown_variable", …).
-	Code string
+	Code string `json:"code"`
 	// Message is the human-readable error text.
-	Message string
+	Message string `json:"message"`
 	// QueryID correlates the failure with the server's access log and
 	// flight recorder.
-	QueryID string
+	QueryID string `json:"query_id,omitempty"`
 	// TraceID is the failed request's distributed-trace ID (32 hex chars),
 	// fetchable via Client.Trace while tail sampling retains it. Empty when
 	// the server runs with tracing off.
-	TraceID string
+	TraceID string `json:"trace_id,omitempty"`
 }
 
 func (e *APIError) Error() string {
@@ -111,29 +110,14 @@ var (
 	ErrTracingDisabled         error = errCode("tracing_disabled")
 )
 
-// envelope mirrors the server's uniform error body.
-type envelope struct {
-	Error struct {
-		Code    string `json:"code"`
-		Message string `json:"message"`
-		QueryID string `json:"query_id"`
-		TraceID string `json:"trace_id"`
-	} `json:"error"`
-}
-
 // decodeError turns a non-2xx response into an *APIError. Bodies that are
 // not envelopes (proxies, panics) degrade to code "http_<status>".
 func decodeError(resp *http.Response) error {
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-	var env envelope
+	var env ErrorEnvelope
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
-		return &APIError{
-			Status:  resp.StatusCode,
-			Code:    env.Error.Code,
-			Message: env.Error.Message,
-			QueryID: env.Error.QueryID,
-			TraceID: env.Error.TraceID,
-		}
+		env.Error.Status = resp.StatusCode
+		return &env.Error
 	}
 	return &APIError{
 		Status:  resp.StatusCode,
@@ -187,44 +171,9 @@ func modelPath(name, suffix string) string {
 	return "/v1/models/" + url.PathEscape(name) + suffix
 }
 
-// ModelInfo is one model's lifecycle row, as listed by GET /v1/models.
-type ModelInfo struct {
-	Name          string  `json:"name"`
-	State         string  `json:"state"` // "compiling", "ready", "failed"
-	Source        string  `json:"source"`
-	Version       int64   `json:"version"`
-	Variables     int     `json:"variables"`
-	CompileUsec   float64 `json:"compile_usec"`
-	PublishedUnix int64   `json:"published_unix"`
-	Reloading     bool    `json:"reloading"`
-	Error         string  `json:"error,omitempty"`
-}
-
-// ModelSchema is GET /v1/models/{name}: the info row plus the variable
-// schema of the current version.
-type ModelSchema struct {
-	ModelInfo
-	VariableList []Variable `json:"variables_detail"`
-}
-
-// Variable is one network variable: name and state count.
-type Variable struct {
-	Name   string `json:"name"`
-	States int    `json:"states"`
-}
-
-// modelSchemaWire matches the server's response, whose "variables" field
-// is the schema list (the info row's count is not repeated).
-type modelSchemaWire struct {
-	ModelInfo
-	Variables []Variable `json:"variables"`
-}
-
 // Models lists every registered model.
 func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
-	var out struct {
-		Models []ModelInfo `json:"models"`
-	}
+	var out ModelList
 	if err := c.get(ctx, "/v1/models", &out); err != nil {
 		return nil, err
 	}
@@ -233,13 +182,12 @@ func (c *Client) Models(ctx context.Context) ([]ModelInfo, error) {
 
 // Model fetches one model's info and variable schema.
 func (c *Client) Model(ctx context.Context, name string) (*ModelSchema, error) {
-	var wire modelSchemaWire
-	if err := c.get(ctx, modelPath(name, ""), &wire); err != nil {
+	var s ModelSchema
+	if err := c.get(ctx, modelPath(name, ""), &s); err != nil {
 		return nil, err
 	}
-	s := &ModelSchema{ModelInfo: wire.ModelInfo, VariableList: wire.Variables}
-	s.Variables = len(wire.Variables)
-	return s, nil
+	s.ModelInfo.Variables = len(s.Variables)
+	return &s, nil
 }
 
 // Upload creates or replaces a model from a BIF or XMLBIF document (the
@@ -285,78 +233,32 @@ func (c *Client) Reload(ctx context.Context, name string, wait bool) (*ModelInfo
 	return &info, nil
 }
 
-// QueryResponse is one query's answer. Model and Version identify the
-// engine build that answered (versions increment on hot reload).
-type QueryResponse struct {
-	PEvidence  float64              `json:"p_evidence"`
-	Posteriors map[string][]float64 `json:"posteriors"`
-	Model      string               `json:"model"`
-	Version    int64                `json:"version"`
-}
-
 // Query computes P(evidence) and the posteriors of the named variables
 // (all non-evidence variables when none are named) on one model.
 func (c *Client) Query(ctx context.Context, model string, ev Evidence, variables ...string) (*QueryResponse, error) {
 	var out QueryResponse
-	in := struct {
-		Evidence Evidence `json:"evidence"`
-		Query    []string `json:"query,omitempty"`
-	}{ev, variables}
+	in := QueryRequest{Evidence: ev, Query: variables}
 	if err := c.post(ctx, modelPath(model, "/query"), in, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// BatchQuery is one sub-query of a Batch call.
-type BatchQuery struct {
-	Evidence Evidence `json:"evidence"`
-	Query    []string `json:"query,omitempty"`
-}
-
-// BatchResult is one sub-query's outcome; Error is set when that
-// sub-query failed (its siblings still answer).
-type BatchResult struct {
-	PEvidence  float64              `json:"p_evidence"`
-	Posteriors map[string][]float64 `json:"posteriors"`
-	Error      string               `json:"error,omitempty"`
-}
-
-// BatchResponse carries every sub-query's result in request order, all
-// answered by one engine build.
-type BatchResponse struct {
-	Results []BatchResult `json:"results"`
-	Model   string        `json:"model"`
-	Version int64         `json:"version"`
-}
-
 // Batch answers many queries in one round trip on one model.
-func (c *Client) Batch(ctx context.Context, model string, queries []BatchQuery) (*BatchResponse, error) {
+func (c *Client) Batch(ctx context.Context, model string, queries []QueryRequest) (*BatchResponse, error) {
 	var out BatchResponse
-	in := struct {
-		Queries []BatchQuery `json:"queries"`
-	}{queries}
+	in := BatchRequest{Queries: queries}
 	if err := c.post(ctx, modelPath(model, "/batch"), in, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
-// MPEResponse is the most probable explanation under the evidence.
-type MPEResponse struct {
-	Assignment  map[string]int `json:"assignment"`
-	Probability float64        `json:"probability"`
-	Model       string         `json:"model"`
-	Version     int64          `json:"version"`
-}
-
 // MPE computes the most probable joint assignment consistent with the
 // evidence on one model.
 func (c *Client) MPE(ctx context.Context, model string, ev Evidence) (*MPEResponse, error) {
 	var out MPEResponse
-	in := struct {
-		Evidence Evidence `json:"evidence"`
-	}{ev}
+	in := MPERequest{Evidence: ev}
 	if err := c.post(ctx, modelPath(model, "/mpe"), in, &out); err != nil {
 		return nil, err
 	}
@@ -365,89 +267,12 @@ func (c *Client) MPE(ctx context.Context, model string, ev Evidence) (*MPERespon
 
 // DSep reports whether X ⫫ Y | Z in one model's graph.
 func (c *Client) DSep(ctx context.Context, model string, x, y, z []string) (bool, error) {
-	var out struct {
-		Separated bool `json:"separated"`
-	}
-	in := struct {
-		X []string `json:"x"`
-		Y []string `json:"y"`
-		Z []string `json:"z"`
-	}{x, y, z}
+	var out DSepResponse
+	in := DSepRequest{X: x, Y: y, Z: z}
 	if err := c.post(ctx, modelPath(model, "/dsep"), in, &out); err != nil {
 		return false, err
 	}
 	return out.Separated, nil
-}
-
-// Stats is GET /v1/stats, and one /v1/stream event (see Snapshot): the
-// server-wide totals, the process's scheduler, one row per model, the
-// catch-all row, the audit pipeline. Everything is counted on a model; Totals
-// is the sum over Models and Unresolved at the instant the rows were read.
-type Stats struct {
-	Time      time.Time `json:"time"`
-	UptimeSec float64   `json:"uptime_sec"`
-	Totals    Counters  `json:"totals"`
-	// Scheduler is the server process's worker pool, shared by every model:
-	// its size, the runs in flight over all models, the GL depth and one
-	// entry per worker (none until a run has been dispatched).
-	Scheduler evprop.SchedulerGauges `json:"scheduler"`
-	// Models has one row per registered model, sorted by name.
-	Models []ModelStats `json:"models"`
-	// Unresolved counts what was asked of no model — an unknown name, a wrong
-	// method on a route that names none; only its Errors move.
-	Unresolved ModelStats  `json:"unresolved"`
-	Audit      AuditStatus `json:"audit"`
-}
-
-// Counters are what a stats row counts — requests by kind, HTTP error
-// responses, the current engine's propagations — and, summed over the rows,
-// the server-wide totals.
-type Counters struct {
-	Queries      int64 `json:"queries"`
-	Batches      int64 `json:"batches"`
-	MPEs         int64 `json:"mpes"`
-	Errors       int64 `json:"errors"`
-	Propagations int64 `json:"propagations"`
-}
-
-// ModelStats is one model's stats row: a row of Stats.Models and the body of
-// GET /v1/models/{name}/stats. Counters and latencies cover the process
-// lifetime, Window the last 60 seconds; Cache and the run counters are the
-// model's current engine's.
-type ModelStats struct {
-	ModelInfo
-	Counters
-	Workers    int    `json:"workers"`
-	Scheduler  string `json:"scheduler"`
-	InlineRuns int64  `json:"inline_runs"`
-	PoolRuns   int64  `json:"pool_runs"`
-	// SlicedShare is the share of the model's task-graph table entries its
-	// runs had to range over once the tables were sliced on each query's hard
-	// evidence; 1 before anything has run.
-	SlicedShare float64 `json:"sliced_share"`
-	// LoadBalance and SchedOverheadFrac are the most recent run's Fig. 8
-	// gauges.
-	LoadBalance       float64       `json:"load_balance"`
-	SchedOverheadFrac float64       `json:"sched_overhead_fraction"`
-	Observed          int64         `json:"observed"`
-	AvgLatencyUsec    float64       `json:"avg_latency_usec"`
-	P50LatencyUsec    float64       `json:"p50_latency_usec"`
-	P99LatencyUsec    float64       `json:"p99_latency_usec"`
-	Window            WindowStats   `json:"window"`
-	Cache             CacheCounters `json:"cache"`
-}
-
-// WindowStats summarizes the last 60 seconds of one model's traffic.
-type WindowStats struct {
-	Requests     int64   `json:"requests"`
-	QPS          float64 `json:"qps"`
-	ErrorRate    float64 `json:"error_rate"`
-	P50Usec      float64 `json:"p50_latency_usec"`
-	P99Usec      float64 `json:"p99_latency_usec"`
-	LoadBalance  float64 `json:"load_balance"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	// QPSSeries is per-second request counts, oldest first.
-	QPSSeries []int64 `json:"qps_series"`
 }
 
 // Stats fetches the server-wide totals and per-model rows.

@@ -73,29 +73,6 @@ func injectTraceparent(ctx context.Context, req *http.Request) {
 	}
 }
 
-// TraceSpan is one span of a fetched trace.
-type TraceSpan struct {
-	SpanID       string         `json:"span_id"`
-	ParentSpanID string         `json:"parent_span_id,omitempty"`
-	Name         string         `json:"name"`
-	Start        time.Time      `json:"start"`
-	DurationUsec float64        `json:"duration_usec"`
-	Status       string         `json:"status,omitempty"`
-	Attrs        map[string]any `json:"attrs,omitempty"`
-}
-
-// TraceResponse is one kept trace from GET /v1/debug/trace?id=.
-type TraceResponse struct {
-	TraceID string `json:"trace_id"`
-	Sampled bool   `json:"sampled"`
-	State   string `json:"tracestate,omitempty"`
-	// Reason is the tail-sampling verdict that kept the trace: "error",
-	// "slow", "flagged" or "head".
-	Reason       string      `json:"reason"`
-	DroppedSpans int64       `json:"dropped_spans,omitempty"`
-	Spans        []TraceSpan `json:"spans"`
-}
-
 // Trace fetches one kept trace by its 32-char hex trace ID. Traces land in
 // the store a beat after the response that produced them (the root span
 // finishes after the body is written), and tail sampling only retains
@@ -110,9 +87,7 @@ func (c *Client) Trace(ctx context.Context, id string) (*TraceResponse, error) {
 
 // RecentTraces lists the most recently kept trace IDs, newest first.
 func (c *Client) RecentTraces(ctx context.Context) ([]string, error) {
-	var out struct {
-		Recent []string `json:"recent"`
-	}
+	var out TraceList
 	if err := c.get(ctx, "/v1/debug/trace", &out); err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	evclient "evprop/client"
 	"evprop/internal/audit"
 	"evprop/internal/obs"
 )
@@ -49,23 +50,11 @@ func (o *outcome) auditRecord(id, model string) *audit.Record {
 }
 
 // auditStats is the audit section of /v1/stats and the GET /v1/audit body.
-type auditStats struct {
-	// Enabled is false when the server runs without -audit-dir; every other
-	// field is zero then.
-	Enabled bool `json:"enabled"`
-	// Dir is the segment directory.
-	Dir string `json:"dir,omitempty"`
-	audit.WriterStats
-	// Segments and Bytes describe the on-disk store.
-	Segments int   `json:"segments"`
-	Bytes    int64 `json:"bytes"`
-}
-
-func (s *server) auditStats() auditStats {
+func (s *server) auditStats() evclient.AuditStatus {
 	if s.aud == nil {
-		return auditStats{}
+		return evclient.AuditStatus{}
 	}
-	st := auditStats{Enabled: true, Dir: s.auditDir, WriterStats: s.aud.Stats()}
+	st := evclient.AuditStatus{Enabled: true, Dir: s.auditDir, AuditCounters: s.aud.Stats()}
 	if s.audStore != nil {
 		fs := s.audStore.Status()
 		st.Segments, st.Bytes = fs.Segments, fs.Bytes
@@ -87,7 +76,7 @@ func (s *server) handleAudit(w http.ResponseWriter, r *http.Request) {
 // writeAuditMetrics renders the audit pipeline's Prometheus series. The
 // series exist (at zero) even with auditing off, so dashboards and alerts
 // can be authored before the flag is ever set.
-func writeAuditMetrics(w http.ResponseWriter, st auditStats) {
+func writeAuditMetrics(w http.ResponseWriter, st evclient.AuditStatus) {
 	obs.WriteHeader(w, "evprop_audit_enqueued_total", "Audit records enqueued for spilling.", "counter")
 	obs.WriteSample(w, "evprop_audit_enqueued_total", nil, float64(st.Enqueued))
 	obs.WriteHeader(w, "evprop_audit_dropped_total", "Audit records dropped under backpressure or failed appends.", "counter")

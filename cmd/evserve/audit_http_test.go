@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/audit"
 )
 
@@ -79,7 +80,7 @@ func TestAuditSpillsQueries(t *testing.T) {
 	if r1.StatusCode != http.StatusOK {
 		t.Fatalf("query status %d", r1.StatusCode)
 	}
-	var qr queryResponse
+	var qr evclient.QueryResponse
 	decode(t, r1, &qr)
 	r2 := post(t, ts.URL+modelPath+"/mpe", map[string]any{
 		"evidence": map[string]int{"XRay": 1},
@@ -138,13 +139,13 @@ func TestAuditStatusEndpointAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st auditStats
+	var st evclient.AuditStatus
 	decode(t, resp, &st)
 	if !st.Enabled || st.Dir != dir {
 		t.Fatalf("audit status: enabled %v dir %q", st.Enabled, st.Dir)
 	}
 	if st.Enqueued < 1 || st.Spilled < 1 || st.Batches < 1 {
-		t.Errorf("audit counters: %+v", st.WriterStats)
+		t.Errorf("audit counters: %+v", st.AuditCounters)
 	}
 	if st.Segments < 1 || st.Bytes <= 0 {
 		t.Errorf("audit store: segments %d bytes %d", st.Segments, st.Bytes)
@@ -159,7 +160,7 @@ func TestAuditStatusEndpointAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r2.Body.Close()
-	var sr statsResponse
+	var sr statsBody
 	decode(t, r2, &sr)
 	if !sr.Audit.Enabled || sr.Audit.Spilled < 1 {
 		t.Errorf("stats audit section: %+v", sr.Audit)
@@ -176,7 +177,7 @@ func TestAuditDisabledStatus(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var st auditStats
+	var st evclient.AuditStatus
 	decode(t, resp, &st)
 	if st.Enabled {
 		t.Error("audit reported enabled without a writer")
@@ -224,7 +225,7 @@ func TestFlightRecorderPagination(t *testing.T) {
 		post(t, ts.URL+modelPath+"/query", map[string]any{"evidence": map[string]int{"XRay": i % 2}})
 	}
 
-	page := func(query string) flightRecorderResponse {
+	page := func(query string) evclient.FlightRecorderPage {
 		t.Helper()
 		resp, err := http.Get(ts.URL + recorderPath + query)
 		if err != nil {
@@ -234,7 +235,7 @@ func TestFlightRecorderPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d", query, resp.StatusCode)
 		}
-		var fr flightRecorderResponse
+		var fr evclient.FlightRecorderPage
 		decode(t, resp, &fr)
 		return fr
 	}

@@ -12,6 +12,7 @@ import (
 	"unicode/utf8"
 
 	"evprop"
+	evclient "evprop/client"
 )
 
 // The bodies of the query and MPE routes without reflection. readJSON parses
@@ -128,12 +129,12 @@ func (s *server) writeJSON(w http.ResponseWriter, v any) {
 func (sc *scratch) parse(dst any) bool {
 	p := parser{b: sc.b, sc: sc}
 	switch d := dst.(type) {
-	case *queryRequest:
+	case *evclient.QueryRequest:
 		if q, ok := p.query(true); ok && p.end() {
 			*d = q
 			return true
 		}
-	case *mpeRequest:
+	case *evclient.MPERequest:
 		if q, ok := p.query(false); ok && p.end() {
 			d.Evidence = q.Evidence
 			return true
@@ -240,7 +241,7 @@ func (p *parser) integer() (int, bool) {
 
 // query scans one query object: "evidence" and, when targets, "query", each at
 // most once, and no other member.
-func (p *parser) query(targets bool) (q queryRequest, ok bool) {
+func (p *parser) query(targets bool) (q evclient.QueryRequest, ok bool) {
 	member := func() bool {
 		name, ok := p.name()
 		if !ok || !p.next(':') {
@@ -309,13 +310,13 @@ func (p *parser) names() ([]string, bool) {
 func (sc *scratch) appendAnswer(v any) bool {
 	a := appender{b: sc.b[:0], keys: sc.keys[:0]}
 	switch r := v.(type) {
-	case queryResponse:
+	case evclient.QueryResponse:
 		a.raw(`{"p_evidence":`)
 		a.float(r.PEvidence)
 		a.raw(`,"posteriors":`)
 		a.posteriors(r.Posteriors)
 		a.modelVersion(r.Model, r.Version)
-	case mpeResponse:
+	case evclient.MPEResponse:
 		a.raw(`{"assignment":`)
 		a.assignment(r.Assignment)
 		a.raw(`,"probability":`)

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"evprop"
+	evclient "evprop/client"
 )
 
 // FuzzQueryBody holds readJSON to encoding/json: a body the one-pass parser
@@ -52,9 +53,9 @@ func FuzzQueryBody(f *testing.F) {
 	srv := newMultiServer(evprop.Options{})
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	kinds := []func() any{
-		func() any { return new(queryRequest) },
-		func() any { return new(mpeRequest) },
-		func() any { return new(batchRequest) },
+		func() any { return new(evclient.QueryRequest) },
+		func() any { return new(evclient.MPERequest) },
+		func() any { return new(evclient.BatchRequest) },
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, fresh := range kinds {
@@ -78,7 +79,7 @@ func FuzzQueryBody(f *testing.F) {
 				t.Fatalf("%T: readJSON read %q as %+v, encoding/json %+v", got, body, got, want)
 			}
 			if !ok {
-				var env errorEnvelope
+				var env evclient.ErrorEnvelope
 				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
 					env.Error.Code != "bad_request" || env.Error.Message != "invalid JSON: "+wantErr.Error() {
 					t.Fatalf("%T: %q answered %d %s, want 400 for %v", got, body, rec.Code, rec.Body.Bytes(), wantErr)
@@ -115,11 +116,11 @@ func FuzzQueryResponse(f *testing.F) {
 		p, q := math.Float64frombits(x), math.Float64frombits(y)
 		post := map[string][]float64{a: {p, q}, b: {q}}
 		answers := []any{
-			queryResponse{PEvidence: p, Posteriors: post, Model: model, Version: version},
-			queryResponse{PEvidence: q, Posteriors: map[string][]float64{a: nil, b: {}}},
-			queryResponse{},
-			mpeResponse{Assignment: map[string]int{a: state, b: -state}, Probability: q, Model: model, Version: version},
-			mpeResponse{},
+			evclient.QueryResponse{PEvidence: p, Posteriors: post, Model: model, Version: version},
+			evclient.QueryResponse{PEvidence: q, Posteriors: map[string][]float64{a: nil, b: {}}},
+			evclient.QueryResponse{},
+			evclient.MPEResponse{Assignment: map[string]int{a: state, b: -state}, Probability: q, Model: model, Version: version},
+			evclient.MPEResponse{},
 		}
 		for _, v := range answers {
 			var want bytes.Buffer
@@ -141,8 +142,8 @@ func TestAppendedFieldsPinned(t *testing.T) {
 		v    any
 		tags []string // what appendAnswer writes, in order
 	}{
-		{queryResponse{}, []string{"p_evidence", "posteriors", "model,omitempty", "version,omitempty"}},
-		{mpeResponse{}, []string{"assignment", "probability", "model,omitempty", "version,omitempty"}},
+		{evclient.QueryResponse{}, []string{"p_evidence", "posteriors", "model,omitempty", "version,omitempty"}},
+		{evclient.MPEResponse{}, []string{"assignment", "probability", "model,omitempty", "version,omitempty"}},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var tags []string
@@ -182,7 +183,7 @@ func TestReadJSONLargeBody(t *testing.T) {
 
 	garbage := &endless{head: []byte(`{"evidence":`), fill: '!'}
 	rec := httptest.NewRecorder()
-	if srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", garbage), new(queryRequest)) || rec.Code != http.StatusBadRequest {
+	if srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", garbage), new(evclient.QueryRequest)) || rec.Code != http.StatusBadRequest {
 		t.Fatalf("endless garbage answered %d %s", rec.Code, rec.Body.Bytes())
 	}
 	if garbage.read > 2*maxPooledBody {
@@ -194,7 +195,7 @@ func TestReadJSONLargeBody(t *testing.T) {
 		long = append(long, `"Lung",`...)
 	}
 	long = append(long, `"Tub"]}`...)
-	var want, got queryRequest
+	var want, got evclient.QueryRequest
 	if err := json.Unmarshal(long, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +238,7 @@ func TestQueryPathAllocs(t *testing.T) {
 		bodies := make([][]byte, tc.bodies)
 		for i := range bodies {
 			perm := rng.Perm(len(vars))
-			var req struct { // as the load generator's client writes it
-				Evidence evprop.Evidence `json:"evidence"`
-				Query    []string        `json:"query,omitempty"`
-			}
-			req.Evidence = evprop.Evidence{}
+			req := evclient.QueryRequest{Evidence: evclient.Evidence{}} // as the load generator's client writes it
 			for _, v := range perm[:tc.observed] {
 				req.Evidence[vars[v]] = rng.Intn(2)
 			}
@@ -268,7 +265,7 @@ func TestQueryPathAllocs(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/query", bytes.NewReader(bodies[i%len(bodies)])))
-			var answer queryResponse
+			var answer evclient.QueryResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil || rec.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.Bytes())
 			}
@@ -295,13 +292,13 @@ func TestBatchFanOutBounded(t *testing.T) {
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	eng := engineOf(t, srv, testModel)
 	vars := evprop.Asia().Variables()
-	req := batchRequest{Queries: make([]queryRequest, items)}
+	req := evclient.BatchRequest{Queries: make([]evclient.QueryRequest, items)}
 	for i := range req.Queries {
 		ev := evprop.Evidence{}
 		for k, v := range vars[:4] {
 			ev[v] = (i >> k) & 1
 		}
-		req.Queries[i] = queryRequest{Evidence: ev, Query: vars[4+i%4 : 5+i%4]}
+		req.Queries[i] = evclient.QueryRequest{Evidence: ev, Query: vars[4+i%4 : 5+i%4]}
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -324,7 +321,7 @@ func TestBatchFanOutBounded(t *testing.T) {
 	if peak > 1+workers {
 		t.Errorf("%d goroutines beyond the test's during a %d-item batch at %d workers", peak, items, workers)
 	}
-	var resp batchResponse
+	var resp evclient.BatchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Results) != items {
 		t.Fatalf("status %d, %d results: %v", rec.Code, len(resp.Results), err)
 	}

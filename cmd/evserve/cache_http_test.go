@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"evprop"
+	evclient "evprop/client"
 )
 
 // Server-level tests of the caching layer: repeated-evidence queries hit the
@@ -17,12 +18,12 @@ import (
 
 func TestQueryCacheHitCounters(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
-	req := queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}
-	var first, second, third queryResponse
+	req := evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}}
+	var first, second, third evclient.QueryResponse
 	decode(t, post(t, ts.URL+modelPath+"/query", req), &first)
 	decode(t, post(t, ts.URL+modelPath+"/query", req), &second)
 	decode(t, post(t, ts.URL+modelPath+"/query", req), &third)
-	for _, later := range []queryResponse{second, third} {
+	for _, later := range []evclient.QueryResponse{second, third} {
 		if math.Float64bits(first.Posteriors["Lung"][1]) != math.Float64bits(later.Posteriors["Lung"][1]) {
 			t.Errorf("posterior %v differs from the first sight's %v", later.Posteriors, first.Posteriors)
 		}
@@ -44,7 +45,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 	if st.Cache.Capacity != 64 || st.Cache.Bytes <= 0 || st.Cache.Bytes != cs.Bytes {
 		t.Errorf("stats cache capacity/bytes = %d/%d, engine says %d/%d", st.Cache.Capacity, st.Cache.Bytes, cs.Capacity, cs.Bytes)
 	}
-	var ms modelRow
+	var ms evclient.ModelStats
 	mstats, err := http.Get(ts.URL + modelPath + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +82,7 @@ func TestQueryCacheHitCounters(t *testing.T) {
 
 func TestCachedFlightRecord(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
-	req := queryRequest{Evidence: evprop.Evidence{"Smoke": 1}, Query: []string{"Lung"}}
+	req := evclient.QueryRequest{Evidence: evprop.Evidence{"Smoke": 1}, Query: []string{"Lung"}}
 	for i := 0; i < 3; i++ {
 		post(t, ts.URL+modelPath+"/query", req)
 	}
@@ -108,13 +109,13 @@ func TestBatchIdenticalSubQueriesCollapse(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 64})
 	dir := attachAudit(t, srv)
 
-	req := batchRequest{}
+	req := evclient.BatchRequest{}
 	for i := 0; i < n; i++ {
-		req.Queries = append(req.Queries, queryRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 0}})
+		req.Queries = append(req.Queries, evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 0}})
 	}
 	before := statsSnapshot(t, ts).row(t, testModel)
 	resp := post(t, ts.URL+modelPath+"/batch", req)
-	var br batchResponse
+	var br evclient.BatchResponse
 	decode(t, resp, &br)
 	after := statsSnapshot(t, ts).row(t, testModel)
 

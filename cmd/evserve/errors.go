@@ -7,11 +7,12 @@ import (
 	"net/http"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/registry"
 )
 
 // Uniform error surface: every /v1 handler answers failures with the same
-// JSON envelope,
+// JSON envelope, evclient.ErrorEnvelope,
 //
 //	{"error": {"code": "unknown_variable", "message": "…", "query_id": "q-…"}}
 //
@@ -63,24 +64,6 @@ func classify(err error) (int, string) {
 	return http.StatusBadRequest, "bad_request"
 }
 
-// errorEnvelope is the uniform error body.
-type errorEnvelope struct {
-	Error errorBody `json:"error"`
-}
-
-type errorBody struct {
-	// Code is a stable machine-readable identifier from the mapping table.
-	Code string `json:"code"`
-	// Message is the human-readable error text.
-	Message string `json:"message"`
-	// QueryID correlates the failure with the access log and the flight
-	// recorder; empty on routes outside the instrumented set.
-	QueryID string `json:"query_id,omitempty"`
-	// TraceID correlates the failure with its distributed trace
-	// (GET /v1/debug/trace?id=); empty when tracing is off.
-	TraceID string `json:"trace_id,omitempty"`
-}
-
 // writeError answers a failed request from the typed error via the
 // mapping table. It is the single choke point that counts HTTP errors, so
 // each failed request counts exactly once: against its model, or against
@@ -103,5 +86,5 @@ func (s *server) writeErrorCode(w http.ResponseWriter, r *http.Request, status i
 	ms.errors.Add(1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: errorBody{Code: code, Message: msg, QueryID: id, TraceID: traceID}})
+	_ = json.NewEncoder(w).Encode(evclient.ErrorEnvelope{Error: evclient.APIError{Code: code, Message: msg, QueryID: id, TraceID: traceID}})
 }

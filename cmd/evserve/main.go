@@ -12,37 +12,14 @@
 //	evserve -models-dir ./models -addr :8080
 //	evserve -models-dir ./models -log json -request-timeout 5s
 //
-// Model management (JSON):
-//
-//	GET    /v1/models                 → {"models": [{"name": …, "state": "ready", "version": 3, …}, …]}
-//	GET    /v1/models/{name}          → model info + {"variables": [{"name": "...", "states": n}, …]}
-//	PUT    /v1/models/{name}          ← a BIF or XMLBIF document (sniffed); ?wait=1 blocks for the compile
-//	DELETE /v1/models/{name}          → drains in-flight queries, then releases the engine
-//	POST   /v1/models/{name}/reload   → recompile from the retained source (re-reads file sources); ?wait=1 blocks
-//	GET    /v1/models/{name}/stats    → that model's stats row: counters, latency, window, cache, gauges
-//
-// Model-scoped queries:
-//
-//	POST /v1/models/{name}/query  ← {"evidence": {"XRay": 1}, "query": ["Lung"]}
-//	                              → {"p_evidence": 0.11, "posteriors": {"Lung": [0.51, 0.49]}, "model": …, "version": …}
-//	POST /v1/models/{name}/batch  ← {"queries": [{"evidence": …, "query": …}, …]}
-//	POST /v1/models/{name}/mpe    ← {"evidence": {"XRay": 1}}
-//	POST /v1/models/{name}/dsep   ← {"x": ["Asia"], "y": ["Smoke"], "z": []}
-//
-// Introspection:
-//
-//	GET /v1/stats  → {totals, models: [one stats row per model], unresolved, audit, trace};
-//	                every request is counted once, on its model, and the totals are sums over the rows
-//	GET /v1/metrics → Prometheus text exposition, one series per model (model="…")
-//	GET /v1/stream → Server-Sent Events, one /v1/stats body per second (the feed evtop renders)
-//	GET /v1/healthz → liveness: build info, go version, uptime
-//	GET /v1/readyz  → readiness: 200 while serving, 503 once drain begins
-//	GET /v1/audit  → audit pipeline status: counters, chain head, segment totals
-//	GET /v1/debug/flightrecorder?model=<name> → that model's recent query ring,
-//	                slow runs marked; ?id=q-… filters to one query ID,
-//	                ?since=<seq>&limit=N pages oldest-first (next_since cursor)
-//	GET /v1/debug/trace → recently kept trace IDs; ?id=<32-hex> returns one
-//	                kept trace's span tree (see cmd/evtrace for a waterfall)
+// Model management lives under /v1/models, the model-scoped queries (query,
+// batch, mpe, dsep) under /v1/models/{name}/, and introspection beside them:
+// /v1/stats (every request counted once, on its model), /v1/metrics,
+// /v1/stream (one /v1/stats body per second, the feed evtop renders),
+// /v1/healthz, /v1/readyz, /v1/audit, /v1/debug/flightrecorder and
+// /v1/debug/trace. README.md lists every route, and TestREADMERoutes holds that
+// list to the mux. The server declares no body of its own: each one with more
+// than a single key is a type of evprop/client.
 //
 // Distributed tracing is on by default (-trace): every request runs under
 // a span arena, honors a caller's W3C traceparent/tracestate (the trace ID

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"evprop"
+	evclient "evprop/client"
 )
 
 // TestStatsFreshServer pins the observed == 0 guard: a stats scrape before
@@ -32,7 +33,7 @@ func TestStatsFreshServer(t *testing.T) {
 func TestStatsPercentiles(t *testing.T) {
 	ts := testServer(t)
 	for i := 0; i < 5; i++ {
-		post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
+		post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
 	}
 	s := statsSnapshot(t, ts).row(t, testModel)
 	if s.Observed != 5 {
@@ -92,10 +93,10 @@ func TestErrorCountedOncePerRequest(t *testing.T) {
 	check("wrong method", 2, 0)
 	// Unknown variable → one error (not two, despite the failure passing
 	// through both the answer function and writeError).
-	post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
+	post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Query: []string{"nope"}})
 	check("unknown variable", 3, 0)
 	// Unknown model → 404 model_not_found: no model to count it on.
-	if resp := post(t, ts.URL+"/v1/models/ghost/query", queryRequest{}); resp.StatusCode != http.StatusNotFound {
+	if resp := post(t, ts.URL+"/v1/models/ghost/query", evclient.QueryRequest{}); resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown model: status %d, want 404", resp.StatusCode)
 	}
 	check("unknown model", 3, 1)
@@ -114,7 +115,7 @@ func TestErrorCountedOncePerRequest(t *testing.T) {
 // sub-queries that fail in place. Pre-fix each failing sub-query counted.
 func TestBatchSubQueryFailuresNotHTTPErrors(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+modelPath+"/batch", batchRequest{Queries: []queryRequest{
+	resp := post(t, ts.URL+modelPath+"/batch", evclient.BatchRequest{Queries: []evclient.QueryRequest{
 		{Evidence: evprop.Evidence{"XRay": 1}},
 		{Query: []string{"nope"}}, // fails in place
 		{Query: []string{"also-nope"}},
@@ -122,7 +123,7 @@ func TestBatchSubQueryFailuresNotHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var b batchResponse
+	var b evclient.BatchResponse
 	decode(t, resp, &b)
 	if b.Results[1].Error == "" || b.Results[2].Error == "" {
 		t.Fatal("sub-query failures not reported in place")
@@ -134,7 +135,7 @@ func TestBatchSubQueryFailuresNotHTTPErrors(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 
+	evclient "evprop/client"
 	"evprop/internal/registry"
 )
 
@@ -27,17 +28,12 @@ import (
 // maxUploadBytes bounds a PUT /v1/models/{name} document.
 const maxUploadBytes = 32 << 20
 
-// listResponse is the GET /v1/models body.
-type listResponse struct {
-	Models []registry.Info `json:"models"`
-}
-
 func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	s.writeJSON(w, listResponse{Models: s.reg.List()})
+	s.writeJSON(w, evclient.ModelList{Models: s.reg.List()})
 }
 
 // handleModelByName dispatches the /v1/models/{name} resource.

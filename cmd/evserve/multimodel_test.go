@@ -86,8 +86,8 @@ func TestMultiModelLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(schema.VariableList) != 2 {
-		t.Errorf("schema %+v", schema.VariableList)
+	if len(schema.Variables) != 2 {
+		t.Errorf("schema %+v", schema.Variables)
 	}
 
 	// Replacing the model bumps the version and changes the answer.
@@ -139,7 +139,7 @@ func TestErrorEnvelope(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Errorf("Content-Type %q", ct)
 		}
-		var env errorEnvelope
+		var env evclient.ErrorEnvelope
 		decode(t, resp, &env)
 		if env.Error.Code != code {
 			t.Errorf("code %q, want %q", env.Error.Code, code)
@@ -156,11 +156,11 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 
 	t.Run("model_not_found", func(t *testing.T) {
-		resp := post(t, ts.URL+"/v1/models/nope/query", queryRequest{})
+		resp := post(t, ts.URL+"/v1/models/nope/query", evclient.QueryRequest{})
 		check(t, resp, http.StatusNotFound, "model_not_found", true)
 	})
 	t.Run("unknown_variable", func(t *testing.T) {
-		resp := post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
+		resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Query: []string{"nope"}})
 		check(t, resp, http.StatusUnprocessableEntity, "unknown_variable", true)
 	})
 	t.Run("zero_probability_evidence", func(t *testing.T) {
@@ -177,7 +177,7 @@ func TestErrorEnvelope(t *testing.T) {
 		if _, err := c.Upload(context.Background(), "det", []byte(b.String()), true); err != nil {
 			t.Fatal(err)
 		}
-		resp := post(t, ts.URL+"/v1/models/det/mpe", mpeRequest{Evidence: evprop.Evidence{"Effect": 1}})
+		resp := post(t, ts.URL+"/v1/models/det/mpe", evclient.MPERequest{Evidence: evprop.Evidence{"Effect": 1}})
 		check(t, resp, http.StatusUnprocessableEntity, "zero_probability_evidence", true)
 	})
 	t.Run("bad_model_name", func(t *testing.T) {
@@ -202,7 +202,7 @@ func TestErrorEnvelope(t *testing.T) {
 		srv.maxInflight = 1
 		srv.inflight.Add(1) // simulate one admitted request holding the slot
 		defer func() { srv.maxInflight = 0; srv.inflight.Add(-1) }()
-		resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+		resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 		check(t, resp, http.StatusTooManyRequests, "overloaded", true)
 	})
 	t.Run("client_decodes_envelope", func(t *testing.T) {
@@ -356,7 +356,7 @@ func TestModelScopedStats(t *testing.T) {
 	if _, err := c.Query(ctx, testModel, evclient.Evidence{"XRay": 1}, "Lung"); err != nil {
 		t.Fatal(err)
 	}
-	var ms modelRow
+	var ms evclient.ModelStats
 	resp, err := http.Get(ts.URL + "/v1/models/m/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -398,7 +398,7 @@ func TestModelScopedStats(t *testing.T) {
 	if _, err := c.MPE(ctx, "m", evclient.Evidence{"Wet": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Batch(ctx, "m", []evclient.BatchQuery{{}, {Query: []string{"nope"}}}); err != nil {
+	if _, err := c.Batch(ctx, "m", []evclient.QueryRequest{{}, {Query: []string{"nope"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Query(ctx, "m", nil, "nope"); !errors.Is(err, evclient.ErrUnknownVariable) {
@@ -469,7 +469,7 @@ func TestNoDefaultModel(t *testing.T) {
 	// a hit. wide's runs are dear enough to go to its two workers.
 	for i := 0; i < 3; i++ {
 		for path, ev := range map[string]evprop.Evidence{"wide": {"A": 1}, "rain": {"Wet": 1}} {
-			if resp := post(t, ts.URL+"/v1/models/"+path+"/query", queryRequest{Evidence: ev}); resp.StatusCode != http.StatusOK {
+			if resp := post(t, ts.URL+"/v1/models/"+path+"/query", evclient.QueryRequest{Evidence: ev}); resp.StatusCode != http.StatusOK {
 				t.Fatalf("%s: status %d", path, resp.StatusCode)
 			}
 		}
@@ -480,7 +480,7 @@ func TestNoDefaultModel(t *testing.T) {
 	if !ok {
 		t.Fatal("no initial event")
 	}
-	for view, st := range map[string]statsResponse{"/v1/stats": statsSnapshot(t, ts), "/v1/stream": event} {
+	for view, st := range map[string]statsBody{"/v1/stats": statsSnapshot(t, ts), "/v1/stream": event} {
 		checkRowsAddUp(t, st)
 		if len(st.Models) != 2 || st.Totals.Queries != 6 {
 			t.Fatalf("%s: %d rows, %d queries; want 2 and 6", view, len(st.Models), st.Totals.Queries)

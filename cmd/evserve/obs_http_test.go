@@ -75,7 +75,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 	var buf syncBuffer
 	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
 
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{
 		Evidence: evprop.Evidence{"XRay": 1},
 		Query:    []string{"Lung"},
 	})
@@ -93,7 +93,7 @@ func TestQueryIDCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fr.Body.Close()
-	var dump flightRecorderResponse
+	var dump evclient.FlightRecorderPage
 	decode(t, fr, &dump)
 	if !dump.Recorder.Enabled {
 		t.Fatal("recorder disabled")
@@ -219,7 +219,7 @@ func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
 		{pooled.URL, psrv, evprop.Evidence{"A": 1}, "pool", 2},
 	} {
 		tc.srv.tracer.SampleRate = 0 // kept by the slow rule alone
-		resp := post(t, tc.url+modelPath+"/query", queryRequest{Evidence: tc.evidence})
+		resp := post(t, tc.url+modelPath+"/query", evclient.QueryRequest{Evidence: tc.evidence})
 		fr, err := http.Get(tc.url + recorderPath + "&id=" + resp.Header.Get("X-Query-ID"))
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func TestFlightRecorderEndpointSlowCapture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dump flightRecorderResponse
+		var dump evclient.FlightRecorderPage
 		var fields map[string]json.RawMessage
 		if err := json.Unmarshal(body, &dump); err != nil {
 			t.Fatal(err)
@@ -274,7 +274,7 @@ func TestSlowTraceKeptWithoutDefaultModel(t *testing.T) {
 	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
-	resp := post(t, ts.URL+"/v1/models/asia/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+"/v1/models/asia/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -288,7 +288,7 @@ func TestSlowTraceKeptWithoutDefaultModel(t *testing.T) {
 func TestStatsWindow(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
 	for i := 0; i < 3; i++ {
-		post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+		post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	}
 	post(t, ts.URL+modelPath+"/query", "not an object") // one 400 for the error rate
 
@@ -341,10 +341,10 @@ func TestStatsWindow(t *testing.T) {
 // with the stats handler's latency as its p99.
 func TestObserversLeaveWindowsAlone(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
-	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	requests := func(st statsResponse) map[string]int64 {
+	post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	requests := func(st statsBody) map[string]int64 {
 		out := map[string]int64{}
-		st.eachRow(func(r *modelRow) { out[r.Name] = r.Window.Requests })
+		st.eachRow(func(r *evclient.ModelStats) { out[r.Name] = r.Window.Requests })
 		return out
 	}
 	before := statsSnapshot(t, ts)
@@ -383,7 +383,7 @@ func TestObserversLeaveWindowsAlone(t *testing.T) {
 func TestRequestTimeout(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2, CacheSize: 16})
 	srv.timeout = time.Nanosecond
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("status %d, want 504", resp.StatusCode)
 	}
@@ -400,7 +400,7 @@ func TestRequestTimeout(t *testing.T) {
 		t.Fatalf("sum-product result not cached: %+v", eng.CacheStats())
 	}
 	before := eng.Stats().Propagations
-	resp = post(t, ts.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"Dysp": 1}})
+	resp = post(t, ts.URL+modelPath+"/mpe", evclient.MPERequest{Evidence: evprop.Evidence{"Dysp": 1}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Errorf("mpe status %d, want 504", resp.StatusCode)
 	}
@@ -462,23 +462,23 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	}{
 		// A result is admitted on the second sight of its evidence: the hit
 		// legs warm with two queries, and the first of them says so.
-		{"query first sight", "/query", queryRequest{Evidence: xray, Query: []string{target}},
+		{"query first sight", "/query", evclient.QueryRequest{Evidence: xray, Query: []string{target}},
 			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0, 1},
-		{"query miss", "/query", queryRequest{Evidence: xray, Query: []string{target}},
+		{"query miss", "/query", evclient.QueryRequest{Evidence: xray, Query: []string{target}},
 			[]evprop.Evidence{xray}, 200, false, []string{"sum-product"}, 0, 0},
-		{"query hit", "/query", queryRequest{Evidence: xray, Query: []string{target}},
+		{"query hit", "/query", evclient.QueryRequest{Evidence: xray, Query: []string{target}},
 			[]evprop.Evidence{xray}, 200, true, []string{"sum-product"}, 1, 0},
-		{"mpe first sight", "/mpe", mpeRequest{Evidence: dysp},
+		{"mpe first sight", "/mpe", evclient.MPERequest{Evidence: dysp},
 			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0, 2},
-		{"mpe miss", "/mpe", mpeRequest{Evidence: dysp},
+		{"mpe miss", "/mpe", evclient.MPERequest{Evidence: dysp},
 			[]evprop.Evidence{dysp}, 200, false, []string{"sum-product", "max-product"}, 0, 0},
-		{"mpe hit", "/mpe", mpeRequest{Evidence: dysp},
+		{"mpe hit", "/mpe", evclient.MPERequest{Evidence: dysp},
 			[]evprop.Evidence{dysp}, 200, true, []string{"sum-product", "max-product"}, 2, 0},
 		// Two sub-queries on evidence the engine already holds: each is an
 		// engine cache hit with its own record.
-		{"batch", "/batch", batchRequest{Queries: []queryRequest{{Evidence: xray}, {Evidence: xray}}},
+		{"batch", "/batch", evclient.BatchRequest{Queries: []evclient.QueryRequest{{Evidence: xray}, {Evidence: xray}}},
 			[]evprop.Evidence{xray, xray}, 200, true, []string{"sum-product", "sum-product"}, 2, 0},
-		{"failing query", "/query", queryRequest{Evidence: evprop.Evidence{"NoSuchVar": 1}},
+		{"failing query", "/query", evclient.QueryRequest{Evidence: evprop.Evidence{"NoSuchVar": 1}},
 			[]evprop.Evidence{{"NoSuchVar": 1}}, 422, false, nil, 0, 0},
 	}
 	ids := map[string]bool{}
@@ -504,7 +504,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		if err != nil {
 			t.Fatal(err)
 		}
-		var envelope errorEnvelope
+		var envelope evclient.ErrorEnvelope
 		if resp.StatusCode != http.StatusOK {
 			decode(t, resp, &envelope)
 		}
@@ -563,7 +563,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		if err != nil {
 			t.Fatal(err)
 		}
-		var dump flightRecorderResponse
+		var dump evclient.FlightRecorderPage
 		decode(t, fresp, &dump)
 		fresp.Body.Close()
 		if len(dump.Records) != len(row.modes) {
@@ -653,7 +653,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 		// Trace: the root carries the query ID, every cache lookup the same
 		// verdict, and every engine span hangs below the request's root.
 		tr := fetchTrace(t, ts.URL, traceID)
-		byID := map[string]traceSpanJSON{}
+		byID := map[string]evclient.TraceSpan{}
 		for _, sp := range tr.Spans {
 			byID[sp.SpanID] = sp
 		}
@@ -730,7 +730,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 	}
 	// Window and per-model stats: the hit rate is cached answers over
 	// answers, and the engine ran one propagation per uncached answer run.
-	var ms modelRow
+	var ms evclient.ModelStats
 	mresp, err := http.Get(ts.URL + modelPath + "/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -803,7 +803,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	go func() { done <- serve(ctx, ln, srv, srv.log) }()
 
 	url := "http://" + ln.Addr().String()
-	resp := post(t, url+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, url+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}

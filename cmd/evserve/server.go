@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/audit"
 	"evprop/internal/obs"
 	"evprop/internal/obs/trace"
@@ -66,7 +67,7 @@ type server struct {
 	tracer *trace.Tracer
 	// sampler takes the 1 s snapshots behind /v1/stream; started is the
 	// uptime epoch reported by /v1/healthz and every snapshot.
-	sampler *obs.Sampler[statsResponse]
+	sampler *obs.Sampler[evclient.Stats]
 	started time.Time
 	// ready gates /v1/readyz: false until the listener is up, false again
 	// once drain begins. drain is closed by beginDrain (via drainOnce) so
@@ -105,25 +106,26 @@ func (s *server) close() { s.reg.Close() }
 // no route is 404 not_found in the error envelope.
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
-	route := func(pattern, endpoint string, h http.HandlerFunc) {
-		m.HandleFunc(pattern, s.instrument(endpoint, h))
+	// A route's pattern is also its endpoint label in the access log and spans.
+	route := func(pattern string, h http.HandlerFunc) {
+		m.HandleFunc(pattern, s.instrument(pattern, h))
 	}
 	// Model management.
-	route("/v1/models", "/v1/models", s.handleModels)
-	route("/v1/models/{name}", "/v1/models/{name}", s.handleModelByName)
-	route("/v1/models/{name}/reload", "/v1/models/{name}/reload", s.handleModelReload)
-	route("/v1/models/{name}/stats", "/v1/models/{name}/stats", s.handleModelStats)
+	route("/v1/models", s.handleModels)
+	route("/v1/models/{name}", s.handleModelByName)
+	route("/v1/models/{name}/reload", s.handleModelReload)
+	route("/v1/models/{name}/stats", s.handleModelStats)
 	// Model-scoped queries.
-	route("/v1/models/{name}/query", "/v1/models/{name}/query", s.handleQuery)
-	route("/v1/models/{name}/batch", "/v1/models/{name}/batch", s.handleBatch)
-	route("/v1/models/{name}/mpe", "/v1/models/{name}/mpe", s.handleMPE)
-	route("/v1/models/{name}/dsep", "/v1/models/{name}/dsep", s.handleDSep)
+	route("/v1/models/{name}/query", s.handleQuery)
+	route("/v1/models/{name}/batch", s.handleBatch)
+	route("/v1/models/{name}/mpe", s.handleMPE)
+	route("/v1/models/{name}/dsep", s.handleDSep)
 	// Introspection.
-	route("/v1/stats", "/v1/stats", s.handleStats)
-	route("/v1/metrics", "/v1/metrics", s.handleMetrics)
-	route("/v1/audit", "/v1/audit", s.handleAudit)
-	route("/v1/debug/flightrecorder", "/v1/debug/flightrecorder", s.handleFlightRecorder)
-	route("/v1/debug/trace", "/v1/debug/trace", s.handleTrace)
+	route("/v1/stats", s.handleStats)
+	route("/v1/metrics", s.handleMetrics)
+	route("/v1/audit", s.handleAudit)
+	route("/v1/debug/flightrecorder", s.handleFlightRecorder)
+	route("/v1/debug/trace", s.handleTrace)
 	// The stream and the health probes stay outside instrument: probes fire
 	// every few seconds and a stream lives for minutes — folding either into
 	// the access log would drown the real traffic signal.
@@ -131,7 +133,7 @@ func (s *server) mux() *http.ServeMux {
 	m.HandleFunc("/v1/healthz", s.handleHealthz)
 	m.HandleFunc("/v1/readyz", s.handleReadyz)
 	// Everything else.
-	route("/", "/", func(w http.ResponseWriter, r *http.Request) {
+	route("/", func(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorCode(w, r, http.StatusNotFound, "not_found", "no route for "+r.URL.Path)
 	})
 	if s.pprofEnabled {
@@ -162,22 +164,12 @@ func (s *server) acquire(w http.ResponseWriter, r *http.Request) (*registry.Vers
 	return v, release, ms, true
 }
 
-type modelVariable struct {
-	Name   string `json:"name"`
-	States int    `json:"states"`
-}
-
-// modelResponse is the GET /v1/models/{name} body:
-// the registry's lifecycle info plus the variable schema.
-type modelResponse struct {
-	registry.Info
-	Variables []modelVariable `json:"variables"`
-}
-
-func modelSchema(info registry.Info, net *evprop.Network) modelResponse {
-	resp := modelResponse{Info: info}
+// modelSchema is the GET /v1/models/{name} body: the registry's lifecycle info
+// plus the variable schema.
+func modelSchema(info registry.Info, net *evprop.Network) evclient.ModelSchema {
+	resp := evclient.ModelSchema{ModelInfo: info}
 	for _, name := range net.Variables() {
-		resp.Variables = append(resp.Variables, modelVariable{Name: name, States: net.States(name)})
+		resp.Variables = append(resp.Variables, evclient.Variable{Name: name, States: net.States(name)})
 	}
 	return resp
 }
@@ -190,20 +182,6 @@ func (s *server) modelInfo(name string) (registry.Info, bool) {
 		}
 	}
 	return registry.Info{Name: name}, false
-}
-
-type queryRequest struct {
-	Evidence evprop.Evidence `json:"evidence"`
-	Query    []string        `json:"query"`
-}
-
-type queryResponse struct {
-	PEvidence  float64              `json:"p_evidence"`
-	Posteriors map[string][]float64 `json:"posteriors"`
-	// Model and Version name the engine build that answered, so clients
-	// can detect hot reloads.
-	Model   string `json:"model,omitempty"`
-	Version int64  `json:"version,omitempty"`
 }
 
 // outcome is one answered (or failed) query or MPE: what was asked, of which
@@ -311,7 +289,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req queryRequest
+	var req evclient.QueryRequest
 	if !s.readJSON(w, r, &req) {
 		return
 	}
@@ -326,7 +304,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, o.err)
 		return
 	}
-	s.writeJSON(w, queryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: r.PathValue("name"), Version: v.ID})
+	s.writeJSON(w, evclient.QueryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: r.PathValue("name"), Version: v.ID})
 }
 
 // admit applies -max-inflight admission control to the propagating
@@ -338,28 +316,6 @@ func (s *server) admit(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
-}
-
-type batchRequest struct {
-	Queries []queryRequest `json:"queries"`
-}
-
-type batchResponse struct {
-	Results []batchResult `json:"results"`
-	// Model and Version name the engine build the whole batch ran on (a
-	// batch pins one version — sub-queries are never split across a hot
-	// reload).
-	Model   string `json:"model,omitempty"`
-	Version int64  `json:"version,omitempty"`
-}
-
-// batchResult is one query's outcome; exactly one of Error or the query
-// fields is meaningful. Failures are reported in place so one bad query
-// does not void its siblings.
-type batchResult struct {
-	PEvidence  float64              `json:"p_evidence,omitempty"`
-	Posteriors map[string][]float64 `json:"posteriors,omitempty"`
-	Error      string               `json:"error,omitempty"`
 }
 
 // handleBatch answers many queries in one round trip on the batch's pinned
@@ -374,7 +330,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req batchRequest
+	var req evclient.BatchRequest
 	if !s.readJSON(w, r, &req) {
 		return
 	}
@@ -383,7 +339,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.inflight.Add(-1)
 	ms.batches.Add(1)
-	results := make([]batchResult, len(req.Queries))
+	results := make([]evclient.BatchResult, len(req.Queries))
 	var next atomic.Int64 // the next item to answer
 	var wg sync.WaitGroup
 	for range min(s.workers, len(req.Queries)) {
@@ -404,27 +360,16 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.answer(trace.ContextWith(r.Context(), isp), o)
 				if o.err != nil {
 					isp.Fail(o.err.Error())
-					results[i] = batchResult{Error: o.err.Error()}
+					results[i] = evclient.BatchResult{Error: o.err.Error()}
 				} else {
-					results[i] = batchResult{PEvidence: o.pe, Posteriors: o.posteriors}
+					results[i] = evclient.BatchResult{PEvidence: o.pe, Posteriors: o.posteriors}
 				}
 				isp.End()
 			}
 		}()
 	}
 	wg.Wait()
-	s.writeJSON(w, batchResponse{Results: results, Model: r.PathValue("name"), Version: v.ID})
-}
-
-type mpeRequest struct {
-	Evidence evprop.Evidence `json:"evidence"`
-}
-
-type mpeResponse struct {
-	Assignment  map[string]int `json:"assignment"`
-	Probability float64        `json:"probability"`
-	Model       string         `json:"model,omitempty"`
-	Version     int64          `json:"version,omitempty"`
+	s.writeJSON(w, evclient.BatchResponse{Results: results, Model: r.PathValue("name"), Version: v.ID})
 }
 
 func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
@@ -433,7 +378,7 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req mpeRequest
+	var req evclient.MPERequest
 	if !s.readJSON(w, r, &req) {
 		return
 	}
@@ -448,17 +393,7 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, o.err)
 		return
 	}
-	s.writeJSON(w, mpeResponse{Assignment: o.assignment, Probability: o.probability, Model: r.PathValue("name"), Version: v.ID})
-}
-
-type dsepRequest struct {
-	X []string `json:"x"`
-	Y []string `json:"y"`
-	Z []string `json:"z"`
-}
-
-type dsepResponse struct {
-	Separated bool `json:"separated"`
+	s.writeJSON(w, evclient.MPEResponse{Assignment: o.assignment, Probability: o.probability, Model: r.PathValue("name"), Version: v.ID})
 }
 
 func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
@@ -467,7 +402,7 @@ func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req dsepRequest
+	var req evclient.DSepRequest
 	if !s.readJSON(w, r, &req) {
 		return
 	}
@@ -476,19 +411,7 @@ func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	s.writeJSON(w, dsepResponse{Separated: sep})
-}
-
-// flightRecorderResponse is the /v1/debug/flightrecorder payload: one
-// model's recorder counters and its ring of recent queries.
-type flightRecorderResponse struct {
-	Model    string                     `json:"model"`
-	Recorder evprop.FlightRecorderStats `json:"recorder"`
-	Records  []evprop.FlightRecord      `json:"records"`
-	// NextSince is the pagination cursor: pass it back as ?since= to
-	// receive only records newer than this page. It repeats the request's
-	// since value when no records matched.
-	NextSince uint64 `json:"next_since"`
+	s.writeJSON(w, evclient.DSepResponse{Separated: sep})
 }
 
 // handleFlightRecorder dumps a model's flight recorder (the recorder is
@@ -534,7 +457,7 @@ func (s *server) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	resp := flightRecorderResponse{
+	resp := evclient.FlightRecorderPage{
 		Model:     name,
 		Recorder:  v.Engine.FlightRecorderStats(),
 		Records:   v.Engine.RecentQueries(),

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/obs/trace"
 	"evprop/internal/registry"
 )
@@ -106,7 +107,7 @@ func TestModelEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var m modelResponse
+	var m evclient.ModelSchema
 	decode(t, resp, &m)
 	if len(m.Variables) != 8 {
 		t.Errorf("%d variables", len(m.Variables))
@@ -125,14 +126,14 @@ func TestModelEndpoint(t *testing.T) {
 
 func TestQueryEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{
 		Evidence: evprop.Evidence{"XRay": 1},
 		Query:    []string{"Lung"},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var q queryResponse
+	var q evclient.QueryResponse
 	decode(t, resp, &q)
 	if math.Abs(q.PEvidence-0.11029) > 1e-4 {
 		t.Errorf("p_evidence = %v", q.PEvidence)
@@ -148,8 +149,8 @@ func TestQueryEndpoint(t *testing.T) {
 
 func TestQueryAllEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"Dysp": 1}})
-	var q queryResponse
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"Dysp": 1}})
+	var q evclient.QueryResponse
 	decode(t, resp, &q)
 	if len(q.Posteriors) != 7 {
 		t.Errorf("%d posteriors, want 7", len(q.Posteriors))
@@ -178,7 +179,7 @@ func TestUnroutedEnvelope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env errorEnvelope
+		var env evclient.ErrorEnvelope
 		err = json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != tc.status || env.Error.Code != tc.code ||
@@ -195,7 +196,7 @@ func TestUnroutedEnvelope(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	ts := testServer(t)
 	// Unknown variable: semantically invalid input → 422 per the error table.
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Query: []string{"nope"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown variable status %d", resp.StatusCode)
 	}
@@ -221,11 +222,11 @@ func TestQueryErrors(t *testing.T) {
 
 func TestMPEEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 1}})
+	resp := post(t, ts.URL+modelPath+"/mpe", evclient.MPERequest{Evidence: evprop.Evidence{"XRay": 1, "Dysp": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var m mpeResponse
+	var m evclient.MPEResponse
 	decode(t, resp, &m)
 	if len(m.Assignment) != 8 {
 		t.Errorf("assignment covers %d variables", len(m.Assignment))
@@ -240,21 +241,21 @@ func TestMPEEndpoint(t *testing.T) {
 
 func TestDSepEndpoint(t *testing.T) {
 	ts := testServer(t)
-	resp := post(t, ts.URL+modelPath+"/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}})
+	resp := post(t, ts.URL+modelPath+"/dsep", evclient.DSepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var d dsepResponse
+	var d evclient.DSepResponse
 	decode(t, resp, &d)
 	if !d.Separated {
 		t.Error("Asia and Smoke should be marginally d-separated")
 	}
-	resp = post(t, ts.URL+modelPath+"/dsep", dsepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}, Z: []string{"Dysp"}})
+	resp = post(t, ts.URL+modelPath+"/dsep", evclient.DSepRequest{X: []string{"Asia"}, Y: []string{"Smoke"}, Z: []string{"Dysp"}})
 	decode(t, resp, &d)
 	if d.Separated {
 		t.Error("Asia and Smoke should be d-connected given Dysp")
 	}
-	resp = post(t, ts.URL+modelPath+"/dsep", dsepRequest{X: []string{"missing"}, Y: []string{"Smoke"}})
+	resp = post(t, ts.URL+modelPath+"/dsep", evclient.DSepRequest{X: []string{"missing"}, Y: []string{"Smoke"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("unknown variable status %d", resp.StatusCode)
 	}
@@ -262,7 +263,7 @@ func TestDSepEndpoint(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	ts := testServer(t)
-	req := batchRequest{Queries: []queryRequest{
+	req := evclient.BatchRequest{Queries: []evclient.QueryRequest{
 		{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}},
 		{Evidence: evprop.Evidence{"Dysp": 1}},
 		{Query: []string{"nope"}}, // fails in place
@@ -271,7 +272,7 @@ func TestBatchEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var b batchResponse
+	var b evclient.BatchResponse
 	decode(t, resp, &b)
 	if len(b.Results) != 3 {
 		t.Fatalf("%d results, want 3", len(b.Results))
@@ -300,8 +301,20 @@ func engineOf(t *testing.T, srv *server, name string) *evprop.Engine {
 	return v.Engine
 }
 
+// statsBody is a decoded /v1/stats body or /v1/stream event, with the lookups
+// the tests make on it.
+type statsBody struct{ evclient.Stats }
+
+// eachRow visits every model's row, then the catch-all.
+func (st *statsBody) eachRow(fn func(*evclient.ModelStats)) {
+	for i := range st.Models {
+		fn(&st.Models[i])
+	}
+	fn(&st.Unresolved)
+}
+
 // row returns the named model's row of a stats body.
-func (st statsResponse) row(t *testing.T, name string) modelRow {
+func (st statsBody) row(t *testing.T, name string) evclient.ModelStats {
 	t.Helper()
 	for _, r := range st.Models {
 		if r.Name == name {
@@ -309,15 +322,15 @@ func (st statsResponse) row(t *testing.T, name string) modelRow {
 		}
 	}
 	t.Fatalf("/v1/stats has no row for model %q", name)
-	return modelRow{}
+	return evclient.ModelStats{}
 }
 
 // checkRowsAddUp asserts the accounting invariant: the totals are the sums
 // over every row, the catch-all included.
-func checkRowsAddUp(t *testing.T, st statsResponse) {
+func checkRowsAddUp(t *testing.T, st statsBody) {
 	t.Helper()
-	var sum counters
-	st.eachRow(func(r *modelRow) {
+	var sum evclient.Counters
+	st.eachRow(func(r *evclient.ModelStats) {
 		sum.Queries += r.Queries
 		sum.Batches += r.Batches
 		sum.MPEs += r.MPEs
@@ -344,7 +357,7 @@ func metricsBody(t *testing.T, ts *httptest.Server) string {
 	return string(body)
 }
 
-func statsSnapshot(t *testing.T, ts *httptest.Server) statsResponse {
+func statsSnapshot(t *testing.T, ts *httptest.Server) statsBody {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -354,7 +367,7 @@ func statsSnapshot(t *testing.T, ts *httptest.Server) statsResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/stats status %d", resp.StatusCode)
 	}
-	var s statsResponse
+	var s statsBody
 	decode(t, resp, &s)
 	return s
 }
@@ -365,11 +378,11 @@ func statsSnapshot(t *testing.T, ts *httptest.Server) statsResponse {
 func TestQuerySinglePropagation(t *testing.T) {
 	ts := testServer(t)
 	before := statsSnapshot(t, ts)
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var q queryResponse
+	var q evclient.QueryResponse
 	decode(t, resp, &q)
 	if q.PEvidence <= 0 || len(q.Posteriors) != 7 {
 		t.Fatalf("p_evidence %v, %d posteriors", q.PEvidence, len(q.Posteriors))
@@ -385,9 +398,9 @@ func TestQuerySinglePropagation(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t)
-	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	post(t, ts.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"XRay": 1}})
-	post(t, ts.URL+modelPath+"/batch", batchRequest{Queries: []queryRequest{{}, {}}})
+	post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/mpe", evclient.MPERequest{Evidence: evprop.Evidence{"XRay": 1}})
+	post(t, ts.URL+modelPath+"/batch", evclient.BatchRequest{Queries: []evclient.QueryRequest{{}, {}}})
 	st := statsSnapshot(t, ts)
 	checkRowsAddUp(t, st)
 	if tot := st.Totals; tot.Queries != 1 || tot.MPEs != 1 || tot.Batches != 1 {
@@ -423,13 +436,13 @@ func TestConcurrentHTTPQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				buf, _ := json.Marshal(queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
+				buf, _ := json.Marshal(evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
 				resp, err := http.Post(ts.URL+modelPath+"/query", "application/json", bytes.NewReader(buf))
 				if err != nil {
 					errc <- err
 					return
 				}
-				var q queryResponse
+				var q evclient.QueryResponse
 				err = json.NewDecoder(resp.Body).Decode(&q)
 				resp.Body.Close()
 				if err != nil {
@@ -460,22 +473,22 @@ func TestZeroProbabilityEvidenceStatus(t *testing.T) {
 	srv := newTestServer(t, net, evprop.Options{Workers: 2})
 	ts2 := httptest.NewServer(srv.mux())
 	t.Cleanup(ts2.Close)
-	resp := post(t, ts2.URL+modelPath+"/mpe", mpeRequest{Evidence: evprop.Evidence{"Effect": 1}})
+	resp := post(t, ts2.URL+modelPath+"/mpe", evclient.MPERequest{Evidence: evprop.Evidence{"Effect": 1}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("impossible-evidence MPE status %d, want 422", resp.StatusCode)
 	}
 	// A zero-probability plain query still succeeds with empty posteriors.
-	q := post(t, ts2.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"Effect": 1}})
+	q := post(t, ts2.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"Effect": 1}})
 	if q.StatusCode != http.StatusOK {
 		t.Errorf("impossible-evidence query status %d", q.StatusCode)
 	}
-	var qr queryResponse
+	var qr evclient.QueryResponse
 	decode(t, q, &qr)
 	if qr.PEvidence != 0 || len(qr.Posteriors) != 0 {
 		t.Errorf("p_evidence %v, %d posteriors", qr.PEvidence, len(qr.Posteriors))
 	}
 	// Bad state index maps to 400 via ErrBadState.
-	r := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 5}})
+	r := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 5}})
 	if r.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad state status %d", r.StatusCode)
 	}

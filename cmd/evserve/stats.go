@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/obs"
 	"evprop/internal/registry"
 )
@@ -57,69 +58,19 @@ func (s *server) modelStatsFor(name string) *modelStats {
 	return v.(*modelStats)
 }
 
-// modelRow is one model's stats: a row of /v1/stats and of every /v1/stream
-// event, the whole body of /v1/models/{name}/stats, and one label value of
-// every per-model family in /v1/metrics. Every latency field derives from the
-// histogram, and the observed == 0 case yields plain zeros — never a 0/0 NaN,
-// which would be invalid JSON.
+// modelRow is one model's stats: its wire row (a row of /v1/stats and of every
+// /v1/stream event, the whole body of /v1/models/{name}/stats) and what
+// /v1/metrics renders beyond it, the histogram's buckets and the scheduler
+// report's lifetime totals; every per-model family of /v1/metrics is one
+// series per row.
 type modelRow struct {
-	registry.Info
-	counters
-	Workers   int    `json:"workers"`
-	Scheduler string `json:"scheduler"`
-	// InlineRuns and PoolRuns split the propagations by the executor that ran
-	// them, the caller's goroutine or the workers.
-	InlineRuns int64 `json:"inline_runs"`
-	PoolRuns   int64 `json:"pool_runs"`
-	// SlicedShare is the share of the model's task-graph entries those runs
-	// ranged over after slicing their tables on each query's hard evidence
-	// (1 before anything has run).
-	SlicedShare float64 `json:"sliced_share"`
-	// LoadBalance and SchedOverheadFrac are the most recent propagation's
-	// Fig. 8 gauges (max/mean per-worker busy time; scheduling fraction of
-	// total worker time).
-	LoadBalance       float64 `json:"load_balance"`
-	SchedOverheadFrac float64 `json:"sched_overhead_fraction"`
-	Observed          int64   `json:"observed"`
-	AvgLatencyUsec    float64 `json:"avg_latency_usec"`
-	MaxLatencyUsec    float64 `json:"max_latency_usec"`
-	P50LatencyUsec    float64 `json:"p50_latency_usec"`
-	P95LatencyUsec    float64 `json:"p95_latency_usec"`
-	P99LatencyUsec    float64 `json:"p99_latency_usec"`
-	// Window covers only the last 60 seconds of the model's traffic, where
-	// the fields above aggregate over the whole process lifetime.
-	Window   windowStats                `json:"window"`
-	Cache    evprop.CacheStats          `json:"cache"`
-	Recorder evprop.FlightRecorderStats `json:"recorder"`
-
-	// What /v1/metrics renders beyond the JSON fields: the histogram's buckets
-	// and the scheduler report's lifetime totals.
+	evclient.ModelStats
 	ms    *modelStats
 	sched evprop.SchedulerReport
 }
 
-// windowStats is the JSON shape of the 60-second sliding window.
-type windowStats struct {
-	Seconds        int     `json:"seconds"`
-	Requests       int64   `json:"requests"`
-	Errors         int64   `json:"errors"`
-	QPS            float64 `json:"qps"`
-	ErrorRate      float64 `json:"error_rate"`
-	P50LatencyUsec float64 `json:"p50_latency_usec"`
-	P99LatencyUsec float64 `json:"p99_latency_usec"`
-	LoadBalance    float64 `json:"load_balance"`
-	// QPSSeries is per-second request counts, oldest first; the last entry
-	// is the current (incomplete) second.
-	QPSSeries []int64 `json:"qps_series"`
-	// CacheHitRate is the result-cache hit fraction over the window, and
-	// CacheHitRateSeries its per-second trajectory aligned with QPSSeries
-	// (both all-zero when the cache is off or idle).
-	CacheHitRate       float64   `json:"cache_hit_rate"`
-	CacheHitRateSeries []float64 `json:"cache_hit_rate_series"`
-}
-
-func toWindowStats(ws obs.WindowSnapshot) windowStats {
-	return windowStats{
+func toWindowStats(ws obs.WindowSnapshot) evclient.WindowStats {
+	return evclient.WindowStats{
 		Seconds:            ws.Seconds,
 		Requests:           ws.Requests,
 		Errors:             ws.Errors,
@@ -137,16 +88,17 @@ func toWindowStats(ws obs.WindowSnapshot) windowStats {
 // newRow reads one model's counters and its current version's wait-free
 // engine surfaces into a row. evprop.Engine methods are nil-safe: a model with
 // no published version (v nil), and the catch-all, get the engine half at its
-// zero values.
+// zero values. Every latency derives from the histogram, and the observed == 0
+// case yields plain zeros — never a 0/0 NaN, which would be invalid JSON.
 func newRow(ms *modelStats, info registry.Info, v *registry.Version) modelRow {
 	var eng *evprop.Engine
 	if v != nil {
 		eng = v.Engine
 	}
 	es, sr, h := eng.Stats(), eng.SchedulerReport(), &ms.latency
-	row := modelRow{
-		Info: info,
-		counters: counters{
+	row := modelRow{ModelStats: evclient.ModelStats{
+		ModelInfo: info,
+		Counters: evclient.Counters{
 			Queries:      ms.queries.Load(),
 			Batches:      ms.batches.Load(),
 			MPEs:         ms.mpes.Load(),
@@ -164,9 +116,7 @@ func newRow(ms *modelStats, info registry.Info, v *registry.Version) modelRow {
 		Window:            toWindowStats(ms.window.Snapshot()),
 		Cache:             eng.CacheStats(),
 		Recorder:          eng.FlightRecorderStats(),
-		ms:                ms,
-		sched:             sr,
-	}
+	}, ms: ms, sched: sr}
 	if row.Observed > 0 {
 		row.AvgLatencyUsec = float64(h.Mean()) / 1e3
 		row.MaxLatencyUsec = float64(h.Max()) / 1e3
@@ -177,75 +127,45 @@ func newRow(ms *modelStats, info registry.Info, v *registry.Version) modelRow {
 	return row
 }
 
-// counters are what a row counts — requests by kind, HTTP error responses,
-// and the current version's completed scheduler invocations — and, summed over
-// the rows, the catch-all included, the server-wide totals.
-type counters struct {
-	Queries      int64 `json:"queries"`
-	Batches      int64 `json:"batches"`
-	MPEs         int64 `json:"mpes"`
-	Errors       int64 `json:"errors"`
-	Propagations int64 `json:"propagations"`
-}
-
-func (c *counters) add(o counters) {
-	c.Queries += o.Queries
-	c.Batches += o.Batches
-	c.MPEs += o.MPEs
-	c.Errors += o.Errors
-	c.Propagations += o.Propagations
-}
-
-// statsResponse is the GET /v1/stats body and the payload of every
-// /v1/stream event.
-type statsResponse struct {
-	// Time is when the rows were read; UptimeSec is process uptime.
-	Time      time.Time `json:"time"`
-	UptimeSec float64   `json:"uptime_sec"`
-	Totals    counters  `json:"totals"`
-	// Scheduler is the process's worker pool, which every model's dispatched
-	// runs share: its size P, the runs in flight k over all models (inline
-	// ones too), the GL depth and one entry per worker.
-	Scheduler evprop.SchedulerGauges `json:"scheduler"`
-	// Models has one row per registered model, sorted by name.
-	Models []modelRow `json:"models"`
-	// Unresolved is the catch-all row: what was asked of no model. Only its
-	// errors ever move, and nothing lands in its window.
-	Unresolved modelRow `json:"unresolved"`
-	// Audit reports the durable query-audit pipeline (-audit-dir): spill,
-	// drop and flush counters plus on-disk segment totals.
-	Audit auditStats `json:"audit"`
-	// Trace reports the distributed-tracing pipeline: traced requests,
-	// tail-sampling keeps, store fill, and OTLP export counters.
-	Trace traceStatsSummary `json:"trace"`
-}
-
-// statsNow reads every row off the wait-free surfaces and sums the totals.
-func (s *server) statsNow() statsResponse {
+// rows reads every registered model's row, sorted by name, and then the
+// catch-all's.
+func (s *server) rows() []modelRow {
 	infos := s.reg.List()
 	versions := s.reg.CurrentVersions()
-	resp := statsResponse{
+	rows := make([]modelRow, 0, len(infos)+1)
+	for _, info := range infos {
+		rows = append(rows, newRow(s.modelStatsFor(info.Name), info, versions[info.Name]))
+	}
+	return append(rows, newRow(s.noModel, registry.Info{Name: noModelName}, nil))
+}
+
+// statsNow is the GET /v1/stats body and the payload of every /v1/stream
+// event: every row, their totals summed at that instant, the process's worker
+// pool, and the audit and trace pipelines.
+func (s *server) statsNow() evclient.Stats {
+	rows := s.rows()
+	n := len(rows) - 1
+	st := evclient.Stats{
 		Time:       time.Now(),
 		UptimeSec:  time.Since(s.started).Seconds(),
 		Scheduler:  evprop.ProcessScheduler(s.workers),
-		Models:     make([]modelRow, 0, len(infos)),
-		Unresolved: newRow(s.noModel, registry.Info{Name: noModelName}, nil),
+		Models:     make([]evclient.ModelStats, n),
+		Unresolved: rows[n].ModelStats,
 		Audit:      s.auditStats(),
 		Trace:      s.traceStats(),
 	}
-	for _, info := range infos {
-		resp.Models = append(resp.Models, newRow(s.modelStatsFor(info.Name), info, versions[info.Name]))
+	for i, r := range rows {
+		if i < n {
+			st.Models[i] = r.ModelStats
+		}
+		t := &st.Totals
+		t.Queries += r.Queries
+		t.Batches += r.Batches
+		t.MPEs += r.MPEs
+		t.Errors += r.Errors
+		t.Propagations += r.Propagations
 	}
-	resp.eachRow(func(r *modelRow) { resp.Totals.add(r.counters) })
-	return resp
-}
-
-// eachRow visits every model's row, then the catch-all.
-func (st *statsResponse) eachRow(fn func(*modelRow)) {
-	for i := range st.Models {
-		fn(&st.Models[i])
-	}
-	fn(&st.Unresolved)
+	return st
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -269,7 +189,7 @@ func (s *server) handleModelStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, _ := s.reg.Current(name) // nil while the model has no published version
-	s.writeJSON(w, newRow(s.modelStatsFor(name), info, v))
+	s.writeJSON(w, newRow(s.modelStatsFor(name), info, v).ModelStats)
 }
 
 // exposition writes the per-model families of /v1/metrics: one # HELP/# TYPE
@@ -315,18 +235,19 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	st := s.statsNow()
+	rows := s.rows()
 	all, ready := exposition{w: w}, exposition{w: w}
-	st.eachRow(func(r *modelRow) {
-		all.rows = append(all.rows, r)
-		if r.State == registry.StateReady {
-			ready.rows = append(ready.rows, r)
+	for i := range rows {
+		all.rows = append(all.rows, &rows[i])
+		if rows[i].State == registry.StateReady {
+			ready.rows = append(ready.rows, &rows[i])
 		}
-	})
+	}
+	sched := evprop.ProcessScheduler(s.workers)
 
 	obs.WriteHeader(w, "evprop_model_info", "Registered models: state and current version as labels, value 1.", "gauge")
-	for i := range st.Models {
-		info := &st.Models[i].Info
+	for i := range rows[:len(rows)-1] {
+		info := &rows[i].ModelInfo
 		obs.WriteSample(w, "evprop_model_info", map[string]string{
 			"model": info.Name, "state": string(info.State), "version": strconv.FormatInt(info.Version, 10),
 		}, 1)
@@ -390,9 +311,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ready.family("evprop_sched_overhead_fraction_lifetime", "Lifetime scheduler-overhead fraction across all runs.", "gauge",
 		func(r *modelRow) float64 { return r.sched.OverheadFraction })
 	obs.WriteHeader(w, "evprop_sched_global_depth", "Tasks submitted to the process's workers but not yet completed.", "gauge")
-	obs.WriteSample(w, "evprop_sched_global_depth", nil, float64(st.Scheduler.GlobalDepth))
+	obs.WriteSample(w, "evprop_sched_global_depth", nil, float64(sched.GlobalDepth))
 	obs.WriteHeader(w, "evprop_sched_active_runs", "Propagations in flight in the process, on the workers or inline.", "gauge")
-	obs.WriteSample(w, "evprop_sched_active_runs", nil, float64(st.Scheduler.ActiveRuns))
+	obs.WriteSample(w, "evprop_sched_active_runs", nil, float64(sched.ActiveRuns))
 
 	ready.family("evprop_window_requests", "Requests in the last 60 seconds.", "gauge",
 		func(r *modelRow) float64 { return float64(r.Window.Requests) })
@@ -435,8 +356,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// dispatched to the workers, which is when they start.
 	worker := func(name, help, typ string, value func(*evprop.WorkerGauges) float64) {
 		obs.WriteHeader(w, name, help, typ)
-		for i := range st.Scheduler.Workers {
-			obs.WriteSample(w, name, map[string]string{"worker": strconv.Itoa(i)}, value(&st.Scheduler.Workers[i]))
+		for i := range sched.Workers {
+			obs.WriteSample(w, name, map[string]string{"worker": strconv.Itoa(i)}, value(&sched.Workers[i]))
 		}
 	}
 	worker("evprop_worker_queue_depth", "Items queued on the worker's local ready list.", "gauge",
@@ -452,10 +373,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	worker("evprop_worker_partitions_total", "Tasks the worker split into δ-pieces.", "counter",
 		func(g *evprop.WorkerGauges) float64 { return float64(g.Partitions) })
 	obs.WriteHeader(w, "evprop_worker_state", "Worker state (one series per worker, state as label, value 1).", "gauge")
-	for i, g := range st.Scheduler.Workers {
+	for i, g := range sched.Workers {
 		obs.WriteSample(w, "evprop_worker_state", map[string]string{"worker": strconv.Itoa(i), "state": g.State}, 1)
 	}
 
-	writeAuditMetrics(w, st.Audit)
+	writeAuditMetrics(w, s.auditStats())
 	s.writeTraceMetrics(w)
 }

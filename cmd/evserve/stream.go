@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	evclient "evprop/client"
 	"evprop/internal/buildinfo"
 )
 
@@ -35,7 +36,7 @@ func (s *server) beginDrain() {
 }
 
 // handleStream serves GET /v1/stream: text/event-stream, one `data:` event
-// per second carrying a statsResponse, the sample sequence number as the
+// per second carrying an evclient.Stats, the sample sequence number as the
 // SSE event id. The first event is written immediately, then the handler
 // follows its sampler subscription until the client goes away or the server
 // drains.
@@ -96,22 +97,13 @@ func (s *server) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeSSE emits one Server-Sent-Events frame.
-func writeSSE(w http.ResponseWriter, id int64, snap statsResponse) error {
+func writeSSE(w http.ResponseWriter, id int64, snap evclient.Stats) error {
 	payload, err := json.Marshal(snap)
 	if err != nil {
 		return err
 	}
 	_, err = fmt.Fprintf(w, "id: %d\ndata: %s\n\n", id, payload)
 	return err
-}
-
-// healthzResponse is the GET /v1/healthz body: liveness plus build info.
-type healthzResponse struct {
-	Status     string  `json:"status"`
-	Version    string  `json:"version"`
-	GoVersion  string  `json:"go_version"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	UptimeSec  float64 `json:"uptime_sec"`
 }
 
 // handleHealthz is liveness: it answers 200 whenever the process can serve
@@ -122,7 +114,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	s.writeJSON(w, healthzResponse{
+	s.writeJSON(w, evclient.Health{
 		Status:     "ok",
 		Version:    buildinfo.Version,
 		GoVersion:  runtime.Version(),

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"evprop"
+	evclient "evprop/client"
 	"evprop/internal/obs"
 	"evprop/internal/registry"
 )
@@ -41,9 +42,9 @@ func streamClient(t *testing.T, url string) (*bufio.Scanner, *http.Response) {
 
 // nextEvent reads SSE lines until one complete event (id + data + blank) has
 // been consumed, returning the decoded data payload.
-func nextEvent(t *testing.T, sc *bufio.Scanner) (statsResponse, bool) {
+func nextEvent(t *testing.T, sc *bufio.Scanner) (statsBody, bool) {
 	t.Helper()
-	var snap statsResponse
+	var snap statsBody
 	sawData := false
 	for sc.Scan() {
 		line := sc.Text()
@@ -70,7 +71,7 @@ func TestStreamDeliversSnapshots(t *testing.T) {
 
 	// Traffic before subscribing so counters are non-trivial, on a model
 	// whose runs go to the pool: the worker gauges exist once one has.
-	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
+	post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"A": 1}})
 
 	sc, _ := streamClient(t, ts.URL)
 	first, ok := nextEvent(t, sc)
@@ -188,7 +189,7 @@ func TestHealthzReadyz(t *testing.T) {
 	if hz.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", hz.StatusCode)
 	}
-	var health healthzResponse
+	var health evclient.Health
 	decode(t, hz, &health)
 	if health.Status != "ok" || health.Version == "" || !strings.HasPrefix(health.GoVersion, "go") {
 		t.Errorf("healthz body %+v", health)
@@ -226,8 +227,8 @@ func TestMetricsConformance(t *testing.T) {
 	if err := srv.reg.LoadSync("rain", registry.InlineSource(mmRainBIF(t, 0.3), false)); err != nil {
 		t.Fatal(err)
 	}
-	post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"A": 1}})
-	post(t, ts.URL+"/v1/models/rain/query", queryRequest{Evidence: evprop.Evidence{"Wet": 1}})
+	post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"A": 1}})
+	post(t, ts.URL+"/v1/models/rain/query", evclient.QueryRequest{Evidence: evprop.Evidence{"Wet": 1}})
 
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {

@@ -3,8 +3,8 @@ package main
 import (
 	"encoding/hex"
 	"net/http"
-	"time"
 
+	evclient "evprop/client"
 	"evprop/internal/obs"
 	otrace "evprop/internal/obs/trace"
 )
@@ -16,63 +16,12 @@ import (
 // tree, no id returns the recent keep list — plus the tracer's counters
 // for /v1/stats and /v1/metrics.
 
-// traceSpanJSON is one span in the /v1/debug/trace payload.
-type traceSpanJSON struct {
-	SpanID       string         `json:"span_id"`
-	ParentSpanID string         `json:"parent_span_id,omitempty"`
-	Name         string         `json:"name"`
-	Start        time.Time      `json:"start"`
-	DurationUsec float64        `json:"duration_usec"`
-	Status       string         `json:"status,omitempty"`
-	Attrs        map[string]any `json:"attrs,omitempty"`
-}
-
-// traceResponse is the GET /v1/debug/trace?id= payload: one kept trace.
-type traceResponse struct {
-	TraceID string `json:"trace_id"`
-	Sampled bool   `json:"sampled"`
-	State   string `json:"tracestate,omitempty"`
-	// Reason is the tail-sampling verdict that kept this trace: "error",
-	// "slow", "flagged" or "head".
-	Reason       string          `json:"reason"`
-	DroppedSpans int64           `json:"dropped_spans,omitempty"`
-	Spans        []traceSpanJSON `json:"spans"`
-}
-
-// traceListResponse answers GET /v1/debug/trace without an id: the most
-// recently kept trace IDs (newest first) and the tracer's counters.
-type traceListResponse struct {
-	Recent []string          `json:"recent"`
-	Stats  traceStatsSummary `json:"stats"`
-}
-
-// traceStatsSummary is the tracer block in /v1/stats.
-type traceStatsSummary struct {
-	Enabled    bool    `json:"enabled"`
-	SampleRate float64 `json:"sample_rate,omitempty"`
-	// Started counts traced requests, Kept the traces tail sampling
-	// retained, SpansDropped spans lost to arena overflow.
-	Started      int64 `json:"started"`
-	Kept         int64 `json:"kept"`
-	SpansDropped int64 `json:"spans_dropped"`
-	StoreLen     int   `json:"store_len"`
-	// Exporter reports the OTLP push pipeline; nil without -otlp-endpoint.
-	Exporter *otrace.ExporterStats `json:"exporter,omitempty"`
-}
-
-func (s *server) traceStats() traceStatsSummary {
+// traceStats is the tracer block of /v1/stats and of the trace list.
+func (s *server) traceStats() evclient.TraceStats {
 	if s.tracer == nil {
-		return traceStatsSummary{}
+		return evclient.TraceStats{}
 	}
-	ts := s.tracer.Stats()
-	out := traceStatsSummary{
-		Enabled:      true,
-		SampleRate:   s.tracer.SampleRate,
-		Started:      ts.Started,
-		Kept:         ts.Kept,
-		SpansDropped: ts.SpansDropped,
-		StoreLen:     ts.StoreLen,
-	}
+	out := evclient.TraceStats{Enabled: true, SampleRate: s.tracer.SampleRate, TracerCounters: s.tracer.Stats()}
 	if s.tracer.Exporter != nil {
 		es := s.tracer.Exporter.Stats()
 		out.Exporter = &es
@@ -100,17 +49,17 @@ func attrsMap(attrs []otrace.Attr) map[string]any {
 	return m
 }
 
-func toTraceResponse(td *otrace.TraceData) traceResponse {
-	resp := traceResponse{
+func toTraceResponse(td *otrace.TraceData) evclient.TraceResponse {
+	resp := evclient.TraceResponse{
 		TraceID:      td.TraceID.String(),
 		Sampled:      td.Flags&otrace.FlagSampled != 0,
 		State:        td.State,
 		Reason:       td.Reason,
 		DroppedSpans: td.Dropped,
-		Spans:        make([]traceSpanJSON, 0, len(td.Spans)),
+		Spans:        make([]evclient.TraceSpan, 0, len(td.Spans)),
 	}
 	for _, sd := range td.Spans {
-		sp := traceSpanJSON{
+		sp := evclient.TraceSpan{
 			SpanID:       sd.SpanID.String(),
 			Name:         sd.Name,
 			Start:        sd.Start,
@@ -142,7 +91,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	raw := r.URL.Query().Get("id")
 	if raw == "" {
 		ids := s.tracer.Store.Recent(32)
-		resp := traceListResponse{Recent: make([]string, 0, len(ids)), Stats: s.traceStats()}
+		resp := evclient.TraceList{Recent: make([]string, 0, len(ids)), Stats: s.traceStats()}
 		for _, id := range ids {
 			resp.Recent = append(resp.Recent, id.String())
 		}

@@ -47,7 +47,7 @@ func postTraced(t *testing.T, url, traceparent string, body any) *http.Response 
 // fetchTrace polls GET /v1/debug/trace?id= until the trace lands in the
 // store (Finish runs after the response is written, so the store can trail
 // the client by a beat).
-func fetchTrace(t *testing.T, baseURL, id string) traceResponse {
+func fetchTrace(t *testing.T, baseURL, id string) traceBody {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -56,7 +56,7 @@ func fetchTrace(t *testing.T, baseURL, id string) traceResponse {
 			t.Fatal(err)
 		}
 		if resp.StatusCode == http.StatusOK {
-			var tr traceResponse
+			var tr traceBody
 			decode(t, resp, &tr)
 			resp.Body.Close()
 			return tr
@@ -69,7 +69,11 @@ func fetchTrace(t *testing.T, baseURL, id string) traceResponse {
 	}
 }
 
-func (tr traceResponse) span(t *testing.T, name string) traceSpanJSON {
+// traceBody is a decoded GET /v1/debug/trace?id= body, with the lookups the
+// tests make on it.
+type traceBody struct{ evclient.TraceResponse }
+
+func (tr traceBody) span(t *testing.T, name string) evclient.TraceSpan {
 	t.Helper()
 	for _, sp := range tr.Spans {
 		if sp.Name == name {
@@ -77,10 +81,10 @@ func (tr traceResponse) span(t *testing.T, name string) traceSpanJSON {
 		}
 	}
 	t.Fatalf("trace has no span %q (got %v)", name, spanNames(tr))
-	return traceSpanJSON{}
+	return evclient.TraceSpan{}
 }
 
-func (tr traceResponse) has(name string) bool {
+func (tr traceBody) has(name string) bool {
 	for _, sp := range tr.Spans {
 		if sp.Name == name {
 			return true
@@ -89,7 +93,7 @@ func (tr traceResponse) has(name string) bool {
 	return false
 }
 
-func spanNames(tr traceResponse) []string {
+func spanNames(tr traceBody) []string {
 	names := make([]string, len(tr.Spans))
 	for i, sp := range tr.Spans {
 		names[i] = sp.Name
@@ -107,7 +111,7 @@ func TestTraceparentSurvivesEndToEnd(t *testing.T) {
 	)
 	parent := "00-" + callerTrace + "-" + callerSpan + "-01"
 	resp := postTraced(t, ts.URL+modelPath+"/query", parent,
-		queryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
+		evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}, Query: []string{"Lung"}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -147,11 +151,11 @@ func TestTraceparentSurvivesEndToEnd(t *testing.T) {
 func TestTraceErrorEnvelopeAndKeep(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
 	srv.tracer.SampleRate = 0 // tail rules only
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Query: []string{"nope"}})
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Query: []string{"nope"}})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var env errorEnvelope
+	var env evclient.ErrorEnvelope
 	decode(t, resp, &env)
 	id := resp.Header.Get("X-Trace-ID")
 	if env.Error.TraceID != id || len(id) != 32 {
@@ -177,7 +181,7 @@ func TestTraceErrorEnvelopeAndKeep(t *testing.T) {
 // TestTraceDebugEndpoint: the list form, the 404 and the 400.
 func TestTraceDebugEndpoint(t *testing.T) {
 	ts, _ := testServerFull(t, evprop.Options{Workers: 2})
-	resp := post(t, ts.URL+modelPath+"/query", queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
@@ -188,7 +192,7 @@ func TestTraceDebugEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list traceListResponse
+	var list evclient.TraceList
 	decode(t, r, &list)
 	r.Body.Close()
 	found := false
@@ -236,7 +240,7 @@ func TestExemplarsNameKeptTraces(t *testing.T) {
 	// query posts one query and returns its trace ID once the access-log line
 	// is written: instrument has then finished with the request.
 	query := func(traceparent string) string {
-		resp := postTraced(t, ts.URL+modelPath+"/query", traceparent, queryRequest{Evidence: evprop.Evidence{"XRay": 1}})
+		resp := postTraced(t, ts.URL+modelPath+"/query", traceparent, evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", resp.StatusCode)
 		}

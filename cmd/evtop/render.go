@@ -198,7 +198,7 @@ func modelBlock(b *strings.Builder, row *evclient.ModelStats) {
 		qps[i] = float64(n)
 	}
 	fmt.Fprintf(b, "%s   v%d %s   %s/%d workers\n", row.Name, row.Version, row.State, row.Scheduler, row.Workers)
-	fmt.Fprintf(b, "qps %7.1f %s   p50 %s   p99 %s\n", w.QPS, sparkline(qps, sparkWidth), fmtDur(w.P50Usec), fmtDur(w.P99Usec))
+	fmt.Fprintf(b, "qps %7.1f %s   p50 %s   p99 %s\n", w.QPS, sparkline(qps, sparkWidth), fmtDur(w.P50LatencyUsec), fmtDur(w.P99LatencyUsec))
 	fmt.Fprintf(b, "err %6.2f%%   cache hit %5.1f%%   balance %.2f   window reqs %d\n",
 		w.ErrorRate*100, w.CacheHitRate*100, w.LoadBalance, w.Requests)
 	fmt.Fprintf(b, "propagations %d (%d inline, %d pool)   errors %d\n",

@@ -19,7 +19,7 @@ func testRow(name string) evclient.ModelStats {
 		InlineRuns: 34,
 		PoolRuns:   1200,
 		Window: evclient.WindowStats{
-			Requests: 2550, QPS: 42.5, ErrorRate: 0.01, P50Usec: 300, P99Usec: 1800,
+			Requests: 2550, QPS: 42.5, ErrorRate: 0.01, P50LatencyUsec: 300, P99LatencyUsec: 1800,
 			LoadBalance: 1.1, CacheHitRate: 0.87, QPSSeries: []int64{0, 10, 40, 42},
 		},
 	}

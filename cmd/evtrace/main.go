@@ -92,9 +92,9 @@ func run(ctx context.Context, c *evclient.Client, model, id string, drive int, a
 // (and optionally asserts) the resulting span tree.
 func driveAndRender(ctx context.Context, c *evclient.Client, model string, n int, assert bool) error {
 	tp, traceID := evclient.NewTraceparent(true) // sampled: tail sampling must keep it
-	queries := make([]evclient.BatchQuery, n)
+	queries := make([]evclient.QueryRequest, n)
 	for i := range queries {
-		queries[i] = evclient.BatchQuery{Evidence: evclient.Evidence{}}
+		queries[i] = evclient.QueryRequest{Evidence: evclient.Evidence{}}
 	}
 	br, err := c.Batch(evclient.WithTraceparent(ctx, tp), model, queries)
 	if err != nil {

@@ -175,9 +175,9 @@ func (s *FileStore) Close() error {
 
 // FileStoreStatus describes the store for /v1/audit.
 type FileStoreStatus struct {
-	Dir      string `json:"dir"`
-	Segments int    `json:"segments"`
-	Bytes    int64  `json:"bytes"`
+	Dir      string
+	Segments int
+	Bytes    int64
 }
 
 // Status snapshots the store's segment count and total size.
