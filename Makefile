@@ -4,7 +4,7 @@ GO ?= go
 # TestAsiaFixture): the model the smoke targets serve and replay against.
 ASIA_DIR = cmd/evserve/testdata/asia
 
-.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
+.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,14 @@ bench-serving:
 bench-load:
 	$(GO) test -run xxx -bench 'BenchmarkPropagateWideLoad|BenchmarkPropagateTwoModels' -benchtime 3000x -cpu 2 .
 
+# The HTTP query path without a listener (cmd/evserve BenchmarkQueryPath): a
+# small40 cache hit and small40 misses, traced as evserve traces by default,
+# the access log to io.Discard; ns/op and allocs/op, and a CPU profile of the
+# two rows in /tmp/evprop-envelope.cpu.prof (go tool pprof -top it). The test
+# binary is kept beside it, which pprof needs to name the hit path's frames.
+bench-envelope:
+	$(GO) test -run xxx -bench BenchmarkQueryPath -benchmem -cpuprofile /tmp/evprop-envelope.cpu.prof -o /tmp/evprop-envelope.test ./cmd/evserve
+
 # Per-primitive kernel timings (compiled plan vs run-only plan vs scalar,
 # median-of-5 ns/entry, on long-run shapes and on the drop-one-variable shapes
 # of the benchmark's junction trees), recorded with the host's provenance in
@@ -114,6 +122,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzParse -fuzztime 10s ./internal/bif
 	$(GO) test -run xxx -fuzz FuzzQueryBody -fuzztime 10s ./cmd/evserve
 	$(GO) test -run xxx -fuzz FuzzQueryResponse -fuzztime 10s ./cmd/evserve
+	$(GO) test -run xxx -fuzz FuzzAccessLine -fuzztime 10s ./cmd/evserve
 
 # Smoke-test the Chrome trace export: one traced propagation, written as
 # trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).

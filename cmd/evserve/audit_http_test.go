@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,7 +18,7 @@ import (
 func auditTestServer(t *testing.T) (*httptest.Server, *server, string) {
 	t.Helper()
 	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	dir := attachAudit(t, srv)
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)

@@ -19,11 +19,12 @@ import (
 // the canonical query and MPE body — "evidence" as {name: integer} and
 // "query" as [name, …], names printable ASCII without escapes — in one pass,
 // and hands every body it declines to encoding/json on the same bytes, so what
-// a route accepts and every error it answers are encoding/json's. writeJSON
-// appends the query and MPE answers byte for byte as json.Encoder writes
-// them; anything else, and an answer with a NaN or an infinity, goes through
-// json.Encoder. FuzzQueryBody and FuzzQueryResponse hold both to it. Batch
-// bodies and answers go through encoding/json: no measurement asks for more.
+// a route accepts and every error it answers are encoding/json's. writeQuery
+// and writeMPE append the query and MPE answers byte for byte as json.Encoder
+// writes them; an answer with a NaN or an infinity, and every other body,
+// goes through json.Encoder (writeJSON). FuzzQueryBody and FuzzQueryResponse
+// hold both to it. Batch bodies and answers go through encoding/json: no
+// measurement asks for more.
 
 // maxPooledBody bounds the bytes readJSON buffers before it hands the rest of
 // the body to json.Decoder as a stream, and so the buffers a pooled scratch
@@ -58,19 +59,22 @@ func putScratch(sc *scratch) {
 	scratchPool.Put(sc)
 }
 
-// readJSON decodes a POST body into dst; on failure it has already
-// answered the request (405 on wrong method, 400 envelope on bad JSON).
-func (s *server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// readJSON decodes a POST body as a T; on failure it has already answered
+// the request (405 on wrong method, 400 envelope on bad JSON). The body is
+// returned by value, and json.Decoder decodes into a T of its own, so the
+// caller's copy costs no allocation.
+func readJSON[T any](s *server, w http.ResponseWriter, r *http.Request) (T, bool) {
+	var v T
 	if r.Method != http.MethodPost {
 		s.writeErrorCode(w, r, http.StatusMethodNotAllowed, "method_not_allowed", "POST only")
-		return false
+		return v, false
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	var err error
 	sc.b, err = readAll(sc.b[:0], r.Body, maxPooledBody)
-	if err == nil && len(sc.b) <= maxPooledBody && sc.parse(dst) {
-		return true
+	if err == nil && len(sc.b) <= maxPooledBody && sc.parse(&v) {
+		return v, true
 	}
 	// The decoder reads what arrived, then the rest of the body — nothing when
 	// it was whole — or the read's error, as it did when it read the body itself.
@@ -78,11 +82,12 @@ func (s *server) readJSON(w http.ResponseWriter, r *http.Request, dst any) bool 
 	if err != nil {
 		rest = failedReader{err}
 	}
+	dst := new(T)
 	if err := json.NewDecoder(io.MultiReader(bytes.NewReader(sc.b), rest)).Decode(dst); err != nil {
 		s.writeErrorCode(w, r, http.StatusBadRequest, "bad_request", "invalid JSON: "+err.Error())
-		return false
+		return v, false
 	}
-	return true
+	return *dst, true
 }
 
 // readAll is io.ReadAll into b, stopping once b holds more than limit bytes.
@@ -107,18 +112,45 @@ type failedReader struct{ err error }
 
 func (f failedReader) Read([]byte) (int, error) { return 0, f.err }
 
-// writeJSON answers 200 with a JSON body.
+// jsonContentType is the Content-Type of every body the server writes,
+// shared by every response: nothing writes a header's values in place.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON answers 200 with v as json.Encoder writes it.
 func (s *server) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		s.log.Error("encode response", "err", err)
+	}
+}
+
+// writeQuery answers 200 with a query answer. The answer is passed by value
+// and boxed only on writeJSON's path, so appending it allocates nothing.
+func (s *server) writeQuery(w http.ResponseWriter, answer evclient.QueryResponse) {
 	sc := getScratch()
 	defer putScratch(sc)
-	var err error
-	if sc.appendAnswer(v) {
-		_, err = w.Write(sc.b)
-	} else {
-		err = json.NewEncoder(w).Encode(v)
+	if !sc.appendQuery(&answer) {
+		s.writeJSON(w, answer)
+		return
 	}
-	if err != nil {
+	s.writeAppended(w, sc.b)
+}
+
+// writeMPE is writeQuery for an MPE answer.
+func (s *server) writeMPE(w http.ResponseWriter, answer evclient.MPEResponse) {
+	sc := getScratch()
+	defer putScratch(sc)
+	if !sc.appendMPE(&answer) {
+		s.writeJSON(w, answer)
+		return
+	}
+	s.writeAppended(w, sc.b)
+}
+
+// writeAppended answers 200 with an appended JSON body.
+func (s *server) writeAppended(w http.ResponseWriter, body []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	if _, err := w.Write(body); err != nil {
 		s.log.Error("encode response", "err", err)
 	}
 }
@@ -148,6 +180,19 @@ type parser struct {
 	b  []byte
 	i  int
 	sc *scratch
+	// src is one copy of b as a string, made for the first name a parse
+	// keeps: every name is a slice of it, so a body's names cost one
+	// allocation together, and keep that copy alive while any of them lives.
+	src string
+}
+
+// str returns name, a slice of p.b, as a slice of p.src.
+func (p *parser) str(name []byte) string {
+	if p.src == "" {
+		p.src = string(p.b)
+	}
+	lo := cap(p.b) - cap(name) // name's offset in p.b
+	return p.src[lo : lo+len(name)]
 }
 
 func (p *parser) space() {
@@ -279,7 +324,7 @@ func (p *parser) evidence() (evprop.Evidence, bool) {
 	}
 	ev := make(evprop.Evidence, len(pairs))
 	for _, kv := range pairs {
-		ev[string(kv.name)] = kv.n
+		ev[p.str(kv.name)] = kv.n
 	}
 	return ev, true
 }
@@ -298,33 +343,37 @@ func (p *parser) names() ([]string, bool) {
 	}
 	out := make([]string, len(pairs))
 	for i, kv := range pairs {
-		out[i] = string(kv.name)
+		out[i] = p.str(kv.name)
 	}
 	return out, true
 }
 
-// appendAnswer sets sc.b to v's encoding, newline included, when v is a
-// query or MPE answer without a NaN or an infinity, and reports whether it
-// did. TestAppendedFieldsPinned holds the members it writes to the types'
-// json tags.
-func (sc *scratch) appendAnswer(v any) bool {
+// appendQuery sets sc.b to r's encoding, newline included, and reports
+// whether r held no NaN and no infinity; appendMPE does so for an MPE answer.
+// TestAppendedFieldsPinned holds the members they write to the types' json
+// tags.
+func (sc *scratch) appendQuery(r *evclient.QueryResponse) bool {
 	a := appender{b: sc.b[:0], keys: sc.keys[:0]}
-	switch r := v.(type) {
-	case evclient.QueryResponse:
-		a.raw(`{"p_evidence":`)
-		a.float(r.PEvidence)
-		a.raw(`,"posteriors":`)
-		a.posteriors(r.Posteriors)
-		a.modelVersion(r.Model, r.Version)
-	case evclient.MPEResponse:
-		a.raw(`{"assignment":`)
-		a.assignment(r.Assignment)
-		a.raw(`,"probability":`)
-		a.float(r.Probability)
-		a.modelVersion(r.Model, r.Version)
-	default:
-		return false
-	}
+	a.raw(`{"p_evidence":`)
+	a.float(r.PEvidence)
+	a.raw(`,"posteriors":`)
+	a.posteriors(r.Posteriors)
+	a.modelVersion(r.Model, r.Version)
+	return sc.end(&a)
+}
+
+func (sc *scratch) appendMPE(r *evclient.MPEResponse) bool {
+	a := appender{b: sc.b[:0], keys: sc.keys[:0]}
+	a.raw(`{"assignment":`)
+	a.assignment(r.Assignment)
+	a.raw(`,"probability":`)
+	a.float(r.Probability)
+	a.modelVersion(r.Model, r.Version)
+	return sc.end(&a)
+}
+
+// end closes the answer a appended and keeps its buffers.
+func (sc *scratch) end(a *appender) bool {
 	a.raw("}\n")
 	sc.b, sc.keys = a.b, a.keys
 	return !a.bad
@@ -408,53 +457,65 @@ func (a *appender) assignment(m map[string]int) {
 	a.raw("}")
 }
 
-// float is encoding/json's float64: the shortest representation, in
-// exponent form below 1e-6 and from 1e21, with e-07 written e-7.
+// float is encoding/json's float64; a NaN or an infinity marks the answer
+// bad.
 func (a *appender) float(f float64) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		a.bad = true
 		return
 	}
+	a.b = appendJSONFloat(a.b, f)
+}
+
+// appendJSONFloat is encoding/json's float64, f finite: the shortest
+// representation, in exponent form below 1e-6 and from 1e21, with e-07
+// written e-7.
+func appendJSONFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	a.b = strconv.AppendFloat(a.b, f, format, -1, 64)
-	if n := len(a.b); format == 'e' && a.b[n-4] == 'e' && a.b[n-3] == '-' && a.b[n-2] == '0' {
-		a.b[n-2] = a.b[n-1]
-		a.b = a.b[:n-1]
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
+	return b
 }
 
 const hexDigits = "0123456789abcdef"
 
-// str is encoding/json's HTML-escaping string encoder: <, > and & as \u00XX,
-// control characters short where JSON has a short form, invalid UTF-8 as
-// the escaped U+FFFD, and U+2028 and U+2029 escaped.
-func (a *appender) str(s string) {
-	b := append(a.b, '"')
+// str is encoding/json's HTML-escaping string encoder.
+func (a *appender) str(s string) { a.b = append(appendJSONString(append(a.b, '"'), s, true), '"') }
+
+// appendJSONString appends s's JSON escape, without the quotes: '"' and '\\'
+// backslashed, \n, \r and \t short, other control characters as \u00XX,
+// invalid UTF-8 as the escaped U+FFFD, and U+2028 and U+2029 escaped. With
+// html it is encoding/json's encoder, which also escapes <, > and & as \u00XX
+// and writes \b and \f short; without, it is slog's JSON handler.
+func appendJSONString(b []byte, s string, html bool) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
+			if c >= 0x20 && c != '"' && c != '\\' && (!html || c != '<' && c != '>' && c != '&') {
 				i++
 				continue
 			}
 			b = append(b, s[start:i]...)
-			switch c {
-			case '"', '\\':
+			switch {
+			case c == '"', c == '\\':
 				b = append(b, '\\', c)
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
+			case c == '\n':
 				b = append(b, '\\', 'n')
-			case '\r':
+			case c == '\r':
 				b = append(b, '\\', 'r')
-			case '\t':
+			case c == '\t':
 				b = append(b, '\\', 't')
+			case html && c == '\b':
+				b = append(b, '\\', 'b')
+			case html && c == '\f':
+				b = append(b, '\\', 'f')
 			default:
 				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
 			}
@@ -477,5 +538,5 @@ func (a *appender) str(s string) {
 		i += size
 		start = i
 	}
-	a.b = append(append(b, s[start:]...), '"')
+	return append(b, s[start:]...)
 }

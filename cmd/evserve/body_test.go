@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"math"
 	"math/rand"
 	"net/http"
@@ -51,42 +50,41 @@ func FuzzQueryBody(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	srv := newMultiServer(evprop.Options{})
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	kinds := []func() any{
-		func() any { return new(evclient.QueryRequest) },
-		func() any { return new(evclient.MPERequest) },
-		func() any { return new(evclient.BatchRequest) },
-	}
+	logTo(f, srv, "text", io.Discard)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		for _, fresh := range kinds {
-			want := fresh()
-			wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(want)
-			if got := fresh(); (&scratch{b: body}).parse(got) {
-				if wantErr != nil {
-					t.Fatalf("%T: parsed %q, which encoding/json refuses: %v", got, body, wantErr)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%T: %q parses to %+v, encoding/json decodes %+v", got, body, got, want)
-				}
-			}
-			got := fresh()
-			rec := httptest.NewRecorder()
-			ok := srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), got)
-			if ok != (wantErr == nil) {
-				t.Fatalf("%T: readJSON says %v on %q, encoding/json %v", got, ok, body, wantErr)
-			}
-			if ok && !reflect.DeepEqual(got, want) {
-				t.Fatalf("%T: readJSON read %q as %+v, encoding/json %+v", got, body, got, want)
-			}
-			if !ok {
-				var env evclient.ErrorEnvelope
-				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
-					env.Error.Code != "bad_request" || env.Error.Message != "invalid JSON: "+wantErr.Error() {
-					t.Fatalf("%T: %q answered %d %s, want 400 for %v", got, body, rec.Code, rec.Body.Bytes(), wantErr)
-				}
-			}
-		}
+		readLikeDecoder[evclient.QueryRequest](t, srv, body)
+		readLikeDecoder[evclient.MPERequest](t, srv, body)
+		readLikeDecoder[evclient.BatchRequest](t, srv, body)
 	})
+}
+
+// readLikeDecoder is FuzzQueryBody's check of one body as a T.
+func readLikeDecoder[T any](t *testing.T, srv *server, body []byte) {
+	var want T
+	wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+	if got := new(T); (&scratch{b: body}).parse(got) {
+		if wantErr != nil {
+			t.Fatalf("%T: parsed %q, which encoding/json refuses: %v", got, body, wantErr)
+		}
+		if !reflect.DeepEqual(*got, want) {
+			t.Fatalf("%T: %q parses to %+v, encoding/json decodes %+v", got, body, *got, want)
+		}
+	}
+	rec := httptest.NewRecorder()
+	got, ok := readJSON[T](srv, rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)))
+	if ok != (wantErr == nil) {
+		t.Fatalf("%T: readJSON says %v on %q, encoding/json %v", got, ok, body, wantErr)
+	}
+	if ok && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%T: readJSON read %q as %+v, encoding/json %+v", got, body, got, want)
+	}
+	if !ok {
+		var env evclient.ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusBadRequest ||
+			env.Error.Code != "bad_request" || env.Error.Message != "invalid JSON: "+wantErr.Error() {
+			t.Fatalf("%T: %q answered %d %s, want 400 for %v", got, body, rec.Code, rec.Body.Bytes(), wantErr)
+		}
+	}
 }
 
 // FuzzQueryResponse holds the answer appender to json.Encoder.Encode, byte for
@@ -126,7 +124,14 @@ func FuzzQueryResponse(f *testing.F) {
 			var want bytes.Buffer
 			wantErr := json.NewEncoder(&want).Encode(v)
 			sc := &scratch{}
-			if ok := sc.appendAnswer(v); ok != (wantErr == nil) {
+			var ok bool
+			switch r := v.(type) {
+			case evclient.QueryResponse:
+				ok = sc.appendQuery(&r)
+			case evclient.MPEResponse:
+				ok = sc.appendMPE(&r)
+			}
+			if ok != (wantErr == nil) {
 				t.Fatalf("%T: appended %v, encoding/json: %v", v, ok, wantErr)
 			} else if ok && !bytes.Equal(sc.b, want.Bytes()) {
 				t.Fatalf("%#v:\nappended %q\nencoder  %q", v, sc.b, want.Bytes())
@@ -140,7 +145,7 @@ func FuzzQueryResponse(f *testing.F) {
 func TestAppendedFieldsPinned(t *testing.T) {
 	for _, tc := range []struct {
 		v    any
-		tags []string // what appendAnswer writes, in order
+		tags []string // what appendQuery or appendMPE writes, in order
 	}{
 		{evclient.QueryResponse{}, []string{"p_evidence", "posteriors", "model,omitempty", "version,omitempty"}},
 		{evclient.MPEResponse{}, []string{"assignment", "probability", "model,omitempty", "version,omitempty"}},
@@ -151,7 +156,7 @@ func TestAppendedFieldsPinned(t *testing.T) {
 			tags = append(tags, typ.Field(i).Tag.Get("json"))
 		}
 		if !slices.Equal(tags, tc.tags) {
-			t.Errorf("%s has json tags %q, appendAnswer writes %q", typ, tags, tc.tags)
+			t.Errorf("%s has json tags %q, the appender writes %q", typ, tags, tc.tags)
 		}
 	}
 }
@@ -179,11 +184,11 @@ func (e *endless) Read(p []byte) (int, error) {
 // decodes as encoding/json decodes it.
 func TestReadJSONLargeBody(t *testing.T) {
 	srv := newMultiServer(evprop.Options{})
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 
 	garbage := &endless{head: []byte(`{"evidence":`), fill: '!'}
 	rec := httptest.NewRecorder()
-	if srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", garbage), new(evclient.QueryRequest)) || rec.Code != http.StatusBadRequest {
+	if _, ok := readJSON[evclient.QueryRequest](srv, rec, httptest.NewRequest(http.MethodPost, "/", garbage)); ok || rec.Code != http.StatusBadRequest {
 		t.Fatalf("endless garbage answered %d %s", rec.Code, rec.Body.Bytes())
 	}
 	if garbage.read > 2*maxPooledBody {
@@ -195,66 +200,95 @@ func TestReadJSONLargeBody(t *testing.T) {
 		long = append(long, `"Lung",`...)
 	}
 	long = append(long, `"Tub"]}`...)
-	var want, got evclient.QueryRequest
+	var want evclient.QueryRequest
 	if err := json.Unmarshal(long, &want); err != nil {
 		t.Fatal(err)
 	}
 	rec = httptest.NewRecorder()
-	if !srv.readJSON(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(long)), &got) || !reflect.DeepEqual(got, want) {
+	if got, ok := readJSON[evclient.QueryRequest](srv, rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(long))); !ok || !reflect.DeepEqual(got, want) {
 		t.Fatalf("a %d-byte query answered %d %s", len(long), rec.Code, rec.Body.Bytes())
 	}
 }
 
+// pathCase is one row of the query-path measurements: a model, the query
+// bodies sent to it, and whether the server traces.
+type pathCase struct {
+	name                      string
+	nodes, parents            int
+	observed, targets, bodies int
+	traced                    bool
+}
+
+// serveQueryPath serves c's model with what main configures — the access log
+// as text, here to io.Discard, and, when c is traced, the -trace tracer at
+// its default sample rate — and returns the mux and c.bodies query bodies,
+// each as the load generator's client writes it.
+func serveQueryPath(tb testing.TB, c pathCase) (http.Handler, [][]byte) {
+	net := evprop.RandomNetwork(c.nodes, 2, c.parents, 7)
+	srv := newTestServer(tb, net, evprop.Options{Workers: 2, CacheSize: 32})
+	logTo(tb, srv, "text", io.Discard)
+	if c.traced {
+		srv.tracer = newTracer(0.01, "")
+	}
+	rng := rand.New(rand.NewSource(1))
+	vars := net.Variables()
+	bodies := make([][]byte, c.bodies)
+	for i := range bodies {
+		perm := rng.Perm(len(vars))
+		req := evclient.QueryRequest{Evidence: evclient.Evidence{}}
+		for _, v := range perm[:c.observed] {
+			req.Evidence[vars[v]] = rng.Intn(2)
+		}
+		for _, v := range perm[c.observed : c.observed+c.targets] {
+			req.Query = append(req.Query, vars[v])
+		}
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return srv.mux(), bodies
+}
+
+// postQuery posts one query body to h.
+func postQuery(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/query", bytes.NewReader(body)))
+	return rec
+}
+
 // TestQueryPathAllocs pins the allocations of the HTTP query path, without a
 // clock and without a listener: everything a request costs between the
-// server's mux and its answer, less what building the request and its
-// recorder costs. The small40 row is the small-hit workload's request, a
-// cached answer with three posteriors; the mid60 row is mid-dense's, 30 of 60
-// variables observed, every other posterior returned, over never-repeating
-// evidence — a first sight, so a private run. Each body decoded is the one
-// the load generator sends, and each answer is byte for byte json.Encoder's.
-// TestInlinePathAllocsPinned in the root package pins the engine's share. A
-// count moves by one with when the pools were last emptied: each is pinned at
-// its higher reading (through encoding/json both ways the two read 66 and 219).
+// server's mux and its answer, access-log line included, less what building
+// the request and its recorder costs. The small40 rows are the small-hit
+// workload's request, a cached answer with three posteriors; the mid60 rows
+// are mid-dense's, 30 of 60 variables observed, every other posterior
+// returned, over never-repeating evidence — a first sight, so a private run.
+// The traced rows run the tracer evserve runs by default. Each body decoded is
+// the one the load generator sends, and each answer is byte for byte
+// json.Encoder's. TestInlinePathAllocsPinned in the root package pins the
+// engine's share. A count moves by one with when the pools were last emptied,
+// and a traced one with the traces head sampling keeps: each is pinned at its
+// higher reading (with slog writing the access log and the request's values
+// in three context.WithValue, the untraced two read 45 and 114).
 func TestQueryPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
 	}
 	for _, tc := range []struct {
-		name                      string
-		nodes, parents            int
-		observed, targets, bodies int
-		pinned                    float64
+		pathCase
+		pinned float64
 	}{
-		{"small40 hit", 40, 3, 4, 3, 1, 45},
-		{"mid60 30 observed", 60, 4, 30, 0, 256, 114},
+		{pathCase{"small40 hit", 40, 3, 4, 3, 1, false}, 19},
+		{pathCase{"mid60 30 observed", 60, 4, 30, 0, 256, false}, 74},
+		{pathCase{"small40 hit traced", 40, 3, 4, 3, 1, true}, 20},
+		{pathCase{"mid60 30 observed traced", 60, 4, 30, 0, 256, true}, 80},
 	} {
-		net := evprop.RandomNetwork(tc.nodes, 2, tc.parents, 7)
-		srv := newTestServer(t, net, evprop.Options{Workers: 2, CacheSize: 32})
-		srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-		h := srv.mux()
-		rng := rand.New(rand.NewSource(1))
-		vars := net.Variables()
-		bodies := make([][]byte, tc.bodies)
-		for i := range bodies {
-			perm := rng.Perm(len(vars))
-			req := evclient.QueryRequest{Evidence: evclient.Evidence{}} // as the load generator's client writes it
-			for _, v := range perm[:tc.observed] {
-				req.Evidence[vars[v]] = rng.Intn(2)
-			}
-			for _, v := range perm[tc.observed : tc.observed+tc.targets] {
-				req.Query = append(req.Query, vars[v])
-			}
-			var err error
-			if bodies[i], err = json.Marshal(req); err != nil {
-				t.Fatal(err)
-			}
-		}
+		h, bodies := serveQueryPath(t, tc.pathCase)
 		next := 0
 		serve := func(h http.Handler) func() {
 			return func() {
-				rec := httptest.NewRecorder()
-				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/query", bytes.NewReader(bodies[next%len(bodies)])))
+				rec := postQuery(h, bodies[next%len(bodies)])
 				next++
 				if rec.Code != http.StatusOK {
 					t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.Bytes())
@@ -263,8 +297,7 @@ func TestQueryPathAllocs(t *testing.T) {
 		}
 		// Warm the pools and, for the hit, admit the evidence.
 		for i := 0; i < 8; i++ {
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, modelPath+"/query", bytes.NewReader(bodies[i%len(bodies)])))
+			rec := postQuery(h, bodies[i%len(bodies)])
 			var answer evclient.QueryResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil || rec.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.Bytes())
@@ -283,13 +316,41 @@ func TestQueryPathAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkQueryPath is the query path of TestQueryPathAllocs under the
+// clock, traced as evserve traces by default, with its access log written to
+// io.Discard: a hit on small40 (the small-hit workload's request) and misses
+// on it (small-miss's, four of 40 variables observed, evidence that does not
+// repeat within 65 536 requests). make bench-envelope profiles it.
+func BenchmarkQueryPath(b *testing.B) {
+	for _, c := range []pathCase{
+		{"hit", 40, 3, 4, 3, 1, true},
+		{"miss", 40, 3, 4, 3, 1 << 16, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			h, bodies := serveQueryPath(b, c)
+			if c.bodies == 1 {
+				// Admit the evidence: its second sight is pinned.
+				postQuery(h, bodies[0])
+				postQuery(h, bodies[0])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := range b.N {
+				if rec := postQuery(h, bodies[i%len(bodies)]); rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		})
+	}
+}
+
 // TestBatchFanOutBounded: a batch's items run on at most -workers goroutines,
 // however many it has — admission counts a batch as one request — and the
 // answers come back in item order.
 func TestBatchFanOutBounded(t *testing.T) {
 	const workers, items = 2, 3000
 	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: workers})
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	eng := engineOf(t, srv, testModel)
 	vars := evprop.Asia().Variables()
 	req := evclient.BatchRequest{Queries: make([]evclient.QueryRequest, items)}

@@ -84,7 +84,7 @@ func (s *server) writeErrorCode(w http.ResponseWriter, r *http.Request, status i
 		id, traceID, ms = ri.queryID, ri.traceID, ri.ms
 	}
 	ms.errors.Add(1)
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(evclient.ErrorEnvelope{Error: evclient.APIError{Code: code, Message: msg, QueryID: id, TraceID: traceID}})
 }

@@ -47,7 +47,7 @@
 // Every response carries an X-Query-ID header (minted per request, or echoed
 // from the client's own X-Query-ID when it is ≤64 bytes of [A-Za-z0-9._:-];
 // anything else is replaced with a generated ID) that also tags the engine's
-// flight recorder entry and the request's slog access-log record, so one ID
+// flight recorder entry and the request's access-log line, so one ID
 // correlates all three. SIGINT/SIGTERM drain in-flight propagations before
 // the process exits.
 package main
@@ -98,7 +98,7 @@ func main() {
 		return
 	}
 
-	logger, err := newLogger(*logFmt)
+	logger, access, err := newLogger(*logFmt, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evserve:", err)
 		os.Exit(1)
@@ -139,17 +139,11 @@ func main() {
 		}
 	}
 	srv.pprofEnabled = *pprofOn
-	srv.log = logger
+	srv.log, srv.access = logger, access
 	srv.timeout = *timeout
 	srv.maxInflight = int64(*inflight)
 	if *traceOn {
-		srv.tracer = &trace.Tracer{
-			SampleRate: *traceRate,
-			Store:      trace.NewStore(trace.DefaultStoreSize),
-		}
-		if *otlpEndp != "" {
-			srv.tracer.Exporter = trace.NewExporter(*otlpEndp, "evserve")
-		}
+		srv.tracer = newTracer(*traceRate, *otlpEndp)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -186,16 +180,14 @@ func main() {
 	logger.Info("evserve: stopped")
 }
 
-// newLogger builds the process logger in the requested access-log format.
-func newLogger(format string) (*slog.Logger, error) {
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, nil)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, nil)), nil
-	default:
-		return nil, fmt.Errorf("unknown -log format %q (want text or json)", format)
+// newTracer is the -trace tracer: head-sampled at rate, kept traces in the
+// debug store, and pushed to an OTLP collector when endpoint is set.
+func newTracer(rate float64, endpoint string) *trace.Tracer {
+	t := &trace.Tracer{SampleRate: rate, Store: trace.NewStore(trace.DefaultStoreSize)}
+	if endpoint != "" {
+		t.Exporter = trace.NewExporter(endpoint, "evserve")
 	}
+	return t
 }
 
 // serve runs the HTTP server until the listener fails or ctx is canceled

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -462,7 +461,7 @@ func TestNoDefaultModel(t *testing.T) {
 	for name, net := range map[string]*evprop.Network{"wide": poolNetwork(), "rain": mmRainNet(0.3)} {
 		loadModel(t, srv, name, net)
 	}
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	// Three sights of one evidence per model: a private run, the pinned run,

@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"maps"
 	"math"
 	"net"
@@ -73,7 +72,7 @@ func waitForLogLine(t *testing.T, buf *syncBuffer, want ...string) string {
 func TestQueryIDCorrelation(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
 	var buf syncBuffer
-	srv.log = slog.New(slog.NewTextHandler(&buf, nil))
+	logTo(t, srv, "text", &buf)
 
 	resp := post(t, ts.URL+modelPath+"/query", evclient.QueryRequest{
 		Evidence: evprop.Evidence{"XRay": 1},
@@ -271,7 +270,7 @@ func TestSlowTraceKeptWithoutDefaultModel(t *testing.T) {
 	t.Cleanup(srv.close)
 	loadModel(t, srv, "asia", evprop.Asia())
 	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	resp := post(t, ts.URL+"/v1/models/asia/query", evclient.QueryRequest{Evidence: evprop.Evidence{"XRay": 1}})
@@ -431,7 +430,7 @@ func TestViewsAgree(t *testing.T) {
 func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp evprop.Evidence, target string) {
 	srv := newTestServer(t, net, evprop.Options{Workers: 2, CacheSize: 16})
 	var logBuf syncBuffer
-	srv.log = slog.New(slog.NewJSONHandler(&logBuf, nil))
+	logTo(t, srv, "json", &logBuf)
 	srv.tracer = &trace.Tracer{SampleRate: 0, Store: trace.NewStore(64)}
 	store := audit.NewMemStore()
 	var err error
@@ -793,7 +792,7 @@ func viewsAgree(t *testing.T, net *evprop.Network, executor string, xray, dysp e
 // requests drain.
 func TestServeGracefulShutdown(t *testing.T) {
 	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"runtime"
 	"strconv"
 	"sync"
@@ -35,8 +36,10 @@ type server struct {
 	// requests that resolved no model.
 	perModel sync.Map // map[string]*modelStats
 	noModel  *modelStats
-	// log receives one access-log record per request (see instrument).
-	log *slog.Logger
+	// log is the process log; access receives the one access-log line per
+	// request (see instrument), in the same format.
+	log    *slog.Logger
+	access *accessLog
 	// timeout, when non-zero, bounds every request with a deadline that the
 	// engine observes mid-propagation.
 	timeout time.Duration
@@ -84,6 +87,7 @@ func newMultiServer(opts evprop.Options) *server {
 		reg:     registry.New(opts),
 		noModel: &modelStats{name: noModelName, window: obs.NewWindow()},
 		log:     slog.Default(),
+		access:  &accessLog{w: os.Stderr},
 		cacheOn: opts.CacheSize > 0,
 		workers: opts.Workers,
 		started: time.Now(),
@@ -209,9 +213,10 @@ type outcome struct {
 	cached  bool
 	elapsed time.Duration
 	err     error
-	// runs are the engine's records of the propagations behind the answer,
-	// the same entries its flight recorder holds.
-	runs []evprop.FlightRecord
+	// runs summarize the engine's records of the propagations behind the
+	// answer, the first nruns of them: the entries its flight recorder holds.
+	runs  [3]evprop.RunSummary
+	nruns int
 }
 
 // answer resolves one query or MPE on its pinned version and folds the
@@ -245,24 +250,35 @@ func (s *server) propagate(ctx context.Context, o *outcome) {
 		return
 	}
 	defer res.Close()
-	csp := trace.FromContext(ctx).StartChild("collect")
 	if o.kind == audit.KindMPE {
+		// The companion run's spans nest under collect: its span rides ctx.
+		csp := trace.FromContext(ctx).StartChild("collect")
 		o.assignment, o.probability, o.err = res.MPEContext(trace.ContextWith(ctx, csp))
+		endSpan(csp, o.err)
 	} else {
-		o.pe, o.posteriors = res.ProbabilityOfEvidence(), map[string][]float64{}
+		csp := trace.FromContext(ctx).Child("collect")
+		// The answer only reads the posteriors, and so does the audit log.
+		o.pe = res.ProbabilityOfEvidence()
 		if o.pe > 0 {
-			o.posteriors, o.err = res.Posteriors(o.targets...)
+			o.posteriors, o.err = res.SharedPosteriors(o.targets...)
+		} else {
+			o.posteriors = map[string][]float64{}
 		}
+		endSpan(&csp, o.err)
 	}
-	if o.err != nil {
-		csp.Fail(o.err.Error())
-	}
-	csp.End()
-	o.runs = res.Records()
+	o.nruns = res.Runs(o.runs[:])
 	o.cached = true
-	for i := range o.runs {
-		o.cached = o.cached && o.runs[i].Cached
+	for _, run := range o.runs[:o.nruns] {
+		o.cached = o.cached && run.Cached
 	}
+}
+
+// endSpan ends sp, failed with err's message when there is one.
+func endSpan(sp *trace.Span, err error) {
+	if err != nil {
+		sp.Fail(err.Error())
+	}
+	sp.End()
 }
 
 // finish folds one outcome into the views: the request's totals (which
@@ -276,7 +292,6 @@ func (s *server) finish(ctx context.Context, o *outcome) {
 	ri.fold(o, s.cacheOn)
 	if o.err == nil {
 		ri.ms.latency.Observe(o.elapsed)
-		ri.answered.Store(int64(o.elapsed))
 	}
 	if s.aud != nil {
 		s.aud.Enqueue(o.auditRecord(ri.queryID, ri.ms.name))
@@ -289,8 +304,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req evclient.QueryRequest
-	if !s.readJSON(w, r, &req) {
+	req, ok := readJSON[evclient.QueryRequest](s, w, r)
+	if !ok {
 		return
 	}
 	if !s.admit(w, r) {
@@ -304,7 +319,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, o.err)
 		return
 	}
-	s.writeJSON(w, evclient.QueryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: r.PathValue("name"), Version: v.ID})
+	s.writeQuery(w, evclient.QueryResponse{PEvidence: o.pe, Posteriors: o.posteriors, Model: r.PathValue("name"), Version: v.ID})
 }
 
 // admit applies -max-inflight admission control to the propagating
@@ -330,8 +345,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req evclient.BatchRequest
-	if !s.readJSON(w, r, &req) {
+	req, ok := readJSON[evclient.BatchRequest](s, w, r)
+	if !ok {
 		return
 	}
 	if !s.admit(w, r) {
@@ -378,8 +393,8 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req evclient.MPERequest
-	if !s.readJSON(w, r, &req) {
+	req, ok := readJSON[evclient.MPERequest](s, w, r)
+	if !ok {
 		return
 	}
 	if !s.admit(w, r) {
@@ -393,7 +408,7 @@ func (s *server) handleMPE(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, o.err)
 		return
 	}
-	s.writeJSON(w, evclient.MPEResponse{Assignment: o.assignment, Probability: o.probability, Model: r.PathValue("name"), Version: v.ID})
+	s.writeMPE(w, evclient.MPEResponse{Assignment: o.assignment, Probability: o.probability, Model: r.PathValue("name"), Version: v.ID})
 }
 
 func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
@@ -402,8 +417,8 @@ func (s *server) handleDSep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req evclient.DSepRequest
-	if !s.readJSON(w, r, &req) {
+	req, ok := readJSON[evclient.DSepRequest](s, w, r)
+	if !ok {
 		return
 	}
 	sep, err := v.Net.DSeparated(req.X, req.Y, req.Z)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -49,7 +48,7 @@ const (
 
 // newTestServer builds a server serving net as testModel, closed when the
 // test ends.
-func newTestServer(t *testing.T, net *evprop.Network, opts evprop.Options) *server {
+func newTestServer(t testing.TB, net *evprop.Network, opts evprop.Options) *server {
 	t.Helper()
 	srv := newMultiServer(opts)
 	t.Cleanup(srv.close)
@@ -57,8 +56,18 @@ func newTestServer(t *testing.T, net *evprop.Network, opts evprop.Options) *serv
 	return srv
 }
 
+// logTo points srv's process log and access log at w, in format text or
+// json.
+func logTo(t testing.TB, srv *server, format string, w io.Writer) {
+	t.Helper()
+	var err error
+	if srv.log, srv.access, err = newLogger(format, w); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // loadModel compiles net into srv's registry under name and waits for it.
-func loadModel(t *testing.T, srv *server, name string, net *evprop.Network) {
+func loadModel(t testing.TB, srv *server, name string, net *evprop.Network) {
 	t.Helper()
 	if err := srv.reg.LoadSync(name, registry.LiteralSource(net, name)); err != nil {
 		t.Fatal(err)
@@ -70,7 +79,7 @@ func testServerNet(t *testing.T, net *evprop.Network, opts evprop.Options) (*htt
 	t.Helper()
 	srv := newTestServer(t, net, opts)
 	srv.tracer = &trace.Tracer{SampleRate: 1, Store: trace.NewStore(64)}
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	return ts, srv

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net"
 	"net/http"
 	"strings"
@@ -138,7 +137,7 @@ func TestStreamClosesOnDrain(t *testing.T) {
 // hook, unblock the live stream handler, and let serve return promptly.
 func TestServeShutdownClosesStream(t *testing.T) {
 	srv := newTestServer(t, evprop.Asia(), evprop.Options{Workers: 2})
-	srv.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	logTo(t, srv, "text", io.Discard)
 	srv.sampler.Start()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"regexp"
 	"testing"
@@ -235,7 +234,7 @@ func TestExemplarsNameKeptTraces(t *testing.T) {
 	ts, srv := testServerFull(t, evprop.Options{Workers: 2})
 	srv.tracer.SampleRate = 0
 	var logBuf syncBuffer
-	srv.log = slog.New(slog.NewTextHandler(&logBuf, nil))
+	logTo(t, srv, "text", &logBuf)
 	exemplar := regexp.MustCompile(`evprop_request_duration_seconds_bucket\{[^}]*model="test"\} \d+ # \{trace_id="([0-9a-f]{32})"\}`)
 	// query posts one query and returns its trace ID once the access-log line
 	// is written: instrument has then finished with the request.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -80,7 +81,9 @@ func compileColumn(t *testing.T, net *Network, opts Options) (*Engine, string) {
 
 // allPosteriors propagates once and returns every non-evidence posterior
 // along with whether the query was served from the cache. A propagation
-// that ran must have run on the named executor.
+// that ran must have run on the named executor. The result's shared reads
+// must be its copying ones: SharedPosteriors the posteriors bit for bit, and
+// Runs the run fields of Records.
 func allPosteriors(t *testing.T, eng *Engine, executor string, ev Evidence, what string) (map[string][]float64, bool) {
 	t.Helper()
 	res, err := eng.Propagate(ev)
@@ -94,6 +97,17 @@ func allPosteriors(t *testing.T, eng *Engine, executor string, ev Evidence, what
 	post, err := res.Posteriors()
 	if err != nil {
 		t.Fatalf("%s: posteriors: %v", what, err)
+	}
+	if shared, err := res.SharedPosteriors(); err != nil || !reflect.DeepEqual(shared, post) {
+		t.Fatalf("%s: SharedPosteriors %v (%v), Posteriors %v", what, shared, err, post)
+	}
+	var runs []RunSummary
+	for _, rec := range res.Records() {
+		runs = append(runs, RunSummary{rec.Cached, rec.Executor, rec.Entries, rec.GraphEntries, rec.LoadBalance, rec.SchedOverheadFrac})
+	}
+	var got [4]RunSummary
+	if n := res.Runs(got[:]); !reflect.DeepEqual(got[:n], runs) {
+		t.Fatalf("%s: Runs %+v, Records say %+v", what, got[:n], runs)
 	}
 	return post, res.Cached()
 }

@@ -768,15 +768,19 @@ func RandomNetwork(nodes, states, maxParents int, seed int64) *Network {
 
 // names resolves variable names to internal ids.
 func (n *Network) names(vars []string) ([]int, error) {
-	out := make([]int, len(vars))
-	for i, name := range vars {
+	return n.appendIDs(make([]int, 0, len(vars)), vars)
+}
+
+// appendIDs appends the internal ids of vars to dst.
+func (n *Network) appendIDs(dst []int, vars []string) ([]int, error) {
+	for _, name := range vars {
 		id := n.inner.ID(name)
 		if id < 0 {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownVariable, name)
 		}
-		out[i] = id
+		dst = append(dst, id)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // SampleN draws complete assignments by ancestral (forward) sampling,

@@ -11,7 +11,7 @@ import (
 const lruShards = 16
 
 // LRU is a sharded least-recently-used cache of opaque values keyed by
-// signature strings. Get and Add take one shard mutex each, so concurrent
+// signature strings. Lookup and Add take one shard mutex each, so concurrent
 // queries with different signatures rarely contend; hit and miss counters
 // are atomics shared across shards.
 //
@@ -56,7 +56,7 @@ func NewLRU(capacity int) *LRU {
 }
 
 // fnv32a hashes the key onto a shard.
-func fnv32a(s string) uint32 {
+func fnv32a[K string | []byte](s K) uint32 {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -73,29 +73,31 @@ func (c *LRU) shardFor(key string) *lruShard {
 	return &c.shards[fnv32a(key)%lruShards]
 }
 
-// Get returns the cached value for key, bumping it to most-recently-used,
-// and counts the lookup as a hit or a miss.
-func (c *LRU) Get(key string) (any, bool) {
-	s := c.shardFor(key)
+// Lookup returns the cached value for key, bumping it to most-recently-used,
+// and counts the lookup as a hit or a miss. It takes the key as bytes and
+// returns it as the cache holds it, so a hit allocates nothing and a caller
+// that needs the key as a string converts its bytes only on a miss.
+func (c *LRU) Lookup(key []byte) (val any, stored string, ok bool) {
+	s := &c.shards[fnv32a(key)%lruShards]
 	s.mu.Lock()
-	el, ok := s.items[key]
-	var val any
+	el, ok := s.items[string(key)]
 	if ok {
 		s.ll.MoveToFront(el)
-		val = el.Value.(*lruEntry).val // Add's refresh writes it under the lock
+		e := el.Value.(*lruEntry)
+		val, stored = e.val, e.key // Add's refresh writes val under the lock
 	}
 	s.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return nil, "", false
 	}
 	c.hits.Add(1)
-	return val, true
+	return val, stored, true
 }
 
 // Peek returns the cached value for key without counting the lookup or
-// touching its recency: the second look of a caller whose Get already counted
-// a miss.
+// touching its recency: the second look of a caller whose Lookup already
+// counted a miss.
 func (c *LRU) Peek(key string) (any, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()

@@ -6,23 +6,29 @@ import (
 	"testing"
 )
 
+// get looks key up as the engine does, from its bytes.
+func get(c *LRU, key string) (any, bool) {
+	v, _, ok := c.Lookup([]byte(key))
+	return v, ok
+}
+
 func TestLRUGetAddEvict(t *testing.T) {
 	c := NewLRU(lruShards) // one entry per shard
 	gen := c.Generation()
 	c.Add("a", 1, 1, gen)
-	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
-		t.Fatalf("Get(a) = %v, %v", v, ok)
+	if v, stored, ok := c.Lookup([]byte("a")); !ok || v.(int) != 1 || stored != "a" {
+		t.Fatalf("Lookup(a) = %v, %q, %v", v, stored, ok)
 	}
 	if c.Hits() != 1 || c.Misses() != 0 {
 		t.Fatalf("hits/misses = %d/%d, want 1/0", c.Hits(), c.Misses())
 	}
-	if _, ok := c.Get("nope"); ok {
-		t.Fatal("Get(nope) hit")
+	if _, ok := get(c, "nope"); ok {
+		t.Fatal("Lookup(nope) hit")
 	}
 	if c.Misses() != 1 {
 		t.Fatalf("misses = %d, want 1", c.Misses())
 	}
-	// Peek answers like Get and counts nothing.
+	// Peek answers like Lookup and counts nothing.
 	if v, ok := c.Peek("a"); !ok || v.(int) != 1 {
 		t.Fatalf("Peek(a) = %v, %v", v, ok)
 	}
@@ -31,7 +37,7 @@ func TestLRUGetAddEvict(t *testing.T) {
 	}
 	// Refresh keeps a single entry, at its new size.
 	c.Add("a", 2, 40, gen)
-	if v, _ := c.Get("a"); v.(int) != 2 {
+	if v, _ := get(c, "a"); v.(int) != 2 {
 		t.Fatal("Add did not refresh the value")
 	}
 	if n, size := c.Fill(); n != 1 || size != 40 || c.Len() != 1 {
@@ -53,19 +59,19 @@ func TestLRUEvictsOldestPerShard(t *testing.T) {
 	gen := c.Generation()
 	c.Add(keys[0], 0, 100, gen)
 	c.Add(keys[1], 1, 7, gen)
-	if _, ok := c.Get(keys[0]); ok {
+	if _, ok := get(c, keys[0]); ok {
 		t.Fatal("oldest entry not evicted")
 	}
 	if _, size := c.Fill(); size != 7 {
 		t.Fatalf("size %d after evicting the entry of size 100, want 7", size)
 	}
-	if v, ok := c.Get(keys[1]); !ok || v.(int) != 1 {
+	if v, ok := get(c, keys[1]); !ok || v.(int) != 1 {
 		t.Fatal("newest entry evicted")
 	}
 	// Recency matters: touch keys[1], add keys[2]; keys[1] survives only if
 	// capacity allows one — here per-shard cap is 1 so keys[2] wins.
 	c.Add(keys[2], 2, 1, gen)
-	if _, ok := c.Get(keys[1]); ok {
+	if _, ok := get(c, keys[1]); ok {
 		t.Fatal("LRU kept more than its per-shard capacity")
 	}
 }
@@ -80,7 +86,7 @@ func TestLRUPurgeDropsStaleInFlightAdd(t *testing.T) {
 	}
 	// An Add computed before the purge must be dropped…
 	c.Add("stale", 2, 1, gen)
-	if _, ok := c.Get("stale"); ok {
+	if _, ok := get(c, "stale"); ok {
 		t.Fatal("pre-purge Add resurrected a stale entry")
 	}
 	if _, size := c.Fill(); size != 0 {
@@ -88,7 +94,7 @@ func TestLRUPurgeDropsStaleInFlightAdd(t *testing.T) {
 	}
 	// …while a fresh-generation Add lands.
 	c.Add("fresh", 3, 1, c.Generation())
-	if _, ok := c.Get("fresh"); !ok {
+	if _, ok := get(c, "fresh"); !ok {
 		t.Fatal("post-purge Add did not land")
 	}
 }
@@ -102,7 +108,7 @@ func TestLRUConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("k%d", (g*31+i)%200)
-				if v, ok := c.Get(k); ok {
+				if v, ok := get(c, k); ok {
 					_ = v.(int)
 				} else {
 					c.Add(k, i, 1, c.Generation())
@@ -142,8 +148,8 @@ func TestLRUCapIsEffective(t *testing.T) {
 }
 
 // TestLRUGetDuringRefresh: Add on a live key rewrites the entry's value under
-// the shard lock, so Get must read it there too — -race flags a Get that reads
-// the interface after unlocking.
+// the shard lock, so Lookup must read it there too — -race flags a Lookup that
+// reads the interface after unlocking.
 func TestLRUGetDuringRefresh(t *testing.T) {
 	c := NewLRU(lruShards)
 	gen := c.Generation()
@@ -156,7 +162,7 @@ func TestLRUGetDuringRefresh(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 2000; i++ {
-		if v, ok := c.Get("k"); !ok || v.(int) < 0 {
+		if v, ok := get(c, "k"); !ok || v.(int) < 0 {
 			t.Fatalf("Get(k) = %v, %v", v, ok)
 		}
 	}

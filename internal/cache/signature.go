@@ -12,7 +12,7 @@ package cache
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 
 	"evprop/internal/potential"
 )
@@ -33,14 +33,21 @@ import (
 // distinct NaN payloads or signed zeros key distinct entries — a spurious
 // miss at worst, never a wrong hit.
 func Signature(mode byte, ev potential.Evidence, like potential.Likelihood) string {
-	buf := make([]byte, 0, 1+10*len(ev)+16*len(like)+16)
+	var buf [128]byte // the encoding stays on the stack unless it is long
+	return string(AppendSignature(buf[:0], mode, ev, like))
+}
+
+// AppendSignature appends the Signature of its inputs to buf, for a caller
+// that looks it up without making it a string (LRU.Lookup).
+func AppendSignature(buf []byte, mode byte, ev potential.Evidence, like potential.Likelihood) []byte {
+	var idsArr [32]int // the ids sorted stay on the stack unless they are many
 	buf = append(buf, mode)
 	buf = binary.AppendUvarint(buf, uint64(len(ev)))
-	ids := make([]int, 0, len(ev))
+	ids := idsArr[:0]
 	for id := range ev {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		buf = binary.AppendUvarint(buf, uint64(ev[id]))
@@ -50,7 +57,7 @@ func Signature(mode byte, ev potential.Evidence, like potential.Likelihood) stri
 	for id := range like {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		w := like[id]
 		buf = binary.AppendUvarint(buf, uint64(id))
@@ -59,5 +66,5 @@ func Signature(mode byte, ev potential.Evidence, like potential.Likelihood) stri
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
 	}
-	return string(buf)
+	return buf
 }

@@ -83,13 +83,15 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	}
 	start := time.Now()
 	sp := otrace.FromContext(ctx)
-	sig := cache.Signature(byte(mode), ev, like)
-	lsp := sp.StartChild("cache.lookup")
-	if v, ok := e.cache.Get(sig); ok {
+	var sigBuf [128]byte // a hit reads the signature the cache holds
+	key := cache.AppendSignature(sigBuf[:0], byte(mode), ev, like)
+	lsp := sp.Child("cache.lookup")
+	if v, sig, ok := e.cache.Lookup(key); ok {
 		lsp.SetAttr(otrace.Bool("cache.hit", true))
 		lsp.End()
 		return v.(*Result), e.recordCached(ctx, mode, sig, ev, start), nil
 	}
+	sig := string(key)
 	first := !e.door.Seen(sig)
 	lsp.SetAttr(otrace.Bool("cache.hit", false), otrace.Bool("cache.first_sight", first))
 	lsp.End()
@@ -106,7 +108,7 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	// InvalidateCache land while the run is in flight, the Add below is
 	// dropped and the (potentially stale) result is never cached.
 	gen := e.cache.Generation()
-	fsp := sp.StartChild("singleflight")
+	fsp := sp.Child("singleflight")
 	v, err, shared := e.flight.Do(ctx, sig, func(runCtx context.Context) (any, error) {
 		// The lookup above and joining the flight are two steps: the previous
 		// leader for sig may have published its result and left in between.

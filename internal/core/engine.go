@@ -371,7 +371,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		sp = otrace.FromContext(ctx)
 	}
 	var st runState
-	asp := sp.StartChild("absorb", otrace.Int("evidence.vars", int64(len(ev))))
+	asp := sp.Child("absorb", otrace.Int("evidence.vars", int64(len(ev))))
 	if e.lazyProp != nil {
 		lst, err := e.lazyProp.NewState(mode, ev, like)
 		if err != nil {
@@ -649,12 +649,23 @@ func (r *Result) Release() {
 // propagation result, over v's states, in a slice the caller owns. A pinned
 // (cache-shared) result computes each posterior once and returns copies of it.
 func (r *Result) Marginal(v int) ([]float64, error) {
+	m, err := r.SharedMarginal(v)
+	if err == nil && r.pinned {
+		m = slices.Clone(m)
+	}
+	return m, err
+}
+
+// SharedMarginal is Marginal without the copy: on a pinned result the slice
+// is the memoized posterior every reader of the result shares, which nobody
+// may modify. It is never recycled, so it outlives Release.
+func (r *Result) SharedMarginal(v int) ([]float64, error) {
 	if r.state == nil {
 		return nil, ErrReleased
 	}
 	if r.pinned {
 		if m, ok := r.marginals.Load(v); ok {
-			return slices.Clone(m.([]float64)), nil
+			return m.([]float64), nil
 		}
 	}
 	if err := r.reach(r.state.Graph().Tree.CliqueOf(v)); err != nil {
@@ -664,10 +675,10 @@ func (r *Result) Marginal(v int) ([]float64, error) {
 	if err != nil || !r.pinned {
 		return m, err
 	}
-	// Concurrent first readers each computed one; all of them copy the one
+	// Concurrent first readers each computed one; all of them read the one
 	// that was stored first.
 	won, _ := r.marginals.LoadOrStore(v, m)
-	return slices.Clone(won.([]float64)), nil
+	return won.([]float64), nil
 }
 
 // JointMarginal returns the normalized posterior over a set of variables,

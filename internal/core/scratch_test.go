@@ -110,7 +110,7 @@ func TestCachedResultRetainsTablesOnly(t *testing.T) {
 	var live int64
 	sizes := map[int64]bool{}
 	for sig, b := range retained {
-		if _, ok := e.cache.Get(sig); ok {
+		if _, _, ok := e.cache.Lookup([]byte(sig)); ok {
 			live += b
 			sizes[b] = true
 		}

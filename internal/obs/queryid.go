@@ -14,12 +14,15 @@ import (
 // no ID is assigned a fresh one by the engine so engine-level callers (tests,
 // benchmarks, library users) correlate too.
 
-// queryIDKey is the context key for query IDs.
-type queryIDKey struct{}
+// QueryIDKey is the context key query IDs travel under, as a string or a
+// *string. WithQueryID stores one; a context of its own that answers
+// Value(QueryIDKey{}) carries one without a context.WithValue, and with a
+// *string without boxing the ID.
+type QueryIDKey struct{}
 
 // WithQueryID returns a context carrying the query ID.
 func WithQueryID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, queryIDKey{}, id)
+	return context.WithValue(ctx, QueryIDKey{}, id)
 }
 
 // QueryIDFrom extracts the query ID from the context, or "" when none is set.
@@ -27,8 +30,13 @@ func QueryIDFrom(ctx context.Context) string {
 	if ctx == nil {
 		return ""
 	}
-	id, _ := ctx.Value(queryIDKey{}).(string)
-	return id
+	switch id := ctx.Value(QueryIDKey{}).(type) {
+	case string:
+		return id
+	case *string:
+		return *id
+	}
+	return ""
 }
 
 // idPrefix distinguishes processes: two server restarts writing to the same
@@ -48,5 +56,13 @@ var idCounter atomic.Uint64
 // cheap enough for the propagation hot path: one atomic add and one integer
 // format.
 func NewQueryID() string {
-	return idPrefix + "-" + strconv.FormatUint(idCounter.Add(1), 10)
+	var b [32]byte
+	return string(AppendQueryID(b[:0]))
+}
+
+// AppendQueryID appends a NewQueryID to b, for a caller that keeps it in a
+// string of its own.
+func AppendQueryID(b []byte) []byte {
+	b = append(append(b, idPrefix...), '-')
+	return strconv.AppendUint(b, idCounter.Add(1), 10)
 }

@@ -39,10 +39,18 @@ func (id TraceID) IsValid() bool { return id != TraceID{} }
 func (id SpanID) IsValid() bool { return id != SpanID{} }
 
 // String returns the 32-char lowercase hex form.
-func (id TraceID) String() string { return hex.EncodeToString(id[:]) }
+func (id TraceID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // String returns the 16-char lowercase hex form.
-func (id SpanID) String() string { return hex.EncodeToString(id[:]) }
+func (id SpanID) String() string {
+	var b [2 * len(id)]byte
+	hex.Encode(b[:], id[:])
+	return string(b[:])
+}
 
 // FlagSampled is the traceparent trace-flags bit meaning "the caller has
 // decided to sample this trace"; tail sampling always keeps flagged traces.
@@ -276,11 +284,11 @@ func spanID(tid TraceID, slot int32) SpanID {
 	return mixSpanID(binary.LittleEndian.Uint64(tid[:8])^binary.LittleEndian.Uint64(tid[8:]), slot)
 }
 
-// startChild reserves a slot and opens a span under parent. Returns nil
-// when the arena is sealed (the request already finished — the detached
-// case), being recycled or recycled under the caller (stale generation), or
-// full.
-func (parent *Span) startChild(name string, attrs []Attr) *Span {
+// startChild reserves a slot and opens a span under parent. Returns the zero
+// Span, which is inert, when the arena is sealed (the request already
+// finished — the detached case), being recycled or recycled under the caller
+// (stale generation), or full.
+func (parent *Span) startChild(name string, attrs []Attr) Span {
 	t := parent.tr
 	// Take a reference before the phase/generation checks: a reference
 	// held by anyone forbids recycling, so passing the checks guarantees
@@ -288,14 +296,14 @@ func (parent *Span) startChild(name string, attrs []Attr) *Span {
 	t.refs.Add(1)
 	if t.phase.Load() != arenaOpen || parent.gen != t.gen.Load() {
 		t.release()
-		return nil
+		return Span{}
 	}
 	slot := t.n.Add(1) - 1
 	if slot >= maxSpans {
 		t.n.Add(-1)
 		t.dropped.Add(1)
 		t.release()
-		return nil
+		return Span{}
 	}
 	s := &t.spans[slot]
 	id := mixSpanID(binary.LittleEndian.Uint64(parent.id[:]), slot)
@@ -305,16 +313,16 @@ func (parent *Span) startChild(name string, attrs []Attr) *Span {
 	s.start = time.Now()
 	s.nattrs = copy(s.attrs[:], attrs)
 	s.attrDrop = len(attrs) > maxAttrs
-	return &Span{
+	return Span{
 		tr: t, slot: slot, gen: parent.gen, id: id,
 		tid: parent.tid, flags: parent.flags, state: parent.state,
 	}
 }
 
 // root opens the trace's root span (parent = the caller's remote span ID,
-// zero when this process starts the trace). Called by StartRequest only,
-// under the base reference.
-func (t *Trace) root(remoteParent SpanID, name string) *Span {
+// zero when this process starts the trace) in the handle sp. Called by Start
+// only, under the base reference.
+func (t *Trace) root(remoteParent SpanID, name string, sp *Span) {
 	t.refs.Add(1)
 	s := &t.spans[0]
 	t.n.Store(1)
@@ -323,7 +331,7 @@ func (t *Trace) root(remoteParent SpanID, name string) *Span {
 	s.parent = remoteParent
 	s.name = name
 	s.start = time.Now()
-	return &Span{
+	*sp = Span{
 		tr: t, slot: 0, gen: t.gen.Load(), id: id,
 		tid: t.id, flags: t.flags, state: t.state,
 	}
@@ -336,6 +344,21 @@ func (s *Span) StartChild(name string, attrs ...Attr) *Span {
 	if s == nil || s.tr == nil {
 		return nil
 	}
+	c := s.startChild(name, attrs)
+	if c.tr == nil {
+		return nil
+	}
+	return &c
+}
+
+// Child is StartChild for a span its caller holds by value instead of
+// handing it down a context (ContextWith takes the *Span StartChild returns):
+// the handle costs no allocation. Where StartChild returns nil, Child returns
+// the zero Span, which is as inert.
+func (s *Span) Child(name string, attrs ...Attr) Span {
+	if s == nil || s.tr == nil {
+		return Span{}
+	}
 	return s.startChild(name, attrs)
 }
 
@@ -347,7 +370,7 @@ func (s *Span) ChildInterval(name string, start time.Time, d time.Duration, attr
 		return
 	}
 	c := s.startChild(name, attrs)
-	if c == nil {
+	if c.tr == nil {
 		return
 	}
 	sl := &c.tr.spans[c.slot]
@@ -476,8 +499,10 @@ func NewTraceID() TraceID {
 	return id
 }
 
-// ctxKey carries the current *Span through a context.
-type ctxKey struct{}
+// SpanKey is the context key the current *Span travels under. ContextWith
+// stores one; a context of its own that answers Value(SpanKey{}) with a
+// *Span carries one without a context.WithValue.
+type SpanKey struct{}
 
 // ContextWith returns ctx carrying the span; instrumented layers below
 // retrieve it with FromContext. A nil span stores nothing.
@@ -485,12 +510,12 @@ func ContextWith(ctx context.Context, s *Span) context.Context {
 	if s == nil {
 		return ctx
 	}
-	return context.WithValue(ctx, ctxKey{}, s)
+	return context.WithValue(ctx, SpanKey{}, s)
 }
 
 // FromContext returns the span carried by ctx, nil when untraced. This is
 // the single per-stage cost instrumentation pays when tracing is off.
 func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(ctxKey{}).(*Span)
+	s, _ := ctx.Value(SpanKey{}).(*Span)
 	return s
 }

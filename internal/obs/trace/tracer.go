@@ -78,6 +78,14 @@ func (t *Tracer) StartRequest(name string, parent SpanContext) (*Trace, *Span) {
 	if t == nil {
 		return nil, nil
 	}
+	root := new(Span)
+	return t.Start(name, parent, root), root
+}
+
+// Start is StartRequest opening the root span in a handle the caller owns,
+// so that a server keeping it in its per-request record allocates none. The
+// handle must not be reused for another request.
+func (t *Tracer) Start(name string, parent SpanContext, root *Span) *Trace {
 	t.started.Add(1)
 	tr := arenaPool.Get().(*Trace)
 	// The base reference: held by the request from here until Finish
@@ -96,7 +104,8 @@ func (t *Tracer) StartRequest(name string, parent SpanContext) (*Trace, *Span) {
 			tr.head = true
 		}
 	}
-	return tr, tr.root(remote, name)
+	tr.root(remote, name, root)
+	return tr
 }
 
 // Finish seals the trace, applies tail sampling and either retains it

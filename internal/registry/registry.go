@@ -73,6 +73,9 @@ type Version struct {
 	// else is torn down: the workers are the process's, not the engine's.
 	refs    atomic.Int64
 	retired sync.Once
+	// done is release as a func value, bound once at publish so that
+	// Acquire hands it out without allocating a closure per query.
+	done func()
 }
 
 // release drops one reference; the zero crossing retires the version.
@@ -215,7 +218,7 @@ func (r *Registry) Acquire(name string) (*Version, func(), error) {
 		}
 		v.refs.Add(1)
 		if m.cur.Load() == v {
-			return v, v.release, nil
+			return v, v.done, nil
 		}
 		// A swap won the race between the load and the increment; this
 		// version may already be retiring. Drop the speculative ref and
@@ -366,6 +369,7 @@ func (r *Registry) compile(m *Model, src Source) error {
 				CompileTime: time.Since(start),
 			}
 			v.refs.Store(1) // the publisher's reference
+			v.done = v.release
 			m.mu.Lock()
 			m.nextID++
 			v.ID = m.nextID

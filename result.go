@@ -30,7 +30,7 @@ import (
 // propagation on first call and caches it.
 type QueryResult struct {
 	eng *Engine
-	ev  Evidence
+	// iev is the hard evidence by variable id, which Evidence names back.
 	iev potential.Evidence
 	// rec is the engine's record of the sum-product propagation behind this
 	// result — immutable, and shared with the flight recorder's ring.
@@ -101,9 +101,11 @@ func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvi
 			return nil, err
 		}
 	}
+	// The engine keeps no target list, so a short one stays on the stack.
 	var ids []int
+	var idBuf [16]int
 	if targets != nil {
-		if ids, err = e.net.names(targets); err != nil {
+		if ids, err = e.net.appendIDs(idBuf[:0], targets); err != nil {
 			return nil, err
 		}
 	}
@@ -112,11 +114,7 @@ func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvi
 	if err != nil {
 		return nil, err
 	}
-	evCopy := make(Evidence, len(ev))
-	for k, v := range ev {
-		evCopy[k] = v
-	}
-	return &QueryResult{eng: e, ev: evCopy, iev: iev, rec: rec, res: res}, nil
+	return &QueryResult{eng: e, iev: iev, rec: rec, res: res}, nil
 }
 
 // syncModelVersion purges the result cache when the source network has been
@@ -207,16 +205,52 @@ func (r *QueryResult) Metrics() *RunMetrics {
 // (RecentQueries), and exist whether or not a recorder is attached. It
 // stays available after Close.
 func (r *QueryResult) Records() []FlightRecord {
-	r.mu.Lock()
-	recs := [...]*obs.QueryRecord{r.rec, r.res.Completion(), r.maxRec}
-	r.mu.Unlock()
-	var out []FlightRecord // one record, one allocation: evserve asks per request
-	for _, rec := range recs {
+	var out []FlightRecord
+	for _, rec := range r.records() {
 		if rec != nil {
 			out = append(out, publicRecord(rec))
 		}
 	}
 	return out
+}
+
+// records are the engine's records behind the result, nil where none is.
+func (r *QueryResult) records() [3]*obs.QueryRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return [...]*obs.QueryRecord{r.rec, r.res.Completion(), r.maxRec}
+}
+
+// RunSummary is what one of a result's records says about the run behind
+// it: the fields of its FlightRecord that a server sums per request.
+type RunSummary struct {
+	// Cached, Executor, Entries, GraphEntries, LoadBalance and
+	// SchedOverheadFrac are the FlightRecord fields of the same names.
+	Cached                         bool
+	Executor                       string
+	Entries, GraphEntries          int64
+	LoadBalance, SchedOverheadFrac float64
+}
+
+// Runs copies into dst the summary of each record Records returns, in the
+// same order, and returns how many it copied: at most len(dst), and a result
+// has at most three records. It builds no FlightRecord, so it costs no
+// allocation.
+func (r *QueryResult) Runs(dst []RunSummary) int {
+	n := 0
+	for _, rec := range r.records() {
+		if rec == nil || n == len(dst) {
+			continue
+		}
+		dst[n] = RunSummary{Cached: rec.Cached, Entries: rec.Entries, GraphEntries: rec.GraphEntries}
+		if rep := rec.Report; rep != nil {
+			dst[n].Executor = rep.Executor
+			dst[n].LoadBalance = rep.LoadBalance
+			dst[n].SchedOverheadFrac = rep.OverheadFraction
+		}
+		n++
+	}
+	return n
 }
 
 // runMetricsFromReport converts an internal run report to the public type.
@@ -242,9 +276,9 @@ func runMetricsFromReport(rep *obs.Report) *RunMetrics {
 
 // Evidence returns a copy of the evidence this result conditions on.
 func (r *QueryResult) Evidence() Evidence {
-	out := make(Evidence, len(r.ev))
-	for k, v := range r.ev {
-		out[k] = v
+	out := make(Evidence, len(r.iev))
+	for id, state := range r.iev {
+		out[r.eng.net.inner.Name(id)] = state
 	}
 	return out
 }
@@ -257,6 +291,12 @@ func (r *QueryResult) Posterior(name string) ([]float64, error) {
 }
 
 func (r *QueryResult) posteriorLocked(name string) ([]float64, error) {
+	return r.readPosteriorLocked(name, false)
+}
+
+// readPosteriorLocked checks that name's posterior is defined and reads it,
+// shared with the result's other readers or copied.
+func (r *QueryResult) readPosteriorLocked(name string, shared bool) ([]float64, error) {
 	if r.closed {
 		return nil, ErrResultClosed
 	}
@@ -267,7 +307,13 @@ func (r *QueryResult) posteriorLocked(name string) ([]float64, error) {
 	if r.res.ProbabilityOfEvidence() <= 0 {
 		return nil, fmt.Errorf("%w: posterior of %q undefined", ErrZeroProbabilityEvidence, name)
 	}
-	m, err := r.res.Marginal(id)
+	var m []float64
+	var err error
+	if shared {
+		m, err = r.res.SharedMarginal(id)
+	} else {
+		m, err = r.res.Marginal(id)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("evprop: %q: %w", name, err)
 	}
@@ -277,20 +323,32 @@ func (r *QueryResult) posteriorLocked(name string) ([]float64, error) {
 // Posteriors returns the posterior of each named variable; with no names it
 // returns the posterior of every non-evidence variable.
 func (r *QueryResult) Posteriors(names ...string) (map[string][]float64, error) {
+	return r.posteriors(names, false)
+}
+
+// SharedPosteriors is Posteriors without the copies: on a result served from
+// the engine's cache each slice is the posterior the cache memoized, which
+// every reader of that result shares, so the caller must not modify it. The
+// slices stay valid after Close.
+func (r *QueryResult) SharedPosteriors(names ...string) (map[string][]float64, error) {
+	return r.posteriors(names, true)
+}
+
+func (r *QueryResult) posteriors(names []string, shared bool) (map[string][]float64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(names) == 0 {
 		all := r.eng.net.Variables()
 		names = all[:0]
 		for _, name := range all {
-			if _, fixed := r.ev[name]; !fixed {
+			if _, fixed := r.iev[r.eng.net.inner.ID(name)]; !fixed {
 				names = append(names, name)
 			}
 		}
 	}
 	out := make(map[string][]float64, len(names))
 	for _, name := range names {
-		p, err := r.posteriorLocked(name)
+		p, err := r.readPosteriorLocked(name, shared)
 		if err != nil {
 			return nil, err
 		}
