@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper (via the
 // simulated multicore machine — see DESIGN.md for the substitution
-// rationale) plus real-execution benchmarks of the primitives, the
-// compilation pipeline and every scheduler on host-scale junction trees.
+// rationale) plus real-execution benchmarks of the compilation pipeline and
+// every scheduler on host-scale junction trees (the primitives' own per-entry
+// timings are internal/potential's BenchmarkKernel*).
 //
 //	go test -bench=. -benchmem
 package evprop
@@ -157,128 +158,6 @@ func benchTree(b *testing.B) *jtree.Tree {
 		b.Fatal(err)
 	}
 	return tr
-}
-
-// BenchmarkPrimitiveMarginalize measures the marginalization primitive on a
-// 2^14-entry table.
-func BenchmarkPrimitiveMarginalize(b *testing.B) {
-	vars := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	card := make([]int, len(vars))
-	for i := range card {
-		card[i] = 2
-	}
-	p, err := potential.NewConstant(vars, card, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(p.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.Marginal(vars[:7]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPrimitiveMultiply measures the aligned table multiplication
-// primitive.
-func BenchmarkPrimitiveMultiply(b *testing.B) {
-	vars := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	card := make([]int, len(vars))
-	for i := range card {
-		card[i] = 2
-	}
-	p, err := potential.NewConstant(vars, card, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := potential.NewConstant(vars[:7], card[:7], 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(p.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.MulBy(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPrimitiveExtend measures the extension primitive.
-func BenchmarkPrimitiveExtend(b *testing.B) {
-	vars := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	card := make([]int, len(vars))
-	for i := range card {
-		card[i] = 2
-	}
-	q, err := potential.NewConstant(vars[:7], card[:7], 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst, err := potential.New(vars, card)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(dst.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := q.ExtendInto(dst, 0, dst.Len()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPrimitiveMarginalizeScalar is the per-entry reference path for
-// BenchmarkPrimitiveMarginalize: the same marginalization without the
-// run-decomposed kernel, for an at-a-glance blocked-vs-scalar comparison
-// (cmd/evkernels produces the systematic one in BENCH_kernels.json).
-func BenchmarkPrimitiveMarginalizeScalar(b *testing.B) {
-	vars := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	card := make([]int, len(vars))
-	for i := range card {
-		card[i] = 2
-	}
-	p, err := potential.NewConstant(vars, card, 0.5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst, err := potential.New(vars[:7], card[:7])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(p.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.MarginalIntoScalar(dst, 0, p.Len()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPrimitiveMultiplyScalar is the per-entry reference path for
-// BenchmarkPrimitiveMultiply.
-func BenchmarkPrimitiveMultiplyScalar(b *testing.B) {
-	vars := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
-	card := make([]int, len(vars))
-	for i := range card {
-		card[i] = 2
-	}
-	p, err := potential.NewConstant(vars, card, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q, err := potential.NewConstant(vars[:7], card[:7], 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(p.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.MulRangeScalar(q, 0, p.Len()); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkCompileAsia measures the full Bayesian-network-to-junction-tree

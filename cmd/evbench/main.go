@@ -29,9 +29,7 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 7, 8, 9, reroot, ablations, manycore, roster, real, heuristics, evidence, granularity, load")
 	tracePath := flag.String("trace", "", "run one traced propagation and write a Chrome trace_event JSON file")
-	traceWorkers := flag.Int("workers", 4, "workers for the -trace and -lazy runs")
-	lazyCmp := flag.Bool("lazy", false, "measure lazy vs eager propagation (real wall clock) on the serving workload")
-	lazyIters := flag.Int("lazy-iters", 200, "queries per engine for the -lazy comparison")
+	traceWorkers := flag.Int("workers", 4, "workers for the -trace run")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
@@ -42,14 +40,6 @@ func main() {
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, *traceWorkers, os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "evbench: trace:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *lazyCmp {
-		if err := runLazy(os.Stdout, *traceWorkers, *lazyIters); err != nil {
-			fmt.Fprintln(os.Stderr, "evbench: lazy:", err)
 			os.Exit(1)
 		}
 		return

@@ -73,32 +73,48 @@ import (
 // shutdownGrace bounds how long a drain may take once a signal arrives.
 const shutdownGrace = 10 * time.Second
 
+// options are evserve's command-line flags.
+type options struct {
+	modelsDir, addr, logFmt, auditDir, otlpEndpoint string
+	workers, inflight, cacheSize, auditBatch        int
+	auditRotate                                     int64
+	timeout, slowThreshold                          time.Duration
+	traceSample                                     float64
+	pprof, trace, version                           bool
+}
+
+// flagSet declares evserve's flags on a set whose Parse fills o. README.md's
+// evserve section lists every one (TestREADMEFlags).
+func flagSet(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&o.modelsDir, "models-dir", "", "serve every *.bif/*.xml/*.xmlbif in this directory, named by file basename (empty = start with no models; PUT /v1/models/{name} adds them)")
+	fs.IntVar(&o.workers, "workers", 0, "worker goroutines of the process, shared by every model (0 = GOMAXPROCS)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.BoolVar(&o.pprof, "pprof", false, "expose net/http/pprof under /debug/pprof/")
+	fs.StringVar(&o.logFmt, "log", "text", "access-log format: text or json")
+	fs.DurationVar(&o.timeout, "request-timeout", 0, "per-request deadline (0 = none)")
+	fs.IntVar(&o.inflight, "max-inflight", 0, "reject propagating requests beyond this many in flight with 429 (0 = unlimited)")
+	fs.DurationVar(&o.slowThreshold, "slow-threshold", 0, "slow-query floor: a slower run is marked slow in the flight recorder and its trace is kept (0 = adaptive, 2×p99)")
+	fs.IntVar(&o.cacheSize, "cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries pin)")
+	fs.StringVar(&o.auditDir, "audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
+	fs.IntVar(&o.auditBatch, "audit-batch", 0, "audit records per flushed batch (0 = default)")
+	fs.Int64Var(&o.auditRotate, "audit-rotate", 0, "rotate audit segments beyond this many bytes (0 = default)")
+	fs.BoolVar(&o.trace, "trace", true, "distributed tracing: per-request span trees with W3C traceparent propagation, tail-sampled into GET /v1/debug/trace")
+	fs.Float64Var(&o.traceSample, "trace-sample", 0.01, "head-sampling rate for traces not kept by tail rules (slow/error/caller-flagged are always kept)")
+	fs.StringVar(&o.otlpEndpoint, "otlp-endpoint", "", "push kept traces as OTLP/JSON to this collector URL (e.g. http://collector:4318/v1/traces; empty = no export)")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	return fs
+}
+
 func main() {
-	var (
-		modelsDir = flag.String("models-dir", "", "serve every *.bif/*.xml/*.xmlbif in this directory, named by file basename (empty = start with no models; PUT /v1/models/{name} adds them)")
-		workers   = flag.Int("workers", 0, "worker goroutines of the process, shared by every model (0 = GOMAXPROCS)")
-		addr      = flag.String("addr", ":8080", "listen address")
-		pprofOn   = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-		logFmt    = flag.String("log", "text", "access-log format: text or json")
-		timeout   = flag.Duration("request-timeout", 0, "per-request deadline (0 = none)")
-		inflight  = flag.Int("max-inflight", 0, "reject propagating requests beyond this many in flight with 429 (0 = unlimited)")
-		slowThr   = flag.Duration("slow-threshold", 0, "slow-query floor: a slower run is marked slow in the flight recorder and its trace is kept (0 = adaptive, 2×p99)")
-		cacheSz   = flag.Int("cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries pin)")
-		auditDir  = flag.String("audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
-		auditBat  = flag.Int("audit-batch", 0, "audit records per flushed batch (0 = default)")
-		auditRot  = flag.Int64("audit-rotate", 0, "rotate audit segments beyond this many bytes (0 = default)")
-		traceOn   = flag.Bool("trace", true, "distributed tracing: per-request span trees with W3C traceparent propagation, tail-sampled into GET /v1/debug/trace")
-		traceRate = flag.Float64("trace-sample", 0.01, "head-sampling rate for traces not kept by tail rules (slow/error/caller-flagged are always kept)")
-		otlpEndp  = flag.String("otlp-endpoint", "", "push kept traces as OTLP/JSON to this collector URL (e.g. http://collector:4318/v1/traces; empty = no export)")
-		version   = flag.Bool("version", false, "print version and exit")
-	)
-	flag.Parse()
-	if *version {
+	var o options
+	flagSet(&o).Parse(os.Args[1:])
+	if o.version {
 		fmt.Println(buildinfo.String("evserve"))
 		return
 	}
 
-	logger, access, err := newLogger(*logFmt, os.Stderr)
+	logger, access, err := newLogger(o.logFmt, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evserve:", err)
 		os.Exit(1)
@@ -106,49 +122,49 @@ func main() {
 	slog.SetDefault(logger)
 
 	opts := evprop.Options{
-		Workers:            *workers,
-		SlowQueryThreshold: *slowThr,
-		CacheSize:          *cacheSz,
+		Workers:            o.workers,
+		SlowQueryThreshold: o.slowThreshold,
+		CacheSize:          o.cacheSize,
 		// Worker pprof labels are readable only through /debug/pprof/, so
 		// they ride the same flag and cost nothing when it is off.
-		PprofLabels: *pprofOn,
+		PprofLabels: o.pprof,
 	}
 	srv := newMultiServer(opts)
-	if *auditDir != "" {
-		store, err := audit.OpenFileStore(*auditDir, audit.FileStoreOptions{MaxSegmentBytes: *auditRot})
+	if o.auditDir != "" {
+		store, err := audit.OpenFileStore(o.auditDir, audit.FileStoreOptions{MaxSegmentBytes: o.auditRotate})
 		if err != nil {
 			srv.close()
 			fmt.Fprintln(os.Stderr, "evserve:", err)
 			os.Exit(1)
 		}
 		srv.audStore = store
-		srv.aud, err = audit.NewWriter(store, audit.Config{BatchSize: *auditBat})
+		srv.aud, err = audit.NewWriter(store, audit.Config{BatchSize: o.auditBatch})
 		if err != nil {
 			srv.close()
 			fmt.Fprintln(os.Stderr, "evserve:", err)
 			os.Exit(1)
 		}
-		srv.auditDir = *auditDir
+		srv.auditDir = o.auditDir
 	}
-	if *modelsDir != "" {
+	if o.modelsDir != "" {
 		// One model per file, all compiled concurrently.
-		if err := srv.reg.LoadDir(*modelsDir); err != nil {
+		if err := srv.reg.LoadDir(o.modelsDir); err != nil {
 			srv.close()
 			fmt.Fprintln(os.Stderr, "evserve:", err)
 			os.Exit(1)
 		}
 	}
-	srv.pprofEnabled = *pprofOn
+	srv.pprofEnabled = o.pprof
 	srv.log, srv.access = logger, access
-	srv.timeout = *timeout
-	srv.maxInflight = int64(*inflight)
-	if *traceOn {
-		srv.tracer = newTracer(*traceRate, *otlpEndp)
+	srv.timeout = o.timeout
+	srv.maxInflight = int64(o.inflight)
+	if o.trace {
+		srv.tracer = newTracer(o.traceSample, o.otlpEndpoint)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		srv.close()
 		fmt.Fprintln(os.Stderr, "evserve:", err)

@@ -23,7 +23,7 @@ import (
 // variant — the original per-entry odometer walk — retained as the reference
 // implementation: the plan kernels must match it bit for bit
 // (kernels_fuzz_test.go, runsplit_test.go) and beat it on ns/entry
-// (bench_kernels_test.go, cmd/evkernels).
+// (bench_kernels_test.go, whose output is BENCH_kernels.txt).
 
 // MulBy multiplies p in place by q, whose domain must be a subset of p's.
 func (p *Potential) MulBy(q *Potential) error { return p.MulRange(q, 0, len(p.Data)) }

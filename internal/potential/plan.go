@@ -60,7 +60,8 @@ const (
 
 const (
 	// tileRunMax is the run length below which stepping the odometer per run
-	// costs more than gathering per entry (cmd/evkernels measures both).
+	// costs more than gathering per entry (BenchmarkKernel* in
+	// bench_kernels_test.go measures both).
 	tileRunMax = 16
 	// tileMin is the least number of entries a tile amortizes one odometer
 	// step over; tileMax bounds what a plan may store (a suffix can overshoot
@@ -91,8 +92,8 @@ func NewPlan(supVars, supCard, subVars, subCard []int) (*Plan, error) {
 // NewRunPlan is NewPlan without the tile: blocks are the natural runs however
 // short they are. Compiling it allocates one short slice and walks no table,
 // so it is the plan of a kernel call that will not be repeated (the one-off
-// forms in ops.go); cmd/evkernels also times it against NewPlan on short-run
-// shapes, which is what justifies tileRunMax.
+// forms in ops.go); the BenchmarkKernel* benchmarks also time it against
+// NewPlan on short-run shapes, which is what justifies tileRunMax.
 func NewRunPlan(supVars, supCard, subVars, subCard []int) (*Plan, error) {
 	return newPlan(supVars, supCard, subVars, subCard, false)
 }

@@ -200,10 +200,21 @@ func TestRunPlanInvariants(t *testing.T) {
 		checkPlan(t, vars, card, sv, sc)
 	}
 	// Seventeen binary variables, one dropped: the shapes of wide60's edges.
+	// Dropping one of the last four leaves runs shorter than tileRunMax: the
+	// plan must tile them, and walk the table in no more odometer steps (one
+	// per block) than the long-run reference longRef, which drops variable 8
+	// and runs 256 entries. This is the counted half of the short-run property;
+	// BenchmarkKernelShortRuns times it.
 	vars, card := make([]int, 17), make([]int, 17)
 	for i := range vars {
 		vars[i], card[i] = i, 2
 	}
+	sv, sc := dropOne(vars, card, 8)
+	ref, err := NewPlan(vars, card, sv, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSteps := ref.supSize / ref.block
 	for _, miss := range []int{16, 15, 14, 13, 12, 8, 0} {
 		sv, sc := dropOne(vars, card, miss)
 		checkPlan(t, vars, card, sv, sc)
@@ -211,8 +222,12 @@ func TestRunPlanInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if short := miss > 12; (pl.shape == tiled) != short || (short && pl.block != tileMin) {
-			t.Errorf("miss %d: shape %d block %d, want tiled=%v over %d entries", miss, pl.shape, pl.block, short, tileMin)
+		short := miss > 12
+		if (pl.shape == tiled) != short {
+			t.Errorf("miss %d: shape %d block %d, want tiled=%v", miss, pl.shape, pl.block, short)
+		}
+		if steps := pl.supSize / pl.block; short && steps > refSteps {
+			t.Errorf("miss %d: %d odometer steps over %d entries, %s takes %d", miss, steps, pl.supSize, longRef, refSteps)
 		}
 	}
 	// A tile would overshoot tileMax: short runs under a huge dimension fall
