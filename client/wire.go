@@ -124,6 +124,7 @@ type Stats struct {
 	// Scheduler is the server process's worker pool, shared by every model:
 	// its size, the runs in flight over all models (inline ones too), the GL
 	// depth and one entry per worker (none until a run has been dispatched).
+	// A decoded worker's state is its StateName; State is not on the wire.
 	Scheduler evprop.SchedulerGauges `json:"scheduler"`
 	// Models has one row per registered model, sorted by name.
 	Models []ModelStats `json:"models"`

@@ -21,12 +21,13 @@ import (
 
 	"evprop"
 	"evprop/internal/buildinfo"
+	"evprop/internal/registry"
 )
 
 func main() {
 	var (
 		network   = flag.String("network", "asia", "network: asia, sprinkler, student, random")
-		bifFile   = flag.String("bif", "", "load the network from a BIF file (.bif text, .xml/.xbif XMLBIF) instead of -network")
+		bifFile   = flag.String("bif", "", "load the network from a BIF file (.xml/.xmlbif, any case: XMLBIF; otherwise text BIF) instead of -network")
 		nodes     = flag.Int("nodes", 30, "random network: node count")
 		states    = flag.Int("states", 2, "random network: states per variable")
 		parents   = flag.Int("parents", 3, "random network: max parents per node")
@@ -46,24 +47,11 @@ func main() {
 		return
 	}
 
-	net, err := buildNetwork(*network, *nodes, *states, *parents, *seed)
+	net, err := loadNetwork(*bifFile, *network, *nodes, *states, *parents, *seed)
 	if err != nil {
 		fatal(err)
 	}
 	if *bifFile != "" {
-		f, err := os.Open(*bifFile)
-		if err != nil {
-			fatal(err)
-		}
-		if strings.HasSuffix(*bifFile, ".xml") || strings.HasSuffix(*bifFile, ".xbif") {
-			net, _, err = evprop.ParseXMLBIF(f)
-		} else {
-			net, _, err = evprop.ParseBIF(f)
-		}
-		f.Close()
-		if err != nil {
-			fatal(err)
-		}
 		*network = *bifFile
 	}
 	eng, err := net.Compile(evprop.Options{
@@ -138,6 +126,16 @@ func main() {
 			fmt.Printf("  %s = %d\n", name, assignment[name])
 		}
 	}
+}
+
+// loadNetwork is the network the flags select: the -bif file when one is
+// named, read by the parser its extension selects as evserve's -models-dir
+// and evreplay's -bif do, and the built-in kind otherwise.
+func loadNetwork(bifFile, kind string, nodes, states, parents int, seed int64) (*evprop.Network, error) {
+	if bifFile != "" {
+		return registry.FileSource(bifFile).Instantiate()
+	}
+	return buildNetwork(kind, nodes, states, parents, seed)
 }
 
 func buildNetwork(kind string, nodes, states, parents int, seed int64) (*evprop.Network, error) {

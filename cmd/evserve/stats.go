@@ -109,7 +109,7 @@ func newRow(ms *modelStats, info registry.Info, v *registry.Version) modelRow {
 		Scheduler:         es.Scheduler,
 		InlineRuns:        sr.InlineRuns,
 		PoolRuns:          sr.PoolRuns,
-		SlicedShare:       sr.SlicedShare,
+		SlicedShare:       sr.SlicedShare(),
 		LoadBalance:       sr.LastLoadBalance,
 		SchedOverheadFrac: sr.LastOverheadFraction,
 		Observed:          h.Count(),
@@ -294,7 +294,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(r *modelRow) []sample {
 			out := make([]sample, len(obs.KindNames))
 			for k, kind := range obs.KindNames {
-				out[k] = sample{kind, r.sched.BusyByKind[kind].Seconds()}
+				out[k] = sample{kind, r.sched.KindBusy[k].Seconds()}
 			}
 			return out
 		})
@@ -309,7 +309,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	ready.family("evprop_sched_overhead_fraction", "Last run's scheduler-overhead fraction of total worker time.", "gauge",
 		func(r *modelRow) float64 { return r.SchedOverheadFrac })
 	ready.family("evprop_sched_overhead_fraction_lifetime", "Lifetime scheduler-overhead fraction across all runs.", "gauge",
-		func(r *modelRow) float64 { return r.sched.OverheadFraction })
+		func(r *modelRow) float64 { return r.sched.OverheadFraction() })
 	obs.WriteHeader(w, "evprop_sched_global_depth", "Tasks submitted to the process's workers but not yet completed.", "gauge")
 	obs.WriteSample(w, "evprop_sched_global_depth", nil, float64(sched.GlobalDepth))
 	obs.WriteHeader(w, "evprop_sched_active_runs", "Propagations in flight in the process, on the workers or inline.", "gauge")
@@ -374,7 +374,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(g *evprop.WorkerGauges) float64 { return float64(g.Partitions) })
 	obs.WriteHeader(w, "evprop_worker_state", "Worker state (one series per worker, state as label, value 1).", "gauge")
 	for i, g := range sched.Workers {
-		obs.WriteSample(w, "evprop_worker_state", map[string]string{"worker": strconv.Itoa(i), "state": g.State}, 1)
+		obs.WriteSample(w, "evprop_worker_state", map[string]string{"worker": strconv.Itoa(i), "state": g.StateName}, 1)
 	}
 
 	writeAuditMetrics(w, s.auditStats())

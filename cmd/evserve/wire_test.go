@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -103,4 +104,77 @@ func TestClientDecodesEveryBody(t *testing.T) {
 			t.Errorf("%s %s: answered\n%s%s encodes back\n%s", tc.method, tc.path, rec.Body.Bytes(), reflect.TypeOf(tc.into).Elem(), again.Bytes())
 		}
 	}
+}
+
+// TestStatsKeyOrder pins the key order of the /v1/stats blocks whose types
+// are the engine's own records (evprop.SchedulerGauges, WorkerGauges and
+// CacheStats), declared in the engine's packages. Client and server share
+// those types, so TestClientDecodesEveryBody cannot see a reordered field;
+// this can.
+func TestStatsKeyOrder(t *testing.T) {
+	_, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2, CacheSize: 32})
+	h := srv.mux()
+	get := func(method, path, body string) []byte {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	get(http.MethodPost, modelPath+"/query", `{"evidence":{"A":1}}`) // dispatched: the workers start
+	var stats struct {
+		Scheduler json.RawMessage `json:"scheduler"`
+		Models    []struct {
+			Cache json.RawMessage `json:"cache"`
+		} `json:"models"`
+	}
+	var sched struct {
+		Workers []json.RawMessage `json:"workers"`
+	}
+	body := get(http.MethodGet, "/v1/stats", "")
+	if err := json.Unmarshal(body, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(stats.Scheduler, &sched); err != nil {
+		t.Fatal(err)
+	}
+	if len(sched.Workers) != 2 || len(stats.Models) != 1 {
+		t.Fatalf("/v1/stats has %d workers and %d models, want 2 and 1: %s", len(sched.Workers), len(stats.Models), body)
+	}
+	for _, c := range []struct {
+		block string
+		raw   json.RawMessage
+		want  []string
+	}{
+		{"scheduler", stats.Scheduler, []string{"pool_size", "active_runs", "global_depth", "workers"}},
+		{"scheduler.workers[0]", sched.Workers[0], []string{"state", "queue_depth", "queue_weight", "busy_ns", "items", "completed", "partitions"}},
+		{"models[0].cache", stats.Models[0].Cache, []string{"enabled", "capacity", "entries", "bytes", "hits", "misses", "collapsed", "first_sight"}},
+	} {
+		if got := objectKeys(t, c.raw); !slices.Equal(got, c.want) {
+			t.Errorf("%s keys %v, want %v", c.block, got, c.want)
+		}
+	}
+}
+
+// objectKeys lists the keys of a JSON object in the order they were written.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%s is not an object: %v", raw, err)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }

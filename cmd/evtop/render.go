@@ -185,7 +185,7 @@ func (m *model) workersBlock(b *strings.Builder) {
 	for i, wg := range sc.Workers {
 		u := m.utilization(i)
 		fmt.Fprintf(b, "%3d  %-9s  %s %3.0f%%  %5d  %6d  %9d  %6d\n",
-			i, wg.State, bar(u, 10), u*100,
+			i, wg.StateName, bar(u, 10), u*100,
 			wg.QueueDepth, wg.QueueWeight, wg.Items, wg.Partitions)
 	}
 }

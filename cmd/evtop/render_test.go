@@ -36,8 +36,8 @@ func testSnap(at time.Time, busy0, busy1 int64, rows ...evclient.ModelStats) evc
 		GlobalDepth: 3,
 		ActiveRuns:  1,
 		Workers: []evprop.WorkerGauges{
-			{State: "executing", QueueDepth: 2, QueueWeight: 40, BusyNs: busy0, Items: 100, Partitions: 7},
-			{State: "parked", BusyNs: busy1, Items: 90},
+			{StateName: "executing", QueueDepth: 2, QueueWeight: 40, BusyNs: busy0, Items: 100, Partitions: 7},
+			{StateName: "parked", BusyNs: busy1, Items: 90},
 		},
 	}
 	for _, r := range rows {

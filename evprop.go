@@ -277,33 +277,7 @@ func (e *Engine) Stats() EngineStats {
 }
 
 // CacheStats is a snapshot of the engine's shared-evidence result cache.
-type CacheStats struct {
-	// Enabled is false when the engine was compiled with CacheSize 0.
-	Enabled bool `json:"enabled"`
-	// Capacity is the most results the cache holds: Options.CacheSize
-	// rounded down to a multiple of its 16 shards, and at least 16 (4 holds
-	// 16, 40 holds 32). Entries is the current fill, never above Capacity.
-	Capacity int `json:"capacity"`
-	Entries  int `json:"entries"`
-	// Bytes is the table memory the entries pin, summed over the live
-	// entries: 8 bytes per clique and separator entry of each cached result.
-	// A result's tables are sliced on its hard evidence — an observed variable
-	// has one state in them — so results of one model differ in size and none
-	// exceeds the model's full tables. Exact for the eager engine, an upper
-	// bound (full tables per entry) under Options.Lazy.
-	Bytes int64 `json:"bytes"`
-	// Hits and Misses count cache lookups over the engine's lifetime.
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	// Collapsed counts queries served by another caller's in-flight
-	// propagation: concurrent identical queries trigger one propagation,
-	// and the other callers land here.
-	Collapsed int64 `json:"collapsed"`
-	// FirstSight counts the misses that were the first sight of their
-	// signature: they ran privately, on a recycled state, and left nothing
-	// in the cache. Misses − FirstSight − Collapsed is what was pinned.
-	FirstSight int64 `json:"first_sight"`
-}
+type CacheStats = core.CacheStats
 
 // CacheStats returns the result cache's counters (the zero value when the
 // engine was compiled without a cache).
@@ -311,17 +285,7 @@ func (e *Engine) CacheStats() CacheStats {
 	if e == nil || e.inner == nil {
 		return CacheStats{}
 	}
-	s := e.inner.CacheStats()
-	return CacheStats{
-		Enabled:    s.Enabled,
-		Capacity:   s.Capacity,
-		Entries:    s.Entries,
-		Bytes:      s.Bytes,
-		Hits:       s.Hits,
-		Misses:     s.Misses,
-		Collapsed:  s.Collapsed,
-		FirstSight: s.FirstSight,
-	}
+	return e.inner.CacheStats()
 }
 
 // InvalidateCache drops every cached result. Queries in flight when it is
@@ -364,106 +328,33 @@ func (e *Engine) EvidenceSignature(ev Evidence, soft SoftEvidence) (string, erro
 
 // SchedulerReport aggregates the engine's scheduler observability across
 // all completed runs: lifetime busy/overhead totals, item counters, a
-// per-primitive-kind time breakdown, and the most recent run's Fig. 8
-// gauges.
-type SchedulerReport struct {
-	// Runs counts completed runs; InlineRuns of them executed on the
-	// caller's goroutine (see Options.Workers) and PoolRuns on the workers.
-	Runs, InlineRuns, PoolRuns int64
-	// Busy and Overhead are lifetime totals across all runs and workers.
-	Busy, Overhead time.Duration
-	// OverheadFraction is the lifetime scheduling fraction of total worker
-	// time; LastOverheadFraction and LastLoadBalance are the most recent
-	// run's Fig. 8 gauges.
-	OverheadFraction     float64
-	LastOverheadFraction float64
-	LastLoadBalance      float64
-	// LastElapsed and LastWorkers describe the most recent run.
-	LastElapsed time.Duration
-	LastWorkers int
-	// Tasks, Pieces and Partitioned are lifetime item counters.
-	Tasks, Pieces, Partitioned int64
-	// SlicedShare is the lifetime share of the task graphs' table entries the
-	// runs ranged over once their tables were sliced on each query's hard
-	// evidence (FlightRecord.Entries over GraphEntries, summed): 1 when
-	// nothing was observed, or nothing has run.
-	SlicedShare float64
-	// BusyByKind splits lifetime computation time across the four
-	// node-level primitives.
-	BusyByKind map[string]time.Duration
-}
+// per-primitive-kind time breakdown (KindBusy, labelled by KindNames), and
+// the most recent run's Fig. 8 gauges. Its OverheadFraction and SlicedShare
+// methods derive the lifetime scheduling fraction and sliced-entry share.
+type SchedulerReport = obs.AggregateSnapshot
+
+// KindNames labels the node-level primitive kinds, in the order KindBusy
+// (SchedulerReport's and RunMetrics') indexes them.
+var KindNames = obs.KindNames
 
 // SchedulerReport returns the engine's aggregated observability report.
 func (e *Engine) SchedulerReport() SchedulerReport {
 	if e == nil || e.inner == nil {
-		return SchedulerReport{LastLoadBalance: 1, SlicedShare: 1}
+		return SchedulerReport{LastLoadBalance: 1}
 	}
-	s := e.inner.ObsSnapshot()
-	r := SchedulerReport{
-		Runs:                 s.Runs,
-		InlineRuns:           s.InlineRuns,
-		PoolRuns:             s.PoolRuns,
-		Busy:                 s.Busy,
-		Overhead:             s.Overhead,
-		OverheadFraction:     s.OverheadFraction(),
-		LastOverheadFraction: s.LastOverheadFraction,
-		LastLoadBalance:      s.LastLoadBalance,
-		LastElapsed:          s.LastElapsed,
-		LastWorkers:          s.LastWorkers,
-		Tasks:                s.Tasks,
-		Pieces:               s.Pieces,
-		Partitioned:          s.Partitioned,
-		SlicedShare:          s.SlicedShare(),
-		BusyByKind:           make(map[string]time.Duration, len(obs.KindNames)),
-	}
-	for k, name := range obs.KindNames {
-		r.BusyByKind[name] = s.KindBusy[k]
-	}
-	return r
+	return e.inner.ObsSnapshot()
 }
 
 // WorkerGauges is one scheduler worker's live gauges at a sampling instant:
 // its current state, the depth and weight counter of its local ready list,
 // and its lifetime execution and partition counters.
-type WorkerGauges struct {
-	// State is "executing" or "parked".
-	State string `json:"state"`
-	// QueueDepth and QueueWeight describe the worker's local ready list:
-	// queued item count and the paper's W_i weight counter.
-	QueueDepth  int64 `json:"queue_depth"`
-	QueueWeight int64 `json:"queue_weight"`
-	// BusyNs is cumulative nanoseconds inside node-level primitives; the
-	// delta between two snapshots over the wall time between them is the
-	// worker's live utilization.
-	BusyNs int64 `json:"busy_ns"`
-	// Items counts executed items (tasks, pieces, combiners); Completed
-	// counts original graph tasks this worker retired.
-	Items     int64 `json:"items"`
-	Completed int64 `json:"completed"`
-	// Partitions counts tasks this worker split into δ-pieces.
-	Partitions int64 `json:"partitions"`
-}
+type WorkerGauges = sched.WorkerGaugeSnapshot
 
 // SchedulerGauges is a live snapshot of the process's scheduler: the pool
 // of P workers that every engine compiled at Options.Workers = P borrows.
 // Reading it is wait-free for the workers, so it is safe to sample at high
 // frequency while queries run.
-type SchedulerGauges struct {
-	// PoolSize is P.
-	PoolSize int `json:"pool_size"`
-	// ActiveRuns is k, the propagations in flight on those P cores, on the
-	// workers and on their callers' goroutines alike, over every engine that
-	// shares the pool. A propagation is priced at P ÷ k workers
-	// (FlightRecord.EffectiveWorkers).
-	ActiveRuns int64 `json:"active_runs"`
-	// GlobalDepth counts tasks submitted to the workers but not yet
-	// completed, across all dispatched propagations in flight.
-	GlobalDepth int64 `json:"global_depth"`
-	// Workers has one entry per worker. Empty until a propagation is first
-	// dispatched to them: the goroutines start then, and reading gauges
-	// starts none.
-	Workers []WorkerGauges `json:"workers"`
-}
+type SchedulerGauges = sched.GaugesSnapshot
 
 // ProcessScheduler snapshots the live gauges of the process's pool of the
 // given size, workers as in Options.Workers (0 = GOMAXPROCS).
@@ -471,25 +362,7 @@ func ProcessScheduler(workers int) SchedulerGauges {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	s := sched.ProcessPool(workers).Snapshot()
-	g := SchedulerGauges{
-		PoolSize:    workers,
-		ActiveRuns:  s.ActiveRuns,
-		GlobalDepth: s.GlobalDepth,
-		Workers:     make([]WorkerGauges, len(s.Workers)),
-	}
-	for i, w := range s.Workers {
-		g.Workers[i] = WorkerGauges{
-			State:       w.StateName,
-			QueueDepth:  w.QueueDepth,
-			QueueWeight: w.QueueWeight,
-			BusyNs:      w.BusyNs,
-			Items:       w.Items,
-			Completed:   w.Completed,
-			Partitions:  w.Partitions,
-		}
-	}
-	return g
+	return sched.ProcessPool(workers).Snapshot()
 }
 
 // Compile converts the network into a junction tree and prepares the

@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
+
+	"evprop/internal/core"
+	"evprop/internal/lazy"
+	"evprop/internal/obs"
+	"evprop/internal/sched"
 )
 
 func wetGrassNetwork(t *testing.T) *Network {
@@ -802,5 +808,25 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, propagate); allocs > 40 {
 		t.Errorf("%.0f allocations per pooled inline propagation, want at most 40", allocs)
+	}
+}
+
+// TestPublicStatsAreEngineRecords: each public stats type is the engine's own
+// record, declared once, not a copy that could drift from it.
+func TestPublicStatsAreEngineRecords(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		public, engine reflect.Type
+	}{
+		{"CacheStats", reflect.TypeFor[CacheStats](), reflect.TypeFor[core.CacheStats]()},
+		{"SchedulerReport", reflect.TypeFor[SchedulerReport](), reflect.TypeFor[obs.AggregateSnapshot]()},
+		{"SchedulerGauges", reflect.TypeFor[SchedulerGauges](), reflect.TypeFor[sched.GaugesSnapshot]()},
+		{"WorkerGauges", reflect.TypeFor[WorkerGauges](), reflect.TypeFor[sched.WorkerGaugeSnapshot]()},
+		{"RunMetrics", reflect.TypeFor[RunMetrics](), reflect.TypeFor[obs.Report]()},
+		{"PropagationStats", reflect.TypeFor[PropagationStats](), reflect.TypeFor[lazy.Stats]()},
+	} {
+		if c.public != c.engine {
+			t.Errorf("evprop.%s is %v, a type of its own, not %v", c.name, c.public, c.engine)
+		}
 	}
 }

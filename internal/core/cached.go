@@ -165,25 +165,35 @@ func (e *Engine) EvidenceSignature(ev potential.Evidence, like potential.Likelih
 	return cache.Signature(byte(taskgraph.SumProduct), ev, like)
 }
 
-// CacheStats is a snapshot of the result cache's counters.
+// CacheStats is a snapshot of the result cache's counters. It is the public
+// evprop.CacheStats and the cache block of a /v1/stats model row, so its
+// fields' order is the JSON key order.
 type CacheStats struct {
 	// Enabled is false when the engine has no cache (CacheSize 0).
-	Enabled bool
-	// Capacity is the most results the cache holds — Options.CacheSize
-	// rounded to whole entries per shard (cache.LRU.Cap), so it can differ
-	// from the configured number — and Entries its current fill.
-	Capacity, Entries int
+	Enabled bool `json:"enabled"`
+	// Capacity is the most results the cache holds: Options.CacheSize
+	// rounded down to a multiple of its 16 shards, and at least 16 (4 holds
+	// 16, 40 holds 32). Entries is the current fill, never above Capacity.
+	Capacity int `json:"capacity"`
+	Entries  int `json:"entries"`
 	// Bytes is what the entries pin: the sum, over the live entries, of 8
-	// bytes per table entry each result retains. An eager result's tables are
-	// sliced on its evidence, so entries differ in size and none exceeds
+	// bytes per clique and separator entry each result retains. An eager
+	// result's tables are sliced on its hard evidence — an observed variable
+	// has one state in them — so entries differ in size and none exceeds
 	// ResultBytes; a lazy result is charged ResultBytes, an upper bound — its
 	// overlays clone only the tables the evidence perturbs.
-	Bytes int64
-	// Hits and Misses count lookups; Collapsed counts queries served by
-	// another caller's in-flight propagation (singleflight waiters);
+	Bytes int64 `json:"bytes"`
+	// Hits and Misses count lookups over the engine's lifetime.
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	// Collapsed counts queries served by another caller's in-flight
+	// propagation: concurrent identical queries trigger one propagation, and
+	// the other callers (singleflight waiters) land here.
+	Collapsed int64 `json:"collapsed"`
 	// FirstSight counts the misses that were the first sight of their
-	// signature and so ran privately, retaining nothing.
-	Hits, Misses, Collapsed, FirstSight int64
+	// signature: they ran privately, on a recycled state, and left nothing
+	// in the cache. Misses − FirstSight − Collapsed is what was pinned.
+	FirstSight int64 `json:"first_sight"`
 }
 
 // CacheStats returns the result cache's counters (zero value when the

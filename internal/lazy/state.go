@@ -9,9 +9,12 @@ import (
 	"evprop/internal/taskgraph"
 )
 
-// Stats is a snapshot of one lazy propagation's pruning counters. Message
-// counts cover both passes (2 × edges possible messages); task and flop
-// counts are measured against the eager engine's 6 tasks per edge.
+// Stats is a snapshot of one lazy propagation's pruning counters, measured
+// against what an eager two-pass propagation over the same tree would do. It
+// is the public evprop.PropagationStats. Message counts cover both passes
+// (2 × edges possible messages); task and flop counts are measured against
+// the eager graph's 3 tasks per message (marginalize, divide, multiply:
+// extension is folded into multiply, see package taskgraph), 6 per edge.
 type Stats struct {
 	// MessagesSent counts full 3-task messages: planned collect messages
 	// plus distribute messages materialized on demand so far.
@@ -23,8 +26,8 @@ type Stats struct {
 	// MessagesSkipped counts messages never sent: collect from undisturbed
 	// subtrees, distribute not (or not yet) demanded or provably vacuous.
 	MessagesSkipped int64
-	// TasksRun and TasksSkipped measure the pruned task graph against the
-	// eager engine's 6 tasks per edge.
+	// TasksRun and TasksSkipped count node-level primitives: the pruned
+	// task graph's against the eager graph's 6 per edge.
 	TasksRun, TasksSkipped int64
 	// Flops counts table entries processed by executed tasks; FlopsFull is
 	// what one eager two-pass propagation processes on this tree.

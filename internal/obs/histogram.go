@@ -131,40 +131,43 @@ func (h *Histogram) Mean() time.Duration {
 // overflow bucket.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	var counts [histBuckets + 1]int64
-	var total int64
 	for i := range h.counts {
 		counts[i] = h.counts[i].Load()
-		total += counts[i]
+	}
+	i := quantileBucket(counts[:], q)
+	switch {
+	case i < 0:
+		return 0
+	case i >= histBuckets:
+		return h.Max()
+	}
+	ub := histUpperBoundNs(i)
+	// Never report a bound above the observed maximum.
+	if m := h.max.Load(); m > 0 && ub > m {
+		return time.Duration(m)
+	}
+	return time.Duration(ub)
+}
+
+// quantileBucket returns the index of the bucket of counts that holds the
+// rank-⌈q·n⌉ observation, q clamped to [0,1], or -1 when counts is empty.
+func quantileBucket(counts []int64, q float64) int {
+	var total int64
+	for _, c := range counts {
+		total += c
 	}
 	if total == 0 {
-		return 0
+		return -1
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := max(int64(math.Ceil(min(max(q, 0), 1)*float64(total))), 1)
 	var cum int64
-	for i := range counts {
-		cum += counts[i]
+	for i, c := range counts {
+		cum += c
 		if cum >= rank {
-			if i >= histBuckets {
-				return h.Max()
-			}
-			ub := histUpperBoundNs(i)
-			// Never report a bound above the observed maximum.
-			if m := h.max.Load(); m > 0 && ub > m {
-				return time.Duration(m)
-			}
-			return time.Duration(ub)
+			return i
 		}
 	}
-	return h.Max()
+	return len(counts) - 1
 }
 
 // Buckets returns a copy of the cumulative bucket counts and their upper

@@ -17,11 +17,12 @@ import (
 )
 
 // KindNames maps taskgraph.Kind indices to their primitive names, the label
-// order of every per-kind breakdown this package emits.
+// order of every per-kind breakdown this package emits (evprop.KindNames).
 var KindNames = [taskgraph.NumKinds]string{"marginalize", "divide", "extend", "multiply"}
 
 // Report is the structured result of one scheduler run — the Fig. 8
-// quantities promoted to a first-class value.
+// quantities promoted to a first-class value. It is the public
+// evprop.RunMetrics.
 type Report struct {
 	// Executor names the path that ran the graph: sched.ExecInline (the
 	// caller's goroutine, one worker column) or sched.ExecPool.
@@ -197,7 +198,8 @@ func (a *Aggregate) Observe(rec *QueryRecord) {
 	a.totalElapsedOfAll += r.Elapsed
 }
 
-// AggregateSnapshot is a consistent copy of an Aggregate's counters.
+// AggregateSnapshot is a consistent copy of an Aggregate's counters. It is
+// the public evprop.SchedulerReport.
 type AggregateSnapshot struct {
 	// Runs counts scheduler runs folded in; InlineRuns of them ran on the
 	// caller's goroutine and PoolRuns were dispatched to workers.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,43 +166,16 @@ func (w *Window) Snapshot() WindowSnapshot {
 	if s.CacheLookups > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(s.CacheLookups)
 	}
-	s.P50 = quantileFromCounts(latency[:], 0.50)
-	s.P99 = quantileFromCounts(latency[:], 0.99)
+	// P50 and P99 are the upper bounds of the merged buckets holding them
+	// (the Window counterpart of Histogram.Quantile), 0 when empty.
+	if i := quantileBucket(latency[:], 0.50); i >= 0 {
+		s.P50 = time.Duration(histUpperBoundNs(i))
+		s.P99 = time.Duration(histUpperBoundNs(quantileBucket(latency[:], 0.99)))
+	}
 	if lbCount > 0 {
 		s.LoadBalance = float64(lbMilli) / float64(lbCount) / 1000
 	} else {
 		s.LoadBalance = 1
 	}
 	return s
-}
-
-// quantileFromCounts returns the q-quantile upper bound over merged
-// log-spaced latency buckets (the Window counterpart of Histogram.Quantile),
-// 0 when empty.
-func quantileFromCounts(counts []int64, q float64) time.Duration {
-	var total int64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			return time.Duration(histUpperBoundNs(i))
-		}
-	}
-	return time.Duration(histUpperBoundNs(len(counts) - 1))
 }

@@ -153,7 +153,8 @@ func (g *Gauges) flushRun(metrics []WorkerMetrics) {
 type WorkerGaugeSnapshot struct {
 	// State is the worker's instantaneous activity.
 	State WorkerState `json:"-"`
-	// StateName is State rendered for JSON consumers (evtop, /v1/stream).
+	// StateName is State rendered for JSON consumers (evtop, /v1/stream):
+	// "executing" or "parked". A decoded snapshot has only this.
 	StateName string `json:"state"`
 	// QueueDepth and QueueWeight are the worker's local ready list: item
 	// count and the paper's W_i weight counter.
@@ -172,18 +173,27 @@ type WorkerGaugeSnapshot struct {
 	Partitions int64 `json:"partitions"`
 }
 
-// GaugesSnapshot is the whole surface at a sampling instant.
+// GaugesSnapshot is the whole surface at a sampling instant. It is the
+// public evprop.SchedulerGauges and the scheduler block of /v1/stats, so its
+// fields' order is the JSON key order.
 type GaugesSnapshot struct {
+	// PoolSize is P, the pool's worker count. It is the pool's, not a gauge:
+	// Pool.Snapshot fills it, Gauges.Snapshot leaves it zero.
+	PoolSize int `json:"pool_size"`
+	// ActiveRuns is k, the runs in flight over the pool's cores, on the
+	// workers and on their callers' goroutines alike, over every engine that
+	// shares the pool. A propagation is priced at P ÷ k workers. It is the
+	// pool's count, not a gauge: Pool.Snapshot fills it, Gauges.Snapshot
+	// leaves it zero.
+	ActiveRuns int64 `json:"active_runs"`
 	// GlobalDepth is the GL depth: tasks submitted to the scheduler but not
 	// yet completed, across all in-flight runs. It can transiently
 	// under-count after a failed run (stragglers of the dead run still
 	// retire tasks that were already written off), so it is clamped at 0.
 	GlobalDepth int64 `json:"global_depth"`
-	// ActiveRuns is k, the runs in flight over the pool's cores, inline and
-	// dispatched alike. It is the pool's count, not a gauge: Pool.Snapshot
-	// fills it, Gauges.Snapshot leaves it zero.
-	ActiveRuns int64 `json:"active_runs"`
-	// Workers holds one entry per worker slot.
+	// Workers holds one entry per worker slot. A pool's is empty until a run
+	// is first dispatched to it: the goroutines start then, and reading
+	// gauges starts none.
 	Workers []WorkerGaugeSnapshot `json:"workers"`
 }
 

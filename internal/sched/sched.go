@@ -332,14 +332,15 @@ func (p *Pool) LeaveRun() { p.inFlight.Add(-1) }
 // RunsInFlight reads k.
 func (p *Pool) RunsInFlight() int64 { return p.inFlight.Load() }
 
-// Snapshot is the pool's live surface: the gauges' sweep with ActiveRuns read
-// from k, and no worker entries while no worker goroutine exists.
+// Snapshot is the pool's live surface: the gauges' sweep with PoolSize and
+// ActiveRuns read from the pool (P and k), and an empty worker list while no
+// worker goroutine exists.
 func (p *Pool) Snapshot() GaugesSnapshot {
-	var s GaugesSnapshot
+	s := GaugesSnapshot{Workers: []WorkerGaugeSnapshot{}}
 	if p.started.Load() {
 		s = p.gauges.Snapshot()
 	}
-	s.ActiveRuns = p.inFlight.Load()
+	s.PoolSize, s.ActiveRuns = len(p.lists), p.inFlight.Load()
 	return s
 }
 

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"evprop/internal/core"
+	"evprop/internal/lazy"
 	"evprop/internal/obs"
 	"evprop/internal/potential"
 )
@@ -161,42 +161,17 @@ func (r *QueryResult) ProbabilityOfEvidence() float64 {
 }
 
 // RunMetrics is the observability report of the propagation behind one
-// QueryResult — the paper's Fig. 8 quantities measured on a real run.
-type RunMetrics struct {
-	// Elapsed is the propagation's wall-clock makespan.
-	Elapsed time.Duration
-	// Executor is "inline" when the run executed on the caller's goroutine
-	// and "pool" when it was dispatched to the scheduler's workers.
-	Executor string
-	// Workers is the number of worker columns the run reported: P for a
-	// pool run, 1 for an inline one.
-	Workers int
-	// Tasks, Pieces and Partitioned count executed items, pieces of
-	// partitioned tasks, and tasks split by the Partition module.
-	Tasks, Pieces, Partitioned int
-	// LoadBalance is max/mean per-worker busy time: 1.0 is perfect balance.
-	LoadBalance float64
-	// OverheadFraction is scheduling time / total worker time — the
-	// paper's "<0.9% scheduler overhead" number.
-	OverheadFraction float64
-	// BusyPerWorker and OverheadPerWorker are the per-worker columns of
-	// the paper's Fig. 8 bars.
-	BusyPerWorker     []time.Duration
-	OverheadPerWorker []time.Duration
-	// BusyByKind splits computation time across the four node-level
-	// primitives (marginalize, divide, extend, multiply).
-	BusyByKind map[string]time.Duration
-}
+// QueryResult — the paper's Fig. 8 quantities measured on a real run: the
+// per-worker Busy and Overhead columns of its bars, their LoadBalance and
+// OverheadFraction summaries, and KindBusy, the computation time of each
+// node-level primitive (labelled by KindNames).
+type RunMetrics = obs.Report
 
 // Metrics returns the run report of the propagation that produced this
 // result, or nil for results served from the cache (nothing ran for them).
-// It stays available after Close.
-func (r *QueryResult) Metrics() *RunMetrics {
-	if r.rec.Report == nil {
-		return nil
-	}
-	return runMetricsFromReport(r.rec.Report)
-}
+// It stays available after Close. The report is the engine's record itself,
+// shared with the flight recorder: read it, never modify it.
+func (r *QueryResult) Metrics() *RunMetrics { return r.rec.Report }
 
 // Records returns the engine's record of every propagation behind this
 // result: the sum-product pass, the run that completed it if a read went
@@ -251,27 +226,6 @@ func (r *QueryResult) Runs(dst []RunSummary) int {
 		n++
 	}
 	return n
-}
-
-// runMetricsFromReport converts an internal run report to the public type.
-func runMetricsFromReport(rep *obs.Report) *RunMetrics {
-	m := &RunMetrics{
-		Elapsed:           rep.Elapsed,
-		Executor:          rep.Executor,
-		Workers:           rep.Workers,
-		Tasks:             rep.Tasks,
-		Pieces:            rep.Pieces,
-		Partitioned:       rep.Partitioned,
-		LoadBalance:       rep.LoadBalance,
-		OverheadFraction:  rep.OverheadFraction,
-		BusyPerWorker:     append([]time.Duration(nil), rep.Busy...),
-		OverheadPerWorker: append([]time.Duration(nil), rep.Overhead...),
-		BusyByKind:        make(map[string]time.Duration, len(obs.KindNames)),
-	}
-	for k, name := range obs.KindNames {
-		m.BusyByKind[name] = rep.KindBusy[k]
-	}
-	return m
 }
 
 // Evidence returns a copy of the evidence this result conditions on.
@@ -454,49 +408,20 @@ func (r *QueryResult) MPEContext(ctx context.Context) (map[string]int, float64, 
 	return named, joint / pe, nil
 }
 
-// PropagationStats reports how much work the lazy engine pruned for this
+// PropagationStats reports how much work the lazy engine pruned for one
 // query, measured against what an eager two-pass propagation over the same
-// tree would do. All zero (and ok false) on engines compiled without
-// Options.Lazy.
-type PropagationStats struct {
-	// MessagesSent, MessagesBlocked and MessagesSkipped partition the
-	// tree's 2×edges potential messages by fate: sent in full, collapsed
-	// to a scalar by a fully observed separator, or never sent at all
-	// (undisturbed subtree, or distribution not demanded by any query).
-	MessagesSent, MessagesBlocked, MessagesSkipped int64
-	// TasksRun and TasksSkipped count node-level primitives (marginalize,
-	// divide, extend, multiply) against the eager graph's 8 per edge.
-	TasksRun, TasksSkipped int64
-	// Flops counts potential-table entries processed; FlopsFull is the
-	// eager engine's per-query total on this tree.
-	Flops, FlopsFull int64
-	// MaterializedEntries counts table entries copied or allocated for
-	// this query; untouched regions of the precalibrated tree cost zero.
-	MaterializedEntries int64
-}
+// tree would do.
+type PropagationStats = lazy.Stats
 
 // PropagationStats returns the lazy engine's pruning counters for this
 // result. The counters are live: posterior reads materialize deferred
-// root-to-leaf messages and advance them. ok is false on eager engines and
-// after Close.
+// root-to-leaf messages and advance them. They are all zero, and ok false,
+// on eager engines and after Close.
 func (r *QueryResult) PropagationStats() (PropagationStats, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return PropagationStats{}, false
 	}
-	s, ok := r.res.LazyStats()
-	if !ok {
-		return PropagationStats{}, false
-	}
-	return PropagationStats{
-		MessagesSent:        s.MessagesSent,
-		MessagesBlocked:     s.MessagesBlocked,
-		MessagesSkipped:     s.MessagesSkipped,
-		TasksRun:            s.TasksRun,
-		TasksSkipped:        s.TasksSkipped,
-		Flops:               s.Flops,
-		FlopsFull:           s.FlopsFull,
-		MaterializedEntries: s.MaterializedEntries,
-	}, true
+	return r.res.LazyStats()
 }
