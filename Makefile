@@ -206,6 +206,9 @@ smoke-multimodel:
 # in the temp dir — and replays it on this build: an answer's bits belong to
 # its evidence, not to the build, so zero mismatches, MPE included. It is
 # skipped with a notice where that commit is not to be had (a shallow clone).
+# The third leg replays the first log against a server at -workers 3: its
+# fingerprint (evprop.Fingerprint) differs from the recorded one, so evreplay
+# must refuse before replaying anything — exit 2, naming the fingerprint.
 smoke-replay:
 	@$(GO) build -o /tmp/evserve-smoke ./cmd/evserve
 	@$(GO) build -o /tmp/evreplay-smoke ./cmd/evreplay
@@ -224,7 +227,7 @@ smoke-replay:
 		curl -sf -X POST $$m/mpe \
 			-d '{"evidence":{"XRay":1}}' >/dev/null || rc=2; \
 		return $$rc; }; \
-	/tmp/evserve-smoke -models-dir $(ASIA_DIR) -addr 127.0.0.1:18097 -audit-dir $$dir/audit -audit-batch 8 >/dev/null 2>&1 & \
+	/tmp/evserve-smoke -models-dir $(ASIA_DIR) -addr 127.0.0.1:18097 -workers 2 -audit-dir $$dir/audit -audit-batch 8 >/dev/null 2>&1 & \
 	pid=$$!; \
 	boot 18097; \
 	fail=0; \
@@ -248,6 +251,12 @@ smoke-replay:
 	else \
 		echo "smoke-replay: no commit $$base to record with; cross-build leg skipped"; \
 	fi; \
+	/tmp/evserve-smoke -models-dir $(ASIA_DIR) -addr 127.0.0.1:18093 -workers 3 >/dev/null 2>&1 & \
+	opid=$$!; \
+	boot 18093; \
+	/tmp/evreplay-smoke -dir $$dir/audit -mode diff -url http://127.0.0.1:18093 >/dev/null 2>$$dir/refused; rc=$$?; \
+	kill $$opid; wait $$opid 2>/dev/null; \
+	[ $$rc -eq 2 ] && grep -q 'fingerprint "scheme=[0-9]* workers=2"' $$dir/refused || { cat $$dir/refused; fail=12; }; \
 	seg=$$(ls $$dir/audit/*.seg | head -1); \
 	size=$$(wc -c < $$seg); \
 	off=$$((size / 2)); \

@@ -220,15 +220,15 @@ func BenchmarkCollaborative(b *testing.B) {
 // and at the fixed δ it used to derive (twice the mean clique table). pieces/op
 // and partitioned/op do not move with host load: they are the companion
 // numbers of the benchmark's wide-miss and mid-dense throughput. At two
-// workers both graphs occupy the pool whole (W/CP 2.49 and 2.58), so the
-// automatic rows report 0 pieces where the fixed δ cuts 49 and 52 tasks into
-// 237 and 315; one worker runs inline and cuts nothing either way.
+// workers the rule cuts wide60 (W/CP 1.73) into 50 pieces over 25 tasks where
+// the fixed δ cuts 16 tasks into 42; mid60 (mean task 603) runs inline there
+// and reports no pieces; one worker runs inline and cuts nothing either way.
 func BenchmarkPropagateWide(b *testing.B) {
 	for _, m := range []struct {
 		name    string
 		parents int
 		fixedδ  int
-	}{{"wide60", 5, 18896}, {"mid60", 4, 1000}} {
+	}{{"wide60", 5, 14992}, {"mid60", 4, 1000}} {
 		net := RandomNetwork(60, 2, m.parents, 7)
 		vars := net.Variables()
 		ev := Evidence{vars[3]: 1, vars[17]: 0, vars[41]: 1}

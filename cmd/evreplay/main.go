@@ -25,6 +25,14 @@
 // the latter is how a recorded log is checked against a new build without
 // serving it.
 //
+// A record carries the fingerprint of the engine that answered it
+// (evprop.Fingerprint: the compile scheme and Workers). In-process, each
+// record replays on an engine compiled at its recorded Workers (-workers
+// serves records written before fingerprints were); a record of another
+// compile scheme is refused. Against a server, diff mode refuses a record
+// whose fingerprint differs from the one /v1/models/{name} reports. Either
+// refusal happens before anything replays, and exits 2.
+//
 // Against a live server, every replayed request carries a W3C traceparent
 // derived deterministically from the record's query ID (SHA-256), so
 // server-side traces and access logs correlate back to the audit log; in
@@ -55,7 +63,7 @@ func run(argv []string) int {
 		mode    = fs.String("mode", "verify", "verify, dump, load or diff")
 		url     = fs.String("url", "", "replay against a live evserve at this base URL")
 		bifFile = fs.String("bif", "", "replay on an in-process engine compiled from this BIF file (.xml/.xmlbif: XMLBIF)")
-		workers = fs.Int("workers", 0, "in-process engine worker goroutines (0 = GOMAXPROCS)")
+		workers = fs.Int("workers", 0, "in-process engine workers for records without a fingerprint (0 = GOMAXPROCS)")
 		speed   = fs.Float64("speed", 0, "load pacing: 0 = flat out, 1 = recorded, N = N× faster")
 		conc    = fs.Int("concurrency", 8, "concurrent in-flight replays")
 		limit   = fs.Int("limit", 0, "replay at most this many records (0 = all)")
@@ -95,12 +103,12 @@ func run(argv []string) int {
 		return 2
 	}
 
-	tgt, err := buildTarget(*url, *bifFile, *workers, *mode == "diff")
+	ctx := context.Background()
+	tgt, err := buildTarget(ctx, *url, *bifFile, *workers, recs, *mode == "diff")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "evreplay:", err)
 		return 2
 	}
-	ctx := context.Background()
 
 	if *mode == "load" {
 		rep := loadReplay(ctx, tgt, recs, *speed, *conc)
@@ -128,14 +136,22 @@ func run(argv []string) int {
 }
 
 // buildTarget constructs the replay target: a live server when -url is
-// set, otherwise an in-process engine compiled from -bif. sampled marks
-// replayed traces always-keep (diff mode: mismatches deserve a waterfall).
-func buildTarget(url, bifFile string, workers int, sampled bool) (target, error) {
+// set, otherwise in-process engines compiled from -bif, one per recorded
+// Workers. diff marks replayed traces always-keep (mismatches deserve a
+// waterfall) and refuses a server whose fingerprint differs from a
+// record's.
+func buildTarget(ctx context.Context, url, bifFile string, workers int, recs []*audit.Record, diff bool) (target, error) {
 	switch {
 	case url != "" && bifFile != "":
 		return nil, fmt.Errorf("-url and -bif are mutually exclusive")
 	case url != "":
-		return &httpTarget{c: evclient.New(url), sampled: sampled}, nil
+		c := evclient.New(url)
+		if diff {
+			if err := checkServerFingerprints(ctx, c, recs); err != nil {
+				return nil, err
+			}
+		}
+		return &httpTarget{c: c, sampled: diff}, nil
 	case bifFile == "":
 		return nil, fmt.Errorf("replay needs a target: -url or -bif")
 	}
@@ -143,11 +159,63 @@ func buildTarget(url, bifFile string, workers int, sampled bool) (target, error)
 	if err != nil {
 		return nil, err
 	}
-	eng, err := net.Compile(evprop.Options{Workers: workers})
-	if err != nil {
-		return nil, err
+	tgt := &engineTarget{engines: map[string]*evprop.Engine{}}
+	for _, rec := range recs {
+		if _, ok := tgt.engines[rec.Fingerprint]; ok {
+			continue
+		}
+		w := workers
+		if rec.Fingerprint != "" {
+			fp, err := evprop.ParseFingerprint(rec.Fingerprint)
+			if err != nil {
+				return nil, err
+			}
+			if fp.Scheme != evprop.CompileScheme {
+				this := evprop.Fingerprint{Scheme: evprop.CompileScheme, Workers: fp.Workers}
+				return nil, &fingerprintMismatch{model: rec.Model, recorded: rec.Fingerprint, target: this.String()}
+			}
+			w = fp.Workers
+		}
+		eng, err := net.Compile(evprop.Options{Workers: w})
+		if err != nil {
+			return nil, err
+		}
+		tgt.engines[rec.Fingerprint] = eng
 	}
-	return &engineTarget{eng: eng}, nil
+	return tgt, nil
+}
+
+// checkServerFingerprints asks the server for the fingerprint of every model
+// the records name, and refuses the first record that was answered at
+// another. A model the server does not answer for is left to the replay,
+// whose requests then fail as mismatches.
+func checkServerFingerprints(ctx context.Context, c *evclient.Client, recs []*audit.Record) error {
+	served := map[string]string{}
+	for _, rec := range recs {
+		fp, ok := served[rec.Model]
+		if !ok {
+			if info, err := c.Model(ctx, rec.Model); err == nil {
+				fp = info.Fingerprint
+			}
+			served[rec.Model] = fp
+		}
+		if rec.Fingerprint != "" && fp != "" && rec.Fingerprint != fp {
+			return &fingerprintMismatch{model: rec.Model, recorded: rec.Fingerprint, target: fp}
+		}
+	}
+	return nil
+}
+
+// fingerprintMismatch refuses a replay whose target computes a record's
+// answer another way than the engine that recorded it: bits would differ
+// without anything being wrong.
+type fingerprintMismatch struct {
+	model, recorded, target string
+}
+
+func (e *fingerprintMismatch) Error() string {
+	return fmt.Sprintf("model %q was recorded at fingerprint %q, the replay target answers at %q: its bits would differ; replay against a target at the recorded fingerprint",
+		e.model, e.recorded, e.target)
 }
 
 func kindName(k uint8) string {

@@ -137,16 +137,17 @@ func (t *httpTarget) mpe(ctx context.Context, rec *audit.Record) (*answer, error
 	return &answer{assignment: resp.Assignment, probability: resp.Probability}, nil
 }
 
-// engineTarget replays on an in-process engine, mirroring the server's
+// engineTarget replays on in-process engines, mirroring the server's
 // query semantics exactly: P(e) and posteriors from one propagation that
 // declares the recorded query list as its targets, posteriors only when
-// P(e) > 0, projected onto that list.
+// P(e) > 0, projected onto that list. Each record runs on the engine
+// compiled at its recorded fingerprint.
 type engineTarget struct {
-	eng *evprop.Engine
+	engines map[string]*evprop.Engine // by the records' Fingerprint
 }
 
 func (t *engineTarget) query(ctx context.Context, rec *audit.Record) (*answer, error) {
-	res, err := t.eng.PropagateContext(ctx, evprop.Evidence(rec.Evidence), rec.Query...)
+	res, err := t.engines[rec.Fingerprint].PropagateContext(ctx, evprop.Evidence(rec.Evidence), rec.Query...)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +162,7 @@ func (t *engineTarget) query(ctx context.Context, rec *audit.Record) (*answer, e
 }
 
 func (t *engineTarget) mpe(ctx context.Context, rec *audit.Record) (*answer, error) {
-	assignment, p, err := t.eng.MostProbableExplanation(evprop.Evidence(rec.Evidence))
+	assignment, p, err := t.engines[rec.Fingerprint].MostProbableExplanation(evprop.Evidence(rec.Evidence))
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,11 @@ package main
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,6 +32,11 @@ func asiaEngine(t *testing.T) *evprop.Engine {
 	return eng
 }
 
+// oneEngine is the in-process target for records eng answered.
+func oneEngine(eng *evprop.Engine) *engineTarget {
+	return &engineTarget{engines: map[string]*evprop.Engine{eng.Fingerprint().String(): eng}}
+}
+
 // recordQuery runs one query on eng and captures it as the server would
 // have audited it.
 func recordQuery(t *testing.T, eng *evprop.Engine, ev map[string]int, query []string) *audit.Record {
@@ -37,6 +46,7 @@ func recordQuery(t *testing.T, eng *evprop.Engine, ev map[string]int, query []st
 		TimeUnixNano: time.Now().UnixNano(),
 		Model:        "asia",
 		Version:      1,
+		Fingerprint:  eng.Fingerprint().String(),
 		Evidence:     ev,
 		Query:        query,
 	}
@@ -63,6 +73,7 @@ func recordMPE(t *testing.T, eng *evprop.Engine, ev map[string]int) *audit.Recor
 		TimeUnixNano: time.Now().UnixNano(),
 		Model:        "asia",
 		Version:      1,
+		Fingerprint:  eng.Fingerprint().String(),
 		Evidence:     ev,
 	}
 	assignment, p, err := eng.MostProbableExplanation(evprop.Evidence(ev))
@@ -91,7 +102,7 @@ func TestDiffReplayMatchesSameEngine(t *testing.T) {
 	if recs[3].Error == "" {
 		t.Fatal("expected the unknown-variable record to be a failure")
 	}
-	tgt := &engineTarget{eng: eng}
+	tgt := oneEngine(eng)
 	if ms := diffReplay(context.Background(), tgt, recs, 4); len(ms) != 0 {
 		t.Fatalf("mismatches on identical engine: %v", ms[0].reason)
 	}
@@ -99,7 +110,7 @@ func TestDiffReplayMatchesSameEngine(t *testing.T) {
 
 func TestDiffReplayDetectsDivergence(t *testing.T) {
 	eng := asiaEngine(t)
-	tgt := &engineTarget{eng: eng}
+	tgt := oneEngine(eng)
 	ctx := context.Background()
 
 	// A single flipped mantissa bit in one posterior.
@@ -216,10 +227,85 @@ func TestRunRefusesCorruptedChain(t *testing.T) {
 	}
 }
 
+// TestReplayAtRecordedFingerprint: in-process, each record replays on an
+// engine compiled at its recorded Workers, a record without a fingerprint
+// (written by the version 1 codec) at -workers, and a record of another
+// compile scheme is refused with the typed error and exit 2 before anything
+// replays.
+func TestReplayAtRecordedFingerprint(t *testing.T) {
+	eng := asiaEngine(t)
+	recs := testRecords(t, eng)
+	recs[1].Fingerprint = evprop.Fingerprint{Scheme: evprop.CompileScheme, Workers: 3}.String()
+	recs[2].Fingerprint = ""
+	tgt, err := buildTarget(context.Background(), "", asiaBIF, 1, recs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		want := 1
+		if rec.Fingerprint != "" {
+			fp, err := evprop.ParseFingerprint(rec.Fingerprint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = fp.Workers
+		}
+		if got := tgt.(*engineTarget).engines[rec.Fingerprint].Fingerprint().Workers; got != want {
+			t.Errorf("record %q replays at %d workers, want %d", rec.Fingerprint, got, want)
+		}
+	}
+	if ms := diffReplay(context.Background(), tgt, recs, 2); len(ms) != 0 {
+		t.Fatalf("mismatch: %v", ms[0].reason)
+	}
+
+	recs[0].Fingerprint = evprop.Fingerprint{Scheme: evprop.CompileScheme - 1, Workers: 2}.String()
+	var refused *fingerprintMismatch
+	if _, err := buildTarget(context.Background(), "", asiaBIF, 0, recs, true); !errors.As(err, &refused) || refused.recorded != recs[0].Fingerprint {
+		t.Fatalf("a record of another compile scheme: %v, want a fingerprint mismatch", err)
+	}
+	dir := t.TempDir()
+	writeSegments(t, dir, recs)
+	if code := run([]string{"-dir", dir, "-mode", "diff", "-bif", asiaBIF}); code != 2 {
+		t.Fatalf("diff exit %d, want 2", code)
+	}
+}
+
+// TestDiffRefusesServerFingerprint: against a server, diff mode reads each
+// recorded model's fingerprint from /v1/models/{name} and refuses a record
+// answered at another one; load mode does not ask.
+func TestDiffRefusesServerFingerprint(t *testing.T) {
+	eng := asiaEngine(t)
+	recs := testRecords(t, eng)
+	serve := func(fp string) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/v1/models/asia" {
+				http.NotFound(w, r)
+				return
+			}
+			fmt.Fprintf(w, `{"name":"asia","state":"ready","fingerprint":%q,"variables":[]}`, fp)
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	ctx := context.Background()
+	other := evprop.Fingerprint{Scheme: evprop.CompileScheme, Workers: 3}.String()
+	srv := serve(other)
+	var refused *fingerprintMismatch
+	if _, err := buildTarget(ctx, srv.URL, "", 0, recs, true); !errors.As(err, &refused) || refused.target != other {
+		t.Fatalf("diff against a server at %s: %v, want a fingerprint mismatch", other, err)
+	}
+	if _, err := buildTarget(ctx, srv.URL, "", 0, recs, false); err != nil {
+		t.Fatalf("load mode: %v", err)
+	}
+	if _, err := buildTarget(ctx, serve(eng.Fingerprint().String()).URL, "", 0, recs, true); err != nil {
+		t.Fatalf("diff against a server at the recorded fingerprint: %v", err)
+	}
+}
+
 func TestLoadReplay(t *testing.T) {
 	eng := asiaEngine(t)
 	recs := testRecords(t, eng)
-	tgt := &engineTarget{eng: eng}
+	tgt := oneEngine(eng)
 	rep := loadReplay(context.Background(), tgt, recs, 0, 4)
 	if rep.total != len(recs) || rep.failed != 0 {
 		t.Fatalf("report: %+v", rep)

@@ -36,6 +36,7 @@ func (o *outcome) auditRecord(id, model string) *audit.Record {
 		ID:           id,
 		Model:        model,
 		Version:      o.v.ID,
+		Fingerprint:  o.v.Fingerprint,
 		Cached:       o.cached,
 		ElapsedUsec:  float64(o.elapsed.Nanoseconds()) / 1e3,
 		Evidence:     maps.Clone(o.evidence),

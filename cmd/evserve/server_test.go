@@ -31,7 +31,7 @@ func testServerFull(t *testing.T, opts evprop.Options) (*httptest.Server, *serve
 	return testServerNet(t, evprop.Asia(), opts)
 }
 
-// poolNetwork is a model whose task graph's mean task (12 902 entries, the
+// poolNetwork is a model whose task graph's mean task (10 198 entries, the
 // load benchmark's wide60) is dearer than one dispatch, so at two workers its
 // propagations go to the pool; every graph of Asia runs inline. Its variables
 // are named A, B, C, ….

@@ -28,9 +28,10 @@ const (
 	KindMPE
 )
 
-// recordVersion is the canonical encoding's format version byte. Decoders
-// reject other versions instead of guessing.
-const recordVersion = 1
+// recordVersion is the canonical encoding's format version byte. Version 2
+// adds the fingerprint after the model version; version 1 records decode
+// with an empty one. Decoders reject other versions instead of guessing.
+const recordVersion = 2
 
 // Record is one audited query: the request (evidence, requested
 // variables), the engine build that answered (model name + version), and
@@ -48,9 +49,12 @@ type Record struct {
 	Kind uint8 `json:"kind"`
 	// ID is the query ID the request ran under (X-Query-ID).
 	ID string `json:"id"`
-	// Model and Version name the engine build that answered.
-	Model   string `json:"model"`
-	Version int64  `json:"version"`
+	// Model and Version name the engine build that answered, and
+	// Fingerprint (evprop.Fingerprint, "" in a version 1 record) what its
+	// bits depend on besides the model bytes and the evidence.
+	Model       string `json:"model"`
+	Version     int64  `json:"version"`
+	Fingerprint string `json:"fingerprint,omitempty"`
 	// Cached marks answers served without their own propagation (result
 	// cache or singleflight).
 	Cached bool `json:"cached"`
@@ -86,6 +90,7 @@ func (r *Record) Encode() []byte {
 	buf = appendString(buf, r.ID)
 	buf = appendString(buf, r.Model)
 	buf = binary.AppendVarint(buf, r.Version)
+	buf = appendString(buf, r.Fingerprint)
 	buf = append(buf, b2u8(r.Cached))
 	buf = appendFloat(buf, r.ElapsedUsec)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Evidence)))
@@ -122,7 +127,8 @@ func (r *Record) Encode() []byte {
 // payloads fail cleanly instead of panicking or over-allocating.
 func DecodeRecord(data []byte) (*Record, error) {
 	d := &decoder{data: data}
-	if v := d.byte(); v != recordVersion {
+	v := d.byte()
+	if v != 1 && v != recordVersion {
 		if d.err == nil {
 			d.err = fmt.Errorf("audit: unsupported record version %d", v)
 		}
@@ -135,6 +141,9 @@ func DecodeRecord(data []byte) (*Record, error) {
 	r.ID = d.string()
 	r.Model = d.string()
 	r.Version = d.varint()
+	if v >= 2 {
+		r.Fingerprint = d.string()
+	}
 	r.Cached = d.byte() != 0
 	r.ElapsedUsec = d.float()
 	if n := d.count(); n > 0 {

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -39,6 +40,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		},
 		{Error: "evprop: unknown variable \"Zz\"", Evidence: map[string]int{"Zz": 1}},
 		{PEvidence: math.Float64frombits(0x3fd5555555555555)}, // exact bit pattern
+		{Model: "wide60", Version: 2, Fingerprint: "scheme=2 workers=4"},
 	}
 	for i, want := range cases {
 		got, err := DecodeRecord(want.Encode())
@@ -108,5 +110,25 @@ func TestDecodeRecordCorrupt(t *testing.T) {
 	}
 	if _, err := DecodeRecord([]byte{recordVersion + 1}); err == nil {
 		t.Fatal("unknown version decoded without error")
+	}
+}
+
+// TestRecordDecodesVersion1 decodes sampleRecord as the version 1 codec
+// wrote it, without a fingerprint: every field survives and the fingerprint
+// is empty.
+func TestRecordDecodesVersion1(t *testing.T) {
+	v1, err := hex.DecodeString("01002aaab4acbdc394d7e92f0d712d39663263343164332d313705616c61726d060100000000006289400204417369610004585261790102044c756e670542726f6e63000e2f88484dbbbc3f020542726f6e6302555555555555d53f565555555555e53f044c756e6702666666666666e03f333333333333df3f000000000000000000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeRecord(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sampleRecord(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("version 1 record:\n got %+v\nwant %+v", got, want)
+	}
+	if enc := got.Encode(); enc[0] != 2 || bytes.Equal(enc, v1) {
+		t.Errorf("re-encoded as version %d", enc[0])
 	}
 }

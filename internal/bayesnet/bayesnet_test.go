@@ -215,7 +215,7 @@ func TestMoralizedMarriesParents(t *testing.T) {
 func TestEliminationOrderComplete(t *testing.T) {
 	n, _ := Asia()
 	for _, h := range []Heuristic{MinFill, MinDegree} {
-		order := n.EliminationOrder(h)
+		order, _ := n.eliminate(h, tieLowestID)
 		if len(order) != n.N() {
 			t.Fatalf("%v: order has %d of %d nodes", h, len(order), n.N())
 		}
@@ -240,7 +240,7 @@ func TestHeuristicString(t *testing.T) {
 
 func TestTriangulationCliquesCoverFamilies(t *testing.T) {
 	n, _ := Asia()
-	cliques := n.TriangulationCliques(n.EliminationOrder(MinFill))
+	_, cliques := n.eliminate(MinFill, tieLowestID)
 	for id, node := range n.Nodes {
 		family := node.CPT.Vars
 		found := false

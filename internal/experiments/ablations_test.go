@@ -194,12 +194,15 @@ func TestHeuristics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 6 {
+	if len(r.Rows) != 10 {
 		t.Fatalf("%d rows", len(r.Rows))
 	}
 	for _, row := range r.Rows {
 		if row.MinFillState <= 0 || row.MinDegState <= 0 {
 			t.Errorf("%s: zero state space", row.Network)
+		}
+		if first, kept := row.Candidates[0].Cost, row.Candidates[row.Kept].Cost; kept > first {
+			t.Errorf("%s: kept a tree of message cost %v over the first candidate's %v", row.Network, kept, first)
 		}
 		if row.MinFillWidth < 1 || row.MinDegWidth < 1 {
 			t.Errorf("%s: zero width", row.Network)
@@ -283,17 +286,19 @@ func TestGranularityCrossover(t *testing.T) {
 			t.Errorf("%s P=%d dispatched at simulated %.2f×", row.Model, row.Workers, row.Speedup)
 		}
 	}
-	// Of the split rule: two workers cut none of the six graphs, small40 is
-	// never cut, every other graph is cut from the P where its W/CP falls
-	// short of max(P, (P−1)²) — and wherever fixed-δ partitioning is priced
-	// with its real combine cost on the benchmark models, it loses to both.
+	// Of the split rule: two workers cut only mid60's and wide60's graphs
+	// (W/CP under 2 on their cost-ordered join trees), small40 is never cut,
+	// every other graph is cut from the P where its W/CP falls short of
+	// max(P, (P−1)²) — and wherever fixed-δ partitioning is priced with its
+	// real combine cost on the benchmark models, it loses to both.
+	cutAtTwo := map[string]int{"mid60": 6, "wide60": 25}
 	for _, row := range r.Rows {
 		covered := row.Parallelism >= float64(max(row.Workers, (row.Workers-1)*(row.Workers-1)))
 		if cut := row.SplitTasks > 0; cut == (covered || row.Model == "small40") {
 			t.Errorf("%s P=%d (W/CP %.2f): %d tasks cut", row.Model, row.Workers, row.Parallelism, row.SplitTasks)
 		}
-		if row.Workers == 2 && row.SplitTasks != 0 {
-			t.Errorf("%s: %d tasks cut at two workers", row.Model, row.SplitTasks)
+		if row.Workers == 2 && row.SplitTasks != cutAtTwo[row.Model] {
+			t.Errorf("%s: %d tasks cut at two workers, want %d", row.Model, row.SplitTasks, cutAtTwo[row.Model])
 		}
 		if row.SplitTasks == 0 && row.Speedup != row.SpeedupNone {
 			t.Errorf("%s P=%d: nothing cut, yet %.3f× against %.3f× unsplit", row.Model, row.Workers, row.Speedup, row.SpeedupNone)

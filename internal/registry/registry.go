@@ -66,6 +66,9 @@ type Version struct {
 	// Published is the swap instant; CompileTime how long Compile took.
 	Published   time.Time
 	CompileTime time.Duration
+	// Fingerprint is Engine.Fingerprint in its String form, which the model
+	// info and every audit record of the version carry.
+	Fingerprint string
 
 	// refs counts the publisher (1) plus every in-flight acquire. When it
 	// reaches zero — the version was swapped out and the last query
@@ -134,6 +137,9 @@ type Info struct {
 	Variables     int     `json:"variables"`
 	CompileUsec   float64 `json:"compile_usec"`
 	PublishedUnix int64   `json:"published_unix"`
+	// Fingerprint is the version's evprop.Fingerprint: what its answers'
+	// bits depend on besides the model bytes and the evidence.
+	Fingerprint string `json:"fingerprint,omitempty"`
 	// Reloading is true while a background compile runs behind a live
 	// version; Error carries the last compile failure, if any.
 	Reloading bool   `json:"reloading,omitempty"`
@@ -156,6 +162,7 @@ func (m *Model) Info() Info {
 		info.Variables = len(v.Net.Variables())
 		info.CompileUsec = float64(v.CompileTime.Nanoseconds()) / 1e3
 		info.PublishedUnix = v.Published.Unix()
+		info.Fingerprint = v.Fingerprint
 		info.Reloading = compiling
 		return info
 	}
@@ -367,6 +374,7 @@ func (r *Registry) compile(m *Model, src Source) error {
 				Engine:      eng,
 				Published:   time.Now(),
 				CompileTime: time.Since(start),
+				Fingerprint: eng.Fingerprint().String(),
 			}
 			v.refs.Store(1) // the publisher's reference
 			v.done = v.release

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -70,6 +71,9 @@ func TestLoadAcquireRelease(t *testing.T) {
 	info := r.List()
 	if len(info) != 1 || info[0].State != StateReady || info[0].Version != 1 {
 		t.Errorf("List = %+v", info)
+	}
+	if want := fmt.Sprintf("scheme=%d workers=2", evprop.CompileScheme); info[0].Fingerprint != want || v.Fingerprint != want {
+		t.Errorf("fingerprint %q in the info, %q on the version, want %q", info[0].Fingerprint, v.Fingerprint, want)
 	}
 }
 

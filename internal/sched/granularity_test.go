@@ -30,9 +30,9 @@ func benchModel(t *testing.T, nodes, maxParents int) (*jtree.Tree, *taskgraph.Gr
 }
 
 // TestGranularityRule is the table of the one weight rule over the three
-// benchmark models: small40's mean task of 30 entries does not pay for a
-// dispatch below 35 workers, mid60 (811) pays from three — at two it is just
-// under the bound of 1 000 and runs inline — wide60 (12 902) at two already,
+// benchmark models: small40's mean task of 27 entries does not pay for a
+// dispatch below 39 workers, mid60 (603) pays from three — at two it is
+// under the bound of 1 000 and runs inline — wide60 (10 198) at two already,
 // and one worker or no tasks means inline whatever the weights.
 func TestGranularityRule(t *testing.T) {
 	_, small := benchModel(t, 40, 3)
@@ -47,7 +47,7 @@ func TestGranularityRule(t *testing.T) {
 		{"small40 P=2", small, 2, true},
 		{"small40 P=8", small, 8, true},
 		{"small40 P=16", small, 16, true},
-		{"small40 P=64", small, 64, false}, // 30 entries > 1000/63: enough workers amortize anything
+		{"small40 P=64", small, 64, false}, // 27 entries > 1000/63: enough workers amortize anything
 		{"mid60 P=2", mid, 2, true},
 		{"mid60 P=3", mid, 3, false},
 		{"wide60 P=2", wide, 2, false},
@@ -122,11 +122,12 @@ func TestGranularityRuleSliced(t *testing.T) {
 // TestSplitRule is the table of the partition verdict over the three
 // benchmark models and a chain-shaped tree of wide cliques, at P from 1 to
 // 16. One worker cuts nothing; neither does any P the graph's own parallelism
-// W/CP covers — max(P, (P−1)²), which is what leaves all three benchmark
-// models whole at P = 2 — while the chain, with no parallelism of its own, is
-// cut as soon as there are two workers. The verdict only grows with P, a piece
-// never weighs less than a dispatch, and a Marginalize is cut only where its
-// pieces dwarf the separator they each reduce into.
+// W/CP covers — max(P, (P−1)²), which leaves small40 whole at every P; the
+// cost-ordered join trees of mid60 and wide60 (W/CP under 2) and the chain,
+// with no parallelism of its own, are cut as soon as there are two workers.
+// The verdict only grows with P, a piece never weighs less than a dispatch,
+// and a Marginalize is cut only where its pieces dwarf the separator they
+// each reduce into.
 func TestSplitRule(t *testing.T) {
 	chainTree, err := jtree.Random(jtree.RandomConfig{N: 24, Width: 14, States: 2, Degree: 1, Seed: 2})
 	if err != nil {
@@ -142,8 +143,8 @@ func TestSplitRule(t *testing.T) {
 		cut [5]int
 	}{
 		{"small40", small, [5]int{0, 0, 0, 0, 0}}, // no table reaches four dispatches
-		{"mid60", mid, [5]int{0, 0, 19, 19, 19}},
-		{"wide60", wide, [5]int{0, 0, 48, 48, 48}},
+		{"mid60", mid, [5]int{0, 6, 13, 13, 13}},
+		{"wide60", wide, [5]int{0, 25, 40, 40, 40}},
 		{"chain", taskgraph.Build(chainTree), [5]int{0, 92, 92, 92, 92}},
 	} {
 		g := tc.g

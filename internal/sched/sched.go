@@ -149,9 +149,12 @@ type combiner struct {
 // lives in the gauge slot's packed LL word, where it doubles as the live
 // queue-weight gauge — one atomic add maintains both.
 type localList struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	items   []item
+	mu   sync.Mutex
+	cond *sync.Cond
+	// ring holds the queued items, n of them from head on, wrapping: a FIFO
+	// that reuses its backing array from run to run and grows only when full.
+	ring    []item
+	head, n int
 	stopped bool
 	g       *workerGauges // owning worker's gauge slot (never nil)
 }
@@ -164,7 +167,14 @@ func newLocalList(g *workerGauges) *localList {
 
 func (l *localList) push(it item) {
 	l.mu.Lock()
-	l.items = append(l.items, it)
+	if l.n == len(l.ring) {
+		grown := make([]item, max(16, 2*len(l.ring)))
+		copied := copy(grown, l.ring[l.head:])
+		copy(grown[copied:], l.ring[:l.head])
+		l.ring, l.head = grown, 0
+	}
+	l.ring[(l.head+l.n)%len(l.ring)] = it
+	l.n++
 	l.g.llAdd(1, it.weight)
 	l.mu.Unlock()
 	l.cond.Signal()
@@ -181,9 +191,11 @@ func (l *localList) fetch() (item, bool, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for {
-		if len(l.items) > 0 {
-			it := l.items[0]
-			l.items = l.items[1:]
+		if l.n > 0 {
+			it := l.ring[l.head]
+			l.ring[l.head] = item{} // drop the run and buffer references
+			l.head = (l.head + 1) % len(l.ring)
+			l.n--
 			l.g.llAdd(-1, -it.weight)
 			return it, true, waited
 		}

@@ -87,6 +87,42 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestPoolPathAllocsPinned pins what a run dispatched to the worker pool
+// allocates: wide60, 4 observed, Propagate + Close with every run forced onto
+// the pool's two workers. The workers' ready lists are rings that keep their
+// backing arrays from run to run; when a fetch resliced the list's front
+// away, every run regrew it and the same loop made 208 allocations.
+func TestPoolPathAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled states at random under the race detector")
+	}
+	net := RandomNetwork(60, 2, 5, 7)
+	eng, err := net.compile(Options{Workers: 2}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	evs := benchmarkEvidence(net, 1, 4, 64)
+	next := 0
+	query := func() {
+		res, err := eng.Propagate(evs[next%len(evs)])
+		next++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := res.Records()[0]; rec.Executor != "pool" {
+			t.Fatalf("executor %q, want the pool", rec.Executor)
+		}
+		res.Close()
+	}
+	for i := 0; i < 8; i++ {
+		query() // fill the state and scratch pools, and grow the rings
+	}
+	if allocs := testing.AllocsPerRun(100, query); allocs > 56 {
+		t.Errorf("%.0f allocations per pool run, pinned at 56", allocs)
+	}
+}
+
 // TestFirstSightAllocatesLikeNoCache is the wide-miss workload's claim without
 // a clock: over never-repeating evidence on wide60 with 4 variables observed,
 // an engine with the benchmark's 32-entry cache allocates per Propagate + Close
