@@ -315,7 +315,11 @@ func BenchmarkPropagateWideEvidence(b *testing.B)  { benchmarkPropagateEvidence(
 // a lone caller's every run is the pool's (1), and with a second caller in
 // flight a run is priced at one worker and stays on its goroutine (≈ 0 — the
 // few that find the other caller between two operations still dispatch).
-// skipped/op is the share of the graph's tasks the targets masked.
+// skipped/op is the share of the graph's tasks the targets masked. parks/op
+// counts the items a worker fetched after parking — the wakes the runs paid
+// for, P per run at least when the workers park between runs — and steals/op
+// those an idle worker took from a peer's list: both read from the process
+// pool's gauges, 0 where every run stayed inline.
 // `make bench-load` runs it at -benchtime 3000x.
 func BenchmarkPropagateWideLoad(b *testing.B) {
 	net := RandomNetwork(60, 2, 5, 7)
@@ -329,6 +333,7 @@ func BenchmarkPropagateWideLoad(b *testing.B) {
 			defer eng.Close()
 			var next, skipped atomic.Int64
 			var wg sync.WaitGroup
+			parks0, steals0 := poolWakes(workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for c := 0; c < callers; c++ {
@@ -355,6 +360,9 @@ func BenchmarkPropagateWideLoad(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(eng.SchedulerReport().PoolRuns)/float64(b.N), "pool_runs/op")
 			b.ReportMetric(float64(skipped.Load())/float64(b.N)/float64(eng.inner.Graph().N()), "skipped/op")
+			parks, steals := poolWakes(workers)
+			b.ReportMetric(float64(parks-parks0)/float64(b.N), "parks/op")
+			b.ReportMetric(float64(steals-steals0)/float64(b.N), "steals/op")
 		}
 	}
 	for _, workers := range []int{1, 2} {
@@ -365,6 +373,15 @@ func BenchmarkPropagateWideLoad(b *testing.B) {
 		}
 	}
 	b.Run("P=2/k=2/cache=0/untargeted", row(2, 2, 0, false))
+}
+
+// poolWakes sums the parks and steals of the process pool of workers.
+func poolWakes(workers int) (parks, steals int64) {
+	for _, w := range ProcessScheduler(workers).Workers {
+		parks += w.Parks
+		steals += w.Steals
+	}
+	return parks, steals
 }
 
 // BenchmarkPropagateTwoModels is BenchmarkPropagateWideLoad for a server with

@@ -148,7 +148,7 @@ func TestStatsKeyOrder(t *testing.T) {
 		want  []string
 	}{
 		{"scheduler", stats.Scheduler, []string{"pool_size", "active_runs", "global_depth", "workers"}},
-		{"scheduler.workers[0]", sched.Workers[0], []string{"state", "queue_depth", "queue_weight", "busy_ns", "items", "completed", "partitions"}},
+		{"scheduler.workers[0]", sched.Workers[0], []string{"state", "queue_depth", "queue_weight", "busy_ns", "items", "completed", "partitions", "parks", "steals"}},
 		{"models[0].cache", stats.Models[0].Cache, []string{"enabled", "capacity", "entries", "bytes", "hits", "misses", "collapsed", "first_sight"}},
 	} {
 		if got := objectKeys(t, c.raw); !slices.Equal(got, c.want) {

@@ -40,6 +40,11 @@ type Report struct {
 	KindBusy [taskgraph.NumKinds]time.Duration
 	// Tasks, Pieces and Partitioned are the run's item counters.
 	Tasks, Pieces, Partitioned int
+	// Parks counts the run's items a worker fetched after parking — the
+	// wakes the run paid for — and Steals those an idle worker took from the
+	// head of a peer's list (sched.WorkerMetrics). Both are 0 inline; 32 bits
+	// each keep the report, which every run allocates, in its size class.
+	Parks, Steals int32
 
 	// LoadBalance is max(busy) / mean(busy) across workers: 1.0 is a
 	// perfectly balanced run, P is the degenerate single-worker-did-it-all
@@ -66,6 +71,8 @@ func FromSched(m *sched.Metrics) *Report {
 	for w, wm := range m.Workers {
 		r.Busy[w] = wm.Busy
 		r.Overhead[w] = wm.Overhead
+		r.Parks += wm.Parks
+		r.Steals += wm.Steals
 		for k := 0; k < taskgraph.NumKinds; k++ {
 			r.KindBusy[k] += wm.KindBusy[k]
 		}
@@ -137,8 +144,8 @@ func (r *Report) TotalOverhead() time.Duration {
 
 // Write prints the report in the row shape of the paper's Fig. 8.
 func (r *Report) Write(w io.Writer) {
-	fmt.Fprintf(w, "run: P=%d elapsed=%v tasks=%d pieces=%d partitioned=%d\n",
-		r.Workers, r.Elapsed, r.Tasks, r.Pieces, r.Partitioned)
+	fmt.Fprintf(w, "run: P=%d elapsed=%v tasks=%d pieces=%d partitioned=%d parks=%d steals=%d\n",
+		r.Workers, r.Elapsed, r.Tasks, r.Pieces, r.Partitioned, r.Parks, r.Steals)
 	fmt.Fprintf(w, "  load balance (max/mean busy): %.3f\n", r.LoadBalance)
 	fmt.Fprintf(w, "  scheduler overhead fraction:  %.4f%%\n", 100*r.OverheadFraction)
 	for k, name := range KindNames {

@@ -87,7 +87,7 @@ func TestFromSchedRealRun(t *testing.T) {
 	checkFig8Invariants(t, r)
 	var buf strings.Builder
 	r.Write(&buf)
-	for _, want := range []string{"load balance", "overhead fraction"} {
+	for _, want := range []string{"load balance", "overhead fraction", " parks=", " steals="} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("report output missing %q:\n%s", want, buf.String())
 		}

@@ -26,8 +26,8 @@ import (
 type WorkerState int32
 
 const (
-	// WorkerParked: blocked on its empty local list (workers park between
-	// runs).
+	// WorkerParked: idle — polling for a hand-off inside a dispatched run, or
+	// blocked on its empty local list (workers park between runs).
 	WorkerParked WorkerState = iota
 	// WorkerExecuting: inside a node-level primitive (or a piece of one).
 	WorkerExecuting
@@ -57,19 +57,22 @@ type workerGauges struct {
 	// the single atomic add the scheduler already paid for its weight
 	// counter before gauges existed — the gauge costs nothing extra.
 	llPacked atomic.Int64
-	// busyNs and items are flushed from the run's plain per-worker metrics
-	// when a run completes, not per executed item (see Pool.Run), keeping
-	// the Execute hot path free of their atomics. Mid-run they lag by the
-	// run in flight; queue depth and state stay instantaneous.
+	// busyNs, items, parks and steals are flushed from the run's plain
+	// per-worker metrics when a run completes, not per executed item (see
+	// Pool.Run), keeping the Execute hot path free of their atomics. Mid-run
+	// they lag by the run in flight; queue depth and state stay
+	// instantaneous.
 	busyNs     atomic.Int64 // cumulative time inside primitives
 	items      atomic.Int64 // executed items (tasks, pieces, combiners)
+	parks      atomic.Int64 // items fetched after parking (wakes)
+	steals     atomic.Int64 // items taken from the head of a peer's list
 	completed  atomic.Int64 // original graph tasks completed (Allocate)
 	partitions atomic.Int64 // tasks this worker split (δ-partition)
 	// lastLabel caches the pprof label context most recently applied on the
 	// goroutine driving this slot, so consecutive items of the same kind in
 	// the same run skip the SetGoroutineLabels call (see labelSet.apply).
 	lastLabel atomic.Pointer[context.Context]
-	_         [72]byte // pad the 56-byte body to two cache lines
+	_         [56]byte // pad the 72-byte body to two cache lines
 }
 
 // The packed LL gauge: depth in the top 16 bits, weight in the low 48.
@@ -86,6 +89,11 @@ const (
 // llAdd adjusts the list gauges by (depth, weight) in one atomic add.
 func (g *workerGauges) llAdd(depth, weight int64) {
 	g.llPacked.Add(depth<<llDepthShift + weight)
+}
+
+// depth reads the local ready list's queued item count.
+func (g *workerGauges) depth() int64 {
+	return g.llPacked.Load() >> llDepthShift
 }
 
 // llWeight reads the W_i weight counter (the Allocate module's argmin key).
@@ -131,10 +139,11 @@ func (g *Gauges) runFinished(leftover int64) {
 	}
 }
 
-// flushRun folds a completed run's per-worker busy/item totals into the
-// cumulative gauges — once per run, so the Execute hot path never touches
-// these atomics. Callers must ensure the metrics are quiescent (a failed
-// pool run's stragglers still write theirs; such runs are not flushed).
+// flushRun folds a completed run's per-worker busy, item, park and steal
+// totals into the cumulative gauges — once per run, so the Execute hot path
+// never touches these atomics. Callers must ensure the metrics are quiescent
+// (a failed pool run's stragglers still write theirs; such runs are not
+// flushed).
 func (g *Gauges) flushRun(metrics []WorkerMetrics) {
 	for w := range metrics {
 		if w >= len(g.w) {
@@ -145,6 +154,12 @@ func (g *Gauges) flushRun(metrics []WorkerMetrics) {
 		}
 		if n := int64(metrics[w].Tasks); n > 0 {
 			g.w[w].items.Add(n)
+		}
+		if n := int64(metrics[w].Parks); n > 0 {
+			g.w[w].parks.Add(n)
+		}
+		if n := int64(metrics[w].Steals); n > 0 {
+			g.w[w].steals.Add(n)
 		}
 	}
 }
@@ -171,6 +186,11 @@ type WorkerGaugeSnapshot struct {
 	Completed int64 `json:"completed"`
 	// Partitions counts tasks this worker split into δ-pieces.
 	Partitions int64 `json:"partitions"`
+	// Parks counts the items this worker fetched after parking — each a wake
+	// a run paid for — and Steals those it took from the head of a peer's
+	// list while idle inside a run. Both advance when a run completes.
+	Parks  int64 `json:"parks"`
+	Steals int64 `json:"steals"`
 }
 
 // GaugesSnapshot is the whole surface at a sampling instant. It is the
@@ -218,6 +238,8 @@ func (g *Gauges) Snapshot() GaugesSnapshot {
 		ws.Items = wg.items.Load()
 		ws.Completed = wg.completed.Load()
 		ws.Partitions = wg.partitions.Load()
+		ws.Parks = wg.parks.Load()
+		ws.Steals = wg.steals.Load()
 		completed += ws.Completed
 	}
 	s.GlobalDepth = g.submitted.Load() - g.aborted.Load() - completed

@@ -6,7 +6,9 @@
 //     degree of its successors in the shared global task list, and pushes
 //     each task that reaches degree zero onto the local ready list with the
 //     smallest weight counter (load balancing);
-//   - Fetch: the worker pops the head of its own local ready list;
+//   - Fetch: the worker pops the head of its own local ready list; an idle
+//     worker inside a dispatched run polls for a bounded window, and takes
+//     the head of a peer's list, before it parks;
 //   - Partition: a fetched task whose potential table exceeds the threshold
 //     δ — or, with no δ configured, one that Split says the graph needs cut
 //     to occupy P workers — is split into subtasks T̂1…T̂n over disjoint
@@ -34,6 +36,7 @@ package sched
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,11 +95,16 @@ type WorkerMetrics struct {
 	// time" in the paper).
 	Busy time.Duration
 	// Overhead is the time spent in the Allocate and Partition modules
-	// (lock waits included). Fetch waits are not attributed: pooled workers
-	// park across unrelated runs while idle.
+	// (lock waits included). Fetch waits, spinning or parked, are not
+	// attributed: pooled workers idle across unrelated runs.
 	Overhead time.Duration
 	// Tasks counts executed items (tasks, pieces and combiners).
 	Tasks int
+	// Parks counts the run's items this worker fetched after parking — the
+	// wakes the run paid for — and Steals those it took from the head of a
+	// peer's list. 32 bits each keep the record, which every inline run
+	// allocates, at 64 bytes.
+	Parks, Steals int32
 	// KindBusy splits Busy by primitive kind, indexed by taskgraph.Kind.
 	KindBusy [taskgraph.NumKinds]time.Duration
 }
@@ -156,6 +164,7 @@ type localList struct {
 	ring    []item
 	head, n int
 	stopped bool
+	asleep  bool          // the owner is in cond.Wait
 	g       *workerGauges // owning worker's gauge slot (never nil)
 }
 
@@ -180,32 +189,81 @@ func (l *localList) push(it item) {
 	l.cond.Signal()
 }
 
-// fetch is the owning worker's Fetch module: it blocks until an item is
-// available or the list is stopped. Queued items are always drained before a
-// stop takes effect. fetch keeps the list's depth/weight gauges in step and
-// publishes the parked transition, but only on the slow path — the returned
-// waited flag tells the caller to republish its executing state. A worker
-// draining a hot list therefore performs no state stores at all.
-func (l *localList) fetch() (item, bool, bool) {
-	waited := false
+// pop takes the head of the list; the caller holds mu.
+func (l *localList) pop() (item, bool) {
+	if l.n == 0 {
+		return item{}, false
+	}
+	it := l.ring[l.head]
+	l.ring[l.head] = item{} // drop the run and buffer references
+	l.head = (l.head + 1) % len(l.ring)
+	l.n--
+	l.g.llAdd(-1, -it.weight)
+	return it, true
+}
+
+// tryPop takes the head of the list if it has one.
+func (l *localList) tryPop() (item, bool) {
+	l.mu.Lock()
+	it, ok := l.pop()
+	l.mu.Unlock()
+	return it, ok
+}
+
+// How fetch found an item: hot from the worker's own list, from it once idle,
+// from a peer's while spinning, or from its own after parking.
+type fetched uint8
+
+const (
+	fetchedHot fetched = iota
+	fetchedIdle
+	fetchedStolen
+	fetchedWoken
+)
+
+// fetch is worker w's Fetch module: the head of its own list. An empty list
+// makes the worker idle — it publishes WorkerParked and drops its labels —
+// and while the pool has a dispatched run in flight and cores to spare
+// (spinning) it polls for spinWindow: its own list's depth, then the head of
+// each peer's list in turn. Then it parks on its list's condition variable
+// until a push signals it. Queued items are always drained before a stop takes
+// effect; ok is false once the list is stopped and empty. A worker draining a
+// hot list takes one lock per item and performs no state stores.
+func (p *Pool) fetch(w int) (it item, how fetched, ok bool) {
+	l := p.lists[w]
+	if it, ok := l.tryPop(); ok {
+		return it, fetchedHot, true
+	}
+	l.g.state.Store(int32(WorkerParked))
+	clearLabels(l.g)
+	for end := time.Now().Add(spinWindow); p.spinning() && time.Now().Before(end); runtime.Gosched() {
+		for i := range p.lists {
+			src := p.lists[(w+i)%len(p.lists)]
+			if src.g.depth() == 0 {
+				continue
+			}
+			if it, ok := src.tryPop(); ok {
+				if i > 0 {
+					return it, fetchedStolen, true
+				}
+				return it, fetchedIdle, true
+			}
+		}
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	how = fetchedIdle
 	for {
-		if l.n > 0 {
-			it := l.ring[l.head]
-			l.ring[l.head] = item{} // drop the run and buffer references
-			l.head = (l.head + 1) % len(l.ring)
-			l.n--
-			l.g.llAdd(-1, -it.weight)
-			return it, true, waited
+		if it, ok := l.pop(); ok {
+			return it, how, true
 		}
 		if l.stopped {
-			return item{}, false, waited
+			return item{}, how, false
 		}
-		waited = true
-		l.g.state.Store(int32(WorkerParked))
-		clearLabels(l.g)
+		how = fetchedWoken
+		l.asleep = true
 		l.cond.Wait()
+		l.asleep = false
 	}
 }
 
@@ -231,11 +289,14 @@ type Pool struct {
 	wg      sync.WaitGroup
 	closed  atomic.Bool
 	// inFlight is k, the scheduler runs in flight over this pool's cores,
-	// inline and dispatched alike (EnterRun). Every run writes it twice, so it
-	// has a cache line to itself, off the one the workers read lists from.
-	_        [64]byte
-	inFlight atomic.Int64
-	_        [56]byte
+	// inline and dispatched alike (EnterRun); dispatched counts the runs among
+	// them that Run handed to the workers. Every run writes them, so they
+	// have a cache line to themselves, off the one the workers read lists
+	// from.
+	_          [64]byte
+	inFlight   atomic.Int64
+	dispatched atomic.Int64
+	_          [48]byte
 }
 
 func newPool(workers int) *Pool {
@@ -298,21 +359,26 @@ func (p *Pool) start() {
 // closes.
 func (p *Pool) work(w int) {
 	defer p.wg.Done()
-	l := p.lists[w]
 	wg := p.gauges.worker(w)
 	executing := false
 	for {
-		it, ok, waited := l.fetch()
+		it, how, ok := p.fetch(w)
 		if !ok {
 			wg.state.Store(int32(WorkerParked))
 			return
 		}
 		// Publish the executing state only when it could have changed
-		// (first item, or after a park) — the fast path stays free of
+		// (first item, or after idling) — the fast path stays free of
 		// state stores.
-		if !executing || waited {
+		if !executing || how != fetchedHot {
 			wg.state.Store(int32(WorkerExecuting))
 			executing = true
+		}
+		switch how {
+		case fetchedStolen:
+			it.r.metrics[w].Steals++
+		case fetchedWoken:
+			it.r.metrics[w].Parks++
 		}
 		it.r.process(w, it)
 	}
@@ -343,6 +409,14 @@ func (p *Pool) LeaveRun() { p.inFlight.Add(-1) }
 
 // RunsInFlight reads k.
 func (p *Pool) RunsInFlight() int64 { return p.inFlight.Load() }
+
+// spinning reports whether an idle worker polls before it parks: only inside
+// a dispatched run, whose next hand-off is microseconds away, and only while
+// k < P — from k ≥ P on, the inline runs of other requests own the cores.
+// Between runs every idle worker parks.
+func (p *Pool) spinning() bool {
+	return p.dispatched.Load() > 0 && p.inFlight.Load() < int64(len(p.lists))
+}
 
 // Snapshot is the pool's live surface: the gauges' sweep with PoolSize and
 // ActiveRuns read from the pool (P and k), and an empty worker list while no
@@ -443,6 +517,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		r.events = make([][]Event, len(p.lists))
 	}
 	p.start()
+	p.dispatched.Add(1)
 	p.gauges.runStarted(n)
 	// Line 1 of Algorithm 2: distribute the initially ready tasks evenly.
 	for i, id := range g.Sources() {
@@ -498,10 +573,14 @@ func (r *run) fail(err error) {
 	r.finish()
 }
 
-// finish releases the Run call. Pool workers are untouched: leftover items
-// of a failed run are drained as no-ops by the failed-flag check.
+// finish releases the Run call and counts the run out of the pool's
+// dispatched runs. Pool workers are untouched: leftover items of a failed run
+// are drained as no-ops by the failed-flag check.
 func (r *run) finish() {
-	r.doneOnce.Do(func() { close(r.done) })
+	r.doneOnce.Do(func() {
+		r.p.dispatched.Add(-1)
+		close(r.done)
+	})
 }
 
 // process runs one fetched item through Partition and Execute, then
@@ -697,7 +776,7 @@ func (r *run) completeTask(w int, id int) {
 	tAlloc := time.Now()
 	for _, s := range r.g.Tasks[id].Succs {
 		if r.live(s) && atomic.AddInt32(&r.deps[s], -1) == 0 {
-			r.allocate(r.wholeItem(s))
+			r.allocate(w, r.wholeItem(s))
 		}
 	}
 	r.metrics[w].Overhead += time.Since(tAlloc)
@@ -708,12 +787,14 @@ func (r *run) completeTask(w int, id int) {
 }
 
 // allocate pushes a ready task onto the list with the smallest weight
-// counter (line 7: j = argmin W_t).
-func (r *run) allocate(it item) {
-	best, bestW := 0, int64(1)<<62
+// counter (line 7: j = argmin W_t). A tie goes to the list of w, the worker
+// that completed the predecessor: with every list empty it keeps the
+// successor and runs it next, hot, instead of handing it to a peer.
+func (r *run) allocate(w int, it item) {
+	best, bestW := w, r.p.lists[w].g.llWeight()
 	for i, l := range r.p.lists {
-		if w := l.g.llWeight(); w < bestW {
-			best, bestW = i, w
+		if wt := l.g.llWeight(); wt < bestW {
+			best, bestW = i, wt
 		}
 	}
 	r.p.lists[best].push(it)

@@ -101,8 +101,17 @@ func TestGanttRendering(t *testing.T) {
 	if len(lines) != 3 { // header + 2 workers
 		t.Fatalf("gantt has %d lines:\n%s", len(lines), out)
 	}
-	if !strings.Contains(lines[1], "█") {
-		t.Error("worker 0 row shows no busy time")
+	// Which worker ran what is the scheduler's choice — an idle worker may
+	// take a peer's sources — so the expectation comes from the trace: a row
+	// shows busy time if and only if its worker has an event.
+	ran := make([]bool, 2)
+	for _, e := range m.Trace.Events {
+		ran[e.Worker] = true
+	}
+	for w, busy := range ran {
+		if strings.Contains(lines[1+w], "█") != busy {
+			t.Errorf("worker %d row shows busy time %v, its events say %v:\n%s", w, !busy, busy, out)
+		}
 	}
 	if !strings.HasPrefix(lines[1], "w0") || !strings.HasPrefix(lines[2], "w1") {
 		t.Error("worker labels missing")
