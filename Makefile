@@ -41,10 +41,12 @@ race:
 # interleave, one on a seen signature, none on a cached one — the executor
 # and the bits of a run that has company — held open on a channel, never timed
 # — and the process's one worker pool: how many goroutines three engines start,
-# and the bits of sixteen runs of two engines interleaved on its lists.
+# and the bits of sixteen runs of two engines interleaved on its lists — and
+# the joints of concurrent readers of one cache entry, each from a run of its
+# own, against an uncached engine's bits.
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -56,13 +58,15 @@ bench-serving:
 # wide60 with 4 observed over never-repeating evidence, Workers {1, 2} ×
 # callers {1, 2} × cache {0, 32}; ns/op, B/op and pool_runs/op, which says
 # where the granularity rule sent the runs. Every query is the first sight of
-# its evidence, so the cache=32 rows pin nothing and must read as the cache=0
+# its evidence, so the cache=32 rows cache nothing and must read as the cache=0
 # rows do. 3000 operations per row, the count EXPERIMENTS.md's tables used.
+# Then the hit side: 128 wide60 evidence sets cached at evserve's default 1024
+# entries, entry_B and heap_MB what one entry and all of them hold.
 # Then the same with two models over one set of workers: a wide60 and a mid60
 # engine queried together, one or two callers each, Workers {2, 4}; pool_runs/op
 # again, and the goroutines the process holds.
 bench-load:
-	$(GO) test -run xxx -bench 'BenchmarkPropagateWideLoad|BenchmarkPropagateTwoModels' -benchtime 3000x -cpu 2 .
+	$(GO) test -run xxx -bench 'BenchmarkPropagateWideLoad|BenchmarkPropagateWideHits|BenchmarkPropagateTwoModels' -benchtime 3000x -cpu 2 .
 
 # The HTTP query path without a listener (cmd/evserve BenchmarkQueryPath): a
 # small40 cache hit and small40 misses, traced as evserve traces by default,

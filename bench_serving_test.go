@@ -179,8 +179,8 @@ func BenchmarkConcurrentQueryAudited(b *testing.B) {
 }
 
 // BenchmarkCachedQuery is BenchmarkConcurrentQuery with the shared-evidence
-// result cache on: after the first iteration every query is a cache hit on
-// the same pinned result (with memoized marginals), the skewed-traffic
+// result cache on: after the first iterations every query is a cache hit on
+// the same entry, whose posteriors it slices, the skewed-traffic
 // serving case the cache exists for. The ratio to BenchmarkConcurrentQuery
 // is the repeated-evidence speedup.
 func BenchmarkCachedQuery(b *testing.B) {
@@ -190,8 +190,8 @@ func BenchmarkCachedQuery(b *testing.B) {
 
 // BenchmarkCachedMiss is the cache's cost side: never-repeating evidence
 // through a 32-entry cache (the load benchmark's setting). Every query is the
-// first sight of its signature, so it propagates on a recycled state and pins
-// nothing: B/op is the bookkeeping of one run (tens of kB — the 2.4 MB of
+// first sight of its signature, so it propagates on a recycled state and
+// caches nothing: B/op is the bookkeeping of one run (tens of kB — the 2.4 MB of
 // tables a wide60 miss allocated when every miss was pinned must not show), and
 // pinned-B, what the cache holds at the end, is 0. Neither moves with host
 // load, which makes them the companions of the load benchmark's wide-miss peak

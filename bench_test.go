@@ -375,6 +375,66 @@ func BenchmarkPropagateWideLoad(b *testing.B) {
 	b.Run("P=2/k=2/cache=0/untargeted", row(2, 2, 0, false))
 }
 
+// BenchmarkPropagateWideHits is the hit-heavy side of wide60: 128 evidence
+// sets of BenchmarkPropagateWideLoad's shape, at two workers and evserve's
+// default 1024-entry cache, each asked twice in a row first — its first sight
+// and the miss the cache keeps — and then only hits, each a Propagate, the declared
+// targets' SharedPosteriors and a Close, as the query handler reads them.
+// entry_B is what one entry holds (CacheStats.Bytes / Entries) and heap_MB
+// what the 128 entries grew the heap by: HeapInuse after the priming against
+// the same reading before it, each taken after two collections, which empty
+// the state and scratch pools (sync.Pool keeps a victim generation).
+// `make bench-load` runs it at -benchtime 3000x.
+func BenchmarkPropagateWideHits(b *testing.B) {
+	net := RandomNetwork(60, 2, 5, 7)
+	evs, asked := benchmarkQueries(net, 1, 4, 3, 128)
+	eng, err := net.Compile(Options{Workers: 2, CacheSize: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	heapInuse := func() float64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapInuse)
+	}
+	before := heapInuse()
+	for _, ev := range evs {
+		for sight := 0; sight < 2; sight++ {
+			res, err := eng.Propagate(ev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res.Close()
+		}
+	}
+	grown := heapInuse() - before
+	cs := eng.CacheStats()
+	if cs.Entries != len(evs) {
+		b.Fatalf("%d entries after priming %d evidence sets", cs.Entries, len(evs))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := i % len(evs)
+		res, err := eng.Propagate(evs[q], asked[q]...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Cached() {
+			b.Fatalf("query %d missed a primed cache", i)
+		}
+		if _, err := res.SharedPosteriors(asked[q]...); err != nil {
+			b.Fatal(err)
+		}
+		res.Close()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cs.Bytes)/float64(cs.Entries), "entry_B")
+	b.ReportMetric(grown/(1<<20), "heap_MB")
+}
+
 // poolWakes sums the parks and steals of the process pool of workers.
 func poolWakes(workers int) (parks, steals int64) {
 	for _, w := range ProcessScheduler(workers).Workers {

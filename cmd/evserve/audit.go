@@ -27,8 +27,8 @@ import (
 // evidence map and the target list are cloned — the writer owns the record
 // after Enqueue, and request data must not be shared with the asynchronous
 // encoder. Posteriors and assignments are fresh per-answer maps that nobody
-// mutates — a posterior's slice may be the one the engine's cache memoized,
-// which nobody mutates either — so they are attached as is.
+// mutates — a posterior's slice may be the engine's cache entry's, which
+// nobody mutates either — so they are attached as is.
 func (o *outcome) auditRecord(id, model string) *audit.Record {
 	rec := &audit.Record{
 		TimeUnixNano: time.Now().UnixNano(),

@@ -95,7 +95,7 @@ func flagSet(o *options) *flag.FlagSet {
 	fs.DurationVar(&o.timeout, "request-timeout", 0, "per-request deadline (0 = none)")
 	fs.IntVar(&o.inflight, "max-inflight", 0, "reject propagating requests beyond this many in flight with 429 (0 = unlimited)")
 	fs.DurationVar(&o.slowThreshold, "slow-threshold", 0, "slow-query floor: a slower run is marked slow in the flight recorder and its trace is kept (0 = adaptive, 2×p99)")
-	fs.IntVar(&o.cacheSize, "cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries pin)")
+	fs.IntVar(&o.cacheSize, "cache-size", 1024, "per-model shared-evidence result cache entries (0 = disable caching); 16 shards, so the capacity that holds is this rounded down to a multiple of 16, at least 16 (cache.capacity in /v1/stats; cache.bytes is what the entries hold, 8 bytes per answer)")
 	fs.StringVar(&o.auditDir, "audit-dir", "", "spill every query into Merkle-chained audit segments in this directory (empty = off)")
 	fs.IntVar(&o.auditBatch, "audit-batch", 0, "audit records per flushed batch (0 = default)")
 	fs.Int64Var(&o.auditRotate, "audit-rotate", 0, "rotate audit segments beyond this many bytes (0 = default)")

@@ -342,7 +342,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		func(r *modelRow) float64 { return float64(r.Cache.Entries) })
 	ready.family("evprop_cache_capacity", "Result-cache effective capacity in entries.", "gauge",
 		func(r *modelRow) float64 { return float64(r.Cache.Capacity) })
-	ready.family("evprop_cache_bytes", "Table bytes pinned by the result-cache entries.", "gauge",
+	ready.family("evprop_cache_bytes", "Answer bytes held by the result-cache entries (posteriors and MPEs).", "gauge",
 		func(r *modelRow) float64 { return float64(r.Cache.Bytes) })
 
 	ready.family("evprop_flightrecorder_recorded_total", "Propagations seen by the flight recorder.", "counter",

@@ -555,3 +555,163 @@ func TestSingleflightStormOneWaiterCancels(t *testing.T) {
 		t.Fatalf("CacheStats = %+v: no caller was served by the shared run", st)
 	}
 }
+
+// TestCachedTableReadCompletesPrivately: a cache hit keeps answers, not
+// tables, so the first table-level read on it — a joint, a mutual information,
+// and through them QueryJoint and BestObservation — runs the propagation once
+// more for that result alone. Every read equals an uncached engine's at
+// Float64bits: joints, mutual informations, the calibrated tables (State) and
+// their calibration. One result's table reads cost one recorded run
+// (Records()[1], Propagations +1); concurrent readers of one entry each run
+// their own and read the same bits, and the entry never changes.
+func TestCachedTableReadCompletesPrivately(t *testing.T) {
+	net := RandomNetwork(30, 2, 3, 5)
+	vars := net.Variables()
+	ev := Evidence{vars[0]: 1, vars[7]: 0}
+	x, y := vars[3], vars[24] // unobserved, and in no clique together
+	candidates := []string{vars[5], vars[11], vars[24], vars[29]}
+	plain, err := net.Compile(Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := net.Compile(Options{Workers: 2, CacheSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits := func(xs ...float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, v := range xs {
+			out[i] = math.Float64bits(v)
+		}
+		return out
+	}
+	type tableReads struct {
+		joint, mi   []uint64
+		tables      [][]uint64
+		calibration error
+	}
+	read := func(r *QueryResult) tableReads {
+		t.Helper()
+		j, err := r.Joint(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mi, err := r.MutualInformation(x, y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := tableReads{joint: bits(j.P...), mi: bits(mi), calibration: r.res.CheckCalibration(1e-9)}
+		st := r.res.State()
+		for c := range st.Clique {
+			out.tables = append(out.tables, bits(st.Clique[c].Data...))
+			if st.Sep[c] != nil {
+				out.tables = append(out.tables, bits(st.Sep[c].Data...))
+			}
+		}
+		return out
+	}
+	ref, err := plain.Propagate(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := read(ref)
+	ref.Close()
+	if want.calibration != nil {
+		t.Fatal(want.calibration)
+	}
+	wantJoint, err := plain.QueryJoint(ev, x, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantNames, wantMIs, err := plain.BestObservation(ev, x, candidates...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for sight := 0; sight < 2; sight++ { // the first sight, then the cached miss
+		res, err := eng.Propagate(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+	}
+	hit, err := eng.Propagate(ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hit.Close()
+	if !hit.Cached() || hit.res.State() != nil {
+		t.Fatal("the third sight is not a hit on an entry without tables")
+	}
+	entry, err := hit.SharedPosteriors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entryBits := map[string][]uint64{}
+	for name, p := range entry {
+		entryBits[name] = bits(p...)
+	}
+
+	before := eng.Stats().Propagations
+	got := read(hit)
+	read(hit)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("table reads on a hit differ from an uncached engine's:\n got %+v\nwant %+v", got, want)
+	}
+	recs := hit.Records()
+	if n := eng.Stats().Propagations - before; n != 1 || len(recs) != 2 || recs[1].Cached || recs[1].ID != recs[0].ID {
+		t.Errorf("two rounds of table reads on one hit cost %d propagations and left %d records (%+v), want 1 and 2", n, len(recs), recs)
+	}
+
+	before = eng.Stats().Propagations
+	j, err := eng.QueryJoint(ev, x, y)
+	if err != nil || !reflect.DeepEqual(bits(j.P...), bits(wantJoint.P...)) {
+		t.Errorf("QueryJoint on a hit: %v (%v), uncached %v", j, err, wantJoint)
+	}
+	names, mis, err := eng.BestObservation(ev, x, candidates...)
+	if err != nil || !reflect.DeepEqual(names, wantNames) || !reflect.DeepEqual(bits(mis...), bits(wantMIs...)) {
+		t.Errorf("BestObservation on a hit: %v %v (%v), uncached %v %v", names, mis, err, wantNames, wantMIs)
+	}
+	if n := eng.Stats().Propagations - before; n != 2 {
+		t.Errorf("QueryJoint and BestObservation on hits cost %d propagations, want one each", n)
+	}
+
+	const readers = 4
+	before = eng.Stats().Propagations
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := eng.Propagate(ev)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer r.Close()
+			post, err := r.SharedPosteriors()
+			if err != nil || !r.Cached() {
+				t.Errorf("concurrent reader: cached %v, %v", r.Cached(), err)
+				return
+			}
+			j, err := r.Joint(x, y)
+			if err != nil || !reflect.DeepEqual(bits(j.P...), want.joint) {
+				t.Errorf("concurrent reader's joint %v (%v)", j, err)
+			}
+			for name, p := range post {
+				if !reflect.DeepEqual(bits(p...), entryBits[name]) {
+					t.Errorf("concurrent reader's posterior of %s differs from the entry's", name)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := eng.Stats().Propagations - before; n != readers {
+		t.Errorf("%d readers' joints on one entry cost %d propagations", readers, n)
+	}
+	for name, p := range entry {
+		if !reflect.DeepEqual(bits(p...), entryBits[name]) {
+			t.Errorf("the entry's posterior of %s changed under its readers", name)
+		}
+	}
+}

@@ -202,10 +202,13 @@ type Options struct {
 	// sight runs as without a cache and retains nothing, so N identical
 	// queries of a new signature cost min(N, 2) propagations and the third
 	// is the first hit (CacheStats.FirstSight counts the private runs).
-	// An entry retains the result's clique and separator tables and nothing
-	// else (CacheStats.Bytes). 0 (the default) disables caching. The
-	// cache invalidates itself when the source network gains variables
-	// after compilation; see Engine.InvalidateCache for manual control.
+	// An entry keeps answers, not tables: every posterior, P(e) and the MPE
+	// (CacheStats.Bytes; 960 B for 60 binary variables, whatever the width),
+	// so the first joint or mutual information read on a hit reruns the
+	// propagation for that result alone, a second record in its Records.
+	// 0 (the default) disables caching. The cache invalidates itself when
+	// the source network gains variables after compilation; see
+	// Engine.InvalidateCache for manual control.
 	CacheSize int
 	// PprofLabels tags the scheduler workers with pprof goroutine labels
 	// (query_id, task_kind) while they execute each query, so CPU profiles

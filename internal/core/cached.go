@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"evprop/internal/cache"
@@ -26,29 +27,21 @@ import (
 // propagations however they interleave: the first sight skips the singleflight
 // so that the count is exact, not "one, or two when the herd straddles it".
 //
-// Cached results are *pinned*: their result tables never return to the
-// engine's state pool, so any number of concurrent readers may derive
-// posteriors from one shared result while later propagations recycle
-// other states freely. What an entry retains is those tables and nothing
-// else — 8 bytes per entry of the clique and separator tables as sliced on the
-// result's evidence, at most Engine.ResultBytes (the run that will be pinned
-// never takes a recycled state, see absorb); the run scratch went back to
-// the task graph's pool when the run succeeded, before the result was pinned,
-// and later misses run on it. Eviction and
-// invalidation simply drop the pinned result — readers still holding it keep
-// valid immutable data, and the garbage collector reclaims it when the last
-// reader lets go.
+// A cache entry is the answers of one full run, read off its state once (pin),
+// which then goes back to the pool; a reader that wants tables runs its own
+// (Result.Tables).
 
 // PropagateCachedContext is PropagateSoftContext through the result cache:
-// a hit returns the shared pinned result of an earlier identical
+// a hit returns the shared cached result of an earlier identical
 // propagation; a miss on a signature's first sight propagates privately and
 // retains nothing (the caller's Release recycles the state), any later miss
 // propagates once — collapsing concurrent identical misses into that one run —
-// and caches the result. The query's record is
-// returned beside the result, not on it: a pinned result is shared between
+// and caches its answers. The query's record is
+// returned beside the result, not on it: a cached result is shared between
 // readers, each of which has its own record. rec.Cached reports whether this
 // call was served without starting its own propagation (a cache hit or a
-// collapsed singleflight waiter). like may be nil for hard-only evidence.
+// collapsed singleflight waiter). like may be nil for hard-only evidence; a
+// cached entry keeps ev and like, which the caller must not modify after.
 // Engines compiled without a cache fall back to a plain propagation with
 // rec.Cached == false.
 //
@@ -62,7 +55,7 @@ func (e *Engine) PropagateCachedContext(ctx context.Context, ev potential.Eviden
 
 // PropagateMaxCachedContext is PropagateMaxContext through the result
 // cache. Sum- and max-product results are keyed under distinct signatures,
-// so the two semirings never serve each other's tables.
+// so the two semirings never serve each other's answers.
 func (e *Engine) PropagateMaxCachedContext(ctx context.Context, ev potential.Evidence) (*Result, *obs.QueryRecord, error) {
 	return e.propagateCached(ctx, ev, nil, taskgraph.MaxProduct, nil)
 }
@@ -76,7 +69,7 @@ type flown struct {
 
 func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, targets []int) (*Result, *obs.QueryRecord, error) {
 	if e.cache == nil {
-		return e.propagateFull(ctx, ev, like, mode, "", false, targets)
+		return e.propagateFull(ctx, ev, like, mode, "", targets)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -97,7 +90,7 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 	lsp.End()
 	if first {
 		e.firstSight.Add(1)
-		return e.propagateFull(ctx, ev, like, mode, sig, false, targets)
+		return e.propagateFull(ctx, ev, like, mode, sig, targets)
 	}
 	// A caller that has already given up must not start a shared run only
 	// to abandon it (propagateFull makes the same check for direct runs).
@@ -115,11 +108,12 @@ func (e *Engine) propagateCached(ctx context.Context, ev potential.Evidence, lik
 		if v, ok := e.cache.Peek(sig); ok {
 			return flown{res: v.(*Result)}, nil
 		}
-		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig, true, nil)
+		res, rec, err := e.propagateFull(runCtx, ev, like, mode, sig, nil)
 		if err != nil {
 			return nil, err
 		}
-		e.cache.Add(sig, res, res.retainedBytes(), gen)
+		res = e.pin(res, ev, like)
+		e.cache.Add(sig, res, 8*int64(len(res.entry.answers)), gen)
 		return flown{res, rec}, nil
 	})
 	// A leader whose second look found the result rode another caller's run
@@ -176,12 +170,9 @@ type CacheStats struct {
 	// 16, 40 holds 32). Entries is the current fill, never above Capacity.
 	Capacity int `json:"capacity"`
 	Entries  int `json:"entries"`
-	// Bytes is what the entries pin: the sum, over the live entries, of 8
-	// bytes per clique and separator entry each result retains. An eager
-	// result's tables are sliced on its hard evidence — an observed variable
-	// has one state in them — so entries differ in size and none exceeds
-	// ResultBytes; a lazy result is charged ResultBytes, an upper bound — its
-	// overlays clone only the tables the evidence perturbs.
+	// Bytes is what the entries hold: 8 bytes per state of every variable
+	// (the posteriors), and per variable plus one for a max-product entry's
+	// MPE — one size per semiring, whatever the evidence.
 	Bytes int64 `json:"bytes"`
 	// Hits and Misses count lookups over the engine's lifetime.
 	Hits   int64 `json:"hits"`
@@ -192,7 +183,7 @@ type CacheStats struct {
 	Collapsed int64 `json:"collapsed"`
 	// FirstSight counts the misses that were the first sight of their
 	// signature: they ran privately, on a recycled state, and left nothing
-	// in the cache. Misses − FirstSight − Collapsed is what was pinned.
+	// in the cache. Misses − FirstSight − Collapsed is what was cached.
 	FirstSight int64 `json:"first_sight"`
 }
 
@@ -215,23 +206,6 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 }
 
-// ResultBytes is the size of one propagation result's tables at the full
-// domain: 8 bytes per clique and separator entry of the engine's tree. It is
-// the ceiling of what a held Result, and so a cache entry, keeps alive — what
-// a result without evidence costs; hard evidence slices the tables, and a
-// result then retains Π(unobserved cardinalities) entries per table.
-func (e *Engine) ResultBytes() int64 { return e.resultBytes }
-
-// retainedBytes is what holding the result costs once its run scratch is
-// released: its state's tables for an eager result, the full-domain ceiling for
-// a lazy one.
-func (r *Result) retainedBytes() int64 {
-	if st, ok := r.state.(*taskgraph.State); ok {
-		return 8 * int64(st.RetainedEntries())
-	}
-	return r.eng.resultBytes
-}
-
 // InvalidateCache drops every cached result and fences in-flight inserts:
 // propagations started before the call can never re-populate the cache,
 // so no query after InvalidateCache returns is served a pre-invalidation
@@ -240,4 +214,76 @@ func (e *Engine) InvalidateCache() {
 	if e.cache != nil {
 		e.cache.Purge()
 	}
+}
+
+// entry is a cached run's answers — every posterior at the engine's offsets,
+// then for max-product the MPE's state per variable id and its value — or err,
+// a read that failed (zero-probability evidence); ev and like rerun it (Tables).
+type entry struct {
+	mode    taskgraph.Mode
+	ev      potential.Evidence
+	like    potential.Likelihood
+	answers []float64
+	err     error
+}
+
+// pin reads every answer off a full run with the reads a private result takes,
+// so no bit moves, and releases the run's state to the pool.
+func (e *Engine) pin(res *Result, ev potential.Evidence, like potential.Likelihood) *Result {
+	defer res.Release()
+	mode, n := res.state.Mode(), len(e.offsets)-1
+	size := e.offsets[n]
+	if mode == taskgraph.MaxProduct {
+		size += n + 1
+	}
+	en := &entry{mode: mode, ev: ev, like: like, answers: make([]float64, size)}
+	for v := 0; v < n && en.err == nil; v++ {
+		if lo, hi := e.offsets[v], e.offsets[v+1]; lo < hi {
+			_, en.err = res.state.Marginal(v, en.answers[lo:hi:hi])
+		}
+	}
+	if mode == taskgraph.MaxProduct && en.err == nil {
+		assignment, value, err := res.MostProbableExplanation()
+		mpe := en.answers[e.offsets[n]:]
+		for v := range n {
+			mpe[v] = float64(assignment[v])
+		}
+		mpe[n], en.err = value, err
+	}
+	return &Result{eng: e, pe: res.pe, entry: en}
+}
+
+// mpe is the entry's MPE and its value.
+func (en *entry) mpe(offsets []int) (map[int]int, float64, error) {
+	if en.mode != taskgraph.MaxProduct {
+		return nil, 0, fmt.Errorf("core: MostProbableExplanation requires a PropagateMax result (state is %v)", en.mode)
+	}
+	if en.err != nil {
+		return nil, 0, en.err
+	}
+	n := len(offsets) - 1
+	mpe, assignment := en.answers[offsets[n]:], make(map[int]int, n)
+	for v := range n {
+		if offsets[v] < offsets[v+1] {
+			assignment[v] = int(mpe[v])
+		}
+	}
+	return assignment, mpe[n], nil
+}
+
+// Tables returns r, or for a cached result, which keeps no tables, a private
+// full run of its evidence to the cached run's bits: the caller's to Release,
+// recorded under first's ID and evidence as its Completion.
+func (r *Result) Tables(first *obs.QueryRecord) (*Result, error) {
+	en := r.entry
+	if en == nil {
+		return r, nil
+	}
+	ctx := obs.WithQueryID(context.Background(), first.ID)
+	res, rec, err := r.eng.propagateFull(ctx, en.ev, en.like, en.mode, first.EvidenceSig, nil)
+	if err != nil {
+		return nil, err
+	}
+	res.completion = rec
+	return res, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -30,44 +31,81 @@ func cachedTestEngine(t *testing.T, cacheSize int) *Engine {
 }
 
 // secondSight spends the first sight of ev's signature (a private run, released)
-// and returns the result of the second: the pinned miss the cache now holds.
+// and returns the result of the second: the miss whose answers the cache now
+// holds.
 func secondSight(t testing.TB, e *Engine, mode taskgraph.Mode, ev potential.Evidence) *Result {
 	t.Helper()
 	first, rec, err := e.propagateCached(context.Background(), ev, nil, mode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Cached || first.Pinned() {
-		t.Fatalf("first sight: cached %v, pinned %v, want a private run", rec.Cached, first.Pinned())
+	if rec.Cached || first.entry != nil {
+		t.Fatalf("first sight: cached %v, shared %v, want a private run", rec.Cached, first.entry != nil)
 	}
 	first.Release()
 	r, rec, err := e.propagateCached(context.Background(), ev, nil, mode, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Cached || !r.Pinned() {
-		t.Fatalf("second sight: cached %v, pinned %v, want a pinned miss", rec.Cached, r.Pinned())
+	if rec.Cached || r.entry == nil {
+		t.Fatalf("second sight: cached %v, shared %v, want a cached miss", rec.Cached, r.entry != nil)
 	}
 	return r
 }
 
+// answerBits is every answer a cached result keeps, as bits: each variable's
+// posterior and, after a max-product run, the MPE and its value.
+func answerBits(t testing.TB, r *Result, vars []int) []uint64 {
+	t.Helper()
+	var bits []uint64
+	for _, v := range vars {
+		m, err := r.Marginal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits = append(bits, bitsOf(m)...)
+	}
+	if mpe, p, err := r.MostProbableExplanation(); err == nil {
+		for _, v := range vars {
+			bits = append(bits, uint64(mpe[v]))
+		}
+		bits = append(bits, math.Float64bits(p))
+	}
+	return bits
+}
+
+// totalAlloc is the bytes the process has allocated so far.
+func totalAlloc() int64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.TotalAlloc)
+}
+
 // TestPinOnSecondSight states the admission rule one query at a time: the first
 // sight of a signature runs privately and leaves the cache as it was, the second
-// is a miss whose result is pinned at exactly its sliced size — although
-// full-domain states are waiting in the engine's pool, and the first sight ran
-// on one — and the third is that same result. All three are the same bits.
+// is a miss that runs on a pooled state, as the first did, and caches its
+// answers — 8 bytes per state of every variable, plus the MPE for max-product,
+// whatever the evidence — and the third is that same result. All three are the
+// same bits.
 func TestPinOnSecondSight(t *testing.T) {
 	tr := wideTree(t)
-	vars, _ := tr.Variables()
+	vars, card := tr.Variables()
+	answers := 0
+	for _, v := range vars {
+		answers += card[v]
+	}
 	e, err := NewEngine(tr, Options{Workers: 2, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
+		if mode == taskgraph.MaxProduct {
+			answers += vars[len(vars)-1] + 2 // a state per variable id, and the value
+		}
 		// Several, because under -race sync.Pool drops a Put in four.
 		var full []*Result
-		for i := 0; i < 4; i++ {
+		for i := 0; i < 8; i++ {
 			r, err := e.propagate(ctx, nil, nil, mode)
 			if err != nil {
 				t.Fatal(err)
@@ -84,22 +122,28 @@ func TestPinOnSecondSight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cs := e.CacheStats(); rec.Cached || first.Pinned() || cs.Entries != base.Entries || cs.Bytes != base.Bytes || cs.FirstSight != base.FirstSight+1 {
-			t.Fatalf("%v first sight: cached %v, pinned %v, cache %+v (was %+v)", mode, rec.Cached, first.Pinned(), cs, base)
+		if cs := e.CacheStats(); rec.Cached || first.entry != nil || cs.Entries != base.Entries || cs.Bytes != base.Bytes || cs.FirstSight != base.FirstSight+1 {
+			t.Fatalf("%v first sight: cached %v, shared %v, cache %+v (was %+v)", mode, rec.Cached, first.entry != nil, cs, base)
 		}
-		firstBits, firstPE := tableBits(t, first), first.ProbabilityOfEvidence()
+		firstBits, firstPE := answerBits(t, first, vars), first.ProbabilityOfEvidence()
 		first.Release()
 
+		allocated := totalAlloc()
 		second, rec, err := e.propagateCached(ctx, ev, nil, mode, nil)
+		allocated = totalAlloc() - allocated
 		if err != nil {
 			t.Fatal(err)
 		}
 		cs := e.CacheStats()
-		if rec.Cached || !second.Pinned() || cs.Entries != base.Entries+1 || cs.FirstSight != base.FirstSight+1 {
-			t.Fatalf("%v second sight: cached %v, pinned %v, cache %+v (was %+v)", mode, rec.Cached, second.Pinned(), cs, base)
+		if rec.Cached || second.entry == nil || cs.Entries != base.Entries+1 || cs.FirstSight != base.FirstSight+1 {
+			t.Fatalf("%v second sight: cached %v, shared %v, cache %+v (was %+v)", mode, rec.Cached, second.entry != nil, cs, base)
 		}
-		if got, want := cs.Bytes-base.Bytes, 8*int64(slicedEntries(e.Tree(), ev)); got != want || want >= e.ResultBytes() {
-			t.Errorf("%v second sight pinned %d bytes, its sliced tables are %d (full domain %d)", mode, got, want, e.ResultBytes())
+		if got, want := cs.Bytes-base.Bytes, 8*int64(answers); got != want {
+			t.Errorf("%v second sight cached %d bytes, its answers are %d", mode, got, want)
+		}
+		// A state of its own would have cost the run its sliced tables.
+		if tables := 8 * int64(slicedEntries(e.Tree(), ev)); allocated > tables/2 {
+			t.Errorf("%v second sight allocated %d bytes, a new state's tables are %d: it did not take a pooled state", mode, allocated, tables)
 		}
 
 		third, rec, err := e.propagateCached(ctx, ev, nil, mode, nil)
@@ -109,19 +153,19 @@ func TestPinOnSecondSight(t *testing.T) {
 		if !rec.Cached || third != second {
 			t.Fatalf("%v third sight: cached %v, same result %v", mode, rec.Cached, third == second)
 		}
-		if !reflect.DeepEqual(firstBits, tableBits(t, second)) || math.Float64bits(firstPE) != math.Float64bits(second.ProbabilityOfEvidence()) {
-			t.Errorf("%v: the first sight's tables (on a recycled state) and the pinned ones differ", mode)
+		if !reflect.DeepEqual(firstBits, answerBits(t, second, vars)) || math.Float64bits(firstPE) != math.Float64bits(second.ProbabilityOfEvidence()) {
+			t.Errorf("%v: the first sight's answers and the cached ones differ", mode)
 		}
 	}
 }
 
 // TestTargetsShapeOnlyPrivateRuns is TestPinOnSecondSight with targets
 // declared: the first sight of a signature asking for {a, b} skips the
-// distribute messages toward everything else and pins nothing; the second
-// sight declares the same and is pinned fully calibrated all the same, because
-// the third — a hit — asks for c, a variable off a's and b's paths, and gets
-// it from the pinned tables without a propagation. Then the recycling rule: a
-// state that ran targeted carries no mask into the untargeted run after it.
+// distribute messages toward everything else and caches nothing; the second
+// sight declares the same and runs whole all the same, because the third — a
+// hit — asks for c, a variable off a's and b's paths, and gets it from the
+// entry without a propagation. Then the recycling rule: a state that ran
+// targeted carries no mask into the untargeted run after it.
 func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 	tr := wideTree(t)
 	vars, _ := tr.Variables()
@@ -170,9 +214,9 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cs := e.CacheStats(); rec.TasksSkipped == 0 || rec.Report.Tasks+rec.TasksSkipped != e.Graph().N() ||
-		first.Pinned() || cs.Entries != base.Entries || cs.FirstSight != base.FirstSight+1 {
-		t.Fatalf("first sight: ran %d and skipped %d of %d tasks, pinned %v, cache %+v (was %+v)",
-			rec.Report.Tasks, rec.TasksSkipped, e.Graph().N(), first.Pinned(), cs, base)
+		first.entry != nil || cs.Entries != base.Entries || cs.FirstSight != base.FirstSight+1 {
+		t.Fatalf("first sight: ran %d and skipped %d of %d tasks, shared %v, cache %+v (was %+v)",
+			rec.Report.Tasks, rec.TasksSkipped, e.Graph().N(), first.entry != nil, cs, base)
 	}
 	firstA, firstB := bits(first, a), bits(first, b)
 	if first.Completion() != nil || e.Propagations() != 1 {
@@ -184,8 +228,8 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := e.CacheStats(); rec.TasksSkipped != 0 || rec.Report.Tasks != e.Graph().N() || !second.Pinned() || cs.Entries != base.Entries+1 {
-		t.Fatalf("second sight: skipped %d tasks, pinned %v, cache %+v (was %+v)", rec.TasksSkipped, second.Pinned(), cs, base)
+	if cs := e.CacheStats(); rec.TasksSkipped != 0 || rec.Report.Tasks != e.Graph().N() || second.entry == nil || cs.Entries != base.Entries+1 {
+		t.Fatalf("second sight: skipped %d tasks, shared %v, cache %+v (was %+v)", rec.TasksSkipped, second.entry != nil, cs, base)
 	}
 
 	third, rec, err := e.PropagateCachedContext(ctx, ev, nil, c)
@@ -196,26 +240,28 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 		t.Fatalf("third sight: cached %v, same result %v", rec.Cached, third == second)
 	}
 	bits(third, c)
-	if err := third.CheckCalibration(1e-9); err != nil {
-		t.Errorf("the pinned result is not fully calibrated: %v", err)
-	}
 	if third.Completion() != nil || e.Propagations() != 2 {
 		t.Errorf("a hit asking for an undeclared variable propagated: %d propagations, want 2", e.Propagations())
 	}
 	if !reflect.DeepEqual(firstA, bits(second, a)) || !reflect.DeepEqual(firstB, bits(second, b)) {
-		t.Error("the targeted first sight's posteriors and the pinned full run's differ")
+		t.Error("the targeted first sight's posteriors and the cached full run's differ")
 	}
 
 	// Under -race sync.Pool drops a Put in four, so look for the recycled state
-	// a few times.
+	// a few times. The reference runs on an engine of its own, whose pool no
+	// targeted run has touched.
 	ev2 := evidenceNo(vars, 41)
-	want, _, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", true, nil) // never pooled
+	ref, err := NewEngine(tr, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Propagate(ev2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recycled := 0
 	for i := 0; i < 16; i++ {
-		targeted, rec, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", false, []int{a})
+		targeted, rec, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", []int{a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +270,7 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 		}
 		st := targeted.state
 		targeted.Release()
-		full, rec, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", false, nil)
+		full, rec, err := e.propagateFull(ctx, ev2, nil, taskgraph.SumProduct, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,6 +322,9 @@ func TestPropagateCachedHitSharesResult(t *testing.T) {
 	}
 }
 
+// TestPinnedResultReleaseIsNoOp: a cached result survives Release, since the
+// cache and every other reader still hold it; SharedMarginal hands out the
+// entry's own slice and Marginal a copy, whose writes never reach the entry.
 func TestPinnedResultReleaseIsNoOp(t *testing.T) {
 	e := cachedTestEngine(t, 8)
 	r := secondSight(t, e, taskgraph.SumProduct, potential.Evidence{0: 1})
@@ -284,14 +333,14 @@ func TestPinnedResultReleaseIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Release()
-	// A pinned result must survive Release: the cache (and any concurrent
-	// reader) still holds it.
 	m2, err := r.Marginal(3)
 	if err != nil {
-		t.Fatalf("Marginal after Release on pinned result: %v", err)
+		t.Fatalf("Marginal after Release on a cached result: %v", err)
 	}
-	if memo, ok := r.marginals.Load(3); !ok || !slices.Equal(m2, memo.([]float64)) || !slices.Equal(m1, m2) {
-		t.Fatal("pinned marginal not memoized")
+	m2[0] = -1
+	shared, err := r.SharedMarginal(3)
+	if err != nil || !slices.Equal(m1, shared) || &shared[0] != &r.entry.answers[e.offsets[3]] {
+		t.Fatalf("SharedMarginal %v (%v), want the entry's slice holding %v", shared, err, m1)
 	}
 }
 
@@ -303,8 +352,8 @@ func TestInvalidateCacheForcesRepropagation(t *testing.T) {
 		t.Fatalf("entries before invalidate = %d", st.Entries)
 	}
 	e.InvalidateCache()
-	if st := e.CacheStats(); st.Entries != 0 {
-		t.Fatalf("entries after invalidate = %d", st.Entries)
+	if st := e.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("entries after invalidate = %d, bytes %d", st.Entries, st.Bytes)
 	}
 	_, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
 	if err != nil {
@@ -345,7 +394,7 @@ func herd(t *testing.T, e *Engine, ev potential.Evidence, n int) []*Result {
 }
 
 // Concurrent identical queries of a cold signature: one caller is its first
-// sight and gets a private result, every other one shares the single pinned
+// sight and gets a private result, every other one shares the single cached
 // result of the second propagation.
 func TestPropagateCachedConcurrentIdentical(t *testing.T) {
 	e := cachedTestEngine(t, 64)
@@ -354,18 +403,18 @@ func TestPropagateCachedConcurrentIdentical(t *testing.T) {
 	var private, shared *Result
 	for i, r := range results {
 		switch {
-		case !r.Pinned() && private == nil:
+		case r.entry == nil && private == nil:
 			private = r
-		case !r.Pinned():
+		case r.entry == nil:
 			t.Fatalf("caller %d: a second private result", i)
 		case shared == nil:
 			shared = r
 		case r != shared:
-			t.Fatalf("caller %d got a different pinned result object", i)
+			t.Fatalf("caller %d got a different cached result object", i)
 		}
 	}
 	if private == nil || shared == nil {
-		t.Fatalf("private %v, shared %v: want one first sight and one pinned result", private != nil, shared != nil)
+		t.Fatalf("private %v, shared %v: want one first sight and one cached result", private != nil, shared != nil)
 	}
 	if got := e.Propagations(); got != 2 {
 		t.Fatalf("Propagations = %d for %d identical concurrent queries, want 2", got, callers)

@@ -130,7 +130,8 @@ type Options struct {
 }
 
 // ErrReleased is returned by Result methods after Release recycled the
-// result's propagation state.
+// result's propagation state, and by a cached result's table-level reads: its
+// state went back to the pool once its answers were read (Result.Tables).
 var ErrReleased = fmt.Errorf("core: result released")
 
 // Engine owns a prepared junction tree and its task dependency graph, and
@@ -140,9 +141,9 @@ type Engine struct {
 	opts  Options
 	tree  *jtree.Tree
 	graph *taskgraph.Graph
-	// resultBytes is 8 × the tree's clique and separator entries: the tables
-	// of one Result without evidence (ResultBytes).
-	resultBytes int64
+	// offsets[v] is where variable v's posterior starts in a cache entry's
+	// answers, offsets[v+1] where it ends (an id the tree lacks spans none).
+	offsets []int
 	// RerootedFrom records the original root when Reroot moved it (-1
 	// otherwise).
 	RerootedFrom int
@@ -211,12 +212,10 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 		e.RerootTime = time.Since(start)
 	}
 	e.tree = work
-	for i := range work.Cliques {
-		c := &work.Cliques[i]
-		e.resultBytes += 8 * int64(c.TableSize())
-		if c.Parent >= 0 {
-			e.resultBytes += 8 * int64(c.SepSize())
-		}
+	vars, card := work.Variables()
+	e.offsets = make([]int, 1, len(vars)+1)
+	for v := 0; len(vars) > 0 && v <= vars[len(vars)-1]; v++ {
+		e.offsets = append(e.offsets, e.offsets[v]+card[v])
 	}
 	e.graph = taskgraph.Build(work)
 	if err := e.graph.Validate(); err != nil {
@@ -261,14 +260,9 @@ func (e *Engine) Recorder() *obs.FlightRecorder { return e.opts.Recorder }
 // absorb returns a state of the engine's graph restricted to the evidence: one
 // recycled from the semiring's pool and re-primed in place, or a new one
 // allocated at its sliced size. A recycled state carries no residue:
-// AbsorbEvidence rebuilds every table from the tree. It does keep the largest
-// capacity it ever had, so a result that will be pinned always takes a new one:
-// what the cache retains is then exactly what the evidence leaves.
-func (e *Engine) absorb(mode taskgraph.Mode, ev potential.Evidence, pin bool) (*taskgraph.State, error) {
-	var v any
-	if !pin {
-		v = e.statePools[mode].Get()
-	}
+// AbsorbEvidence rebuilds every table from the tree.
+func (e *Engine) absorb(mode taskgraph.Mode, ev potential.Evidence) (*taskgraph.State, error) {
+	v := e.statePools[mode].Get()
 	if v == nil {
 		return e.graph.NewStateEvidence(mode, ev)
 	}
@@ -292,23 +286,12 @@ type Result struct {
 	eng   *Engine
 	state propState
 	pe    float64 // evidence mass, cached so it survives Release
-
-	// pinned marks a result held by the engine's shared-evidence cache:
-	// Release is a no-op (the state must never recycle into the pool while
-	// other readers share it) and single-variable marginals are memoized,
-	// so repeated cache hits pay for each posterior once.
-	pinned    bool
-	marginals sync.Map // variable id -> []float64 posterior (pinned only)
+	entry *entry  // a cached result's answers, in place of a state
 
 	// targeted is the record of a run that skipped tasks, until complete runs
 	// the rest and records it in completion. Private results only: no locking.
 	targeted, completion *obs.QueryRecord
 }
-
-// Pinned reports whether the result is owned by the engine's result cache
-// and therefore shared: Release will not recycle it, and potentials it
-// returns are shared and must not be mutated.
-func (r *Result) Pinned() bool { return r.pinned }
 
 // Propagate absorbs the evidence into a working state and runs the full
 // two-pass evidence propagation with the configured scheduler. It is safe
@@ -348,19 +331,20 @@ func (e *Engine) PropagateMaxContext(ctx context.Context, ev potential.Evidence)
 
 // propagate is propagateFull for callers that have no use for the record.
 func (e *Engine) propagate(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
-	res, _, err := e.propagateFull(ctx, ev, like, mode, "", false, nil)
+	res, _, err := e.propagateFull(ctx, ev, like, mode, "", nil)
 	return res, err
 }
 
 // propagateFull absorbs the evidence, runs the two-pass propagation and
 // returns the result with the run's record beside it. sig is the evidence
 // signature when the caller (the cache path) already computed it, "" when
-// not; pin says the result is for the cache and comes back pinned.
+// not.
 //
 // targets are the variables the caller will read, nil for all and empty for
-// none: a private run distributes only toward their cliques (State.Target); a
-// pinned one is shared with hits that may ask anything and ignores them.
-func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string, pin bool, targets []int) (*Result, *obs.QueryRecord, error) {
+// none: the run distributes only toward their cliques (State.Target). A run
+// the cache will keep is read by hits that may ask anything, so its caller
+// passes nil.
+func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode, sig string, targets []int) (*Result, *obs.QueryRecord, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, err
@@ -386,7 +370,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		}
 		st = lst
 	} else {
-		est, err := e.absorb(mode, ev, pin)
+		est, err := e.absorb(mode, ev)
 		if err != nil {
 			asp.Fail(err.Error())
 			asp.End()
@@ -398,9 +382,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 			asp.End()
 			return nil, nil, err
 		}
-		if !pin {
-			est.Target(targets)
-		}
+		est.Target(targets)
 		st = est
 	}
 	entries, graphEntries, _ := runEntries(st)
@@ -416,7 +398,7 @@ func (e *Engine) propagateFull(ctx context.Context, ev potential.Evidence, like 
 		// of recycling any of it.
 		return nil, nil, err
 	}
-	res := &Result{eng: e, state: st, pe: st.EvidenceMass(), pinned: pin}
+	res := &Result{eng: e, state: st, pe: st.EvidenceMass()}
 	if rec.TasksSkipped > 0 {
 		res.targeted = rec
 	}
@@ -630,10 +612,7 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 // are copies and stay valid. Release is optional — unreleased states are
 // garbage collected — and must not race with the result's other methods.
 func (r *Result) Release() {
-	if r == nil || r.state == nil || r.pinned {
-		// Pinned results are shared through the cache: recycling their
-		// state while other readers derive posteriors from it would
-		// corrupt those reads, so Release leaves them to the GC.
+	if r == nil || r.state == nil {
 		return
 	}
 	st := r.state
@@ -646,39 +625,36 @@ func (r *Result) Release() {
 }
 
 // Marginal returns the normalized posterior P(v | evidence) from the
-// propagation result, over v's states, in a slice the caller owns. A pinned
-// (cache-shared) result computes each posterior once and returns copies of it.
+// propagation result, over v's states, in a slice the caller owns.
 func (r *Result) Marginal(v int) ([]float64, error) {
-	m, err := r.SharedMarginal(v)
-	if err == nil && r.pinned {
-		m = slices.Clone(m)
+	if r.entry != nil {
+		m, err := r.SharedMarginal(v)
+		return slices.Clone(m), err
 	}
-	return m, err
-}
-
-// SharedMarginal is Marginal without the copy: on a pinned result the slice
-// is the memoized posterior every reader of the result shares, which nobody
-// may modify. It is never recycled, so it outlives Release.
-func (r *Result) SharedMarginal(v int) ([]float64, error) {
 	if r.state == nil {
 		return nil, ErrReleased
-	}
-	if r.pinned {
-		if m, ok := r.marginals.Load(v); ok {
-			return m.([]float64), nil
-		}
 	}
 	if err := r.reach(r.state.Graph().Tree.CliqueOf(v)); err != nil {
 		return nil, err
 	}
-	m, err := r.state.Marginal(v, nil)
-	if err != nil || !r.pinned {
-		return m, err
+	return r.state.Marginal(v, nil)
+}
+
+// SharedMarginal is Marginal without the copy: on a cached result the slice
+// is the entry's, which every reader shares and nobody may modify.
+func (r *Result) SharedMarginal(v int) ([]float64, error) {
+	en := r.entry
+	if en == nil {
+		return r.Marginal(v)
 	}
-	// Concurrent first readers each computed one; all of them read the one
-	// that was stored first.
-	won, _ := r.marginals.LoadOrStore(v, m)
-	return won.([]float64), nil
+	if en.err != nil {
+		return nil, en.err
+	}
+	o := r.eng.offsets
+	if v < 0 || v+1 >= len(o) || o[v] == o[v+1] {
+		return nil, fmt.Errorf("core: no clique contains variable %d", v)
+	}
+	return en.answers[o[v]:o[v+1]:o[v+1]], nil
 }
 
 // JointMarginal returns the normalized posterior over a set of variables,
@@ -737,8 +713,8 @@ func (r *Result) ProbabilityOfEvidence() float64 { return r.pe }
 
 // State exposes the underlying eager propagation state for
 // instrumentation, every table calibrated (a targeted result completes
-// first). It is nil after Release and nil for lazy results, whose pruning
-// counters are exposed through LazyStats instead.
+// first). It is nil after Release, for a cached result (Tables) and for lazy
+// results, whose pruning counters are exposed through LazyStats instead.
 func (r *Result) State() *taskgraph.State {
 	st, _ := r.state.(*taskgraph.State)
 	if st == nil || r.complete() != nil {
@@ -819,6 +795,9 @@ func (r *Result) CheckCalibration(tol float64) error {
 // already fixed by its ancestors, which max-calibration guarantees is
 // globally consistent.
 func (r *Result) MostProbableExplanation() (map[int]int, float64, error) {
+	if en := r.entry; en != nil {
+		return en.mpe(r.eng.offsets)
+	}
 	if r.state == nil {
 		return nil, 0, ErrReleased
 	}

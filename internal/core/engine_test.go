@@ -446,7 +446,7 @@ func TestOnePoolPerProcess(t *testing.T) {
 			if e.pool != pool {
 				t.Fatal("an engine at Workers 2 has a pool of its own")
 			}
-			_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false, nil)
+			_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -82,12 +82,15 @@ func (r *Result) JointMarginalAny(vars []int) (*potential.Potential, error) {
 		}
 	}
 
-	// Order the remaining nodes deepest-first and fold messages upward.
+	// Order the remaining nodes deepest-first, ties by index so that siblings
+	// always fold into their parent in one order (one query, one set of
+	// bits), and fold messages upward.
 	nodes := make([]int, 0, len(inSet))
 	for i := range inSet {
 		nodes = append(nodes, i)
 	}
-	sort.Slice(nodes, func(a, b int) bool { return tree.Depth(nodes[a]) > tree.Depth(nodes[b]) })
+	sort.Ints(nodes)
+	sort.SliceStable(nodes, func(a, b int) bool { return tree.Depth(nodes[a]) > tree.Depth(nodes[b]) })
 	// Declared targets' root paths cover the subtree; anything else completes first.
 	if err := r.reach(nodes...); err != nil {
 		return nil, err

@@ -136,7 +136,7 @@ func TestLoadAwareExecutor(t *testing.T) {
 		if k := e.pool.RunsInFlight(); k != int64(tc.company) {
 			t.Errorf("%s: %d runs in flight, want %d", tc.name, k, tc.company)
 		}
-		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", false, nil)
+		_, rec, err := e.propagateFull(context.Background(), ev, nil, taskgraph.SumProduct, "", nil)
 		release()
 		if err != nil {
 			t.Fatal(err)
@@ -226,12 +226,12 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
-			alone, arec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false, nil)
+			alone, arec, err := e.propagateFull(context.Background(), ev, nil, mode, "", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			release := holdRuns(t, neighbour(t, tc.workers), tc.company)
-			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "", false, nil)
+			loaded, lrec, err := e.propagateFull(context.Background(), ev, nil, mode, "", nil)
 			release()
 			if err != nil {
 				t.Fatal(err)
@@ -249,7 +249,7 @@ func TestLoadedInlineBitIdentical(t *testing.T) {
 				t.Errorf("%s %v: P(e) differs", tc.name, mode)
 			}
 			if mode == taskgraph.SumProduct {
-				whole, err := e.absorb(mode, ev, false)
+				whole, err := e.absorb(mode, ev)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -320,7 +320,7 @@ func TestTwoEnginesShareThePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, rec, err := q.e.propagateFull(context.Background(), q.ev, nil, taskgraph.SumProduct, "", false, nil)
+			res, rec, err := q.e.propagateFull(context.Background(), q.ev, nil, taskgraph.SumProduct, "", nil)
 			if err != nil {
 				t.Error(err)
 				return

@@ -11,13 +11,15 @@ import (
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/jtree"
+	"evprop/internal/obs"
 	"evprop/internal/potential"
 	"evprop/internal/taskgraph"
 )
 
 // The tests of the state's lifetime split: a result holds its tables and no
-// run scratch, scratch recycled underneath pinned results never reaches their
-// readers, and a failed run recycles nothing.
+// run scratch, a cached one only its answers, scratch and states recycled
+// underneath cached results never reach their readers, and a failed run
+// recycles nothing.
 
 // wideTree is a generated tree in the regime the split is for: every clique
 // table has 2^12 entries, so the per-edge scratch dwarfs the bookkeeping.
@@ -68,63 +70,48 @@ func slicedEntries(tr *jtree.Tree, ev potential.Evidence) int {
 	return total
 }
 
-// TestCachedResultRetainsTablesOnly: after a second-sight miss the pinned state has
-// no scratch attached and retains exactly its tables, sliced on its evidence —
-// Π(unobserved cardinalities) entries each, under ResultBytes — and
-// CacheStats.Bytes is the sum over the live entries, whose evidence widths
-// differ, not entries × a constant. At the parent commit every entry cost the
-// full-domain tables; two PRs before that, also one sepNew, tempUp and
-// tempDown buffer per edge — several times the tables on a wide tree.
-func TestCachedResultRetainsTablesOnly(t *testing.T) {
+// TestCachedResultRetainsAnswersOnly: sixteen cache entries over evidence of
+// different widths hold 8 bytes per state of every variable each, so
+// CacheStats.Bytes is sixteen times one entry, InvalidateCache takes it to 0,
+// and once the pools are emptied all sixteen grow the heap by less than one
+// result's full-domain tables — which is what one entry cost when it kept
+// them.
+func TestCachedResultRetainsAnswersOnly(t *testing.T) {
 	tr := wideTree(t)
-	vars, _ := tr.Variables()
+	vars, card := tr.Variables()
 	e, err := NewEngine(tr, Options{Workers: 2, CacheSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tableBytes := e.ResultBytes()
+	var entry int64
+	for _, v := range vars {
+		entry += 8 * int64(card[v])
+	}
+	tableBytes := 8 * int64(slicedEntries(e.Tree(), nil))
 
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	retained := map[string]int64{} // by signature, of every miss
 	for i := 0; e.CacheStats().Entries < 16; i++ {
 		if i == 400 {
 			t.Fatalf("cache holds %d entries after %d distinct queries", e.CacheStats().Entries, i)
 		}
-		ev := evidenceNo(vars, i)
-		res := secondSight(t, e, taskgraph.SumProduct, ev)
-		got := int64(res.State().RetainedEntries()) * 8
-		if want := int64(slicedEntries(e.Tree(), ev)) * 8; got != want || got >= tableBytes {
-			t.Fatalf("query %d (%d observed): pinned state retains %d bytes, sliced tables are %d, full ones %d",
-				i, len(ev), got, want, tableBytes)
-		}
-		retained[e.EvidenceSignature(ev, nil)] = got
+		secondSight(t, e, taskgraph.SumProduct, evidenceNo(vars, i))
 	}
-	// Two collections empty the graph's scratch pool (sync.Pool keeps a
+	// Two collections empty the state and scratch pools (sync.Pool keeps a
 	// victim generation), leaving the cache's 16 entries.
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	cs := e.CacheStats()
-	var live int64
-	sizes := map[int64]bool{}
-	for sig, b := range retained {
-		if _, _, ok := e.cache.Lookup([]byte(sig)); ok {
-			live += b
-			sizes[b] = true
-		}
-	}
-	if cs.Bytes != live || len(sizes) < 2 {
-		t.Errorf("CacheStats.Bytes = %d, the %d live entries (%d distinct sizes) retain %d", cs.Bytes, cs.Entries, len(sizes), live)
+	if cs := e.CacheStats(); cs.Bytes != 16*entry {
+		t.Errorf("CacheStats.Bytes = %d for %d entries, want 16 × %d", cs.Bytes, cs.Entries, entry)
 	}
 	e.InvalidateCache()
 	if b := e.CacheStats().Bytes; b != 0 {
 		t.Errorf("CacheStats.Bytes = %d after InvalidateCache", b)
 	}
-	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
-	if limit := 16 * tableBytes * 3 / 2; grown > limit {
-		t.Errorf("filling a 16-entry cache grew the heap by %d bytes, over 1.5 × 16 × %d = %d", grown, tableBytes, limit)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > tableBytes {
+		t.Errorf("filling a 16-entry cache grew the heap by %d bytes, over one result's tables (%d)", grown, tableBytes)
 	}
 }
 
@@ -144,8 +131,10 @@ func bitsOf(xs []float64) []uint64 {
 	return out
 }
 
-// readAnswers derives every kind of answer from the result. joint names two
-// variables of one clique.
+// readAnswers derives every kind of answer from the result: posteriors and
+// the MPE from the result itself, the joint (joint names two variables of one
+// clique) and the calibration check from its tables — a private run of its
+// own when the result is cached.
 func readAnswers(res *Result, vars, joint []int) (answers, error) {
 	var a answers
 	for _, v := range vars {
@@ -155,15 +144,22 @@ func readAnswers(res *Result, vars, joint []int) (answers, error) {
 		}
 		a.marginals = append(a.marginals, bitsOf(m))
 	}
-	j, err := res.JointMarginal(joint)
+	tab, err := res.Tables(&obs.QueryRecord{})
+	if err != nil {
+		return a, err
+	}
+	if tab != res {
+		defer tab.Release()
+	}
+	j, err := tab.JointMarginal(joint)
 	if err != nil {
 		return a, err
 	}
 	a.joint = bitsOf(j.Data)
-	if res.state.Mode() == taskgraph.SumProduct {
+	if tab.state.Mode() == taskgraph.SumProduct {
 		// The Hugin invariant is about sums; max-calibrated tables show
 		// their consistency through the MPE walk instead.
-		return a, res.CheckCalibration(1e-9)
+		return a, tab.CheckCalibration(1e-9)
 	}
 	mpe, p, err := res.MostProbableExplanation()
 	a.mpe, a.mpeProb = mpe, math.Float64bits(p)
@@ -171,13 +167,14 @@ func readAnswers(res *Result, vars, joint []int) (answers, error) {
 }
 
 // TestPinnedReadsSurviveScratchRecycling: readers derive every kind of answer
-// from pinned results while other goroutines propagate never-repeating
-// evidence on the same engine and release what they get, so the scratch the
-// pinned results were computed with, and the result tables of every first
-// sight, are handed from run to run underneath them. Every answer must equal,
-// bit for bit, what a serial engine of its own computes for that evidence.
-// Under -race this is also the proof that no run writes anything a reader
-// reads. Unpartitioned, so the pool's arithmetic order is the serial one.
+// from cached results — posteriors and MPEs from the entries, joints from
+// private runs of their own — while other goroutines propagate never-repeating
+// evidence on the same engine and release what they get, so the states and
+// scratch the cached runs were computed with, and those of every first sight,
+// are handed from run to run underneath them. Every answer must equal, bit for
+// bit, what a serial engine of its own computes for that evidence. Under -race
+// this is also the proof that no run writes anything a reader reads.
+// Unpartitioned, so the pool's arithmetic order is the serial one.
 func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 	net := bayesnet.RandomNetwork(50, 2, 3, 7)
 	tr, err := net.Compile()
@@ -248,13 +245,13 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 							t.Error(err)
 							return
 						}
-						if res.Pinned() {
-							t.Errorf("churn query %d came back pinned", i)
+						if res.entry != nil {
+							t.Errorf("churn query %d came back cached", i)
 						}
 						res.Release()
 					}
 				}()
-				go func(g int) { // reads pinned results the whole time
+				go func(g int) { // reads cached results the whole time
 					defer wg.Done()
 					for k := 0; k < 30; k++ {
 						i := (g + k) % pinnedN
@@ -264,7 +261,7 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 							return
 						}
 						if !reflect.DeepEqual(got, want[i]) {
-							t.Errorf("pinned result %d read differently from the serial reference under churn", i)
+							t.Errorf("cached result %d read differently from the serial reference under churn", i)
 							return
 						}
 					}
@@ -305,9 +302,9 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 	// One run at a time first, through the engine's one run path, holding the
 	// state: a failed run leaves the scratch attached, a successful one does
 	// not.
-	tables := int(e.ResultBytes() / 8)
+	tables := slicedEntries(e.Tree(), nil)
 	for _, fail := range []bool{true, false, true} {
-		st, err := e.absorb(taskgraph.SumProduct, ev, false)
+		st, err := e.absorb(taskgraph.SumProduct, ev)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,47 +356,4 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// TestPinnedMarginalMemoizedOnce: concurrent first reads of one variable from
-// one pinned result each get a slice of their own, copied from the one
-// posterior the result memoized: a reader that writes into its slice changes
-// neither the memo nor what any other reader holds.
-func TestPinnedMarginalMemoizedOnce(t *testing.T) {
-	e := cachedTestEngine(t, 16)
-	for round := 0; round < 20; round++ {
-		res := secondSight(t, e, taskgraph.SumProduct, potential.Evidence{0: round & 1, 2: round >> 1 & 1, 5: round >> 2 & 1, 7: round >> 3 & 1, 9: round >> 4})
-		const readers = 8
-		got := make([][]float64, readers)
-		var start, done sync.WaitGroup
-		start.Add(1)
-		for i := range got {
-			done.Add(1)
-			go func(i int) {
-				defer done.Done()
-				start.Wait()
-				m, err := res.Marginal(3)
-				if err != nil {
-					t.Error(err)
-				}
-				got[i] = m
-			}(i)
-		}
-		start.Done()
-		done.Wait()
-		memo, ok := res.marginals.Load(3)
-		if !ok {
-			t.Fatalf("round %d: nothing memoized", round)
-		}
-		want := bitsOf(memo.([]float64))
-		for i, m := range got {
-			if !reflect.DeepEqual(bitsOf(m), want) {
-				t.Fatalf("round %d: reader %d read %v, the memo holds %v", round, i, m, memo)
-			}
-			m[0] = -1
-		}
-		if again, _ := res.Marginal(3); !reflect.DeepEqual(bitsOf(again), want) {
-			t.Fatalf("round %d: a reader's write reached the memo: %v", round, again)
-		}
-	}
 }

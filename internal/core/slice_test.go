@@ -256,12 +256,12 @@ func TestSlicedAccessors(t *testing.T) {
 	}
 	ref := fullDomainResult(t, e, taskgraph.SumProduct, ev, nil)
 	first, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
-	if err != nil || rec.Cached || first.Pinned() {
+	if err != nil || rec.Cached || first.entry != nil {
 		t.Fatalf("first sight: cached=%v err=%v", rec != nil && rec.Cached, err)
 	}
 	first.Release()
 	miss, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
-	if err != nil || rec.Cached || !miss.Pinned() {
+	if err != nil || rec.Cached || miss.entry == nil {
 		t.Fatalf("miss: cached=%v err=%v", rec != nil && rec.Cached, err)
 	}
 	if rec.Entries >= rec.GraphEntries || rec.Entries <= 0 {
@@ -271,6 +271,12 @@ func TestSlicedAccessors(t *testing.T) {
 	if err != nil || !rec.Cached || hit != miss {
 		t.Fatalf("hit: cached=%v same=%v err=%v", rec != nil && rec.Cached, hit == miss, err)
 	}
+	// The hit keeps answers only; its joints come from a run of its own.
+	tab, err := hit.Tables(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Release()
 
 	same := func(what string, got, want *potential.Potential, err error) {
 		t.Helper()
@@ -304,7 +310,7 @@ func TestSlicedAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hit.JointMarginal(joint)
+		got, err := tab.JointMarginal(joint)
 		same(fmt.Sprintf("joint over %v", joint), got, want, err)
 	}
 	// Across cliques (the Steiner fold), with an observed variable at either end.
@@ -319,7 +325,7 @@ func TestSlicedAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := hit.JointMarginalAny(joint)
+		got, err := tab.JointMarginalAny(joint)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +333,7 @@ func TestSlicedAccessors(t *testing.T) {
 			t.Errorf("joint over %v: sliced result %v, full-domain reference %v", joint, got, want)
 		}
 	}
-	if err := hit.CheckCalibration(1e-9); err != nil {
+	if err := tab.CheckCalibration(1e-9); err != nil {
 		t.Error(err)
 	}
 
@@ -469,7 +475,7 @@ func TestGranularityFollowsEvidence(t *testing.T) {
 		observed int
 		executor string
 	}{{0, "pool"}, {30, "inline"}, {0, "pool"}, {30, "inline"}} {
-		_, rec, err := e.propagateFull(context.Background(), randomEvidence(rng, vars, cardOf, tc.observed), nil, taskgraph.SumProduct, "", false, nil)
+		_, rec, err := e.propagateFull(context.Background(), randomEvidence(rng, vars, cardOf, tc.observed), nil, taskgraph.SumProduct, "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -374,8 +374,9 @@ func (st *State) ReleaseScratch() {
 // RetainedEntries counts the table entries reachable from the state, at their
 // allocated capacity: the clique and separator tables, plus the run scratch
 // (free lists included) while one is attached. After ReleaseScratch it is what
-// holding the result costs — the sliced clique plus separator entries for a
-// state born sliced, the tree's for one that has ever been at the full domain.
+// holding a private result costs — the sliced clique plus separator entries
+// for a state born sliced, the tree's for one that has ever been at the full
+// domain.
 func (st *State) RetainedEntries() int {
 	n := 0
 	count := func(ps []*potential.Potential) {

@@ -27,7 +27,8 @@ import (
 // A QueryResult is safe for concurrent use until Close; every returned
 // slice or map is a copy that stays valid afterwards. The one quantity
 // that needs extra work is MPE, which lazily runs a single max-product
-// propagation on first call and caches it.
+// propagation on first call and caches it; on a cache hit, so does the first
+// joint or mutual information, with a rerun of the sum-product one.
 type QueryResult struct {
 	eng *Engine
 	// iev is the hard evidence by variable id, which Evidence names back.
@@ -157,6 +158,8 @@ func (r *QueryResult) Close() error {
 // under the model. It is derived at propagation time, so it works even
 // after Close.
 func (r *QueryResult) ProbabilityOfEvidence() float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.res.ProbabilityOfEvidence()
 }
 
@@ -175,10 +178,10 @@ func (r *QueryResult) Metrics() *RunMetrics { return r.rec.Report }
 
 // Records returns the engine's record of every propagation behind this
 // result: the sum-product pass, the run that completed it if a read went
-// beyond the declared targets (Propagate), then the max-product pass once MPE
-// has run one. They are the entries the flight recorder holds for this query
-// (RecentQueries), and exist whether or not a recorder is attached. It
-// stays available after Close.
+// beyond the declared targets (Propagate) or read a joint from a cache hit,
+// then the max-product pass once MPE has run one. They are the entries the
+// flight recorder holds for this query (RecentQueries), and exist whether or
+// not a recorder is attached. It stays available after Close.
 func (r *QueryResult) Records() []FlightRecord {
 	var out []FlightRecord
 	for _, rec := range r.records() {
@@ -281,9 +284,9 @@ func (r *QueryResult) Posteriors(names ...string) (map[string][]float64, error) 
 }
 
 // SharedPosteriors is Posteriors without the copies: on a result served from
-// the engine's cache each slice is the posterior the cache memoized, which
-// every reader of that result shares, so the caller must not modify it. The
-// slices stay valid after Close.
+// the engine's cache each slice is the cache entry's, which every reader of
+// that evidence shares, so the caller must not modify it. The slices stay
+// valid after Close.
 func (r *QueryResult) SharedPosteriors(names ...string) (map[string][]float64, error) {
 	return r.posteriors(names, true)
 }
@@ -343,6 +346,13 @@ func (r *QueryResult) jointAnyLocked(vars []string) (*potential.Potential, error
 	if r.res.ProbabilityOfEvidence() <= 0 {
 		return nil, fmt.Errorf("%w: joint over %v undefined", ErrZeroProbabilityEvidence, vars)
 	}
+	// A cached result keeps answers only: the first joint swaps it for a run
+	// of this result's own, which Close releases and Records lists second.
+	tab, err := r.res.Tables(r.rec)
+	if err != nil {
+		return nil, err
+	}
+	r.res = tab
 	return r.res.JointMarginalAny(ids)
 }
 

@@ -58,8 +58,8 @@ func benchmarkQueries(net *Network, seed int64, width, targets, n int) ([]Eviden
 // their sum, and over the benchmark's own traffic (seeds 1 and 2, the first
 // 200 queries of each) that is 0.56 ± 0.02 of the graph's weight on wide60
 // with 4 variables observed, under 0.05 on mid60 with 30 and about 0.7 on
-// small40 with 4 — while a result pinned by the cache keeps under 0.6 of the
-// tree's table entries on wide60.
+// small40 with 4 — while a cache entry, which keeps answers and no table, costs
+// a sliver of the tree's tables.
 func TestWorkFollowsEvidence(t *testing.T) {
 	for _, m := range []struct {
 		name                     string
@@ -67,9 +67,9 @@ func TestWorkFollowsEvidence(t *testing.T) {
 		shareLo, shareHi         float64
 		retainedHi               float64
 	}{
-		{"wide60", 60, 5, 4, 0.54, 0.58, 0.6},
-		{"mid60", 60, 4, 30, 0, 0.05, 0.1},
-		{"small40", 40, 3, 4, 0.65, 0.8, 0.8},
+		{"wide60", 60, 5, 4, 0.54, 0.58, 0.001},
+		{"mid60", 60, 4, 30, 0, 0.05, 0.01},
+		{"small40", 40, 3, 4, 0.65, 0.8, 0.1},
 	} {
 		t.Run(m.name, func(t *testing.T) {
 			net := servedModel(t, m.nodes, m.parents)
@@ -93,7 +93,7 @@ func TestWorkFollowsEvidence(t *testing.T) {
 				queries = 20
 			}
 			var share, retained float64
-			runs, pinned := 0, 0
+			runs := 0
 			for seed := int64(1); seed <= 2; seed++ {
 				for q, ev := range benchmarkEvidence(net, seed, m.observed, queries) {
 					iev, err := net.evidence(ev)
@@ -128,16 +128,12 @@ func TestWorkFollowsEvidence(t *testing.T) {
 					}
 					share += float64(sum) / g.TotalWeight()
 					runs++
-					// Twice: the first sight runs on a recycled state and pins
-					// nothing, the second is the pinned result.
+					// Twice: the first sight runs on a recycled state and caches
+					// nothing, the second caches its answers.
 					for sight := 0; sight < 2 && q < 40; sight++ {
 						res, err := eng.Propagate(ev)
 						if err != nil {
 							t.Fatal(err)
-						}
-						if res.res.Pinned() && !res.Cached() {
-							retained += 8 * float64(res.res.State().RetainedEntries()) / float64(eng.inner.ResultBytes())
-							pinned++
 						}
 						if rec := res.Records()[0]; !res.Cached() && (rec.Entries != int64(sum) || rec.GraphEntries != int64(g.TotalWeight())) {
 							t.Fatalf("seed %d query %d: record says %d of %d entries, the run had %d of %v", seed, q, rec.Entries, rec.GraphEntries, sum, g.TotalWeight())
@@ -146,17 +142,22 @@ func TestWorkFollowsEvidence(t *testing.T) {
 					}
 				}
 			}
-			if pinned == 0 {
-				t.Fatal("no query came back pinned")
+			cs := eng.CacheStats()
+			if cs.Entries == 0 {
+				t.Fatal("no query was cached")
 			}
 			share /= float64(runs)
-			retained /= float64(pinned)
-			t.Logf("%s, %d observed: %.3f of the graph's %v entries per run, %.3f of the tree's tables per pinned result", m.name, m.observed, share, g.TotalWeight(), retained)
+			var tables float64
+			for i := range tree.Cliques {
+				tables += float64(tree.Cliques[i].TableSize() + tree.Cliques[i].SepSize())
+			}
+			retained = float64(cs.Bytes) / float64(cs.Entries) / (8 * tables)
+			t.Logf("%s, %d observed: %.3f of the graph's %v entries per run, %.4f of the tree's tables per cache entry", m.name, m.observed, share, g.TotalWeight(), retained)
 			if !testing.Short() && (share < m.shareLo || share > m.shareHi) {
 				t.Errorf("mean share of the graph's weight %.3f, want within [%v, %v]", share, m.shareLo, m.shareHi)
 			}
 			if retained > m.retainedHi {
-				t.Errorf("a pinned result retains %.3f of the tree's table entries on average, want at most %v", retained, m.retainedHi)
+				t.Errorf("a cache entry holds %.4f of the tree's table bytes, want at most %v", retained, m.retainedHi)
 			}
 		})
 	}
