@@ -43,10 +43,11 @@ race:
 # — and the process's one worker pool: how many goroutines three engines start,
 # and the bits of sixteen runs of two engines interleaved on its lists — and
 # the joints of concurrent readers of one cache entry, each from a run of its
-# own, against an uncached engine's bits.
+# own, against an uncached engine's bits — and the bits of engines whose
+# CPT-free model tables are poisoned, pooled and cut, against unpoisoned ones.
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve .
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .

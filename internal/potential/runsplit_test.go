@@ -425,6 +425,47 @@ func TestRangeSplitBitIdentical(t *testing.T) {
 	}
 }
 
+// TestExtendIsMulOverOnes is what lets a CPT-free clique start as its first
+// message (taskgraph.State): a plan's ExtendInto over any split of the
+// superset table writes the bits MulRangeFrom writes over a source of ones —
+// 1.0 × x is x for every x, zeros of either sign and zero itself included —
+// in all three block shapes.
+func TestExtendIsMulOverOnes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	shapes := map[blockShape]int{}
+	for trial := 0; trial < 300; trial++ {
+		vars, card, sv, sc := testPair(rng, trial)
+		pl, err := NewPlan(vars, card, sv, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shapes[pl.shape]++
+		q := randomPotential(rng, sv, sc)
+		q.Data[rng.Intn(len(q.Data))] = 0
+		q.Data[rng.Intn(len(q.Data))] = math.Copysign(0, -1)
+		ones, ext, mul := MustNew(vars, card), MustNew(vars, card), MustNew(vars, card)
+		for i := range ones.Data {
+			ones.Data[i] = 1
+		}
+		cuts := splitPoints(rng, 0, len(ones.Data), rng.Intn(5))
+		for i := 1; i < len(cuts); i++ {
+			if err := pl.ExtendInto(q, ext, cuts[i-1], cuts[i]); err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.MulRangeFrom(mul, ones, q, cuts[i-1], cuts[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bitsEqual(ext.Data, mul.Data) {
+			t.Fatalf("trial %d: extend split at %v differs from multiplying ones (sup %v/%v sub %v, shape %d)",
+				trial, cuts, vars, card, sv, pl.shape)
+		}
+	}
+	if len(shapes) != 3 {
+		t.Fatalf("the trials met block shapes %v, want all three", shapes)
+	}
+}
+
 // TestBlockedMatchesScalarBitIdentical pins the blocked kernels to the
 // per-entry reference implementations over random subranges.
 func TestBlockedMatchesScalarBitIdentical(t *testing.T) {

@@ -66,16 +66,17 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		}
 		defer pprof.SetGoroutineLabels(restore)
 	}
-	// The open segment: when it started, its kind (-1 before the first task)
-	// and its last task. lap closes it at now.
+	// The open segment: when it started, as an offset from the run's start
+	// (time.Since reads the monotonic clock alone), its kind (-1 before the
+	// first task) and its last task. lap closes it at now.
 	start := time.Now()
-	mark, open, last := start, taskgraph.Kind(-1), -1
-	lap := func(now time.Time) {
-		d := now.Sub(mark)
+	mark, open, last := time.Duration(0), taskgraph.Kind(-1), -1
+	lap := func(now time.Duration) {
+		d := now - mark
 		wm.Busy += d
 		wm.KindBusy[open] += d
 		if opts.Trace {
-			events = append(events, Event{Task: last, Kind: open, Hi: -1, Start: mark.Sub(start), End: now.Sub(start)})
+			events = append(events, Event{Task: last, Kind: open, Hi: -1, Start: mark, End: now})
 		}
 		mark = now
 	}
@@ -89,7 +90,7 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		kind := g.Tasks[id].Kind
 		if kind != open || opts.Trace {
 			if open >= 0 {
-				lap(time.Now())
+				lap(time.Since(start))
 			}
 			if labels != nil && kind != open {
 				pprof.SetGoroutineLabels(labels.kindCtx[kind])
@@ -115,9 +116,9 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		m.Tasks++
 	}
 	if open >= 0 {
-		lap(time.Now())
+		lap(time.Since(start))
 	}
-	m.Elapsed = mark.Sub(start)
+	m.Elapsed = mark
 	if opts.Trace {
 		if err != nil {
 			events = nil // as Pool.Run: a failed run's trace carries no events

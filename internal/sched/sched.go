@@ -236,7 +236,7 @@ func (p *Pool) fetch(w int) (it item, how fetched, ok bool) {
 	}
 	l.g.state.Store(int32(WorkerParked))
 	clearLabels(l.g)
-	for end := time.Now().Add(spinWindow); p.spinning() && time.Now().Before(end); runtime.Gosched() {
+	for spun := time.Now(); p.spinning() && time.Since(spun) < spinWindow; runtime.Gosched() {
 		for i := range p.lists {
 			src := p.lists[(w+i)%len(p.lists)]
 			if src.g.depth() == 0 {
@@ -464,7 +464,9 @@ type run struct {
 	metrics  []WorkerMetrics
 	pieces   int64
 	parted   int64
-	start    time.Time
+	// start is when Run began: every clock read of the run is an offset from
+	// it, which time.Since takes off the monotonic clock alone.
+	start time.Time
 	// events holds each worker's trace events, nil when not tracing: worker w
 	// appends only to events[w], and Run merges them once the run is done.
 	events [][]Event
@@ -619,7 +621,7 @@ func (r *run) process(w int, it item) {
 func (r *run) execute(w int, it item) bool {
 	task := &r.g.Tasks[it.task]
 	r.labels.apply(task.Kind, r.p.gauges.worker(w))
-	t0 := time.Now()
+	t0 := time.Since(r.start)
 	var err error
 	switch {
 	case it.isComb:
@@ -629,15 +631,14 @@ func (r *run) execute(w int, it item) bool {
 	default:
 		err = r.st.Execute(it.task)
 	}
-	d := time.Since(t0)
+	d := time.Since(r.start) - t0
 	wm := &r.metrics[w]
 	wm.Busy += d
 	wm.KindBusy[task.Kind] += d
 	wm.Tasks++
 	if r.events != nil {
-		start := t0.Sub(r.start)
 		r.events[w] = append(r.events[w], Event{Worker: w, Task: it.task, Kind: task.Kind,
-			Lo: it.lo, Hi: it.hi, Comb: it.isComb, Start: start, End: start + d})
+			Lo: it.lo, Hi: it.hi, Comb: it.isComb, Start: t0, End: t0 + d})
 	}
 	if err == nil {
 		return true
@@ -702,7 +703,7 @@ func (c cut) step(st taskgraph.Executor, id int) (size, step int) {
 // they are — each piece clears its own when it executes — so the Overhead
 // window here is queueing alone.
 func (r *run) partition(w int, id, size, step int) {
-	tPart := time.Now()
+	tPart := time.Since(r.start)
 	n := (size + step - 1) / step
 	comb := &combiner{task: id, pending: int32(n)}
 	atomic.AddInt64(&r.parted, 1)
@@ -723,7 +724,7 @@ func (r *run) partition(w int, id, size, step int) {
 	hi := min(step, size)
 	first := item{r: r, task: id, lo: 0, hi: hi, comb: comb,
 		weight: pieceWeight(r.g.Tasks[id].Weight, hi, size)}
-	r.metrics[w].Overhead += time.Since(tPart)
+	r.metrics[w].Overhead += time.Since(r.start) - tPart
 	r.runPiece(w, first)
 }
 
@@ -773,13 +774,13 @@ func (r *run) runPiece(w int, it item) {
 // completeTask is the Allocate module (lines 4–10): decrement successor
 // dependency degrees and hand newly ready tasks to the least-loaded list.
 func (r *run) completeTask(w int, id int) {
-	tAlloc := time.Now()
+	tAlloc := time.Since(r.start)
 	for _, s := range r.g.Tasks[id].Succs {
 		if r.live(s) && atomic.AddInt32(&r.deps[s], -1) == 0 {
 			r.allocate(w, r.wholeItem(s))
 		}
 	}
-	r.metrics[w].Overhead += time.Since(tAlloc)
+	r.metrics[w].Overhead += time.Since(r.start) - tAlloc
 	r.p.gauges.worker(w).completed.Add(1)
 	if atomic.AddInt64(&r.remaining, -1) == 0 {
 		r.finish()

@@ -42,16 +42,25 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 // start as the tree's potentials restricted to the evidence, are calibrated by
 // the run, and live for as long as anything reads the result.
 //
-// Absorbing evidence writes only what the evidence changes. A clique it
-// slices is gathered into the state's table (below); one it leaves whole is
-// only sized, and its first writer — the head of its collect-Multiply chain,
-// or a leaf's distribute Multiply — reads the tree's table and writes the
+// Absorbing evidence writes only what the evidence changes, and nothing a
+// clique's first writer — the head of its collect-Multiply chain, or a leaf's
+// distribute Multiply — can write instead. A clique the evidence leaves whole
+// is only sized: its first writer reads the tree's table and writes the
 // state's (potential.Plan.MulRangeFrom: the bits of copying and multiplying in
-// place), as a leaf's collect Marginalize reads the tree's. So a clique's table
-// holds its value once its first writer has run; a leaf a mask skips is written
-// by Resume. A separator is only sized: every one starts at one, the collect
-// Marginalize reduces into it and its Divide has nothing to compute. No task
-// writes a tree table.
+// place), as a leaf's collect Marginalize reads the tree's. A CPT-free clique
+// — one with children whose tree table is one in every entry (Graph.unit) —
+// is only sized, sliced or whole: its head extends its first message into it
+// (potential.Plan.ExtendInto; 1.0 × x is x), and its tree table is never read.
+// Any other clique the evidence slices is gathered into the state's table
+// (below). So a clique's table holds its value once its first writer has run;
+// a leaf a mask skips is written by Resume. A separator is only sized: every
+// one starts at one, the collect Marginalize reduces into it and its Divide
+// has nothing to compute. No task writes a tree table.
+//
+// P(e) is summed inside the run: one live distribute Marginalize out of the
+// root (Target picks it) sums the root, complete after collect, before it
+// marginalizes — its combiner, when the task is cut — and EvidenceMass returns
+// that sum. A run without such a task leaves the sum to EvidenceMass.
 //
 // The run scratch — the per-edge message buffers, the partial-buffer free
 // lists and the kernel plans of this run's table shapes — is written and read
@@ -87,16 +96,16 @@ type State struct {
 	// once the collect message over the edge has been marginalized.
 	Sep []*potential.Potential
 	// unwritten[i] says that absorb left Clique[i] unwritten for its first
-	// writer to fill from the tree's table.
+	// writer to fill: from the tree's table, or from its first message for a
+	// CPT-free clique.
 	unwritten []bool
 	// run is the attached run scratch, nil from ReleaseScratch to the next
 	// Reset or AbsorbEvidence.
 	run *scratch
 
 	// obs is the hard evidence the tables are sliced on, empty at the full
-	// domain; sliced says that some table shrank under it.
-	obs    potential.Observed
-	sliced bool
+	// domain.
+	obs potential.Observed
 	// weight is the sum over the graph's tasks of the table each ranges over,
 	// at this slicing (Graph.TotalWeight at the full domain), liveWeight over the live ones.
 	weight, liveWeight float64
@@ -106,6 +115,11 @@ type State struct {
 	// clique whether a distribute message arrives. Recycled with the state.
 	live, mask, reach []bool
 	skipped           int
+	// sumTask is the live task that sums the root for P(e), -1 when the run
+	// has none (Target); summed says that it ran, leaving its sum in mass.
+	sumTask int
+	summed  bool
+	mass    float64
 }
 
 // scratch is the run-lifetime half of a State. Nothing in it carries over
@@ -205,6 +219,7 @@ func (g *Graph) newState(mode Mode) (*State, error) {
 		}
 		width += len(c.Vars) + len(c.SepVars)
 	}
+	g.tableOnce.Do(g.deriveTables)
 	st := &State{
 		g:         g,
 		mode:      mode,
@@ -247,23 +262,23 @@ func (st *State) Reset(mode Mode) {
 }
 
 // prime makes the tables the tree's potentials restricted to st.obs — a
-// clique the evidence slices gathered, one it leaves whole left for its first
-// writer, a separator sized — drops the last run's mask and attaches a scratch
-// for the shapes those tables have.
+// clique left whole or CPT-free sized for its first writer, any other clique
+// the evidence slices gathered, a separator sized — drops the last run's mask
+// and attaches a scratch for the shapes those tables have.
 func (st *State) prime() error {
 	t := st.g.Tree
-	st.sliced = false
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
 		p := st.Clique[i]
 		whole := st.size(p, c.Vars, c.Card) == c.Pot.Len()
-		st.unwritten[i] = whole && len(st.g.prior) > 0 // a lone clique has no task to write it
+		// A lone clique has no task to write it.
+		st.unwritten[i] = (whole || st.g.unit[i]) && len(st.g.prior) > 0
 		switch {
-		case !whole:
-			st.obs.Gather(p.Data, c.Pot.Data, c.Vars, c.Card)
-			st.sliced = true
-		case !st.unwritten[i]:
+		case st.unwritten[i]:
+		case whole:
 			copy(p.Data, c.Pot.Data)
+		default:
+			st.obs.Gather(p.Data, c.Pot.Data, c.Vars, c.Card)
 		}
 		if c.Parent >= 0 {
 			st.size(st.Sep[i], c.SepVars, c.SepCard)
@@ -328,7 +343,7 @@ func (st *State) size(dst *potential.Potential, vars, card []int) int {
 
 // table returns the table task id reads of clique ci: the tree's when absorb
 // left the state's unwritten and id is one of the tasks Graph.prior marks,
-// else the state's.
+// else the state's. A CPT-free clique's first writer reads neither.
 func (st *State) table(id, ci int) *potential.Potential {
 	if st.unwritten[ci] && st.g.prior[id] {
 		return st.g.Tree.Cliques[ci].Pot
@@ -337,13 +352,21 @@ func (st *State) table(id, ci int) *potential.Potential {
 }
 
 // own makes clique ci's table hold its prior before something other than a
-// task writes it, copying the tree's into it if absorb left it unwritten.
+// task writes it, if absorb left it unwritten: ones at the table's size for a
+// CPT-free clique, else a copy of the tree's.
 func (st *State) own(ci int) *potential.Potential {
+	p := st.Clique[ci]
 	if st.unwritten[ci] {
-		copy(st.Clique[ci].Data, st.g.Tree.Cliques[ci].Pot.Data)
+		if st.g.unit[ci] {
+			for i := range p.Data {
+				p.Data[i] = 1
+			}
+		} else {
+			copy(p.Data, st.g.Tree.Cliques[ci].Pot.Data)
+		}
 		st.unwritten[ci] = false
 	}
-	return st.Clique[ci]
+	return p
 }
 
 // message returns the table a task's message lands in: a collect message in
@@ -439,8 +462,11 @@ func (st *State) GraphWeight() float64 { return st.weight }
 // distributing to a sibling never writes the parent, so every clique reached
 // and the root's mass after collect hold the full run's bits. nil lifts the
 // mask, as the next Reset or AbsorbEvidence does; an empty list leaves the
-// collect pass alone; ids the tree lacks are ignored.
+// collect pass alone; ids the tree lacks are ignored. Of the root's live
+// distribute Marginalize tasks, the one that starts the lightest chain is
+// picked to sum P(e) (State).
 func (st *State) Target(vars []int) {
+	defer st.pickSumTask()
 	st.live, st.skipped, st.liveWeight = nil, 0, st.weight
 	if vars == nil {
 		return
@@ -466,6 +492,22 @@ func (st *State) Target(vars []int) {
 	if st.skipped > 0 {
 		st.live = st.mask
 	}
+}
+
+// pickSumTask makes the first live task of Graph.sumOrder the run's sumTask.
+func (st *State) pickSumTask() {
+	st.sumTask, st.summed = -1, false
+	for _, id := range st.g.sumOrder {
+		if st.live == nil || st.live[id] {
+			st.sumTask = id
+			return
+		}
+	}
+}
+
+// sumRoot takes P(e) off the root, calibrated since collect, for EvidenceMass.
+func (st *State) sumRoot() {
+	st.mass, st.summed = st.Clique[st.g.Tree.Root].Sum(), true
 }
 
 // Live returns the run's task mask for the scheduler (sched.Options.Live).
@@ -613,9 +655,11 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 // reduces its slice of the source clique into it. A nil buf stands for the
 // task's own destination — the edge's separator for a collect message, its
 // sepNew buffer for a distribute one — which is how a whole task, and the
-// first piece of a partitioned one, write it directly. Other kinds ignore buf;
-// a collect Divide computes nothing (see the package comment). An Extend task
-// (none is built) is refused.
+// first piece of a partitioned one, write it directly; the run's sumTask, run
+// whole, sums the root first. Other kinds ignore buf; a collect Divide
+// computes nothing (see the package comment), and a CPT-free clique's first
+// writer extends the message into its range. An Extend task (none is built)
+// is refused.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 	sc := st.run
 	if sc == nil {
@@ -629,6 +673,9 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 		}
 		clear(buf.Data)
 		pl, src := sc.plans[t.Edge].Of(t.Source, t.Edge), st.table(id, t.Source)
+		if id == st.sumTask && hi-lo == src.Len() {
+			st.sumRoot()
+		}
 		if st.mode == MaxProduct {
 			return pl.MaxMarginalInto(src, buf, lo, hi)
 		}
@@ -640,6 +687,9 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 		return divideRange(sc.sepNew[t.Edge].Data, st.Sep[t.Edge].Data, lo, hi)
 	case Multiply:
 		pl := sc.plans[t.Edge].Of(t.Target, t.Edge)
+		if st.unwritten[t.Target] && st.g.prior[id] && st.g.unit[t.Target] {
+			return pl.ExtendInto(st.message(t), st.Clique[t.Target], lo, hi)
+		}
 		return pl.MulRangeFrom(st.Clique[t.Target], st.table(id, t.Target), st.message(t), lo, hi)
 	case Extend:
 		return fmt.Errorf("taskgraph: task %d: extension is part of Multiply and has no task of its own", id)
@@ -651,8 +701,9 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 // into the task's destination, and Combine adds the private buffers of the
 // remaining pieces to it in the order given — piece order, so the sum is
 // associated the same way on every run — then returns them to the edge's free
-// list for a later partitioning of either pass over the same edge. For other
-// kinds it is a no-op (their pieces already wrote the output).
+// list for a later partitioning of either pass over the same edge; the run's
+// sumTask, cut, sums the root here. For other kinds it is a no-op (their
+// pieces already wrote the output).
 func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	t := &st.g.Tasks[id]
 	if t.Kind != Marginalize {
@@ -661,6 +712,9 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 	sc := st.run
 	if sc == nil {
 		return ErrScratchReleased
+	}
+	if id == st.sumTask && len(bufs) > 0 {
+		st.sumRoot()
 	}
 	dst := st.message(t)
 	for _, b := range bufs {
@@ -742,8 +796,13 @@ func (st *State) SepPot(ci int) (*potential.Potential, error) {
 }
 
 // EvidenceMass returns the total mass of the root clique after collect —
-// the unnormalized probability of the absorbed evidence.
+// the unnormalized probability of the absorbed evidence: the sum the run's
+// sumTask took, or the same sum taken here when the run had none (a collect
+// pass alone, targets all in the root, a one-clique tree).
 func (st *State) EvidenceMass() float64 {
+	if st.summed {
+		return st.mass
+	}
 	return st.Clique[st.g.Tree.Root].Sum()
 }
 

@@ -43,8 +43,10 @@
 package taskgraph
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 
@@ -143,6 +145,15 @@ type Graph struct {
 	// state's copy is unwritten: each clique's first writer and a leaf's
 	// collect Marginalize (State). Empty on a graph with no tasks.
 	prior []bool
+
+	// Derived when the first state is built, as a skeleton tree has no
+	// tables: unit marks the cliques with children whose table is exactly one
+	// in every entry — no CPT was multiplied into them — and sumOrder lists
+	// the root's distribute Marginalize tasks by the heaviest chain each
+	// starts, lightest first (State.Target).
+	tableOnce sync.Once
+	unit      []bool
+	sumOrder  []int
 
 	planOnce sync.Once
 	plans    []EdgePlans // per child clique, see Plans
@@ -277,6 +288,26 @@ func Build(t *jtree.Tree) *Graph {
 		}
 	}
 	return g
+}
+
+// deriveTables fills unit and sumOrder; the tree must be materialized.
+func (g *Graph) deriveTables() {
+	t := g.Tree
+	g.unit = make([]bool, t.N())
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		g.unit[i] = len(c.Children) > 0 && !slices.ContainsFunc(c.Pot.Data, func(x float64) bool { return x != 1 })
+	}
+	_, down := g.ChainWeights()
+	if down == nil {
+		return // a cycle, which TopoOrder reports to every run
+	}
+	for id := range g.Tasks {
+		if tk := &g.Tasks[id]; tk.Kind == Marginalize && tk.Dir == Distribute && tk.Source == t.Root {
+			g.sumOrder = append(g.sumOrder, id)
+		}
+	}
+	slices.SortStableFunc(g.sumOrder, func(a, b int) int { return cmp.Compare(down[a], down[b]) })
 }
 
 // N returns the number of tasks.
