@@ -4,7 +4,7 @@ GO ?= go
 # TestAsiaFixture): the model the smoke targets serve and replay against.
 ASIA_DIR = cmd/evserve/testdata/asia
 
-.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace check
+.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
 
 build:
 	$(GO) build ./...
@@ -292,9 +292,18 @@ smoke-trace:
 	if [ $$rc -ne 0 ]; then echo "smoke-trace: span-tree asserts failed"; exit 1; fi; \
 	echo "smoke-trace: ok"
 
+# Run every example (go run) and fail on a non-zero exit: the build compiles
+# them, and this is what runs them. Their output goes to /dev/null, and a
+# failing example's stderr is printed.
+smoke-examples:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d >/dev/null 2>/tmp/evprop-smoke-examples.err \
+			|| { cat /tmp/evprop-smoke-examples.err; echo "smoke-examples: $$d failed"; exit 1; }; done
+	@echo "smoke-examples: ok"
+
 # The PR gate: formatting and static checks plus the full test suite under
 # the race detector (includes the concurrent-engine stress tests), forty
 # repeats of the schedule-sensitive tests, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
 # audit replay + traceparent propagation), the timed short-run kernel bound,
-# and the benchmark module's own vet + tests.
-check: fmt-check vet staticcheck race flake-guard smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels bench-module
+# every example run once, and the benchmark module's own vet + tests.
+check: fmt-check vet staticcheck race flake-guard smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels smoke-examples bench-module

@@ -130,7 +130,7 @@ func TestModelTablesUntouched(t *testing.T) {
 		force   bool
 	}{{1, false}, {2, false}, {4, false}, {2, true}, {4, true}} {
 		what := fmt.Sprintf("workers=%d force=%v", col.workers, col.force)
-		eng, err := net.compile(Options{Workers: col.workers, CacheSize: 16, PartitionThreshold: 16}, col.force)
+		eng, err := net.compile(Options{Workers: col.workers, CacheSize: 16}, seam(col.force, 16))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,8 +230,8 @@ func cptFree(eng *Engine) (cliques []int, entries int) {
 // lands on the first clique holding its variable, which on these models is
 // never CPT-free; taskgraph's TestCPTFreeCliqueStartsAsItsMessage puts one on
 // such a clique. The engines run the stream at Workers 1, 2 and 4, and through
-// the dispatch seam at Workers 2 and 4 with PartitionThreshold 16 (wide60: its
-// own cuts, as 16 would make its run some 10⁵ pieces).
+// the dispatch seam at Workers 2 and 4 with a fixed δ of 16 entries, which
+// cuts every table larger than that into two pieces per worker.
 func TestUnitTablesNeverRead(t *testing.T) {
 	queries := 6
 	if testing.Short() {
@@ -242,11 +242,10 @@ func TestUnitTablesNeverRead(t *testing.T) {
 		name                   string
 		nodes, parents         int
 		cliques, unit, entries int
-		δ                      int // the dispatch seam's PartitionThreshold
 	}{
-		{"small40", 40, 3, 34, 6, 200, 16},
-		{"mid60", 60, 4, 43, 4, 8_368, 16},
-		{"wide60", 60, 5, 42, 7, 231_712, 0},
+		{"small40", 40, 3, 34, 6, 200},
+		{"mid60", 60, 4, 43, 4, 8_368},
+		{"wide60", 60, 5, 42, 7, 231_712},
 	} {
 		net := servedModel(t, m.nodes, m.parents)
 		vars := net.Variables()
@@ -255,14 +254,14 @@ func TestUnitTablesNeverRead(t *testing.T) {
 		for _, col := range []struct {
 			workers, threshold int
 			force              bool
-		}{{1, 0, false}, {2, 0, false}, {4, 0, false}, {2, m.δ, true}, {4, m.δ, true}} {
+		}{{1, 0, false}, {2, 0, false}, {4, 0, false}, {2, 16, true}, {4, 16, true}} {
 			what := fmt.Sprintf("%s workers=%d force=%v", m.name, col.workers, col.force)
-			opts := Options{Workers: col.workers, PartitionThreshold: col.threshold}
-			ref, err := net.compile(opts, col.force)
+			opts := Options{Workers: col.workers}
+			ref, err := net.compile(opts, seam(col.force, col.threshold))
 			if err != nil {
 				t.Fatal(err)
 			}
-			eng, err := net.compile(opts, col.force)
+			eng, err := net.compile(opts, seam(col.force, col.threshold))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -66,7 +66,7 @@ func BenchmarkPropagateSmall(b *testing.B) {
 	for executor, dispatch := range map[string]bool{"inline": false, "pool": true} {
 		b.Run(executor, func(b *testing.B) {
 			net := RandomNetwork(40, 2, 3, 7)
-			eng, err := net.compile(Options{Workers: 2}, dispatch)
+			eng, err := net.compile(Options{Workers: 2}, seam(dispatch, 0))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -239,7 +239,7 @@ func BenchmarkPropagateWide(b *testing.B) {
 					name = fmt.Sprintf("%s/P=%d/δ=%d", m.name, workers, δ)
 				}
 				b.Run(name, func(b *testing.B) {
-					eng, err := net.Compile(Options{Workers: workers, PartitionThreshold: δ})
+					eng, err := net.compile(Options{Workers: workers}, seam(false, δ))
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -7,8 +7,8 @@
 //	evprop -network random -nodes 40 -states 2 -parents 3 -seed 7 -query all
 //	evprop -bif model.bif -evidence Node=1 -query all
 //
-// Flags select the scheduler, worker count, rerooting and the partition
-// threshold, mirroring the public evprop package's Options.
+// Flags select the scheduler and the worker count, mirroring the public evprop
+// package's Options.
 package main
 
 import (
@@ -36,8 +36,6 @@ func main() {
 		query     = flag.String("query", "all", "comma-separated variables to query, or 'all'")
 		scheduler = flag.String("scheduler", evprop.SchedulerCollaborative, "scheduler: collaborative, serial")
 		workers   = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		noReroot  = flag.Bool("no-reroot", false, "disable critical-path rerooting (Algorithm 1)")
-		threshold = flag.Int("threshold", 0, "partition threshold δ in table entries (0 = automatic: split a task graph only where its parallelism W/CP falls short of the workers; <0 = off)")
 		mpe       = flag.Bool("mpe", false, "also report the most probable explanation")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
@@ -54,12 +52,7 @@ func main() {
 	if *bifFile != "" {
 		*network = *bifFile
 	}
-	eng, err := net.Compile(evprop.Options{
-		Workers:            *workers,
-		Scheduler:          *scheduler,
-		DisableReroot:      *noReroot,
-		PartitionThreshold: *threshold,
-	})
+	eng, err := net.Compile(evprop.Options{Workers: *workers, Scheduler: *scheduler})
 	if err != nil {
 		fatal(err)
 	}

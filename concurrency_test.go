@@ -32,7 +32,7 @@ func concurrentPropagate(t *testing.T, dispatch bool) {
 		executor = "pool"
 	}
 	net := RandomNetwork(40, 2, 3, 7)
-	eng, err := net.compile(Options{Workers: 4}, dispatch)
+	eng, err := net.compile(Options{Workers: 4}, seam(dispatch, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 
 func concurrentMixedQueries(t *testing.T, executor string, dispatch bool) {
 	net := Asia()
-	eng, err := net.compile(Options{Workers: 4}, dispatch)
+	eng, err := net.compile(Options{Workers: 4}, seam(dispatch, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"evprop/internal/core"
 )
 
 // The differential correctness harness of the caching layer: over seeded
@@ -68,8 +70,14 @@ func diffEvidences(vars []string) []Evidence {
 // the dispatch seam instead, which only tests can.
 func compileColumn(t *testing.T, net *Network, opts Options) (*Engine, string) {
 	t.Helper()
+	return compileCut(t, net, opts, 0)
+}
+
+// compileCut is compileColumn with the partition threshold of seam(δ).
+func compileCut(t *testing.T, net *Network, opts Options, δ int) (*Engine, string) {
+	t.Helper()
 	dispatch := opts.Scheduler != SchedulerSerial
-	eng, err := net.compile(opts, dispatch)
+	eng, err := net.compile(opts, seam(dispatch, δ))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +85,22 @@ func compileColumn(t *testing.T, net *Network, opts Options) (*Engine, string) {
 		return eng, "pool"
 	}
 	return eng, "inline"
+}
+
+// seam is the core options a test compiles with beyond the public ones:
+// force sends every run to the workers (core.Options.ForceDispatch), and δ
+// fixes the partition threshold — the paper's rule, bounded at two pieces per
+// worker — where 0 keeps sched.Split's verdict and a negative δ cuts nothing.
+func seam(force bool, δ int) func(*core.Options) {
+	return func(o *core.Options) {
+		o.ForceDispatch = force
+		switch {
+		case δ < 0:
+			o.PartitionThreshold = 0
+		case δ > 0:
+			o.PartitionThreshold = δ
+		}
+	}
 }
 
 // allPosteriors propagates once and returns every non-evidence posterior
@@ -157,8 +181,8 @@ func TestDifferentialCachedVsFreshVsOracle(t *testing.T) {
 		}
 		for _, col := range diffColumns {
 			schedName := fmt.Sprintf("%s/δ=%d", col.scheduler, col.δ)
-			plain, executor := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ})
-			cachedEng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ, CacheSize: 128})
+			plain, executor := compileCut(t, net, Options{Workers: 2, Scheduler: col.scheduler}, col.δ)
+			cachedEng, _ := compileCut(t, net, Options{Workers: 2, Scheduler: col.scheduler, CacheSize: 128}, col.δ)
 			for i, ev := range evs {
 				what := fmt.Sprintf("seed=%d sched=%s ev=%d", seed, schedName, i)
 				cases++

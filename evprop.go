@@ -157,6 +157,9 @@ const (
 )
 
 // Options configures compilation of a network into an inference engine.
+// Every engine reroots its junction tree (the paper's Algorithm 1) and cuts
+// tasks only where its graph has less parallelism than Workers (sched.Split).
+// Of these fields only Workers and Lazy move an answer's bits (Fingerprint).
 type Options struct {
 	// Workers is P, the number of propagation goroutines (0 = GOMAXPROCS).
 	// They are the process's, not the engine's: every engine compiled at one
@@ -170,20 +173,9 @@ type Options struct {
 	// path a propagation took.
 	Workers int
 	// Scheduler is one of the Scheduler* constants (default
-	// "collaborative"). "serial" runs every graph on the calling goroutine.
+	// "collaborative"). "serial" runs every graph on the calling goroutine:
+	// it changes where a run executes, never its bits.
 	Scheduler string
-	// Reroot applies the paper's Algorithm 1 to minimize the parallel
-	// critical path (default true; set DisableReroot to turn off).
-	DisableReroot bool
-	// PartitionThreshold is δ: potential-table operations over more
-	// entries than this are split across workers, in pieces of δ entries
-	// (the paper's fixed rule). 0 is automatic: each task graph is split
-	// only where it has less parallelism than there are workers — total
-	// work over critical path below P — and then only the operations on
-	// its long dependency chains, into at most P pieces none smaller than
-	// the 400 entries one scheduling operation costs; a graph that already
-	// occupies the workers runs unsplit. Negative disables partitioning.
-	PartitionThreshold int
 	// DisableFlightRecorder turns off the always-on flight recorder (see
 	// Engine.RecentQueries); useful only for micro-benchmarking its cost.
 	DisableFlightRecorder bool
@@ -370,12 +362,11 @@ func ProcessScheduler(workers int) SchedulerGauges {
 
 // Compile converts the network into a junction tree and prepares the
 // propagation engine.
-func (n *Network) Compile(opts Options) (*Engine, error) { return n.compile(opts, false) }
+func (n *Network) Compile(opts Options) (*Engine, error) { return n.compile(opts, nil) }
 
-// compile is Compile plus the tests' seam: forceDispatch sends every run to
-// the configured scheduler's workers even when the granularity rule would run
-// it inline (core.Options.ForceDispatch).
-func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
+// compile is Compile plus the tests' seam: seam, when set, adjusts the core
+// options no public option reaches (ForceDispatch, a fixed δ, Reroot).
+func (n *Network) compile(opts Options, seam func(*core.Options)) (*Engine, error) {
 	if err := n.inner.Validate(); err != nil {
 		return nil, err
 	}
@@ -391,28 +382,24 @@ func (n *Network) compile(opts Options, forceDispatch bool) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	threshold := opts.PartitionThreshold
-	switch {
-	case threshold < 0:
-		threshold = 0 // disabled
-	case threshold == 0:
-		threshold = sched.ThresholdAuto // decided per task graph by sched.Split
-	}
 	var recorder *obs.FlightRecorder
 	if !opts.DisableFlightRecorder {
 		recorder = obs.NewFlightRecorder(0, opts.SlowQueryThreshold)
 	}
-	eng, err := core.NewEngine(tree, core.Options{
+	copts := core.Options{
 		Workers:            opts.Workers,
 		Scheduler:          s,
-		Reroot:             !opts.DisableReroot,
-		PartitionThreshold: threshold,
+		Reroot:             true,
+		PartitionThreshold: sched.ThresholdAuto, // decided per task graph by sched.Split
 		Recorder:           recorder,
 		CacheSize:          opts.CacheSize,
 		PprofLabels:        opts.PprofLabels,
 		Lazy:               opts.Lazy,
-		ForceDispatch:      forceDispatch,
-	})
+	}
+	if seam != nil {
+		seam(&copts)
+	}
+	eng, err := core.NewEngine(tree, copts)
 	if err != nil {
 		return nil, err
 	}

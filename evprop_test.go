@@ -192,7 +192,7 @@ func TestRandomNetworkPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// δ only acts on dispatched runs, and a 12-variable network's run inline.
-	eng, _ := compileColumn(t, n, Options{Workers: 4, PartitionThreshold: 8})
+	eng, _ := compileCut(t, n, Options{Workers: 4}, 8)
 	vars := n.Variables()
 	ev := Evidence{vars[0]: 0}
 	post, err := eng.QueryAll(ev)
@@ -226,7 +226,7 @@ func TestRandomNetworkPublic(t *testing.T) {
 func TestPartitionThresholdModes(t *testing.T) {
 	n := Asia()
 	for _, thr := range []int{-1, 0, 2, 1000} {
-		eng, _ := compileColumn(t, n, Options{PartitionThreshold: thr, Workers: 2})
+		eng, _ := compileCut(t, n, Options{Workers: 2}, thr)
 		post, err := eng.Query(Evidence{"Dysp": 1}, "Bronc")
 		if err != nil {
 			t.Fatalf("threshold %d: %v", thr, err)

@@ -18,10 +18,9 @@ const CompileScheme = 2
 // Fingerprint is what an engine's answers depend on besides the model bytes
 // and the evidence: the compile scheme, and the Workers its task graph is
 // partitioned for (sched.Split cuts tasks by the worker count, and a cut
-// task sums in pieces). Two engines with one fingerprint, both built with
-// default Options apart from Workers (the only engines evserve builds),
-// answer one query with the same bits. Options that also move bits —
-// PartitionThreshold, DisableReroot, Lazy, Scheduler — are not in it. It
+// task sums in pieces). Two engines with one fingerprint answer one query
+// with the same bits whatever their other Options, Lazy excepted: a lazy
+// engine agrees with an eager one to floating-point tolerance only. It
 // prints as "scheme=2 workers=4".
 type Fingerprint struct {
 	Scheme  int

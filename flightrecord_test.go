@@ -85,7 +85,7 @@ func TestFlightRecorderSlowCaptureHasTrace(t *testing.T) {
 		columns  int
 	}{{"inline", false, 1}, {"pool", true, 2}} {
 		t.Run(tc.executor, func(t *testing.T) {
-			eng, err := Asia().compile(Options{Workers: 2, SlowQueryThreshold: time.Nanosecond}, tc.dispatch)
+			eng, err := Asia().compile(Options{Workers: 2, SlowQueryThreshold: time.Nanosecond}, seam(tc.dispatch, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,8 +48,9 @@ type Scheduler int
 const (
 	// Collaborative is the paper's contribution (Section 6).
 	Collaborative Scheduler = iota
-	// Serial executes every graph on the calling goroutine in topological
-	// order (sched.RunInline), whatever its granularity.
+	// Serial executes every graph on the calling goroutine (sched.RunInline),
+	// whatever its granularity: it changes where a run executes, never its
+	// bits, as it cuts what the pool would cut at the engine's Workers.
 	Serial
 )
 
@@ -88,13 +89,13 @@ type Options struct {
 	// Scheduler selects the execution strategy (default Collaborative).
 	Scheduler Scheduler
 	// Reroot applies Algorithm 1 before building the task graph,
-	// minimizing the propagation critical path (default off; turn on for
-	// parallel runs).
+	// minimizing the propagation critical path (default off).
 	Reroot bool
-	// PartitionThreshold is δ: tasks over tables larger than this many
-	// entries are split by the collaborative scheduler's Partition module.
-	// 0 disables partitioning; sched.ThresholdAuto leaves the decision to
-	// sched.Split, per task graph at this engine's P.
+	// PartitionThreshold is δ (sched.Options.Threshold): 0 disables
+	// partitioning; sched.ThresholdAuto leaves the decision to sched.Split,
+	// per task graph at this engine's P. Reroot and it are seams: the public
+	// Compile sets Reroot and ThresholdAuto, and no public option, flag or
+	// environment variable reaches either.
 	PartitionThreshold int
 	// CacheSize, when positive, enables the shared-evidence result cache:
 	// an LRU of this many completed propagation results keyed by the
@@ -564,13 +565,14 @@ func endRunSpan(psp *otrace.Span, start time.Time, rec *obs.QueryRecord) {
 // the run computes: a run worth dispatching alone is partitioned as the pool
 // partitions it, wherever it executes and whatever its mask leaves out (a
 // targeted run, its remainder and the full run cut the same tasks); one that
-// is not, and every run of a Serial engine, runs whole. Asked at peff — P over
-// the runs in flight on the process's pool, this one and every other engine's
-// included (sched.Pool.EnterRun) — about the live tasks, it says where: such a
-// run goes to the workers while its share of them still pays for the dispatch,
-// and otherwise — like every remainder — stays on the calling goroutine, which
-// replays the pool's partition one piece after another. Load and targets move
-// a run between executors and never move a bit of its answer.
+// is not runs whole. Asked at peff — P over the runs in flight on the
+// process's pool, this one and every other engine's included
+// (sched.Pool.EnterRun) — about the live tasks, it says where: such a run goes
+// to the workers while its share of them still pays for the dispatch, and
+// otherwise — like every remainder and every run of a Serial engine — stays on
+// the calling goroutine, which replays the pool's partition one piece after
+// another. Load, targets and the scheduler move a run between executors and
+// never move a bit of its answer.
 // queryID, when non-empty and Options.PprofLabels is on, tags the executing
 // goroutines with pprof labels for the duration of the run.
 func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.Executor, remainder bool) (*sched.Metrics, int, error) {
@@ -593,9 +595,10 @@ func (e *Engine) runScheduler(ctx context.Context, queryID string, st taskgraph.
 		opts.Live = est.Live()
 		live, weight, whole = n-est.Skipped(), est.Weight(), est.GraphWeight()
 	}
-	// worth: the pool would take the evidence's full run if it were alone.
-	worth := e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(whole, n, e.opts.Workers))
-	if worth && !remainder && (e.opts.ForceDispatch || !sched.InlineWeight(weight, live, peff)) {
+	// worth: the pool would take the evidence's full run if it were alone;
+	// a serial engine never dispatches, so it cuts as a loaded run does.
+	worth := e.opts.ForceDispatch || !sched.InlineWeight(whole, n, e.opts.Workers)
+	if worth && !remainder && e.opts.Scheduler != Serial && (e.opts.ForceDispatch || !sched.InlineWeight(weight, live, peff)) {
 		m, err := e.pool.Run(st, opts)
 		return m, peff, err
 	}

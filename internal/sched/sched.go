@@ -52,7 +52,8 @@ type Options struct {
 	// it as the P whose ThresholdAuto verdict it replays.
 	Workers int
 	// Threshold is δ: a task whose partitionable table has more entries
-	// than this is split into pieces of δ entries, the paper's fixed rule.
+	// than this is split into pieces of δ entries (the paper's fixed rule),
+	// or into piecesPerWorker·P pieces where δ would make more.
 	// 0 disables task partitioning (as in the paper's Fig. 5 experiments);
 	// ThresholdAuto splits what Split decides for this graph at P workers.
 	Threshold int
@@ -661,15 +662,21 @@ func (r *run) execute(w int, it item) bool {
 // replays it (RunInline) cut the same tasks at the same entries.
 type cut struct {
 	g     *taskgraph.Graph
-	δ     int     // > 0: every task larger than δ goes into pieces of δ
+	δ     int     // > 0: every task larger than δ goes into pieces of at least δ
+	most  int     // under a fixed δ, the pieces one task may be cut into
 	split []int32 // per-task piece counts, nil: Split cuts nothing
 }
+
+// piecesPerWorker bounds a fixed δ's cut per worker: each Marginalize piece
+// after the first holds a separator-sized buffer until the task combines, so
+// an unbounded small δ made a wide run allocate per piece.
+const piecesPerWorker = 2
 
 func newCut(g *taskgraph.Graph, threshold, workers int) cut {
 	if threshold < 0 {
 		return cut{g: g, split: Split(g, workers)}
 	}
-	return cut{g: g, δ: threshold}
+	return cut{g: g, δ: threshold, most: piecesPerWorker * max(workers, 1)}
 }
 
 // none reports a verdict that leaves every task whole.
@@ -678,13 +685,15 @@ func (c cut) none() bool { return c.δ == 0 && c.split == nil }
 // step is the Partition module's test (line 12): it returns the task's
 // partitionable size and the piece length it is to be cut into, 0 when it
 // runs whole. Under a fixed δ every task larger than δ is cut into pieces of
-// δ; under ThresholdAuto the tasks Split names are cut into that many equal
+// δ, lengthened where that would make more than piecesPerWorker·P of them;
+// under ThresholdAuto the tasks Split names are cut into that many equal
 // pieces. Either length is snapped to the task's kernel grain.
 func (c cut) step(st taskgraph.Executor, id int) (size, step int) {
 	switch {
 	case c.δ > 0:
 		if size = st.PartitionSize(id); size > c.δ {
-			step = snapStep(c.δ, c.g.Tasks[id].Grain)
+			grain := c.g.Tasks[id].Grain
+			step = max(snapStep(c.δ, grain), snapStep((size+c.most-1)/c.most, grain))
 		}
 	case c.split != nil && c.split[id] > 1:
 		size = st.PartitionSize(id)

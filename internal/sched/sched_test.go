@@ -408,6 +408,71 @@ func TestPartitionedRunsBitIdentical(t *testing.T) {
 	}
 }
 
+// TestFixedDeltaCutBounded: a fixed δ cuts a task into at most
+// piecesPerWorker·P pieces, lengthening its pieces past δ where it must. At
+// δ = 16 entries wide60's tasks would otherwise go into 144 196 pieces a run,
+// up to 8 192 for one task. The inline replay of the cut (RunInline at the pool's P) cuts the
+// same tasks into the same pieces and leaves the pool's bits.
+func TestFixedDeltaCutBounded(t *testing.T) {
+	const δ = 16
+	_, g := benchModel(t, 60, 5)
+	for _, workers := range []int{2, 4} {
+		most := piecesPerWorker * workers
+		c := newCut(g, δ, workers)
+		pool, err := NewPool(workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := g.NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut, longer := 0, 0
+		for id := range g.N() {
+			size, step := c.step(st, id)
+			if step == 0 {
+				continue
+			}
+			cut++
+			if n := (size + step - 1) / step; n > most {
+				t.Errorf("P=%d: task %d of %d entries cut into %d pieces of %d", workers, id, size, n, step)
+			}
+			if step > snapStep(δ, g.Tasks[id].Grain) {
+				longer++
+			}
+		}
+		if cut == 0 || longer == 0 {
+			t.Fatalf("P=%d: %d tasks cut, %d of them in pieces longer than δ", workers, cut, longer)
+		}
+		m, err := pool.Run(st, Options{Threshold: δ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Partition != cut || m.Pieces > most*m.Partition {
+			t.Errorf("P=%d: the pool cut %d tasks into %d pieces; the verdict cuts %d", workers, m.Partition, m.Pieces, cut)
+		}
+		inline, err := g.NewState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := RunInline(inline, Options{Workers: workers, Threshold: δ})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if im.Partition != m.Partition || im.Pieces != m.Pieces {
+			t.Errorf("P=%d: inline cut %d tasks into %d pieces, the pool %d into %d", workers, im.Partition, im.Pieces, m.Partition, m.Pieces)
+		}
+		for i := range st.Clique {
+			for j, v := range st.Clique[i].Data {
+				if math.Float64bits(v) != math.Float64bits(inline.Clique[i].Data[j]) {
+					t.Fatalf("P=%d: clique %d entry %d is %v inline, %v on the pool", workers, i, j, inline.Clique[i].Data[j], v)
+				}
+			}
+		}
+		pool.Close()
+	}
+}
+
 // TestPartitionedRunsAcrossSlicings: one state, its run scratch attached
 // throughout, is re-primed on evidence of different widths between partitioned
 // pool runs — what the load benchmark's traced scheduler layer does — so the

@@ -97,7 +97,7 @@ func TestPoolPathAllocsPinned(t *testing.T) {
 		t.Skip("sync.Pool drops pooled states at random under the race detector")
 	}
 	net := RandomNetwork(60, 2, 5, 7)
-	eng, err := net.compile(Options{Workers: 2}, true)
+	eng, err := net.compile(Options{Workers: 2}, seam(true, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestDifferentialTargetedVsFull(t *testing.T) {
 		vars := net.Variables()
 		rng := rand.New(rand.NewSource(seed))
 		for _, col := range diffColumns {
-			eng, executor := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ})
+			eng, executor := compileCut(t, net, Options{Workers: 2, Scheduler: col.scheduler}, col.δ)
 			for i, ev := range diffEvidences(vars) {
 				cases++
 				what := fmt.Sprintf("seed=%d sched=%s/δ=%d ev=%d", seed, col.scheduler, col.δ, i)
@@ -154,7 +154,7 @@ func TestCollectOnlyMPEVsFull(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		net := RandomNetwork(11, 2, 3, 1000+seed)
 		for _, col := range diffColumns {
-			eng, _ := compileColumn(t, net, Options{Workers: 2, Scheduler: col.scheduler, PartitionThreshold: col.δ})
+			eng, _ := compileCut(t, net, Options{Workers: 2, Scheduler: col.scheduler}, col.δ)
 			for i, ev := range diffEvidences(net.Variables()) {
 				cases++
 				what := fmt.Sprintf("seed=%d sched=%s/δ=%d ev=%d", seed, col.scheduler, col.δ, i)
@@ -217,7 +217,7 @@ func FuzzTargetedVsFull(f *testing.F) {
 		if useSoft {
 			soft = SoftEvidence{vars[int(seed&0xff)%n]: {0.25, 1.5}}
 		}
-		eng, executor := compileColumn(t, net, Options{Workers: 2, PartitionThreshold: int(δ % 4)})
+		eng, executor := compileCut(t, net, Options{Workers: 2}, int(δ%4))
 		defer eng.Close()
 		full, err := eng.PropagateSoft(ev, soft)
 		if err != nil {
