@@ -44,10 +44,13 @@ race:
 # and the bits of sixteen runs of two engines interleaved on its lists — and
 # the joints of concurrent readers of one cache entry, each from a run of its
 # own, against an uncached engine's bits — and the bits of engines whose
-# CPT-free model tables are poisoned, pooled and cut, against unpoisoned ones.
+# CPT-free model tables are poisoned, pooled and cut, against unpoisoned ones
+# — and a registry model hot-swapped under eight querying clients, which must
+# lose no query and answer every one with one version's bits, its clients
+# held until two swaps have completed rather than for a fixed count.
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./cmd/evserve .
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead|TestHotSwapRace' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./internal/registry ./cmd/evserve .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -209,8 +212,11 @@ smoke-multimodel:
 # traffic with the server of the commit this change sits on — REPLAY_BASE,
 # HEAD~1 unless set (HEAD for an uncommitted tree), built from `git archive`
 # in the temp dir — and replays it on this build: an answer's bits belong to
-# its evidence, not to the build, so zero mismatches, MPE included. It is
-# skipped with a notice where that commit is not to be had (a shallow clone).
+# its evidence and fingerprint, not to the build, so zero mismatches, MPE
+# included. Where that commit has another evprop.CompileScheme, its records
+# carry another fingerprint and evreplay must refuse them instead — exit 2,
+# naming the recorded scheme. The leg is skipped with a notice where that
+# commit is not to be had (a shallow clone).
 # The third leg replays the first log against a server at -workers 3: its
 # fingerprint (evprop.Fingerprint) differs from the recorded one, so evreplay
 # must refuse before replaying anything — exit 2, naming the fingerprint.
@@ -252,7 +258,13 @@ smoke-replay:
 		boot 18094; \
 		drive 18094 || fail=10; \
 		kill $$bpid; wait $$bpid 2>/dev/null; \
-		/tmp/evreplay-smoke -dir $$dir/base-audit -mode diff -bif $(ASIA_DIR)/asia.bif >/dev/null || fail=11; \
+		bscheme=$$(sed -n 's/^const CompileScheme = //p' $$dir/base/fingerprint.go); \
+		if [ "$$bscheme" = "$$(sed -n 's/^const CompileScheme = //p' fingerprint.go)" ]; then \
+			/tmp/evreplay-smoke -dir $$dir/base-audit -mode diff -bif $(ASIA_DIR)/asia.bif >/dev/null || fail=11; \
+		else \
+			/tmp/evreplay-smoke -dir $$dir/base-audit -mode diff -bif $(ASIA_DIR)/asia.bif >/dev/null 2>$$dir/base-refused; rc=$$?; \
+			[ $$rc -eq 2 ] && grep -q "recorded at fingerprint \"scheme=$$bscheme " $$dir/base-refused || { cat $$dir/base-refused; fail=11; }; \
+		fi; \
 	else \
 		echo "smoke-replay: no commit $$base to record with; cross-build leg skipped"; \
 	fi; \

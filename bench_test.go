@@ -220,8 +220,8 @@ func BenchmarkCollaborative(b *testing.B) {
 // and at the fixed δ it used to derive (twice the mean clique table). pieces/op
 // and partitioned/op do not move with host load: they are the companion
 // numbers of the benchmark's wide-miss and mid-dense throughput. At two
-// workers the rule cuts wide60 (W/CP 1.73) into 50 pieces over 25 tasks where
-// the fixed δ cuts 16 tasks into 42; mid60 (mean task 603) runs inline there
+// workers the rule cuts wide60 (W/CP 1.75) into 40 pieces over 20 tasks where
+// the fixed δ cuts 16 tasks into 42; mid60 (mean task 692) runs inline there
 // and reports no pieces; one worker runs inline and cuts nothing either way.
 func BenchmarkPropagateWide(b *testing.B) {
 	for _, m := range []struct {

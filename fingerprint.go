@@ -13,7 +13,9 @@ import "fmt"
 //   - 2: the cheapest in message cost of bayesnet.JoinTreeCandidates — ties
 //     to the lowest id or to the smaller eliminated clique, and among
 //     maximum-|sep| spanning trees the one of least message cost.
-const CompileScheme = 2
+//   - 3: the same trees, cut without the collect Divide's weight: wide60's
+//     distribute Marginalize over edge 31 runs whole at two workers.
+const CompileScheme = 3
 
 // Fingerprint is what an engine's answers depend on besides the model bytes
 // and the evidence: the compile scheme, and the Workers its task graph is
@@ -21,7 +23,7 @@ const CompileScheme = 2
 // task sums in pieces). Two engines with one fingerprint answer one query
 // with the same bits whatever their other Options, Lazy excepted: a lazy
 // engine agrees with an eager one to floating-point tolerance only. It
-// prints as "scheme=2 workers=4".
+// prints as "scheme=3 workers=4".
 type Fingerprint struct {
 	Scheme  int
 	Workers int

@@ -10,7 +10,7 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	fp := eng.Fingerprint()
-	if fp != (Fingerprint{Scheme: CompileScheme, Workers: 3}) || fp.String() != "scheme=2 workers=3" {
+	if fp != (Fingerprint{Scheme: CompileScheme, Workers: 3}) || fp.String() != "scheme=3 workers=3" {
 		t.Fatalf("fingerprint %+v (%q)", fp, fp)
 	}
 	if back, err := ParseFingerprint(fp.String()); err != nil || back != fp {

@@ -40,7 +40,7 @@ func TestRecordRoundTrip(t *testing.T) {
 		},
 		{Error: "evprop: unknown variable \"Zz\"", Evidence: map[string]int{"Zz": 1}},
 		{PEvidence: math.Float64frombits(0x3fd5555555555555)}, // exact bit pattern
-		{Model: "wide60", Version: 2, Fingerprint: "scheme=2 workers=4"},
+		{Model: "wide60", Version: 2, Fingerprint: "scheme=3 workers=4"},
 	}
 	for i, want := range cases {
 		got, err := DecodeRecord(want.Encode())

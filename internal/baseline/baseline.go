@@ -206,10 +206,10 @@ func Centralized(st taskgraph.Executor, p int) (*Result, error) {
 // DistributedEmu executes the graph level-synchronously over a static
 // partition of the cliques into p blocks (contiguous by clique id, an
 // approximation of the junction-tree decomposition used by distributed
-// libraries like PNL). Every task whose edge crosses a block boundary pays
-// a serialization round-trip of the separator table, emulating a
-// message-passing transfer. The returned Result counts the emulated
-// messages and bytes.
+// libraries like PNL). Every message whose edge crosses a block boundary
+// pays a serialization round-trip of the separator table before the Multiply
+// that reads it, emulating a message-passing transfer. The returned Result
+// counts the emulated messages and bytes.
 func DistributedEmu(st *taskgraph.State, p int) (*Result, error) {
 	if p < 1 {
 		return nil, fmt.Errorf("baseline: distributed needs p >= 1, got %d", p)
@@ -224,7 +224,7 @@ func DistributedEmu(st *taskgraph.State, p int) (*Result, error) {
 		// are serialized and deserialized.
 		for _, id := range level {
 			t := &g.Tasks[id]
-			if t.Kind == taskgraph.Divide && block(t.Source) != block(t.Target) {
+			if t.Kind == taskgraph.Multiply && block(t.Source) != block(t.Target) {
 				nbytes, err := transferRoundTrip(st.Sep[t.Edge])
 				if err != nil {
 					return nil, err

@@ -316,8 +316,8 @@ type Candidate struct {
 	Join    string
 	Cliques [][]int
 	Adj     [][]int
-	// Cost is Σ over tree edges of 2·(|Ci| + |Cj| + |Sij|) table entries:
-	// the work of a full two-pass propagation, taskgraph.Graph.TotalWeight.
+	// Cost is Σ over tree edges of 2|Ci| + 2|Cj| + |Sij| table entries (only
+	// the distribute message divides): taskgraph.Graph.TotalWeight.
 	Cost float64
 }
 
@@ -365,7 +365,7 @@ func largestClique(cliques [][]int, cards [][]int) int {
 // spanning tree has the running-intersection property because the cliques
 // come from one triangulation. With card nil, ties go to the first maximal
 // edge met. With the variables' cardinalities, ties go to the cheaper
-// message, 2·(|Ci| + |Cj| + |Sij|) entries: Prim on the key (|sep| desc,
+// message, 2|Ci| + 2|Cj| + |Sij| entries: Prim on the key (|sep| desc,
 // cost asc) yields, of all maximum-|sep| spanning trees, one of least
 // message cost.
 func joinTree(cliques [][]int, card []int) [][]int {
@@ -379,7 +379,7 @@ func joinTree(cliques [][]int, card []int) [][]int {
 		if card == nil {
 			return 0
 		}
-		return 2 * (size[i] + size[j] + entries(cliques[i], cliques[j], card))
+		return 2*(size[i]+size[j]) + entries(cliques[i], cliques[j], card)
 	}
 	if card != nil {
 		for i, cl := range cliques {
@@ -417,14 +417,14 @@ func joinTree(cliques [][]int, card []int) [][]int {
 	return adj
 }
 
-// messageCost is Σ over the tree's edges of 2·(|Ci| + |Cj| + |Sij|).
+// messageCost is Σ over the tree's edges of 2|Ci| + 2|Cj| + |Sij|.
 func messageCost(cliques [][]int, adj [][]int, card []int) float64 {
 	total := 0.0
 	for i, nb := range adj {
 		for _, j := range nb {
 			if i < j {
-				total += 2 * (entries(cliques[i], cliques[i], card) + entries(cliques[j], cliques[j], card) +
-					entries(cliques[i], cliques[j], card))
+				total += 2*(entries(cliques[i], cliques[i], card)+entries(cliques[j], cliques[j], card)) +
+					entries(cliques[i], cliques[j], card)
 			}
 		}
 	}

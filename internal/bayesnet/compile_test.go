@@ -157,9 +157,9 @@ func TestCompileMessageCost(t *testing.T) {
 		nodes, parents int
 		refCost, kept  float64
 	}{
-		{"small40", 40, 3, 5926, 5278},
-		{"mid60", 60, 4, 204448, 151996},
-		{"wide60", 60, 5, 3173946, 2508594},
+		{"small40", 40, 3, 5533, 4917},
+		{"mid60", 60, 4, 197826, 145374},
+		{"wide60", 60, 5, 3041155, 2416763},
 	} {
 		n := RandomNetwork(c.nodes, 2, c.parents, 7)
 		cands, kept := n.JoinTreeCandidates(MinFill)

@@ -291,7 +291,7 @@ func TestGranularityCrossover(t *testing.T) {
 	// every other graph is cut from the P where its W/CP falls short of
 	// max(P, (P−1)²) — and wherever fixed-δ partitioning is priced with its
 	// real combine cost on the benchmark models, it loses to both.
-	cutAtTwo := map[string]int{"mid60": 6, "wide60": 25}
+	cutAtTwo := map[string]int{"mid60": 5, "wide60": 20}
 	for _, row := range r.Rows {
 		covered := row.Parallelism >= float64(max(row.Workers, (row.Workers-1)*(row.Workers-1)))
 		if cut := row.SplitTasks > 0; cut == (covered || row.Model == "small40") {

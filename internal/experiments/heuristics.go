@@ -94,7 +94,7 @@ func (r *HeuristicsResult) Write(w io.Writer) {
 	if len(r.Rows) == 0 {
 		return
 	}
-	fmt.Fprintln(w, "\nMin-fill junction trees — message cost, Σ over edges of 2·(|Ci|+|Cj|+|Sij|) entries")
+	fmt.Fprintln(w, "\nMin-fill junction trees — message cost, Σ over edges of 2|Ci|+2|Cj|+|Sij| entries")
 	fmt.Fprintln(w, "(ties: id = lowest variable id, size = smaller eliminated clique; join: first = first maximum-|sep| edge, cost = cheapest maximum-|sep| tree)")
 	var head strings.Builder
 	fmt.Fprintf(&head, "%-12s", "network")

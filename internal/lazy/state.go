@@ -13,8 +13,8 @@ import (
 // against what an eager two-pass propagation over the same tree would do. It
 // is the public evprop.PropagationStats. Message counts cover both passes
 // (2 × edges possible messages); task and flop counts are measured against
-// the eager graph's 3 tasks per message (marginalize, divide, multiply:
-// extension is folded into multiply, see package taskgraph), 6 per edge.
+// 3 tasks per message (marginalize, divide, multiply), 6 per edge: this
+// package's collect message keeps its Divide, taskgraph.Build's has none.
 type Stats struct {
 	// MessagesSent counts full 3-task messages: planned collect messages
 	// plus distribute messages materialized on demand so far.
@@ -27,7 +27,7 @@ type Stats struct {
 	// subtrees, distribute not (or not yet) demanded or provably vacuous.
 	MessagesSkipped int64
 	// TasksRun and TasksSkipped count node-level primitives: the pruned
-	// task graph's against the eager graph's 6 per edge.
+	// task graph's against 6 per edge.
 	TasksRun, TasksSkipped int64
 	// Flops counts table entries processed by executed tasks; FlopsFull is
 	// what one eager two-pass propagation processes on this tree.

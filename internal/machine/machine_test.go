@@ -97,7 +97,7 @@ func TestPartitionedMarginalizeIsChargedItsCombine(t *testing.T) {
 		if want := serial + cm.service(extra); math.Abs(res.TotalBusy()-want) > 1e-12 {
 			t.Errorf("%v cut %d ways: busy %.9f, want serial %.9f + %.0f entries", kind, n, res.TotalBusy(), serial, extra)
 		}
-		if res.Pieces != n*g.N()/3 {
+		if res.Pieces != n*2*(g.Tree.N()-1) { // two of the kind per edge
 			t.Errorf("%v: %d pieces", kind, res.Pieces)
 		}
 	}
@@ -108,7 +108,7 @@ func TestPartitionedMarginalizeIsChargedItsCombine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges := float64(g.N() / 6)
+	edges := float64(g.Tree.N() - 1)
 	if want := serial + cm.service(2*edges*3*(1024/δ-1)*16); math.Abs(res.TotalBusy()-want) > 1e-12 {
 		t.Errorf("δ=%d: busy %.9f, want %.9f", δ, res.TotalBusy(), want)
 	}

@@ -90,7 +90,8 @@ func simulateSplitEveryPrimitive(g *taskgraph.Graph, p int, forkJoin, beta float
 // beyond 4 processors:
 //
 //   - cross-block separator messages (point-to-point, paid by the
-//     receiving block);
+//     receiving block at the level of the Multiply that reads the message:
+//     every message has one, and a collect message no Divide);
 //   - replication broadcasts: the library keeps the junction tree
 //     replicated on every process, so each clique update is shipped to the
 //     other P−1 processes over a shared interconnect (serialized bus time
@@ -111,19 +112,15 @@ func SimulateDistributed(g *taskgraph.Graph, p int, cm CostModel) (*Result, erro
 			t := &g.Tasks[id]
 			b := block(t.Target)
 			comp[b] += cm.service(t.Weight)
-			if p > 1 {
-				switch t.Kind {
-				case taskgraph.Divide:
-					if block(t.Source) != block(t.Target) {
-						bytes := float64(g.Tree.Cliques[t.Edge].SepSize()) * 8
-						comm[b] += cm.MessageLatency + bytes*cm.MessagePerByte
-					}
-				case taskgraph.Multiply:
-					// Replicated state: ship the updated clique table to
-					// the other P−1 processes over the shared bus.
-					bytes := float64(g.Tree.Cliques[t.Target].TableSize()) * 8
-					broadcast += float64(p-1) * bytes * cm.BroadcastPerByte
+			if p > 1 && t.Kind == taskgraph.Multiply {
+				if block(t.Source) != block(t.Target) {
+					bytes := float64(g.Tree.Cliques[t.Edge].SepSize()) * 8
+					comm[b] += cm.MessageLatency + bytes*cm.MessagePerByte
 				}
+				// Replicated state: ship the updated clique table to the
+				// other P−1 processes over the shared bus.
+				bytes := float64(g.Tree.Cliques[t.Target].TableSize()) * 8
+				broadcast += float64(p-1) * bytes * cm.BroadcastPerByte
 			}
 		}
 		levelMax := 0.0

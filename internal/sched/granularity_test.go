@@ -30,9 +30,9 @@ func benchModel(t *testing.T, nodes, maxParents int) (*jtree.Tree, *taskgraph.Gr
 }
 
 // TestGranularityRule is the table of the one weight rule over the three
-// benchmark models: small40's mean task of 27 entries does not pay for a
-// dispatch below 39 workers, mid60 (603) pays from three — at two it is
-// under the bound of 1 000 and runs inline — wide60 (10 198) at two already,
+// benchmark models: small40's mean task of 30 entries does not pay for a
+// dispatch below 35 workers, mid60 (692) pays from three — at two it is
+// under the bound of 1 000 and runs inline — wide60 (11 789) at two already,
 // and one worker or no tasks means inline whatever the weights.
 func TestGranularityRule(t *testing.T) {
 	_, small := benchModel(t, 40, 3)
@@ -47,7 +47,7 @@ func TestGranularityRule(t *testing.T) {
 		{"small40 P=2", small, 2, true},
 		{"small40 P=8", small, 8, true},
 		{"small40 P=16", small, 16, true},
-		{"small40 P=64", small, 64, false}, // 27 entries > 1000/63: enough workers amortize anything
+		{"small40 P=64", small, 64, false}, // 30 entries > 1000/63: enough workers amortize anything
 		{"mid60 P=2", mid, 2, true},
 		{"mid60 P=3", mid, 3, false},
 		{"wide60 P=2", wide, 2, false},
@@ -71,10 +71,10 @@ func TestGranularityRule(t *testing.T) {
 // graph: evidence slices the tables, and the verdict is taken on what is left
 // (taskgraph.State.Weight). At the load benchmark's evidence widths, over 50
 // random queries each: small40 with 4 observed stays inline as before; wide60
-// with 4 observed keeps about 0.55 of its entries, a mean task of ≈ 7 000, and
-// still goes to two workers; mid60 with 30 of 60 observed is left ≈ 25 entries
-// per task (136 at most in these queries) and runs inline at three and four
-// workers, where the full graph dispatches — 252 near-empty tasks are not
+// with 4 observed keeps about 0.55 of its entries, a mean task of ≈ 6 500, and
+// still goes to two workers; mid60 with 30 of 60 observed is left ≈ 22 entries
+// per task (125 at most in these queries) and runs inline at three and four
+// workers, where the full graph dispatches — 210 near-empty tasks are not
 // worth one wake-up.
 func TestGranularityRuleSliced(t *testing.T) {
 	for _, tc := range []struct {
@@ -143,8 +143,8 @@ func TestSplitRule(t *testing.T) {
 		cut [5]int
 	}{
 		{"small40", small, [5]int{0, 0, 0, 0, 0}}, // no table reaches four dispatches
-		{"mid60", mid, [5]int{0, 6, 13, 13, 13}},
-		{"wide60", wide, [5]int{0, 25, 40, 40, 40}},
+		{"mid60", mid, [5]int{0, 5, 12, 12, 12}},
+		{"wide60", wide, [5]int{0, 20, 35, 35, 35}},
 		{"chain", taskgraph.Build(chainTree), [5]int{0, 92, 92, 92, 92}},
 	} {
 		g := tc.g

@@ -54,8 +54,8 @@ var ErrScratchReleased = errors.New("taskgraph: run scratch released; Reset the 
 // Any other clique the evidence slices is gathered into the state's table
 // (below). So a clique's table holds its value once its first writer has run;
 // a leaf a mask skips is written by Resume. A separator is only sized: every
-// one starts at one, the collect Marginalize reduces into it and its Divide
-// has nothing to compute. No task writes a tree table.
+// one starts at one and the collect Marginalize reduces into it, so no collect
+// message is divided (Build). No task writes a tree table.
 //
 // P(e) is summed inside the run: one live distribute Marginalize out of the
 // root (Target picks it) sums the root, complete after collect, before it
@@ -307,7 +307,7 @@ func (st *State) attach() error {
 			continue
 		}
 		ch, pa, sep := st.Clique[i], st.Clique[c.Parent], st.Sep[i]
-		entries += ch.Len() + pa.Len() + sep.Len()
+		entries += 2*(ch.Len()+pa.Len()) + sep.Len()
 		// A message has its separator's domain; the cardinalities are shared,
 		// which keeps Combine's domain check meaningful.
 		b := sc.sepNew[i]
@@ -325,8 +325,9 @@ func (st *State) attach() error {
 			return fmt.Errorf("taskgraph: edge (%d, %d): %w", i, c.Parent, err)
 		}
 	}
-	// Both passes range over the same three tables of every edge.
-	st.weight = float64(2 * entries)
+	// Both passes range over the edge's two cliques, the distribute Divide
+	// over its separator.
+	st.weight = float64(entries)
 	return nil
 }
 
@@ -656,8 +657,7 @@ func (st *State) NewPartialBuffer(id int) *potential.Potential {
 // task's own destination — the edge's separator for a collect message, its
 // sepNew buffer for a distribute one — which is how a whole task, and the
 // first piece of a partitioned one, write it directly; the run's sumTask, run
-// whole, sums the root first. Other kinds ignore buf; a collect Divide
-// computes nothing (see the package comment), and a CPT-free clique's first
+// whole, sums the root first. Other kinds ignore buf; a CPT-free clique's first
 // writer extends the message into its range. An Extend task (none is built)
 // is refused.
 func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
@@ -681,9 +681,6 @@ func (st *State) ExecutePiece(id, lo, hi int, buf *potential.Potential) error {
 		}
 		return pl.MarginalInto(src, buf, lo, hi)
 	case Divide:
-		if t.Dir == Collect {
-			return nil
-		}
 		return divideRange(sc.sepNew[t.Edge].Data, st.Sep[t.Edge].Data, lo, hi)
 	case Multiply:
 		pl := sc.plans[t.Edge].Of(t.Target, t.Edge)

@@ -3,12 +3,12 @@
 // DAG whose nodes are node-level primitives (marginalization, division,
 // extension, multiplication) and whose edges are precedence constraints.
 //
-// The graph is built in two steps, mirroring the paper exactly. First the
-// *clique updating graph*: the junction tree is updated twice, evidence
-// flowing from the leaves to the root (collection) and back from the root
-// to the leaves (distribution). Second, each clique update is expanded into
-// its *local task dependency graph*: a message over edge (parent P, child C)
-// with separator S runs
+// The graph is built in two steps, mirroring the paper. First the *clique
+// updating graph*: the junction tree is updated twice, evidence flowing from
+// the leaves to the root (collection) and back from the root to the leaves
+// (distribution). Second, each clique update is expanded into its *local
+// task dependency graph*: a message over edge (parent P, child C) with
+// separator S runs
 //
 //	ψ*S  = marginalize(ψsource onto S)   (Marginalize)
 //	ρ    = ψ*S / ψS ;  ψS ← ψ*S          (Divide)
@@ -18,15 +18,16 @@
 // target's domain for Multiply to read back. Here the broadcast is folded into
 // Multiply, which reads ρ through the compiled walk of the (target ⊇ S) pair
 // (potential.Plan) — the scattering pass of Zheng & Mengshoel — so a message
-// is three tasks and no clique-sized temporary exists. The per-entry product
-// is the same two floats either way. Kind Extend remains for per-kind arrays
-// and hand-built graphs; Build emits none.
+// is at most three tasks and no clique-sized temporary exists. The per-entry
+// product is the same two floats either way. Kind Extend remains for per-kind
+// arrays and hand-built graphs; Build emits none.
 //
 // Every separator starts at one, so the collect message's Divide is the
-// identity: its Marginalize reduces straight into ψS, which its Multiply reads.
-// The collect Divide task stays in the graph — the paper's structure, the
-// simulator's and the partitioner's weights are unchanged — with nothing to
-// compute.
+// identity: ρ is ψ*S, and ψS ← ψ*S is what its Marginalize already did by
+// reducing straight into ψS. Build emits no such task — one that walks no
+// table would still be dispatched, weighed and cut by the partitioner, and
+// count as work in every figure — so the collect message is two tasks,
+// Marginalize → Multiply, the distribute message three, and an edge five.
 //
 // A Graph is pure structure plus weights: it can be built from a skeleton
 // tree (no potentials) and fed to the simulated-multicore machine, or
@@ -178,14 +179,16 @@ func (e EdgePlans) Of(clique, child int) *potential.Plan {
 	return e.Parent
 }
 
-// taskIdx addresses the 3 collect + 3 distribute tasks of one edge.
-type taskIdx struct{ cm, cd, cu, dm, dd, du int }
+// taskIdx addresses the 2 collect + 3 distribute tasks of one edge.
+type taskIdx struct{ cm, cu, dm, dd, du int }
 
 // Build constructs the full two-pass dependency graph for the given
 // (possibly skeleton) junction tree: two messages on every tree edge, each a
-// Marginalize over one clique of the edge, a Divide over its separator and a
-// Multiply over the other clique. A tree with a single clique yields an empty
-// graph. A run that needs less than both passes masks tasks (State.Target).
+// Marginalize over one clique of the edge and a Multiply over the other, the
+// distribute message with a Divide over the separator between them (the
+// collect one has nothing to divide: see the package comment). A tree with a
+// single clique yields an empty graph. A run that needs less than both passes
+// masks tasks (State.Target).
 func Build(t *jtree.Tree) *Graph {
 	g := &Graph{Tree: t}
 	idx := make(map[int]taskIdx) // child clique id -> its edge's tasks
@@ -203,7 +206,7 @@ func Build(t *jtree.Tree) *Graph {
 		g.Tasks[to].NDeps++
 	}
 
-	// Create the six tasks of every edge. Edges are identified by the
+	// Create the five tasks of every edge. Edges are identified by the
 	// child clique id in the *current* rooting.
 	for c := range t.Cliques {
 		p := t.Cliques[c].Parent
@@ -221,15 +224,13 @@ func Build(t *jtree.Tree) *Graph {
 		parentGrain := potential.PartitionGrain(t.Cliques[p].Vars, t.Cliques[p].Card, t.Cliques[c].SepVars)
 		ti := taskIdx{
 			cm: add(Marginalize, Collect, c, c, p, childSize, childGrain),
-			cd: add(Divide, Collect, c, c, p, sepSize, 1),
 			cu: add(Multiply, Collect, c, c, p, parentSize, parentGrain),
 			dm: add(Marginalize, Distribute, c, p, c, parentSize, parentGrain),
 			dd: add(Divide, Distribute, c, p, c, sepSize, 1),
 			du: add(Multiply, Distribute, c, p, c, childSize, childGrain),
 		}
-		// Local chains: M -> D -> U in both directions.
-		dep(ti.cm, ti.cd)
-		dep(ti.cd, ti.cu)
+		// Local chains: M -> U in collect, M -> D -> U in distribute.
+		dep(ti.cm, ti.cu)
 		dep(ti.dm, ti.dd)
 		dep(ti.dd, ti.du)
 		idx[c] = ti

@@ -27,7 +27,7 @@ func TestBuildTaskCount(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 17} {
 		tr := chainTree(t, n)
 		g := Build(tr)
-		if got, want := g.N(), 6*(n-1); got != want {
+		if got, want := g.N(), 5*(n-1); got != want {
 			t.Errorf("n=%d: %d tasks, want %d", n, got, want)
 		}
 		if err := g.Validate(); err != nil {

@@ -91,7 +91,9 @@ func TestInlinePathAllocsPinned(t *testing.T) {
 // allocates: wide60, 4 observed, Propagate + Close with every run forced onto
 // the pool's two workers. The workers' ready lists are rings that keep their
 // backing arrays from run to run; when a fetch resliced the list's front
-// away, every run regrew it and the same loop made 208 allocations.
+// away, every run regrew it and the same loop made 208 allocations. Without
+// the collect Divide, Split cuts fewer tasks at two workers, so a run queues
+// fewer pieces and partial buffers: 46-47 allocations, 52-53 with it.
 func TestPoolPathAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled states at random under the race detector")
@@ -118,8 +120,8 @@ func TestPoolPathAllocsPinned(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		query() // fill the state and scratch pools, and grow the rings
 	}
-	if allocs := testing.AllocsPerRun(100, query); allocs > 56 {
-		t.Errorf("%.0f allocations per pool run, pinned at 56", allocs)
+	if allocs := testing.AllocsPerRun(100, query); allocs > 47 {
+		t.Errorf("%.0f allocations per pool run, pinned at 47", allocs)
 	}
 }
 
