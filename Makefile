@@ -4,7 +4,7 @@ GO ?= go
 # TestAsiaFixture): the model the smoke targets serve and replay against.
 ASIA_DIR = cmd/evserve/testdata/asia
 
-.PHONY: build test race flake-guard vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
+.PHONY: build test race flake-guard census vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,13 @@ race:
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
 	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead|TestHotSwapRace' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./internal/registry ./cmd/evserve .
+
+# The dead-code census (census_test.go, behind the census build tag): type-check
+# the non-test files of this module and benchmark/, and fail naming every
+# function declared in internal/ that no non-test file references, bar those
+# the test's allowlist keeps, each with its reason (~4 s, offline).
+census:
+	$(GO) test -tags census -run '^TestCensus$$' -count=1 .
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime 1s .
@@ -315,7 +322,7 @@ smoke-examples:
 
 # The PR gate: formatting and static checks plus the full test suite under
 # the race detector (includes the concurrent-engine stress tests), forty
-# repeats of the schedule-sensitive tests, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
+# repeats of the schedule-sensitive tests, the dead-code census, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
 # audit replay + traceparent propagation), the timed short-run kernel bound,
 # every example run once, and the benchmark module's own vet + tests.
-check: fmt-check vet staticcheck race flake-guard smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels smoke-examples bench-module
+check: fmt-check vet staticcheck race flake-guard census smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels smoke-examples bench-module

@@ -545,7 +545,8 @@ func BenchmarkAbsorb(b *testing.B) {
 	}
 }
 
-// BenchmarkBaselineSchedulers measures the comparison executors end to end.
+// BenchmarkBaselineSchedulers measures the level-synchronous comparison
+// executor end to end.
 func BenchmarkBaselineSchedulers(b *testing.B) {
 	tr := benchTree(b)
 	g := taskgraph.Build(tr)
@@ -562,10 +563,7 @@ func BenchmarkBaselineSchedulers(b *testing.B) {
 			}
 		})
 	}
-	run("levelsync", func(st *taskgraph.State) error { _, err := baseline.LevelSync(st, 4); return err })
-	run("dataparallel", func(st *taskgraph.State) error { _, err := baseline.DataParallel(st, 4); return err })
-	run("centralized", func(st *taskgraph.State) error { _, err := baseline.Centralized(st, 4); return err })
-	run("distributed", func(st *taskgraph.State) error { _, err := baseline.DistributedEmu(st, 4); return err })
+	run("levelsync", func(st *taskgraph.State) error { return baseline.LevelSync(st, 4) })
 }
 
 // BenchmarkEndToEndQuery measures a public-API query on the Asia network,

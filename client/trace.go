@@ -3,10 +3,11 @@ package evclient
 import (
 	"context"
 	"crypto/rand"
-	"encoding/hex"
 	"net/http"
 	"net/url"
 	"time"
+
+	"evprop/internal/obs/trace"
 )
 
 // W3C Trace Context support: callers attach a traceparent to the request
@@ -42,27 +43,17 @@ func NewTraceparent(sampled bool) (traceparent, traceID string) {
 			b[i] = byte(now >> (8 * (i % 8)))
 		}
 	}
-	if isZero(b[:16]) {
-		b[0] = 1 // the all-zero trace ID is invalid per spec
+	sc := trace.SpanContext{TraceID: trace.TraceID(b[:16]), SpanID: trace.SpanID(b[16:])}
+	if !sc.TraceID.IsValid() {
+		sc.TraceID[0] = 1 // the all-zero trace ID is invalid per spec
 	}
-	if isZero(b[16:]) {
-		b[16] = 1
+	if !sc.SpanID.IsValid() {
+		sc.SpanID[0] = 1
 	}
-	traceID = hex.EncodeToString(b[:16])
-	flags := "00"
 	if sampled {
-		flags = "01"
+		sc.Flags = trace.FlagSampled
 	}
-	return "00-" + traceID + "-" + hex.EncodeToString(b[16:]) + "-" + flags, traceID
-}
-
-func isZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
+	return sc.Traceparent(), sc.TraceID.String()
 }
 
 // injectTraceparent copies the context's traceparent, if any, onto the

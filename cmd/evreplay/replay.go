@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"evprop"
 	"evprop/client"
 	"evprop/internal/audit"
+	"evprop/internal/obs/trace"
 )
 
 // chainSummary is what verification learned about the log.
@@ -95,26 +95,17 @@ type httpTarget struct {
 // the same trace IDs.
 func recTraceparent(rec *audit.Record, sampled bool) string {
 	sum := sha256.Sum256([]byte("evreplay:" + rec.ID))
-	if isZero(sum[:16]) {
-		sum[0] = 1 // the all-zero trace ID is invalid per W3C spec
+	sc := trace.SpanContext{TraceID: trace.TraceID(sum[:16]), SpanID: trace.SpanID(sum[16:24])}
+	if !sc.TraceID.IsValid() {
+		sc.TraceID[0] = 1 // the all-zero trace ID is invalid per W3C spec
 	}
-	if isZero(sum[16:24]) {
-		sum[16] = 1
+	if !sc.SpanID.IsValid() {
+		sc.SpanID[0] = 1
 	}
-	flags := "00"
 	if sampled {
-		flags = "01"
+		sc.Flags = trace.FlagSampled
 	}
-	return "00-" + hex.EncodeToString(sum[:16]) + "-" + hex.EncodeToString(sum[16:24]) + "-" + flags
-}
-
-func isZero(b []byte) bool {
-	for _, c := range b {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
+	return sc.Traceparent()
 }
 
 func (t *httpTarget) trace(ctx context.Context, rec *audit.Record) context.Context {

@@ -356,4 +356,8 @@ func TestRecTraceparent(t *testing.T) {
 	if recTraceparent(a, true)[:36] != recTraceparent(a, false)[:36] {
 		t.Error("sampled flag changed the trace ID")
 	}
+	// The bytes themselves: a replayed trace keeps its ID across builds.
+	if got, want := recTraceparent(&audit.Record{ID: "q-1"}, true), "00-d60c64805ea14141a48c6eadbcc232b9-deda8257f82517d0-01"; got != want {
+		t.Errorf("traceparent for q-1 = %s, want %s", got, want)
+	}
 }

@@ -96,7 +96,7 @@ func newMultiServer(opts evprop.Options) *server {
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)
 	}
-	s.sampler = obs.NewSampler(streamInterval, 1, s.statsNow)
+	s.sampler = obs.NewSampler(streamInterval, s.statsNow)
 	return s
 }
 

@@ -64,7 +64,7 @@ func nextEvent(t *testing.T, sc *bufio.Scanner) (statsBody, bool) {
 // checks that consecutive events carry coherent, advancing snapshots.
 func TestStreamDeliversSnapshots(t *testing.T) {
 	ts, srv := testServerNet(t, poolNetwork(), evprop.Options{Workers: 2})
-	srv.sampler = obs.NewSampler(5*time.Millisecond, 1, srv.statsNow)
+	srv.sampler = obs.NewSampler(5*time.Millisecond, srv.statsNow)
 	srv.sampler.Start()
 	t.Cleanup(srv.beginDrain)
 

@@ -31,8 +31,11 @@ import (
 // which then goes back to the pool; a reader that wants tables runs its own
 // (Result.Tables).
 
-// PropagateCachedContext is PropagateSoftContext through the result cache:
-// a hit returns the shared cached result of an earlier identical
+// Propagate absorbs the hard evidence ev and the soft evidence like (nil for
+// none) and runs the two-pass sum-product propagation, through the result
+// cache. It is safe to call from any number of goroutines concurrently, and
+// a cancelled context stops a run at the next task boundary with ctx.Err().
+// A hit returns the shared cached result of an earlier identical
 // propagation; a miss on a signature's first sight propagates privately and
 // retains nothing (the caller's Release recycles the state), any later miss
 // propagates once — collapsing concurrent identical misses into that one run —
@@ -49,14 +52,15 @@ import (
 // for the other waiters and is cancelled only when none remain.
 // targets (none: every variable; empty, non-nil: P(e) alone) shape a private
 // run only, never what a read returns (propagateFull).
-func (e *Engine) PropagateCachedContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood, targets ...int) (*Result, *obs.QueryRecord, error) {
+func (e *Engine) Propagate(ctx context.Context, ev potential.Evidence, like potential.Likelihood, targets ...int) (*Result, *obs.QueryRecord, error) {
 	return e.propagateCached(ctx, ev, like, taskgraph.SumProduct, targets)
 }
 
-// PropagateMaxCachedContext is PropagateMaxContext through the result
-// cache. Sum- and max-product results are keyed under distinct signatures,
-// so the two semirings never serve each other's answers.
-func (e *Engine) PropagateMaxCachedContext(ctx context.Context, ev potential.Evidence) (*Result, *obs.QueryRecord, error) {
+// PropagateMax is Propagate for max-product propagation: afterwards every
+// clique holds max-marginals and Result.MostProbableExplanation extracts the
+// MPE. Sum- and max-product results are keyed under distinct signatures, so
+// the two semirings never serve each other's answers.
+func (e *Engine) PropagateMax(ctx context.Context, ev potential.Evidence) (*Result, *obs.QueryRecord, error) {
 	return e.propagateCached(ctx, ev, nil, taskgraph.MaxProduct, nil)
 }
 
@@ -153,7 +157,7 @@ func (e *Engine) recordCached(ctx context.Context, mode taskgraph.Mode, sig stri
 }
 
 // EvidenceSignature returns the sum-product cache key of an evidence
-// configuration — the signature under which PropagateCachedContext would
+// configuration — the signature under which Propagate would
 // look it up.
 func (e *Engine) EvidenceSignature(ev potential.Evidence, like potential.Likelihood) string {
 	return cache.Signature(byte(taskgraph.SumProduct), ev, like)

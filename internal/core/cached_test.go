@@ -103,10 +103,11 @@ func TestPinOnSecondSight(t *testing.T) {
 		if mode == taskgraph.MaxProduct {
 			answers += vars[len(vars)-1] + 2 // a state per variable id, and the value
 		}
-		// Several, because under -race sync.Pool drops a Put in four.
+		// Several, because under -race sync.Pool drops a Put in four; past
+		// the cache, which would serve all but two of them.
 		var full []*Result
 		for i := 0; i < 8; i++ {
-			r, err := e.propagate(ctx, nil, nil, mode)
+			r, _, err := e.propagateFull(ctx, nil, nil, mode, "", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +210,7 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 	}
 	base := e.CacheStats()
 
-	first, rec, err := e.PropagateCachedContext(ctx, ev, nil, a, b)
+	first, rec, err := e.Propagate(ctx, ev, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 	}
 	first.Release()
 
-	second, rec, err := e.PropagateCachedContext(ctx, ev, nil, a, b)
+	second, rec, err := e.Propagate(ctx, ev, nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 		t.Fatalf("second sight: skipped %d tasks, shared %v, cache %+v (was %+v)", rec.TasksSkipped, second.entry != nil, cs, base)
 	}
 
-	third, rec, err := e.PropagateCachedContext(ctx, ev, nil, c)
+	third, rec, err := e.Propagate(ctx, ev, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestTargetsShapeOnlyPrivateRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Propagate(ev2)
+	want, err := propagate(ref, context.Background(), ev2, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +292,7 @@ func TestPropagateCachedHitSharesResult(t *testing.T) {
 	e := cachedTestEngine(t, 64)
 	ev := potential.Evidence{0: 1, 2: 0}
 	r1 := secondSight(t, e, taskgraph.SumProduct, ev)
-	r2, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	r2, rec, err := e.Propagate(context.Background(), ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,14 +311,14 @@ func TestPropagateCachedHitSharesResult(t *testing.T) {
 	}
 	// Different evidence (and the soft-evidence variant of the same hard
 	// evidence) must key different entries.
-	if _, rec, _ := e.PropagateCachedContext(context.Background(), potential.Evidence{0: 0}, nil); rec.Cached {
+	if _, rec, _ := e.Propagate(context.Background(), potential.Evidence{0: 0}, nil); rec.Cached {
 		t.Fatal("different evidence hit the cache")
 	}
-	if _, rec, _ := e.PropagateCachedContext(context.Background(), ev, potential.Likelihood{1: {0.5, 1}}); rec.Cached {
+	if _, rec, _ := e.Propagate(context.Background(), ev, potential.Likelihood{1: {0.5, 1}}); rec.Cached {
 		t.Fatal("soft-evidence query hit the hard-only entry")
 	}
 	// Max-product must not be served a sum-product table.
-	if _, rec, _ := e.PropagateMaxCachedContext(context.Background(), ev); rec.Cached {
+	if _, rec, _ := e.PropagateMax(context.Background(), ev); rec.Cached {
 		t.Fatal("max-product query hit the sum-product entry")
 	}
 }
@@ -355,7 +356,7 @@ func TestInvalidateCacheForcesRepropagation(t *testing.T) {
 	if st := e.CacheStats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("entries after invalidate = %d, bytes %d", st.Entries, st.Bytes)
 	}
-	_, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	_, rec, err := e.Propagate(context.Background(), ev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +381,7 @@ func herd(t *testing.T, e *Engine, ev potential.Evidence, n int) []*Result {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], _, errs[i] = e.PropagateCachedContext(context.Background(), ev, nil)
+			results[i], _, errs[i] = e.Propagate(context.Background(), ev, nil)
 		}(i)
 	}
 	close(start)
@@ -443,7 +444,7 @@ func TestColdHerdCostsTwo(t *testing.T) {
 	}
 	// Seen, not cached: one query spends the first sight, nothing is retained.
 	seen := potential.Evidence{1: 0, 5: 1}
-	first, _, err := e.PropagateCachedContext(context.Background(), seen, nil)
+	first, _, err := e.Propagate(context.Background(), seen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

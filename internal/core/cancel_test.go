@@ -77,11 +77,11 @@ func TestCancelledRunRecorderIntegrity(t *testing.T) {
 					// more items than the largest countdown value.
 					cc := &countdownCtx{Context: context.Background()}
 					cc.left.Store(int64(2 + (g*7+i)%12))
-					if _, err := e.PropagateContext(cc, ev); err == nil {
+					if _, err := propagate(e, cc, ev, nil, taskgraph.SumProduct); err == nil {
 						t.Error("countdown propagation unexpectedly succeeded")
 					}
 				} else {
-					res, err := e.Propagate(ev)
+					res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 					if err != nil {
 						t.Error(err)
 						return
@@ -134,7 +134,7 @@ func TestCancelledInlineRun(t *testing.T) {
 		polls := int64(e.Graph().N() / 2)
 		cc := &countdownCtx{Context: context.Background()}
 		cc.left.Store(polls)
-		if _, err := e.PropagateContext(cc, ev); err != context.DeadlineExceeded {
+		if _, err := propagate(e, cc, ev, nil, taskgraph.SumProduct); err != context.DeadlineExceeded {
 			t.Fatalf("%v: cancelled run returned %v", s, err)
 		}
 		// One poll per task boundary: the poll that failed is the last one.
@@ -148,7 +148,7 @@ func TestCancelledInlineRun(t *testing.T) {
 		if st := e.statePools[taskgraph.SumProduct].Get(); st != nil {
 			t.Errorf("%v: cancelled run recycled its half-run state", s)
 		}
-		res, err := e.Propagate(ev)
+		res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,15 +205,15 @@ func TestSmallModelSpawnsNoWorkers(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ev := potential.Evidence{3: 1}
 	for i := 0; i < 3; i++ {
-		if _, err := e.Propagate(ev); err != nil {
+		if _, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.PropagateMax(ev); err != nil {
+		if _, err := propagate(e, context.Background(), ev, nil, taskgraph.MaxProduct); err != nil {
 			t.Fatal(err)
 		}
 	}
 	probe := &gaugeProbeCtx{Context: context.Background(), e: e}
-	if _, err := e.PropagateContext(probe, ev); err != nil {
+	if _, err := propagate(e, probe, ev, nil, taskgraph.SumProduct); err != nil {
 		t.Fatal(err)
 	}
 	if probe.active != 1 {

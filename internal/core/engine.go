@@ -102,7 +102,7 @@ type Options struct {
 	// canonical evidence signature, fronted by a singleflight group that
 	// collapses concurrent identical queries into one propagation. A result
 	// is admitted the second time its signature is seen; the first sight
-	// runs as it would without a cache. See PropagateCachedContext.
+	// runs as it would without a cache. See Propagate.
 	CacheSize int
 	// Recorder, when set, receives the record of every propagation (the
 	// flight recorder): each run's query ID, latency and Fig. 8 report land
@@ -292,48 +292,6 @@ type Result struct {
 	// targeted is the record of a run that skipped tasks, until complete runs
 	// the rest and records it in completion. Private results only: no locking.
 	targeted, completion *obs.QueryRecord
-}
-
-// Propagate absorbs the evidence into a working state and runs the full
-// two-pass evidence propagation with the configured scheduler. It is safe
-// to call from any number of goroutines concurrently.
-func (e *Engine) Propagate(ev potential.Evidence) (*Result, error) {
-	return e.propagate(context.Background(), ev, nil, taskgraph.SumProduct)
-}
-
-// PropagateContext is Propagate with cancellation: a cancelled context
-// stops the scheduler run at the next task boundary and returns ctx.Err().
-func (e *Engine) PropagateContext(ctx context.Context, ev potential.Evidence) (*Result, error) {
-	return e.propagate(ctx, ev, nil, taskgraph.SumProduct)
-}
-
-// PropagateSoft additionally absorbs soft (likelihood) evidence before
-// propagating: each weight vector scales the corresponding variable's
-// states instead of fixing one.
-func (e *Engine) PropagateSoft(ev potential.Evidence, like potential.Likelihood) (*Result, error) {
-	return e.propagate(context.Background(), ev, like, taskgraph.SumProduct)
-}
-
-// PropagateSoftContext is PropagateSoft with cancellation.
-func (e *Engine) PropagateSoftContext(ctx context.Context, ev potential.Evidence, like potential.Likelihood) (*Result, error) {
-	return e.propagate(ctx, ev, like, taskgraph.SumProduct)
-}
-
-// PropagateMax runs max-product propagation: afterwards every clique holds
-// max-marginals and Result.MostProbableExplanation extracts the MPE.
-func (e *Engine) PropagateMax(ev potential.Evidence) (*Result, error) {
-	return e.propagate(context.Background(), ev, nil, taskgraph.MaxProduct)
-}
-
-// PropagateMaxContext is PropagateMax with cancellation.
-func (e *Engine) PropagateMaxContext(ctx context.Context, ev potential.Evidence) (*Result, error) {
-	return e.propagate(ctx, ev, nil, taskgraph.MaxProduct)
-}
-
-// propagate is propagateFull for callers that have no use for the record.
-func (e *Engine) propagate(ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
-	res, _, err := e.propagateFull(ctx, ev, like, mode, "", nil)
-	return res, err
 }
 
 // propagateFull absorbs the evidence, runs the two-pass propagation and

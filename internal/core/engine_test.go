@@ -16,6 +16,20 @@ import (
 	"evprop/internal/taskgraph"
 )
 
+// propagate runs one propagation through the engine's entrance for mode —
+// Propagate for sum-product, PropagateMax for max-product, which takes no
+// soft evidence — and drops the record.
+func propagate(e *Engine, ctx context.Context, ev potential.Evidence, like potential.Likelihood, mode taskgraph.Mode) (*Result, error) {
+	var res *Result
+	var err error
+	if mode == taskgraph.MaxProduct {
+		res, _, err = e.PropagateMax(ctx, ev)
+	} else {
+		res, _, err = e.Propagate(ctx, ev, like)
+	}
+	return res, err
+}
+
 // schedulerOptions completes a scheduler-matrix test's options so that the
 // column it names is the path that runs: the networks these tests can check
 // against brute force all fall under the granularity rule, so the parallel
@@ -59,7 +73,7 @@ func TestAllSchedulersMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v reroot=%v: %v", s, reroot, err)
 			}
-			res, err := e.Propagate(ev)
+			res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 			if err != nil {
 				t.Fatalf("%v reroot=%v: %v", s, reroot, err)
 			}
@@ -104,7 +118,7 @@ func TestProbabilityOfEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := m.Data[1]
-	res, err := e.Propagate(potential.Evidence{ids["WetGrass"]: 1})
+	res, err := propagate(e, context.Background(), potential.Evidence{ids["WetGrass"]: 1}, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +126,7 @@ func TestProbabilityOfEvidence(t *testing.T) {
 		t.Errorf("P(e) = %v, want %v", got, want)
 	}
 	// No evidence: P(e) = 1.
-	res, err = e.Propagate(nil)
+	res, err = propagate(e, context.Background(), nil, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +145,7 @@ func TestJointMarginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Propagate(nil)
+	res, err := propagate(e, context.Background(), nil, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +259,7 @@ func TestImpossibleEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Propagate(potential.Evidence{0: 1}) // P(A=1) = 0
+	res, err := propagate(e, context.Background(), potential.Evidence{0: 1}, nil, taskgraph.SumProduct) // P(A=1) = 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +285,7 @@ func TestPropagateIsRepeatable(t *testing.T) {
 	}
 	cases := []potential.Evidence{nil, {ids["Dysp"]: 1}, nil, {ids["Smoke"]: 0}}
 	for i, ev := range cases {
-		res, err := e.Propagate(ev)
+		res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +316,7 @@ func TestPropagateSoftMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	like := potential.Likelihood{ids["XRay"]: {0.3, 0.9}}
-	res, err := e.PropagateSoft(potential.Evidence{ids["Asia"]: 1}, like)
+	res, err := propagate(e, context.Background(), potential.Evidence{ids["Asia"]: 1}, like, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +361,11 @@ func TestPropagateSoftOneHotEqualsHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soft, err := e.PropagateSoft(nil, potential.Likelihood{ids["WetGrass"]: {0, 1}})
+	soft, err := propagate(e, context.Background(), nil, potential.Likelihood{ids["WetGrass"]: {0, 1}}, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := e.Propagate(potential.Evidence{ids["WetGrass"]: 1})
+	hard, err := propagate(e, context.Background(), potential.Evidence{ids["WetGrass"]: 1}, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,13 +394,13 @@ func TestPropagateSoftErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.PropagateSoft(nil, potential.Likelihood{999: {1, 1}}); err == nil {
+	if _, err := propagate(e, context.Background(), nil, potential.Likelihood{999: {1, 1}}, taskgraph.SumProduct); err == nil {
 		t.Error("accepted likelihood on unknown variable")
 	}
-	if _, err := e.PropagateSoft(nil, potential.Likelihood{ids["Rain"]: {1, 1, 1}}); err == nil {
+	if _, err := propagate(e, context.Background(), nil, potential.Likelihood{ids["Rain"]: {1, 1, 1}}, taskgraph.SumProduct); err == nil {
 		t.Error("accepted wrong-length weights")
 	}
-	if _, err := e.PropagateSoft(nil, potential.Likelihood{ids["Rain"]: {1, -1}}); err == nil {
+	if _, err := propagate(e, context.Background(), nil, potential.Likelihood{ids["Rain"]: {1, -1}}, taskgraph.SumProduct); err == nil {
 		t.Error("accepted negative weights")
 	}
 }
@@ -401,7 +415,7 @@ func TestCheckCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Propagate(potential.Evidence{ids["XRay"]: 1})
+	res, err := propagate(e, context.Background(), potential.Evidence{ids["XRay"]: 1}, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/potential"
+	"evprop/internal/taskgraph"
 )
 
 // TestGrandIntegration is the cross-product soak test: random networks ×
@@ -40,7 +42,7 @@ func TestGrandIntegration(t *testing.T) {
 						t.Fatal(err)
 					}
 					for ci, ev := range evCases {
-						res, err := e.Propagate(ev)
+						res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 						if err != nil {
 							t.Fatalf("seed %d %v P=%d δ=%d case %d: %v", seed, s, workers, thr, ci, err)
 						}
@@ -69,7 +71,7 @@ func TestGrandIntegration(t *testing.T) {
 						}
 					}
 					// One max-product run per configuration.
-					maxRes, err := e.PropagateMax(evCases[1])
+					maxRes, err := propagate(e, context.Background(), evCases[1], nil, taskgraph.MaxProduct)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/potential"
+	"evprop/internal/taskgraph"
 )
 
 // oracleJoint computes the normalized joint posterior by enumeration.
@@ -51,7 +53,7 @@ func TestJointMarginalAnyAcrossCliques(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			res, err := e.Propagate(c.ev)
+			res, err := propagate(e, context.Background(), c.ev, nil, taskgraph.SumProduct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +80,7 @@ func TestJointMarginalAnyRandomNetworks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Propagate(potential.Evidence{0: 0})
+		res, err := propagate(e, context.Background(), potential.Evidence{0: 0}, nil, taskgraph.SumProduct)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +106,7 @@ func TestJointMarginalAnyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Propagate(nil)
+	res, err := propagate(e, context.Background(), nil, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestLoadAwareExecutor(t *testing.T) {
 		release := holdRuns(t, neighbour(t, 2), company)
 		cc := &countdownCtx{Context: context.Background()}
 		cc.left.Store(20)
-		_, err := e.PropagateContext(cc, ev)
+		_, err := propagate(e, cc, ev, nil, taskgraph.SumProduct)
 		release()
 		if err != context.DeadlineExceeded {
 			t.Fatalf("cancelled run behind %d returned %v", company, err)
@@ -294,7 +294,7 @@ func TestTwoEnginesShareThePool(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(31 + i)))
 		for q := 0; q < perEngine; q++ {
 			ev := randomEvidence(rng, vars, cardOf, 3)
-			alone, err := e.Propagate(ev)
+			alone, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func TestTwoEnginesShareThePool(t *testing.T) {
 		defer wg.Done()
 		cc := &countdownCtx{Context: context.Background()}
 		cc.left.Store(20)
-		if _, err := queries[0].e.PropagateContext(cc, queries[0].ev); err != context.DeadlineExceeded {
+		if _, err := propagate(queries[0].e, cc, queries[0].ev, nil, taskgraph.SumProduct); err != context.DeadlineExceeded {
 			t.Errorf("cancelled run returned %v", err)
 		}
 	}()

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"evprop/internal/bayesnet"
 	"evprop/internal/potential"
+	"evprop/internal/taskgraph"
 )
 
 // bruteMPE finds argmax_x P(x, e) by joint enumeration.
@@ -40,7 +42,7 @@ func TestMPEMatchesBruteForce(t *testing.T) {
 				t.Fatal(err)
 			}
 			ev := potential.Evidence{0: 1}
-			res, err := e.PropagateMax(ev)
+			res, err := propagate(e, context.Background(), ev, nil, taskgraph.MaxProduct)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +96,7 @@ func TestMPEOnAsia(t *testing.T) {
 		t.Fatal(err)
 	}
 	// With no evidence the MPE is the all-healthy non-smoker state.
-	res, err := e.PropagateMax(nil)
+	res, err := propagate(e, context.Background(), nil, nil, taskgraph.MaxProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestMPERequiresMaxState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Propagate(nil)
+	res, err := propagate(e, context.Background(), nil, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestMPEImpossibleEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.PropagateMax(potential.Evidence{0: 1})
+	res, err := propagate(e, context.Background(), potential.Evidence{0: 1}, nil, taskgraph.MaxProduct)
 	if err != nil {
 		t.Fatal(err)
 	}

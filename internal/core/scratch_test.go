@@ -192,9 +192,9 @@ func TestPinnedReadsSurviveScratchRecycling(t *testing.T) {
 	for i := range want {
 		var ref *Result
 		if i%3 == 2 {
-			ref, err = serial.PropagateMax(evidenceNo(vars, i))
+			ref, err = propagate(serial, context.Background(), evidenceNo(vars, i), nil, taskgraph.MaxProduct)
 		} else {
-			ref, err = serial.Propagate(evidenceNo(vars, i))
+			ref, err = propagate(serial, context.Background(), evidenceNo(vars, i), nil, taskgraph.SumProduct)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -333,12 +333,12 @@ func TestFailedRunReleasesNoScratch(t *testing.T) {
 				if i%2 == 0 {
 					cc := &countdownCtx{Context: context.Background()}
 					cc.left.Store(int64(2 + (g*7+i)%12))
-					if _, err := e.PropagateContext(cc, ev); err == nil {
+					if _, err := propagate(e, cc, ev, nil, taskgraph.SumProduct); err == nil {
 						t.Error("countdown propagation unexpectedly succeeded")
 					}
 					continue
 				}
-				res, err := e.Propagate(ev)
+				res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 				if err != nil {
 					t.Error(err)
 					return

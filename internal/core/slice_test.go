@@ -116,7 +116,7 @@ func TestSlicedOracleColumn(t *testing.T) {
 			for i, ev := range oracleEvidences(vars) {
 				what := fmt.Sprintf("seed=%d sched=%v δ=%d ev=%d", seed, col.s, col.δ, i)
 				for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
-					res, err := e.propagate(context.Background(), ev, nil, mode)
+					res, err := propagate(e, context.Background(), ev, nil, mode)
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
@@ -210,7 +210,7 @@ func TestSlicedBenchmarkModelsBitExact(t *testing.T) {
 				ev := randomEvidence(rng, vars, cardOf, m.observed)
 				want := readSliced(t, fullDomainResult(t, inline, taskgraph.SumProduct, ev, nil), vars)
 				for _, e := range []*Engine{inline, pool} {
-					res, err := e.Propagate(ev)
+					res, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -255,19 +255,19 @@ func TestSlicedAccessors(t *testing.T) {
 		}
 	}
 	ref := fullDomainResult(t, e, taskgraph.SumProduct, ev, nil)
-	first, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	first, rec, err := e.Propagate(context.Background(), ev, nil)
 	if err != nil || rec.Cached || first.entry != nil {
 		t.Fatalf("first sight: cached=%v err=%v", rec != nil && rec.Cached, err)
 	}
 	first.Release()
-	miss, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	miss, rec, err := e.Propagate(context.Background(), ev, nil)
 	if err != nil || rec.Cached || miss.entry == nil {
 		t.Fatalf("miss: cached=%v err=%v", rec != nil && rec.Cached, err)
 	}
 	if rec.Entries >= rec.GraphEntries || rec.Entries <= 0 {
 		t.Errorf("record says %d of %d entries", rec.Entries, rec.GraphEntries)
 	}
-	hit, rec, err := e.PropagateCachedContext(context.Background(), ev, nil)
+	hit, rec, err := e.Propagate(context.Background(), ev, nil)
 	if err != nil || !rec.Cached || hit != miss {
 		t.Fatalf("hit: cached=%v same=%v err=%v", rec != nil && rec.Cached, hit == miss, err)
 	}
@@ -337,7 +337,7 @@ func TestSlicedAccessors(t *testing.T) {
 		t.Error(err)
 	}
 
-	mx, err := e.PropagateMax(ev)
+	mx, err := propagate(e, context.Background(), ev, nil, taskgraph.MaxProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestSlicedLikelihoodOnObservedVariable(t *testing.T) {
 	v, w := vars[4], vars[11]
 	ev := potential.Evidence{v: 2, vars[7]: 0}
 	like := potential.Likelihood{v: {0.5, 0.25, 0.125}, w: {1, 0.5, 0.25}}
-	res, err := e.PropagateSoft(ev, like)
+	res, err := propagate(e, context.Background(), ev, like, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,12 +384,12 @@ func TestSlicedLikelihoodOnObservedVariable(t *testing.T) {
 		"wrong length": {v: {1, 1}},
 		"negative":     {v: {1, 1, -1}},
 	} {
-		if _, err := e.PropagateSoft(ev, bad); err == nil {
+		if _, err := propagate(e, context.Background(), ev, bad, taskgraph.SumProduct); err == nil {
 			t.Errorf("%s weights on an observed variable accepted", name)
 		}
 	}
 	// A refused query leaves nothing behind in the recycled state.
-	res, err = e.PropagateSoft(ev, like)
+	res, err = propagate(e, context.Background(), ev, like, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestSlicedBadEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := e.Propagate(potential.Evidence{2: 1})
+	good, err := propagate(e, context.Background(), potential.Evidence{2: 1}, nil, taskgraph.SumProduct)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,19 +423,19 @@ func TestSlicedBadEvidence(t *testing.T) {
 	good.Release() // the state the refused queries below recycle
 
 	for _, ev := range []potential.Evidence{{2: 3}, {0: -1}, {1: 2, 2: 0}} {
-		if _, err := e.Propagate(ev); err == nil {
+		if _, err := propagate(e, context.Background(), ev, nil, taskgraph.SumProduct); err == nil {
 			t.Errorf("evidence %v accepted", ev)
 		}
 	}
 	// A variable the tree does not mention is ignored, as before.
-	if res, err := e.Propagate(potential.Evidence{2: 1, 99: 7}); err != nil {
+	if res, err := propagate(e, context.Background(), potential.Evidence{2: 1, 99: 7}, nil, taskgraph.SumProduct); err != nil {
 		t.Errorf("evidence on an unknown variable refused: %v", err)
 	} else if got := readSliced(t, res, []int{0, 1, 2}); !reflect.DeepEqual(got, want) {
 		t.Errorf("after refused queries: %+v, want %+v", got, want)
 	}
 
 	for _, mode := range []taskgraph.Mode{taskgraph.SumProduct, taskgraph.MaxProduct} {
-		res, err := e.propagate(context.Background(), potential.Evidence{0: 1, 2: 2}, nil, mode) // P(A=1) = 0
+		res, err := propagate(e, context.Background(), potential.Evidence{0: 1, 2: 2}, nil, mode) // P(A=1) = 0
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -513,7 +513,7 @@ func TestScratchReuseAcrossSlicings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := fresh.propagate(context.Background(), evidenceNo(vars, i), nil, modeOf(i))
+		res, err := propagate(fresh, context.Background(), evidenceNo(vars, i), nil, modeOf(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -536,7 +536,7 @@ func TestScratchReuseAcrossSlicings(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 2*queries; k++ {
 				i := (5*k + 4*g) % queries // widths 1 to 4 bits, out of order
-				res, err := shared.propagate(context.Background(), evidenceNo(vars, i), nil, modeOf(i))
+				res, err := propagate(shared, context.Background(), evidenceNo(vars, i), nil, modeOf(i))
 				if err != nil {
 					t.Errorf("query %d on recycled scratch: %v", i, err)
 					return

@@ -120,8 +120,7 @@ func Real(cfg RealConfig) (*RealResult, error) {
 	}
 	for _, p := range cfg.Workers {
 		d, err := measure(func(st *taskgraph.State) error {
-			_, err := baseline.LevelSync(st, p)
-			return err
+			return baseline.LevelSync(st, p)
 		})
 		if err != nil {
 			return nil, err

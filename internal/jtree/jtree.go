@@ -308,51 +308,6 @@ func (t *Tree) CliqueWeight(i int) float64 {
 	return float64(deg) * float64(c.Width()) * float64(c.TableSize())
 }
 
-// PathWeight returns the weight of the unique path between cliques a and b,
-// summing CliqueWeight over every clique on the path, endpoints included.
-func (t *Tree) PathWeight(a, b int) float64 {
-	path := t.Path(a, b)
-	w := 0.0
-	for _, i := range path {
-		w += t.CliqueWeight(i)
-	}
-	return w
-}
-
-// Path returns the unique tree path from a to b, endpoints included.
-func (t *Tree) Path(a, b int) []int {
-	// Walk both nodes to the root recording ancestors, then splice.
-	anc := map[int]int{} // node -> position on a's root path
-	pa := []int{}
-	for i := a; ; i = t.Cliques[i].Parent {
-		anc[i] = len(pa)
-		pa = append(pa, i)
-		if t.Cliques[i].Parent < 0 {
-			break
-		}
-	}
-	pb := []int{}
-	meet := -1
-	for i := b; ; i = t.Cliques[i].Parent {
-		if _, ok := anc[i]; ok {
-			meet = i
-			break
-		}
-		pb = append(pb, i)
-		if t.Cliques[i].Parent < 0 {
-			break
-		}
-	}
-	if meet < 0 {
-		return nil // disconnected; Validate would have caught this
-	}
-	path := append([]int(nil), pa[:anc[meet]+1]...)
-	for i := len(pb) - 1; i >= 0; i-- {
-		path = append(path, pb[i])
-	}
-	return path
-}
-
 // CriticalPath returns the maximum weighted root-to-clique path weight and
 // the clique attaining it. Evidence propagation takes at least as long as
 // its critical path, so the best root minimizes this value.

@@ -131,26 +131,6 @@ func TestLeavesAndDepth(t *testing.T) {
 	}
 }
 
-func TestPath(t *testing.T) {
-	tr := tinyTree(t)
-	p := tr.Path(2, 3)
-	want := []int{2, 1, 3}
-	if len(p) != len(want) {
-		t.Fatalf("Path(2,3) = %v, want %v", p, want)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("Path(2,3) = %v, want %v", p, want)
-		}
-	}
-	if p := tr.Path(1, 1); len(p) != 1 || p[0] != 1 {
-		t.Errorf("Path(1,1) = %v", p)
-	}
-	if p := tr.Path(0, 2); len(p) != 3 {
-		t.Errorf("Path(0,2) = %v", p)
-	}
-}
-
 func TestCliqueWeight(t *testing.T) {
 	tr := tinyTree(t)
 	// Clique 1: degree 3, width 2, table 4 => 24.

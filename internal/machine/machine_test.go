@@ -1,9 +1,7 @@
 package machine
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"evprop/internal/jtree"
@@ -371,51 +369,6 @@ func TestMoreCoresNeverMuchWorse(t *testing.T) {
 			t.Errorf("p=%d makespan %.4g much worse than p/2's %.4g", p, res.Makespan, prev)
 		}
 		prev = res.Makespan
-	}
-}
-
-func TestSimulatedSpansAndGantt(t *testing.T) {
-	g := buildGraph(t, jtree.RandomConfig{N: 20, Width: 6, States: 2, Degree: 3, Seed: 3})
-	cm := Xeon()
-	res, err := SimulateCollaborativeOpts(g, 3, cm, CollabOptions{RecordSpans: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Spans) != g.N() {
-		t.Errorf("%d spans, want %d (no partitioning)", len(res.Spans), g.N())
-	}
-	// Spans on one core must not overlap and must fit the makespan.
-	byCore := map[int][]Span{}
-	for _, s := range res.Spans {
-		if s.Start < 0 || s.End < s.Start || s.End > res.Makespan+1e-12 {
-			t.Errorf("span %+v outside [0, %v]", s, res.Makespan)
-		}
-		byCore[s.Core] = append(byCore[s.Core], s)
-	}
-	for core, spans := range byCore {
-		for i := 1; i < len(spans); i++ {
-			if spans[i].Start < spans[i-1].End-1e-12 {
-				t.Errorf("core %d: spans overlap: %+v then %+v", core, spans[i-1], spans[i])
-			}
-		}
-	}
-	var buf bytes.Buffer
-	res.Gantt(&buf, 48)
-	if !strings.Contains(buf.String(), "c0") || !strings.Contains(buf.String(), "█") {
-		t.Error("gantt malformed")
-	}
-	// No spans when not requested.
-	plain, err := SimulateCollaborative(g, 3, 0, cm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Spans) != 0 {
-		t.Error("spans recorded without opt-in")
-	}
-	buf.Reset()
-	plain.Gantt(&buf, 20)
-	if !strings.Contains(buf.String(), "no spans") {
-		t.Error("empty gantt not reported")
 	}
 }
 

@@ -3,7 +3,6 @@ package machine
 import (
 	"container/heap"
 	"fmt"
-	"io"
 	"math"
 
 	"evprop/internal/taskgraph"
@@ -19,16 +18,6 @@ type Result struct {
 	Overhead []float64
 	// Pieces counts partitioned subtasks executed.
 	Pieces int
-	// Spans is the per-item execution timeline (only recorded by
-	// SimulateCollaborativeOpts with RecordSpans).
-	Spans []Span
-}
-
-// Span is one executed item on a simulated core's timeline.
-type Span struct {
-	Core       int
-	Start, End float64 // seconds
-	Task       int
 }
 
 // TotalBusy sums the per-core busy times.
@@ -109,7 +98,6 @@ type collabSim struct {
 	res       Result
 	rr        int
 	rrAlloc   bool // ablation: round-robin instead of least-loaded
-	spans     bool
 }
 
 // CollabOptions tunes the collaborative-scheduler simulation beyond the
@@ -125,9 +113,6 @@ type CollabOptions struct {
 	// Algorithm 2) with blind round-robin — the ablation isolating how
 	// much the weight counters contribute.
 	RoundRobinAlloc bool
-	// RecordSpans captures the per-item execution timeline in
-	// Result.Spans for Gantt rendering.
-	RecordSpans bool
 }
 
 // SimulateCollaborative runs the collaborative scheduler of Section 6 on a
@@ -143,7 +128,7 @@ func SimulateCollaborativeOpts(g *taskgraph.Graph, p int, cm CostModel, opts Col
 		return nil, fmt.Errorf("machine: need p >= 1, got %d", p)
 	}
 	s := &collabSim{g: g, cm: cm, p: p, threshold: opts.Threshold, pieces: opts.Pieces,
-		rrAlloc: opts.RoundRobinAlloc, spans: opts.RecordSpans}
+		rrAlloc: opts.RoundRobinAlloc}
 	return s.run()
 }
 
@@ -287,9 +272,10 @@ func (s *collabSim) pieceCount(id int) int {
 		return 0
 	}
 	n := int(math.Ceil(w / s.threshold))
+	// sched caps a fixed δ's cut at piecesPerWorker·P = 2·P pieces a task;
+	// the simulator caps it at 8·P, the granularity the figures are drawn at.
 	if lo, hi := s.workers(); n > 8*(hi-lo) {
-		n = 8 * (hi - lo) // the real scheduler caps nothing, but the sim
-		// needs no finer granularity than the core count to model load
+		n = 8 * (hi - lo)
 	}
 	return n
 }
@@ -367,47 +353,6 @@ func (s *collabSim) pushTo(core int, it simItem, now float64) {
 	}
 	s.coreClock[core] = start + it.service
 	s.res.Busy[core] += it.service
-	if s.spans {
-		s.res.Spans = append(s.res.Spans, Span{
-			Core: core, Start: s.coreClock[core] - it.service, End: s.coreClock[core], Task: it.taskID,
-		})
-	}
 	s.seq++
 	s.events.push(simEvent{at: s.coreClock[core], seq: s.seq, core: core, item: it})
-}
-
-// Gantt renders the recorded spans as a fixed-width text chart, one row per
-// core ('█' busy, '·' idle) — the simulated counterpart of the real
-// scheduler's trace Gantt.
-func (r *Result) Gantt(w io.Writer, width int) {
-	if width < 10 {
-		width = 10
-	}
-	if r.Makespan <= 0 || len(r.Spans) == 0 {
-		fmt.Fprintln(w, "(no spans recorded)")
-		return
-	}
-	cores := len(r.Busy)
-	fmt.Fprintf(w, "simulated gantt: %d cores over %.4fs\n", cores, r.Makespan)
-	scale := float64(width) / r.Makespan
-	for core := 0; core < cores; core++ {
-		row := make([]rune, width)
-		for i := range row {
-			row[i] = '·'
-		}
-		for _, s := range r.Spans {
-			if s.Core != core {
-				continue
-			}
-			lo := int(s.Start * scale)
-			hi := int(s.End * scale)
-			if hi >= width {
-				hi = width - 1
-			}
-			for i := lo; i <= hi; i++ {
-				row[i] = '█'
-			}
-		}
-		fmt.Fprintf(w, "c%-2d %s\n", core, string(row))
-	}
 }

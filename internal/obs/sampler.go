@@ -16,8 +16,8 @@ type Sample[T any] struct {
 }
 
 // Sampler periodically calls a wait-free snapshot function on its own
-// goroutine, keeps a bounded ring of recent samples, and fans each sample
-// out to subscribers. It is the bridge between the scheduler's lock-free
+// goroutine, keeps the latest sample, and fans each sample out to
+// subscribers. It is the bridge between the scheduler's lock-free
 // gauge surface and push consumers like evserve's /v1/stream: the sampled
 // side pays nothing (the snapshot function must not block), and slow
 // subscribers lose samples rather than ever stalling the sampler.
@@ -26,10 +26,8 @@ type Sampler[T any] struct {
 	take     func() T
 
 	mu      sync.Mutex
-	ring    []Sample[T]
-	next    int   // ring write cursor
-	count   int   // valid entries in ring
-	seq     int64 // next sequence number
+	latest  Sample[T]
+	seq     int64 // next sequence number; 0 until the first sample
 	subs    map[chan Sample[T]]struct{}
 	stop    chan struct{}
 	started bool
@@ -37,19 +35,15 @@ type Sampler[T any] struct {
 	wg      sync.WaitGroup
 }
 
-// NewSampler builds a sampler that calls take every interval and keeps the
-// most recent keep samples. Call Start to begin sampling.
-func NewSampler[T any](interval time.Duration, keep int, take func() T) *Sampler[T] {
+// NewSampler builds a sampler that calls take every interval. Call Start to
+// begin sampling.
+func NewSampler[T any](interval time.Duration, take func() T) *Sampler[T] {
 	if interval <= 0 {
 		interval = time.Second
-	}
-	if keep < 1 {
-		keep = 1
 	}
 	return &Sampler[T]{
 		interval: interval,
 		take:     take,
-		ring:     make([]Sample[T], keep),
 		subs:     make(map[chan Sample[T]]struct{}),
 		stop:     make(chan struct{}),
 	}
@@ -102,7 +96,7 @@ func (s *Sampler[T]) Stop() {
 	}
 }
 
-// sample takes one observation, appends it to the ring and broadcasts it.
+// sample takes one observation, keeps it as the latest and broadcasts it.
 func (s *Sampler[T]) sample() {
 	sm := Sample[T]{At: time.Now(), Data: s.take()}
 	s.mu.Lock()
@@ -112,11 +106,7 @@ func (s *Sampler[T]) sample() {
 	}
 	sm.Seq = s.seq
 	s.seq++
-	s.ring[s.next] = sm
-	s.next = (s.next + 1) % len(s.ring)
-	if s.count < len(s.ring) {
-		s.count++
-	}
+	s.latest = sm
 	for ch := range s.subs {
 		select {
 		case ch <- sm:
@@ -130,24 +120,7 @@ func (s *Sampler[T]) sample() {
 func (s *Sampler[T]) Latest() (Sample[T], bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.count == 0 {
-		return Sample[T]{}, false
-	}
-	return s.ring[(s.next-1+len(s.ring))%len(s.ring)], true
-}
-
-// Recent returns up to n samples, oldest first.
-func (s *Sampler[T]) Recent(n int) []Sample[T] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n > s.count {
-		n = s.count
-	}
-	out := make([]Sample[T], 0, n)
-	for i := s.count - n; i < s.count; i++ {
-		out = append(out, s.ring[(s.next-s.count+i+2*len(s.ring))%len(s.ring)])
-	}
-	return out
+	return s.latest, s.seq > 0
 }
 
 // Subscribe registers a buffered sample channel and returns it with a

@@ -7,29 +7,20 @@ import (
 	"time"
 )
 
-// TestSamplerLatestAndRecent drives the ring through wraparound and checks
-// ordering and sequence continuity.
+// TestSamplerLatestAndRecent: no sample before the first, then the most
+// recent one taken, its sequence number counting every sample before it.
 func TestSamplerLatestAndRecent(t *testing.T) {
 	var n atomic.Int64
-	s := NewSampler(time.Hour, 4, func() int64 { return n.Add(1) })
+	s := NewSampler(time.Hour, func() int64 { return n.Add(1) })
+	if sm, ok := s.Latest(); ok {
+		t.Fatalf("latest before any sample = %+v", sm)
+	}
 	for i := 0; i < 7; i++ {
 		s.sample()
 	}
 	last, ok := s.Latest()
 	if !ok || last.Data != 7 || last.Seq != 6 {
 		t.Fatalf("latest = %+v, ok=%v", last, ok)
-	}
-	r := s.Recent(10) // more than kept: capped at ring size
-	if len(r) != 4 {
-		t.Fatalf("recent returned %d samples, want 4", len(r))
-	}
-	for i, sm := range r {
-		if want := int64(4 + i); sm.Data != want {
-			t.Errorf("recent[%d].Data = %d, want %d (oldest first)", i, sm.Data, want)
-		}
-		if i > 0 && sm.Seq != r[i-1].Seq+1 {
-			t.Errorf("sequence gap: %d after %d", sm.Seq, r[i-1].Seq)
-		}
 	}
 }
 
@@ -38,7 +29,7 @@ func TestSamplerLatestAndRecent(t *testing.T) {
 // handler relies on.
 func TestSamplerSubscribeAndStop(t *testing.T) {
 	var n atomic.Int64
-	s := NewSampler(time.Millisecond, 8, func() int64 { return n.Add(1) })
+	s := NewSampler(time.Millisecond, func() int64 { return n.Add(1) })
 	s.Start()
 	ch, cancel := s.Subscribe(16)
 	defer cancel()
@@ -74,7 +65,7 @@ func TestSamplerSubscribeAndStop(t *testing.T) {
 // samples instead of blocking the sampler or other subscribers.
 func TestSamplerSlowSubscriberDoesNotStall(t *testing.T) {
 	var n atomic.Int64
-	s := NewSampler(time.Hour, 4, func() int64 { return n.Add(1) })
+	s := NewSampler(time.Hour, func() int64 { return n.Add(1) })
 	slow, cancelSlow := s.Subscribe(1)
 	defer cancelSlow()
 	fast, cancelFast := s.Subscribe(16)
@@ -98,7 +89,7 @@ func TestSamplerSlowSubscriberDoesNotStall(t *testing.T) {
 // the race detector.
 func TestSamplerConcurrent(t *testing.T) {
 	var n atomic.Int64
-	s := NewSampler(100*time.Microsecond, 16, func() int64 { return n.Add(1) })
+	s := NewSampler(100*time.Microsecond, func() int64 { return n.Add(1) })
 	s.Start()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -113,7 +104,6 @@ func TestSamplerConcurrent(t *testing.T) {
 				}
 				cancel()
 				s.Latest()
-				s.Recent(8)
 			}
 		}()
 	}

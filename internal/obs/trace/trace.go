@@ -174,13 +174,6 @@ type Trace struct {
 // ID returns the trace ID. Valid only between StartRequest and Finish.
 func (t *Trace) ID() TraceID { return t.id }
 
-// Flags returns the trace flags (FlagSampled et al.). Valid only between
-// StartRequest and Finish.
-func (t *Trace) Flags() byte { return t.flags }
-
-// Dropped returns the number of spans lost to arena overflow so far.
-func (t *Trace) Dropped() int64 { return t.dropped.Load() }
-
 // SetSlowThreshold gives tail sampling its "slow" rule for this request:
 // Finish keeps the trace when the root span lasted at least d. The threshold
 // belongs to the request, not the tracer, because it is the adaptive 2×p99
@@ -415,16 +408,6 @@ func (s *Span) End() {
 	}
 	sl.committed.Store(true)
 	s.tr.release()
-}
-
-// Context returns the span's propagation context (for injecting a
-// traceparent into an outbound request). The zero SpanContext on the nil
-// span.
-func (s *Span) Context() SpanContext {
-	if s == nil {
-		return SpanContext{}
-	}
-	return SpanContext{TraceID: s.tid, SpanID: s.id, Flags: s.flags, State: s.state}
 }
 
 // TraceID returns the trace ID this span belongs to (zero on nil).

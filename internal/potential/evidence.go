@@ -77,27 +77,6 @@ func (p *Potential) zeroExcept(pos, keep int) {
 	}
 }
 
-// ReduceCount behaves like Reduce and additionally returns how many entries
-// were zeroed, which is useful for instrumentation.
-func (p *Potential) ReduceCount(ev Evidence) (int, error) {
-	before := 0
-	for _, v := range p.Data {
-		if v != 0 {
-			before++
-		}
-	}
-	if err := p.Reduce(ev); err != nil {
-		return 0, err
-	}
-	after := 0
-	for _, v := range p.Data {
-		if v != 0 {
-			after++
-		}
-	}
-	return before - after, nil
-}
-
 // Likelihood is soft (virtual) evidence: per-variable weight vectors that
 // scale the probability of each state rather than fixing it. A weight
 // vector of zeros and a single one is equivalent to hard evidence.

@@ -5,63 +5,9 @@ import (
 	"math"
 )
 
-// Information-theoretic utilities over normalized potentials, used by the
-// engine's value-of-information queries (mutual information ranks which
-// observation would most reduce uncertainty).
-
-// Entropy returns the Shannon entropy in bits of the table interpreted as a
-// normalized distribution (0·log 0 = 0). It reports an error if the table
-// is not normalized within tolerance.
-func (p *Potential) Entropy() (float64, error) {
-	if err := p.checkNormalized(); err != nil {
-		return 0, fmt.Errorf("entropy: %w", err)
-	}
-	h := 0.0
-	for _, v := range p.Data {
-		if v > 0 {
-			h -= v * math.Log2(v)
-		}
-	}
-	return h, nil
-}
-
-// KLDivergence returns D(p ‖ q) in bits; the domains must match. It is
-// +Inf when p has mass where q does not.
-func (p *Potential) KLDivergence(q *Potential) (float64, error) {
-	if !sameDomain(p, q) {
-		return 0, fmt.Errorf("kl: domain mismatch %v vs %v", p.Vars, q.Vars)
-	}
-	if err := p.checkNormalized(); err != nil {
-		return 0, fmt.Errorf("kl: %w", err)
-	}
-	if err := q.checkNormalized(); err != nil {
-		return 0, fmt.Errorf("kl: %w", err)
-	}
-	d := 0.0
-	for i, pv := range p.Data {
-		if pv == 0 {
-			continue
-		}
-		if q.Data[i] == 0 {
-			return math.Inf(1), nil
-		}
-		d += pv * math.Log2(pv/q.Data[i])
-	}
-	return d, nil
-}
-
-// TotalVariation returns half the L1 distance between two normalized
-// distributions over the same domain.
-func (p *Potential) TotalVariation(q *Potential) (float64, error) {
-	if !sameDomain(p, q) {
-		return 0, fmt.Errorf("tv: domain mismatch %v vs %v", p.Vars, q.Vars)
-	}
-	d := 0.0
-	for i := range p.Data {
-		d += math.Abs(p.Data[i] - q.Data[i])
-	}
-	return d / 2, nil
-}
+// Mutual information over a normalized joint, used by the engine's
+// value-of-information queries (it ranks which observation would most reduce
+// uncertainty).
 
 // MutualInformation returns I(X;Y) in bits from a normalized joint
 // distribution over exactly two variables.

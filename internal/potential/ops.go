@@ -2,7 +2,6 @@ package potential
 
 import (
 	"fmt"
-	"sort"
 )
 
 // This file implements the four node-level primitives of evidence
@@ -135,34 +134,6 @@ func (p *Potential) MarginalIntoScalar(dst *Potential, lo, hi int) error {
 		a.next()
 	}
 	return nil
-}
-
-// MarginalizeOut sums the given variables out of p, returning a fresh
-// potential over the remaining variables. out may arrive unsorted and with
-// duplicates — it is canonicalized first, and a sorted merge against the
-// domain computes the kept variables in O(|Vars| + |out| log |out|).
-// Variables in out but not in p's domain are ignored, as before.
-func (p *Potential) MarginalizeOut(out []int) (*Potential, error) {
-	o := append([]int(nil), out...)
-	sort.Ints(o)
-	u := o[:0]
-	for _, v := range o {
-		if len(u) == 0 || v != u[len(u)-1] {
-			u = append(u, v)
-		}
-	}
-	keep := make([]int, 0, len(p.Vars))
-	j := 0
-	for _, v := range p.Vars {
-		for j < len(u) && u[j] < v {
-			j++
-		}
-		if j < len(u) && u[j] == v {
-			continue
-		}
-		keep = append(keep, v)
-	}
-	return p.Marginal(keep)
 }
 
 // Extend broadcasts p onto the superset domain (vars, card), returning a

@@ -223,57 +223,6 @@ func TestMarginalIntoPartitionedEqualsWhole(t *testing.T) {
 	}
 }
 
-func TestMarginalizeOut(t *testing.T) {
-	p := MustNew([]int{0, 1}, []int{2, 3})
-	copy(p.Data, []float64{1, 2, 3, 4, 5, 6})
-	m, err := p.MarginalizeOut([]int{1})
-	if err != nil {
-		t.Fatalf("MarginalizeOut: %v", err)
-	}
-	if len(m.Vars) != 1 || m.Vars[0] != 0 || m.Data[0] != 6 || m.Data[1] != 15 {
-		t.Errorf("MarginalizeOut = %v", m)
-	}
-	all, err := p.MarginalizeOut([]int{0, 1})
-	if err != nil || all.Len() != 1 || all.Data[0] != 21 {
-		t.Errorf("MarginalizeOut everything = %v, %v", all, err)
-	}
-}
-
-// TestMarginalizeOutCanonicalizesInput pins the bugfix for unsorted and
-// duplicated out lists: they must behave exactly like the sorted unique
-// list, and the caller's slice must not be reordered.
-func TestMarginalizeOutCanonicalizesInput(t *testing.T) {
-	p := MustNew([]int{0, 1, 2}, []int{2, 2, 3})
-	for i := range p.Data {
-		p.Data[i] = float64(i + 1)
-	}
-	want, err := p.MarginalizeOut([]int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range [][]int{
-		{2, 1},          // unsorted
-		{1, 2, 1},       // duplicate
-		{2, 2, 1, 1, 2}, // unsorted with duplicates
-		{2, 9, 1, 2},    // foreign variable ignored, as before
-	} {
-		arg := append([]int(nil), out...)
-		got, err := p.MarginalizeOut(arg)
-		if err != nil {
-			t.Fatalf("MarginalizeOut(%v): %v", out, err)
-		}
-		if !got.Equal(want, 0) {
-			t.Errorf("MarginalizeOut(%v) = %v, want %v", out, got, want)
-		}
-		for i := range arg {
-			if arg[i] != out[i] {
-				t.Errorf("MarginalizeOut mutated its argument: %v -> %v", out, arg)
-				break
-			}
-		}
-	}
-}
-
 func TestExtendBasic(t *testing.T) {
 	q := MustNew([]int{1}, []int{3})
 	copy(q.Data, []float64{1, 2, 3})

@@ -127,16 +127,6 @@ func (p *Potential) HasVar(v int) bool {
 	return i < len(p.Vars) && p.Vars[i] == v
 }
 
-// CardOf returns the cardinality of variable v in p's domain, or 0 if v is
-// not in the domain.
-func (p *Potential) CardOf(v int) int {
-	i := sort.SearchInts(p.Vars, v)
-	if i < len(p.Vars) && p.Vars[i] == v {
-		return p.Card[i]
-	}
-	return 0
-}
-
 // IndexOf returns the linear index of the given per-variable states, which
 // must be parallel to p.Vars.
 func (p *Potential) IndexOf(states []int) int {
@@ -164,9 +154,6 @@ func (p *Potential) assignmentInto(idx int, states []int) {
 
 // At returns the entry for the given per-variable states.
 func (p *Potential) At(states ...int) float64 { return p.Data[p.IndexOf(states)] }
-
-// Set assigns the entry for the given per-variable states.
-func (p *Potential) Set(v float64, states ...int) { p.Data[p.IndexOf(states)] = v }
 
 // Sum returns the total mass of the table.
 func (p *Potential) Sum() float64 {

@@ -282,9 +282,8 @@ func TestEvidenceErrors(t *testing.T) {
 // mutate-then-fail bug: Reduce validated observed states one variable at a
 // time, so a valid observation on an earlier variable was already absorbed
 // (entries zeroed) before a later out-of-range observation returned an
-// error, leaving the table partially reduced — and ReduceCount reported 0
-// zeroed entries despite the mutation. All states must now be validated up
-// front, making a failed Reduce a no-op.
+// error, leaving the table partially reduced. All states must now be
+// validated up front, making a failed Reduce a no-op.
 func TestReduceInvalidLeavesTableUntouched(t *testing.T) {
 	p := MustNew([]int{0, 1}, []int{2, 2})
 	copy(p.Data, []float64{1, 2, 3, 4})
@@ -299,29 +298,6 @@ func TestReduceInvalidLeavesTableUntouched(t *testing.T) {
 		if v != before[i] {
 			t.Fatalf("failed Reduce mutated the table: entry %d = %v, want %v (table %v)", i, v, before[i], p.Data)
 		}
-	}
-	n, err := p.ReduceCount(Evidence{0: 1, 1: 5})
-	if err == nil {
-		t.Fatal("ReduceCount accepted an out-of-range observation")
-	}
-	if n != 0 {
-		t.Errorf("failed ReduceCount reported %d zeroed entries", n)
-	}
-	for i, v := range p.Data {
-		if v != before[i] {
-			t.Fatalf("failed ReduceCount mutated the table: entry %d = %v, want %v", i, v, before[i])
-		}
-	}
-}
-
-func TestReduceCount(t *testing.T) {
-	p := mustConst(t, []int{0, 1}, []int{2, 2}, 1)
-	n, err := p.ReduceCount(Evidence{0: 1})
-	if err != nil {
-		t.Fatalf("ReduceCount: %v", err)
-	}
-	if n != 2 {
-		t.Errorf("ReduceCount = %d, want 2", n)
 	}
 }
 

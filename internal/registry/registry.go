@@ -111,9 +111,6 @@ type Model struct {
 	deleted atomic.Bool
 }
 
-// Name returns the model's registry name.
-func (m *Model) Name() string { return m.name }
-
 // State describes a model's lifecycle for listings.
 type State string
 

@@ -3,7 +3,6 @@ package sched
 import (
 	"context"
 	"sync/atomic"
-	"time"
 )
 
 // Live scheduler introspection: a wait-free gauge surface over the
@@ -120,9 +119,6 @@ func NewGauges(workers int) *Gauges {
 	}
 	return &Gauges{w: make([]workerGauges, workers)}
 }
-
-// Workers returns the number of worker slots.
-func (g *Gauges) Workers() int { return len(g.w) }
 
 func (g *Gauges) worker(w int) *workerGauges { return &g.w[w] }
 
@@ -247,13 +243,4 @@ func (g *Gauges) Snapshot() GaugesSnapshot {
 		s.GlobalDepth = 0
 	}
 	return s
-}
-
-// TotalBusy sums the per-worker cumulative busy times of a snapshot.
-func (s GaugesSnapshot) TotalBusy() time.Duration {
-	var t int64
-	for i := range s.Workers {
-		t += s.Workers[i].BusyNs
-	}
-	return time.Duration(t)
 }

@@ -388,9 +388,6 @@ func (p *Pool) work(w int) {
 // Workers returns the pool size P.
 func (p *Pool) Workers() int { return len(p.lists) }
 
-// Gauges exposes the pool's live gauge surface for samplers.
-func (p *Pool) Gauges() *Gauges { return p.gauges }
-
 // EnterRun counts one more run in flight over the pool's cores and returns
 // the workers the granularity rule is to price it at: P ÷ k, k including the
 // run itself, and never below one. A server's first source of parallelism is

@@ -46,9 +46,7 @@ package taskgraph
 import (
 	"cmp"
 	"fmt"
-	"io"
 	"slices"
-	"strings"
 	"sync"
 
 	"evprop/internal/jtree"
@@ -539,36 +537,4 @@ func (g *Graph) Validate() error {
 func (t *Task) String() string {
 	return fmt.Sprintf("#%d %s/%s edge=%d %d->%d w=%.0f",
 		t.ID, t.Dir, t.Kind, t.Edge, t.Source, t.Target, t.Weight)
-}
-
-// WriteDOT renders the dependency graph in Graphviz DOT form, one node per
-// task colored by direction and shaped by primitive kind — a debugging and
-// documentation aid (`dot -Tsvg`).
-func (g *Graph) WriteDOT(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("digraph taskgraph {\n  rankdir=TB;\n  node [fontsize=9];\n")
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		shape := "box"
-		switch t.Kind {
-		case Marginalize:
-			shape = "invtrapezium"
-		case Divide:
-			shape = "diamond"
-		}
-		color := "lightblue"
-		if t.Dir == Distribute {
-			color = "lightsalmon"
-		}
-		fmt.Fprintf(&b, "  t%d [label=\"%s\\n%s e%d w=%.0f\" shape=%s style=filled fillcolor=%s];\n",
-			t.ID, t.Kind, t.Dir, t.Edge, t.Weight, shape, color)
-	}
-	for i := range g.Tasks {
-		for _, s := range g.Tasks[i].Succs {
-			fmt.Fprintf(&b, "  t%d -> t%d;\n", i, s)
-		}
-	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
 }

@@ -1,11 +1,9 @@
 package taskgraph
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -618,33 +616,6 @@ func TestPropagationPreservesTotalMass(t *testing.T) {
 	}
 	if got := st.Clique[tr.Root].Sum(); math.Abs(got-1) > 1e-9 {
 		t.Errorf("root mass after propagation = %v, want 1", got)
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	tr := chainTree(t, 3)
-	g := Build(tr)
-	var buf bytes.Buffer
-	if err := g.WriteDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "digraph taskgraph") {
-		t.Error("missing digraph header")
-	}
-	if strings.Count(out, "->") == 0 {
-		t.Error("no edges rendered")
-	}
-	for _, want := range []string{"marginalize", "divide", "multiply", "lightsalmon"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in DOT output", want)
-		}
-	}
-	if strings.Contains(out, "extend") {
-		t.Error("DOT output has an extend node: extension is part of multiply")
-	}
-	if got, want := strings.Count(out, "label="), g.N(); got != want {
-		t.Errorf("%d nodes rendered, want %d", got, want)
 	}
 }
 

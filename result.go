@@ -111,7 +111,7 @@ func (e *Engine) propagateSession(ctx context.Context, ev Evidence, soft SoftEvi
 		}
 	}
 	e.syncModelVersion()
-	res, rec, err := e.inner.PropagateCachedContext(ctx, iev, like, ids...)
+	res, rec, err := e.inner.Propagate(ctx, iev, like, ids...)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +401,7 @@ func (r *QueryResult) MPEContext(ctx context.Context) (map[string]int, float64, 
 		return nil, 0, fmt.Errorf("%w: no explanation exists", ErrZeroProbabilityEvidence)
 	}
 	if r.maxRes == nil {
-		mr, rec, err := r.eng.inner.PropagateMaxCachedContext(ctx, r.iev)
+		mr, rec, err := r.eng.inner.PropagateMax(ctx, r.iev)
 		if err != nil {
 			return nil, 0, err
 		}
