@@ -4,7 +4,7 @@ GO ?= go
 # TestAsiaFixture): the model the smoke targets serve and replay against.
 ASIA_DIR = cmd/evserve/testdata/asia
 
-.PHONY: build test race flake-guard census vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke trace smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
+.PHONY: build test race flake-guard census vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,12 @@ race:
 # CPT-free model tables are poisoned, pooled and cut, against unpoisoned ones
 # — and a registry model hot-swapped under eight querying clients, which must
 # lose no query and answer every one with one version's bits, its clients
-# held until two swaps have completed rather than for a fixed count.
+# held until two swaps have completed rather than for a fixed count — and the
+# goroutines a pool starts, counted by goroutine ID because a worker of an
+# earlier test's closed pool may still be exiting when the count is taken.
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead|TestHotSwapRace' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./internal/registry ./cmd/evserve .
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestProcessPool|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead|TestHotSwapRace' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./internal/registry ./cmd/evserve .
 
 # The dead-code census (census_test.go, behind the census build tag): type-check
 # the non-test files of this module and benchmark/, and fail naming every
@@ -146,11 +148,6 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzQueryBody -fuzztime 10s ./cmd/evserve
 	$(GO) test -run xxx -fuzz FuzzQueryResponse -fuzztime 10s ./cmd/evserve
 	$(GO) test -run xxx -fuzz FuzzAccessLine -fuzztime 10s ./cmd/evserve
-
-# Smoke-test the Chrome trace export: one traced propagation, written as
-# trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev).
-trace:
-	$(GO) run ./cmd/evbench -trace /tmp/evprop-trace.json
 
 # Smoke-test the live dashboard end to end, on a server with no model named
 # "default": boot evserve with -models-dir on the two testdata models, query

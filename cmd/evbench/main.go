@@ -5,10 +5,6 @@
 // Usage:
 //
 //	evbench [-fig all|5|6|7|8|9|reroot|granularity|load|…]
-//	evbench -trace out.json [-workers 4]
-//
-// -trace runs one real traced propagation and writes the schedule as a
-// Chrome trace_event JSON file (open in chrome://tracing or Perfetto).
 //
 // The experiments run on the simulated multicore machine of
 // internal/machine, which substitutes for the paper's 8-core testbeds; the
@@ -28,20 +24,10 @@ import (
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: all, 5, 6, 7, 8, 9, reroot, ablations, manycore, roster, real, heuristics, evidence, granularity, load")
-	tracePath := flag.String("trace", "", "run one traced propagation and write a Chrome trace_event JSON file")
-	traceWorkers := flag.Int("workers", 4, "workers for the -trace run")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
 	if *version {
 		fmt.Println(buildinfo.String("evbench"))
-		return
-	}
-
-	if *tracePath != "" {
-		if err := writeTrace(*tracePath, *traceWorkers, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "evbench: trace:", err)
-			os.Exit(1)
-		}
 		return
 	}
 

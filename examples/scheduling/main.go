@@ -1,6 +1,6 @@
 // Scheduler comparison: run the same inference workload under both
-// schedulers the library offers and report wall-clock times, trace the
-// collaborative scheduler on a generated junction tree, and show what
+// schedulers the library offers and report wall-clock times, report the
+// collaborative scheduler's run on a generated junction tree, and show what
 // Algorithm 1 rerooting does to that tree's critical path — the paper's two
 // contributions.
 //
@@ -22,6 +22,7 @@ import (
 
 	"evprop"
 	"evprop/internal/jtree"
+	"evprop/internal/obs"
 	"evprop/internal/sched"
 	"evprop/internal/taskgraph"
 )
@@ -69,10 +70,10 @@ func main() {
 		fmt.Printf("%-14s %18v    %.6g\n", s, best, pe)
 	}
 
-	// Instrumentation: run the collaborative scheduler with tracing on a
-	// generated junction tree and render the per-worker timeline (the
-	// real-execution counterpart of the paper's Fig. 8).
-	fmt.Println("\nexecution trace (4 workers):")
+	// Instrumentation: run the collaborative scheduler on a generated
+	// junction tree and print its report — the paper's Fig. 8 row of a real
+	// run: per-thread busy time as load balance, and the scheduler's share.
+	fmt.Println("\ncollaborative run (4 workers):")
 	tr, err := jtree.Random(jtree.RandomConfig{N: 48, Width: 10, States: 2, Degree: 4, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
@@ -90,14 +91,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer pool.Close()
-	metrics, err := pool.Run(st, sched.Options{Threshold: 512, Trace: true})
+	metrics, err := pool.Run(st, sched.Options{Threshold: 512})
 	if err != nil {
 		log.Fatal(err)
 	}
-	metrics.Trace.Gantt(os.Stdout, 64)
-	for w, u := range metrics.Trace.Utilization() {
-		fmt.Printf("  worker %d utilization: %.1f%%\n", w, 100*u)
-	}
+	obs.FromSched(metrics).Write(os.Stdout)
 
 	// Rerooting: Algorithm 1 picks the root that minimizes the critical
 	// path, the heaviest root-to-leaf chain of clique weights that bounds a

@@ -31,7 +31,7 @@ func (p *Potential) MutualInformation() (float64, error) {
 		for b := 0; b < p.Card[1]; b++ {
 			pxy := p.At(a, b)
 			if pxy > 0 {
-				mi += pxy * math.Log2(pxy/(px.Data[a]*py.Data[b]))
+				mi += float64(pxy * math.Log2(pxy/(px.Data[a]*py.Data[b])))
 			}
 		}
 	}

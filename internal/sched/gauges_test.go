@@ -2,7 +2,9 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -209,25 +211,65 @@ func TestNilGaugesSnapshot(t *testing.T) {
 	}
 }
 
+// goroutines returns the stack of every goroutine in the process, by
+// goroutine ID. IDs are never reused, so the IDs absent from an earlier call
+// are the goroutines started since, whatever exited in between.
+func goroutines() map[int64]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[int64]string{}
+	for _, stack := range strings.Split(string(buf), "\n\n") {
+		var id int64
+		if _, err := fmt.Sscanf(stack, "goroutine %d ", &id); err == nil {
+			out[id] = stack
+		}
+	}
+	return out
+}
+
 // TestProcessPool: every caller asking for P workers gets the same pool; the
 // pool it hands out has no goroutines and reports no workers until a run is
 // dispatched to it, however many runs it has counted in and priced by then;
-// and the price is P ÷ k, never below one.
+// and the price is P ÷ k, never below one. Goroutines are counted by ID: a
+// worker of an earlier test's closed pool may still be exiting, which a
+// runtime.NumGoroutine difference would read as one fewer started here.
 func TestProcessPool(t *testing.T) {
 	if p := ProcessPool(4); ProcessPool(4) != p || ProcessPool(3) == p || ProcessPool(0) != ProcessPool(1) {
 		t.Fatal("ProcessPool is not one pool per worker count")
 	}
 	p := newPool(4) // as ProcessPool makes them, and this test's alone
 	defer p.Close()
-	before := runtime.NumGoroutine()
+	before := goroutines()
+	started := func() (n, workers int) {
+		for id, stack := range goroutines() {
+			if _, ok := before[id]; !ok {
+				n++
+				// A worker still spinning may be on another thread, its
+				// stack unavailable; who created it is always printed.
+				if strings.Contains(stack, "created by evprop/internal/sched.(*Pool).start") {
+					workers++
+				}
+			}
+		}
+		return n, workers
+	}
 	for k, want := range []int{4, 2, 1, 1, 1} {
 		if got := p.EnterRun(); got != want {
 			t.Errorf("run %d of %d priced at %d workers, want %d", k+1, k+1, got, want)
 		}
 	}
-	if s := p.Snapshot(); s.ActiveRuns != 5 || len(s.Workers) != 0 || runtime.NumGoroutine() != before {
-		t.Errorf("before any dispatch: %d runs in flight, %d workers, %d goroutines started",
-			s.ActiveRuns, len(s.Workers), runtime.NumGoroutine()-before)
+	if s := p.Snapshot(); s.ActiveRuns != 5 || len(s.Workers) != 0 {
+		t.Errorf("before any dispatch: %d runs in flight, %d workers", s.ActiveRuns, len(s.Workers))
+	}
+	if n, _ := started(); n != 0 {
+		t.Errorf("before any dispatch: %d goroutines started", n)
 	}
 	for p.RunsInFlight() > 0 {
 		p.LeaveRun()
@@ -239,7 +281,8 @@ func TestProcessPool(t *testing.T) {
 	if _, err := p.Run(st, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if s := p.Snapshot(); len(s.Workers) != 4 || runtime.NumGoroutine() != before+4 {
-		t.Errorf("after a dispatch: %d workers, %d goroutines started", len(s.Workers), runtime.NumGoroutine()-before)
+	if n, workers := started(); len(p.Snapshot().Workers) != 4 || n != 4 || workers != 4 {
+		t.Errorf("after a dispatch: %d workers, %d goroutines started, %d of them by Pool.start",
+			len(p.Snapshot().Workers), n, workers)
 	}
 }

@@ -213,7 +213,9 @@ func TestAutoThresholdNeverSplitsSmall40(t *testing.T) {
 }
 
 // TestRunInlineIsRunSerial: the inline executor leaves the state bit for bit
-// as the serial reference does, and reports the run as one worker would.
+// as the serial reference does, and reports the run as one worker would: its
+// clock, read only where the kind changes, telescopes to Busy = Elapsed, with
+// time for every kind the graph has and the kinds summing to Busy.
 func TestRunInlineIsRunSerial(t *testing.T) {
 	tr, g := benchModel(t, 40, 3)
 	ref := referenceState(t, g, nil)
@@ -222,7 +224,7 @@ func TestRunInlineIsRunSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Threshold 0: every task whole, whatever pool the caller has in mind.
-	m, err := RunInline(st, Options{Workers: 8, Trace: true})
+	m, err := RunInline(st, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,46 +236,20 @@ func TestRunInlineIsRunSerial(t *testing.T) {
 	if m.Executor != ExecInline || len(m.Workers) != 1 || m.Tasks != g.N() || m.Pieces != 0 || m.Partition != 0 {
 		t.Errorf("metrics %+v", m)
 	}
-	w := m.Workers[0]
-	var kinds int64
-	for _, d := range w.KindBusy {
-		kinds += int64(d)
-	}
-	if w.Tasks != g.N() || w.Busy != m.Elapsed || w.Overhead != 0 || kinds != int64(w.Busy) {
-		t.Errorf("worker column %+v over %v", w, m.Elapsed)
-	}
-	// The trace is the serial order, back to back on worker 0.
-	order, _ := g.TopoOrder()
-	if m.Trace == nil || len(m.Trace.Events) != g.N() || m.Trace.Workers != 1 {
-		t.Fatalf("trace %+v", m.Trace)
-	}
-	for i, ev := range m.Trace.Events {
-		if ev.Worker != 0 || ev.Task != order[i] || ev.Kind != g.Tasks[order[i]].Kind || ev.Hi != -1 {
-			t.Fatalf("event %d = %+v, want task %d", i, ev, order[i])
-		}
-		if i > 0 && ev.Start != m.Trace.Events[i-1].End {
-			t.Fatalf("event %d starts at %v, previous ended %v", i, ev.Start, m.Trace.Events[i-1].End)
-		}
-	}
-	// Untraced, the clock is read only where the kind changes: the same
-	// telescoped sum, and time for every kind the graph has.
-	st.Reset(taskgraph.SumProduct)
-	if m, err = RunInline(st, Options{}); err != nil {
-		t.Fatal(err)
-	}
 	var tasks [taskgraph.NumKinds]int
 	for _, task := range g.Tasks {
 		tasks[task.Kind]++
 	}
-	w, kinds = m.Workers[0], 0
+	w := m.Workers[0]
+	var kinds int64
 	for k, d := range w.KindBusy {
 		kinds += int64(d)
 		if (tasks[k] > 0) != (d > 0) {
 			t.Errorf("kind %v: %d tasks, %v busy", taskgraph.Kind(k), tasks[k], d)
 		}
 	}
-	if w.Tasks != g.N() || w.Busy != m.Elapsed || kinds != int64(w.Busy) || m.Trace != nil {
-		t.Errorf("untraced worker column %+v over %v", w, m.Elapsed)
+	if w.Tasks != g.N() || w.Busy != m.Elapsed || w.Overhead != 0 || kinds != int64(w.Busy) {
+		t.Errorf("worker column %+v over %v", w, m.Elapsed)
 	}
 }
 
@@ -288,12 +264,12 @@ func TestRunInlineCancelAndLabels(t *testing.T) {
 	}
 	cc := &countdownCtx{Context: context.Background()}
 	cc.left.Store(10)
-	m, err := RunInline(st, Options{Ctx: cc, Trace: true})
+	m, err := RunInline(st, Options{Ctx: cc})
 	if err != context.DeadlineExceeded {
 		t.Fatalf("cancelled run returned %v", err)
 	}
-	if m.Tasks != 10 || m.Workers[0].Tasks != 10 || len(m.Trace.Events) != 0 {
-		t.Errorf("cancelled after 10 polls: %d tasks, trace %+v", m.Tasks, m.Trace)
+	if m.Tasks != 10 || m.Workers[0].Tasks != 10 {
+		t.Errorf("cancelled after 10 polls: %d tasks, %d items", m.Tasks, m.Workers[0].Tasks)
 	}
 
 	outer := pprof.WithLabels(context.Background(), pprof.Labels("caller", "kept"))

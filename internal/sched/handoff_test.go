@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -27,6 +28,14 @@ func (e *scriptExec) NewPartialBuffer(int) *potential.Potential              { r
 func (e *scriptExec) Combine(int, []*potential.Potential) error              { return nil }
 func (e *scriptExec) RunSerial() error                                       { return nil }
 
+// goid returns the calling goroutine's ID.
+func goid() int64 {
+	var buf [64]byte
+	var id int64
+	fmt.Sscanf(string(buf[:runtime.Stack(buf[:], false)]), "goroutine %d ", &id)
+	return id
+}
+
 // handGraph builds a graph of unit-weight tasks, succs[i] the successors of
 // task i.
 func handGraph(succs ...[]int) *taskgraph.Graph {
@@ -43,7 +52,7 @@ func handGraph(succs ...[]int) *taskgraph.Graph {
 // waitAsleep polls until each of the workers publishes WorkerParked and is
 // blocked on its list's condition variable, failing the test if one is not
 // within a generous deadline — a worker that never stops spinning.
-func waitAsleep(t *testing.T, p *Pool, workers ...int) {
+func waitAsleep(t testing.TB, p *Pool, workers ...int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for _, w := range workers {
@@ -127,7 +136,8 @@ func TestSpinEndsWithRun(t *testing.T) {
 // TestNoSpinWhenCoresClaimed: with k ≥ P runs in flight the inline runs own
 // the cores, so an idle worker parks at once — it neither spins nor takes a
 // peer's queued task. Worker 0 is held inside source 0 while source 2 waits
-// behind it on its list; worker 1 runs source 1 and must leave source 2 alone.
+// behind it on its list; worker 1 runs source 1 and must leave source 2 alone,
+// so the goroutine that ran source 0 runs source 2 too.
 func TestNoSpinWhenCoresClaimed(t *testing.T) {
 	p, err := NewPool(2)
 	if err != nil {
@@ -139,8 +149,10 @@ func TestNoSpinWhenCoresClaimed(t *testing.T) {
 		defer p.LeaveRun()
 	}
 	var held, ranOne atomic.Bool
+	var ranOn [3]atomic.Int64 // the goroutine that ran each source
 	release := make(chan struct{})
 	ex := &scriptExec{g: handGraph(nil, nil, nil), script: func(id int) {
+		ranOn[id].Store(goid())
 		switch id {
 		case 0:
 			held.Store(true)
@@ -155,7 +167,7 @@ func TestNoSpinWhenCoresClaimed(t *testing.T) {
 	}
 	done := make(chan result)
 	go func() {
-		m, err := p.Run(ex, Options{Trace: true})
+		m, err := p.Run(ex, Options{})
 		done <- result{m, err}
 	}()
 	for !held.Load() || !ranOne.Load() {
@@ -172,10 +184,8 @@ func TestNoSpinWhenCoresClaimed(t *testing.T) {
 	if res.err != nil {
 		t.Fatal(res.err)
 	}
-	for _, e := range res.m.Trace.Events {
-		if e.Worker != e.Task%2 {
-			t.Errorf("task %d ran on worker %d, not on the worker whose list it was pushed to", e.Task, e.Worker)
-		}
+	if on0, on1, on2 := ranOn[0].Load(), ranOn[1].Load(), ranOn[2].Load(); on0 == on1 || on2 != on0 {
+		t.Errorf("sources ran on goroutines %d, %d, %d: source 2 left the list it was pushed to", on0, on1, on2)
 	}
 	for w, wm := range res.m.Workers {
 		if wm.Steals != 0 {
@@ -191,10 +201,12 @@ func TestNoSpinWhenCoresClaimed(t *testing.T) {
 // parked, well past the spin window, so the other has parked; for spinning,
 // 10 µs. Source 0 then readies two 300 µs tasks: Allocate keeps
 // one on its worker's list and hands the other to the other worker's. The
-// start latency is from source 0's end to the start of the first task the
-// other worker runs; start-p50-ns and start-p90-ns are its quantiles over the
-// runs that handed one over (handed/op of them; the rest ran both on source
-// 0's worker).
+// script clocks each task itself. A run handed one over when the two tasks
+// overlapped — the later one started while the earlier was still running —
+// and its start latency is from source 0's end to that later start;
+// start-p50-ns and start-p90-ns are its quantiles over the runs that handed
+// one over (handed/op of them; the rest ran both, one after the other, on
+// source 0's worker).
 func BenchmarkHandoff(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -210,6 +222,11 @@ func BenchmarkHandoff(b *testing.B) {
 			}
 			defer p.Close()
 			var oneDone atomic.Bool
+			// The script's clock: when source 0 ended, and when each of the
+			// two ready tasks started and ended, as offsets from epoch.
+			epoch := time.Now()
+			var srcEnd atomic.Int64
+			var start, end [4]atomic.Int64
 			ex := &scriptExec{g: handGraph([]int{2, 3}, nil, nil, nil), script: func(id int) {
 				switch id {
 				case 0:
@@ -217,29 +234,36 @@ func BenchmarkHandoff(b *testing.B) {
 						runtime.Gosched()
 					}
 					busy(c.hold)
+					srcEnd.Store(int64(time.Since(epoch)))
 				case 1:
 					busy(200 * time.Microsecond)
 					oneDone.Store(true)
 				default:
+					start[id].Store(int64(time.Since(epoch)))
 					busy(300 * time.Microsecond)
+					end[id].Store(int64(time.Since(epoch)))
 				}
 			}}
 			var lat []time.Duration
 			b.ResetTimer()
 			for range b.N {
+				// Each run starts with both workers parked: one still
+				// spinning from the last run could take source 0 off its
+				// peer's list and hold it, waiting for source 1 queued on its
+				// own list, forever.
+				b.StopTimer()
+				waitAsleep(b, p, 0, 1)
 				oneDone.Store(false)
-				m, err := p.Run(ex, Options{Trace: true})
-				if err != nil {
+				b.StartTimer()
+				if _, err := p.Run(ex, Options{}); err != nil {
 					b.Fatal(err)
 				}
-				// The trace is in (Worker, Start) order; source 0's worker
-				// is the one that handed a task over.
-				src := m.Trace.Events[slices.IndexFunc(m.Trace.Events, func(e Event) bool { return e.Task == 0 })]
-				for _, e := range m.Trace.Events {
-					if e.Task > 1 && e.Worker != src.Worker {
-						lat = append(lat, e.Start-src.End)
-						break
-					}
+				early, late := 2, 3
+				if start[late].Load() < start[early].Load() {
+					early, late = late, early
+				}
+				if start[late].Load() < end[early].Load() {
+					lat = append(lat, time.Duration(start[late].Load()-srcEnd.Load()))
 				}
 			}
 			b.StopTimer()

@@ -33,18 +33,18 @@ import (
 // The observable surface matches a one-worker scheduled run: opts.Ctx is
 // polled at every task boundary, the returned Metrics hold one worker's
 // Busy, KindBusy and Tasks with Pieces and Partition counted as the pool
-// counts them, opts.Trace records the timeline — one event per task, cut or
-// not — and opts.QueryID labels the calling goroutine for the duration of the
-// run. The clock is read where the primitive kind changes (at every task under
-// opts.Trace): the run is timed as a chain of segments, each a run of tasks of
-// one kind, whose time goes to Busy and to that kind — so the kinds sum to
-// Busy, Busy is Elapsed and Overhead is zero.
+// counts them — Tasks is the items executed, so a cut task is its pieces and
+// its combine — and opts.QueryID labels the calling goroutine for the duration
+// of the run. The clock is read only where the primitive kind changes: the run
+// is timed as a chain of segments, each a run of tasks of one kind, whose time
+// goes to Busy and to that kind — so the kinds sum to Busy, Busy is Elapsed
+// and Overhead is zero.
 //
 // A task opts.Live masks is stepped over — not polled, timed or counted —
 // whatever its predecessors did: also how a resumed state's remainder runs.
 //
 // A failed or cancelled run returns at the task where it stopped. Nothing
-// else touches the state, the metrics or the trace afterwards, but the
+// else touches the state or the metrics afterwards, but the
 // state is half-propagated and must not be reused without a Reset.
 func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	g := st.Graph()
@@ -54,7 +54,6 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	}
 	m := &Metrics{Workers: make([]WorkerMetrics, 1), Executor: ExecInline}
 	wm := &m.Workers[0]
-	var events []Event
 	// A zero Threshold cuts nothing and costs the loop one test per task.
 	c := newCut(g, opts.Threshold, opts.Workers)
 	var bufs []*potential.Potential // partial buffers of the task being cut
@@ -67,17 +66,14 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		defer pprof.SetGoroutineLabels(restore)
 	}
 	// The open segment: when it started, as an offset from the run's start
-	// (time.Since reads the monotonic clock alone), its kind (-1 before the
-	// first task) and its last task. lap closes it at now.
+	// (time.Since reads the monotonic clock alone), and its kind (-1 before
+	// the first task). lap closes it at now.
 	start := time.Now()
-	mark, open, last := time.Duration(0), taskgraph.Kind(-1), -1
+	mark, open := time.Duration(0), taskgraph.Kind(-1)
 	lap := func(now time.Duration) {
 		d := now - mark
 		wm.Busy += d
 		wm.KindBusy[open] += d
-		if opts.Trace {
-			events = append(events, Event{Task: last, Kind: open, Hi: -1, Start: mark, End: now})
-		}
 		mark = now
 	}
 	for _, id := range order {
@@ -88,27 +84,26 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 			break
 		}
 		kind := g.Tasks[id].Kind
-		if kind != open || opts.Trace {
+		if kind != open {
 			if open >= 0 {
 				lap(time.Since(start))
 			}
-			if labels != nil && kind != open {
+			if labels != nil {
 				pprof.SetGoroutineLabels(labels.kindCtx[kind])
 			}
 			open = kind
 		}
-		last = id
 		size, step := 0, 0
 		if !c.none() {
 			size, step = c.step(st, id)
 		}
 		if step == 0 {
+			wm.Tasks++
 			err = st.Execute(id)
 		} else {
 			m.Partition++
-			bufs, err = executeCut(st, id, size, step, bufs[:0], &m.Pieces)
+			bufs, err = executeCut(st, id, size, step, bufs[:0], m)
 		}
-		wm.Tasks++
 		if err != nil {
 			err = fmt.Errorf("sched: task %s: %w", g.Tasks[id].String(), err)
 			break
@@ -119,12 +114,6 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		lap(time.Since(start))
 	}
 	m.Elapsed = mark
-	if opts.Trace {
-		if err != nil {
-			events = nil // as Pool.Run: a failed run's trace carries no events
-		}
-		m.Trace = &Trace{Workers: 1, Events: events, Total: m.Elapsed}
-	}
 	return m, err
 }
 
@@ -132,9 +121,9 @@ func RunInline(st taskgraph.Executor, opts Options) (*Metrics, error) {
 // entries over [0, size), the first writing the task's destination, each later
 // one a partial buffer of its own, then the combining subtask over the buffers
 // in piece order — on the calling goroutine, one piece after another. bufs is
-// the caller's scratch slice for the buffers, returned for reuse; pieces counts
-// the pieces executed.
-func executeCut(st taskgraph.Executor, id, size, step int, bufs []*potential.Potential, pieces *int) ([]*potential.Potential, error) {
+// the caller's scratch slice for the buffers, returned for reuse. m counts the
+// pieces executed, and its one worker every item, the combine included.
+func executeCut(st taskgraph.Executor, id, size, step int, bufs []*potential.Potential, m *Metrics) ([]*potential.Potential, error) {
 	for lo := 0; lo < size; lo += step {
 		var buf *potential.Potential
 		if lo > 0 {
@@ -142,10 +131,12 @@ func executeCut(st taskgraph.Executor, id, size, step int, bufs []*potential.Pot
 				bufs = append(bufs, buf)
 			}
 		}
-		*pieces++
+		m.Pieces++
+		m.Workers[0].Tasks++
 		if err := st.ExecutePiece(id, lo, min(lo+step, size), buf); err != nil {
 			return bufs, err
 		}
 	}
+	m.Workers[0].Tasks++
 	return bufs, st.Combine(id, bufs)
 }

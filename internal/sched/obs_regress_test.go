@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -66,99 +65,56 @@ func TestPartitionRoundRobinWrapAround(t *testing.T) {
 	}
 }
 
-// TestBusySpansUnsortedEvents pins the defensive sort: BusySpans on a trace
-// whose events are not in Start order (hand-built, or two traces appended)
-// must not swallow earlier events.
-func TestBusySpansUnsortedEvents(t *testing.T) {
-	tr := &Trace{
-		Workers: 1,
-		Total:   100,
-		Events: []Event{
-			{Worker: 0, Start: 50, End: 60},
-			{Worker: 0, Start: 0, End: 10}, // out of order
-		},
+// checkItems holds a run to WorkerMetrics.Tasks counting executed items: the
+// whole tasks, every piece and one combine per cut task, which sum to the
+// run's Tasks plus its Pieces.
+func checkItems(t *testing.T, m *Metrics) {
+	t.Helper()
+	items := 0
+	for _, wm := range m.Workers {
+		items += wm.Tasks
 	}
-	spans := tr.BusySpans(0)
-	if len(spans) != 2 {
-		t.Fatalf("spans = %v, want two disjoint spans", spans)
-	}
-	var busy time.Duration
-	for _, s := range spans {
-		busy += s[1] - s[0]
-	}
-	if busy != 20 {
-		t.Errorf("busy %v, want 20 (pre-fix merge swallowed the earlier event)", busy)
+	if items != m.Tasks+m.Pieces {
+		t.Errorf("%s run: workers executed %d items, want %d tasks + %d pieces (%d cut)",
+			m.Executor, items, m.Tasks, m.Pieces, m.Partition)
 	}
 }
 
-// TestBusySpansDegenerateEvent checks that an event with End < Start (clock
-// weirdness in a hand-built trace) is clamped instead of corrupting spans.
-func TestBusySpansDegenerateEvent(t *testing.T) {
-	tr := &Trace{
-		Workers: 1,
-		Total:   100,
-		Events: []Event{
-			{Worker: 0, Start: 10, End: 5},
-			{Worker: 0, Start: 20, End: 30},
-		},
-	}
-	spans := tr.BusySpans(0)
-	for _, s := range spans {
-		if s[1] < s[0] {
-			t.Fatalf("negative-length span %v", s)
+// TestWorkerTasksCountItems: both executors count a cut task as its pieces
+// and its combine, not as one item.
+func TestWorkerTasksCountItems(t *testing.T) {
+	_, g := benchModel(t, 40, 3)
+	for _, inline := range []bool{false, true} {
+		st, err := g.NewState()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-// TestGanttClampsOutOfRangeSpans pins the lo clamp: spans that scale to a
-// negative or past-the-row start index (hand-built traces with negative
-// Starts or a stale Total) must be clamped like hi already was. Pre-fix a
-// negative start indexed out of range and Gantt panicked.
-func TestGanttClampsOutOfRangeSpans(t *testing.T) {
-	tr := &Trace{
-		Workers: 1,
-		Total:   100,
-		Events: []Event{
-			{Worker: 0, Start: -50, End: 10},  // starts before the run
-			{Worker: 0, Start: 150, End: 170}, // entirely past Total
-		},
-	}
-	var buf bytes.Buffer
-	tr.Gantt(&buf, 20) // pre-fix: index out of range
-	if buf.Len() == 0 {
-		t.Error("no gantt output")
-	}
-}
-
-// TestUtilizationPartitionedRun checks that utilizations stay within [0, 1]
-// on a heavily partitioned run, where a worker's last piece and the combiner
-// it runs inline produce adjacent events whose naive sum double-counts.
-func TestUtilizationPartitionedRun(t *testing.T) {
-	m := tracedRun(t, 4, 4) // tiny δ: everything splits
-	if m.Partition == 0 {
-		t.Fatal("run partitioned nothing; shrink δ")
-	}
-	for w, f := range m.Trace.Utilization() {
-		if f < 0 || f > 1 {
-			t.Errorf("worker %d utilization %v outside [0, 1]", w, f)
+		opts := Options{Workers: 4, Threshold: 8}
+		run := runOnce
+		if inline {
+			run = RunInline
 		}
-	}
-}
-
-// TestTraceEventsCarryKind checks every recorded event is tagged with its
-// task's primitive kind (the per-kind breakdown depends on it).
-func TestTraceEventsCarryKind(t *testing.T) {
-	m := tracedRun(t, 2, 8)
-	for _, e := range m.Trace.Events {
-		if e.Kind < 0 || int(e.Kind) >= taskgraph.NumKinds {
-			t.Fatalf("event kind %d out of range", e.Kind)
+		m, err := run(st, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if m.Partition == 0 {
+			t.Fatalf("%s run cut nothing; shrink δ", m.Executor)
+		}
+		checkItems(t, m)
 	}
 }
 
 // TestKindBusySumsToBusy checks the per-kind split accounts for all busy time.
 func TestKindBusySumsToBusy(t *testing.T) {
-	m := tracedRun(t, 3, 8)
+	st, err := gaugeTestGraph(t, 20, 4).NewState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := runOnce(st, Options{Workers: 3, Threshold: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for w, wm := range m.Workers {
 		var kinds time.Duration
 		for _, d := range wm.KindBusy {
@@ -170,9 +126,9 @@ func TestKindBusySumsToBusy(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracedRuns drives several traced, partitioned propagations
-// through one pool at once; under -race this verifies the per-worker trace
-// buffers and metrics of interleaved runs never share state.
+// TestConcurrentTracedRuns drives several partitioned propagations through
+// one pool at once; under -race this verifies the per-worker metrics of
+// interleaved runs never share state, and each run counts its own items.
 func TestConcurrentTracedRuns(t *testing.T) {
 	collaborative(t, testConcurrentTracedRuns)
 }
@@ -202,18 +158,12 @@ func testConcurrentTracedRuns(t *testing.T) {
 				errc <- err
 				return
 			}
-			m, err := p.Run(st, Options{Threshold: 8, Trace: true})
+			m, err := p.Run(st, Options{Threshold: 8})
 			if err != nil {
 				errc <- err
 				return
 			}
-			items := 0
-			for _, wm := range m.Workers {
-				items += wm.Tasks
-			}
-			if len(m.Trace.Events) != items {
-				t.Errorf("%d events, %d executed items", len(m.Trace.Events), items)
-			}
+			checkItems(t, m)
 		}()
 	}
 	wg.Wait()

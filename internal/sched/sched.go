@@ -60,9 +60,6 @@ type Options struct {
 	// Live, when non-nil, has one entry per task and only the true ones run.
 	// Pool.Run needs the masked set closed under successors (State.Target).
 	Live []bool
-	// Trace records a per-worker execution timeline in Metrics.Trace
-	// (one appended Event per executed item).
-	Trace bool
 	// Ctx optionally cancels the run: it is polled between items, so a
 	// cancelled run stops at the next task boundary instead of running to
 	// completion. nil means never cancelled.
@@ -128,8 +125,6 @@ type Metrics struct {
 	Tasks     int // original graph tasks completed
 	Pieces    int // partitioned pieces executed (0 when nothing was split)
 	Partition int // tasks that were partitioned
-	// Trace is the execution timeline (nil unless Options.Trace).
-	Trace *Trace
 }
 
 // item is one unit of work on a local ready list. The run pointer lets a
@@ -464,10 +459,7 @@ type run struct {
 	parted   int64
 	// start is when Run began: every clock read of the run is an offset from
 	// it, which time.Since takes off the monotonic clock alone.
-	start time.Time
-	// events holds each worker's trace events, nil when not tracing: worker w
-	// appends only to events[w], and Run merges them once the run is done.
-	events [][]Event
+	start  time.Time
 	labels *labelSet // pprof query/kind labels (nil when Options.QueryID == "")
 }
 
@@ -477,10 +469,9 @@ type run struct {
 // context is cancelled; any number of Runs may be in flight concurrently.
 //
 // A failed or cancelled Run returns without waiting for workers that are
-// mid-item: such stragglers keep mutating the run's State, Workers metrics
-// and trace until they hit the failed-run check, so on error the caller
-// must not read Metrics.Workers, and the returned Trace carries no events
-// (the run's event slices are left to the stragglers and then the GC).
+// mid-item: such stragglers keep mutating the run's State and Workers
+// metrics until they hit the failed-run check, so on error the caller must
+// not read Metrics.Workers.
 func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	if p.closed.Load() {
 		return nil, fmt.Errorf("sched: pool is closed")
@@ -507,14 +498,7 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 	start := time.Now()
 	r.start = start
 	if n == 0 {
-		m := &Metrics{Executor: ExecPool, Workers: r.metrics, Elapsed: time.Since(start)}
-		if opts.Trace {
-			m.Trace = &Trace{Workers: len(p.lists)}
-		}
-		return m, nil
-	}
-	if opts.Trace {
-		r.events = make([][]Event, len(p.lists))
+		return &Metrics{Executor: ExecPool, Workers: r.metrics, Elapsed: time.Since(start)}, nil
 	}
 	p.start()
 	p.dispatched.Add(1)
@@ -537,26 +521,14 @@ func (p *Pool) Run(st taskgraph.Executor, opts Options) (*Metrics, error) {
 		// time is simply not attributed.
 		p.gauges.flushRun(r.metrics)
 	}
-	m := &Metrics{
+	return &Metrics{
 		Executor:  ExecPool,
 		Workers:   r.metrics,
 		Elapsed:   time.Since(start),
 		Tasks:     n - int(atomic.LoadInt64(&r.remaining)),
 		Pieces:    int(atomic.LoadInt64(&r.pieces)),
 		Partition: int(atomic.LoadInt64(&r.parted)),
-	}
-	if opts.Trace {
-		m.Trace = &Trace{Workers: len(p.lists), Total: m.Elapsed}
-		// A failed or cancelled run returns while workers may still be
-		// executing already-fetched items of it, appending to its event slices
-		// (and mutating Workers — see the Run doc): they are not read. A
-		// worker's slice is in Start order, so concatenating them in worker
-		// order is the trace's (Worker, Start) order.
-		for w := 0; r.err == nil && w < len(r.events); w++ {
-			m.Trace.Events = append(m.Trace.Events, r.events[w]...)
-		}
-	}
-	return m, r.err
+	}, r.err
 }
 
 // live reports whether the run's mask (Options.Live) leaves the task standing:
@@ -614,7 +586,7 @@ func (r *run) process(w int, it item) {
 // execute is the Execute module: it runs the item's primitive — a whole
 // task, one piece, or the combining subtask — on worker w under the run's
 // pprof labels, and accounts the call once: busy time in total and by kind,
-// the item count, and the trace event. A failing primitive fails the run
+// and the item count. A failing primitive fails the run
 // with the item named in the error; execute reports whether it succeeded.
 func (r *run) execute(w int, it item) bool {
 	task := &r.g.Tasks[it.task]
@@ -634,10 +606,6 @@ func (r *run) execute(w int, it item) bool {
 	wm.Busy += d
 	wm.KindBusy[task.Kind] += d
 	wm.Tasks++
-	if r.events != nil {
-		r.events[w] = append(r.events[w], Event{Worker: w, Task: it.task, Kind: task.Kind,
-			Lo: it.lo, Hi: it.hi, Comb: it.isComb, Start: t0, End: t0 + d})
-	}
 	if err == nil {
 		return true
 	}

@@ -9,9 +9,8 @@ import (
 // load benchmark's mid-dense and small-* workloads take, and of reading their
 // posteriors — at Workers 2 the
 // granularity rule keeps every run of them on its goroutine whatever else is in
-// flight — to the counts of untraced runs: no engine run records scheduler
-// events, so one that allocated a per-run trace again would read one more per
-// propagation. Counting a run in and out of the process's runs in flight, and
+// flight: a run's one record is its sched.Metrics, so one that allocated a
+// second record again would read one more per propagation. Counting a run in and out of the process's runs in flight, and
 // recording the workers it was priced at, allocate nothing. mid-dense's
 // latency_p95_ms is a GC-frequency meter (EXPERIMENTS.md, "The run under
 // load"), so bytes added per inline query show there as a slower tail; this is
