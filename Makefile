@@ -4,7 +4,7 @@ GO ?= go
 # TestAsiaFixture): the model the smoke targets serve and replay against.
 ASIA_DIR = cmd/evserve/testdata/asia
 
-.PHONY: build test race flake-guard census vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
+.PHONY: build test race cross-arch flake-guard census vet staticcheck fmt-check bench bench-serving bench-load bench-envelope bench-kernels bench-module bench-e2e bench-check smoke-kernels fuzz-smoke smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-examples check
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,16 @@ fmt-check:
 race:
 	$(GO) test -race ./...
 
+# The plan kernels have two builds (internal/potential/leaves*.go): SSE2
+# assembly on amd64, the Go loops everywhere else and under -race. Vet every
+# package with GOARCH set to each 64-bit arch that builds the Go loops — vet
+# compiles what it checks, so a package that does not build there fails —
+# then test the two kernel packages without -race, the build that runs the
+# assembly, which `make race` does not.
+cross-arch:
+	@for a in arm64 ppc64le s390x riscv64; do echo "go vet GOARCH=$$a"; GOARCH=$$a $(GO) vet ./... || exit 1; done
+	$(GO) test -count=1 ./internal/potential ./internal/taskgraph
+
 # The tests whose verdict once depended, or could depend, on how a run happens
 # to be scheduled — the Fig. 8 overhead share of a real pool run, the bits a
 # partitioned sum leaves behind, and the bits partitioned runs leave when the
@@ -49,10 +59,12 @@ race:
 # lose no query and answer every one with one version's bits, its clients
 # held until two swaps have completed rather than for a fixed count — and the
 # goroutines a pool starts, counted by goroutine ID because a worker of an
-# earlier test's closed pool may still be exiting when the count is taken.
+# earlier test's closed pool may still be exiting when the count is taken —
+# and a worker woken to an empty list, which must take a busy peer's queued
+# item rather than park again, a wake whose item a spinning peer took.
 # A flake here is a bug, not noise. CI's flake-guard job runs this target.
 flake-guard:
-	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestProcessPool|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead|TestHotSwapRace' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./internal/registry ./cmd/evserve .
+	$(GO) test -count=40 -run 'TestFromSchedRealRun|TestPartitionedRunsBitIdentical|TestPartitionedRunsAcrossSlicings|TestScratchReuseAcrossSlicings|TestStaleHandleRefusedWhileRecycling|TestEndedHandleInertWhileRecycling|TestBatchIdenticalSubQueriesCollapse|TestPinOnSecondSight|TestColdHerdCostsTwo|TestLoadAwareExecutor|TestLoadedInlineBitIdentical|TestOnePoolPerProcess|TestTwoEnginesShareThePool|TestAllocateTieStaysHome|TestSpinEndsWithRun|TestNoSpinWhenCoresClaimed|TestWokenWorkerPollsPeers|TestProcessPool|TestCachedTableReadCompletesPrivately|TestUnitTablesNeverRead|TestHotSwapRace' ./internal/obs ./internal/obs/trace ./internal/sched ./internal/core ./internal/registry ./cmd/evserve .
 
 # The dead-code census (census_test.go, behind the census build tag): type-check
 # the non-test files of this module and benchmark/, and fail naming every
@@ -318,8 +330,9 @@ smoke-examples:
 	@echo "smoke-examples: ok"
 
 # The PR gate: formatting and static checks plus the full test suite under
-# the race detector (includes the concurrent-engine stress tests), forty
+# the race detector (includes the concurrent-engine stress tests), the
+# kernels' other builds (every arch's vet, the assembly's tests), forty
 # repeats of the schedule-sensitive tests, the dead-code census, the evserve smoke tests (evtop dashboard + multi-model hot reload + durable
 # audit replay + traceparent propagation), the timed short-run kernel bound,
 # every example run once, and the benchmark module's own vet + tests.
-check: fmt-check vet staticcheck race flake-guard census smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels smoke-examples bench-module
+check: fmt-check vet staticcheck race cross-arch flake-guard census smoke-evtop smoke-multimodel smoke-replay smoke-trace smoke-kernels smoke-examples bench-module

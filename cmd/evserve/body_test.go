@@ -270,7 +270,9 @@ func postQuery(h http.Handler, body []byte) *httptest.ResponseRecorder {
 // engine's share. A count moves by one with when the pools were last emptied,
 // and a traced one with the traces head sampling keeps: each is pinned at its
 // higher reading (with slog writing the access log and the request's values
-// in three context.WithValue, the untraced two read 45 and 114).
+// in three context.WithValue, the untraced two read 45 and 114). The evidence
+// map is made at its size, not grown: 30 observed cost 5 fewer, each mid60 pin
+// 5 lower than before.
 func TestQueryPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers at random under the race detector")
@@ -280,9 +282,9 @@ func TestQueryPathAllocs(t *testing.T) {
 		pinned float64
 	}{
 		{pathCase{"small40 hit", 40, 3, 4, 3, 1, false}, 19},
-		{pathCase{"mid60 30 observed", 60, 4, 30, 0, 256, false}, 74},
+		{pathCase{"mid60 30 observed", 60, 4, 30, 0, 256, false}, 69},
 		{pathCase{"small40 hit traced", 40, 3, 4, 3, 1, true}, 20},
-		{pathCase{"mid60 30 observed traced", 60, 4, 30, 0, 256, true}, 80},
+		{pathCase{"mid60 30 observed traced", 60, 4, 30, 0, 256, true}, 75},
 	} {
 		h, bodies := serveQueryPath(t, tc.pathCase)
 		next := 0

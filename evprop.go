@@ -120,7 +120,7 @@ func (n *Network) ExactMarginal(name string, ev Evidence) ([]float64, error) {
 }
 
 func (n *Network) evidence(ev Evidence) (potential.Evidence, error) {
-	iev := potential.Evidence{}
+	iev := make(potential.Evidence, len(ev))
 	for name, state := range ev {
 		id := n.inner.ID(name)
 		if id < 0 {
@@ -135,7 +135,7 @@ func (n *Network) evidence(ev Evidence) (potential.Evidence, error) {
 }
 
 func (n *Network) likelihood(soft SoftEvidence) (potential.Likelihood, error) {
-	like := potential.Likelihood{}
+	like := make(potential.Likelihood, len(soft))
 	for name, weights := range soft {
 		id := n.inner.ID(name)
 		if id < 0 {

@@ -349,15 +349,7 @@ func (st *State) divideRange(edge, lo, hi int) error {
 	if lo < 0 || hi < lo || hi > len(num) {
 		return fmt.Errorf("lazy: divide range [%d,%d) invalid for %d entries", lo, hi, len(num))
 	}
-	for i := lo; i < hi; i++ {
-		fresh := num[i]
-		if den[i] == 0 {
-			num[i] = 0
-		} else {
-			num[i] = fresh / den[i]
-		}
-		den[i] = fresh
-	}
+	potential.DivRatio(num[lo:hi], den[lo:hi])
 	st.flops.Add(int64(hi - lo))
 	return nil
 }

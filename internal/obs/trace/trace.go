@@ -449,10 +449,12 @@ var arenaPool = sync.Pool{New: func() any { return new(Trace) }}
 
 // idState seeds process-unique trace IDs: a random 128-bit base from
 // crypto/rand mixed with a counter, so IDs are unpredictable across
-// processes but cost one atomic add each.
+// processes but cost one atomic add each. The high half is kept as the bytes
+// it is copied out as: Go 1.24 compiles a byte-reversing store of a global
+// uint64 to an instruction s390x does not have.
 var idState struct {
 	once sync.Once
-	hi   uint64
+	hi   [8]byte
 	lo   uint64
 	ctr  atomic.Uint64
 }
@@ -465,7 +467,7 @@ func NewTraceID() TraceID {
 			// Fall back to the clock; IDs stay unique per process via ctr.
 			binary.LittleEndian.PutUint64(b[:8], uint64(time.Now().UnixNano()))
 		}
-		idState.hi = binary.LittleEndian.Uint64(b[:8])
+		idState.hi = [8]byte(b[:8])
 		idState.lo = binary.LittleEndian.Uint64(b[8:])
 	})
 	c := idState.ctr.Add(1)
@@ -474,7 +476,7 @@ func NewTraceID() TraceID {
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 32
 	var id TraceID
-	binary.LittleEndian.PutUint64(id[:8], idState.hi)
+	copy(id[:8], idState.hi[:])
 	binary.LittleEndian.PutUint64(id[8:], x)
 	if !id.IsValid() {
 		id[0] = 1

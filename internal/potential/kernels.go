@@ -4,7 +4,9 @@ package potential
 // plan's blocks in [lo, hi) — one O(groups) seek, then per block a flat loop
 // in the block's shape ("slice ⊗ scalar" for a constant run, slice ⊗ slice
 // for a contiguous run, a gather through the offset tile for short runs) and
-// one O(1)-amortized odometer step. The per-entry arithmetic, and the order
+// one O(1)-amortized odometer step. The flat loops of the sum-product kernels
+// and whole tiles whose offsets come in pairs run as leaves.go's leaves, two
+// entries per instruction on amd64. The per-entry arithmetic, and the order
 // in which a marginalization adds or maximizes into a destination cell, are
 // exactly those of the scalar reference path (ops.go / maxops.go), so plan
 // and scalar results are bit-identical — the differential harness and the
@@ -43,23 +45,19 @@ func (pl *Plan) MulRangeFrom(dst, src, q *Potential, lo, hi int) error {
 		seg, in := dd[s:e], sd[s:e]
 		switch pl.shape {
 		case tiled:
+			if pl.form != gather && e-s == pl.block {
+				mulTile(pl.form, seg, in, qd[c.sub:c.sub+pl.span], pl.tile)
+				break
+			}
 			offs, qs := pl.tile[s-base:e-base], qd[c.sub:]
 			seg, in = seg[:len(offs)], in[:len(offs)]
 			for k, o := range offs {
 				seg[k] = in[k] * qs[o]
 			}
 		case contigRun:
-			qs := qd[c.sub+(s-base):]
-			qs, in = qs[:len(seg)], in[:len(seg)]
-			for k := range seg {
-				seg[k] = in[k] * qs[k]
-			}
+			mul(seg, in, qd[c.sub+(s-base):])
 		default:
-			f := qd[c.sub]
-			in = in[:len(seg)]
-			for k := range seg {
-				seg[k] = in[k] * f
-			}
+			scale(seg, in, qd[c.sub])
 		}
 		s, base = e, e
 		if s < hi {
@@ -136,17 +134,17 @@ func (pl *Plan) MarginalInto(p, dst *Potential, lo, hi int) error {
 		seg := pd[s:e]
 		switch pl.shape {
 		case tiled:
+			if (pl.form == adjacent || pl.form == quad) && e-s == pl.block {
+				addTile(pl.form, dd[c.sub:c.sub+pl.span], seg, pl.tile)
+				break
+			}
 			offs, ds := pl.tile[s-base:e-base], dd[c.sub:]
 			seg = seg[:len(offs)]
 			for k, o := range offs {
 				ds[o] += seg[k]
 			}
 		case contigRun:
-			ds := dd[c.sub+(s-base):]
-			ds = ds[:len(seg)]
-			for k := range seg {
-				ds[k] += seg[k]
-			}
+			add(dd[c.sub+(s-base):c.sub+(e-base)], seg)
 		default:
 			acc := dd[c.sub]
 			for k := range seg {
@@ -231,10 +229,7 @@ func (pl *Plan) ExtendInto(q, dst *Potential, lo, hi int) error {
 		case contigRun:
 			copy(seg, qd[c.sub+(s-base):])
 		default:
-			f := qd[c.sub]
-			for k := range seg {
-				seg[k] = f
-			}
+			fill(seg, qd[c.sub])
 		}
 		s, base = e, e
 		if s < hi {

@@ -16,6 +16,12 @@ import (
 // plan of an edge; up to twelve variables, mostly binary once the table grows,
 // reach every block shape — constant and contiguous runs, and tiles with an
 // odometer above them — and the endpoints fall inside runs and inside tiles.
+// An nv of 128 or more asks for wide60's drop-one separators instead: 9 to 12
+// binary variables, the separator dropping the last, second-to-last or
+// third-to-last (mask % 3), so the 256-entry tiles take the packed quad and
+// adjacent forms (leaves.go). Bit 15 of mask draws a quarter of the entries
+// from the specials — signed zeros (zero denominators of both signs),
+// infinities, NaN, subnormals — whose bits a packed lane must keep too.
 // The fuzz inputs deterministically seed a PRNG, so every crash reproduces.
 func FuzzKernelBlockedVsScalar(f *testing.F) {
 	f.Add(int64(1), uint16(0b1010), uint8(3), uint16(0), uint16(200))
@@ -30,40 +36,63 @@ func FuzzKernelBlockedVsScalar(f *testing.F) {
 	f.Add(int64(6), uint16(0b101111111111), uint8(11), uint16(511), uint16(2))
 	f.Add(int64(7), uint16(0b110111111111), uint8(11), uint16(0), uint16(65535))
 	f.Add(int64(8), uint16(0b111111011111), uint8(11), uint16(77), uint16(3000))
+	// The drop-one separators of a w17-like clique, plain and with specials,
+	// over whole tables and over ranges that start and end inside tiles.
+	f.Add(int64(9), uint16(0), uint8(128+3), uint16(0), uint16(65535))
+	f.Add(int64(10), uint16(1), uint8(128+2), uint16(0), uint16(65535))
+	f.Add(int64(11), uint16(2), uint8(128+1), uint16(300), uint16(1500))
+	f.Add(int64(12), uint16(1<<15), uint8(128+3), uint16(0), uint16(65535))
+	f.Add(int64(13), uint16(1<<15|1), uint8(128+3), uint16(130), uint16(65535))
+	f.Add(int64(14), uint16(1<<15|2), uint8(128), uint16(0), uint16(65535))
+	f.Add(int64(15), uint16(1<<15|0b1010), uint8(7), uint16(3), uint16(65535))
 	f.Fuzz(func(t *testing.T, seed int64, mask uint16, nv uint8, rawLo, rawHi uint16) {
 		rng := rand.New(rand.NewSource(seed))
+		wide := nv >= 128
 		n := int(nv%12) + 1 // 1..12 superset variables
+		if wide {
+			n = 9 + int(nv%4)
+		}
 		vars := make([]int, n)
 		card := make([]int, n)
 		size := 1
 		for i := range vars {
 			vars[i] = i
 			card[i] = 1 + rng.Intn(4)
-			if size > 1<<10 {
+			if size > 1<<10 || wide {
 				card[i] = 1 + rng.Intn(2) // keep the table under 2^14 entries
+			}
+			if wide {
+				card[i] = 2
 			}
 			size *= card[i]
 		}
 		var sv, sc []int
 		for i := range vars {
-			if mask&(1<<i) != 0 {
+			keep := mask&(1<<i) != 0
+			if wide {
+				keep = i != n-1-int(mask%3)
+			}
+			if keep {
 				sv = append(sv, vars[i])
 				sc = append(sc, card[i])
 			}
 		}
 		p := MustNew(vars, card)
 		q := MustNew(sv, sc)
-		for i := range p.Data {
-			p.Data[i] = rng.Float64()
-			if rng.Intn(16) == 0 {
-				p.Data[i] = 0
+		draw := func(zeros int) float64 {
+			if mask&(1<<15) != 0 && rng.Intn(4) == 0 {
+				return specials[rng.Intn(len(specials))]
 			}
+			if rng.Intn(zeros) == 0 {
+				return math.Copysign(0, float64(rng.Intn(2)*2-1))
+			}
+			return rng.Float64()
+		}
+		for i := range p.Data {
+			p.Data[i] = draw(16)
 		}
 		for i := range q.Data {
-			q.Data[i] = rng.Float64()
-			if rng.Intn(8) == 0 {
-				q.Data[i] = 0
-			}
+			q.Data[i] = draw(8)
 		}
 		lo := int(rawLo) % (size + 1)
 		hi := lo + int(rawHi)%(size-lo+1)

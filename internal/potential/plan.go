@@ -46,6 +46,8 @@ type Plan struct {
 	block int        // entries per block; divides supSize
 	shape blockShape // what the subset index does inside a block
 	tile  []int32    // shape == tiled: subset offset of each entry of a block
+	form  tileForm   // shape == tiled: the pairs the offsets come in (leaves.go)
+	span  int        // form != gather: one past the tile's largest offset
 
 	buf []int // backs card and stride; kept so that Recompile can reuse it
 }
@@ -140,7 +142,7 @@ func (pl *Plan) compile(supVars, supCard, subVars, subCard []int, tiles bool) er
 		}
 	}
 	card, stride = card[:m], stride[:m]
-	pl.block, pl.shape = 1, constRun
+	pl.block, pl.shape, pl.form = 1, constRun, gather
 
 	// The natural run: the maximal trailing dimensions that are all absent
 	// (constant subset index) or all shared (adjacent shared dimensions are
@@ -160,6 +162,7 @@ func (pl *Plan) compile(supVars, supCard, subVars, subCard []int, tiles bool) er
 		if size <= tileMax {
 			pl.shape, pl.block = tiled, size
 			pl.buildTile(card[j+1:], stride[j+1:], size)
+			pl.classifyTile(card[j+1:], stride[j+1:])
 			i = j
 		}
 	}

@@ -3,6 +3,7 @@ package potential
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -31,6 +32,35 @@ func checkPlan(t *testing.T, supVars, supCard, subVars, subCard []int) {
 	}
 }
 
+// checkTileForm holds a classified tile to its form, offset by offset: the
+// packed tile leaves read it at stride 2 or 4 and trust the rest, and read no
+// further into the subset table than the span.
+func checkTileForm(t *testing.T, pl *Plan) {
+	t.Helper()
+	if pl.form == gather {
+		return
+	}
+	tile, step := pl.tile, 2
+	if pl.form == quad {
+		step = 4
+	}
+	if len(tile)%step != 0 || pl.span != int(slices.Max(tile))+1 {
+		t.Fatalf("form %d on a tile of %d entries with span %d, largest offset %d", pl.form, len(tile), pl.span, slices.Max(tile))
+	}
+	for k := 0; k < len(tile); k += 2 {
+		ok := tile[k+1] == tile[k]
+		switch {
+		case pl.form == adjacent:
+			ok = tile[k+1] == tile[k]+1
+		case pl.form == quad && k%4 == 0:
+			ok = ok && tile[k+2] == tile[k]+1
+		}
+		if !ok {
+			t.Fatalf("form %d: tile %v breaks it at entry %d", pl.form, tile, k)
+		}
+	}
+}
+
 func checkWalk(t *testing.T, pl *Plan, supVars, supCard, subVars, subCard []int) {
 	t.Helper()
 	a, err := newAligner(supVars, supCard, subVars, subCard)
@@ -48,6 +78,7 @@ func checkWalk(t *testing.T, pl *Plan, supVars, supCard, subVars, subCard []int)
 		if len(pl.tile) != pl.block || pl.block > tileMax || (pl.block < tileMin && pl.block != n) {
 			t.Fatalf("sup %v/%v sub %v: tile of %d entries for block %d, table %d", supVars, supCard, subVars, len(pl.tile), pl.block, n)
 		}
+		checkTileForm(t, pl)
 	} else if pl.tile != nil {
 		t.Fatalf("sup %v sub %v: run-shaped plan carries a tile", supVars, subVars)
 	}

@@ -194,6 +194,68 @@ func TestNoSpinWhenCoresClaimed(t *testing.T) {
 	}
 }
 
+// TestWokenWorkerPollsPeers: a worker woken to an empty list — a spinning
+// peer took the item whose push signalled it — polls its peers before it
+// parks again. Worker 0 is held inside source 0 with source 2 queued behind it
+// on its own list; worker 1, having run source 1, parks (k ≥ P keeps it from
+// spinning). Then the cores free up (k = 0), and worker 1 is signalled with
+// nothing on its list, as a wake whose item was taken looks. It must take
+// source 2 while source 0 still holds worker 0; a worker that parks again
+// leaves source 2 waiting for worker 0, and the test fails on the timeout.
+func TestWokenWorkerPollsPeers(t *testing.T) {
+	p, err := NewPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	for range p.Workers() {
+		p.EnterRun()
+	}
+	var held, ranOne atomic.Bool
+	var ranOn [3]atomic.Int64 // the goroutine that ran each source
+	release, ranTwo := make(chan struct{}), make(chan struct{})
+	ex := &scriptExec{g: handGraph(nil, nil, nil), script: func(id int) {
+		ranOn[id].Store(goid())
+		switch id {
+		case 0:
+			held.Store(true)
+			<-release
+		case 1:
+			ranOne.Store(true)
+		case 2:
+			close(ranTwo)
+		}
+	}}
+	done := make(chan error)
+	go func() {
+		_, err := p.Run(ex, Options{})
+		done <- err
+	}()
+	for !held.Load() || !ranOne.Load() {
+		runtime.Gosched()
+	}
+	waitAsleep(t, p, 1)
+	for range p.Workers() {
+		p.LeaveRun()
+	}
+	l := p.lists[1]
+	l.mu.Lock()
+	l.cond.Signal()
+	l.mu.Unlock()
+	select {
+	case <-ranTwo:
+	case <-time.After(5 * time.Second):
+		t.Error("worker 1, woken to an empty list, parked again with source 2 queued behind worker 0's task")
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if on0, on2 := ranOn[0].Load(), ranOn[2].Load(); on2 == on0 {
+		t.Errorf("source 2 ran on worker 0's goroutine %d", on0)
+	}
+}
+
 // BenchmarkHandoff times how long a handed task waits to start: pushed to a
 // parked worker, and to one spinning inside the run. A run of two workers
 // holds one worker in source 0 until the other has run source 1 — 200 µs, so

@@ -219,12 +219,13 @@ const (
 
 // fetch is worker w's Fetch module: the head of its own list. An empty list
 // makes the worker idle — it publishes WorkerParked and drops its labels —
-// and while the pool has a dispatched run in flight and cores to spare
-// (spinning) it polls for spinWindow: its own list's depth, then the head of
-// each peer's list in turn. Then it parks on its list's condition variable
-// until a push signals it. Queued items are always drained before a stop takes
-// effect; ok is false once the list is stopped and empty. A worker draining a
-// hot list takes one lock per item and performs no state stores.
+// and it polls (poll) before it parks on its list's condition variable until
+// a push signals it. A worker woken to an empty list — a spinning peer took
+// the item whose push signalled it — polls again before it parks again, so an
+// item queued behind a busy peer's task does not wait for that task. Queued
+// items are always drained before a stop takes effect; ok is false once the
+// list is stopped and empty. A worker draining a hot list takes one lock per
+// item and performs no state stores.
 func (p *Pool) fetch(w int) (it item, how fetched, ok bool) {
 	l := p.lists[w]
 	if it, ok := l.tryPop(); ok {
@@ -232,6 +233,36 @@ func (p *Pool) fetch(w int) (it item, how fetched, ok bool) {
 	}
 	l.g.state.Store(int32(WorkerParked))
 	clearLabels(l.g)
+	how = fetchedIdle
+	for {
+		if it, stolen, ok := p.poll(w); ok {
+			if stolen {
+				how = fetchedStolen
+			}
+			return it, how, true
+		}
+		l.mu.Lock()
+		it, ok := l.pop()
+		if !ok && !l.stopped {
+			how = fetchedWoken
+			l.asleep = true
+			l.cond.Wait()
+			l.asleep = false
+			it, ok = l.pop()
+		}
+		stopped := l.stopped
+		l.mu.Unlock()
+		if ok || stopped {
+			return it, how, ok
+		}
+	}
+}
+
+// poll is an idle worker w's spin: while the pool has a dispatched run in
+// flight and cores to spare (spinning), for up to spinWindow, it looks at its
+// own list's depth, then takes the head of each peer's list in turn. stolen
+// says the item came from a peer's list.
+func (p *Pool) poll(w int) (it item, stolen, ok bool) {
 	for spun := time.Now(); p.spinning() && time.Since(spun) < spinWindow; runtime.Gosched() {
 		for i := range p.lists {
 			src := p.lists[(w+i)%len(p.lists)]
@@ -239,28 +270,11 @@ func (p *Pool) fetch(w int) (it item, how fetched, ok bool) {
 				continue
 			}
 			if it, ok := src.tryPop(); ok {
-				if i > 0 {
-					return it, fetchedStolen, true
-				}
-				return it, fetchedIdle, true
+				return it, i > 0, true
 			}
 		}
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	how = fetchedIdle
-	for {
-		if it, ok := l.pop(); ok {
-			return it, how, true
-		}
-		if l.stopped {
-			return item{}, how, false
-		}
-		how = fetchedWoken
-		l.asleep = true
-		l.cond.Wait()
-		l.asleep = false
-	}
+	return item{}, false, false
 }
 
 func (l *localList) stop() {

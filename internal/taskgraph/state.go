@@ -732,20 +732,12 @@ func (st *State) Combine(id int, bufs []*potential.Potential) error {
 // divideRange performs the fused Divide step over separator entries
 // [lo,hi): ratio = ψ*S / ψS with 0/0 = 0, storing the ratio in num (sepNew)
 // and the new ψ*S into den (the stored separator), as Eq. 1 of the paper
-// requires.
+// requires (potential.DivRatio).
 func divideRange(num, den []float64, lo, hi int) error {
 	if lo < 0 || hi < lo || hi > len(num) {
 		return fmt.Errorf("taskgraph: divide range [%d,%d) invalid for %d entries", lo, hi, len(num))
 	}
-	for i := lo; i < hi; i++ {
-		fresh := num[i]
-		if den[i] == 0 {
-			num[i] = 0
-		} else {
-			num[i] = fresh / den[i]
-		}
-		den[i] = fresh
-	}
+	potential.DivRatio(num[lo:hi], den[lo:hi])
 	return nil
 }
 
