@@ -44,20 +44,40 @@ func BenchmarkFig5Rerooting(b *testing.B) {
 	b.ReportMetric(last, "speedup@8cores")
 }
 
-// BenchmarkRerootingAlgorithm1 measures the real wall-clock cost of root
-// selection plus rerooting on a 512-clique junction tree — the paper
-// reports 24 µs against ~1e5 µs of propagation.
-func BenchmarkRerootingAlgorithm1(b *testing.B) {
-	tr, err := jtree.Random(jtree.RandomConfig{N: 512, Width: 15, States: 2, Degree: 4, Seed: 7})
+// rerootTrees are the trees the rerooting benchmarks run Algorithm 1 on: the
+// 512-clique skeleton of the paper's Section 7 figure, and wide60's compiled
+// tree, whose 314 770 table entries a reroot shares rather than copies.
+func rerootTrees(b *testing.B) []struct {
+	name string
+	tree *jtree.Tree
+} {
+	skeleton, err := jtree.Random(jtree.RandomConfig{N: 512, Width: 15, States: 2, Degree: 4, Seed: 7})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := tr.SelectRoot()
-		if _, err := tr.Reroot(r); err != nil {
-			b.Fatal(err)
-		}
+	wide, err := RandomNetwork(60, 2, 5, 7).inner.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return []struct {
+		name string
+		tree *jtree.Tree
+	}{{"512", skeleton}, {"wide60", wide}}
+}
+
+// BenchmarkRerootingAlgorithm1 measures the real wall-clock cost of root
+// selection plus rerooting — the paper reports 24 µs against ~1e5 µs of
+// propagation on a 512-clique junction tree.
+func BenchmarkRerootingAlgorithm1(b *testing.B) {
+	for _, c := range rerootTrees(b) {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := c.tree.SelectRoot()
+				if _, err := c.tree.Reroot(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -667,16 +687,15 @@ func BenchmarkDSeparation(b *testing.B) {
 }
 
 // BenchmarkRerootSelectOnly isolates Algorithm 1's root selection from the
-// tree copy.
+// reroot's relinking.
 func BenchmarkRerootSelectOnly(b *testing.B) {
-	tr, err := jtree.Random(jtree.RandomConfig{N: 512, Width: 15, States: 2, Degree: 4, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tr.SelectRoot() < 0 {
-			b.Fatal("no root")
-		}
+	for _, c := range rerootTrees(b) {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if c.tree.SelectRoot() < 0 {
+					b.Fatal("no root")
+				}
+			}
+		})
 	}
 }

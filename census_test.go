@@ -38,6 +38,7 @@ var censusAllowed = map[string]string{
 	"jtree.Star":                                "a fixture tree shape the tests build",
 	"jtree.Balanced":                            "a fixture tree shape the tests build",
 	"jtree.Tree.Leaves":                         "the probe the generator tests check a tree's shape with",
+	"jtree.Tree.MaterializeUniform":             "the all-ones tables the scheduler, task-graph and engine tests run on",
 	"jtree.Tree.HeaviestLeafPath":               "the reference the critical-path weights are tested against",
 	"jtree.Decomposition.Validate":              "the invariant check the decomposition tests assert with",
 	"taskgraph.State.RetainedEntries":           "the probe that tests a run's scratch went back to the graph",

@@ -367,10 +367,7 @@ func (n *Network) Compile(opts Options) (*Engine, error) { return n.compile(opts
 // compile is Compile plus the tests' seam: seam, when set, adjusts the core
 // options no public option reaches (ForceDispatch, a fixed δ, Reroot).
 func (n *Network) compile(opts Options, seam func(*core.Options)) (*Engine, error) {
-	if err := n.inner.Validate(); err != nil {
-		return nil, err
-	}
-	tree, err := n.inner.Compile()
+	tree, err := n.inner.Compile() // validates the network
 	if err != nil {
 		return nil, err
 	}

@@ -376,7 +376,12 @@ func TestSubset(t *testing.T) {
 }
 
 func TestIntersectionSize(t *testing.T) {
-	if intersectionSize([]int{1, 2, 5}, []int{2, 3, 5, 7}) != 2 {
-		t.Error("intersectionSize wrong")
+	card := []int{2, 3, 4, 5, 6, 7, 8, 9}
+	if e := entries([]int{1, 2, 5}, []int{2, 3, 5, 7}, card); e != 4*7 {
+		t.Errorf("entries over {2, 5} = %v, want %d", e, 4*7)
+	}
+	sets := newBitsets([][]int{{1, 2, 5}, {1, 2, 3, 5, 70}, {2, 5}})
+	if !sets[0].within(sets[1]) || sets[1].within(sets[0]) || !sets[2].within(sets[0]) {
+		t.Error("within wrong")
 	}
 }

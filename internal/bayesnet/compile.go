@@ -3,6 +3,7 @@ package bayesnet
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"evprop/internal/jtree"
 	"evprop/internal/potential"
@@ -151,6 +152,16 @@ func (b bitset) or(c bitset) {
 	}
 }
 
+// within reports whether b ⊆ c.
+func (b bitset) within(c bitset) bool {
+	for i, w := range b {
+		if w&^c[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 func (b bitset) count() int {
 	n := 0
 	for _, w := range b {
@@ -194,15 +205,18 @@ func (g graph) fill(v int) int {
 	return missing / 2
 }
 
+// maximalOnly drops the cliques contained in another, keeping the first of
+// equal ones.
 func maximalOnly(cliques [][]int) [][]int {
+	sets := newBitsets(cliques)
 	var out [][]int
 	for i, c := range cliques {
 		maximal := true
 		for j, d := range cliques {
-			if i == j {
+			if i == j || len(d) < len(c) {
 				continue
 			}
-			if subset(c, d) && (len(c) < len(d) || i > j) {
+			if sets[i].within(sets[j]) && (len(c) < len(d) || i > j) {
 				maximal = false
 				break
 			}
@@ -212,6 +226,25 @@ func maximalOnly(cliques [][]int) [][]int {
 		}
 	}
 	return out
+}
+
+// newBitsets returns each sorted variable list as a bitset, all of one size.
+func newBitsets(lists [][]int) []bitset {
+	words := 1
+	for _, l := range lists {
+		if len(l) > 0 {
+			words = max(words, l[len(l)-1]>>6+1)
+		}
+	}
+	backing := make([]uint64, words*len(lists))
+	sets := make([]bitset, len(lists))
+	for i, l := range lists {
+		sets[i] = backing[i*words : (i+1)*words : (i+1)*words]
+		for _, v := range l {
+			sets[i].set(v)
+		}
+	}
+	return sets
 }
 
 // subset reports whether sorted a ⊆ sorted b.
@@ -253,7 +286,11 @@ func (n *Network) CompileJunctionTree(opts CompileOptions) (*jtree.Tree, error) 
 
 // buildTree materializes the junction tree over the given cliques and join
 // tree, rooted at root (the largest table when out of range), with every CPT
-// multiplied into one clique containing its family.
+// multiplied into the first clique containing its family. Each table is
+// allocated and written once: a clique's first CPT, in node order, is
+// extended into it (the bits of multiplying it into ones, since 1 × x is x),
+// the rest are multiplied in after it in node order, and a clique no CPT
+// goes to is all ones. The tree is left for its user to validate.
 func (n *Network) buildTree(cliques, adj [][]int, root int) (*jtree.Tree, error) {
 	if len(cliques) == 0 {
 		return nil, fmt.Errorf("bayesnet: no cliques (empty network)")
@@ -272,28 +309,26 @@ func (n *Network) buildTree(cliques, adj [][]int, root int) (*jtree.Tree, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.MaterializeUniform(); err != nil {
-		return nil, err
-	}
-
-	// Multiply every CPT into one clique containing its family.
 	for id, node := range n.Nodes {
-		placed := false
-		for i, cl := range cliques {
-			if subset(node.CPT.Vars, cl) {
-				if err := t.Cliques[i].Pot.MulBy(node.CPT); err != nil {
-					return nil, err
-				}
-				placed = true
-				break
-			}
-		}
-		if !placed {
+		i := slices.IndexFunc(cliques, func(cl []int) bool { return subset(node.CPT.Vars, cl) })
+		if i < 0 {
 			return nil, fmt.Errorf("bayesnet: no clique contains the family of node %q (%d)", node.Name, id)
 		}
+		if c := &t.Cliques[i]; c.Pot == nil {
+			c.Pot, err = node.CPT.Extend(c.Vars, c.Card)
+		} else {
+			err = c.Pot.MulBy(node.CPT)
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := t.Validate(); err != nil {
-		return nil, err
+	for i := range t.Cliques {
+		if c := &t.Cliques[i]; c.Pot == nil {
+			if c.Pot, err = potential.NewConstant(c.Vars, c.Card, 1); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return t, nil
 }
@@ -367,19 +402,53 @@ func largestClique(cliques [][]int, cards [][]int) int {
 // edge met. With the variables' cardinalities, ties go to the cheaper
 // message, 2|Ci| + 2|Cj| + |Sij| entries: Prim on the key (|sep| desc,
 // cost asc) yields, of all maximum-|sep| spanning trees, one of least
-// message cost.
+// message cost. A clique joining the tree is met with every other through
+// the lists of cliques holding each of its variables, so no two cliques are
+// compared that share none, and the memory stays linear in the cliques'
+// sizes.
 func joinTree(cliques [][]int, card []int) [][]int {
 	n := len(cliques)
 	adj := make([][]int, n)
 	if n <= 1 {
 		return adj
 	}
+	vars := 0
+	for _, cl := range cliques {
+		if len(cl) > 0 {
+			vars = max(vars, cl[len(cl)-1]+1)
+		}
+	}
+	holders := make([][]int, vars) // the cliques holding each variable
+	for i, cl := range cliques {
+		for _, v := range cl {
+			holders[v] = append(holders[v], i)
+		}
+	}
+	// meet(i) sets common[j] to |Ci ∩ Cj| and, priced, sep[j] to the table
+	// entries over Ci ∩ Cj, its variables' sizes multiplied in ascending
+	// order as entries multiplies them.
+	common := make([]int, n)
+	sep := make([]float64, n)
+	meet := func(i int) {
+		clear(common)
+		for j := range sep {
+			sep[j] = 1
+		}
+		for _, v := range cliques[i] {
+			for _, j := range holders[v] {
+				common[j]++
+				if card != nil {
+					sep[j] *= float64(card[v])
+				}
+			}
+		}
+	}
 	size := make([]float64, n)
-	cost := func(i, j int) float64 {
+	cost := func(i, j int) float64 { // after meet(i)
 		if card == nil {
 			return 0
 		}
-		return 2*(size[i]+size[j]) + entries(cliques[i], cliques[j], card)
+		return 2*(size[i]+size[j]) + sep[j]
 	}
 	if card != nil {
 		for i, cl := range cliques {
@@ -391,8 +460,9 @@ func joinTree(cliques [][]int, card []int) [][]int {
 	bestC := make([]float64, n)
 	bestTo := make([]int, n)
 	inTree[0] = true
+	meet(0)
 	for j := 1; j < n; j++ {
-		bestW[j], bestC[j] = intersectionSize(cliques[0], cliques[j]), cost(0, j)
+		bestW[j], bestC[j] = common[j], cost(0, j)
 	}
 	for added := 1; added < n; added++ {
 		pick := -1
@@ -404,11 +474,12 @@ func joinTree(cliques [][]int, card []int) [][]int {
 		inTree[pick] = true
 		adj[pick] = append(adj[pick], bestTo[pick])
 		adj[bestTo[pick]] = append(adj[bestTo[pick]], pick)
+		meet(pick)
 		for j := 1; j < n; j++ {
 			if inTree[j] {
 				continue
 			}
-			w := intersectionSize(cliques[pick], cliques[j])
+			w := common[j]
 			if w > bestW[j] || w == bestW[j] && card != nil && cost(pick, j) < bestC[j] {
 				bestW[j], bestC[j], bestTo[j] = w, cost(pick, j), pick
 			}
@@ -448,21 +519,4 @@ func entries(a, b []int, card []int) float64 {
 		}
 	}
 	return size
-}
-
-func intersectionSize(a, b []int) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			n++
-			i++
-			j++
-		}
-	}
-	return n
 }

@@ -235,6 +235,22 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestLexErrorReportedFirst: input the lexer refuses is refused for that,
+// even where the parser fails on an earlier token, so a file's error does not
+// depend on how far the parser got before the lexer reached the bad input.
+func TestLexErrorReportedFirst(t *testing.T) {
+	for src, want := range map[string]string{
+		"foo @":                       "bif: line 1: unexpected character '@'",
+		"foo { } /* x":                "bif: line 1: unterminated block comment",
+		"variable A {\n type x\n}\n@": "bif: line 4: unexpected character '@'",
+		"network n { } zz \"open\nx":  "bif: line 1: unterminated string",
+	} {
+		if _, err := ParseString(src); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %q", src, err, want)
+		}
+	}
+}
+
 func TestWriteRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		orig := bayesnet.RandomNetwork(10, 3, 2, seed)
@@ -308,8 +324,24 @@ func TestWriteSanitizesNames(t *testing.T) {
 	}
 }
 
+// lexAll pulls every token of src from the lexer, end of input included.
+func lexAll(src string) ([]token, error) {
+	l := &lexer{src: src, line: 1}
+	var out []token
+	for {
+		t, err := l.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+		if t.kind == tokEOF {
+			return out, nil
+		}
+	}
+}
+
 func TestLexerTokens(t *testing.T) {
-	toks, err := lex(`foo 1.5e-3 "str" { } ( ) [ ] | , ;`)
+	toks, err := lexAll(`foo 1.5e-3 "str" { } ( ) [ ] | , ;`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +358,7 @@ func TestLexerTokens(t *testing.T) {
 }
 
 func TestLexerLineNumbers(t *testing.T) {
-	toks, err := lex("a\nb\n  c")
+	toks, err := lexAll("a\nb\n  c")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,74 +62,53 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-// lexer splits BIF source into tokens.
+// lexer splits BIF source into tokens, one per call to next. A token's text
+// is a substring of the source, so reading one allocates nothing.
 type lexer struct {
 	src  string
 	pos  int
 	line int
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1} }
-
 // errorf decorates an error with the current line.
 func (l *lexer) errorf(format string, args ...any) error {
 	return fmt.Errorf("bif: line %d: %s", l.line, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peekByte() (byte, bool) {
-	if l.pos >= len(l.src) {
-		return 0, false
-	}
-	return l.src[l.pos], true
-}
-
-func (l *lexer) advance() byte {
-	c := l.src[l.pos]
-	l.pos++
-	if c == '\n' {
-		l.line++
-	}
-	return c
-}
-
 // skipSpace consumes whitespace and comments.
 func (l *lexer) skipSpace() error {
-	for {
-		c, ok := l.peekByte()
-		if !ok {
-			return nil
-		}
+	src := l.src
+	for l.pos < len(src) {
+		c := src[l.pos]
 		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/':
-			for {
-				c, ok := l.peekByte()
-				if !ok || c == '\n' {
-					break
-				}
-				l.advance()
+		case c == '\n':
+			l.line++
+			l.pos++
+		case c == ' ' || c == '\t' || c == '\r':
+			l.pos++
+		case c == '/' && l.pos+1 < len(src) && src[l.pos+1] == '/':
+			// Up to the newline, which the next round counts.
+			if k := strings.IndexByte(src[l.pos:], '\n'); k >= 0 {
+				l.pos += k
+			} else {
+				l.pos = len(src)
 			}
-		case c == '/' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '*':
-			l.advance()
-			l.advance()
-			closed := false
-			for l.pos < len(l.src) {
-				if l.src[l.pos] == '*' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
-				}
-				l.advance()
+		case c == '/' && l.pos+1 < len(src) && src[l.pos+1] == '*':
+			k := strings.Index(src[l.pos+2:], "*/")
+			end := len(src)
+			if k >= 0 {
+				end = l.pos + 2 + k + 2
 			}
-			if !closed {
+			l.line += strings.Count(src[l.pos:end], "\n")
+			l.pos = end
+			if k < 0 {
 				return l.errorf("unterminated block comment")
 			}
 		default:
 			return nil
 		}
 	}
+	return nil
 }
 
 // isIdentRune reports whether r may appear inside a BIF identifier. BIF
@@ -139,78 +118,59 @@ func isIdentRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '-' || r == '.'
 }
 
+// isIdentByte reports whether byte c may appear inside a BIF identifier,
+// read as isIdentRune reads it.
+func isIdentByte(c byte) bool {
+	switch {
+	case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '_', c == '-', c == '.':
+		return true
+	case c < 0x80:
+		return false
+	default:
+		return isIdentRune(rune(c))
+	}
+}
+
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	if err := l.skipSpace(); err != nil {
 		return token{}, err
 	}
-	line := l.line
-	c, ok := l.peekByte()
-	if !ok {
+	src, line := l.src, l.line
+	if l.pos >= len(src) {
 		return token{kind: tokEOF, line: line}, nil
 	}
-	switch {
-	case strings.IndexByte("{}()[]|,;", c) >= 0:
-		l.advance()
-		return token{kind: tokPunct, text: string(c), line: line}, nil
+	start := l.pos
+	switch c := src[start]; {
+	case c == '{' || c == '}' || c == '(' || c == ')' || c == '[' || c == ']' || c == '|' || c == ',' || c == ';':
+		l.pos++
+		return token{kind: tokPunct, text: src[start:l.pos], line: line}, nil
 	case c == '"':
-		l.advance()
-		start := l.pos
-		for {
-			c, ok := l.peekByte()
-			if !ok || c == '\n' {
-				return token{}, l.errorf("unterminated string")
-			}
-			if c == '"' {
-				text := l.src[start:l.pos]
-				l.advance()
-				return token{kind: tokString, text: text, line: line}, nil
-			}
-			l.advance()
+		k := strings.IndexAny(src[start+1:], "\"\n")
+		if k < 0 || src[start+1+k] == '\n' {
+			return token{}, l.errorf("unterminated string")
 		}
+		l.pos = start + 1 + k + 1
+		return token{kind: tokString, text: src[start+1 : start+1+k], line: line}, nil
 	case c >= '0' && c <= '9' || c == '-' || c == '+':
-		start := l.pos
-		l.advance()
-		for {
-			c, ok := l.peekByte()
-			if !ok {
+		i := start + 1
+		for ; i < len(src); i++ {
+			c := src[i]
+			if !(c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' ||
+				(c == '-' || c == '+') && (src[i-1] == 'e' || src[i-1] == 'E')) {
 				break
 			}
-			if c >= '0' && c <= '9' || c == '.' || c == 'e' || c == 'E' ||
-				((c == '-' || c == '+') && (l.src[l.pos-1] == 'e' || l.src[l.pos-1] == 'E')) {
-				l.advance()
-				continue
-			}
-			break
 		}
-		return token{kind: tokNumber, text: l.src[start:l.pos], line: line}, nil
-	case isIdentRune(rune(c)):
-		start := l.pos
-		for {
-			c, ok := l.peekByte()
-			if !ok || !isIdentRune(rune(c)) {
-				break
-			}
-			l.advance()
+		l.pos = i
+		return token{kind: tokNumber, text: src[start:i], line: line}, nil
+	case isIdentByte(c):
+		i := start + 1
+		for i < len(src) && isIdentByte(src[i]) {
+			i++
 		}
-		return token{kind: tokIdent, text: l.src[start:l.pos], line: line}, nil
+		l.pos = i
+		return token{kind: tokIdent, text: src[start:i], line: line}, nil
 	default:
 		return token{}, l.errorf("unexpected character %q", c)
-	}
-}
-
-// lex tokenizes the whole input.
-func lex(src string) ([]token, error) {
-	l := newLexer(src)
-	var out []token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-		if t.kind == tokEOF {
-			return out, nil
-		}
 	}
 }

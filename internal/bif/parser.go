@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"evprop/internal/bayesnet"
 )
@@ -44,18 +45,46 @@ type Row struct {
 	Values       []float64
 }
 
-// parser consumes a token stream.
+// parser pulls tokens from the lexer one at a time, holding one of
+// lookahead. The lexer's first error ends the stream: the parser then sees
+// end of input, and ParseString reports the lexer's error in place of
+// whatever the parser made of it.
 type parser struct {
-	toks []token
-	pos  int
+	lex lexer
+	tok token // the next token, not yet consumed
+	err error // the lexer's error, nil while it has none
+
+	// Scratch reused from one declaration to the next: a declaration's
+	// strings and numbers are gathered here and copied out once, into
+	// slices of their final size.
+	strs []string
+	vals []float64
+	rows []rowSpan
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
+// rowSpan locates one `(states…) values;` row in the parser's scratch:
+// strs[s0:s1] are its parent states and vals[v0:v1] its values.
+type rowSpan struct{ s0, s1, v0, v1 int }
+
+// advance reads the lookahead token.
+func (p *parser) advance() {
+	if p.err != nil {
+		return
+	}
+	t, err := p.lex.next()
+	if err != nil {
+		p.err = err
+		t = token{kind: tokEOF, line: p.lex.line}
+	}
+	p.tok = t
+}
+
+func (p *parser) peek() token { return p.tok }
 
 func (p *parser) next() token {
-	t := p.toks[p.pos]
+	t := p.tok
 	if t.kind != tokEOF {
-		p.pos++
+		p.advance()
 	}
 	return t
 }
@@ -106,25 +135,26 @@ func (p *parser) number() (float64, error) {
 	return v, nil
 }
 
-// numberList parses `v, v, … ;` (commas optional, as in repository files).
-func (p *parser) numberList() ([]float64, error) {
-	var out []float64
+// numberList parses `v, v, … ;` (commas optional, as in repository files)
+// onto the end of p.vals and returns where the list starts there.
+func (p *parser) numberList() (int, error) {
+	start := len(p.vals)
 	for {
 		v, err := p.number()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		out = append(out, v)
+		p.vals = append(p.vals, v)
 		if p.atPunct(",") {
 			p.next()
 			continue
 		}
 		if p.atPunct(";") {
 			p.next()
-			return out, nil
+			return start, nil
 		}
 		if t := p.peek(); t.kind != tokNumber {
-			return nil, p.errorf(t, "expected ',', ';' or number in value list, found %s", t)
+			return 0, p.errorf(t, "expected ',', ';' or number in value list, found %s", t)
 		}
 	}
 }
@@ -144,20 +174,35 @@ func (p *parser) skipProperty() error {
 
 // Parse reads a BIF document from r.
 func Parse(r io.Reader) (*Document, error) {
-	src, err := io.ReadAll(r)
-	if err != nil {
+	var src strings.Builder
+	if _, err := io.Copy(&src, r); err != nil {
 		return nil, fmt.Errorf("bif: %w", err)
 	}
-	return ParseString(string(src))
+	return ParseString(src.String())
 }
 
-// ParseString reads a BIF document from a string.
+// ParseString reads a BIF document from a string, in one pass: the parser
+// pulls each token from the lexer as it needs it. Input the lexer refuses is
+// refused for that wherever the parser stops: when the parser fails first,
+// the lexer still reads the rest of the input, and its error, if it meets
+// one, is the one reported.
 func ParseString(src string) (*Document, error) {
-	toks, err := lex(src)
+	p := &parser{lex: lexer{src: src, line: 1}}
+	p.advance()
+	doc, err := p.document()
+	for err != nil && p.err == nil && p.tok.kind != tokEOF {
+		p.advance()
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return doc, nil
+}
+
+func (p *parser) document() (*Document, error) {
 	doc := &Document{}
 	for {
 		t := p.peek()
@@ -249,15 +294,19 @@ func (p *parser) parseVariable(doc *Document) error {
 			if err := p.expectPunct("{"); err != nil {
 				return err
 			}
+			p.strs = append(p.strs[:0], v.States...)
 			for !p.atPunct("}") {
 				st := p.next()
 				if st.kind != tokIdent && st.kind != tokNumber && st.kind != tokString {
 					return p.errorf(st, "expected state name, found %s", st)
 				}
-				v.States = append(v.States, st.text)
+				p.strs = append(p.strs, st.text)
 				if p.atPunct(",") {
 					p.next()
 				}
+			}
+			if len(p.strs) > 0 {
+				v.States = append(make([]string, 0, len(p.strs)), p.strs...)
 			}
 			if err := p.expectPunct("}"); err != nil {
 				return err
@@ -282,6 +331,9 @@ func (p *parser) parseVariable(doc *Document) error {
 	return nil
 }
 
+// parseProbability gathers the block's parents, parent states and values in
+// the parser's scratch and copies them out once at its end: one slice of
+// strings, one of values and one of rows per block, whatever its row count.
 func (p *parser) parseProbability(doc *Document) error {
 	p.next() // probability
 	if err := p.expectPunct("("); err != nil {
@@ -291,7 +343,7 @@ func (p *parser) parseProbability(doc *Document) error {
 	if err != nil {
 		return err
 	}
-	b := ProbBlock{Child: child}
+	p.strs, p.vals, p.rows = p.strs[:0], p.vals[:0], p.rows[:0]
 	if p.atPunct("|") {
 		p.next()
 		for {
@@ -299,7 +351,7 @@ func (p *parser) parseProbability(doc *Document) error {
 			if err != nil {
 				return err
 			}
-			b.Parents = append(b.Parents, parent)
+			p.strs = append(p.strs, parent)
 			if p.atPunct(",") {
 				p.next()
 				continue
@@ -307,12 +359,16 @@ func (p *parser) parseProbability(doc *Document) error {
 			break
 		}
 	}
+	parents := len(p.strs)
 	if err := p.expectPunct(")"); err != nil {
 		return err
 	}
 	if err := p.expectPunct("{"); err != nil {
 		return err
 	}
+	// Where the last `table` and `default` lists lie in p.vals ({-1, -1} for
+	// none).
+	table, def := [2]int{-1, -1}, [2]int{-1, -1}
 	for !p.atPunct("}") {
 		t := p.peek()
 		switch {
@@ -323,50 +379,65 @@ func (p *parser) parseProbability(doc *Document) error {
 			if err := p.skipProperty(); err != nil {
 				return err
 			}
-		case t.kind == tokIdent && t.text == "table":
+		case t.kind == tokIdent && (t.text == "table" || t.text == "default"):
 			p.next()
-			vals, err := p.numberList()
+			start, err := p.numberList()
 			if err != nil {
 				return err
 			}
-			b.Table = vals
-		case t.kind == tokIdent && t.text == "default":
-			p.next()
-			vals, err := p.numberList()
-			if err != nil {
-				return err
+			if t.text == "table" {
+				table = [2]int{start, len(p.vals)}
+			} else {
+				def = [2]int{start, len(p.vals)}
 			}
-			b.Default = vals
 		case t.kind == tokPunct && t.text == "(":
 			p.next()
-			var row Row
+			row := rowSpan{s0: len(p.strs)}
 			for {
 				st := p.next()
 				if st.kind != tokIdent && st.kind != tokNumber && st.kind != tokString {
 					return p.errorf(st, "expected parent state, found %s", st)
 				}
-				row.ParentStates = append(row.ParentStates, st.text)
+				p.strs = append(p.strs, st.text)
 				if p.atPunct(",") {
 					p.next()
 					continue
 				}
 				break
 			}
+			row.s1 = len(p.strs)
 			if err := p.expectPunct(")"); err != nil {
 				return err
 			}
-			vals, err := p.numberList()
-			if err != nil {
+			if row.v0, err = p.numberList(); err != nil {
 				return err
 			}
-			row.Values = vals
-			b.Rows = append(b.Rows, row)
+			row.v1 = len(p.vals)
+			p.rows = append(p.rows, row)
 		default:
 			return p.errorf(t, "unexpected %s in probability block", t)
 		}
 	}
 	if err := p.expectPunct("}"); err != nil {
 		return err
+	}
+	strs := append([]string(nil), p.strs...)
+	vals := append([]float64(nil), p.vals...)
+	b := ProbBlock{Child: child}
+	if parents > 0 {
+		b.Parents = strs[:parents:parents]
+	}
+	if table[0] >= 0 {
+		b.Table = vals[table[0]:table[1]:table[1]]
+	}
+	if def[0] >= 0 {
+		b.Default = vals[def[0]:def[1]:def[1]]
+	}
+	if len(p.rows) > 0 {
+		b.Rows = make([]Row, len(p.rows))
+		for i, r := range p.rows {
+			b.Rows[i] = Row{ParentStates: strs[r.s0:r.s1:r.s1], Values: vals[r.v0:r.v1:r.v1]}
+		}
 	}
 	doc.Blocks = append(doc.Blocks, b)
 	return nil
@@ -376,57 +447,74 @@ func (p *parser) parseProbability(doc *Document) error {
 // network and each variable's state names (by variable name). Variables are
 // topologically reordered as needed so parents precede children.
 func (doc *Document) ToNetwork() (*bayesnet.Network, map[string][]string, error) {
-	varIdx := map[string]int{}
+	varIdx := make(map[string]int, len(doc.Variables))
+	names := 0
 	for i, v := range doc.Variables {
 		if _, dup := varIdx[v.Name]; dup {
 			return nil, nil, fmt.Errorf("bif: variable %q declared twice", v.Name)
 		}
 		varIdx[v.Name] = i
+		names += len(v.States)
 	}
-	blockOf := map[string]*ProbBlock{}
+	// blockOf[i] is variable i's probability block, parentIdx[i] its parents'
+	// variable indices.
+	blockOf := make([]*ProbBlock, len(doc.Variables))
+	parentIdx := make([][]int, len(doc.Variables))
 	for i := range doc.Blocks {
 		b := &doc.Blocks[i]
-		if _, ok := varIdx[b.Child]; !ok {
+		child, ok := varIdx[b.Child]
+		if !ok {
 			return nil, nil, fmt.Errorf("bif: probability block for undeclared variable %q", b.Child)
 		}
-		if _, dup := blockOf[b.Child]; dup {
+		if blockOf[child] != nil {
 			return nil, nil, fmt.Errorf("bif: variable %q has two probability blocks", b.Child)
 		}
-		for _, parent := range b.Parents {
-			if _, ok := varIdx[parent]; !ok {
+		parentIdx[child] = make([]int, len(b.Parents))
+		for k, parent := range b.Parents {
+			j, ok := varIdx[parent]
+			if !ok {
 				return nil, nil, fmt.Errorf("bif: variable %q has undeclared parent %q", b.Child, parent)
 			}
+			parentIdx[child][k] = j
 		}
-		blockOf[b.Child] = b
+		blockOf[child] = b
 	}
-	for _, v := range doc.Variables {
-		if _, ok := blockOf[v.Name]; !ok {
+	for i, v := range doc.Variables {
+		if blockOf[i] == nil {
 			return nil, nil, fmt.Errorf("bif: variable %q has no probability block", v.Name)
 		}
 	}
 
-	order, err := topoOrder(doc.Variables, blockOf)
+	order, err := topoOrder(parentIdx)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	net := bayesnet.New()
-	states := map[string][]string{}
-	for _, name := range order {
-		v := doc.Variables[varIdx[name]]
-		b := blockOf[name]
-		dist, err := doc.flatten(v, b, varIdx)
+	states := make(map[string][]string, len(doc.Variables))
+	stateNames := make([]string, 0, names)
+	// AddNode keeps neither its parents nor its distribution, so one buffer
+	// of each serves every variable.
+	var parents []int
+	var dist []float64
+	var set []bool
+	for _, i := range order {
+		v := doc.Variables[i]
+		b := blockOf[i]
+		d, err := doc.flatten(v, b, parentIdx[i], &dist, &set)
 		if err != nil {
 			return nil, nil, err
 		}
-		parents := make([]int, len(b.Parents))
-		for i, pn := range b.Parents {
-			parents[i] = net.ID(pn)
+		parents = parents[:0]
+		for _, pn := range b.Parents {
+			parents = append(parents, net.ID(pn))
 		}
-		if _, err := net.AddNode(name, len(v.States), parents, dist); err != nil {
+		if _, err := net.AddNode(v.Name, len(v.States), parents, d); err != nil {
 			return nil, nil, fmt.Errorf("bif: %w", err)
 		}
-		states[name] = append([]string(nil), v.States...)
+		start := len(stateNames)
+		stateNames = append(stateNames, v.States...)
+		states[v.Name] = stateNames[start:len(stateNames):len(stateNames)]
 	}
 	if err := net.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("bif: %w", err)
@@ -434,37 +522,37 @@ func (doc *Document) ToNetwork() (*bayesnet.Network, map[string][]string, error)
 	return net, states, nil
 }
 
-// topoOrder sorts variable names parents-before-children, preserving
-// declaration order among independent variables (stable Kahn).
-func topoOrder(vars []Variable, blockOf map[string]*ProbBlock) ([]string, error) {
-	indeg := map[string]int{}
-	children := map[string][]string{}
-	for _, v := range vars {
-		b := blockOf[v.Name]
-		indeg[v.Name] = len(b.Parents)
-		for _, parent := range b.Parents {
-			children[parent] = append(children[parent], v.Name)
+// topoOrder sorts variable indices parents-before-children, preserving
+// declaration order among independent variables (stable Kahn); parents[i]
+// lists variable i's parents.
+func topoOrder(parents [][]int) ([]int, error) {
+	indeg := make([]int, len(parents))
+	children := make([][]int, len(parents))
+	for i, ps := range parents {
+		indeg[i] = len(ps)
+		for _, p := range ps {
+			children[p] = append(children[p], i)
 		}
 	}
-	var queue []string
-	for _, v := range vars {
-		if indeg[v.Name] == 0 {
-			queue = append(queue, v.Name)
+	var queue []int
+	for i, d := range indeg {
+		if d == 0 {
+			queue = append(queue, i)
 		}
 	}
-	var order []string
+	var order []int
 	for len(queue) > 0 {
-		name := queue[0]
+		i := queue[0]
 		queue = queue[1:]
-		order = append(order, name)
-		for _, c := range children[name] {
+		order = append(order, i)
+		for _, c := range children[i] {
 			indeg[c]--
 			if indeg[c] == 0 {
 				queue = append(queue, c)
 			}
 		}
 	}
-	if len(order) != len(vars) {
+	if len(order) != len(parents) {
 		return nil, fmt.Errorf("bif: probability blocks form a cycle")
 	}
 	return order, nil
@@ -472,13 +560,14 @@ func topoOrder(vars []Variable, blockOf map[string]*ProbBlock) ([]string, error)
 
 // flatten produces the CPT in bayesnet.AddNode layout (parents in declared
 // order slowest-first, child fastest) from whichever forms the block uses.
-func (doc *Document) flatten(v Variable, b *ProbBlock, varIdx map[string]int) ([]float64, error) {
+// parents are the block's parents' variable indices. A table is returned as
+// the block holds it; rows are laid out in *dist, which flatten grows as
+// needed and the caller reuses, as it does *set.
+func (doc *Document) flatten(v Variable, b *ProbBlock, parents []int, dist *[]float64, set *[]bool) ([]float64, error) {
 	childCard := len(v.States)
 	rows := 1
-	parentVars := make([]Variable, len(b.Parents))
-	for i, pn := range b.Parents {
-		parentVars[i] = doc.Variables[varIdx[pn]]
-		rows *= len(parentVars[i].States)
+	for _, pi := range parents {
+		rows *= len(doc.Variables[pi].States)
 	}
 	want := rows * childCard
 
@@ -489,11 +578,17 @@ func (doc *Document) flatten(v Variable, b *ProbBlock, varIdx map[string]int) ([
 		if len(b.Table) != want {
 			return nil, fmt.Errorf("bif: variable %q table has %d values, want %d", v.Name, len(b.Table), want)
 		}
-		return append([]float64(nil), b.Table...), nil
+		return b.Table, nil
 	}
 
-	dist := make([]float64, want)
-	set := make([]bool, rows)
+	if cap(*dist) < want {
+		*dist = make([]float64, want)
+	}
+	if cap(*set) < rows {
+		*set = make([]bool, rows)
+	}
+	out, seen := (*dist)[:want], (*set)[:rows]
+	clear(seen)
 	for _, row := range b.Rows {
 		if len(row.ParentStates) != len(b.Parents) {
 			return nil, fmt.Errorf("bif: variable %q row names %d parent states, want %d",
@@ -501,25 +596,26 @@ func (doc *Document) flatten(v Variable, b *ProbBlock, varIdx map[string]int) ([
 		}
 		idx := 0
 		for i, stateName := range row.ParentStates {
-			s := stateIndex(parentVars[i].States, stateName)
+			ps := doc.Variables[parents[i]].States
+			s := stateIndex(ps, stateName)
 			if s < 0 {
 				return nil, fmt.Errorf("bif: variable %q row: parent %q has no state %q",
 					v.Name, b.Parents[i], stateName)
 			}
-			idx = idx*len(parentVars[i].States) + s
+			idx = idx*len(ps) + s
 		}
 		if len(row.Values) != childCard {
 			return nil, fmt.Errorf("bif: variable %q row lists %d values, want %d",
 				v.Name, len(row.Values), childCard)
 		}
-		if set[idx] {
+		if seen[idx] {
 			return nil, fmt.Errorf("bif: variable %q row (%v) given twice", v.Name, row.ParentStates)
 		}
-		set[idx] = true
-		copy(dist[idx*childCard:], row.Values)
+		seen[idx] = true
+		copy(out[idx*childCard:], row.Values)
 	}
 	for r := 0; r < rows; r++ {
-		if set[r] {
+		if seen[r] {
 			continue
 		}
 		if b.Default == nil {
@@ -529,9 +625,9 @@ func (doc *Document) flatten(v Variable, b *ProbBlock, varIdx map[string]int) ([
 			return nil, fmt.Errorf("bif: variable %q default lists %d values, want %d",
 				v.Name, len(b.Default), childCard)
 		}
-		copy(dist[r*childCard:], b.Default)
+		copy(out[r*childCard:], b.Default)
 	}
-	return dist, nil
+	return out, nil
 }
 
 func stateIndex(states []string, name string) int {

@@ -185,8 +185,10 @@ type Engine struct {
 	firstSight atomic.Int64
 }
 
-// NewEngine validates and prepares the junction tree. The tree is cloned;
-// the caller's copy is never mutated.
+// NewEngine validates and prepares the junction tree. The engine keeps t, or
+// with Reroot a structural copy of t sharing its tables (jtree.Tree.Reroot),
+// and reads its tables without writing them: the caller must not write them
+// either while the engine is in use.
 func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -198,7 +200,7 @@ func NewEngine(t *jtree.Tree, opts Options) (*Engine, error) {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{opts: opts, RerootedFrom: -1, pool: sched.ProcessPool(opts.Workers)}
-	work := t.Clone()
+	work := t
 	if opts.Reroot {
 		start := time.Now()
 		r := work.SelectRoot()

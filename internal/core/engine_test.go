@@ -202,6 +202,33 @@ func TestEngineRerootBookkeeping(t *testing.T) {
 	}
 }
 
+// TestEngineSharesCompiledTables: the engine keeps the tables the compiler
+// wrote, by pointer, whether Algorithm 1 moves the root (mid60's tree) or not
+// (wide60's), and copies none of them.
+func TestEngineSharesCompiledTables(t *testing.T) {
+	for _, c := range []struct {
+		parents  int
+		rerooted bool
+	}{{4, true}, {5, false}} {
+		tr, err := bayesnet.RandomNetwork(60, 2, c.parents, 7).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := NewEngine(tr, Options{Workers: 2, Reroot: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rerooted := e.RerootedFrom >= 0; rerooted != c.rerooted {
+			t.Fatalf("%d parents: rerooted %v, want %v", c.parents, rerooted, c.rerooted)
+		}
+		for i := range tr.Cliques {
+			if e.Tree().Cliques[i].Pot != tr.Cliques[i].Pot {
+				t.Errorf("%d parents: the engine copied clique %d's table", c.parents, i)
+			}
+		}
+	}
+}
+
 func TestEngineRejectsInvalidTree(t *testing.T) {
 	tr, err := jtree.Chain(3, 3, 2)
 	if err != nil {

@@ -13,6 +13,7 @@ package jtree
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"evprop/internal/potential"
@@ -112,28 +113,22 @@ func NewFromAdjacency(vars [][]int, card [][]int, adj [][]int, root int) (*Tree,
 
 // RecomputeSeparators refreshes SepVars/SepCard of every non-root clique
 // from the intersection with its parent.
-func (t *Tree) RecomputeSeparators() { t.recomputeSeparators(nil) }
-
-// recomputeSeparators adds the steps it takes to steps (see RerootSteps).
-func (t *Tree) recomputeSeparators(steps *int64) {
+func (t *Tree) RecomputeSeparators() {
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
-		count(steps, 1)
 		if c.Parent < 0 {
 			c.SepVars, c.SepCard = nil, nil
 			continue
 		}
-		p := &t.Cliques[c.Parent]
-		count(steps, len(c.Vars)+len(p.Vars)) // the merge of the two domains
-		c.SepVars, c.SepCard = potential.IntersectDomain(c.Vars, c.Card, p.Vars)
+		c.SepVars, c.SepCard = potential.IntersectDomain(c.Vars, c.Card, t.Cliques[c.Parent].Vars)
 	}
 }
 
 // Validate checks the structural invariants: a single root, consistent
-// parent/child links, connectivity, sorted clique domains with consistent
-// cardinalities, separators matching parent intersections, and the running
-// intersection property (for every variable, the cliques containing it form
-// a connected subtree).
+// parent/child links, connectivity, sorted non-negative clique domains with
+// consistent cardinalities, separators matching parent intersections, and
+// the running intersection property (for every variable, the cliques
+// containing it form a connected subtree).
 func (t *Tree) Validate() error {
 	n := t.N()
 	if n == 0 {
@@ -145,8 +140,6 @@ func (t *Tree) Validate() error {
 	if t.Cliques[t.Root].Parent != -1 {
 		return fmt.Errorf("jtree: root %d has parent %d", t.Root, t.Cliques[t.Root].Parent)
 	}
-	cardOf := map[int]int{}
-	seen := make([]bool, n)
 	order, err := t.TopoOrder()
 	if err != nil {
 		return err
@@ -154,17 +147,30 @@ func (t *Tree) Validate() error {
 	if len(order) != n {
 		return fmt.Errorf("jtree: only %d of %d cliques reachable from root", len(order), n)
 	}
+	vars := 0
 	for _, i := range order {
-		seen[i] = true
 		c := &t.Cliques[i]
 		if len(c.Vars) != len(c.Card) {
 			return fmt.Errorf("jtree: clique %d has %d vars but %d cardinalities", i, len(c.Vars), len(c.Card))
 		}
 		for j, v := range c.Vars {
+			if v < 0 {
+				return fmt.Errorf("jtree: clique %d has negative variable %d", i, v)
+			}
 			if j > 0 && c.Vars[j-1] >= v {
 				return fmt.Errorf("jtree: clique %d vars not strictly ascending", i)
 			}
-			if prev, ok := cardOf[v]; ok && prev != c.Card[j] {
+			vars = max(vars, v+1)
+		}
+	}
+	cardOf := make([]int, vars) // -1 until a clique holding the variable is met
+	for v := range cardOf {
+		cardOf[v] = -1
+	}
+	for _, i := range order {
+		c := &t.Cliques[i]
+		for j, v := range c.Vars {
+			if prev := cardOf[v]; prev >= 0 && prev != c.Card[j] {
 				return fmt.Errorf("jtree: variable %d has cardinality %d and %d", v, prev, c.Card[j])
 			}
 			cardOf[v] = c.Card[j]
@@ -187,44 +193,35 @@ func (t *Tree) Validate() error {
 			}
 		}
 	}
-	return t.checkRIP()
+	return t.checkRIP(vars)
 }
 
-// checkRIP verifies the running intersection property variable by variable.
-func (t *Tree) checkRIP() error {
-	holders := map[int][]int{}
+// checkRIP verifies the running intersection property, given that every
+// separator is its edge's intersection and every variable is below vars. The
+// cliques holding a variable, with the tree edges whose separator holds it,
+// form a forest, which is connected if and only if it has one edge fewer than
+// cliques.
+func (t *Tree) checkRIP(vars int) error {
+	held := make([]int, vars) // cliques holding each variable, minus edges
 	for i := range t.Cliques {
-		for _, v := range t.Cliques[i].Vars {
-			holders[v] = append(holders[v], i)
+		c := &t.Cliques[i]
+		for _, v := range c.Vars {
+			held[v]++
 		}
-	}
-	inSet := make([]bool, t.N())
-	for v, cl := range holders {
-		if len(cl) == 1 {
-			continue
-		}
-		for _, i := range cl {
-			inSet[i] = true
-		}
-		// BFS within the holders, starting anywhere.
-		reached := 0
-		stack := []int{cl[0]}
-		visited := map[int]bool{cl[0]: true}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			reached++
-			for _, nb := range t.Neighbors(u) {
-				if inSet[nb] && !visited[nb] {
-					visited[nb] = true
-					stack = append(stack, nb)
-				}
+		if c.Parent >= 0 {
+			for _, v := range c.SepVars {
+				held[v]--
 			}
 		}
-		for _, i := range cl {
-			inSet[i] = false
-		}
-		if reached != len(cl) {
+	}
+	for v, k := range held {
+		if k > 1 {
+			var cl []int
+			for i := range t.Cliques {
+				if slices.Contains(t.Cliques[i].Vars, v) {
+					cl = append(cl, i)
+				}
+			}
 			return fmt.Errorf("jtree: running intersection violated for variable %d (cliques %v)", v, cl)
 		}
 	}
@@ -340,14 +337,10 @@ func (t *Tree) TotalWeight() float64 {
 }
 
 // Clone returns a deep copy of the tree (including potentials, if any).
-func (t *Tree) Clone() *Tree { return t.clone(nil) }
-
-// clone adds the steps it takes to steps (see RerootSteps).
-func (t *Tree) clone(steps *int64) *Tree {
+func (t *Tree) Clone() *Tree {
 	out := &Tree{Cliques: make([]Clique, t.N()), Root: t.Root, cliqueOf: t.cliqueOf}
 	for i := range t.Cliques {
 		c := &t.Cliques[i]
-		count(steps, 1+len(c.Vars)+len(c.Card)+len(c.Children)+len(c.SepVars)+len(c.SepCard))
 		n := Clique{
 			Vars:     append([]int(nil), c.Vars...),
 			Card:     append([]int(nil), c.Card...),
@@ -357,7 +350,6 @@ func (t *Tree) clone(steps *int64) *Tree {
 			SepCard:  append([]int(nil), c.SepCard...),
 		}
 		if c.Pot != nil {
-			count(steps, c.Pot.Len())
 			n.Pot = c.Pot.Clone()
 		}
 		out.Cliques[i] = n

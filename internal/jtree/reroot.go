@@ -5,18 +5,21 @@ import (
 	"math"
 )
 
-// Reroot returns a copy of the tree reoriented so that newRoot is the root.
-// The underlying undirected topology, clique domains and potentials are
-// unchanged; only edge directions (parent/children) and separators follow
-// the new preorder walk, exactly as in Section 4 of the paper. Separator
-// variable sets are edge properties and therefore identical before and
-// after; they are recomputed for consistency.
+// Reroot returns the tree reoriented so that newRoot is the root: a
+// structural copy whose cliques share t's domains and potential tables, so no
+// table entry is copied and neither tree's tables may be written while the
+// other is in use. The underlying undirected topology, clique domains and
+// potentials are unchanged; only edge directions (parent/children) and
+// separators follow the new preorder walk, exactly as in Section 4 of the
+// paper. Separators are edge properties, so each one on the path from the old
+// root moves with its edge and the rest stay where they are.
 func (t *Tree) Reroot(newRoot int) (*Tree, error) { return t.reroot(newRoot, nil) }
 
 // RerootSteps runs root selection and the reroot to the clique it selects, as
 // SelectRoot and Reroot do, and returns the elementary steps the two took: one
-// per clique visited, per domain slot or child link read or copied, and per
-// table entry cloned, each counted where the code takes it. It is Algorithm
+// per clique visited and per domain slot or child link read or copied, each
+// counted where the code takes it. No table entry is copied, so a
+// materialized tree takes the steps of its skeleton. It is Algorithm
 // 1's cost as a count, which the host's speed cannot move.
 func (t *Tree) RerootSteps() (int64, error) {
 	var steps int64
@@ -36,7 +39,7 @@ func (t *Tree) reroot(newRoot int, steps *int64) (*Tree, error) {
 	if newRoot < 0 || newRoot >= t.N() {
 		return nil, fmt.Errorf("jtree: reroot target %d out of range", newRoot)
 	}
-	out := t.clone(steps)
+	out := t.relink(steps)
 	if newRoot == t.Root {
 		return out, nil
 	}
@@ -49,15 +52,30 @@ func (t *Tree) reroot(newRoot int, steps *int64) (*Tree, error) {
 	for k := 0; k+1 < len(path); k++ {
 		count(steps, 1)
 		child, parent := path[k], path[k+1]
-		// Edge (parent -> child) becomes (child -> parent).
+		// Edge (parent -> child) becomes (child -> parent), and its
+		// separator, the intersection of the two, moves to its new child.
 		out.Cliques[parent].Parent = child
 		out.Cliques[parent].Children = removeInt(out.Cliques[parent].Children, child, steps)
 		out.Cliques[child].Children = append(out.Cliques[child].Children, parent)
+		out.Cliques[parent].SepVars, out.Cliques[parent].SepCard = t.Cliques[child].SepVars, t.Cliques[child].SepCard
 	}
 	out.Cliques[newRoot].Parent = -1
+	out.Cliques[newRoot].SepVars, out.Cliques[newRoot].SepCard = nil, nil
 	out.Root = newRoot
-	out.recomputeSeparators(steps)
 	return out, nil
+}
+
+// relink returns a structural copy of t for a reroot to reorient: its own
+// cliques and child lists, sharing t's domains, separators and tables.
+func (t *Tree) relink(steps *int64) *Tree {
+	out := &Tree{Cliques: make([]Clique, t.N()), Root: t.Root, cliqueOf: t.cliqueOf}
+	for i := range t.Cliques {
+		c := &t.Cliques[i]
+		count(steps, 1+len(c.Children))
+		out.Cliques[i] = *c
+		out.Cliques[i].Children = append([]int(nil), c.Children...)
+	}
+	return out
 }
 
 func removeInt(s []int, v int, steps *int64) []int {

@@ -75,10 +75,10 @@ func TestRerootOutOfRange(t *testing.T) {
 }
 
 // TestRerootStepsLinear: Algorithm 1 is O(w·N) on a skeleton — four times the
-// cliques, about four times the steps — and a reroot that copies tables pays
-// a step per entry.
+// cliques, about four times the steps — and a reroot copies no table, so a
+// materialized tree takes exactly its skeleton's steps.
 func TestRerootStepsLinear(t *testing.T) {
-	steps := func(n int, materialize bool) (int64, int) {
+	steps := func(n int, materialize bool) int64 {
 		tr, err := Random(RandomConfig{N: n, Width: 8, States: 2, Degree: 4, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
@@ -92,19 +92,14 @@ func TestRerootStepsLinear(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		entries := 0
-		for i := range tr.Cliques {
-			entries += tr.Cliques[i].TableSize()
-		}
-		return s, entries
+		return s
 	}
-	small, _ := steps(128, false)
-	large, entries := steps(512, false)
+	small, large := steps(128, false), steps(512, false)
 	if ratio := float64(large) / float64(small); ratio < 3 || ratio > 5 {
 		t.Errorf("%d steps on 128 cliques, %d on 512: ratio %.2f, want ≈ 4", small, large, ratio)
 	}
-	if withTables, _ := steps(512, true); withTables != large+int64(entries) {
-		t.Errorf("%d steps with tables, %d without and %d entries", withTables, large, entries)
+	if withTables := steps(512, true); withTables != large {
+		t.Errorf("%d steps with tables, %d without", withTables, large)
 	}
 }
 
@@ -136,6 +131,54 @@ func TestRerootPreservesPotentials(t *testing.T) {
 		}
 		if len(c.SepVars) == 0 || len(c.SepVars) != len(c.SepCard) {
 			t.Errorf("clique %d separator domain %v/%v", i, c.SepVars, c.SepCard)
+		}
+	}
+}
+
+// TestRerootSharesTables: a reroot relinks a structural copy. Every clique
+// keeps the very table it had, every separator is its edge's intersection as
+// RecomputeSeparators would set it, and the tree rerooted from is unchanged.
+func TestRerootSharesTables(t *testing.T) {
+	tr, err := Random(RandomConfig{N: 40, Width: 4, States: 2, Degree: 3, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.MaterializeRandom(5); err != nil {
+		t.Fatal(err)
+	}
+	before := tr.Clone()
+	for target := 0; target < tr.N(); target++ {
+		rt, err := tr.Reroot(target)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Rerooting the rerooted tree moves separators a second time.
+		back, err := rt.Reroot(tr.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*Tree{rt, back} {
+			ref := got.Clone()
+			ref.RecomputeSeparators()
+			for i := range got.Cliques {
+				c := &got.Cliques[i]
+				if c.Pot != tr.Cliques[i].Pot {
+					t.Fatalf("reroot to %d copied clique %d's table", got.Root, i)
+				}
+				if !equalInts(c.SepVars, ref.Cliques[i].SepVars) || !equalInts(c.SepCard, ref.Cliques[i].SepCard) {
+					t.Fatalf("reroot to %d: clique %d separator %v/%v, intersection %v/%v", got.Root, i,
+						c.SepVars, c.SepCard, ref.Cliques[i].SepVars, ref.Cliques[i].SepCard)
+				}
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := range tr.Cliques {
+		c, b := &tr.Cliques[i], &before.Cliques[i]
+		if c.Parent != b.Parent || !equalInts(c.Children, b.Children) || !equalInts(c.SepVars, b.SepVars) || !c.Pot.Equal(b.Pot, 0) {
+			t.Fatalf("rerooting changed clique %d of the tree rerooted from", i)
 		}
 	}
 }

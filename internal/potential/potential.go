@@ -34,6 +34,10 @@ type Potential struct {
 	Data []float64 // row-major entries, last variable fastest
 }
 
+// maxEntries bounds a table's entries: 2⁴⁰, or fewer where an int cannot
+// count that many (32-bit platforms).
+const maxEntries = min(1<<40, math.MaxInt)
+
 // New returns a zero-initialized potential over vars with the given
 // cardinalities. It reports an error if the domain is malformed.
 func New(vars, card []int) (*Potential, error) {
@@ -51,7 +55,7 @@ func New(vars, card []int) (*Potential, error) {
 		if card[i] < 1 {
 			return nil, fmt.Errorf("potential: variable %d has cardinality %d", v, card[i])
 		}
-		if n > (1<<40)/card[i] {
+		if n > maxEntries/card[i] {
 			return nil, fmt.Errorf("potential: table over %d variables exceeds size limit", len(vars))
 		}
 		n *= card[i]
